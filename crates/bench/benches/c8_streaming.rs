@@ -14,7 +14,9 @@
 //!   written in both modes upstream (the simulation's durable output),
 //!   so the delta is exactly the file round-trip.
 //! * `real_*` — the full workflow both ways (`run_sequential` vs
-//!   `run_pipelined` with `streaming`), shared pre-trained model.
+//!   `run_pipelined` with `streaming`: one driver, `CaseStudy::run`,
+//!   differing in submission order and year source), shared pre-trained
+//!   model.
 //! * the CNN batch sweep — the batched inference service at
 //!   `max_batch ∈ {1, 2, 4, 8, 16}` over a fixed request set, reporting
 //!   throughput, mean batch occupancy and queue wait per point.

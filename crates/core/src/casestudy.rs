@@ -1,4 +1,4 @@
-//! The case-study task definitions and the pipelined driver.
+//! The case-study task definitions and the workflow driver.
 //!
 //! Mirrors Section 5 of the paper. Each stage is a distinct task function
 //! submitted to the dataflow runtime (one color each in the Figure-3
@@ -25,6 +25,14 @@
 //! everything that crosses the simulation/analytics boundary, and cube ids
 //! into the shared datacube store for in-memory analytics handoff (the
 //! paper's "data could be kept in memory ... as the workflow progresses").
+//!
+//! There is one driver, [`CaseStudy::run`], with two settings. The
+//! [`RunOrder`] says when analysis is submitted (after the whole
+//! simulation, or per year as years arrive). Where a year's daily fields
+//! come from is a [`YearSource`] — its daily files, or the in-memory
+//! blocks the ESM task sent over the channel — decided when the year is
+//! submitted; tasks #5/#6, #15 and #16 each have one body that reads the
+//! year through it.
 
 use crate::error::{WorkflowError, WorkflowStage};
 use crate::params::WorkflowParams;
@@ -151,37 +159,87 @@ impl Payload for WfData {
     }
 }
 
-/// One simulated year as the streaming plane hands it to analytics: the
-/// daily fields as shared in-memory blocks plus the daily files the same
-/// year was durably written to (the fallback path).
-pub struct StreamedYear {
-    pub year: i32,
-    /// Watcher-compatible group key (the year as a string).
-    pub key: String,
-    pub files: Vec<PathBuf>,
-    pub days: Vec<DayBlock>,
+/// One simulated year as the ESM task hands it over in memory: the daily
+/// fields as shared blocks plus the daily files the same year was durably
+/// written to.
+pub(crate) struct StreamedYear {
+    year: i32,
+    files: Vec<PathBuf>,
+    days: Vec<DayBlock>,
 }
 
-/// Keyed shelf of in-flight streamed years. Analysis tasks look their
-/// year up at execution time; a miss means the year must be read back
-/// from its daily files (staged runs, checkpoint-restored years) — the
-/// two paths produce bitwise-identical science, so falling back is
-/// always safe.
-pub struct YearStore {
-    years: Mutex<BTreeMap<String, Arc<StreamedYear>>>,
+/// When [`CaseStudy::run`] submits the per-year analyses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunOrder {
+    /// The pre-integration practice: the whole simulation runs to
+    /// completion, then every year is analysed "in a second stage".
+    SimFirst,
+    /// The paper's contribution: each year is analysed as soon as it is
+    /// complete, overlapped with the continuing simulation.
+    AsYearsArrive,
 }
 
-impl YearStore {
-    fn new() -> Self {
-        YearStore { years: Mutex::new(BTreeMap::new()) }
+/// Where one year's daily fields come from. Decided when the year's
+/// analysis is submitted — a channel arrival is `Mem`; a watcher group
+/// (staged runs, checkpoint-restored years, a year the watcher saw
+/// first) is `Files` — and owned by that year's task closures only, so
+/// an in-memory year is freed when its last task finishes.
+///
+/// Decode contract: for either variant, [`YearSource::stack`] of variable
+/// `v` on day `d` is the `(time, lat, lon)` time-major f32 stack that
+/// `esm::output` serialized into that day's file — the same values
+/// whether they are read back through `ncformat` or were never written
+/// out of memory — on the grid [`YearSource::shape`] reports. Every task
+/// body reads its year only through these, which is what makes products
+/// byte-identical across sources.
+pub(crate) enum YearSource {
+    Files(Vec<PathBuf>),
+    Mem(Arc<StreamedYear>),
+}
+
+impl YearSource {
+    /// The year's daily files, day-ascending (one per day for either
+    /// variant: a streamed year was also written durably).
+    fn files(&self) -> &[PathBuf] {
+        match self {
+            YearSource::Files(files) => files,
+            YearSource::Mem(year) => &year.files,
+        }
     }
 
-    fn insert(&self, year: Arc<StreamedYear>) {
-        self.years.lock().insert(year.key.clone(), year);
+    /// Grid and sub-daily step count of the year's fields. Daily files
+    /// carry the global regular grid of their `lat`/`lon` sizes.
+    fn shape(&self) -> ncformat::Result<(gridded::Grid, usize)> {
+        let empty = || std::io::Error::other("year has no days");
+        match self {
+            YearSource::Files(files) => {
+                let rd = Reader::open(files.first().ok_or_else(empty)?)?;
+                let size = |dim: &str| rd.dimension(dim).map(|d| d.size);
+                Ok((gridded::Grid::global(size("lat")?, size("lon")?), size("time")?))
+            }
+            YearSource::Mem(year) => {
+                let first = year.days.first().ok_or_else(empty)?;
+                Ok((first.grid.clone(), first.steps_per_day))
+            }
+        }
     }
 
-    fn get(&self, key: &str) -> Option<Arc<StreamedYear>> {
-        self.years.lock().get(key).cloned()
+    /// The time-major `(time, lat, lon)` stack of variable `var` on
+    /// 0-based day `day`, checked to hold `len` values: one variable read
+    /// of one daily file, or a clone of the block's shared buffer.
+    fn stack(&self, var: &str, day: usize, len: usize) -> ncformat::Result<Arc<[f32]>> {
+        let stack = match self {
+            YearSource::Files(files) => Reader::open(&files[day])?.read_shared_f32(var)?,
+            YearSource::Mem(year) => Arc::clone(
+                year.days[day]
+                    .var(var)
+                    .ok_or_else(|| ncformat::Error::UnknownVariable(var.to_string()))?,
+            ),
+        };
+        if stack.len() != len {
+            return Err(ncformat::Error::ShapeMismatch { expected: len, actual: stack.len() });
+        }
+        Ok(stack)
     }
 }
 
@@ -247,15 +305,17 @@ fn fold_years_from_files(
     client: &Client,
 ) -> Result<(), String> {
     for year in years {
-        let files: Vec<PathBuf> = (0..params.days_per_year)
-            .map(|d| params.esm_dir().join(esm::output::file_name(year, d)))
-            .collect();
-        let tmax = import_daily_extreme(&files, ReduceOp::Max, "tasmax", params, client)
-            .and_then(|h| h.cube())
-            .map_err(|e| e.to_string())?;
-        let tmin = import_daily_extreme(&files, ReduceOp::Min, "tasmin", params, client)
-            .and_then(|h| h.cube())
-            .map_err(|e| e.to_string())?;
+        let source = YearSource::Files(
+            (0..params.days_per_year)
+                .map(|d| params.esm_dir().join(esm::output::file_name(year, d)))
+                .collect(),
+        );
+        let import = |op, measure| {
+            import_daily_extreme(&source, op, measure, params, client)
+                .and_then(|h| h.cube())
+                .map_err(|e| e.to_string())
+        };
+        let (tmax, tmin) = (import(ReduceOp::Max, "tasmax")?, import(ReduceOp::Min, "tasmin")?);
         st.fold(year, &tmax, &tmin).map_err(|e| e.to_string())?;
     }
     Ok(())
@@ -270,8 +330,9 @@ pub struct CaseStudy {
     pub cnn: Arc<Mutex<TcCnn>>,
     sim: Arc<Mutex<Simulation>>,
     truth: Arc<Mutex<Vec<YearEvents>>>,
-    /// In-memory years handed over by the streaming plane.
-    store: Arc<YearStore>,
+    /// The pre-trained CNN's weight file (`model_path`, or the cached
+    /// `tc_cnn.tml` under the output directory).
+    model_file: PathBuf,
     /// Shared batched CNN inference service (streaming runs only).
     cnn_service: Option<Arc<CnnService>>,
     /// Record-to-date incremental index state (streaming runs only).
@@ -312,7 +373,7 @@ impl CaseStudy {
         }
         let rt = Runtime::new(config);
         // The batched inference service only exists on the streaming
-        // plane; staged runs keep the per-chunk model instances.
+        // plane; staged runs score with per-chunk model instances.
         let cnn_service = params.streaming.then(|| {
             Arc::new(CnnService::new(
                 params.patch,
@@ -325,7 +386,7 @@ impl CaseStudy {
             cnn: Arc::new(Mutex::new(cnn)),
             sim: Arc::new(Mutex::new(sim)),
             truth: Arc::new(Mutex::new(Vec::new())),
-            store: Arc::new(YearStore::new()),
+            model_file,
             cnn_service,
             record: Arc::new(Mutex::new(RecordState::empty())),
             rt,
@@ -358,7 +419,7 @@ impl CaseStudy {
     /// send blocks while the channel is full (backpressure on the
     /// simulation), and a failed send is simply ignored — the daily
     /// files are already on disk for the watcher fallback.
-    pub(crate) fn submit_esm_year(
+    fn submit_esm_year(
         &self,
         year_index: usize,
         prev: Option<&DataRef>,
@@ -393,13 +454,8 @@ impl CaseStudy {
                     .run_years_streamed(1, |year, blocks, files| {
                         let days = blocks.len();
                         let bytes: u64 = blocks.iter().map(DayBlock::payload_bytes).sum();
-                        let sy = Arc::new(StreamedYear {
-                            key: year.to_string(),
-                            year,
-                            files,
-                            days: blocks,
-                        });
-                        if tx.send(sy).is_ok() {
+                        let streamed = Arc::new(StreamedYear { year, files, days: blocks });
+                        if tx.send(streamed).is_ok() {
                             obs::emit_with(|| obs::EventKind::YearStreamed { year, days, bytes });
                         }
                     })
@@ -421,7 +477,7 @@ impl CaseStudy {
 
     /// Submits task #2: the day-of-year baseline climatology (tmax and
     /// tmin cubes, kept in memory for the whole run).
-    pub(crate) fn submit_load_baseline(&self) -> Result<TaskHandle, Error> {
+    fn submit_load_baseline(&self) -> Result<TaskHandle, Error> {
         let client = self.client.clone();
         let params = self.params.clone();
         self.rt.task("load_baseline").writes(&["baseline_tmax", "baseline_tmin"]).run(move |_| {
@@ -471,7 +527,7 @@ impl CaseStudy {
     /// Submits task #3: publish the pre-trained CNN (a readiness token —
     /// the weights already live in shared memory, as PyCOMPSs workers share
     /// the mounted model file).
-    pub(crate) fn submit_load_model(&self) -> Result<TaskHandle, Error> {
+    fn submit_load_model(&self) -> Result<TaskHandle, Error> {
         let cnn = Arc::clone(&self.cnn);
         self.rt.task("load_model").writes(&["tc_model"]).run(move |_| {
             let n = cnn.lock().param_count();
@@ -481,14 +537,13 @@ impl CaseStudy {
 
     /// Submits the full per-year analysis chain (tasks #4–#18, plus #19
     /// `stream_record` on the streaming plane) for one complete year.
-    /// Task bodies look the year up in the in-memory [`YearStore`] at
-    /// execution time and fall back to the daily files on a miss, so the
-    /// same graph serves streamed, staged and checkpoint-restored years.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn submit_year_analysis(
+    /// The tasks that touch the year's daily fields (#5/#6, #15, #16) own
+    /// `source` through their closures; the runtime drops a closure when
+    /// its task turns terminal, which is what releases an in-memory year.
+    fn submit_year_analysis(
         &self,
         year_key: &str,
-        files: Vec<PathBuf>,
+        source: YearSource,
         baseline_tmax: &DataRef,
         baseline_tmin: &DataRef,
         model_token: &DataRef,
@@ -496,8 +551,10 @@ impl CaseStudy {
     ) -> Result<YearTaskRefs, Error> {
         let params = self.params.clone();
         let client = self.client.clone();
+        let source = Arc::new(source);
 
         // #4 stage_year — the streaming hand-off node.
+        let files = source.files().to_vec();
         let n_files = files.len();
         let stage = self
             .rt
@@ -507,29 +564,19 @@ impl CaseStudy {
             .writes(&[format!("year-{year_key}").as_str()])
             .run(move |_| Ok(vec![WfData::Paths(files.clone())]))?;
 
-        // #5/#6 import daily extreme cubes — straight from the in-memory
-        // day blocks when the year streamed in, else from its files.
+        // #5/#6 import daily extreme cubes.
         let import = |task: &str, reduce: ReduceOp, measure: &'static str| {
             let client = client.clone();
             let params = params.clone();
-            let store = Arc::clone(&self.store);
-            let key = year_key.to_string();
+            let source = Arc::clone(&source);
             self.rt
                 .task(task)
                 .reads(&[stage.outputs[0].clone()])
                 .on_failure(FailurePolicy::IgnoreCancelSuccessors)
                 .writes(&[format!("{task}-{year_key}").as_str()])
-                .run(move |inp: &[Arc<WfData>]| {
-                    let cube = match store.get(&key) {
-                        Some(sy) => {
-                            import_daily_extreme_mem(&sy.days, reduce, measure, &params, &client)
-                        }
-                        None => {
-                            let files = inp[0].paths().ok_or("expected file list")?;
-                            import_daily_extreme(files, reduce, measure, &params, &client)
-                        }
-                    }
-                    .map_err(|e| e.to_string())?;
+                .run(move |_| {
+                    let cube = import_daily_extreme(&source, reduce, measure, &params, &client)
+                        .map_err(|e| e.to_string())?;
                     Ok(vec![WfData::CubeRef(cube.id().0)])
                 })
         };
@@ -552,15 +599,9 @@ impl CaseStudy {
                     .on_failure(self.recovery_policy())
                     .writes(&[format!("{name}-{year_key}").as_str()])
                     .run(move |inp: &[Arc<WfData>]| {
-                        let daily = client
-                            .open(inp[0].cube_id().ok_or("expected cube ref")?)
-                            .map_err(|e| e.to_string())?;
-                        let base = client
-                            .open(inp[1].cube_id().ok_or("expected cube ref")?)
-                            .map_err(|e| e.to_string())?;
                         let idx = heatwave::compute_indices(
-                            daily.cube().map_err(|e| e.to_string())?.as_ref(),
-                            base.cube().map_err(|e| e.to_string())?.as_ref(),
+                            open_cube(&client, &inp[0])?.as_ref(),
+                            open_cube(&client, &inp[1])?.as_ref(),
                             WaveParams::default(),
                             cold,
                             datacube::ExecConfig::with_servers(params.io_servers),
@@ -577,6 +618,8 @@ impl CaseStudy {
         let cwn = index_task("cw_number", &tmin, baseline_tmin, true, |i| i.number)?;
         let cwf = index_task("cw_frequency", &tmin, baseline_tmin, true, |i| i.frequency)?;
 
+        let index_refs = [&hwd, &hwn, &hwf, &cwd, &cwn, &cwf].map(|h| h.outputs[0].clone());
+
         // #13 validation over the heat and cold index triples.
         let validation = {
             let client = client.clone();
@@ -585,22 +628,10 @@ impl CaseStudy {
                 .task("validate_indices")
                 .on_failure(FailurePolicy::IgnoreCancelSuccessors)
                 .key(&format!("validate-{year_key}"))
-                .reads(&[
-                    hwd.outputs[0].clone(),
-                    hwn.outputs[0].clone(),
-                    hwf.outputs[0].clone(),
-                    cwd.outputs[0].clone(),
-                    cwn.outputs[0].clone(),
-                    cwf.outputs[0].clone(),
-                ])
+                .reads(&index_refs)
                 .writes(&[format!("validation-{year_key}").as_str()])
                 .run(move |inp: &[Arc<WfData>]| {
-                    let cube = |d: &Arc<WfData>| -> Result<_, String> {
-                        client
-                            .open(d.cube_id().ok_or("expected cube ref")?)
-                            .and_then(|h| h.cube())
-                            .map_err(|e| e.to_string())
-                    };
+                    let cube = |d: &Arc<WfData>| open_cube(&client, d);
                     let heat = heatwave::HeatwaveIndices {
                         duration_max: (*cube(&inp[0])?).clone(),
                         number: (*cube(&inp[1])?).clone(),
@@ -628,81 +659,54 @@ impl CaseStudy {
         let export = {
             let client = client.clone();
             let dir = self.params.products_dir();
-            let year_key_owned = year_key.to_string();
+            let paths: Vec<PathBuf> = ["hwd", "hwn", "hwf", "cwd", "cwn", "cwf"]
+                .iter()
+                .map(|name| dir.join(format!("{name}-{year_key}.ncx")))
+                .collect();
             self.rt
                 .task("export_indices")
                 .key(&format!("export-{year_key}"))
                 .on_failure(self.recovery_policy())
-                .reads(&[
-                    hwd.outputs[0].clone(),
-                    hwn.outputs[0].clone(),
-                    hwf.outputs[0].clone(),
-                    cwd.outputs[0].clone(),
-                    cwn.outputs[0].clone(),
-                    cwf.outputs[0].clone(),
-                    validation.outputs[0].clone(),
-                ])
+                .reads(&[&index_refs[..], &validation.outputs[..1]].concat())
                 .writes(&[format!("exports-{year_key}").as_str()])
                 .run(move |inp: &[Arc<WfData>]| {
-                    let names = ["hwd", "hwn", "hwf", "cwd", "cwn", "cwf"];
-                    let mut paths = Vec::new();
-                    for (d, name) in inp.iter().zip(names) {
-                        let h = client
-                            .open(d.cube_id().ok_or("expected cube ref")?)
-                            .map_err(|e| e.to_string())?;
-                        let path = dir.join(format!("{name}-{year_key_owned}.ncx"));
-                        h.exportnc(&path).map_err(|e| e.to_string())?;
-                        paths.push(path);
+                    for (d, path) in inp.iter().zip(&paths) {
+                        open_ref(&client, d)?.exportnc(path).map_err(|e| e.to_string())?;
                     }
-                    Ok(vec![WfData::Paths(paths)])
+                    Ok(vec![WfData::Paths(paths.clone())])
                 })?
         };
 
         // #15 TC preprocessing: bundle the four needed fields per timestep
         // into one analysis-ready file.
         let tc_input = {
-            let dir = self.params.products_dir();
-            let year_key_owned = year_key.to_string();
-            let store = Arc::clone(&self.store);
+            let out = self.params.products_dir().join(format!("tcinput-{year_key}.ncx"));
+            let source = Arc::clone(&source);
             self.rt
                 .task("tc_preprocess")
                 .on_failure(FailurePolicy::IgnoreCancelSuccessors)
                 .key(&format!("tcpre-{year_key}"))
                 .reads(&[stage.outputs[0].clone()])
                 .writes(&[format!("tcinput-{year_key}").as_str()])
-                .run(move |inp: &[Arc<WfData>]| {
-                    let out = dir.join(format!("tcinput-{year_key_owned}.ncx"));
-                    match store.get(&year_key_owned) {
-                        Some(sy) => {
-                            build_tc_input_mem(&sy.days, &out).map_err(|e| e.to_string())?
-                        }
-                        None => {
-                            let files = inp[0].paths().ok_or("expected file list")?;
-                            build_tc_input(files, &out).map_err(|e| e.to_string())?;
-                        }
-                    }
-                    Ok(vec![WfData::Path(out)])
+                .run(move |_| {
+                    build_tc_input(&source, &out).map_err(|e| e.to_string())?;
+                    Ok(vec![WfData::Path(out.clone())])
                 })?
         };
 
         // #16 CNN localization (+ geo-referencing) over every timestep,
         // run as a gang-scheduled data-parallel task (the PyCOMPSs `@mpi`
-        // integration): replica r processes timesteps r, r+size, ..., each
-        // with its own model instance; rank 0 assembles the year's CSV.
+        // integration): replica r processes timesteps r, r+size, ...;
+        // rank 0 assembles the year's CSV.
         let cnn_out = {
             let replicas = if self.params.workers >= 4 { 2u32 } else { 1 };
-            let dir = self.params.products_dir();
-            let year_key_owned = year_key.to_string();
+            let out = self.params.products_dir().join(format!("tc-cnn-{year_key}.csv"));
             let patch = self.params.patch;
-            let model_file = self
-                .params
-                .model_path
-                .clone()
-                .unwrap_or_else(|| self.params.out_dir.join("tc_cnn.tml"));
+            let model_file = self.model_file.clone();
             let parts: Arc<Mutex<std::collections::BTreeMap<u32, String>>> =
                 Arc::new(Mutex::new(std::collections::BTreeMap::new()));
             let service = self.cnn_service.clone();
-            let store = Arc::clone(&self.store);
+            let source = Arc::clone(&source);
             self.rt
                 .task("tc_cnn_localize")
                 .key(&format!("tccnn-{year_key}"))
@@ -710,33 +714,15 @@ impl CaseStudy {
                 .constraint(Constraint::any())
                 .replicated(replicas)
                 .writes(&[format!("tc-cnn-{year_key}").as_str()])
-                .run_replicated(move |inp: &[Arc<WfData>], replica| {
-                    // Streamed years route every timestep through the
-                    // shared batched inference service; otherwise each
-                    // replica fans its share of timesteps out over the
-                    // shared pool with per-chunk model instances.
-                    let part = match (&service, store.get(&year_key_owned)) {
-                        (Some(svc), Some(sy)) => cnn_localize_steps_streamed(
-                            &sy.days,
-                            svc,
-                            patch,
-                            replica.rank,
-                            replica.size,
-                        )?,
-                        _ => {
-                            let path = match &*inp[0] {
-                                WfData::Path(p) => p.clone(),
-                                _ => return Err("expected tc input path".into()),
-                            };
-                            cnn_localize_steps(
-                                &path,
-                                patch,
-                                &model_file,
-                                replica.rank,
-                                replica.size,
-                            )?
-                        }
-                    };
+                .run_replicated(move |_, replica| {
+                    let part = cnn_localize_steps(
+                        &source,
+                        service.as_deref(),
+                        &model_file,
+                        patch,
+                        replica.rank,
+                        replica.size,
+                    )?;
                     parts.lock().insert(replica.rank, part);
                     if replica.rank != 0 {
                         return Ok(vec![]);
@@ -764,7 +750,6 @@ impl CaseStudy {
                         csv.push_str(&r);
                         csv.push('\n');
                     }
-                    let out = dir.join(format!("tc-cnn-{year_key_owned}.csv"));
                     std::fs::write(&out, &csv).map_err(|e| e.to_string())?;
                     Ok(vec![WfData::Text(csv)])
                 })?
@@ -772,8 +757,7 @@ impl CaseStudy {
 
         // #17 deterministic detection + tracking.
         let tracks_out = {
-            let dir = self.params.products_dir();
-            let year_key_owned = year_key.to_string();
+            let out = self.params.products_dir().join(format!("tc-tracks-{year_key}.csv"));
             self.rt
                 .task("tc_track_deterministic")
                 .key(&format!("tctracks-{year_key}"))
@@ -786,7 +770,6 @@ impl CaseStudy {
                         _ => return Err("expected tc input path".into()),
                     };
                     let csv = track_year(&path).map_err(|e| e.to_string())?;
-                    let out = dir.join(format!("tc-tracks-{year_key_owned}.csv"));
                     std::fs::write(&out, &csv).map_err(|e| e.to_string())?;
                     Ok(vec![WfData::Text(csv)])
                 })?
@@ -811,10 +794,7 @@ impl CaseStudy {
                 .run(move |inp: &[Arc<WfData>]| {
                     let mut paths = Vec::new();
                     for (d, name) in inp.iter().take(2).zip(["hwn", "cwn"]) {
-                        let h = client
-                            .open(d.cube_id().ok_or("expected cube ref")?)
-                            .map_err(|e| e.to_string())?;
-                        let cube = h.cube().map_err(|e| e.to_string())?;
+                        let cube = open_cube(&client, d)?;
                         let ppm = dir.join(format!("{name}-map-{year_key_owned}.ppm"));
                         extremes::maps::write_ppm(&cube, &ppm).map_err(|e| e.to_string())?;
                         let txt = dir.join(format!("{name}-map-{year_key_owned}.txt"));
@@ -854,12 +834,7 @@ impl CaseStudy {
                 .reads(&reads)
                 .writes(&[format!("record-{year_key}").as_str()])
                 .run(move |inp: &[Arc<WfData>]| {
-                    let cube = |d: &Arc<WfData>| {
-                        client
-                            .open(d.cube_id().ok_or("expected cube ref")?)
-                            .and_then(|h| h.cube())
-                            .map_err(|e| e.to_string())
-                    };
+                    let cube = |d: &Arc<WfData>| open_cube(&client, d);
                     let tmax = cube(&inp[0])?;
                     let tmin = cube(&inp[1])?;
                     let base_tmax = cube(&inp[2])?;
@@ -899,21 +874,18 @@ impl CaseStudy {
         })
     }
 
-    /// Runs the full pipelined workflow: simulation years chained, per-year
-    /// analysis submitted as years stream in, everything concurrent. With
-    /// `params.streaming`, years hand over in memory through a bounded
-    /// channel; otherwise analysis keys off the daily files.
-    pub fn run(&self) -> Result<RunReport, WorkflowError> {
-        if self.params.streaming {
-            self.run_streaming()
-        } else {
-            self.run_staged()
-        }
-    }
-
-    /// The file-keyed pipelined driver: per-year analysis starts when the
-    /// directory watcher sees a complete year of daily files.
-    fn run_staged(&self) -> Result<RunReport, WorkflowError> {
+    /// Runs the workflow: simulation years chained, the per-year analysis
+    /// chain submitted once per year — after the whole simulation
+    /// ([`RunOrder::SimFirst`]) or as each year completes, concurrently
+    /// with the rest of the simulation ([`RunOrder::AsYearsArrive`]).
+    ///
+    /// With `params.streaming` and as-years-arrive order, the ESM task
+    /// also hands each finished year over in memory through a bounded
+    /// channel (it blocks when analytics lags — backpressure); the
+    /// directory watcher is the durable route every other year takes
+    /// (staged runs, checkpoint restores, lost sends). Sim-first never
+    /// attaches the channel: nothing would drain it before the barrier.
+    pub fn run(&self, order: RunOrder) -> Result<RunReport, WorkflowError> {
         let start = Instant::now();
         let baseline = self
             .submit_load_baseline()
@@ -922,21 +894,31 @@ impl CaseStudy {
             self.submit_load_model().map_err(WorkflowError::dataflow(WorkflowStage::ModelLoad))?;
 
         // Chain the simulation years (#1 runs iteratively).
+        let (tx, rx) = (self.params.streaming && order == RunOrder::AsYearsArrive)
+            .then(|| bounded::<Arc<StreamedYear>>("esm-years", self.params.stream_depth))
+            .unzip();
         let mut prev: Option<DataRef> = None;
         for y in 0..self.params.years {
             let h = self
-                .submit_esm_year(y, prev.as_ref(), None)
+                .submit_esm_year(y, prev.as_ref(), tx.clone())
                 .map_err(WorkflowError::dataflow(WorkflowStage::Simulation))?;
             prev = Some(h.outputs[0].clone());
         }
+        drop(tx);
+        if order == RunOrder::SimFirst {
+            self.rt.barrier().map_err(WorkflowError::dataflow(WorkflowStage::Barrier))?;
+        }
 
-        // Master streaming loop: submit per-year analysis as years complete.
+        // Master loop: submit per-year analysis as complete years surface.
         let esm_dir = self.params.esm_dir();
         let mut watcher = DirWatcher::new(
             esm_dir.clone(),
             YearlyRule { prefix: "esm".into(), days_per_year: self.params.days_per_year },
         );
-        let mut year_refs = Vec::new();
+        let mut year_refs: Vec<YearTaskRefs> = Vec::new();
+        let mut submitted: BTreeSet<String> = BTreeSet::new();
+        let mut record_prev: Option<DataRef> = None;
+        let mut streamed = 0usize;
         const WAIT_SECS: u64 = 3600;
         let deadline = Instant::now() + Duration::from_secs(WAIT_SECS);
         while year_refs.len() < self.params.years {
@@ -947,102 +929,39 @@ impl CaseStudy {
                 });
             }
             // A fail-fast abort (e.g. an injected fault exhausting its
-            // retries) means the files this loop is waiting for will never
+            // retries) means the years this loop is waiting for will never
             // land; surface the abort instead of spinning to the deadline.
             if let Some(err) = self.rt.aborted() {
                 return Err(WorkflowError::Aborted { source: err });
             }
-            for group in
-                watcher.poll().map_err(WorkflowError::io(WorkflowStage::Streaming, &esm_dir))?
-            {
-                let refs = self
-                    .submit_year_analysis(
-                        &group.key,
-                        group.files,
-                        &baseline.outputs[0],
-                        &baseline.outputs[1],
-                        &model.outputs[0],
-                        None,
-                    )
-                    .map_err(WorkflowError::dataflow(WorkflowStage::Analysis))?;
-                year_refs.push(refs);
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-
-        self.rt.barrier().map_err(WorkflowError::dataflow(WorkflowStage::Barrier))?;
-        self.collect_report(start.elapsed(), &year_refs)
-    }
-
-    /// The streaming driver: completed years arrive through a bounded
-    /// in-memory channel (the simulation blocks when analytics lags —
-    /// backpressure), with the directory watcher as the durable fallback
-    /// for years that never streamed (checkpoint restores, lost sends).
-    fn run_streaming(&self) -> Result<RunReport, WorkflowError> {
-        let start = Instant::now();
-        let baseline = self
-            .submit_load_baseline()
-            .map_err(WorkflowError::dataflow(WorkflowStage::Baseline))?;
-        let model =
-            self.submit_load_model().map_err(WorkflowError::dataflow(WorkflowStage::ModelLoad))?;
-
-        let (tx, rx) = bounded::<Arc<StreamedYear>>("esm-years", self.params.stream_depth);
-        let mut prev: Option<DataRef> = None;
-        for y in 0..self.params.years {
-            let h = self
-                .submit_esm_year(y, prev.as_ref(), Some(tx.clone()))
-                .map_err(WorkflowError::dataflow(WorkflowStage::Simulation))?;
-            prev = Some(h.outputs[0].clone());
-        }
-        drop(tx);
-
-        let esm_dir = self.params.esm_dir();
-        let mut watcher = DirWatcher::new(
-            esm_dir.clone(),
-            YearlyRule { prefix: "esm".into(), days_per_year: self.params.days_per_year },
-        );
-        let mut year_refs: Vec<YearTaskRefs> = Vec::new();
-        let mut submitted: BTreeSet<String> = BTreeSet::new();
-        let mut record_prev: Option<DataRef> = None;
-        let (mut streamed, mut fallback) = (0usize, 0usize);
-        const WAIT_SECS: u64 = 3600;
-        let deadline = Instant::now() + Duration::from_secs(WAIT_SECS);
-        while year_refs.len() < self.params.years {
-            if Instant::now() > deadline {
-                return Err(WorkflowError::Timeout {
-                    stage: WorkflowStage::Streaming,
-                    waited_secs: WAIT_SECS,
-                });
-            }
-            if let Some(err) = self.rt.aborted() {
-                return Err(WorkflowError::Aborted { source: err });
-            }
-            // In-memory arrivals first; the recv doubles as the loop's
-            // pacing, so no sleep is needed.
-            let mut pending: BTreeMap<String, (Vec<PathBuf>, bool)> = BTreeMap::new();
-            match rx.recv_timeout(Duration::from_millis(20)) {
-                RecvTimeout::Item(sy) => {
-                    self.store.insert(Arc::clone(&sy));
-                    pending.insert(sy.key.clone(), (sy.files.clone(), true));
+            // In-memory arrivals first; the bounded wait (or the sleep,
+            // without a channel) is the loop's pacing.
+            let mut arrived: BTreeMap<String, YearSource> = BTreeMap::new();
+            match &rx {
+                Some(rx) => {
+                    if let RecvTimeout::Item(year) = rx.recv_timeout(Duration::from_millis(20)) {
+                        arrived.insert(year.year.to_string(), YearSource::Mem(year));
+                    }
                 }
-                RecvTimeout::TimedOut | RecvTimeout::Disconnected => {}
+                None => std::thread::sleep(Duration::from_millis(5)),
             }
             for group in
                 watcher.poll().map_err(WorkflowError::io(WorkflowStage::Streaming, &esm_dir))?
             {
-                pending.entry(group.key).or_insert((group.files, false));
+                arrived.entry(group.key).or_insert(YearSource::Files(group.files));
             }
             // BTreeMap order keeps record-task chaining calendar-ascending
             // even when a restored year surfaces via its files while a
             // later year streams in.
-            for (key, (files, via_stream)) in pending {
+            for (key, source) in arrived {
                 if !submitted.insert(key.clone()) {
                     continue;
                 }
+                streamed += usize::from(matches!(source, YearSource::Mem(_)));
                 let refs = self
                     .submit_year_analysis(
                         &key,
-                        files,
+                        source,
                         &baseline.outputs[0],
                         &baseline.outputs[1],
                         &model.outputs[0],
@@ -1050,29 +969,27 @@ impl CaseStudy {
                     )
                     .map_err(WorkflowError::dataflow(WorkflowStage::Analysis))?;
                 record_prev = refs.record.clone();
-                if via_stream {
-                    streamed += 1;
-                } else {
-                    fallback += 1;
-                }
                 year_refs.push(refs);
             }
         }
 
         self.rt.barrier().map_err(WorkflowError::dataflow(WorkflowStage::Barrier))?;
-        let record_paths = self.export_record_products(&baseline)?;
+        let record_paths =
+            self.params.streaming.then(|| self.export_record_products(&baseline)).transpose()?;
         let mut report = self.collect_report(start.elapsed(), &year_refs)?;
-        let stats = self.cnn_service.as_ref().map(|s| s.stats()).unwrap_or_default();
-        report.stream = Some(StreamSummary {
-            years_streamed: streamed,
-            fallback_years: fallback,
-            stall_us: rx.stall_micros(),
-            record_years: self.record.lock().years.len(),
-            cnn_batches: stats.batches,
-            cnn_items: stats.items,
-            cnn_mean_batch: stats.mean_occupancy(),
-            record_paths,
-        });
+        if let Some(record_paths) = record_paths {
+            let stats = self.cnn_service.as_ref().map(|s| s.stats()).unwrap_or_default();
+            report.stream = Some(StreamSummary {
+                years_streamed: streamed,
+                fallback_years: year_refs.len() - streamed,
+                stall_us: rx.map_or(0, |rx| rx.stall_micros()),
+                record_years: self.record.lock().years.len(),
+                cnn_batches: stats.batches,
+                cnn_items: stats.items,
+                cnn_mean_batch: stats.mean_occupancy(),
+                record_paths,
+            });
+        }
         Ok(report)
     }
 
@@ -1084,15 +1001,8 @@ impl CaseStudy {
     fn export_record_products(&self, baseline: &TaskHandle) -> Result<Vec<PathBuf>, WorkflowError> {
         let malformed =
             |message: String| WorkflowError::Malformed { stage: WorkflowStage::Report, message };
-        let fetch_cube = |r: &DataRef| {
-            let d = self.rt.fetch(r).map_err(WorkflowError::dataflow(WorkflowStage::Report))?;
-            self.client
-                .open(d.cube_id().ok_or_else(|| malformed("baseline is not a cube".into()))?)
-                .and_then(|h| h.cube())
-                .map_err(WorkflowError::cube(WorkflowStage::Report))
-        };
-        let base_tmax = fetch_cube(&baseline.outputs[0])?;
-        let base_tmin = fetch_cube(&baseline.outputs[1])?;
+        let base_tmax = self.fetch_cube(&baseline.outputs[0], "baseline")?;
+        let base_tmin = self.fetch_cube(&baseline.outputs[1], "baseline")?;
         let mut st = self.record.lock();
         st.init_if_needed(&base_tmax, &base_tmin, self.params.nfrag, self.params.io_servers);
         let start_year = self.params.esm_config().start_year;
@@ -1104,18 +1014,11 @@ impl CaseStudy {
         }
 
         let dir = self.params.products_dir();
-        let heat = st
-            .heat
-            .as_ref()
-            .expect("initialized")
-            .indices()
-            .map_err(WorkflowError::cube(WorkflowStage::Report))?;
-        let cold = st
-            .cold
-            .as_ref()
-            .expect("initialized")
-            .indices()
-            .map_err(WorkflowError::cube(WorkflowStage::Report))?;
+        let indices = |waves: &Option<WaveState>| {
+            let waves = waves.as_ref().expect("initialized");
+            waves.indices().map_err(WorkflowError::cube(WorkflowStage::Report))
+        };
+        let (heat, cold) = (indices(&st.heat)?, indices(&st.cold)?);
         let mut paths = Vec::new();
         for (cube, name) in [
             (heat.duration_max, "record-hwd"),
@@ -1156,9 +1059,26 @@ impl CaseStudy {
         Ok(paths)
     }
 
+    /// The cube a finished task's output `r` refers to.
+    fn fetch_cube(
+        &self,
+        r: &DataRef,
+        what: &str,
+    ) -> Result<Arc<datacube::model::Cube>, WorkflowError> {
+        let data = self.rt.fetch(r).map_err(WorkflowError::dataflow(WorkflowStage::Report))?;
+        let id = data.cube_id().ok_or_else(|| WorkflowError::Malformed {
+            stage: WorkflowStage::Report,
+            message: format!("{what} output is not a cube reference"),
+        })?;
+        self.client
+            .open(id)
+            .and_then(|h| h.cube())
+            .map_err(WorkflowError::cube(WorkflowStage::Report))
+    }
+
     /// Assembles the run report by fetching task outputs and comparing the
     /// TC products against the ground truth.
-    pub(crate) fn collect_report(
+    fn collect_report(
         &self,
         wall: Duration,
         year_refs: &[YearTaskRefs],
@@ -1195,22 +1115,12 @@ impl CaseStudy {
             let fetch = |r: &DataRef| {
                 self.rt.fetch(r).map_err(WorkflowError::dataflow(WorkflowStage::Report))
             };
-            let not_a_cube = |what: &str| WorkflowError::Malformed {
-                stage: WorkflowStage::Report,
-                message: format!("{what} output is not a cube reference"),
+            let positive_cells = |r: &DataRef, what: &str| {
+                let cube = self.fetch_cube(r, what)?;
+                Ok::<_, WorkflowError>(cube.to_dense().iter().filter(|v| **v > 0.0).count())
             };
-            let hwn_cube = self
-                .client
-                .open(fetch(&refs.hwn)?.cube_id().ok_or_else(|| not_a_cube("hwn"))?)
-                .and_then(|h| h.cube())
-                .map_err(WorkflowError::cube(WorkflowStage::Report))?;
-            let cwn_cube = self
-                .client
-                .open(fetch(&refs.cwn)?.cube_id().ok_or_else(|| not_a_cube("cwn"))?)
-                .and_then(|h| h.cube())
-                .map_err(WorkflowError::cube(WorkflowStage::Report))?;
-            let hw_cells = hwn_cube.to_dense().iter().filter(|v| **v > 0.0).count();
-            let cw_cells = cwn_cube.to_dense().iter().filter(|v| **v > 0.0).count();
+            let hw_cells = positive_cells(&refs.hwn, "hwn")?;
+            let cw_cells = positive_cells(&refs.cwn, "cwn")?;
 
             let cnn_csv = fetch(&refs.cnn_csv)?.text().unwrap_or_default().to_string();
             let tracks_csv = fetch(&refs.tracks_csv)?.text().unwrap_or_default().to_string();
@@ -1220,7 +1130,7 @@ impl CaseStudy {
             let year_truth = truth.iter().find(|t| t.year == year);
             let (cnn_scores, det_scores) = match year_truth {
                 Some(t) => {
-                    let truth_centers = truth_centers(t, self.params.days_per_year);
+                    let truth_centers = truth_centers(t);
                     (
                         Some(extremes::tc::metrics::verify(
                             &truth_centers,
@@ -1286,7 +1196,7 @@ impl CaseStudy {
 }
 
 /// Per-year output references used by the report collector.
-pub(crate) struct YearTaskRefs {
+struct YearTaskRefs {
     year_key: String,
     n_files: usize,
     hwn: DataRef,
@@ -1298,7 +1208,7 @@ pub(crate) struct YearTaskRefs {
     maps: DataRef,
     /// Record token of the `stream_record` task (streaming plane only);
     /// the next year's record task chains on it.
-    pub(crate) record: Option<DataRef>,
+    record: Option<DataRef>,
 }
 
 /// Pre-trains the TC-localization CNN the way the workflow's `load_model`
@@ -1378,26 +1288,45 @@ fn reference_training_steps(
     steps
 }
 
+/// Opens the cube a task input refers to.
+fn open_ref(client: &Client, data: &WfData) -> Result<CubeHandle, String> {
+    client.open(data.cube_id().ok_or("expected cube ref")?).map_err(|e| e.to_string())
+}
+
+/// The cube a task input refers to.
+fn open_cube(client: &Client, data: &WfData) -> Result<Arc<datacube::model::Cube>, String> {
+    open_ref(client, data)?.cube().map_err(|e| e.to_string())
+}
+
 /// Stacks per-day fields into a `(lat, lon | day)` cube.
 fn fields_to_year_cube(
     days: &[Field2],
     measure: &str,
     params: &WorkflowParams,
 ) -> datacube::Result<datacube::model::Cube> {
-    use datacube::model::{Cube, Dimension, SharedData};
-    let grid = &days[0].grid;
-    let nlat = grid.nlat;
-    let nlon = grid.nlon;
     let nday = days.len();
     // (lat, lon | day): per cell, the day series. Built straight into the
     // shared payload the fragments will window into — no staging vector.
-    let data = SharedData::from_fn(nlat * nlon * nday, |data| {
+    let data = datacube::model::SharedData::from_fn(days[0].grid.len() * nday, |data| {
         for (d, f) in days.iter().enumerate() {
             for (idx, &v) in f.data.iter().enumerate() {
                 data[idx * nday + d] = v;
             }
         }
     });
+    year_cube(&days[0].grid, nday, data, measure, params)
+}
+
+/// A year cube over `grid` with an implicit `day` axis: `data` holds, per
+/// cell, its `nday`-long day series.
+fn year_cube(
+    grid: &gridded::Grid,
+    nday: usize,
+    data: datacube::model::SharedData,
+    measure: &str,
+    params: &WorkflowParams,
+) -> datacube::Result<datacube::model::Cube> {
+    use datacube::model::{Cube, Dimension};
     let dims = vec![
         Dimension::explicit("lat", grid.lats()),
         Dimension::explicit("lon", grid.lons()),
@@ -1406,129 +1335,56 @@ fn fields_to_year_cube(
     Cube::from_shared(measure, dims, data, params.nfrag, params.io_servers)
 }
 
-/// Task #5/#6 body: build the daily-extreme year cube from the daily files
-/// using datacube operators (import → reduce over sub-daily steps → stack).
+/// Task #5/#6 body: the daily-extreme year cube `(lat, lon | day)` — per
+/// cell and day, `op` over the day's sub-daily `tas` steps. The fold is
+/// [`ReduceOp`]'s own begin/step/finish in ascending step order, i.e. the
+/// datacube `reduce` operator's result bit for bit, one day stack resident
+/// at a time.
 fn import_daily_extreme(
-    files: &[PathBuf],
+    source: &YearSource,
     op: ReduceOp,
     measure: &str,
     params: &WorkflowParams,
     client: &Client,
 ) -> datacube::Result<CubeHandle> {
-    let cfg = datacube::ExecConfig::with_servers(params.io_servers);
-    let mut day_cubes = Vec::with_capacity(files.len());
-    for (d, f) in files.iter().enumerate() {
-        let rd = Reader::open(f)?;
-        let cube =
-            datacube::ops::import_transposed(&rd, "tas", "time", "lat", "lon", params.nfrag, cfg)?;
-        let daily = datacube::ops::reduce(&cube, op, "time", cfg)?;
-        day_cubes.push(datacube::ops::add_singleton_implicit(&daily, "day", d as f64)?);
-    }
-    let refs: Vec<&datacube::model::Cube> = day_cubes.iter().collect();
-    let mut year = datacube::ops::concat_implicit(&refs, "day")?;
-    year.measure = measure.to_string();
-    Ok(client.adopt(year))
-}
-
-/// Task #5/#6 body on the streaming hot path: the same daily-extreme year
-/// cube as [`import_daily_extreme`], built straight from the in-memory
-/// [`DayBlock`]s — no reader, no intermediate per-day cubes. The reduction
-/// mirrors [`ReduceOp`]'s fold (same begin value, same `max`/`min` chain)
-/// so the result is bitwise-identical to the file route.
-fn import_daily_extreme_mem(
-    days: &[DayBlock],
-    op: ReduceOp,
-    measure: &str,
-    params: &WorkflowParams,
-    client: &Client,
-) -> datacube::Result<CubeHandle> {
-    use datacube::model::{Cube, Dimension, SharedData};
-    let first = days.first().ok_or_else(|| datacube::Error::SchemaMismatch("empty year".into()))?;
-    let grid = &first.grid;
-    let n = grid.nlat * grid.nlon;
-    let spd = first.steps_per_day;
-    let nday = days.len();
-    let pick_max = matches!(op, ReduceOp::Max);
-    for block in days {
-        if block.var("tas").is_none() {
-            return Err(datacube::Error::SchemaMismatch("day block missing tas".into()));
-        }
-    }
-    let data = SharedData::from_fn(n * nday, |data| {
-        for (d, block) in days.iter().enumerate() {
-            let stack = block.var("tas").expect("checked above");
-            for idx in 0..n {
-                let mut acc = if pick_max { f32::NEG_INFINITY } else { f32::INFINITY };
-                for t in 0..spd {
-                    let v = stack[t * n + idx];
-                    acc = if pick_max { acc.max(v) } else { acc.min(v) };
-                }
-                data[idx * nday + d] = acc;
+    let (grid, spd) = source.shape()?;
+    let n = grid.len();
+    let nday = source.files().len();
+    let mut data = vec![0.0f32; n * nday];
+    for d in 0..nday {
+        let stack = source.stack("tas", d, spd * n)?;
+        for idx in 0..n {
+            let mut acc = op.begin();
+            for t in 0..spd {
+                op.step(&mut acc, stack[t * n + idx]);
             }
+            data[idx * nday + d] = op.finish(acc, spd);
         }
-    });
-    let dims = vec![
-        Dimension::explicit("lat", grid.lats()),
-        Dimension::explicit("lon", grid.lons()),
-        Dimension::implicit("day", (0..nday).map(|d| d as f64).collect::<Vec<_>>()),
-    ];
-    Cube::from_shared(measure, dims, data, params.nfrag, params.io_servers).map(|c| client.adopt(c))
+    }
+    year_cube(&grid, nday, data.into(), measure, params).map(|c| client.adopt(c))
 }
 
 /// Task #15 body: bundle `(psl, sfcWind, tas, vort)` for every timestep of
-/// the year into one analysis-ready NCX file with a `step` axis.
-fn build_tc_input(files: &[PathBuf], out: &Path) -> ncformat::Result<()> {
-    let first = Reader::open(&files[0])?;
-    let nlat = first.dimension("lat")?.size;
-    let nlon = first.dimension("lon")?.size;
-    let spd = first.dimension("time")?.size;
-    let steps = files.len() * spd;
+/// the year into one analysis-ready NCX file with a `step` axis. Each
+/// variable is streamed into the file one day stack at a time, in day
+/// order, so no year-long buffer is ever held.
+fn build_tc_input(source: &YearSource, out: &Path) -> ncformat::Result<()> {
+    let (grid, spd) = source.shape()?;
+    let ndays = source.files().len();
+    let per_day = spd * grid.len();
 
     let mut w = ncformat::Writer::create(out)?;
-    w.add_dimension("step", steps)?;
-    w.add_dimension("lat", nlat)?;
-    w.add_dimension("lon", nlon)?;
-    w.add_variable_f64("lat", &["lat"], &first.read_all_f64("lat")?, vec![])?;
-    w.add_variable_f64("lon", &["lon"], &first.read_all_f64("lon")?, vec![])?;
-    for var in ["psl", "sfcWind", "tas", "vort"] {
-        let mut stack = Vec::with_capacity(steps * nlat * nlon);
-        for f in files {
-            let rd = Reader::open(f)?;
-            stack.extend(rd.read_all_f32(var)?);
-        }
-        w.add_variable_f32(var, &["step", "lat", "lon"], &stack, vec![])?;
-    }
-    w.set_attribute("steps_per_day", ncformat::Value::from(spd as i64));
-    w.finish()
-}
-
-/// Task #15 body on the streaming hot path: the same analysis-ready NCX
-/// file as [`build_tc_input`], assembled from the in-memory [`DayBlock`]s.
-/// Coordinates come from the grid (the daily files wrote the same values)
-/// and variable stacks concatenate in day order, so the output file is
-/// byte-identical to the file route.
-fn build_tc_input_mem(days: &[DayBlock], out: &Path) -> ncformat::Result<()> {
-    let first =
-        days.first().ok_or_else(|| std::io::Error::other("empty year in streaming handoff"))?;
-    let grid = &first.grid;
-    let spd = first.steps_per_day;
-    let steps = days.len() * spd;
-
-    let mut w = ncformat::Writer::create(out)?;
-    w.add_dimension("step", steps)?;
+    w.add_dimension("step", ndays * spd)?;
     w.add_dimension("lat", grid.nlat)?;
     w.add_dimension("lon", grid.nlon)?;
     w.add_variable_f64("lat", &["lat"], &grid.lats(), vec![])?;
     w.add_variable_f64("lon", &["lon"], &grid.lons(), vec![])?;
     for var in ["psl", "sfcWind", "tas", "vort"] {
-        let mut stack = Vec::with_capacity(steps * grid.nlat * grid.nlon);
-        for block in days {
-            let part = block
-                .var(var)
-                .ok_or_else(|| std::io::Error::other(format!("missing {var} in day block")))?;
-            stack.extend_from_slice(part);
+        w.begin_variable_f32(var, &["step", "lat", "lon"], vec![])?;
+        for d in 0..ndays {
+            w.write_chunk_f32(&source.stack(var, d, per_day)?)?;
         }
-        w.add_variable_f32(var, &["step", "lat", "lon"], &stack, vec![])?;
+        w.end_variable()?;
     }
     w.set_attribute("steps_per_day", ncformat::Value::from(spd as i64));
     w.finish()
@@ -1536,113 +1392,53 @@ fn build_tc_input_mem(days: &[DayBlock], out: &Path) -> ncformat::Result<()> {
 
 /// Task #16 body (one replica's share): CNN localization over timesteps
 /// `rank, rank+size, ...`; returns header-less CSV rows
-/// `day,step,lat,lon,confidence`.
+/// `day,step,lat,lon,confidence`, step-ascending.
 ///
-/// Inside the replica, its timesteps are split into at most
-/// pool-width contiguous chunks that run concurrently on the shared
-/// [`par`] pool; every chunk task opens its own reader and loads its
-/// own model instance (inference mutates layer caches), and chunk
-/// outputs concatenate in chunk order so rows stay step-ascending.
+/// With a `service` (streaming runs) every timestep goes to the shared
+/// batched [`CnnService`]; otherwise the replica's timesteps run on the
+/// shared [`par`] pool against per-chunk model instances loaded from
+/// `model_file`. Localizing one step is independent of the batch or
+/// chunk it rode in, so the rows do not depend on the scorer.
 fn cnn_localize_steps(
-    input: &Path,
-    patch: usize,
+    source: &YearSource,
+    service: Option<&CnnService>,
     model_file: &Path,
+    patch: usize,
     rank: u32,
     size: u32,
 ) -> Result<String, String> {
-    let rd = Reader::open(input).map_err(|e| e.to_string())?;
-    let dim = |name: &str| rd.dimension(name).map(|d| d.size).map_err(|e| e.to_string());
-    let (nlat, nlon) = (dim("lat")?, dim("lon")?);
-    let steps = dim("step")?;
-    let spd = rd.attribute("steps_per_day").and_then(|v| v.as_f64()).unwrap_or(4.0) as usize;
-    drop(rd);
-    let grid = gridded::Grid::global(nlat, nlon);
+    use extremes::tc::cnn::{CnnDetection, FieldSet};
+    let (grid, spd) = source.shape().map_err(|e| e.to_string())?;
+    let n = grid.len();
+    let steps = source.files().len() * spd;
     let my_steps: Vec<usize> = (rank as usize..steps).step_by((size as usize).max(1)).collect();
     if my_steps.is_empty() {
         return Ok(String::new());
     }
-    let width = par::global().threads().min(my_steps.len());
-    let chunks: Vec<&[usize]> = my_steps.chunks(my_steps.len().div_ceil(width)).collect();
-    let parts: Vec<Result<String, String>> = par::par_map(&chunks, |chunk| {
-        let rd = Reader::open(input).map_err(|e| e.to_string())?;
-        let mut model = TcCnn::load(patch, model_file).map_err(|e| e.to_string())?;
-        let analysis =
-            extremes::tc::cnn::analysis_grid(esm::atmos::tc_radius_deg(&grid), model.patch);
-        let mut csv = String::new();
-        for &s in chunk.iter() {
-            let read = |var: &str| -> Result<Field2, String> {
-                let data = rd
-                    .read_slab_f32(var, &[s, 0, 0], &[1, nlat, nlon])
-                    .map_err(|e| e.to_string())?;
-                Ok(Field2::from_vec(grid.clone(), data))
+    let analysis = extremes::tc::cnn::analysis_grid(esm::atmos::tc_radius_deg(&grid), patch);
+    // Hands `f` the native-grid fields of each of `steps` (ascending),
+    // fetching a day's four stacks once for all of its steps.
+    let each_step = |steps: &[usize],
+                     f: &mut dyn FnMut(usize, FieldSet) -> Result<(), String>|
+     -> Result<(), String> {
+        for same_day in steps.chunk_by(|a, b| a / spd == b / spd) {
+            let stack = |var: &str| {
+                source.stack(var, same_day[0] / spd, spd * n).map_err(|e| e.to_string())
             };
-            let native = extremes::tc::cnn::FieldSet {
-                psl: read("psl")?,
-                wind: read("sfcWind")?,
-                tas: read("tas")?,
-                vort: read("vort")?,
-            };
-            let set = native.regrid(&analysis);
-            for det in model.localize_set(&set) {
-                csv.push_str(&format!(
-                    "{},{},{:.3},{:.3},{:.3}\n",
-                    s / spd,
-                    s % spd,
-                    det.lat,
-                    det.lon,
-                    det.confidence
-                ));
+            let (psl, wind, tas, vort) =
+                (stack("psl")?, stack("sfcWind")?, stack("tas")?, stack("vort")?);
+            for &s in same_day {
+                let plane = |stack: &[f32]| {
+                    Field2::from_vec(grid.clone(), stack[s % spd * n..][..n].to_vec())
+                };
+                let (psl, wind, tas, vort) = (plane(&psl), plane(&wind), plane(&tas), plane(&vort));
+                f(s, FieldSet { psl, wind, tas, vort })?;
             }
         }
-        Ok(csv)
-    });
-    let mut csv = String::new();
-    for p in parts {
-        csv.push_str(&p?);
-    }
-    Ok(csv)
-}
-
-/// Task #16 body on the streaming hot path: the replica's timesteps go to
-/// the shared [`CnnService`] instead of per-chunk model instances. All
-/// requests are submitted up front (so the service can batch them), then
-/// awaited in step order — rows stay step-ascending and byte-identical to
-/// [`cnn_localize_steps`] because localization of one step is independent
-/// of the batch it rode in.
-fn cnn_localize_steps_streamed(
-    days: &[DayBlock],
-    service: &CnnService,
-    patch: usize,
-    rank: u32,
-    size: u32,
-) -> Result<String, String> {
-    let Some(first) = days.first() else {
-        return Ok(String::new());
+        Ok(())
     };
-    let grid = first.grid.clone();
-    let n = grid.nlat * grid.nlon;
-    let spd = first.steps_per_day;
-    let steps = days.len() * spd;
-    let analysis = extremes::tc::cnn::analysis_grid(esm::atmos::tc_radius_deg(&grid), patch);
-    let plane = |var: &str, s: usize| -> Result<Field2, String> {
-        let block = &days[s / spd];
-        let t = s % spd;
-        let stack = block.var(var).ok_or_else(|| format!("missing {var} in day block"))?;
-        Ok(Field2::from_vec(grid.clone(), stack[t * n..(t + 1) * n].to_vec()))
-    };
-    let mut tickets = Vec::new();
-    for s in (rank as usize..steps).step_by((size as usize).max(1)) {
-        let native = extremes::tc::cnn::FieldSet {
-            psl: plane("psl", s)?,
-            wind: plane("sfcWind", s)?,
-            tas: plane("tas", s)?,
-            vort: plane("vort", s)?,
-        };
-        tickets.push((s, service.submit(native, analysis.clone())));
-    }
-    let mut csv = String::new();
-    for (s, ticket) in tickets {
-        for det in ticket.wait()? {
+    let push_rows = |csv: &mut String, s: usize, detections: Vec<CnnDetection>| {
+        for det in detections {
             csv.push_str(&format!(
                 "{},{},{:.3},{:.3},{:.3}\n",
                 s / spd,
@@ -1651,6 +1447,40 @@ fn cnn_localize_steps_streamed(
                 det.lon,
                 det.confidence
             ));
+        }
+    };
+    let mut csv = String::new();
+    match service {
+        // All requests are submitted up front (so the service can batch
+        // them), then awaited in step order.
+        Some(service) => {
+            let mut tickets = Vec::with_capacity(my_steps.len());
+            each_step(&my_steps, &mut |s, native| {
+                tickets.push((s, service.submit(native, analysis.clone())));
+                Ok(())
+            })?;
+            for (s, ticket) in tickets {
+                push_rows(&mut csv, s, ticket.wait()?);
+            }
+        }
+        // At most pool-width contiguous chunks run concurrently; every
+        // chunk loads its own model instance (inference mutates layer
+        // caches), and chunk outputs concatenate in chunk order.
+        None => {
+            let width = par::global().threads().min(my_steps.len());
+            let chunks: Vec<&[usize]> = my_steps.chunks(my_steps.len().div_ceil(width)).collect();
+            let parts: Vec<Result<String, String>> = par::par_map(&chunks, |chunk| {
+                let mut model = TcCnn::load(patch, model_file).map_err(|e| e.to_string())?;
+                let mut part = String::new();
+                each_step(chunk, &mut |s, native| {
+                    push_rows(&mut part, s, model.localize_set(&native.regrid(&analysis)));
+                    Ok(())
+                })?;
+                Ok(part)
+            });
+            for part in parts {
+                csv.push_str(&part?);
+            }
         }
     }
     Ok(csv)
@@ -1696,7 +1526,7 @@ fn track_year(input: &Path) -> ncformat::Result<String> {
 }
 
 /// Ground-truth TC centers as `(global timestep, lat, lon)` tuples.
-fn truth_centers(events: &YearEvents, _days_per_year: usize) -> Vec<(usize, f64, f64)> {
+fn truth_centers(events: &YearEvents) -> Vec<(usize, f64, f64)> {
     let mut out = Vec::new();
     for tc in &events.tcs {
         for p in &tc.points {
@@ -1780,6 +1610,102 @@ mod tests {
 
         assert!(parse_centers_cnn("header only\n").is_empty());
         assert!(parse_centers_tracks("h\ngarbage,line\n").is_empty());
+    }
+
+    /// A streaming-configured case study over a small, quickly trained
+    /// model, and one year simulated once (files on disk + blocks).
+    fn case_with_year(name: &str) -> (CaseStudy, Arc<StreamedYear>) {
+        let dir = std::env::temp_dir().join("casestudy-tests").join(name);
+        std::fs::remove_dir_all(&dir).ok();
+        let params = WorkflowParams::builder(dir)
+            .years(1)
+            .days_per_year(6)
+            .training(60, 3)
+            .finetuning(0, 0)
+            .streaming(true)
+            .build()
+            .unwrap();
+        let cs = CaseStudy::new(params).unwrap();
+        let mut year = None;
+        cs.sim
+            .lock()
+            .run_years_streamed(1, |y, days, files| {
+                year = Some(Arc::new(StreamedYear { year: y, files, days }));
+            })
+            .unwrap();
+        (cs, year.expect("one simulated year"))
+    }
+
+    /// The equivalence proof, reduced to source invariance: each task
+    /// body gives the same bits over a year's files and over its blocks.
+    #[test]
+    fn task_bodies_are_source_invariant() {
+        let (cs, year) = case_with_year("source-invariance");
+        let files = YearSource::Files(year.files.clone());
+        let mem = YearSource::Mem(Arc::clone(&year));
+
+        // #5/#6
+        for (op, measure) in [(ReduceOp::Max, "tasmax"), (ReduceOp::Min, "tasmin")] {
+            let cube = |source: &YearSource| {
+                let h = import_daily_extreme(source, op, measure, &cs.params, &cs.client).unwrap();
+                h.cube().unwrap()
+            };
+            let (a, b) = (cube(&files), cube(&mem));
+            assert_eq!(a.measure, b.measure);
+            assert_eq!((a.rows(), a.implicit_len()), (b.rows(), b.implicit_len()));
+            let bits = |c: &datacube::model::Cube| -> Vec<u32> {
+                c.to_dense().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&a), bits(&b), "{measure} differs between sources");
+        }
+
+        // #15
+        let dir = cs.params.products_dir();
+        let tc_input = |source: &YearSource, name: &str| {
+            let out = dir.join(name);
+            build_tc_input(source, &out).unwrap();
+            std::fs::read(out).unwrap()
+        };
+        assert_eq!(tc_input(&files, "tcinput-files.ncx"), tc_input(&mem, "tcinput-mem.ncx"));
+
+        // #16, both scorers, split over two replicas.
+        let service = cs.cnn_service.as_deref().expect("streaming case study has the service");
+        let rows = |source: &YearSource, service: Option<&CnnService>| -> String {
+            (0..2)
+                .map(|rank| {
+                    cnn_localize_steps(source, service, &cs.model_file, cs.params.patch, rank, 2)
+                        .unwrap()
+                })
+                .collect()
+        };
+        let reference = rows(&files, None);
+        assert!(!reference.is_empty(), "the year should yield CNN detections to compare");
+        assert_eq!(rows(&mem, None), reference, "per-chunk scorer differs between sources");
+        assert_eq!(rows(&files, Some(service)), reference, "service scorer differs on files");
+        assert_eq!(rows(&mem, Some(service)), reference, "service scorer differs on blocks");
+        cs.rt.shutdown();
+    }
+
+    /// An in-memory year is owned by its tasks' closures only, so it is
+    /// freed once the year's last task is terminal — not at run end.
+    #[test]
+    fn mem_year_is_released_when_its_tasks_finish() {
+        let (cs, year) = case_with_year("mem-release");
+        let baseline = cs.submit_load_baseline().unwrap();
+        let model = cs.submit_load_model().unwrap();
+        cs.submit_year_analysis(
+            &year.year.to_string(),
+            YearSource::Mem(Arc::clone(&year)),
+            &baseline.outputs[0],
+            &baseline.outputs[1],
+            &model.outputs[0],
+            None,
+        )
+        .unwrap();
+        cs.rt.barrier().unwrap();
+        assert_eq!(cs.rt.metrics().failed, 0);
+        assert_eq!(Arc::strong_count(&year), 1, "a finished year must not stay resident");
+        cs.rt.shutdown();
     }
 
     #[test]

@@ -1,92 +1,50 @@
-//! Whole-workflow drivers and the HPCWaaS registration.
+//! Whole-workflow entry points and the HPCWaaS registration.
 //!
-//! Two ways to execute the same science, which experiment C1 compares:
+//! There is one driver, [`CaseStudy::run`]; the two functions here are
+//! its two submission orders, which experiment C1 compares:
 //!
-//! * [`run_sequential`] — the pre-integration practice the paper's
-//!   introduction describes: run the full multi-year simulation to
-//!   completion, *then* post-process everything "in a second stage";
-//! * [`run_pipelined`] — the paper's contribution: simulation and
-//!   analytics in one task graph, per-year analysis starting as soon as a
-//!   year of files exists, all overlapped by the runtime.
+//! * [`run_sequential`] ([`RunOrder::SimFirst`]) — the pre-integration
+//!   practice the paper's introduction describes: run the full multi-year
+//!   simulation to completion, *then* post-process everything "in a
+//!   second stage";
+//! * [`run_pipelined`] ([`RunOrder::AsYearsArrive`]) — the paper's
+//!   contribution: simulation and analytics in one task graph, per-year
+//!   analysis starting as soon as a year exists, all overlapped by the
+//!   runtime.
+//!
+//! Orthogonally, `params.streaming` (experiment C8) decides whether a
+//! year may reach analytics in memory rather than through its daily
+//! files; the tasks and their products are the same either way.
 //!
 //! [`register_with_hpcwaas`] publishes the workflow behind the HPCWaaS
 //! Execution API so an end user can deploy/run/undeploy it without
 //! touching any of the infrastructure (Section 6).
 
-use crate::casestudy::CaseStudy;
-use crate::error::{WorkflowError, WorkflowStage};
+use crate::casestudy::{CaseStudy, RunOrder};
+use crate::error::WorkflowError;
 use crate::params::WorkflowParams;
 use crate::reporting::RunReport;
 use hpcwaas::tosca::climate_case_study;
 use hpcwaas::ExecutionApi;
-use std::time::Instant;
+
+/// Builds the case study, runs it in `order`, and stops its runtime.
+fn run_in_order(params: WorkflowParams, order: RunOrder) -> Result<RunReport, WorkflowError> {
+    let cs = CaseStudy::new(params)?;
+    let report = cs.run(order);
+    cs.rt.shutdown();
+    report
+}
 
 /// Runs the pipelined (paper) configuration.
 pub fn run_pipelined(params: WorkflowParams) -> Result<RunReport, WorkflowError> {
-    let cs = CaseStudy::new(params)?;
-    let report = cs.run();
-    cs.rt.shutdown();
-    report
+    run_in_order(params, RunOrder::AsYearsArrive)
 }
 
 /// Runs the sequential baseline: the ESM completes all years first, then
 /// the per-year analyses are submitted. Same tasks, no overlap with the
 /// simulation.
 pub fn run_sequential(params: WorkflowParams) -> Result<RunReport, WorkflowError> {
-    let cs = CaseStudy::new(params)?;
-    let report = cs.run_sequential();
-    cs.rt.shutdown();
-    report
-}
-
-impl CaseStudy {
-    /// Sequential driver used by [`run_sequential`] and bench C1.
-    pub fn run_sequential(&self) -> Result<RunReport, WorkflowError> {
-        use dataflow::stream::{DirWatcher, YearlyRule};
-        let start = Instant::now();
-        let baseline = self
-            .submit_load_baseline()
-            .map_err(WorkflowError::dataflow(WorkflowStage::Baseline))?;
-        let model =
-            self.submit_load_model().map_err(WorkflowError::dataflow(WorkflowStage::ModelLoad))?;
-
-        // Phase 1: the whole simulation, to completion.
-        let mut prev = None;
-        for y in 0..self.params.years {
-            let h = self
-                .submit_esm_year(y, prev.as_ref(), None)
-                .map_err(WorkflowError::dataflow(WorkflowStage::Simulation))?;
-            prev = Some(h.outputs[0].clone());
-        }
-        self.rt.barrier().map_err(WorkflowError::dataflow(WorkflowStage::Barrier))?;
-
-        // Phase 2: all analyses (the "second stage").
-        let esm_dir = self.params.esm_dir();
-        let mut watcher = DirWatcher::new(
-            esm_dir.clone(),
-            YearlyRule { prefix: "esm".into(), days_per_year: self.params.days_per_year },
-        );
-        let mut year_refs = Vec::new();
-        let mut record_prev = None;
-        for group in
-            watcher.poll().map_err(WorkflowError::io(WorkflowStage::Streaming, &esm_dir))?
-        {
-            let refs = self
-                .submit_year_analysis(
-                    &group.key,
-                    group.files,
-                    &baseline.outputs[0],
-                    &baseline.outputs[1],
-                    &model.outputs[0],
-                    record_prev.as_ref(),
-                )
-                .map_err(WorkflowError::dataflow(WorkflowStage::Analysis))?;
-            record_prev = refs.record.clone();
-            year_refs.push(refs);
-        }
-        self.rt.barrier().map_err(WorkflowError::dataflow(WorkflowStage::Barrier))?;
-        self.collect_report(start.elapsed(), &year_refs)
-    }
+    run_in_order(params, RunOrder::SimFirst)
 }
 
 /// Registers the case study with an HPCWaaS Execution API instance under
@@ -201,6 +159,40 @@ mod tests {
         assert_eq!(report.function_counts.len(), 19, "{:?}", report.function_counts);
         assert_eq!(report.metrics.failed, 0);
         assert_eq!(report.metrics.cancelled, 0);
+    }
+
+    /// Sim-first × streaming is a setting of the one driver: no year
+    /// streams (the channel is never attached), every year is read from
+    /// its files, and the record products are the as-years-arrive run's.
+    #[test]
+    fn sim_first_streaming_exports_the_same_record_products() {
+        let mk = |name: &str| {
+            let mut p = WorkflowParams::test_scale(tmp(name));
+            p.years = 2;
+            p.days_per_year = 10;
+            p.train_samples = 120;
+            p.train_epochs = 6;
+            p.streaming = true;
+            p
+        };
+        let seq = run_sequential(mk("record-seq")).unwrap();
+        let pipe = run_pipelined(mk("record-pipe")).unwrap();
+
+        let st = seq.stream.as_ref().expect("streaming section");
+        assert_eq!((st.years_streamed, st.fallback_years), (0, 2));
+        assert_eq!(st.stall_us, 0);
+        assert_eq!(st.record_years, 2);
+        assert!(st.cnn_items > 0, "files-sourced years still score through the service");
+        let pipe_paths = &pipe.stream.as_ref().expect("streaming section").record_paths;
+        assert_eq!(st.record_paths.len(), 7, "6 wave maps + etccdi");
+        for (a, b) in st.record_paths.iter().zip(pipe_paths) {
+            assert_eq!(a.file_name(), b.file_name());
+            assert_eq!(
+                std::fs::read(a).unwrap(),
+                std::fs::read(b).unwrap(),
+                "{a:?} differs between submission orders"
+            );
+        }
     }
 
     #[test]

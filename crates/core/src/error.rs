@@ -1,7 +1,7 @@
 //! Typed workflow-outcome errors.
 //!
-//! Every public driver (`run_pipelined`, `run_sequential`, `CaseStudy`)
-//! reports failures as a [`WorkflowError`] that names the [`WorkflowStage`]
+//! The workflow driver (`CaseStudy::run`, and `run_pipelined` /
+//! `run_sequential`, its two submission orders) reports failures as a [`WorkflowError`] that names the [`WorkflowStage`]
 //! in which the run died and wraps the underlying substrate error —
 //! `dataflow` runtime failures, `datacube` engine errors, filesystem
 //! problems and HPCWaaS serving-layer rejections — instead of a flattened

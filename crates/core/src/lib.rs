@@ -21,10 +21,12 @@
 //! Modules:
 //!
 //! * [`params`] — workflow parameters (also parseable from HPCWaaS inputs);
-//! * [`casestudy`] — the task definitions (17 distinct task functions,
-//!   matching the paper's Figure 3 coloring) and the pipelined driver;
-//! * [`endtoend`] — sequential vs pipelined whole-workflow drivers
-//!   (experiment C1) and the HPCWaaS-registered entrypoint;
+//! * [`casestudy`] — the task definitions (18 distinct task functions,
+//!   matching the paper's Figure 3 coloring) and the one workflow driver,
+//!   `CaseStudy::run`, over a per-year `YearSource` (files | in-memory);
+//! * [`endtoend`] — the driver's two submission orders as entry points
+//!   (sequential vs pipelined, experiment C1) and the HPCWaaS-registered
+//!   entrypoint;
 //! * [`reporting`] — run reports (what the scientist gets back);
 //! * [`error`] — typed workflow-outcome errors naming the failing stage;
 //! * [`servebench`] — the multi-tenant serving benchmark (open-loop
@@ -37,7 +39,7 @@ pub mod params;
 pub mod reporting;
 pub mod servebench;
 
-pub use casestudy::{pretrain_cnn, CaseStudy, WfData};
+pub use casestudy::{pretrain_cnn, CaseStudy, RunOrder, WfData};
 pub use endtoend::{register_with_hpcwaas, run_pipelined, run_sequential};
 pub use error::{WorkflowError, WorkflowStage};
 pub use params::{ParamsBuilder, WorkflowParams};

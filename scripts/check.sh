@@ -17,6 +17,22 @@ cargo test --workspace -q
 echo "== cargo bench --no-run (benches compile) =="
 cargo bench --workspace --no-run -q
 
+echo "== wfbench builds and passes its smoke against this tree =="
+# benchmark/ is a package of its own that may not be edited alongside the
+# code it measures, so a climate_workflows API change that stops it
+# compiling (or fails its --quick smoke) has to be caught here.
+cargo test --offline --manifest-path benchmark/wfbench/Cargo.toml \
+    --target-dir target/wfbench -q
+
+echo "== obs bus ordering contract: one seq-ordered stream on a multi-lane run =="
+# Subscriber queues must see strictly increasing seq whatever threads
+# emit; the race this guards only shows with real concurrency, so repeat.
+for t in 2 4; do
+  for _ in 1 2 3 4 5; do
+    PAR_THREADS="$t" cargo test --test observability_trace -q
+  done
+done
+
 echo "== kernel conformance: fused vs scalar oracle, serial and parallel =="
 # The differential suite proves the fused per-fragment kernels bitwise
 # against the operator-by-operator scalar oracle; run it both single- and

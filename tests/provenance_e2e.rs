@@ -2,7 +2,7 @@
 //! record of what produced what — the FAIR/reproducibility capability
 //! Section 2 of the paper attributes to workflow systems.
 
-use climate_workflows::{CaseStudy, WorkflowParams};
+use climate_workflows::{CaseStudy, RunOrder, WorkflowParams};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("root-prov").join(name);
@@ -20,7 +20,7 @@ fn workflow_provenance_is_complete_and_linked() {
     params.finetune_days = 0;
 
     let cs = CaseStudy::new(params).unwrap();
-    let report = cs.run().unwrap();
+    let report = cs.run(RunOrder::AsYearsArrive).unwrap();
 
     // Every task appears in the provenance log as a completed activity.
     let prov = cs.rt.provenance();
@@ -71,7 +71,7 @@ fn monitoring_reaches_quiescence_with_full_progress() {
     params.finetune_days = 0;
 
     let cs = CaseStudy::new(params).unwrap();
-    cs.run().unwrap();
+    cs.run(RunOrder::AsYearsArrive).unwrap();
     let snap = cs.rt.status();
     assert!(snap.is_quiescent());
     assert_eq!(snap.completed, snap.total());
