@@ -17,7 +17,8 @@
 //!   immediately, overlapping it with the fan-out.
 //!
 //! Per shape × policy a `[a1_sched] shape=… policy=… makespan_ms=…
-//! bytes_moved_mb=…` line goes to stdout for `scripts/bench_record.sh`.
+//! bytes_moved_mb=…` line goes to stdout. (End-to-end records are taken
+//! with `benchmark/run.sh` and checked with its `compare`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dataflow::prelude::*;
@@ -146,7 +147,7 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
-    // Summary lines for bench_record.sh: median makespan of 5 runs plus
+    // Summary lines on stdout: median makespan of 5 runs plus
     // mean moved bytes, per shape x policy.
     for (shape, build) in SHAPES {
         for policy in Policy::ALL {

@@ -9,8 +9,10 @@
 //! Besides the operator-scaling groups, `pipeline_e2e` measures the full
 //! data plane — NetCDF ingest → operators → NetCDF export — and reports
 //! allocations/bytes per stage (one `[c4-alloc]` line each, meaningful
-//! when built with `--features count-alloc`; `scripts/bench_record.sh`
-//! records them into the `BENCH_<date>.json` perf trajectory).
+//! when built with `--features count-alloc`). `index_pipeline` runs the
+//! chain as three one-node passes of the engine, `fused_pipeline` as one;
+//! end-to-end records are taken with `benchmark/run.sh` (`cube_analytics`)
+//! and checked with its `compare`.
 
 use bench::{alloc, baseline_cube, year_cube};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -56,7 +58,7 @@ fn ingest_file() -> PathBuf {
 /// Builds the fused anomaly→mask→index chain: one kernel per fragment
 /// touches every day exactly once, with a tap materializing the anomaly
 /// cube (the pipeline's export boundary) in the same pass.
-fn fused_chain(baseline: &Cube, mask_expr: &Expr) -> Pipeline {
+fn fused_chain(baseline: &Cube, mask_expr: &Expr) -> Pipeline<'static> {
     Pipeline::new().intercube(baseline, InterOp::Sub).tap().apply(mask_expr.clone()).map_series(
         "hwd",
         1,
@@ -102,6 +104,7 @@ fn report_stage_allocs(src: &Path, baseline: &Cube, mask_expr: &Expr, out_path: 
     lines.push(("anomaly", st));
 
     let (mask, st) = alloc::measured(|| apply(&anom, mask_expr, cfg));
+    let mask = mask.unwrap();
     lines.push(("mask", st));
 
     let (runs, st) =
@@ -153,7 +156,7 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("index_pipeline", servers), &servers, |b, _| {
             b.iter(|| {
                 let anom = intercube(&cube, &baseline, InterOp::Sub, cfg).unwrap();
-                let mask = apply(&anom, &mask_expr, cfg);
+                let mask = apply(&anom, &mask_expr, cfg).unwrap();
                 let runs = map_series(&mask, "hwd", 1, cfg, |row| {
                     vec![extremes::heatwave::longest_wave(row, 6) as f32]
                 })

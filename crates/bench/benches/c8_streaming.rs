@@ -21,8 +21,10 @@
 //!   `max_batch ∈ {1, 2, 4, 8, 16}` over a fixed request set, reporting
 //!   throughput, mean batch occupancy and queue wait per point.
 //!
-//! Machine-readable `[c8_stream]` lines feed `scripts/bench_record.sh`'s
-//! `streaming` table.
+//! Machine-readable `[c8_stream]` lines go to stdout; the recorded
+//! staged-vs-streaming numbers are `wf_staged`/`wf_streaming` of
+//! `benchmark/run.sh`, checked with its `compare`. `plane_staged`'s
+//! `ops::reduce` runs on the fused engine like every public operator.
 
 use climate_workflows::{run_pipelined, run_sequential, WorkflowParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -5,10 +5,13 @@
 //! `bytes` is the kernel's streamed operand traffic (reads + writes of
 //! payload data; for conv2d, 4 bytes per multiply-accumulate) and `gbps`
 //! is that traffic divided by the best-of-N wall time. The scalar
-//! operator chain is timed alongside its fused equivalent so the
-//! `BENCH_<date>-kernels.json` trajectory records the fusion speedup
-//! per kernel, not just end to end (`scripts/bench_record.sh` parses
-//! these lines into the `kernels` table).
+//! operator chain (`run_scalar`: the oracle kernels of `ops::scalar`, no
+//! longer a production path) is timed alongside its fused equivalent so
+//! the fusion speedup shows per kernel, not just end to end; `reduce_max`
+//! is the public `ops::reduce`, a one-node chain on the engine. The
+//! recorded per-layer numbers (`datacube.fused_chain_ms`,
+//! `datacube.reduce_max_ms`) are taken with `benchmark/run.sh` and
+//! checked with its `compare`.
 
 use bench::{baseline_cube, year_cube};
 use datacube::exec::ExecConfig;

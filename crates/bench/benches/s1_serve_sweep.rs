@@ -7,7 +7,8 @@
 //! one full sweep point while the `[serve] stage=sweep ...` lines (one
 //! per arrival rate, printed once up front) carry the service metrics —
 //! p50/p99 queue-to-finish latency, goodput, rejection rate and cache
-//! hit rate — into `scripts/bench_record.sh`.
+//! hit rate. (The recorded serving numbers are `serve_open_loop` of
+//! `benchmark/run.sh`, checked with its `compare`.)
 
 use climate_workflows::servebench::{self, ServeBenchConfig};
 use criterion::{criterion_group, criterion_main, Criterion};

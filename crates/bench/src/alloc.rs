@@ -7,9 +7,9 @@
 //! numbers from counted runs stay comparable. Without the feature the system
 //! allocator is untouched and [`stats`] reports zeros.
 //!
-//! `scripts/bench_record.sh` runs the benches with the feature on and records
-//! the per-stage deltas printed by `c4_fragment_scaling` into the
-//! `BENCH_<date>.json` perf trajectory.
+//! `c4_fragment_scaling` prints the per-stage deltas when built with the
+//! feature on; peak memory of a whole run is `peak_rss_mb` of
+//! `benchmark/run.sh`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

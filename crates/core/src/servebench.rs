@@ -14,8 +14,9 @@
 //! typed rejections, completion counts, queue-to-finish latency
 //! percentiles (from the execution event log), goodput, rejection rate
 //! and the shared-cache hit rate. [`ServeBenchReport::to_json`] renders
-//! the whole sweep for `BENCH_*.json`; the `[serve] stage=...` summary
-//! lines feed `scripts/bench_record.sh`.
+//! the whole sweep (`serve-bench --out`); the `[serve] stage=...` lines
+//! summarize it on stdout. The recorded serving numbers are the
+//! `serve_open_loop` workload of `benchmark/run.sh`.
 
 use crate::error::WorkflowError;
 use datacube::model::{Cube, Dimension};
@@ -112,7 +113,7 @@ pub struct ServeBenchReport {
 }
 
 impl ServeBenchReport {
-    /// Renders the sweep as a JSON object for `BENCH_*.json`.
+    /// Renders the sweep as a JSON object (`serve-bench --out`).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!("  \"tenants\": {},\n", self.tenants));
@@ -147,8 +148,7 @@ impl ServeBenchReport {
         s
     }
 
-    /// One `[serve] stage=sweep ...` line per point (parsed by
-    /// `scripts/bench_record.sh`).
+    /// One `[serve] stage=sweep ...` line per point (the stdout summary).
     pub fn summary_lines(&self) -> Vec<String> {
         self.points
             .iter()

@@ -9,6 +9,10 @@
 //! lane instead of idling a statically dealt stripe, and no threads are
 //! spawned per operator call. Bench C4 measures the scaling this buys;
 //! `par_overhead` pins the dispatch cost.
+//!
+//! [`par_map_fragments_on`] is the one implementation of lane dispatch,
+//! kernel timing and event emission; only the engine ([`crate::fuse`])
+//! and the scalar oracle kernels call it.
 
 use crate::model::{Fragment, SharedData};
 use std::time::Instant;
@@ -38,33 +42,12 @@ impl ExecConfig {
     }
 }
 
-/// Maps every fragment through `kernel` in parallel, preserving order.
-/// The kernel receives the fragment and returns its transformed payload
-/// (any length, as a [`SharedData`] buffer — built once via
-/// [`SharedData::from_fn`]/`collect()`, or an O(1) view of the input);
-/// `row_start`, `row_count` and `server` are preserved.
-///
-/// Unnamed convenience wrapper around [`par_map_fragments_named`]; the
-/// operator shows up as `"map"` in traces and metrics.
-pub fn par_map_fragments<F>(cfg: ExecConfig, frags: &[Fragment], kernel: F) -> Vec<Fragment>
-where
-    F: Fn(&Fragment) -> SharedData + Sync,
-{
-    par_map_fragments_named(cfg, "map", frags, kernel)
-}
-
-/// Per-kernel execution record: which I/O-server lane actually ran it
-/// and for how long.
-struct KernelRun {
-    out: SharedData,
-    server: usize,
-    micros: u64,
-}
-
-/// [`par_map_fragments`] with an operator name for observability.
-///
-/// Runs on the process-global [`par`] pool; see
-/// [`par_map_fragments_named_on`] for the semantics.
+/// [`par_map_fragments_on`] on the process-global [`par`] pool for kernels
+/// with a single output payload (the scalar oracle kernels): maps every
+/// fragment through `kernel` in parallel, preserving order. The kernel
+/// returns the transformed payload (any length, as a [`SharedData`]
+/// buffer — built once via [`SharedData::from_fn`]/`collect()`, or an O(1)
+/// view of the input).
 pub fn par_map_fragments_named<F>(
     cfg: ExecConfig,
     op: &'static str,
@@ -74,11 +57,16 @@ pub fn par_map_fragments_named<F>(
 where
     F: Fn(&Fragment) -> SharedData + Sync,
 {
-    par_map_fragments_named_on(par::global(), cfg, op, frags, kernel)
+    par_map_fragments_on(par::global(), cfg, op, frags, |f| (kernel(f), SharedData::empty())).0
 }
 
-/// [`par_map_fragments_named`] on an explicit pool (tests use dedicated
-/// pools to pin down scheduling behaviour).
+/// Maps every fragment through `kernel` on `cfg.io_servers` lanes of
+/// `pool` (tests use dedicated pools to pin down scheduling behaviour).
+/// The kernel produces **two** payloads per fragment in one traversal: the
+/// primary output and a *tapped* intermediate (e.g. the anomaly cube
+/// materialized while its reduction is computed; [`SharedData::empty`]
+/// when there is no tap). Returns `(primary, tapped)` fragment vectors;
+/// both preserve `row_start`/`row_count`/`server` and the input order.
 ///
 /// Every fragment kernel is timed; per-kernel timings land in the global
 /// `datacube_kernel_us{op}` histogram and — when a tracer is subscribed
@@ -89,71 +77,8 @@ where
 /// [`obs::EventKind::OperatorDone`]. Without a subscriber the event cost
 /// is a single atomic load; the timing cost is two clock reads per
 /// fragment, negligible next to any real kernel.
-pub fn par_map_fragments_named_on<F>(
+pub fn par_map_fragments_on<F>(
     pool: &par::Pool,
-    cfg: ExecConfig,
-    op: &'static str,
-    frags: &[Fragment],
-    kernel: F,
-) -> Vec<Fragment>
-where
-    F: Fn(&Fragment) -> SharedData + Sync,
-{
-    if frags.is_empty() {
-        return Vec::new();
-    }
-    // Operator span: kernel lane tasks spawned below inherit this as
-    // their parent, so a trace shows kernels nested under the operator
-    // (and the operator under whatever workflow task invoked it).
-    let _op_span = if obs::global_active() { Some(obs::trace::span(op)) } else { None };
-    let op_start = Instant::now();
-
-    // Lane tasks claim fragments dynamically and write into disjoint
-    // output slots inside `par_map_lanes` — no per-fragment mutex, no
-    // per-call thread spawn.
-    let runs: Vec<KernelRun> = pool.par_map_lanes(cfg.io_servers, frags, |lane, _i, f| {
-        let t0 = Instant::now();
-        let out = kernel(f);
-        KernelRun { out, server: lane, micros: t0.elapsed().as_micros() as u64 }
-    });
-
-    let bus = obs::global();
-    let kernel_us = obs::registry().histogram("datacube_kernel_us", &[("op", op)]);
-    let out: Vec<Fragment> = frags
-        .iter()
-        .zip(runs)
-        .map(|(f, r)| {
-            kernel_us.observe(r.micros);
-            bus.emit_with(|| obs::EventKind::KernelDone {
-                op,
-                server: r.server,
-                rows: f.row_count,
-                micros: r.micros,
-            });
-            Fragment {
-                row_start: f.row_start,
-                row_count: f.row_count,
-                server: f.server,
-                data: r.out,
-            }
-        })
-        .collect();
-    obs::registry().counter("datacube_fragments_total", &[("op", op)]).add(out.len() as u64);
-    bus.emit_with(|| obs::EventKind::OperatorDone {
-        op,
-        fragments: out.len(),
-        micros: op_start.elapsed().as_micros() as u64,
-    });
-    out
-}
-
-/// [`par_map_fragments_named`] for kernels that produce **two** payloads
-/// per fragment in one traversal: the primary output and a *tapped*
-/// intermediate (the fused-pipeline pattern — e.g. materializing the
-/// anomaly cube while also computing its reduction, without touching the
-/// fragment twice). Returns `(primary, tapped)` fragment vectors; both
-/// preserve `row_start`/`row_count`/`server` and the input order.
-pub fn par_map_fragments_tapped<F>(
     cfg: ExecConfig,
     op: &'static str,
     frags: &[Fragment],
@@ -165,19 +90,27 @@ where
     if frags.is_empty() {
         return (Vec::new(), Vec::new());
     }
+    // Operator span: kernel lane tasks spawned below inherit this as
+    // their parent, so a trace shows kernels nested under the operator
+    // (and the operator under whatever workflow task invoked it).
     let _op_span = if obs::global_active() { Some(obs::trace::span(op)) } else { None };
     let op_start = Instant::now();
 
-    struct TappedRun {
+    /// Per-kernel execution record: which I/O-server lane actually ran it
+    /// and for how long.
+    struct KernelRun {
         out: SharedData,
         tap: SharedData,
         server: usize,
         micros: u64,
     }
-    let runs: Vec<TappedRun> = par::global().par_map_lanes(cfg.io_servers, frags, |lane, _i, f| {
+    // Lane tasks claim fragments dynamically and write into disjoint
+    // output slots inside `par_map_lanes` — no per-fragment mutex, no
+    // per-call thread spawn.
+    let runs: Vec<KernelRun> = pool.par_map_lanes(cfg.io_servers, frags, |lane, _i, f| {
         let t0 = Instant::now();
         let (out, tap) = kernel(f);
-        TappedRun { out, tap, server: lane, micros: t0.elapsed().as_micros() as u64 }
+        KernelRun { out, tap, server: lane, micros: t0.elapsed().as_micros() as u64 }
     });
 
     let bus = obs::global();
@@ -192,18 +125,14 @@ where
             rows: f.row_count,
             micros: r.micros,
         });
-        primary.push(Fragment {
+        let like = |data| Fragment {
             row_start: f.row_start,
             row_count: f.row_count,
             server: f.server,
-            data: r.out,
-        });
-        tapped.push(Fragment {
-            row_start: f.row_start,
-            row_count: f.row_count,
-            server: f.server,
-            data: r.tap,
-        });
+            data,
+        };
+        primary.push(like(r.out));
+        tapped.push(like(r.tap));
     }
     obs::registry().counter("datacube_fragments_total", &[("op", op)]).add(primary.len() as u64);
     bus.emit_with(|| obs::EventKind::OperatorDone {
@@ -234,8 +163,8 @@ mod tests {
     fn parallel_map_matches_serial() {
         let input = frags(7, 3, 5);
         let kernel = |f: &Fragment| f.data.iter().map(|v| v * 2.0 + 1.0).collect::<SharedData>();
-        let serial = par_map_fragments(ExecConfig::serial(), &input, kernel);
-        let parallel = par_map_fragments(ExecConfig::with_servers(4), &input, kernel);
+        let serial = par_map_fragments_named(ExecConfig::serial(), "map", &input, kernel);
+        let parallel = par_map_fragments_named(ExecConfig::with_servers(4), "map", &input, kernel);
         assert_eq!(serial, parallel);
         assert_eq!(serial[3].data[0], input[3].data[0] * 2.0 + 1.0);
     }
@@ -243,7 +172,8 @@ mod tests {
     #[test]
     fn order_and_metadata_preserved() {
         let input = frags(5, 2, 1);
-        let out = par_map_fragments(ExecConfig::with_servers(3), &input, |f| f.data.clone());
+        let out =
+            par_map_fragments_named(ExecConfig::with_servers(3), "map", &input, |f| f.data.clone());
         for (a, b) in input.iter().zip(&out) {
             assert_eq!(a.row_start, b.row_start);
             assert_eq!(a.row_count, b.row_count);
@@ -256,7 +186,7 @@ mod tests {
     fn kernel_may_change_payload_length() {
         let input = frags(3, 4, 6);
         // Collapse each row's 6 values to their sum (reduce-like kernel).
-        let out = par_map_fragments(ExecConfig::with_servers(2), &input, |f| {
+        let out = par_map_fragments_named(ExecConfig::with_servers(2), "map", &input, |f| {
             f.data.chunks(6).map(|row| row.iter().sum()).collect()
         });
         assert_eq!(out[0].data.len(), 4);
@@ -265,26 +195,28 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let out = par_map_fragments(ExecConfig::default(), &[], |f| f.data.clone());
+        let out = par_map_fragments_named(ExecConfig::default(), "map", &[], |f| f.data.clone());
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_servers_than_fragments_is_fine() {
         let input = frags(2, 1, 1);
-        let out = par_map_fragments(ExecConfig::with_servers(16), &input, |f| f.data.clone());
+        let out = par_map_fragments_named(ExecConfig::with_servers(16), "map", &input, |f| {
+            f.data.clone()
+        });
         assert_eq!(out.len(), 2);
     }
 
     #[test]
     fn tapped_map_returns_both_payloads_in_order() {
         let input = frags(5, 2, 3);
-        let (primary, tapped) =
-            par_map_fragments_tapped(ExecConfig::with_servers(3), "tap", &input, |f| {
-                let out: SharedData = f.data.iter().map(|v| v + 1.0).collect();
-                let tap: SharedData = f.data.iter().map(|v| v * 2.0).collect();
-                (out, tap)
-            });
+        let cfg = ExecConfig::with_servers(3);
+        let (primary, tapped) = par_map_fragments_on(par::global(), cfg, "tap", &input, |f| {
+            let out: SharedData = f.data.iter().map(|v| v + 1.0).collect();
+            let tap: SharedData = f.data.iter().map(|v| v * 2.0).collect();
+            (out, tap)
+        });
         assert_eq!(primary.len(), 5);
         assert_eq!(tapped.len(), 5);
         for ((a, p), t) in input.iter().zip(&primary).zip(&tapped) {
@@ -336,13 +268,13 @@ mod tests {
         let input = frags(9, 1, 1);
         let rx = obs::global().subscribe();
         let t0 = Instant::now();
-        let out =
-            par_map_fragments_named_on(&pool, ExecConfig::with_servers(4), "skew", &input, |f| {
+        let (out, _) =
+            par_map_fragments_on(&pool, ExecConfig::with_servers(4), "skew", &input, |f| {
                 if f.row_start == 0 {
                     std::thread::sleep(Duration::from_millis(150));
                 }
                 std::thread::sleep(Duration::from_millis(5));
-                f.data.clone()
+                (f.data.clone(), SharedData::empty())
             });
         let wall = t0.elapsed();
         assert_eq!(out.len(), 9);

@@ -1,10 +1,12 @@
-//! Fused operator-chain execution: one pass per fragment.
+//! The cube execution engine: every operator chain is one pass per fragment.
 //!
-//! The scalar operator set in [`crate::ops`] runs each operator as its own
-//! sweep over every fragment — a chain of subset → apply → intercube →
-//! reduce touches each byte once *per operator*. Climate analytics
-//! throughput is bound by how few times each byte is touched, so this
-//! module compiles such a chain into a single fused per-fragment kernel:
+//! [`Pipeline::run`] is the only production code that traverses fragment
+//! payloads for the datacube operators: the public operators of
+//! [`crate::ops`] are one-node chains on it, the extremes indices longer
+//! ones. Run operator by operator, a chain of subset → apply → intercube
+//! → reduce touches each byte once *per operator*; climate analytics
+//! throughput is bound by how few times each byte is touched, so the
+//! engine compiles the chain into a single fused per-fragment kernel:
 //! the fragment's [`SharedData`] window is traversed exactly once, with
 //! the element-wise stages evaluated on [`LANES`]-wide blocks (hand
 //! unrolled; the optimizer turns the per-lane loops into SIMD — no
@@ -26,12 +28,30 @@
 //!   must share the final index space or it would need positions the
 //!   fused kernel never evaluates.
 //!
+//! # Shape rules
+//!
+//! Decided from the *compiled* chain — never by a caller, an option or
+//! the environment — so a one-node chain costs what its scalar operator
+//! cost:
+//!
+//! 1. **Terminal in place.** With no element-wise stage, no gather and no
+//!    tap (a bare `reduce` or `map_series`), the terminal reads each
+//!    source row where it lies instead of through lane blocks and scratch.
+//! 2. **Identity shares.** A chain that compiles to the identity (e.g. a
+//!    full-range subset) returns the source fragments' shared buffers.
+//!
+//! A one-node chain reports its operator's own name (`reduce`, `apply`, …)
+//! to spans, `datacube_kernel_us{op}` and `OperatorDone`, longer chains
+//! `fuse`; the output `description` is what the chain's last operator
+//! writes when run on its own.
+//!
 //! # Bitwise conformance & the summation-order contract
 //!
-//! The scalar operator-by-operator path stays in-tree as the **oracle**:
-//! [`Pipeline::run_scalar`] executes the same chain through [`crate::ops`]
-//! and the differential suite (`tests/fused_conformance.rs`) asserts
-//! `to_bits` equality against [`Pipeline::run`] under random chains,
+//! The scalar operator-by-operator kernels stay in-tree as the **oracle**:
+//! [`Pipeline::run_scalar`] — the only non-test code allowed to name
+//! [`crate::ops::scalar`] — executes the same chain through them, and the
+//! differential suite (`tests/fused_conformance.rs`) asserts `to_bits`
+//! equality against [`Pipeline::run`] under random chains,
 //! fragmentations, lane remainders, and NaN/inf payloads. This works
 //! because every fused stage performs the identical f32/f64 operation
 //! sequence per element, and reductions follow the [`ReduceOp`] ordering
@@ -40,15 +60,17 @@
 //! regardless of lane width or thread count.
 
 use crate::error::{Error, Result};
-use crate::exec::{par_map_fragments_named, par_map_fragments_tapped, ExecConfig};
+use crate::exec::{par_map_fragments_on, ExecConfig};
 use crate::expr::{ConstSelect, Expr, Tape, TapeEval, LANES};
 use crate::model::{Cube, DimKind, Dimension, Fragment, SharedData};
 use crate::ops::{self, InterOp, ReduceOp};
 use std::sync::Arc;
 
 /// Per-row series kernel of a `map_series` terminal: reads the (virtual)
-/// row and writes exactly `out_len` values.
-pub type SeriesFn = dyn Fn(&[f32], &mut [f32]) + Send + Sync;
+/// row and writes exactly `out_len` values. It may borrow for `'f` — that
+/// is how [`ops::map_series`] lends its caller's closure to a one-node
+/// chain.
+pub type SeriesFn<'f> = dyn Fn(&[f32], &mut [f32]) + Send + Sync + 'f;
 
 enum Step {
     Subset { dim: String, lo: usize, hi: usize },
@@ -56,9 +78,30 @@ enum Step {
     Inter { b: Cube, op: InterOp },
 }
 
-enum Terminal {
+impl Step {
+    /// `(operator name, output description)` of this step run on its own.
+    fn label(&self) -> (&'static str, String) {
+        match self {
+            Step::Subset { dim, lo, hi } => ("subset", format!("subset({dim}, {lo}..{hi})")),
+            Step::Apply(_) => ("apply", "apply(expr)".into()),
+            Step::Inter { op, .. } => ("intercube", format!("intercube({op:?})")),
+        }
+    }
+}
+
+enum Terminal<'f> {
     Reduce { op: ReduceOp, dim: String },
-    Series { out_dim: String, out_len: usize, f: Arc<SeriesFn> },
+    Series { out_dim: String, out_len: usize, f: Box<SeriesFn<'f>> },
+}
+
+impl Terminal<'_> {
+    /// As [`Step::label`].
+    fn label(&self) -> (&'static str, String) {
+        match self {
+            Terminal::Reduce { op, dim } => ("reduce", format!("reduce({op:?}, {dim})")),
+            Terminal::Series { out_dim, .. } => ("map_series", format!("map_series({out_dim})")),
+        }
+    }
 }
 
 /// Result of a fused run: the pipeline output plus the tapped
@@ -83,33 +126,43 @@ pub struct FusedOutput {
 /// let out = p.run(&cube, ExecConfig::serial()).unwrap();
 /// assert_eq!(out.cube.to_dense(), vec![4.0]);
 /// ```
-pub struct Pipeline {
+pub struct Pipeline<'f> {
     steps: Vec<Step>,
-    terminal: Option<Terminal>,
+    terminal: Option<Terminal<'f>>,
     /// Step index the tap sits *before* (i.e. after `steps[..tap_at]`).
     tap_at: Option<usize>,
     err: Option<String>,
 }
 
-impl Default for Pipeline {
+impl Default for Pipeline<'_> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Pipeline {
+impl<'f> Pipeline<'f> {
     pub fn new() -> Self {
         Pipeline { steps: Vec::new(), terminal: None, tap_at: None, err: None }
     }
 
+    /// Records the first legality violation `broken` names.
+    fn check(&mut self, broken: bool, msg: &str) {
+        if broken && self.err.is_none() {
+            self.err = Some(msg.into());
+        }
+    }
+
     fn push(mut self, step: Step) -> Self {
-        if self.terminal.is_some() && self.err.is_none() {
-            self.err = Some("steps after a terminal are not fusible".into());
-        }
-        if matches!(step, Step::Subset { .. }) && self.tap_at.is_some() && self.err.is_none() {
-            self.err = Some("subset after tap is not fusible".into());
-        }
+        self.check(self.terminal.is_some(), "steps after a terminal are not fusible");
+        let subset_after_tap = matches!(step, Step::Subset { .. }) && self.tap_at.is_some();
+        self.check(subset_after_tap, "subset after tap is not fusible");
         self.steps.push(step);
+        self
+    }
+
+    fn end(mut self, terminal: Terminal<'f>) -> Self {
+        self.check(self.terminal.is_some(), "a pipeline supports a single terminal");
+        self.terminal = Some(terminal);
         self
     }
 
@@ -136,113 +189,75 @@ impl Pipeline {
     /// the same fused traversal ([`FusedOutput::tapped`]). No `subset` may
     /// follow.
     pub fn tap(mut self) -> Self {
-        if self.tap_at.is_some() && self.err.is_none() {
-            self.err = Some("a pipeline supports a single tap".into());
-        }
+        self.check(self.tap_at.is_some(), "a pipeline supports a single tap");
         self.tap_at = Some(self.steps.len());
         self
     }
 
     /// Terminal reduction over implicit dimension `dim` (as
     /// [`ops::reduce`]). Must be the last stage.
-    pub fn reduce(mut self, op: ReduceOp, dim: &str) -> Self {
-        if self.terminal.is_some() && self.err.is_none() {
-            self.err = Some("a pipeline supports a single terminal".into());
-        }
-        self.terminal = Some(Terminal::Reduce { op, dim: dim.into() });
-        self
+    pub fn reduce(self, op: ReduceOp, dim: &str) -> Self {
+        self.end(Terminal::Reduce { op, dim: dim.into() })
     }
 
     /// Terminal per-row series transform (as [`ops::map_series`], with the
     /// kernel writing into a preallocated `out_len` slice instead of
     /// returning a `Vec`). Must be the last stage.
     pub fn map_series(
-        mut self,
+        self,
         out_dim: &str,
         out_len: usize,
-        f: impl Fn(&[f32], &mut [f32]) + Send + Sync + 'static,
+        f: impl Fn(&[f32], &mut [f32]) + Send + Sync + 'f,
     ) -> Self {
-        if self.terminal.is_some() && self.err.is_none() {
-            self.err = Some("a pipeline supports a single terminal".into());
-        }
-        self.terminal = Some(Terminal::Series { out_dim: out_dim.into(), out_len, f: Arc::new(f) });
-        self
+        self.end(Terminal::Series { out_dim: out_dim.into(), out_len, f: Box::new(f) })
     }
 
     /// Runs the chain as ONE fused kernel per fragment of `src`.
     pub fn run(&self, src: &Cube, cfg: ExecConfig) -> Result<FusedOutput> {
         let c = self.compile(src)?;
+        let last = match &self.terminal {
+            Some(t) => Some(t.label()),
+            None => self.steps.last().map(Step::label),
+        };
+        let nodes = self.steps.len() + usize::from(self.terminal.is_some());
+        let op = match &last {
+            Some((name, _)) if nodes == 1 => name,
+            _ => "fuse",
+        };
         let has_tap = c.tap_stage.is_some();
-        let run_frag = |f: &Fragment| -> (SharedData, SharedData) {
-            let mut states: Vec<RunState> = c
-                .stages
-                .iter()
-                .map(|s| match s {
-                    CStage::Apply(t) => RunState::Apply(t.evaluator()),
-                    CStage::ApplySelect(_) => RunState::Stateless,
-                    CStage::Inter { border, .. } => RunState::Inter {
-                        bi: border.partition_point(|bf| bf.row_start + bf.row_count <= f.row_start),
-                        row_off: 0,
-                    },
-                })
-                .collect();
-            let mut scratch = vec![0.0f32; if c.terminal.is_some() { c.v_ilen } else { 0 }];
-            let out_total = f.row_count * c.out_row_len;
-            let tap_total = f.row_count * c.v_ilen;
-            let mut tap_data = SharedData::empty();
-            let out = if out_total == 0 {
-                // `from_fn(0, _)` never invokes its fill closure, so drive
-                // the traversal from the tap buffer when only it has data
-                // (e.g. a `map_series` terminal with out_len 0 plus a tap).
-                if has_tap && tap_total > 0 {
-                    tap_data = SharedData::from_fn(tap_total, |tapdst| {
-                        c.run_fragment(f, &mut states, &mut scratch, &mut [], Some(tapdst));
-                    });
-                }
-                SharedData::empty()
-            } else {
-                SharedData::from_fn(out_total, |dst| {
-                    if has_tap {
-                        tap_data = SharedData::from_fn(tap_total, |tapdst| {
-                            c.run_fragment(f, &mut states, &mut scratch, dst, Some(tapdst));
-                        });
-                    } else {
-                        c.run_fragment(f, &mut states, &mut scratch, dst, None);
-                    }
-                })
-            };
-            (out, tap_data)
-        };
-        let (frags, tap_frags) = if has_tap {
-            par_map_fragments_tapped(cfg, "fuse", &src.frags, run_frag)
+        let bare = c.stages.is_empty() && c.gather.is_none();
+        let (frags, tap_frags) = if bare && c.terminal.is_none() {
+            // Shape rule 2: nothing to compute — share the source buffers.
+            (src.frags.clone(), if has_tap { src.frags.clone() } else { Vec::new() })
         } else {
-            (par_map_fragments_named(cfg, "fuse", &src.frags, |f| run_frag(f).0), Vec::new())
+            par_map_fragments_on(par::global(), cfg, op, &src.frags, |f| {
+                let mut tap = SharedData::empty();
+                let out = fill(f.row_count * c.out_row_len, |dst| {
+                    if has_tap {
+                        tap = fill(f.row_count * c.v_ilen, |t| c.run_fragment(f, dst, Some(t)));
+                    } else {
+                        c.run_fragment(f, dst, None);
+                    }
+                });
+                (out, tap)
+            })
         };
-        let cube = Cube {
-            measure: src.measure.clone(),
-            dims: c.out_dims,
-            frags,
-            description: format!("fused({} stages)", self.steps.len()),
+        let assemble = |dims, frags, description| -> Result<Cube> {
+            let cube = Cube { measure: src.measure.clone(), dims, frags, description };
+            cube.validate()?;
+            Ok(cube)
         };
-        cube.validate()?;
-        let tapped = match c.tap_dims {
-            Some(dims) => {
-                let t = Cube {
-                    measure: src.measure.clone(),
-                    dims,
-                    frags: tap_frags,
-                    description: "fused tap".into(),
-                };
-                t.validate()?;
-                Some(t)
-            }
-            None => None,
-        };
+        let description = last.map_or_else(|| src.description.clone(), |(_, d)| d);
+        let cube = assemble(c.out_dims, frags, description)?;
+        let tapped =
+            c.tap_dims.map(|dims| assemble(dims, tap_frags, "fused tap".into())).transpose()?;
         Ok(FusedOutput { cube, tapped })
     }
 
-    /// Runs the same chain operator-by-operator through [`crate::ops`] —
-    /// the scalar oracle the conformance suite compares against bitwise.
+    /// Runs the same chain operator-by-operator through
+    /// [`crate::ops::scalar`] — the oracle the conformance suite compares
+    /// against bitwise. It calls the scalar kernels directly and never
+    /// re-enters the engine it judges.
     pub fn run_scalar(&self, src: &Cube, cfg: ExecConfig) -> Result<FusedOutput> {
         if let Some(msg) = &self.err {
             return Err(Error::SchemaMismatch(msg.clone()));
@@ -254,9 +269,11 @@ impl Pipeline {
                 tapped = Some(cur.clone());
             }
             cur = match step {
-                Step::Subset { dim, lo, hi } => ops::subset_implicit(&cur, dim, *lo, *hi, cfg)?,
-                Step::Apply(e) => ops::apply(&cur, e, cfg),
-                Step::Inter { b, op } => ops::intercube(&cur, b, *op, cfg)?,
+                Step::Subset { dim, lo, hi } => {
+                    ops::scalar::subset_implicit(&cur, dim, *lo, *hi, cfg)?
+                }
+                Step::Apply(e) => ops::scalar::apply(&cur, e, cfg),
+                Step::Inter { b, op } => ops::scalar::intercube(&cur, b, *op, cfg)?,
             };
         }
         if self.tap_at == Some(self.steps.len()) {
@@ -264,11 +281,10 @@ impl Pipeline {
         }
         let cube = match &self.terminal {
             None => cur,
-            Some(Terminal::Reduce { op, dim }) => ops::reduce(&cur, *op, dim, cfg)?,
+            Some(Terminal::Reduce { op, dim }) => ops::scalar::reduce(&cur, *op, dim, cfg)?,
             Some(Terminal::Series { out_dim, out_len, f }) => {
-                let f = Arc::clone(f);
                 let n = *out_len;
-                ops::map_series(&cur, out_dim, n, cfg, move |row| {
+                ops::scalar::map_series(&cur, out_dim, n, cfg, |row| {
                     let mut out = vec![0.0f32; n];
                     f(row, &mut out);
                     out
@@ -290,10 +306,11 @@ impl Pipeline {
         };
         let mut dims = src.dims.clone();
         let mut stages: Vec<CStage<'p>> = Vec::new();
-        // Compile-time event trail for the reverse index walk: subsets and
-        // runtime-stage markers in chain order.
+        // Compile-time event trail for the reverse index walk: subsets
+        // (their geometry inside the in-row layout) and runtime-stage
+        // markers, in chain order.
         enum Ev {
-            Subset(SubsetGeom),
+            Subset { target: usize, after: usize, lo: usize, keep: usize },
             Stage(usize),
         }
         let mut events: Vec<Ev> = Vec::new();
@@ -304,34 +321,22 @@ impl Pipeline {
             }
             match step {
                 Step::Subset { dim, lo, hi } => {
-                    let d = dims
-                        .iter()
-                        .find(|x| x.name == *dim)
-                        .ok_or_else(|| Error::UnknownDimension(dim.clone()))?;
-                    if d.kind != DimKind::Implicit {
-                        return Err(Error::WrongDimensionKind {
-                            dim: dim.clone(),
-                            need: "implicit",
-                        });
-                    }
-                    if *lo >= *hi || *hi > d.len() {
+                    let (_, target, after) = implicit_geom(&dims, dim)?;
+                    if *lo >= *hi || *hi > target {
                         return Err(Error::BadRange {
                             dim: dim.clone(),
                             lo: *lo,
                             hi: *hi,
-                            size: d.len(),
+                            size: target,
                         });
                     }
-                    let idims: Vec<&Dimension> =
-                        dims.iter().filter(|x| x.kind == DimKind::Implicit).collect();
-                    let pos = idims.iter().position(|x| x.name == *dim).expect("dim checked");
-                    let after: usize = idims[pos + 1..].iter().map(|x| x.len()).product();
-                    let target = idims[pos].len();
-                    events.push(Ev::Subset(SubsetGeom { target, after, lo: *lo, keep: hi - lo }));
-                    for x in dims.iter_mut() {
-                        if x.name == *dim {
-                            x.coords = Arc::from(&x.coords[*lo..*hi]);
-                        }
+                    // A full-range subset selects every position: it adds
+                    // nothing to the gather map (shape rule 2 relies on it).
+                    if hi - lo < target {
+                        events.push(Ev::Subset { target, after, lo: *lo, keep: hi - lo });
+                    }
+                    if let Some(x) = dims.iter_mut().find(|x| x.name == *dim) {
+                        x.coords = Arc::from(&x.coords[*lo..*hi]);
                     }
                 }
                 Step::Apply(e) => {
@@ -389,14 +394,11 @@ impl Pipeline {
                         }
                     }
                 }
-                Ev::Subset(g) => {
-                    let sel = g.keep * g.after;
+                Ev::Subset { target, after, lo, keep } => {
+                    let sel = keep * after;
                     for o in cur.iter_mut() {
-                        let b = *o / sel;
-                        let rem = *o % sel;
-                        *o = b * g.target * g.after
-                            + (g.lo + rem / g.after) * g.after
-                            + rem % g.after;
+                        let (b, rem) = (*o / sel, *o % sel);
+                        *o = b * target * after + (lo + rem / after) * after + rem % after;
                     }
                     identity = false;
                 }
@@ -408,19 +410,7 @@ impl Pipeline {
         let (terminal, out_row_len) = match &self.terminal {
             None => (None, v_ilen),
             Some(Terminal::Reduce { op, dim }) => {
-                let d = dims
-                    .iter()
-                    .find(|x| x.name == *dim)
-                    .ok_or_else(|| Error::UnknownDimension(dim.clone()))?;
-                if d.kind != DimKind::Implicit {
-                    return Err(Error::WrongDimensionKind { dim: dim.clone(), need: "implicit" });
-                }
-                let idims: Vec<&Dimension> =
-                    dims.iter().filter(|x| x.kind == DimKind::Implicit).collect();
-                let pos = idims.iter().position(|x| x.name == *dim).expect("dim checked");
-                let after: usize = idims[pos + 1..].iter().map(|x| x.len()).product();
-                let target = idims[pos].len();
-                let before: usize = idims[..pos].iter().map(|x| x.len()).product();
+                let (before, target, after) = implicit_geom(&dims, dim)?;
                 dims.retain(|x| x.name != *dim);
                 (Some(CTerm::Reduce { op: *op, before, target, after }), before * after)
             }
@@ -432,7 +422,7 @@ impl Pipeline {
                         (0..*out_len).map(|i| i as f64).collect::<Vec<_>>(),
                     ));
                 }
-                (Some(CTerm::Series { out_len: *out_len, f: f.as_ref() }), *out_len)
+                (Some(CTerm::Series { f: f.as_ref() }), *out_len)
             }
         };
         Ok(Compiled {
@@ -449,12 +439,30 @@ impl Pipeline {
     }
 }
 
-/// Geometry of one implicit subset inside the in-row layout.
-struct SubsetGeom {
-    target: usize,
-    after: usize,
-    lo: usize,
-    keep: usize,
+/// `(before, target, after)` extents around implicit dimension `dim` in
+/// the in-row layout of `dims`; the schema errors are those of the scalar
+/// operators.
+fn implicit_geom(dims: &[Dimension], dim: &str) -> Result<(usize, usize, usize)> {
+    let d =
+        dims.iter().find(|x| x.name == dim).ok_or_else(|| Error::UnknownDimension(dim.into()))?;
+    if d.kind != DimKind::Implicit {
+        return Err(Error::WrongDimensionKind { dim: dim.into(), need: "implicit" });
+    }
+    let idims: Vec<&Dimension> = dims.iter().filter(|x| x.kind == DimKind::Implicit).collect();
+    let pos = idims.iter().position(|x| x.name == dim).expect("dim checked");
+    let extent = |ds: &[&Dimension]| ds.iter().map(|x| x.len()).product();
+    Ok((extent(&idims[..pos]), idims[pos].len(), extent(&idims[pos + 1..])))
+}
+
+/// [`SharedData::from_fn`] that still runs `write` (over an empty slice)
+/// when `len` is 0: a zero-length output must not skip the traversal that
+/// also feeds the tap and calls the series kernel.
+fn fill(len: usize, write: impl FnOnce(&mut [f32])) -> SharedData {
+    if len == 0 {
+        write(&mut []);
+        return SharedData::empty();
+    }
+    SharedData::from_fn(len, write)
 }
 
 enum CStage<'p> {
@@ -475,7 +483,34 @@ enum CStage<'p> {
 
 enum CTerm<'p> {
     Reduce { op: ReduceOp, before: usize, target: usize, after: usize },
-    Series { out_len: usize, f: &'p SeriesFn },
+    Series { f: &'p SeriesFn<'p> },
+}
+
+impl CTerm<'_> {
+    /// Folds one (virtual) row into its output row.
+    #[inline]
+    fn finish(&self, series: &[f32], out: &mut [f32]) {
+        match self {
+            CTerm::Reduce { op, before: 1, after: 1, .. } => out[0] = op.apply(series),
+            CTerm::Reduce { op, before, target, after } => {
+                // Same (b, a) output order and strictly sequential
+                // per-output t-order accumulation as the scalar general
+                // path (the ReduceOp ordering contract).
+                let mut w = 0usize;
+                for b in 0..*before {
+                    for a in 0..*after {
+                        let mut acc = op.begin();
+                        for t in 0..*target {
+                            op.step(&mut acc, series[b * target * after + t * after + a]);
+                        }
+                        out[w] = op.finish(acc, *target);
+                        w += 1;
+                    }
+                }
+            }
+            CTerm::Series { f } => f(series, out),
+        }
+    }
 }
 
 /// Per-fragment mutable state, one slot per runtime stage.
@@ -483,10 +518,8 @@ enum RunState<'t> {
     Apply(TapeEval<'t>),
     /// Constant-select stages carry no state.
     Stateless,
-    Inter {
-        bi: usize,
-        row_off: usize,
-    },
+    /// Cursor into the stage's `border`: the `b` fragment of the current row.
+    Inter(usize),
 }
 
 struct Compiled<'p> {
@@ -506,151 +539,136 @@ struct Compiled<'p> {
 }
 
 impl Compiled<'_> {
-    /// The fused kernel body: every row of `f` is evaluated in
-    /// [`LANES`]-wide blocks through the stage list, then fed to the
-    /// terminal. Partial tail blocks pad with the block's first valid
-    /// lane — all operations are pure per-element, so the padded lanes
-    /// compute garbage that is simply not stored.
-    fn run_fragment(
+    /// The fused kernel body: every row of `f` goes through the
+    /// element-wise phase, then to the terminal.
+    fn run_fragment(&self, f: &Fragment, dst: &mut [f32], mut tap: Option<&mut [f32]>) {
+        let (ilen, v, orl) = (self.src_ilen, self.v_ilen, self.out_row_len);
+        let data = f.data.as_slice();
+        let row = |r: usize| &data[r * ilen..(r + 1) * ilen];
+        let bare = self.stages.is_empty() && self.gather.is_none();
+        if let (true, Some(t), None) = (bare, &self.terminal, &tap) {
+            // Shape rule 1: nothing stands between the source row and the
+            // terminal, so it reads each row in place — one tight loop,
+            // the terminal dispatch hoisted out of it (day cubes have
+            // 4-element rows: per-row bookkeeping would dominate).
+            match t {
+                CTerm::Reduce { op, before: 1, after: 1, .. } => {
+                    dst.iter_mut().enumerate().for_each(|(r, o)| *o = op.apply(row(r)));
+                }
+                _ => (0..f.row_count).for_each(|r| t.finish(row(r), &mut dst[r * orl..][..orl])),
+            }
+            return;
+        }
+        let mut states: Vec<RunState> = self
+            .stages
+            .iter()
+            .map(|s| match s {
+                CStage::Apply(t) => RunState::Apply(t.evaluator()),
+                CStage::ApplySelect(_) => RunState::Stateless,
+                CStage::Inter { border, .. } => RunState::Inter(
+                    border.partition_point(|bf| bf.row_start + bf.row_count <= f.row_start),
+                ),
+            })
+            .collect();
+        let mut scratch = vec![0.0f32; if self.terminal.is_some() { v } else { 0 }];
+        for r in 0..f.row_count {
+            let out_row = &mut dst[r * orl..(r + 1) * orl];
+            // Straight into the output row when there is no terminal, else
+            // into the scratch row the terminal then folds.
+            let ew = if self.terminal.is_some() { &mut scratch[..] } else { &mut out_row[..] };
+            let tap_row = tap.as_deref_mut().map(|t| &mut t[r * v..(r + 1) * v]);
+            self.elementwise(row(r), f.row_start + r, &mut states, ew, tap_row);
+            if let Some(t) = &self.terminal {
+                t.finish(&scratch, out_row);
+            }
+        }
+    }
+
+    /// The element-wise phase of global row `grow`: `row` is gathered and
+    /// evaluated in [`LANES`]-wide blocks through the stage list into `ew`
+    /// (and `tap_row` at the tap's stage boundary). Partial tail blocks pad
+    /// with the block's first valid lane — all operations are pure
+    /// per-element, so the padded lanes compute garbage that is simply not
+    /// stored.
+    #[inline]
+    fn elementwise(
         &self,
-        f: &Fragment,
+        row: &[f32],
+        grow: usize,
         states: &mut [RunState],
-        scratch: &mut [f32],
-        dst: &mut [f32],
-        mut tap: Option<&mut [f32]>,
+        ew: &mut [f32],
+        mut tap_row: Option<&mut [f32]>,
     ) {
-        let ilen = self.src_ilen;
+        // Advance each intercube stage's fragment cursor to this row.
+        for (stage, state) in self.stages.iter().zip(states.iter_mut()) {
+            if let (CStage::Inter { border, .. }, RunState::Inter(bi)) = (stage, state) {
+                while border[*bi].row_start + border[*bi].row_count <= grow {
+                    *bi += 1;
+                }
+            }
+        }
         let v = self.v_ilen;
-        let orl = self.out_row_len;
-        for local_row in 0..f.row_count {
-            let row = &f.data.as_slice()[local_row * ilen..(local_row + 1) * ilen];
-            let grow = f.row_start + local_row;
-            // Advance each intercube stage's fragment cursor to this row.
-            for (stage, state) in self.stages.iter().zip(states.iter_mut()) {
-                if let (CStage::Inter { border, ilen_b, .. }, RunState::Inter { bi, row_off }) =
-                    (stage, state)
-                {
-                    while border[*bi].row_start + border[*bi].row_count <= grow {
-                        *bi += 1;
+        let mut j = 0usize;
+        while j < v {
+            let n = (v - j).min(LANES);
+            let mut va = [0.0f32; LANES];
+            match &self.gather {
+                Some(g) => {
+                    for l in 0..n {
+                        va[l] = row[g[j + l]];
                     }
-                    *row_off = (grow - border[*bi].row_start) * ilen_b;
+                }
+                None => va[..n].copy_from_slice(&row[j..j + n]),
+            }
+            for l in n..LANES {
+                va[l] = va[0];
+            }
+            if self.tap_stage == Some(0) {
+                if let Some(tr) = tap_row.as_deref_mut() {
+                    tr[j..j + n].copy_from_slice(&va[..n]);
                 }
             }
-            let mut tap_row =
-                tap.as_deref_mut().map(|t| &mut t[local_row * v..(local_row + 1) * v]);
-            {
-                // Element-wise phase: straight into the output row when
-                // there is no terminal, else into the scratch row.
-                let ew: &mut [f32] = if self.terminal.is_some() {
-                    &mut scratch[..]
-                } else {
-                    &mut dst[local_row * orl..(local_row + 1) * orl]
-                };
-                let mut j = 0usize;
-                while j < v {
-                    let n = (v - j).min(LANES);
-                    let mut va = [0.0f32; LANES];
-                    match &self.gather {
-                        Some(g) => {
-                            for l in 0..n {
-                                va[l] = row[g[j + l]];
-                            }
-                        }
-                        None => va[..n].copy_from_slice(&row[j..j + n]),
+            for (si, (stage, state)) in self.stages.iter().zip(states.iter_mut()).enumerate() {
+                match (stage, state) {
+                    (CStage::Apply(_), RunState::Apply(ev)) => {
+                        let mut y = [0.0f64; LANES];
+                        ev.eval_block(&va.map(f64::from), &mut y);
+                        va = y.map(|v| v as f32);
                     }
-                    for l in n..LANES {
-                        va[l] = va[0];
-                    }
-                    if self.tap_stage == Some(0) {
-                        if let Some(tr) = tap_row.as_deref_mut() {
-                            tr[j..j + n].copy_from_slice(&va[..n]);
+                    (CStage::ApplySelect(cs), RunState::Stateless) => {
+                        for v in va.iter_mut() {
+                            *v = cs.eval(*v as f64) as f32;
                         }
                     }
-                    for (si, (stage, state)) in
-                        self.stages.iter().zip(states.iter_mut()).enumerate()
-                    {
-                        match (stage, state) {
-                            (CStage::Apply(_), RunState::Apply(ev)) => {
-                                let mut x = [0.0f64; LANES];
-                                for l in 0..LANES {
-                                    x[l] = va[l] as f64;
-                                }
-                                let mut y = [0.0f64; LANES];
-                                ev.eval_block(&x, &mut y);
-                                for l in 0..LANES {
-                                    va[l] = y[l] as f32;
-                                }
+                    (CStage::Inter { op, ilen_b, border, bmap }, RunState::Inter(bi)) => {
+                        let off = (grow - border[*bi].row_start) * ilen_b;
+                        let brow = &border[*bi].data.as_slice()[off..off + ilen_b];
+                        let mut vb = [0.0f32; LANES];
+                        if *ilen_b == 1 {
+                            vb = [brow[0]; LANES];
+                        } else {
+                            match bmap {
+                                Some(m) => (0..n).for_each(|l| vb[l] = brow[m[j + l]]),
+                                None => vb[..n].copy_from_slice(&brow[j..j + n]),
                             }
-                            (CStage::ApplySelect(cs), RunState::Stateless) => {
-                                for v in va.iter_mut() {
-                                    *v = cs.eval(*v as f64) as f32;
-                                }
+                            for l in n..LANES {
+                                vb[l] = vb[0];
                             }
-                            (
-                                CStage::Inter { op, ilen_b, border, bmap },
-                                RunState::Inter { bi, row_off },
-                            ) => {
-                                let brow =
-                                    &border[*bi].data.as_slice()[*row_off..*row_off + ilen_b];
-                                let mut vb = [0.0f32; LANES];
-                                if *ilen_b == 1 {
-                                    vb = [brow[0]; LANES];
-                                } else if let Some(m) = bmap {
-                                    for l in 0..n {
-                                        vb[l] = brow[m[j + l]];
-                                    }
-                                    for l in n..LANES {
-                                        vb[l] = vb[0];
-                                    }
-                                } else {
-                                    vb[..n].copy_from_slice(&brow[j..j + n]);
-                                    for l in n..LANES {
-                                        vb[l] = vb[0];
-                                    }
-                                }
-                                for l in 0..LANES {
-                                    va[l] = op.apply(va[l], vb[l]);
-                                }
-                            }
-                            _ => unreachable!("state kind mismatches stage"),
                         }
-                        if self.tap_stage == Some(si + 1) {
-                            if let Some(tr) = tap_row.as_deref_mut() {
-                                tr[j..j + n].copy_from_slice(&va[..n]);
-                            }
+                        for l in 0..LANES {
+                            va[l] = op.apply(va[l], vb[l]);
                         }
                     }
-                    ew[j..j + n].copy_from_slice(&va[..n]);
-                    j += n;
+                    _ => unreachable!("state kind mismatches stage"),
+                }
+                if self.tap_stage == Some(si + 1) {
+                    if let Some(tr) = tap_row.as_deref_mut() {
+                        tr[j..j + n].copy_from_slice(&va[..n]);
+                    }
                 }
             }
-            match &self.terminal {
-                None => {}
-                Some(CTerm::Reduce { op, before, target, after }) => {
-                    let out_chunk = &mut dst[local_row * orl..(local_row + 1) * orl];
-                    if *before == 1 && *after == 1 {
-                        out_chunk[0] = op.apply(scratch);
-                    } else {
-                        // Same (b, a) output order and strictly sequential
-                        // per-output t-order accumulation as the scalar
-                        // general path (the ReduceOp ordering contract).
-                        let mut w = 0usize;
-                        for b in 0..*before {
-                            for a in 0..*after {
-                                let mut acc = op.begin();
-                                for t in 0..*target {
-                                    op.step(&mut acc, scratch[b * target * after + t * after + a]);
-                                }
-                                out_chunk[w] = op.finish(acc, *target);
-                                w += 1;
-                            }
-                        }
-                    }
-                }
-                Some(CTerm::Series { out_len, f }) => {
-                    f(&scratch[..], &mut dst[local_row * out_len..(local_row + 1) * out_len]);
-                }
-            }
+            ew[j..j + n].copy_from_slice(&va[..n]);
+            j += n;
         }
     }
 }
@@ -859,5 +877,25 @@ mod tests {
             .filter(|e| matches!(e.kind, obs::EventKind::OperatorDone { op: "fuse", .. }))
             .count();
         assert_eq!(fuse_ops, 1, "the whole chain runs as one operator");
+
+        // A one-node chain is that operator: it reports the operator's own
+        // name, and an identity chain runs no kernel at all. (7 fragments:
+        // no other test in this process emits events of that size.)
+        let dims = vec![
+            Dimension::explicit("cell", (0..7).map(|c| c as f64).collect::<Vec<_>>()),
+            Dimension::implicit("time", vec![0.0, 1.0]),
+        ];
+        let src = Cube::from_dense("v", dims, vec![1.0; 14], 7, 2).unwrap();
+        Pipeline::new().reduce(ReduceOp::Max, "time").run(&src, cfg()).unwrap();
+        Pipeline::new().subset_implicit("time", 0, 2).run(&src, cfg()).unwrap();
+        let names: Vec<&str> = rx
+            .drain()
+            .iter()
+            .filter_map(|e| match e.kind {
+                obs::EventKind::OperatorDone { op, fragments: 7, .. } => Some(op),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(names, ["reduce"]);
     }
 }

@@ -13,11 +13,12 @@
 //! * [`ops`] — the operator set the workflow uses: `importnc`, `subset`,
 //!   `reduce`, `apply` (with an `oph_predicate`-style expression language,
 //!   [`expr`]), `intercube`, `concat_implicit`, `map_series`, `exportnc`;
-//! * [`exec`] — parallel operator execution over fragments, with a
-//!   configurable number of simulated I/O servers;
-//! * [`fuse`] — the operator-chain compiler: collapses a
-//!   subset→apply→intercube→reduce chain into one vectorized fused kernel
-//!   per fragment, bitwise-equal to the scalar operator pipeline;
+//! * [`fuse`] — the one execution engine behind those operators: compiles
+//!   a subset→apply→intercube→reduce chain (or a single operator) into one
+//!   vectorized kernel per fragment, bitwise-equal to the scalar kernels
+//!   kept in [`ops::scalar`] as its test oracle;
+//! * [`exec`] — lane dispatch of fragment kernels over a configurable
+//!   number of simulated I/O servers;
 //! * [`store::CubeStore`] — the in-memory cube container that lets a
 //!   pipeline load the 20-year baseline climatology **once** and reuse it
 //!   across every year of the simulation (the paper's Section 5.3

@@ -1,32 +1,44 @@
 //! The operator set.
 //!
-//! Each operator is a pure function `(&Cube, …) -> Cube`, executed in
-//! parallel over fragments through [`crate::exec`]. The set covers what the
-//! paper's heat/cold-wave and TC pipelines use: NetCDF import/export,
-//! subsetting, time reduction, element-wise `apply` with the expression
-//! language, cube–cube arithmetic (with per-row broadcasting for baseline
-//! climatologies), implicit-dimension concatenation (stacking days into a
-//! year), and a generic per-row series transform for run-length analytics.
+//! Each operator is a pure function `(&Cube, …) -> Cube`. The set covers
+//! what the paper's heat/cold-wave and TC pipelines use: NetCDF
+//! import/export, subsetting, time reduction, element-wise `apply` with
+//! the expression language, cube–cube arithmetic (with per-row
+//! broadcasting for baseline climatologies), implicit-dimension
+//! concatenation (stacking days into a year), and a generic per-row series
+//! transform for run-length analytics.
+//!
+//! **One engine, scalar oracle.** The operators that traverse fragment
+//! payloads — [`reduce`], [`apply`], [`intercube`], [`subset_implicit`],
+//! [`map_series`] (and [`rolling`] on top of it) — are one-node chains on
+//! [`crate::fuse::Pipeline`], the only code that runs them in production;
+//! the operator-by-operator kernels they used to be live in [`scalar`] as
+//! the conformance suite's oracle. The other operators re-window or
+//! stream buffers and have a single implementation here.
 //!
 //! No operator materializes a dense array: kernels read fragment windows in
 //! place and build each output payload exactly once ([`SharedData::from_fn`]
 //! or an O(1) view of the input buffer). `to_dense()` survives only at
 //! explicit export boundaries ([`exportnc`], [`to_grid_values`]).
 
+pub mod scalar;
+
 use crate::error::{Error, Result};
-use crate::exec::{par_map_fragments_named, ExecConfig};
+use crate::exec::ExecConfig;
 use crate::expr::Expr;
+use crate::fuse::Pipeline;
 use crate::model::{Cube, DimKind, Dimension, Fragment, SharedData};
 use ncformat::{Reader, Value, Writer};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Reduction kernels over an implicit dimension.
 ///
 /// # Ordering contract
 ///
-/// Every reduction in this crate — the scalar [`reduce`] operator (both
-/// its fast and general paths) and the fused kernels in [`crate::fuse`] —
+/// Every reduction in this crate — the engine's terminal in [`crate::fuse`]
+/// and the oracle kernel [`scalar::reduce`] (fast and general paths) —
 /// accumulates **strictly sequentially in ascending series-index order**,
 /// one element at a time, through [`ReduceOp::begin`] / [`ReduceOp::step`]
 /// / [`ReduceOp::finish`]. f32 addition is not associative, so this order
@@ -98,8 +110,7 @@ impl ReduceOp {
         }
     }
 
-    /// Reduces a whole series (the scalar oracle path): begin/step/finish
-    /// in index order.
+    /// Reduces a whole series: begin/step/finish in index order.
     pub fn apply(self, series: &[f32]) -> f32 {
         let mut acc = self.begin();
         for &v in series {
@@ -119,8 +130,8 @@ pub enum InterOp {
 }
 
 impl InterOp {
-    /// Applies the operator to one element pair (shared by the scalar
-    /// [`intercube`] kernel and the fused kernels in [`crate::fuse`]).
+    /// Applies the operator to one element pair (shared by the oracle
+    /// kernel [`scalar::intercube`] and the engine in [`crate::fuse`]).
     #[inline]
     pub fn apply(self, a: f32, b: f32) -> f32 {
         match self {
@@ -308,126 +319,29 @@ fn coord_values(reader: &Reader, name: &str, size: usize) -> Vec<f64> {
 /// Reduces one implicit dimension away. With a single implicit dimension
 /// the whole in-row array collapses to one value per row.
 ///
-/// Both paths honor the [`ReduceOp`] ordering contract: each output value
+/// Honors the [`ReduceOp`] ordering contract: each output value
 /// accumulates its source elements strictly in ascending `dim`-index
 /// order, so results are bitwise independent of fragmentation, server
-/// count, and the fused kernels' lane width.
+/// count, and the engine's lane width.
 pub fn reduce(cube: &Cube, op: ReduceOp, dim: &str, cfg: ExecConfig) -> Result<Cube> {
-    let d = cube.dim(dim)?;
-    if d.kind != DimKind::Implicit {
-        return Err(Error::WrongDimensionKind { dim: dim.into(), need: "implicit" });
-    }
-    let idims = cube.implicit_dims();
-    // Strides of implicit dims within a row (row-major).
-    let pos = idims.iter().position(|x| x.name == dim).expect("dim checked");
-    let after: usize = idims[pos + 1..].iter().map(|x| x.len()).product();
-    let target = idims[pos].len();
-    let ilen = cube.implicit_len();
-    let out_ilen = ilen / target.max(1);
-
-    let frags = par_map_fragments_named(cfg, "reduce", &cube.frags, |f| {
-        if after == 1 && target == ilen {
-            // Fast path (the common case: one implicit dimension, fully
-            // reduced): the row *is* the series — no gather, no scratch.
-            SharedData::from_iter_len(f.row_count, f.data.chunks(ilen).map(|row| op.apply(row)))
-        } else {
-            let before = ilen / (target * after).max(1);
-            SharedData::from_fn(f.row_count * out_ilen, |out| {
-                let mut series = vec![0.0f32; target];
-                let mut w = 0usize;
-                for row in f.data.chunks(ilen) {
-                    // Iterate over the reduced layout: (before, after) pairs.
-                    for b in 0..before {
-                        for a in 0..after {
-                            for (t, s) in series.iter_mut().enumerate() {
-                                *s = row[b * target * after + t * after + a];
-                            }
-                            out[w] = op.apply(&series);
-                            w += 1;
-                        }
-                    }
-                }
-            })
-        }
-    });
-
-    let dims: Vec<Dimension> = cube.dims.iter().filter(|d| d.name != dim).cloned().collect();
-    let out = Cube {
-        measure: cube.measure.clone(),
-        dims,
-        frags,
-        description: format!("reduce({op:?}, {dim})"),
-    };
-    out.validate()?;
-    Ok(out)
+    Ok(Pipeline::new().reduce(op, dim).run(cube, cfg)?.cube)
 }
 
 /// Applies an element-wise expression to every value.
-pub fn apply(cube: &Cube, expr: &Expr, cfg: ExecConfig) -> Cube {
-    let frags = par_map_fragments_named(cfg, "apply", &cube.frags, |f| {
-        SharedData::from_iter_len(f.data.len(), f.data.iter().map(|&v| expr.eval(v as f64) as f32))
-    });
-    Cube {
-        measure: cube.measure.clone(),
-        dims: cube.dims.clone(),
-        frags,
-        description: "apply(expr)".into(),
-    }
+pub fn apply(cube: &Cube, expr: &Expr, cfg: ExecConfig) -> Result<Cube> {
+    Ok(Pipeline::new().apply(expr.clone()).run(cube, cfg)?.cube)
 }
 
 /// Element-wise arithmetic between two cubes with the same explicit space.
 /// `b` must have either the same implicit length as `a` or implicit length
 /// 1, in which case its per-row scalar broadcasts over `a`'s series — the
-/// baseline-climatology pattern of the heat-wave pipeline. `b`'s fragments
-/// are looked up in place with a row cursor; neither side is densified.
+/// baseline-climatology pattern of the heat-wave pipeline.
 pub fn intercube(a: &Cube, b: &Cube, op: InterOp, cfg: ExecConfig) -> Result<Cube> {
-    if a.rows() != b.rows() {
-        return Err(Error::SchemaMismatch(format!(
-            "row spaces differ: {} vs {}",
-            a.rows(),
-            b.rows()
-        )));
-    }
-    let ilen_a = a.implicit_len();
-    let ilen_b = b.implicit_len();
-    if ilen_b != ilen_a && ilen_b != 1 {
-        return Err(Error::SchemaMismatch(format!(
-            "implicit lengths incompatible: {ilen_a} vs {ilen_b}"
-        )));
-    }
-    let b_frags = b.frags_in_row_order();
-
-    let frags = par_map_fragments_named(cfg, "intercube", &a.frags, |f| {
-        SharedData::from_fn(f.data.len(), |out| {
-            let mut w = 0usize;
-            let mut bi = b_frags.partition_point(|bf| bf.row_start + bf.row_count <= f.row_start);
-            for (local_row, row) in f.data.chunks(ilen_a).enumerate() {
-                let grow = f.row_start + local_row;
-                while b_frags[bi].row_start + b_frags[bi].row_count <= grow {
-                    bi += 1;
-                }
-                let bf = b_frags[bi];
-                let blo = (grow - bf.row_start) * ilen_b;
-                let brow = &bf.data.as_slice()[blo..blo + ilen_b];
-                for (k, &va) in row.iter().enumerate() {
-                    let vb = if ilen_b == 1 { brow[0] } else { brow[k] };
-                    out[w] = op.apply(va, vb);
-                    w += 1;
-                }
-            }
-        })
-    });
-    let out = Cube {
-        measure: a.measure.clone(),
-        dims: a.dims.clone(),
-        frags,
-        description: format!("intercube({op:?})"),
-    };
-    out.validate()?;
-    Ok(out)
+    Ok(Pipeline::new().intercube(b, op).run(a, cfg)?.cube)
 }
 
-/// Subsets an implicit dimension to the index range `lo..hi`.
+/// Subsets an implicit dimension to the index range `lo..hi`. A full-range
+/// subset shares the source payload buffers.
 pub fn subset_implicit(
     cube: &Cube,
     dim: &str,
@@ -435,64 +349,7 @@ pub fn subset_implicit(
     hi: usize,
     cfg: ExecConfig,
 ) -> Result<Cube> {
-    let d = cube.dim(dim)?;
-    if d.kind != DimKind::Implicit {
-        return Err(Error::WrongDimensionKind { dim: dim.into(), need: "implicit" });
-    }
-    if lo >= hi || hi > d.len() {
-        return Err(Error::BadRange { dim: dim.into(), lo, hi, size: d.len() });
-    }
-    let idims = cube.implicit_dims();
-    let pos = idims.iter().position(|x| x.name == dim).expect("dim checked");
-    let after: usize = idims[pos + 1..].iter().map(|x| x.len()).product();
-    let target = idims[pos].len();
-    let ilen = cube.implicit_len();
-    let keep = hi - lo;
-
-    let frags = if keep == target {
-        // Full range: the payloads are unchanged — share them.
-        cube.frags.clone()
-    } else {
-        par_map_fragments_named(cfg, "subset", &cube.frags, |f| {
-            let before = ilen / (target * after).max(1);
-            SharedData::from_fn(f.row_count * before * keep * after, |out| {
-                let mut w = 0usize;
-                for row in f.data.chunks(ilen) {
-                    for b in 0..before {
-                        for t in lo..hi {
-                            let base = b * target * after + t * after;
-                            out[w..w + after].copy_from_slice(&row[base..base + after]);
-                            w += after;
-                        }
-                    }
-                }
-            })
-        })
-    };
-
-    let dims: Vec<Dimension> = cube
-        .dims
-        .iter()
-        .map(|x| {
-            if x.name == dim {
-                Dimension {
-                    name: x.name.clone(),
-                    kind: x.kind,
-                    coords: Arc::from(&x.coords[lo..hi]),
-                }
-            } else {
-                x.clone()
-            }
-        })
-        .collect();
-    let out = Cube {
-        measure: cube.measure.clone(),
-        dims,
-        frags,
-        description: format!("subset({dim}, {lo}..{hi})"),
-    };
-    out.validate()?;
-    Ok(out)
+    Ok(Pipeline::new().subset_implicit(dim, lo, hi).run(cube, cfg)?.cube)
 }
 
 /// Subsets an explicit dimension to the index range `lo..hi` (spatial
@@ -691,6 +548,10 @@ pub fn concat_implicit(cubes: &[&Cube], dim: &str) -> Result<Cube> {
 /// a new array of `out_len` values (`out_dim` names the resulting implicit
 /// dimension). This is the extension point the heat-wave run-length
 /// analytics build on.
+///
+/// `f` must return exactly `out_len` values: any other length on any row
+/// fails the operator with [`Error::SeriesLength`] (reporting the shortest
+/// offending length, whatever the lane scheduling).
 pub fn map_series<F>(
     cube: &Cube,
     out_dim: &str,
@@ -701,38 +562,22 @@ pub fn map_series<F>(
 where
     F: Fn(&[f32]) -> Vec<f32> + Sync,
 {
-    let ilen = cube.implicit_len();
-    let frags = par_map_fragments_named(cfg, "map_series", &cube.frags, |frag| {
-        let mut out = Vec::with_capacity(frag.row_count * out_len);
-        for row in frag.data.chunks(ilen.max(1)) {
-            let mapped = f(row);
-            // Per-row arity violations surface as validate() errors below;
-            // truncate/pad defensively so we can detect them deterministically.
-            out.extend_from_slice(&mapped);
+    // The engine's series terminal writes into a preallocated slice: a
+    // wrong-length row is recorded, never copied, truncated or padded.
+    let bad_len = AtomicUsize::new(usize::MAX);
+    let kernel = |row: &[f32], out: &mut [f32]| {
+        let mapped = f(row);
+        if mapped.len() == out.len() {
+            out.copy_from_slice(&mapped);
+        } else {
+            bad_len.fetch_min(mapped.len(), Ordering::SeqCst);
         }
-        SharedData::from(out)
-    });
-    // Verify arity before constructing the cube.
-    for frag in &frags {
-        if frag.data.len() != frag.row_count * out_len {
-            return Err(Error::SeriesLength {
-                expected: frag.row_count * out_len,
-                actual: frag.data.len(),
-            });
-        }
-    }
-    let mut dims: Vec<Dimension> = cube.explicit_dims().into_iter().cloned().collect();
-    if out_len > 0 {
-        dims.push(Dimension::implicit(out_dim, (0..out_len).map(|i| i as f64).collect::<Vec<_>>()));
-    }
-    let out = Cube {
-        measure: cube.measure.clone(),
-        dims,
-        frags,
-        description: format!("map_series({out_dim})"),
     };
-    out.validate()?;
-    Ok(out)
+    let out = Pipeline::new().map_series(out_dim, out_len, kernel).run(cube, cfg);
+    match bad_len.load(Ordering::SeqCst) {
+        usize::MAX => Ok(out?.cube),
+        actual => Err(Error::SeriesLength { expected: out_len, actual }),
+    }
 }
 
 /// Rolling-window reduction along the (single) implicit dimension
@@ -941,7 +786,7 @@ mod tests {
     fn apply_threshold_mask() {
         let c = sample();
         let mask_expr = Expr::from_oph_predicate("x", ">15", "1", "0").unwrap();
-        let m = apply(&c, &mask_expr, cfg());
+        let m = apply(&c, &mask_expr, cfg()).unwrap();
         let dense = m.to_dense();
         let want: Vec<f32> =
             c.to_dense().iter().map(|&v| if v > 15.0 { 1.0 } else { 0.0 }).collect();
@@ -1117,6 +962,42 @@ mod tests {
             map_series(&c, "bad", 2, cfg(), |_| vec![0.0]),
             Err(Error::SeriesLength { .. })
         ));
+    }
+
+    /// A closure that returns too few or too many values on ANY row of ANY
+    /// fragment must fail the operator with `SeriesLength` — not panic in a
+    /// pool lane copying into the engine's preallocated row, not truncate.
+    #[test]
+    fn map_series_wrong_arity_on_one_row_is_a_typed_error() {
+        let dims = vec![
+            Dimension::explicit("cell", (0..40).map(|c| c as f64).collect::<Vec<_>>()),
+            Dimension::implicit("time", vec![0.0, 1.0, 2.0]),
+        ];
+        let data: Vec<f32> = (0..120).map(|i| i as f32).collect();
+        let c = Cube::from_dense("v", dims, data, 7, 3).unwrap();
+        let cfg = ExecConfig::with_servers(4);
+        for bad_row in [0.0f32, 57.0, 117.0] {
+            for wrong in [0usize, 1, 3, 9] {
+                let r = map_series(&c, "m", 2, cfg, |row| {
+                    vec![1.0; if row[0] == bad_row { wrong } else { 2 }]
+                });
+                match r {
+                    Err(Error::SeriesLength { expected: 2, actual }) => assert_eq!(actual, wrong),
+                    other => panic!("row {bad_row} returning {wrong} values: {other:?}"),
+                }
+            }
+        }
+        // The shortest offending length is reported, whatever the schedule.
+        let r = map_series(&c, "m", 2, cfg, |row| vec![0.0; 3 + row[0] as usize % 4]);
+        assert!(matches!(r, Err(Error::SeriesLength { expected: 2, actual: 3 })));
+        // out_len 0 leaves rows without a value (a schema error either
+        // way), but a non-empty return is still reported as the arity
+        // violation it is, as the scalar kernel does.
+        assert!(matches!(
+            map_series(&c, "m", 0, cfg, |_| vec![0.0]),
+            Err(Error::SeriesLength { expected: 0, actual: 1 })
+        ));
+        assert!(matches!(map_series(&c, "m", 0, cfg, |_| vec![]), Err(Error::SchemaMismatch(_))));
     }
 
     #[test]

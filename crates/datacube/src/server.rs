@@ -9,7 +9,7 @@
 //! operator execution is recorded in an audit trail with its wall time,
 //! which the benches read back.
 
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::exec::ExecConfig;
 use crate::expr::Expr;
 use crate::model::Cube;
@@ -190,7 +190,7 @@ impl CubeHandle {
         let src = self.cube()?;
         let cfg = self.server.cfg;
         let expr = Expr::parse(expr_src)?;
-        let out = self.server.record("apply", || ops::apply(&src, &expr, cfg));
+        let out = self.server.record("apply", || ops::apply(&src, &expr, cfg))?;
         Ok(self.derive(out))
     }
 
@@ -295,7 +295,8 @@ impl CubeHandle {
 /// Concatenates same-schema cubes along an implicit dimension, adopting the
 /// result into the same server as the first handle.
 pub fn concat(handles: &[&CubeHandle], dim: &str) -> Result<CubeHandle> {
-    let first = handles.first().expect("concat needs at least one cube");
+    let first =
+        handles.first().ok_or_else(|| Error::SchemaMismatch("no cubes to concat".into()))?;
     let cubes: Vec<Arc<Cube>> = handles.iter().map(|h| h.cube()).collect::<Result<_>>()?;
     let refs: Vec<&Cube> = cubes.iter().map(|c| c.as_ref()).collect();
     let out = first.server.record("concat", || ops::concat_implicit(&refs, dim))?;
@@ -393,6 +394,12 @@ mod tests {
         let c = y.cube().unwrap();
         assert_eq!(c.implicit_len(), 8);
         assert_eq!(c.row_series(0).unwrap(), &[0.0, 1.0, 2.0, 3.0, 100.0, 101.0, 102.0, 103.0]);
+    }
+
+    #[test]
+    fn concat_of_no_handles_is_a_typed_error() {
+        // Same error `ops::concat_implicit` returns for an empty list.
+        assert!(matches!(concat(&[], "time"), Err(Error::SchemaMismatch(_))));
     }
 
     #[test]

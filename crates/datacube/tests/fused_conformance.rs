@@ -1,8 +1,11 @@
 //! Differential kernel conformance: every fused pipeline must be
 //! **bitwise**-equal (`f32::to_bits`) to the scalar operator-by-operator
-//! oracle — same cells, same dims, same tapped intermediate — under
-//! proptest-generated fragmentations, server counts, chain shapes,
-//! non-multiple-of-`LANES` series lengths, and NaN/±inf payloads.
+//! oracle — same cells, same dims, same description, same tapped
+//! intermediate — under proptest-generated fragmentations, server counts,
+//! chain shapes (multi-stage chains and the single-operator chains the
+//! public operators are), non-multiple-of-`LANES` series lengths, and
+//! NaN/±inf payloads. Both engine shape rules are hit: a bare terminal
+//! reads rows in place, an identity chain shares the source buffers.
 //!
 //! Scope of the bitwise contract (see `fuse` module docs / DESIGN.md):
 //! NaN payloads live only in the *source* cube, intercube partner cubes
@@ -15,8 +18,11 @@ use datacube::exec::ExecConfig;
 use datacube::expr::Expr;
 use datacube::fuse::Pipeline;
 use datacube::model::{Cube, Dimension};
-use datacube::ops::{InterOp, ReduceOp};
+use datacube::ops::{self, InterOp, ReduceOp};
 use proptest::prelude::*;
+
+const REDUCE_OPS: [ReduceOp; 5] =
+    [ReduceOp::Max, ReduceOp::Min, ReduceOp::Sum, ReduceOp::Avg, ReduceOp::CountPositive];
 
 /// A quiet-NaN with a recognizable payload: survives every pipeline stage
 /// unchanged only if the kernels really propagate bits, not just NaN-ness.
@@ -95,17 +101,77 @@ fn expr_pool() -> Vec<Expr> {
     .collect()
 }
 
-/// Builds a random legal chain over `src`: 0–4 element-wise stages
-/// (subset / apply / intercube), an optional tap, and an optional terminal
-/// (reduce or map_series). Returns the pipeline plus a shape string for
-/// failure messages.
+/// The rolling-window kernel of `ops::rolling` in write-into-slice form.
+fn rolling_kernel(op: ReduceOp, window: usize) -> impl Fn(&[f32], &mut [f32]) + Send + Sync {
+    move |row, out| {
+        for (o, w) in out.iter_mut().zip(row.windows(window)) {
+            *o = op.apply(w);
+        }
+    }
+}
+
+/// A single-operator chain — what each public operator of `ops` is: every
+/// reduce op and both series terminals alone (engine rule 1: the terminal
+/// reads source rows in place), a full-range subset (rule 2: identity),
+/// a partial subset, an apply, and an intercube with and without
+/// broadcast.
+fn build_single(
+    rng: &mut Rng,
+    rows: usize,
+    nt: usize,
+    nfrag: usize,
+    servers: usize,
+) -> (Pipeline<'static>, String) {
+    let p = Pipeline::new();
+    match rng.below(7) {
+        0 => {
+            let op = REDUCE_OPS[rng.below(5) as usize];
+            (p.reduce(op, "time"), format!("single reduce({op:?})"))
+        }
+        1 => {
+            let window = 1 + rng.below(nt as u64) as usize;
+            let op = REDUCE_OPS[rng.below(5) as usize];
+            let kernel = rolling_kernel(op, window);
+            (
+                p.map_series("time_rolling", nt - window + 1, kernel),
+                format!("single rolling({op:?},{window})"),
+            )
+        }
+        2 => (p.subset_implicit("time", 0, nt), "single subset(full)".into()),
+        3 if nt > 1 => {
+            let lo = rng.below(nt as u64 - 1) as usize;
+            let hi = lo + 1 + rng.below((nt - lo - 1) as u64) as usize;
+            (p.subset_implicit("time", lo, hi), format!("single subset({lo},{hi})"))
+        }
+        4 => {
+            let pool = expr_pool();
+            (p.apply(pool[rng.below(pool.len() as u64) as usize].clone()), "single apply".into())
+        }
+        k => {
+            let ilen = if k == 5 { nt } else { 0 };
+            let b = build_partner(rows, nfrag, servers, ilen, rng);
+            let op =
+                [InterOp::Add, InterOp::Sub, InterOp::Mul, InterOp::Div][rng.below(4) as usize];
+            (p.intercube(&b, op), format!("single inter({op:?},b{ilen})"))
+        }
+    }
+}
+
+/// Builds a random legal chain over `src`: one time in four a
+/// single-operator chain ([`build_single`]), otherwise 0–4 element-wise
+/// stages (subset / apply / intercube), an optional tap, and an optional
+/// terminal (reduce or map_series). Returns the pipeline plus a shape
+/// string for failure messages.
 fn build_chain(
     rng: &mut Rng,
     rows: usize,
     nt: usize,
     nfrag: usize,
     servers: usize,
-) -> (Pipeline, String) {
+) -> (Pipeline<'static>, String) {
+    if rng.below(4) == 0 {
+        return build_single(rng, rows, nt, nfrag, servers);
+    }
     let pool = expr_pool();
     let mut p = Pipeline::new();
     let mut shape = String::new();
@@ -142,13 +208,7 @@ fn build_chain(
     }
     match rng.below(3) {
         0 => {
-            let op = [
-                ReduceOp::Max,
-                ReduceOp::Min,
-                ReduceOp::Sum,
-                ReduceOp::Avg,
-                ReduceOp::CountPositive,
-            ][rng.below(5) as usize];
+            let op = REDUCE_OPS[rng.below(5) as usize];
             shape.push_str(&format!("reduce({op:?})"));
             p = p.reduce(op, "time");
         }
@@ -174,10 +234,11 @@ fn assert_bitwise(p: &Pipeline, src: &Cube, cfg: ExecConfig, shape: &str) {
     let fb: Vec<u32> = fused.cube.to_dense().iter().map(|v| v.to_bits()).collect();
     let ob: Vec<u32> = oracle.cube.to_dense().iter().map(|v| v.to_bits()).collect();
     prop_assert_eq!(fb, ob, "primary output differs for chain `{}`", shape);
+    prop_assert_eq!(&fused.cube.dims, &oracle.cube.dims, "dims differ for chain `{}`", shape);
     prop_assert_eq!(
-        fused.cube.dims.len(),
-        oracle.cube.dims.len(),
-        "dim schema differs for chain `{}`",
+        &fused.cube.description,
+        &oracle.cube.description,
+        "description differs for chain `{}`",
         shape
     );
     match (&fused.tapped, &oracle.tapped) {
@@ -244,9 +305,12 @@ proptest! {
     ) {
         let mut rng = Rng(seed);
         let src = build_src(4, nt, nfrag, 2, &mut rng);
-        for op in [ReduceOp::Max, ReduceOp::Min, ReduceOp::Sum, ReduceOp::Avg, ReduceOp::CountPositive] {
+        for op in REDUCE_OPS {
             let p = Pipeline::new().apply(Expr::parse("x * 2").unwrap()).reduce(op, "time");
             assert_bitwise(&p, &src, ExecConfig::with_servers(2), &format!("apply+reduce({op:?})"));
+            // Terminal only: the engine reads the all-specials rows in place.
+            let p = Pipeline::new().reduce(op, "time");
+            assert_bitwise(&p, &src, ExecConfig::with_servers(2), &format!("reduce({op:?})"));
         }
     }
 }
@@ -272,5 +336,57 @@ fn errors_conform_between_fused_and_scalar() {
             std::mem::discriminant(&eo),
             "fused `{ef}` vs oracle `{eo}`"
         );
+    }
+}
+
+/// Every public operator of `ops` is a one-node chain on the engine: its
+/// values (`to_bits`), dims and `description` must be exactly what the
+/// scalar kernel of the same name produces, specials and ragged lane tails
+/// included.
+#[test]
+fn public_operators_match_their_scalar_kernels() {
+    fn same(what: &str, engine: &Cube, oracle: &Cube) {
+        let bits = |c: &Cube| c.to_dense().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(engine), bits(oracle), "{what}: values");
+        assert_eq!(engine.dims, oracle.dims, "{what}: dims");
+        assert_eq!(engine.description, oracle.description, "{what}: description");
+        assert_eq!(engine.measure, oracle.measure, "{what}: measure");
+    }
+    let cfg = ExecConfig::with_servers(3);
+    for (seed, nt) in [(1u64, 1usize), (2, 7), (3, 8), (4, 13), (5, 20)] {
+        let mut rng = Rng(seed);
+        let src = build_src(5, nt, 3, 2, &mut rng);
+        for op in REDUCE_OPS {
+            let engine = ops::reduce(&src, op, "time", cfg).unwrap();
+            same("reduce", &engine, &ops::scalar::reduce(&src, op, "time", cfg).unwrap());
+            let window = 1 + nt / 2;
+            let engine = ops::rolling(&src, op, window, cfg).unwrap();
+            let oracle =
+                ops::scalar::map_series(&src, "time_rolling", nt - window + 1, cfg, |row| {
+                    row.windows(window).map(|w| op.apply(w)).collect()
+                });
+            same("rolling", &engine, &oracle.unwrap());
+        }
+        for expr in expr_pool() {
+            let engine = ops::apply(&src, &expr, cfg).unwrap();
+            same("apply", &engine, &ops::scalar::apply(&src, &expr, cfg));
+        }
+        for ilen in [nt, 0] {
+            let b = build_partner(5, 2, 1, ilen, &mut rng);
+            for op in [InterOp::Add, InterOp::Sub, InterOp::Mul, InterOp::Div] {
+                let engine = ops::intercube(&src, &b, op, cfg).unwrap();
+                same("intercube", &engine, &ops::scalar::intercube(&src, &b, op, cfg).unwrap());
+            }
+        }
+        for (lo, hi) in [(0, nt), (nt / 2, nt), (0, nt.div_ceil(2))] {
+            let engine = ops::subset_implicit(&src, "time", lo, hi, cfg).unwrap();
+            let oracle = ops::scalar::subset_implicit(&src, "time", lo, hi, cfg).unwrap();
+            same("subset_implicit", &engine, &oracle);
+        }
+        // Pure data movement plus a NaN-linear op: two separately compiled
+        // copies of an accumulating closure may commute a NaN + NaN add.
+        let flip = |row: &[f32]| row.iter().rev().map(|v| v * 0.5).collect::<Vec<f32>>();
+        let engine = ops::map_series(&src, "flip", nt, cfg, flip).unwrap();
+        same("map_series", &engine, &ops::scalar::map_series(&src, "flip", nt, cfg, flip).unwrap());
     }
 }

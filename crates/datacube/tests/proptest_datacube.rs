@@ -46,8 +46,8 @@ proptest! {
 
         let expr = Expr::parse("predicate(x > 0, x * 2, -1)").unwrap();
         prop_assert_eq!(
-            ops::apply(&a, &expr, cfg_a).to_dense(),
-            ops::apply(&b, &expr, cfg_b).to_dense()
+            ops::apply(&a, &expr, cfg_a).unwrap().to_dense(),
+            ops::apply(&b, &expr, cfg_b).unwrap().to_dense()
         );
     }
 
@@ -83,7 +83,7 @@ proptest! {
     ) {
         let c = build(rows, nt, 3, 2, seed);
         let expr = Expr::parse("max(x, 0) - min(x, 0) + predicate(x >= 10, 1, 0)").unwrap();
-        let out = ops::apply(&c, &expr, ExecConfig::with_servers(2)).to_dense();
+        let out = ops::apply(&c, &expr, ExecConfig::with_servers(2)).unwrap().to_dense();
         for (o, v) in out.iter().zip(c.to_dense()) {
             prop_assert_eq!(*o, expr.eval(v as f64) as f32);
         }

@@ -6,6 +6,7 @@
 //! order of a dense implementation, so results must match to the bit.
 
 use datacube::exec::ExecConfig;
+use datacube::fuse::Pipeline;
 use datacube::model::{Cube, Dimension};
 use datacube::ops::{self, InterOp, ReduceOp};
 use proptest::prelude::*;
@@ -161,6 +162,14 @@ proptest! {
         let s = ops::subset_implicit(&c, "time", 0, nt, ExecConfig::serial()).unwrap();
         for (a, b) in c.frags.iter().zip(&s.frags) {
             prop_assert!(a.data.same_buffer(&b.data), "full-range subset copied a payload");
+        }
+        // The same identity as a chain on the engine (and the empty chain):
+        // a chain that compiles to the identity runs no kernel at all.
+        for chain in [Pipeline::new().subset_implicit("time", 0, nt), Pipeline::new()] {
+            let out = chain.run(&c, ExecConfig::with_servers(2)).unwrap().cube;
+            for (a, b) in c.frags.iter().zip(&out.frags) {
+                prop_assert!(a.data.same_buffer(&b.data), "identity chain copied a payload");
+            }
         }
         // Splitting every row into its own fragment: each target is
         // contained in exactly one source fragment.

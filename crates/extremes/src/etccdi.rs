@@ -15,24 +15,21 @@
 //!   percentile thresholds);
 //! * absolute extremes — TXx, TNn.
 
-use crate::heatwave::wave_runs;
+use crate::heatwave::{exceedance_chain, mask_expr, wave_runs};
 use datacube::exec::ExecConfig;
 use datacube::expr::Expr;
+use datacube::fuse::Pipeline;
 use datacube::model::Cube;
-use datacube::ops::{self, InterOp, ReduceOp};
+use datacube::ops::{self, ReduceOp};
 use datacube::Result;
 use gridded::stats::percentile;
 
 /// Count of days satisfying `value CMP threshold` per cell (a map cube).
-/// `cmp` is an `oph_predicate`-style condition like `"<273.15"`.
+/// `cmp` is an `oph_predicate`-style condition like `"<273.15"`. One
+/// `apply → reduce` chain: the mask cube is never materialized.
 pub fn threshold_days(daily: &Cube, cmp: &str, cfg: ExecConfig) -> Result<Cube> {
-    let mask = ops::apply(daily, &Expr::from_oph_predicate("x", cmp, "1", "0")?, cfg);
-    let dim = mask
-        .implicit_dims()
-        .first()
-        .map(|d| d.name.clone())
-        .ok_or_else(|| datacube::Error::SchemaMismatch("daily cube has no time axis".into()))?;
-    ops::reduce(&mask, ReduceOp::Sum, &dim, cfg)
+    let chain = Pipeline::new().apply(mask_expr(cmp)?).reduce(ReduceOp::Sum, &time_dim(daily)?);
+    Ok(chain.run(daily, cfg)?.cube)
 }
 
 /// Frost days: annual count with daily minimum below 0 °C.
@@ -57,14 +54,12 @@ pub fn tropical_nights(daily_tmin_k: &Cube, cfg: ExecConfig) -> Result<Cube> {
 
 /// TXx: the year's hottest daily maximum per cell.
 pub fn txx(daily_tmax: &Cube, cfg: ExecConfig) -> Result<Cube> {
-    let dim = time_dim(daily_tmax)?;
-    ops::reduce(daily_tmax, ReduceOp::Max, &dim, cfg)
+    ops::reduce(daily_tmax, ReduceOp::Max, &time_dim(daily_tmax)?, cfg)
 }
 
 /// TNn: the year's coldest daily minimum per cell.
 pub fn tnn(daily_tmin: &Cube, cfg: ExecConfig) -> Result<Cube> {
-    let dim = time_dim(daily_tmin)?;
-    ops::reduce(daily_tmin, ReduceOp::Min, &dim, cfg)
+    ops::reduce(daily_tmin, ReduceOp::Min, &time_dim(daily_tmin)?, cfg)
 }
 
 fn time_dim(cube: &Cube) -> Result<String> {
@@ -96,30 +91,31 @@ pub fn percentile_threshold(reference_years: &[&Cube], q: f64, cfg: ExecConfig) 
     Ok(out)
 }
 
+/// Fraction of days with `daily - threshold CMP` per cell, in `[0, 1]`:
+/// the exceedance count as one `intercube → apply → reduce` chain, then
+/// the division by the day count as its own f64 `x / days` apply.
+fn day_fraction(daily: &Cube, threshold: &Cube, cmp: &str, cfg: ExecConfig) -> Result<Cube> {
+    let chain = exceedance_chain(threshold, cmp)?.reduce(ReduceOp::Sum, &time_dim(daily)?);
+    let count = chain.run(daily, cfg)?.cube;
+    let days = daily.implicit_len() as f64;
+    ops::apply(&count, &Expr::parse(&format!("x / {days}"))?, cfg)
+}
+
 /// TX90p-style exceedance rate: fraction of days with `daily > threshold`
 /// per cell, in `[0, 1]`.
 pub fn exceedance_rate(daily: &Cube, threshold: &Cube, cfg: ExecConfig) -> Result<Cube> {
-    let anom = ops::intercube(daily, threshold, InterOp::Sub, cfg)?;
-    let mask = ops::apply(&anom, &Expr::from_oph_predicate("x", ">0", "1", "0")?, cfg);
-    let dim = time_dim(&mask)?;
-    let count = ops::reduce(&mask, ReduceOp::Sum, &dim, cfg)?;
-    let days = daily.implicit_len() as f64;
-    Ok(ops::apply(&count, &Expr::parse(&format!("x / {days}"))?, cfg))
+    day_fraction(daily, threshold, ">0", cfg)
 }
 
 /// TN10p-style deficit rate: fraction of days with `daily < threshold`.
 pub fn deficit_rate(daily: &Cube, threshold: &Cube, cfg: ExecConfig) -> Result<Cube> {
-    let anom = ops::intercube(daily, threshold, InterOp::Sub, cfg)?;
-    let mask = ops::apply(&anom, &Expr::from_oph_predicate("x", "<0", "1", "0")?, cfg);
-    let dim = time_dim(&mask)?;
-    let count = ops::reduce(&mask, ReduceOp::Sum, &dim, cfg)?;
-    let days = daily.implicit_len() as f64;
-    Ok(ops::apply(&count, &Expr::parse(&format!("x / {days}"))?, cfg))
+    day_fraction(daily, threshold, "<0", cfg)
 }
 
 /// WSDI: annual count of days in runs of ≥ `min_len` consecutive days with
 /// `daily > threshold` (warm spell duration index). `CSDI` is the same
-/// with the comparison flipped.
+/// with the comparison flipped. One `intercube → apply → map_series`
+/// chain, the same run-length scan as the heat-wave indices.
 pub fn spell_duration_index(
     daily: &Cube,
     threshold: &Cube,
@@ -127,20 +123,15 @@ pub fn spell_duration_index(
     cold: bool,
     cfg: ExecConfig,
 ) -> Result<Cube> {
-    let anom = ops::intercube(daily, threshold, InterOp::Sub, cfg)?;
-    let cmp = if cold { "<0" } else { ">0" };
-    let mask = ops::apply(&anom, &Expr::from_oph_predicate("x", cmp, "1", "0")?, cfg);
-    // Same pooled per-cell run-length path as the heat-wave indices.
-    let stats = crate::heatwave::map_cells(&mask, "sdi", 1, cfg, |row, out| {
-        let days: usize = wave_runs(row, min_len).iter().map(|&(_, l)| l).sum();
-        out[0] = days as f32;
-    });
-    let mut dims: Vec<_> = mask.explicit_dims().into_iter().cloned().collect();
-    dims.push(datacube::model::Dimension::implicit("sdi", vec![0.0]));
-    let out =
-        Cube { measure: mask.measure, dims, frags: stats, description: "map_series(sdi)".into() };
-    out.validate()?;
-    Ok(out)
+    let chain = exceedance_chain(threshold, if cold { "<0" } else { ">0" })?.map_series(
+        "sdi",
+        1,
+        move |row, out| {
+            let days: usize = wave_runs(row, min_len).iter().map(|&(_, l)| l).sum();
+            out[0] = days as f32;
+        },
+    );
+    Ok(chain.run(daily, cfg)?.cube)
 }
 
 #[cfg(test)]

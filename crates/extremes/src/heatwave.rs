@@ -8,52 +8,31 @@
 //! (i) the longest wave duration (HWD), (ii) the number of waves (HWN)
 //! and (iii) the frequency of wave days (HWF).
 //!
-//! The pipeline mirrors the paper's Ophidia sub-workflow: anomaly =
+//! The pipeline mirrors the paper's Ophidia sub-workflow — anomaly =
 //! `intercube(daily, baseline, Sub)`; mask = `apply(predicate(...))`;
-//! per-cell run-length statistics via `map_series`.
+//! per-cell run-length statistics via `map_series` — as ONE chain on the
+//! datacube engine ([`exceedance_chain`] plus a terminal), so each index
+//! is a single pass over the daily cube with no intermediate cube.
 
-use datacube::exec::{self, ExecConfig};
+use datacube::exec::ExecConfig;
 use datacube::expr::Expr;
 use datacube::fuse::Pipeline;
-use datacube::model::{Cube, Dimension, Fragment, SharedData};
-use datacube::ops::{self, InterOp};
+use datacube::model::{Cube, Dimension, Fragment};
+use datacube::ops::InterOp;
 use datacube::Result;
 
-/// Rows per pool task when a fragment's cells are batched through
-/// [`par::par_chunks_mut`]; run-length scans are cheap per cell, so
-/// batches keep dispatch overhead amortized.
-const CELLS_PER_BATCH: usize = 64;
+/// The 0/1 mask expression `oph_predicate(x CMP, 1, 0)`; `cmp` is an
+/// `oph_predicate`-style condition like `">5"` or `"<273.15"`.
+pub(crate) fn mask_expr(cmp: &str) -> Result<Expr> {
+    Expr::from_oph_predicate("x", cmp, "1", "0")
+}
 
-/// Maps `f` over every cell series of `cube`, writing `out_len` values per
-/// cell. Fragments fan out across the configured I/O-server lanes (the
-/// same path as every datacube operator), and the cells *inside* each
-/// fragment are batched through the shared [`par`] pool — nested scopes
-/// are safe because blocked pool tasks help execute queued work. Returns
-/// one output fragment per input fragment, partition-aligned.
-pub(crate) fn map_cells<F>(
-    cube: &Cube,
-    op: &'static str,
-    out_len: usize,
-    cfg: ExecConfig,
-    f: F,
-) -> Vec<Fragment>
-where
-    F: Fn(&[f32], &mut [f32]) + Sync,
-{
-    let ilen = cube.implicit_len().max(1);
-    exec::par_map_fragments_named(cfg, op, &cube.frags, |frag| {
-        SharedData::from_fn(frag.row_count * out_len, |out| {
-            par::par_chunks_mut(out, CELLS_PER_BATCH * out_len.max(1), |b, out_batch| {
-                for (k, cell_out) in out_batch.chunks_mut(out_len.max(1)).enumerate() {
-                    let r = b * CELLS_PER_BATCH + k;
-                    // A zero-length implicit axis stores no payload; feed the
-                    // kernel an empty series rather than slicing past the end.
-                    let row = frag.data.get(r * ilen..(r + 1) * ilen).unwrap_or(&[]);
-                    f(row, cell_out);
-                }
-            });
-        })
-    })
+/// The chain every exceedance index starts with: `daily - reference`
+/// (per-row broadcast when `reference` has no time axis), then the 0/1
+/// mask of `anomaly CMP`. Callers append the terminal (or none, for the
+/// mask cube itself) and run it over the daily cube.
+pub(crate) fn exceedance_chain(reference: &Cube, cmp: &str) -> Result<Pipeline<'static>> {
+    Ok(Pipeline::new().intercube(reference, InterOp::Sub).apply(mask_expr(cmp)?))
 }
 
 /// Assembles a single-value-per-cell index cube from the fused statistics
@@ -224,8 +203,14 @@ pub fn wave_frequency(mask: &[f32], min_len: usize) -> f64 {
     wave_stats(mask, min_len).2 as f64 / mask.len() as f64
 }
 
-/// Builds the 0/1 exceedance mask cube: heat waves use
+/// [`exceedance_chain`] of a wave: heat waves use
 /// `daily_max - baseline > threshold`; cold spells negate both sides.
+fn wave_chain(baseline: &Cube, params: WaveParams, cold: bool) -> Result<Pipeline<'static>> {
+    let t = params.threshold_k;
+    exceedance_chain(baseline, &if cold { format!("<-{t}") } else { format!(">{t}") })
+}
+
+/// Builds the 0/1 exceedance mask cube (see [`wave_chain`]).
 pub fn exceedance_mask(
     daily: &Cube,
     baseline: &Cube,
@@ -233,13 +218,7 @@ pub fn exceedance_mask(
     cold: bool,
     cfg: ExecConfig,
 ) -> Result<Cube> {
-    let anom = ops::intercube(daily, baseline, InterOp::Sub, cfg)?;
-    let expr = if cold {
-        Expr::from_oph_predicate("x", &format!("<-{}", params.threshold_k), "1", "0")?
-    } else {
-        Expr::from_oph_predicate("x", &format!(">{}", params.threshold_k), "1", "0")?
-    };
-    Ok(ops::apply(&anom, &expr, cfg))
+    Ok(wave_chain(baseline, params, cold)?.run(daily, cfg)?.cube)
 }
 
 /// Computes the three indices from a `(lat, lon | day)` daily-extreme cube
@@ -251,19 +230,12 @@ pub fn compute_indices(
     cold: bool,
     cfg: ExecConfig,
 ) -> Result<HeatwaveIndices> {
-    let expr = if cold {
-        Expr::from_oph_predicate("x", &format!("<-{}", params.threshold_k), "1", "0")?
-    } else {
-        Expr::from_oph_predicate("x", &format!(">{}", params.threshold_k), "1", "0")?
-    };
     let min_len = params.min_duration;
     // One fused pass over each fragment: anomaly subtraction, the 0/1
     // exceedance predicate, and the per-cell run-length statistics all run
     // inside a single kernel — every day of the daily cube is touched
     // exactly once, with no intermediate anomaly or mask cube.
-    let stats = Pipeline::new()
-        .intercube(baseline, InterOp::Sub)
-        .apply(expr)
+    let stats = wave_chain(baseline, params, cold)?
         .map_series("stat", 3, move |row, out| {
             let (longest, count, days) = wave_stats(row, min_len);
             out[0] = longest as f32;

@@ -1,8 +1,72 @@
 //! Property tests on the extremes analytics invariants.
 
-use extremes::heatwave::{longest_wave, wave_count, wave_frequency, wave_runs};
+use datacube::exec::ExecConfig;
+use datacube::expr::Expr;
+use datacube::model::{Cube, Dimension};
+use datacube::ops::scalar;
+use datacube::ops::{InterOp, ReduceOp};
+use extremes::etccdi;
+use extremes::heatwave::{
+    exceedance_mask, longest_wave, wave_count, wave_frequency, wave_runs, WaveParams,
+};
 use extremes::tc::metrics::verify;
 use proptest::prelude::*;
+
+/// `(cell | day)` daily cube: kelvin-range values with NaN-payload, ±inf,
+/// -0.0 and +0.0 cells mixed in (`cold` = every day far below every
+/// threshold), plus a finite per-cell threshold cube with no time axis.
+fn daily_and_threshold(
+    cells: usize,
+    days: usize,
+    nfrag: usize,
+    cold: bool,
+    seed: u64,
+) -> (Cube, Cube) {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let cell_dim = Dimension::explicit("cell", (0..cells).map(|c| c as f64).collect::<Vec<_>>());
+    let data: Vec<f32> = (0..cells * days)
+        .map(|_| match next() % 20 {
+            _ if cold => 200.0,
+            0 => f32::from_bits(0x7fc0_1234),
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => -0.0,
+            4 => 0.0,
+            _ => 255.0 + (next() % 600) as f32 / 10.0,
+        })
+        .collect();
+    let dims = vec![
+        cell_dim.clone(),
+        Dimension::implicit("day", (0..days).map(|d| d as f64).collect::<Vec<_>>()),
+    ];
+    let daily = Cube::from_dense("tas", dims, data, nfrag, 2).unwrap();
+    let thr: Vec<f32> = (0..cells).map(|_| 280.0 + (next() % 100) as f32 / 10.0).collect();
+    (daily, Cube::from_dense("thr", vec![cell_dim], thr, nfrag.max(2) - 1, 1).unwrap())
+}
+
+/// Bitwise identity of two operator results: values, dims, provenance.
+fn assert_same(what: &str, engine: &Cube, oracle: &Cube) {
+    let bits = |c: &Cube| c.to_dense().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(bits(engine), bits(oracle), "{what}: values");
+    assert_eq!(engine.dims, oracle.dims, "{what}: dims");
+    assert_eq!(engine.description, oracle.description, "{what}: description");
+    assert_eq!(engine.measure, oracle.measure, "{what}: measure");
+}
+
+/// The 0/1 mask `apply(predicate(x CMP, 1, 0))` on the scalar kernel.
+fn scalar_mask(cube: &Cube, cmp: &str, cfg: ExecConfig) -> Cube {
+    scalar::apply(cube, &Expr::from_oph_predicate("x", cmp, "1", "0").unwrap(), cfg)
+}
+
+/// `intercube(Sub) → mask` written out with the scalar kernels — the
+/// prefix of every exceedance index.
+fn scalar_exceedance(daily: &Cube, reference: &Cube, cmp: &str, cfg: ExecConfig) -> Cube {
+    scalar_mask(&scalar::intercube(daily, reference, InterOp::Sub, cfg).unwrap(), cmp, cfg)
+}
 
 /// Random 0/1 mask series.
 fn mask_strategy() -> impl Strategy<Value = Vec<f32>> {
@@ -75,6 +139,59 @@ proptest! {
         prop_assert_eq!(longest_wave(&mask, min_len), longest_wave(&extended, min_len));
     }
 
+    /// Every batch index is one chain on the datacube engine; each must be
+    /// bit for bit (values, dims, `description`) the same chain written
+    /// out operator by operator with the scalar kernels — NaN/±0/inf cells
+    /// and an all-cold year included.
+    #[test]
+    fn batch_indices_match_the_scalar_operator_chains(
+        cells in 1usize..9,
+        days in 1usize..40,
+        nfrag in 1usize..5,
+        min_len in 1usize..7,
+        kind in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        let cfg = ExecConfig::with_servers(3);
+        let (daily, thr) = daily_and_threshold(cells, days, nfrag, kind == 0, seed);
+        let count = |cmp: &str| {
+            scalar::reduce(&scalar_mask(&daily, cmp, cfg), ReduceOp::Sum, "day", cfg).unwrap()
+        };
+        assert_same("frost_days", &etccdi::frost_days(&daily, cfg).unwrap(), &count("<273.15"));
+        assert_same("icing_days", &etccdi::icing_days(&daily, cfg).unwrap(), &count("<273.15"));
+        assert_same("summer_days", &etccdi::summer_days(&daily, cfg).unwrap(), &count(">298.15"));
+        let engine = etccdi::tropical_nights(&daily, cfg).unwrap();
+        assert_same("tropical_nights", &engine, &count(">293.15"));
+        let oracle = scalar::reduce(&daily, ReduceOp::Max, "day", cfg).unwrap();
+        assert_same("txx", &etccdi::txx(&daily, cfg).unwrap(), &oracle);
+        let oracle = scalar::reduce(&daily, ReduceOp::Min, "day", cfg).unwrap();
+        assert_same("tnn", &etccdi::tnn(&daily, cfg).unwrap(), &oracle);
+
+        // Rates: the exceedance count, then its own f64 `x / days` divide.
+        let divide = Expr::parse(&format!("x / {}", days as f64)).unwrap();
+        for (cmp, engine) in [
+            (">0", etccdi::exceedance_rate(&daily, &thr, cfg).unwrap()),
+            ("<0", etccdi::deficit_rate(&daily, &thr, cfg).unwrap()),
+        ] {
+            let mask = scalar_exceedance(&daily, &thr, cmp, cfg);
+            let count = scalar::reduce(&mask, ReduceOp::Sum, "day", cfg).unwrap();
+            assert_same("rate", &engine, &scalar::apply(&count, &divide, cfg));
+        }
+        for cold in [false, true] {
+            let mask = scalar_exceedance(&daily, &thr, if cold { "<0" } else { ">0" }, cfg);
+            let oracle = scalar::map_series(&mask, "sdi", 1, cfg, |row| {
+                vec![wave_runs(row, min_len).iter().map(|&(_, l)| l).sum::<usize>() as f32]
+            });
+            let engine = etccdi::spell_duration_index(&daily, &thr, min_len, cold, cfg).unwrap();
+            assert_same("spell_duration_index", &engine, &oracle.unwrap());
+
+            let params = WaveParams { threshold_k: 5.0, min_duration: min_len };
+            let oracle = scalar_exceedance(&daily, &thr, if cold { "<-5" } else { ">5" }, cfg);
+            let engine = exceedance_mask(&daily, &thr, params, cold, cfg).unwrap();
+            assert_same("exceedance_mask", &engine, &oracle);
+        }
+    }
+
     /// Verification metrics invariants: POD and FAR in [0,1], hits bounded
     /// by both sets, identity scoring is perfect.
     #[test]
@@ -99,4 +216,37 @@ proptest! {
         prop_assert_eq!(perfect.hits, truth.len());
         prop_assert_eq!(perfect.false_alarms, 0);
     }
+}
+
+/// A zero-length time axis has no scalar oracle (the scalar kernels panic
+/// chunking zero-length rows); on the engine every batch index is defined:
+/// the reductions' identities per cell, empty masks, the usual dims and
+/// provenance.
+#[test]
+fn batch_indices_are_defined_on_a_zero_length_time_axis() {
+    let cfg = ExecConfig::with_servers(2);
+    let (daily, thr) = daily_and_threshold(5, 0, 3, false, 1);
+    let expect = |what: &str, cube: datacube::Result<Cube>, value: f32, description: &str| {
+        let cube = cube.unwrap_or_else(|e| panic!("{what}: {e}"));
+        let bits: Vec<u32> = cube.to_dense().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, vec![value.to_bits(); 5], "{what}");
+        assert_eq!(cube.description, description, "{what}");
+        assert_eq!(cube.rows(), 5);
+    };
+    expect("frost_days", etccdi::frost_days(&daily, cfg), 0.0, "reduce(Sum, day)");
+    expect("summer_days", etccdi::summer_days(&daily, cfg), 0.0, "reduce(Sum, day)");
+    expect("txx", etccdi::txx(&daily, cfg), f32::NEG_INFINITY, "reduce(Max, day)");
+    expect("tnn", etccdi::tnn(&daily, cfg), f32::INFINITY, "reduce(Min, day)");
+    expect(
+        "wsdi",
+        etccdi::spell_duration_index(&daily, &thr, 6, false, cfg),
+        0.0,
+        "map_series(sdi)",
+    );
+    // 0 exceedances over 0 days: the f64 divide yields NaN, not a panic.
+    let rate = etccdi::exceedance_rate(&daily, &thr, cfg).unwrap();
+    assert!(rate.to_dense().iter().all(|v| v.is_nan()));
+    let mask = exceedance_mask(&daily, &thr, WaveParams::default(), true, cfg).unwrap();
+    assert_eq!((mask.rows(), mask.implicit_len(), mask.len()), (5, 0, 0));
+    assert_eq!(mask.description, "apply(expr)");
 }

@@ -33,14 +33,33 @@ for t in 2 4; do
   done
 done
 
-echo "== kernel conformance: fused vs scalar oracle, serial and parallel =="
-# The differential suite proves the fused per-fragment kernels bitwise
-# against the operator-by-operator scalar oracle; run it both single- and
-# multi-threaded so lane blocking and fragment-parallel scheduling cannot
-# change a single bit.
-for t in 1 4; do
-  PAR_THREADS="$t" cargo test -p datacube --test fused_conformance -q
+echo "== cube engine: datacube + extremes suites, serial and parallel =="
+# Every cube operator and batch index runs on the fused engine; the
+# differential suites prove it bitwise against the scalar oracle kernels.
+# Run all targets of both crates single- and multi-threaded so lane
+# blocking and fragment-parallel scheduling cannot change a single bit.
+for t in 1 2 4; do
+  PAR_THREADS="$t" cargo test -p datacube -p extremes -q
 done
+
+echo "== one engine: only Pipeline::run_scalar may name ops::scalar =="
+# The scalar kernels are the oracle, not a second production path: outside
+# tests/, benches/ and #[cfg(test)] modules nothing but run_scalar in
+# datacube's fuse.rs may reference them (comments do not count).
+leaks=$(find crates/*/src src examples -name '*.rs' \
+    ! -path 'crates/datacube/src/ops/scalar.rs' -print0 | xargs -0 awk '
+  FNR == 1 { in_test = 0; in_oracle = 0 }
+  /#\[cfg\(test\)\]/ { in_test = 1 }
+  in_test { next }
+  FILENAME ~ /datacube\/src\/fuse\.rs$/ && /pub fn run_scalar/ { in_oracle = 1 }
+  { code = $0; sub(/\/\/.*/, "", code) }
+  !in_oracle && code ~ /ops::scalar|ops::\{[^}]*scalar|scalar::/ { print FILENAME ":" FNR ": " $0 }
+  in_oracle && /^    }$/ { in_oracle = 0 }')
+if [ -n "$leaks" ]; then
+  echo "ops::scalar referenced outside Pipeline::run_scalar:" >&2
+  echo "$leaks" >&2
+  exit 1
+fi
 
 echo "== smoke workflow with span tracing =="
 smoke=$(mktemp -d)
