@@ -16,11 +16,11 @@
 //!   dominates the critical path; HEFT's upward rank starts the chain
 //!   immediately, overlapping it with the fan-out.
 //!
-//! Per shape × policy a `[a1_sched] shape=… policy=… makespan_ms=…
-//! bytes_moved_mb=…` line goes to stdout. (End-to-end records are taken
-//! with `benchmark/run.sh` and checked with its `compare`.)
+//! Per shape × policy the record carries the makespan (`<shape>/<policy>`)
+//! and the bytes moved between workers (`<shape>/<policy>/moved`) of the
+//! same runs.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::Record;
 use dataflow::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -135,38 +135,16 @@ fn run(policy: Policy, build: ShapeFn) -> (Duration, u64) {
     (makespan, moved)
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("a1_sched_policy");
-    g.sample_size(10);
+fn main() {
+    let mut rec = Record::new("a1_sched_policy");
     for (shape, build) in SHAPES {
         for policy in Policy::ALL {
-            g.bench_with_input(BenchmarkId::new(shape, policy), &policy, |b, &p| {
-                b.iter(|| run(p, build));
-            });
+            let runs: Vec<_> = (0..rec.samples(10)).map(|_| run(policy, build)).collect();
+            let spans = runs.iter().map(|(span, _)| span.as_secs_f64() * 1e3);
+            let moved = runs.iter().map(|(_, bytes)| *bytes as f64 / (1 << 20) as f64);
+            rec.value(format!("{shape}/{policy}"), "ms", spans);
+            rec.value(format!("{shape}/{policy}/moved"), "MB", moved);
         }
     }
-    g.finish();
-
-    // Summary lines on stdout: median makespan of 5 runs plus
-    // mean moved bytes, per shape x policy.
-    for (shape, build) in SHAPES {
-        for policy in Policy::ALL {
-            let mut spans: Vec<u64> = Vec::new();
-            let mut moved_total = 0u64;
-            for _ in 0..5 {
-                let (span, moved) = run(policy, build);
-                spans.push(span.as_micros() as u64);
-                moved_total += moved;
-            }
-            spans.sort_unstable();
-            println!(
-                "[a1_sched] shape={shape} policy={policy} makespan_ms={:.1} bytes_moved_mb={:.1}",
-                spans[spans.len() / 2] as f64 / 1000.0,
-                moved_total as f64 / 5.0 / (1 << 20) as f64
-            );
-        }
-    }
+    rec.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -4,10 +4,9 @@
 //! deployment or execution time". For the case study's baseline archive
 //! (one 4 GB dataset used by every year), staging once at deployment beats
 //! re-staging per run — unless only one year ever runs. Both virtual-time
-//! totals are reported; criterion measures the (cheap) pipeline engine
-//! itself.
+//! totals (the DLS's own link model) are recorded per campaign length.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use bench::Record;
 use hpcwaas::dls::{DataLogistics, Link, PipelineSpec};
 
 const BASELINE_BYTES: u64 = 4_000_000_000;
@@ -21,15 +20,10 @@ fn wan() -> DataLogistics {
     dls
 }
 
-/// Deploy-time: the whole baseline once; runs are free.
-fn deploy_time(years: usize) -> u64 {
-    let mut dls = wan();
+/// Deploy-time: the whole baseline once; every run finds it resident.
+fn deploy_time() -> u64 {
     let stage_in = PipelineSpec::new().stage("baseline", "archive", "zeus", BASELINE_BYTES);
-    let mut total = dls.execute(&stage_in).total_ms;
-    for _ in 0..years {
-        total += 0; // data already resident
-    }
-    total
+    wan().execute(&stage_in).total_ms
 }
 
 /// Run-time: each year stages the subset it needs.
@@ -44,21 +38,11 @@ fn run_time(years: usize) -> u64 {
     total
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("a2_dls_staging");
-    g.bench_function("deploy_time_10y", |b| b.iter(|| std::hint::black_box(deploy_time(10))));
-    g.bench_function("run_time_10y", |b| b.iter(|| std::hint::black_box(run_time(10))));
-    g.finish();
-
-    // The paper-relevant numbers are the virtual transfer times:
+fn main() {
+    let mut rec = Record::new("a2_dls_staging");
     for years in [1usize, 5, 10, 35] {
-        eprintln!(
-            "[a2] {years:>2} year(s): deploy-time staging {:>7} virtual ms, run-time staging {:>7} virtual ms",
-            deploy_time(years),
-            run_time(years)
-        );
+        rec.value(format!("deploy_time/{years}y"), "virtual_ms", [deploy_time() as f64]);
+        rec.value(format!("run_time/{years}y"), "virtual_ms", [run_time(years) as f64]);
     }
+    rec.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -8,52 +8,32 @@
 //! specialized-site speedups (2.5x analytics, 6x inference) outweigh the
 //! WAN transfers; single-site wins once shipping dominates.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::Record;
 use hpcwaas::{Federation, Placement, Workload};
 
 fn workload(bytes_per_year: u64) -> Workload {
     Workload::case_study(3, 20_000, 6_000, 6, 9_000, bytes_per_year)
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("a3_distributed");
-    for gb in [0.05f64, 1.0, 20.0, 80.0] {
-        let bytes = (gb * 1e9) as u64;
-        g.bench_with_input(BenchmarkId::new("single_site", format!("{gb}GB")), &bytes, |b, &by| {
-            b.iter(|| {
-                let mut fed = Federation::testbed();
-                std::hint::black_box(fed.evaluate(&workload(by), Placement::SingleSite).unwrap())
-            });
-        });
-        g.bench_with_input(
-            BenchmarkId::new("class_affinity", format!("{gb}GB")),
-            &bytes,
-            |b, &by| {
-                b.iter(|| {
-                    let mut fed = Federation::testbed();
-                    std::hint::black_box(
-                        fed.evaluate(&workload(by), Placement::ClassAffinity).unwrap(),
-                    )
-                });
-            },
-        );
-    }
-    g.finish();
-
-    // The paper-relevant output: virtual makespans and the crossover.
-    eprintln!("[a3] per-year volume | single-site ms | affinity ms | affinity transfer ms");
+fn main() {
+    // Virtual makespans (the federation's cost model) and the crossover.
+    let mut rec = Record::new("a3_distributed");
     for gb in [0.05f64, 0.5, 1.0, 5.0, 20.0, 80.0] {
         let bytes = (gb * 1e9) as u64;
-        let mut f1 = Federation::testbed();
-        let mut f2 = Federation::testbed();
-        let s = f1.evaluate(&workload(bytes), Placement::SingleSite).unwrap();
-        let a = f2.evaluate(&workload(bytes), Placement::ClassAffinity).unwrap();
-        eprintln!(
-            "[a3] {gb:>6.2} GB       | {:>12} | {:>10} | {:>9}",
-            s.makespan_ms, a.makespan_ms, a.transfer_ms
+        let single = Federation::testbed().evaluate(&workload(bytes), Placement::SingleSite);
+        let affinity = Federation::testbed().evaluate(&workload(bytes), Placement::ClassAffinity);
+        let affinity = affinity.unwrap();
+        rec.value(
+            format!("single_site/{gb}GB"),
+            "virtual_ms",
+            [single.unwrap().makespan_ms as f64],
+        );
+        rec.value(format!("class_affinity/{gb}GB"), "virtual_ms", [affinity.makespan_ms as f64]);
+        rec.value(
+            format!("class_affinity/{gb}GB/transfer"),
+            "virtual_ms",
+            [affinity.transfer_ms as f64],
         );
     }
+    rec.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

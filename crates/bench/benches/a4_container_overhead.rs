@@ -8,7 +8,7 @@
 //! containerized with warm reuse, and containerized with eviction after
 //! every task (the pathological no-reuse case).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::Record;
 use dataflow::prelude::*;
 use hpcwaas::containers::{ContainerRuntime, LayerId};
 use parking_lot::Mutex;
@@ -82,20 +82,14 @@ fn run(mode: Mode, years: usize) {
     rt.shutdown();
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("a4_container_overhead");
-    g.sample_size(15);
+fn main() {
+    let mut rec = Record::new("a4_container_overhead");
     for (name, mode) in [
         ("bare_metal", Mode::BareMetal),
         ("containers_warm_reuse", Mode::Containers),
         ("containers_no_reuse", Mode::ContainersNoReuse),
     ] {
-        g.bench_with_input(BenchmarkId::new(name, 3), &mode, |b, &m| {
-            b.iter(|| run(m, 3));
-        });
+        rec.time(format!("{name}/3"), 15, || run(mode, 3));
     }
-    g.finish();
+    rec.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

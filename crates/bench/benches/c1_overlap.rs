@@ -3,42 +3,19 @@
 //! The paper's core efficiency claim (Sections 3, 5.1): integrating
 //! simulation and analysis "can help in reducing the overall execution
 //! time as different tasks of the workflow can be executed concurrently".
-//! This bench runs the *same* multi-year case study both ways and measures
-//! end-to-end makespan. Expect pipelined < sequential, with the gap
-//! growing with year count (analysis of year N overlaps simulation of
-//! year N+1).
+//! This bench isolates the orchestration effect: the case-study shape with
+//! *simulated* task durations, submitted sim-first vs as-years-arrive.
+//! Expect pipelined ≈ sequential for 1 year and a gap that widens with the
+//! year count (analysis of year N overlaps simulation of year N+1). What
+//! the overlap is worth on the real workflow is wfbench's
+//! `core.overlap_gain` (`benchmark/run.sh`, workloads `wf_staged` /
+//! `wf_streaming`), not timed here.
 
-use climate_workflows::{run_pipelined, run_sequential, WorkflowParams};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::sync::atomic::{AtomicU64, Ordering};
+use bench::Record;
 
-static RUN_ID: AtomicU64 = AtomicU64::new(0);
-
-fn params(tag: &str, years: usize) -> WorkflowParams {
-    let run = RUN_ID.fetch_add(1, Ordering::Relaxed);
-    let out = std::env::temp_dir().join(format!("bench-c1-{tag}-{run}"));
-    std::fs::remove_dir_all(&out).ok();
-    let mut p = WorkflowParams::test_scale(out);
-    p.years = years;
-    p.days_per_year = 10;
-    p.workers = 4;
-    // Share one pre-trained model so training cost is outside the loop.
-    let model_dir = std::env::temp_dir().join("bench-c1-model");
-    std::fs::create_dir_all(&model_dir).ok();
-    p.model_path = Some(model_dir.join("model.tml"));
-    p.train_samples = 100;
-    p.train_epochs = 5;
-    p.finetune_days = 5;
-    p.finetune_epochs = 3;
-    p
-}
-
-/// The same orchestration question with *simulated* task durations, which
-/// decouples the overlap measurement from the host's core count (the real
-/// workflow's tasks are compute-bound and cannot physically overlap on a
-/// single-core host, while the paper's cluster had thousands of cores).
 /// Each "year" is an ESM task (sleep 40 ms) followed by an analysis chain
-/// (stage 2 ms -> 6 x index 5 ms in parallel -> export 2 ms).
+/// (stage 2 ms -> 6 x index 5 ms in parallel -> export 2 ms). Sleeps, so
+/// the measurement does not depend on the host's core count.
 fn simulated_run(years: usize, pipelined: bool) {
     use dataflow::prelude::*;
     use std::time::Duration;
@@ -91,38 +68,11 @@ fn simulated_run(years: usize, pipelined: bool) {
     rt.shutdown();
 }
 
-fn bench(c: &mut Criterion) {
-    // Warm up the shared model file once.
-    drop(run_pipelined(params("warmup", 1)).unwrap());
-
-    let mut g = c.benchmark_group("c1_overlap");
-    g.sample_size(10);
-
-    // The real workflow, both orchestrations. On multi-core hosts the
-    // pipelined variant wins; on a single core the two converge (documented
-    // in EXPERIMENTS.md).
-    for years in [1usize, 2, 3] {
-        g.bench_with_input(BenchmarkId::new("real_sequential", years), &years, |b, &y| {
-            b.iter(|| run_sequential(params("seq", y)).unwrap());
-        });
-        g.bench_with_input(BenchmarkId::new("real_pipelined", years), &years, |b, &y| {
-            b.iter(|| run_pipelined(params("pipe", y)).unwrap());
-        });
-    }
-
-    // The orchestration effect in isolation (simulated durations): expect
-    // pipelined ≈ sequential for 1 year and a widening gap as analysis of
-    // year N overlaps simulation of year N+1.
+fn main() {
+    let mut rec = Record::new("c1_overlap");
     for years in [1usize, 3, 6] {
-        g.bench_with_input(BenchmarkId::new("sim_sequential", years), &years, |b, &y| {
-            b.iter(|| simulated_run(y, false));
-        });
-        g.bench_with_input(BenchmarkId::new("sim_pipelined", years), &years, |b, &y| {
-            b.iter(|| simulated_run(y, true));
-        });
+        rec.time(format!("sim_sequential/{years}"), 10, || simulated_run(years, false));
+        rec.time(format!("sim_pipelined/{years}"), 10, || simulated_run(years, true));
     }
-    g.finish();
+    rec.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

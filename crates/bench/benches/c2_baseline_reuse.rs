@@ -14,8 +14,7 @@
 //!   recomputes the averages (the pre-integration practice, where the
 //!   analytics stage has no memory between invocations).
 
-use bench::year_cube;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::{year_cube, Record};
 use datacube::exec::ExecConfig;
 use datacube::model::Cube;
 use datacube::ops::{exportnc, import_transposed};
@@ -74,7 +73,7 @@ fn load_and_average(archive: &[PathBuf], cfg: ExecConfig) -> Cube {
     compute_baseline(&refs, cfg).unwrap()
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let cfg = ExecConfig::with_servers(4);
     let archive = reference_archive();
     let years: Vec<Cube> = (0..4).map(|y| year_cube(NLAT, NLON, DAYS, NFRAG, y + 1)).collect();
@@ -84,34 +83,21 @@ fn bench(c: &mut Criterion) {
     let dir = std::env::temp_dir().join("bench-c2-archive");
     exportnc(&direct, &dir.join("baseline-check.ncx")).unwrap();
 
-    let mut g = c.benchmark_group("c2_baseline_reuse");
-    g.sample_size(10);
-    for n_years in [1usize, 2, 4] {
-        g.bench_with_input(BenchmarkId::new("reuse", n_years), &n_years, |b, &n| {
-            b.iter(|| {
-                // Archive read + averaged once; baseline kept in memory.
-                let baseline = load_and_average(&archive, cfg);
-                for y in &years[..n] {
-                    let idx =
-                        compute_indices(y, &baseline, WaveParams::default(), false, cfg).unwrap();
-                    std::hint::black_box(idx.number.to_dense()[0]);
-                }
-            });
+    let mut rec = Record::new("c2_baseline_reuse");
+    let indices = |year: &Cube, baseline: &Cube| {
+        let idx = compute_indices(year, baseline, WaveParams::default(), false, cfg).unwrap();
+        std::hint::black_box(idx.number.to_dense()[0]);
+    };
+    for n in [1usize, 2, 4] {
+        rec.time(format!("reuse/{n}"), 10, || {
+            // Archive read + averaged once; baseline kept in memory.
+            let baseline = load_and_average(&archive, cfg);
+            years[..n].iter().for_each(|y| indices(y, &baseline));
         });
-        g.bench_with_input(BenchmarkId::new("reload", n_years), &n_years, |b, &n| {
-            b.iter(|| {
-                for y in &years[..n] {
-                    // Re-read and re-average the whole archive per year.
-                    let baseline = load_and_average(&archive, cfg);
-                    let idx =
-                        compute_indices(y, &baseline, WaveParams::default(), false, cfg).unwrap();
-                    std::hint::black_box(idx.number.to_dense()[0]);
-                }
-            });
+        rec.time(format!("reload/{n}"), 10, || {
+            // Re-read and re-average the whole archive per year.
+            years[..n].iter().for_each(|y| indices(y, &load_and_average(&archive, cfg)));
         });
     }
-    g.finish();
+    rec.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

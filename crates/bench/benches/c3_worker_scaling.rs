@@ -13,7 +13,7 @@
 //! expected shape is near-linear gains until the graph's width (≈6 at the
 //! index stage) is exhausted.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::Record;
 use dataflow::prelude::*;
 use std::time::Duration;
 
@@ -83,16 +83,10 @@ fn run_dag(workers: usize, years: usize, task_us: u64) {
     rt.shutdown();
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("c3_worker_scaling");
-    g.sample_size(20);
+fn main() {
+    let mut rec = Record::new("c3_worker_scaling");
     for workers in [1usize, 2, 4, 8] {
-        g.bench_with_input(BenchmarkId::new("case_study_dag", workers), &workers, |b, &w| {
-            b.iter(|| run_dag(w, 3, 3_000));
-        });
+        rec.time(format!("case_study_dag/{workers}"), 20, || run_dag(workers, 3, 3_000));
     }
-    g.finish();
+    rec.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

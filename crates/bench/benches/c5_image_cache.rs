@@ -3,10 +3,11 @@
 //! Section 4.1's image service compiles workflow software per target
 //! platform; the measurable property the paper's redeployment story rests
 //! on is that a warm layer cache makes subsequent builds nearly free.
-//! Measured: building the case study's three images cold, rebuilding them
-//! warm, and building a sibling workflow that shares the software prefix.
+//! Recorded (virtual build cost, the service's own cost model): building
+//! the case study's three images cold, rebuilding them warm, and building
+//! a sibling workflow that shares the software prefix.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use bench::Record;
 use hpcwaas::containers::{Arch, BuildService, ImageSpec};
 
 fn specs() -> Vec<ImageSpec> {
@@ -23,70 +24,21 @@ fn specs() -> Vec<ImageSpec> {
     ]
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("c5_image_cache");
-
-    g.bench_function("cold_build_3_images", |b| {
-        b.iter(|| {
-            let mut svc = BuildService::new();
-            let mut total = 0u64;
-            for s in specs() {
-                total += svc.build(&s).cost_ms;
-            }
-            std::hint::black_box(total)
-        });
-    });
-
-    g.bench_function("warm_rebuild_3_images", |b| {
-        b.iter_batched(
-            || {
-                let mut svc = BuildService::new();
-                for s in specs() {
-                    svc.build(&s);
-                }
-                svc
-            },
-            |mut svc| {
-                let mut total = 0u64;
-                for s in specs() {
-                    total += svc.build(&s).cost_ms;
-                }
-                std::hint::black_box(total)
-            },
-            criterion::BatchSize::SmallInput,
-        );
-    });
-
-    g.bench_function("sibling_workflow_shared_prefix", |b| {
-        b.iter_batched(
-            || {
-                let mut svc = BuildService::new();
-                for s in specs() {
-                    svc.build(&s);
-                }
-                svc
-            },
-            |mut svc| {
-                let sibling = ImageSpec {
-                    name: "other_wf".into(),
-                    base: "rockylinux9".into(),
-                    packages: vec!["mpi".into(), "netcdf".into(), "other-app".into()],
-                    arch: Arch::X86_64,
-                };
-                std::hint::black_box(svc.build(&sibling).cost_ms)
-            },
-            criterion::BatchSize::SmallInput,
-        );
-    });
-
-    g.finish();
-
-    // Report the virtual costs once (the paper-relevant quantity).
+fn main() {
     let mut svc = BuildService::new();
-    let cold: u64 = specs().iter().map(|s| svc.build(s).cost_ms).sum();
-    let warm: u64 = specs().iter().map(|s| svc.build(s).cost_ms).sum();
-    eprintln!("[c5] virtual build cost: cold {cold} ms, warm {warm} ms");
-}
+    let mut build_all = || specs().iter().map(|s| svc.build(s).cost_ms).sum::<u64>() as f64;
+    let (cold, warm) = (build_all(), build_all());
+    let sibling = ImageSpec {
+        name: "other_wf".into(),
+        base: "rockylinux9".into(),
+        packages: vec!["mpi".into(), "netcdf".into(), "other-app".into()],
+        arch: Arch::X86_64,
+    };
+    let shared_prefix = svc.build(&sibling).cost_ms as f64;
 
-criterion_group!(benches, bench);
-criterion_main!(benches);
+    let mut rec = Record::new("c5_image_cache");
+    rec.value("cold_build_3_images", "virtual_ms", [cold]);
+    rec.value("warm_rebuild_3_images", "virtual_ms", [warm]);
+    rec.value("sibling_workflow_shared_prefix", "virtual_ms", [shared_prefix]);
+    rec.finish();
+}

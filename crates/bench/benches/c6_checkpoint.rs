@@ -8,8 +8,7 @@
 //!   * `resume_full_log` — re-running against a complete log (the payoff:
 //!     no task executes).
 
-use bench::spin_for_micros;
-use criterion::{criterion_group, criterion_main, Criterion};
+use bench::{spin_for_micros, Record};
 use dataflow::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,30 +51,15 @@ fn fresh_log() -> PathBuf {
     p
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("c6_checkpoint");
-    g.sample_size(20);
-
-    g.bench_function("no_checkpoint", |b| b.iter(|| run_chain(None)));
-
-    g.bench_function("with_checkpoint", |b| {
-        b.iter_batched(fresh_log, |p| run_chain(Some(p)), criterion::BatchSize::SmallInput);
-    });
-
-    g.bench_function("resume_full_log", |b| {
-        b.iter_batched(
-            || {
-                let p = fresh_log();
-                run_chain(Some(p.clone()));
-                p
-            },
-            |p| run_chain(Some(p)),
-            criterion::BatchSize::SmallInput,
-        );
-    });
-
-    g.finish();
+fn main() {
+    let mut rec = Record::new("c6_checkpoint");
+    rec.time("no_checkpoint", 20, || run_chain(None));
+    rec.time_batched("with_checkpoint", 20, fresh_log, |p| run_chain(Some(p)));
+    let complete_log = || {
+        let p = fresh_log();
+        run_chain(Some(p.clone()));
+        p
+    };
+    rec.time_batched("resume_full_log", 20, complete_log, |p| run_chain(Some(p)));
+    rec.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -6,7 +6,7 @@
 //! real dependency-detection path and renders them to DOT, measuring the
 //! bookkeeping cost a long projection imposes on the runtime.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::Record;
 use dataflow::graph::{Node, TaskGraph};
 use dataflow::{DataRef, TaskId};
 
@@ -70,34 +70,16 @@ fn build_graph(years: usize) -> TaskGraph {
     g
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig3_taskgraph");
+fn main() {
+    let mut rec = Record::new("fig3_taskgraph");
     for years in [1usize, 10, 35] {
-        g.bench_with_input(BenchmarkId::new("build", years), &years, |b, &y| {
-            b.iter(|| std::hint::black_box(build_graph(y).len()));
-        });
-        g.bench_with_input(BenchmarkId::new("to_dot", years), &years, |b, &y| {
-            let graph = build_graph(y);
-            b.iter(|| std::hint::black_box(graph.to_dot().len()));
-        });
-        g.bench_with_input(BenchmarkId::new("critical_path", years), &years, |b, &y| {
-            let graph = build_graph(y);
-            b.iter(|| std::hint::black_box(graph.critical_path_len()));
-        });
-    }
-    g.finish();
-
-    // Structure report for EXPERIMENTS.md.
-    for years in [1usize, 35] {
         let graph = build_graph(years);
-        eprintln!(
-            "[fig3] {years:>2} year(s): {} tasks, {} edges, critical path {}",
-            graph.len(),
-            graph.edges().len(),
-            graph.critical_path_len()
-        );
+        rec.value(format!("tasks/{years}"), "count", [graph.len() as f64]);
+        rec.value(format!("edges/{years}"), "count", [graph.edges().len() as f64]);
+        rec.value(format!("critical_path/{years}"), "count", [graph.critical_path_len() as f64]);
+        rec.time(format!("build/{years}"), 10, || build_graph(years).len());
+        rec.time(format!("to_dot/{years}"), 10, || graph.to_dot().len());
+        rec.time(format!("critical_path_walk/{years}"), 10, || graph.critical_path_len());
     }
+    rec.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

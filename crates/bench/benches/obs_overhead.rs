@@ -5,78 +5,66 @@
 //! constructed. With a subscriber, the cost is stamping plus a bounded
 //! queue push. This bench measures both sides, plus the metrics
 //! fast path, so regressions in the "observability is free when off"
-//! property show up as numbers.
+//! property show up as numbers. (What the bus costs a whole traced run is
+//! wfbench's `obs.emit_ns` / `obs.trace_overhead_frac`.)
+//!
+//! With `OBS_OVERHEAD_BUDGET_NS` set (as `scripts/check.sh` does) it is
+//! also a hard gate: the run aborts if the median inactive-bus `emit_with`
+//! exceeds the budget.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use bench::{quartiles, Record};
 use obs::{Bus, EventKind};
+use std::time::Instant;
 
-/// Hard gate on the "observability is free when off" promise: with
-/// `OBS_OVERHEAD_BUDGET_NS` set (as `scripts/check.sh` does), measure the
-/// inactive-bus fast path directly and abort the bench run if one
-/// `emit_with` exceeds the budget.
-fn budget_gate() {
-    let Ok(budget) = std::env::var("OBS_OVERHEAD_BUDGET_NS") else { return };
-    let budget_ns: f64 = budget.parse().expect("OBS_OVERHEAD_BUDGET_NS must be a number");
-    let bus = Bus::new();
-    let n = 2_000_000u64;
-    let t0 = std::time::Instant::now();
-    for i in 0..n {
-        bus.emit_with(|| EventKind::QueueDepth {
-            ready: std::hint::black_box(i as usize),
-            running: 2,
-        });
-    }
-    let per = t0.elapsed().as_nanos() as f64 / n as f64;
-    assert!(
-        per <= budget_ns,
-        "inactive-bus emit_with costs {per:.2}ns/op, over the {budget_ns}ns budget"
-    );
-    eprintln!("obs overhead gate: {per:.2}ns/op (budget {budget_ns}ns)");
+/// `n` samples of the cost of one `op` in ns, each the mean over `ops`
+/// back-to-back calls (a single call is far below the clock's resolution).
+fn per_op_ns(n: usize, ops: u64, mut op: impl FnMut(u64)) -> Vec<f64> {
+    (0..n)
+        .map(|_| {
+            let start = Instant::now();
+            (0..ops).for_each(&mut op);
+            start.elapsed().as_nanos() as f64 / ops as f64
+        })
+        .collect()
 }
 
-fn bench(c: &mut Criterion) {
-    budget_gate();
-    let mut g = c.benchmark_group("obs_overhead");
-    g.sample_size(50);
+fn main() {
+    let mut rec = Record::new("obs_overhead");
+    let n = rec.samples(50);
+    let queue_depth = |i: u64| EventKind::QueueDepth {
+        ready: std::hint::black_box(i as usize),
+        running: std::hint::black_box(2),
+    };
 
-    // A private bus keeps this measurement independent of whatever other
-    // benches do to the global one.
+    // Private buses keep the measurement independent of the global one.
     let idle = Bus::new();
-    g.bench_function("emit_with_no_subscriber", |b| {
-        b.iter(|| {
-            idle.emit_with(|| EventKind::QueueDepth {
-                ready: std::hint::black_box(3),
-                running: std::hint::black_box(2),
-            });
-        });
-    });
+    let inactive = per_op_ns(n, 2_000_000, |i| idle.emit_with(|| queue_depth(i)));
+    if let Ok(budget) = std::env::var("OBS_OVERHEAD_BUDGET_NS") {
+        let budget_ns: f64 = budget.parse().expect("OBS_OVERHEAD_BUDGET_NS must be a number");
+        let (_, per, _) = quartiles(&inactive);
+        assert!(
+            per <= budget_ns,
+            "inactive-bus emit_with costs {per:.2}ns/op, over the {budget_ns}ns budget"
+        );
+    }
+    rec.value("emit_with_no_subscriber", "ns", inactive);
 
     let active = Bus::new();
     let rx = active.subscribe_with_capacity(1 << 16);
-    g.bench_function("emit_with_one_subscriber", |b| {
-        b.iter(|| {
-            active.emit_with(|| EventKind::QueueDepth {
-                ready: std::hint::black_box(3),
-                running: std::hint::black_box(2),
-            });
-            if rx.len() > 32_000 {
-                rx.drain();
-            }
-        });
+    let subscribed = per_op_ns(n, 100_000, |i| {
+        active.emit_with(|| queue_depth(i));
+        if rx.len() > 32_000 {
+            rx.drain();
+        }
     });
+    rec.value("emit_with_one_subscriber", "ns", subscribed);
 
     let counter = obs::registry().counter("bench_obs_counter_total", &[]);
-    g.bench_function("counter_inc", |b| {
-        b.iter(|| counter.inc());
-    });
+    rec.value("counter_inc", "ns", per_op_ns(n, 2_000_000, |_| counter.inc()));
 
     let hist = obs::registry().histogram("bench_obs_hist_us", &[]);
-    g.bench_function("histogram_observe", |b| {
-        b.iter(|| hist.observe(std::hint::black_box(1234)));
-    });
+    let observe = per_op_ns(n, 2_000_000, |i| hist.observe(std::hint::black_box(1234 + (i & 1))));
+    rec.value("histogram_observe", "ns", observe);
 
-    g.finish();
+    rec.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

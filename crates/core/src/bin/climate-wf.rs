@@ -13,22 +13,18 @@
 //! climate-wf chaos [--seed N] [--faults N] [--out DIR]
 //!                                      seeded fault-injection smoke run with
 //!                                      checkpoint-resume recovery
-//! climate-wf serve-bench [--tenants N] [--rates HZ,HZ,...] [--duration-ms N]
-//!                [--seed N] [--workers N] [--out FILE.json]
-//!                                      multi-tenant serving sweep: admission,
-//!                                      fair share, shared cube cache
 //! climate-wf graph [--years N]         print the Figure-3 DOT graph
 //! climate-wf topology                  print the case study's TOSCA document
 //! climate-wf ncdump FILE.ncx           inspect an NCX file header
 //! climate-wf info                      paper-scale data arithmetic (Sec. 5.2)
 //! ```
 
-use climate_workflows::{run_pipelined, run_sequential, ServeBenchConfig, WorkflowParams};
+use climate_workflows::{run_pipelined, run_sequential, WorkflowParams};
 use std::collections::BTreeMap;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: climate-wf <run|report|chaos|serve-bench|graph|topology|ncdump|info> [options]\n\
+        "usage: climate-wf <run|report|chaos|graph|topology|ncdump|info> [options]\n\
          \n\
          run      [--years N] [--days N] [--grid test_small|demo|LATxLON]\n\
          \x20        [--scenario historical|ssp245|ssp585] [--seed N] [--out DIR] [--sequential]\n\
@@ -41,9 +37,6 @@ fn usage() -> ! {
          chaos    [--seed N] [--faults N] [--out DIR] run a tiny checkpointed\n\
          \x20        workflow under a seeded fault plan; on failure, resume from\n\
          \x20        the checkpoint (always dumps the flight recorder as JSONL)\n\
-         serve-bench [--tenants N] [--rates HZ,HZ,...] [--duration-ms N] [--seed N]\n\
-         \x20        [--workers N] [--out FILE.json] open-loop multi-tenant serving\n\
-         \x20        sweep: admission control, fair-share dispatch, shared cube cache\n\
          graph    [--years N]   print the task graph in Graphviz DOT\n\
          topology               print the TOSCA topology document\n\
          ncdump FILE            inspect an NCX file\n\
@@ -310,50 +303,6 @@ fn cmd_chaos(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `climate-wf serve-bench`: sweep the multi-tenant serving layer with a
-/// seeded open-loop traffic generator and print one summary line per
-/// arrival-rate point (plus the full JSON with `--out`).
-fn cmd_serve_bench(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let mut cfg = ServeBenchConfig::default();
-    let parse = |key: &str, v: &str| -> Result<u64, String> {
-        v.parse().map_err(|_| format!("bad {key} '{v}'"))
-    };
-    if let Some(v) = flags.get("tenants") {
-        cfg.tenants = parse("tenants", v)? as usize;
-    }
-    if let Some(v) = flags.get("duration-ms") {
-        cfg.duration_ms = parse("duration-ms", v)?;
-    }
-    if let Some(v) = flags.get("seed") {
-        cfg.seed = parse("seed", v)?;
-    }
-    if let Some(v) = flags.get("workers") {
-        cfg.workers = parse("workers", v)? as usize;
-    }
-    if let Some(v) = flags.get("rates") {
-        cfg.rates_hz = v
-            .split(',')
-            .map(|r| r.trim().parse::<f64>().map_err(|_| format!("bad rate '{r}'")))
-            .collect::<Result<Vec<_>, _>>()?;
-        if cfg.rates_hz.is_empty() {
-            return Err("--rates needs at least one rate".into());
-        }
-    }
-    println!(
-        "serving sweep: {} tenant(s), {} worker(s), queue {}, {} shared cube(s), seed {}",
-        cfg.tenants, cfg.workers, cfg.queue_capacity, cfg.distinct_cubes, cfg.seed
-    );
-    let report = climate_workflows::servebench::run(&cfg)?;
-    for line in report.summary_lines() {
-        println!("{line}");
-    }
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, report.to_json()).map_err(|e| e.to_string())?;
-        println!("report: {path}");
-    }
-    Ok(())
-}
-
 fn cmd_graph(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let mut params = params_from_flags(flags)?;
     params.days_per_year = params.days_per_year.min(8);
@@ -402,7 +351,6 @@ fn main() {
         "run" => cmd_run(&flags),
         "report" => cmd_report(&flags),
         "chaos" => cmd_chaos(&flags),
-        "serve-bench" => cmd_serve_bench(&flags),
         "graph" => cmd_graph(&flags),
         "topology" => {
             print!("{}", hpcwaas::tosca::climate_case_study().to_source());

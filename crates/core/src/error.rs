@@ -71,8 +71,6 @@ pub enum WorkflowError {
     Dataflow { stage: WorkflowStage, source: dataflow::Error },
     /// A datacube-engine failure while assembling the report.
     Cube { stage: WorkflowStage, source: datacube::Error },
-    /// An HPCWaaS serving-layer failure (admission rejection, bad ids).
-    Serve(hpcwaas::Error),
     /// The streaming loop gave up waiting for simulation output.
     Timeout { stage: WorkflowStage, waited_secs: u64 },
     /// The runtime aborted fail-fast; the run is dead.
@@ -92,7 +90,6 @@ impl WorkflowError {
             | WorkflowError::Timeout { stage, .. }
             | WorkflowError::Malformed { stage, .. } => *stage,
             WorkflowError::Model { .. } | WorkflowError::Simulation { .. } => WorkflowStage::Setup,
-            WorkflowError::Serve(_) => WorkflowStage::Setup,
             WorkflowError::Aborted { .. } => WorkflowStage::Streaming,
         }
     }
@@ -126,7 +123,6 @@ impl fmt::Display for WorkflowError {
             WorkflowError::Simulation { message } => write!(f, "setup: simulation: {message}"),
             WorkflowError::Dataflow { stage, source } => write!(f, "{stage}: {source}"),
             WorkflowError::Cube { stage, source } => write!(f, "{stage}: {source}"),
-            WorkflowError::Serve(e) => write!(f, "serving: {e}"),
             WorkflowError::Timeout { stage, waited_secs } => {
                 write!(f, "{stage}: timed out after {waited_secs}s waiting for simulation output")
             }
@@ -144,15 +140,8 @@ impl std::error::Error for WorkflowError {
                 Some(source)
             }
             WorkflowError::Cube { source, .. } => Some(source),
-            WorkflowError::Serve(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<hpcwaas::Error> for WorkflowError {
-    fn from(e: hpcwaas::Error) -> Self {
-        WorkflowError::Serve(e)
     }
 }
 
@@ -204,13 +193,5 @@ mod tests {
         let e = WorkflowError::Timeout { stage: WorkflowStage::Streaming, waited_secs: 3600 };
         let s: String = e.into();
         assert!(s.contains("streaming") && s.contains("3600"));
-    }
-
-    #[test]
-    fn serve_errors_wrap_hpcwaas() {
-        let rej = hpcwaas::Error::Rejected(hpcwaas::Rejection::QueueFull { depth: 4, capacity: 4 });
-        let e: WorkflowError = rej.into();
-        assert!(matches!(e, WorkflowError::Serve(_)));
-        assert!(e.to_string().contains("queue"));
     }
 }

@@ -28,20 +28,19 @@
 //!   (sequential vs pipelined, experiment C1) and the HPCWaaS-registered
 //!   entrypoint;
 //! * [`reporting`] — run reports (what the scientist gets back);
-//! * [`error`] — typed workflow-outcome errors naming the failing stage;
-//! * [`servebench`] — the multi-tenant serving benchmark (open-loop
-//!   arrival sweeps against the HPCWaaS admission/fair-share scheduler).
+//! * [`error`] — typed workflow-outcome errors naming the failing stage.
+//!
+//! The crate ships no benchmark: every timing of the workflow and of the
+//! serving layer is taken by `benchmark/run.sh` (wfbench) from outside.
 
 pub mod casestudy;
 pub mod endtoend;
 pub mod error;
 pub mod params;
 pub mod reporting;
-pub mod servebench;
 
 pub use casestudy::{pretrain_cnn, CaseStudy, RunOrder, WfData};
 pub use endtoend::{register_with_hpcwaas, run_pipelined, run_sequential};
 pub use error::{WorkflowError, WorkflowStage};
 pub use params::{ParamsBuilder, WorkflowParams};
 pub use reporting::{RunReport, YearReport};
-pub use servebench::{ServeBenchConfig, ServeBenchReport};

@@ -8,7 +8,7 @@
 //! claim fragments one at a time, so a slow fragment stalls only its own
 //! lane instead of idling a statically dealt stripe, and no threads are
 //! spawned per operator call. Bench C4 measures the scaling this buys;
-//! `par_overhead` pins the dispatch cost.
+//! wfbench's `par.task_overhead_ns` pins the dispatch cost.
 //!
 //! [`par_map_fragments_on`] is the one implementation of lane dispatch,
 //! kernel timing and event emission; only the engine ([`crate::fuse`])

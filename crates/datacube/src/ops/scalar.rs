@@ -11,8 +11,16 @@ use super::{InterOp, ReduceOp};
 use crate::error::{Error, Result};
 use crate::exec::{par_map_fragments_named, ExecConfig};
 use crate::expr::Expr;
-use crate::model::{Cube, DimKind, Dimension, SharedData};
+use crate::model::{Cube, DimKind, Dimension, Fragment, SharedData};
 use std::sync::Arc;
+
+/// The rows of a fragment, `ilen` values each. Unlike `chunks(ilen)` this
+/// is defined on a zero-length implicit axis: `row_count` empty rows, which
+/// is what the engine folds there (each reduction's identity per cell).
+fn rows(f: &Fragment, ilen: usize) -> impl Iterator<Item = &[f32]> {
+    let data = f.data.as_slice();
+    (0..f.row_count).map(move |r| &data[r * ilen..(r + 1) * ilen])
+}
 
 /// Scalar kernel of [`super::reduce`]: a fast path when the row *is* the
 /// series, a gather-into-scratch general path otherwise.
@@ -33,13 +41,13 @@ pub fn reduce(cube: &Cube, op: ReduceOp, dim: &str, cfg: ExecConfig) -> Result<C
         if after == 1 && target == ilen {
             // Fast path (the common case: one implicit dimension, fully
             // reduced): the row *is* the series — no gather, no scratch.
-            SharedData::from_iter_len(f.row_count, f.data.chunks(ilen).map(|row| op.apply(row)))
+            SharedData::from_iter_len(f.row_count, rows(f, ilen).map(|row| op.apply(row)))
         } else {
             let before = ilen / (target * after).max(1);
             SharedData::from_fn(f.row_count * out_ilen, |out| {
                 let mut series = vec![0.0f32; target];
                 let mut w = 0usize;
-                for row in f.data.chunks(ilen) {
+                for row in rows(f, ilen) {
                     // Iterate over the reduced layout: (before, after) pairs.
                     for b in 0..before {
                         for a in 0..after {
@@ -102,7 +110,7 @@ pub fn intercube(a: &Cube, b: &Cube, op: InterOp, cfg: ExecConfig) -> Result<Cub
         SharedData::from_fn(f.data.len(), |out| {
             let mut w = 0usize;
             let mut bi = b_frags.partition_point(|bf| bf.row_start + bf.row_count <= f.row_start);
-            for (local_row, row) in f.data.chunks(ilen_a).enumerate() {
+            for (local_row, row) in rows(f, ilen_a).enumerate() {
                 let grow = f.row_start + local_row;
                 while b_frags[bi].row_start + b_frags[bi].row_count <= grow {
                     bi += 1;
@@ -210,7 +218,7 @@ where
     let ilen = cube.implicit_len();
     let frags = par_map_fragments_named(cfg, "map_series", &cube.frags, |frag| {
         let mut out = Vec::with_capacity(frag.row_count * out_len);
-        for row in frag.data.chunks(ilen.max(1)) {
+        for row in rows(frag, ilen) {
             let mapped = f(row);
             // Rows are appended exactly as returned — neither truncated nor
             // padded — so any arity violation shows in the length check below.

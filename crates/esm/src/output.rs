@@ -149,8 +149,8 @@ pub fn paper_yearly_gb() -> f64 {
     paper_daily_mb() * 365.0 / 1024.0
 }
 
-/// Convenience: predicted dataset payload for arbitrary configs (used by
-/// benches to report effective write bandwidth).
+/// Convenience: predicted dataset payload for arbitrary configs (what
+/// wfbench's `esm.write_MBps` divides by).
 pub fn predicted_payload(fields: &DailyFields) -> u64 {
     let grid = &fields.vars[0].1.grid;
     let spd = fields.vars[0].1.ntime;

@@ -218,35 +218,35 @@ proptest! {
     }
 }
 
-/// A zero-length time axis has no scalar oracle (the scalar kernels panic
-/// chunking zero-length rows); on the engine every batch index is defined:
+/// On a zero-length time axis engine and oracle agree like anywhere else:
 /// the reductions' identities per cell, empty masks, the usual dims and
 /// provenance.
 #[test]
 fn batch_indices_are_defined_on_a_zero_length_time_axis() {
     let cfg = ExecConfig::with_servers(2);
     let (daily, thr) = daily_and_threshold(5, 0, 3, false, 1);
-    let expect = |what: &str, cube: datacube::Result<Cube>, value: f32, description: &str| {
-        let cube = cube.unwrap_or_else(|e| panic!("{what}: {e}"));
-        let bits: Vec<u32> = cube.to_dense().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bits, vec![value.to_bits(); 5], "{what}");
-        assert_eq!(cube.description, description, "{what}");
-        assert_eq!(cube.rows(), 5);
+    let expect = |what: &str, engine: datacube::Result<Cube>, oracle: Cube, value: f32| {
+        let engine = engine.unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_same(what, &engine, &oracle);
+        assert!(engine.to_dense().iter().all(|v| v.to_bits() == value.to_bits()), "{what}");
+        assert_eq!(engine.rows(), 5, "{what}");
     };
-    expect("frost_days", etccdi::frost_days(&daily, cfg), 0.0, "reduce(Sum, day)");
-    expect("summer_days", etccdi::summer_days(&daily, cfg), 0.0, "reduce(Sum, day)");
-    expect("txx", etccdi::txx(&daily, cfg), f32::NEG_INFINITY, "reduce(Max, day)");
-    expect("tnn", etccdi::tnn(&daily, cfg), f32::INFINITY, "reduce(Min, day)");
-    expect(
-        "wsdi",
-        etccdi::spell_duration_index(&daily, &thr, 6, false, cfg),
-        0.0,
-        "map_series(sdi)",
-    );
+    let count = |cmp| scalar::reduce(&scalar_mask(&daily, cmp, cfg), ReduceOp::Sum, "day", cfg);
+    expect("frost_days", etccdi::frost_days(&daily, cfg), count("<273.15").unwrap(), 0.0);
+    expect("summer_days", etccdi::summer_days(&daily, cfg), count(">298.15").unwrap(), 0.0);
+    let fold = |op| scalar::reduce(&daily, op, "day", cfg).unwrap();
+    expect("txx", etccdi::txx(&daily, cfg), fold(ReduceOp::Max), f32::NEG_INFINITY);
+    expect("tnn", etccdi::tnn(&daily, cfg), fold(ReduceOp::Min), f32::INFINITY);
+    let mask = scalar_exceedance(&daily, &thr, ">0", cfg);
+    let spells = scalar::map_series(&mask, "sdi", 1, cfg, |row| {
+        vec![wave_runs(row, 6).iter().map(|&(_, l)| l).sum::<usize>() as f32]
+    });
+    let wsdi = etccdi::spell_duration_index(&daily, &thr, 6, false, cfg);
+    expect("wsdi", wsdi, spells.unwrap(), 0.0);
     // 0 exceedances over 0 days: the f64 divide yields NaN, not a panic.
     let rate = etccdi::exceedance_rate(&daily, &thr, cfg).unwrap();
     assert!(rate.to_dense().iter().all(|v| v.is_nan()));
-    let mask = exceedance_mask(&daily, &thr, WaveParams::default(), true, cfg).unwrap();
-    assert_eq!((mask.rows(), mask.implicit_len(), mask.len()), (5, 0, 0));
-    assert_eq!(mask.description, "apply(expr)");
+    let engine = exceedance_mask(&daily, &thr, WaveParams::default(), true, cfg).unwrap();
+    assert_same("exceedance_mask", &engine, &scalar_exceedance(&daily, &thr, "<-5", cfg));
+    assert_eq!((engine.rows(), engine.implicit_len(), engine.len()), (5, 0, 0));
 }

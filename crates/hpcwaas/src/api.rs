@@ -513,17 +513,19 @@ impl ExecutionApi {
                 st.inflight_keys.insert(key, Arc::clone(&cell));
                 st.stats.admitted += 1;
                 let depth = st.queue.len();
+                // Logged while the scheduler lock still hides the job from
+                // the workers: `Queued` precedes `Started` in every log.
+                cell.record(obs::EventKind::ExecutionQueued {
+                    execution: exec_id.seq,
+                    workflow,
+                    tenant: tenant.arc(),
+                });
                 drop(st);
                 self.sched.work_cv.notify_one();
                 self.ledger.lock().unwrap().insert(
                     exec_id.seq,
                     LedgerEntry { token: exec_id.token, cell: Arc::clone(&cell) },
                 );
-                cell.record(obs::EventKind::ExecutionQueued {
-                    execution: exec_id.seq,
-                    workflow,
-                    tenant: tenant.arc(),
-                });
                 let reg = obs::registry();
                 reg.counter("serve_admitted_total", &[("tenant", tenant.as_str())]).inc();
                 reg.gauge("serve_queue_depth", &[]).set(depth as i64);
@@ -856,6 +858,41 @@ mod tests {
         let again = api.handle(handle.id()).unwrap();
         assert_eq!(again.events().len(), 3);
         assert_eq!(again.workflow(), "climate-extremes");
+    }
+
+    /// `ExecutionQueued` is logged before any worker can see the job, so a
+    /// worker that is already awake (spinning submitters keep the pool hot)
+    /// can never log `ExecutionStarted` ahead of it.
+    #[test]
+    fn queued_is_recorded_before_a_waiting_worker_starts() {
+        let api = api_with_echo();
+        let dep = api.deploy("climate-extremes").unwrap();
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let api = &api;
+                s.spawn(move || {
+                    for i in 0..100 {
+                        // Distinct inputs: nothing coalesces, every submit runs.
+                        let inputs = BTreeMap::from([("req".to_string(), format!("{t}-{i}"))]);
+                        let handle = api.submit(dep, &inputs).unwrap();
+                        while !handle.status().is_terminal() {
+                            std::hint::spin_loop();
+                        }
+                        let events = handle.events();
+                        assert!(
+                            matches!(events[0].kind, obs::EventKind::ExecutionQueued { .. })
+                                && matches!(
+                                    events[1].kind,
+                                    obs::EventKind::ExecutionStarted { .. }
+                                ),
+                            "submit {t}-{i} logged {:?} then {:?}",
+                            events[0].kind,
+                            events[1].kind
+                        );
+                    }
+                });
+            }
+        });
     }
 
     #[test]

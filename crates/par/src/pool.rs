@@ -5,7 +5,7 @@
 //! submitted from outside the pool. Queues are short — tasks are
 //! coarse-grained kernels, not micro-ops — so plain `Mutex<VecDeque>`
 //! queues beat a lock-free deque on simplicity without showing up in
-//! profiles; `par_overhead` in `crates/bench` keeps that claim honest.
+//! profiles; wfbench's `par.task_overhead_ns` keeps that claim honest.
 //!
 //! Deadlock freedom: a thread waiting for a [`Scope`] to drain never
 //! parks unconditionally — it *helps*, executing queued tasks (its own

@@ -3,10 +3,14 @@
 //! deploy-time data pipeline), REST-style invocation, status, undeploy.
 
 use climate_workflows::register_with_hpcwaas;
+use datacube::model::{Cube, Dimension};
+use datacube::CubeCache;
 use hpcwaas::orchestrator::{DeploymentPlan, Orchestrator};
 use hpcwaas::tosca::climate_case_study;
-use hpcwaas::{ExecutionApi, ExecutionStatus};
+use hpcwaas::{Error, ExecutionApi, ExecutionStatus, ServeConfig, TenantQuota};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("root-e2e").join(name);
@@ -73,4 +77,99 @@ fn full_user_journey_deploy_run_undeploy() {
     api.undeploy(dep).unwrap();
     api.undeploy(dep2).unwrap();
     assert!(api.submit(dep, &inputs).is_err());
+}
+
+/// Section 6 as a service: four tenants send one fixed, overlapping request
+/// list (three shared cubes; every fourth round carries no per-request tag,
+/// so identical requests exist) while the entrypoints are held at a gate,
+/// which makes every admission decision independent of timing. Every
+/// offered request is admitted, coalesced onto an admitted one, or refused
+/// with a typed rejection — nothing is lost or counted twice — and the one
+/// `CubeCache` behind the API serves the tenants' overlap.
+#[test]
+fn four_tenants_conserve_requests_and_share_the_cube_cache() {
+    const TENANTS: usize = 4;
+    const CUBES: usize = 3;
+    const IN_FLIGHT_CAP: usize = 8;
+    let api = ExecutionApi::with_config(ServeConfig {
+        workers: 2,
+        queue_capacity: 128,
+        default_quota: TenantQuota::default(),
+    });
+    let cache = Arc::new(CubeCache::new(64 << 20));
+    let gate = Arc::new(AtomicBool::new(false));
+    {
+        let (cache, gate) = (Arc::clone(&cache), Arc::clone(&gate));
+        api.register(climate_case_study(), move |inputs| {
+            while !gate.load(Ordering::SeqCst) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let key = &inputs["cube"];
+            let cube = cache
+                .get_or_load(key, || {
+                    let phase = key.len() as f32 + key.bytes().map(f32::from).sum::<f32>();
+                    let axis = |n: usize| (0..n).map(|i| i as f64).collect::<Vec<_>>();
+                    Cube::from_dense(
+                        "probe",
+                        vec![
+                            Dimension::explicit("lat", axis(24)),
+                            Dimension::explicit("lon", axis(24)),
+                            Dimension::implicit("day", axis(16)),
+                        ],
+                        (0..24 * 24 * 16).map(|i| (i as f32 * 0.001 + phase).sin()).collect(),
+                        4,
+                        2,
+                    )
+                })
+                .map_err(|e| e.to_string())?;
+            Ok(format!("{key} sum={:.3}", cube.to_dense().iter().map(|v| *v as f64).sum::<f64>()))
+        });
+    }
+    let dep = api.deploy("climate-extremes").unwrap();
+    for t in 0..TENANTS {
+        // The heavy/light mix of a shared service: even tenants weigh double.
+        let weight = if t % 2 == 0 { 2 } else { 1 };
+        let quota = TenantQuota { max_in_flight: IN_FLIGHT_CAP, weight, ..TenantQuota::default() };
+        api.set_quota(&format!("tenant-{t}"), quota);
+    }
+
+    let (mut offered, mut rejected) = (0u64, 0u64);
+    let mut handles = Vec::new();
+    for i in 0..64usize {
+        let (tenant, round) = (i % TENANTS, i / TENANTS);
+        let mut inputs =
+            BTreeMap::from([("cube".to_string(), format!("cube-{}", (i * 7) % CUBES))]);
+        if round % 4 != 0 {
+            inputs.insert("req".to_string(), i.to_string());
+        }
+        offered += 1;
+        match api.submit_as(&format!("tenant-{tenant}"), dep, &inputs) {
+            Ok(handle) => handles.push(handle),
+            Err(Error::Rejected(_)) => rejected += 1,
+            Err(e) => panic!("untyped refusal: {e}"),
+        }
+    }
+
+    // Nothing has finished yet, so the counts are exact: the untagged
+    // rounds collapse onto one execution per cube, and each tenant is
+    // refused everything past its in-flight cap.
+    let stats = api.serve_stats();
+    assert_eq!(stats.rejected(), rejected);
+    assert_eq!(offered, stats.admitted + stats.coalesced + stats.rejected(), "{stats:?}");
+    assert_eq!(stats.coalesced, 16 - CUBES as u64, "{stats:?}");
+    assert!(stats.rejected_quota > 0 && stats.rejected_quota == stats.rejected(), "{stats:?}");
+    assert!(stats.admitted as usize <= TENANTS * IN_FLIGHT_CAP, "{stats:?}");
+
+    gate.store(true, Ordering::SeqCst);
+    for handle in &handles {
+        assert!(matches!(handle.wait(), ExecutionStatus::Completed { .. }));
+    }
+    let cached = cache.stats();
+    assert_eq!(
+        cached.lookups(),
+        stats.admitted,
+        "one lookup per execution, none per coalesced join"
+    );
+    assert_eq!(cached.misses, CUBES as u64, "each shared cube is built once for all tenants");
+    assert!(cached.hit_rate() > 0.5, "cross-tenant hit rate {:.2}: {cached:?}", cached.hit_rate());
 }
