@@ -4,7 +4,7 @@
 //! whole workflow, the serving layer and every per-layer probe are its
 //! metrics (`BENCHMARK.json`). What lives under `benches/` is the rest of
 //! the DESIGN.md experiment index — overlap, reuse, worker and I/O-server
-//! scaling, image cache, checkpointing, the policy/DLS/federation/container
+//! scaling, image cache, checkpointing, the policy/DLS/container
 //! ablations, Figure 3 — plus `obs_overhead`, `scripts/check.sh`'s budget
 //! gate. Each bench is a plain `main` that collects its samples into one
 //! [`Record`] and ends by printing it: a single host-stamped JSON line, the

@@ -368,6 +368,11 @@ impl CaseStudy {
         let mut config = RuntimeConfig::with_cpu_workers(params.workers.max(2))
             .with_seed(params.seed)
             .with_policy(params.sched_policy);
+        // One worker stands for the GPU partition the paper sends ML
+        // inference to: the years' CNN tasks (#16) queue for it and take
+        // turns on the shared pool instead of time-slicing it, so year N's
+        // products are complete before year N+1's.
+        config.workers[0] = WorkerProfile::gpu(4);
         if let Some(ckpt) = &params.checkpoint {
             config = config.with_checkpoint(ckpt);
         }
@@ -694,62 +699,29 @@ impl CaseStudy {
                 })?
         };
 
-        // #16 CNN localization (+ geo-referencing) over every timestep,
-        // run as a gang-scheduled data-parallel task (the PyCOMPSs `@mpi`
-        // integration): replica r processes timesteps r, r+size, ...;
-        // rank 0 assembles the year's CSV.
+        // #16 CNN localization (+ geo-referencing) over every timestep, on
+        // the GPU-partition worker; the task body fans the steps onto the
+        // shared pool itself.
         let cnn_out = {
-            let replicas = if self.params.workers >= 4 { 2u32 } else { 1 };
             let out = self.params.products_dir().join(format!("tc-cnn-{year_key}.csv"));
             let patch = self.params.patch;
             let model_file = self.model_file.clone();
-            let parts: Arc<Mutex<std::collections::BTreeMap<u32, String>>> =
-                Arc::new(Mutex::new(std::collections::BTreeMap::new()));
             let service = self.cnn_service.clone();
             let source = Arc::clone(&source);
             self.rt
                 .task("tc_cnn_localize")
                 .key(&format!("tccnn-{year_key}"))
                 .reads(&[tc_input.outputs[0].clone(), model_token.clone()])
-                .constraint(Constraint::any())
-                .replicated(replicas)
+                .constraint(Constraint::gpu())
                 .writes(&[format!("tc-cnn-{year_key}").as_str()])
-                .run_replicated(move |_, replica| {
-                    let part = cnn_localize_steps(
+                .run(move |_| {
+                    let mut csv = String::from("day,step,lat,lon,confidence\n");
+                    csv.push_str(&cnn_localize_steps(
                         &source,
                         service.as_deref(),
                         &model_file,
                         patch,
-                        replica.rank,
-                        replica.size,
-                    )?;
-                    parts.lock().insert(replica.rank, part);
-                    if replica.rank != 0 {
-                        return Ok(vec![]);
-                    }
-                    // Rank 0 gathers every replica's rows.
-                    let deadline = Instant::now() + Duration::from_secs(600);
-                    while parts.lock().len() < replica.size as usize {
-                        if Instant::now() > deadline {
-                            return Err("timed out gathering CNN replicas".into());
-                        }
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    let mut rows: Vec<String> = std::mem::take(&mut *parts.lock())
-                        .into_values()
-                        .flat_map(|part| part.lines().map(str::to_string).collect::<Vec<_>>())
-                        .collect();
-                    rows.sort_by_key(|l| {
-                        let mut it = l.split(',');
-                        let day: usize = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                        let step: usize = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                        (day, step)
-                    });
-                    let mut csv = String::from("day,step,lat,lon,confidence\n");
-                    for r in rows {
-                        csv.push_str(&r);
-                        csv.push('\n');
-                    }
+                    )?);
                     std::fs::write(&out, &csv).map_err(|e| e.to_string())?;
                     Ok(vec![WfData::Text(csv)])
                 })?
@@ -1390,13 +1362,13 @@ fn build_tc_input(source: &YearSource, out: &Path) -> ncformat::Result<()> {
     w.finish()
 }
 
-/// Task #16 body (one replica's share): CNN localization over timesteps
-/// `rank, rank+size, ...`; returns header-less CSV rows
-/// `day,step,lat,lon,confidence`, step-ascending.
+/// Task #16 body: CNN localization over every timestep of the year;
+/// returns header-less CSV rows `day,step,lat,lon,confidence`,
+/// step-ascending.
 ///
 /// With a `service` (streaming runs) every timestep goes to the shared
-/// batched [`CnnService`]; otherwise the replica's timesteps run on the
-/// shared [`par`] pool against per-chunk model instances loaded from
+/// batched [`CnnService`]; otherwise the timesteps run on the shared
+/// [`par`] pool against per-chunk model instances loaded from
 /// `model_file`. Localizing one step is independent of the batch or
 /// chunk it rode in, so the rows do not depend on the scorer.
 fn cnn_localize_steps(
@@ -1404,15 +1376,12 @@ fn cnn_localize_steps(
     service: Option<&CnnService>,
     model_file: &Path,
     patch: usize,
-    rank: u32,
-    size: u32,
 ) -> Result<String, String> {
     use extremes::tc::cnn::{CnnDetection, FieldSet};
     let (grid, spd) = source.shape().map_err(|e| e.to_string())?;
     let n = grid.len();
-    let steps = source.files().len() * spd;
-    let my_steps: Vec<usize> = (rank as usize..steps).step_by((size as usize).max(1)).collect();
-    if my_steps.is_empty() {
+    let steps: Vec<usize> = (0..source.files().len() * spd).collect();
+    if steps.is_empty() {
         return Ok(String::new());
     }
     let analysis = extremes::tc::cnn::analysis_grid(esm::atmos::tc_radius_deg(&grid), patch);
@@ -1454,8 +1423,8 @@ fn cnn_localize_steps(
         // All requests are submitted up front (so the service can batch
         // them), then awaited in step order.
         Some(service) => {
-            let mut tickets = Vec::with_capacity(my_steps.len());
-            each_step(&my_steps, &mut |s, native| {
+            let mut tickets = Vec::with_capacity(steps.len());
+            each_step(&steps, &mut |s, native| {
                 tickets.push((s, service.submit(native, analysis.clone())));
                 Ok(())
             })?;
@@ -1463,12 +1432,14 @@ fn cnn_localize_steps(
                 push_rows(&mut csv, s, ticket.wait()?);
             }
         }
-        // At most pool-width contiguous chunks run concurrently; every
-        // chunk loads its own model instance (inference mutates layer
-        // caches), and chunk outputs concatenate in chunk order.
+        // Two contiguous chunks per pool lane: the lanes and this task's own
+        // thread (which runs chunks while it waits) all stay busy, and a
+        // chunk that is scheduled late holds the year back by a fraction
+        // of it. Every chunk loads its own model instance (inference
+        // mutates layer caches); chunk outputs concatenate in chunk order.
         None => {
-            let width = par::global().threads().min(my_steps.len());
-            let chunks: Vec<&[usize]> = my_steps.chunks(my_steps.len().div_ceil(width)).collect();
+            let nchunks = (2 * par::global().threads()).min(steps.len());
+            let chunks: Vec<&[usize]> = steps.chunks(steps.len().div_ceil(nchunks)).collect();
             let parts: Vec<Result<String, String>> = par::par_map(&chunks, |chunk| {
                 let mut model = TcCnn::load(patch, model_file).map_err(|e| e.to_string())?;
                 let mut part = String::new();
@@ -1668,15 +1639,10 @@ mod tests {
         };
         assert_eq!(tc_input(&files, "tcinput-files.ncx"), tc_input(&mem, "tcinput-mem.ncx"));
 
-        // #16, both scorers, split over two replicas.
+        // #16, both scorers.
         let service = cs.cnn_service.as_deref().expect("streaming case study has the service");
         let rows = |source: &YearSource, service: Option<&CnnService>| -> String {
-            (0..2)
-                .map(|rank| {
-                    cnn_localize_steps(source, service, &cs.model_file, cs.params.patch, rank, 2)
-                        .unwrap()
-                })
-                .collect()
+            cnn_localize_steps(source, service, &cs.model_file, cs.params.patch).unwrap()
         };
         let reference = rows(&files, None);
         assert!(!reference.is_empty(), "the year should yield CNN detections to compare");
@@ -1716,6 +1682,6 @@ mod tests {
         let cube = fields_to_year_cube(&days, "t", &params).unwrap();
         assert_eq!(cube.rows(), 24);
         assert_eq!(cube.implicit_len(), 3);
-        assert_eq!(cube.row_series(5).unwrap(), &[0.0, 1.0, 2.0]);
+        assert_eq!(cube.to_dense()[5 * 3..6 * 3], [0.0, 1.0, 2.0]);
     }
 }

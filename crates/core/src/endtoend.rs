@@ -76,7 +76,8 @@ mod tests {
     /// The full end-to-end pipelined workflow on a tiny configuration.
     #[test]
     fn pipelined_end_to_end_produces_products() {
-        let mut params = WorkflowParams::test_scale(tmp("pipelined"));
+        let out = tmp("pipelined");
+        let mut params = WorkflowParams::test_scale(out.clone());
         params.years = 1;
         params.days_per_year = 20;
         params.train_samples = 160;
@@ -104,6 +105,25 @@ mod tests {
         // No failures or cancellations.
         assert_eq!(report.metrics.failed, 0);
         assert_eq!(report.metrics.cancelled, 0);
+        // Every executed task is counted once on the worker that ran it.
+        let m = &report.metrics;
+        assert_eq!(
+            m.tasks_per_worker.iter().sum::<u64>() as usize,
+            m.completed + m.failed + m.cancelled + m.timed_out,
+            "{m:?}"
+        );
+        // The CNN product lists detections in timestep order.
+        let csv = std::fs::read_to_string(out.join("products/tc-cnn-2030.csv")).unwrap();
+        let mut lines = csv.lines();
+        assert_eq!(lines.next(), Some("day,step,lat,lon,confidence"));
+        let keys: Vec<(usize, usize)> = lines
+            .map(|l| {
+                let mut it = l.split(',').map(|v| v.parse().unwrap());
+                (it.next().unwrap(), it.next().unwrap())
+            })
+            .collect();
+        assert!(!keys.is_empty(), "the year should yield CNN detections");
+        assert!(keys.is_sorted(), "rows must ascend in (day, step): {keys:?}");
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub struct WorkflowParams {
     pub scenario: Scenario,
     /// Master seed.
     pub seed: u64,
-    /// Dataflow worker threads.
+    /// Dataflow worker threads (one of them stands for the GPU partition
+    /// and is the only one that runs CNN inference tasks).
     pub workers: usize,
     /// Simulated Ophidia I/O servers.
     pub io_servers: usize,

@@ -228,14 +228,6 @@ impl CubeCache {
         stats.budget_bytes = self.budget_bytes;
         stats
     }
-
-    /// Drops every resident entry (outstanding `Arc`s stay valid) and
-    /// forgets failures. Counters are preserved.
-    pub fn purge(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.slots.retain(|_, s| matches!(s, Slot::Pending));
-        st.resident_bytes = 0;
-    }
 }
 
 #[cfg(test)]
@@ -347,25 +339,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.load_failures, 1);
         assert_eq!(stats.misses, 2);
-    }
-
-    #[test]
-    fn purge_empties_but_outstanding_arcs_stay_valid() {
-        let cache = CubeCache::new(1 << 20);
-        let held = cache.get_or_load("k", || Ok(cube(8, 7.0))).unwrap();
-        cache.purge();
-        assert_eq!(cache.stats().entries, 0);
-        assert_eq!(cache.stats().resident_bytes, 0);
-        assert_eq!(held.rows(), 8);
-        // Next lookup reloads.
-        let mut reloaded = false;
-        cache
-            .get_or_load("k", || {
-                reloaded = true;
-                Ok(cube(8, 7.0))
-            })
-            .unwrap();
-        assert!(reloaded);
     }
 
     #[test]

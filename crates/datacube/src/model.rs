@@ -13,9 +13,8 @@
 //! Fragment payloads are windows into shared, immutable `Arc<[f32]>`
 //! buffers ([`SharedData`]), and dimension coordinates are `Arc<[f64]>`.
 //! Cloning a fragment, re-slicing a cube, or re-fragmenting along existing
-//! boundaries is O(1) reference-count traffic — no payload copy. Mutation
-//! goes through [`SharedData::make_mut`], which copies-on-write only when
-//! the window is actually shared. Operators that produce new values build
+//! boundaries is O(1) reference-count traffic — no payload copy. Payloads
+//! are never mutated: operators that produce new values build
 //! their output buffers exactly once via [`SharedData::from_fn`] or
 //! `collect()`; `to_dense()` survives only at export boundaries.
 
@@ -87,18 +86,6 @@ impl SharedData {
     /// The window as a slice.
     pub fn as_slice(&self) -> &[f32] {
         &self.buf[self.off..self.off + self.len]
-    }
-
-    /// Mutable access with copy-on-write: if this window is the sole owner
-    /// of its whole buffer the write happens in place; otherwise the window
-    /// is first detached into a fresh unique buffer.
-    pub fn make_mut(&mut self) -> &mut [f32] {
-        let whole = self.off == 0 && self.len == self.buf.len();
-        if !whole || Arc::get_mut(&mut self.buf).is_none() {
-            self.buf = self.as_slice().iter().copied().collect();
-            self.off = 0;
-        }
-        Arc::get_mut(&mut self.buf).expect("unique after copy-on-write")
     }
 
     /// True when `self` and `other` are windows into the same underlying
@@ -359,18 +346,6 @@ impl Cube {
         order
     }
 
-    /// The in-row series of one global row (borrowed).
-    pub fn row_series(&self, row: usize) -> Option<&[f32]> {
-        let ilen = self.implicit_len();
-        for f in &self.frags {
-            if row >= f.row_start && row < f.row_start + f.row_count {
-                let lo = (row - f.row_start) * ilen;
-                return Some(&f.data.as_slice()[lo..lo + ilen]);
-            }
-        }
-        None
-    }
-
     /// Validates internal consistency (fragments tile the row space, sizes
     /// match). Used by property tests and after operator construction.
     pub fn validate(&self) -> Result<()> {
@@ -410,6 +385,20 @@ impl Cube {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Cube {
+        /// The in-row series of one global row (borrowed).
+        pub(crate) fn row_series(&self, row: usize) -> Option<&[f32]> {
+            let ilen = self.implicit_len();
+            for f in &self.frags {
+                if row >= f.row_start && row < f.row_start + f.row_count {
+                    let lo = (row - f.row_start) * ilen;
+                    return Some(&f.data.as_slice()[lo..lo + ilen]);
+                }
+            }
+            None
+        }
+    }
 
     fn cube_2x3_t4(nfrag: usize) -> Cube {
         let dims = vec![
@@ -453,16 +442,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_data_slice_and_cow() {
-        let mut d = SharedData::from(vec![1.0, 2.0, 3.0, 4.0]);
+    fn shared_data_slice_shares_the_buffer() {
+        let d = SharedData::from(vec![1.0, 2.0, 3.0, 4.0]);
         let view = d.slice(1, 3);
         assert_eq!(&view[..], &[2.0, 3.0]);
         assert!(view.same_buffer(&d));
-        // Writing through a shared window detaches only the writer.
-        d.make_mut()[0] = 9.0;
-        assert_eq!(d[0], 9.0);
-        assert_eq!(&view[..], &[2.0, 3.0], "view unaffected by CoW write");
-        assert!(!view.same_buffer(&d));
     }
 
     #[test]

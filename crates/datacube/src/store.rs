@@ -93,12 +93,6 @@ impl CubeStore {
         self.inner.read().resident
     }
 
-    /// Recomputes resident bytes by walking every cube. Test/debug
-    /// oracle for the incremental counter.
-    pub fn resident_bytes_full_scan(&self) -> usize {
-        self.inner.read().cubes.values().map(|c| c.bytes()).sum()
-    }
-
     /// High-water mark of resident bytes.
     pub fn peak_bytes(&self) -> usize {
         self.inner.read().peak_bytes
@@ -114,6 +108,14 @@ impl CubeStore {
 mod tests {
     use super::*;
     use crate::model::Dimension;
+
+    impl CubeStore {
+        /// Recomputes resident bytes by walking every cube: the oracle for the
+        /// incremental counter.
+        fn resident_bytes_full_scan(&self) -> usize {
+            self.inner.read().cubes.values().map(|c| c.bytes()).sum()
+        }
+    }
 
     fn small_cube(v: f32) -> Cube {
         Cube::from_dense("m", vec![Dimension::explicit("x", vec![0.0, 1.0])], vec![v, v], 1, 1)

@@ -1,10 +1,8 @@
 //! Simulated network/storage cost model for placement decisions.
 //!
-//! The runtime used to price data movement with a single scalar
-//! (`transfer_ns_per_byte`); this module replaces it with the model the
-//! paper's infrastructure section implies: per-link bandwidth and latency
-//! between workers, contention via throughput sharing, and separate
-//! storage read/write rates for data that lives on the master (restored
+//! The model the paper's infrastructure section implies: bandwidth and
+//! latency between workers, contention via throughput sharing, and a
+//! separate storage read rate for data that lives on the master (restored
 //! checkpoints, driver-produced inputs).
 //!
 //! All estimates are in **microseconds** — the same clock the runtime's
@@ -56,40 +54,32 @@ impl LinkCost {
     }
 }
 
-/// Storage tier rates: reads cover master-resident data (checkpoint
-/// restores, driver inputs); writes price spills/staging for consumers
-/// such as the hpcwaas data-logistics layer.
+/// Storage tier read rate: covers master-resident data (checkpoint
+/// restores, driver inputs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageCost {
     pub read_mbps: f64,
-    pub write_mbps: f64,
     pub latency_us: u64,
 }
 
 impl StorageCost {
     pub const fn unlimited() -> Self {
-        StorageCost { read_mbps: f64::INFINITY, write_mbps: f64::INFINITY, latency_us: 0 }
+        StorageCost { read_mbps: f64::INFINITY, latency_us: 0 }
     }
 
     fn read_link(&self) -> LinkCost {
         LinkCost { bandwidth_mbps: self.read_mbps, latency_us: self.latency_us }
     }
-
-    fn write_link(&self) -> LinkCost {
-        LinkCost { bandwidth_mbps: self.write_mbps, latency_us: self.latency_us }
-    }
 }
 
-/// The cluster-wide cost model: a default interconnect link between any
-/// worker pair, optional per-pair overrides, and the storage tier.
+/// The cluster-wide cost model: one interconnect link between any worker
+/// pair, and the storage tier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
-    /// Default worker-to-worker link.
+    /// Worker-to-worker link.
     pub interconnect: LinkCost,
     /// Storage tier (master-resident / restored data).
     pub storage: StorageCost,
-    /// Per-pair overrides, keyed `(from_worker, to_worker)`.
-    links: Vec<((usize, usize), LinkCost)>,
 }
 
 impl Default for CostModel {
@@ -99,71 +89,16 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// All transfers cost nothing — the historical default
-    /// (`transfer_ns_per_byte = 0`). Transfers are still *counted* in the
+    /// All transfers cost nothing. Transfers are still *counted* in the
     /// [`TransferLedger`](crate::scheduler::TransferLedger).
     pub fn free() -> Self {
-        CostModel {
-            interconnect: LinkCost::unlimited(),
-            storage: StorageCost::unlimited(),
-            links: Vec::new(),
-        }
-    }
-
-    /// A plausible commodity cluster: 1 GB/s interconnect with 50 µs
-    /// latency, parallel filesystem reading at 2 GB/s / writing at 1 GB/s
-    /// with 100 µs latency.
-    pub fn lan() -> Self {
-        CostModel {
-            interconnect: LinkCost::new(1000.0, 50),
-            storage: StorageCost { read_mbps: 2000.0, write_mbps: 1000.0, latency_us: 100 },
-            links: Vec::new(),
-        }
-    }
-
-    /// Legacy scalar compatibility: `ns` nanoseconds per remote byte,
-    /// zero latency, storage priced like the interconnect.
-    pub fn from_ns_per_byte(ns: u64) -> Self {
-        if ns == 0 {
-            return CostModel::free();
-        }
-        // bytes·ns/1e3 µs  ⇔  bandwidth of 1000/ns MB/s.
-        let mbps = 1000.0 / ns as f64;
-        CostModel {
-            interconnect: LinkCost::new(mbps, 0),
-            storage: StorageCost { read_mbps: mbps, write_mbps: mbps, latency_us: 0 },
-            links: Vec::new(),
-        }
-    }
-
-    /// Overrides the link from worker `from` to worker `to`.
-    pub fn with_link(mut self, from: usize, to: usize, link: LinkCost) -> Self {
-        match self.links.iter_mut().find(|(k, _)| *k == (from, to)) {
-            Some((_, l)) => *l = link,
-            None => self.links.push(((from, to), link)),
-        }
-        self
-    }
-
-    /// The link a transfer from worker `from` to worker `to` would use.
-    pub fn link(&self, from: usize, to: usize) -> LinkCost {
-        self.links
-            .iter()
-            .find(|(k, _)| *k == (from, to))
-            .map(|(_, l)| *l)
-            .unwrap_or(self.interconnect)
+        CostModel { interconnect: LinkCost::unlimited(), storage: StorageCost::unlimited() }
     }
 
     /// Microseconds to read `bytes` from storage under `sharing`-way
     /// contention.
     pub fn storage_read_us(&self, bytes: u64, sharing: u32) -> u64 {
         self.storage.read_link().transfer_us(bytes, sharing)
-    }
-
-    /// Microseconds to write `bytes` to storage under `sharing`-way
-    /// contention.
-    pub fn storage_write_us(&self, bytes: u64, sharing: u32) -> u64 {
-        self.storage.write_link().transfer_us(bytes, sharing)
     }
 
     /// Estimated microseconds for worker `to` to gather the given inputs
@@ -175,7 +110,7 @@ impl CostModel {
             .iter()
             .map(|&(loc, bytes)| match loc {
                 Some(w) if w == to => 0,
-                Some(w) => self.link(w, to).transfer_us(bytes, sharing),
+                Some(_) => self.interconnect.transfer_us(bytes, sharing),
                 None => self.storage_read_us(bytes, sharing),
             })
             .sum()
@@ -184,9 +119,7 @@ impl CostModel {
     /// True when no transfer in this model ever costs anything (lets the
     /// runtime skip the simulated sleep entirely).
     pub fn is_free(&self) -> bool {
-        self.interconnect.is_free()
-            && self.storage.read_link().is_free()
-            && self.links.iter().all(|(_, l)| l.is_free())
+        self.interconnect.is_free() && self.storage.read_link().is_free()
     }
 }
 
@@ -220,29 +153,12 @@ mod tests {
     }
 
     #[test]
-    fn ns_per_byte_compat_matches_legacy_scalar() {
-        // 200 ns/byte over 1 MB used to sleep 200 ms.
-        let m = CostModel::from_ns_per_byte(200);
-        assert_eq!(m.fetch_us(0, &[(Some(1), 1_000_000)], 1), 200_000);
-        // Local inputs were always free.
-        assert_eq!(m.fetch_us(0, &[(Some(0), 1_000_000)], 1), 0);
-        assert!(CostModel::from_ns_per_byte(0).is_free());
-    }
-
-    #[test]
-    fn per_pair_override_beats_interconnect() {
-        let m = CostModel::lan().with_link(0, 1, LinkCost::new(10_000.0, 0));
-        let fast = m.link(0, 1).transfer_us(1_000_000, 1);
-        let slow = m.link(1, 0).transfer_us(1_000_000, 1);
-        assert!(fast < slow, "override direction is faster: {fast} vs {slow}");
-    }
-
-    #[test]
     fn storage_reads_price_master_data() {
-        let m = CostModel::lan();
+        let m = CostModel {
+            interconnect: LinkCost::new(1000.0, 50),
+            storage: StorageCost { read_mbps: 2000.0, latency_us: 100 },
+        };
         // (None, bytes) inputs go through the storage read link.
-        let us = m.fetch_us(0, &[(None, 2_000_000)], 1);
-        assert_eq!(us, 100 + 1_000);
-        assert!(m.storage_write_us(2_000_000, 1) > us, "writes are slower than reads in lan()");
+        assert_eq!(m.fetch_us(0, &[(None, 2_000_000)], 1), 100 + 1_000);
     }
 }

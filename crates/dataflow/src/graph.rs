@@ -64,11 +64,6 @@ impl TaskGraph {
         &self.nodes
     }
 
-    /// The task that produced a data version, if any.
-    pub fn producer_of(&self, data: &DataRef) -> Option<TaskId> {
-        self.producer.get(&data.id).copied()
-    }
-
     /// Dependency edges as `(from, to)` pairs, deduplicated.
     pub fn edges(&self) -> Vec<(TaskId, TaskId)> {
         let mut out = BTreeSet::new();
@@ -82,15 +77,6 @@ impl TaskGraph {
             }
         }
         out.into_iter().collect()
-    }
-
-    /// Direct successors of each task.
-    pub fn successors(&self) -> HashMap<TaskId, Vec<TaskId>> {
-        let mut map: HashMap<TaskId, Vec<TaskId>> = HashMap::new();
-        for (a, b) in self.edges() {
-            map.entry(a).or_default().push(b);
-        }
-        map
     }
 
     /// Length of the longest path (critical path) in tasks. The graph is a
@@ -116,28 +102,6 @@ impl TaskGraph {
             best = best.max(d);
         }
         best
-    }
-
-    /// Maximum antichain width estimate: tasks per depth level. This bounds
-    /// achievable parallelism and is reported in EXPERIMENTS.md next to the
-    /// Figure 3 reproduction.
-    pub fn width_histogram(&self) -> BTreeMap<usize, usize> {
-        let mut depth: HashMap<TaskId, usize> = HashMap::new();
-        let mut preds: HashMap<TaskId, Vec<TaskId>> = HashMap::new();
-        for (a, b) in self.edges() {
-            preds.entry(b).or_default().push(a);
-        }
-        let mut hist = BTreeMap::new();
-        for n in &self.nodes {
-            let d = preds
-                .get(&n.id)
-                .map(|ps| ps.iter().map(|p| depth[p]).max().unwrap_or(0))
-                .unwrap_or(0)
-                + 1;
-            depth.insert(n.id, d);
-            *hist.entry(d).or_insert(0) += 1;
-        }
-        hist
     }
 
     /// Renders the graph in Graphviz DOT, one fill color per task function
@@ -222,10 +186,6 @@ mod tests {
             ]
         );
         assert_eq!(g.critical_path_len(), 3);
-        let hist = g.width_histogram();
-        assert_eq!(hist[&1], 1);
-        assert_eq!(hist[&2], 2);
-        assert_eq!(hist[&3], 1);
     }
 
     #[test]

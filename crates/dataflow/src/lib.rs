@@ -34,10 +34,6 @@
 //! * **Streaming** — [`stream::DirWatcher`] monitors a directory for the
 //!   file groups a long-running simulation produces (the paper's "detect
 //!   when a full new year of data is available" interface).
-//! * **Gang-scheduled multi-replica tasks** — the PyCOMPSs `@mpi`
-//!   integration: a task may request `n` concurrent replicas, which start
-//!   together once `n` workers are available, each seeing its
-//!   [`runtime::Replica`] rank; rank 0's outputs become the task's outputs.
 //! * **Provenance** — every terminal task records what it used and
 //!   generated ([`provenance::ProvenanceLog`]); lineage is queryable and
 //!   exportable as a PROV-style document (Section 2's provenance
@@ -84,7 +80,7 @@ pub use error::{Error, Result};
 pub use payload::{Bytes, Payload};
 pub use provenance::ProvenanceLog;
 pub use resources::{Constraint, WorkerKind, WorkerProfile};
-pub use runtime::{PlacementDecision, Replica, Runtime, RuntimeConfig, TaskHandle};
+pub use runtime::{PlacementDecision, Runtime, RuntimeConfig, TaskHandle};
 pub use scheduler::{ClusterView, Policy, ReadyTask, Scheduler};
 pub use task::{DataRef, FailurePolicy, TaskId, TaskState};
 pub use timing::TimingStats;
@@ -94,7 +90,7 @@ pub mod prelude {
     pub use crate::cost::{CostModel, LinkCost};
     pub use crate::payload::{Bytes, Payload};
     pub use crate::resources::{Constraint, WorkerKind, WorkerProfile};
-    pub use crate::runtime::{Replica, Runtime, RuntimeConfig, TaskHandle};
+    pub use crate::runtime::{Runtime, RuntimeConfig, TaskHandle};
     pub use crate::scheduler::Policy;
     pub use crate::task::{DataRef, FailurePolicy, TaskId, TaskState};
 }

@@ -334,7 +334,7 @@ mod tests {
     fn non_task_events_are_ignored() {
         let mut f = StatusFold::new();
         f.apply(&EventKind::QueueDepth { ready: 5, running: 5 });
-        f.apply(&EventKind::SpanCompleted { name: "x", micros: 1 });
+        f.apply(&EventKind::BackpressureStall { channel: "x".into(), waited_us: 1 });
         assert!(f.is_empty());
         assert_eq!(f.snapshot().total(), 0);
     }

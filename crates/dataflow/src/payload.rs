@@ -46,28 +46,6 @@ impl Bytes {
         let arr: [u8; 8] = self.0.as_slice().try_into().ok()?;
         Some(u64::from_le_bytes(arr))
     }
-
-    /// Encodes a UTF-8 string (e.g. a file path).
-    #[allow(clippy::should_implement_trait)] // builder-style constructor, not parsing
-    pub fn from_str(s: &str) -> Self {
-        Bytes(s.as_bytes().to_vec())
-    }
-
-    /// Decodes as UTF-8.
-    pub fn as_str(&self) -> Option<&str> {
-        std::str::from_utf8(&self.0).ok()
-    }
-
-    /// Encodes an `f64`.
-    pub fn from_f64(v: f64) -> Self {
-        Bytes(v.to_le_bytes().to_vec())
-    }
-
-    /// Decodes an `f64` if the buffer is exactly 8 bytes.
-    pub fn as_f64(&self) -> Option<f64> {
-        let arr: [u8; 8] = self.0.as_slice().try_into().ok()?;
-        Some(f64::from_le_bytes(arr))
-    }
 }
 
 impl Payload for Bytes {
@@ -91,18 +69,7 @@ mod tests {
     #[test]
     fn u64_roundtrip() {
         assert_eq!(Bytes::from_u64(7).as_u64(), Some(7));
-        assert_eq!(Bytes::from_str("x").as_u64(), None);
-    }
-
-    #[test]
-    fn str_roundtrip() {
-        assert_eq!(Bytes::from_str("héllo").as_str(), Some("héllo"));
-        assert_eq!(Bytes(vec![0xFF, 0xFE]).as_str(), None);
-    }
-
-    #[test]
-    fn f64_roundtrip() {
-        assert_eq!(Bytes::from_f64(2.5).as_f64(), Some(2.5));
+        assert_eq!(Bytes(vec![b'x']).as_u64(), None);
     }
 
     #[test]

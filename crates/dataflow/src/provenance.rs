@@ -90,33 +90,6 @@ impl ProvenanceLog {
         order
     }
 
-    /// Every datum (name@version) a task's outputs transitively derive
-    /// from — the "used" closure, useful for FAIR data citations.
-    pub fn inputs_closure(&self, task: TaskId) -> Vec<String> {
-        let mut seen = BTreeSet::new();
-        let mut frontier: Vec<u64> =
-            self.task(task).map(|r| r.used.iter().map(|u| u.id).collect()).unwrap_or_default();
-        let mut names = BTreeSet::new();
-        while let Some(d) = frontier.pop() {
-            if !seen.insert(d) {
-                continue;
-            }
-            if let Some(&p) = self.producer.get(&d) {
-                if let Some(rec) = self.task(p) {
-                    for u in &rec.used {
-                        frontier.push(u.id);
-                    }
-                    for g in &rec.generated {
-                        if g.id == d {
-                            names.insert(g.to_string());
-                        }
-                    }
-                }
-            }
-        }
-        names.into_iter().collect()
-    }
-
     /// Renders a PROV-style text document (activities, entities, and
     /// used/wasGeneratedBy relations).
     pub fn to_prov_text(&self) -> String {
@@ -196,15 +169,6 @@ mod tests {
         let log = chain();
         assert_eq!(log.lineage(&dref(1, "year", 1)), vec![TaskId(1)]);
         assert!(log.lineage(&dref(99, "ghost", 1)).is_empty());
-    }
-
-    #[test]
-    fn inputs_closure_names_all_upstream_data() {
-        let log = chain();
-        let closure = log.inputs_closure(TaskId(4));
-        assert!(closure.contains(&"cube@v1".to_string()));
-        assert!(closure.contains(&"base@v1".to_string()));
-        assert!(closure.contains(&"year@v1".to_string()));
     }
 
     #[test]

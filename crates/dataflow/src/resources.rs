@@ -75,18 +75,6 @@ impl Constraint {
     pub fn cpu() -> Self {
         Constraint { kind: Some(WorkerKind::Cpu), ..Default::default() }
     }
-
-    /// Adds a memory floor.
-    pub fn with_memory_gb(mut self, gb: u32) -> Self {
-        self.min_memory_gb = gb;
-        self
-    }
-
-    /// Adds a core floor.
-    pub fn with_cores(mut self, n: u32) -> Self {
-        self.min_cores = n;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -113,10 +101,10 @@ mod tests {
         let c = Constraint::cores(8);
         assert!(!WorkerProfile::cpu(4).satisfies(&c));
         assert!(WorkerProfile::cpu(8).satisfies(&c));
-        let c = Constraint::any().with_memory_gb(100);
+        let c = Constraint { min_memory_gb: 100, ..Constraint::any() };
         assert!(!WorkerProfile::cpu(4).satisfies(&c)); // 16 GB
         assert!(WorkerProfile::cpu(32).satisfies(&c)); // 128 GB
-        let c = Constraint::gpu().with_cores(2).with_memory_gb(8);
+        let c = Constraint { min_cores: 2, min_memory_gb: 8, ..Constraint::gpu() };
         assert!(WorkerProfile::gpu(2).satisfies(&c));
         assert!(!WorkerProfile::gpu(1).satisfies(&c));
     }

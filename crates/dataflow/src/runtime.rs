@@ -27,17 +27,12 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Factory for a custom scheduler implementation (called once at runtime
-/// startup). `Arc<dyn Fn...>` so `RuntimeConfig` stays `Clone`.
-pub type SchedulerFactory = Arc<dyn Fn() -> Box<dyn Scheduler> + Send + Sync>;
-
 /// Runtime configuration.
 #[derive(Clone)]
 pub struct RuntimeConfig {
     /// Worker pool profiles (one thread per entry).
     pub workers: Vec<WorkerProfile>,
-    /// Portfolio policy to build the scheduler from (ignored when
-    /// `scheduler` supplies a custom implementation).
+    /// Portfolio policy to build the scheduler from.
     pub policy: Policy,
     /// Optional checkpoint log path; completed tasks with a key are logged
     /// and replayed on the next run.
@@ -50,8 +45,6 @@ pub struct RuntimeConfig {
     /// retry-backoff jitter (see [`crate::inject::backoff_delay_ms`]) and
     /// the schedulers' tie-breaks.
     pub seed: u64,
-    /// Custom scheduler factory; overrides `policy` when set.
-    pub scheduler: Option<SchedulerFactory>,
 }
 
 impl RuntimeConfig {
@@ -63,7 +56,6 @@ impl RuntimeConfig {
             checkpoint_path: None,
             cost: CostModel::free(),
             seed: 0,
-            scheduler: None,
         }
     }
 
@@ -79,32 +71,9 @@ impl RuntimeConfig {
         self
     }
 
-    /// Installs a custom [`Scheduler`] implementation, bypassing the
-    /// portfolio selector.
-    pub fn with_scheduler<F>(mut self, factory: F) -> Self
-    where
-        F: Fn() -> Box<dyn Scheduler> + Send + Sync + 'static,
-    {
-        self.scheduler = Some(Arc::new(factory));
-        self
-    }
-
     /// Enables checkpointing to `path`.
     pub fn with_checkpoint<P: Into<PathBuf>>(mut self, path: P) -> Self {
         self.checkpoint_path = Some(path.into());
-        self
-    }
-
-    /// Sets the full network/storage cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Sets the simulated transfer delay from a legacy per-byte scalar
-    /// (see [`CostModel::from_ns_per_byte`]).
-    pub fn with_transfer_cost(mut self, ns_per_byte: u64) -> Self {
-        self.cost = CostModel::from_ns_per_byte(ns_per_byte);
         self
     }
 }
@@ -138,23 +107,12 @@ pub struct Metrics {
     pub tasks_per_worker: Vec<u64>,
 }
 
-/// Rank/size of a task replica, for gang-scheduled (`@mpi`-style) tasks.
-/// Plain tasks see `rank = 0, size = 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Replica {
-    pub rank: u32,
-    pub size: u32,
-}
-
-type TaskFn<P> = dyn Fn(&[Arc<P>], Replica) -> std::result::Result<Vec<P>, String> + Send + Sync;
+type TaskFn<P> = dyn Fn(&[Arc<P>]) -> std::result::Result<Vec<P>, String> + Send + Sync;
 
 struct TaskEntry<P: Payload> {
     name: Arc<str>,
     key: Option<String>,
     closure: Option<Arc<TaskFn<P>>>,
-    /// Gang size: 1 = normal task, n > 1 = run n concurrent replicas
-    /// (PyCOMPSs `@mpi` integration); rank 0's outputs are the task's.
-    replicas: u32,
     state: TaskState,
     reads: Vec<DataRef>,
     writes: Vec<DataRef>,
@@ -179,18 +137,6 @@ struct DataEntry<P: Payload> {
     /// Worker index that produced the value (None = master / restored).
     location: Option<usize>,
     size: u64,
-}
-
-/// In-flight gang-scheduled task: replicas join as workers free up.
-struct GangState<P: Payload> {
-    task: TaskId,
-    size: u32,
-    joined: u32,
-    finished: u32,
-    closure: Arc<TaskFn<P>>,
-    inputs: Vec<Arc<P>>,
-    /// rank-0 outputs (the task's result) or the first error.
-    outcome: Option<std::result::Result<Vec<P>, String>>,
 }
 
 /// One placement decision and its measured outcome, kept by the runtime
@@ -231,9 +177,6 @@ struct Inner<P: Payload> {
     checkpoint: Option<CheckpointLog>,
     metrics: Metrics,
     provenance: ProvenanceLog,
-    /// The gang currently forming/executing (one at a time to avoid
-    /// partial-allocation deadlocks between gangs).
-    gang: Option<GangState<P>>,
     /// The boxed placement policy (see [`crate::scheduler::Scheduler`]);
     /// lives under the state lock so every decision sees a consistent
     /// ready set.
@@ -264,11 +207,8 @@ struct Shared<P: Payload> {
     active_transfers: AtomicU32,
     /// Determinism seed (retry-backoff jitter, scheduler tie-breaks).
     seed: u64,
-    /// Worker profiles; grows when workers are added at runtime
-    /// (elasticity: "scaled up, also dynamically").
-    profiles: Mutex<Vec<WorkerProfile>>,
-    /// Per-worker retirement flags (parallel to `profiles`).
-    retired: Mutex<Vec<bool>>,
+    /// Worker profiles, one per worker thread.
+    profiles: Vec<WorkerProfile>,
     /// This runtime's event bus ([`Runtime::subscribe`]). Every lifecycle
     /// transition is also mirrored to `obs::global()` for whole-process
     /// tracers; both emits are a single atomic load when nobody listens.
@@ -361,15 +301,11 @@ impl<P: Payload> Runtime<P> {
                 tasks_per_worker: vec![0; config.workers.len()],
                 ..Default::default()
             },
-            sched: match &config.scheduler {
-                Some(factory) => factory(),
-                None => config.policy.build(config.seed),
-            },
+            sched: config.policy.build(config.seed),
             stats: TimingStats::default(),
             decisions: Vec::new(),
             decision_idx: HashMap::new(),
             provenance: ProvenanceLog::new(),
-            gang: None,
             fold: StatusFold::new(),
             spans: Vec::new(),
         };
@@ -380,19 +316,17 @@ impl<P: Payload> Runtime<P> {
             cost: config.cost.clone(),
             active_transfers: AtomicU32::new(0),
             seed: config.seed,
-            profiles: Mutex::new(config.workers.clone()),
-            retired: Mutex::new(vec![false; config.workers.len()]),
+            profiles: config.workers.clone(),
             bus: obs::Bus::new(),
             rtm: RtMetrics::new(),
         });
         let mut handles = Vec::new();
-        for (idx, profile) in config.workers.iter().enumerate() {
+        for idx in 0..config.workers.len() {
             let sh = Arc::clone(&shared);
-            let profile = profile.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("dataflow-worker-{idx}"))
-                    .spawn(move || worker_loop(sh, idx, profile))
+                    .spawn(move || worker_loop(sh, idx))
                     .expect("cannot spawn worker thread"),
             );
         }
@@ -411,7 +345,6 @@ impl<P: Payload> Runtime<P> {
             writes: Vec::new(),
             constraint: Constraint::any(),
             policy: FailurePolicy::default(),
-            replicas: 1,
             deadline: None,
         }
     }
@@ -495,12 +428,6 @@ impl<P: Payload> Runtime<P> {
         self.shared.state.lock().decisions.clone()
     }
 
-    /// Snapshot of the measured per-task-name duration statistics the
-    /// cost-aware schedulers consult.
-    pub fn timing_stats(&self) -> TimingStats {
-        self.shared.state.lock().stats.clone()
-    }
-
     /// Snapshot of the provenance log (terminal tasks only).
     pub fn provenance(&self) -> ProvenanceLog {
         self.shared.state.lock().provenance.clone()
@@ -546,12 +473,6 @@ impl<P: Payload> Runtime<P> {
         (st.graph.len(), st.graph.edges().len(), st.graph.critical_path_len())
     }
 
-    /// Measured execution interval of every completed task so far, on
-    /// the runtime bus clock (see [`obs::Bus::now_micros`]).
-    pub fn task_spans(&self) -> Vec<crate::timing::TaskSpan> {
-        self.shared.state.lock().spans.clone()
-    }
-
     /// The timed critical path of everything executed so far: the
     /// measured longest dependency chain, per-task slack, and what-if
     /// speedups (see [`crate::timing`]). `None` until a task completes.
@@ -563,46 +484,6 @@ impl<P: Payload> Runtime<P> {
     /// Per-function task counts (legend of Figure 3).
     pub fn function_counts(&self) -> std::collections::BTreeMap<String, usize> {
         self.shared.state.lock().graph.function_counts()
-    }
-
-    /// Adds a worker to the pool at runtime (elasticity: the paper notes
-    /// Ophidia's computing components "can be scaled up, also dynamically";
-    /// the same applies to the workflow runtime). Returns the new worker's
-    /// index.
-    pub fn add_worker(&self, profile: WorkerProfile) -> usize {
-        let idx = {
-            let mut profiles = self.shared.profiles.lock();
-            let mut retired = self.shared.retired.lock();
-            profiles.push(profile.clone());
-            retired.push(false);
-            profiles.len() - 1
-        };
-        // Grow the metrics vector before the new worker can touch it
-        // (locks taken one at a time: workers hold state before retired).
-        self.shared.state.lock().metrics.tasks_per_worker.push(0);
-        let sh = Arc::clone(&self.shared);
-        let handle = std::thread::Builder::new()
-            .name(format!("dataflow-worker-{idx}"))
-            .spawn(move || worker_loop(sh, idx, profile))
-            .expect("cannot spawn worker thread");
-        self.handles.lock().push(handle);
-        self.shared.work_cv.notify_all();
-        idx
-    }
-
-    /// Retires a worker: it exits after its current task. Tasks whose
-    /// constraints only the retired worker satisfied will stall (the
-    /// caller owns that trade-off, as an operator draining a node does).
-    pub fn retire_worker(&self, idx: usize) {
-        if let Some(flag) = self.shared.retired.lock().get_mut(idx) {
-            *flag = true;
-        }
-        self.shared.work_cv.notify_all();
-    }
-
-    /// Number of non-retired workers.
-    pub fn active_workers(&self) -> usize {
-        self.shared.retired.lock().iter().filter(|&&r| !r).count()
     }
 
     /// Stops the workers and joins them. Pending tasks are cancelled.
@@ -645,7 +526,6 @@ pub struct TaskBuilder<'rt, P: Payload> {
     writes: Vec<String>,
     constraint: Constraint,
     policy: FailurePolicy,
-    replicas: u32,
     deadline: Option<Duration>,
 }
 
@@ -698,25 +578,6 @@ impl<'rt, P: Payload> TaskBuilder<'rt, P> {
         self
     }
 
-    /// Requests gang execution with `n` concurrent replicas (the PyCOMPSs
-    /// `@mpi` decorator analog): the task starts once `n` workers are
-    /// available; the closure runs on each with its [`Replica`] rank, and
-    /// rank 0's outputs become the task's outputs. `n` must not exceed the
-    /// worker-pool size (checked at submission).
-    pub fn replicated(mut self, n: u32) -> Self {
-        self.replicas = n.max(1);
-        self
-    }
-
-    /// Submits a gang task whose body receives its replica rank/size.
-    /// Combine with [`TaskBuilder::replicated`].
-    pub fn run_replicated<F>(self, f: F) -> Result<TaskHandle>
-    where
-        F: Fn(&[Arc<P>], Replica) -> std::result::Result<Vec<P>, String> + Send + Sync + 'static,
-    {
-        self.submit(Arc::new(f))
-    }
-
     /// Submits the task with its body. Inputs arrive as
     /// `[reads..., updates...]`; outputs must be returned as
     /// `[updates' new values..., writes' values...]`.
@@ -724,24 +585,14 @@ impl<'rt, P: Payload> TaskBuilder<'rt, P> {
     where
         F: Fn(&[Arc<P>]) -> std::result::Result<Vec<P>, String> + Send + Sync + 'static,
     {
-        self.submit(Arc::new(move |inputs: &[Arc<P>], _replica: Replica| f(inputs)))
+        self.submit(Arc::new(f))
     }
 
     fn submit(self, f: Arc<TaskFn<P>>) -> Result<TaskHandle> {
         let shared = &self.rt.shared;
-        {
-            let profiles = shared.profiles.lock();
-            let retired = shared.retired.lock();
-            let active =
-                || profiles.iter().zip(retired.iter()).filter(|(_, &r)| !r).map(|(p, _)| p);
-            // Reject constraints no active worker can ever satisfy.
-            if !active().any(|p| p.satisfies(&self.constraint)) {
-                return Err(Error::UnsatisfiableConstraint { task_name: self.name });
-            }
-            // A gang larger than the active pool would never form.
-            if self.replicas as usize > active().count() {
-                return Err(Error::UnsatisfiableConstraint { task_name: self.name });
-            }
+        // Reject constraints no worker can ever satisfy.
+        if !shared.profiles.iter().any(|p| p.satisfies(&self.constraint)) {
+            return Err(Error::UnsatisfiableConstraint { task_name: self.name });
         }
 
         let mut st = shared.state.lock();
@@ -796,7 +647,6 @@ impl<'rt, P: Payload> TaskBuilder<'rt, P> {
             name: Arc::clone(&task_name),
             key: self.key.clone(),
             closure: Some(f),
-            replicas: self.replicas,
             state: TaskState::Pending,
             reads: all_reads,
             writes: outputs.clone(),
@@ -1033,11 +883,6 @@ fn timeout_task<P: Payload>(shared: &Shared<P>, st: &mut Inner<P>, id: TaskId) {
     }
 }
 
-/// Span name for one gang replica: `name[rank/…]`.
-fn replica_span_name(name: &Arc<str>, rank: u32) -> Arc<str> {
-    Arc::from(format!("{name}[{rank}]").as_str())
-}
-
 /// Runs one task attempt under the chaos hook and a panic barrier.
 /// Injected faults at [`crate::inject::SITE_TASK`] apply here — *inside*
 /// the barrier, so an injected panic exercises the same recovery path an
@@ -1047,7 +892,6 @@ fn replica_span_name(name: &Arc<str>, rank: u32) -> Arc<str> {
 fn run_attempt<P: Payload>(
     closure: &Arc<TaskFn<P>>,
     inputs: &[Arc<P>],
-    replica: Replica,
 ) -> std::result::Result<Vec<P>, String> {
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         use obs::chaos::Fault;
@@ -1055,7 +899,7 @@ fn run_attempt<P: Payload>(
             Some(Fault::Panic) => panic!("chaos: injected panic at {}", crate::inject::SITE_TASK),
             Some(Fault::Stall { millis }) => {
                 std::thread::sleep(Duration::from_millis(millis));
-                closure(inputs, replica)
+                closure(inputs)
             }
             Some(Fault::Error) => {
                 Err(format!("chaos: injected error at {}", crate::inject::SITE_TASK))
@@ -1063,7 +907,7 @@ fn run_attempt<P: Payload>(
             Some(Fault::Poison) => {
                 Err(format!("chaos: poisoned payload at {}", crate::inject::SITE_TASK))
             }
-            _ => closure(inputs, replica),
+            _ => closure(inputs),
         }
     }));
     caught.unwrap_or_else(|panic| {
@@ -1116,14 +960,11 @@ fn upward_ranks<P: Payload>(st: &Inner<P>, ready: &[TaskId]) -> HashMap<TaskId, 
     memo
 }
 
-fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize, _profile: WorkerProfile) {
+fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize) {
     let mut st = shared.state.lock();
     loop {
         if st.shutdown {
             return;
-        }
-        if shared.retired.lock().get(worker_idx).copied().unwrap_or(false) {
-            return; // retired: exit after finishing the current task
         }
 
         // Promote backoff-delayed retries whose due time has passed.
@@ -1147,68 +988,11 @@ fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize, _profile: 
             shared.work_cv.notify_all();
         }
 
-        // Gang-scheduled tasks: joining a forming gang takes priority over
-        // picking new work, so gangs assemble as fast as workers free up.
-        let join = st.gang.as_mut().and_then(|g| {
-            if g.joined < g.size {
-                let rank = g.joined;
-                g.joined += 1;
-                Some((g.task, rank, g.size, Arc::clone(&g.closure), g.inputs.clone()))
-            } else {
-                None
-            }
-        });
-        if let Some((gang_task, rank, size, closure, inputs)) = join {
-            let gang_name = st.tasks.get(&gang_task).map(|t| Arc::clone(&t.name));
-            st.running += 1;
-            drop(st);
-            let result = {
-                // Causal root for everything this replica does: pool
-                // jobs and kernel events spawned inside nest under it.
-                let _span = gang_name
-                    .filter(|_| obs::global_active())
-                    .map(|n| obs::trace::span(replica_span_name(&n, rank)));
-                run_attempt(&closure, &inputs, Replica { rank, size })
-            };
-            st = shared.state.lock();
-            st.running -= 1;
-            st.metrics.tasks_per_worker[worker_idx] += 1;
-            let complete = {
-                let g = st.gang.as_mut().expect("gang vanished mid-flight");
-                debug_assert_eq!(g.task, gang_task);
-                g.finished += 1;
-                match result {
-                    Ok(outs) if rank == 0 => {
-                        if !matches!(g.outcome, Some(Err(_))) {
-                            g.outcome = Some(Ok(outs));
-                        }
-                    }
-                    Ok(_) => {}
-                    Err(m) => g.outcome = Some(Err(m)),
-                }
-                g.finished == g.size
-            };
-            if complete {
-                let g = st.gang.take().expect("gang vanished at completion");
-                let outcome =
-                    g.outcome.unwrap_or_else(|| Err("gang produced no rank-0 output".into()));
-                finish_task(&shared, &mut st, gang_task, worker_idx, outcome);
-                shared.work_cv.notify_all();
-            }
-            continue;
-        }
-
         // Build the scheduler snapshot of ready tasks: input placement,
         // duration estimates and upward ranks over the submitted graph.
-        let gang_busy = st.gang.is_some();
-        let ready_ids: Vec<TaskId> = st
+        let ranks = upward_ranks(&st, &st.ready);
+        let snapshot: Vec<ReadyTask> = st
             .ready
-            .iter()
-            .filter(|id| !(gang_busy && st.tasks[id].replicas > 1))
-            .copied()
-            .collect();
-        let ranks = upward_ranks(&st, &ready_ids);
-        let snapshot: Vec<ReadyTask> = ready_ids
             .iter()
             .map(|id| {
                 let t = &st.tasks[id];
@@ -1236,10 +1020,9 @@ fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize, _profile: 
         // cluster view. Split-borrow the guard so the view can read the
         // timing stats while the scheduler mutates its own state.
         let picked = {
-            let profiles = shared.profiles.lock().clone();
             let inner = &mut *st;
             let view = ClusterView {
-                workers: &profiles,
+                workers: &shared.profiles,
                 cost: &shared.cost,
                 stats: &inner.stats,
                 now_us: shared.bus.now_micros(),
@@ -1290,55 +1073,6 @@ fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize, _profile: 
             st.decision_idx.insert(id, idx);
         }
 
-        // A gang task forms the gang instead of executing inline; this
-        // worker then loops back and joins as rank 0.
-        let is_gang = st.tasks.get(&id).map(|t| t.replicas > 1).unwrap_or(false);
-        if is_gang {
-            let start_us = shared.bus.now_micros();
-            let t = st.tasks.get_mut(&id).expect("ready gang task missing");
-            t.state = TaskState::Running;
-            t.started = Some(Instant::now());
-            t.started_us = Some(start_us);
-            let closure = Arc::clone(t.closure.as_ref().expect("gang task without closure"));
-            let size = t.replicas;
-            let reads = t.reads.clone();
-            let gang_name = Arc::clone(&t.name);
-            let gang_attempt = t.attempts + 1;
-            let inputs: Vec<Arc<P>> = reads
-                .iter()
-                .map(|r| {
-                    Arc::clone(
-                        st.data[&r.id]
-                            .value
-                            .as_ref()
-                            .expect("ready task with unmaterialized input"),
-                    )
-                })
-                .collect();
-            st.gang = Some(GangState {
-                task: id,
-                size,
-                joined: 0,
-                finished: 0,
-                closure,
-                inputs,
-                outcome: None,
-            });
-            let locs = snapshot[ready_idx].input_locations.clone();
-            st.ledger.record(worker_idx, &locs);
-            observe(
-                &shared,
-                &mut st,
-                EventKind::TaskStarted {
-                    task: id.0,
-                    name: gang_name,
-                    worker: worker_idx,
-                    attempt: gang_attempt,
-                },
-            );
-            shared.work_cv.notify_all();
-            continue;
-        }
         let (closure, inputs, input_locations, task_name, attempt) = {
             let start_us = shared.bus.now_micros();
             let remote_snapshot = snapshot[ready_idx].input_locations.clone();
@@ -1399,7 +1133,7 @@ fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize, _profile: 
             } else {
                 None
             };
-            run_attempt(&closure, &inputs, Replica { rank: 0, size: 1 })
+            run_attempt(&closure, &inputs)
         };
 
         st = shared.state.lock();
@@ -1409,8 +1143,8 @@ fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize, _profile: 
     }
 }
 
-/// Terminal handling shared by plain tasks and gangs: publish outputs /
-/// apply the failure policy, wake dependents and waiters.
+/// Terminal handling of one attempt: publish outputs / apply the failure
+/// policy, wake dependents and waiters.
 fn finish_task<P: Payload>(
     shared: &Shared<P>,
     st: &mut Inner<P>,
@@ -1642,6 +1376,14 @@ mod tests {
     use super::*;
     use crate::payload::Bytes;
     use std::sync::atomic::{AtomicU32, Ordering};
+
+    impl<P: Payload> Runtime<P> {
+        /// Measured execution interval of every completed task so far, on
+        /// the runtime bus clock (see [`obs::Bus::now_micros`]).
+        fn task_spans(&self) -> Vec<crate::timing::TaskSpan> {
+            self.shared.state.lock().spans.clone()
+        }
+    }
 
     fn rt(n: usize) -> Runtime<Bytes> {
         Runtime::new(RuntimeConfig::with_cpu_workers(n))

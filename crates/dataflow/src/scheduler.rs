@@ -44,8 +44,7 @@ use std::time::Duration;
 pub use crate::resources::Constraint;
 
 /// Scheduling policy selector. Builds the boxed [`Scheduler`] the runtime
-/// drives; custom implementations can bypass it via
-/// [`RuntimeConfig::with_scheduler`](crate::runtime::RuntimeConfig::with_scheduler).
+/// drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Policy {
     /// Oldest compatible ready task first.
@@ -142,7 +141,7 @@ impl ReadyTask {
 
 /// Read-only cluster context for one placement decision.
 pub struct ClusterView<'a> {
-    /// Worker profiles, indexed by worker id (grows with elasticity).
+    /// Worker profiles, indexed by worker id.
     pub workers: &'a [WorkerProfile],
     /// The shared network/storage cost model.
     pub cost: &'a CostModel,
@@ -487,16 +486,6 @@ impl TransferLedger {
             }
         }
     }
-
-    /// Fraction of input bytes served locally; `None` when no bytes have
-    /// been accounted yet (a NaN here would corrupt JSON consumers).
-    pub fn locality_ratio(&self) -> Option<f64> {
-        let total = self.bytes_local + self.bytes_moved;
-        if total == 0 {
-            return None;
-        }
-        Some(self.bytes_local as f64 / total as f64)
-    }
 }
 
 #[cfg(test)]
@@ -634,7 +623,10 @@ mod tests {
     fn lookahead_defers_to_data_owner_then_steals() {
         let workers = [WorkerProfile::cpu(4), WorkerProfile::cpu(4)];
         // Expensive interconnect: fetching 100 MB remotely dwarfs est_us.
-        let cost = CostModel::lan();
+        let cost = CostModel {
+            interconnect: crate::cost::LinkCost::new(1000.0, 50),
+            storage: crate::cost::StorageCost::unlimited(),
+        };
         let stats = TimingStats::default();
         let v = view(&workers, &cost, &stats);
         let ready = vec![rt(1, vec![(Some(1), 100_000_000)])];
@@ -679,14 +671,11 @@ mod tests {
     }
 
     #[test]
-    fn ledger_tracks_moves_and_ratio() {
+    fn ledger_tracks_moves() {
         let mut l = TransferLedger::default();
         l.record(0, &[(Some(0), 100), (Some(1), 300)]);
         assert_eq!(l.bytes_local, 100);
         assert_eq!(l.bytes_moved, 300);
         assert_eq!(l.transfers, 1);
-        assert!((l.locality_ratio().unwrap() - 0.25).abs() < 1e-12);
-        // Empty ledger: no ratio, not NaN (NaN is invalid JSON).
-        assert_eq!(TransferLedger::default().locality_ratio(), None);
     }
 }

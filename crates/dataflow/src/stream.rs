@@ -129,23 +129,6 @@ impl<R: GroupRule> DirWatcher<R> {
         Ok(out)
     }
 
-    /// Polls every `interval` until at least one new complete group appears
-    /// or `timeout` elapses. Returns the (possibly empty) batch.
-    pub fn wait_next(
-        &mut self,
-        interval: Duration,
-        timeout: Duration,
-    ) -> std::io::Result<Vec<CompleteGroup>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let batch = self.poll()?;
-            if !batch.is_empty() || Instant::now() >= deadline {
-                return Ok(batch);
-            }
-            std::thread::sleep(interval);
-        }
-    }
-
     /// Keys already delivered.
     pub fn delivered(&self) -> impl Iterator<Item = &str> {
         self.seen_groups.iter().map(|s| s.as_str())
@@ -289,19 +272,6 @@ impl<T> Drop for StreamSender<T> {
 }
 
 impl<T> StreamReceiver<T> {
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<T> {
-        let mut st = self.ch.state.lock();
-        let item = st.buf.pop_front();
-        if item.is_some() {
-            let depth = st.buf.len();
-            drop(st);
-            self.ch.set_depth(depth);
-            self.ch.space.notify_one();
-        }
-        item
-    }
-
     /// Blocks up to `timeout` for the next item. Disconnection is only
     /// reported once the queue is fully drained, so no item is lost.
     pub fn recv_timeout(&self, timeout: Duration) -> RecvTimeout<T> {
@@ -433,30 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_next_times_out_empty() {
-        let dir = tmpdir("timeout");
-        let mut w = DirWatcher::new(&dir, rule());
-        let batch = w.wait_next(Duration::from_millis(5), Duration::from_millis(20)).unwrap();
-        assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn wait_next_picks_up_concurrent_writer() {
-        let dir = tmpdir("concurrent");
-        let mut w = DirWatcher::new(&dir, rule());
-        let writer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            for d in 1..=3 {
-                std::fs::write(dir.join(format!("esm-2040-{d:03}.ncx")), b"x").unwrap();
-            }
-        });
-        let batch = w.wait_next(Duration::from_millis(5), Duration::from_secs(5)).unwrap();
-        writer.join().unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].key, "2040");
-    }
-
-    #[test]
     fn group_accumulates_across_polls() {
         let dir = tmpdir("accumulate");
         let mut w = DirWatcher::new(&dir, rule());
@@ -483,7 +429,7 @@ mod tests {
         for v in 0..3 {
             assert_eq!(rx.recv_timeout(Duration::from_secs(1)), RecvTimeout::Item(v));
         }
-        assert_eq!(rx.try_recv(), None);
+        assert_eq!(rx.depth(), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::atmos::Atmosphere;
 use crate::config::EsmConfig;
-use crate::coupler::{Coupler, CouplerStats};
+use crate::coupler::Coupler;
 use crate::events::YearEvents;
 use crate::ocean::Ocean;
 use gridded::{Field2, Field3};
@@ -150,11 +150,6 @@ impl CoupledModel {
     /// Ground-truth events of the current year.
     pub fn year_events(&self) -> &YearEvents {
         &self.events
-    }
-
-    /// Coupler statistics so far.
-    pub fn coupler_stats(&self) -> CouplerStats {
-        self.coupler.stats
     }
 
     /// Advances one simulated day and returns its output fields.
@@ -353,9 +348,9 @@ mod tests {
         let expected_per_day = (cfg.timesteps_per_day * cfg.couplings_per_step) as u64;
         let mut m = CoupledModel::new(cfg);
         m.step_day();
-        assert_eq!(m.coupler_stats().a2o_exchanges, expected_per_day);
+        assert_eq!(m.coupler.stats.a2o_exchanges, expected_per_day);
         m.step_day();
-        assert_eq!(m.coupler_stats().a2o_exchanges, 2 * expected_per_day);
+        assert_eq!(m.coupler.stats.a2o_exchanges, 2 * expected_per_day);
     }
 
     #[test]

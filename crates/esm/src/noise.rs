@@ -83,6 +83,19 @@ mod tests {
         WeatherNoise::new(Grid::test_small(), 6, 0.8, 2.0, seed)
     }
 
+    /// Population covariance of two equal-length samples (the variance
+    /// when both are the same sample).
+    fn cov(a: &[f32], b: &[f32]) -> f64 {
+        let n = a.len() as f64;
+        let mean = |x: &[f32]| x.iter().map(|&v| v as f64).sum::<f64>() / n;
+        let (ma, mb) = (mean(a), mean(b));
+        a.iter().zip(b).map(|(&x, &y)| (x as f64 - ma) * (y as f64 - mb)).sum::<f64>() / n
+    }
+
+    fn pearson(a: &[f32], b: &[f32]) -> f64 {
+        cov(a, b) / (cov(a, a) * cov(b, b)).sqrt()
+    }
+
     #[test]
     fn deterministic_under_seed() {
         let mut a = make(5);
@@ -105,7 +118,7 @@ mod tests {
         for _ in 0..30 {
             pooled.extend_from_slice(&g.step().data);
         }
-        let sd = gridded::stats::std_dev(&pooled);
+        let sd = cov(&pooled, &pooled).sqrt();
         assert!((1.0..3.5).contains(&sd), "stationary sd {sd}, wanted ~2");
     }
 
@@ -117,7 +130,7 @@ mod tests {
         }
         let a = g.current().data.clone();
         let b = g.step().data.clone();
-        let corr = gridded::stats::pearson(&a, &b);
+        let corr = pearson(&a, &b);
         assert!(corr > 0.5, "lag-1 correlation {corr} too low for rho=0.8");
     }
 
@@ -137,8 +150,8 @@ mod tests {
         }
         let a: Vec<f32> = near.iter().map(|p| p.0).collect();
         let b: Vec<f32> = near.iter().map(|p| p.1).collect();
-        let c_near = gridded::stats::pearson(&a, &b);
-        let c_far = gridded::stats::pearson(&pairs_a, &pairs_b);
+        let c_near = pearson(&a, &b);
+        let c_far = pearson(&pairs_a, &pairs_b);
         assert!(c_near > 0.8, "adjacent-cell correlation {c_near}");
         assert!(c_far < c_near, "far correlation {c_far} should be below near {c_near}");
     }

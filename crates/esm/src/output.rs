@@ -17,14 +17,6 @@ pub fn file_name(year: i32, day0: usize) -> String {
     format!("esm-{year}-{:03}.ncx", day0 + 1)
 }
 
-/// Parses `esm-YYYY-DDD.ncx` back into `(year, day0)`.
-pub fn parse_file_name(name: &str) -> Option<(i32, usize)> {
-    let stem = name.strip_suffix(".ncx")?;
-    let rest = stem.strip_prefix("esm-")?;
-    let (y, d) = rest.split_once('-')?;
-    Some((y.parse().ok()?, d.parse::<usize>().ok()?.checked_sub(1)?))
-}
-
 /// The single encode path for one simulated day: both [`write_daily`]
 /// (the file pipeline) and [`DayBlock::write`] (the streaming plane's
 /// durable fallback) serialize through here, so the two paths cannot
@@ -174,14 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn file_names_roundtrip() {
+    fn file_names_are_one_based_days() {
         assert_eq!(file_name(2030, 0), "esm-2030-001.ncx");
         assert_eq!(file_name(2031, 364), "esm-2031-365.ncx");
-        assert_eq!(parse_file_name("esm-2030-001.ncx"), Some((2030, 0)));
-        assert_eq!(parse_file_name("esm-2031-365.ncx"), Some((2031, 364)));
-        assert_eq!(parse_file_name("esm-2031-000.ncx"), None);
-        assert_eq!(parse_file_name("other-2031-001.ncx"), None);
-        assert_eq!(parse_file_name("esm-2031-001.nc"), None);
     }
 
     #[test]

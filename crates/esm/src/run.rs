@@ -176,20 +176,6 @@ impl Simulation {
         }
         truth
     }
-
-    /// Runs a single day (fine-grained driver for pipelined workflows).
-    pub fn run_day(&mut self) -> ncformat::Result<(PathBuf, i32, usize)> {
-        let (path, fields, _) = step_and_write(&mut self.model, &self.out_dir)?;
-        if fields.day + 1 == self.model.cfg.days_per_year {
-            self.years_completed += 1;
-        }
-        Ok((path, fields.year, fields.day))
-    }
-
-    /// Ground truth of the year currently being simulated.
-    pub fn current_truth(&self) -> &YearEvents {
-        self.model.year_events()
-    }
 }
 
 #[cfg(test)]
@@ -245,17 +231,6 @@ mod tests {
                 "esm-2031-003.ncx",
             ]
         );
-    }
-
-    #[test]
-    fn run_day_advances_one_file_at_a_time() {
-        let dir = tmpdir("stepwise");
-        let mut sim = Simulation::new(small_cfg(), &dir).unwrap();
-        let (p1, y1, d1) = sim.run_day().unwrap();
-        assert_eq!((y1, d1), (2030, 0));
-        assert!(p1.exists());
-        let (_, y2, d2) = sim.run_day().unwrap();
-        assert_eq!((y2, d2), (2030, 1));
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl Surface {
     pub fn elevation_at(&self, idx: usize) -> f32 {
         self.elevation.data[idx]
     }
-
-    /// Global land fraction (area-weighted).
-    pub fn global_land_fraction(&self) -> f64 {
-        self.land.area_mean()
-    }
 }
 
 /// Standard atmosphere lapse rate, K per metre.
@@ -129,7 +124,7 @@ mod tests {
     #[test]
     fn land_fraction_is_earth_like() {
         let s = surface();
-        let f = s.global_land_fraction();
+        let f = s.land.area_mean();
         assert!((0.18..0.45).contains(&f), "global land fraction {f} (Earth ~0.29)");
         // All fractions in [0, 1].
         assert!(s.land.data.iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -165,7 +160,7 @@ mod tests {
         // Same geography at double resolution: global fraction stable.
         let fine = Surface::new(&Grid::global(96, 144));
         assert!(
-            (a.global_land_fraction() - fine.global_land_fraction()).abs() < 0.03,
+            (a.land.area_mean() - fine.land.area_mean()).abs() < 0.03,
             "land fraction drifts with resolution"
         );
     }

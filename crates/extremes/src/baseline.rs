@@ -48,30 +48,6 @@ pub fn compute_baseline(years: &[&Cube], cfg: ExecConfig) -> Result<Cube> {
     Ok(cube)
 }
 
-/// Builds a synthetic baseline directly from a climatology function of
-/// `(lat, lon)` — the substitute for reading a 20-year historical archive
-/// we do not have. Fragmentation matches `like`.
-pub fn synthetic_baseline<F>(like: &Cube, f: F) -> Result<Cube>
-where
-    F: Fn(f64, f64) -> f64,
-{
-    let e = like.explicit_dims();
-    if e.len() != 2 {
-        return Err(Error::SchemaMismatch("synthetic baseline needs (lat, lon) cubes".into()));
-    }
-    let (lats, lons) = (e[0].coords.clone(), e[1].coords.clone());
-    let mut data = Vec::with_capacity(lats.len() * lons.len());
-    for &lat in lats.iter() {
-        for &lon in lons.iter() {
-            data.push(f(lat, lon) as f32);
-        }
-    }
-    let dims: Vec<_> = like.explicit_dims().into_iter().cloned().collect();
-    let mut cube = Cube::from_dense(&like.measure, dims, data, like.frags.len(), 1)?;
-    cube.description = "synthetic baseline".into();
-    Ok(cube)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,18 +93,5 @@ mod tests {
         let b = Cube::from_dense("tasmax", dims, vec![1.0], 1, 1).unwrap();
         assert!(compute_baseline(&[&a, &b], ExecConfig::serial()).is_err());
         assert!(compute_baseline(&[], ExecConfig::serial()).is_err());
-    }
-
-    #[test]
-    fn synthetic_baseline_evaluates_climatology() {
-        let like = compute_baseline(&[&year_cube(0.0, 2)], ExecConfig::serial()).unwrap();
-        let base = synthetic_baseline(&like, |lat, lon| 300.0 - lat.abs() + lon * 0.01).unwrap();
-        let d = base.to_dense();
-        assert_eq!(d.len(), 4);
-        assert!((d[0] - (300.0 - 30.0)).abs() < 0.1);
-        assert!((d[1] - (300.0 - 30.0 + 1.8)).abs() < 0.1);
-        // Works with a year cube (implicit time) as the template too? No:
-        // requires (lat, lon) cubes only.
-        assert!(synthetic_baseline(&year_cube(0.0, 2), |_, _| 0.0).is_ok());
     }
 }

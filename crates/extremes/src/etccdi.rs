@@ -22,7 +22,6 @@ use datacube::fuse::Pipeline;
 use datacube::model::Cube;
 use datacube::ops::{self, ReduceOp};
 use datacube::Result;
-use gridded::stats::percentile;
 
 /// Count of days satisfying `value CMP threshold` per cell (a map cube).
 /// `cmp` is an `oph_predicate`-style condition like `"<273.15"`. One
@@ -67,28 +66,6 @@ fn time_dim(cube: &Cube) -> Result<String> {
         .first()
         .map(|d| d.name.clone())
         .ok_or_else(|| datacube::Error::SchemaMismatch("cube has no time axis".into()))
-}
-
-/// Builds a per-cell percentile threshold cube from reference-period year
-/// cubes: for each cell, the `q`-th percentile of all reference days
-/// pooled (the simplified, non-calendar-window form).
-pub fn percentile_threshold(reference_years: &[&Cube], q: f64, cfg: ExecConfig) -> Result<Cube> {
-    let first = reference_years.first().ok_or_else(|| {
-        datacube::Error::SchemaMismatch("need at least one reference year".into())
-    })?;
-    let rows = first.rows();
-    for y in reference_years {
-        if y.rows() != rows {
-            return Err(datacube::Error::SchemaMismatch("reference years differ in shape".into()));
-        }
-    }
-    // Pool each cell's reference days and take the percentile; executed as
-    // a map_series over a concatenated cube so it parallelizes per
-    // fragment.
-    let dim = time_dim(first)?;
-    let all = ops::concat_implicit(reference_years, &dim)?;
-    let out = ops::map_series(&all, "q", 1, cfg, |series| vec![percentile(series, q) as f32])?;
-    Ok(out)
 }
 
 /// Fraction of days with `daily - threshold CMP` per cell, in `[0, 1]`:
@@ -183,18 +160,6 @@ mod tests {
         assert_eq!(txx(&tmax, cfg()).unwrap().to_dense(), vec![310.5]);
         let tmin = daily(vec![270.0, 250.25, 260.0, 255.0]);
         assert_eq!(tnn(&tmin, cfg()).unwrap().to_dense(), vec![250.25]);
-    }
-
-    #[test]
-    fn percentile_threshold_pools_reference_years() {
-        // Two reference years of 5 days each: values 0..10 pooled.
-        let a = daily(vec![0.0, 1.0, 2.0, 3.0, 4.0]);
-        let b = daily(vec![5.0, 6.0, 7.0, 8.0, 9.0]);
-        let p50 = percentile_threshold(&[&a, &b], 50.0, cfg()).unwrap();
-        assert_eq!(p50.to_dense(), vec![4.5]);
-        let p90 = percentile_threshold(&[&a, &b], 90.0, cfg()).unwrap();
-        assert!((p90.to_dense()[0] - 8.1).abs() < 0.01);
-        assert!(percentile_threshold(&[], 50.0, cfg()).is_err());
     }
 
     #[test]

@@ -33,26 +33,6 @@ pub fn ascii_map(cube: &Cube, max_rows: usize, max_cols: usize) -> Result<String
     Ok(s)
 }
 
-/// Writes a `(lat, lon)` cube as a binary PGM (grayscale) image, north up.
-pub fn write_pgm(cube: &Cube, path: &Path) -> Result<()> {
-    let (nlat, nlon, vals) = to_grid_values(cube)?;
-    let lo = vals.iter().copied().filter(|v| v.is_finite()).fold(f32::INFINITY, f32::min);
-    let hi = vals.iter().copied().filter(|v| v.is_finite()).fold(f32::NEG_INFINITY, f32::max);
-    let span = if hi > lo { hi - lo } else { 1.0 };
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path).map_err(ncformat::Error::Io)?);
-    write!(f, "P5\n{nlon} {nlat}\n255\n").map_err(ncformat::Error::Io)?;
-    for r in 0..nlat {
-        let i = nlat - 1 - r;
-        for j in 0..nlon {
-            let v = vals[i * nlon + j];
-            let px = (((v - lo) / span) * 255.0).clamp(0.0, 255.0) as u8;
-            f.write_all(&[px]).map_err(ncformat::Error::Io)?;
-        }
-    }
-    f.flush().map_err(ncformat::Error::Io)?;
-    Ok(())
-}
-
 /// Writes a false-color PPM using a blue→white→red diverging ramp centered
 /// on zero (suits anomaly maps) or a sequential yellow→red ramp otherwise.
 pub fn write_ppm(cube: &Cube, path: &Path) -> Result<()> {
@@ -145,19 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn pgm_header_and_size() {
-        let path = tmp("map.pgm");
-        write_pgm(&map_cube(), &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert!(bytes.starts_with(b"P5\n8 6\n255\n"));
-        assert_eq!(bytes.len(), "P5\n8 6\n255\n".len() + 48);
-        // First pixel row = north = max value = 255.
-        let header = "P5\n8 6\n255\n".len();
-        assert_eq!(bytes[header], 255);
-        assert_eq!(bytes[bytes.len() - 1], 0);
-    }
-
-    #[test]
     fn ppm_diverging_and_sequential() {
         // Diverging for anomaly-like data.
         let dims = vec![
@@ -184,6 +151,6 @@ mod tests {
         ];
         let c = Cube::from_dense("x", dims, vec![0.0, 1.0], 1, 1).unwrap();
         assert!(ascii_map(&c, 4, 4).is_err());
-        assert!(write_pgm(&c, &tmp("bad.pgm")).is_err());
+        assert!(write_ppm(&c, &tmp("bad.ppm")).is_err());
     }
 }

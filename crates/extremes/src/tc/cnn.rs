@@ -229,36 +229,6 @@ impl TcCnn {
         (y.data[0], y.data[1], y.data[2])
     }
 
-    /// Classification accuracy + mean localization error (in pixels, on
-    /// true positives) over a labelled evaluation set.
-    pub fn evaluate(&mut self, samples: usize, seed: u64) -> (f64, f64) {
-        let cfg = PatchGenConfig { size: self.patch, positive_fraction: 0.5, noise: 0.3 };
-        let mut data = generate_patches(&cfg, samples, seed);
-        let mut correct = 0usize;
-        let mut err_px = 0.0f64;
-        let mut positives = 0usize;
-        for (x, t) in &mut data {
-            Self::standardize(x);
-            let (p, cy, cx) = self.infer_patch(x);
-            let predicted = p > self.threshold;
-            let actual = t.data[0] > 0.5;
-            if predicted == actual {
-                correct += 1;
-            }
-            if actual {
-                positives += 1;
-                let s = self.patch as f32;
-                let dy = (cy - t.data[1]) * s;
-                let dx = (cx - t.data[2]) * s;
-                err_px += ((dy * dy + dx * dx) as f64).sqrt();
-            }
-        }
-        (
-            correct as f64 / samples as f64,
-            if positives > 0 { err_px / positives as f64 } else { f64::NAN },
-        )
-    }
-
     /// The full localization pipeline on one timestep of model fields:
     /// tile → standardize → infer → geo-reference. All fields must share a
     /// grid; the tiling drops partial edge tiles (as the paper's regrid
@@ -319,6 +289,38 @@ impl TcCnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TcCnn {
+        /// Classification accuracy + mean localization error (in pixels, on
+        /// true positives) over a labelled evaluation set.
+        fn evaluate(&mut self, samples: usize, seed: u64) -> (f64, f64) {
+            let cfg = PatchGenConfig { size: self.patch, positive_fraction: 0.5, noise: 0.3 };
+            let mut data = generate_patches(&cfg, samples, seed);
+            let mut correct = 0usize;
+            let mut err_px = 0.0f64;
+            let mut positives = 0usize;
+            for (x, t) in &mut data {
+                Self::standardize(x);
+                let (p, cy, cx) = self.infer_patch(x);
+                let predicted = p > self.threshold;
+                let actual = t.data[0] > 0.5;
+                if predicted == actual {
+                    correct += 1;
+                }
+                if actual {
+                    positives += 1;
+                    let s = self.patch as f32;
+                    let dy = (cy - t.data[1]) * s;
+                    let dx = (cx - t.data[2]) * s;
+                    err_px += ((dy * dy + dx * dx) as f64).sqrt();
+                }
+            }
+            (
+                correct as f64 / samples as f64,
+                if positives > 0 { err_px / positives as f64 } else { f64::NAN },
+            )
+        }
+    }
 
     /// One shared trained model for the expensive tests.
     fn trained() -> TcCnn {

@@ -2,8 +2,8 @@
 //!
 //! The staged pipeline loads a private [`TcCnn`] per chunk of timesteps —
 //! cheap when chunks are large, but the streaming plane produces many
-//! small concurrent regrid→tile→infer requests (several years in flight,
-//! gang replicas per year), and per-request model loads dominate. This
+//! small concurrent regrid→tile→infer requests (several years in
+//! flight), and per-request model loads dominate. This
 //! service queues requests onto a *shared* model pool: a dispatcher
 //! assembles batches under a size/deadline policy (flush at `max_batch`
 //! requests or when the oldest request has waited `max_wait`), then fans

@@ -43,11 +43,6 @@ impl Track {
         self.points.last().map(|(t, _)| *t).unwrap_or(0)
     }
 
-    /// Lifetime in timesteps (inclusive).
-    pub fn lifetime(&self) -> usize {
-        self.end() - self.start() + 1
-    }
-
     /// Minimum central pressure over the lifetime, Pa.
     pub fn min_pressure(&self) -> f32 {
         self.points.iter().map(|(_, d)| d.min_psl_pa).fold(f32::INFINITY, f32::min)
@@ -133,6 +128,13 @@ pub fn stitch_tracks(per_step: &[Vec<Detection>], params: &TrackParams) -> Vec<T
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Track {
+        /// Lifetime in timesteps (inclusive).
+        fn lifetime(&self) -> usize {
+            self.end() - self.start() + 1
+        }
+    }
 
     fn det(lat: f64, lon: f64) -> Detection {
         Detection { lat, lon, min_psl_pa: 98_000.0, max_wind_ms: 30.0, depression_pa: 3000.0 }

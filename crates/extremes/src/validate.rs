@@ -141,6 +141,14 @@ mod tests {
         .unwrap()
     }
 
+    /// Overwrites a cube's first value (payloads are immutable, so the
+    /// fragment gets a fresh buffer).
+    fn set_first(cube: &mut Cube, value: f32) {
+        let mut data = cube.frags[0].data.as_slice().to_vec();
+        data[0] = value;
+        cube.frags[0].data = data.into();
+    }
+
     #[test]
     fn genuine_pipeline_output_passes() {
         let ndays = 20;
@@ -161,7 +169,7 @@ mod tests {
         let ndays = 20;
         let data = vec![300.0; ndays];
         let mut idx = indices_from(data, ndays, 1);
-        idx.duration_max.frags[0].data.make_mut()[0] = 999.0;
+        set_first(&mut idx.duration_max, 999.0);
         let report = validate_indices(&idx, WaveParams::default(), ndays);
         assert!(!report.passed());
         assert!(report.findings.iter().any(|f| f.check == "duration-range"));
@@ -171,7 +179,7 @@ mod tests {
     fn non_finite_values_flagged() {
         let ndays = 10;
         let mut idx = indices_from(vec![300.0; ndays], ndays, 1);
-        idx.frequency.frags[0].data.make_mut()[0] = f32::NAN;
+        set_first(&mut idx.frequency, f32::NAN);
         let report = validate_indices(&idx, WaveParams::default(), ndays);
         assert!(report.findings.iter().any(|f| f.check == "frequency-finite"));
     }
@@ -181,7 +189,7 @@ mod tests {
         let ndays = 20;
         let mut idx = indices_from(vec![300.0; ndays], ndays, 1);
         // Claim a wave but leave duration at zero.
-        idx.number.frags[0].data.make_mut()[0] = 2.0;
+        set_first(&mut idx.number, 2.0);
         let report = validate_indices(&idx, WaveParams::default(), ndays);
         assert!(report.findings.iter().any(|f| f.check == "consistency"));
     }
@@ -190,9 +198,9 @@ mod tests {
     fn fractional_count_flagged() {
         let ndays = 20;
         let mut idx = indices_from(vec![300.0; ndays], ndays, 1);
-        idx.number.frags[0].data.make_mut()[0] = 1.5;
-        idx.duration_max.frags[0].data.make_mut()[0] = 8.0;
-        idx.frequency.frags[0].data.make_mut()[0] = 0.6;
+        set_first(&mut idx.number, 1.5);
+        set_first(&mut idx.duration_max, 8.0);
+        set_first(&mut idx.frequency, 0.6);
         let report = validate_indices(&idx, WaveParams::default(), ndays);
         assert!(report.findings.iter().any(|f| f.check == "number-integer"));
     }
@@ -202,9 +210,8 @@ mod tests {
         let ndays = 10;
         let ncells = 200;
         let mut idx = indices_from(vec![300.0; ndays * ncells], ndays, ncells);
-        for v in idx.frequency.frags[0].data.make_mut() {
-            *v = 7.0; // all cells out of range
-        }
+        // All cells out of range.
+        idx.frequency.frags[0].data = vec![7.0; idx.frequency.frags[0].data.len()].into();
         let report = validate_indices(&idx, WaveParams::default(), ndays);
         assert!(!report.passed());
         assert!(report.findings.len() <= 52, "report should be capped");

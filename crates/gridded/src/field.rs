@@ -29,13 +29,6 @@ impl Field2 {
         Field2 { grid, data }
     }
 
-    /// Consumes the field, handing its payload to the caller without a
-    /// copy — the bridge into zero-copy consumers (`SharedData::from` turns
-    /// the vector into a shared fragment buffer with a single move).
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Value at `(i, j)`.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f32 {
@@ -53,20 +46,6 @@ impl Field2 {
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: f32) {
         *self.get_mut(i, j) = v;
-    }
-
-    /// Applies `f` to every cell in place.
-    pub fn map_inplace<F: FnMut(f32) -> f32>(&mut self, mut f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
-    /// Element-wise combination with another field on the same grid.
-    pub fn zip_with<F: FnMut(f32, f32) -> f32>(&self, other: &Field2, mut f: F) -> Field2 {
-        assert_eq!(self.grid, other.grid, "fields must share a grid");
-        let data = self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect();
-        Field2 { grid: self.grid.clone(), data }
     }
 
     /// Minimum value (NaNs ignored; returns `None` for an empty field or
@@ -103,34 +82,6 @@ impl Field2 {
         let w = self.grid.area_weights();
         self.data.iter().zip(&w).map(|(&v, &wi)| v as f64 * wi).sum()
     }
-
-    /// Index of the minimum value as `(i, j)`, ignoring NaNs.
-    pub fn argmin(&self) -> Option<(usize, usize)> {
-        let mut best: Option<(usize, f32)> = None;
-        for (idx, &v) in self.data.iter().enumerate() {
-            if v.is_nan() {
-                continue;
-            }
-            if best.is_none_or(|(_, bv)| v < bv) {
-                best = Some((idx, v));
-            }
-        }
-        best.map(|(idx, _)| self.grid.coords(idx))
-    }
-
-    /// Index of the maximum value as `(i, j)`, ignoring NaNs.
-    pub fn argmax(&self) -> Option<(usize, usize)> {
-        let mut best: Option<(usize, f32)> = None;
-        for (idx, &v) in self.data.iter().enumerate() {
-            if v.is_nan() {
-                continue;
-            }
-            if best.is_none_or(|(_, bv)| v > bv) {
-                best = Some((idx, v));
-            }
-        }
-        best.map(|(idx, _)| self.grid.coords(idx))
-    }
 }
 
 /// A time-stacked field: `ntime` levels of `(lat, lon)` planes, time-major.
@@ -152,24 +103,6 @@ impl Field3 {
     pub fn from_vec(grid: Grid, ntime: usize, data: Vec<f32>) -> Self {
         assert_eq!(grid.len() * ntime, data.len(), "data length must be ntime * grid");
         Field3 { grid, ntime, data }
-    }
-
-    /// Builds a stack from per-time 2-D fields (all on the same grid).
-    pub fn from_slices(fields: &[Field2]) -> Self {
-        assert!(!fields.is_empty(), "need at least one time slice");
-        let grid = fields[0].grid.clone();
-        let mut data = Vec::with_capacity(grid.len() * fields.len());
-        for f in fields {
-            assert_eq!(f.grid, grid, "all slices must share a grid");
-            data.extend_from_slice(&f.data);
-        }
-        Field3 { grid, ntime: fields.len(), data }
-    }
-
-    /// Consumes the stack, handing its payload to the caller without a
-    /// copy (time-major, matching the file layout).
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Borrowed view of time level `t`.
@@ -207,17 +140,6 @@ impl Field3 {
             }
         }
         Field2::from_vec(self.grid.clone(), out)
-    }
-
-    /// Per-cell time mean.
-    pub fn time_mean(&self) -> Field2 {
-        if self.ntime == 0 {
-            return Field2::zeros(self.grid.clone());
-        }
-        let sum = self.reduce_time(0.0, |a, b| a + b);
-        let n = self.ntime as f32;
-        let data = sum.data.iter().map(|&v| v / n).collect();
-        Field2::from_vec(self.grid.clone(), data)
     }
 
     /// Per-cell time maximum.
@@ -262,14 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn zip_with_adds() {
-        let a = Field2::constant(small(), 1.0);
-        let b = Field2::constant(small(), 2.0);
-        let c = a.zip_with(&b, |x, y| x + y);
-        assert!(c.data.iter().all(|&v| v == 3.0));
-    }
-
-    #[test]
     fn min_max_ignore_nan() {
         let mut f = Field2::constant(small(), 1.0);
         f.set(0, 0, f32::NAN);
@@ -277,8 +191,6 @@ mod tests {
         f.set(2, 2, 9.0);
         assert_eq!(f.min(), Some(-5.0));
         assert_eq!(f.max(), Some(9.0));
-        assert_eq!(f.argmin(), Some((1, 1)));
-        assert_eq!(f.argmax(), Some((2, 2)));
     }
 
     #[test]
@@ -300,18 +212,6 @@ mod tests {
         assert_eq!(f3.level(2).data, vec![2.0; n]);
         assert_eq!(f3.time_max().data, vec![2.0; n]);
         assert_eq!(f3.time_min().data, vec![0.0; n]);
-        assert_eq!(f3.time_mean().data, vec![1.0; n]);
-    }
-
-    #[test]
-    fn field3_from_slices_matches_manual() {
-        let g = small();
-        let a = Field2::constant(g.clone(), 1.0);
-        let b = Field2::constant(g, 2.0);
-        let f3 = Field3::from_slices(&[a.clone(), b.clone()]);
-        assert_eq!(f3.ntime, 2);
-        assert_eq!(f3.level(0), a);
-        assert_eq!(f3.level(1), b);
     }
 
     #[test]
@@ -320,22 +220,5 @@ mod tests {
         f3.set(1, 3, 5, -2.0);
         assert_eq!(f3.get(1, 3, 5), -2.0);
         assert_eq!(f3.get(0, 3, 5), 0.0);
-    }
-
-    #[test]
-    fn into_vec_moves_payload_without_copy() {
-        let g = small();
-        let mut f = Field2::zeros(g.clone());
-        f.set(0, 0, 7.0);
-        let ptr = f.data.as_ptr();
-        let v = f.into_vec();
-        assert_eq!(v.as_ptr(), ptr, "into_vec must not reallocate");
-        assert_eq!(v[0], 7.0);
-
-        let f3 = Field3::zeros(g, 2);
-        let ptr = f3.data.as_ptr();
-        let v = f3.into_vec();
-        assert_eq!(v.as_ptr(), ptr);
-        assert_eq!(v.len(), 2 * small().len());
     }
 }

@@ -41,18 +41,6 @@ impl Grid {
         Grid::global(48, 72)
     }
 
-    /// A regional (limited-area) grid.
-    pub fn regional(
-        nlat: usize,
-        nlon: usize,
-        lat_south: f64,
-        lat_north: f64,
-        lon_west: f64,
-        lon_east: f64,
-    ) -> Self {
-        Grid { nlat, nlon, lat_south, lat_north, lon_west, lon_east }
-    }
-
     /// Total number of cells.
     pub fn len(&self) -> usize {
         self.nlat * self.nlon
@@ -243,7 +231,14 @@ mod tests {
 
     #[test]
     fn regional_grid_is_not_global() {
-        let g = Grid::regional(10, 10, 20.0, 50.0, -30.0, 40.0);
+        let g = Grid {
+            nlat: 10,
+            nlon: 10,
+            lat_south: 20.0,
+            lat_north: 50.0,
+            lon_west: -30.0,
+            lon_east: 40.0,
+        };
         assert!(!g.is_global_lon());
         assert_eq!(g.lat_index(20.0 + 1e-9), 0);
     }

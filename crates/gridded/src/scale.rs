@@ -1,55 +1,7 @@
 //! Feature scaling for the ML pipelines (Section 5.4: "feature scaling"
-//! before CNN inference). Scalers are fitted once on training-distribution
-//! data, serialized alongside the model, and re-applied at inference time;
-//! both directions are exposed so predictions can be mapped back.
-
-/// Min-max scaler mapping the fitted range onto `[0, 1]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MinMaxScaler {
-    pub min: f32,
-    pub max: f32,
-}
-
-impl MinMaxScaler {
-    /// Fits on data, ignoring NaNs. Degenerate (constant or empty) input
-    /// yields a unit-range scaler so `apply` stays finite.
-    pub fn fit(data: &[f32]) -> Self {
-        let mut min = f32::INFINITY;
-        let mut max = f32::NEG_INFINITY;
-        for &v in data {
-            if v.is_nan() {
-                continue;
-            }
-            min = min.min(v);
-            max = max.max(v);
-        }
-        if !min.is_finite() || !max.is_finite() || min == max {
-            let base = if min.is_finite() { min } else { 0.0 };
-            return MinMaxScaler { min: base, max: base + 1.0 };
-        }
-        MinMaxScaler { min, max }
-    }
-
-    /// Scales one value into `[0, 1]` (values outside the fitted range map
-    /// outside the unit interval; callers clamp when needed).
-    #[inline]
-    pub fn apply(&self, v: f32) -> f32 {
-        (v - self.min) / (self.max - self.min)
-    }
-
-    /// Inverse transform.
-    #[inline]
-    pub fn invert(&self, s: f32) -> f32 {
-        self.min + s * (self.max - self.min)
-    }
-
-    /// Scales a buffer in place.
-    pub fn apply_slice(&self, data: &mut [f32]) {
-        for v in data {
-            *v = self.apply(*v);
-        }
-    }
-}
+//! before CNN inference): a scaler is fitted on data and re-applied at
+//! inference time; both directions are exposed so predictions can be mapped
+//! back.
 
 /// Standard-score scaler: `(v - mean) / std`.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,42 +46,6 @@ impl ZScoreScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn minmax_maps_range_to_unit() {
-        let s = MinMaxScaler::fit(&[2.0, 4.0, 6.0]);
-        assert_eq!(s.apply(2.0), 0.0);
-        assert_eq!(s.apply(6.0), 1.0);
-        assert_eq!(s.apply(4.0), 0.5);
-    }
-
-    #[test]
-    fn minmax_invert_roundtrips() {
-        let s = MinMaxScaler::fit(&[-3.0, 10.0]);
-        for v in [-3.0f32, 0.0, 5.5, 10.0, 20.0] {
-            assert!((s.invert(s.apply(v)) - v).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn minmax_constant_input_is_safe() {
-        let s = MinMaxScaler::fit(&[7.0, 7.0, 7.0]);
-        let v = s.apply(7.0);
-        assert!(v.is_finite());
-    }
-
-    #[test]
-    fn minmax_empty_input_is_safe() {
-        let s = MinMaxScaler::fit(&[]);
-        assert!(s.apply(3.0).is_finite());
-    }
-
-    #[test]
-    fn minmax_ignores_nan() {
-        let s = MinMaxScaler::fit(&[1.0, f32::NAN, 3.0]);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-    }
 
     #[test]
     fn zscore_standardizes() {

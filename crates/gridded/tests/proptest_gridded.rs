@@ -1,8 +1,6 @@
 //! Property tests on the raster toolbox invariants.
 
-use gridded::{
-    coarsen, regrid_bilinear, Field2, Grid, MinMaxScaler, TileSpec, Tiling, ZScoreScaler,
-};
+use gridded::{coarsen, regrid_bilinear, Field2, Grid, TileSpec, Tiling, ZScoreScaler};
 use proptest::prelude::*;
 
 proptest! {
@@ -78,11 +76,9 @@ proptest! {
         prop_assert_eq!(t.to_grid(r, c, pi, pj), (i, j));
     }
 
-    /// Scalers invert exactly (within float tolerance).
+    /// The scaler inverts exactly (within float tolerance).
     #[test]
-    fn scalers_invert(data in proptest::collection::vec(-1e4f32..1e4, 2..50), probe in -1e4f32..1e4) {
-        let mm = MinMaxScaler::fit(&data);
-        prop_assert!((mm.invert(mm.apply(probe)) - probe).abs() < 1e-1);
+    fn scaler_inverts(data in proptest::collection::vec(-1e4f32..1e4, 2..50), probe in -1e4f32..1e4) {
         let zs = ZScoreScaler::fit(&data);
         prop_assert!((zs.invert(zs.apply(probe)) - probe).abs() < 1e-1);
     }

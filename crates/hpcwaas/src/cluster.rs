@@ -8,7 +8,6 @@
 //! virtual millisecond clock.
 
 use crate::error::{Error, Result};
-use dataflow::cost::LinkCost;
 
 /// Static description of one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,40 +40,17 @@ pub struct JobSpec {
     pub duration_ms: u64,
     /// Virtual submission time.
     pub submit_ms: u64,
-    /// Input data the job must stage in before it can run; consulted by
-    /// the placement step when the cluster has per-node staging links.
-    pub input_bytes: u64,
 }
 
 impl JobSpec {
     /// Convenience constructor for CPU jobs submitted at time zero.
     pub fn new(name: &str, cores: u32, duration_ms: u64) -> Self {
-        JobSpec {
-            name: name.into(),
-            cores,
-            memory_gb: 1,
-            gpus: 0,
-            duration_ms,
-            submit_ms: 0,
-            input_bytes: 0,
-        }
+        JobSpec { name: name.into(), cores, memory_gb: 1, gpus: 0, duration_ms, submit_ms: 0 }
     }
 
     /// Builder: submission time.
     pub fn at(mut self, submit_ms: u64) -> Self {
         self.submit_ms = submit_ms;
-        self
-    }
-
-    /// Builder: GPU requirement.
-    pub fn with_gpus(mut self, gpus: u32) -> Self {
-        self.gpus = gpus;
-        self
-    }
-
-    /// Builder: input data that must be staged to the chosen node.
-    pub fn with_input_bytes(mut self, bytes: u64) -> Self {
-        self.input_bytes = bytes;
         self
     }
 }
@@ -118,65 +94,29 @@ const MAX_JOB_ATTEMPTS: u32 = 3;
 pub struct Cluster {
     pub nodes: Vec<NodeSpec>,
     queue: Vec<JobSpec>,
-    /// Per-node staging link from shared storage (GPFS / archive). When
-    /// set, placement breaks ties between fitting nodes by the predicted
-    /// cost of staging the job's `input_bytes` over the node's link —
-    /// the same [`LinkCost`] arithmetic the dataflow schedulers and the
-    /// DLS use. `None` (the default) keeps pure first-fit.
-    staging: Option<Vec<LinkCost>>,
 }
 
 impl Cluster {
     /// A cluster of identical CPU nodes.
     pub fn homogeneous(n_nodes: usize, cores_per_node: u32) -> Self {
-        Cluster {
-            nodes: vec![NodeSpec::cpu(cores_per_node); n_nodes],
-            queue: Vec::new(),
-            staging: None,
-        }
+        Cluster { nodes: vec![NodeSpec::cpu(cores_per_node); n_nodes], queue: Vec::new() }
     }
 
     /// A cluster with an explicit node list.
     pub fn new(nodes: Vec<NodeSpec>) -> Self {
-        Cluster { nodes, queue: Vec::new(), staging: None }
-    }
-
-    /// Builder: declares one staging link per node (panics on a length
-    /// mismatch — a cluster with half-described storage is a config bug).
-    pub fn with_staging(mut self, links: Vec<LinkCost>) -> Self {
-        assert_eq!(links.len(), self.nodes.len(), "one staging link per node");
-        self.staging = Some(links);
-        self
+        Cluster { nodes, queue: Vec::new() }
     }
 
     fn fits(node: &NodeSpec, job: &JobSpec) -> bool {
         node.cores >= job.cores && node.memory_gb >= job.memory_gb && node.gpus >= job.gpus
     }
 
-    /// Predicted ms to stage the job's input onto `node` (0 without a
-    /// staging model or for data-free jobs).
-    fn staging_ms(&self, node: usize, job: &JobSpec) -> u64 {
-        match &self.staging {
-            Some(links) => links[node].transfer_us(job.input_bytes, 1).div_ceil(1000),
-            None => 0,
-        }
-    }
-
-    /// Cheapest fitting node by predicted staging cost; a *strict* min, so
-    /// ties resolve to the lowest index — identical to first-fit whenever
-    /// staging costs are uniform or absent.
+    /// First fit: the lowest-indexed node with room for the job.
     fn pick_node(&self, job: &JobSpec, free: impl Fn(usize) -> (u32, u32, u32)) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for n in 0..self.nodes.len() {
+        (0..self.nodes.len()).find(|&n| {
             let (c, g, m) = free(n);
-            if c >= job.cores && g >= job.gpus && m >= job.memory_gb {
-                let cost = self.staging_ms(n, job);
-                if best.is_none_or(|(bc, _)| cost < bc) {
-                    best = Some((cost, n));
-                }
-            }
-        }
-        best.map(|(_, n)| n)
+            c >= job.cores && g >= job.gpus && m >= job.memory_gb
+        })
     }
 
     /// Enqueues a job; rejects requests no node can ever satisfy.
@@ -424,7 +364,7 @@ mod tests {
     fn oversized_job_rejected() {
         let mut c = Cluster::homogeneous(2, 8);
         assert!(matches!(c.submit(JobSpec::new("huge", 64, 10)), Err(Error::UnsatisfiableJob(_))));
-        assert!(c.submit(JobSpec::new("gpu", 1, 10).with_gpus(1)).is_err());
+        assert!(c.submit(JobSpec { gpus: 1, ..JobSpec::new("gpu", 1, 10) }).is_err());
     }
 
     #[test]
@@ -480,45 +420,9 @@ mod tests {
     }
 
     #[test]
-    fn staging_cost_steers_placement_to_the_fast_link() {
-        // Two identical nodes; node 0 sits behind a slow WAN link, node 1
-        // on the local fabric. A data-heavy job must land on node 1 even
-        // though first-fit would take node 0; a data-free job keeps the
-        // first-fit choice.
-        let mut c = Cluster::homogeneous(2, 8)
-            .with_staging(vec![LinkCost::new(10.0, 50_000), LinkCost::new(1000.0, 1_000)]);
-        c.submit(JobSpec::new("heavy", 2, 100).with_input_bytes(1_000_000_000)).unwrap();
-        c.submit(JobSpec::new("light", 2, 100)).unwrap();
-        let s = c.schedule();
-        let get = |n: &str| s.placements.iter().find(|p| p.job.name == n).unwrap().clone();
-        assert_eq!(get("heavy").node, 1, "1 GB over 10 MB/s is 100x the local fabric");
-        assert_eq!(get("light").node, 0, "no data, no preference: first fit");
-    }
-
-    #[test]
-    fn uniform_staging_matches_first_fit() {
-        let run = |staged: bool| {
-            let mut c = Cluster::homogeneous(3, 8);
-            if staged {
-                c = c.with_staging(vec![LinkCost::new(100.0, 1_000); 3]);
-            }
-            for i in 0..9 {
-                c.submit(
-                    JobSpec::new(&format!("j{i}"), 2 + (i % 3), 40 + i as u64 * 7)
-                        .with_input_bytes(i as u64 * 1_000_000),
-                )
-                .unwrap();
-            }
-            c.schedule()
-        };
-        let (plain, staged) = (run(false), run(true));
-        assert_eq!(plain.placements, staged.placements, "uniform links must not change FCFS");
-    }
-
-    #[test]
     fn gpu_jobs_land_on_gpu_nodes() {
         let mut c = Cluster::new(vec![NodeSpec::cpu(8), NodeSpec::gpu(8, 2)]);
-        c.submit(JobSpec::new("train", 2, 100).with_gpus(1)).unwrap();
+        c.submit(JobSpec { gpus: 1, ..JobSpec::new("train", 2, 100) }).unwrap();
         c.submit(JobSpec::new("cpu", 8, 100)).unwrap();
         let s = c.schedule();
         let train = s.placements.iter().find(|p| p.job.name == "train").unwrap();

@@ -93,11 +93,6 @@ impl BuildService {
         Self::default()
     }
 
-    /// Number of cached layers.
-    pub fn cached_layers(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Total builds performed.
     pub fn builds(&self) -> u64 {
         self.builds
@@ -184,11 +179,6 @@ impl ContainerRuntime {
         }
     }
 
-    /// Number of warm (worker, image) containers.
-    pub fn warm_containers(&self) -> usize {
-        self.warm.len()
-    }
-
     /// Evicts all warm state (node reboot / image update).
     pub fn evict_all(&mut self) {
         self.warm.clear();
@@ -198,6 +188,13 @@ impl ContainerRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BuildService {
+        /// Number of cached layers.
+        pub(crate) fn cached_layers(&self) -> usize {
+            self.cache.len()
+        }
+    }
 
     fn spec(name: &str, packages: &[&str]) -> ImageSpec {
         ImageSpec {
@@ -279,7 +276,6 @@ mod tests {
         assert_eq!(rt.task_overhead_ms(0, img), 30, "second use is warm");
         assert_eq!(rt.task_overhead_ms(1, img), 1500, "other worker pays its own cold start");
         assert_eq!(rt.task_overhead_ms(0, LayerId(7)), 1500, "other image is cold");
-        assert_eq!(rt.warm_containers(), 3);
         rt.evict_all();
         assert_eq!(rt.task_overhead_ms(0, img), 1500, "eviction resets warmth");
     }

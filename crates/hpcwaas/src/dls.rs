@@ -115,9 +115,10 @@ pub struct DataLogistics {
     links: HashMap<(Endpoint, Endpoint), Link>,
     default_link: Link,
     executed: Vec<TransferReport>,
-    /// Attempts per stage before giving up on it (≥ 1).
-    max_attempts: u32,
 }
+
+/// Attempts per stage before giving up on it.
+const MAX_STAGE_ATTEMPTS: u32 = 3;
 
 impl DataLogistics {
     /// Creates a service with a default WAN-ish link (100 MB/s, 50 ms).
@@ -126,13 +127,7 @@ impl DataLogistics {
             links: HashMap::new(),
             default_link: Link { bandwidth_mbps: 100.0, latency_ms: 50 },
             executed: Vec::new(),
-            max_attempts: 3,
         }
-    }
-
-    /// Sets the per-stage attempt cap (clamped to ≥ 1).
-    pub fn set_max_attempts(&mut self, n: u32) {
-        self.max_attempts = n.max(1);
     }
 
     /// Declares a (directed) link between endpoints.
@@ -191,7 +186,7 @@ impl DataLogistics {
                     break true;
                 }
                 retries_total.inc();
-                if attempts >= self.max_attempts {
+                if attempts >= MAX_STAGE_ATTEMPTS {
                     break false;
                 }
             };
@@ -272,14 +267,13 @@ mod tests {
             (site == "hpcwaas.dls.transfer").then_some((obs::chaos::Fault::Drop, 0))
         }));
         let mut dls = DataLogistics::new();
-        dls.set_max_attempts(2);
         let p =
             PipelineSpec::new().stage("x", "a", "b", 100_000_000).stage("y", "b", "c", 100_000_000);
         let r = dls.execute(&p);
         assert!(r.degraded, "exhausted stage must flag degraded mode");
         assert_eq!(r.stages.len(), 2, "loss of one stage must not stop the pipeline");
-        assert_eq!(r.stages[0].attempts, 2);
-        assert_eq!(r.retries, 2, "one extra attempt per stage");
+        assert_eq!(r.stages[0].attempts, MAX_STAGE_ATTEMPTS);
+        assert_eq!(r.retries, 4, "two extra attempts per stage");
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod cluster;
 pub mod containers;
 pub mod dls;
 pub mod error;
-pub mod federation;
 pub mod orchestrator;
 pub mod serve;
 pub mod tosca;
@@ -41,7 +40,6 @@ pub use cluster::{Cluster, JobSpec};
 pub use containers::{BuildService, ImageSpec};
 pub use dls::{DataLogistics, Endpoint, PipelineSpec};
 pub use error::{Error, Result};
-pub use federation::{Federation, Placement, SiteKind, TaskClass, Workload};
 pub use orchestrator::{DeploymentPlan, Orchestrator};
 pub use serve::{Rejection, ServeConfig, ServeStats, TenantQuota, DEFAULT_TENANT};
 pub use tosca::Topology;

@@ -161,24 +161,6 @@ pub fn get_attributes<R: Read>(r: &mut R) -> Result<Vec<Attribute>> {
     Ok(out)
 }
 
-/// Reinterprets a slice of `f32` as little-endian bytes for bulk output.
-pub fn f32_bytes(data: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Reinterprets a slice of `f64` as little-endian bytes for bulk output.
-pub fn f64_bytes(data: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 8);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
 /// Decodes little-endian bytes into `f32`s.
 pub fn bytes_f32(bytes: &[u8]) -> Vec<f32> {
     bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()
@@ -238,14 +220,6 @@ mod tests {
         let mut buf = Vec::new();
         put_attributes(&mut buf, &attrs).unwrap();
         assert_eq!(get_attributes(&mut Cursor::new(buf)).unwrap(), attrs);
-    }
-
-    #[test]
-    fn float_byte_views_roundtrip() {
-        let xs = vec![0.0f32, -1.5, f32::MAX, f32::MIN_POSITIVE];
-        assert_eq!(bytes_f32(&f32_bytes(&xs)), xs);
-        let ys = vec![0.0f64, 6.02e23, -2.2250738585072014e-308];
-        assert_eq!(bytes_f64(&f64_bytes(&ys)), ys);
     }
 
     #[test]

@@ -139,17 +139,6 @@ impl Reader {
         Ok(codec::bytes_f64(&self.whole(name, DataType::F64)?))
     }
 
-    /// Reads an entire `u8` variable.
-    pub fn read_all_u8(&self, name: &str) -> Result<Vec<u8>> {
-        self.whole(name, DataType::U8)
-    }
-
-    /// Reads an entire `i32` variable.
-    pub fn read_all_i32(&self, name: &str) -> Result<Vec<i32>> {
-        let bytes = self.whole(name, DataType::I32)?;
-        Ok(bytes.chunks_exact(4).map(|c| i32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
-    }
-
     /// Reads a contiguous element range of an `f32` variable directly into
     /// `out` — no intermediate byte buffer. `start` is the linear element
     /// index of the first value; `out.len()` elements are read. Ingest
@@ -301,17 +290,6 @@ impl Reader {
         for (off, n) in plan {
             let bytes = self.read_raw(off, n * 4)?;
             out.extend(codec::bytes_f32(&bytes));
-        }
-        Ok(out)
-    }
-
-    /// Reads a hyperslab of an `f64` variable.
-    pub fn read_slab_f64(&self, name: &str, start: &[usize], count: &[usize]) -> Result<Vec<f64>> {
-        let plan = self.slab_plan(name, start, count, DataType::F64)?;
-        let mut out = Vec::with_capacity(plan.iter().map(|&(_, n)| n).sum());
-        for (off, n) in plan {
-            let bytes = self.read_raw(off, n * 8)?;
-            out.extend(codec::bytes_f64(&bytes));
         }
         Ok(out)
     }

@@ -507,17 +507,6 @@ impl Dataset {
         self.add_var(name, dims, Payload::U8(data))
     }
 
-    /// Attaches an attribute to an already-added variable.
-    pub fn set_variable_attribute(&mut self, var: &str, name: &str, value: Value) -> Result<()> {
-        let entry = self
-            .vars
-            .iter_mut()
-            .find(|(n, ..)| n == var)
-            .ok_or_else(|| Error::UnknownVariable(var.into()))?;
-        entry.2.push(Attribute { name: name.into(), value });
-        Ok(())
-    }
-
     /// Total payload bytes this dataset will serialize (excluding prelude
     /// and header). [`Dataset::write_to_path`] sizes the output file from
     /// this up front instead of growing it variable by variable.
@@ -615,18 +604,17 @@ mod tests {
         w.finish().unwrap();
         let rd = Reader::open(&path).unwrap();
         assert_eq!(rd.read_all_f32("a").unwrap(), vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(rd.read_all_u8("m").unwrap(), vec![0, 1, 0, 1]);
     }
 
     #[test]
     fn variable_attributes_roundtrip() {
         let path = tmp("attrs.ncx");
-        let mut ds = Dataset::new();
-        ds.add_dimension("x", 1).unwrap();
-        ds.add_variable_f32("t", &["x"], vec![273.15]).unwrap();
-        ds.set_variable_attribute("t", "units", Value::from("K")).unwrap();
-        ds.set_attribute("model", Value::from("CMCC-CM3-surrogate"));
-        ds.write_to_path(&path).unwrap();
+        let mut w = Writer::create(&path).unwrap();
+        w.add_dimension("x", 1).unwrap();
+        let units = Attribute { name: "units".into(), value: Value::from("K") };
+        w.add_variable_f32("t", &["x"], &[273.15], vec![units]).unwrap();
+        w.set_attribute("model", Value::from("CMCC-CM3-surrogate"));
+        w.finish().unwrap();
 
         let rd = Reader::open(&path).unwrap();
         let v = rd.variable("t").unwrap();

@@ -249,11 +249,6 @@ pub struct EventReceiver {
 }
 
 impl EventReceiver {
-    /// Pop the next event if one is queued.
-    pub fn try_recv(&self) -> Option<Event> {
-        self.shared.queue.lock().unwrap().pop_front()
-    }
-
     /// Block up to `timeout` for the next event.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Event> {
         let deadline = Instant::now() + timeout;

@@ -42,7 +42,7 @@ pub enum EventKind {
     TaskSubmitted { task: u64, name: Arc<str> },
     /// All predecessors finished; the task is eligible for a worker.
     TaskReady { task: u64 },
-    /// A worker began executing the task (gangs: the forming pick).
+    /// A worker began executing the task.
     TaskStarted { task: u64, name: Arc<str>, worker: usize, attempt: u32 },
     /// A failed attempt was re-queued under a retry policy.
     TaskRetried { task: u64, name: Arc<str>, attempt: u32 },
@@ -112,10 +112,6 @@ pub enum EventKind {
     /// `execution` names the primary execution the waiter attached to.
     ExecutionCoalesced { execution: u64, workflow: Arc<str>, tenant: Arc<str> },
 
-    // --- generic ------------------------------------------------------
-    /// A named code span completed (see [`crate::span`]).
-    SpanCompleted { name: &'static str, micros: u64 },
-
     // --- trace: hierarchical causal spans -----------------------------
     /// A hierarchical span opened (see [`crate::trace`]). `parent` is 0
     /// for trace roots.
@@ -167,7 +163,6 @@ impl EventKind {
             EventKind::ExecutionQueued { .. } => "execution_queued",
             EventKind::ExecutionRejected { .. } => "execution_rejected",
             EventKind::ExecutionCoalesced { .. } => "execution_coalesced",
-            EventKind::SpanCompleted { .. } => "span_completed",
             EventKind::SpanStarted { .. } => "span_started",
             EventKind::SpanEnded { .. } => "span_ended",
             EventKind::FaultInjected { .. } => "fault_injected",
@@ -186,7 +181,6 @@ impl EventKind {
             | EventKind::StepCompleted { micros, .. }
             | EventKind::FileWritten { micros, .. }
             | EventKind::ExecutionFinished { micros, .. }
-            | EventKind::SpanCompleted { micros, .. }
             | EventKind::SpanEnded { micros, .. } => Some(*micros),
             _ => None,
         }
@@ -232,7 +226,10 @@ mod tests {
 
     #[test]
     fn micros_only_for_span_like_events() {
-        assert_eq!(EventKind::SpanCompleted { name: "x", micros: 7 }.micros(), Some(7));
+        assert_eq!(
+            EventKind::FileWritten { path: "x".into(), bytes: 1, micros: 7 }.micros(),
+            Some(7)
+        );
         assert_eq!(EventKind::TaskReady { task: 1 }.micros(), None);
     }
 

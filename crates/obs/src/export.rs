@@ -171,10 +171,6 @@ impl Event {
                 field_s(&mut s, "workflow", workflow);
                 field_s(&mut s, "tenant", tenant);
             }
-            EventKind::SpanCompleted { name, micros } => {
-                field_s(&mut s, "name", name);
-                field_u(&mut s, "dur_us", *micros);
-            }
             EventKind::SpanStarted { name, trace, span, parent } => {
                 field_s(&mut s, "name", name);
                 field_u(&mut s, "trace", *trace);
@@ -357,7 +353,6 @@ fn slice_name(kind: &EventKind) -> String {
         EventKind::ExecutionCoalesced { workflow, tenant, .. } => {
             format!("coalesce {workflow}@{tenant}")
         }
-        EventKind::SpanCompleted { name, .. } => (*name).to_string(),
         EventKind::SpanStarted { name, .. } | EventKind::SpanEnded { name, .. } => name.to_string(),
         EventKind::YearStreamed { year, days, .. } => format!("stream y{year} ({days}d)"),
         EventKind::BackpressureStall { channel, waited_us } => {

@@ -8,7 +8,6 @@
 //!   that costs a single relaxed atomic load;
 //! * [`Registry`] with [`Counter`] / [`Gauge`] / [`Histogram`] handles —
 //!   instruments addressable by `&'static str` name + label pairs;
-//! * [`SpanTimer`] — RAII span timing feeding the bus and/or histograms;
 //! * exporters — JSONL event log ([`jsonl`]), Chrome trace format
 //!   ([`chrome_trace`], loadable in `chrome://tracing`/Perfetto), and a
 //!   Prometheus text dump ([`Registry::render_prometheus`]).
@@ -32,14 +31,12 @@ mod event;
 mod export;
 pub mod flight;
 mod metrics;
-mod span;
 pub mod trace;
 
 pub use bus::{Bus, EventReceiver, DEFAULT_CAPACITY};
 pub use event::{thread_ordinal, Event, EventKind, TaskOutcome};
 pub use export::{chrome_trace, json_escape, jsonl};
 pub use metrics::{registry, Counter, Gauge, Histogram, Registry, HISTOGRAM_BUCKETS};
-pub use span::{timed, SpanTimer};
 pub use trace::{Span, SpanContext};
 
 use std::sync::OnceLock;

@@ -106,11 +106,6 @@ impl Tensor {
         assert_eq!(self.len(), other.len(), "dot length mismatch");
         self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
     }
-
-    /// Largest absolute element (0 for empty tensors).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
-    }
 }
 
 #[cfg(test)]
@@ -177,6 +172,5 @@ mod tests {
         a.scale(0.5);
         assert_eq!(a.data, vec![5.5, 11.0, 16.5]);
         assert_eq!(b.dot(&b), 1400.0);
-        assert_eq!(b.max_abs(), 30.0);
     }
 }

@@ -76,6 +76,13 @@ if [ -n "$leaks" ]; then
   exit 1
 fi
 
+echo "== reachability census: every pub fn is named outside unit tests =="
+# A pub fn of crates/*/src that only its own #[cfg(test)] modules (or
+# nothing) name is reached by no run, record or paper claim: delete it or
+# move it into the test module. Name-based on purpose — a homonym such as
+# `new` passes — so the gate is cheap and never cries wolf.
+python3 scripts/pub_fn_census.py
+
 echo "== one measurement stack: the retired serving benchmark stays retired =="
 # wfbench (benchmark/) is the only load generator and timing harness of the
 # serving layer; the history files may still name what it replaced.
