@@ -5,7 +5,7 @@
 //!                [--scenario historical|ssp245|ssp585] [--seed N]
 //!                [--policy fifo|locality|heft|lookahead]
 //!                [--out DIR] [--sequential]
-//!                [--streaming] [--stream-depth N] [--cnn-batch N]
+//!                [--streaming] [--stream-depth N]
 //!                [--trace out.json] [--metrics out.prom]
 //! climate-wf report [run options]      run with profiling: timed critical
 //!                                      path, pool utilization, latency
@@ -29,8 +29,8 @@ fn usage() -> ! {
          run      [--years N] [--days N] [--grid test_small|demo|LATxLON]\n\
          \x20        [--scenario historical|ssp245|ssp585] [--seed N] [--out DIR] [--sequential]\n\
          \x20        [--policy fifo|locality|heft|lookahead] [--trace out.json] [--metrics out.prom]\n\
-         \x20        [--streaming] [--stream-depth N] [--cnn-batch N] in-memory year handoff\n\
-         \x20        with incremental record indices and batched CNN inference\n\
+         \x20        [--streaming] [--stream-depth N] in-memory year handoff\n\
+         \x20        with incremental record indices\n\
          report   [run options] run with profiling: timed critical path with slack,\n\
          \x20        what-if speedups, pool utilization, latency percentiles;\n\
          \x20        arms the crash flight recorder (dumps JSONL on failure)\n\
@@ -88,7 +88,6 @@ fn params_from_flags(flags: &BTreeMap<String, String>) -> Result<WorkflowParams,
             "policy" => "policy",
             "streaming" => "streaming",
             "stream-depth" => "stream_depth",
-            "cnn-batch" => "cnn_batch",
             _ => continue,
         };
         inputs.insert(key.to_string(), v.clone());

@@ -48,7 +48,6 @@ use extremes::heatwave::{self, WaveParams};
 use extremes::incremental::{EtccdiState, WaveState};
 use extremes::tc::cnn::TcCnn;
 use extremes::tc::detect::{detect_timestep, DetectorParams};
-use extremes::tc::serve::{BatchPolicy, CnnService};
 use extremes::tc::track::{stitch_tracks, TrackParams};
 use extremes::validate::validate_indices;
 use gridded::Field2;
@@ -327,14 +326,12 @@ pub struct CaseStudy {
     pub params: WorkflowParams,
     pub rt: Runtime<WfData>,
     pub client: Client,
-    pub cnn: Arc<Mutex<TcCnn>>,
+    /// The pre-trained CNN, loaded once (from `model_path`, or the cached
+    /// `tc_cnn.tml` under the output directory) and shared by every year's
+    /// task #16: inference takes `&self`.
+    pub cnn: Arc<TcCnn>,
     sim: Arc<Mutex<Simulation>>,
     truth: Arc<Mutex<Vec<YearEvents>>>,
-    /// The pre-trained CNN's weight file (`model_path`, or the cached
-    /// `tc_cnn.tml` under the output directory).
-    model_file: PathBuf,
-    /// Shared batched CNN inference service (streaming runs only).
-    cnn_service: Option<Arc<CnnService>>,
     /// Record-to-date incremental index state (streaming runs only).
     record: Arc<Mutex<RecordState>>,
 }
@@ -377,22 +374,11 @@ impl CaseStudy {
             config = config.with_checkpoint(ckpt);
         }
         let rt = Runtime::new(config);
-        // The batched inference service only exists on the streaming
-        // plane; staged runs score with per-chunk model instances.
-        let cnn_service = params.streaming.then(|| {
-            Arc::new(CnnService::new(
-                params.patch,
-                model_file.clone(),
-                BatchPolicy { max_batch: params.cnn_batch, ..BatchPolicy::default() },
-            ))
-        });
         Ok(CaseStudy {
             client: Client::connect(params.io_servers),
-            cnn: Arc::new(Mutex::new(cnn)),
+            cnn: Arc::new(cnn),
             sim: Arc::new(Mutex::new(sim)),
             truth: Arc::new(Mutex::new(Vec::new())),
-            model_file,
-            cnn_service,
             record: Arc::new(Mutex::new(RecordState::empty())),
             rt,
             params,
@@ -530,14 +516,14 @@ impl CaseStudy {
     }
 
     /// Submits task #3: publish the pre-trained CNN (a readiness token —
-    /// the weights already live in shared memory, as PyCOMPSs workers share
-    /// the mounted model file).
+    /// the one loaded model already lives in shared memory, as PyCOMPSs
+    /// workers share the mounted model file).
     fn submit_load_model(&self) -> Result<TaskHandle, Error> {
         let cnn = Arc::clone(&self.cnn);
-        self.rt.task("load_model").writes(&["tc_model"]).run(move |_| {
-            let n = cnn.lock().param_count();
-            Ok(vec![WfData::Num(n as f64)])
-        })
+        self.rt
+            .task("load_model")
+            .writes(&["tc_model"])
+            .run(move |_| Ok(vec![WfData::Num(cnn.param_count() as f64)]))
     }
 
     /// Submits the full per-year analysis chain (tasks #4–#18, plus #19
@@ -700,13 +686,11 @@ impl CaseStudy {
         };
 
         // #16 CNN localization (+ geo-referencing) over every timestep, on
-        // the GPU-partition worker; the task body fans the steps onto the
+        // the GPU-partition worker; the task body fans the days onto the
         // shared pool itself.
         let cnn_out = {
             let out = self.params.products_dir().join(format!("tc-cnn-{year_key}.csv"));
-            let patch = self.params.patch;
-            let model_file = self.model_file.clone();
-            let service = self.cnn_service.clone();
+            let model = Arc::clone(&self.cnn);
             let source = Arc::clone(&source);
             self.rt
                 .task("tc_cnn_localize")
@@ -716,12 +700,7 @@ impl CaseStudy {
                 .writes(&[format!("tc-cnn-{year_key}").as_str()])
                 .run(move |_| {
                     let mut csv = String::from("day,step,lat,lon,confidence\n");
-                    csv.push_str(&cnn_localize_steps(
-                        &source,
-                        service.as_deref(),
-                        &model_file,
-                        patch,
-                    )?);
+                    csv.push_str(&cnn_localize_steps(&source, &model)?);
                     std::fs::write(&out, &csv).map_err(|e| e.to_string())?;
                     Ok(vec![WfData::Text(csv)])
                 })?
@@ -950,15 +929,11 @@ impl CaseStudy {
             self.params.streaming.then(|| self.export_record_products(&baseline)).transpose()?;
         let mut report = self.collect_report(start.elapsed(), &year_refs)?;
         if let Some(record_paths) = record_paths {
-            let stats = self.cnn_service.as_ref().map(|s| s.stats()).unwrap_or_default();
             report.stream = Some(StreamSummary {
                 years_streamed: streamed,
                 fallback_years: year_refs.len() - streamed,
                 stall_us: rx.map_or(0, |rx| rx.stall_micros()),
                 record_years: self.record.lock().years.len(),
-                cnn_batches: stats.batches,
-                cnn_items: stats.items,
-                cnn_mean_batch: stats.mean_occupancy(),
                 record_paths,
             });
         }
@@ -1366,95 +1341,41 @@ fn build_tc_input(source: &YearSource, out: &Path) -> ncformat::Result<()> {
 /// returns header-less CSV rows `day,step,lat,lon,confidence`,
 /// step-ascending.
 ///
-/// With a `service` (streaming runs) every timestep goes to the shared
-/// batched [`CnnService`]; otherwise the timesteps run on the shared
-/// [`par`] pool against per-chunk model instances loaded from
-/// `model_file`. Localizing one step is independent of the batch or
-/// chunk it rode in, so the rows do not depend on the scorer.
-fn cnn_localize_steps(
-    source: &YearSource,
-    service: Option<&CnnService>,
-    model_file: &Path,
-    patch: usize,
-) -> Result<String, String> {
-    use extremes::tc::cnn::{CnnDetection, FieldSet};
+/// Days run in parallel on the shared [`par`] pool against the one shared
+/// `model`; inside a day its four stacks are fetched once and its steps
+/// regridded and localized one after the other, tile by tile. A step's
+/// rows do not depend on which lane scored it, and the days' rows
+/// concatenate in day order.
+fn cnn_localize_steps(source: &YearSource, model: &TcCnn) -> Result<String, String> {
+    use extremes::tc::cnn::FieldSet;
     let (grid, spd) = source.shape().map_err(|e| e.to_string())?;
     let n = grid.len();
-    let steps: Vec<usize> = (0..source.files().len() * spd).collect();
-    if steps.is_empty() {
-        return Ok(String::new());
-    }
-    let analysis = extremes::tc::cnn::analysis_grid(esm::atmos::tc_radius_deg(&grid), patch);
-    // Hands `f` the native-grid fields of each of `steps` (ascending),
-    // fetching a day's four stacks once for all of its steps.
-    let each_step = |steps: &[usize],
-                     f: &mut dyn FnMut(usize, FieldSet) -> Result<(), String>|
-     -> Result<(), String> {
-        for same_day in steps.chunk_by(|a, b| a / spd == b / spd) {
-            let stack = |var: &str| {
-                source.stack(var, same_day[0] / spd, spd * n).map_err(|e| e.to_string())
+    let analysis = extremes::tc::cnn::analysis_grid(esm::atmos::tc_radius_deg(&grid), model.patch);
+    let days: Vec<usize> = (0..source.files().len()).collect();
+    let parts: Vec<Result<String, String>> = par::par_map(&days, |&day| {
+        let stack = |var: &str| source.stack(var, day, spd * n).map_err(|e| e.to_string());
+        let (psl, wind, tas, vort) =
+            (stack("psl")?, stack("sfcWind")?, stack("tas")?, stack("vort")?);
+        let mut rows = String::new();
+        for step in 0..spd {
+            let plane =
+                |stack: &[f32]| Field2::from_vec(grid.clone(), stack[step * n..][..n].to_vec());
+            let native = FieldSet {
+                psl: plane(&psl),
+                wind: plane(&wind),
+                tas: plane(&tas),
+                vort: plane(&vort),
             };
-            let (psl, wind, tas, vort) =
-                (stack("psl")?, stack("sfcWind")?, stack("tas")?, stack("vort")?);
-            for &s in same_day {
-                let plane = |stack: &[f32]| {
-                    Field2::from_vec(grid.clone(), stack[s % spd * n..][..n].to_vec())
-                };
-                let (psl, wind, tas, vort) = (plane(&psl), plane(&wind), plane(&tas), plane(&vort));
-                f(s, FieldSet { psl, wind, tas, vort })?;
+            for det in model.localize_set(&native.regrid(&analysis)) {
+                rows.push_str(&format!(
+                    "{day},{step},{:.3},{:.3},{:.3}\n",
+                    det.lat, det.lon, det.confidence
+                ));
             }
         }
-        Ok(())
-    };
-    let push_rows = |csv: &mut String, s: usize, detections: Vec<CnnDetection>| {
-        for det in detections {
-            csv.push_str(&format!(
-                "{},{},{:.3},{:.3},{:.3}\n",
-                s / spd,
-                s % spd,
-                det.lat,
-                det.lon,
-                det.confidence
-            ));
-        }
-    };
-    let mut csv = String::new();
-    match service {
-        // All requests are submitted up front (so the service can batch
-        // them), then awaited in step order.
-        Some(service) => {
-            let mut tickets = Vec::with_capacity(steps.len());
-            each_step(&steps, &mut |s, native| {
-                tickets.push((s, service.submit(native, analysis.clone())));
-                Ok(())
-            })?;
-            for (s, ticket) in tickets {
-                push_rows(&mut csv, s, ticket.wait()?);
-            }
-        }
-        // Two contiguous chunks per pool lane: the lanes and this task's own
-        // thread (which runs chunks while it waits) all stay busy, and a
-        // chunk that is scheduled late holds the year back by a fraction
-        // of it. Every chunk loads its own model instance (inference
-        // mutates layer caches); chunk outputs concatenate in chunk order.
-        None => {
-            let nchunks = (2 * par::global().threads()).min(steps.len());
-            let chunks: Vec<&[usize]> = steps.chunks(steps.len().div_ceil(nchunks)).collect();
-            let parts: Vec<Result<String, String>> = par::par_map(&chunks, |chunk| {
-                let mut model = TcCnn::load(patch, model_file).map_err(|e| e.to_string())?;
-                let mut part = String::new();
-                each_step(chunk, &mut |s, native| {
-                    push_rows(&mut part, s, model.localize_set(&native.regrid(&analysis)));
-                    Ok(())
-                })?;
-                Ok(part)
-            });
-            for part in parts {
-                csv.push_str(&part?);
-            }
-        }
-    }
-    Ok(csv)
+        Ok(rows)
+    });
+    parts.into_iter().collect()
 }
 
 /// Task #17 body: deterministic detection per timestep + trajectory
@@ -1639,16 +1560,11 @@ mod tests {
         };
         assert_eq!(tc_input(&files, "tcinput-files.ncx"), tc_input(&mem, "tcinput-mem.ncx"));
 
-        // #16, both scorers.
-        let service = cs.cnn_service.as_deref().expect("streaming case study has the service");
-        let rows = |source: &YearSource, service: Option<&CnnService>| -> String {
-            cnn_localize_steps(source, service, &cs.model_file, cs.params.patch).unwrap()
-        };
-        let reference = rows(&files, None);
+        // #16
+        let rows = |source: &YearSource| cnn_localize_steps(source, &cs.cnn).unwrap();
+        let reference = rows(&files);
         assert!(!reference.is_empty(), "the year should yield CNN detections to compare");
-        assert_eq!(rows(&mem, None), reference, "per-chunk scorer differs between sources");
-        assert_eq!(rows(&files, Some(service)), reference, "service scorer differs on files");
-        assert_eq!(rows(&mem, Some(service)), reference, "service scorer differs on blocks");
+        assert_eq!(rows(&mem), reference, "CNN rows differ between sources");
         cs.rt.shutdown();
     }
 

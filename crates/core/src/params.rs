@@ -60,7 +60,8 @@ pub struct WorkflowParams {
     /// Capacity of the simulation→analytics year channel; a full channel
     /// blocks the simulation (backpressure) until analytics catches up.
     pub stream_depth: usize,
-    /// Max requests per CNN inference batch in the streaming TC service.
+    /// Read only by wfbench's CNN-service probe (its `max_batch`);
+    /// `climate-wf run` ignores it. No input, flag or builder sets it.
     pub cnn_batch: usize,
 }
 
@@ -102,7 +103,6 @@ impl WorkflowParams {
             positive("finetune_epochs", self.finetune_epochs)?;
         }
         positive("stream_depth", self.stream_depth)?;
-        positive("cnn_batch", self.cnn_batch)?;
         if let Some((year, day)) = self.corrupt_file {
             if year >= self.years || day >= self.days_per_year {
                 return Err(format!(
@@ -179,8 +179,7 @@ impl WorkflowParams {
     /// (`historical` | `ssp245` | `ssp585`), `seed`, `workers`,
     /// `io_servers`, `nfrag`, `checkpoint`, `task_retries`,
     /// `retry_base_ms`, `policy` (`fifo` | `locality` | `heft` |
-    /// `lookahead`), `streaming` (`true` | `false`), `stream_depth`,
-    /// `cnn_batch`.
+    /// `lookahead`), `streaming` (`true` | `false`), `stream_depth`.
     pub fn apply_inputs(mut self, inputs: &BTreeMap<String, String>) -> Result<Self, String> {
         for (k, v) in inputs {
             match k.as_str() {
@@ -233,9 +232,6 @@ impl WorkflowParams {
                 }
                 "stream_depth" => {
                     self.stream_depth = v.parse().map_err(|_| format!("bad stream_depth '{v}'"))?
-                }
-                "cnn_batch" => {
-                    self.cnn_batch = v.parse().map_err(|_| format!("bad cnn_batch '{v}'"))?
                 }
                 // Unrecognized inputs are deployment-level concerns
                 // (image names etc.); ignore them.
@@ -400,12 +396,6 @@ impl ParamsBuilder {
         self
     }
 
-    /// Max requests per CNN inference batch in the streaming service.
-    pub fn cnn_batch(mut self, batch: usize) -> Self {
-        self.p.cnn_batch = batch;
-        self
-    }
-
     /// Applies HPCWaaS string inputs (same keys as
     /// [`WorkflowParams::apply_inputs`]) on top of the builder state.
     pub fn inputs(mut self, inputs: &BTreeMap<String, String>) -> Result<Self, String> {
@@ -491,11 +481,9 @@ mod tests {
         let mut inputs = BTreeMap::new();
         inputs.insert("streaming".to_string(), "true".to_string());
         inputs.insert("stream_depth".to_string(), "3".to_string());
-        inputs.insert("cnn_batch".to_string(), "16".to_string());
         let p = base().apply_inputs(&inputs).unwrap();
         assert!(p.streaming);
         assert_eq!(p.stream_depth, 3);
-        assert_eq!(p.cnn_batch, 16);
 
         let mut inputs = BTreeMap::new();
         inputs.insert("streaming".to_string(), "maybe".to_string());
@@ -507,11 +495,10 @@ mod tests {
         let p = WorkflowParams::builder(std::env::temp_dir().join("wfp-stream"))
             .streaming(true)
             .stream_depth(4)
-            .cnn_batch(2)
             .build()
             .unwrap();
         assert!(p.streaming);
-        assert_eq!((p.stream_depth, p.cnn_batch), (4, 2));
+        assert_eq!(p.stream_depth, 4);
         assert!(!base().streaming, "streaming is opt-in");
     }
 

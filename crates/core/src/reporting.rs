@@ -39,8 +39,7 @@ pub struct YearReport {
 }
 
 /// What the streaming data plane did during a run: how years reached
-/// analytics, what backpressure cost, and how the batched CNN service
-/// packed its inference requests.
+/// analytics and what backpressure cost.
 #[derive(Debug, Clone, Default)]
 pub struct StreamSummary {
     /// Years handed to analytics through the in-memory channel.
@@ -52,12 +51,6 @@ pub struct StreamSummary {
     pub stall_us: u64,
     /// Years folded into the record-to-date incremental indices.
     pub record_years: usize,
-    /// Inference batches flushed by the CNN service.
-    pub cnn_batches: u64,
-    /// Inference requests served by the CNN service.
-    pub cnn_items: u64,
-    /// Mean requests per flushed batch.
-    pub cnn_mean_batch: f64,
     /// Record-to-date index exports (cross-year products).
     pub record_paths: Vec<PathBuf>,
 }
@@ -173,13 +166,6 @@ impl RunReport {
                 fmt_us(st.stall_us),
                 st.record_years
             );
-            if st.cnn_batches > 0 {
-                let _ = writeln!(
-                    s,
-                    "  CNN service: {} request(s) in {} batch(es), mean occupancy {:.2}",
-                    st.cnn_items, st.cnn_batches, st.cnn_mean_batch
-                );
-            }
         }
         if let Some(t) = &self.timed {
             s.push_str(&self.render_timed(t));
@@ -362,15 +348,11 @@ mod tests {
             fallback_years: 1,
             stall_us: 4_321,
             record_years: 3,
-            cnn_batches: 5,
-            cnn_items: 40,
-            cnn_mean_batch: 8.0,
             record_paths: vec![PathBuf::from("/p/record-hwn.ncx")],
         });
         let r = report.render();
         assert!(r.contains("streaming: 2 year(s) in-memory, 1 via file fallback"), "got:\n{r}");
         assert!(r.contains("backpressure stall 4.3ms"), "got:\n{r}");
-        assert!(r.contains("40 request(s) in 5 batch(es), mean occupancy 8.00"), "got:\n{r}");
         assert!(!sample().render().contains("streaming:"), "staged runs have no section");
     }
 

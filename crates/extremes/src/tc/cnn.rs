@@ -16,7 +16,7 @@ use std::path::Path;
 use tinyml::data::{generate_patches, PatchGenConfig, PatchSample};
 use tinyml::layers::{Conv2d, Dense, Flatten, MaxPool2d, ReLU, Sigmoid};
 use tinyml::loss::detection_loss;
-use tinyml::net::Sequential;
+use tinyml::net::{Scratch, Sequential};
 use tinyml::serialize::{load_model, save_model, ModelError};
 use tinyml::tensor::Tensor;
 use tinyml::train::Sgd;
@@ -129,7 +129,8 @@ pub fn extract_labeled_patches(
 
 /// The localization model: a small convolutional network over 4-channel
 /// patches (`psl`, `wind`, `tas`, `vort`), each patch standardized
-/// per-channel before inference.
+/// per-channel before inference. Inference is `&self` and serial inside a
+/// tile, so one loaded model serves every thread of the process.
 pub struct TcCnn {
     net: Sequential,
     /// Patch edge length in cells.
@@ -224,8 +225,13 @@ impl TcCnn {
 
     /// Runs the model on one standardized patch, returning
     /// `(presence probability, cy, cx)` in normalized patch coordinates.
-    pub fn infer_patch(&mut self, patch: &Tensor) -> (f32, f32, f32) {
-        let y = self.net.forward(patch);
+    pub fn infer_patch(&self, patch: &Tensor) -> (f32, f32, f32) {
+        self.infer_with(patch, &mut Scratch::default())
+    }
+
+    /// [`TcCnn::infer_patch`] into the caller's reused activation buffers.
+    fn infer_with(&self, patch: &Tensor, scratch: &mut Scratch) -> (f32, f32, f32) {
+        let y = self.net.infer(patch, scratch);
         (y.data[0], y.data[1], y.data[2])
     }
 
@@ -233,25 +239,29 @@ impl TcCnn {
     /// tile → standardize → infer → geo-reference. All fields must share a
     /// grid; the tiling drops partial edge tiles (as the paper's regrid
     /// step guarantees divisibility, callers regrid first when needed).
+    /// Tiles run one after the other through one patch buffer and one pair
+    /// of activation buffers, so nothing is allocated per tile.
     pub fn localize(
-        &mut self,
+        &self,
         psl: &Field2,
         wind: &Field2,
         tas: &Field2,
         vort: &Field2,
     ) -> Vec<CnnDetection> {
         let tiling = Tiling::plan(psl.grid.clone(), TileSpec { patch: self.patch });
+        let cells = self.patch * self.patch;
+        let mut patch = Tensor::zeros(&[4, self.patch, self.patch]);
+        let mut scratch = Scratch::default();
         let mut out = Vec::new();
         for r in 0..tiling.rows {
             for c in 0..tiling.cols {
-                let mut data = Vec::with_capacity(4 * self.patch * self.patch);
-                data.extend(tiling.extract(psl, r, c));
-                data.extend(tiling.extract(wind, r, c));
-                data.extend(tiling.extract(tas, r, c));
-                data.extend(tiling.extract(vort, r, c));
-                let mut patch = Tensor::from_vec(&[4, self.patch, self.patch], data);
+                for (field, plane) in
+                    [psl, wind, tas, vort].into_iter().zip(patch.data.chunks_mut(cells))
+                {
+                    tiling.extract_into(field, r, c, plane);
+                }
                 Self::standardize(&mut patch);
-                let (p, cy, cx) = self.infer_patch(&patch);
+                let (p, cy, cx) = self.infer_with(&patch, &mut scratch);
                 if p > self.threshold {
                     let py = ((cy * self.patch as f32) as usize).min(self.patch - 1);
                     let px = ((cx * self.patch as f32) as usize).min(self.patch - 1);
@@ -264,7 +274,7 @@ impl TcCnn {
     }
 
     /// Convenience wrapper over [`TcCnn::localize`] for a [`FieldSet`].
-    pub fn localize_set(&mut self, set: &FieldSet) -> Vec<CnnDetection> {
+    pub fn localize_set(&self, set: &FieldSet) -> Vec<CnnDetection> {
         self.localize(&set.psl, &set.wind, &set.tas, &set.vort)
     }
 
@@ -293,7 +303,7 @@ mod tests {
     impl TcCnn {
         /// Classification accuracy + mean localization error (in pixels, on
         /// true positives) over a labelled evaluation set.
-        fn evaluate(&mut self, samples: usize, seed: u64) -> (f64, f64) {
+        fn evaluate(&self, samples: usize, seed: u64) -> (f64, f64) {
             let cfg = PatchGenConfig { size: self.patch, positive_fraction: 0.5, noise: 0.3 };
             let mut data = generate_patches(&cfg, samples, seed);
             let mut correct = 0usize;
@@ -339,7 +349,7 @@ mod tests {
 
     #[test]
     fn trained_model_classifies_and_localizes() {
-        let mut m = trained();
+        let m = trained();
         // Held-out seed.
         let (acc, err) = m.evaluate(120, 999);
         assert!(acc > 0.8, "held-out accuracy {acc}");
@@ -348,7 +358,7 @@ mod tests {
 
     #[test]
     fn untrained_model_is_near_chance() {
-        let mut m = TcCnn::new(16, 11);
+        let m = TcCnn::new(16, 11);
         let (acc, _) = m.evaluate(100, 999);
         assert!(acc < 0.75, "untrained accuracy {acc} suspiciously high");
     }
@@ -372,9 +382,9 @@ mod tests {
         let dir = std::env::temp_dir().join("extremes-cnn");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tc.tml");
-        let mut m = trained();
+        let m = trained();
         m.save(&path).unwrap();
-        let mut loaded = TcCnn::load(16, &path).unwrap();
+        let loaded = TcCnn::load(16, &path).unwrap();
         let cfg = PatchGenConfig { size: 16, ..Default::default() };
         let mut sample = generate_patches(&cfg, 1, 5)[0].0.clone();
         TcCnn::standardize(&mut sample);
@@ -386,7 +396,7 @@ mod tests {
     #[test]
     fn localize_finds_planted_vortex_and_georeferences() {
         use gridded::Grid;
-        let mut m = trained();
+        let m = trained();
         // 64x64 global grid = 4x4 tiles of 16. Plant one vortex mid-tile.
         let g = Grid::global(64, 64);
         let mut psl = Field2::constant(g.clone(), 0.0);
@@ -435,6 +445,66 @@ mod tests {
             dets.iter().filter(|d| d.tile == (3, 3)).count() == 0,
             "false positive in quiet tile"
         );
+    }
+
+    /// One loaded model is shared by every scoring thread.
+    #[test]
+    fn model_is_shared_across_threads() {
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<TcCnn>();
+    }
+
+    /// `localize` (reused patch and activation buffers, `Sequential::infer`)
+    /// equals the per-patch oracle — `FieldSet::tile` → `standardize` →
+    /// `Sequential::forward`, fresh tensors throughout — in every
+    /// detection's bits, on random fields with a NaN cell and a constant
+    /// tile thrown in.
+    #[test]
+    fn localize_is_bitwise_the_per_patch_oracle() {
+        let mut m = TcCnn::new(16, 21);
+        m.train_synthetic(60, 2, 4);
+        // Fire on most tiles, so the comparison covers more than a few.
+        m.threshold = 0.05;
+        let grid = gridded::Grid::global(48, 80);
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut field = |scale: f32| {
+            let data = (0..grid.len())
+                .map(|_| {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    ((state >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * scale
+                })
+                .collect();
+            Field2::from_vec(grid.clone(), data)
+        };
+        let mut set =
+            FieldSet { psl: field(900.0), wind: field(30.0), tas: field(12.0), vort: field(1e-3) };
+        set.tas.data[5] = f32::NAN;
+        for i in 16..32 {
+            set.vort.data[i * grid.nlon + 32..][..16].fill(0.25);
+        }
+
+        let tiling = Tiling::plan(grid.clone(), TileSpec { patch: m.patch });
+        let mut want = Vec::new();
+        for r in 0..tiling.rows {
+            for c in 0..tiling.cols {
+                let mut patch = set.tile(&tiling, r, c);
+                TcCnn::standardize(&mut patch);
+                let y = m.net.forward(&patch);
+                if y.data[0] > m.threshold {
+                    let pixel = |v: f32| ((v * m.patch as f32) as usize).min(m.patch - 1);
+                    let (lat, lon) = tiling.to_latlon(r, c, pixel(y.data[1]), pixel(y.data[2]));
+                    want.push((lat.to_bits(), lon.to_bits(), y.data[0].to_bits(), (r, c)));
+                }
+            }
+        }
+        let got: Vec<_> = m
+            .localize_set(&set)
+            .iter()
+            .map(|d| (d.lat.to_bits(), d.lon.to_bits(), d.confidence.to_bits(), d.tile))
+            .collect();
+        assert!(want.len() > 3, "only {} tiles fired; the comparison needs some", want.len());
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! Batched CNN inference service.
+//! Batched CNN inference service: a queue in front of
+//! [`TcCnn::localize_set`].
 //!
-//! The staged pipeline loads a private [`TcCnn`] per chunk of timesteps —
-//! cheap when chunks are large, but the streaming plane produces many
-//! small concurrent regrid→tile→infer requests (several years in
-//! flight), and per-request model loads dominate. This
-//! service queues requests onto a *shared* model pool: a dispatcher
-//! assembles batches under a size/deadline policy (flush at `max_batch`
-//! requests or when the oldest request has waited `max_wait`), then fans
-//! the batch out on the [`par`] pool, checking model replicas out of a
-//! pool that is populated once per concurrent worker rather than once per
-//! request. Results are bitwise-identical to a per-request model load —
-//! every timestep runs the exact same regrid→tile→standardize→infer
-//! float path — so batch size trades only latency against throughput.
+//! Requests (one timestep's native fields plus the analysis grid) queue
+//! for a dispatcher that assembles batches under a size/deadline policy
+//! (flush at `max_batch` requests or when the oldest request has waited
+//! `max_wait`) and fans each batch out on the [`par`] pool against the one
+//! model loaded at start-up — inference is `&self`, so the lanes share it.
+//! Every timestep runs the same regrid→tile→standardize→infer float path
+//! as a direct call, so results are bitwise-identical to it and batch
+//! size trades only latency against throughput.
+//!
+//! The workflow does not route through this service (`climate-wf run`
+//! calls the model directly, day-parallel); it is kept for wfbench's
+//! `extremes.cnn_service_*` probes.
 
 use super::cnn::{CnnDetection, FieldSet, TcCnn};
 use std::collections::VecDeque;
@@ -81,10 +82,9 @@ struct Inner {
     queue: Mutex<Queue>,
     arrived: Condvar,
     policy: BatchPolicy,
-    patch: usize,
-    model_path: PathBuf,
-    /// Idle model replicas; grown lazily to the batch parallelism.
-    models: Mutex<Vec<TcCnn>>,
+    /// The shared model, or why it could not be loaded (handed to every
+    /// request's ticket).
+    model: Result<TcCnn, String>,
     batches: AtomicU64,
     items: AtomicU64,
     wait_us: AtomicU64,
@@ -92,26 +92,12 @@ struct Inner {
 }
 
 impl Inner {
-    /// Runs `f` with a checked-out model replica, loading one if all are
-    /// busy. The pool ends up holding one replica per concurrent worker.
-    fn with_model<R>(&self, f: impl FnOnce(&mut TcCnn) -> R) -> Result<R, String> {
-        let cached = self.models.lock().unwrap().pop();
-        let mut model = match cached {
-            Some(m) => m,
-            None => TcCnn::load(self.patch, &self.model_path)
-                .map_err(|e| format!("cnn service: load {:?}: {e:?}", self.model_path))?,
-        };
-        let r = f(&mut model);
-        self.models.lock().unwrap().push(model);
-        Ok(r)
-    }
-
     fn process_batch(&self, batch: Vec<Job>) {
         let n = batch.len();
         let wait_us = batch[0].enqueued.elapsed().as_micros() as u64;
         let results: Vec<JobResult> = par::par_map(&batch, |job| {
-            let analysis = job.set.regrid(&job.grid);
-            self.with_model(|m| m.localize_set(&analysis))
+            let model = self.model.as_ref().map_err(String::clone)?;
+            Ok(model.localize_set(&job.set.regrid(&job.grid)))
         });
         // Account before delivering: a waiter may call `stats()` the
         // instant its slot resolves, and must see its own batch counted.
@@ -185,15 +171,14 @@ pub struct CnnService {
 }
 
 impl CnnService {
-    /// Starts the dispatcher for the model saved at `model_path`.
+    /// Loads the model saved at `model_path` and starts the dispatcher.
     pub fn new(patch: usize, model_path: PathBuf, policy: BatchPolicy) -> Self {
         let inner = Arc::new(Inner {
             queue: Mutex::new(Queue { jobs: VecDeque::new(), shutdown: false }),
             arrived: Condvar::new(),
             policy: BatchPolicy { max_batch: policy.max_batch.max(1), ..policy },
-            patch,
-            model_path,
-            models: Mutex::new(Vec::new()),
+            model: TcCnn::load(patch, &model_path)
+                .map_err(|e| format!("cnn service: load {model_path:?}: {e:?}")),
             batches: AtomicU64::new(0),
             items: AtomicU64::new(0),
             wait_us: AtomicU64::new(0),
@@ -221,11 +206,6 @@ impl CnnService {
         Ticket { slot }
     }
 
-    /// Submit-and-wait convenience.
-    pub fn infer(&self, set: FieldSet, grid: gridded::Grid) -> JobResult {
-        self.submit(set, grid).wait()
-    }
-
     /// Accounting so far.
     pub fn stats(&self) -> BatchStats {
         BatchStats {
@@ -233,11 +213,6 @@ impl CnnService {
             items: self.inner.items.load(Ordering::Relaxed),
             wait_us: self.inner.wait_us.load(Ordering::Relaxed),
         }
-    }
-
-    /// The flush policy in force.
-    pub fn policy(&self) -> BatchPolicy {
-        self.inner.policy
     }
 }
 
@@ -305,7 +280,7 @@ mod tests {
         let batched: Vec<Vec<CnnDetection>> =
             tickets.into_iter().map(|t| t.wait().unwrap()).collect();
 
-        let mut direct_model = TcCnn::load(patch, &path).unwrap();
+        let direct_model = TcCnn::load(patch, &path).unwrap();
         for (set, got) in sets.iter().zip(&batched) {
             let want = direct_model.localize_set(&set.regrid(&analysis));
             assert_eq!(want.len(), got.len());
@@ -333,7 +308,7 @@ mod tests {
             BatchPolicy { max_batch: 64, max_wait: Duration::from_millis(5) },
         );
         let t0 = Instant::now();
-        let out = service.infer(field_set(9, &native), analysis);
+        let out = service.submit(field_set(9, &native), analysis).wait();
         assert!(out.is_ok());
         assert!(t0.elapsed() < Duration::from_secs(5), "deadline policy must flush");
         let stats = service.stats();
@@ -346,7 +321,7 @@ mod tests {
             CnnService::new(16, PathBuf::from("/nonexistent/model.tml"), BatchPolicy::default());
         let native = Grid::global(24, 36);
         let analysis = super::super::cnn::analysis_grid(5.0, 16);
-        let err = service.infer(field_set(1, &native), analysis);
+        let err = service.submit(field_set(1, &native), analysis).wait();
         assert!(err.is_err());
     }
 }

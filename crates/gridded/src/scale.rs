@@ -13,12 +13,13 @@ pub struct ZScoreScaler {
 impl ZScoreScaler {
     /// Fits on data, ignoring NaNs; degenerate input yields unit std.
     pub fn fit(data: &[f32]) -> Self {
-        let vals: Vec<f64> = data.iter().filter(|v| !v.is_nan()).map(|&v| v as f64).collect();
-        if vals.is_empty() {
+        let vals = || data.iter().filter(|v| !v.is_nan()).map(|&v| v as f64);
+        let n = vals().count();
+        if n == 0 {
             return ZScoreScaler { mean: 0.0, std: 1.0 };
         }
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;
+        let mean = vals().sum::<f64>() / n as f64;
+        let var = vals().map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64;
         let std = var.sqrt();
         ZScoreScaler { mean: mean as f32, std: if std > 0.0 { std as f32 } else { 1.0 } }
     }

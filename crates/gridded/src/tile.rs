@@ -54,16 +54,21 @@ impl Tiling {
     /// Extracts tile `(r, c)` from a field as a row-major `patch × patch`
     /// buffer.
     pub fn extract(&self, field: &Field2, r: usize, c: usize) -> Vec<f32> {
+        let mut out = vec![0.0; self.patch * self.patch];
+        self.extract_into(field, r, c, &mut out);
+        out
+    }
+
+    /// [`Tiling::extract`] into a caller-owned `patch × patch` buffer.
+    pub fn extract_into(&self, field: &Field2, r: usize, c: usize, out: &mut [f32]) {
         assert_eq!(field.grid, self.grid, "field grid must match tiling grid");
         assert!(r < self.rows && c < self.cols, "tile index out of range");
         let p = self.patch;
-        let mut out = Vec::with_capacity(p * p);
-        for di in 0..p {
-            let i = r * p + di;
-            let base = self.grid.index(i, c * p);
-            out.extend_from_slice(&field.data[base..base + p]);
+        assert_eq!(out.len(), p * p, "tile buffer must hold patch × patch cells");
+        for (di, row) in out.chunks_mut(p).enumerate() {
+            let base = self.grid.index(r * p + di, c * p);
+            row.copy_from_slice(&field.data[base..base + p]);
         }
-        out
     }
 
     /// Extracts every tile in row-major tile order. Tiles are independent

@@ -1,27 +1,36 @@
 //! Differentiable layers.
 //!
 //! Each layer processes a single sample: convolutional layers take `[C, H, W]`
-//! tensors, dense layers take flat `[N]` tensors. `forward` caches whatever
-//! `backward` needs; `backward` receives `dL/d(output)` and returns
-//! `dL/d(input)` while *accumulating* parameter gradients (the trainer zeroes
-//! them once per minibatch and averages).
+//! tensors, dense layers take flat `[N]` tensors. A layer has two forward
+//! entries that compute the same values bit for bit:
+//!
+//! * `infer(&self, x, out)` — inference. Caches nothing, writes into a
+//!   caller-owned `out` whose storage is reused from call to call, and
+//!   runs serially, so one model is shared by every thread that scores
+//!   with it ([`Layer`] is `Send + Sync`).
+//! * `forward(&mut self, x)` — training. Runs `infer` into a fresh
+//!   tensor, then caches whatever `backward` needs.
+//!
+//! `backward` receives `dL/d(output)` and returns `dL/d(input)` while
+//! *accumulating* parameter gradients (the trainer zeroes them once per
+//! minibatch and averages).
 
 use crate::tensor::Tensor;
 
-/// Below roughly this many multiply-accumulates a convolution is cheaper
-/// serial than dispatched on the pool; tiny unit-test kernels stay exact
-/// and fast, real CNN workloads (TC patches) go parallel.
+/// Below roughly this many multiply-accumulates a convolution's backward
+/// pass is cheaper serial than dispatched on the pool.
 const CONV_PAR_MIN_MACS: usize = 1 << 15;
 
-/// Lane width of the blocked conv2d forward inner loop (mirrors
-/// `datacube::expr::LANES`): interior output pixels are produced in
-/// blocks of this many adjacent columns, each lane repeating the scalar
-/// path's exact multiply-add sequence so results stay bitwise equal.
-const CONV_LANES: usize = 8;
+/// Output channels [`conv2d_rows`] produces together: each input row it
+/// loads feeds this many accumulator rows.
+const CONV_OUT_BLOCK: usize = 4;
 
 /// Common interface over all layers.
-pub trait Layer: Send {
-    /// Forward pass; caches activations needed by the backward pass.
+pub trait Layer: Send + Sync {
+    /// Inference: the layer's output for `x`, written into `out`.
+    fn infer(&self, x: &Tensor, out: &mut Tensor);
+    /// Training forward pass: [`Layer::infer`]'s values, with the
+    /// activations the backward pass needs cached.
     fn forward(&mut self, x: &Tensor) -> Tensor;
     /// Backward pass: takes `dL/dy`, returns `dL/dx`, accumulates `dL/dθ`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
@@ -37,6 +46,13 @@ pub trait Layer: Send {
     fn zero_grad(&mut self) {}
     /// Diagnostic layer name.
     fn name(&self) -> &'static str;
+}
+
+/// `infer` into a fresh tensor: what every `forward` starts with.
+fn infer_new(layer: &impl Layer, x: &Tensor) -> Tensor {
+    let mut y = Tensor::default();
+    layer.infer(x, &mut y);
+    y
 }
 
 /// Fully-connected layer: `y = W x + b`, `W: [out, in]`.
@@ -70,21 +86,24 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    #[allow(clippy::needless_range_loop)] // index form mirrors the math
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn infer(&self, x: &Tensor, out: &mut Tensor) {
         assert_eq!(x.len(), self.input_len(), "dense input length mismatch");
-        let (out_n, in_n) = (self.output_len(), self.input_len());
-        let mut y = vec![0.0f32; out_n];
-        for o in 0..out_n {
+        let in_n = self.input_len();
+        out.reshape_for_write(&[self.output_len()]);
+        for (o, y) in out.data.iter_mut().enumerate() {
             let row = &self.w.data[o * in_n..(o + 1) * in_n];
             let mut acc = self.b.data[o];
             for (wi, xi) in row.iter().zip(&x.data) {
                 acc += wi * xi;
             }
-            y[o] = acc;
+            *y = acc;
         }
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let y = infer_new(self, x);
         self.cache_x = Some(x.clone());
-        Tensor::from_vec(&[out_n], y)
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -159,98 +178,66 @@ impl Conv2d {
     fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
         (h + 2 * self.pad + 1 - self.kernel, w + 2 * self.pad + 1 - self.kernel)
     }
-
-    #[inline]
-    fn widx(&self, o: usize, c: usize, ky: usize, kx: usize) -> usize {
-        ((o * self.in_ch + c) * self.kernel + ky) * self.kernel + kx
-    }
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    /// The crate's one convolution forward kernel.
+    ///
+    /// Works one output row at a time: the row starts as the bias, then
+    /// every tap `(c, ky, kx)` in ascending order adds `weight × input
+    /// row` over the output columns the tap reaches (a tap clipped by the
+    /// padding is skipped for the columns it misses). Every output element
+    /// therefore sees the naive per-pixel loop's multiply-add sequence —
+    /// bias first, taps ascending, clipped taps skipped — and equals it
+    /// bitwise, while the innermost loop is a contiguous `row += w * row`.
+    /// [`CONV_OUT_BLOCK`] output channels share each input row; that
+    /// reorders work between elements, never within one.
+    fn infer(&self, x: &Tensor, out: &mut Tensor) {
         assert_eq!(x.rank(), 3, "conv2d expects [C,H,W]");
         assert_eq!(x.shape[0], self.in_ch, "conv2d channel mismatch");
         let (h, w) = (x.shape[1], x.shape[2]);
         let (oh, ow) = self.out_hw(h, w);
-        let mut y = Tensor::zeros(&[self.out_ch, oh, ow]);
-        let k = self.kernel;
-        let p = self.pad as isize;
+        out.reshape_for_write(&[self.out_ch, oh, ow]);
+        let (k, pad, in_ch) = (self.kernel, self.pad, self.in_ch);
         let plane = oh * ow;
-        // One output plane per output channel — disjoint writes, so the
-        // parallel split is over `o` and the per-element accumulation
-        // order is identical to serial (bitwise-equal results).
-        let run_plane = |o: usize, out_plane: &mut [f32]| {
-            let bias = self.b.data[o];
-            // Scalar per-pixel path: borders (horizontally clipped taps)
-            // and lane tails. Accumulation order is bias, then taps in
-            // ascending (c, ky, kx) with clipped taps skipped.
-            let pixel = |yy: usize, xx: usize| -> f32 {
-                let mut acc = bias;
-                for c in 0..self.in_ch {
+        for (block, y_block) in out.data.chunks_mut(CONV_OUT_BLOCK * plane).enumerate() {
+            let o0 = block * CONV_OUT_BLOCK;
+            for yy in 0..oh {
+                for (b, y_plane) in y_block.chunks_mut(plane).enumerate() {
+                    y_plane[yy * ow..(yy + 1) * ow].fill(self.b.data[o0 + b]);
+                }
+                for c in 0..in_ch {
                     for ky in 0..k {
-                        let iy = yy as isize + ky as isize - p;
-                        if iy < 0 || iy >= h as isize {
+                        let iy = yy + ky;
+                        if iy < pad || iy - pad >= h {
                             continue;
                         }
+                        let x_row = &x.data[(c * h + iy - pad) * w..][..w];
                         for kx in 0..k {
-                            let ix = xx as isize + kx as isize - p;
-                            if ix < 0 || ix >= w as isize {
+                            // Output columns whose tap `kx` lands inside the row.
+                            let lo = pad.saturating_sub(kx).min(ow);
+                            let hi = (w + pad).saturating_sub(kx).min(ow);
+                            if lo >= hi {
                                 continue;
                             }
-                            acc += self.w.data[self.widx(o, c, ky, kx)]
-                                * x.at3(c, iy as usize, ix as usize);
-                        }
-                    }
-                }
-                acc
-            };
-            // Interior columns — every horizontal tap in bounds, so
-            // [`CONV_LANES`] adjacent output pixels step through the same
-            // (c, ky, kx) tap sequence in lock step. Each lane performs
-            // exactly the scalar path's multiply-add sequence, so the
-            // blocked and per-pixel results are bitwise equal.
-            let x_lo = self.pad.min(ow);
-            let x_hi = (w + self.pad + 1).saturating_sub(k).clamp(x_lo, ow);
-            for yy in 0..oh {
-                let row_out = &mut out_plane[yy * ow..(yy + 1) * ow];
-                for (xx, slot) in row_out.iter_mut().enumerate().take(x_lo) {
-                    *slot = pixel(yy, xx);
-                }
-                let mut xx = x_lo;
-                while xx + CONV_LANES <= x_hi {
-                    let mut acc = [bias; CONV_LANES];
-                    for c in 0..self.in_ch {
-                        for ky in 0..k {
-                            let iy = yy as isize + ky as isize - p;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let base = (c * h + iy as usize) * w + (xx - self.pad);
-                            for kx in 0..k {
-                                let wv = self.w.data[self.widx(o, c, ky, kx)];
-                                let xs = &x.data[base + kx..base + kx + CONV_LANES];
-                                for l in 0..CONV_LANES {
-                                    acc[l] += wv * xs[l];
+                            let xs = &x_row[lo + kx - pad..hi + kx - pad];
+                            for (b, y_plane) in y_block.chunks_mut(plane).enumerate() {
+                                let wv = self.w.data[(((o0 + b) * in_ch + c) * k + ky) * k + kx];
+                                for (acc, &xv) in
+                                    y_plane[yy * ow + lo..yy * ow + hi].iter_mut().zip(xs)
+                                {
+                                    *acc += wv * xv;
                                 }
                             }
                         }
                     }
-                    row_out[xx..xx + CONV_LANES].copy_from_slice(&acc);
-                    xx += CONV_LANES;
                 }
-                for (xx, slot) in row_out.iter_mut().enumerate().take(ow).skip(xx) {
-                    *slot = pixel(yy, xx);
-                }
-            }
-        };
-        let macs = self.out_ch * plane * self.in_ch * k * k;
-        if self.out_ch > 1 && macs >= CONV_PAR_MIN_MACS {
-            par::par_chunks_mut(&mut y.data, plane, |o, out_plane| run_plane(o, out_plane));
-        } else {
-            for (o, out_plane) in y.data.chunks_mut(plane).enumerate() {
-                run_plane(o, out_plane);
             }
         }
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let y = infer_new(self, x);
         self.cache_x = Some(x.clone());
         y
     }
@@ -389,16 +376,16 @@ impl MaxPool2d {
     }
 }
 
-impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+impl MaxPool2d {
+    /// Writes each window's maximum into `out` and reports its input
+    /// index to `winner(output index, input index)`.
+    fn pool(&self, x: &Tensor, out: &mut Tensor, mut winner: impl FnMut(usize, usize)) {
         assert_eq!(x.rank(), 3, "maxpool expects [C,H,W]");
         let (c, h, w) = (x.shape[0], x.shape[1], x.shape[2]);
         assert_eq!(h % self.k, 0, "pool window must divide height");
         assert_eq!(w % self.k, 0, "pool window must divide width");
         let (oh, ow) = (h / self.k, w / self.k);
-        let mut y = Tensor::zeros(&[c, oh, ow]);
-        self.cache_argmax = vec![0; c * oh * ow];
-        self.cache_in_shape = x.shape.clone();
+        out.reshape_for_write(&[c, oh, ow]);
         for ci in 0..c {
             for oy in 0..oh {
                 for ox in 0..ow {
@@ -413,12 +400,26 @@ impl Layer for MaxPool2d {
                             }
                         }
                     }
-                    let oidx = y.idx3(ci, oy, ox);
-                    y.data[oidx] = best;
-                    self.cache_argmax[oidx] = best_idx;
+                    let oidx = out.idx3(ci, oy, ox);
+                    out.data[oidx] = best;
+                    winner(oidx, best_idx);
                 }
             }
         }
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn infer(&self, x: &Tensor, out: &mut Tensor) {
+        self.pool(x, out, |_, _| {});
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let mut y = Tensor::default();
+        let mut argmax = vec![0; x.len() / (self.k * self.k)];
+        self.pool(x, &mut y, |oidx, iidx| argmax[oidx] = iidx);
+        self.cache_argmax = argmax;
+        self.cache_in_shape = x.shape.clone();
         y
     }
 
@@ -450,9 +451,14 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
+    fn infer(&self, x: &Tensor, out: &mut Tensor) {
+        out.reshape_for_write(&[x.len()]);
+        out.data.copy_from_slice(&x.data);
+    }
+
     fn forward(&mut self, x: &Tensor) -> Tensor {
         self.cache_shape = x.shape.clone();
-        x.reshape(&[x.len()])
+        infer_new(self, x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -477,11 +483,22 @@ impl ReLU {
     }
 }
 
+/// `out = f(x)` element by element, in `x`'s shape.
+fn map_into(x: &Tensor, out: &mut Tensor, f: impl Fn(f32) -> f32) {
+    out.reshape_for_write(&x.shape);
+    for (o, &v) in out.data.iter_mut().zip(&x.data) {
+        *o = f(v);
+    }
+}
+
 impl Layer for ReLU {
+    fn infer(&self, x: &Tensor, out: &mut Tensor) {
+        map_into(x, out, |v| v.max(0.0));
+    }
+
     fn forward(&mut self, x: &Tensor) -> Tensor {
         self.cache_mask = x.data.iter().map(|&v| v > 0.0).collect();
-        let data = x.data.iter().map(|&v| v.max(0.0)).collect();
-        Tensor::from_vec(&x.shape, data)
+        infer_new(self, x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -514,10 +531,14 @@ impl Sigmoid {
 }
 
 impl Layer for Sigmoid {
+    fn infer(&self, x: &Tensor, out: &mut Tensor) {
+        map_into(x, out, |v| 1.0 / (1.0 + (-v).exp()));
+    }
+
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let data: Vec<f32> = x.data.iter().map(|&v| 1.0 / (1.0 + (-v).exp())).collect();
-        self.cache_y = data.clone();
-        Tensor::from_vec(&x.shape, data)
+        let y = infer_new(self, x);
+        self.cache_y = y.data.clone();
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -546,10 +567,14 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
+    fn infer(&self, x: &Tensor, out: &mut Tensor) {
+        map_into(x, out, f32::tanh);
+    }
+
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let data: Vec<f32> = x.data.iter().map(|&v| v.tanh()).collect();
-        self.cache_y = data.clone();
-        Tensor::from_vec(&x.shape, data)
+        let y = infer_new(self, x);
+        self.cache_y = y.data.clone();
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -7,7 +7,8 @@
 //! * a dense [`tensor::Tensor`] type with shape bookkeeping;
 //! * differentiable layers ([`layers`]): 2-D convolution, max-pooling,
 //!   fully-connected, flatten, and ReLU/sigmoid/tanh activations;
-//! * a [`net::Sequential`] container with forward/backward passes;
+//! * a [`net::Sequential`] container with forward/backward passes and a
+//!   cache-free, allocation-free `infer(&self, ..)` that threads share;
 //! * losses ([`loss`]): MSE and binary cross-entropy;
 //! * minibatch SGD with momentum ([`train`]);
 //! * binary model serialization ([`serialize`]) so the workflow can ship a
@@ -28,5 +29,5 @@ pub mod tensor;
 pub mod train;
 
 pub use layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid, Tanh};
-pub use net::Sequential;
+pub use net::{Scratch, Sequential};
 pub use tensor::Tensor;

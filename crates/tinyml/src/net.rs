@@ -9,6 +9,12 @@ pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
 }
 
+/// The two activation buffers [`Sequential::infer`] alternates between.
+/// One per scoring thread, reused from call to call: after the first
+/// call inference allocates nothing.
+#[derive(Default)]
+pub struct Scratch(Tensor, Tensor);
+
 impl Sequential {
     /// Creates an empty network.
     pub fn new() -> Self {
@@ -37,6 +43,24 @@ impl Sequential {
         let mut cur = x.clone();
         for l in &mut self.layers {
             cur = l.forward(&cur);
+        }
+        cur
+    }
+
+    /// Inference pass: [`Sequential::forward`]'s output bit for bit, with
+    /// nothing cached and no allocation — each layer reads one of
+    /// `scratch`'s buffers and writes the other. `&self`, so threads share
+    /// one model and bring their own `scratch`.
+    pub fn infer<'s>(&self, x: &Tensor, scratch: &'s mut Scratch) -> &'s Tensor {
+        let Scratch(cur, next) = scratch;
+        let mut layers = self.layers.iter();
+        match layers.next() {
+            Some(first) => first.infer(x, cur),
+            None => cur.clone_from(x),
+        }
+        for l in layers {
+            l.infer(cur, next);
+            std::mem::swap(cur, next);
         }
         cur
     }

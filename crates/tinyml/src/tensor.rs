@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A dense tensor: `data.len() == shape.iter().product()`, row-major.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tensor {
     pub shape: Vec<usize>,
     pub data: Vec<f32>,
@@ -42,6 +42,15 @@ impl Tensor {
         let n: usize = shape.iter().product();
         let data = (0..n).map(|_| rng.gen_range(-scale..=scale)).collect();
         Tensor { shape: shape.to_vec(), data }
+    }
+
+    /// Gives the tensor `shape`, keeping its allocations. Element values
+    /// are unspecified afterwards: the caller overwrites every one (the
+    /// inference path's reused output buffers).
+    pub fn reshape_for_write(&mut self, shape: &[usize]) {
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self.data.resize(shape.iter().product(), 0.0);
     }
 
     /// Number of elements.

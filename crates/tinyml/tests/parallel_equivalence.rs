@@ -1,13 +1,14 @@
-//! Parallel-vs-serial equivalence for the pooled compute paths.
+//! Oracle equivalence for the conv kernels and the pooled compute paths.
 //!
-//! Conv2d dispatches large kernels onto the shared `par` pool. The
-//! forward split is per output channel with an unchanged per-element
-//! accumulation order, so it must match a naive serial reference
-//! *bitwise*; the same holds for the weight/bias gradients (disjoint
-//! per-`o` accumulation) and for the input gradient (disjoint per-input-
-//! channel planes, `o` kept outermost so every element accumulates in
-//! the serial order). Minibatch training with one replica must equal the
-//! serial trainer exactly.
+//! Conv2d has one forward kernel, serial and row-at-a-time, shared by
+//! `infer` and `forward`; it keeps every output element's multiply-add
+//! order, so it must match the naive per-pixel reference below *bitwise*.
+//! The backward pass dispatches large kernels onto the shared `par` pool;
+//! the same holds for its weight/bias gradients (disjoint per-`o`
+//! accumulation) and for the input gradient (disjoint per-input-channel
+//! planes, `o` kept outermost so every element accumulates in the serial
+//! order). Minibatch training with one replica must equal the serial
+//! trainer exactly.
 
 use tinyml::layers::{Conv2d, Layer};
 use tinyml::loss::mse;
@@ -16,27 +17,28 @@ use tinyml::tensor::Tensor;
 use tinyml::train::{train_epoch, train_epoch_parallel, Sample, Sgd};
 
 /// Geometry big enough (8·30·30·4·9 ≈ 260k MACs) to take the parallel
-/// path inside Conv2d.
+/// path inside Conv2d's backward pass.
 const IN_CH: usize = 4;
 const OUT_CH: usize = 8;
 const K: usize = 3;
 const H: usize = 32;
 const W: usize = 32;
 
-/// Naive direct convolution, the serial oracle (same loop order as the
-/// layer's per-plane kernel).
-#[allow(clippy::needless_range_loop)]
-fn reference_forward(x: &Tensor, w: &Tensor, b: &Tensor, pad: usize) -> Tensor {
+/// Naive direct convolution, the serial per-pixel oracle: bias first,
+/// taps in ascending `(c, ky, kx)`, clipped taps skipped.
+fn reference_forward(x: &Tensor, conv: &Conv2d) -> Tensor {
     let (h, ww) = (x.shape[1], x.shape[2]);
+    let (w, b, pad) = (&conv.w, &conv.b, conv.pad);
+    let (out_ch, in_ch) = (w.shape[0], w.shape[1]);
     let oh = h + 2 * pad + 1 - K;
     let ow = ww + 2 * pad + 1 - K;
-    let mut y = Tensor::zeros(&[OUT_CH, oh, ow]);
+    let mut y = Tensor::zeros(&[out_ch, oh, ow]);
     let p = pad as isize;
-    for o in 0..OUT_CH {
+    for o in 0..out_ch {
         for yy in 0..oh {
             for xx in 0..ow {
                 let mut acc = b.data[o];
-                for c in 0..IN_CH {
+                for c in 0..in_ch {
                     for ky in 0..K {
                         let iy = yy as isize + ky as isize - p;
                         if iy < 0 || iy >= h as isize {
@@ -47,7 +49,7 @@ fn reference_forward(x: &Tensor, w: &Tensor, b: &Tensor, pad: usize) -> Tensor {
                             if ix < 0 || ix >= ww as isize {
                                 continue;
                             }
-                            acc += w.data[((o * IN_CH + c) * K + ky) * K + kx]
+                            acc += w.data[((o * in_ch + c) * K + ky) * K + kx]
                                 * x.at3(c, iy as usize, ix as usize);
                         }
                     }
@@ -59,18 +61,28 @@ fn reference_forward(x: &Tensor, w: &Tensor, b: &Tensor, pad: usize) -> Tensor {
     y
 }
 
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A conv with every bias distinct and non-zero, so a kernel that
+/// dropped or misplaced the bias could not pass.
+fn conv_with_biases(in_ch: usize, out_ch: usize, pad: usize, seed: u64) -> Conv2d {
+    let mut conv = Conv2d::new(in_ch, out_ch, K, pad, seed);
+    for (o, b) in conv.b.data.iter_mut().enumerate() {
+        *b = 0.25 - 0.1 * o as f32;
+    }
+    conv
+}
+
 #[test]
-fn conv2d_forward_parallel_is_bitwise_serial() {
-    let mut conv = Conv2d::new(IN_CH, OUT_CH, K, 1, 42);
+fn conv2d_forward_is_bitwise_reference() {
+    let mut conv = conv_with_biases(IN_CH, OUT_CH, 1, 42);
     let x = Tensor::uniform(&[IN_CH, H, W], 1.0, 7);
     let y = conv.forward(&x);
-    let (w, b) = {
-        let ps = conv.params();
-        (ps[0].clone(), ps[1].clone())
-    };
-    let expect = reference_forward(&x, &w, &b, 1);
+    let expect = reference_forward(&x, &conv);
     assert_eq!(y.shape, expect.shape);
-    assert_eq!(y.data, expect.data, "parallel forward must be bitwise-identical to serial");
+    assert_eq!(bits(&y), bits(&expect), "forward must be bitwise-identical to the reference");
 }
 
 #[test]
@@ -143,114 +155,51 @@ fn conv2d_backward_parallel_matches_serial() {
     assert_eq!(gx.data, ref_gx, "gx must be bitwise-identical");
 }
 
-/// The 8-lane interior blocking must be bitwise-invisible at every
-/// geometry: widths below one lane (pure scalar), exact lane multiples,
-/// and ragged tails, across paddings that shift the interior window.
+/// The row kernel's column clipping and output-channel blocking must be
+/// bitwise-invisible at every geometry: widths of one column, widths
+/// narrower than the kernel's reach, odd and ragged widths, paddings that
+/// move the clipped range, and channel counts that leave a partial block.
 #[test]
-fn conv2d_forward_lane_blocking_is_bitwise_across_widths() {
+fn conv2d_row_kernel_is_bitwise_across_widths() {
+    let mut out = Tensor::default();
     for pad in 0..3usize {
-        for w in [1usize, 3, 7, 8, 9, 15, 16, 17, 23, 31] {
+        for w in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 23, 31] {
             if w + 2 * pad < K {
                 continue;
             }
-            let mut conv = Conv2d::new(2, 2, K, pad, 91);
-            let x = Tensor::uniform(&[2, 9, w], 1.0, (w * 10 + pad) as u64);
-            let y = conv.forward(&x);
-            // Per-pixel scalar oracle with the same tap order.
-            let ps = conv.params();
-            let (wt, bt) = (ps[0].clone(), ps[1].clone());
-            let (oh, ow) = (y.shape[1], y.shape[2]);
-            let p = pad as isize;
-            for o in 0..2 {
-                for yy in 0..oh {
-                    for xx in 0..ow {
-                        let mut acc = bt.data[o];
-                        for c in 0..2 {
-                            for ky in 0..K {
-                                let iy = yy as isize + ky as isize - p;
-                                if !(0..9).contains(&iy) {
-                                    continue;
-                                }
-                                for kx in 0..K {
-                                    let ix = xx as isize + kx as isize - p;
-                                    if ix < 0 || ix >= w as isize {
-                                        continue;
-                                    }
-                                    acc += wt.data[((o * 2 + c) * K + ky) * K + kx]
-                                        * x.at3(c, iy as usize, ix as usize);
-                                }
-                            }
-                        }
-                        assert_eq!(
-                            y.at3(o, yy, xx).to_bits(),
-                            acc.to_bits(),
-                            "pad {pad} w {w} pixel ({o},{yy},{xx})"
-                        );
-                    }
-                }
-            }
+            let mut conv = conv_with_biases(3, 5, pad, 91);
+            let x = Tensor::uniform(&[3, 9, w], 1.0, (w * 10 + pad) as u64);
+            let expect = bits(&reference_forward(&x, &conv));
+            // `out` arrives holding the previous geometry's values.
+            conv.infer(&x, &mut out);
+            assert_eq!(bits(&out), expect, "infer, pad {pad} w {w}");
+            assert_eq!(bits(&conv.forward(&x)), expect, "forward, pad {pad} w {w}");
         }
     }
 }
 
-/// NaN and ±inf inputs flow through the blocked forward exactly as
-/// through the scalar path (the lanes do the same multiply-adds).
+/// NaN, ±inf and −0.0 inputs flow through the row kernel exactly as
+/// through the per-pixel reference (every element does the same
+/// multiply-adds, and a clipped tap is skipped, not multiplied by zero).
 #[test]
 fn conv2d_forward_specials_stay_bitwise() {
-    let mut conv = Conv2d::new(1, 1, K, 1, 5);
-    let mut x = Tensor::uniform(&[1, 6, 19], 1.0, 6);
-    x.data[7] = f32::NAN;
-    x.data[20] = f32::INFINITY;
-    x.data[33] = f32::NEG_INFINITY;
-    x.data[40] = -0.0;
-    let y = conv.forward(&x);
-    let ps = conv.params();
-    let expect = reference_forward_geom(&x, &ps[0].clone(), &ps[1].clone(), 1, 1, 1);
-    let yb: Vec<u32> = y.data.iter().map(|v| v.to_bits()).collect();
-    let eb: Vec<u32> = expect.data.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(yb, eb, "specials must propagate bitwise");
-}
-
-/// `reference_forward` generalized over channel counts.
-#[allow(clippy::needless_range_loop)]
-fn reference_forward_geom(
-    x: &Tensor,
-    w: &Tensor,
-    b: &Tensor,
-    in_ch: usize,
-    out_ch: usize,
-    pad: usize,
-) -> Tensor {
-    let (h, ww) = (x.shape[1], x.shape[2]);
-    let oh = h + 2 * pad + 1 - K;
-    let ow = ww + 2 * pad + 1 - K;
-    let mut y = Tensor::zeros(&[out_ch, oh, ow]);
-    let p = pad as isize;
-    for o in 0..out_ch {
-        for yy in 0..oh {
-            for xx in 0..ow {
-                let mut acc = b.data[o];
-                for c in 0..in_ch {
-                    for ky in 0..K {
-                        let iy = yy as isize + ky as isize - p;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..K {
-                            let ix = xx as isize + kx as isize - p;
-                            if ix < 0 || ix >= ww as isize {
-                                continue;
-                            }
-                            acc += w.data[((o * in_ch + c) * K + ky) * K + kx]
-                                * x.at3(c, iy as usize, ix as usize);
-                        }
-                    }
-                }
-                *y.at3_mut(o, yy, xx) = acc;
-            }
-        }
+    for (in_ch, out_ch) in [(1, 1), (2, 6)] {
+        let mut conv = conv_with_biases(in_ch, out_ch, 1, 5);
+        let mut x = Tensor::uniform(&[in_ch, 6, 19], 1.0, 6);
+        // Interior cells and cells on the clipped border alike.
+        x.data[0] = -0.0;
+        x.data[7] = f32::NAN;
+        x.data[18] = f32::INFINITY;
+        x.data[20] = f32::INFINITY;
+        x.data[33] = f32::NEG_INFINITY;
+        x.data[40] = -0.0;
+        x.data[6 * 19 - 1] = f32::NAN;
+        let expect = bits(&reference_forward(&x, &conv));
+        assert_eq!(bits(&conv.forward(&x)), expect, "specials must propagate bitwise");
+        let mut out = Tensor::full(&[3], f32::NAN);
+        conv.infer(&x, &mut out);
+        assert_eq!(bits(&out), expect, "infer must not see its output buffer's old values");
     }
-    y
 }
 
 fn make_net(seed: u64) -> Sequential {

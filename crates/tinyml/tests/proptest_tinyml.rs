@@ -3,12 +3,14 @@
 //! serialization round-trips over random architectures.
 
 use proptest::prelude::*;
-use tinyml::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU};
-use tinyml::net::Sequential;
+use tinyml::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid, Tanh};
+use tinyml::net::{Scratch, Sequential};
 use tinyml::serialize::{load_model, save_model};
 use tinyml::tensor::Tensor;
 
-/// Straightforward reference convolution (stride 1, zero padding).
+/// Straightforward reference convolution (stride 1, zero padding): per
+/// pixel, bias first, then taps in ascending `(c, ky, kx)`, clipped taps
+/// skipped — the multiply-add order the layer's row kernel must keep.
 #[allow(clippy::needless_range_loop)] // reference code mirrors the math
 fn conv_reference(
     x: &Tensor,
@@ -47,27 +49,87 @@ fn conv_reference(
     y
 }
 
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Conv2d forward agrees with the reference for random shapes/seeds.
+    /// The one conv kernel equals the reference bit for bit — through
+    /// `infer` and through `forward` — over kernels 1/3/5, paddings that
+    /// clip none, some or all of a tap's reach, widths down to one column,
+    /// and channel counts that are not multiples of the output block.
     #[test]
-    fn conv_matches_reference(
-        in_ch in 1usize..4,
-        out_ch in 1usize..4,
-        k in 1usize..4,
-        pad in 0usize..2,
-        hw in 3usize..8,
+    fn conv_matches_reference_bitwise(
+        in_ch in 1usize..7,
+        out_ch in 1usize..11,
+        half_k in 0usize..3,
+        pad in 0usize..3,
+        h in 1usize..12,
+        w in 1usize..20,
         seed in any::<u64>(),
     ) {
-        prop_assume!(hw + 2 * pad >= k);
+        let k = 2 * half_k + 1;
+        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
         let mut conv = Conv2d::new(in_ch, out_ch, k, pad, seed);
-        let x = Tensor::uniform(&[in_ch, hw, hw], 1.0, seed ^ 1);
-        let got = conv.forward(&x);
+        conv.b = Tensor::uniform(&[out_ch], 1.0, seed ^ 2);
+        let x = Tensor::uniform(&[in_ch, h, w], 1.0, seed ^ 1);
         let want = conv_reference(&x, &conv.w, &conv.b.data, in_ch, out_ch, k, pad);
+        let mut got = Tensor::full(&[2, 2], f32::NAN);
+        conv.infer(&x, &mut got);
         prop_assert_eq!(&got.shape, &want.shape);
-        for (a, b) in got.data.iter().zip(&want.data) {
-            prop_assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+        prop_assert_eq!(bits(&got), bits(&want));
+        prop_assert_eq!(bits(&conv.forward(&x)), bits(&want));
+    }
+
+    /// `Sequential::infer` equals `Sequential::forward` bit for bit over
+    /// random conv → activation → (pool) → flatten → dense nets, with one
+    /// `Scratch` reused across inputs of different sizes.
+    #[test]
+    fn infer_matches_forward_bitwise(
+        in_ch in 1usize..6,
+        mid_ch in 1usize..10,
+        half_k in 0usize..3,
+        pad in 0usize..3,
+        act in 0usize..3,
+        pool in any::<bool>(),
+        hidden in 1usize..9,
+        seed in any::<u64>(),
+    ) {
+        let k = 2 * half_k + 1;
+        let mut scratch = Scratch::default();
+        for (h, w) in [(7usize, 9usize), (4, 6), (6, 13), (5, 1)] {
+            if h + 2 * pad < k || w + 2 * pad < k {
+                continue;
+            }
+            let (oh, ow) = (h + 2 * pad + 1 - k, w + 2 * pad + 1 - k);
+            let pool = pool && oh % 2 == 0 && ow % 2 == 0;
+            let mut conv = Conv2d::new(in_ch, mid_ch, k, pad, seed);
+            conv.b = Tensor::uniform(&[mid_ch], 1.0, seed ^ 3);
+            let mut net = Sequential::new().add(conv);
+            net = match act {
+                0 => net.add(ReLU::new()),
+                1 => net.add(Tanh::new()),
+                _ => net.add(Sigmoid::new()),
+            };
+            if pool {
+                net = net.add(MaxPool2d::new(2));
+            }
+            let flat = mid_ch * oh * ow / if pool { 4 } else { 1 };
+            let mut net = net
+                .add(Flatten::new())
+                .add(Dense::new(flat, hidden, seed ^ 4))
+                .add(ReLU::new())
+                .add(Dense::new(hidden, 3, seed ^ 5))
+                .add(Sigmoid::new());
+            for s in 0..2 {
+                let x = Tensor::uniform(&[in_ch, h, w], 2.0, seed ^ (10 + s));
+                let want = net.forward(&x);
+                let got = net.infer(&x, &mut scratch);
+                prop_assert_eq!(&got.shape, &want.shape);
+                prop_assert_eq!(bits(got), bits(&want), "{}x{} input", h, w);
+            }
         }
     }
 

@@ -64,7 +64,7 @@ fn main() {
         .finetuning(30, 12)
         .build()
         .expect("invalid parameters");
-    let mut cnn = pretrain_cnn(&train_params);
+    let cnn = pretrain_cnn(&train_params);
     println!("  {} parameters", cnn.param_count());
 
     // Analyse every timestep with both pipelines.

@@ -48,13 +48,15 @@ for t in 2 4; do
   done
 done
 
-echo "== cube engine: datacube + extremes suites, serial and parallel =="
+echo "== cube engine + CNN inference: datacube, extremes and tinyml suites, serial and parallel =="
 # Every cube operator and batch index runs on the fused engine; the
 # differential suites prove it bitwise against the scalar oracle kernels.
-# Run all targets of both crates single- and multi-threaded so lane
+# Run all targets of the crates single- and multi-threaded so lane
 # blocking and fragment-parallel scheduling cannot change a single bit.
+# tinyml rides along: its inference path is shared across pool lanes by
+# `&self`, which is where a data race or an order dependence would show.
 for t in 1 2 4; do
-  PAR_THREADS="$t" cargo test -p datacube -p extremes -q
+  PAR_THREADS="$t" cargo test -p datacube -p extremes -p tinyml -q
 done
 
 echo "== one engine: only Pipeline::run_scalar may name ops::scalar =="

@@ -66,7 +66,7 @@ fn assert_superset_bitwise(a: &Path, b: &Path) {
 
 /// Tentpole acceptance: a streaming run produces byte-identical science
 /// to the staged (sequential) run — daily simulation output, all six
-/// per-year index maps, the TC input bundle, the batched-CNN CSV, the
+/// per-year index maps, the TC input bundle, the CNN CSV, the
 /// tracker CSV and the rendered maps — plus the record-to-date products
 /// only the streaming plane computes.
 #[test]
@@ -103,7 +103,15 @@ fn streaming_products_bitwise_match_staged() {
     let st = report.stream.expect("streaming report section");
     assert_eq!(st.years_streamed + st.fallback_years, 2);
     assert_eq!(st.record_years, 2, "record state must fold both years");
-    assert!(st.cnn_items > 0 && st.cnn_batches > 0, "CNN service must have batched");
+
+    // Task #16 is one body over files (staged) and blocks (streaming):
+    // each year's CNN product must exist, carry rows, and match.
+    for y in &report.years {
+        let name = format!("products/tc-cnn-{}.csv", y.year);
+        let staged = std::fs::read(staged_dir.join(&name)).expect("staged CNN CSV");
+        assert!(staged.starts_with(b"day,step,lat,lon,confidence\n"), "{name} lacks its header");
+        assert_eq!(staged, std::fs::read(stream_dir.join(&name)).expect("streaming CNN CSV"));
+    }
 }
 
 /// Incremental-vs-batch at the product level: over a single year the
