@@ -1,9 +1,9 @@
 //! A1 (ablation) — the scheduler portfolio head-to-head.
 //!
 //! Section 3 argues an integrated WMS "can allow for better optimization
-//! in terms of data movement and access". The four policies (FIFO,
-//! data-locality, HEFT upward-rank, one-step lookahead) run the same
-//! three DAG shapes and are compared on makespan and bytes moved:
+//! in terms of data movement and access". The three policies (FIFO,
+//! data-locality, HEFT upward-rank) run the same three DAG shapes and
+//! are compared on makespan and bytes moved:
 //!
 //! * `chain`    — 8 independent producer→transform→transform→transform
 //!   chains with 1 MB intermediates. Locality should keep each chain on

@@ -3,13 +3,13 @@
 //! ```text
 //! climate-wf run [--years N] [--days N] [--grid test_small|demo|LATxLON]
 //!                [--scenario historical|ssp245|ssp585] [--seed N]
-//!                [--policy fifo|locality|heft|lookahead]
+//!                [--policy fifo|locality|heft]
 //!                [--out DIR] [--sequential]
 //!                [--streaming] [--stream-depth N]
 //!                [--trace out.json] [--metrics out.prom]
-//! climate-wf report [run options]      run with profiling: timed critical
-//!                                      path, pool utilization, latency
-//!                                      percentiles, crash flight recorder
+//! climate-wf report [run options]      `run` plus a profile: pool
+//!                                      utilization, latency percentiles,
+//!                                      crash flight recorder armed
 //! climate-wf chaos [--seed N] [--faults N] [--out DIR]
 //!                                      seeded fault-injection smoke run with
 //!                                      checkpoint-resume recovery
@@ -28,12 +28,12 @@ fn usage() -> ! {
          \n\
          run      [--years N] [--days N] [--grid test_small|demo|LATxLON]\n\
          \x20        [--scenario historical|ssp245|ssp585] [--seed N] [--out DIR] [--sequential]\n\
-         \x20        [--policy fifo|locality|heft|lookahead] [--trace out.json] [--metrics out.prom]\n\
+         \x20        [--policy fifo|locality|heft] [--trace out.json] [--metrics out.prom]\n\
          \x20        [--streaming] [--stream-depth N] in-memory year handoff\n\
          \x20        with incremental record indices\n\
-         report   [run options] run with profiling: timed critical path with slack,\n\
-         \x20        what-if speedups, pool utilization, latency percentiles;\n\
-         \x20        arms the crash flight recorder (dumps JSONL on failure)\n\
+         report   [run options] `run` plus a profile: pool utilization and latency\n\
+         \x20        percentile tables after the workflow report; arms the crash\n\
+         \x20        flight recorder (dumps JSONL on failure)\n\
          chaos    [--seed N] [--faults N] [--out DIR] run a tiny checkpointed\n\
          \x20        workflow under a seeded fault plan; on failure, resume from\n\
          \x20        the checkpoint (always dumps the flight recorder as JSONL)\n\
@@ -95,7 +95,13 @@ fn params_from_flags(flags: &BTreeMap<String, String>) -> Result<WorkflowParams,
     WorkflowParams::test_scale(out_dir).apply_inputs(&inputs)
 }
 
-fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
+/// `climate-wf run` and `climate-wf report`: one body. The workflow report
+/// already carries the timed critical path, slack and what-if speedups;
+/// `profile` (the `report` subcommand) additionally arms the crash flight
+/// recorder for the whole run — a task failure or panic dumps the most
+/// recent events as JSONL next to the workflow outputs — and appends the
+/// compute-pool utilization and latency percentile tables.
+fn cmd_run(flags: &BTreeMap<String, String>, profile: bool) -> Result<(), String> {
     let params = params_from_flags(flags)?;
     std::fs::remove_dir_all(&params.out_dir).ok();
     let sequential = flags.contains_key("sequential");
@@ -114,6 +120,14 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
         params.grid.nlon
     );
 
+    let flight_path = params.out_dir.join("flight.jsonl");
+    if profile {
+        std::fs::create_dir_all(&params.out_dir).map_err(|e| e.to_string())?;
+        obs::flight::set_dump_path(&flight_path);
+        obs::flight::install_panic_hook();
+        obs::flight::enable();
+    }
+
     // Observability taps. Subscribing before the run activates the global
     // bus; without --trace the workflow never pays more than an atomic
     // load per would-be event.
@@ -122,6 +136,12 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let report = if sequential { run_sequential(params) } else { run_pipelined(params) }?;
     print!("{}", report.render());
     println!("provenance: {}", report.prov_path.display());
+    if profile {
+        print_profile();
+        if report.metrics.failed > 0 {
+            println!("flight recorder: {} (dumped on task failure)", flight_path.display());
+        }
+    }
 
     if let (Some(path), Some(rx)) = (flags.get("trace"), tracer) {
         let events = rx.drain();
@@ -139,28 +159,8 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `climate-wf report`: run the workflow with full profiling enabled and
-/// print the performance report — measured critical path with slack and
-/// what-if speedups, per-function self-time, compute-pool utilization and
-/// a latency percentile table. The crash flight recorder is armed for the
-/// whole run; a task failure or panic dumps the most recent events as
-/// JSONL next to the workflow outputs.
-fn cmd_report(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let params = params_from_flags(flags)?;
-    std::fs::remove_dir_all(&params.out_dir).ok();
-    std::fs::create_dir_all(&params.out_dir).map_err(|e| e.to_string())?;
-
-    let flight_path = params.out_dir.join("flight.jsonl");
-    obs::flight::set_dump_path(&flight_path);
-    obs::flight::install_panic_hook();
-    obs::flight::enable();
-
-    let tracer = flags.get("trace").map(|_| obs::global().subscribe_with_capacity(1 << 21));
-
-    let sequential = flags.contains_key("sequential");
-    let report = if sequential { run_sequential(params) } else { run_pipelined(params) }?;
-    print!("{}", report.render());
-
+/// The process-wide profile tables of `climate-wf report`.
+fn print_profile() {
     println!("pool utilization:");
     for w in par::global().worker_stats() {
         println!(
@@ -189,16 +189,6 @@ fn cmd_report(flags: &BTreeMap<String, String>) -> Result<(), String> {
             h.percentile(0.99)
         );
     }
-
-    if let (Some(path), Some(rx)) = (flags.get("trace"), tracer) {
-        let events = rx.drain();
-        std::fs::write(path, obs::chrome_trace(&events)).map_err(|e| e.to_string())?;
-        println!("trace: {path} ({} events)", events.len());
-    }
-    if report.metrics.failed > 0 {
-        println!("flight recorder: {} (dumped on task failure)", flight_path.display());
-    }
-    Ok(())
 }
 
 /// `climate-wf chaos`: run a tiny checkpointed workflow under a seeded
@@ -347,8 +337,8 @@ fn main() {
     let Some(cmd) = args.first() else { usage() };
     let (flags, positional) = parse_args(&args[1..]);
     let result = match cmd.as_str() {
-        "run" => cmd_run(&flags),
-        "report" => cmd_report(&flags),
+        "run" => cmd_run(&flags, false),
+        "report" => cmd_run(&flags, true),
         "chaos" => cmd_chaos(&flags),
         "graph" => cmd_graph(&flags),
         "topology" => {

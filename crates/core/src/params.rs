@@ -52,7 +52,7 @@ pub struct WorkflowParams {
     pub task_retries: u32,
     /// Base delay of the exponential retry backoff.
     pub retry_base_ms: u64,
-    /// Dataflow scheduling policy (fifo | locality | heft | lookahead).
+    /// Dataflow scheduling policy (fifo | locality | heft).
     pub sched_policy: dataflow::Policy,
     /// Streaming data plane: hand completed years to analytics through an
     /// in-memory channel (files still written as the durable fallback).
@@ -178,8 +178,8 @@ impl WorkflowParams {
     /// (`test_small` | `demo` | `NLATxNLON`), `scenario`
     /// (`historical` | `ssp245` | `ssp585`), `seed`, `workers`,
     /// `io_servers`, `nfrag`, `checkpoint`, `task_retries`,
-    /// `retry_base_ms`, `policy` (`fifo` | `locality` | `heft` |
-    /// `lookahead`), `streaming` (`true` | `false`), `stream_depth`.
+    /// `retry_base_ms`, `policy` (`fifo` | `locality` | `heft`),
+    /// `streaming` (`true` | `false`), `stream_depth`.
     pub fn apply_inputs(mut self, inputs: &BTreeMap<String, String>) -> Result<Self, String> {
         for (k, v) in inputs {
             match k.as_str() {
@@ -461,9 +461,9 @@ mod tests {
     #[test]
     fn policy_input_selects_scheduler() {
         let mut inputs = BTreeMap::new();
-        inputs.insert("policy".to_string(), "lookahead".to_string());
+        inputs.insert("policy".to_string(), "heft".to_string());
         let p = base().apply_inputs(&inputs).unwrap();
-        assert_eq!(p.sched_policy, dataflow::Policy::Lookahead);
+        assert_eq!(p.sched_policy, dataflow::Policy::Heft);
 
         let mut inputs = BTreeMap::new();
         inputs.insert("policy".to_string(), "sjf".to_string());

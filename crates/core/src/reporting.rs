@@ -1,6 +1,6 @@
 //! Run reports: what the workflow returns to the scientist.
 
-use dataflow::runtime::Metrics;
+use dataflow::Metrics;
 use extremes::tc::metrics::Scores;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -76,8 +76,8 @@ pub struct RunReport {
     pub timed: Option<dataflow::timing::TimedPath>,
     /// Scheduling policy that drove the run.
     pub policy: &'static str,
-    /// Every placement decision the scheduler made (estimated cost at
-    /// pick time, measured duration at completion).
+    /// Every placement decision the scheduler made (estimated duration
+    /// at pick time, measured duration at completion).
     pub placements: Vec<dataflow::PlacementDecision>,
     /// Streaming data-plane summary (None for staged, file-based runs).
     pub stream: Option<StreamSummary>,
@@ -175,7 +175,7 @@ impl RunReport {
     }
 
     /// The placement-quality section: which policy ran, how work spread
-    /// over the workers, and how far its cost estimates were from the
+    /// over the workers, and how far its duration estimates were from the
     /// measured durations.
     fn render_scheduling(&self) -> String {
         let mut s = String::new();

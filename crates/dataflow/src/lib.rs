@@ -19,12 +19,9 @@
 //! * **Constraints** — tasks can require cores, memory or an accelerator
 //!   (`@constraint` decorator) and are only placed on matching workers.
 //! * **Pluggable scheduling** — a [`scheduler::Scheduler`] trait with a
-//!   four-policy portfolio (FIFO, data-locality, HEFT upward-rank,
-//!   one-step lookahead), all pricing data movement through the shared
-//!   [`cost::CostModel`] (per-link bandwidth + latency, contention,
-//!   storage rates) and measured per-task durations, with transfer
-//!   accounting so the locality claim of the paper is measurable
-//!   (bench A1).
+//!   three-policy portfolio (FIFO, data-locality, HEFT upward-rank over
+//!   measured per-task durations), with transfer accounting so the
+//!   locality claim of the paper is measurable (bench A1).
 //! * **Fault tolerance** — per-task failure policies (fail-fast the whole
 //!   workflow, retry N times, or ignore-and-cancel-successors), mirroring
 //!   the task-level failure management of Ejarque et al.
@@ -34,12 +31,16 @@
 //! * **Streaming** — [`stream::DirWatcher`] monitors a directory for the
 //!   file groups a long-running simulation produces (the paper's "detect
 //!   when a full new year of data is available" interface).
-//! * **Provenance** — every terminal task records what it used and
-//!   generated ([`provenance::ProvenanceLog`]); lineage is queryable and
-//!   exportable as a PROV-style document (Section 2's provenance
-//!   capability).
-//! * **Monitoring** — cheap point-in-time [`monitor::StatusSnapshot`]s of
-//!   the whole workflow (Section 2's monitoring capability).
+//! * **One ledger** — what happened in a run is its stream of
+//!   task-lifecycle events, and the runtime keeps exactly one record of
+//!   it: [`monitor::StatusFold`], written only where an event is emitted.
+//!   Execution metrics, placement decisions (estimate vs. actual), the
+//!   timed critical path, point-in-time [`monitor::StatusSnapshot`]s
+//!   (Section 2's monitoring capability) and provenance
+//!   ([`provenance::ProvenanceLog`]: what every terminal task used and
+//!   generated, lineage-queryable, exportable as a PROV-style document)
+//!   are reads of that fold; replaying a subscriber's drained stream
+//!   yields the same reads.
 //! * **Task-graph export** — DOT rendering with one color per task
 //!   function, reproducing Figure 3.
 //!
@@ -75,19 +76,19 @@ pub mod stream;
 pub mod task;
 pub mod timing;
 
-pub use cost::{CostModel, LinkCost, StorageCost};
+pub use cost::LinkCost;
 pub use error::{Error, Result};
+pub use monitor::{Metrics, PlacementDecision};
 pub use payload::{Bytes, Payload};
 pub use provenance::ProvenanceLog;
 pub use resources::{Constraint, WorkerKind, WorkerProfile};
-pub use runtime::{PlacementDecision, Runtime, RuntimeConfig, TaskHandle};
+pub use runtime::{Runtime, RuntimeConfig, TaskHandle};
 pub use scheduler::{ClusterView, Policy, ReadyTask, Scheduler};
 pub use task::{DataRef, FailurePolicy, TaskId, TaskState};
 pub use timing::TimingStats;
 
 /// Convenience prelude for workflow code.
 pub mod prelude {
-    pub use crate::cost::{CostModel, LinkCost};
     pub use crate::payload::{Bytes, Payload};
     pub use crate::resources::{Constraint, WorkerKind, WorkerProfile};
     pub use crate::runtime::{Runtime, RuntimeConfig, TaskHandle};

@@ -2,11 +2,14 @@
 //!
 //! Section 2 of the paper lists provenance tracking among the key WMS
 //! capabilities for large-scale workflows, and FAIR-compliant workflow
-//! documents among the motivations for workflow systems. The runtime
-//! records, for every task, what was consumed and produced (name@version),
-//! where and when it ran, and how many attempts it took; the log can be
-//! queried for lineage ("which tasks, transitively, produced this datum?")
-//! and exported as a PROV-style text document.
+//! documents among the motivations for workflow systems. For every
+//! terminal task the log says what was consumed and produced
+//! (name@version), where and when it ran, and how many attempts it took.
+//! It is a *read*, not a record of its own: the run's event fold
+//! ([`crate::monitor::StatusFold::provenance`]) joined with the data refs
+//! the task graph holds. The log can be queried for lineage ("which
+//! tasks, transitively, produced this datum?") and exported as a
+//! PROV-style text document.
 
 use crate::task::{DataRef, TaskId, TaskState};
 use std::collections::{BTreeSet, HashMap};
@@ -21,16 +24,19 @@ pub struct TaskRecord {
     pub used: Vec<DataRef>,
     pub generated: Vec<DataRef>,
     /// Worker index that completed the task (None = restored from
-    /// checkpoint).
+    /// checkpoint, or never completed).
     pub worker: Option<usize>,
+    /// Wall-clock start of the final attempt (None = never started).
     pub started: Option<SystemTime>,
+    /// Wall time of the final attempt.
     pub duration: Option<Duration>,
+    /// Number of the last attempt started (1 for a task that never ran).
     pub attempts: u32,
     pub final_state: TaskState,
 }
 
 /// The whole workflow's provenance log.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct ProvenanceLog {
     records: Vec<TaskRecord>,
     /// Producer of each data version id.
@@ -38,20 +44,14 @@ pub struct ProvenanceLog {
 }
 
 impl ProvenanceLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
+    /// Indexes `records` by the data versions they generated.
+    pub(crate) fn from_records(records: Vec<TaskRecord>) -> Self {
+        let producer =
+            records.iter().flat_map(|r| r.generated.iter().map(|g| (g.id, r.task))).collect();
+        ProvenanceLog { records, producer }
     }
 
-    /// Appends a record (runtime hook).
-    pub fn record(&mut self, rec: TaskRecord) {
-        for g in &rec.generated {
-            self.producer.insert(g.id, rec.task);
-        }
-        self.records.push(rec);
-    }
-
-    /// All records, in completion order.
+    /// All records, in submission order.
     pub fn records(&self) -> &[TaskRecord] {
         &self.records
     }
@@ -140,17 +140,12 @@ mod tests {
 
     /// esm -> import -> index chain with a baseline side input.
     fn chain() -> ProvenanceLog {
-        let mut log = ProvenanceLog::new();
-        log.record(rec(1, "esm", vec![], vec![dref(1, "year", 1)]));
-        log.record(rec(2, "baseline", vec![], vec![dref(2, "base", 1)]));
-        log.record(rec(3, "import", vec![dref(1, "year", 1)], vec![dref(3, "cube", 1)]));
-        log.record(rec(
-            4,
-            "index",
-            vec![dref(3, "cube", 1), dref(2, "base", 1)],
-            vec![dref(4, "hwn", 1)],
-        ));
-        log
+        ProvenanceLog::from_records(vec![
+            rec(1, "esm", vec![], vec![dref(1, "year", 1)]),
+            rec(2, "baseline", vec![], vec![dref(2, "base", 1)]),
+            rec(3, "import", vec![dref(1, "year", 1)], vec![dref(3, "cube", 1)]),
+            rec(4, "index", vec![dref(3, "cube", 1), dref(2, "base", 1)], vec![dref(4, "hwn", 1)]),
+        ])
     }
 
     #[test]
@@ -184,11 +179,12 @@ mod tests {
 
     #[test]
     fn diamond_lineage_dedups() {
-        let mut log = ProvenanceLog::new();
-        log.record(rec(1, "src", vec![], vec![dref(1, "a", 1)]));
-        log.record(rec(2, "l", vec![dref(1, "a", 1)], vec![dref(2, "b", 1)]));
-        log.record(rec(3, "r", vec![dref(1, "a", 1)], vec![dref(3, "c", 1)]));
-        log.record(rec(4, "sink", vec![dref(2, "b", 1), dref(3, "c", 1)], vec![dref(4, "d", 1)]));
+        let log = ProvenanceLog::from_records(vec![
+            rec(1, "src", vec![], vec![dref(1, "a", 1)]),
+            rec(2, "l", vec![dref(1, "a", 1)], vec![dref(2, "b", 1)]),
+            rec(3, "r", vec![dref(1, "a", 1)], vec![dref(3, "c", 1)]),
+            rec(4, "sink", vec![dref(2, "b", 1), dref(3, "c", 1)], vec![dref(4, "d", 1)]),
+        ]);
         let lineage = log.lineage(&dref(4, "d", 1));
         assert_eq!(lineage.len(), 4, "source task must appear once: {lineage:?}");
     }

@@ -7,23 +7,27 @@
 //! compatible workers per the configured [`Policy`], and lets the main
 //! program synchronize with [`Runtime::fetch`] (PyCOMPSs `compss_wait_on`)
 //! or [`Runtime::barrier`] (`compss_barrier`).
+//!
+//! The state under the runtime lock is split in two. *Control state* is
+//! what the scheduler, retry and deadline paths read: the graph, the task
+//! entries, data, the ready/delayed queues, the checkpoint log. *Report
+//! state* is one [`StatusFold`] of the task-lifecycle events, written only
+//! by `observe` as each event is emitted; metrics, placements, spans,
+//! provenance and status are reads of it (see [`crate::monitor`]).
 
 use crate::checkpoint::CheckpointLog;
-use crate::cost::CostModel;
 use crate::error::{Error, Result};
 use crate::graph::{Node, TaskGraph};
-use crate::monitor::{StatusFold, StatusSnapshot};
+use crate::monitor::{Metrics, PlacementDecision, StatusFold, StatusSnapshot};
 use crate::payload::Payload;
-use crate::provenance::{ProvenanceLog, TaskRecord};
+use crate::provenance::ProvenanceLog;
 use crate::resources::{Constraint, WorkerProfile};
 use crate::scheduler::{ClusterView, Policy, ReadyTask, Scheduler, TransferLedger};
 use crate::task::{DataRef, FailurePolicy, TaskId, TaskState};
-use crate::timing::TimingStats;
 use obs::{EventKind, TaskOutcome};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,10 +41,6 @@ pub struct RuntimeConfig {
     /// Optional checkpoint log path; completed tasks with a key are logged
     /// and replayed on the next run.
     pub checkpoint_path: Option<PathBuf>,
-    /// Simulated network/storage cost model. [`CostModel::free`] (the
-    /// default) disables the simulated delay; transfers are still
-    /// *counted* in the ledger either way.
-    pub cost: CostModel,
     /// Seed for everything the runtime randomizes deterministically — the
     /// retry-backoff jitter (see [`crate::inject::backoff_delay_ms`]) and
     /// the schedulers' tie-breaks.
@@ -54,7 +54,6 @@ impl RuntimeConfig {
             workers: vec![WorkerProfile::cpu(4); n.max(1)],
             policy: Policy::Fifo,
             checkpoint_path: None,
-            cost: CostModel::free(),
             seed: 0,
         }
     }
@@ -86,29 +85,10 @@ pub struct TaskHandle {
     pub outputs: Vec<DataRef>,
 }
 
-/// Execution statistics, cheap to clone.
-#[derive(Debug, Default, Clone)]
-pub struct Metrics {
-    /// Completed task count (including checkpoint-restored).
-    pub completed: usize,
-    /// Permanently failed task count.
-    pub failed: usize,
-    /// Cancelled task count.
-    pub cancelled: usize,
-    /// Tasks that exceeded their per-task deadline.
-    pub timed_out: usize,
-    /// Tasks restored from the checkpoint log without executing.
-    pub restored: usize,
-    /// Total retry attempts performed.
-    pub retries: usize,
-    /// Wall-clock execution time per completed task.
-    pub task_durations: Vec<(TaskId, String, Duration)>,
-    /// Tasks executed per worker index.
-    pub tasks_per_worker: Vec<u64>,
-}
-
 type TaskFn<P> = dyn Fn(&[Arc<P>]) -> std::result::Result<Vec<P>, String> + Send + Sync;
 
+/// Control state of one task. Lifecycle *facts* (attempts, start stamps,
+/// durations) are not kept here: they are in the event fold.
 struct TaskEntry<P: Payload> {
     name: Arc<str>,
     key: Option<String>,
@@ -120,15 +100,10 @@ struct TaskEntry<P: Payload> {
     policy: FailurePolicy,
     remaining_deps: usize,
     dependents: Vec<TaskId>,
-    attempts: u32,
     /// Per-task deadline: attempts whose wall time exceeds it are
     /// surfaced as `TimedOut` (checked post-hoc — threads can't be
     /// interrupted — so the state flips when the attempt returns).
     deadline: Option<Duration>,
-    started: Option<Instant>,
-    /// Start of the current attempt on the runtime bus clock; feeds the
-    /// timed critical-path log ([`Runtime::timing_report`]).
-    started_us: Option<u64>,
 }
 
 struct DataEntry<P: Payload> {
@@ -137,25 +112,6 @@ struct DataEntry<P: Payload> {
     /// Worker index that produced the value (None = master / restored).
     location: Option<usize>,
     size: u64,
-}
-
-/// One placement decision and its measured outcome, kept by the runtime
-/// (independent of any bus subscriber) so reports can score placement
-/// quality after the fact.
-#[derive(Debug, Clone)]
-pub struct PlacementDecision {
-    /// Name of the policy that made the call.
-    pub policy: &'static str,
-    pub task: TaskId,
-    pub name: Arc<str>,
-    pub worker: usize,
-    /// Estimated fetch + run cost at decision time, microseconds.
-    pub est_us: u64,
-    /// Upward rank of the task at decision time.
-    pub rank_us: u64,
-    /// Measured duration of the completed attempt; `None` while running
-    /// or when the attempt never completed.
-    pub actual_us: Option<u64>,
 }
 
 struct Inner<P: Payload> {
@@ -175,36 +131,20 @@ struct Inner<P: Payload> {
     shutdown: bool,
     ledger: TransferLedger,
     checkpoint: Option<CheckpointLog>,
-    metrics: Metrics,
-    provenance: ProvenanceLog,
     /// The boxed placement policy (see [`crate::scheduler::Scheduler`]);
     /// lives under the state lock so every decision sees a consistent
     /// ready set.
     sched: Box<dyn Scheduler>,
-    /// Measured per-name durations feeding the cost-aware schedulers.
-    stats: TimingStats,
-    /// Every placement decision, est vs. actual (see
-    /// [`Runtime::scheduler_decisions`]).
-    decisions: Vec<PlacementDecision>,
-    /// Index into `decisions` of the task's in-flight attempt.
-    decision_idx: HashMap<TaskId, usize>,
-    /// Event-folded status view; `Runtime::status()` is a snapshot of this,
-    /// so the poll API and the event stream can never disagree.
+    /// The report state: the one record of what happened in this run, a
+    /// fold of every event `observe` emitted. It lives under the state
+    /// lock so the poll API and the event stream can never disagree.
     fold: StatusFold,
-    /// Measured execution interval of every completed task, on the
-    /// runtime bus clock. Input to [`crate::timing::analyze`].
-    spans: Vec<crate::timing::TaskSpan>,
 }
 
 struct Shared<P: Payload> {
     state: Mutex<Inner<P>>,
     work_cv: Condvar,
     done_cv: Condvar,
-    /// The shared network/storage cost model: prices the simulated
-    /// transfer sleep and the schedulers' fetch estimates identically.
-    cost: CostModel,
-    /// Transfers currently in flight (contention input for the model).
-    active_transfers: AtomicU32,
     /// Determinism seed (retry-backoff jitter, scheduler tie-breaks).
     seed: u64,
     /// Worker profiles, one per worker thread.
@@ -232,24 +172,54 @@ struct RtMetrics {
 impl RtMetrics {
     fn new() -> Self {
         let r = obs::registry();
+        let tasks = |o: TaskOutcome| r.counter("dataflow_tasks_total", &[("outcome", o.label())]);
         RtMetrics {
-            tasks_completed: r.counter("dataflow_tasks_total", &[("outcome", "completed")]),
-            tasks_failed: r.counter("dataflow_tasks_total", &[("outcome", "failed")]),
-            tasks_cancelled: r.counter("dataflow_tasks_total", &[("outcome", "cancelled")]),
-            tasks_timed_out: r.counter("dataflow_tasks_total", &[("outcome", "timed_out")]),
+            tasks_completed: tasks(TaskOutcome::Completed),
+            tasks_failed: tasks(TaskOutcome::Failed),
+            tasks_cancelled: tasks(TaskOutcome::Cancelled),
+            tasks_timed_out: tasks(TaskOutcome::TimedOut),
             retries: r.counter("dataflow_task_retries_total", &[]),
             queue_ready: r.gauge("dataflow_queue_ready", &[]),
             queue_running: r.gauge("dataflow_queue_running", &[]),
             task_us: r.histogram("dataflow_task_duration_us", &[]),
         }
     }
+
+    /// Mirrors one event into the process-wide registry.
+    fn count(&self, kind: &EventKind) {
+        match kind {
+            EventKind::TaskFinished { outcome, worker, micros, .. } => {
+                match outcome {
+                    TaskOutcome::Completed => &self.tasks_completed,
+                    TaskOutcome::Failed => &self.tasks_failed,
+                    TaskOutcome::Cancelled => &self.tasks_cancelled,
+                    TaskOutcome::TimedOut => &self.tasks_timed_out,
+                }
+                .inc();
+                // Only a completion a worker ran has a duration to sample.
+                if *outcome == TaskOutcome::Completed && worker.is_some() {
+                    self.task_us.observe(*micros);
+                }
+            }
+            EventKind::TaskRetried { .. } | EventKind::TaskRetryBackoff { .. } => {
+                self.retries.inc()
+            }
+            EventKind::QueueDepth { ready, running } => {
+                self.queue_ready.set(*ready as i64);
+                self.queue_running.set(*running as i64);
+            }
+            _ => {}
+        }
+    }
 }
 
-/// Folds the event into the runtime's status view, then fans it out to the
-/// runtime's own bus and the process-global bus. The clone happens only
-/// when *both* have subscribers.
+/// The one writer of the report state: stamps the event on the bus clock,
+/// folds it into the runtime's ledger, mirrors it into the metrics
+/// registry, then fans it out to the runtime's own bus and the
+/// process-global bus. The clone happens only when *both* have subscribers.
 fn observe<P: Payload>(shared: &Shared<P>, st: &mut Inner<P>, kind: EventKind) {
-    st.fold.apply(&kind);
+    st.fold.apply(shared.bus.now_micros(), &kind);
+    shared.rtm.count(&kind);
     let global = obs::global();
     match (shared.bus.is_active(), global.is_active()) {
         (true, true) => {
@@ -261,12 +231,9 @@ fn observe<P: Payload>(shared: &Shared<P>, st: &mut Inner<P>, kind: EventKind) {
     }
 }
 
-/// Publishes the scheduler queue depth (gauges always, event when someone
-/// is listening).
+/// Publishes the scheduler queue depth.
 fn queue_depth<P: Payload>(shared: &Shared<P>, st: &mut Inner<P>) {
     let (ready, running) = (st.ready.len(), st.running);
-    shared.rtm.queue_ready.set(ready as i64);
-    shared.rtm.queue_running.set(running as i64);
     observe(shared, st, EventKind::QueueDepth { ready, running });
 }
 
@@ -297,24 +264,13 @@ impl<P: Payload> Runtime<P> {
             shutdown: false,
             ledger: TransferLedger::default(),
             checkpoint,
-            metrics: Metrics {
-                tasks_per_worker: vec![0; config.workers.len()],
-                ..Default::default()
-            },
             sched: config.policy.build(config.seed),
-            stats: TimingStats::default(),
-            decisions: Vec::new(),
-            decision_idx: HashMap::new(),
-            provenance: ProvenanceLog::new(),
             fold: StatusFold::new(),
-            spans: Vec::new(),
         };
         let shared = Arc::new(Shared {
             state: Mutex::new(inner),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            cost: config.cost.clone(),
-            active_transfers: AtomicU32::new(0),
             seed: config.seed,
             profiles: config.workers.clone(),
             bus: obs::Bus::new(),
@@ -405,9 +361,12 @@ impl<P: Payload> Runtime<P> {
         self.shared.state.lock().aborted.clone()
     }
 
-    /// Snapshot of execution metrics.
+    /// Snapshot of execution metrics (a read of the event fold).
     pub fn metrics(&self) -> Metrics {
-        self.shared.state.lock().metrics.clone()
+        let mut m = self.shared.state.lock().fold.metrics().clone();
+        // The fold learns of a worker at its first start; idle ones count 0.
+        m.tasks_per_worker.resize(self.shared.profiles.len(), 0);
+        m
     }
 
     /// Snapshot of the data-transfer ledger.
@@ -421,16 +380,18 @@ impl<P: Payload> Runtime<P> {
     }
 
     /// Every placement decision made so far, in decision order, with the
-    /// estimated cost at pick time and the measured duration once the
-    /// task completed. The (task, worker) sequence doubles as the
-    /// placement log the determinism tests compare.
+    /// estimate at pick time and the measured duration once the task
+    /// completed (a read of the event fold). The (task, worker) sequence
+    /// doubles as the placement log the determinism tests compare.
     pub fn scheduler_decisions(&self) -> Vec<PlacementDecision> {
-        self.shared.state.lock().decisions.clone()
+        self.shared.state.lock().fold.placements().to_vec()
     }
 
-    /// Snapshot of the provenance log (terminal tasks only).
+    /// Provenance of every terminal task, in submission order: the event
+    /// fold joined with the data refs the graph holds.
     pub fn provenance(&self) -> ProvenanceLog {
-        self.shared.state.lock().provenance.clone()
+        let st = self.shared.state.lock();
+        st.fold.provenance(st.graph.nodes())
     }
 
     /// Point-in-time status of the whole workflow (monitoring).
@@ -478,7 +439,7 @@ impl<P: Payload> Runtime<P> {
     /// speedups (see [`crate::timing`]). `None` until a task completes.
     pub fn timing_report(&self) -> Option<crate::timing::TimedPath> {
         let st = self.shared.state.lock();
-        crate::timing::analyze(&st.graph.edges(), &st.spans)
+        crate::timing::analyze(&st.graph.edges(), &st.fold.spans())
     }
 
     /// Per-function task counts (legend of Figure 3).
@@ -491,15 +452,7 @@ impl<P: Payload> Runtime<P> {
         {
             let mut st = self.shared.state.lock();
             st.shutdown = true;
-            let ids: Vec<TaskId> = st
-                .tasks
-                .iter()
-                .filter(|(_, t)| !t.state.is_terminal() && t.state != TaskState::Running)
-                .map(|(id, _)| *id)
-                .collect();
-            for id in ids {
-                cancel_cascade(&self.shared, &mut st, id);
-            }
+            cancel_unstarted(&self.shared, &mut st);
             self.shared.work_cv.notify_all();
             self.shared.done_cv.notify_all();
         }
@@ -654,10 +607,7 @@ impl<'rt, P: Payload> TaskBuilder<'rt, P> {
             policy: self.policy,
             remaining_deps: remaining,
             dependents: Vec::new(),
-            attempts: 0,
             deadline: self.deadline,
-            started: None,
-            started_us: None,
         };
         st.tasks.insert(id, entry);
         for p in &preds {
@@ -667,65 +617,25 @@ impl<'rt, P: Payload> TaskBuilder<'rt, P> {
                 }
             }
         }
-        observe(
-            shared,
-            &mut st,
-            EventKind::TaskSubmitted { task: id.0, name: Arc::clone(&task_name) },
-        );
+        observe(shared, &mut st, EventKind::TaskSubmitted { task: id.0, name: task_name });
 
         if doomed {
-            cancel_cascade(shared, &mut st, id);
+            terminate(shared, &mut st, id, TaskOutcome::Cancelled, 0);
             shared.done_cv.notify_all();
             return Ok(TaskHandle { id, outputs });
         }
 
-        // Checkpoint replay: restore outputs without executing.
-        let restored = self
-            .key
-            .as_deref()
-            .and_then(|k| st.checkpoint.as_ref().and_then(|c| c.lookup(k).cloned()));
-        if let Some(blobs) = restored {
-            if blobs.len() == outputs.len() {
-                let decoded: Option<Vec<P>> = blobs.iter().map(|b| P::decode(b)).collect();
-                if let Some(values) = decoded {
-                    for (r, v) in outputs.iter().zip(values) {
-                        let size = v.approx_size();
-                        if let Some(d) = st.data.get_mut(&r.id) {
-                            d.value = Some(Arc::new(v));
-                            d.location = None;
-                            d.size = size;
-                        }
-                    }
-                    if let Some(t) = st.tasks.get_mut(&id) {
-                        t.state = TaskState::Completed;
-                        t.closure = None;
-                    }
-                    st.metrics.completed += 1;
-                    st.metrics.restored += 1;
-                    if let Some(k) = self.key.as_deref() {
-                        observe(
-                            shared,
-                            &mut st,
-                            EventKind::ResumedFrom { task: id.0, key: Arc::from(k) },
-                        );
-                    }
-                    observe(
-                        shared,
-                        &mut st,
-                        EventKind::TaskFinished {
-                            task: id.0,
-                            name: task_name,
-                            worker: None,
-                            outcome: TaskOutcome::Completed,
-                            micros: 0,
-                        },
-                    );
-                    record_provenance(&mut st, id, None);
-                    shared.done_cv.notify_all();
-                    return Ok(TaskHandle { id, outputs });
-                }
-            }
-            // Malformed/arity-mismatched record: fall through and execute.
+        // Checkpoint replay: restore outputs without executing. A
+        // malformed or arity-mismatched record falls through and executes.
+        let restored = self.key.as_deref().and_then(|key| {
+            let blobs = st.checkpoint.as_ref()?.lookup(key)?;
+            let values: Vec<P> = blobs.iter().map(|b| P::decode(b)).collect::<Option<_>>()?;
+            (values.len() == outputs.len()).then_some((key, values))
+        });
+        if let Some((key, values)) = restored {
+            observe(shared, &mut st, EventKind::ResumedFrom { task: id.0, key: Arc::from(key) });
+            complete(shared, &mut st, id, None, 0, values);
+            return Ok(TaskHandle { id, outputs });
         }
 
         if remaining == 0 {
@@ -742,145 +652,115 @@ impl<'rt, P: Payload> TaskBuilder<'rt, P> {
     }
 }
 
-/// Appends a provenance record for a task that just reached a terminal
-/// state.
-fn record_provenance<P: Payload>(st: &mut Inner<P>, id: TaskId, worker: Option<usize>) {
-    let Some(t) = st.tasks.get(&id) else { return };
-    st.provenance.record(TaskRecord {
-        task: id,
-        name: t.name.to_string(),
-        used: t.reads.clone(),
-        generated: t.writes.clone(),
-        worker,
-        started: t.started.map(|_| std::time::SystemTime::now()),
-        duration: t.started.map(|s| s.elapsed()),
-        attempts: t.attempts.max(1),
-        final_state: t.state,
-    });
-}
-
-/// Marks a datum failed and cancels the subtree of tasks that can no longer
-/// run. `root` itself is marked `Cancelled` unless already terminal.
-fn cancel_cascade<P: Payload>(shared: &Shared<P>, st: &mut Inner<P>, root: TaskId) {
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        let (writes, dependents, name) = {
-            let t = match st.tasks.get_mut(&id) {
-                Some(t) => t,
-                None => continue,
-            };
-            if t.state.is_terminal() {
-                continue;
-            }
-            t.state = TaskState::Cancelled;
-            t.closure = None;
-            (t.writes.clone(), t.dependents.clone(), Arc::clone(&t.name))
-        };
-        st.metrics.cancelled += 1;
-        shared.rtm.tasks_cancelled.inc();
-        // Tell the scheduler too: a cancelled task can never be picked
-        // again, so stateful policies drop their per-task bookkeeping
-        // (patience counters etc.) instead of leaking it.
-        st.sched.on_task_finished(id, &name, None, 0);
-        st.decision_idx.remove(&id);
-        observe(
-            shared,
-            st,
-            EventKind::TaskFinished {
-                task: id.0,
-                name,
-                worker: None,
-                outcome: TaskOutcome::Cancelled,
-                micros: 0,
-            },
-        );
-        record_provenance(st, id, None);
-        for w in &writes {
+/// The one terminal transition for a task that will never produce its
+/// outputs: `root` ends as `outcome` (`Failed`/`TimedOut` after an attempt
+/// of `micros`, or `Cancelled`) and every transitive dependent is
+/// `Cancelled`. Per task: state flip, closure drop, scheduler hook (a
+/// terminal task can never be picked again, so stateful policies drop its
+/// bookkeeping), one `TaskFinished`, output poisoning. Already-terminal
+/// tasks are skipped.
+fn terminate<P: Payload>(
+    shared: &Shared<P>,
+    st: &mut Inner<P>,
+    root: TaskId,
+    outcome: TaskOutcome,
+    micros: u64,
+) {
+    let mut stack = vec![(root, outcome, micros)];
+    while let Some((id, outcome, micros)) = stack.pop() {
+        let Some(t) = st.tasks.get_mut(&id).filter(|t| !t.state.is_terminal()) else { continue };
+        t.state = TaskState::from(outcome);
+        t.closure = None;
+        let name = Arc::clone(&t.name);
+        stack.extend(t.dependents.iter().map(|d| (*d, TaskOutcome::Cancelled, 0)));
+        for w in &t.writes {
             if let Some(d) = st.data.get_mut(&w.id) {
                 d.failed = true;
             }
         }
         st.ready.retain(|r| *r != id);
         st.delayed.retain(|(_, d)| *d != id);
-        stack.extend(dependents);
+        st.sched.on_task_finished(id, &name, None, 0);
+        observe(
+            shared,
+            st,
+            EventKind::TaskFinished {
+                task: id.0,
+                name: Arc::clone(&name),
+                worker: None,
+                outcome,
+                micros,
+            },
+        );
+        if outcome != TaskOutcome::Cancelled {
+            // The black box: persist the last events leading up to this
+            // failure or timeout (no-op unless flight recording is on and
+            // a dump path is set).
+            obs::flight::dump(&format!("task_{}: {name} (#{})", outcome.label(), id.0));
+        }
     }
 }
 
-/// Marks a *failed* task's outputs poisoned and cancels its dependents.
-fn fail_task<P: Payload>(shared: &Shared<P>, st: &mut Inner<P>, id: TaskId) {
-    let (writes, dependents, name, started) = {
-        let t = st.tasks.get_mut(&id).expect("failing unknown task");
-        t.state = TaskState::Failed;
-        t.closure = None;
-        (t.writes.clone(), t.dependents.clone(), Arc::clone(&t.name), t.started)
+/// Cancels every task no worker has started (shutdown, fail-fast abort).
+fn cancel_unstarted<P: Payload>(shared: &Shared<P>, st: &mut Inner<P>) {
+    let unstarted = |(id, t): (&TaskId, &TaskEntry<P>)| {
+        (!t.state.is_terminal() && t.state != TaskState::Running).then_some(*id)
     };
-    st.metrics.failed += 1;
-    shared.rtm.tasks_failed.inc();
-    st.sched.on_task_finished(id, &name, None, 0);
-    st.decision_idx.remove(&id);
-    let name_for_dump = Arc::clone(&name);
+    let ids: Vec<TaskId> = st.tasks.iter().filter_map(unstarted).collect();
+    for id in ids {
+        terminate(shared, st, id, TaskOutcome::Cancelled, 0);
+    }
+}
+
+/// The successful terminal transition: publishes `outs` as the task's
+/// outputs (resident on `worker`; `None` = restored from the checkpoint
+/// log), emits its `TaskFinished` and readies dependents.
+fn complete<P: Payload>(
+    shared: &Shared<P>,
+    st: &mut Inner<P>,
+    id: TaskId,
+    worker: Option<usize>,
+    micros: u64,
+    outs: Vec<P>,
+) {
+    let t = st.tasks.get_mut(&id).expect("completed task missing");
+    t.state = TaskState::Completed;
+    t.closure = None;
+    let (name, dependents) = (Arc::clone(&t.name), std::mem::take(&mut t.dependents));
+    for (w, v) in t.writes.iter().zip(outs) {
+        if let Some(d) = st.data.get_mut(&w.id) {
+            d.size = v.approx_size();
+            d.value = Some(Arc::new(v));
+            d.location = worker;
+        }
+    }
+    st.sched.on_task_finished(id, &name, worker, micros);
     observe(
         shared,
         st,
         EventKind::TaskFinished {
             task: id.0,
             name,
-            worker: None,
-            outcome: TaskOutcome::Failed,
-            micros: started.map(|s| s.elapsed().as_micros() as u64).unwrap_or(0),
+            worker,
+            outcome: TaskOutcome::Completed,
+            micros,
         },
     );
-    record_provenance(st, id, None);
-    // The black box: persist the last events leading up to this failure
-    // (no-op unless flight recording is on and a dump path is set).
-    obs::flight::dump(&format!("task_failed: {} (#{})", name_for_dump, id.0));
-    for w in &writes {
-        if let Some(d) = st.data.get_mut(&w.id) {
-            d.failed = true;
+    for dep in dependents {
+        let Some(t) = st.tasks.get_mut(&dep).filter(|t| t.state == TaskState::Pending) else {
+            continue;
+        };
+        t.remaining_deps = t.remaining_deps.saturating_sub(1);
+        if t.remaining_deps == 0 {
+            t.state = TaskState::Ready;
+            st.ready.push(dep);
+            st.sched.on_ready(dep);
+            observe(shared, st, EventKind::TaskReady { task: dep.0 });
         }
     }
-    for dep in dependents {
-        cancel_cascade(shared, st, dep);
-    }
-}
-
-/// Marks a task `TimedOut`: its attempt exceeded the per-task deadline.
-/// Like [`fail_task`] — outputs poisoned, dependents cancelled, flight
-/// dump — but counted and surfaced as a timeout, and *never* retried or
-/// escalated to a workflow abort: a deadline separates slow from wrong.
-fn timeout_task<P: Payload>(shared: &Shared<P>, st: &mut Inner<P>, id: TaskId) {
-    let (writes, dependents, name, started) = {
-        let t = st.tasks.get_mut(&id).expect("timing out unknown task");
-        t.state = TaskState::TimedOut;
-        t.closure = None;
-        (t.writes.clone(), t.dependents.clone(), Arc::clone(&t.name), t.started)
-    };
-    st.metrics.timed_out += 1;
-    shared.rtm.tasks_timed_out.inc();
-    st.sched.on_task_finished(id, &name, None, 0);
-    st.decision_idx.remove(&id);
-    let name_for_dump = Arc::clone(&name);
-    observe(
-        shared,
-        st,
-        EventKind::TaskFinished {
-            task: id.0,
-            name,
-            worker: None,
-            outcome: TaskOutcome::TimedOut,
-            micros: started.map(|s| s.elapsed().as_micros() as u64).unwrap_or(0),
-        },
-    );
-    record_provenance(st, id, None);
-    obs::flight::dump(&format!("task_timed_out: {} (#{})", name_for_dump, id.0));
-    for w in &writes {
-        if let Some(d) = st.data.get_mut(&w.id) {
-            d.failed = true;
-        }
-    }
-    for dep in dependents {
-        cancel_cascade(shared, st, dep);
-    }
+    queue_depth(shared, st);
+    shared.work_cv.notify_all();
+    shared.done_cv.notify_all();
 }
 
 /// Runs one task attempt under the chaos hook and a panic barrier.
@@ -929,7 +809,7 @@ fn task_estimate<P: Payload>(st: &Inner<P>, id: TaskId) -> u64 {
         return 0;
     }
     let bytes: u64 = t.reads.iter().filter_map(|r| st.data.get(&r.id)).map(|d| d.size).sum();
-    st.stats.estimate_us(&t.name, bytes)
+    st.fold.stats().estimate_us(&t.name, bytes)
 }
 
 /// Upward rank of every ready task: its estimated duration plus the
@@ -1010,7 +890,7 @@ fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize) {
                     name: Arc::clone(&t.name),
                     constraint: t.constraint,
                     input_locations,
-                    est_us: st.stats.estimate_us(&t.name, bytes),
+                    est_us: st.fold.stats().estimate_us(&t.name, bytes),
                     rank_us: ranks.get(id).copied().unwrap_or(0),
                 }
             })
@@ -1018,15 +898,13 @@ fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize) {
 
         // Hand the decision to the boxed scheduler under a consistent
         // cluster view. Split-borrow the guard so the view can read the
-        // timing stats while the scheduler mutates its own state.
+        // fold's timing means while the scheduler mutates its own state.
         let picked = {
             let inner = &mut *st;
             let view = ClusterView {
                 workers: &shared.profiles,
-                cost: &shared.cost,
-                stats: &inner.stats,
+                stats: inner.fold.stats(),
                 now_us: shared.bus.now_micros(),
-                active_transfers: shared.active_transfers.load(Ordering::Relaxed),
             };
             inner.sched.pick(worker_idx, &snapshot, &view)
         };
@@ -1051,324 +929,147 @@ fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize) {
             continue;
         };
 
-        let id = snapshot[ready_idx].task;
+        let ReadyTask { task: id, name, input_locations, est_us, rank_us, .. } =
+            snapshot.into_iter().nth(ready_idx).expect("scheduler picked out of range");
         st.ready.retain(|r| *r != id);
-        // Record the decision with its estimated cost; the actual lands
-        // when the attempt completes (see `finish_task`).
-        {
-            let sharing = shared.active_transfers.load(Ordering::Relaxed) + 1;
-            let t = &snapshot[ready_idx];
-            let est_us = shared.cost.fetch_us(worker_idx, &t.input_locations, sharing) + t.est_us;
-            let decision = PlacementDecision {
-                policy: st.sched.name(),
-                task: id,
-                name: Arc::clone(&t.name),
-                worker: worker_idx,
-                est_us,
-                rank_us: t.rank_us,
-                actual_us: None,
-            };
-            st.decisions.push(decision);
-            let idx = st.decisions.len() - 1;
-            st.decision_idx.insert(id, idx);
-        }
+        // The decision as the policy saw it; its actual is the `micros`
+        // of the attempt's `TaskFinished`.
+        let policy = st.sched.name();
+        let decision = EventKind::SchedulerDecision {
+            policy,
+            task: id.0,
+            name: Arc::clone(&name),
+            worker: worker_idx,
+            est_us,
+            rank_us,
+        };
+        observe(&shared, &mut st, decision);
 
-        let (closure, inputs, input_locations, task_name, attempt) = {
-            let start_us = shared.bus.now_micros();
-            let remote_snapshot = snapshot[ready_idx].input_locations.clone();
-            let t = st.tasks.get_mut(&id).expect("ready task missing");
+        let attempt = st.fold.attempts(id) + 1;
+        let (closure, inputs) = {
+            let inner = &mut *st;
+            let t = inner.tasks.get_mut(&id).expect("ready task missing");
             t.state = TaskState::Running;
-            t.started = Some(Instant::now());
-            t.started_us = Some(start_us);
             let closure = Arc::clone(t.closure.as_ref().expect("running task without closure"));
-            let reads = t.reads.clone();
-            let name = Arc::clone(&t.name);
-            let attempt = t.attempts + 1;
-            let inputs: Vec<Arc<P>> = reads
-                .iter()
-                .map(|r| {
-                    Arc::clone(
-                        st.data[&r.id]
-                            .value
-                            .as_ref()
-                            .expect("ready task with unmaterialized input"),
-                    )
-                })
-                .collect();
-            (closure, inputs, remote_snapshot, name, attempt)
+            let input = |r: &DataRef| {
+                let value = inner.data[&r.id].value.as_ref();
+                Arc::clone(value.expect("ready task with unmaterialized input"))
+            };
+            (closure, t.reads.iter().map(input).collect::<Vec<Arc<P>>>())
         };
         st.running += 1;
         st.ledger.record(worker_idx, &input_locations);
-        observe(
-            &shared,
-            &mut st,
-            EventKind::TaskStarted {
-                task: id.0,
-                name: Arc::clone(&task_name),
-                worker: worker_idx,
-                attempt,
-            },
-        );
+        let started = EventKind::TaskStarted {
+            task: id.0,
+            name: Arc::clone(&name),
+            worker: worker_idx,
+            attempt,
+        };
+        observe(&shared, &mut st, started);
         queue_depth(&shared, &mut st);
-        let remote_bytes: u64 =
-            input_locations.iter().filter(|(l, _)| *l != Some(worker_idx)).map(|(_, b)| *b).sum();
-
         drop(st);
 
-        // Simulated transfer latency from the cost model, under the
-        // current contention level (bounded to keep tests sane).
-        if remote_bytes > 0 && !shared.cost.is_free() {
-            let sharing = shared.active_transfers.fetch_add(1, Ordering::Relaxed) + 1;
-            let us = shared.cost.fetch_us(worker_idx, &input_locations, sharing).min(2_000_000);
-            std::thread::sleep(Duration::from_micros(us));
-            shared.active_transfers.fetch_sub(1, Ordering::Relaxed);
-        }
-
+        let start = Instant::now();
         let result = {
             // The task's causal span: everything the closure does — par
             // pool jobs, datacube kernels, file writes — nests under it
             // (pool spawns carry the context across threads).
-            let _span = if obs::global_active() {
-                Some(obs::trace::span(Arc::clone(&task_name)))
-            } else {
-                None
-            };
+            let _span = obs::global_active().then(|| obs::trace::span(name));
             run_attempt(&closure, &inputs)
         };
+        let micros = start.elapsed().as_micros() as u64;
 
         st = shared.state.lock();
         st.running -= 1;
-        st.metrics.tasks_per_worker[worker_idx] += 1;
-        finish_task(&shared, &mut st, id, worker_idx, result);
+        finish_task(&shared, &mut st, id, worker_idx, micros, result);
     }
 }
 
-/// Terminal handling of one attempt: publish outputs / apply the failure
-/// policy, wake dependents and waiters.
+/// Terminal handling of one attempt that took `micros`: publish outputs /
+/// apply the failure policy, wake dependents and waiters.
 fn finish_task<P: Payload>(
     shared: &Shared<P>,
     st: &mut Inner<P>,
     id: TaskId,
     worker_idx: usize,
+    micros: u64,
     result: std::result::Result<Vec<P>, String>,
 ) {
-    // Deadline check first: an attempt that came back too late is a
-    // timeout regardless of what it returned — the result is stale by
-    // definition and publishing it would hide the slowness.
-    let deadline_exceeded = st
-        .tasks
-        .get(&id)
-        .map(|t| matches!((t.deadline, t.started), (Some(d), Some(s)) if s.elapsed() > d))
-        .unwrap_or(false);
-    if deadline_exceeded {
-        timeout_task(shared, st, id);
-        queue_depth(shared, st);
-        shared.work_cv.notify_all();
-        shared.done_cv.notify_all();
-        return;
-    }
-    let declared_outputs = st.tasks.get(&id).map(|t| t.writes.len()).unwrap_or(0);
-    match result {
-        Ok(outs) if outs.len() == declared_outputs => {
-            let (writes, key, name, started, started_us) = {
-                let t = st.tasks.get_mut(&id).expect("completed task missing");
-                t.state = TaskState::Completed;
-                t.closure = None;
-                (t.writes.clone(), t.key.clone(), Arc::clone(&t.name), t.started, t.started_us)
-            };
-            // Checkpoint before publishing (a crash after publishing but
-            // before logging only costs a re-execution).
-            if let Some(k) = &key {
-                let blobs: Vec<Vec<u8>> = outs.iter().map(|o| o.encode()).collect();
-                let written = st
-                    .checkpoint
-                    .as_mut()
-                    .map(|log| log.append(k, &blobs).is_ok())
-                    .unwrap_or(false);
-                if written {
-                    let bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
-                    observe(
-                        shared,
-                        st,
-                        EventKind::CheckpointWritten { key: Arc::from(k.as_str()), bytes },
-                    );
+    let t = &st.tasks[&id];
+    let (policy, name, declared_outputs) = (t.policy, Arc::clone(&t.name), t.writes.len());
+    if t.deadline.is_some_and(|d| Duration::from_micros(micros) > d) {
+        // Deadline check first: an attempt that came back too late is a
+        // timeout regardless of what it returned — the result is stale by
+        // definition and publishing it would hide the slowness. Never
+        // retried or escalated to an abort: a deadline separates slow
+        // from wrong.
+        terminate(shared, st, id, TaskOutcome::TimedOut, micros);
+    } else {
+        let message = match result {
+            Ok(outs) if outs.len() == declared_outputs => {
+                // Checkpoint before publishing (a crash after publishing
+                // but before logging only costs a re-execution).
+                if let Some(k) = t.key.clone() {
+                    let blobs: Vec<Vec<u8>> = outs.iter().map(|o| o.encode()).collect();
+                    if st.checkpoint.as_mut().is_some_and(|log| log.append(&k, &blobs).is_ok()) {
+                        let bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
+                        observe(
+                            shared,
+                            st,
+                            EventKind::CheckpointWritten { key: Arc::from(k), bytes },
+                        );
+                    }
                 }
+                return complete(shared, st, id, Some(worker_idx), micros, outs);
             }
-            for (r, v) in writes.iter().zip(outs) {
-                let size = v.approx_size();
-                if let Some(d) = st.data.get_mut(&r.id) {
-                    d.value = Some(Arc::new(v));
-                    d.location = Some(worker_idx);
-                    d.size = size;
-                }
+            Ok(outs) => format!(
+                "output arity mismatch: declared {declared_outputs}, produced {}",
+                outs.len()
+            ),
+            Err(m) => m,
+        };
+        // The number of the attempt that just failed.
+        let attempt = st.fold.attempts(id);
+        let backoff = match policy {
+            FailurePolicy::RetryBackoff { max_retries, base_ms, cap_ms }
+                if attempt <= max_retries =>
+            {
+                Some((base_ms, cap_ms))
             }
-            st.metrics.completed += 1;
-            let micros = started.map(|s| s.elapsed().as_micros() as u64).unwrap_or(0);
-            if let Some(start) = started {
-                st.metrics.task_durations.push((id, name.to_string(), start.elapsed()));
-            }
-            // Timing log for critical-path analysis. Restored tasks
-            // (started_us = None) never executed, so they carry no span.
-            if let Some(start_us) = started_us {
-                st.spans.push(crate::timing::TaskSpan {
-                    task: id,
-                    name: Arc::clone(&name),
-                    start_us,
-                    end_us: start_us + micros,
-                });
-            }
-            shared.rtm.tasks_completed.inc();
-            shared.rtm.task_us.observe(micros);
-            // Feed the measured duration back into the cost-aware
-            // schedulers and close out the placement decision.
-            st.stats.record(&name, micros);
-            st.sched.on_task_finished(id, &name, Some(worker_idx), micros);
-            if let Some(di) = st.decision_idx.remove(&id) {
-                st.decisions[di].actual_us = Some(micros);
-                let d = st.decisions[di].clone();
+            _ => None,
+        };
+        let retry = backoff.is_some()
+            || matches!(policy, FailurePolicy::Retry { max_retries } if attempt <= max_retries);
+        if retry {
+            st.tasks.get_mut(&id).expect("retried task missing").state = TaskState::Ready;
+            if let Some((base_ms, cap_ms)) = backoff {
+                let delay_ms =
+                    crate::inject::backoff_delay_ms(shared.seed, id.0, attempt, base_ms, cap_ms);
+                st.delayed.push((Instant::now() + Duration::from_millis(delay_ms), id));
                 observe(
                     shared,
                     st,
-                    EventKind::SchedulerDecision {
-                        policy: d.policy,
-                        task: id.0,
-                        name: d.name,
-                        worker: d.worker,
-                        est_us: d.est_us,
-                        actual_us: micros,
-                    },
+                    EventKind::TaskRetryBackoff { task: id.0, name, attempt, delay_ms },
                 );
-            }
-            observe(
-                shared,
-                st,
-                EventKind::TaskFinished {
-                    task: id.0,
-                    name,
-                    worker: Some(worker_idx),
-                    outcome: TaskOutcome::Completed,
-                    micros,
-                },
-            );
-            record_provenance(st, id, Some(worker_idx));
-            // Wake dependents.
-            let deps = st.tasks[&id].dependents.clone();
-            for dep in deps {
-                if let Some(t) = st.tasks.get_mut(&dep) {
-                    if t.state == TaskState::Pending {
-                        t.remaining_deps = t.remaining_deps.saturating_sub(1);
-                        if t.remaining_deps == 0 {
-                            t.state = TaskState::Ready;
-                            st.ready.push(dep);
-                            st.sched.on_ready(dep);
-                            observe(shared, st, EventKind::TaskReady { task: dep.0 });
-                        }
-                    }
-                }
+            } else {
+                st.ready.push(id);
+                st.sched.on_ready(id);
+                observe(shared, st, EventKind::TaskRetried { task: id.0, name, attempt });
             }
             queue_depth(shared, st);
             shared.work_cv.notify_all();
-            shared.done_cv.notify_all();
+            return;
         }
-        other => {
-            let message = match other {
-                Ok(outs) => format!(
-                    "output arity mismatch: declared {declared_outputs}, produced {}",
-                    outs.len()
-                ),
-                Err(m) => m,
-            };
-            let (policy, attempts, name) = {
-                let t = st.tasks.get_mut(&id).expect("failed task missing");
-                t.attempts += 1;
-                (t.policy, t.attempts, Arc::clone(&t.name))
-            };
-            let backoff = match policy {
-                FailurePolicy::RetryBackoff { max_retries, base_ms, cap_ms }
-                    if attempts <= max_retries =>
-                {
-                    Some((base_ms, cap_ms))
-                }
-                _ => None,
-            };
-            let retry = backoff.is_some()
-                || matches!(policy, FailurePolicy::Retry { max_retries } if attempts <= max_retries);
-            if retry {
-                st.metrics.retries += 1;
-                shared.rtm.retries.inc();
-                // The failed attempt's decision never completes; the next
-                // pick records a fresh one.
-                st.decision_idx.remove(&id);
-                if let Some(t) = st.tasks.get_mut(&id) {
-                    t.state = TaskState::Ready;
-                    // Reset the attempt stamps: the next TaskStarted begins
-                    // a fresh interval, so the eventual TaskSpan/duration
-                    // covers only the final attempt — not failed attempts
-                    // plus the backoff delay between them.
-                    t.started = None;
-                    t.started_us = None;
-                }
-                if let Some((base_ms, cap_ms)) = backoff {
-                    let delay_ms = crate::inject::backoff_delay_ms(
-                        shared.seed,
-                        id.0,
-                        attempts,
-                        base_ms,
-                        cap_ms,
-                    );
-                    st.delayed.push((Instant::now() + Duration::from_millis(delay_ms), id));
-                    observe(
-                        shared,
-                        st,
-                        EventKind::TaskRetryBackoff {
-                            task: id.0,
-                            name,
-                            attempt: attempts,
-                            delay_ms,
-                        },
-                    );
-                } else {
-                    st.ready.push(id);
-                    st.sched.on_ready(id);
-                    observe(
-                        shared,
-                        st,
-                        EventKind::TaskRetried { task: id.0, name, attempt: attempts },
-                    );
-                }
-                queue_depth(shared, st);
-                shared.work_cv.notify_all();
-            } else {
-                match policy {
-                    FailurePolicy::IgnoreCancelSuccessors => {
-                        fail_task(shared, st, id);
-                    }
-                    _ => {
-                        // Fail fast: poison everything still pending.
-                        fail_task(shared, st, id);
-                        st.aborted =
-                            Some(Error::TaskFailed { task: id, name: name.to_string(), message });
-                        let pending: Vec<TaskId> = st
-                            .tasks
-                            .iter()
-                            .filter(|(_, t)| {
-                                !t.state.is_terminal() && t.state != TaskState::Running
-                            })
-                            .map(|(i, _)| *i)
-                            .collect();
-                        for p in pending {
-                            cancel_cascade(shared, st, p);
-                        }
-                        st.ready.clear();
-                        st.delayed.clear();
-                    }
-                }
-                queue_depth(shared, st);
-                shared.work_cv.notify_all();
-                shared.done_cv.notify_all();
-            }
+        terminate(shared, st, id, TaskOutcome::Failed, micros);
+        if policy != FailurePolicy::IgnoreCancelSuccessors {
+            // Fail fast: cancel everything no worker has started.
+            st.aborted = Some(Error::TaskFailed { task: id, name: name.to_string(), message });
+            cancel_unstarted(shared, st);
         }
     }
+    queue_depth(shared, st);
+    shared.work_cv.notify_all();
+    shared.done_cv.notify_all();
 }
 
 #[cfg(test)]
@@ -1381,7 +1082,7 @@ mod tests {
         /// Measured execution interval of every completed task so far, on
         /// the runtime bus clock (see [`obs::Bus::now_micros`]).
         fn task_spans(&self) -> Vec<crate::timing::TaskSpan> {
-            self.shared.state.lock().spans.clone()
+            self.shared.state.lock().fold.spans()
         }
     }
 
@@ -1635,12 +1336,28 @@ mod tests {
                 })
                 .unwrap();
         }
+        let tries = Arc::new(AtomicU32::new(0));
+        rt.task("flaky")
+            .writes(&["y"])
+            .on_failure(FailurePolicy::Retry { max_retries: 1 })
+            .run(move |_| match tries.fetch_add(1, Ordering::SeqCst) {
+                0 => Err("transient".into()),
+                _ => Ok(vec![Bytes::empty()]),
+            })
+            .unwrap();
         rt.barrier().unwrap();
         let m = rt.metrics();
-        assert_eq!(m.completed, 6);
-        assert_eq!(m.task_durations.len(), 6);
-        assert!(m.task_durations.iter().all(|(_, _, d)| *d >= Duration::from_millis(4)));
-        assert_eq!(m.tasks_per_worker.iter().sum::<u64>(), 6);
+        assert_eq!(m.completed, 7);
+        assert_eq!(m.task_durations.len(), 7);
+        assert!(m
+            .task_durations
+            .iter()
+            .all(|(_, name, d)| name == "flaky" || *d >= Duration::from_millis(4)));
+        // Per-worker counts are attempts *started*: the sum over tasks of
+        // their attempts (8 here), not the completed count.
+        let attempts: u64 = rt.provenance().records().iter().map(|r| u64::from(r.attempts)).sum();
+        assert_eq!(attempts, 8);
+        assert_eq!(m.tasks_per_worker.iter().sum::<u64>(), attempts);
     }
 
     #[test]
@@ -1661,8 +1378,8 @@ mod tests {
             vec![
                 "task_submitted",
                 "task_ready",
-                "task_started",
                 "scheduler_decision",
+                "task_started",
                 "task_finished"
             ]
         );
@@ -1699,31 +1416,6 @@ mod tests {
             e.kind,
             EventKind::TaskFinished { outcome: TaskOutcome::Failed, .. }
         )));
-    }
-
-    #[test]
-    fn status_is_the_event_fold() {
-        let rt = rt(2);
-        for _ in 0..5 {
-            rt.task("t").writes(&["x"]).run(|_| Ok(vec![Bytes::from_u64(1)])).unwrap();
-        }
-        rt.barrier().unwrap();
-        let s = rt.status();
-        assert_eq!(s.completed, 5);
-        assert_eq!(s.total(), 5);
-        assert!(s.is_quiescent());
-        // An external fold over the same stream must agree with status():
-        // both are StatusFold applications, one kept by the runtime.
-        let rx = rt.subscribe();
-        let h = rt.task("late").writes(&["y"]).run(|_| Ok(vec![Bytes::from_u64(2)])).unwrap();
-        rt.fetch(&h.outputs[0]).unwrap();
-        rt.barrier().unwrap();
-        let mut fold = crate::monitor::StatusFold::new();
-        for e in rx.drain() {
-            fold.apply_event(&e);
-        }
-        assert_eq!(fold.snapshot().completed, 1);
-        assert_eq!(rt.status().completed, 6);
     }
 
     #[test]

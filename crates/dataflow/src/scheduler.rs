@@ -4,9 +4,9 @@
 //! [`Scheduler`] which ready task (if any) it should run. The trait owns
 //! all placement decisions — the runtime only supplies a consistent
 //! snapshot ([`ReadyTask`]) and the cluster context ([`ClusterView`]:
-//! worker profiles, the [`CostModel`], measured [`TimingStats`]).
+//! worker profiles, measured [`TimingStats`], the bus clock).
 //!
-//! Four portfolio policies ship behind the [`Policy`] selector:
+//! Three portfolio policies ship behind the [`Policy`] selector:
 //!
 //! * [`Fifo`] — oldest compatible task first. The baseline most WMSs
 //!   default to.
@@ -21,17 +21,11 @@
 //!   byte-size cold-start fallback), and the asking worker takes the
 //!   highest-ranked compatible task. Seeded hashing breaks exact-rank
 //!   ties deterministically.
-//! * [`Lookahead`] — one-step makespan estimation: before taking a task
-//!   the worker compares its own estimated finish time (fetch cost from
-//!   the [`CostModel`] plus estimated duration) against the best
-//!   alternative worker's, and defers — patience-bounded — when another
-//!   worker would finish the task meaningfully earlier.
 //!
 //! Every policy is deterministic given the same ready-set evolution:
 //! selection depends only on the snapshot, stable orderings and the
 //! runtime seed, never on wall-clock time or map iteration order.
 
-use crate::cost::CostModel;
 use crate::inject::splitmix64;
 use crate::resources::WorkerProfile;
 use crate::task::TaskId;
@@ -54,13 +48,11 @@ pub enum Policy {
     Locality,
     /// Upward-rank list scheduling from measured durations.
     Heft,
-    /// One-step makespan estimation over the cost model.
-    Lookahead,
 }
 
 impl Policy {
     /// Every portfolio policy, in a stable order (benches sweep this).
-    pub const ALL: [Policy; 4] = [Policy::Fifo, Policy::Locality, Policy::Heft, Policy::Lookahead];
+    pub const ALL: [Policy; 3] = [Policy::Fifo, Policy::Locality, Policy::Heft];
 
     /// Stable lowercase name (CLI values, bench labels, event fields).
     pub fn name(self) -> &'static str {
@@ -68,18 +60,16 @@ impl Policy {
             Policy::Fifo => "fifo",
             Policy::Locality => "locality",
             Policy::Heft => "heft",
-            Policy::Lookahead => "lookahead",
         }
     }
 
     /// Builds the scheduler implementing this policy. `seed` feeds the
-    /// deterministic tie-breaks in the cost-aware policies.
+    /// deterministic tie-breaks of the rank-aware policy.
     pub fn build(self, seed: u64) -> Box<dyn Scheduler> {
         match self {
             Policy::Fifo => Box::new(Fifo),
             Policy::Locality => Box::new(Locality::default()),
             Policy::Heft => Box::new(Heft::new(seed)),
-            Policy::Lookahead => Box::new(Lookahead::new(seed)),
         }
     }
 }
@@ -98,10 +88,9 @@ impl FromStr for Policy {
             "fifo" => Ok(Policy::Fifo),
             "locality" => Ok(Policy::Locality),
             "heft" => Ok(Policy::Heft),
-            "lookahead" => Ok(Policy::Lookahead),
-            other => Err(format!(
-                "unknown scheduling policy '{other}' (expected fifo|locality|heft|lookahead)"
-            )),
+            other => {
+                Err(format!("unknown scheduling policy '{other}' (expected fifo|locality|heft)"))
+            }
         }
     }
 }
@@ -127,43 +116,16 @@ impl ReadyTask {
     pub fn local_bytes(&self, worker: usize) -> u64 {
         self.input_locations.iter().filter(|(loc, _)| *loc == Some(worker)).map(|(_, b)| *b).sum()
     }
-
-    /// Bytes that would have to move if `worker` ran this task.
-    pub fn remote_bytes(&self, worker: usize) -> u64 {
-        self.input_locations.iter().filter(|(loc, _)| *loc != Some(worker)).map(|(_, b)| *b).sum()
-    }
-
-    /// Total input bytes regardless of placement.
-    pub fn input_bytes(&self) -> u64 {
-        self.input_locations.iter().map(|(_, b)| *b).sum()
-    }
 }
 
 /// Read-only cluster context for one placement decision.
 pub struct ClusterView<'a> {
     /// Worker profiles, indexed by worker id.
     pub workers: &'a [WorkerProfile],
-    /// The shared network/storage cost model.
-    pub cost: &'a CostModel,
     /// Measured per-name duration statistics.
     pub stats: &'a TimingStats,
     /// Current time on the runtime bus clock, microseconds.
     pub now_us: u64,
-    /// Transfers currently in flight (contention input for the model).
-    pub active_transfers: u32,
-}
-
-impl ClusterView<'_> {
-    /// Estimated microseconds for `worker` to gather `t`'s inputs, under
-    /// the current contention level.
-    pub fn fetch_us(&self, t: &ReadyTask, worker: usize) -> u64 {
-        self.cost.fetch_us(worker, &t.input_locations, self.active_transfers + 1)
-    }
-
-    /// Estimated completion cost (fetch + run) of `t` on `worker`.
-    pub fn completion_us(&self, t: &ReadyTask, worker: usize) -> u64 {
-        self.fetch_us(t, worker) + t.est_us
-    }
 }
 
 /// A task-placement policy driven by the runtime.
@@ -363,105 +325,6 @@ impl Scheduler for Heft {
     }
 }
 
-/// One-step lookahead: defer to a worker with a clearly earlier
-/// estimated finish time, patience-bounded.
-#[derive(Debug, Default)]
-pub struct Lookahead {
-    seed: u64,
-    /// Estimated bus-clock time each worker becomes idle, from the
-    /// completion estimates of the tasks it accepted.
-    busy_until: HashMap<usize, u64>,
-    passes: HashMap<TaskId, u32>,
-}
-
-impl Lookahead {
-    pub fn new(seed: u64) -> Self {
-        Lookahead { seed, ..Default::default() }
-    }
-
-    /// Earliest estimated finish of `t` on any *other* compatible worker.
-    fn best_alternative_us(
-        &self,
-        worker: usize,
-        t: &ReadyTask,
-        view: &ClusterView<'_>,
-    ) -> Option<u64> {
-        view.workers
-            .iter()
-            .enumerate()
-            .filter(|&(w, p)| w != worker && p.satisfies(&t.constraint))
-            .map(|(w, _)| {
-                let start = self.busy_until.get(&w).copied().unwrap_or(0).max(view.now_us);
-                start + view.completion_us(t, w)
-            })
-            .min()
-    }
-}
-
-impl Scheduler for Lookahead {
-    fn name(&self) -> &'static str {
-        "lookahead"
-    }
-
-    fn pick(
-        &mut self,
-        worker: usize,
-        ready: &[ReadyTask],
-        view: &ClusterView<'_>,
-    ) -> Option<usize> {
-        let profile = &view.workers[worker];
-        // Consider candidates in upward-rank order (same priority list as
-        // HEFT), deferring any task another worker is estimated to finish
-        // meaningfully earlier — until patience runs out.
-        let mut candidates: Vec<(usize, &ReadyTask)> = compatible(ready, profile).collect();
-        candidates.sort_by(|(_, a), (_, b)| {
-            b.rank_us
-                .cmp(&a.rank_us)
-                .then_with(|| tie_key(self.seed, a.task).cmp(&tie_key(self.seed, b.task)))
-                .then_with(|| a.task.cmp(&b.task))
-        });
-        for (i, t) in candidates {
-            let eft_here = view.now_us + view.completion_us(t, worker);
-            let patience_left = self.passes.get(&t.task).copied().unwrap_or(0) <= PATIENCE;
-            if patience_left {
-                if let Some(alt) = self.best_alternative_us(worker, t, view) {
-                    // "Clearly earlier": more than the larger of a fixed
-                    // floor and a quarter of the task's own duration.
-                    let margin = (t.est_us / 4).max(200);
-                    if alt + margin < eft_here {
-                        *self.passes.entry(t.task).or_insert(0) += 1;
-                        continue;
-                    }
-                }
-            }
-            self.passes.remove(&t.task);
-            let until = self.busy_until.entry(worker).or_insert(0);
-            *until = (*until).max(view.now_us) + view.completion_us(t, worker);
-            return Some(i);
-        }
-        None
-    }
-
-    fn on_task_finished(
-        &mut self,
-        task: TaskId,
-        _name: &str,
-        worker: Option<usize>,
-        _duration_us: u64,
-    ) {
-        self.passes.remove(&task);
-        if let Some(w) = worker {
-            // The worker is idle again; stale optimism in `busy_until`
-            // would make others defer to a queue that no longer exists.
-            self.busy_until.remove(&w);
-        }
-    }
-
-    fn poll_hint(&self) -> Option<Duration> {
-        Some(REPOLL)
-    }
-}
-
 /// Cumulative data-movement accounting, updated by the runtime whenever a
 /// task starts on a worker that does not hold one of its inputs.
 #[derive(Debug, Default, Clone)]
@@ -504,19 +367,15 @@ mod tests {
         }
     }
 
-    fn view<'a>(
-        workers: &'a [WorkerProfile],
-        cost: &'a CostModel,
-        stats: &'a TimingStats,
-    ) -> ClusterView<'a> {
-        ClusterView { workers, cost, stats, now_us: 0, active_transfers: 0 }
+    fn view<'a>(workers: &'a [WorkerProfile], stats: &'a TimingStats) -> ClusterView<'a> {
+        ClusterView { workers, stats, now_us: 0 }
     }
 
     #[test]
     fn fifo_picks_first_compatible() {
         let workers = [WorkerProfile::cpu(4)];
-        let (cost, stats) = (CostModel::free(), TimingStats::default());
-        let v = view(&workers, &cost, &stats);
+        let stats = TimingStats::default();
+        let v = view(&workers, &stats);
         let mut gpu_task = rt(1, vec![]);
         gpu_task.constraint = Constraint::gpu();
         let ready = vec![gpu_task, rt(2, vec![]), rt(3, vec![])];
@@ -526,8 +385,8 @@ mod tests {
     #[test]
     fn fifo_none_when_incompatible() {
         let workers = [WorkerProfile::cpu(2)];
-        let (cost, stats) = (CostModel::free(), TimingStats::default());
-        let v = view(&workers, &cost, &stats);
+        let stats = TimingStats::default();
+        let v = view(&workers, &stats);
         let mut t = rt(1, vec![]);
         t.constraint = Constraint::cores(16);
         assert_eq!(Fifo.pick(0, &[t], &v), None);
@@ -536,8 +395,8 @@ mod tests {
     #[test]
     fn locality_prefers_resident_inputs() {
         let workers = [WorkerProfile::cpu(4), WorkerProfile::cpu(4)];
-        let (cost, stats) = (CostModel::free(), TimingStats::default());
-        let v = view(&workers, &cost, &stats);
+        let stats = TimingStats::default();
+        let v = view(&workers, &stats);
         let ready = vec![
             rt(1, vec![(Some(1), 1000)]), // resident on worker 1
             rt(2, vec![(Some(0), 1000)]), // resident on worker 0
@@ -549,8 +408,8 @@ mod tests {
     #[test]
     fn locality_ties_break_fifo() {
         let workers = [WorkerProfile::cpu(4)];
-        let (cost, stats) = (CostModel::free(), TimingStats::default());
-        let v = view(&workers, &cost, &stats);
+        let stats = TimingStats::default();
+        let v = view(&workers, &stats);
         let ready = vec![rt(5, vec![]), rt(2, vec![])];
         // No local bytes anywhere: lowest task id wins (task 2, index 1).
         assert_eq!(Locality::default().pick(0, &ready, &v), Some(1));
@@ -559,8 +418,8 @@ mod tests {
     #[test]
     fn locality_defers_then_steals_after_patience() {
         let workers = [WorkerProfile::cpu(4), WorkerProfile::cpu(4)];
-        let (cost, stats) = (CostModel::free(), TimingStats::default());
-        let v = view(&workers, &cost, &stats);
+        let stats = TimingStats::default();
+        let v = view(&workers, &stats);
         // Data on worker 1: worker 0 should pass PATIENCE times, then steal.
         let ready = vec![rt(1, vec![(Some(1), 4096)])];
         let mut sched = Locality::default();
@@ -574,8 +433,8 @@ mod tests {
     #[test]
     fn locality_respects_constraints() {
         let workers = [WorkerProfile { kind: WorkerKind::Cpu, cores: 2, memory_gb: 8 }];
-        let (cost, stats) = (CostModel::free(), TimingStats::default());
-        let v = view(&workers, &cost, &stats);
+        let stats = TimingStats::default();
+        let v = view(&workers, &stats);
         let mut big = rt(1, vec![(Some(0), 10_000)]);
         big.constraint = Constraint::cores(8);
         let ready = vec![big, rt(2, vec![])];
@@ -585,8 +444,8 @@ mod tests {
     #[test]
     fn heft_takes_highest_rank() {
         let workers = [WorkerProfile::cpu(4)];
-        let (cost, stats) = (CostModel::free(), TimingStats::default());
-        let v = view(&workers, &cost, &stats);
+        let stats = TimingStats::default();
+        let v = view(&workers, &stats);
         let mut shallow = rt(1, vec![]);
         shallow.rank_us = 2_000;
         let mut deep = rt(2, vec![]);
@@ -598,8 +457,8 @@ mod tests {
     #[test]
     fn heft_tie_break_is_seed_deterministic() {
         let workers = [WorkerProfile::cpu(4)];
-        let (cost, stats) = (CostModel::free(), TimingStats::default());
-        let v = view(&workers, &cost, &stats);
+        let stats = TimingStats::default();
+        let v = view(&workers, &stats);
         let ready = vec![rt(1, vec![]), rt(2, vec![]), rt(3, vec![])]; // equal ranks
         let a = Heft::new(42).pick(0, &ready, &v);
         let b = Heft::new(42).pick(0, &ready, &v);
@@ -610,45 +469,13 @@ mod tests {
     #[test]
     fn heft_respects_constraints() {
         let workers = [WorkerProfile::cpu(4)];
-        let (cost, stats) = (CostModel::free(), TimingStats::default());
-        let v = view(&workers, &cost, &stats);
+        let stats = TimingStats::default();
+        let v = view(&workers, &stats);
         let mut deep = rt(1, vec![]);
         deep.rank_us = 1_000_000;
         deep.constraint = Constraint::gpu();
         let ready = vec![deep, rt(2, vec![])];
         assert_eq!(Heft::new(0).pick(0, &ready, &v), Some(1), "rank cannot override constraints");
-    }
-
-    #[test]
-    fn lookahead_defers_to_data_owner_then_steals() {
-        let workers = [WorkerProfile::cpu(4), WorkerProfile::cpu(4)];
-        // Expensive interconnect: fetching 100 MB remotely dwarfs est_us.
-        let cost = CostModel {
-            interconnect: crate::cost::LinkCost::new(1000.0, 50),
-            storage: crate::cost::StorageCost::unlimited(),
-        };
-        let stats = TimingStats::default();
-        let v = view(&workers, &cost, &stats);
-        let ready = vec![rt(1, vec![(Some(1), 100_000_000)])];
-        let mut sched = Lookahead::new(0);
-        for _ in 0..=PATIENCE {
-            assert_eq!(sched.pick(0, &ready, &v), None, "worker 1 finishes far earlier");
-        }
-        assert_eq!(sched.pick(0, &ready, &v), Some(0), "patience exhausted");
-        // The data's owner takes it immediately (zero fetch cost).
-        assert_eq!(Lookahead::new(0).pick(1, &ready, &v), Some(0));
-    }
-
-    #[test]
-    fn lookahead_accounts_for_queued_work() {
-        let workers = [WorkerProfile::cpu(4), WorkerProfile::cpu(4)];
-        let (cost, stats) = (CostModel::free(), TimingStats::default());
-        let v = view(&workers, &cost, &stats);
-        let mut sched = Lookahead::new(0);
-        // Worker 1 accepts two tasks back to back: its busy_until grows, so
-        // worker 0 no longer defers even though costs are symmetric.
-        assert!(sched.pick(1, &[rt(1, vec![])], &v).is_some());
-        assert!(sched.pick(0, &[rt(2, vec![])], &v).is_some());
     }
 
     #[test]
@@ -665,9 +492,7 @@ mod tests {
     fn ready_task_byte_accounting() {
         let t = rt(1, vec![(Some(0), 10), (Some(1), 20), (None, 5)]);
         assert_eq!(t.local_bytes(0), 10);
-        assert_eq!(t.remote_bytes(0), 25);
         assert_eq!(t.local_bytes(1), 20);
-        assert_eq!(t.input_bytes(), 35);
     }
 
     #[test]

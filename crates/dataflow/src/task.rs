@@ -100,6 +100,18 @@ impl TaskState {
     }
 }
 
+/// The state a task's terminal event leaves it in.
+impl From<obs::TaskOutcome> for TaskState {
+    fn from(outcome: obs::TaskOutcome) -> Self {
+        match outcome {
+            obs::TaskOutcome::Completed => TaskState::Completed,
+            obs::TaskOutcome::Failed => TaskState::Failed,
+            obs::TaskOutcome::Cancelled => TaskState::Cancelled,
+            obs::TaskOutcome::TimedOut => TaskState::TimedOut,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -51,11 +51,11 @@ pub const COLD_BYTES_PER_US: u64 = 1_000;
 
 /// Online per-task-name duration statistics.
 ///
-/// The runtime records every completed attempt; the cost-aware schedulers
-/// (HEFT upward ranks, Lookahead finish-time estimates) read the means
-/// back. Before the first completion of a name the estimate falls back to
-/// a byte-proportional cold-start guess, so ranking still differentiates
-/// deep chains from shallow ones on the very first workflow run.
+/// Part of the run's event fold ([`crate::monitor::StatusFold`]): every
+/// executed completion is folded in, and HEFT's upward ranks read the
+/// means back. Before the first completion of a name the estimate falls
+/// back to a byte-proportional cold-start guess, so ranking still
+/// differentiates deep chains from shallow ones on the very first run.
 #[derive(Debug, Default, Clone)]
 pub struct TimingStats {
     by_name: HashMap<Arc<str>, (u64, u64)>,
@@ -63,7 +63,7 @@ pub struct TimingStats {
 
 impl TimingStats {
     /// Folds one measured execution of `name` into the statistics.
-    pub fn record(&mut self, name: &Arc<str>, duration_us: u64) {
+    pub(crate) fn record(&mut self, name: &Arc<str>, duration_us: u64) {
         let e = self.by_name.entry(Arc::clone(name)).or_insert((0, 0));
         e.0 += duration_us;
         e.1 += 1;
@@ -72,11 +72,6 @@ impl TimingStats {
     /// Mean measured duration of `name`, if any execution completed.
     pub fn mean_us(&self, name: &str) -> Option<u64> {
         self.by_name.get(name).map(|&(total, count)| total / count.max(1))
-    }
-
-    /// Number of measured executions of `name`.
-    pub fn samples(&self, name: &str) -> u64 {
-        self.by_name.get(name).map(|&(_, count)| count).unwrap_or(0)
     }
 
     /// Estimated duration of one execution of `name` over `input_bytes`
@@ -177,7 +172,7 @@ pub fn analyze(edges: &[(TaskId, TaskId)], spans: &[TaskSpan]) -> Option<TimedPa
     // always point from an earlier submission to a later one.
     let mut spans: Vec<&TaskSpan> = spans.iter().collect();
     spans.sort_by_key(|s| s.task);
-    spans.dedup_by_key(|s| s.task); // retries: keep the first record
+    spans.dedup_by_key(|s| s.task); // one span per task: keep the first
     let n = spans.len();
     let index: HashMap<TaskId, usize> =
         spans.iter().enumerate().map(|(i, s)| (s.task, i)).collect();
@@ -355,7 +350,6 @@ mod tests {
         stats.record(&name, 100);
         stats.record(&name, 300);
         assert_eq!(stats.mean_us("sim"), Some(200));
-        assert_eq!(stats.samples("sim"), 2);
         // Measured mean wins over the byte model once warm.
         assert_eq!(stats.estimate_us("sim", 2_000_000), 200);
     }

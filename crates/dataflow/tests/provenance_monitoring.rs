@@ -131,3 +131,75 @@ fn checkpoint_restored_tasks_appear_in_provenance() {
     assert_eq!(rec.worker, None, "restored tasks have no executing worker");
     rt.shutdown();
 }
+
+/// A task that fails `failures` times before succeeding, `body` long each
+/// attempt.
+fn flaky(
+    failures: u32,
+    body: Duration,
+) -> impl Fn(&[Arc<Bytes>]) -> Result<Vec<Bytes>, String> + Send + Sync + 'static {
+    let tries = std::sync::atomic::AtomicU32::new(0);
+    move |_| {
+        std::thread::sleep(body);
+        if tries.fetch_add(1, std::sync::atomic::Ordering::SeqCst) < failures {
+            Err("transient".into())
+        } else {
+            Ok(vec![Bytes::empty()])
+        }
+    }
+}
+
+#[test]
+fn provenance_attempts_count_every_started_attempt() {
+    let rt: Runtime<Bytes> = Runtime::new(RuntimeConfig::with_cpu_workers(2));
+    let rx = rt.subscribe();
+    let h = rt
+        .task("flaky")
+        .writes(&["x"])
+        .on_failure(FailurePolicy::Retry { max_retries: 3 })
+        .run(flaky(1, Duration::ZERO))
+        .unwrap();
+    rt.barrier().unwrap();
+    let last_started = rx.drain().iter().rev().find_map(|e| match e.kind {
+        obs::EventKind::TaskStarted { task, attempt, .. } if task == h.id.0 => Some(attempt),
+        _ => None,
+    });
+    assert_eq!(last_started, Some(2));
+    assert_eq!(rt.provenance().task(h.id).unwrap().attempts, 2, "failed once, then completed");
+
+    // Exhausting `max_retries = 2` takes three attempts.
+    let doomed = rt
+        .task("doomed")
+        .writes(&["y"])
+        .on_failure(FailurePolicy::Retry { max_retries: 2 })
+        .run(flaky(u32::MAX, Duration::ZERO))
+        .unwrap();
+    assert!(rt.barrier().is_err());
+    let rec = rt.provenance().task(doomed.id).cloned().unwrap();
+    assert_eq!((rec.final_state, rec.attempts), (TaskState::Failed, 3));
+    rt.shutdown();
+}
+
+#[test]
+fn provenance_started_is_the_start_of_the_final_attempt() {
+    let body = Duration::from_millis(100);
+    let rt: Runtime<Bytes> = Runtime::new(RuntimeConfig::with_cpu_workers(2));
+    let h = rt
+        .task("slow-flaky")
+        .writes(&["x"])
+        .on_failure(FailurePolicy::Retry { max_retries: 1 })
+        .run(flaky(1, body))
+        .unwrap();
+    rt.barrier().unwrap();
+    let done = std::time::SystemTime::now();
+    let rec = rt.provenance().task(h.id).cloned().unwrap();
+    let (started, duration) = (rec.started.unwrap(), rec.duration.unwrap());
+    assert!(duration >= body && duration < 2 * body, "final attempt only: {duration:?}");
+    assert!(started <= done - body, "started is stamped at the start, not at the end");
+    // `started + duration` is when the final attempt ended — the instant
+    // the barrier was released — not the first attempt's end.
+    let end = started + duration;
+    let gap = done.duration_since(end).or_else(|_| end.duration_since(done)).unwrap();
+    assert!(gap < Duration::from_millis(50), "started + duration is {gap:?} off the barrier");
+    rt.shutdown();
+}

@@ -61,9 +61,8 @@ impl PipelineSpec {
 
 /// Link parameters between a pair of endpoints.
 ///
-/// Thin ms-granular facade over the workspace-wide
-/// [`dataflow::cost::LinkCost`] model, so DLS staging and dataflow
-/// scheduling price the same wire the same way.
+/// Thin ms-granular facade over [`dataflow::cost::LinkCost`], the
+/// workspace's one byte price.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Sustained bandwidth in MB/s.

@@ -8,9 +8,7 @@
 //! through the [`BuildService`] and running deploy-time data pipelines
 //! through the [`DataLogistics`] service — and the reverse order with
 //! `stop → delete` on undeployment. Pipeline stages are priced by the
-//! workspace-wide [`dataflow::cost::LinkCost`] model, so deploy-time
-//! staging estimates agree with what the dataflow schedulers and the
-//! cluster's data-aware placement would charge for the same bytes.
+//! workspace's one byte price, [`dataflow::cost::LinkCost`].
 
 use crate::containers::{BuildService, ImageSpec};
 use crate::dls::{DataLogistics, PipelineSpec};

@@ -66,17 +66,18 @@ pub enum EventKind {
     },
     /// Scheduler queue depth after a transition (gauge-style sample).
     QueueDepth { ready: usize, running: usize },
-    /// One scheduler placement decision, emitted when the placed task
-    /// completes so the record carries both the cost the policy estimated
-    /// at decision time (`est_us` = predicted fetch + run) and the
-    /// measured duration (`actual_us`) — placement quality in one event.
+    /// One scheduler placement decision, emitted at pick time — just
+    /// before the attempt's `TaskStarted` — with what the policy saw:
+    /// the task's estimated duration (`est_us`) and upward rank
+    /// (`rank_us`). The measured duration is the `micros` of the task's
+    /// `TaskFinished`; a fold joins the two (placement quality).
     SchedulerDecision {
         policy: &'static str,
         task: u64,
         name: Arc<str>,
         worker: usize,
         est_us: u64,
-        actual_us: u64,
+        rank_us: u64,
     },
 
     // --- datacube: fragment kernels -----------------------------------

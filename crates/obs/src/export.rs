@@ -100,13 +100,13 @@ impl Event {
                 field_u(&mut s, "ready", *ready as u64);
                 field_u(&mut s, "running", *running as u64);
             }
-            EventKind::SchedulerDecision { policy, task, name, worker, est_us, actual_us } => {
+            EventKind::SchedulerDecision { policy, task, name, worker, est_us, rank_us } => {
                 field_s(&mut s, "policy", policy);
                 field_u(&mut s, "task", *task);
                 field_s(&mut s, "name", name);
                 field_u(&mut s, "worker", *worker as u64);
                 field_u(&mut s, "est_us", *est_us);
-                field_u(&mut s, "actual_us", *actual_us);
+                field_u(&mut s, "rank_us", *rank_us);
             }
             EventKind::KernelDone { op, server, rows, micros } => {
                 field_s(&mut s, "op", op);
@@ -400,9 +400,9 @@ fn kind_args(kind: &EventKind) -> String {
         EventKind::TaskFinished { task, outcome, .. } => {
             format!("{{\"task\":{},\"outcome\":\"{}\"}}", task, outcome.label())
         }
-        EventKind::SchedulerDecision { policy, task, worker, est_us, actual_us, .. } => {
+        EventKind::SchedulerDecision { policy, task, worker, est_us, rank_us, .. } => {
             format!(
-                "{{\"policy\":\"{policy}\",\"task\":{task},\"worker\":{worker},\"est_us\":{est_us},\"actual_us\":{actual_us}}}"
+                "{{\"policy\":\"{policy}\",\"task\":{task},\"worker\":{worker},\"est_us\":{est_us},\"rank_us\":{rank_us}}}"
             )
         }
         EventKind::KernelDone { server, rows, .. } => {

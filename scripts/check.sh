@@ -78,6 +78,26 @@ if [ -n "$leaks" ]; then
   exit 1
 fi
 
+echo "== one ledger: report state is written only by the event fold =="
+# dataflow::Runtime keeps one record of a run — monitor::StatusFold, whose
+# only writer is observe() at each event emission. A counter bumped, a
+# provenance record appended or a decision index kept anywhere else in
+# the crate is a second bookkeeping path.
+if git grep --untracked -nE 'metrics\.(completed|failed|cancelled|timed_out|restored|retries|task_durations|tasks_per_worker)\b.*(\+=|\.push)|record_provenance|decision_idx' \
+    -- crates/dataflow/src ':!crates/dataflow/src/monitor.rs'; then
+  echo "report state written outside crates/dataflow/src/monitor.rs" >&2
+  exit 1
+fi
+
+echo "== dataflow lifecycle accounting under a thread sweep =="
+# The fold is updated under the runtime lock from every worker thread; a
+# lost update would show as a flaky count, so repeat at each pool width.
+for t in 1 2 4; do
+  for _ in 1 2 3; do
+    PAR_THREADS="$t" cargo test -p dataflow -q
+  done
+done
+
 echo "== reachability census: every pub fn is named outside unit tests =="
 # A pub fn of crates/*/src that only its own #[cfg(test)] modules (or
 # nothing) name is reached by no run, record or paper claim: delete it or
