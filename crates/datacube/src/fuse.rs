@@ -513,6 +513,15 @@ impl CTerm<'_> {
     }
 }
 
+/// `op` over each `ilen`-long row of `data`. Inlined at call sites with a
+/// constant `op`, where [`ReduceOp::step`] reduces to that op's arithmetic.
+#[inline(always)]
+fn fold_rows(op: ReduceOp, data: &[f32], ilen: usize, dst: &mut [f32]) {
+    for (r, o) in dst.iter_mut().enumerate() {
+        *o = op.apply(&data[r * ilen..][..ilen]);
+    }
+}
+
 /// Per-fragment mutable state, one slot per runtime stage.
 enum RunState<'t> {
     Apply(TapeEval<'t>),
@@ -552,9 +561,13 @@ impl Compiled<'_> {
             // the terminal dispatch hoisted out of it (day cubes have
             // 4-element rows: per-row bookkeeping would dominate).
             match t {
-                CTerm::Reduce { op, before: 1, after: 1, .. } => {
-                    dst.iter_mut().enumerate().for_each(|(r, o)| *o = op.apply(row(r)));
-                }
+                CTerm::Reduce { op, before: 1, after: 1, .. } => match op {
+                    ReduceOp::Max => fold_rows(ReduceOp::Max, data, ilen, dst),
+                    ReduceOp::Min => fold_rows(ReduceOp::Min, data, ilen, dst),
+                    ReduceOp::Sum => fold_rows(ReduceOp::Sum, data, ilen, dst),
+                    ReduceOp::Avg => fold_rows(ReduceOp::Avg, data, ilen, dst),
+                    ReduceOp::CountPositive => fold_rows(ReduceOp::CountPositive, data, ilen, dst),
+                },
                 _ => (0..f.row_count).for_each(|r| t.finish(row(r), &mut dst[r * orl..][..orl])),
             }
             return;

@@ -81,12 +81,22 @@ impl ReduceOp {
     }
 
     /// Folds the next series element into the accumulator. Callers must
-    /// feed elements in ascending series-index order.
+    /// feed elements in ascending series-index order. Max/Min take only a
+    /// strictly greater (smaller) element: a NaN never enters and of tied
+    /// ±0 the first stays — what `f32::max`/`min` give from `begin` on
+    /// x86-64, as a branch taken only at a new extremum.
     #[inline]
     pub fn step(self, acc: &mut ReduceAcc, v: f32) {
         match (self, acc) {
-            (ReduceOp::Max, ReduceAcc::Value(a)) => *a = a.max(v),
-            (ReduceOp::Min, ReduceAcc::Value(a)) => *a = a.min(v),
+            (ReduceOp::Max, ReduceAcc::Value(a)) if v > *a => {
+                std::hint::cold_path();
+                *a = v
+            }
+            (ReduceOp::Min, ReduceAcc::Value(a)) if v < *a => {
+                std::hint::cold_path();
+                *a = v
+            }
+            (ReduceOp::Max | ReduceOp::Min, ReduceAcc::Value(_)) => {}
             (ReduceOp::Sum | ReduceOp::Avg, ReduceAcc::Value(a)) => *a += v,
             (ReduceOp::CountPositive, ReduceAcc::Count(n)) => *n += u64::from(v > 0.0),
             _ => unreachable!("accumulator kind mismatches op"),
@@ -203,9 +213,9 @@ fn gather_rows(
 /// order (explicit axes must come first in the variable layout, which is
 /// how the ESM writes `(time, lat, lon)` files — callers importing such a
 /// file as `(lat, lon | time)` should use [`import_transposed`]).
-/// Coordinate variables matching dimension names are read when present.
-/// The payload is read into one shared buffer that the fragments window
-/// into — ingest costs a single allocation.
+/// Coordinates are read as [`import_transposed`] reads them. The payload is
+/// read into one shared buffer that the fragments window into — ingest
+/// costs a single allocation.
 pub fn importnc(
     reader: &Reader,
     var: &str,
@@ -214,23 +224,15 @@ pub fn importnc(
     nfrag: usize,
     cfg: ExecConfig,
 ) -> Result<Cube> {
-    let shape = reader.shape(var)?;
-    let want: Vec<&str> = explicit.iter().chain(implicit.iter()).copied().collect();
-    let vmeta = reader.variable(var)?;
-    let actual: Vec<String> =
-        vmeta.dims.iter().map(|&i| reader.dimensions()[i].name.clone()).collect();
-    if actual != want {
-        return Err(Error::BadImport(format!(
-            "variable '{var}' has dims {actual:?}, requested {want:?}"
-        )));
-    }
-    let data = reader.read_shared_f32(var)?;
+    let want: Vec<&str> = explicit.iter().chain(implicit).copied().collect();
+    let shape = shape_as(reader, var, &want)?;
     let mut dims = Vec::new();
-    for (i, name) in want.iter().enumerate() {
-        let coords = coord_values(reader, name, shape[i]);
+    for (i, (name, &n)) in want.iter().zip(&shape).enumerate() {
+        let coords = coord_values(reader, name, n)?;
         let kind = if i < explicit.len() { DimKind::Explicit } else { DimKind::Implicit };
         dims.push(Dimension { name: name.to_string(), kind, coords: coords.into() });
     }
+    let data = reader.read_shared_f32(var)?;
     let mut cube = Cube::from_shared(var, dims, SharedData::from(data), nfrag, cfg.io_servers)?;
     cube.description = format!("importnc({var})");
     Ok(cube)
@@ -240,9 +242,13 @@ pub fn importnc(
 /// the transposition the heat-wave pipeline needs so that each grid cell's
 /// daily series is one in-row array.
 ///
-/// Streams the source one time-plane at a time through a single reused
-/// buffer, scattering directly into the destination — the untransposed
-/// variable is never resident in full.
+/// The source streams through one reused buffer of `T_CHUNK` time planes,
+/// each chunk transposed in L1-sized tiles of `ROW_BLOCK` rows. Grain
+/// rule: below `TRANSPOSE_PAR_MIN_VALUES` values (a day file) the caller's
+/// thread does it all; above, the pool gets one row range per lane.
+/// Coordinates are the variables named like the dimensions, `0..n` where
+/// there is none; an unreadable or wrong-length ([`Error::BadImport`]) one,
+/// like a failed payload read, is an error and no cube is returned.
 pub fn import_transposed(
     reader: &Reader,
     var: &str,
@@ -252,43 +258,37 @@ pub fn import_transposed(
     nfrag: usize,
     cfg: ExecConfig,
 ) -> Result<Cube> {
-    let vmeta = reader.variable(var)?;
-    let actual: Vec<String> =
-        vmeta.dims.iter().map(|&i| reader.dimensions()[i].name.clone()).collect();
-    if actual != [time_dim, lat_dim, lon_dim] {
-        return Err(Error::BadImport(format!(
-            "variable '{var}' has dims {actual:?}, expected [{time_dim}, {lat_dim}, {lon_dim}]"
-        )));
-    }
-    let shape = reader.shape(var)?;
+    let shape = shape_as(reader, var, &[time_dim, lat_dim, lon_dim])?;
     let (nt, nlat, nlon) = (shape[0], shape[1], shape[2]);
-    let plane = nlat * nlon;
-    let view = reader.var(var)?;
-    // Transpose (t, y, x) -> (y, x, t) with a cache-blocked scatter: time
-    // planes are read in chunks of `T_CHUNK`, and each chunk is
-    // transposed tile by tile (`ROW_BLOCK` rows × chunk of times) in
-    // parallel over row blocks — the working set of a tile fits in L1,
-    // where the old one-plane-at-a-time scatter missed on every write.
+    let dims = vec![
+        Dimension::explicit(lat_dim, coord_values(reader, lat_dim, nlat)?),
+        Dimension::explicit(lon_dim, coord_values(reader, lon_dim, nlon)?),
+        Dimension::implicit(time_dim, coord_values(reader, time_dim, nt)?),
+    ];
     const T_CHUNK: usize = 64;
     const ROW_BLOCK: usize = 64;
+    let plane = nlat * nlon;
+    let lanes = if nt * plane < TRANSPOSE_PAR_MIN_VALUES { 1 } else { par::global().threads() };
+    let lane_rows = plane.div_ceil(lanes).max(1);
     let mut read_err: Option<ncformat::Error> = None;
     let mut buf = vec![0.0f32; T_CHUNK.min(nt.max(1)) * plane];
     let data = SharedData::from_fn(nt * plane, |dst| {
         let mut t0 = 0usize;
         while t0 < nt {
             let tc = T_CHUNK.min(nt - t0);
-            if let Err(e) = view.read_f32_into(t0 * plane, &mut buf[..tc * plane]) {
+            if let Err(e) = reader.read_f32_into(var, t0 * plane, &mut buf[..tc * plane]) {
                 read_err = Some(e);
                 return;
             }
-            let chunk_src = &buf[..tc * plane];
-            par::par_chunks_mut(dst, ROW_BLOCK * nt, |b, chunk| {
-                let row0 = b * ROW_BLOCK;
-                let rows = chunk.len() / nt;
-                for dt in 0..tc {
-                    let src = &chunk_src[dt * plane + row0..dt * plane + row0 + rows];
-                    for (lr, &v) in src.iter().enumerate() {
-                        chunk[lr * nt + t0 + dt] = v;
+            let src = &buf[..tc * plane];
+            par::par_chunks_mut(dst, lane_rows * nt, |lane, rows| {
+                for (b, tile) in rows.chunks_mut(ROW_BLOCK * nt).enumerate() {
+                    let row0 = lane * lane_rows + b * ROW_BLOCK;
+                    for dt in 0..tc {
+                        let plane_rows = &src[dt * plane + row0..][..tile.len() / nt];
+                        for (lr, &v) in plane_rows.iter().enumerate() {
+                            tile[lr * nt + t0 + dt] = v;
+                        }
                     }
                 }
             });
@@ -298,31 +298,45 @@ pub fn import_transposed(
     if let Some(e) = read_err {
         return Err(e.into());
     }
-    let dims = vec![
-        Dimension::explicit(lat_dim, coord_values(reader, lat_dim, nlat)),
-        Dimension::explicit(lon_dim, coord_values(reader, lon_dim, nlon)),
-        Dimension::implicit(time_dim, coord_values(reader, time_dim, nt)),
-    ];
     let mut cube = Cube::from_shared(var, dims, data, nfrag, cfg.io_servers)?;
     cube.description = format!("import_transposed({var})");
     Ok(cube)
 }
 
-fn coord_values(reader: &Reader, name: &str, size: usize) -> Vec<f64> {
-    reader
-        .read_all_f64(name)
-        .ok()
-        .filter(|v| v.len() == size)
-        .unwrap_or_else(|| (0..size).map(|i| i as f64).collect())
+/// Grain of [`import_transposed`]. On a 2-core host the serial transpose
+/// wins at 55 Ki values (46 vs 51 µs) and two lanes win from 83 Ki.
+const TRANSPOSE_PAR_MIN_VALUES: usize = 1 << 16;
+
+/// The shape of `var`, whose dimensions must be `want` in storage order.
+fn shape_as(reader: &Reader, var: &str, want: &[&str]) -> Result<Vec<usize>> {
+    let dims = reader.dimensions();
+    let actual: Vec<&str> =
+        reader.variable(var)?.dims.iter().map(|&i| dims[i].name.as_str()).collect();
+    if actual != want {
+        let msg = format!("variable '{var}' has dims {actual:?}, requested {want:?}");
+        return Err(Error::BadImport(msg));
+    }
+    Ok(reader.shape(var)?)
+}
+
+/// Coordinates of dimension `name`: the variable of that name, or
+/// `0..size` only when the file has no such variable.
+fn coord_values(reader: &Reader, name: &str, size: usize) -> Result<Vec<f64>> {
+    match reader.read_all_f64(name) {
+        Ok(v) if v.len() == size => Ok(v),
+        Ok(v) => Err(Error::BadImport(format!("'{name}' has {} coordinates, not {size}", v.len()))),
+        Err(ncformat::Error::UnknownVariable(_)) => Ok((0..size).map(|i| i as f64).collect()),
+        Err(e) => Err(e.into()),
+    }
 }
 
 /// Reduces one implicit dimension away. With a single implicit dimension
-/// the whole in-row array collapses to one value per row.
+/// the whole in-row array collapses to one value per row, in a row loop of
+/// its own per `op` (a Max/Min row costs about what a Sum row costs).
 ///
 /// Honors the [`ReduceOp`] ordering contract: each output value
 /// accumulates its source elements strictly in ascending `dim`-index
-/// order, so results are bitwise independent of fragmentation, server
-/// count, and the engine's lane width.
+/// order, so results are bitwise independent of fragmentation and lanes.
 pub fn reduce(cube: &Cube, op: ReduceOp, dim: &str, cfg: ExecConfig) -> Result<Cube> {
     Ok(Pipeline::new().reduce(op, dim).run(cube, cfg)?.cube)
 }
@@ -437,13 +451,18 @@ pub fn subset_by_coord(cube: &Cube, dim: &str, lo: f64, hi: f64) -> Result<Cube>
 }
 
 /// Concatenates cubes along an implicit dimension (stacking days into a
-/// year series). All cubes must share explicit dimensions, measure and
-/// fragmentation layout; each must have exactly one implicit dimension
-/// named `dim`. Mismatched fragmentations are handled with per-row
-/// fragment lookups — no cube is densified.
+/// year series). All cubes must share explicit dimensions; each must have
+/// exactly one implicit dimension named `dim`. The output has the first
+/// cube's measure and fragment layout (`row_start`, `row_count`, `server`).
+/// Its fragments are filled on the pool in L1-sized blocks of rows, each
+/// cube copied in turn as a strided column run through a cursor over its
+/// own fragments, so any input fragmentation costs no per-row lookup.
 pub fn concat_implicit(cubes: &[&Cube], dim: &str) -> Result<Cube> {
     let first = cubes.first().ok_or_else(|| Error::SchemaMismatch("no cubes to concat".into()))?;
-    let e0: Vec<_> = first.explicit_dims().into_iter().cloned().collect();
+    let mut coords = Vec::new();
+    // Per cube with values: first output column, row length, fragments.
+    let mut cols = Vec::with_capacity(cubes.len());
+    let mut width = 0usize;
     for c in cubes {
         let d = c.dim(dim)?;
         if d.kind != DimKind::Implicit {
@@ -454,86 +473,46 @@ pub fn concat_implicit(cubes: &[&Cube], dim: &str) -> Result<Cube> {
                 "concat_implicit requires exactly one implicit dimension".into(),
             ));
         }
-        let e: Vec<_> = c.explicit_dims().into_iter().cloned().collect();
-        if e != e0 {
+        if c.explicit_dims() != first.explicit_dims() {
             return Err(Error::SchemaMismatch("explicit dimensions differ".into()));
         }
+        coords.extend(d.coords.iter().copied());
+        if !d.is_empty() {
+            cols.push((width, d.len(), c.frags_in_row_order()));
+            width += d.len();
+        }
     }
-    let aligned = cubes.windows(2).all(|w| {
-        w[0].frags.len() == w[1].frags.len()
-            && w[0]
-                .frags
-                .iter()
-                .zip(&w[1].frags)
-                .all(|(a, b)| a.row_start == b.row_start && a.row_count == b.row_count)
-    });
-
-    let mut coords = Vec::new();
-    for c in cubes {
-        coords.extend(c.dim(dim)?.coords.iter().copied());
-    }
-    let mut dims = e0;
+    let mut dims: Vec<Dimension> = first.explicit_dims().into_iter().cloned().collect();
     dims.push(Dimension::implicit(dim, coords));
-    let total_ilen: usize = cubes.iter().map(|c| c.implicit_len()).sum();
-
-    let frags = if aligned {
-        let mut frags = Vec::with_capacity(first.frags.len());
-        for fi in 0..first.frags.len() {
-            let proto = &first.frags[fi];
-            let data = SharedData::from_fn(proto.row_count * total_ilen, |out| {
-                let mut w = 0usize;
-                for local_row in 0..proto.row_count {
-                    for c in cubes {
-                        let ilen = c.implicit_len();
-                        let f = &c.frags[fi];
-                        out[w..w + ilen].copy_from_slice(
-                            &f.data.as_slice()[local_row * ilen..(local_row + 1) * ilen],
-                        );
-                        w += ilen;
-                    }
-                }
-            });
-            frags.push(Fragment {
-                row_start: proto.row_start,
-                row_count: proto.row_count,
-                server: proto.server,
-                data,
-            });
-        }
-        frags
-    } else {
-        // Mismatched layouts: interleave rows with per-cube fragment
-        // lookups, re-partitioned like the first cube (single server, as
-        // the previous dense re-split produced).
-        let rows = first.rows();
-        let orders: Vec<Vec<&Fragment>> = cubes.iter().map(|c| c.frags_in_row_order()).collect();
-        let nfrag = first.frags.len().clamp(1, rows.max(1));
-        let base = rows / nfrag;
-        let extra = rows % nfrag;
-        let mut frags = Vec::with_capacity(nfrag);
-        let mut row0 = 0usize;
-        for fidx in 0..nfrag {
-            let count = base + usize::from(fidx < extra);
-            let data = SharedData::from_fn(count * total_ilen, |out| {
-                let mut w = 0usize;
-                for r in row0..row0 + count {
-                    for (c, ord) in cubes.iter().zip(&orders) {
-                        let ilen = c.implicit_len();
-                        if ilen == 0 {
-                            continue;
+    let block_rows = (CONCAT_BLOCK_VALUES / width.max(1)).max(1);
+    let frags = par::global().par_map(&first.frags, |proto| {
+        let data = SharedData::from_fn(proto.row_count * width, |out| {
+            let mut cursors = vec![0usize; cols.len()];
+            for (b, block) in out.chunks_mut(block_rows * width).enumerate() {
+                let lo = proto.row_start + b * block_rows;
+                let hi = lo + block.len() / width;
+                for ((col, ilen, src), fi) in cols.iter().zip(&mut cursors) {
+                    let mut r = lo;
+                    while r < hi {
+                        while src[*fi].row_start + src[*fi].row_count <= r {
+                            *fi += 1;
                         }
-                        let f = ord[ord.partition_point(|f| f.row_start + f.row_count <= r)];
-                        let flo = (r - f.row_start) * ilen;
-                        out[w..w + ilen].copy_from_slice(&f.data.as_slice()[flo..flo + ilen]);
-                        w += ilen;
+                        let f = src[*fi];
+                        let n = (f.row_start + f.row_count).min(hi) - r;
+                        let run = &f.data[(r - f.row_start) * ilen..][..n * ilen];
+                        for j in 0..*ilen {
+                            let dst = block[(r - lo) * width + col + j..].iter_mut();
+                            for (d, s) in dst.step_by(width).zip(run.chunks_exact(*ilen)) {
+                                *d = s[j];
+                            }
+                        }
+                        r += n;
                     }
                 }
-            });
-            frags.push(Fragment { row_start: row0, row_count: count, server: 0, data });
-            row0 += count;
-        }
-        frags
-    };
+            }
+        });
+        Fragment { data, ..proto.clone() }
+    });
     let out = Cube {
         measure: first.measure.clone(),
         dims,
@@ -543,6 +522,9 @@ pub fn concat_implicit(cubes: &[&Cube], dim: &str) -> Result<Cube> {
     out.validate()?;
     Ok(out)
 }
+
+/// Values in one row block of [`concat_implicit`]'s output (16 KiB).
+const CONCAT_BLOCK_VALUES: usize = 4096;
 
 /// Generic per-row series transform: each row's implicit array is mapped to
 /// a new array of `out_len` values (`out_dim` names the resulting implicit

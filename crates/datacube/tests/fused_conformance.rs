@@ -315,6 +315,82 @@ proptest! {
     }
 }
 
+/// The bare `reduce` loop (engine rule 1, one loop per op) against the
+/// oracle on rows built to catch a re-associated fold: +0.0, -0.0, a NaN
+/// with a payload, +inf and -inf each placed at every position of rows of
+/// length 1–17 and 362. The fillers around them are signed zeros with
+/// negatives (the max is a zero) or with positives (the min is a zero),
+/// rotated so the first zero sits at each of four offsets. A sequential
+/// fold keeps the first zero; a max/min split into partial accumulators
+/// returns the other one on some of these rows.
+#[test]
+fn bare_reduce_is_bitwise_sequential_on_specials() {
+    let specials = [0.0f32, -0.0, f32::from_bits(NAN_PAYLOAD), f32::INFINITY, f32::NEG_INFINITY];
+    let fillers = [[0.0f32, -0.0, -1.5, -2.5], [-0.0, 0.0, 1.5, 2.5]];
+    for len in (1..=17).chain([362]) {
+        let mut rows: Vec<Vec<f32>> = vec![vec![f32::from_bits(NAN_PAYLOAD); len]];
+        for set in fillers {
+            for k in 0..set.len() {
+                for s in specials {
+                    for pos in 0..len {
+                        let mut row: Vec<f32> =
+                            (0..len).map(|i| set[(i + k) % set.len()]).collect();
+                        row[pos] = s;
+                        rows.push(row);
+                    }
+                }
+            }
+        }
+        let dims = vec![
+            Dimension::explicit("cell", (0..rows.len()).map(|i| i as f64).collect::<Vec<_>>()),
+            Dimension::implicit("time", (0..len).map(|i| i as f64).collect::<Vec<_>>()),
+        ];
+        let src = Cube::from_dense("m", dims, rows.concat(), 3, 2).unwrap();
+        for op in REDUCE_OPS {
+            let p = Pipeline::new().reduce(op, "time");
+            let cfg = ExecConfig::with_servers(2);
+            let bits = |c: &Cube| c.to_dense().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            let (fused, oracle) = (p.run(&src, cfg).unwrap(), p.run_scalar(&src, cfg).unwrap());
+            assert_eq!(bits(&fused.cube), bits(&oracle.cube), "reduce({op:?}) over length {len}");
+        }
+    }
+}
+
+/// Gate (`scripts/check.sh`, release): on the shape of wfbench's
+/// `datacube.reduce_max_ms` probe (13,824 rows × 362), the median of 15
+/// `reduce(Max)` runs is at most 1.5× the median of 15 `reduce(Sum)` runs.
+/// Both are strictly sequential folds over the same traversal, so a larger
+/// ratio is a regression in the Max kernel, not arithmetic it must do.
+#[test]
+#[ignore = "timing gate: run in release by scripts/check.sh"]
+fn bare_reduce_max_costs_about_what_sum_costs() {
+    let (rows, ilen) = (13_824usize, 362usize);
+    let data: Vec<f32> = (0..rows * ilen).map(|i| ((i % 977) as f32).sin()).collect();
+    let dims = vec![
+        Dimension::explicit("cell", (0..rows).map(|i| i as f64).collect::<Vec<_>>()),
+        Dimension::implicit("t", (0..ilen).map(|i| i as f64).collect::<Vec<_>>()),
+    ];
+    let cube = Cube::from_dense("v", dims, data, 8, 2).unwrap();
+    let cfg = ExecConfig::with_servers(2);
+    let time = |op: ReduceOp| {
+        let t = std::time::Instant::now();
+        std::hint::black_box(ops::reduce(&cube, op, "t", cfg).unwrap());
+        t.elapsed().as_secs_f64()
+    };
+    let (mut max, mut sum) = (Vec::new(), Vec::new());
+    for _ in 0..15 {
+        max.push(time(ReduceOp::Max));
+        sum.push(time(ReduceOp::Sum));
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (max, sum) = (median(&mut max), median(&mut sum));
+    println!("reduce over 13824x362: Max {:.2} ms, Sum {:.2} ms", max * 1e3, sum * 1e3);
+    assert!(max <= 1.5 * sum, "reduce(Max) {max:.4} s vs reduce(Sum) {sum:.4} s");
+}
+
 /// Schema violations must surface identically from the fused path and the
 /// scalar oracle (same error variants as the standalone operators).
 #[test]

@@ -34,6 +34,37 @@ fn bits(c: &Cube) -> Vec<u32> {
     c.to_dense().iter().map(|v| v.to_bits()).collect()
 }
 
+/// The workload's shape: 90 singleton-day maps over a 96×144 grid (13,824
+/// rows, 8 fragments on 2 servers) stack into one 90-day series per cell.
+#[test]
+fn concat_of_ninety_singleton_days() {
+    let days: Vec<Cube> = (0..90)
+        .map(|d| {
+            let dims = vec![
+                Dimension::explicit("lat", (0..96).map(|i| i as f64).collect::<Vec<_>>()),
+                Dimension::explicit("lon", (0..144).map(|i| i as f64).collect::<Vec<_>>()),
+                Dimension::implicit("day", vec![d as f64]),
+            ];
+            let data = (0..13_824).map(|cell| (cell * 90 + d) as f32).collect();
+            Cube::from_dense("tasmax", dims, data, 8, 2).unwrap()
+        })
+        .collect();
+    let refs: Vec<&Cube> = days.iter().collect();
+    let year = ops::concat_implicit(&refs, "day").unwrap();
+    year.validate().unwrap();
+    assert_eq!(
+        year.dim("day").unwrap().coords.to_vec(),
+        (0..90).map(f64::from).collect::<Vec<_>>()
+    );
+    assert_eq!(year.to_dense(), (0..13_824 * 90).map(|v| v as f32).collect::<Vec<_>>());
+    for (out, day) in year.frags.iter().zip(&days[0].frags) {
+        assert_eq!(
+            (out.row_start, out.row_count, out.server),
+            (day.row_start, day.row_count, day.server)
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -146,6 +177,37 @@ proptest! {
         let r = ops::refragment(&f, refrag, 3).unwrap();
         prop_assert_eq!(bits(&r), bits(&d));
         r.validate().unwrap();
+    }
+
+    /// Stacking 1–12 cubes of mixed implicit lengths (1–5) and mutually
+    /// mismatched fragmentations (1–7 fragments each) equals the naive
+    /// dense interleave bit for bit, and the output has the first cube's
+    /// fragment layout, servers included.
+    #[test]
+    fn concat_equals_dense_interleave_in_first_layout(
+        nlat in 1usize..5,
+        nlon in 1usize..5,
+        shapes in proptest::collection::vec((1usize..6, 1usize..8, 1usize..4, any::<u64>()), 1..13),
+    ) {
+        let cubes: Vec<Cube> = shapes
+            .iter()
+            .map(|&(nt, nfrag, servers, seed)| build(nlat, nlon, nt, nfrag, servers, seed))
+            .collect();
+        let refs: Vec<&Cube> = cubes.iter().collect();
+        let out = ops::concat_implicit(&refs, "time").unwrap();
+        out.validate().unwrap();
+        let mut naive = Vec::new();
+        for row in 0..nlat * nlon {
+            for c in &cubes {
+                let ilen = c.implicit_len();
+                naive.extend(c.to_dense()[row * ilen..(row + 1) * ilen].iter().map(|v| v.to_bits()));
+            }
+        }
+        prop_assert_eq!(bits(&out), naive);
+        let layout = |c: &Cube| -> Vec<(usize, usize, usize)> {
+            c.frags.iter().map(|f| (f.row_start, f.row_count, f.server)).collect()
+        };
+        prop_assert_eq!(layout(&out), layout(&cubes[0]));
     }
 
     /// Full-range subsets and fine refragmentations must *share* payload

@@ -59,6 +59,14 @@ for t in 1 2 4; do
   PAR_THREADS="$t" cargo test -p datacube -p extremes -p tinyml -q
 done
 
+echo "== bare reduce timing gate: reduce(Max) costs about what reduce(Sum) costs =="
+# On the shape of wfbench's datacube.reduce_max_ms probe (13,824 x 362,
+# release build) the median of 15 Max runs must stay within 1.5x the median
+# of 15 Sum runs: both are sequential folds over one traversal, so a larger
+# ratio is a Max-kernel regression (it once went 2.1 -> 12.3 ms unflagged).
+cargo test --release -q -p datacube --test fused_conformance -- --ignored --exact \
+    bare_reduce_max_costs_about_what_sum_costs
+
 echo "== one engine: only Pipeline::run_scalar may name ops::scalar =="
 # The scalar kernels are the oracle, not a second production path: outside
 # tests/, benches/ and #[cfg(test)] modules nothing but run_scalar in
