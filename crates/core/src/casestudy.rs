@@ -10,7 +10,7 @@
 //! | 2 | `load_baseline`        | day-of-year baseline climatology cubes (loaded once, reused all run — Sec. 5.3) |
 //! | 3 | `load_model`           | the pre-trained TC-localization CNN |
 //! | 4 | `stage_year`           | streaming detection of a complete year of daily files (Sec. 5.2) |
-//! | 5 | `import_tmax`          | daily-maximum temperature year cube via datacube operators |
+//! | 5 | `import_tmax`          | daily-maximum temperature year cube via the datacube `importnc_reduced` operator |
 //! | 6 | `import_tmin`          | daily-minimum temperature year cube |
 //! | 7–9 | `hw_duration_max` / `hw_number` / `hw_frequency` | heat-wave indices (Sec. 5.3) |
 //! | 10–12 | `cw_duration_max` / `cw_number` / `cw_frequency` | cold-spell indices |
@@ -28,11 +28,11 @@
 //!
 //! There is one driver, [`CaseStudy::run`], with two settings. The
 //! [`RunOrder`] says when analysis is submitted (after the whole
-//! simulation, or per year as years arrive). Where a year's daily fields
-//! come from is a [`YearSource`] — its daily files, or the in-memory
-//! blocks the ESM task sent over the channel — decided when the year is
-//! submitted; tasks #5/#6, #15 and #16 each have one body that reads the
-//! year through it.
+//! simulation, or per year as years arrive). Tasks #5/#6 import the day
+//! files `stage_year` lists with the datacube engine's `importnc_reduced`
+//! in either setting; #15 and #16 read the year through a [`YearSource`]
+//! — its daily files, or the in-memory blocks the ESM task sent over the
+//! channel — decided when the year is submitted.
 
 use crate::error::{WorkflowError, WorkflowStage};
 use crate::params::WorkflowParams;
@@ -178,18 +178,18 @@ pub enum RunOrder {
     AsYearsArrive,
 }
 
-/// Where one year's daily fields come from. Decided when the year's
-/// analysis is submitted — a channel arrival is `Mem`; a watcher group
-/// (staged runs, checkpoint-restored years, a year the watcher saw
-/// first) is `Files` — and owned by that year's task closures only, so
-/// an in-memory year is freed when its last task finishes.
+/// Where tasks #15 and #16 read one year's daily fields from. Decided
+/// when the year's analysis is submitted — a channel arrival is `Mem`; a
+/// watcher group (staged runs, checkpoint-restored years, a year the
+/// watcher saw first) is `Files` — and owned by their closures only, so
+/// an in-memory year is freed when the later of the two finishes.
 ///
 /// Decode contract: for either variant, [`YearSource::stack`] of variable
 /// `v` on day `d` is the `(time, lat, lon)` time-major f32 stack that
 /// `esm::output` serialized into that day's file — the same values
 /// whether they are read back through `ncformat` or were never written
-/// out of memory — on the grid [`YearSource::shape`] reports. Every task
-/// body reads its year only through these, which is what makes products
+/// out of memory — on the grid [`YearSource::shape`] reports. Both bodies
+/// read their year only through these, which is what makes products
 /// byte-identical across sources.
 pub(crate) enum YearSource {
     Files(Vec<PathBuf>),
@@ -304,13 +304,12 @@ fn fold_years_from_files(
     client: &Client,
 ) -> Result<(), String> {
     for year in years {
-        let source = YearSource::Files(
-            (0..params.days_per_year)
-                .map(|d| params.esm_dir().join(esm::output::file_name(year, d)))
-                .collect(),
-        );
+        let files: Vec<PathBuf> = (0..params.days_per_year)
+            .map(|d| params.esm_dir().join(esm::output::file_name(year, d)))
+            .collect();
         let import = |op, measure| {
-            import_daily_extreme(&source, op, measure, params, client)
+            client
+                .importnc_reduced(&files, "tas", op, measure, params.nfrag)
                 .and_then(|h| h.cube())
                 .map_err(|e| e.to_string())
         };
@@ -528,9 +527,9 @@ impl CaseStudy {
 
     /// Submits the full per-year analysis chain (tasks #4–#18, plus #19
     /// `stream_record` on the streaming plane) for one complete year.
-    /// The tasks that touch the year's daily fields (#5/#6, #15, #16) own
-    /// `source` through their closures; the runtime drops a closure when
-    /// its task turns terminal, which is what releases an in-memory year.
+    /// The tasks that read the year through `source` (#15, #16) own it
+    /// through their closures; the runtime drops a closure when its task
+    /// turns terminal, which is what releases an in-memory year.
     fn submit_year_analysis(
         &self,
         year_key: &str,
@@ -555,18 +554,19 @@ impl CaseStudy {
             .writes(&[format!("year-{year_key}").as_str()])
             .run(move |_| Ok(vec![WfData::Paths(files.clone())]))?;
 
-        // #5/#6 import daily extreme cubes.
+        // #5/#6 import daily extreme cubes from the files stage_year lists.
         let import = |task: &str, reduce: ReduceOp, measure: &'static str| {
             let client = client.clone();
-            let params = params.clone();
-            let source = Arc::clone(&source);
+            let nfrag = params.nfrag;
             self.rt
                 .task(task)
                 .reads(&[stage.outputs[0].clone()])
                 .on_failure(FailurePolicy::IgnoreCancelSuccessors)
                 .writes(&[format!("{task}-{year_key}").as_str()])
-                .run(move |_| {
-                    let cube = import_daily_extreme(&source, reduce, measure, &params, &client)
+                .run(move |inp: &[Arc<WfData>]| {
+                    let files = inp[0].paths().ok_or("expected the year's day files")?;
+                    let cube = client
+                        .importnc_reduced(files, "tas", reduce, measure, nfrag)
                         .map_err(|e| e.to_string())?;
                     Ok(vec![WfData::CubeRef(cube.id().0)])
                 })
@@ -1245,70 +1245,29 @@ fn open_cube(client: &Client, data: &WfData) -> Result<Arc<datacube::model::Cube
     open_ref(client, data)?.cube().map_err(|e| e.to_string())
 }
 
-/// Stacks per-day fields into a `(lat, lon | day)` cube.
+/// Stacks per-day fields into a `(lat, lon | day)` cube (the baseline).
 fn fields_to_year_cube(
     days: &[Field2],
     measure: &str,
     params: &WorkflowParams,
 ) -> datacube::Result<datacube::model::Cube> {
-    let nday = days.len();
-    // (lat, lon | day): per cell, the day series. Built straight into the
-    // shared payload the fragments will window into — no staging vector.
-    let data = datacube::model::SharedData::from_fn(days[0].grid.len() * nday, |data| {
+    use datacube::model::{Cube, Dimension, SharedData};
+    let (grid, nday) = (&days[0].grid, days.len());
+    // Built straight into the shared payload the fragments will window
+    // into — no staging vector.
+    let data = SharedData::from_fn(grid.len() * nday, |data| {
         for (d, f) in days.iter().enumerate() {
             for (idx, &v) in f.data.iter().enumerate() {
                 data[idx * nday + d] = v;
             }
         }
     });
-    year_cube(&days[0].grid, nday, data, measure, params)
-}
-
-/// A year cube over `grid` with an implicit `day` axis: `data` holds, per
-/// cell, its `nday`-long day series.
-fn year_cube(
-    grid: &gridded::Grid,
-    nday: usize,
-    data: datacube::model::SharedData,
-    measure: &str,
-    params: &WorkflowParams,
-) -> datacube::Result<datacube::model::Cube> {
-    use datacube::model::{Cube, Dimension};
     let dims = vec![
         Dimension::explicit("lat", grid.lats()),
         Dimension::explicit("lon", grid.lons()),
         Dimension::implicit("day", (0..nday).map(|d| d as f64).collect::<Vec<_>>()),
     ];
     Cube::from_shared(measure, dims, data, params.nfrag, params.io_servers)
-}
-
-/// Task #5/#6 body: the daily-extreme year cube `(lat, lon | day)` — per
-/// cell and day, `op` over the day's sub-daily `tas` steps. The fold is
-/// [`ReduceOp`]'s own begin/step/finish in ascending step order, i.e. the
-/// datacube `reduce` operator's result bit for bit, one day stack resident
-/// at a time.
-fn import_daily_extreme(
-    source: &YearSource,
-    op: ReduceOp,
-    measure: &str,
-    params: &WorkflowParams,
-    client: &Client,
-) -> datacube::Result<CubeHandle> {
-    let (grid, spd) = source.shape()?;
-    let n = grid.len();
-    let nday = source.files().len();
-    let mut data = vec![0.0f32; n * nday];
-    for d in 0..nday {
-        let stack = source.stack("tas", d, spd * n)?;
-        for idx in 0..n {
-            let mut acc = op.begin();
-            for t in 0..spd {
-                op.step(&mut acc, stack[t * n + idx]);
-            }
-            data[idx * nday + d] = op.finish(acc, spd);
-        }
-    }
-    year_cube(&grid, nday, data.into(), measure, params).map(|c| client.adopt(c))
 }
 
 /// Task #15 body: bundle `(psl, sfcWind, tas, vort)` for every timestep of
@@ -1529,27 +1488,13 @@ mod tests {
     }
 
     /// The equivalence proof, reduced to source invariance: each task
-    /// body gives the same bits over a year's files and over its blocks.
+    /// body that reads a [`YearSource`] (#15, #16) gives the same bits
+    /// over a year's files and over its blocks.
     #[test]
     fn task_bodies_are_source_invariant() {
         let (cs, year) = case_with_year("source-invariance");
         let files = YearSource::Files(year.files.clone());
         let mem = YearSource::Mem(Arc::clone(&year));
-
-        // #5/#6
-        for (op, measure) in [(ReduceOp::Max, "tasmax"), (ReduceOp::Min, "tasmin")] {
-            let cube = |source: &YearSource| {
-                let h = import_daily_extreme(source, op, measure, &cs.params, &cs.client).unwrap();
-                h.cube().unwrap()
-            };
-            let (a, b) = (cube(&files), cube(&mem));
-            assert_eq!(a.measure, b.measure);
-            assert_eq!((a.rows(), a.implicit_len()), (b.rows(), b.implicit_len()));
-            let bits = |c: &datacube::model::Cube| -> Vec<u32> {
-                c.to_dense().iter().map(|v| v.to_bits()).collect()
-            };
-            assert_eq!(bits(&a), bits(&b), "{measure} differs between sources");
-        }
 
         // #15
         let dir = cs.params.products_dir();

@@ -12,13 +12,13 @@
 use crate::error::{Error, Result};
 use crate::exec::ExecConfig;
 use crate::expr::Expr;
-use crate::model::Cube;
+use crate::model::{Cube, Dimension};
 use crate::ops::{self, InterOp, ReduceOp};
 use crate::store::{CubeId, CubeStore};
 use ncformat::Reader;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,18 +43,9 @@ impl Server {
     fn record<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
-        self.log.push_op(name, start.elapsed().as_micros());
+        let micros = start.elapsed().as_micros();
+        self.log.lock().push(OpRecord { operator: name.to_string(), micros });
         out
-    }
-}
-
-trait LogExt {
-    fn push_op(&self, name: &str, micros: u128);
-}
-
-impl LogExt for Mutex<Vec<OpRecord>> {
-    fn push_op(&self, name: &str, micros: u128) {
-        self.lock().push(OpRecord { operator: name.to_string(), micros });
     }
 }
 
@@ -108,6 +99,56 @@ impl Client {
         let cube = self.server.record("importnc_transposed", || -> Result<Cube> {
             let rd = Reader::open(path)?;
             ops::import_transposed(&rd, var, time_dim, lat_dim, lon_dim, nfrag, cfg)
+        })?;
+        Ok(self.adopt(cube))
+    }
+
+    /// Imports `var` from a year of daily `(time, lat, lon)` files as the
+    /// `(lat, lon | day)` cube `measure` whose column `d` is `op` over day
+    /// file `d`'s `time` axis: Ophidia's import, reduce and stack of a year
+    /// (Sec. 4.2.2) as one operator, with no arithmetic of its own. Per
+    /// day it runs [`ops::import_transposed`] (below its grain: this
+    /// thread) and the engine's `reduce` with [`ExecConfig::serial`], so it
+    /// submits no pool job and holds one day stack next to the output. A
+    /// day whose grid, coordinates or step count differ from day 0's is
+    /// [`Error::SchemaMismatch`], an unreadable one its read error; either
+    /// way no cube is stored.
+    pub fn importnc_reduced(
+        &self,
+        paths: &[PathBuf],
+        var: &str,
+        op: ReduceOp,
+        measure: &str,
+        nfrag: usize,
+    ) -> Result<CubeHandle> {
+        let io_servers = self.server.cfg.io_servers;
+        let cube = self.server.record("importnc_reduced", || -> Result<Cube> {
+            let (nday, serial) = (paths.len(), ExecConfig::serial());
+            let first =
+                paths.first().ok_or_else(|| Error::BadImport(format!("no '{var}' days")))?;
+            let rows: usize = Reader::open(first)?.shape(var)?.iter().skip(1).product();
+            // Filled in place, as `SharedData::from_fn` builds operator outputs.
+            let mut data: Arc<[f32]> = std::iter::repeat_n(0.0f32, rows * nday).collect();
+            let cols = Arc::get_mut(&mut data).expect("a fresh buffer is unique");
+            let mut schema: Option<(Vec<Dimension>, usize)> = None;
+            for (d, path) in paths.iter().enumerate() {
+                let rd = Reader::open(path)?;
+                let day = ops::import_transposed(&rd, var, "time", "lat", "lon", 1, serial)?;
+                let shape =
+                    (day.explicit_dims().into_iter().cloned().collect(), day.implicit_len());
+                if *schema.get_or_insert_with(|| shape.clone()) != shape {
+                    let msg = format!("day {d} of '{var}': grid or step count is not day 0's");
+                    return Err(Error::SchemaMismatch(msg));
+                }
+                for (cell, v) in ops::reduce(&day, op, "time", serial)?.values().enumerate() {
+                    cols[cell * nday + d] = v;
+                }
+            }
+            let (mut dims, _) = schema.expect("paths is not empty");
+            dims.push(Dimension::implicit("day", (0..nday).map(|d| d as f64).collect::<Vec<_>>()));
+            let mut cube = Cube::from_shared(measure, dims, data.into(), nfrag, io_servers)?;
+            cube.description = format!("importnc_reduced({var}, {op:?})");
+            Ok(cube)
         })?;
         Ok(self.adopt(cube))
     }
@@ -300,14 +341,12 @@ pub fn concat(handles: &[&CubeHandle], dim: &str) -> Result<CubeHandle> {
     let cubes: Vec<Arc<Cube>> = handles.iter().map(|h| h.cube()).collect::<Result<_>>()?;
     let refs: Vec<&Cube> = cubes.iter().map(|c| c.as_ref()).collect();
     let out = first.server.record("concat", || ops::concat_implicit(&refs, dim))?;
-    let id = first.server.store.put(out);
-    Ok(CubeHandle { server: Arc::clone(&first.server), id })
+    Ok(first.derive(out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Dimension;
 
     fn client_with_cube() -> (Client, CubeHandle) {
         let client = Client::connect(2);

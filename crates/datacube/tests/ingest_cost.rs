@@ -1,17 +1,35 @@
-//! Pool dispatch of the ingest chain, counted rather than timed: the
+//! Pool dispatch of the ingest paths, counted rather than timed: the
 //! process-global `par_tasks_total{pool="global"}` counter moves only by
-//! the jobs the measured call submits, so this file holds one test and
-//! runs in a process of its own.
+//! the jobs the measured call submits, so this file runs in a process of
+//! its own and its tests take turns on one lock.
 
 use datacube::exec::ExecConfig;
 use datacube::model::{Cube, Dimension};
-use datacube::ops;
+use datacube::{ops, Client, ReduceOp};
 use ncformat::{Dataset, Reader};
+use std::path::PathBuf;
+use std::sync::Mutex;
 
 const NFRAG: usize = 8;
 
+/// Held for a whole test, so no other test's jobs land in its count.
+static ALONE: Mutex<()> = Mutex::new(());
+
 fn pool_jobs() -> u64 {
     obs::registry().counter("par_tasks_total", &[("pool", "global")]).get()
+}
+
+/// Writes a `(time, lat, lon)` day file of `tas` and returns its path.
+fn day_file(nt: usize, ny: usize, nx: usize) -> PathBuf {
+    let mut ds = Dataset::new();
+    ds.add_dimension("time", nt).unwrap();
+    ds.add_dimension("lat", ny).unwrap();
+    ds.add_dimension("lon", nx).unwrap();
+    ds.add_variable_f32("tas", &["time", "lat", "lon"], vec![280.0; nt * ny * nx]).unwrap();
+    let name = format!("datacube-ingest-cost-{}-{ny}x{nx}.ncx", std::process::id());
+    let path = std::env::temp_dir().join(name);
+    ds.write_to_path(&path).unwrap();
+    path
 }
 
 /// One 96×144 day of four timesteps is below the transpose's grain, so
@@ -19,15 +37,9 @@ fn pool_jobs() -> u64 {
 /// one job per output fragment.
 #[test]
 fn day_ingest_and_year_stack_submit_few_pool_jobs() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     let (nt, ny, nx) = (4, 96, 144);
-    let mut ds = Dataset::new();
-    ds.add_dimension("time", nt).unwrap();
-    ds.add_dimension("lat", ny).unwrap();
-    ds.add_dimension("lon", nx).unwrap();
-    ds.add_variable_f32("tas", &["time", "lat", "lon"], vec![280.0; nt * ny * nx]).unwrap();
-    let path =
-        std::env::temp_dir().join(format!("datacube-ingest-cost-{}.ncx", std::process::id()));
-    ds.write_to_path(&path).unwrap();
+    let path = day_file(nt, ny, nx);
     let rd = Reader::open(&path).unwrap();
     let cfg = ExecConfig::with_servers(2);
 
@@ -53,4 +65,24 @@ fn day_ingest_and_year_stack_submit_few_pool_jobs() {
     let jobs = pool_jobs() - before;
     assert!(jobs <= NFRAG as u64, "a 90-cube concat submitted {jobs} pool jobs");
     assert_eq!(year.implicit_len(), 90);
+}
+
+/// The workflow's year import — `importnc_reduced` over a 60-day year of
+/// four-step days, at 48×72 and at 96×144 — submits no pool job at all, so
+/// the import tasks never wait behind another task's pool work.
+#[test]
+fn importnc_reduced_submits_no_pool_job() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let client = Client::connect(2);
+    for (ny, nx) in [(48, 72), (96, 144)] {
+        let path = day_file(4, ny, nx);
+        let year = vec![path.clone(); 60];
+        for op in [ReduceOp::Max, ReduceOp::Min] {
+            let before = pool_jobs();
+            let cube = client.importnc_reduced(&year, "tas", op, "tasmax", NFRAG).unwrap();
+            assert_eq!(pool_jobs() - before, 0, "{ny}x{nx} {op:?} import went to the pool");
+            assert_eq!(cube.cube().unwrap().implicit_len(), 60);
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }

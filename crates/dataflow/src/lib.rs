@@ -83,7 +83,7 @@ pub use payload::{Bytes, Payload};
 pub use provenance::ProvenanceLog;
 pub use resources::{Constraint, WorkerKind, WorkerProfile};
 pub use runtime::{Runtime, RuntimeConfig, TaskHandle};
-pub use scheduler::{ClusterView, Policy, ReadyTask, Scheduler};
+pub use scheduler::{Policy, ReadyTask, Scheduler};
 pub use task::{DataRef, FailurePolicy, TaskId, TaskState};
 pub use timing::TimingStats;
 

@@ -22,7 +22,7 @@ use crate::monitor::{Metrics, PlacementDecision, StatusFold, StatusSnapshot};
 use crate::payload::Payload;
 use crate::provenance::ProvenanceLog;
 use crate::resources::{Constraint, WorkerProfile};
-use crate::scheduler::{ClusterView, Policy, ReadyTask, Scheduler, TransferLedger};
+use crate::scheduler::{Policy, ReadyTask, Scheduler, TransferLedger};
 use crate::task::{DataRef, FailurePolicy, TaskId, TaskState};
 use obs::{EventKind, TaskOutcome};
 use parking_lot::{Condvar, Mutex};
@@ -896,18 +896,7 @@ fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize) {
             })
             .collect();
 
-        // Hand the decision to the boxed scheduler under a consistent
-        // cluster view. Split-borrow the guard so the view can read the
-        // fold's timing means while the scheduler mutates its own state.
-        let picked = {
-            let inner = &mut *st;
-            let view = ClusterView {
-                workers: &shared.profiles,
-                stats: inner.fold.stats(),
-                now_us: shared.bus.now_micros(),
-            };
-            inner.sched.pick(worker_idx, &snapshot, &view)
-        };
+        let picked = st.sched.pick(worker_idx, &snapshot, &shared.profiles);
         let Some(ready_idx) = picked else {
             if let Some(due) = st.delayed.iter().map(|(due, _)| *due).min() {
                 // Parked retries exist and nothing may ever notify the cv

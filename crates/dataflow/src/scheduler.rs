@@ -3,8 +3,8 @@
 //! The runtime keeps a ready list; every idle worker asks the boxed
 //! [`Scheduler`] which ready task (if any) it should run. The trait owns
 //! all placement decisions — the runtime only supplies a consistent
-//! snapshot ([`ReadyTask`]) and the cluster context ([`ClusterView`]:
-//! worker profiles, measured [`TimingStats`], the bus clock).
+//! snapshot ([`ReadyTask`], whose estimates come from the measured
+//! [`crate::timing::TimingStats`]) and the worker profiles.
 //!
 //! Three portfolio policies ship behind the [`Policy`] selector:
 //!
@@ -29,7 +29,6 @@
 use crate::inject::splitmix64;
 use crate::resources::WorkerProfile;
 use crate::task::TaskId;
-use crate::timing::TimingStats;
 use std::collections::HashMap;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -104,7 +103,8 @@ pub struct ReadyTask {
     /// For each input: the worker index holding it (None = master/restored)
     /// and its approximate size in bytes.
     pub input_locations: Vec<(Option<usize>, u64)>,
-    /// Estimated execution duration ([`TimingStats::estimate_us`]).
+    /// Estimated execution duration
+    /// ([`crate::timing::TimingStats::estimate_us`]).
     pub est_us: u64,
     /// Upward rank: `est_us` plus the longest estimated chain of
     /// dependents below this task in the submitted graph.
@@ -116,16 +116,6 @@ impl ReadyTask {
     pub fn local_bytes(&self, worker: usize) -> u64 {
         self.input_locations.iter().filter(|(loc, _)| *loc == Some(worker)).map(|(_, b)| *b).sum()
     }
-}
-
-/// Read-only cluster context for one placement decision.
-pub struct ClusterView<'a> {
-    /// Worker profiles, indexed by worker id.
-    pub workers: &'a [WorkerProfile],
-    /// Measured per-name duration statistics.
-    pub stats: &'a TimingStats,
-    /// Current time on the runtime bus clock, microseconds.
-    pub now_us: u64,
 }
 
 /// A task-placement policy driven by the runtime.
@@ -142,9 +132,14 @@ pub trait Scheduler: Send {
     fn on_ready(&mut self, _task: TaskId) {}
 
     /// Picks the index (into `ready`) of the task `worker` should run,
-    /// or `None` to let the worker wait.
-    fn pick(&mut self, worker: usize, ready: &[ReadyTask], view: &ClusterView<'_>)
-        -> Option<usize>;
+    /// or `None` to let the worker wait. `workers` are the profiles,
+    /// indexed by worker id.
+    fn pick(
+        &mut self,
+        worker: usize,
+        ready: &[ReadyTask],
+        workers: &[WorkerProfile],
+    ) -> Option<usize>;
 
     /// A task reached a terminal state. `worker`/`duration_us` are set
     /// only for successful completions; cancellations and failures call
@@ -199,9 +194,9 @@ impl Scheduler for Fifo {
         &mut self,
         worker: usize,
         ready: &[ReadyTask],
-        view: &ClusterView<'_>,
+        workers: &[WorkerProfile],
     ) -> Option<usize> {
-        let profile = &view.workers[worker];
+        let profile = &workers[worker];
         compatible(ready, profile).map(|(i, _)| i).next()
     }
 }
@@ -246,9 +241,9 @@ impl Scheduler for Locality {
         &mut self,
         worker: usize,
         ready: &[ReadyTask],
-        view: &ClusterView<'_>,
+        workers: &[WorkerProfile],
     ) -> Option<usize> {
-        let profile = &view.workers[worker];
+        let profile = &workers[worker];
         let (bi, blocal) = self.best(worker, ready, profile)?;
         // Take it when some input is already here, or when nothing is
         // placed anywhere yet (first consumers of master data).
@@ -311,9 +306,9 @@ impl Scheduler for Heft {
         &mut self,
         worker: usize,
         ready: &[ReadyTask],
-        view: &ClusterView<'_>,
+        workers: &[WorkerProfile],
     ) -> Option<usize> {
-        let profile = &view.workers[worker];
+        let profile = &workers[worker];
         compatible(ready, profile)
             .max_by(|(_, a), (_, b)| {
                 a.rank_us
@@ -367,101 +362,81 @@ mod tests {
         }
     }
 
-    fn view<'a>(workers: &'a [WorkerProfile], stats: &'a TimingStats) -> ClusterView<'a> {
-        ClusterView { workers, stats, now_us: 0 }
-    }
-
     #[test]
     fn fifo_picks_first_compatible() {
         let workers = [WorkerProfile::cpu(4)];
-        let stats = TimingStats::default();
-        let v = view(&workers, &stats);
         let mut gpu_task = rt(1, vec![]);
         gpu_task.constraint = Constraint::gpu();
         let ready = vec![gpu_task, rt(2, vec![]), rt(3, vec![])];
-        assert_eq!(Fifo.pick(0, &ready, &v), Some(1));
+        assert_eq!(Fifo.pick(0, &ready, &workers), Some(1));
     }
 
     #[test]
     fn fifo_none_when_incompatible() {
         let workers = [WorkerProfile::cpu(2)];
-        let stats = TimingStats::default();
-        let v = view(&workers, &stats);
         let mut t = rt(1, vec![]);
         t.constraint = Constraint::cores(16);
-        assert_eq!(Fifo.pick(0, &[t], &v), None);
+        assert_eq!(Fifo.pick(0, &[t], &workers), None);
     }
 
     #[test]
     fn locality_prefers_resident_inputs() {
         let workers = [WorkerProfile::cpu(4), WorkerProfile::cpu(4)];
-        let stats = TimingStats::default();
-        let v = view(&workers, &stats);
         let ready = vec![
             rt(1, vec![(Some(1), 1000)]), // resident on worker 1
             rt(2, vec![(Some(0), 1000)]), // resident on worker 0
         ];
-        assert_eq!(Locality::default().pick(0, &ready, &v), Some(1));
-        assert_eq!(Locality::default().pick(1, &ready, &v), Some(0));
+        assert_eq!(Locality::default().pick(0, &ready, &workers), Some(1));
+        assert_eq!(Locality::default().pick(1, &ready, &workers), Some(0));
     }
 
     #[test]
     fn locality_ties_break_fifo() {
         let workers = [WorkerProfile::cpu(4)];
-        let stats = TimingStats::default();
-        let v = view(&workers, &stats);
         let ready = vec![rt(5, vec![]), rt(2, vec![])];
         // No local bytes anywhere: lowest task id wins (task 2, index 1).
-        assert_eq!(Locality::default().pick(0, &ready, &v), Some(1));
+        assert_eq!(Locality::default().pick(0, &ready, &workers), Some(1));
     }
 
     #[test]
     fn locality_defers_then_steals_after_patience() {
         let workers = [WorkerProfile::cpu(4), WorkerProfile::cpu(4)];
-        let stats = TimingStats::default();
-        let v = view(&workers, &stats);
         // Data on worker 1: worker 0 should pass PATIENCE times, then steal.
         let ready = vec![rt(1, vec![(Some(1), 4096)])];
         let mut sched = Locality::default();
         for _ in 0..PATIENCE {
-            assert_eq!(sched.pick(0, &ready, &v), None, "deferring to the data's owner");
+            assert_eq!(sched.pick(0, &ready, &workers), None, "deferring to the data's owner");
         }
-        assert_eq!(sched.pick(0, &ready, &v), Some(0), "patience exhausted: steal");
+        assert_eq!(sched.pick(0, &ready, &workers), Some(0), "patience exhausted: steal");
         assert!(sched.poll_hint().is_some(), "deferring policy must re-poll");
     }
 
     #[test]
     fn locality_respects_constraints() {
         let workers = [WorkerProfile { kind: WorkerKind::Cpu, cores: 2, memory_gb: 8 }];
-        let stats = TimingStats::default();
-        let v = view(&workers, &stats);
         let mut big = rt(1, vec![(Some(0), 10_000)]);
         big.constraint = Constraint::cores(8);
         let ready = vec![big, rt(2, vec![])];
-        assert_eq!(Locality::default().pick(0, &ready, &v), Some(1));
+        assert_eq!(Locality::default().pick(0, &ready, &workers), Some(1));
     }
 
     #[test]
     fn heft_takes_highest_rank() {
         let workers = [WorkerProfile::cpu(4)];
-        let stats = TimingStats::default();
-        let v = view(&workers, &stats);
         let mut shallow = rt(1, vec![]);
         shallow.rank_us = 2_000;
         let mut deep = rt(2, vec![]);
         deep.rank_us = 50_000; // heads a long chain
         let ready = vec![shallow, deep];
-        assert_eq!(Heft::new(7).pick(0, &ready, &v), Some(1));
+        assert_eq!(Heft::new(7).pick(0, &ready, &workers), Some(1));
     }
 
     #[test]
     fn heft_tie_break_is_seed_deterministic() {
         let workers = [WorkerProfile::cpu(4)];
-        let stats = TimingStats::default();
-        let v = view(&workers, &stats);
         let ready = vec![rt(1, vec![]), rt(2, vec![]), rt(3, vec![])]; // equal ranks
-        let a = Heft::new(42).pick(0, &ready, &v);
-        let b = Heft::new(42).pick(0, &ready, &v);
+        let a = Heft::new(42).pick(0, &ready, &workers);
+        let b = Heft::new(42).pick(0, &ready, &workers);
         assert_eq!(a, b, "same seed ⇒ same tie-break");
         assert!(a.is_some());
     }
@@ -469,13 +444,15 @@ mod tests {
     #[test]
     fn heft_respects_constraints() {
         let workers = [WorkerProfile::cpu(4)];
-        let stats = TimingStats::default();
-        let v = view(&workers, &stats);
         let mut deep = rt(1, vec![]);
         deep.rank_us = 1_000_000;
         deep.constraint = Constraint::gpu();
         let ready = vec![deep, rt(2, vec![])];
-        assert_eq!(Heft::new(0).pick(0, &ready, &v), Some(1), "rank cannot override constraints");
+        assert_eq!(
+            Heft::new(0).pick(0, &ready, &workers),
+            Some(1),
+            "rank cannot override constraints"
+        );
     }
 
     #[test]
