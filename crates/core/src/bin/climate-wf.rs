@@ -3,7 +3,6 @@
 //! ```text
 //! climate-wf run [--years N] [--days N] [--grid test_small|demo|LATxLON]
 //!                [--scenario historical|ssp245|ssp585] [--seed N]
-//!                [--policy fifo|locality|heft]
 //!                [--out DIR] [--sequential]
 //!                [--streaming] [--stream-depth N]
 //!                [--trace out.json] [--metrics out.prom]
@@ -28,7 +27,7 @@ fn usage() -> ! {
          \n\
          run      [--years N] [--days N] [--grid test_small|demo|LATxLON]\n\
          \x20        [--scenario historical|ssp245|ssp585] [--seed N] [--out DIR] [--sequential]\n\
-         \x20        [--policy fifo|locality|heft] [--trace out.json] [--metrics out.prom]\n\
+         \x20        [--trace out.json] [--metrics out.prom]\n\
          \x20        [--streaming] [--stream-depth N] in-memory year handoff\n\
          \x20        with incremental record indices\n\
          report   [run options] `run` plus a profile: pool utilization and latency\n\
@@ -85,7 +84,6 @@ fn params_from_flags(flags: &BTreeMap<String, String>) -> Result<WorkflowParams,
             "scenario" => "scenario",
             "seed" => "seed",
             "workers" => "workers",
-            "policy" => "policy",
             "streaming" => "streaming",
             "stream-depth" => "stream_depth",
             _ => continue,
@@ -386,21 +384,11 @@ mod tests {
         flags.insert("grid".to_string(), "24x36".to_string());
         flags.insert("out".to_string(), "/tmp/x".to_string());
         flags.insert("sequential".to_string(), "true".to_string());
-        flags.insert("policy".to_string(), "heft".to_string());
         let p = params_from_flags(&flags).unwrap();
         assert_eq!(p.years, 2);
         assert_eq!(p.days_per_year, 15);
         assert_eq!((p.grid.nlat, p.grid.nlon), (24, 36));
         assert_eq!(p.out_dir, std::path::PathBuf::from("/tmp/x"));
-        assert_eq!(p.sched_policy, dataflow::Policy::Heft);
-    }
-
-    #[test]
-    fn bad_policy_rejected() {
-        let mut flags = BTreeMap::new();
-        flags.insert("policy".to_string(), "random".to_string());
-        let err = params_from_flags(&flags).unwrap_err();
-        assert!(err.contains("unknown scheduling policy"), "got: {err}");
     }
 
     #[test]

@@ -361,9 +361,8 @@ impl CaseStudy {
         let sim = Simulation::new(params.esm_config(), &params.esm_dir())
             .map_err(|e| WorkflowError::Simulation { message: e.to_string() })?;
 
-        let mut config = RuntimeConfig::with_cpu_workers(params.workers.max(2))
-            .with_seed(params.seed)
-            .with_policy(params.sched_policy);
+        let mut config =
+            RuntimeConfig::with_cpu_workers(params.workers.max(2)).with_seed(params.seed);
         // One worker stands for the GPU partition the paper sends ML
         // inference to: the years' CNN tasks (#16) queue for it and take
         // turns on the shared pool instead of time-slicing it, so year N's
@@ -417,8 +416,6 @@ impl CaseStudy {
     ) -> Result<TaskHandle, Error> {
         let sim = Arc::clone(&self.sim);
         let truth = Arc::clone(&self.truth);
-        let corrupt = self.params.corrupt_file;
-        let esm_dir = self.params.esm_dir();
         let builder = self
             .rt
             .task("esm_simulation")
@@ -453,15 +450,7 @@ impl CaseStudy {
                 None => sim.run_years(1, |_, _, _| {}).map_err(|e| e.to_string())?,
             };
             truth.lock().extend(summary.truth);
-            let year = summary.years[0];
-            // Fault-injection hook (resilience tests): trash one daily file.
-            if let Some((y, day)) = corrupt {
-                if y == year_index {
-                    let victim = esm_dir.join(esm::output::file_name(year, day));
-                    let _ = std::fs::write(victim, b"corrupted by fault injection");
-                }
-            }
-            Ok(vec![WfData::Num(year as f64)])
+            Ok(vec![WfData::Num(summary.years[0] as f64)])
         })
     }
 
@@ -1135,7 +1124,6 @@ impl CaseStudy {
             prov_path,
             metrics: self.rt.metrics(),
             timed: self.rt.timing_report(),
-            policy: self.rt.policy_name(),
             placements: self.rt.scheduler_decisions(),
             stream: None,
         })

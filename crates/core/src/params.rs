@@ -42,9 +42,6 @@ pub struct WorkflowParams {
     /// output to train on (0 disables fine-tuning).
     pub finetune_days: usize,
     pub finetune_epochs: usize,
-    /// Fault-injection hook for resilience testing: corrupt the daily file
-    /// of `(year index, 0-based day)` right after that year is simulated.
-    pub corrupt_file: Option<(usize, usize)>,
     /// Checkpoint log path; a re-run with the same path resumes from the
     /// last completed frontier instead of starting over.
     pub checkpoint: Option<PathBuf>,
@@ -52,8 +49,6 @@ pub struct WorkflowParams {
     pub task_retries: u32,
     /// Base delay of the exponential retry backoff.
     pub retry_base_ms: u64,
-    /// Dataflow scheduling policy (fifo | locality | heft).
-    pub sched_policy: dataflow::Policy,
     /// Streaming data plane: hand completed years to analytics through an
     /// in-memory channel (files still written as the durable fallback).
     pub streaming: bool,
@@ -103,14 +98,6 @@ impl WorkflowParams {
             positive("finetune_epochs", self.finetune_epochs)?;
         }
         positive("stream_depth", self.stream_depth)?;
-        if let Some((year, day)) = self.corrupt_file {
-            if year >= self.years || day >= self.days_per_year {
-                return Err(format!(
-                    "corrupt_file ({year}, {day}) outside the {}x{} run",
-                    self.years, self.days_per_year
-                ));
-            }
-        }
         Ok(())
     }
 
@@ -132,11 +119,9 @@ impl WorkflowParams {
             train_epochs: 12,
             finetune_days: 25,
             finetune_epochs: 10,
-            corrupt_file: None,
             checkpoint: None,
             task_retries: 0,
             retry_base_ms: 20,
-            sched_policy: dataflow::Policy::Fifo,
             streaming: false,
             stream_depth: 2,
             cnn_batch: 8,
@@ -162,11 +147,9 @@ impl WorkflowParams {
             train_epochs: 16,
             finetune_days: 60,
             finetune_epochs: 14,
-            corrupt_file: None,
             checkpoint: None,
             task_retries: 0,
             retry_base_ms: 20,
-            sched_policy: dataflow::Policy::Fifo,
             streaming: false,
             stream_depth: 2,
             cnn_batch: 8,
@@ -178,8 +161,8 @@ impl WorkflowParams {
     /// (`test_small` | `demo` | `NLATxNLON`), `scenario`
     /// (`historical` | `ssp245` | `ssp585`), `seed`, `workers`,
     /// `io_servers`, `nfrag`, `checkpoint`, `task_retries`,
-    /// `retry_base_ms`, `policy` (`fifo` | `locality` | `heft`),
-    /// `streaming` (`true` | `false`), `stream_depth`.
+    /// `retry_base_ms`, `streaming` (`true` | `false`), `stream_depth`.
+    /// Any other key is a deployment-level concern and is ignored.
     pub fn apply_inputs(mut self, inputs: &BTreeMap<String, String>) -> Result<Self, String> {
         for (k, v) in inputs {
             match k.as_str() {
@@ -226,7 +209,6 @@ impl WorkflowParams {
                     self.retry_base_ms =
                         v.parse().map_err(|_| format!("bad retry_base_ms '{v}'"))?
                 }
-                "policy" => self.sched_policy = v.parse()?,
                 "streaming" => {
                     self.streaming = v.parse().map_err(|_| format!("bad streaming '{v}'"))?
                 }
@@ -356,13 +338,6 @@ impl ParamsBuilder {
         self
     }
 
-    /// Fault-injection hook: corrupt the daily file of
-    /// `(year index, 0-based day)` right after that year is simulated.
-    pub fn corrupt_file(mut self, year: usize, day: usize) -> Self {
-        self.p.corrupt_file = Some((year, day));
-        self
-    }
-
     /// Enables checkpointing to `path`; re-running with the same path
     /// resumes from the last completed frontier.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
@@ -375,12 +350,6 @@ impl ParamsBuilder {
     pub fn retries(mut self, retries: u32, base_ms: u64) -> Self {
         self.p.task_retries = retries;
         self.p.retry_base_ms = base_ms;
-        self
-    }
-
-    /// Dataflow scheduling policy for the run.
-    pub fn sched_policy(mut self, policy: dataflow::Policy) -> Self {
-        self.p.sched_policy = policy;
         self
     }
 
@@ -456,24 +425,6 @@ mod tests {
         assert_eq!(p.task_retries, 3);
         assert_eq!(p.retry_base_ms, 10);
         assert!(p.checkpoint.is_some());
-    }
-
-    #[test]
-    fn policy_input_selects_scheduler() {
-        let mut inputs = BTreeMap::new();
-        inputs.insert("policy".to_string(), "heft".to_string());
-        let p = base().apply_inputs(&inputs).unwrap();
-        assert_eq!(p.sched_policy, dataflow::Policy::Heft);
-
-        let mut inputs = BTreeMap::new();
-        inputs.insert("policy".to_string(), "sjf".to_string());
-        assert!(base().apply_inputs(&inputs).is_err());
-
-        let p = WorkflowParams::builder(std::env::temp_dir().join("wfp-pol"))
-            .sched_policy(dataflow::Policy::Heft)
-            .build()
-            .unwrap();
-        assert_eq!(p.sched_policy, dataflow::Policy::Heft);
     }
 
     #[test]
@@ -556,13 +507,11 @@ mod tests {
             .nfrag(4)
             .training(60, 3)
             .finetuning(0, 0)
-            .corrupt_file(1, 14)
             .build()
             .unwrap();
         assert_eq!(p.years, 2);
         assert_eq!((p.grid.nlat, p.grid.nlon), (24, 36));
         assert_eq!(p.io_servers, 3);
-        assert_eq!(p.corrupt_file, Some((1, 14)));
     }
 
     #[test]
@@ -572,7 +521,6 @@ mod tests {
         assert!(b().patch(10).build().is_err(), "patch not a multiple of 4");
         assert!(b().grid(Grid::global(8, 8)).build().is_err(), "patch larger than grid");
         assert!(b().training(0, 0).build().is_err(), "no model and no training");
-        assert!(b().corrupt_file(5, 0).build().is_err(), "corruption outside run");
         // A model path excuses zero training effort.
         assert!(b().training(0, 0).model_path("/tmp/model.bin").build().is_ok());
     }

@@ -74,9 +74,7 @@ pub struct RunReport {
     /// Timed critical-path analysis over measured task durations
     /// (None when no task completed).
     pub timed: Option<dataflow::timing::TimedPath>,
-    /// Scheduling policy that drove the run.
-    pub policy: &'static str,
-    /// Every placement decision the scheduler made (estimated duration
+    /// Every placement decision the runtime made (estimated duration
     /// at pick time, measured duration at completion).
     pub placements: Vec<dataflow::PlacementDecision>,
     /// Streaming data-plane summary (None for staged, file-based runs).
@@ -174,13 +172,11 @@ impl RunReport {
         s
     }
 
-    /// The placement-quality section: which policy ran, how work spread
-    /// over the workers, and how far its duration estimates were from the
-    /// measured durations.
+    /// The placement section: how many placements the run made and how far
+    /// their duration estimates were from the measured durations.
     fn render_scheduling(&self) -> String {
         let mut s = String::new();
-        let _ =
-            writeln!(s, "scheduling: policy {}, {} placements", self.policy, self.placements.len());
+        let _ = writeln!(s, "scheduling: {} placements", self.placements.len());
         let completed: Vec<_> =
             self.placements.iter().filter_map(|d| d.actual_us.map(|a| (d.est_us, a))).collect();
         if !completed.is_empty() {
@@ -276,7 +272,6 @@ mod tests {
             prov_path: PathBuf::from("/p/provenance.prov.txt"),
             metrics: Metrics::default(),
             timed: None,
-            policy: "fifo",
             placements: Vec::new(),
             stream: None,
         }
@@ -314,29 +309,24 @@ mod tests {
         use dataflow::{PlacementDecision, TaskId};
         use std::sync::Arc;
         let mut report = sample();
-        report.policy = "heft";
         report.placements = vec![
             PlacementDecision {
-                policy: "heft",
                 task: TaskId(1),
                 name: Arc::from("sim"),
                 worker: 0,
                 est_us: 1_000,
-                rank_us: 5_000,
                 actual_us: Some(3_000),
             },
             PlacementDecision {
-                policy: "heft",
                 task: TaskId(2),
                 name: Arc::from("analyze"),
                 worker: 1,
                 est_us: 2_000,
-                rank_us: 2_000,
                 actual_us: Some(2_000),
             },
         ];
         let r = report.render();
-        assert!(r.contains("scheduling: policy heft, 2 placements"), "got:\n{r}");
+        assert!(r.contains("scheduling: 2 placements"), "got:\n{r}");
         assert!(r.contains("mean |est-actual| 1.0ms over 2 completed placements"), "got:\n{r}");
     }
 

@@ -2,9 +2,9 @@
 //!
 //! Estimates are in **microseconds** — the clock the runtime's event bus
 //! uses. `hpcwaas::dls` prices its staging predictions with
-//! [`LinkCost`] (bench A2); the dataflow runtime itself moves data
-//! between in-process workers for free and only *counts* transfers in
-//! the [`TransferLedger`](crate::scheduler::TransferLedger).
+//! [`LinkCost`] (bench A2). The dataflow runtime itself neither prices
+//! nor counts data movement: its workers are threads of one process and
+//! hand each other `Arc`s.
 
 /// One directed link: bandwidth in MB/s (1 MB = 1e6 bytes, matching the
 /// hpcwaas DLS convention) plus a fixed per-transfer latency.

@@ -18,10 +18,10 @@
 //!   `compss_wait_on`) or [`runtime::Runtime::barrier`].
 //! * **Constraints** — tasks can require cores, memory or an accelerator
 //!   (`@constraint` decorator) and are only placed on matching workers.
-//! * **Pluggable scheduling** — a [`scheduler::Scheduler`] trait with a
-//!   three-policy portfolio (FIFO, data-locality, HEFT upward-rank over
-//!   measured per-task durations), with transfer accounting so the
-//!   locality claim of the paper is measurable (bench A1).
+//! * **One placement rule** — an idle worker takes the oldest ready task
+//!   whose constraint its profile satisfies. Each pick is reported with
+//!   a duration estimate from the measured per-function means
+//!   ([`TimingStats`]); the estimate is scored, never steering.
 //! * **Fault tolerance** — per-task failure policies (fail-fast the whole
 //!   workflow, retry N times, or ignore-and-cancel-successors), mirroring
 //!   the task-level failure management of Ejarque et al.
@@ -71,7 +71,6 @@ pub mod payload;
 pub mod provenance;
 pub mod resources;
 pub mod runtime;
-pub mod scheduler;
 pub mod stream;
 pub mod task;
 pub mod timing;
@@ -83,7 +82,6 @@ pub use payload::{Bytes, Payload};
 pub use provenance::ProvenanceLog;
 pub use resources::{Constraint, WorkerKind, WorkerProfile};
 pub use runtime::{Runtime, RuntimeConfig, TaskHandle};
-pub use scheduler::{Policy, ReadyTask, Scheduler};
 pub use task::{DataRef, FailurePolicy, TaskId, TaskState};
 pub use timing::TimingStats;
 
@@ -92,6 +90,5 @@ pub mod prelude {
     pub use crate::payload::{Bytes, Payload};
     pub use crate::resources::{Constraint, WorkerKind, WorkerProfile};
     pub use crate::runtime::{Runtime, RuntimeConfig, TaskHandle};
-    pub use crate::scheduler::Policy;
     pub use crate::task::{DataRef, FailurePolicy, TaskId, TaskState};
 }

@@ -50,18 +50,14 @@ pub struct Metrics {
 }
 
 /// One placement decision and its measured outcome, so reports can score
-/// placement quality after the fact.
+/// the duration estimate after the fact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacementDecision {
-    /// Name of the policy that made the call.
-    pub policy: &'static str,
     pub task: TaskId,
     pub name: Arc<str>,
     pub worker: usize,
     /// Estimated duration of the task at decision time, microseconds.
     pub est_us: u64,
-    /// Upward rank of the task at decision time.
-    pub rank_us: u64,
     /// Measured duration of the completed attempt; `None` while running
     /// or when the attempt never completed.
     pub actual_us: Option<u64>,
@@ -196,16 +192,14 @@ impl StatusFold {
                     c.state = TaskState::Ready;
                 }
             }
-            EventKind::SchedulerDecision { policy, task, name, worker, est_us, rank_us } => {
+            EventKind::SchedulerDecision { task, name, worker, est_us } => {
                 let idx = self.placements.len();
                 self.cell(*task, name).placement = Some(idx);
                 self.placements.push(PlacementDecision {
-                    policy,
                     task: TaskId(*task),
                     name: Arc::clone(name),
                     worker: *worker,
                     est_us: *est_us,
-                    rank_us: *rank_us,
                     actual_us: None,
                 });
             }
@@ -321,7 +315,8 @@ impl StatusFold {
         &self.placements
     }
 
-    /// Measured per-function duration statistics (what HEFT ranks on).
+    /// Measured per-function duration statistics (what each placement's
+    /// `est_us` is read from).
     pub fn stats(&self) -> &TimingStats {
         &self.stats
     }

@@ -3,8 +3,8 @@
 //! The runtime is generic over one payload type per workflow (typically an
 //! enum covering every kind of value the workflow's tasks exchange). The
 //! trait carries just enough structure for the runtime's two needs beyond
-//! in-memory handoff: checkpoint serialization and transfer-size accounting
-//! for the locality scheduler.
+//! in-memory handoff: checkpoint serialization and an input size for the
+//! cold-start duration estimate.
 
 /// Values exchanged between tasks.
 pub trait Payload: Send + Sync + 'static {
@@ -16,9 +16,10 @@ pub trait Payload: Send + Sync + 'static {
     where
         Self: Sized;
 
-    /// Approximate in-memory size in bytes, used for transfer accounting by
-    /// the locality-aware scheduler. Precision is not required — relative
-    /// magnitudes drive placement.
+    /// Approximate in-memory size in bytes: the input of a consumer's
+    /// cold-start duration estimate
+    /// ([`TimingStats::estimate_us`](crate::TimingStats::estimate_us)).
+    /// Precision is not required.
     fn approx_size(&self) -> u64 {
         64
     }

@@ -3,13 +3,13 @@
 //! A [`Runtime`] owns a pool of worker threads. The main program (the
 //! "master", in COMPSs terms) submits tasks through the builder returned by
 //! [`Runtime::task`]; the runtime derives dependencies from the data
-//! versions each task reads and writes, schedules ready tasks onto
-//! compatible workers per the configured [`Policy`], and lets the main
-//! program synchronize with [`Runtime::fetch`] (PyCOMPSs `compss_wait_on`)
+//! versions each task reads and writes, runs each ready task on an idle
+//! worker whose profile satisfies its constraint — the oldest such task
+//! first — and lets the main program synchronize with [`Runtime::fetch`] (PyCOMPSs `compss_wait_on`)
 //! or [`Runtime::barrier`] (`compss_barrier`).
 //!
 //! The state under the runtime lock is split in two. *Control state* is
-//! what the scheduler, retry and deadline paths read: the graph, the task
+//! what the placement, retry and deadline paths read: the graph, the task
 //! entries, data, the ready/delayed queues, the checkpoint log. *Report
 //! state* is one [`StatusFold`] of the task-lifecycle events, written only
 //! by `observe` as each event is emitted; metrics, placements, spans,
@@ -22,7 +22,6 @@ use crate::monitor::{Metrics, PlacementDecision, StatusFold, StatusSnapshot};
 use crate::payload::Payload;
 use crate::provenance::ProvenanceLog;
 use crate::resources::{Constraint, WorkerProfile};
-use crate::scheduler::{Policy, ReadyTask, Scheduler, TransferLedger};
 use crate::task::{DataRef, FailurePolicy, TaskId, TaskState};
 use obs::{EventKind, TaskOutcome};
 use parking_lot::{Condvar, Mutex};
@@ -36,37 +35,28 @@ use std::time::{Duration, Instant};
 pub struct RuntimeConfig {
     /// Worker pool profiles (one thread per entry).
     pub workers: Vec<WorkerProfile>,
-    /// Portfolio policy to build the scheduler from.
-    pub policy: Policy,
     /// Optional checkpoint log path; completed tasks with a key are logged
     /// and replayed on the next run.
     pub checkpoint_path: Option<PathBuf>,
-    /// Seed for everything the runtime randomizes deterministically — the
-    /// retry-backoff jitter (see [`crate::inject::backoff_delay_ms`]) and
-    /// the schedulers' tie-breaks.
+    /// Seed of the retry-backoff jitter (see
+    /// [`crate::inject::backoff_delay_ms`]), the one thing the runtime
+    /// randomizes.
     pub seed: u64,
 }
 
 impl RuntimeConfig {
-    /// `n` identical 4-core CPU workers, FIFO policy, no checkpointing.
+    /// `n` identical 4-core CPU workers, no checkpointing.
     pub fn with_cpu_workers(n: usize) -> Self {
         RuntimeConfig {
             workers: vec![WorkerProfile::cpu(4); n.max(1)],
-            policy: Policy::Fifo,
             checkpoint_path: None,
             seed: 0,
         }
     }
 
-    /// Sets the determinism seed (backoff jitter, scheduler tie-breaks).
+    /// Sets the determinism seed (retry-backoff jitter).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Switches the scheduling policy (builder style).
-    pub fn with_policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -109,8 +99,8 @@ struct TaskEntry<P: Payload> {
 struct DataEntry<P: Payload> {
     value: Option<Arc<P>>,
     failed: bool,
-    /// Worker index that produced the value (None = master / restored).
-    location: Option<usize>,
+    /// [`Payload::approx_size`] of the value: the cold-start input of a
+    /// consumer's duration estimate.
     size: u64,
 }
 
@@ -124,17 +114,12 @@ struct Inner<P: Payload> {
     ready: Vec<TaskId>,
     /// Backoff-delayed retries: `(due, task)`. The task stays
     /// `TaskState::Ready` (so `barrier`/status stay consistent) but is
-    /// invisible to the scheduler until a worker promotes it after `due`.
+    /// invisible to placement until a worker promotes it after `due`.
     delayed: Vec<(Instant, TaskId)>,
     running: usize,
     aborted: Option<Error>,
     shutdown: bool,
-    ledger: TransferLedger,
     checkpoint: Option<CheckpointLog>,
-    /// The boxed placement policy (see [`crate::scheduler::Scheduler`]);
-    /// lives under the state lock so every decision sees a consistent
-    /// ready set.
-    sched: Box<dyn Scheduler>,
     /// The report state: the one record of what happened in this run, a
     /// fold of every event `observe` emitted. It lives under the state
     /// lock so the poll API and the event stream can never disagree.
@@ -145,7 +130,7 @@ struct Shared<P: Payload> {
     state: Mutex<Inner<P>>,
     work_cv: Condvar,
     done_cv: Condvar,
-    /// Determinism seed (retry-backoff jitter, scheduler tie-breaks).
+    /// Determinism seed (retry-backoff jitter).
     seed: u64,
     /// Worker profiles, one per worker thread.
     profiles: Vec<WorkerProfile>,
@@ -262,9 +247,7 @@ impl<P: Payload> Runtime<P> {
             running: 0,
             aborted: None,
             shutdown: false,
-            ledger: TransferLedger::default(),
             checkpoint,
-            sched: config.policy.build(config.seed),
             fold: StatusFold::new(),
         };
         let shared = Arc::new(Shared {
@@ -367,16 +350,6 @@ impl<P: Payload> Runtime<P> {
         // The fold learns of a worker at its first start; idle ones count 0.
         m.tasks_per_worker.resize(self.shared.profiles.len(), 0);
         m
-    }
-
-    /// Snapshot of the data-transfer ledger.
-    pub fn ledger(&self) -> TransferLedger {
-        self.shared.state.lock().ledger.clone()
-    }
-
-    /// Name of the active scheduling policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.shared.state.lock().sched.name()
     }
 
     /// Every placement decision made so far, in decision order, with the
@@ -562,7 +535,7 @@ impl<'rt, P: Payload> TaskBuilder<'rt, P> {
             *ver += 1;
             let r = DataRef { id: st.next_data, name: name.to_string(), version: *ver };
             st.next_data += 1;
-            st.data.insert(r.id, DataEntry { value: None, failed: false, location: None, size: 0 });
+            st.data.insert(r.id, DataEntry { value: None, failed: false, size: 0 });
             r
         };
         for u in &self.updates {
@@ -643,7 +616,6 @@ impl<'rt, P: Payload> TaskBuilder<'rt, P> {
                 t.state = TaskState::Ready;
             }
             st.ready.push(id);
-            st.sched.on_ready(id);
             observe(shared, &mut st, EventKind::TaskReady { task: id.0 });
             queue_depth(shared, &mut st);
             shared.work_cv.notify_all();
@@ -655,10 +627,9 @@ impl<'rt, P: Payload> TaskBuilder<'rt, P> {
 /// The one terminal transition for a task that will never produce its
 /// outputs: `root` ends as `outcome` (`Failed`/`TimedOut` after an attempt
 /// of `micros`, or `Cancelled`) and every transitive dependent is
-/// `Cancelled`. Per task: state flip, closure drop, scheduler hook (a
-/// terminal task can never be picked again, so stateful policies drop its
-/// bookkeeping), one `TaskFinished`, output poisoning. Already-terminal
-/// tasks are skipped.
+/// `Cancelled`. Per task: state flip, closure drop, removal from the
+/// ready and delayed queues, one `TaskFinished`, output poisoning.
+/// Already-terminal tasks are skipped.
 fn terminate<P: Payload>(
     shared: &Shared<P>,
     st: &mut Inner<P>,
@@ -680,7 +651,6 @@ fn terminate<P: Payload>(
         }
         st.ready.retain(|r| *r != id);
         st.delayed.retain(|(_, d)| *d != id);
-        st.sched.on_task_finished(id, &name, None, 0);
         observe(
             shared,
             st,
@@ -713,7 +683,7 @@ fn cancel_unstarted<P: Payload>(shared: &Shared<P>, st: &mut Inner<P>) {
 }
 
 /// The successful terminal transition: publishes `outs` as the task's
-/// outputs (resident on `worker`; `None` = restored from the checkpoint
+/// outputs (computed on `worker`; `None` = restored from the checkpoint
 /// log), emits its `TaskFinished` and readies dependents.
 fn complete<P: Payload>(
     shared: &Shared<P>,
@@ -731,10 +701,8 @@ fn complete<P: Payload>(
         if let Some(d) = st.data.get_mut(&w.id) {
             d.size = v.approx_size();
             d.value = Some(Arc::new(v));
-            d.location = worker;
         }
     }
-    st.sched.on_task_finished(id, &name, worker, micros);
     observe(
         shared,
         st,
@@ -754,7 +722,6 @@ fn complete<P: Payload>(
         if t.remaining_deps == 0 {
             t.state = TaskState::Ready;
             st.ready.push(dep);
-            st.sched.on_ready(dep);
             observe(shared, st, EventKind::TaskReady { task: dep.0 });
         }
     }
@@ -800,46 +767,6 @@ fn run_attempt<P: Payload>(
     })
 }
 
-/// Estimated duration of one (future) execution of `id`: the measured
-/// per-name mean, or the byte-size cold-start model over its currently
-/// known input sizes. Terminal tasks contribute nothing.
-fn task_estimate<P: Payload>(st: &Inner<P>, id: TaskId) -> u64 {
-    let Some(t) = st.tasks.get(&id) else { return 0 };
-    if t.state.is_terminal() {
-        return 0;
-    }
-    let bytes: u64 = t.reads.iter().filter_map(|r| st.data.get(&r.id)).map(|d| d.size).sum();
-    st.fold.stats().estimate_us(&t.name, bytes)
-}
-
-/// Upward rank of every ready task: its estimated duration plus the
-/// longest estimated chain of dependents below it in the submitted
-/// graph. Iterative DFS with memoisation — O(V + E) over the reachable
-/// subgraph per snapshot, negligible against millisecond-scale tasks.
-fn upward_ranks<P: Payload>(st: &Inner<P>, ready: &[TaskId]) -> HashMap<TaskId, u64> {
-    let mut memo: HashMap<TaskId, u64> = HashMap::new();
-    for &root in ready {
-        let mut stack = vec![root];
-        while let Some(&id) = stack.last() {
-            if memo.contains_key(&id) {
-                stack.pop();
-                continue;
-            }
-            let deps: &[TaskId] = st.tasks.get(&id).map(|t| t.dependents.as_slice()).unwrap_or(&[]);
-            let unresolved: Vec<TaskId> =
-                deps.iter().filter(|d| !memo.contains_key(d)).copied().collect();
-            if unresolved.is_empty() {
-                let below = deps.iter().filter_map(|d| memo.get(d)).max().copied().unwrap_or(0);
-                memo.insert(id, task_estimate(st, id) + below);
-                stack.pop();
-            } else {
-                stack.extend(unresolved);
-            }
-        }
-    }
-    memo
-}
-
 fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize) {
     let mut st = shared.state.lock();
     loop {
@@ -857,7 +784,6 @@ fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize) {
                 // The task may have been cancelled while parked.
                 if st.tasks.get(&id).map(|t| t.state == TaskState::Ready).unwrap_or(false) {
                     st.ready.push(id);
-                    st.sched.on_ready(id);
                     promoted = true;
                 }
             } else {
@@ -868,69 +794,34 @@ fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize) {
             shared.work_cv.notify_all();
         }
 
-        // Build the scheduler snapshot of ready tasks: input placement,
-        // duration estimates and upward ranks over the submitted graph.
-        let ranks = upward_ranks(&st, &st.ready);
-        let snapshot: Vec<ReadyTask> = st
-            .ready
-            .iter()
-            .map(|id| {
-                let t = &st.tasks[id];
-                let input_locations: Vec<(Option<usize>, u64)> = t
-                    .reads
-                    .iter()
-                    .map(|r| {
-                        let d = &st.data[&r.id];
-                        (d.location, d.size)
-                    })
-                    .collect();
-                let bytes: u64 = input_locations.iter().map(|(_, b)| *b).sum();
-                ReadyTask {
-                    task: *id,
-                    name: Arc::clone(&t.name),
-                    constraint: t.constraint,
-                    input_locations,
-                    est_us: st.fold.stats().estimate_us(&t.name, bytes),
-                    rank_us: ranks.get(id).copied().unwrap_or(0),
-                }
-            })
-            .collect();
-
-        let picked = st.sched.pick(worker_idx, &snapshot, &shared.profiles);
+        // The one placement rule: the oldest ready task whose constraint
+        // this worker's profile satisfies.
+        let profile = &shared.profiles[worker_idx];
+        let picked = st.ready.iter().position(|id| profile.satisfies(&st.tasks[id].constraint));
         let Some(ready_idx) = picked else {
             if let Some(due) = st.delayed.iter().map(|(due, _)| *due).min() {
                 // Parked retries exist and nothing may ever notify the cv
                 // again: sleep only until the earliest one comes due.
                 let wait = due.saturating_duration_since(Instant::now());
                 shared.work_cv.wait_for(&mut st, wait.min(Duration::from_millis(50)));
-            } else if !snapshot.is_empty() {
-                // A compatible task may exist but the scheduler deferred
-                // it; re-check on its poll hint even without a wakeup.
-                match st.sched.poll_hint() {
-                    Some(hint) => {
-                        shared.work_cv.wait_for(&mut st, hint);
-                    }
-                    None => shared.work_cv.wait(&mut st),
-                }
             } else {
                 shared.work_cv.wait(&mut st);
             }
             continue;
         };
 
-        let ReadyTask { task: id, name, input_locations, est_us, rank_us, .. } =
-            snapshot.into_iter().nth(ready_idx).expect("scheduler picked out of range");
-        st.ready.retain(|r| *r != id);
-        // The decision as the policy saw it; its actual is the `micros`
-        // of the attempt's `TaskFinished`.
-        let policy = st.sched.name();
+        let id = st.ready.remove(ready_idx);
+        // The estimate at pick time, reported next to the attempt's
+        // measured `micros` (placement does not read it).
+        let t = &st.tasks[&id];
+        let name = Arc::clone(&t.name);
+        let bytes: u64 = t.reads.iter().map(|r| st.data[&r.id].size).sum();
+        let est_us = st.fold.stats().estimate_us(&name, bytes);
         let decision = EventKind::SchedulerDecision {
-            policy,
             task: id.0,
             name: Arc::clone(&name),
             worker: worker_idx,
             est_us,
-            rank_us,
         };
         observe(&shared, &mut st, decision);
 
@@ -947,7 +838,6 @@ fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize) {
             (closure, t.reads.iter().map(input).collect::<Vec<Arc<P>>>())
         };
         st.running += 1;
-        st.ledger.record(worker_idx, &input_locations);
         let started = EventKind::TaskStarted {
             task: id.0,
             name: Arc::clone(&name),
@@ -1042,7 +932,6 @@ fn finish_task<P: Payload>(
                 );
             } else {
                 st.ready.push(id);
-                st.sched.on_ready(id);
                 observe(shared, st, EventKind::TaskRetried { task: id.0, name, attempt });
             }
             queue_depth(shared, st);

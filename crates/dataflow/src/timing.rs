@@ -52,10 +52,10 @@ pub const COLD_BYTES_PER_US: u64 = 1_000;
 /// Online per-task-name duration statistics.
 ///
 /// Part of the run's event fold ([`crate::monitor::StatusFold`]): every
-/// executed completion is folded in, and HEFT's upward ranks read the
-/// means back. Before the first completion of a name the estimate falls
-/// back to a byte-proportional cold-start guess, so ranking still
-/// differentiates deep chains from shallow ones on the very first run.
+/// executed completion is folded in, and each placement's `est_us` reads
+/// the means back so reports can score estimate against actual. Before
+/// the first completion of a name the estimate falls back to a
+/// byte-proportional cold-start guess. Placement never reads it.
 #[derive(Debug, Default, Clone)]
 pub struct TimingStats {
     by_name: HashMap<Arc<str>, (u64, u64)>,

@@ -29,7 +29,7 @@ fn replayed_event_stream_reproduces_every_report() {
         first.shutdown();
     }
 
-    let rt: Runtime<Bytes> = Runtime::new(config().with_policy(Policy::Heft));
+    let rt: Runtime<Bytes> = Runtime::new(config());
     let rx = rt.subscribe_with_capacity(1 << 16);
     // The same graph the runtime builds, for the reads that join it.
     let mut graph = TaskGraph::new();

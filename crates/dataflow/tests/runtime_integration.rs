@@ -1,6 +1,6 @@
 //! Cross-module integration tests for the dataflow runtime: checkpoint
-//! resume, scheduling-policy effects on data movement, and the streaming
-//! master loop that powers the climate workflow.
+//! resume, constrained placement, and the streaming master loop that
+//! powers the climate workflow.
 
 use dataflow::prelude::*;
 use dataflow::stream::{DirWatcher, YearlyRule};
@@ -92,63 +92,6 @@ fn checkpoint_resume_skips_completed_tasks() {
     assert_eq!(execs3.load(Ordering::SeqCst), 0);
 }
 
-/// Builds a workload of K independent producer→consumer chains and returns
-/// the bytes moved between workers under the given policy.
-fn transfer_volume(policy: Policy) -> u64 {
-    let config = RuntimeConfig {
-        workers: vec![WorkerProfile::cpu(4); 4],
-        policy,
-        ..RuntimeConfig::with_cpu_workers(1)
-    };
-    let rt: Runtime<Bytes> = Runtime::new(config);
-    let mut heads = Vec::new();
-    // Stage 1: 8 producers of 1 MB payloads.
-    for k in 0..8 {
-        let h = rt
-            .task("produce")
-            .writes(&[format!("blob{k}").as_str()])
-            .run(|_| {
-                std::thread::sleep(Duration::from_millis(5));
-                Ok(vec![Bytes(vec![0u8; 1 << 20])])
-            })
-            .unwrap();
-        heads.push(h);
-    }
-    rt.barrier().unwrap();
-    // Stage 2: one consumer per blob — locality should keep each consumer
-    // on the worker already holding its input.
-    for h in &heads {
-        rt.task("consume")
-            .reads(&[h.outputs[0].clone()])
-            .writes(&["sum"])
-            .run(|i| Ok(vec![Bytes::from_u64(i[0].0.len() as u64)]))
-            .unwrap();
-    }
-    rt.barrier().unwrap();
-    let moved = rt.ledger().bytes_moved;
-    rt.shutdown();
-    moved
-}
-
-#[test]
-fn locality_policy_moves_less_data_than_fifo() {
-    // Averages over a few runs: thread interleaving adds noise, but the
-    // locality scheduler should clearly dominate.
-    let mut fifo = 0u64;
-    let mut locality = 0u64;
-    for _ in 0..3 {
-        fifo += transfer_volume(Policy::Fifo);
-        locality += transfer_volume(Policy::Locality);
-    }
-    assert!(locality < fifo, "locality should move less data: locality={locality} fifo={fifo}");
-    // With a one-to-one producer/consumer mapping, locality should achieve
-    // (near-)zero movement.
-    assert!(
-        locality <= fifo / 2,
-        "locality should at least halve movement: locality={locality} fifo={fifo}"
-    );
-}
-
 #[test]
 fn streaming_master_loop_processes_years_as_they_appear() {
     // Simulates the paper's pattern: a "simulation" thread produces daily
@@ -206,7 +149,6 @@ fn wide_fanout_completes_under_constrained_pool() {
     // 64 tasks, some CPU-only, some GPU-only, on a mixed pool.
     let config = RuntimeConfig {
         workers: vec![WorkerProfile::cpu(8), WorkerProfile::cpu(8), WorkerProfile::gpu(4)],
-        policy: Policy::Locality,
         ..RuntimeConfig::with_cpu_workers(1)
     };
     let rt: Runtime<Bytes> = Runtime::new(config);

@@ -57,6 +57,13 @@ fn write_day_parts(
         w.add_variable_f32(name, &["time", "lat", "lon"], stack, vec![])?;
     }
     w.finish()?;
+    // Chaos site "esm.write_day": `Poison` tears the file — cut to half
+    // its length, trailing header lost, as a crash mid-copy leaves it —
+    // before it lands, so every reader of this day gets a typed error.
+    if obs::chaos::fire("esm.write_day") == Some(obs::chaos::Fault::Poison) {
+        let f = std::fs::OpenOptions::new().write(true).open(&tmp)?;
+        f.set_len(f.metadata()?.len() / 2)?;
+    }
     std::fs::rename(&tmp, &path)?;
     Ok(path)
 }

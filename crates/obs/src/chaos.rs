@@ -20,7 +20,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// A fault to apply at an injection site. Sites interpret the variants
 /// they understand and ignore the rest: the dataflow runtime honors
 /// `Panic`/`Stall`/`Error`/`Poison`, the DLS honors `Drop`, the cluster
-/// simulator honors `Requeue`, and the compute pool honors `Stall`.
+/// simulator honors `Requeue`, the compute pool honors `Stall`, and the
+/// ESM's daily-file write honors `Poison` (it leaves a torn file).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Panic inside the instrumented code path.

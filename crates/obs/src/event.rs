@@ -66,19 +66,11 @@ pub enum EventKind {
     },
     /// Scheduler queue depth after a transition (gauge-style sample).
     QueueDepth { ready: usize, running: usize },
-    /// One scheduler placement decision, emitted at pick time — just
-    /// before the attempt's `TaskStarted` — with what the policy saw:
-    /// the task's estimated duration (`est_us`) and upward rank
-    /// (`rank_us`). The measured duration is the `micros` of the task's
-    /// `TaskFinished`; a fold joins the two (placement quality).
-    SchedulerDecision {
-        policy: &'static str,
-        task: u64,
-        name: Arc<str>,
-        worker: usize,
-        est_us: u64,
-        rank_us: u64,
-    },
+    /// One placement decision, emitted at pick time — just before the
+    /// attempt's `TaskStarted` — with the task's estimated duration
+    /// (`est_us`). The measured duration is the `micros` of the task's
+    /// `TaskFinished`; a fold joins the two (estimate error).
+    SchedulerDecision { task: u64, name: Arc<str>, worker: usize, est_us: u64 },
 
     // --- datacube: fragment kernels -----------------------------------
     /// One fragment went through an operator kernel on an I/O server.

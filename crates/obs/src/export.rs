@@ -100,13 +100,11 @@ impl Event {
                 field_u(&mut s, "ready", *ready as u64);
                 field_u(&mut s, "running", *running as u64);
             }
-            EventKind::SchedulerDecision { policy, task, name, worker, est_us, rank_us } => {
-                field_s(&mut s, "policy", policy);
+            EventKind::SchedulerDecision { task, name, worker, est_us } => {
                 field_u(&mut s, "task", *task);
                 field_s(&mut s, "name", name);
                 field_u(&mut s, "worker", *worker as u64);
                 field_u(&mut s, "est_us", *est_us);
-                field_u(&mut s, "rank_us", *rank_us);
             }
             EventKind::KernelDone { op, server, rows, micros } => {
                 field_s(&mut s, "op", op);
@@ -331,9 +329,7 @@ fn slice_name(kind: &EventKind) -> String {
         EventKind::FaultInjected { site, fault, .. } => format!("fault {fault}@{site}"),
         EventKind::TaskFinished { name, .. } => name.to_string(),
         EventKind::QueueDepth { .. } => "queue".to_string(),
-        EventKind::SchedulerDecision { policy, name, worker, .. } => {
-            format!("place[{policy}] {name}→w{worker}")
-        }
+        EventKind::SchedulerDecision { name, worker, .. } => format!("place {name}→w{worker}"),
         EventKind::KernelDone { op, .. } => format!("kernel {op}"),
         EventKind::OperatorDone { op, .. } => format!("operator {op}"),
         EventKind::StepCompleted { year, day, .. } => format!("step y{year} d{day}"),
@@ -400,10 +396,8 @@ fn kind_args(kind: &EventKind) -> String {
         EventKind::TaskFinished { task, outcome, .. } => {
             format!("{{\"task\":{},\"outcome\":\"{}\"}}", task, outcome.label())
         }
-        EventKind::SchedulerDecision { policy, task, worker, est_us, rank_us, .. } => {
-            format!(
-                "{{\"policy\":\"{policy}\",\"task\":{task},\"worker\":{worker},\"est_us\":{est_us},\"rank_us\":{rank_us}}}"
-            )
+        EventKind::SchedulerDecision { task, worker, est_us, .. } => {
+            format!("{{\"task\":{task},\"worker\":{worker},\"est_us\":{est_us}}}")
         }
         EventKind::KernelDone { server, rows, .. } => {
             format!("{{\"server\":{server},\"rows\":{rows}}}")

@@ -4,6 +4,9 @@
 //! continue") applied to a multi-year campaign.
 
 use climate_workflows::{run_pipelined, WorkflowParams};
+use obs::chaos::Fault;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("root-fault-iso").join(name);
@@ -23,9 +26,18 @@ fn params(name: &str) -> WorkflowParams {
 
 #[test]
 fn corrupt_year_fails_alone_campaign_survives() {
-    let mut p = params("corrupt-y0");
-    p.corrupt_file = Some((0, 2)); // trash day 3 of the first year
-    let report = run_pipelined(p).unwrap();
+    // Tear day 3 of the first year at the ESM's daily write: years are
+    // simulated in order and days in order within a year, so it is the
+    // third write of the run.
+    let writes = AtomicU64::new(0);
+    let _chaos = obs::chaos::install(Arc::new(move |site: &str| {
+        if site != "esm.write_day" {
+            return None;
+        }
+        let n = writes.fetch_add(1, Ordering::SeqCst);
+        (n == 2).then_some((Fault::Poison, n))
+    }));
+    let report = run_pipelined(params("corrupt-y0")).unwrap();
 
     assert_eq!(report.years.len(), 2);
     let y0 = report.years.iter().find(|y| y.year == 2030).unwrap();
@@ -51,6 +63,9 @@ fn corrupt_year_fails_alone_campaign_survives() {
 
 #[test]
 fn clean_run_reports_no_failed_years() {
+    // Hold the process-wide chaos gate with a hook that never fires, so
+    // the poisoning hook above cannot reach this run's writes.
+    let _chaos = obs::chaos::install(Arc::new(|_: &str| None));
     let report = run_pipelined(params("clean")).unwrap();
     assert!(report.years.iter().all(|y| !y.failed && y.validated));
     assert_eq!(report.metrics.failed, 0);
