@@ -3,9 +3,8 @@
 //! With no subscriber, every `emit_with` on a bus is one relaxed atomic
 //! load and a never-taken branch; the event payload is not even
 //! constructed. With a subscriber, the cost is stamping plus a bounded
-//! queue push. This bench measures both sides, plus the metrics
-//! fast path, so regressions in the "observability is free when off"
-//! property show up as numbers. (What the bus costs a whole traced run is
+//! queue push. This bench measures both sides, so regressions in the
+//! "observability is free when off" property show up as numbers. (What the bus costs a whole traced run is
 //! wfbench's `obs.emit_ns` / `obs.trace_overhead_frac`.)
 //!
 //! With `OBS_OVERHEAD_BUDGET_NS` set (as `scripts/check.sh` does) it is
@@ -58,13 +57,6 @@ fn main() {
         }
     });
     rec.value("emit_with_one_subscriber", "ns", subscribed);
-
-    let counter = obs::registry().counter("bench_obs_counter_total", &[]);
-    rec.value("counter_inc", "ns", per_op_ns(n, 2_000_000, |_| counter.inc()));
-
-    let hist = obs::registry().histogram("bench_obs_hist_us", &[]);
-    let observe = per_op_ns(n, 2_000_000, |i| hist.observe(std::hint::black_box(1234 + (i & 1))));
-    rec.value("histogram_observe", "ns", observe);
 
     rec.finish();
 }

@@ -6,6 +6,8 @@
 //!                [--out DIR] [--sequential]
 //!                [--streaming] [--stream-depth N]
 //!                [--trace out.json] [--metrics out.prom]
+//!                                      (trace and metrics are folds of
+//!                                      the run's event stream)
 //! climate-wf report [run options]      `run` plus a profile: pool
 //!                                      utilization, latency percentiles,
 //!                                      crash flight recorder armed
@@ -27,7 +29,8 @@ fn usage() -> ! {
          \n\
          run      [--years N] [--days N] [--grid test_small|demo|LATxLON]\n\
          \x20        [--scenario historical|ssp245|ssp585] [--seed N] [--out DIR] [--sequential]\n\
-         \x20        [--trace out.json] [--metrics out.prom]\n\
+         \x20        [--trace out.json] [--metrics out.prom] Chrome trace and\n\
+         \x20        Prometheus dump, both folds of the run's event stream\n\
          \x20        [--streaming] [--stream-depth N] in-memory year handoff\n\
          \x20        with incremental record indices\n\
          report   [run options] `run` plus a profile: pool utilization and latency\n\
@@ -126,23 +129,27 @@ fn cmd_run(flags: &BTreeMap<String, String>, profile: bool) -> Result<(), String
         obs::flight::enable();
     }
 
-    // Observability taps. Subscribing before the run activates the global
-    // bus; without --trace the workflow never pays more than an atomic
-    // load per would-be event.
-    let tracer = flags.get("trace").map(|_| obs::global().subscribe_with_capacity(1 << 21));
+    // One observability tap serves --trace, --metrics and the profile:
+    // each is a fold of the run's event stream. Subscribing before the run
+    // activates the global bus; with none of them the workflow never pays
+    // more than an atomic load per would-be event.
+    let trace_path = flags.get("trace");
+    let metrics_path = flags.get("metrics");
+    let tap = (trace_path.is_some() || metrics_path.is_some() || profile)
+        .then(|| obs::global().subscribe_with_capacity(1 << 21));
 
     let report = if sequential { run_sequential(params) } else { run_pipelined(params) }?;
     print!("{}", report.render());
     println!("provenance: {}", report.prov_path.display());
+    let Some(rx) = tap else { return Ok(()) };
+    let events = rx.drain();
     if profile {
-        print_profile();
+        print_profile(&events);
         if report.metrics.failed > 0 {
             println!("flight recorder: {} (dumped on task failure)", flight_path.display());
         }
     }
-
-    if let (Some(path), Some(rx)) = (flags.get("trace"), tracer) {
-        let events = rx.drain();
+    if let Some(path) = trace_path {
         std::fs::write(path, obs::chrome_trace(&events)).map_err(|e| e.to_string())?;
         println!(
             "trace: {path} ({} events{})",
@@ -150,15 +157,17 @@ fn cmd_run(flags: &BTreeMap<String, String>, profile: bool) -> Result<(), String
             if rx.dropped() > 0 { format!(", {} dropped", rx.dropped()) } else { String::new() }
         );
     }
-    if let Some(path) = flags.get("metrics") {
-        std::fs::write(path, obs::registry().render_prometheus()).map_err(|e| e.to_string())?;
+    if let Some(path) = metrics_path {
+        std::fs::write(path, obs::prometheus(&events, rx.dropped())).map_err(|e| e.to_string())?;
         println!("metrics: {path}");
     }
     Ok(())
 }
 
-/// The process-wide profile tables of `climate-wf report`.
-fn print_profile() {
+/// The profile tables of `climate-wf report`: the global pool's
+/// per-worker profile, and latency percentiles folded from the run's
+/// events.
+fn print_profile(events: &[obs::Event]) {
     println!("pool utilization:");
     for w in par::global().worker_stats() {
         println!(
@@ -174,7 +183,7 @@ fn print_profile() {
 
     println!("latency percentiles (\u{b5}s):");
     println!("  {:<40} {:>8} {:>8} {:>8} {:>8}", "histogram", "count", "p50", "p95", "p99");
-    for (name, h) in obs::registry().histograms() {
+    for (name, h) in obs::histograms(events) {
         if !name.contains("_us") || h.count() == 0 {
             continue;
         }

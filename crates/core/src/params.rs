@@ -248,7 +248,7 @@ impl WorkflowParams {
 ///
 /// Setters only record values; [`ParamsBuilder::build`] validates the whole
 /// configuration at once, so invariants spanning several fields (patch vs.
-/// grid, corruption target vs. run length) are checked no matter the order
+/// grid, fine-tuning epochs vs. fine-tuning days) are checked no matter the order
 /// the setters ran in.
 #[derive(Debug, Clone)]
 pub struct ParamsBuilder {

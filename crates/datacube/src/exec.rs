@@ -68,9 +68,9 @@ where
 /// when there is no tap). Returns `(primary, tapped)` fragment vectors;
 /// both preserve `row_start`/`row_count`/`server` and the input order.
 ///
-/// Every fragment kernel is timed; per-kernel timings land in the global
-/// `datacube_kernel_us{op}` histogram and — when a tracer is subscribed
-/// to [`obs::global`] — as [`obs::EventKind::KernelDone`] events whose
+/// Every fragment kernel is timed; when a tracer is subscribed to
+/// [`obs::global`] each timing lands as an [`obs::EventKind::KernelDone`]
+/// event (the `datacube_kernel_us{op}` histogram of the metrics dump) whose
 /// `server` is the I/O-server lane that *actually executed* the kernel
 /// (dynamic attribution, not the static round-robin home), so per-server
 /// utilization reflects real load balance. The whole operator emits one
@@ -114,11 +114,9 @@ where
     });
 
     let bus = obs::global();
-    let kernel_us = obs::registry().histogram("datacube_kernel_us", &[("op", op)]);
     let mut primary = Vec::with_capacity(frags.len());
     let mut tapped = Vec::with_capacity(frags.len());
     for (f, r) in frags.iter().zip(runs) {
-        kernel_us.observe(r.micros);
         bus.emit_with(|| obs::EventKind::KernelDone {
             op,
             server: r.server,
@@ -134,7 +132,6 @@ where
         primary.push(like(r.out));
         tapped.push(like(r.tap));
     }
-    obs::registry().counter("datacube_fragments_total", &[("op", op)]).add(primary.len() as u64);
     bus.emit_with(|| obs::EventKind::OperatorDone {
         op,
         fragments: primary.len(),

@@ -1,7 +1,8 @@
 //! Pool dispatch of the ingest paths, counted rather than timed: the
-//! process-global `par_tasks_total{pool="global"}` counter moves only by
-//! the jobs the measured call submits, so this file runs in a process of
-//! its own and its tests take turns on one lock.
+//! global pool's own job count (`par::global().jobs_run()`, which includes
+//! jobs a helping caller runs) moves only by the jobs the measured call
+//! submits, so this file runs in a process of its own and its tests take
+//! turns on one lock.
 
 use datacube::exec::ExecConfig;
 use datacube::model::{Cube, Dimension};
@@ -16,7 +17,7 @@ const NFRAG: usize = 8;
 static ALONE: Mutex<()> = Mutex::new(());
 
 fn pool_jobs() -> u64 {
-    obs::registry().counter("par_tasks_total", &[("pool", "global")]).get()
+    par::global().jobs_run()
 }
 
 /// Writes a `(time, lat, lon)` day file of `tas` and returns its path.

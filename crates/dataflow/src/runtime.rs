@@ -138,73 +138,14 @@ struct Shared<P: Payload> {
     /// transition is also mirrored to `obs::global()` for whole-process
     /// tracers; both emits are a single atomic load when nobody listens.
     bus: obs::Bus,
-    /// Cached global-registry metric handles (resolved once at startup).
-    rtm: RtMetrics,
-}
-
-/// Cached handles into the global [`obs::registry()`].
-struct RtMetrics {
-    tasks_completed: obs::Counter,
-    tasks_failed: obs::Counter,
-    tasks_cancelled: obs::Counter,
-    tasks_timed_out: obs::Counter,
-    retries: obs::Counter,
-    queue_ready: obs::Gauge,
-    queue_running: obs::Gauge,
-    task_us: obs::Histogram,
-}
-
-impl RtMetrics {
-    fn new() -> Self {
-        let r = obs::registry();
-        let tasks = |o: TaskOutcome| r.counter("dataflow_tasks_total", &[("outcome", o.label())]);
-        RtMetrics {
-            tasks_completed: tasks(TaskOutcome::Completed),
-            tasks_failed: tasks(TaskOutcome::Failed),
-            tasks_cancelled: tasks(TaskOutcome::Cancelled),
-            tasks_timed_out: tasks(TaskOutcome::TimedOut),
-            retries: r.counter("dataflow_task_retries_total", &[]),
-            queue_ready: r.gauge("dataflow_queue_ready", &[]),
-            queue_running: r.gauge("dataflow_queue_running", &[]),
-            task_us: r.histogram("dataflow_task_duration_us", &[]),
-        }
-    }
-
-    /// Mirrors one event into the process-wide registry.
-    fn count(&self, kind: &EventKind) {
-        match kind {
-            EventKind::TaskFinished { outcome, worker, micros, .. } => {
-                match outcome {
-                    TaskOutcome::Completed => &self.tasks_completed,
-                    TaskOutcome::Failed => &self.tasks_failed,
-                    TaskOutcome::Cancelled => &self.tasks_cancelled,
-                    TaskOutcome::TimedOut => &self.tasks_timed_out,
-                }
-                .inc();
-                // Only a completion a worker ran has a duration to sample.
-                if *outcome == TaskOutcome::Completed && worker.is_some() {
-                    self.task_us.observe(*micros);
-                }
-            }
-            EventKind::TaskRetried { .. } | EventKind::TaskRetryBackoff { .. } => {
-                self.retries.inc()
-            }
-            EventKind::QueueDepth { ready, running } => {
-                self.queue_ready.set(*ready as i64);
-                self.queue_running.set(*running as i64);
-            }
-            _ => {}
-        }
-    }
 }
 
 /// The one writer of the report state: stamps the event on the bus clock,
-/// folds it into the runtime's ledger, mirrors it into the metrics
-/// registry, then fans it out to the runtime's own bus and the
-/// process-global bus. The clone happens only when *both* have subscribers.
+/// folds it into the runtime's ledger, then fans it out to the runtime's
+/// own bus and the process-global bus. The clone happens only when *both*
+/// have subscribers.
 fn observe<P: Payload>(shared: &Shared<P>, st: &mut Inner<P>, kind: EventKind) {
     st.fold.apply(shared.bus.now_micros(), &kind);
-    shared.rtm.count(&kind);
     let global = obs::global();
     match (shared.bus.is_active(), global.is_active()) {
         (true, true) => {
@@ -257,7 +198,6 @@ impl<P: Payload> Runtime<P> {
             seed: config.seed,
             profiles: config.workers.clone(),
             bus: obs::Bus::new(),
-            rtm: RtMetrics::new(),
         });
         let mut handles = Vec::new();
         for idx in 0..config.workers.len() {

@@ -9,8 +9,8 @@
 //! * [`bounded`] builds an in-memory channel of year-blocks with
 //!   backpressure — the hot path that avoids the file round-trip. The
 //!   sender blocks when the consumer lags (capacity is the overlap
-//!   window), the queue depth is exported as an obs gauge, and every
-//!   stall is accounted and emitted as a [`obs::EventKind::BackpressureStall`].
+//!   window), and every stall is accounted and emitted as a
+//!   [`obs::EventKind::BackpressureStall`].
 //! * [`DirWatcher`] polls a directory and reports each *complete group*
 //!   (e.g. 365 daily files of one year) exactly once — the durable
 //!   fallback that still works across process restarts, chaos kills and
@@ -171,14 +171,7 @@ struct Channel<T> {
     /// Senders wait here for space, receivers for items.
     space: Condvar,
     items: Condvar,
-    depth: obs::Gauge,
     stall_us: AtomicU64,
-}
-
-impl<T> Channel<T> {
-    fn set_depth(&self, n: usize) {
-        self.depth.set(n as i64);
-    }
 }
 
 /// Producer half of a bounded stream channel (clone for MPSC).
@@ -194,19 +187,15 @@ pub struct StreamReceiver<T> {
 /// Creates a bounded in-memory channel named `name` with room for
 /// `capacity` in-flight items. The sender blocks when the channel is
 /// full — that block *is* the backpressure contract: a producer can run
-/// at most `capacity` items ahead of the consumer. Queue depth is
-/// exported as the `stream_channel_depth` gauge and every stall emits a
+/// at most `capacity` items ahead of the consumer. Every stall emits a
 /// [`obs::EventKind::BackpressureStall`] carrying the wait in µs.
 pub fn bounded<T>(name: &str, capacity: usize) -> (StreamSender<T>, StreamReceiver<T>) {
-    let name: Arc<str> = Arc::from(name);
-    let depth = obs::registry().gauge("stream_channel_depth", &[("channel", &name)]);
     let ch = Arc::new(Channel {
-        name,
+        name: Arc::from(name),
         capacity: capacity.max(1),
         state: Mutex::new(ChannelState { buf: VecDeque::new(), senders: 1, receiver_alive: true }),
         space: Condvar::new(),
         items: Condvar::new(),
-        depth,
         stall_us: AtomicU64::new(0),
     });
     (StreamSender { ch: Arc::clone(&ch) }, StreamReceiver { ch })
@@ -230,9 +219,7 @@ impl<T> StreamSender<T> {
             }
         }
         st.buf.push_back(item);
-        let depth = st.buf.len();
         drop(st);
-        self.ch.set_depth(depth);
         self.ch.items.notify_one();
         let waited_us = stalled.map_or(0, |t| t.elapsed().as_micros() as u64);
         if waited_us > 0 {
@@ -279,9 +266,7 @@ impl<T> StreamReceiver<T> {
         let mut st = self.ch.state.lock();
         loop {
             if let Some(item) = st.buf.pop_front() {
-                let depth = st.buf.len();
                 drop(st);
-                self.ch.set_depth(depth);
                 self.ch.space.notify_one();
                 return RecvTimeout::Item(item);
             }

@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Steps one day and writes its file, reporting to the global
-/// observability bus and metrics registry: a step span, the file landing,
-/// and byte/file counters.
+/// observability bus: a step span, the step's duration and the file
+/// landing with its size.
 fn step_and_write(
     model: &mut CoupledModel,
     out_dir: &Path,
@@ -31,12 +31,6 @@ fn step_and_write(
     let path = output::write_daily(out_dir, &fields)?;
     let write_us = w0.elapsed().as_micros() as u64;
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-
-    let r = obs::registry();
-    r.histogram("esm_step_us", &[]).observe(step_us);
-    r.histogram("esm_write_us", &[]).observe(write_us);
-    r.counter("esm_files_written_total", &[]).inc();
-    r.counter("esm_bytes_written_total", &[]).add(bytes);
 
     let bus = obs::global();
     bus.emit_with(|| obs::EventKind::StepCompleted {

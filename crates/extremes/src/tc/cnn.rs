@@ -19,7 +19,7 @@ use tinyml::loss::detection_loss;
 use tinyml::net::{Scratch, Sequential};
 use tinyml::serialize::{load_model, save_model, ModelError};
 use tinyml::tensor::Tensor;
-use tinyml::train::Sgd;
+use tinyml::train::{train_epoch, Sgd};
 
 /// A CNN-predicted cyclone center.
 #[derive(Debug, Clone, Copy)]
@@ -183,11 +183,8 @@ impl TcCnn {
 
     /// Trains on an arbitrary labelled patch set (patches are standardized
     /// in place here, so pass raw extractions). Returns the final epoch's
-    /// mean composite loss.
+    /// mean composite loss (the mean of its minibatch means).
     pub fn train_on(&mut self, mut data: Vec<PatchSample>, epochs: usize, lr: f32) -> f32 {
-        if data.is_empty() {
-            return f32::NAN;
-        }
         for (x, _) in &mut data {
             Self::standardize(x);
         }
@@ -198,27 +195,19 @@ impl TcCnn {
             data.swap(i, rng.gen_range(0..=i));
         }
         let mut opt = Sgd::new(lr, 0.9);
+        let loss_fn = |y: &Tensor, t: &Tensor| {
+            let (loss, gprob, gxy) = detection_loss(
+                y.data[0],
+                (y.data[1], y.data[2]),
+                t.data[0],
+                (t.data[1], t.data[2]),
+                4.0,
+            );
+            (loss, Tensor::from_vec(&[3], vec![gprob, gxy.0, gxy.1]))
+        };
         let mut last = f32::NAN;
         for _ in 0..epochs {
-            let mut epoch_loss = 0.0f32;
-            for chunk in data.chunks(16) {
-                self.net.zero_grad();
-                for (x, t) in chunk {
-                    let y = self.net.forward(x);
-                    let (loss, gprob, gxy) = detection_loss(
-                        y.data[0],
-                        (y.data[1], y.data[2]),
-                        t.data[0],
-                        (t.data[1], t.data[2]),
-                        4.0,
-                    );
-                    epoch_loss += loss;
-                    let grad = Tensor::from_vec(&[3], vec![gprob, gxy.0, gxy.1]);
-                    self.net.backward(&grad);
-                }
-                opt.step(&mut self.net, chunk.len());
-            }
-            last = epoch_loss / data.len() as f32;
+            last = train_epoch(&mut self.net, &mut opt, &data, 16, loss_fn).mean_loss;
         }
         last
     }

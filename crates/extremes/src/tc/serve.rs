@@ -88,7 +88,6 @@ struct Inner {
     batches: AtomicU64,
     items: AtomicU64,
     wait_us: AtomicU64,
-    depth: obs::Gauge,
 }
 
 impl Inner {
@@ -138,9 +137,7 @@ impl Inner {
             }
             let take = q.jobs.len().min(self.policy.max_batch);
             let batch: Vec<Job> = q.jobs.drain(..take).collect();
-            let depth = q.jobs.len();
             drop(q);
-            self.depth.set(depth as i64);
             self.process_batch(batch);
         }
     }
@@ -182,7 +179,6 @@ impl CnnService {
             batches: AtomicU64::new(0),
             items: AtomicU64::new(0),
             wait_us: AtomicU64::new(0),
-            depth: obs::registry().gauge("cnn_infer_queue_depth", &[]),
         });
         let worker = Arc::clone(&inner);
         let dispatcher = std::thread::Builder::new()
@@ -196,12 +192,12 @@ impl CnnService {
     /// returns a ticket for its detections.
     pub fn submit(&self, set: FieldSet, grid: gridded::Grid) -> Ticket {
         let slot = Arc::new(Slot { result: Mutex::new(None), ready: Condvar::new() });
-        let depth = {
-            let mut q = self.inner.queue.lock().unwrap();
-            q.jobs.push_back(Job { set, grid, enqueued: Instant::now(), slot: Arc::clone(&slot) });
-            q.jobs.len()
-        };
-        self.inner.depth.set(depth as i64);
+        self.inner.queue.lock().unwrap().jobs.push_back(Job {
+            set,
+            grid,
+            enqueued: Instant::now(),
+            slot: Arc::clone(&slot),
+        });
         self.inner.arrived.notify_all();
         Ticket { slot }
     }

@@ -114,7 +114,6 @@ struct QueuedJob {
     entry: Entrypoint,
     inputs: BTreeMap<String, String>,
     key: CoalesceKey,
-    enqueued: Instant,
     /// Submitter's span context: the execution's span is causally linked
     /// to whatever submitted it, across the pool handoff.
     trace_ctx: Option<obs::SpanContext>,
@@ -486,7 +485,6 @@ impl ExecutionApi {
                     workflow: Arc::clone(&cell.workflow),
                     tenant: tenant.arc(),
                 });
-                obs::registry().counter("serve_coalesced_total", &[]).inc();
                 return Ok(ExecutionHandle { id: exec_id, cell });
             }
         }
@@ -505,14 +503,12 @@ impl ExecutionApi {
             entry,
             inputs,
             key: key.clone(),
-            enqueued: Instant::now(),
             trace_ctx: obs::trace::current(),
         };
         match st.queue.try_enqueue(&tenant, job, Instant::now()) {
             Ok(()) => {
                 st.inflight_keys.insert(key, Arc::clone(&cell));
                 st.stats.admitted += 1;
-                let depth = st.queue.len();
                 // Logged while the scheduler lock still hides the job from
                 // the workers: `Queued` precedes `Started` in every log.
                 cell.record(obs::EventKind::ExecutionQueued {
@@ -526,9 +522,6 @@ impl ExecutionApi {
                     exec_id.seq,
                     LedgerEntry { token: exec_id.token, cell: Arc::clone(&cell) },
                 );
-                let reg = obs::registry();
-                reg.counter("serve_admitted_total", &[("tenant", tenant.as_str())]).inc();
-                reg.gauge("serve_queue_depth", &[]).set(depth as i64);
                 Ok(ExecutionHandle { id: exec_id, cell })
             }
             Err(rejection) => {
@@ -543,9 +536,6 @@ impl ExecutionApi {
                     tenant: tenant.arc(),
                     reason: rejection.label(),
                 });
-                obs::registry()
-                    .counter("serve_rejected_total", &[("reason", rejection.label())])
-                    .inc();
                 Err(Error::Rejected(rejection))
             }
         }
@@ -632,9 +622,6 @@ fn worker_loop(sched: &Scheduler) {
         };
 
         let cell = Arc::clone(&job.cell);
-        obs::registry()
-            .histogram("serve_queue_wait_us", &[])
-            .observe(job.enqueued.elapsed().as_micros() as u64);
         *cell.status.lock().unwrap() = ExecutionStatus::Running;
         cell.record(obs::EventKind::ExecutionStarted {
             execution: cell.seq,
@@ -652,12 +639,6 @@ fn worker_loop(sched: &Scheduler) {
                 Err(message) => (ExecutionStatus::Failed { message }, false, micros),
             }
         };
-        obs::registry()
-            .counter(
-                "hpcwaas_executions_total",
-                &[("outcome", if ok { "completed" } else { "failed" })],
-            )
-            .inc();
         // Event before the status flip: anyone who observes a terminal
         // status (even via a spurious wakeup) sees the Finished record.
         cell.record(obs::EventKind::ExecutionFinished {

@@ -279,12 +279,7 @@ impl Cluster {
         let makespan_ms = placements.iter().map(|p| p.end_ms).max().unwrap_or(0);
 
         let bus = obs::global();
-        let r = obs::registry();
-        let wait_ms = r.histogram("hpcwaas_job_wait_ms", &[]);
-        r.counter("hpcwaas_jobs_scheduled_total", &[]).add(placements.len() as u64);
-        r.counter("hpcwaas_job_requeues_total", &[]).add(requeued as u64);
         for p in &placements {
-            wait_ms.observe(p.wait_ms());
             bus.emit_with(|| obs::EventKind::JobScheduled {
                 job: p.job.name.as_str().into(),
                 node: p.node,

@@ -131,9 +131,6 @@ impl BuildService {
             }
             layers.push(id);
         }
-        let r = obs::registry();
-        r.counter("hpcwaas_layers_built_total", &[]).add(built as u64);
-        r.counter("hpcwaas_layer_cache_hits_total", &[]).add(cache_hits as u64);
         obs::global().emit_with(|| obs::EventKind::ImageBuilt {
             image: spec.name.as_str().into(),
             built,

@@ -160,10 +160,6 @@ impl DataLogistics {
         let mut retries = 0u32;
         let mut degraded = false;
         let bus = obs::global();
-        let r = obs::registry();
-        let stage_ms = r.histogram("hpcwaas_stage_ms", &[]);
-        let bytes_total = r.counter("hpcwaas_transfer_bytes_total", &[]);
-        let retries_total = r.counter("hpcwaas_transfer_retries_total", &[]);
         for s in &spec.stages {
             let ms = self.predict_stage_ms(s);
             let mut attempts = 0u32;
@@ -171,7 +167,6 @@ impl DataLogistics {
             let delivered = loop {
                 attempts += 1;
                 stage_cost += ms;
-                stage_ms.observe(ms);
                 bus.emit_with(|| obs::EventKind::TransferStaged {
                     label: s.label.as_str().into(),
                     bytes: s.bytes,
@@ -184,17 +179,12 @@ impl DataLogistics {
                 if !dropped {
                     break true;
                 }
-                retries_total.inc();
                 if attempts >= MAX_STAGE_ATTEMPTS {
                     break false;
                 }
             };
             retries += attempts - 1;
-            if delivered {
-                bytes_total.add(s.bytes);
-            } else {
-                degraded = true;
-            }
+            degraded |= !delivered;
             total_ms += stage_cost;
             stages.push(StageReport {
                 label: s.label.clone(),

@@ -48,18 +48,6 @@ struct BusInner {
     epoch: Instant,
     /// Mirror every dispatched event into the process flight recorder.
     flight: AtomicBool,
-    /// Total events lost to drop-oldest across all subscribers, living
-    /// and gone (per-subscriber counts die with their receiver).
-    dropped: AtomicU64,
-    /// When set, dispatch keeps backpressure instruments current under
-    /// this label (only the global bus opts in; see `export_metrics`).
-    metrics: Mutex<Option<BusMetrics>>,
-}
-
-struct BusMetrics {
-    dropped: crate::Counter,
-    queue_depth: crate::Gauge,
-    subscribers: crate::Gauge,
 }
 
 /// A cheaply cloneable handle to one event stream.
@@ -86,8 +74,6 @@ impl Bus {
                 seq: AtomicU64::new(0),
                 epoch: Instant::now(),
                 flight: AtomicBool::new(false),
-                dropped: AtomicU64::new(0),
-                metrics: Mutex::new(None),
             }),
         }
     }
@@ -131,28 +117,6 @@ impl Bus {
         self.inner.epoch.elapsed().as_micros() as u64
     }
 
-    /// Total events lost to the drop-oldest policy across every
-    /// subscriber this bus has ever had. A nonzero value means some
-    /// observer's view of the run was incomplete.
-    pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Keep backpressure instruments (`<prefix>_dropped_total`,
-    /// `<prefix>_queue_depth`, `<prefix>_subscribers`) current in the
-    /// process [`crate::registry`] on every dispatch. The queue-depth
-    /// gauge tracks the deepest subscriber queue — the one closest to
-    /// dropping.
-    pub fn export_metrics(&self, bus_label: &'static str) {
-        let r = crate::registry();
-        let m = BusMetrics {
-            dropped: r.counter("obs_bus_dropped_total", &[("bus", bus_label)]),
-            queue_depth: r.gauge("obs_bus_queue_depth", &[("bus", bus_label)]),
-            subscribers: r.gauge("obs_bus_subscribers", &[("bus", bus_label)]),
-        };
-        *self.inner.metrics.lock().unwrap() = Some(m);
-    }
-
     /// Stamp an event (seq / timestamp / thread) *without* dispatching it.
     /// Used by components that keep their own per-object event logs (e.g.
     /// `hpcwaas` execution handles) while still sharing the bus clock.
@@ -177,8 +141,6 @@ impl Bus {
             crate::flight::recorder().record(&event);
         }
         let mut any_closed = false;
-        let mut deepest = 0usize;
-        let mut newly_dropped = 0u64;
         for sub in subs.iter() {
             if sub.closed.load(Ordering::Relaxed) {
                 any_closed = true;
@@ -188,26 +150,14 @@ impl Bus {
             if q.len() >= sub.capacity {
                 q.pop_front();
                 sub.dropped.fetch_add(1, Ordering::Relaxed);
-                newly_dropped += 1;
             }
             q.push_back(event.clone());
-            deepest = deepest.max(q.len());
             drop(q);
             sub.cv.notify_one();
-        }
-        if newly_dropped > 0 {
-            self.inner.dropped.fetch_add(newly_dropped, Ordering::Relaxed);
         }
         if any_closed {
             subs.retain(|s| !s.closed.load(Ordering::Relaxed));
             self.inner.nsubs.store(subs.len(), Ordering::Relaxed);
-        }
-        if let Some(m) = self.inner.metrics.lock().unwrap().as_ref() {
-            if newly_dropped > 0 {
-                m.dropped.add(newly_dropped);
-            }
-            m.queue_depth.set(deepest as i64);
-            m.subscribers.set(subs.len() as i64);
         }
     }
 

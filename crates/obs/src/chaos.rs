@@ -98,15 +98,13 @@ pub fn is_armed() -> bool {
 
 /// Consults the armed hook at `site`. Returns the fault to apply, if one
 /// fires here. Disarmed this is one atomic load; armed it emits a
-/// [`EventKind::FaultInjected`] event and bumps
-/// `chaos_faults_injected_total` for every fault that fires.
+/// [`EventKind::FaultInjected`] event for every fault that fires.
 pub fn fire(site: &str) -> Option<Fault> {
     if !is_armed() {
         return None;
     }
     let hook = hook_slot().lock().unwrap_or_else(PoisonError::into_inner).clone()?;
     let (fault, occurrence) = hook(site)?;
-    crate::registry().counter("chaos_faults_injected_total", &[]).inc();
     crate::emit_with(|| EventKind::FaultInjected {
         site: site.into(),
         fault: fault.label(),

@@ -1,11 +1,13 @@
-//! Event-stream exporters: JSONL, Chrome trace format, and (via
-//! [`crate::metrics::Registry::render_prometheus`]) a Prometheus text dump.
+//! Event-stream exporters: JSONL, Chrome trace format, and a Prometheus
+//! text dump — three folds of one drained stream.
 //!
 //! All JSON here is hand-rolled — the crate is dependency-free by
 //! design — so the escaping helper is deliberately strict: everything
 //! outside the printable-ASCII comfort zone becomes a `\u` escape.
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, TaskOutcome};
+use crate::metrics::Histogram;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 /// Escape `s` for inclusion inside a JSON string literal.
@@ -429,6 +431,184 @@ fn kind_args(kind: &EventKind) -> String {
     }
 }
 
+type Labels = Vec<(&'static str, String)>;
+
+/// One metric series of the fold.
+enum Series {
+    Counter(u64),
+    Gauge(i64),
+    Histogram(Box<Histogram>),
+}
+
+/// Every series the stream carries, keyed by name then labels (sorted,
+/// so dumps and report tables come out stable).
+#[derive(Default)]
+struct Fold(BTreeMap<(&'static str, Labels), Series>);
+
+impl Fold {
+    fn slot(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        new: Series,
+    ) -> &mut Series {
+        let labels = labels.iter().map(|(k, v)| (*k, (*v).to_string())).collect();
+        self.0.entry((name, labels)).or_insert(new)
+    }
+
+    fn add(&mut self, name: &'static str, labels: &[(&'static str, &str)], n: u64) {
+        if let Series::Counter(c) = self.slot(name, labels, Series::Counter(0)) {
+            *c += n;
+        }
+    }
+
+    fn set(&mut self, name: &'static str, v: usize) {
+        *self.slot(name, &[], Series::Gauge(0)) = Series::Gauge(v as i64);
+    }
+
+    fn observe(&mut self, name: &'static str, labels: &[(&'static str, &str)], v: u64) {
+        if let Series::Histogram(h) = self.slot(name, labels, Series::Histogram(Box::default())) {
+            h.observe(v);
+        }
+    }
+
+    /// Folds a drained stream. Each series is a read of one event kind;
+    /// `serve_queue_wait_us` joins an execution's `ExecutionQueued` to its
+    /// `ExecutionStarted`. Gauges hold the last sample in the stream.
+    fn of(events: &[Event]) -> Fold {
+        let mut f = Fold::default();
+        let mut queued_at: HashMap<u64, u64> = HashMap::new();
+        for e in events {
+            match &e.kind {
+                EventKind::TaskFinished { outcome, worker, micros, .. } => {
+                    f.add("dataflow_tasks_total", &[("outcome", outcome.label())], 1);
+                    // Only a completion a worker ran has a duration to sample.
+                    if *outcome == TaskOutcome::Completed && worker.is_some() {
+                        f.observe("dataflow_task_duration_us", &[], *micros);
+                    }
+                }
+                EventKind::TaskRetried { .. } | EventKind::TaskRetryBackoff { .. } => {
+                    f.add("dataflow_task_retries_total", &[], 1)
+                }
+                EventKind::QueueDepth { ready, running } => {
+                    f.set("dataflow_queue_ready", *ready);
+                    f.set("dataflow_queue_running", *running);
+                }
+                EventKind::KernelDone { op, micros, .. } => {
+                    f.observe("datacube_kernel_us", &[("op", op)], *micros)
+                }
+                EventKind::OperatorDone { op, fragments, .. } => {
+                    f.add("datacube_fragments_total", &[("op", op)], *fragments as u64)
+                }
+                EventKind::StepCompleted { micros, .. } => f.observe("esm_step_us", &[], *micros),
+                EventKind::FileWritten { bytes, micros, .. } => {
+                    f.observe("esm_write_us", &[], *micros);
+                    f.add("esm_files_written_total", &[], 1);
+                    f.add("esm_bytes_written_total", &[], *bytes);
+                }
+                EventKind::JobScheduled { wait_ms, .. } => {
+                    f.observe("hpcwaas_job_wait_ms", &[], *wait_ms);
+                    f.add("hpcwaas_jobs_scheduled_total", &[], 1);
+                }
+                EventKind::TransferStaged { virtual_ms, .. } => {
+                    f.observe("hpcwaas_stage_ms", &[], *virtual_ms)
+                }
+                EventKind::ImageBuilt { built, cache_hits, .. } => {
+                    f.add("hpcwaas_layers_built_total", &[], *built as u64);
+                    f.add("hpcwaas_layer_cache_hits_total", &[], *cache_hits as u64);
+                }
+                EventKind::ExecutionQueued { execution, tenant, .. } => {
+                    f.add("serve_admitted_total", &[("tenant", tenant)], 1);
+                    queued_at.insert(*execution, e.ts_micros);
+                }
+                EventKind::ExecutionStarted { execution, .. } => {
+                    if let Some(t0) = queued_at.remove(execution) {
+                        f.observe("serve_queue_wait_us", &[], e.ts_micros.saturating_sub(t0));
+                    }
+                }
+                EventKind::ExecutionCoalesced { .. } => f.add("serve_coalesced_total", &[], 1),
+                EventKind::ExecutionRejected { reason, .. } => {
+                    f.add("serve_rejected_total", &[("reason", reason)], 1)
+                }
+                EventKind::ExecutionFinished { ok, .. } => {
+                    let outcome = if *ok { "completed" } else { "failed" };
+                    f.add("hpcwaas_executions_total", &[("outcome", outcome)], 1);
+                }
+                EventKind::FaultInjected { .. } => f.add("chaos_faults_injected_total", &[], 1),
+                _ => {}
+            }
+        }
+        f
+    }
+}
+
+fn fmt_labels(labels: &Labels, le: Option<&str>) -> String {
+    if labels.is_empty() && le.is_none() {
+        return String::new();
+    }
+    let mut parts: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+    if let Some(le) = le {
+        parts.push(format!("le=\"{le}\""));
+    }
+    format!("{{{}}}", parts.join(","))
+}
+
+/// Render the metrics a drained stream carries in Prometheus text
+/// exposition format, plus `obs_bus_dropped_total` — the `dropped` count
+/// of the receiver the stream came from, so a lossy fold says so.
+/// Histogram buckets are cumulative with power-of-two `le` bounds.
+pub fn prometheus(events: &[Event], dropped: u64) -> String {
+    let mut fold = Fold::of(events);
+    fold.0.insert(("obs_bus_dropped_total", Vec::new()), Series::Counter(dropped));
+    let mut out = String::new();
+    let mut last_name = "";
+    for ((name, labels), series) in &fold.0 {
+        if *name != last_name {
+            let kind = match series {
+                Series::Counter(_) => "counter",
+                Series::Gauge(_) => "gauge",
+                Series::Histogram(_) => "histogram",
+            };
+            let _ = writeln!(out, "# TYPE {name} {kind}");
+            last_name = name;
+        }
+        match series {
+            Series::Counter(c) => {
+                let _ = writeln!(out, "{name}{} {c}", fmt_labels(labels, None));
+            }
+            Series::Gauge(g) => {
+                let _ = writeln!(out, "{name}{} {g}", fmt_labels(labels, None));
+            }
+            Series::Histogram(h) => {
+                for (le, cum) in h.cumulative() {
+                    let le = fmt_labels(labels, Some(&le.to_string()));
+                    let _ = writeln!(out, "{name}_bucket{le} {cum}");
+                }
+                let inf = fmt_labels(labels, Some("+Inf"));
+                let plain = fmt_labels(labels, None);
+                let _ = writeln!(out, "{name}_bucket{inf} {}", h.count());
+                let _ = writeln!(out, "{name}_sum{plain} {}", h.sum());
+                let _ = writeln!(out, "{name}_count{plain} {}", h.count());
+            }
+        }
+    }
+    out
+}
+
+/// Every histogram [`prometheus`] would dump, as `(name with labels,
+/// histogram)` — e.g. `datacube_kernel_us{op="aggregate"}` — sorted by
+/// name: the rows of `climate-wf report`'s latency-percentile table.
+pub fn histograms(events: &[Event]) -> Vec<(String, Histogram)> {
+    Fold::of(events)
+        .0
+        .into_iter()
+        .filter_map(|((name, labels), series)| match series {
+            Series::Histogram(h) => Some((format!("{name}{}", fmt_labels(&labels, None)), *h)),
+            _ => None,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,6 +700,34 @@ mod tests {
         // ...and the cross-thread parent/child pair gets flow arrows.
         assert!(text.contains("\"ph\":\"s\",\"id\":2"));
         assert!(text.contains("\"ph\":\"f\",\"bp\":\"e\",\"id\":2"));
+    }
+
+    #[test]
+    fn prometheus_folds_the_stream() {
+        let mut events = sample_events();
+        let bus = Bus::new();
+        let rx = bus.subscribe();
+        bus.emit(EventKind::KernelDone { op: "aggregate", server: 0, rows: 4, micros: 3 });
+        bus.emit(EventKind::KernelDone { op: "aggregate", server: 1, rows: 4, micros: 300 });
+        bus.emit(EventKind::FileWritten { path: "d.ncx".into(), bytes: 10, micros: 7 });
+        events.extend(rx.drain());
+        let text = prometheus(&events, 2);
+        assert!(text.contains("# TYPE dataflow_tasks_total counter"));
+        assert!(text.contains("dataflow_tasks_total{outcome=\"completed\"} 1"));
+        assert!(text.contains("dataflow_task_duration_us_count 1"));
+        assert!(text.contains("# TYPE dataflow_queue_ready gauge\ndataflow_queue_ready 2"));
+        assert!(text.contains("# TYPE datacube_kernel_us histogram"));
+        assert!(text.contains("datacube_kernel_us_bucket{op=\"aggregate\",le=\"3\"} 1"));
+        assert!(text.contains("datacube_kernel_us_bucket{op=\"aggregate\",le=\"+Inf\"} 2"));
+        assert!(text.contains("datacube_kernel_us_sum{op=\"aggregate\"} 303"));
+        assert!(text.contains("esm_files_written_total 1"));
+        assert!(text.contains("esm_bytes_written_total 10"));
+        assert!(text.contains("obs_bus_dropped_total 2"));
+        let hists: Vec<String> = histograms(&events).into_iter().map(|(n, _)| n).collect();
+        assert_eq!(
+            hists,
+            ["datacube_kernel_us{op=\"aggregate\"}", "dataflow_task_duration_us", "esm_write_us"]
+        );
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! * [`Bus`] / [`EventReceiver`] — a typed event bus with multi-subscriber
 //!   fan-out, bounded drop-oldest queues, and a no-subscriber fast path
 //!   that costs a single relaxed atomic load;
-//! * [`Registry`] with [`Counter`] / [`Gauge`] / [`Histogram`] handles —
-//!   instruments addressable by `&'static str` name + label pairs;
-//! * exporters — JSONL event log ([`jsonl`]), Chrome trace format
-//!   ([`chrome_trace`], loadable in `chrome://tracing`/Perfetto), and a
-//!   Prometheus text dump ([`Registry::render_prometheus`]).
+//! * folds of a drained event stream — JSONL event log ([`jsonl`]),
+//!   Chrome trace format ([`chrome_trace`], loadable in
+//!   `chrome://tracing`/Perfetto), and a Prometheus text dump
+//!   ([`prometheus`]) whose latency [`Histogram`]s ([`histograms`]) feed
+//!   `climate-wf report`'s percentile table. The stream is the one record
+//!   of what happened: there is no second, live metrics store.
 //!
 //! Instrumented crates emit to both their local bus (scoped observation,
 //! e.g. `dataflow::Runtime::subscribe`) and the process-wide [`global`]
@@ -35,23 +36,17 @@ pub mod trace;
 
 pub use bus::{Bus, EventReceiver, DEFAULT_CAPACITY};
 pub use event::{thread_ordinal, Event, EventKind, TaskOutcome};
-pub use export::{chrome_trace, json_escape, jsonl};
-pub use metrics::{registry, Counter, Gauge, Histogram, Registry, HISTOGRAM_BUCKETS};
+pub use export::{chrome_trace, histograms, json_escape, jsonl, prometheus};
+pub use metrics::Histogram;
 pub use trace::{Span, SpanContext};
 
 use std::sync::OnceLock;
 
 /// The process-wide event bus. Subscribe here to observe every
-/// instrumented subsystem in one ordered stream. Exports its own
-/// backpressure instruments (`obs_bus_*{bus="global"}`) so drops are
-/// visible in the Prometheus dump, not just on individual receivers.
+/// instrumented subsystem in one ordered stream.
 pub fn global() -> &'static Bus {
     static GLOBAL: OnceLock<Bus> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let bus = Bus::new();
-        bus.export_metrics("global");
-        bus
-    })
+    GLOBAL.get_or_init(Bus::new)
 }
 
 /// Emit onto the [`global`] bus (fast-path no-op with no subscriber).

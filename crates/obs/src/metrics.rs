@@ -1,116 +1,62 @@
-//! Counters, gauges and log-scale histograms addressable by
-//! `&'static str` name plus label pairs.
+//! Log2-bucket histogram: the value type the Prometheus fold
+//! ([`crate::prometheus`]) accumulates event durations into.
 //!
-//! Handles are `Arc`-backed atomics: resolve once (`registry().counter(...)`),
-//! cache the handle at the call site, and every subsequent update is a
-//! single `fetch_add`. Histograms use 64 fixed log2 buckets — bucket *i*
-//! holds values whose bit length is *i* (i.e. `v < 2^i`) — so `observe`
-//! is a `leading_zeros` plus one `fetch_add` and the Prometheus dump gets
-//! clean power-of-two `le` boundaries for free.
-
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+//! 64 fixed buckets — bucket *i* holds values whose bit length is *i*
+//! (i.e. `v < 2^i`) — so adding a sample is a `leading_zeros` and the
+//! dump gets clean power-of-two `le` boundaries for free.
 
 /// Number of log2 buckets; covers u64's full range.
-pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// Monotonically increasing count.
-#[derive(Clone)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Instantaneous signed level.
-#[derive(Clone)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-struct HistogramInner {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
+const BUCKETS: usize = 64;
 
 /// Fixed log2-bucket histogram of u64 samples (typically microseconds).
-#[derive(Clone)]
-pub struct Histogram(Arc<HistogramInner>);
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Histogram {
+    /// Raw (non-cumulative) bucket counts.
+    buckets: [u64; BUCKETS],
+    count: u64,
+    sum: u64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram { buckets: [0; BUCKETS], count: 0, sum: 0 }
+    }
+}
 
 impl Histogram {
-    fn new() -> Self {
-        Histogram(Arc::new(HistogramInner {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }))
-    }
-
     /// Bucket index for a sample: the sample's bit length (clamped into
     /// the top bucket), so bucket `i` counts samples `v` with `v < 2^i`
     /// exclusive of lower buckets.
-    #[inline]
-    pub fn bucket_index(v: u64) -> usize {
-        ((u64::BITS - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
+    fn bucket_index(v: u64) -> usize {
+        ((u64::BITS - v.leading_zeros()) as usize).min(BUCKETS - 1)
     }
 
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        self.0.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(v, Ordering::Relaxed);
+    pub(crate) fn observe(&mut self, v: u64) {
+        self.buckets[Self::bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
     }
 
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.count
     }
 
-    pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
+    pub(crate) fn sum(&self) -> u64 {
+        self.sum
     }
 
-    /// Raw (non-cumulative) bucket counts.
-    pub fn buckets(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        std::array::from_fn(|i| self.0.buckets[i].load(Ordering::Relaxed))
-    }
-
-    /// Mean of all observed samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let c = self.count();
-        if c == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / c as f64
-        }
+    /// `(le, cumulative count)` per bucket, skipping the empty low tail;
+    /// bucket `i`'s inclusive upper bound is `2^i - 1`.
+    pub(crate) fn cumulative(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut cum = 0u64;
+        self.buckets.iter().enumerate().filter_map(move |(i, b)| {
+            if *b == 0 && cum == 0 {
+                return None;
+            }
+            cum += b;
+            let le = if i >= 63 { u64::MAX } else { (1u64 << i) - 1 };
+            Some((le, cum))
+        })
     }
 
     /// Estimate the `q`-quantile (`0.0..=1.0`, e.g. `0.95` for p95) by
@@ -120,13 +66,12 @@ impl Histogram {
     /// usual trade for O(1) fixed-footprint histograms. Returns 0 when
     /// empty.
     pub fn percentile(&self, q: f64) -> f64 {
-        let count = self.count();
-        if count == 0 {
+        if self.count == 0 {
             return 0.0;
         }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut cum = 0u64;
-        for (i, b) in self.buckets().iter().enumerate() {
+        for (i, b) in self.buckets.iter().enumerate() {
             if *b > 0 && cum + b >= rank {
                 let lo = if i == 0 { 0u64 } else { 1u64 << (i - 1) };
                 let hi = if i >= 63 { u64::MAX } else { (1u64 << i).saturating_sub(1) };
@@ -139,185 +84,9 @@ impl Histogram {
     }
 }
 
-type Labels = Vec<(&'static str, String)>;
-type Key = (&'static str, Labels);
-
-enum Slot {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-/// Process-wide named-instrument registry.
-#[derive(Default)]
-pub struct Registry {
-    slots: Mutex<BTreeMap<Key, Slot>>,
-}
-
-fn make_key(name: &'static str, labels: &[(&'static str, &str)]) -> Key {
-    (name, labels.iter().map(|(k, v)| (*k, (*v).to_string())).collect())
-}
-
-impl Registry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get or create the counter `name{labels}`.
-    ///
-    /// Panics if the same name+labels was registered as another type —
-    /// that is a programming error, not a runtime condition.
-    pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Counter {
-        let mut slots = self.slots.lock().unwrap();
-        match slots
-            .entry(make_key(name, labels))
-            .or_insert_with(|| Slot::Counter(Counter(Arc::new(AtomicU64::new(0)))))
-        {
-            Slot::Counter(c) => c.clone(),
-            _ => panic!("metric {name} already registered with a different type"),
-        }
-    }
-
-    /// Get or create the gauge `name{labels}`.
-    pub fn gauge(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Gauge {
-        let mut slots = self.slots.lock().unwrap();
-        match slots
-            .entry(make_key(name, labels))
-            .or_insert_with(|| Slot::Gauge(Gauge(Arc::new(AtomicI64::new(0)))))
-        {
-            Slot::Gauge(g) => g.clone(),
-            _ => panic!("metric {name} already registered with a different type"),
-        }
-    }
-
-    /// Get or create the histogram `name{labels}`.
-    pub fn histogram(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Histogram {
-        let mut slots = self.slots.lock().unwrap();
-        match slots
-            .entry(make_key(name, labels))
-            .or_insert_with(|| Slot::Histogram(Histogram::new()))
-        {
-            Slot::Histogram(h) => h.clone(),
-            _ => panic!("metric {name} already registered with a different type"),
-        }
-    }
-
-    /// Render every instrument in Prometheus text exposition format.
-    /// Histogram buckets are cumulative with power-of-two `le` bounds.
-    pub fn render_prometheus(&self) -> String {
-        let slots = self.slots.lock().unwrap();
-        let mut out = String::new();
-        let mut last_name = "";
-        for ((name, labels), slot) in slots.iter() {
-            if *name != last_name {
-                let kind = match slot {
-                    Slot::Counter(_) => "counter",
-                    Slot::Gauge(_) => "gauge",
-                    Slot::Histogram(_) => "histogram",
-                };
-                let _ = writeln!(out, "# TYPE {name} {kind}");
-                last_name = name;
-            }
-            match slot {
-                Slot::Counter(c) => {
-                    let _ = writeln!(out, "{}{} {}", name, fmt_labels(labels, None), c.get());
-                }
-                Slot::Gauge(g) => {
-                    let _ = writeln!(out, "{}{} {}", name, fmt_labels(labels, None), g.get());
-                }
-                Slot::Histogram(h) => {
-                    let buckets = h.buckets();
-                    let mut cum = 0u64;
-                    for (i, b) in buckets.iter().enumerate() {
-                        if *b == 0 && cum == 0 {
-                            continue; // skip the empty low tail
-                        }
-                        cum += b;
-                        let le = if i >= 63 { u64::MAX } else { (1u64 << i) - 1 };
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {}",
-                            name,
-                            fmt_labels(labels, Some(&le.to_string())),
-                            cum
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{}_bucket{} {}",
-                        name,
-                        fmt_labels(labels, Some("+Inf")),
-                        h.count()
-                    );
-                    let _ = writeln!(out, "{}_sum{} {}", name, fmt_labels(labels, None), h.sum());
-                    let _ =
-                        writeln!(out, "{}_count{} {}", name, fmt_labels(labels, None), h.count());
-                }
-            }
-        }
-        out
-    }
-
-    /// Snapshot every registered histogram as `(rendered name, handle)`,
-    /// where the rendered name includes its label set (Prometheus style,
-    /// e.g. `datacube_kernel_us{op="aggregate"}`). Sorted by name — the
-    /// registry is a BTreeMap — so report tables come out stable.
-    pub fn histograms(&self) -> Vec<(String, Histogram)> {
-        let slots = self.slots.lock().unwrap();
-        slots
-            .iter()
-            .filter_map(|((name, labels), slot)| match slot {
-                Slot::Histogram(h) => {
-                    Some((format!("{}{}", name, fmt_labels(labels, None)), h.clone()))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Drop every registered instrument (handles stay valid but orphaned).
-    /// Tests use this to isolate assertions on the global registry.
-    pub fn clear(&self) {
-        self.slots.lock().unwrap().clear();
-    }
-}
-
-fn fmt_labels(labels: &Labels, le: Option<&str>) -> String {
-    if labels.is_empty() && le.is_none() {
-        return String::new();
-    }
-    let mut parts: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-    if let Some(le) = le {
-        parts.push(format!("le=\"{le}\""));
-    }
-    format!("{{{}}}", parts.join(","))
-}
-
-/// The process-wide registry (instrument handles from anywhere).
-pub fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_roundtrip() {
-        let r = Registry::new();
-        let c = r.counter("reqs_total", &[("kind", "a")]);
-        c.inc();
-        c.add(4);
-        // Same name+labels resolves to the same underlying cell.
-        assert_eq!(r.counter("reqs_total", &[("kind", "a")]).get(), 5);
-        assert_eq!(r.counter("reqs_total", &[("kind", "b")]).get(), 0);
-
-        let g = r.gauge("depth", &[]);
-        g.set(3);
-        g.add(-5);
-        assert_eq!(g.get(), -2);
-    }
 
     #[test]
     fn histogram_bucket_boundaries() {
@@ -333,39 +102,20 @@ mod tests {
 
     #[test]
     fn histogram_observe_counts_and_sums() {
-        let r = Registry::new();
-        let h = r.histogram("latency_us", &[]);
+        let mut h = Histogram::default();
         for v in [1u64, 2, 3, 1000, 100_000] {
             h.observe(v);
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 101_006);
-        assert!((h.mean() - 20_201.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn prometheus_rendering() {
-        let r = Registry::new();
-        r.counter("jobs_total", &[("queue", "batch")]).add(2);
-        r.gauge("ready", &[]).set(7);
-        let h = r.histogram("wait_us", &[]);
-        h.observe(3);
-        h.observe(300);
-        let text = r.render_prometheus();
-        assert!(text.contains("# TYPE jobs_total counter"));
-        assert!(text.contains("jobs_total{queue=\"batch\"} 2"));
-        assert!(text.contains("ready 7"));
-        assert!(text.contains("# TYPE wait_us histogram"));
-        assert!(text.contains("wait_us_bucket{le=\"3\"} 1"));
-        assert!(text.contains("wait_us_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("wait_us_sum 303"));
-        assert!(text.contains("wait_us_count 2"));
+        let cum: Vec<(u64, u64)> = h.cumulative().collect();
+        assert_eq!(cum.first(), Some(&(1, 1)), "the empty low tail is skipped");
+        assert_eq!(cum.last().map(|c| c.1), Some(5));
     }
 
     #[test]
     fn percentiles_from_log_buckets() {
-        let r = Registry::new();
-        let h = r.histogram("p_us", &[]);
+        let mut h = Histogram::default();
         assert_eq!(h.percentile(0.5), 0.0, "empty histogram reports 0");
         // 100 samples of exactly 1: every quantile sits in bucket 1 = [1,1].
         for _ in 0..100 {
@@ -383,24 +133,5 @@ mod tests {
         // Quantiles are monotone in q.
         assert!(h.percentile(0.5) <= h.percentile(0.95));
         assert!(h.percentile(0.95) <= h.percentile(0.99));
-    }
-
-    #[test]
-    fn histograms_snapshot_includes_labels() {
-        let r = Registry::new();
-        r.histogram("k_us", &[("op", "agg")]).observe(5);
-        r.counter("not_a_histogram", &[]).inc();
-        let hists = r.histograms();
-        assert_eq!(hists.len(), 1);
-        assert_eq!(hists[0].0, "k_us{op=\"agg\"}");
-        assert_eq!(hists[0].1.count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different type")]
-    fn type_conflict_panics() {
-        let r = Registry::new();
-        r.counter("m", &[]);
-        r.gauge("m", &[]);
     }
 }

@@ -20,9 +20,8 @@
 //!   never idles a statically dealt stripe;
 //! - [`join`] and [`Pool::scope`] for fork/join with borrows, safe to
 //!   nest from inside pool workers (blocked threads help execute);
-//! - obs instrumentation: `par_workers` / `par_workers_busy` gauges,
-//!   `par_steals_total` / `par_tasks_total` counters, `par_queue_depth`
-//!   and `par_task_us` metrics, all labelled by pool name.
+//! - a per-worker busy/idle/steal profile ([`Pool::worker_stats`]) and
+//!   a pool-wide job count ([`Pool::jobs_run`]), kept as plain atomics.
 //!
 //! Layering is strict: `obs` → `par` → everything else.
 

@@ -13,7 +13,6 @@
 //! makes nested `join`/`scope` calls from inside pool workers safe even
 //! when tasks heavily oversubscribe the workers.
 
-use obs::{Counter, Gauge, Histogram};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -30,28 +29,6 @@ thread_local! {
     /// worker; `None` on every other thread.
     static WORKER: std::cell::Cell<Option<(usize, usize)>> =
         const { std::cell::Cell::new(None) };
-}
-
-struct Metrics {
-    tasks: Counter,
-    steals: Counter,
-    queue_depth: Gauge,
-    busy: Gauge,
-    task_us: Histogram,
-}
-
-impl Metrics {
-    fn new(pool_name: &'static str) -> Self {
-        let r = obs::registry();
-        let l: &[(&'static str, &str)] = &[("pool", pool_name)];
-        Metrics {
-            tasks: r.counter("par_tasks_total", l),
-            steals: r.counter("par_steals_total", l),
-            queue_depth: r.gauge("par_queue_depth", l),
-            busy: r.gauge("par_workers_busy", l),
-            task_us: r.histogram("par_task_us", l),
-        }
-    }
 }
 
 /// Per-worker profiling cells (see [`Pool::worker_stats`]). Busy time is
@@ -102,7 +79,8 @@ struct Shared {
     shutdown: AtomicBool,
     sleep_mx: Mutex<()>,
     sleep_cv: Condvar,
-    metrics: Metrics,
+    /// Jobs executed so far, by workers and helping callers alike.
+    jobs: AtomicU64,
     /// One profiling cell per worker.
     stats: Vec<WorkerStat>,
     /// Pool creation time; the denominator for idle derivation.
@@ -124,7 +102,6 @@ impl Shared {
         };
         queue.lock().unwrap().push_back(job);
         self.queued.fetch_add(1, Ordering::SeqCst);
-        self.metrics.queue_depth.add(1);
         // Notify under the sleep lock so a worker that just checked
         // `queued` and is about to wait cannot miss the wakeup.
         let _g = self.sleep_mx.lock().unwrap();
@@ -136,7 +113,6 @@ impl Shared {
         let job = if lifo { q.pop_back() } else { q.pop_front() };
         if job.is_some() {
             self.queued.fetch_sub(1, Ordering::SeqCst);
-            self.metrics.queue_depth.add(-1);
         }
         job
     }
@@ -164,7 +140,6 @@ impl Shared {
                 continue;
             }
             if let Some(j) = self.take(&self.locals[v], false) {
-                self.metrics.steals.inc();
                 if let Some(i) = idx {
                     self.stats[i].steals.fetch_add(1, Ordering::Relaxed);
                 }
@@ -176,9 +151,8 @@ impl Shared {
 
     /// Execute one job, attributing its time to `worker` when the
     /// executing thread is one of this pool's workers (helping caller
-    /// threads contribute to pool totals but not to a worker's profile).
+    /// threads count in [`Pool::jobs_run`] but not in a worker's profile).
     fn run_job(&self, job: Job, worker: Option<usize>) {
-        self.metrics.busy.add(1);
         // Chaos site "par.worker": a stalled (slow) pool worker. Only the
         // Stall fault applies here — pool jobs have no error channel, so
         // harder faults belong to the dataflow task layer above.
@@ -188,9 +162,7 @@ impl Shared {
         let t0 = Instant::now();
         job();
         let us = t0.elapsed().as_micros() as u64;
-        self.metrics.task_us.observe(us);
-        self.metrics.tasks.inc();
-        self.metrics.busy.add(-1);
+        self.jobs.fetch_add(1, Ordering::Relaxed);
         if let Some(i) = worker {
             self.stats[i].busy_us.fetch_add(us, Ordering::Relaxed);
             self.stats[i].tasks.fetch_add(1, Ordering::Relaxed);
@@ -223,18 +195,17 @@ impl Shared {
 pub struct Pool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    name: &'static str,
 }
 
 impl Pool {
-    /// A pool with `threads` workers (clamped to at least 1), reporting
-    /// metrics under `pool="adhoc"`.
+    /// A pool with `threads` workers (clamped to at least 1), named
+    /// `adhoc`.
     pub fn new(threads: usize) -> Self {
         Self::with_name(threads, "adhoc")
     }
 
-    /// A pool with `threads` workers whose obs instruments carry the
-    /// given `pool` label. Pools sharing a name share instruments.
+    /// A pool with `threads` workers named `name` (their threads are
+    /// `par-{name}-{i}`).
     pub fn with_name(threads: usize, name: &'static str) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
@@ -244,11 +215,10 @@ impl Pool {
             shutdown: AtomicBool::new(false),
             sleep_mx: Mutex::new(()),
             sleep_cv: Condvar::new(),
-            metrics: Metrics::new(name),
+            jobs: AtomicU64::new(0),
             stats: (0..threads).map(|_| WorkerStat::default()).collect(),
             epoch: Instant::now(),
         });
-        obs::registry().gauge("par_workers", &[("pool", name)]).set(threads as i64);
         let handles = (0..threads)
             .map(|i| {
                 let s = Arc::clone(&shared);
@@ -258,17 +228,12 @@ impl Pool {
                     .expect("spawn pool worker")
             })
             .collect();
-        Pool { shared, handles, name }
+        Pool { shared, handles }
     }
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.shared.locals.len()
-    }
-
-    /// The pool's obs label.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// The calling thread's worker index, if it is one of this pool's
@@ -280,16 +245,12 @@ impl Pool {
         }
     }
 
-    /// Per-worker busy/idle/steal profile since pool creation, and keep
-    /// the `par_worker_busy_pct{pool,worker}` / `par_pool_busy_pct{pool}`
-    /// utilization gauges current in the obs registry. Idle is derived
-    /// (lifetime − busy), so a snapshot taken mid-job undercounts busy
-    /// by the in-flight job's elapsed time.
+    /// Per-worker busy/idle/steal profile since pool creation. Idle is
+    /// derived (lifetime − busy), so a snapshot taken mid-job undercounts
+    /// busy by the in-flight job's elapsed time.
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
         let lifetime_us = self.shared.epoch.elapsed().as_micros() as u64;
-        let r = obs::registry();
-        let stats: Vec<WorkerStats> = self
-            .shared
+        self.shared
             .stats
             .iter()
             .enumerate()
@@ -303,19 +264,14 @@ impl Pool {
                     tasks: s.tasks.load(Ordering::Relaxed),
                 }
             })
-            .collect();
-        for w in &stats {
-            r.gauge(
-                "par_worker_busy_pct",
-                &[("pool", self.name), ("worker", &w.worker.to_string())],
-            )
-            .set((w.utilization() * 100.0).round() as i64);
-        }
-        let pool_busy: u64 = stats.iter().map(|w| w.busy_us).sum();
-        let denom = lifetime_us.saturating_mul(stats.len() as u64).max(1);
-        r.gauge("par_pool_busy_pct", &[("pool", self.name)])
-            .set((pool_busy as f64 / denom as f64 * 100.0).round() as i64);
-        stats
+            .collect()
+    }
+
+    /// Jobs executed since pool creation — by its workers and by callers
+    /// helping while they wait on a scope, which [`Pool::worker_stats`]
+    /// leaves out.
+    pub fn jobs_run(&self) -> u64 {
+        self.shared.jobs.load(Ordering::Relaxed)
     }
 
     /// Runs `op` with a [`Scope`] on which tasks borrowing the caller's

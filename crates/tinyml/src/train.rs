@@ -83,99 +83,6 @@ where
     }
 }
 
-/// Data-parallel variant of [`train_epoch`]: minibatch gradients are
-/// evaluated concurrently on the shared [`par`] pool across model
-/// replicas (layer activation caches make a single net unshareable, so
-/// data parallelism replicates the net instead).
-///
-/// `replicas[0]` is the canonical model: before every minibatch its
-/// parameters are broadcast to the other replicas, the batch is sharded
-/// contiguously across them, each replica accumulates gradients over its
-/// shard, and shard gradients are summed into replica 0 (ascending
-/// replica order, so results are deterministic for a fixed replica
-/// count) before the optimizer steps replica 0. With one replica this is
-/// exactly [`train_epoch`].
-pub fn train_epoch_parallel<F>(
-    replicas: &mut [Sequential],
-    opt: &mut Sgd,
-    samples: &[Sample],
-    batch_size: usize,
-    loss_fn: F,
-) -> EpochStats
-where
-    F: Fn(&Tensor, &Tensor) -> (f32, Tensor) + Sync,
-{
-    assert!(!replicas.is_empty(), "train_epoch_parallel needs at least one replica");
-    // Epoch span: the shard evaluations spawned on the pool below open
-    // child `par_task` spans under this one, so a trace attributes
-    // gradient work to the epoch that ran it.
-    let _span =
-        if obs::global_active() { Some(obs::trace::span("train_epoch_parallel")) } else { None };
-    let mut total_loss = 0.0f64;
-    let mut batches = 0usize;
-    for chunk in samples.chunks(batch_size.max(1)) {
-        // Broadcast canonical parameters to the worker replicas.
-        let flat: Vec<Vec<f32>> = replicas[0].params().iter().map(|t| t.data.clone()).collect();
-        let (main, rest) = replicas.split_first_mut().expect("non-empty");
-        for r in rest.iter_mut() {
-            r.load_params(&flat).expect("replicas share one architecture");
-        }
-
-        // Contiguous shards, one per replica (trailing replicas may sit
-        // idle on small batches).
-        let shard_len = chunk.len().div_ceil(1 + rest.len()).max(1);
-        let mut shards = chunk.chunks(shard_len);
-        let main_shard = shards.next().unwrap_or(&[]);
-        let mut shard_losses = vec![0.0f32; 1 + rest.len()];
-        let mut used_rest = 0usize;
-
-        let eval = |net: &mut Sequential, shard: &[Sample]| -> f32 {
-            net.zero_grad();
-            let mut l = 0.0f32;
-            for (x, t) in shard {
-                let y = net.forward(x);
-                let (lv, g) = loss_fn(&y, t);
-                l += lv;
-                net.backward(&g);
-            }
-            l
-        };
-
-        let (first_loss, rest_losses) = shard_losses.split_first_mut().expect("non-empty");
-        par::scope(|s| {
-            let eval = &eval;
-            for ((r, shard), loss_slot) in rest.iter_mut().zip(&mut shards).zip(rest_losses) {
-                used_rest += 1;
-                s.spawn(move || *loss_slot = eval(r, shard));
-            }
-            // The canonical replica evaluates its own shard on the
-            // calling thread while the others run on the pool.
-            *first_loss = eval(main, main_shard);
-        });
-
-        // Fold worker gradients into the canonical replica, in replica
-        // order.
-        let mut main_pairs = main.params_grads();
-        for r in rest[..used_rest].iter_mut() {
-            for ((_, g_main), (_, g_r)) in main_pairs.iter_mut().zip(r.params_grads()) {
-                for (a, b) in g_main.data.iter_mut().zip(&g_r.data) {
-                    *a += *b;
-                }
-            }
-        }
-        drop(main_pairs);
-        opt.step(main, chunk.len());
-
-        let batch_loss: f32 = shard_losses.iter().sum();
-        total_loss += (batch_loss / chunk.len().max(1) as f32) as f64;
-        batches += 1;
-    }
-    EpochStats {
-        mean_loss: if batches > 0 { (total_loss / batches as f64) as f32 } else { f32::NAN },
-        batches,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,14 +7,10 @@
 //! the same holds for its weight/bias gradients (disjoint per-`o`
 //! accumulation) and for the input gradient (disjoint per-input-channel
 //! planes, `o` kept outermost so every element accumulates in the serial
-//! order). Minibatch training with one replica must equal the serial
-//! trainer exactly.
+//! order).
 
 use tinyml::layers::{Conv2d, Layer};
-use tinyml::loss::mse;
-use tinyml::net::Sequential;
 use tinyml::tensor::Tensor;
-use tinyml::train::{train_epoch, train_epoch_parallel, Sample, Sgd};
 
 /// Geometry big enough (8·30·30·4·9 ≈ 260k MACs) to take the parallel
 /// path inside Conv2d's backward pass.
@@ -199,64 +195,5 @@ fn conv2d_forward_specials_stay_bitwise() {
         let mut out = Tensor::full(&[3], f32::NAN);
         conv.infer(&x, &mut out);
         assert_eq!(bits(&out), expect, "infer must not see its output buffer's old values");
-    }
-}
-
-fn make_net(seed: u64) -> Sequential {
-    use tinyml::layers::{Dense, Tanh};
-    Sequential::new().add(Dense::new(6, 8, seed)).add(Tanh::new()).add(Dense::new(8, 2, seed + 1))
-}
-
-fn make_samples(n: usize) -> Vec<Sample> {
-    (0..n)
-        .map(|i| {
-            let x: Vec<f32> = (0..6).map(|j| ((i * 7 + j * 3) % 11) as f32 / 11.0 - 0.5).collect();
-            let t = vec![x.iter().sum::<f32>(), x[0] - x[5]];
-            (Tensor::from_vec(&[6], x), Tensor::from_vec(&[2], t))
-        })
-        .collect()
-}
-
-#[test]
-fn one_replica_parallel_training_equals_serial() {
-    let samples = make_samples(24);
-    let mut serial_net = make_net(100);
-    let mut serial_opt = Sgd::new(0.05, 0.9);
-    let mut par_nets = vec![make_net(100)];
-    let mut par_opt = Sgd::new(0.05, 0.9);
-    for _ in 0..5 {
-        let a = train_epoch(&mut serial_net, &mut serial_opt, &samples, 4, mse);
-        let b = train_epoch_parallel(&mut par_nets, &mut par_opt, &samples, 4, mse);
-        assert_eq!(a.batches, b.batches);
-        assert_eq!(a.mean_loss, b.mean_loss, "single-replica run must be exactly serial");
-    }
-    let fa: Vec<Vec<f32>> = serial_net.params().iter().map(|t| t.data.clone()).collect();
-    let fb: Vec<Vec<f32>> = par_nets[0].params().iter().map(|t| t.data.clone()).collect();
-    assert_eq!(fa, fb, "parameters must match bitwise after identical training");
-}
-
-#[test]
-fn multi_replica_training_matches_serial_to_tolerance() {
-    let samples = make_samples(32);
-    let mut serial_net = make_net(200);
-    let mut serial_opt = Sgd::new(0.05, 0.0);
-    let mut par_nets: Vec<Sequential> = (0..3).map(|_| make_net(200)).collect();
-    let mut par_opt = Sgd::new(0.05, 0.0);
-    let mut serial_loss = 0.0;
-    let mut par_loss = 0.0;
-    for _ in 0..10 {
-        serial_loss = train_epoch(&mut serial_net, &mut serial_opt, &samples, 8, mse).mean_loss;
-        par_loss = train_epoch_parallel(&mut par_nets, &mut par_opt, &samples, 8, mse).mean_loss;
-    }
-    // Same gradient sums up to float re-association: the trajectories
-    // track each other closely.
-    assert!(
-        (serial_loss - par_loss).abs() <= 1e-3 * serial_loss.abs().max(1e-3),
-        "losses diverged: serial {serial_loss}, parallel {par_loss}"
-    );
-    for (a, b) in serial_net.params().iter().zip(par_nets[0].params()) {
-        for (va, vb) in a.data.iter().zip(&b.data) {
-            assert!((va - vb).abs() <= 1e-3, "params diverged: {va} vs {vb}");
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-crate observability: one subscription on the global bus watches
 //! a whole pipelined run — dataflow task lifecycle, ESM steps and files,
-//! datacube kernels — and the resulting Chrome trace agrees with the
-//! run's own report.
+//! datacube kernels — and the resulting Chrome trace and Prometheus dump,
+//! both folds of that one stream, agree with the run's own report.
 
 use climate_workflows::{run_pipelined, WorkflowParams};
 use obs::{EventKind, TaskOutcome};
@@ -101,10 +101,30 @@ fn pipelined_run_trace_agrees_with_report() {
     let task_slices = trace.matches("task_finished").count();
     assert_eq!(task_slices, report.tasks);
 
-    // Metrics registry saw the same run: the Prometheus dump mentions the
-    // instruments the hot paths update.
-    let prom = obs::registry().render_prometheus();
-    for name in ["dataflow_tasks_total", "esm_files_written_total", "datacube_kernel_us"] {
-        assert!(prom.contains(name), "{name} missing from metrics dump");
-    }
+    // The Prometheus dump is a fold of the same stream, so it must agree
+    // with the run itself.
+    let prom = obs::prometheus(&events, rx.dropped());
+    assert_eq!(
+        series_sum(&prom, "dataflow_tasks_total{outcome=\"completed\"}"),
+        report.metrics.completed as u64
+    );
+    assert_eq!(series_sum(&prom, "esm_files_written_total"), days as u64, "1 year x {days} days");
+    let kernels = events.iter().filter(|e| matches!(e.kind, EventKind::KernelDone { .. })).count();
+    assert_eq!(series_sum(&prom, "datacube_kernel_us_count"), kernels as u64);
+    assert_eq!(series_sum(&prom, "obs_bus_dropped_total"), rx.dropped());
+}
+
+/// Sum of every sample in a Prometheus text dump whose series is `name`
+/// (exactly, or `name{labels}` when `name` carries no labels itself).
+fn series_sum(prom: &str, name: &str) -> u64 {
+    let samples: Vec<u64> = prom
+        .lines()
+        .filter_map(|l| l.rsplit_once(' '))
+        .filter(|(series, _)| {
+            *series == name || (!name.contains('{') && series.starts_with(&format!("{name}{{")))
+        })
+        .map(|(_, v)| v.parse().unwrap())
+        .collect();
+    assert!(!samples.is_empty(), "{name} missing from metrics dump:\n{prom}");
+    samples.iter().sum()
 }
