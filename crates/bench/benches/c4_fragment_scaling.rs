@@ -45,12 +45,12 @@ fn ingest_file() -> PathBuf {
                 tyx[d * NLAT * NLON + row] = dense[row * DAYS + d];
             }
         }
-        let mut ds = ncformat::Dataset::new();
-        ds.add_dimension("day", DAYS).unwrap();
-        ds.add_dimension("lat", NLAT).unwrap();
-        ds.add_dimension("lon", NLON).unwrap();
-        ds.add_variable_f32("tasmax", &["day", "lat", "lon"], tyx).unwrap();
-        ds.write_to_path(&path).unwrap();
+        let mut w = ncformat::Writer::create(&path).unwrap();
+        w.add_dimension("day", DAYS).unwrap();
+        w.add_dimension("lat", NLAT).unwrap();
+        w.add_dimension("lon", NLON).unwrap();
+        w.add_variable_f32("tasmax", &["day", "lat", "lon"], &tyx, vec![]).unwrap();
+        w.finish().unwrap();
     }
     path
 }

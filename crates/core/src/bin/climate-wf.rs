@@ -1,13 +1,15 @@
 //! `climate-wf` — command-line front end for the end-to-end workflow.
 //!
 //! ```text
-//! climate-wf run [--years N] [--days N] [--grid test_small|demo|LATxLON]
+//! climate-wf run [--years N] [--days N]
+//!                [--grid test_small|demo|cmcc_cm3|LATxLON]
 //!                [--scenario historical|ssp245|ssp585] [--seed N]
-//!                [--out DIR] [--sequential]
+//!                [--workers N] [--out DIR] [--sequential]
 //!                [--streaming] [--stream-depth N]
 //!                [--trace out.json] [--metrics out.prom]
 //!                                      (trace and metrics are folds of
 //!                                      the run's event stream)
+//!                                      (any other flag is rejected)
 //! climate-wf report [run options]      `run` plus a profile: pool
 //!                                      utilization, latency percentiles,
 //!                                      crash flight recorder armed
@@ -27,8 +29,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: climate-wf <run|report|chaos|graph|topology|ncdump|info> [options]\n\
          \n\
-         run      [--years N] [--days N] [--grid test_small|demo|LATxLON]\n\
-         \x20        [--scenario historical|ssp245|ssp585] [--seed N] [--out DIR] [--sequential]\n\
+         run      [--years N] [--days N] [--grid test_small|demo|cmcc_cm3|LATxLON]\n\
+         \x20        [--scenario historical|ssp245|ssp585] [--seed N] [--workers N]\n\
+         \x20        [--out DIR] [--sequential]\n\
          \x20        [--trace out.json] [--metrics out.prom] Chrome trace and\n\
          \x20        Prometheus dump, both folds of the run's event stream\n\
          \x20        [--streaming] [--stream-depth N] in-memory year handoff\n\
@@ -45,6 +48,29 @@ fn usage() -> ! {
          info                   paper-scale data characteristics"
     );
     std::process::exit(2)
+}
+
+/// The flags `run` and `report` accept. Any other is rejected with the
+/// usage text rather than ignored, so a typo (`--day 5`) cannot silently
+/// run the defaults.
+const RUN_FLAGS: [&str; 12] = [
+    "years",
+    "days",
+    "grid",
+    "scenario",
+    "seed",
+    "workers",
+    "out",
+    "sequential",
+    "streaming",
+    "stream-depth",
+    "trace",
+    "metrics",
+];
+
+/// The first flag `run`/`report` does not accept, if any.
+fn unknown_run_flag(flags: &BTreeMap<String, String>) -> Option<&str> {
+    flags.keys().map(String::as_str).find(|k| !RUN_FLAGS.contains(k))
 }
 
 /// Parses `--key value` pairs and bare flags from an argument list.
@@ -226,17 +252,18 @@ fn cmd_chaos(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let plan = dataflow::inject::FaultPlan::from_seed(seed, faults);
     println!("{plan}");
 
-    let params = || {
-        WorkflowParams::builder(&out_dir)
-            .years(1)
-            .days_per_year(6)
-            .seed(seed)
-            .workers(2)
-            .training(40, 2)
-            .finetuning(0, 0)
-            .checkpoint(out_dir.join("chaos.ckpt"))
-            .retries(2, 5)
-            .build()
+    let params = || WorkflowParams {
+        years: 1,
+        days_per_year: 6,
+        seed,
+        workers: 2,
+        train_samples: 40,
+        train_epochs: 2,
+        finetune_days: 0,
+        checkpoint: Some(out_dir.join("chaos.ckpt")),
+        task_retries: 2,
+        retry_base_ms: 5,
+        ..WorkflowParams::test_scale(out_dir.clone())
     };
 
     let (first, fired) = {
@@ -269,7 +296,7 @@ fn cmd_chaos(flags: &BTreeMap<String, String>) -> Result<(), String> {
             schedule.requeued
         );
 
-        let first = run_pipelined(params()?);
+        let first = run_pipelined(params());
         (first, armed.fired())
     };
     println!("faults fired: {}", fired.len());
@@ -281,7 +308,7 @@ fn cmd_chaos(flags: &BTreeMap<String, String>) -> Result<(), String> {
         Ok(r) => r,
         Err(e) => {
             println!("armed run failed ({e}); disarmed, resuming from checkpoint");
-            run_pipelined(params()?)?
+            run_pipelined(params())?
         }
     };
     println!(
@@ -344,8 +371,13 @@ fn main() {
     let Some(cmd) = args.first() else { usage() };
     let (flags, positional) = parse_args(&args[1..]);
     let result = match cmd.as_str() {
-        "run" => cmd_run(&flags, false),
-        "report" => cmd_run(&flags, true),
+        "run" | "report" => match unknown_run_flag(&flags) {
+            Some(flag) => {
+                eprintln!("unknown flag --{flag}");
+                usage()
+            }
+            None => cmd_run(&flags, cmd == "report"),
+        },
         "chaos" => cmd_chaos(&flags),
         "graph" => cmd_graph(&flags),
         "topology" => {
@@ -398,6 +430,15 @@ mod tests {
         assert_eq!(p.days_per_year, 15);
         assert_eq!((p.grid.nlat, p.grid.nlon), (24, 36));
         assert_eq!(p.out_dir, std::path::PathBuf::from("/tmp/x"));
+    }
+
+    #[test]
+    fn unknown_run_flags_are_named() {
+        let flags = |keys: &[&str]| -> BTreeMap<String, String> {
+            keys.iter().map(|k| (k.to_string(), "5".to_string())).collect()
+        };
+        assert_eq!(unknown_run_flag(&flags(&["years", "days", "workers", "out"])), None);
+        assert_eq!(unknown_run_flag(&flags(&["years", "day"])), Some("day"));
     }
 
     #[test]

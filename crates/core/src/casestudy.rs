@@ -339,7 +339,9 @@ impl CaseStudy {
     /// Prepares the workflow: output directories, datacube client, the
     /// pre-trained CNN (loaded from `model_path` or trained on synthetic
     /// patches and cached), the ESM simulation and the dataflow runtime.
+    /// Invalid parameters are rejected before any of that happens.
     pub fn new(params: WorkflowParams) -> Result<Self, WorkflowError> {
+        params.validate().map_err(|message| WorkflowError::Params { message })?;
         let esm_dir = params.esm_dir();
         let products_dir = params.products_dir();
         std::fs::create_dir_all(&esm_dir)
@@ -1456,14 +1458,15 @@ mod tests {
     fn case_with_year(name: &str) -> (CaseStudy, Arc<StreamedYear>) {
         let dir = std::env::temp_dir().join("casestudy-tests").join(name);
         std::fs::remove_dir_all(&dir).ok();
-        let params = WorkflowParams::builder(dir)
-            .years(1)
-            .days_per_year(6)
-            .training(60, 3)
-            .finetuning(0, 0)
-            .streaming(true)
-            .build()
-            .unwrap();
+        let params = WorkflowParams {
+            years: 1,
+            days_per_year: 6,
+            train_samples: 60,
+            train_epochs: 3,
+            finetune_days: 0,
+            streaming: true,
+            ..WorkflowParams::test_scale(dir)
+        };
         let cs = CaseStudy::new(params).unwrap();
         let mut year = None;
         cs.sim

@@ -73,6 +73,19 @@ mod tests {
         dir
     }
 
+    /// A struct built by field assignment is validated before the run
+    /// creates a directory or trains a model: a patch that is not a
+    /// multiple of 4 is a setup error, not a panic inside the CNN.
+    #[test]
+    fn invalid_params_fail_at_setup_before_touching_disk() {
+        let out = tmp("invalid");
+        let params = WorkflowParams { patch: 10, ..WorkflowParams::test_scale(out.clone()) };
+        let err = run_pipelined(params).expect_err("patch 10 must be rejected");
+        assert_eq!(err.stage(), crate::WorkflowStage::Setup, "{err}");
+        assert!(err.to_string().contains("patch"), "{err}");
+        assert!(!out.exists(), "an invalid run created {}", out.display());
+    }
+
     /// The full end-to-end pipelined workflow on a tiny configuration.
     #[test]
     fn pipelined_end_to_end_produces_products() {

@@ -60,6 +60,11 @@ impl fmt::Display for WorkflowStage {
 /// A workflow-level failure: the stage that died plus the wrapped cause.
 #[derive(Debug)]
 pub enum WorkflowError {
+    /// The parameters failed [`WorkflowParams::validate`]; nothing was
+    /// created on disk.
+    ///
+    /// [`WorkflowParams::validate`]: crate::WorkflowParams::validate
+    Params { message: String },
     /// Filesystem failure (directory creation, watcher polling, report
     /// artifact writes).
     Io { stage: WorkflowStage, path: PathBuf, source: std::io::Error },
@@ -89,7 +94,9 @@ impl WorkflowError {
             | WorkflowError::Cube { stage, .. }
             | WorkflowError::Timeout { stage, .. }
             | WorkflowError::Malformed { stage, .. } => *stage,
-            WorkflowError::Model { .. } | WorkflowError::Simulation { .. } => WorkflowStage::Setup,
+            WorkflowError::Params { .. }
+            | WorkflowError::Model { .. }
+            | WorkflowError::Simulation { .. } => WorkflowStage::Setup,
             WorkflowError::Aborted { .. } => WorkflowStage::Streaming,
         }
     }
@@ -119,6 +126,7 @@ impl fmt::Display for WorkflowError {
             WorkflowError::Io { stage, path, source } => {
                 write!(f, "{stage}: io error on {}: {source}", path.display())
             }
+            WorkflowError::Params { message } => write!(f, "setup: invalid parameters: {message}"),
             WorkflowError::Model { message } => write!(f, "setup: model: {message}"),
             WorkflowError::Simulation { message } => write!(f, "setup: simulation: {message}"),
             WorkflowError::Dataflow { stage, source } => write!(f, "{stage}: {source}"),

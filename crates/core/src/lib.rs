@@ -42,5 +42,5 @@ pub mod reporting;
 pub use casestudy::{pretrain_cnn, CaseStudy, RunOrder, WfData};
 pub use endtoend::{register_with_hpcwaas, run_pipelined, run_sequential};
 pub use error::{WorkflowError, WorkflowStage};
-pub use params::{ParamsBuilder, WorkflowParams};
+pub use params::WorkflowParams;
 pub use reporting::{RunReport, YearReport};

@@ -1,8 +1,12 @@
 //! Workflow parameters.
 //!
-//! One struct drives the whole case study; it can be built directly or
-//! parsed from the string inputs an HPCWaaS invocation carries ("Input
-//! arguments can be specified to configure the workflow", Section 6).
+//! One struct drives the whole case study. It is set one way: start from
+//! [`WorkflowParams::test_scale`] and assign fields, or apply the string
+//! inputs an HPCWaaS invocation or the CLI carries
+//! ([`WorkflowParams::apply_inputs`]; "Input arguments can be specified to
+//! configure the workflow", Section 6). `CaseStudy::new` runs
+//! [`WorkflowParams::validate`] before it touches the disk, so a struct
+//! built by field assignment is checked as strictly as parsed inputs.
 
 use esm::{EsmConfig, Scenario};
 use gridded::Grid;
@@ -56,18 +60,13 @@ pub struct WorkflowParams {
     /// blocks the simulation (backpressure) until analytics catches up.
     pub stream_depth: usize,
     /// Read only by wfbench's CNN-service probe (its `max_batch`);
-    /// `climate-wf run` ignores it. No input, flag or builder sets it.
+    /// `climate-wf run` ignores it. No input or flag sets it.
     pub cnn_batch: usize,
 }
 
 impl WorkflowParams {
-    /// Fluent, validating builder seeded with the test-scale defaults.
-    /// Finish with [`ParamsBuilder::build`], which runs [`Self::validate`].
-    pub fn builder(out_dir: impl Into<PathBuf>) -> ParamsBuilder {
-        ParamsBuilder { p: Self::test_scale(out_dir.into()) }
-    }
-
-    /// Checks cross-field invariants the individual setters cannot see.
+    /// Checks every field and the invariants spanning several of them
+    /// (patch vs. grid, training effort vs. a pre-trained model).
     pub fn validate(&self) -> Result<(), String> {
         fn positive(name: &str, v: usize) -> Result<(), String> {
             if v == 0 {
@@ -128,37 +127,9 @@ impl WorkflowParams {
         }
     }
 
-    /// Production-shaped defaults (still far below the paper's 0.25°, but
-    /// a full 365-day year on a 96 × 144 grid).
-    pub fn demo_scale(out_dir: PathBuf) -> Self {
-        WorkflowParams {
-            years: 2,
-            days_per_year: 365,
-            grid: Grid::global(96, 144),
-            scenario: Scenario::Ssp585,
-            seed: 2030,
-            workers: 4,
-            io_servers: 4,
-            nfrag: 16,
-            patch: 16,
-            out_dir,
-            model_path: None,
-            train_samples: 400,
-            train_epochs: 16,
-            finetune_days: 60,
-            finetune_epochs: 14,
-            checkpoint: None,
-            task_retries: 0,
-            retry_base_ms: 20,
-            streaming: false,
-            stream_depth: 2,
-            cnn_batch: 8,
-        }
-    }
-
     /// Applies HPCWaaS string inputs on top of the current values.
     /// Recognized keys: `years`, `days_per_year`, `grid`
-    /// (`test_small` | `demo` | `NLATxNLON`), `scenario`
+    /// (`test_small` | `demo` | `cmcc_cm3` | `NLATxNLON`), `scenario`
     /// (`historical` | `ssp245` | `ssp585`), `seed`, `workers`,
     /// `io_servers`, `nfrag`, `checkpoint`, `task_retries`,
     /// `retry_base_ms`, `streaming` (`true` | `false`), `stream_depth`.
@@ -244,141 +215,6 @@ impl WorkflowParams {
     }
 }
 
-/// Fluent builder for [`WorkflowParams`] (see [`WorkflowParams::builder`]).
-///
-/// Setters only record values; [`ParamsBuilder::build`] validates the whole
-/// configuration at once, so invariants spanning several fields (patch vs.
-/// grid, fine-tuning epochs vs. fine-tuning days) are checked no matter the order
-/// the setters ran in.
-#[derive(Debug, Clone)]
-pub struct ParamsBuilder {
-    p: WorkflowParams,
-}
-
-impl ParamsBuilder {
-    /// Switches the baseline from test-scale to the demo-scale defaults,
-    /// keeping the output directory.
-    pub fn demo_scale(mut self) -> Self {
-        let out_dir = std::mem::take(&mut self.p.out_dir);
-        self.p = WorkflowParams::demo_scale(out_dir);
-        self
-    }
-
-    /// Simulated years to run and analyse.
-    pub fn years(mut self, years: usize) -> Self {
-        self.p.years = years;
-        self
-    }
-
-    /// Days per simulated year.
-    pub fn days_per_year(mut self, days: usize) -> Self {
-        self.p.days_per_year = days;
-        self
-    }
-
-    /// Model grid.
-    pub fn grid(mut self, grid: Grid) -> Self {
-        self.p.grid = grid;
-        self
-    }
-
-    /// Forcing scenario.
-    pub fn scenario(mut self, scenario: Scenario) -> Self {
-        self.p.scenario = scenario;
-        self
-    }
-
-    /// Master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.p.seed = seed;
-        self
-    }
-
-    /// Dataflow worker threads.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.p.workers = workers;
-        self
-    }
-
-    /// Simulated Ophidia I/O servers.
-    pub fn io_servers(mut self, io_servers: usize) -> Self {
-        self.p.io_servers = io_servers;
-        self
-    }
-
-    /// Fragments per imported cube.
-    pub fn nfrag(mut self, nfrag: usize) -> Self {
-        self.p.nfrag = nfrag;
-        self
-    }
-
-    /// CNN patch size (cells; must be a multiple of 4 that fits the grid).
-    pub fn patch(mut self, patch: usize) -> Self {
-        self.p.patch = patch;
-        self
-    }
-
-    /// Uses pre-trained CNN weights instead of training on the fly.
-    pub fn model_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.p.model_path = Some(path.into());
-        self
-    }
-
-    /// CNN training effort when training on the fly.
-    pub fn training(mut self, samples: usize, epochs: usize) -> Self {
-        self.p.train_samples = samples;
-        self.p.train_epochs = epochs;
-        self
-    }
-
-    /// Reference-run fine-tuning effort (`days = 0` disables it).
-    pub fn finetuning(mut self, days: usize, epochs: usize) -> Self {
-        self.p.finetune_days = days;
-        self.p.finetune_epochs = epochs;
-        self
-    }
-
-    /// Enables checkpointing to `path`; re-running with the same path
-    /// resumes from the last completed frontier.
-    pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
-        self.p.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Per-task retry budget with exponential backoff (`retries = 0`
-    /// restores the historical fail-fast behavior).
-    pub fn retries(mut self, retries: u32, base_ms: u64) -> Self {
-        self.p.task_retries = retries;
-        self.p.retry_base_ms = base_ms;
-        self
-    }
-
-    /// Enables the streaming data plane (in-memory year handoff).
-    pub fn streaming(mut self, on: bool) -> Self {
-        self.p.streaming = on;
-        self
-    }
-
-    /// Simulation→analytics channel capacity (years in flight).
-    pub fn stream_depth(mut self, depth: usize) -> Self {
-        self.p.stream_depth = depth;
-        self
-    }
-
-    /// Applies HPCWaaS string inputs (same keys as
-    /// [`WorkflowParams::apply_inputs`]) on top of the builder state.
-    pub fn inputs(mut self, inputs: &BTreeMap<String, String>) -> Result<Self, String> {
-        self.p = self.p.apply_inputs(inputs)?;
-        Ok(self)
-    }
-
-    /// Validates and returns the finished parameters.
-    pub fn build(self) -> Result<WorkflowParams, String> {
-        self.p.validate()?;
-        Ok(self.p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,15 +252,6 @@ mod tests {
         let mut inputs = BTreeMap::new();
         inputs.insert("task_retries".to_string(), "lots".to_string());
         assert!(base().apply_inputs(&inputs).is_err());
-
-        let p = WorkflowParams::builder(std::env::temp_dir().join("wfp-rec"))
-            .checkpoint("/tmp/b.ckpt")
-            .retries(3, 10)
-            .build()
-            .unwrap();
-        assert_eq!(p.task_retries, 3);
-        assert_eq!(p.retry_base_ms, 10);
-        assert!(p.checkpoint.is_some());
     }
 
     #[test]
@@ -442,14 +269,6 @@ mod tests {
         let mut inputs = BTreeMap::new();
         inputs.insert("stream_depth".to_string(), "0".to_string());
         assert!(base().apply_inputs(&inputs).is_err(), "zero-depth channel rejected");
-
-        let p = WorkflowParams::builder(std::env::temp_dir().join("wfp-stream"))
-            .streaming(true)
-            .stream_depth(4)
-            .build()
-            .unwrap();
-        assert!(p.streaming);
-        assert_eq!(p.stream_depth, 4);
         assert!(!base().streaming, "streaming is opt-in");
     }
 
@@ -495,42 +314,19 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_fields_and_validates() {
-        let p = WorkflowParams::builder(std::env::temp_dir().join("wfp-b"))
-            .years(2)
-            .days_per_year(15)
-            .grid(Grid::global(24, 36))
-            .scenario(Scenario::Ssp585)
-            .seed(7)
-            .workers(2)
-            .io_servers(3)
-            .nfrag(4)
-            .training(60, 3)
-            .finetuning(0, 0)
-            .build()
-            .unwrap();
-        assert_eq!(p.years, 2);
-        assert_eq!((p.grid.nlat, p.grid.nlon), (24, 36));
-        assert_eq!(p.io_servers, 3);
-    }
-
-    #[test]
-    fn builder_rejects_invalid_combinations() {
-        let b = || WorkflowParams::builder(std::env::temp_dir().join("wfp-bad"));
-        assert!(b().years(0).build().is_err());
-        assert!(b().patch(10).build().is_err(), "patch not a multiple of 4");
-        assert!(b().grid(Grid::global(8, 8)).build().is_err(), "patch larger than grid");
-        assert!(b().training(0, 0).build().is_err(), "no model and no training");
+    fn validate_rejects_invalid_combinations() {
+        assert!(base().validate().is_ok());
+        assert!(WorkflowParams { years: 0, ..base() }.validate().is_err());
+        assert!(WorkflowParams { patch: 10, ..base() }.validate().is_err(), "not a multiple of 4");
+        assert!(
+            WorkflowParams { grid: Grid::global(8, 8), ..base() }.validate().is_err(),
+            "patch larger than grid"
+        );
+        let untrained = WorkflowParams { train_samples: 0, train_epochs: 0, ..base() };
+        assert!(untrained.validate().is_err(), "no model and no training");
         // A model path excuses zero training effort.
-        assert!(b().training(0, 0).model_path("/tmp/model.bin").build().is_ok());
-    }
-
-    #[test]
-    fn builder_demo_scale_keeps_out_dir() {
-        let dir = std::env::temp_dir().join("wfp-demo");
-        let p = WorkflowParams::builder(&dir).demo_scale().years(1).build().unwrap();
-        assert_eq!(p.out_dir, dir);
-        assert_eq!(p.days_per_year, 365);
+        let loaded = WorkflowParams { model_path: Some("/tmp/model.bin".into()), ..untrained };
+        assert!(loaded.validate().is_ok());
     }
 
     #[test]

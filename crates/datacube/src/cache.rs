@@ -69,16 +69,6 @@ impl CacheStats {
     pub fn lookups(&self) -> u64 {
         self.hits + self.joins + self.misses
     }
-
-    /// Fraction of lookups that avoided running the loader (resident
-    /// hits plus single-flight joins).
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.lookups();
-        if lookups == 0 {
-            return 0.0;
-        }
-        (self.hits + self.joins) as f64 / lookups as f64
-    }
 }
 
 /// Ref-counted, byte-budgeted, single-flight cube cache.
@@ -254,7 +244,6 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.joins), (1, 1, 0));
         assert_eq!(stats.entries, 1);
         assert!(stats.resident_bytes > 0);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

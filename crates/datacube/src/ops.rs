@@ -703,7 +703,7 @@ pub fn to_grid_values(cube: &Cube) -> Result<(usize, usize, Vec<f32>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncformat::Dataset;
+    use ncformat::Writer;
 
     fn cfg() -> ExecConfig {
         ExecConfig::with_servers(2)
@@ -1103,13 +1103,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tyx.ncx");
         let (nt, ny, nx) = (3, 2, 2);
-        let mut ds = Dataset::new();
-        ds.add_dimension("time", nt).unwrap();
-        ds.add_dimension("lat", ny).unwrap();
-        ds.add_dimension("lon", nx).unwrap();
+        let mut w = Writer::create(&path).unwrap();
+        w.add_dimension("time", nt).unwrap();
+        w.add_dimension("lat", ny).unwrap();
+        w.add_dimension("lon", nx).unwrap();
         let data: Vec<f32> = (0..nt * ny * nx).map(|i| i as f32).collect();
-        ds.add_variable_f32("tas", &["time", "lat", "lon"], data).unwrap();
-        ds.write_to_path(&path).unwrap();
+        w.add_variable_f32("tas", &["time", "lat", "lon"], &data, vec![]).unwrap();
+        w.finish().unwrap();
 
         let rd = Reader::open(&path).unwrap();
         let cube = import_transposed(&rd, "tas", "time", "lat", "lon", 2, cfg()).unwrap();

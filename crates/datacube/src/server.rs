@@ -17,7 +17,6 @@ use crate::ops::{self, InterOp, ReduceOp};
 use crate::store::{CubeId, CubeStore};
 use ncformat::Reader;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,8 +34,6 @@ pub struct Server {
     store: CubeStore,
     cfg: ExecConfig,
     log: Mutex<Vec<OpRecord>>,
-    /// Key-value metadata per cube (Ophidia's metadata management).
-    meta: Mutex<std::collections::HashMap<CubeId, BTreeMap<String, String>>>,
 }
 
 impl Server {
@@ -63,7 +60,6 @@ impl Client {
                 store: CubeStore::new(),
                 cfg: ExecConfig::with_servers(io_servers),
                 log: Mutex::new(Vec::new()),
-                meta: Mutex::new(std::collections::HashMap::new()),
             }),
         }
     }
@@ -181,17 +177,6 @@ impl Client {
     pub fn audit(&self) -> Vec<OpRecord> {
         self.server.log.lock().clone()
     }
-
-    /// Per-operator `(count, total micros)` summary.
-    pub fn operator_stats(&self) -> BTreeMap<String, (usize, u128)> {
-        let mut m: BTreeMap<String, (usize, u128)> = BTreeMap::new();
-        for r in self.server.log.lock().iter() {
-            let e = m.entry(r.operator.clone()).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += r.micros;
-        }
-        m
-    }
 }
 
 /// Handle to one stored cube; operator methods produce new handles,
@@ -273,24 +258,6 @@ impl CubeHandle {
         Ok(self.derive(out))
     }
 
-    /// Attaches (or replaces) a metadata key on this cube
-    /// (`oph_metadata`-style management).
-    pub fn set_metadata(&self, key: &str, value: &str) -> Result<()> {
-        self.cube()?; // must still exist
-        self.server
-            .meta
-            .lock()
-            .entry(self.id)
-            .or_default()
-            .insert(key.to_string(), value.to_string());
-        Ok(())
-    }
-
-    /// All metadata of this cube.
-    pub fn metadata(&self) -> BTreeMap<String, String> {
-        self.server.meta.lock().get(&self.id).cloned().unwrap_or_default()
-    }
-
     /// Human-readable cube summary (`oph_cubeschema`-like).
     pub fn info(&self) -> Result<String> {
         let c = self.cube()?;
@@ -326,9 +293,8 @@ impl CubeHandle {
     }
 
     /// Drops the stored cube (`Mask.delete()` in Listing 1). The handle
-    /// becomes unusable and its metadata is discarded.
+    /// becomes unusable.
     pub fn delete(self) -> Result<()> {
-        self.server.meta.lock().remove(&self.id);
         self.server.record("delete", || self.server.store.delete(self.id))
     }
 }
@@ -377,11 +343,10 @@ mod tests {
         count.exportnc(&dir.join("count.ncx")).unwrap();
         assert!(dir.join("count.ncx").exists());
 
-        let stats = client.operator_stats();
-        assert_eq!(stats["apply"].0, 1);
-        assert_eq!(stats["reduce"].0, 1);
-        assert_eq!(stats["delete"].0, 1);
-        assert_eq!(stats["exportnc"].0, 1);
+        let audit = client.audit();
+        for op in ["apply", "reduce", "delete", "exportnc"] {
+            assert_eq!(audit.iter().filter(|r| r.operator == op).count(), 1, "{op}");
+        }
     }
 
     #[test]
@@ -447,26 +412,6 @@ mod tests {
         h.apply("x").unwrap();
         let audit = client.audit();
         assert!(audit.iter().any(|r| r.operator == "apply"));
-    }
-
-    #[test]
-    fn metadata_management() {
-        let (_client, h) = client_with_cube();
-        assert!(h.metadata().is_empty());
-        h.set_metadata("units", "K").unwrap();
-        h.set_metadata("standard_name", "air_temperature").unwrap();
-        h.set_metadata("units", "degC").unwrap(); // replace
-        let m = h.metadata();
-        assert_eq!(m["units"], "degC");
-        assert_eq!(m["standard_name"], "air_temperature");
-        // Metadata is per cube: derived cubes start clean.
-        let derived = h.apply("x").unwrap();
-        assert!(derived.metadata().is_empty());
-        // Deleting drops the metadata with the cube.
-        let h2 = h.clone();
-        h.delete().unwrap();
-        assert!(h2.set_metadata("x", "y").is_err());
-        assert!(h2.metadata().is_empty());
     }
 
     #[test]

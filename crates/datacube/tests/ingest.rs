@@ -9,7 +9,7 @@
 use datacube::exec::ExecConfig;
 use datacube::model::Cube;
 use datacube::{ops, Client, CubeHandle, ReduceOp};
-use ncformat::{Dataset, Reader};
+use ncformat::{Reader, Writer};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -41,19 +41,38 @@ fn day_file_of(
     lat_coords: Option<usize>,
     tas: impl Fn(usize, usize, usize) -> f32,
 ) -> PathBuf {
-    let mut ds = Dataset::new();
-    ds.add_dimension("time", nt).unwrap();
-    ds.add_dimension("lat", ny).unwrap();
-    ds.add_dimension("lon", nx).unwrap();
-    ds.add_variable_f64("time", &["time"], (0..nt).map(|t| t as f64 * 6.0).collect()).unwrap();
+    let path = scratch(name);
+    let mut w = Writer::create(&path).unwrap();
+    w.add_dimension("time", nt).unwrap();
+    w.add_dimension("lat", ny).unwrap();
+    w.add_dimension("lon", nx).unwrap();
+    w.add_variable_f64(
+        "time",
+        &["time"],
+        &(0..nt).map(|t| t as f64 * 6.0).collect::<Vec<_>>(),
+        vec![],
+    )
+    .unwrap();
     if let Some(n) = lat_coords {
         let dim = if n == ny { "lat" } else { "lat_short" };
         if n != ny {
-            ds.add_dimension(dim, n).unwrap();
+            w.add_dimension(dim, n).unwrap();
         }
-        ds.add_variable_f64("lat", &[dim], (0..n).map(|y| y as f64 - 45.0).collect()).unwrap();
+        w.add_variable_f64(
+            "lat",
+            &[dim],
+            &(0..n).map(|y| y as f64 - 45.0).collect::<Vec<_>>(),
+            vec![],
+        )
+        .unwrap();
     }
-    ds.add_variable_f64("lon", &["lon"], (0..nx).map(|x| x as f64 * 2.5).collect()).unwrap();
+    w.add_variable_f64(
+        "lon",
+        &["lon"],
+        &(0..nx).map(|x| x as f64 * 2.5).collect::<Vec<_>>(),
+        vec![],
+    )
+    .unwrap();
     let mut data = Vec::with_capacity(nt * ny * nx);
     for t in 0..nt {
         for y in 0..ny {
@@ -62,9 +81,8 @@ fn day_file_of(
             }
         }
     }
-    ds.add_variable_f32("tas", &["time", "lat", "lon"], data).unwrap();
-    let path = scratch(name);
-    ds.write_to_path(&path).unwrap();
+    w.add_variable_f32("tas", &["time", "lat", "lon"], &data, vec![]).unwrap();
+    w.finish().unwrap();
     path
 }
 

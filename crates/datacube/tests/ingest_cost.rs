@@ -7,7 +7,7 @@
 use datacube::exec::ExecConfig;
 use datacube::model::{Cube, Dimension};
 use datacube::{ops, Client, ReduceOp};
-use ncformat::{Dataset, Reader};
+use ncformat::{Reader, Writer};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -22,14 +22,14 @@ fn pool_jobs() -> u64 {
 
 /// Writes a `(time, lat, lon)` day file of `tas` and returns its path.
 fn day_file(nt: usize, ny: usize, nx: usize) -> PathBuf {
-    let mut ds = Dataset::new();
-    ds.add_dimension("time", nt).unwrap();
-    ds.add_dimension("lat", ny).unwrap();
-    ds.add_dimension("lon", nx).unwrap();
-    ds.add_variable_f32("tas", &["time", "lat", "lon"], vec![280.0; nt * ny * nx]).unwrap();
     let name = format!("datacube-ingest-cost-{}-{ny}x{nx}.ncx", std::process::id());
     let path = std::env::temp_dir().join(name);
-    ds.write_to_path(&path).unwrap();
+    let mut w = Writer::create(&path).unwrap();
+    w.add_dimension("time", nt).unwrap();
+    w.add_dimension("lat", ny).unwrap();
+    w.add_dimension("lon", nx).unwrap();
+    w.add_variable_f32("tas", &["time", "lat", "lon"], &vec![280.0; nt * ny * nx], vec![]).unwrap();
+    w.finish().unwrap();
     path
 }
 

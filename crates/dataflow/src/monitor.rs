@@ -99,20 +99,6 @@ impl StatusSnapshot {
             + self.timed_out
     }
 
-    /// Fraction of tasks in a terminal state (NaN when none submitted).
-    pub fn progress(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return f64::NAN;
-        }
-        (self.completed + self.failed + self.cancelled + self.timed_out) as f64 / total as f64
-    }
-
-    /// True when no task can make further progress.
-    pub fn is_quiescent(&self) -> bool {
-        self.pending == 0 && self.ready == 0 && self.running == 0
-    }
-
     /// One-line human-readable summary.
     pub fn render(&self) -> String {
         format!(
@@ -381,7 +367,7 @@ mod tests {
         assert_eq!((s.pending, s.running), (1, 1));
         assert_eq!(s.running_tasks.len(), 1);
         assert_eq!(s.running_tasks[0].attempts, 1);
-        assert!(!s.is_quiescent());
+        assert_ne!((s.pending, s.ready, s.running), (0, 0, 0));
 
         f.apply(
             0,
@@ -405,8 +391,7 @@ mod tests {
         );
         let s = f.snapshot();
         assert_eq!((s.completed, s.cancelled), (1, 1));
-        assert!(s.is_quiescent());
-        assert!((s.progress() - 1.0).abs() < 1e-12);
+        assert_eq!((s.pending, s.ready, s.running), (0, 0, 0));
         assert!(s.render().contains("2/2 done"));
     }
 
@@ -443,8 +428,7 @@ mod tests {
         let s = f.snapshot();
         assert_eq!(s.timed_out, 1);
         assert_eq!(s.total(), 1);
-        assert!(s.is_quiescent());
-        assert!((s.progress() - 1.0).abs() < 1e-12);
+        assert_eq!((s.pending, s.ready, s.running), (0, 0, 0));
         assert!(s.render().contains("1 timed out"));
     }
 
@@ -469,7 +453,7 @@ mod tests {
         let s = f.snapshot();
         assert!(s.running_tasks.is_empty(), "cancelled task leaked into running view");
         assert_eq!((s.running, s.cancelled), (0, 1));
-        assert!(s.is_quiescent());
+        assert_eq!((s.pending, s.ready, s.running), (0, 0, 0));
     }
 
     #[test]
@@ -505,7 +489,6 @@ mod tests {
     fn empty_snapshot() {
         let s = StatusSnapshot::default();
         assert_eq!(s.total(), 0);
-        assert!(s.progress().is_nan());
-        assert!(s.is_quiescent());
+        assert_eq!((s.pending, s.ready, s.running), (0, 0, 0));
     }
 }

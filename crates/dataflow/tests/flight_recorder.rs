@@ -24,7 +24,6 @@ fn task_failure_dumps_flight_jsonl() {
         .unwrap();
     assert!(rt.fetch(&boom.outputs[0]).is_err(), "task was built to fail");
     rt.shutdown();
-    obs::flight::disable();
 
     let text = std::fs::read_to_string(&dump).expect("failure should have dumped the recorder");
     let mut lines = text.lines();

@@ -30,7 +30,6 @@
 pub mod atmos;
 pub mod config;
 pub mod coupler;
-pub mod ensemble;
 pub mod events;
 pub mod forcing;
 pub mod model;

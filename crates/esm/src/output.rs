@@ -8,7 +8,7 @@
 
 use crate::model::DailyFields;
 use gridded::Grid;
-use ncformat::{DataType, Dataset, Value, Writer};
+use ncformat::{DataType, Value, Writer};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -153,7 +153,7 @@ pub fn paper_yearly_gb() -> f64 {
 pub fn predicted_payload(fields: &DailyFields) -> u64 {
     let grid = &fields.vars[0].1.grid;
     let spd = fields.vars[0].1.ntime;
-    Dataset::payload_size(
+    ncformat::payload_size(
         &fields.vars.iter().map(|_| (DataType::F32, grid.len() * spd)).collect::<Vec<_>>(),
     )
 }

@@ -1,7 +1,6 @@
 //! Feature scaling for the ML pipelines (Section 5.4: "feature scaling"
 //! before CNN inference): a scaler is fitted on data and re-applied at
-//! inference time; both directions are exposed so predictions can be mapped
-//! back.
+//! inference time.
 
 /// Standard-score scaler: `(v - mean) / std`.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,12 +29,6 @@ impl ZScoreScaler {
         (v - self.mean) / self.std
     }
 
-    /// Inverse transform.
-    #[inline]
-    pub fn invert(&self, s: f32) -> f32 {
-        self.mean + s * self.std
-    }
-
     /// Standardizes a buffer in place.
     pub fn apply_slice(&self, data: &mut [f32]) {
         for v in data {
@@ -56,14 +49,6 @@ mod tests {
         let mut buf = [1.0, 5.0];
         s.apply_slice(&mut buf);
         assert!((buf[0] + buf[1]).abs() < 1e-5, "symmetric points standardize symmetrically");
-    }
-
-    #[test]
-    fn zscore_invert_roundtrips() {
-        let s = ZScoreScaler::fit(&[10.0, 20.0, 30.0]);
-        for v in [0.0f32, 10.0, 25.0, 99.0] {
-            assert!((s.invert(s.apply(v)) - v).abs() < 1e-3);
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests on the raster toolbox invariants.
 
-use gridded::{coarsen, regrid_bilinear, Field2, Grid, TileSpec, Tiling, ZScoreScaler};
+use gridded::{coarsen, regrid_bilinear, Field2, Grid, TileSpec, Tiling};
 use proptest::prelude::*;
 
 proptest! {
@@ -74,13 +74,6 @@ proptest! {
         let j = ((cell >> 16) as usize) % (t.cols * patch);
         let (r, c, pi, pj) = t.locate(i, j).unwrap();
         prop_assert_eq!(t.to_grid(r, c, pi, pj), (i, j));
-    }
-
-    /// The scaler inverts exactly (within float tolerance).
-    #[test]
-    fn scaler_inverts(data in proptest::collection::vec(-1e4f32..1e4, 2..50), probe in -1e4f32..1e4) {
-        let zs = ZScoreScaler::fit(&data);
-        prop_assert!((zs.invert(zs.apply(probe)) - probe).abs() < 1e-1);
     }
 
     /// Area weights always sum to one and are non-negative.

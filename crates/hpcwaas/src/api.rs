@@ -353,11 +353,6 @@ impl ExecutionApi {
             .insert(topology.name.clone(), RegisteredWorkflow { topology, entry: Arc::new(entry) });
     }
 
-    /// Registered workflow names.
-    pub fn workflows(&self) -> Vec<String> {
-        self.registry.lock().unwrap().keys().cloned().collect()
-    }
-
     /// End-user interface: deploys a registered workflow onto the (simulated)
     /// infrastructure. Returns the deployment handle.
     pub fn deploy(&self, workflow: &str) -> Result<DeploymentId> {
@@ -700,7 +695,6 @@ mod tests {
     #[test]
     fn full_lifecycle() {
         let api = api_with_echo();
-        assert_eq!(api.workflows(), vec!["climate-extremes"]);
         let dep = api.deploy("climate-extremes").unwrap();
         assert!(api.deployment_cost_ms(dep).unwrap() > 0);
         let handle = api.submit(dep, &BTreeMap::new()).unwrap();

@@ -20,19 +20,19 @@
 //!   not pay for the rest of the file.
 //!
 //! ```
-//! use ncformat::{Dataset, Value};
+//! use ncformat::{Value, Writer};
 //!
 //! let dir = std::env::temp_dir().join("ncformat-doc");
 //! std::fs::create_dir_all(&dir).unwrap();
 //! let path = dir.join("doc.ncx");
 //!
-//! let mut ds = Dataset::new();
-//! ds.add_dimension("time", 4).unwrap();
-//! ds.add_dimension("lat", 3).unwrap();
-//! ds.set_attribute("title", Value::from("demo"));
-//! ds.add_variable_f32("tas", &["time", "lat"], (0..12).map(|i| i as f32).collect())
-//!     .unwrap();
-//! ds.write_to_path(&path).unwrap();
+//! let mut w = Writer::create(&path).unwrap();
+//! w.add_dimension("time", 4).unwrap();
+//! w.add_dimension("lat", 3).unwrap();
+//! w.set_attribute("title", Value::from("demo"));
+//! let tas: Vec<f32> = (0..12).map(|i| i as f32).collect();
+//! w.add_variable_f32("tas", &["time", "lat"], &tas, vec![]).unwrap();
+//! w.finish().unwrap();
 //!
 //! let rd = ncformat::Reader::open(&path).unwrap();
 //! let sub = rd.read_slab_f32("tas", &[1, 0], &[2, 3]).unwrap();
@@ -48,7 +48,7 @@ pub mod write;
 pub use error::{Error, Result};
 pub use read::{Reader, VarView};
 pub use types::{Attribute, DataType, Dimension, Value, Variable};
-pub use write::{Dataset, Writer};
+pub use write::{payload_size, Writer};
 
 /// File magic bytes identifying the NCX container, followed in the file by a
 /// format version byte. Bump the version on incompatible layout changes.
@@ -72,10 +72,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("rt.ncx");
 
-        let mut ds = Dataset::new();
-        ds.add_dimension("x", 2).unwrap();
-        ds.add_variable_f64("v", &["x"], vec![1.5, -2.5]).unwrap();
-        ds.write_to_path(&path).unwrap();
+        let mut w = Writer::create(&path).unwrap();
+        w.add_dimension("x", 2).unwrap();
+        w.add_variable_f64("v", &["x"], &[1.5, -2.5], vec![]).unwrap();
+        w.finish().unwrap();
 
         let rd = Reader::open(&path).unwrap();
         assert_eq!(rd.read_all_f64("v").unwrap(), vec![1.5, -2.5]);

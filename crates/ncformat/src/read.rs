@@ -349,7 +349,7 @@ impl VarView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::write::Dataset;
+    use crate::write::Writer;
     use std::io::Write;
 
     fn tmp(name: &str) -> PathBuf {
@@ -360,12 +360,18 @@ mod tests {
 
     fn sample(path: &Path) {
         // 2 x 3 x 4 cube with values 0..24.
-        let mut ds = Dataset::new();
-        ds.add_dimension("t", 2).unwrap();
-        ds.add_dimension("y", 3).unwrap();
-        ds.add_dimension("x", 4).unwrap();
-        ds.add_variable_f32("v", &["t", "y", "x"], (0..24).map(|i| i as f32).collect()).unwrap();
-        ds.write_to_path(path).unwrap();
+        let mut w = Writer::create(path).unwrap();
+        w.add_dimension("t", 2).unwrap();
+        w.add_dimension("y", 3).unwrap();
+        w.add_dimension("x", 4).unwrap();
+        w.add_variable_f32(
+            "v",
+            &["t", "y", "x"],
+            &(0..24).map(|i| i as f32).collect::<Vec<_>>(),
+            vec![],
+        )
+        .unwrap();
+        w.finish().unwrap();
     }
 
     #[test]

@@ -78,14 +78,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Returns the text payload if this is a [`Value::Text`].
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Returns a numeric view of scalar values (`F64` or `I64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -186,7 +178,6 @@ mod tests {
 
     #[test]
     fn value_conversions() {
-        assert_eq!(Value::from("x").as_text(), Some("x"));
         assert_eq!(Value::from(2.5).as_f64(), Some(2.5));
         assert_eq!(Value::from(3i64).as_f64(), Some(3.0));
         assert_eq!(Value::from("x").as_f64(), None);

@@ -1,13 +1,10 @@
 //! Writing NCX containers.
 //!
-//! Two entry points:
-//!
-//! * [`Writer`] — streaming: variable payloads are appended to the file as
-//!   they are produced, and the header is written last (the fixed-size
-//!   prelude stores a pointer to it). This is what the ESM output path uses,
-//!   so a day's ~20 large fields never need to coexist in memory.
-//! * [`Dataset`] — an in-memory builder for small files (indices, tests,
-//!   examples) that assembles everything and writes in one call.
+//! One entry point, the streaming [`Writer`]: variable payloads are
+//! appended to the file as they are produced, and the header is written
+//! last (the fixed-size prelude stores a pointer to it). The ESM output
+//! path uses it, so a day's ~20 large fields never need to coexist in
+//! memory; small files (index exports, tests) go through the same calls.
 //!
 //! On-disk layout:
 //!
@@ -130,27 +127,6 @@ impl Writer {
 
     fn expected_len(&self, dim_idx: &[usize]) -> usize {
         dim_idx.iter().map(|&d| self.dims[d].size).product()
-    }
-
-    fn push_var(
-        &mut self,
-        name: &str,
-        dtype: DataType,
-        dim_idx: Vec<usize>,
-        attrs: Vec<Attribute>,
-        payload: &[u8],
-    ) -> Result<()> {
-        let offset = self.cursor;
-        self.file.write_all(payload)?;
-        self.cursor += payload.len() as u64;
-        self.vars.push(Variable {
-            name: name.into(),
-            dtype,
-            dims: dim_idx,
-            attributes: attrs,
-            data_offset: offset,
-        });
-        Ok(())
     }
 
     /// Streams `data` little-endian. On little-endian hosts the in-memory
@@ -299,62 +275,6 @@ impl Writer {
         Ok(())
     }
 
-    /// Appends a `u8` variable (masks, categorical fields).
-    pub fn add_variable_u8(
-        &mut self,
-        name: &str,
-        dims: &[&str],
-        data: &[u8],
-        attrs: Vec<Attribute>,
-    ) -> Result<()> {
-        if let Some(open) = &self.open {
-            return Err(Error::UnfinishedVariable(open.name.clone()));
-        }
-        self.check_new_var(name)?;
-        let idx = self.dim_indices(dims)?;
-        let expected = self.expected_len(&idx);
-        if expected != data.len() {
-            return Err(Error::ShapeMismatch { expected, actual: data.len() });
-        }
-        self.push_var(name, DataType::U8, idx, attrs, data)
-    }
-
-    /// Appends an `i32` variable (counts, integer indices).
-    pub fn add_variable_i32(
-        &mut self,
-        name: &str,
-        dims: &[&str],
-        data: &[i32],
-        attrs: Vec<Attribute>,
-    ) -> Result<()> {
-        if let Some(open) = &self.open {
-            return Err(Error::UnfinishedVariable(open.name.clone()));
-        }
-        self.check_new_var(name)?;
-        let idx = self.dim_indices(dims)?;
-        let expected = self.expected_len(&idx);
-        if expected != data.len() {
-            return Err(Error::ShapeMismatch { expected, actual: data.len() });
-        }
-        let offset = self.cursor;
-        for chunk in data.chunks(ENCODE_CHUNK_BYTES / 4) {
-            self.scratch.clear();
-            for v in chunk {
-                self.scratch.extend_from_slice(&v.to_le_bytes());
-            }
-            self.file.write_all(&self.scratch)?;
-        }
-        self.cursor += data.len() as u64 * 4;
-        self.vars.push(Variable {
-            name: name.into(),
-            dtype: DataType::I32,
-            dims: idx,
-            attributes: attrs,
-            data_offset: offset,
-        });
-        Ok(())
-    }
-
     /// Writes the header, patches the prelude pointer and flushes. Must be
     /// called exactly once; dropping an unfinished writer leaves an invalid
     /// file by design (truncated output should not parse).
@@ -404,146 +324,12 @@ impl Writer {
     }
 }
 
-/// Owned variable payload used by the in-memory [`Dataset`] builder.
-#[derive(Debug, Clone)]
-enum Payload {
-    F32(Vec<f32>),
-    F64(Vec<f64>),
-    I32(Vec<i32>),
-    U8(Vec<u8>),
-}
-
-impl Payload {
-    fn len(&self) -> usize {
-        match self {
-            Payload::F32(v) => v.len(),
-            Payload::F64(v) => v.len(),
-            Payload::I32(v) => v.len(),
-            Payload::U8(v) => v.len(),
-        }
-    }
-
-    fn byte_len(&self) -> usize {
-        match self {
-            Payload::F32(v) => v.len() * 4,
-            Payload::F64(v) => v.len() * 8,
-            Payload::I32(v) => v.len() * 4,
-            Payload::U8(v) => v.len(),
-        }
-    }
-}
-
-/// In-memory dataset builder: collect dimensions, attributes and variables,
-/// then serialize with [`Dataset::write_to_path`].
-#[derive(Default)]
-pub struct Dataset {
-    dims: Vec<Dimension>,
-    attrs: Vec<Attribute>,
-    vars: Vec<(String, Vec<usize>, Vec<Attribute>, Payload)>,
-}
-
-impl Dataset {
-    /// Creates an empty dataset.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Declares a dimension.
-    pub fn add_dimension(&mut self, name: &str, size: usize) -> Result<()> {
-        if self.dims.iter().any(|d| d.name == name) {
-            return Err(Error::DuplicateDimension(name.into()));
-        }
-        self.dims.push(Dimension { name: name.into(), size });
-        Ok(())
-    }
-
-    /// Sets (or replaces) a global attribute.
-    pub fn set_attribute(&mut self, name: &str, value: Value) {
-        if let Some(a) = self.attrs.iter_mut().find(|a| a.name == name) {
-            a.value = value;
-        } else {
-            self.attrs.push(Attribute { name: name.into(), value });
-        }
-    }
-
-    fn add_var(&mut self, name: &str, dims: &[&str], payload: Payload) -> Result<()> {
-        if self.vars.iter().any(|(n, ..)| n == name) {
-            return Err(Error::DuplicateVariable(name.into()));
-        }
-        let idx: Vec<usize> = dims
-            .iter()
-            .map(|n| {
-                self.dims
-                    .iter()
-                    .position(|d| d.name == *n)
-                    .ok_or_else(|| Error::UnknownDimension((*n).into()))
-            })
-            .collect::<Result<_>>()?;
-        let expected: usize = idx.iter().map(|&d| self.dims[d].size).product();
-        if expected != payload.len() {
-            return Err(Error::ShapeMismatch { expected, actual: payload.len() });
-        }
-        self.vars.push((name.into(), idx, Vec::new(), payload));
-        Ok(())
-    }
-
-    /// Adds an `f32` variable.
-    pub fn add_variable_f32(&mut self, name: &str, dims: &[&str], data: Vec<f32>) -> Result<()> {
-        self.add_var(name, dims, Payload::F32(data))
-    }
-
-    /// Adds an `f64` variable.
-    pub fn add_variable_f64(&mut self, name: &str, dims: &[&str], data: Vec<f64>) -> Result<()> {
-        self.add_var(name, dims, Payload::F64(data))
-    }
-
-    /// Adds an `i32` variable.
-    pub fn add_variable_i32(&mut self, name: &str, dims: &[&str], data: Vec<i32>) -> Result<()> {
-        self.add_var(name, dims, Payload::I32(data))
-    }
-
-    /// Adds a `u8` variable.
-    pub fn add_variable_u8(&mut self, name: &str, dims: &[&str], data: Vec<u8>) -> Result<()> {
-        self.add_var(name, dims, Payload::U8(data))
-    }
-
-    /// Total payload bytes this dataset will serialize (excluding prelude
-    /// and header). [`Dataset::write_to_path`] sizes the output file from
-    /// this up front instead of growing it variable by variable.
-    pub fn payload_bytes(&self) -> u64 {
-        self.vars.iter().map(|(.., p)| p.byte_len() as u64).sum()
-    }
-
-    /// Serializes the dataset to `path` via the streaming [`Writer`].
-    pub fn write_to_path<P: AsRef<Path>>(&self, path: P) -> Result<()> {
-        let mut w = Writer::create(path)?;
-        w.reserve(self.payload_bytes())?;
-        for a in &self.attrs {
-            w.set_attribute(&a.name, a.value.clone());
-        }
-        for d in &self.dims {
-            w.add_dimension(&d.name, d.size)?;
-        }
-        let dim_names: Vec<&str> = self.dims.iter().map(|d| d.name.as_str()).collect();
-        for (name, idx, attrs, payload) in &self.vars {
-            let dims: Vec<&str> = idx.iter().map(|&i| dim_names[i]).collect();
-            match payload {
-                Payload::F32(v) => w.add_variable_f32(name, &dims, v, attrs.clone())?,
-                Payload::F64(v) => w.add_variable_f64(name, &dims, v, attrs.clone())?,
-                Payload::I32(v) => w.add_variable_i32(name, &dims, v, attrs.clone())?,
-                Payload::U8(v) => w.add_variable_u8(name, &dims, v, attrs.clone())?,
-            }
-        }
-        w.finish()
-    }
-
-    /// Predicted on-disk size in bytes for a file with the given variable
-    /// shapes, counting payload only (headers are O(metadata)). Used by the
-    /// ESM to reproduce the paper's "271 MB per daily file" arithmetic
-    /// without writing a full-resolution file.
-    pub fn payload_size(var_elems: &[(DataType, usize)]) -> u64 {
-        var_elems.iter().map(|(dt, n)| (dt.size() * n) as u64).sum()
-    }
+/// Predicted on-disk size in bytes for a file with the given variable
+/// shapes, counting payload only (headers are O(metadata)). Used by the
+/// ESM to reproduce the paper's "271 MB per daily file" arithmetic
+/// without writing a full-resolution file.
+pub fn payload_size(var_elems: &[(DataType, usize)]) -> u64 {
+    var_elems.iter().map(|(dt, n)| (dt.size() * n) as u64).sum()
 }
 
 #[cfg(test)]
@@ -559,36 +345,36 @@ mod tests {
 
     #[test]
     fn duplicate_dimension_rejected() {
-        let mut ds = Dataset::new();
-        ds.add_dimension("x", 2).unwrap();
-        assert!(matches!(ds.add_dimension("x", 3), Err(Error::DuplicateDimension(_))));
+        let mut w = Writer::create(tmp("dup-dim.ncx")).unwrap();
+        w.add_dimension("x", 2).unwrap();
+        assert!(matches!(w.add_dimension("x", 3), Err(Error::DuplicateDimension(_))));
     }
 
     #[test]
     fn duplicate_variable_rejected() {
-        let mut ds = Dataset::new();
-        ds.add_dimension("x", 1).unwrap();
-        ds.add_variable_f32("v", &["x"], vec![1.0]).unwrap();
+        let mut w = Writer::create(tmp("dup-var.ncx")).unwrap();
+        w.add_dimension("x", 1).unwrap();
+        w.add_variable_f32("v", &["x"], &[1.0], vec![]).unwrap();
         assert!(matches!(
-            ds.add_variable_f32("v", &["x"], vec![1.0]),
+            w.add_variable_f32("v", &["x"], &[1.0], vec![]),
             Err(Error::DuplicateVariable(_))
         ));
     }
 
     #[test]
     fn unknown_dimension_rejected() {
-        let mut ds = Dataset::new();
+        let mut w = Writer::create(tmp("unknown-dim.ncx")).unwrap();
         assert!(matches!(
-            ds.add_variable_f32("v", &["nope"], vec![]),
+            w.add_variable_f32("v", &["nope"], &[], vec![]),
             Err(Error::UnknownDimension(_))
         ));
     }
 
     #[test]
     fn shape_mismatch_rejected() {
-        let mut ds = Dataset::new();
-        ds.add_dimension("x", 3).unwrap();
-        let err = ds.add_variable_f32("v", &["x"], vec![1.0]).unwrap_err();
+        let mut w = Writer::create(tmp("shape.ncx")).unwrap();
+        w.add_dimension("x", 3).unwrap();
+        let err = w.add_variable_f32("v", &["x"], &[1.0], vec![]).unwrap_err();
         assert!(matches!(err, Error::ShapeMismatch { expected: 3, actual: 1 }));
     }
 
@@ -599,8 +385,8 @@ mod tests {
         w.add_dimension("x", 4).unwrap();
         w.add_variable_f32("a", &["x"], &[1.0, 2.0, 3.0, 4.0], vec![]).unwrap();
         assert_eq!(w.payload_bytes(), 16);
-        w.add_variable_u8("m", &["x"], &[0, 1, 0, 1], vec![]).unwrap();
-        assert_eq!(w.payload_bytes(), 20);
+        w.add_variable_f64("b", &["x"], &[1.0, 2.0, 3.0, 4.0], vec![]).unwrap();
+        assert_eq!(w.payload_bytes(), 48);
         w.finish().unwrap();
         let rd = Reader::open(&path).unwrap();
         assert_eq!(rd.read_all_f32("a").unwrap(), vec![1.0, 2.0, 3.0, 4.0]);
@@ -618,8 +404,8 @@ mod tests {
 
         let rd = Reader::open(&path).unwrap();
         let v = rd.variable("t").unwrap();
-        assert_eq!(v.attribute("units").unwrap().as_text(), Some("K"));
-        assert_eq!(rd.attribute("model").unwrap().as_text(), Some("CMCC-CM3-surrogate"));
+        assert_eq!(v.attribute("units"), Some(&Value::from("K")));
+        assert_eq!(rd.attribute("model"), Some(&Value::from("CMCC-CM3-surrogate")));
     }
 
     #[test]
@@ -627,7 +413,7 @@ mod tests {
         // The paper's daily file: 768 x 1152 x 4 timesteps x 20 f32 vars.
         let elems = 768 * 1152 * 4;
         let vars: Vec<(DataType, usize)> = (0..20).map(|_| (DataType::F32, elems)).collect();
-        let bytes = Dataset::payload_size(&vars);
+        let bytes = payload_size(&vars);
         let mb = bytes as f64 / (1024.0 * 1024.0);
         assert!((mb - 270.0).abs() < 1.0, "expected ~270 MB, got {mb}");
     }
@@ -676,7 +462,7 @@ mod tests {
             Err(Error::UnfinishedVariable(_))
         ));
         assert!(matches!(
-            w.add_variable_u8("m", &["x"], &[0, 1], vec![]),
+            w.add_variable_f64("m", &["x"], &[0.0, 1.0], vec![]),
             Err(Error::UnfinishedVariable(_))
         ));
         assert!(matches!(w.finish(), Err(Error::UnfinishedVariable(_))));
@@ -699,26 +485,12 @@ mod tests {
     }
 
     #[test]
-    fn dataset_payload_bytes_matches_writer() {
-        let mut ds = Dataset::new();
-        ds.add_dimension("x", 3).unwrap();
-        ds.add_variable_f32("a", &["x"], vec![1.0, 2.0, 3.0]).unwrap();
-        ds.add_variable_f64("b", &["x"], vec![1.0, 2.0, 3.0]).unwrap();
-        ds.add_variable_u8("m", &["x"], vec![0, 1, 0]).unwrap();
-        assert_eq!(ds.payload_bytes(), 12 + 24 + 3);
-        let path = tmp("payload-bytes.ncx");
-        ds.write_to_path(&path).unwrap();
-        let rd = Reader::open(&path).unwrap();
-        assert_eq!(rd.read_all_f64("b").unwrap(), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn zero_sized_variable_allowed() {
         let path = tmp("empty.ncx");
-        let mut ds = Dataset::new();
-        ds.add_dimension("x", 0).unwrap();
-        ds.add_variable_f32("v", &["x"], vec![]).unwrap();
-        ds.write_to_path(&path).unwrap();
+        let mut w = Writer::create(&path).unwrap();
+        w.add_dimension("x", 0).unwrap();
+        w.add_variable_f32("v", &["x"], &[], vec![]).unwrap();
+        w.finish().unwrap();
         let rd = Reader::open(&path).unwrap();
         assert!(rd.read_all_f32("v").unwrap().is_empty());
     }
@@ -726,9 +498,9 @@ mod tests {
     #[test]
     fn scalar_variable_with_no_dims() {
         let path = tmp("scalar.ncx");
-        let mut ds = Dataset::new();
-        ds.add_variable_f64("pi", &[], vec![std::f64::consts::PI]).unwrap();
-        ds.write_to_path(&path).unwrap();
+        let mut w = Writer::create(&path).unwrap();
+        w.add_variable_f64("pi", &[], &[std::f64::consts::PI], vec![]).unwrap();
+        w.finish().unwrap();
         let rd = Reader::open(&path).unwrap();
         assert_eq!(rd.read_all_f64("pi").unwrap(), vec![std::f64::consts::PI]);
     }

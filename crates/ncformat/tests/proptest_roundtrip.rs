@@ -2,7 +2,7 @@
 //! through the on-disk format, and hyperslab reads must agree with the
 //! equivalent in-memory slicing.
 
-use ncformat::{Dataset, Reader, Value};
+use ncformat::{Reader, Value, Writer};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -47,10 +47,10 @@ proptest! {
     #[test]
     fn f32_roundtrip(data in proptest::collection::vec(-1e6f32..1e6, 1..200)) {
         let path = tmp();
-        let mut ds = Dataset::new();
-        ds.add_dimension("n", data.len()).unwrap();
-        ds.add_variable_f32("v", &["n"], data.clone()).unwrap();
-        ds.write_to_path(&path).unwrap();
+        let mut w = Writer::create(&path).unwrap();
+        w.add_dimension("n", data.len()).unwrap();
+        w.add_variable_f32("v", &["n"], &data, vec![]).unwrap();
+        w.finish().unwrap();
         let rd = Reader::open(&path).unwrap();
         prop_assert_eq!(rd.read_all_f32("v").unwrap(), data);
         std::fs::remove_file(path).ok();
@@ -59,10 +59,10 @@ proptest! {
     #[test]
     fn f64_roundtrip_preserves_bits(data in proptest::collection::vec(any::<f64>().prop_filter("finite", |v| v.is_finite()), 1..100)) {
         let path = tmp();
-        let mut ds = Dataset::new();
-        ds.add_dimension("n", data.len()).unwrap();
-        ds.add_variable_f64("v", &["n"], data.clone()).unwrap();
-        ds.write_to_path(&path).unwrap();
+        let mut w = Writer::create(&path).unwrap();
+        w.add_dimension("n", data.len()).unwrap();
+        w.add_variable_f64("v", &["n"], &data, vec![]).unwrap();
+        w.finish().unwrap();
         let rd = Reader::open(&path).unwrap();
         let back = rd.read_all_f64("v").unwrap();
         for (a, b) in back.iter().zip(&data) {
@@ -93,12 +93,12 @@ proptest! {
         ];
 
         let path = tmp();
-        let mut ds = Dataset::new();
-        ds.add_dimension("t", t).unwrap();
-        ds.add_dimension("y", y).unwrap();
-        ds.add_dimension("x", x).unwrap();
-        ds.add_variable_f32("v", &["t", "y", "x"], data.clone()).unwrap();
-        ds.write_to_path(&path).unwrap();
+        let mut w = Writer::create(&path).unwrap();
+        w.add_dimension("t", t).unwrap();
+        w.add_dimension("y", y).unwrap();
+        w.add_dimension("x", x).unwrap();
+        w.add_variable_f32("v", &["t", "y", "x"], &data, vec![]).unwrap();
+        w.finish().unwrap();
 
         let rd = Reader::open(&path).unwrap();
         let got = rd.read_slab_f32("v", &start, &count).unwrap();
@@ -110,12 +110,12 @@ proptest! {
     #[test]
     fn attributes_roundtrip(name in "[a-z]{1,12}", text in ".{0,40}", num in -1e9f64..1e9) {
         let path = tmp();
-        let mut ds = Dataset::new();
-        ds.set_attribute(&name, Value::from(text.clone()));
-        ds.set_attribute("num", Value::from(num));
-        ds.write_to_path(&path).unwrap();
+        let mut w = Writer::create(&path).unwrap();
+        w.set_attribute(&name, Value::from(text.clone()));
+        w.set_attribute("num", Value::from(num));
+        w.finish().unwrap();
         let rd = Reader::open(&path).unwrap();
-        prop_assert_eq!(rd.attribute(&name).unwrap().as_text(), Some(text.as_str()));
+        prop_assert_eq!(rd.attribute(&name), Some(&Value::from(text)));
         prop_assert_eq!(rd.attribute("num").unwrap().as_f64(), Some(num));
         std::fs::remove_file(path).ok();
     }

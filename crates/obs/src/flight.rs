@@ -103,12 +103,6 @@ pub fn enable() {
     crate::global().set_flight_recording(true);
 }
 
-/// Switch recording off and restore the global bus fast path.
-pub fn disable() {
-    recorder().enabled.store(false, Ordering::Relaxed);
-    crate::global().set_flight_recording(false);
-}
-
 pub fn is_enabled() -> bool {
     recorder().enabled.load(Ordering::Relaxed)
 }

@@ -104,13 +104,6 @@ pub struct Span {
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
-impl Span {
-    /// This span's portable context, for cross-thread handoff.
-    pub fn context(&self) -> SpanContext {
-        self.ctx
-    }
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
         STACK.with(|s| {
@@ -174,15 +167,13 @@ mod tests {
     fn ids_nest_and_unwind() {
         assert_eq!(current(), None);
         let a = span("a");
-        let actx = a.context();
-        assert_eq!(current(), Some(actx));
+        let actx = current().expect("a span is current once opened");
         assert_eq!(actx.trace, actx.span, "root span starts its own trace");
         {
-            let b = span("b");
-            let bctx = b.context();
+            let _b = span("b");
+            let bctx = current().unwrap();
             assert_eq!(bctx.trace, actx.trace, "child shares the trace id");
             assert_ne!(bctx.span, actx.span);
-            assert_eq!(current(), Some(bctx));
         }
         assert_eq!(current(), Some(actx), "stack unwinds to the parent");
         drop(a);
@@ -191,8 +182,8 @@ mod tests {
 
     #[test]
     fn attach_bridges_threads() {
-        let root = span("root");
-        let ctx = root.context();
+        let _root = span("root");
+        let ctx = current().unwrap();
         let child_parent = std::thread::spawn(move || {
             assert_eq!(current(), None, "fresh thread has no ambient span");
             let _g = ctx.attach();
@@ -209,7 +200,7 @@ mod tests {
     fn out_of_order_drop_still_cleans_up() {
         let a = span("a");
         let b = span("b");
-        let bctx = b.context();
+        let bctx = current().unwrap();
         drop(a); // drops the *outer* guard first
         assert_eq!(current(), Some(bctx), "inner span remains current");
         drop(b);

@@ -10,7 +10,7 @@ fn parent_span_ids_survive_pool_handoff() {
     let pool = par::Pool::new(3);
 
     let outer = obs::trace::span("outer_work");
-    let ctx = outer.context();
+    let ctx = obs::trace::current().expect("the outer span is ambient");
     let doubled = pool.par_map(&[1u64, 2, 3, 4, 5, 6, 7, 8], |&x| x * 2);
     assert_eq!(doubled, vec![2, 4, 6, 8, 10, 12, 14, 16]);
     drop(outer);
@@ -47,7 +47,7 @@ fn scope_spawn_carries_context_explicitly() {
     let pool = par::Pool::new(2);
 
     let root = obs::trace::span("scope_root");
-    let ctx = root.context();
+    let ctx = obs::trace::current().expect("the root span is ambient");
     pool.scope(|s| {
         for _ in 0..4 {
             s.spawn(|| {

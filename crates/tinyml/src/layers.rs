@@ -17,10 +17,6 @@
 
 use crate::tensor::Tensor;
 
-/// Below roughly this many multiply-accumulates a convolution's backward
-/// pass is cheaper serial than dispatched on the pool.
-const CONV_PAR_MIN_MACS: usize = 1 << 15;
-
 /// Output channels [`conv2d_rows`] produces together: each input row it
 /// loads feeds this many accumulator rows.
 const CONV_OUT_BLOCK: usize = 4;
@@ -253,10 +249,11 @@ impl Layer for Conv2d {
         let wplane = in_ch * k * k;
         let mut gx = Tensor::zeros(&[in_ch, h, w]);
 
-        // Weight/bias gradients for one output channel: disjoint `gw`
-        // plane and `gb` element, so the per-`o` split writes without
-        // overlap and accumulation order matches the serial nest.
-        let run_wgrads = |o: usize, gw_o: &mut [f32], gb_o: &mut f32| {
+        // Weight/bias gradients, one output channel's `gw` plane and `gb`
+        // element at a time.
+        for o in 0..out_ch {
+            let gw_o = &mut self.gw.data[o * wplane..(o + 1) * wplane];
+            let gb_o = &mut self.gb.data[o];
             for yy in 0..oh {
                 for xx in 0..ow {
                     let g = grad_out.at3(o, yy, xx);
@@ -282,13 +279,10 @@ impl Layer for Conv2d {
                     }
                 }
             }
-        };
-        // Input gradient for one input channel. Keeping `o` outermost
-        // reproduces the fully serial loop nest's per-element accumulation
-        // order, so parallel and serial results are bitwise equal at any
-        // pool width.
-        let weights = &self.w;
-        let run_xgrad = |c: usize, plane: &mut [f32]| {
+        }
+        // Input gradient, one input channel's plane at a time; each element
+        // accumulates its terms in (o, yy, xx) order.
+        for (c, plane) in gx.data.chunks_mut(h * w).enumerate() {
             for o in 0..out_ch {
                 for yy in 0..oh {
                     for xx in 0..ow {
@@ -308,35 +302,11 @@ impl Layer for Conv2d {
                                 }
                                 let wi = (c * k + ky) * k + kx;
                                 plane[iy as usize * w + ix as usize] +=
-                                    g * weights.data[o * wplane + wi];
+                                    g * self.w.data[o * wplane + wi];
                             }
                         }
                     }
                 }
-            }
-        };
-
-        let macs = out_ch * oh * ow * in_ch * k * k;
-        if (out_ch > 1 || in_ch > 1) && macs >= CONV_PAR_MIN_MACS {
-            let gw = &mut self.gw.data;
-            let gb = &mut self.gb.data;
-            let run_wgrads = &run_wgrads;
-            let run_xgrad = &run_xgrad;
-            par::scope(|s| {
-                for ((o, gw_o), gb_o) in gw.chunks_mut(wplane).enumerate().zip(gb.iter_mut()) {
-                    s.spawn(move || run_wgrads(o, gw_o, gb_o));
-                }
-                for (c, plane) in gx.data.chunks_mut(h * w).enumerate() {
-                    s.spawn(move || run_xgrad(c, plane));
-                }
-            });
-        } else {
-            for o in 0..out_ch {
-                let gw_o = &mut self.gw.data[o * wplane..(o + 1) * wplane];
-                run_wgrads(o, gw_o, &mut self.gb.data[o]);
-            }
-            for (c, plane) in gx.data.chunks_mut(h * w).enumerate() {
-                run_xgrad(c, plane);
             }
         }
         gx

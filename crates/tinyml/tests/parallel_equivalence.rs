@@ -1,19 +1,16 @@
-//! Oracle equivalence for the conv kernels and the pooled compute paths.
+//! Oracle equivalence for the conv kernels.
 //!
 //! Conv2d has one forward kernel, serial and row-at-a-time, shared by
 //! `infer` and `forward`; it keeps every output element's multiply-add
 //! order, so it must match the naive per-pixel reference below *bitwise*.
-//! The backward pass dispatches large kernels onto the shared `par` pool;
-//! the same holds for its weight/bias gradients (disjoint per-`o`
-//! accumulation) and for the input gradient (disjoint per-input-channel
-//! planes, `o` kept outermost so every element accumulates in the serial
-//! order).
+//! The backward pass is serial too, and its weight/bias and input
+//! gradients must match a direct re-derivation of the gradient formulas
+//! bitwise (every element accumulates its terms in `(o, yy, xx)` order).
 
 use tinyml::layers::{Conv2d, Layer};
 use tinyml::tensor::Tensor;
 
-/// Geometry big enough (8·30·30·4·9 ≈ 260k MACs) to take the parallel
-/// path inside Conv2d's backward pass.
+/// A multi-channel geometry (8·30·30·4·9 ≈ 260k MACs) with padded borders.
 const IN_CH: usize = 4;
 const OUT_CH: usize = 8;
 const K: usize = 3;
@@ -82,12 +79,9 @@ fn conv2d_forward_is_bitwise_reference() {
 }
 
 #[test]
-fn conv2d_backward_parallel_matches_serial() {
-    // Gradients from the (parallel) layer against a serial finite
-    // "reference layer": a second Conv2d forced down the serial path by
-    // shrinking the spatial size below the MAC threshold is not the
-    // same computation, so instead compare against a direct serial
-    // re-derivation of the gradient formulas.
+fn conv2d_backward_is_bitwise_reference() {
+    // Gradients from the layer against a direct serial re-derivation of
+    // the gradient formulas.
     let mut conv = Conv2d::new(IN_CH, OUT_CH, K, 1, 42);
     let x = Tensor::uniform(&[IN_CH, H, W], 1.0, 7);
     let y = conv.forward(&x);
@@ -142,12 +136,9 @@ fn conv2d_backward_parallel_matches_serial() {
         (wp.1.data.clone(), bp.1.data.clone())
     };
     drop(pairs);
-    // Weight/bias gradients accumulate per-channel in serial order on
-    // both sides: bitwise equal.
+    // Both sides accumulate every element in the same order: bitwise equal.
     assert_eq!(gw, ref_gw, "gw must be bitwise-identical");
     assert_eq!(gb, ref_gb, "gb must be bitwise-identical");
-    // gx splits per input channel with `o` outermost, preserving the
-    // serial per-element accumulation order: bitwise equal too.
     assert_eq!(gx.data, ref_gx, "gx must be bitwise-identical");
 }
 

@@ -42,13 +42,12 @@ fn main() {
     for tc in &truth.tcs {
         let p0 = &tc.points[0];
         println!(
-            "    TC#{:<2} genesis day {:>3} at ({:>6.1}, {:>6.1}), min pressure {:>6.1} hPa, {} days",
+            "    TC#{:<2} genesis day {:>3} at ({:>6.1}, {:>6.1}), {} samples",
             tc.id,
             p0.day,
             p0.lat,
             p0.lon,
-            tc.min_pressure(),
-            tc.lifetime_days()
+            tc.points.len()
         );
     }
 
@@ -58,12 +57,15 @@ fn main() {
     println!(
         "\nPre-training the localization CNN (synthetic warm-up + reference-run fine-tuning)..."
     );
-    let train_params = WorkflowParams::builder(std::env::temp_dir().join("eflows-cyclone-train"))
-        .days_per_year(days)
-        .training(300, 14)
-        .finetuning(30, 12)
-        .build()
-        .expect("invalid parameters");
+    let train_params = WorkflowParams {
+        days_per_year: days,
+        train_samples: 300,
+        train_epochs: 14,
+        finetune_days: 30,
+        finetune_epochs: 12,
+        ..WorkflowParams::test_scale(std::env::temp_dir().join("eflows-cyclone-train"))
+    };
+    train_params.validate().expect("invalid parameters");
     let cnn = pretrain_cnn(&train_params);
     println!("  {} parameters", cnn.param_count());
 
@@ -114,13 +116,7 @@ fn main() {
     let tracks = stitch_tracks(&per_step_detections, &TrackParams::default());
     println!("Deterministic pipeline: {} tracks", tracks.len());
     for (i, t) in tracks.iter().enumerate() {
-        println!(
-            "  track {i}: steps {}..{}, min pressure {:.0} Pa, max wind {:.1} m/s",
-            t.start(),
-            t.end(),
-            t.min_pressure(),
-            t.max_wind()
-        );
+        println!("  track {i}: steps {}..{}, max wind {:.1} m/s", t.start(), t.end(), t.max_wind());
     }
 
     // Verification vs truth.

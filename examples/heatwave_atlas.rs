@@ -26,15 +26,17 @@ fn main() {
     let out_dir = std::env::temp_dir().join("eflows-heatwave-atlas");
     std::fs::remove_dir_all(&out_dir).ok();
 
-    let params = WorkflowParams::builder(out_dir.clone())
-        .years(years)
-        .days_per_year(days)
-        .scenario(scenario)
+    let params = WorkflowParams {
+        years,
+        days_per_year: days,
+        scenario,
         // The atlas only needs the thermal indices; keep ML training light.
-        .training(120, 6)
-        .finetuning(10, 10)
-        .build()
-        .expect("invalid parameters");
+        train_samples: 120,
+        train_epochs: 6,
+        finetune_days: 10,
+        finetune_epochs: 10,
+        ..WorkflowParams::test_scale(out_dir.clone())
+    };
 
     println!(
         "Heat-wave atlas: {years} year(s) x {days} days, scenario {scenario:?}, grid {}x{}",

@@ -53,7 +53,6 @@ fn main() {
     println!("\n=== HPCWaaS Execution API ===");
     let api = ExecutionApi::new();
     register_with_hpcwaas(&api, work_root);
-    println!("registered workflows: {:?}", api.workflows());
 
     let dep = api.deploy("climate-extremes").expect("deploy failed");
     println!("deployed (cost {} virtual ms)", api.deployment_cost_ms(dep).unwrap());

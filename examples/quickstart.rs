@@ -21,11 +21,11 @@ fn main() {
     let out_dir = std::env::temp_dir().join("eflows-quickstart");
     std::fs::remove_dir_all(&out_dir).ok();
 
-    let params = WorkflowParams::builder(out_dir.clone())
-        .years(years)
-        .days_per_year(days)
-        .build()
-        .expect("invalid parameters");
+    let params = WorkflowParams {
+        years,
+        days_per_year: days,
+        ..WorkflowParams::test_scale(out_dir.clone())
+    };
 
     println!(
         "Running the climate-extremes workflow: {years} year(s) x {days} days on a {}x{} grid",

@@ -106,11 +106,14 @@ for t in 1 2 4; do
   done
 done
 
-echo "== reachability census: every pub fn is named outside unit tests =="
-# A pub fn of crates/*/src that only its own #[cfg(test)] modules (or
-# nothing) name is reached by no run, record or paper claim: delete it or
-# move it into the test module. Name-based on purpose — a homonym such as
-# `new` passes — so the gate is cheap and never cries wolf.
+echo "== reachability census: every pub fn is named outside unit tests, and by product code or a named test =="
+# Pass 1: a pub fn of crates/*/src that only its own #[cfg(test)] modules
+# (or nothing) name is reached by no run, record or paper claim: delete it
+# or move it into the test module. Pass 2: one that only tests or examples
+# name must be an oracle or a contract probe, allowlisted in the script
+# with the test file that still names it; anything else is deleted.
+# Name-based on purpose — a homonym such as `new` passes — so the gate is
+# cheap and never cries wolf.
 python3 scripts/pub_fn_census.py
 
 echo "== one measurement stack: the retired serving benchmark stays retired =="
@@ -148,6 +151,19 @@ if git grep --untracked -nE \
     '(obs|crate)::r[e]gistry\(|\bR[e]gistry\b|r[e]nder_prometheus|e[x]port_metrics|R[t]Metrics|obs::(C[o]unter|G[a]uge)' \
     -- . ':(top,glob,exclude)*.md'; then
   echo "a deleted metrics-registry symbol is named outside the root-level markdown documents" >&2
+  exit 1
+fi
+
+echo "== one public surface: the builder and the ensemble stay deleted =="
+# WorkflowParams is set one way — test_scale plus field assignment, or
+# apply_inputs — and CaseStudy::new validates it; the fluent builder that
+# duplicated both is gone, as is the ensemble driver no product path ran.
+# The root-level markdown documents may still name them. Each name is
+# spelled with a one-letter class so this line does not match itself.
+if git grep --untracked -nE \
+    'P[a]ramsBuilder|W[o]rkflowParams::builder|r[u]n_ensemble|m[e]an_and_spread' \
+    -- . ':(top,glob,exclude)*.md'; then
+  echo "a deleted builder or ensemble symbol is named outside the root-level markdown documents" >&2
   exit 1
 fi
 

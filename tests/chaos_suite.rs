@@ -104,7 +104,12 @@ fn run_graph_under_chaos(seed: u64) {
         fold.apply_event(&ev);
     }
     let snap = fold.snapshot();
-    assert!(snap.is_quiescent(), "seed {seed}: fold not drained: {}", snap.render());
+    assert_eq!(
+        (snap.pending, snap.ready, snap.running),
+        (0, 0, 0),
+        "seed {seed}: fold not drained: {}",
+        snap.render()
+    );
     assert_eq!(snap.total(), 10, "seed {seed}: lost tasks: {}", snap.render());
     assert_eq!(
         snap.completed + snap.failed + snap.cancelled + snap.timed_out,
@@ -145,17 +150,19 @@ chaos_graph_tests! {
 
 /// Tiny checkpointed workflow parameters for a chaos run.
 fn chaos_params(dir: &std::path::Path, seed: u64, years: usize) -> WorkflowParams {
-    WorkflowParams::builder(dir)
-        .years(years)
-        .days_per_year(4)
-        .seed(seed)
-        .workers(2)
-        .training(30, 2)
-        .finetuning(0, 0)
-        .checkpoint(dir.join("wf.ckpt"))
-        .retries(2, 2)
-        .build()
-        .unwrap()
+    WorkflowParams {
+        years,
+        days_per_year: 4,
+        seed,
+        workers: 2,
+        train_samples: 30,
+        train_epochs: 2,
+        finetune_days: 0,
+        checkpoint: Some(dir.join("wf.ckpt")),
+        task_retries: 2,
+        retry_base_ms: 2,
+        ..WorkflowParams::test_scale(dir.to_path_buf())
+    }
 }
 
 /// Runs the full climate workflow under a seeded plan (task, pool and

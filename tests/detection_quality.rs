@@ -15,12 +15,12 @@ fn tmp(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn pipelines_detect_injected_events() {
-    let params = WorkflowParams::builder(tmp("quality"))
-        .years(1)
-        .days_per_year(60) // enough room for full events + TC seasons
-        .seed(42)
-        .build()
-        .unwrap();
+    let params = WorkflowParams {
+        years: 1,
+        days_per_year: 60, // enough room for full events + TC seasons
+        seed: 42,
+        ..WorkflowParams::test_scale(tmp("quality"))
+    };
     let report = run_pipelined(params).unwrap();
     let y = &report.years[0];
 

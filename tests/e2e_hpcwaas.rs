@@ -171,5 +171,6 @@ fn four_tenants_conserve_requests_and_share_the_cube_cache() {
         "one lookup per execution, none per coalesced join"
     );
     assert_eq!(cached.misses, CUBES as u64, "each shared cube is built once for all tenants");
-    assert!(cached.hit_rate() > 0.5, "cross-tenant hit rate {:.2}: {cached:?}", cached.hit_rate());
+    // Every lookup but a miss avoided the loader: a hit rate above 0.5.
+    assert!(2 * cached.misses < cached.lookups(), "cross-tenant hit rate <= 0.5: {cached:?}");
 }

@@ -15,13 +15,14 @@ fn tmp(name: &str) -> std::path::PathBuf {
 }
 
 fn params(name: &str) -> WorkflowParams {
-    WorkflowParams::builder(tmp(name))
-        .years(2)
-        .days_per_year(8)
-        .training(60, 3)
-        .finetuning(0, 0)
-        .build()
-        .unwrap()
+    WorkflowParams {
+        years: 2,
+        days_per_year: 8,
+        train_samples: 60,
+        train_epochs: 3,
+        finetune_days: 0,
+        ..WorkflowParams::test_scale(tmp(name))
+    }
 }
 
 #[test]

@@ -12,13 +12,15 @@ fn tmp(name: &str) -> std::path::PathBuf {
 }
 
 fn small_params(name: &str, years: usize) -> WorkflowParams {
-    WorkflowParams::builder(tmp(name))
-        .years(years)
-        .days_per_year(8)
-        .training(80, 4)
-        .finetuning(5, 4)
-        .build()
-        .unwrap()
+    WorkflowParams {
+        years,
+        days_per_year: 8,
+        train_samples: 80,
+        train_epochs: 4,
+        finetune_days: 5,
+        finetune_epochs: 4,
+        ..WorkflowParams::test_scale(tmp(name))
+    }
 }
 
 #[test]

@@ -16,13 +16,14 @@ fn tmp(name: &str) -> PathBuf {
 #[test]
 fn pipelined_run_trace_agrees_with_report() {
     let days = 8usize;
-    let params = WorkflowParams::builder(tmp("agree"))
-        .years(1)
-        .days_per_year(days)
-        .training(60, 3)
-        .finetuning(0, 0)
-        .build()
-        .unwrap();
+    let params = WorkflowParams {
+        years: 1,
+        days_per_year: days,
+        train_samples: 60,
+        train_epochs: 3,
+        finetune_days: 0,
+        ..WorkflowParams::test_scale(tmp("agree"))
+    };
 
     let rx = obs::global().subscribe_with_capacity(1 << 20);
     let report = run_pipelined(params).unwrap();
