@@ -9,7 +9,6 @@
 //!                [--trace out.json] [--metrics out.prom]
 //!                                      (trace and metrics are folds of
 //!                                      the run's event stream)
-//!                                      (any other flag is rejected)
 //! climate-wf report [run options]      `run` plus a profile: pool
 //!                                      utilization, latency percentiles,
 //!                                      crash flight recorder armed
@@ -21,6 +20,8 @@
 //! climate-wf ncdump FILE.ncx           inspect an NCX file header
 //! climate-wf info                      paper-scale data arithmetic (Sec. 5.2)
 //! ```
+//!
+//! A flag the subcommand does not list is rejected with the usage text.
 
 use climate_workflows::{run_pipelined, run_sequential, WorkflowParams};
 use std::collections::BTreeMap;
@@ -50,10 +51,8 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// The flags `run` and `report` accept. Any other is rejected with the
-/// usage text rather than ignored, so a typo (`--day 5`) cannot silently
-/// run the defaults.
-const RUN_FLAGS: [&str; 12] = [
+/// The flags `run` and `report` accept.
+const RUN_FLAGS: &[&str] = &[
     "years",
     "days",
     "grid",
@@ -68,9 +67,24 @@ const RUN_FLAGS: [&str; 12] = [
     "metrics",
 ];
 
-/// The first flag `run`/`report` does not accept, if any.
-fn unknown_run_flag(flags: &BTreeMap<String, String>) -> Option<&str> {
-    flags.keys().map(String::as_str).find(|k| !RUN_FLAGS.contains(k))
+/// Every subcommand with the flags it accepts. `main` rejects any other
+/// flag with the usage text rather than ignoring it, so a typo (`--day 5`,
+/// `graph --yaers 3`) cannot silently run the defaults.
+const SUBCOMMANDS: &[(&str, &[&str])] = &[
+    ("run", RUN_FLAGS),
+    ("report", RUN_FLAGS),
+    ("chaos", &["seed", "faults", "out"]),
+    ("graph", &["years"]),
+    ("topology", &[]),
+    ("ncdump", &[]),
+    ("info", &[]),
+];
+
+/// The first flag `cmd` does not accept, if any; `None` for an unknown
+/// subcommand too (`main` rejects that on its own).
+fn unknown_flag<'a>(cmd: &str, flags: &'a BTreeMap<String, String>) -> Option<&'a str> {
+    let accepted = SUBCOMMANDS.iter().find(|(name, _)| *name == cmd)?.1;
+    flags.keys().map(String::as_str).find(|k| !accepted.contains(k))
 }
 
 /// Parses `--key value` pairs and bare flags from an argument list.
@@ -370,14 +384,12 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
     let (flags, positional) = parse_args(&args[1..]);
+    if let Some(flag) = unknown_flag(cmd, &flags) {
+        eprintln!("unknown flag --{flag} for `climate-wf {cmd}`");
+        usage()
+    }
     let result = match cmd.as_str() {
-        "run" | "report" => match unknown_run_flag(&flags) {
-            Some(flag) => {
-                eprintln!("unknown flag --{flag}");
-                usage()
-            }
-            None => cmd_run(&flags, cmd == "report"),
-        },
+        "run" | "report" => cmd_run(&flags, cmd == "report"),
         "chaos" => cmd_chaos(&flags),
         "graph" => cmd_graph(&flags),
         "topology" => {
@@ -437,8 +449,17 @@ mod tests {
         let flags = |keys: &[&str]| -> BTreeMap<String, String> {
             keys.iter().map(|k| (k.to_string(), "5".to_string())).collect()
         };
-        assert_eq!(unknown_run_flag(&flags(&["years", "days", "workers", "out"])), None);
-        assert_eq!(unknown_run_flag(&flags(&["years", "day"])), Some("day"));
+        for cmd in ["run", "report"] {
+            assert_eq!(unknown_flag(cmd, &flags(&["years", "days", "workers", "out"])), None);
+            assert_eq!(unknown_flag(cmd, &flags(&["years", "day"])), Some("day"));
+        }
+        assert_eq!(unknown_flag("graph", &flags(&["years"])), None);
+        assert_eq!(unknown_flag("graph", &flags(&["yaers"])), Some("yaers"));
+        assert_eq!(unknown_flag("graph", &flags(&["days"])), Some("days"));
+        assert_eq!(unknown_flag("chaos", &flags(&["seed", "faults", "out"])), None);
+        assert_eq!(unknown_flag("chaos", &flags(&["seed", "fault"])), Some("fault"));
+        assert_eq!(unknown_flag("chaos", &flags(&["years"])), Some("years"));
+        assert_eq!(unknown_flag("info", &flags(&["years"])), Some("years"));
     }
 
     #[test]

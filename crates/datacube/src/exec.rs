@@ -31,7 +31,7 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// Single-threaded execution (baseline for scaling benches).
+    /// Single-threaded execution (the baseline of a scaling comparison).
     pub fn serial() -> Self {
         ExecConfig { io_servers: 1 }
     }

@@ -22,7 +22,7 @@
 //! * [`store::CubeStore`] — the in-memory cube container that lets a
 //!   pipeline load the 20-year baseline climatology **once** and reuse it
 //!   across every year of the simulation (the paper's Section 5.3
-//!   optimization, quantified by bench C2);
+//!   optimization, claim C2 in EXPERIMENTS.md);
 //! * [`server`] — a PyOphidia-like client façade (`Client`, `CubeHandle`)
 //!   with an operator audit trail, mirroring how Listing 1 of the paper
 //!   drives Ophidia from workflow tasks.

@@ -7,7 +7,7 @@
 //! [`CubeHandle`] whose methods correspond one-to-one with the calls in the
 //! paper's Listing 1 (`reduce`, `apply`, `exportnc2`, `delete`). Every
 //! operator execution is recorded in an audit trail with its wall time,
-//! which the benches read back.
+//! which wfbench's `cube_analytics` workload reads back.
 
 use crate::error::{Error, Result};
 use crate::exec::ExecConfig;

@@ -27,7 +27,7 @@ pub struct CubeStore {
 struct Inner {
     cubes: BTreeMap<CubeId, Arc<Cube>>,
     next: u64,
-    /// Running totals for introspection/benches.
+    /// Running totals for introspection.
     total_inserted: u64,
     peak_bytes: usize,
     /// Incrementally maintained sum of `bytes()` over resident cubes,

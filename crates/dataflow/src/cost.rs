@@ -2,7 +2,7 @@
 //!
 //! Estimates are in **microseconds** — the clock the runtime's event bus
 //! uses. `hpcwaas::dls` prices its staging predictions with
-//! [`LinkCost`] (bench A2). The dataflow runtime itself neither prices
+//! [`LinkCost`] (claim A2). The dataflow runtime itself neither prices
 //! nor counts data movement: its workers are threads of one process and
 //! hand each other `Arc`s.
 

@@ -185,11 +185,6 @@ pub fn wave_stats(mask: &[f32], min_len: usize) -> (usize, usize, usize) {
     (longest, count, days)
 }
 
-/// Longest qualifying run (0 when none).
-pub fn longest_wave(mask: &[f32], min_len: usize) -> usize {
-    wave_stats(mask, min_len).0
-}
-
 /// Number of qualifying runs.
 pub fn wave_count(mask: &[f32], min_len: usize) -> usize {
     wave_stats(mask, min_len).1
@@ -262,7 +257,7 @@ mod tests {
         assert_eq!(wave_runs(&m, 3), vec![(1, 3), (5, 5)]);
         assert_eq!(wave_runs(&m, 4), vec![(5, 5)]);
         assert_eq!(wave_runs(&m, 6), vec![]);
-        assert_eq!(longest_wave(&m, 3), 5);
+        assert_eq!(wave_stats(&m, 3).0, 5);
         assert_eq!(wave_count(&m, 3), 2);
         assert!((wave_frequency(&m, 3) - 0.8).abs() < 1e-12);
     }
@@ -278,7 +273,7 @@ mod tests {
     #[test]
     fn empty_and_cold_series() {
         assert!(wave_runs(&[], 6).is_empty());
-        assert_eq!(longest_wave(&[0.0; 30], 6), 0);
+        assert_eq!(wave_stats(&[0.0; 30], 6).0, 0);
         assert_eq!(wave_frequency(&[], 6), 0.0);
     }
 

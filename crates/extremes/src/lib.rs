@@ -2,8 +2,6 @@
 //!
 //! The domain layer of the case study (Sections 5.3 and 5.4 of the paper):
 //!
-//! * [`baseline`] — long-term per-cell climatologies (the paper's
-//!   "historical averages (e.g., computed over a 20-year period)");
 //! * [`heatwave`] — ETCCDI-style heat-wave / cold-spell indices on
 //!   datacubes: longest duration (HWD), event count (HWN) and frequency
 //!   (HWF) per year, using the +5 °C / −5 °C, ≥ 6-consecutive-days
@@ -20,7 +18,6 @@
 //! * [`maps`] — map products (workflow step 6): ASCII and PGM/PPM
 //!   renderings of index maps, reproducing Figure 4.
 
-pub mod baseline;
 pub mod etccdi;
 pub mod heatwave;
 pub mod incremental;

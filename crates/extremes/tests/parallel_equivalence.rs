@@ -1,14 +1,13 @@
 //! Parallel-vs-serial equivalence for the fused, pooled run-length
 //! kernels: the heat-wave indices and the spell-duration index must not
 //! depend on the lane count, and the fused single-scan statistics must
-//! match the three standalone per-cell functions exactly.
+//! match the standalone per-cell scans exactly.
 
 use datacube::exec::ExecConfig;
 use datacube::model::{Cube, Dimension};
 use extremes::etccdi::spell_duration_index;
 use extremes::heatwave::{
-    compute_indices, exceedance_mask, longest_wave, wave_count, wave_frequency, wave_runs,
-    WaveParams,
+    compute_indices, exceedance_mask, wave_count, wave_frequency, wave_runs, wave_stats, WaveParams,
 };
 
 /// Many cells with varied exceedance patterns across several fragments.
@@ -57,7 +56,7 @@ fn fused_scan_matches_standalone_per_cell_functions() {
     let (hwd, hwn, hwf) =
         (idx.duration_max.to_dense(), idx.number.to_dense(), idx.frequency.to_dense());
     for (c, row) in dense_mask.chunks(ndays).enumerate() {
-        assert_eq!(hwd[c], longest_wave(row, p.min_duration) as f32, "cell {c} HWD");
+        assert_eq!(hwd[c], wave_stats(row, p.min_duration).0 as f32, "cell {c} HWD");
         assert_eq!(hwn[c], wave_count(row, p.min_duration) as f32, "cell {c} HWN");
         assert_eq!(hwf[c], wave_frequency(row, p.min_duration) as f32, "cell {c} HWF");
     }

@@ -7,7 +7,7 @@ use datacube::ops::scalar;
 use datacube::ops::{InterOp, ReduceOp};
 use extremes::etccdi;
 use extremes::heatwave::{
-    exceedance_mask, longest_wave, wave_count, wave_frequency, wave_runs, WaveParams,
+    exceedance_mask, wave_count, wave_frequency, wave_runs, wave_stats, WaveParams,
 };
 use extremes::tc::metrics::verify;
 use proptest::prelude::*;
@@ -105,7 +105,7 @@ proptest! {
         let runs = wave_runs(&mask, min_len);
         prop_assert_eq!(wave_count(&mask, min_len), runs.len());
         prop_assert_eq!(
-            longest_wave(&mask, min_len),
+            wave_stats(&mask, min_len).0,
             runs.iter().map(|&(_, l)| l).max().unwrap_or(0)
         );
         let days: usize = runs.iter().map(|&(_, l)| l).sum();
@@ -124,8 +124,8 @@ proptest! {
         for min_len in 1usize..7 {
             prop_assert!(wave_count(&mask, min_len) >= wave_count(&mask, min_len + 1));
             prop_assert!(wave_frequency(&mask, min_len) >= wave_frequency(&mask, min_len + 1));
-            let l1 = longest_wave(&mask, min_len);
-            let l2 = longest_wave(&mask, min_len + 1);
+            let l1 = wave_stats(&mask, min_len).0;
+            let l2 = wave_stats(&mask, min_len + 1).0;
             prop_assert!(l1 >= l2);
         }
     }
@@ -136,7 +136,7 @@ proptest! {
         let mut extended = mask.clone();
         extended.push(0.0);
         prop_assert_eq!(wave_count(&mask, min_len), wave_count(&extended, min_len));
-        prop_assert_eq!(longest_wave(&mask, min_len), longest_wave(&extended, min_len));
+        prop_assert_eq!(wave_stats(&mask, min_len).0, wave_stats(&extended, min_len).0);
     }
 
     /// Every batch index is one chain on the datacube engine; each must be

@@ -8,7 +8,8 @@
 //! content-addressed — identified by a hash of the layer recipe and
 //! everything beneath it — so rebuilding a workflow image after a small
 //! change, or building a sibling workflow sharing the software stack, only
-//! pays for the layers that actually differ (bench C5).
+//! pays for the layers that actually differ (claim C5, pinned in
+//! `tests/e2e_hpcwaas.rs`).
 
 use std::collections::HashMap;
 
@@ -141,47 +142,6 @@ impl BuildService {
     }
 }
 
-/// Per-task container execution overhead model.
-///
-/// The paper's future work includes "the use of software containers for
-/// enabling fully portable workflows ... and the assessment of their
-/// impact on the climate simulation and processing performance". The
-/// measurable mechanism is start-up cost: the *first* task of an image on
-/// a worker pays a cold start (image pull + container boot); subsequent
-/// tasks reuse the warm container and pay only a small exec cost.
-/// Bench A4 runs the workflow both bare-metal and containerized.
-#[derive(Debug, Clone)]
-pub struct ContainerRuntime {
-    /// First-use cost of an image on a worker, virtual ms.
-    pub cold_start_ms: u64,
-    /// Per-task cost once the container is warm, virtual ms.
-    pub warm_start_ms: u64,
-    warm: std::collections::HashSet<(usize, LayerId)>,
-}
-
-impl ContainerRuntime {
-    /// Creates a model with typical HPC-container costs (Singularity-like:
-    /// ~1.5 s cold, ~30 ms warm).
-    pub fn new(cold_start_ms: u64, warm_start_ms: u64) -> Self {
-        ContainerRuntime { cold_start_ms, warm_start_ms, warm: Default::default() }
-    }
-
-    /// The overhead of launching one task of `image` (identified by its
-    /// top layer) on `worker`, marking the container warm.
-    pub fn task_overhead_ms(&mut self, worker: usize, image: LayerId) -> u64 {
-        if self.warm.insert((worker, image)) {
-            self.cold_start_ms
-        } else {
-            self.warm_start_ms
-        }
-    }
-
-    /// Evicts all warm state (node reboot / image update).
-    pub fn evict_all(&mut self) {
-        self.warm.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,18 +223,6 @@ mod tests {
             a.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
             b.iter().map(|(id, _)| *id).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn container_runtime_cold_then_warm() {
-        let mut rt = ContainerRuntime::new(1500, 30);
-        let img = LayerId(42);
-        assert_eq!(rt.task_overhead_ms(0, img), 1500, "first use on worker 0 is cold");
-        assert_eq!(rt.task_overhead_ms(0, img), 30, "second use is warm");
-        assert_eq!(rt.task_overhead_ms(1, img), 1500, "other worker pays its own cold start");
-        assert_eq!(rt.task_overhead_ms(0, LayerId(7)), 1500, "other image is cold");
-        rt.evict_all();
-        assert_eq!(rt.task_overhead_ms(0, img), 1500, "eviction resets warmth");
     }
 
     #[test]

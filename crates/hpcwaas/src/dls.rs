@@ -4,11 +4,12 @@
 //! Logistics Service which executes the required data pipelines either at
 //! deployment or execution time". A pipeline is a declarative list of
 //! transfer stages between named endpoints (archive, HPC site, cloud
-//! bucket...); execution runs the stages over a bandwidth/latency model
+//! bucket...); execution runs the stages over one bandwidth/latency link
 //! and reports per-stage and total costs, so deploy-time vs run-time
-//! staging strategies can be compared quantitatively (bench A2).
+//! staging strategies can be compared quantitatively (claim A2, pinned in
+//! `tests/e2e_hpcwaas.rs`).
 
-use std::collections::HashMap;
+use dataflow::cost::LinkCost;
 
 /// A named data endpoint (site or storage system).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -59,31 +60,6 @@ impl PipelineSpec {
     }
 }
 
-/// Link parameters between a pair of endpoints.
-///
-/// Thin ms-granular facade over [`dataflow::cost::LinkCost`], the
-/// workspace's one byte price.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Link {
-    /// Sustained bandwidth in MB/s.
-    pub bandwidth_mbps: f64,
-    /// Per-transfer latency in virtual ms.
-    pub latency_ms: u64,
-}
-
-impl Link {
-    /// The µs-granular cost model this link delegates its arithmetic to.
-    pub fn cost(&self) -> dataflow::cost::LinkCost {
-        dataflow::cost::LinkCost::new(self.bandwidth_mbps, self.latency_ms * 1000)
-    }
-}
-
-impl From<Link> for dataflow::cost::LinkCost {
-    fn from(l: Link) -> Self {
-        l.cost()
-    }
-}
-
 /// Per-stage execution record.
 #[derive(Debug, Clone)]
 pub struct StageReport {
@@ -109,10 +85,12 @@ pub struct TransferReport {
     pub degraded: bool,
 }
 
-/// The Data Logistics Service with its network model.
+/// The network model: every stage, whatever its endpoints, crosses one
+/// WAN-ish link of 100 MB/s and 50 ms latency.
+const LINK: LinkCost = LinkCost::new(100.0, 50_000);
+
+/// The Data Logistics Service.
 pub struct DataLogistics {
-    links: HashMap<(Endpoint, Endpoint), Link>,
-    default_link: Link,
     executed: Vec<TransferReport>,
 }
 
@@ -120,29 +98,16 @@ pub struct DataLogistics {
 const MAX_STAGE_ATTEMPTS: u32 = 3;
 
 impl DataLogistics {
-    /// Creates a service with a default WAN-ish link (100 MB/s, 50 ms).
+    /// Creates a service with an empty transfer history.
     pub fn new() -> Self {
-        DataLogistics {
-            links: HashMap::new(),
-            default_link: Link { bandwidth_mbps: 100.0, latency_ms: 50 },
-            executed: Vec::new(),
-        }
-    }
-
-    /// Declares a (directed) link between endpoints.
-    pub fn set_link(&mut self, from: &str, to: &str, link: Link) {
-        self.links.insert((Endpoint::new(from), Endpoint::new(to)), link);
-    }
-
-    fn link(&self, from: &Endpoint, to: &Endpoint) -> Link {
-        self.links.get(&(from.clone(), to.clone())).copied().unwrap_or(self.default_link)
+        DataLogistics { executed: Vec::new() }
     }
 
     /// Predicted virtual duration of one stage, priced through the shared
-    /// [`dataflow::cost::LinkCost`] model (no contention: DLS pipelines
-    /// run their stages sequentially).
+    /// [`LinkCost`] model (no contention: DLS pipelines run their stages
+    /// sequentially).
     pub fn predict_stage_ms(&self, s: &Stage) -> u64 {
-        self.link(&s.from, &s.to).cost().transfer_us(s.bytes, 1).div_ceil(1000)
+        LINK.transfer_us(s.bytes, 1).div_ceil(1000)
     }
 
     /// Executes a pipeline, returning (and recording) the report.
@@ -218,11 +183,10 @@ mod tests {
     #[test]
     fn stage_cost_is_latency_plus_transfer() {
         let mut dls = DataLogistics::new();
-        dls.set_link("archive", "zeus", Link { bandwidth_mbps: 1000.0, latency_ms: 20 });
         let p = PipelineSpec::new().stage("baseline", "archive", "zeus", 2_000_000_000);
         let r = dls.execute(&p);
-        // 2 GB at 1 GB/s = 2000 ms + 20 ms latency.
-        assert_eq!(r.total_ms, 2020);
+        // 2 GB at 100 MB/s = 20 000 ms + 50 ms latency.
+        assert_eq!(r.total_ms, 20_050);
         assert_eq!(r.total_bytes, 2_000_000_000);
         assert_eq!(r.stages[0].attempts, 1, "clean path is single-attempt");
         assert_eq!(r.retries, 0);
@@ -266,37 +230,17 @@ mod tests {
     }
 
     #[test]
-    fn unknown_links_use_default() {
-        let mut dls = DataLogistics::new();
-        let p = PipelineSpec::new().stage("x", "a", "b", 100_000_000);
-        let r = dls.execute(&p);
-        // 100 MB at 100 MB/s = 1000 ms + 50 ms.
-        assert_eq!(r.total_ms, 1050);
-    }
-
-    #[test]
-    fn links_are_directional() {
-        let mut dls = DataLogistics::new();
-        dls.set_link("a", "b", Link { bandwidth_mbps: 1000.0, latency_ms: 0 });
-        let fwd = dls.execute(&PipelineSpec::new().stage("f", "a", "b", 1_000_000_000));
-        let bwd = dls.execute(&PipelineSpec::new().stage("b", "b", "a", 1_000_000_000));
-        assert!(fwd.total_ms < bwd.total_ms, "reverse should use the slow default");
-    }
-
-    #[test]
     fn multi_stage_pipeline_sums() {
         let mut dls = DataLogistics::new();
-        dls.set_link("archive", "cloud", Link { bandwidth_mbps: 200.0, latency_ms: 10 });
-        dls.set_link("cloud", "zeus", Link { bandwidth_mbps: 500.0, latency_ms: 5 });
         let p = PipelineSpec::new().stage("in", "archive", "cloud", 100_000_000).stage(
             "out",
             "cloud",
             "zeus",
-            100_000_000,
+            200_000_000,
         );
         let r = dls.execute(&p);
         assert_eq!(r.stages.len(), 2);
-        assert_eq!(r.total_ms, (10 + 500) + (5 + 200));
+        assert_eq!(r.total_ms, (50 + 1000) + (50 + 2000));
         assert_eq!(dls.history().len(), 1);
     }
 

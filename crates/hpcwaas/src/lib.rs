@@ -14,9 +14,9 @@
 //!   reverse on undeploy), the Yorc role;
 //! * [`containers`] — the Container Image Creation service: build specs
 //!   resolve to layered manifests with a content-addressed layer cache, so
-//!   redeploying a workflow is cheap (bench C5);
+//!   redeploying a workflow is cheap (claim C5);
 //! * [`dls`] — declarative stage-in/stage-out pipelines over a
-//!   bandwidth/latency transfer model (bench A2);
+//!   bandwidth/latency transfer model (claim A2);
 //! * [`cluster`] — a simulated HPC cluster with an LSF-like FCFS+backfill
 //!   queue, which gives deployments and jobs something real to land on;
 //! * [`api`] — the HPCWaaS Execution API: a workflow registry plus the

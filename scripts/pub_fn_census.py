@@ -1,22 +1,21 @@
 #!/usr/bin/env python3
-"""Reachability census of every `pub fn` of crates/*/src (crates/bench
-excluded) declared before a file's first #[cfg(test)]. Two passes, both name-
-based on purpose: a homonym (`new`, `len`, a same-named method of another
-type) keeps a function alive. The gate is cheap and has no false alarms; it
-catches the function whose name nothing else in the tree says.
+"""Reachability census of every `pub fn` of crates/*/src declared before a
+file's first #[cfg(test)]. Two passes, both name-based on purpose: a homonym
+(`new`, `len`, a same-named method of another type) keeps a function alive.
+The gate is cheap and has no false alarms; it catches the function whose name
+nothing else in the tree says.
 
 Pass 1, reachability: the name must be said on some tracked *.rs line that is
 neither a declaration of that name nor inside the #[cfg(test)] tail of a
 crates/*/src file. Comments do not count.
 
 Pass 2, product census: the name must be said by product code -- non-test
-lines of crates/*/src, benchmark/, or crates/bench/ (until that crate is
-retired). A function only tests or examples name is either deleted or listed
-in ALLOWLIST with the test file that uses it as an oracle (the reference an
-optimised path is checked against) or a contract probe (a read a test asserts
-a stated guarantee through). An entry fails when its file no longer names the
-function in test code, and when the function gains a product caller or is
-gone (the entry is then stale).
+lines of crates/*/src or benchmark/. A function only tests or examples name
+is either deleted or listed in ALLOWLIST with the test file that uses it as
+an oracle (the reference an optimised path is checked against) or a contract
+probe (a read a test asserts a stated guarantee through). An entry fails when
+its file no longer names the function in test code, and when the function
+gains a product caller or is gone (the entry is then stale).
 
 Prints offenders as `file: name` with the reason, then one count line per
 pass; exits 1 when either pass has offenders.
@@ -52,9 +51,9 @@ ALLOWLIST = {
     ("crates/dataflow/src/runtime.rs", ("task_state",)):
         ("tests/fault_tolerance_e2e.rs",
          "probe: a failure cancels exactly its subtree"),
-    ("crates/dataflow/src/payload.rs", ("as_u64",)):
+    ("crates/dataflow/src/payload.rs", ("from_u64", "as_u64")):
         ("crates/dataflow/tests/proptest_dag.rs",
-         "probe: reads task outputs back in the DAG property tests"),
+         "probe: writes and reads back the task outputs of the DAG property tests"),
     ("crates/dataflow/src/provenance.rs", ("lineage",)):
         ("tests/provenance_e2e.rs",
          "probe: every product's provenance links back to the simulation"),
@@ -73,7 +72,7 @@ ALLOWLIST = {
 }
 
 SRC = re.compile(r"^crates/[^/]+/src/")
-PRODUCT = re.compile(r"^(crates/[^/]+/src/|benchmark/|crates/bench/)")
+PRODUCT = re.compile(r"^(crates/[^/]+/src/|benchmark/)")
 DECL = re.compile(r"\bpub fn\s+([A-Za-z_][A-Za-z0-9_]*)")
 FN = re.compile(r"\bfn\s+([A-Za-z_][A-Za-z0-9_]*)")
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -91,13 +90,12 @@ for path in files:
     except FileNotFoundError:  # deleted but not yet staged
         continue
     in_src = bool(SRC.match(path))
-    census = in_src and not path.startswith("crates/bench/")
     is_product = bool(PRODUCT.match(path))
     in_tail = False
     for line in lines:
         in_tail = in_tail or (in_src and "#[cfg(test)]" in line)
         code = line.split("//", 1)[0]
-        if census and not in_tail:
+        if in_src and not in_tail:
             decls += [(path, n) for n in DECL.findall(code)]
         words = set(WORD.findall(code)) - set(FN.findall(code))
         (tail if in_tail else live).update(words)

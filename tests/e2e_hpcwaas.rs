@@ -5,6 +5,8 @@
 use climate_workflows::register_with_hpcwaas;
 use datacube::model::{Cube, Dimension};
 use datacube::CubeCache;
+use hpcwaas::containers::{Arch, BuildService, ImageSpec};
+use hpcwaas::dls::{DataLogistics, PipelineSpec};
 use hpcwaas::orchestrator::{DeploymentPlan, Orchestrator};
 use hpcwaas::tosca::climate_case_study;
 use hpcwaas::{Error, ExecutionApi, ExecutionStatus, ServeConfig, TenantQuota};
@@ -77,6 +79,50 @@ fn full_user_journey_deploy_run_undeploy() {
     api.undeploy(dep).unwrap();
     api.undeploy(dep2).unwrap();
     assert!(api.submit(dep, &inputs).is_err());
+}
+
+/// C5 (Section 4.1): the image service's layer cache. Building the case
+/// study's three images cold builds one base and six package layers (the
+/// images share base, mpi and netcdf); rebuilding them is free; a sibling
+/// workflow sharing that prefix pays for its one new layer.
+#[test]
+fn c5_layer_cache_makes_rebuilds_free() {
+    let image = |name: &str, packages: &[&str]| ImageSpec {
+        name: name.into(),
+        base: "rockylinux9".into(),
+        packages: packages.iter().map(|p| p.to_string()).collect(),
+        arch: Arch::X86_64,
+    };
+    let case_study = [
+        image("esm_image", &["mpi", "netcdf", "esm-surrogate"]),
+        image("analytics_image", &["mpi", "netcdf", "ophidia-engine"]),
+        image("ml_image", &["mpi", "netcdf", "tinyml", "tc-cnn-weights"]),
+    ];
+    let mut svc = BuildService::new();
+    let mut build_all = || case_study.iter().map(|s| svc.build(s).cost_ms).sum::<u64>();
+    assert_eq!(build_all(), 2_600, "cold: 1 base (800) + 6 distinct package layers (300 each)");
+    assert_eq!(build_all(), 0, "warm: every layer cached");
+    let sibling = svc.build(&image("other_wf", &["mpi", "netcdf", "other-app"]));
+    assert_eq!((sibling.cost_ms, sibling.built), (300, 1));
+}
+
+/// A2 (Section 4.1): the DLS stages data at deployment or at execution
+/// time. Over its one link (100 MB/s, 50 ms) the 4 GB baseline staged once
+/// at deployment costs 40 050 virtual ms; staging a 400 MB subset per year
+/// at run time costs 4 050 ms a year. Run-time staging is cheaper up to 9
+/// years (36 450 ms), deploy-time from 10 (40 500 ms).
+#[test]
+fn a2_deploy_time_staging_wins_from_ten_years() {
+    let stage = |label: &str, bytes| PipelineSpec::new().stage(label, "archive", "zeus", bytes);
+    let deploy_time = DataLogistics::new().execute(&stage("baseline", 4_000_000_000)).total_ms;
+    assert_eq!(deploy_time, 40_050);
+    let run_time = |years: usize| {
+        let mut dls = DataLogistics::new();
+        (0..years).map(|y| dls.execute(&stage(&format!("subset-{y}"), 400_000_000)).total_ms).sum()
+    };
+    let (nine, ten): (u64, u64) = (run_time(9), run_time(10));
+    assert_eq!((nine, ten), (36_450, 40_500));
+    assert!(nine < deploy_time && deploy_time < ten);
 }
 
 /// Section 6 as a service: four tenants send one fixed, overlapping request

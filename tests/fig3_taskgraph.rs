@@ -5,6 +5,9 @@
 
 use climate_workflows::{run_pipelined, WorkflowParams};
 
+/// Dependency edges of one year's analysis sub-graph.
+const YEAR_EDGES: usize = 34;
+
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("root-fig3").join(name);
     std::fs::remove_dir_all(&dir).ok();
@@ -32,11 +35,16 @@ fn one_year_graph_matches_paper_structure() {
         assert_eq!(*count, 1, "function {name} should appear once for one year");
     }
     assert_eq!(report.tasks, 18);
-    // The paper's figure is "quite complex" even for one year: the six
-    // index tasks all fan into validation, which fans into export.
-    assert!(report.edges >= 25, "expected a dense graph, got {} edges", report.edges);
-    // Critical path: esm -> stage -> import -> index -> validate -> export.
-    assert!((5..=8).contains(&report.critical_path), "critical path {}", report.critical_path);
+    // The paper's figure is "quite complex" even for one year. Its edges:
+    // stage -> 2 imports (2); each of 6 indices <- its import + the
+    // baseline (12); validate <- 6 indices (6); export <- 6 indices +
+    // validate (7); stage -> tc_preprocess (1); tc_cnn <- preprocess +
+    // model (2); tc_track <- preprocess (1); render_maps <- HWN, CWN and
+    // validate (3).
+    assert_eq!(report.edges, YEAR_EDGES);
+    // Critical path in tasks: stage -> import -> index -> validate ->
+    // export (the ESM task hands its year over through files, not an edge).
+    assert_eq!(report.critical_path, 5);
 }
 
 #[test]
@@ -70,6 +78,10 @@ fn multi_year_graph_repeats_analysis_but_not_loads() {
         assert_eq!(count(per_year), years, "{per_year} should repeat per year");
     }
     assert_eq!(report.tasks, 2 + years * 16);
+    // Each year's analysis sub-graph again, plus the ESM chain linking
+    // consecutive years; the longest path stays one year's.
+    assert_eq!(report.edges, years * YEAR_EDGES + (years - 1));
+    assert_eq!(report.critical_path, 5);
 }
 
 #[test]
