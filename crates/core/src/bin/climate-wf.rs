@@ -288,8 +288,8 @@ fn cmd_chaos(flags: &BTreeMap<String, String>) -> Result<(), String> {
         // cluster jobs may bounce back to the queue (capped attempts).
         let mut dls = hpcwaas::dls::DataLogistics::new();
         let staging = hpcwaas::dls::PipelineSpec::new()
-            .stage("forcing-in", "archive", "hpc", 50_000_000)
-            .stage("products-out", "hpc", "cloud", 20_000_000);
+            .stage("forcing-in", 50_000_000)
+            .stage("products-out", 20_000_000);
         let transfer = dls.execute(&staging);
         println!(
             "staging: {} stages, {} retries{}",

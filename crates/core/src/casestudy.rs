@@ -36,7 +36,7 @@
 
 use crate::error::{WorkflowError, WorkflowStage};
 use crate::params::WorkflowParams;
-use crate::reporting::{RunReport, StreamSummary, YearReport};
+use crate::reporting::{ModelSetup, RunReport, StreamSummary, YearReport};
 use datacube::ops::ReduceOp;
 use datacube::{Client, CubeCache, CubeHandle, CubeId};
 use dataflow::prelude::*;
@@ -329,6 +329,8 @@ pub struct CaseStudy {
     /// `tc_cnn.tml` under the output directory) and shared by every year's
     /// task #16: inference takes `&self`.
     pub cnn: Arc<TcCnn>,
+    /// How `cnn` was obtained, and what that took.
+    model_setup: ModelSetup,
     sim: Arc<Mutex<Simulation>>,
     truth: Arc<Mutex<Vec<YearEvents>>>,
     /// Record-to-date incremental index state (streaming runs only).
@@ -351,14 +353,17 @@ impl CaseStudy {
 
         let model_file =
             params.model_path.clone().unwrap_or_else(|| params.out_dir.join("tc_cnn.tml"));
-        let cnn = if model_file.exists() {
-            TcCnn::load(params.patch, &model_file)
-                .map_err(|e| WorkflowError::Model { message: e.to_string() })?
-        } else {
+        let setup_start = Instant::now();
+        let pretrained = !model_file.exists();
+        let cnn = if pretrained {
             let m = pretrain_cnn(&params);
             m.save(&model_file).map_err(|e| WorkflowError::Model { message: e.to_string() })?;
             m
+        } else {
+            TcCnn::load(params.patch, &model_file)
+                .map_err(|e| WorkflowError::Model { message: e.to_string() })?
         };
+        let model_setup = ModelSetup { pretrained, time: setup_start.elapsed() };
 
         let sim = Simulation::new(params.esm_config(), &params.esm_dir())
             .map_err(|e| WorkflowError::Simulation { message: e.to_string() })?;
@@ -377,6 +382,7 @@ impl CaseStudy {
         Ok(CaseStudy {
             client: Client::connect(params.io_servers),
             cnn: Arc::new(cnn),
+            model_setup,
             sim: Arc::new(Mutex::new(sim)),
             truth: Arc::new(Mutex::new(Vec::new())),
             record: Arc::new(Mutex::new(RecordState::empty())),
@@ -1117,6 +1123,7 @@ impl CaseStudy {
 
         Ok(RunReport {
             wall_time: wall,
+            setup: self.model_setup,
             years,
             tasks,
             edges,

@@ -55,10 +55,22 @@ pub struct StreamSummary {
     pub record_paths: Vec<PathBuf>,
 }
 
+/// How a run obtained its pre-trained CNN, and what that took. It happens
+/// before the workflow starts, so `wall_time` does not include it.
+#[derive(Debug, Clone, Copy)]
+pub struct ModelSetup {
+    /// True when the model was pre-trained (and cached) for this run,
+    /// false when an existing model file was loaded.
+    pub pretrained: bool,
+    pub time: Duration,
+}
+
 /// Whole-run report.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     pub wall_time: Duration,
+    /// The CNN's set-up before the workflow ran.
+    pub setup: ModelSetup,
     pub years: Vec<YearReport>,
     /// Task-graph statistics (the Figure-3 reproduction).
     pub tasks: usize,
@@ -98,6 +110,12 @@ impl RunReport {
         let mut s = String::new();
         let _ = writeln!(s, "== Climate-extremes workflow report ==");
         let _ = writeln!(s, "wall time: {:.2?}", self.wall_time);
+        let _ = writeln!(
+            s,
+            "setup: CNN {} in {:.2?}",
+            if self.setup.pretrained { "pre-trained" } else { "loaded" },
+            self.setup.time
+        );
         let _ = writeln!(
             s,
             "task graph: {} tasks, {} edges, critical path {} (dot: {})",
@@ -248,6 +266,7 @@ mod tests {
     fn sample() -> RunReport {
         RunReport {
             wall_time: Duration::from_millis(1234),
+            setup: ModelSetup { pretrained: true, time: Duration::from_millis(2500) },
             years: vec![YearReport {
                 year: 2030,
                 failed: false,
@@ -285,6 +304,10 @@ mod tests {
         assert!(r.contains("esm_simulation"));
         assert!(r.contains("HW cells 12"));
         assert!(r.contains("validated=true"));
+        assert!(r.contains("wall time: 1.23s\nsetup: CNN pre-trained in 2.50s\n"), "got:\n{r}");
+        let mut loaded = sample();
+        loaded.setup = ModelSetup { pretrained: false, time: Duration::from_micros(1500) };
+        assert!(loaded.render().contains("setup: CNN loaded in 1.50ms"));
     }
 
     #[test]

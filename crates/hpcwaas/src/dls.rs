@@ -3,30 +3,17 @@
 //! Section 4.1: "the management of the required data is done by the Data
 //! Logistics Service which executes the required data pipelines either at
 //! deployment or execution time". A pipeline is a declarative list of
-//! transfer stages between named endpoints (archive, HPC site, cloud
-//! bucket...); execution runs the stages over one bandwidth/latency link
-//! and reports per-stage and total costs, so deploy-time vs run-time
-//! staging strategies can be compared quantitatively (claim A2, pinned in
+//! labelled transfer stages (archive to HPC site, cloud bucket...);
+//! execution runs the stages over one bandwidth/latency link and reports
+//! per-stage and total costs, so deploy-time vs run-time staging
+//! strategies can be compared quantitatively (claim A2, pinned in
 //! `tests/e2e_hpcwaas.rs`).
 
 use dataflow::cost::LinkCost;
 
-/// A named data endpoint (site or storage system).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Endpoint(pub String);
-
-impl Endpoint {
-    /// Constructs an endpoint.
-    pub fn new(name: &str) -> Self {
-        Endpoint(name.to_string())
-    }
-}
-
 /// One transfer stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
-    pub from: Endpoint,
-    pub to: Endpoint,
     pub bytes: u64,
     pub label: String,
 }
@@ -44,13 +31,8 @@ impl PipelineSpec {
     }
 
     /// Appends a stage (builder style).
-    pub fn stage(mut self, label: &str, from: &str, to: &str, bytes: u64) -> Self {
-        self.stages.push(Stage {
-            from: Endpoint::new(from),
-            to: Endpoint::new(to),
-            bytes,
-            label: label.to_string(),
-        });
+    pub fn stage(mut self, label: &str, bytes: u64) -> Self {
+        self.stages.push(Stage { bytes, label: label.to_string() });
         self
     }
 
@@ -183,7 +165,7 @@ mod tests {
     #[test]
     fn stage_cost_is_latency_plus_transfer() {
         let mut dls = DataLogistics::new();
-        let p = PipelineSpec::new().stage("baseline", "archive", "zeus", 2_000_000_000);
+        let p = PipelineSpec::new().stage("baseline", 2_000_000_000);
         let r = dls.execute(&p);
         // 2 GB at 100 MB/s = 20 000 ms + 50 ms latency.
         assert_eq!(r.total_ms, 20_050);
@@ -205,7 +187,7 @@ mod tests {
                 .then_some((obs::chaos::Fault::Drop, 0))
         }));
         let mut dls = DataLogistics::new();
-        let r = dls.execute(&PipelineSpec::new().stage("x", "a", "b", 100_000_000));
+        let r = dls.execute(&PipelineSpec::new().stage("x", 100_000_000));
         assert_eq!(r.stages[0].attempts, 3);
         assert_eq!(r.retries, 2);
         assert!(!r.degraded);
@@ -220,8 +202,7 @@ mod tests {
             (site == "hpcwaas.dls.transfer").then_some((obs::chaos::Fault::Drop, 0))
         }));
         let mut dls = DataLogistics::new();
-        let p =
-            PipelineSpec::new().stage("x", "a", "b", 100_000_000).stage("y", "b", "c", 100_000_000);
+        let p = PipelineSpec::new().stage("x", 100_000_000).stage("y", 100_000_000);
         let r = dls.execute(&p);
         assert!(r.degraded, "exhausted stage must flag degraded mode");
         assert_eq!(r.stages.len(), 2, "loss of one stage must not stop the pipeline");
@@ -232,12 +213,7 @@ mod tests {
     #[test]
     fn multi_stage_pipeline_sums() {
         let mut dls = DataLogistics::new();
-        let p = PipelineSpec::new().stage("in", "archive", "cloud", 100_000_000).stage(
-            "out",
-            "cloud",
-            "zeus",
-            200_000_000,
-        );
+        let p = PipelineSpec::new().stage("in", 100_000_000).stage("out", 200_000_000);
         let r = dls.execute(&p);
         assert_eq!(r.stages.len(), 2);
         assert_eq!(r.total_ms, (50 + 1000) + (50 + 2000));

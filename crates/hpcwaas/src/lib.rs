@@ -38,7 +38,7 @@ pub mod tosca;
 pub use api::{DeploymentId, ExecutionApi, ExecutionHandle, ExecutionId, ExecutionStatus};
 pub use cluster::{Cluster, JobSpec};
 pub use containers::{BuildService, ImageSpec};
-pub use dls::{DataLogistics, Endpoint, PipelineSpec};
+pub use dls::{DataLogistics, PipelineSpec};
 pub use error::{Error, Result};
 pub use orchestrator::{DeploymentPlan, Orchestrator};
 pub use serve::{Rejection, ServeConfig, ServeStats, TenantQuota, DEFAULT_TENANT};

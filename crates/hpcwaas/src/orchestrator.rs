@@ -112,9 +112,7 @@ impl Orchestrator {
                 "data.Pipeline" => {
                     let bytes: u64 =
                         template.properties.get("bytes").and_then(|b| b.parse().ok()).unwrap_or(0);
-                    let from = template.properties.get("source").cloned().unwrap_or_default();
-                    let to = template.properties.get("destination").cloned().unwrap_or_default();
-                    let p = PipelineSpec::new().stage(name, &from, &to, bytes);
+                    let p = PipelineSpec::new().stage(name, bytes);
                     self.dls.execute(&p).total_ms
                 }
                 _ => GENERIC_STEP_MS,

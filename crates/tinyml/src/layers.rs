@@ -13,13 +13,28 @@
 //!
 //! `backward` receives `dL/d(output)` and returns `dL/d(input)` while
 //! *accumulating* parameter gradients (the trainer zeroes them once per
-//! minibatch and averages).
+//! minibatch and averages); `backward_params` accumulates the same
+//! parameter gradients for a first layer, whose `dL/d(input)` has no
+//! reader.
+//!
+//! [`Conv2d`], where training and inference spend their time, has one
+//! kernel each way, both serial and both bitwise equal to the naive
+//! per-pixel loops (which live in `tests/` as the oracles). The forward
+//! works one output pixel at a time across a lane array of output
+//! channels; the backward is one pass over the non-zero output gradients
+//! that updates weight, bias and input gradients together.
 
 use crate::tensor::Tensor;
+use std::cell::RefCell;
 
-/// Output channels [`conv2d_rows`] produces together: each input row it
-/// loads feeds this many accumulator rows.
-const CONV_OUT_BLOCK: usize = 4;
+/// Output channels [`Conv2d::infer`] accumulates together, one per lane.
+const LANES: usize = 8;
+
+thread_local! {
+    /// This thread's tap-major copy of the weights of the convolution it
+    /// is running (see [`Conv2d::infer`]).
+    static TAP_MAJOR: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Common interface over all layers.
 pub trait Layer: Send + Sync {
@@ -30,6 +45,13 @@ pub trait Layer: Send + Sync {
     fn forward(&mut self, x: &Tensor) -> Tensor;
     /// Backward pass: takes `dL/dy`, returns `dL/dx`, accumulates `dL/dθ`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// [`Layer::backward`] for a layer whose `dL/dx` nobody reads (a
+    /// network's first layer): accumulates the same `dL/dθ`, bit for bit.
+    /// The default runs `backward` and drops `dL/dx`; a layer that can
+    /// skip computing it overrides this.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
     /// Parameter/gradient pairs, empty for stateless layers.
     fn params_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
         Vec::new()
@@ -174,55 +196,55 @@ impl Conv2d {
     fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
         (h + 2 * self.pad + 1 - self.kernel, w + 2 * self.pad + 1 - self.kernel)
     }
-}
 
-impl Layer for Conv2d {
-    /// The crate's one convolution forward kernel.
+    /// The crate's one convolution backward kernel: accumulates `gw` and
+    /// `gb`, and `dL/dx` into `gx` when one is given.
     ///
-    /// Works one output row at a time: the row starts as the bias, then
-    /// every tap `(c, ky, kx)` in ascending order adds `weight × input
-    /// row` over the output columns the tap reaches (a tap clipped by the
-    /// padding is skipped for the columns it misses). Every output element
-    /// therefore sees the naive per-pixel loop's multiply-add sequence —
-    /// bias first, taps ascending, clipped taps skipped — and equals it
-    /// bitwise, while the innermost loop is a contiguous `row += w * row`.
-    /// [`CONV_OUT_BLOCK`] output channels share each input row; that
-    /// reorders work between elements, never within one.
-    fn infer(&self, x: &Tensor, out: &mut Tensor) {
-        assert_eq!(x.rank(), 3, "conv2d expects [C,H,W]");
-        assert_eq!(x.shape[0], self.in_ch, "conv2d channel mismatch");
-        let (h, w) = (x.shape[1], x.shape[2]);
-        let (oh, ow) = self.out_hw(h, w);
-        out.reshape_for_write(&[self.out_ch, oh, ow]);
-        let (k, pad, in_ch) = (self.kernel, self.pad, self.in_ch);
-        let plane = oh * ow;
-        for (block, y_block) in out.data.chunks_mut(CONV_OUT_BLOCK * plane).enumerate() {
-            let o0 = block * CONV_OUT_BLOCK;
-            for yy in 0..oh {
-                for (b, y_plane) in y_block.chunks_mut(plane).enumerate() {
-                    y_plane[yy * ow..(yy + 1) * ow].fill(self.b.data[o0 + b]);
-                }
-                for c in 0..in_ch {
-                    for ky in 0..k {
-                        let iy = yy + ky;
-                        if iy < pad || iy - pad >= h {
-                            continue;
-                        }
-                        let x_row = &x.data[(c * h + iy - pad) * w..][..w];
-                        for kx in 0..k {
-                            // Output columns whose tap `kx` lands inside the row.
-                            let lo = pad.saturating_sub(kx).min(ow);
-                            let hi = (w + pad).saturating_sub(kx).min(ow);
-                            if lo >= hi {
-                                continue;
+    /// One pass over the non-zero `grad_out` elements in `(o, yy, xx)`
+    /// order. Each adds `g` to `gb[o]` and, for every input channel and
+    /// every row the pixel's clipped kernel window covers, updates the
+    /// clipped `kx` span of `gw[o, c, ky, ·]` and of `gx[c, iy, ·]` as two
+    /// contiguous slice updates. So every `gw`/`gb` element accumulates
+    /// its terms in ascending `(yy, xx)` and every `gx` element in
+    /// ascending `(o, yy, xx)`, the per-pixel nest's order. A zero
+    /// gradient (±0.0) is skipped, as in that nest; after pooling and ReLU
+    /// most of them are.
+    fn accumulate_grads(&mut self, grad_out: &Tensor, mut gx: Option<&mut Tensor>) {
+        let Conv2d { w, gw, gb, kernel: k, pad, in_ch, out_ch, cache_x, .. } = self;
+        let (k, pad, in_ch) = (*k, *pad, *in_ch);
+        let x = cache_x.as_ref().expect("backward before forward");
+        let (h, wd) = (x.shape[1], x.shape[2]);
+        let (oh, ow) = (h + 2 * pad + 1 - k, wd + 2 * pad + 1 - k);
+        assert_eq!(grad_out.shape, [*out_ch, oh, ow]);
+        let taps = in_ch * k * k;
+        for (o, g_plane) in grad_out.data.chunks_exact(oh * ow).enumerate() {
+            let w_o = &w.data[o * taps..(o + 1) * taps];
+            let gw_o = &mut gw.data[o * taps..(o + 1) * taps];
+            for (yy, g_row) in g_plane.chunks_exact(ow).enumerate() {
+                let ky_span = tap_span(yy, k, pad, h);
+                for (xx, &g) in g_row.iter().enumerate() {
+                    if g == 0.0 {
+                        continue;
+                    }
+                    gb.data[o] += g;
+                    let kx = tap_span(xx, k, pad, wd);
+                    if kx.is_empty() {
+                        continue;
+                    }
+                    let ix = xx + kx.start - pad..xx + kx.end - pad;
+                    for c in 0..in_ch {
+                        for ky in ky_span.clone() {
+                            let row = (c * h + yy + ky - pad) * wd;
+                            let wi = (c * k + ky) * k;
+                            let ws = wi + kx.start..wi + kx.end;
+                            let xs = &x.data[row + ix.start..row + ix.end];
+                            for (gwv, &xv) in gw_o[ws.clone()].iter_mut().zip(xs) {
+                                *gwv += g * xv;
                             }
-                            let xs = &x_row[lo + kx - pad..hi + kx - pad];
-                            for (b, y_plane) in y_block.chunks_mut(plane).enumerate() {
-                                let wv = self.w.data[(((o0 + b) * in_ch + c) * k + ky) * k + kx];
-                                for (acc, &xv) in
-                                    y_plane[yy * ow + lo..yy * ow + hi].iter_mut().zip(xs)
-                                {
-                                    *acc += wv * xv;
+                            if let Some(gx) = gx.as_deref_mut() {
+                                let gxs = &mut gx.data[row + ix.start..row + ix.end];
+                                for (gxv, &wv) in gxs.iter_mut().zip(&w_o[ws]) {
+                                    *gxv += g * wv;
                                 }
                             }
                         }
@@ -230,6 +252,88 @@ impl Layer for Conv2d {
                 }
             }
         }
+    }
+}
+
+/// The kernel offsets `lo..hi` whose tap from output position `pos`
+/// lands inside an input axis of length `len` (input index
+/// `pos + offset − pad`); empty when every tap falls in the padding.
+fn tap_span(pos: usize, k: usize, pad: usize, len: usize) -> std::ops::Range<usize> {
+    let lo = pad.saturating_sub(pos).min(k);
+    let hi = (len + pad).saturating_sub(pos).min(k);
+    lo..hi.max(lo)
+}
+
+impl Layer for Conv2d {
+    /// The crate's one convolution forward kernel.
+    ///
+    /// Works one output pixel and `LANES` (8) output channels at a time: an
+    /// accumulator array starts as the channels' biases, then every tap
+    /// `(c, ky, kx)` inside the pixel's clipped window, in ascending
+    /// order, adds `input × weights` across the lanes, reading the
+    /// weights from a tap-major copy so each tap's lanes are contiguous.
+    /// The lanes are then scattered to their output planes. Every output
+    /// element therefore sees the naive per-pixel loop's multiply-add
+    /// sequence — bias first, taps ascending, clipped taps skipped, not
+    /// multiplied by zero — and equals it bitwise, NaN, ±inf and −0.0
+    /// included. The tap-major copy is rebuilt from `w` on every call into
+    /// a buffer each thread keeps, so it is never stale and, after a
+    /// thread's first call, costs no allocation.
+    fn infer(&self, x: &Tensor, out: &mut Tensor) {
+        assert_eq!(x.rank(), 3, "conv2d expects [C,H,W]");
+        assert_eq!(x.shape[0], self.in_ch, "conv2d channel mismatch");
+        let (h, w) = (x.shape[1], x.shape[2]);
+        let (oh, ow) = self.out_hw(h, w);
+        out.reshape_for_write(&[self.out_ch, oh, ow]);
+        let (k, pad, in_ch, out_ch) = (self.kernel, self.pad, self.in_ch, self.out_ch);
+        let taps = in_ch * k * k;
+        let plane = oh * ow;
+        TAP_MAJOR.with_borrow_mut(|wt| {
+            // `wt[block][tap][lane]` = weight of output channel
+            // `block·LANES + lane` at `tap`; lanes past `out_ch` stay zero.
+            wt.clear();
+            wt.resize(out_ch.div_ceil(LANES) * taps * LANES, 0.0);
+            for (o, w_o) in self.w.data.chunks_exact(taps).enumerate() {
+                let block = &mut wt[(o / LANES) * taps * LANES..][..taps * LANES];
+                for (lanes, &v) in block.chunks_exact_mut(LANES).zip(w_o) {
+                    lanes[o % LANES] = v;
+                }
+            }
+            for (blk, wt_b) in wt.chunks_exact(taps * LANES).enumerate() {
+                let o0 = blk * LANES;
+                let live = LANES.min(out_ch - o0);
+                let mut bias = [0.0f32; LANES];
+                bias[..live].copy_from_slice(&self.b.data[o0..o0 + live]);
+                for yy in 0..oh {
+                    let ky_span = tap_span(yy, k, pad, h);
+                    for xx in 0..ow {
+                        let mut acc = bias;
+                        let kx = tap_span(xx, k, pad, w);
+                        if !kx.is_empty() {
+                            let ix = xx + kx.start - pad..xx + kx.end - pad;
+                            for c in 0..in_ch {
+                                for ky in ky_span.clone() {
+                                    let row = (c * h + yy + ky - pad) * w;
+                                    let xs = &x.data[row + ix.start..row + ix.end];
+                                    let t = (c * k + ky) * k;
+                                    let (ws, _) = wt_b
+                                        [(t + kx.start) * LANES..(t + kx.end) * LANES]
+                                        .as_chunks::<LANES>();
+                                    for (&xv, wv) in xs.iter().zip(ws) {
+                                        for (a, &wl) in acc.iter_mut().zip(wv) {
+                                            *a += wl * xv;
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                        for (l, &a) in acc[..live].iter().enumerate() {
+                            out.data[(o0 + l) * plane + yy * ow + xx] = a;
+                        }
+                    }
+                }
+            }
+        });
     }
 
     fn forward(&mut self, x: &Tensor) -> Tensor {
@@ -239,77 +343,14 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self.cache_x.as_ref().expect("backward before forward").clone();
-        let (h, w) = (x.shape[1], x.shape[2]);
-        let (oh, ow) = self.out_hw(h, w);
-        assert_eq!(grad_out.shape, vec![self.out_ch, oh, ow]);
-        let k = self.kernel;
-        let p = self.pad as isize;
-        let (in_ch, out_ch) = (self.in_ch, self.out_ch);
-        let wplane = in_ch * k * k;
-        let mut gx = Tensor::zeros(&[in_ch, h, w]);
-
-        // Weight/bias gradients, one output channel's `gw` plane and `gb`
-        // element at a time.
-        for o in 0..out_ch {
-            let gw_o = &mut self.gw.data[o * wplane..(o + 1) * wplane];
-            let gb_o = &mut self.gb.data[o];
-            for yy in 0..oh {
-                for xx in 0..ow {
-                    let g = grad_out.at3(o, yy, xx);
-                    if g == 0.0 {
-                        continue;
-                    }
-                    *gb_o += g;
-                    for c in 0..in_ch {
-                        for ky in 0..k {
-                            let iy = yy as isize + ky as isize - p;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..k {
-                                let ix = xx as isize + kx as isize - p;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let wi = (c * k + ky) * k + kx;
-                                gw_o[wi] += g * x.data[(c * h + iy as usize) * w + ix as usize];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Input gradient, one input channel's plane at a time; each element
-        // accumulates its terms in (o, yy, xx) order.
-        for (c, plane) in gx.data.chunks_mut(h * w).enumerate() {
-            for o in 0..out_ch {
-                for yy in 0..oh {
-                    for xx in 0..ow {
-                        let g = grad_out.at3(o, yy, xx);
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for ky in 0..k {
-                            let iy = yy as isize + ky as isize - p;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..k {
-                                let ix = xx as isize + kx as isize - p;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let wi = (c * k + ky) * k + kx;
-                                plane[iy as usize * w + ix as usize] +=
-                                    g * self.w.data[o * wplane + wi];
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let x_shape = self.cache_x.as_ref().expect("backward before forward").shape.clone();
+        let mut gx = Tensor::zeros(&x_shape);
+        self.accumulate_grads(grad_out, Some(&mut gx));
         gx
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.accumulate_grads(grad_out, None);
     }
 
     fn params_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {

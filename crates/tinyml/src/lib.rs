@@ -6,8 +6,12 @@
 //!
 //! * a dense [`tensor::Tensor`] type with shape bookkeeping;
 //! * differentiable layers ([`layers`]): 2-D convolution, max-pooling,
-//!   fully-connected, flatten, and ReLU/sigmoid/tanh activations;
-//! * a [`net::Sequential`] container with forward/backward passes and a
+//!   fully-connected, flatten, and ReLU/sigmoid/tanh activations; the
+//!   convolution's forward vectorises across output channels and its
+//!   backward is one pass over the non-zero output gradients, both
+//!   bitwise equal to the per-pixel loops;
+//! * a [`net::Sequential`] container with forward/backward passes (the
+//!   backward skips the first layer's unused input gradient) and a
 //!   cache-free, allocation-free `infer(&self, ..)` that threads share;
 //! * losses ([`loss`]): MSE and binary cross-entropy;
 //! * minibatch SGD with momentum ([`train`]);

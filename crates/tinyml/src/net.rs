@@ -65,13 +65,18 @@ impl Sequential {
         cur
     }
 
-    /// Full backward pass from `dL/d(output)`; returns `dL/d(input)`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut cur = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
-            cur = l.backward(&cur);
+    /// Full backward pass from `dL/d(output)`: accumulates every layer's
+    /// parameter gradients. The first layer's `dL/d(input)` has no reader,
+    /// so it runs [`Layer::backward_params`] and is spared computing it.
+    pub fn backward(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut cur: Option<Tensor> = None;
+        for l in rest.iter_mut().rev() {
+            cur = Some(l.backward(cur.as_ref().unwrap_or(grad_out)));
         }
-        cur
+        first.backward_params(cur.as_ref().unwrap_or(grad_out));
     }
 
     /// Zeroes every parameter gradient.
@@ -166,8 +171,7 @@ mod tests {
         let mut net = tiny_net();
         net.zero_grad();
         let y = net.forward(&Tensor::from_vec(&[2], vec![1.0, 1.0]));
-        let gin = net.backward(&Tensor::full(&y.shape, 1.0));
-        assert_eq!(gin.shape, vec![2]);
+        net.backward(&Tensor::full(&y.shape, 1.0));
         // Some parameter gradient must be non-zero.
         let any_nonzero = net.params_grads().iter().any(|(_, g)| g.data.iter().any(|&v| v != 0.0));
         assert!(any_nonzero);

@@ -1,13 +1,16 @@
 //! Oracle equivalence for the conv kernels.
 //!
-//! Conv2d has one forward kernel, serial and row-at-a-time, shared by
-//! `infer` and `forward`; it keeps every output element's multiply-add
-//! order, so it must match the naive per-pixel reference below *bitwise*.
-//! The backward pass is serial too, and its weight/bias and input
-//! gradients must match a direct re-derivation of the gradient formulas
-//! bitwise (every element accumulates its terms in `(o, yy, xx)` order).
+//! Conv2d has one forward kernel, serial and a pixel at a time across
+//! lanes of output channels, shared by `infer` and `forward`; it keeps
+//! every output element's multiply-add order, so it must match the naive
+//! per-pixel reference below *bitwise*. Its one backward kernel, a single
+//! serial pass over the non-zero output gradients, must match the
+//! per-pixel backward nest bitwise too (every weight/bias gradient
+//! accumulates in `(yy, xx)` order, every input gradient in `(o, yy, xx)`
+//! order), on dense and on mostly-zero gradients alike.
 
-use tinyml::layers::{Conv2d, Layer};
+use tinyml::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid};
+use tinyml::net::Sequential;
 use tinyml::tensor::Tensor;
 
 /// A multi-channel geometry (8·30·30·4·9 ≈ 260k MACs) with padded borders.
@@ -78,96 +81,219 @@ fn conv2d_forward_is_bitwise_reference() {
     assert_eq!(bits(&y), bits(&expect), "forward must be bitwise-identical to the reference");
 }
 
-#[test]
-fn conv2d_backward_is_bitwise_reference() {
-    // Gradients from the layer against a direct serial re-derivation of
-    // the gradient formulas.
-    let mut conv = Conv2d::new(IN_CH, OUT_CH, K, 1, 42);
-    let x = Tensor::uniform(&[IN_CH, H, W], 1.0, 7);
-    let y = conv.forward(&x);
-    let go = Tensor::uniform(&y.shape, 1.0, 13);
-    conv.zero_grad();
-    let gx = conv.backward(&go);
-
-    // Serial oracle.
-    let (w, _b) = {
-        let ps = conv.params();
-        (ps[0].clone(), ps[1].clone())
-    };
-    let (oh, ow) = (y.shape[1], y.shape[2]);
-    let mut ref_gw = vec![0.0f32; OUT_CH * IN_CH * K * K];
-    let mut ref_gb = vec![0.0f32; OUT_CH];
-    let mut ref_gx = vec![0.0f32; IN_CH * H * W];
-    let p = 1isize;
-    #[allow(clippy::needless_range_loop)] // serial oracle mirrors the layer's loop nest
-    for o in 0..OUT_CH {
+/// The per-pixel backward nest, the oracle of the fused kernel: over
+/// `(o, yy, xx)` ascending, a non-zero `g` adds to `gb[o]` and, per
+/// unclipped tap, `g·x` to `gw` and `g·w` to `gx`. Returns `(gw, gb, gx)`.
+fn reference_backward(x: &Tensor, conv: &Conv2d, go: &Tensor) -> (Tensor, Tensor, Tensor) {
+    let (in_ch, h, ww) = (x.shape[0], x.shape[1], x.shape[2]);
+    let (out_ch, oh, ow) = (go.shape[0], go.shape[1], go.shape[2]);
+    let (w, p) = (&conv.w, conv.pad as isize);
+    let mut gw = Tensor::zeros(&w.shape);
+    let mut gb = Tensor::zeros(&[out_ch]);
+    let mut gx = Tensor::zeros(&x.shape);
+    for o in 0..out_ch {
         for yy in 0..oh {
             for xx in 0..ow {
                 let g = go.at3(o, yy, xx);
                 if g == 0.0 {
                     continue;
                 }
-                ref_gb[o] += g;
-                for c in 0..IN_CH {
+                gb.data[o] += g;
+                for c in 0..in_ch {
                     for ky in 0..K {
                         let iy = yy as isize + ky as isize - p;
-                        if iy < 0 || iy >= H as isize {
+                        if iy < 0 || iy >= h as isize {
                             continue;
                         }
                         for kx in 0..K {
                             let ix = xx as isize + kx as isize - p;
-                            if ix < 0 || ix >= W as isize {
+                            if ix < 0 || ix >= ww as isize {
                                 continue;
                             }
-                            let wi = ((o * IN_CH + c) * K + ky) * K + kx;
-                            let xi = (c * H + iy as usize) * W + ix as usize;
-                            ref_gw[wi] += g * x.data[xi];
-                            ref_gx[xi] += g * w.data[wi];
+                            let wi = ((o * in_ch + c) * K + ky) * K + kx;
+                            let xi = (c * h + iy as usize) * ww + ix as usize;
+                            gw.data[wi] += g * x.data[xi];
+                            gx.data[xi] += g * w.data[wi];
                         }
                     }
                 }
             }
         }
     }
-
-    let pairs = conv.params_grads();
-    let (gw, gb) = {
-        let (wp, bp) = (&pairs[0], &pairs[1]);
-        (wp.1.data.clone(), bp.1.data.clone())
-    };
-    drop(pairs);
-    // Both sides accumulate every element in the same order: bitwise equal.
-    assert_eq!(gw, ref_gw, "gw must be bitwise-identical");
-    assert_eq!(gb, ref_gb, "gb must be bitwise-identical");
-    assert_eq!(gx.data, ref_gx, "gx must be bitwise-identical");
+    (gw, gb, gx)
 }
 
-/// The row kernel's column clipping and output-channel blocking must be
+/// Runs `conv`'s forward and backward on `(x, go)` and pins its `gw`,
+/// `gb` and `gx` to the per-pixel oracle by `to_bits`.
+fn assert_backward_is_reference(conv: &mut Conv2d, x: &Tensor, go: &Tensor) {
+    conv.forward(x);
+    conv.zero_grad();
+    let gx = conv.backward(go);
+    let (ref_gw, ref_gb, ref_gx) = reference_backward(x, conv, go);
+    // Both sides accumulate every element in the same order: bitwise equal.
+    assert_eq!(bits(&conv.gw), bits(&ref_gw), "gw must be bitwise-identical");
+    assert_eq!(bits(&conv.gb), bits(&ref_gb), "gb must be bitwise-identical");
+    assert_eq!(bits(&gx), bits(&ref_gx), "gx must be bitwise-identical");
+}
+
+#[test]
+fn conv2d_backward_is_bitwise_reference() {
+    let mut conv = Conv2d::new(IN_CH, OUT_CH, K, 1, 42);
+    let x = Tensor::uniform(&[IN_CH, H, W], 1.0, 7);
+    let go = Tensor::uniform(&[OUT_CH, H, W], 1.0, 13);
+    assert_backward_is_reference(&mut conv, &x, &go);
+}
+
+/// The gradient a conv sees in training is mostly zeros (after ReLU and
+/// max pooling at least 3 in 4): the kernel's zero skip must drop exactly
+/// the terms the oracle drops, −0.0 included, NaN/±inf inputs must reach
+/// `gw` through the same multiply-adds, and NaN/±inf weights must reach
+/// `gx` only through taps the border does not clip.
+#[test]
+fn conv2d_sparse_backward_with_specials_is_bitwise_reference() {
+    let mut conv = Conv2d::new(IN_CH, OUT_CH, K, 1, 43);
+    // Specials on corner taps, which the border clips.
+    conv.w.data[0] = f32::INFINITY;
+    conv.w.data[K * K - 1] = f32::NAN;
+    let mut x = Tensor::uniform(&[IN_CH, H, W], 1.0, 8);
+    // One kind per input channel, on the clipped border and inside. Each
+    // `gw` element sums over one channel, so it meets at most one NaN
+    // source: which of two NaNs an add returns is not specified.
+    for (c, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0].into_iter().enumerate() {
+        x.data[c * H * W + 7] = v;
+        x.data[c * H * W + 11 * W + 9] = v;
+    }
+    let mut go = Tensor::uniform(&[OUT_CH, H, W], 1.0, 14);
+    for (i, g) in go.data.iter_mut().enumerate() {
+        match i % 8 {
+            0 | 3 | 5 | 6 | 7 => *g = 0.0,
+            2 => *g = -0.0,
+            _ => {}
+        }
+    }
+    let zeros = go.data.iter().filter(|&&g| g == 0.0).count();
+    assert!(zeros * 4 >= go.len() * 3, "at least 75% of grad_out is ±0.0");
+    assert_backward_is_reference(&mut conv, &x, &go);
+}
+
+/// `Sequential::backward` skips the first layer's input gradient; the
+/// parameter gradients it accumulates must still equal, bitwise, those of
+/// a chain that runs every layer's full `backward` (the TC CNN's layout).
+#[test]
+fn sequential_backward_matches_full_chain_bitwise() {
+    // One architecture, built once as a network and once as a bare chain.
+    let mut net = Sequential::new()
+        .add(Conv2d::new(4, 8, 3, 1, 3))
+        .add(ReLU::new())
+        .add(MaxPool2d::new(2))
+        .add(Conv2d::new(8, 10, 3, 1, 4))
+        .add(ReLU::new())
+        .add(MaxPool2d::new(2))
+        .add(Flatten::new())
+        .add(Dense::new(10 * 4 * 4, 12, 5))
+        .add(Sigmoid::new());
+    let mut chain: Vec<Box<dyn Layer>> = vec![
+        Box::new(Conv2d::new(4, 8, 3, 1, 3)),
+        Box::new(ReLU::new()),
+        Box::new(MaxPool2d::new(2)),
+        Box::new(Conv2d::new(8, 10, 3, 1, 4)),
+        Box::new(ReLU::new()),
+        Box::new(MaxPool2d::new(2)),
+        Box::new(Flatten::new()),
+        Box::new(Dense::new(10 * 4 * 4, 12, 5)),
+        Box::new(Sigmoid::new()),
+    ];
+    for s in 0..3 {
+        let x = Tensor::uniform(&[4, 16, 16], 2.0, 20 + s);
+        let y = net.forward(&x);
+        let mut cur = x;
+        for l in &mut chain {
+            cur = l.forward(&cur);
+        }
+        assert_eq!(bits(&y), bits(&cur));
+        let mut grad = Tensor::uniform(&y.shape, 1.0, 30 + s);
+        net.backward(&grad);
+        for l in chain.iter_mut().rev() {
+            grad = l.backward(&grad);
+        }
+    }
+    let want: Vec<Vec<u32>> =
+        chain.iter_mut().flat_map(|l| l.params_grads()).map(|(_, g)| bits(g)).collect();
+    let got: Vec<Vec<u32>> = net.params_grads().into_iter().map(|(_, g)| bits(g)).collect();
+    assert_eq!(got, want, "parameter gradients must be bitwise-identical");
+}
+
+/// The lane kernel's window clipping and output-channel blocking must be
 /// bitwise-invisible at every geometry: widths of one column, widths
 /// narrower than the kernel's reach, odd and ragged widths, paddings that
-/// move the clipped range, and channel counts that leave a partial block.
+/// move the clipped range, and channel counts that leave a partial block
+/// of lanes.
 #[test]
-fn conv2d_row_kernel_is_bitwise_across_widths() {
+fn conv2d_lane_kernel_is_bitwise_across_widths() {
     let mut out = Tensor::default();
-    for pad in 0..3usize {
-        for w in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 23, 31] {
-            if w + 2 * pad < K {
-                continue;
+    for (in_ch, out_ch) in [(3, 5), (2, 11)] {
+        for pad in 0..3usize {
+            for w in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 23, 31] {
+                if w + 2 * pad < K {
+                    continue;
+                }
+                let mut conv = conv_with_biases(in_ch, out_ch, pad, 91);
+                let x = Tensor::uniform(&[in_ch, 9, w], 1.0, (w * 10 + pad) as u64);
+                let expect = bits(&reference_forward(&x, &conv));
+                // `out` arrives holding the previous geometry's values.
+                conv.infer(&x, &mut out);
+                assert_eq!(bits(&out), expect, "infer, {out_ch} channels, pad {pad} w {w}");
+                assert_eq!(bits(&conv.forward(&x)), expect, "forward, pad {pad} w {w}");
             }
-            let mut conv = conv_with_biases(3, 5, pad, 91);
-            let x = Tensor::uniform(&[3, 9, w], 1.0, (w * 10 + pad) as u64);
-            let expect = bits(&reference_forward(&x, &conv));
-            // `out` arrives holding the previous geometry's values.
-            conv.infer(&x, &mut out);
-            assert_eq!(bits(&out), expect, "infer, pad {pad} w {w}");
-            assert_eq!(bits(&conv.forward(&x)), expect, "forward, pad {pad} w {w}");
         }
     }
 }
 
-/// NaN, ±inf and −0.0 inputs flow through the row kernel exactly as
+/// `infer` reads the weights through a tap-major copy it keeps between
+/// calls: changing `w` (or running another conv on the same thread) in
+/// between must never leave the next call reading the old weights.
+#[test]
+fn conv2d_infer_never_reads_stale_weights() {
+    let mut conv = conv_with_biases(IN_CH, OUT_CH, 1, 17);
+    let other = conv_with_biases(OUT_CH, 3, 1, 18);
+    let x = Tensor::uniform(&[IN_CH, 10, 12], 1.0, 19);
+    let mut out = Tensor::default();
+    conv.infer(&x, &mut out);
+    assert_eq!(bits(&out), bits(&reference_forward(&x, &conv)));
+    for (i, v) in conv.w.data.iter_mut().enumerate() {
+        *v = if i % 3 == 0 { -*v } else { 0.5 * *v + 0.01 };
+    }
+    conv.infer(&x, &mut out);
+    assert_eq!(bits(&out), bits(&reference_forward(&x, &conv)), "after changing w");
+    let mut mid = Tensor::default();
+    other.infer(&out, &mut mid);
+    conv.w.data[0] = 3.0;
+    conv.infer(&x, &mut out);
+    assert_eq!(bits(&out), bits(&reference_forward(&x, &conv)), "after another conv ran");
+}
+
+/// NaN, ±inf and −0.0 inputs flow through the lane kernel exactly as
 /// through the per-pixel reference (every element does the same
 /// multiply-adds, and a clipped tap is skipped, not multiplied by zero).
+/// A tap the padding clips is skipped, not multiplied by a zero: with an
+/// infinite corner weight, the outputs whose window clips that corner
+/// stay finite (`inf · 0` would make them NaN), the rest are infinite.
+#[test]
+fn conv2d_clipped_taps_are_skipped_not_zeroed() {
+    let mut conv = conv_with_biases(2, 3, 1, 21);
+    conv.w.data[0] = f32::INFINITY; // o = 0, c = 0, (ky, kx) = (0, 0)
+    let x = Tensor::uniform(&[2, 5, 7], 1.0, 22);
+    let y = conv.forward(&x);
+    assert_eq!(bits(&y), bits(&reference_forward(&x, &conv)));
+    for yy in 0..5 {
+        for xx in 0..7 {
+            let v = y.at3(0, yy, xx);
+            let clipped = yy == 0 || xx == 0;
+            assert_eq!(v.is_finite(), clipped, "output (0, {yy}, {xx}) = {v}");
+        }
+    }
+}
+
 #[test]
 fn conv2d_forward_specials_stay_bitwise() {
     for (in_ch, out_ch) in [(1, 1), (2, 6)] {

@@ -10,7 +10,7 @@ use tinyml::tensor::Tensor;
 
 /// Straightforward reference convolution (stride 1, zero padding): per
 /// pixel, bias first, then taps in ascending `(c, ky, kx)`, clipped taps
-/// skipped — the multiply-add order the layer's row kernel must keep.
+/// skipped — the multiply-add order the layer's lane kernel must keep.
 #[allow(clippy::needless_range_loop)] // reference code mirrors the math
 fn conv_reference(
     x: &Tensor,
@@ -49,6 +49,51 @@ fn conv_reference(
     y
 }
 
+/// The per-pixel backward nest for the same convolution: over
+/// `(o, yy, xx)` ascending, a non-zero `g` adds to `gb[o]` and, per
+/// unclipped tap, `g·x` to `gw` and `g·w` to `gx`. Returns `(gw, gb, gx)`.
+#[allow(clippy::needless_range_loop)] // reference code mirrors the math
+fn conv_backward_reference(
+    x: &Tensor,
+    w: &Tensor,
+    go: &Tensor,
+    k: usize,
+    pad: usize,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let (in_ch, h, wdt) = (x.shape[0], x.shape[1], x.shape[2]);
+    let (out_ch, oh, ow) = (go.shape[0], go.shape[1], go.shape[2]);
+    let mut gw = vec![0.0f32; w.len()];
+    let mut gb = vec![0.0f32; out_ch];
+    let mut gx = vec![0.0f32; x.len()];
+    for o in 0..out_ch {
+        for yy in 0..oh {
+            for xx in 0..ow {
+                let g = go.at3(o, yy, xx);
+                if g == 0.0 {
+                    continue;
+                }
+                gb[o] += g;
+                for c in 0..in_ch {
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let iy = yy as isize + ky as isize - pad as isize;
+                            let ix = xx as isize + kx as isize - pad as isize;
+                            if iy < 0 || ix < 0 || iy >= h as isize || ix >= wdt as isize {
+                                continue;
+                            }
+                            let widx = ((o * in_ch + c) * k + ky) * k + kx;
+                            let xidx = (c * h + iy as usize) * wdt + ix as usize;
+                            gw[widx] += g * x.data[xidx];
+                            gx[xidx] += g * w.data[widx];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (gw, gb, gx)
+}
+
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data.iter().map(|v| v.to_bits()).collect()
 }
@@ -59,7 +104,7 @@ proptest! {
     /// The one conv kernel equals the reference bit for bit — through
     /// `infer` and through `forward` — over kernels 1/3/5, paddings that
     /// clip none, some or all of a tap's reach, widths down to one column,
-    /// and channel counts that are not multiples of the output block.
+    /// and channel counts that are not multiples of the lane width.
     #[test]
     fn conv_matches_reference_bitwise(
         in_ch in 1usize..7,
@@ -81,6 +126,47 @@ proptest! {
         prop_assert_eq!(&got.shape, &want.shape);
         prop_assert_eq!(bits(&got), bits(&want));
         prop_assert_eq!(bits(&conv.forward(&x)), bits(&want));
+    }
+
+    /// The one conv backward kernel equals the per-pixel nest bit for bit
+    /// in `gw`, `gb` and `gx` over the forward's geometries, on gradients
+    /// with a random share of ±0.0 (which both skip); `backward_params`
+    /// accumulates the same `gw` and `gb` without computing `gx`.
+    #[test]
+    fn conv_backward_matches_reference_bitwise(
+        in_ch in 1usize..7,
+        out_ch in 1usize..11,
+        half_k in 0usize..3,
+        pad in 0usize..3,
+        h in 1usize..10,
+        w in 1usize..16,
+        zero_per_4 in 0u64..5,
+        seed in any::<u64>(),
+    ) {
+        let k = 2 * half_k + 1;
+        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+        let x = Tensor::uniform(&[in_ch, h, w], 1.0, seed ^ 1);
+        let (oh, ow) = (h + 2 * pad + 1 - k, w + 2 * pad + 1 - k);
+        let mut go = Tensor::uniform(&[out_ch, oh, ow], 1.0, seed ^ 2);
+        for (i, g) in go.data.iter_mut().enumerate() {
+            let r = (seed ^ i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60;
+            if r % 4 < zero_per_4 {
+                *g = if r & 4 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        let mut conv = Conv2d::new(in_ch, out_ch, k, pad, seed);
+        conv.forward(&x);
+        let gx = conv.backward(&go);
+        let (gw, gb, want_gx) = conv_backward_reference(&x, &conv.w, &go, k, pad);
+        let fbits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(&conv.gw), fbits(&gw));
+        prop_assert_eq!(bits(&conv.gb), fbits(&gb));
+        prop_assert_eq!(bits(&gx), fbits(&want_gx));
+        let mut first = Conv2d::new(in_ch, out_ch, k, pad, seed);
+        first.forward(&x);
+        first.backward_params(&go);
+        prop_assert_eq!(bits(&first.gw), fbits(&gw));
+        prop_assert_eq!(bits(&first.gb), fbits(&gb));
     }
 
     /// `Sequential::infer` equals `Sequential::forward` bit for bit over

@@ -56,6 +56,14 @@ echo "== idle-bus timing gate: an unsubscribed emit_with costs at most 25 ns =="
 cargo test --release -q -p obs --test emit_overhead -- --ignored --exact \
     inactive_bus_emit_stays_within_budget
 
+echo "== conv kernel timing gate: conv2's shape costs per MAC about what conv1's does =="
+# The conv forward vectorises across output channels, so the CNN's conv2
+# (8->16 at 8x8) may cost per multiply-add at most the bound const in the
+# test times conv1 (4->8 at 16x16): medians of 31 interleaved reps,
+# release build. Per-row or per-tap overhead shows as a larger ratio.
+cargo test --release -q -p tinyml --test conv_timing -- --ignored --exact \
+    conv2_shape_costs_per_mac_about_what_conv1_shape_costs
+
 echo "== one engine: only Pipeline::run_scalar may name ops::scalar =="
 # The scalar kernels are the oracle, not a second production path: outside
 # tests/, benches/ and #[cfg(test)] modules nothing but run_scalar in

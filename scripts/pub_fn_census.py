@@ -66,6 +66,9 @@ ALLOWLIST = {
     ("crates/hpcwaas/src/api.rs", ("deployment_cost_ms",)):
         ("tests/e2e_hpcwaas.rs",
          "probe: a warm redeploy reuses cached images (claim C5)"),
+    ("crates/tinyml/src/tensor.rs", ("at3",)):
+        ("crates/tinyml/tests/parallel_equivalence.rs",
+         "oracle: the per-pixel conv nests the lane and fused kernels are checked against"),
     ("crates/hpcwaas/src/dls.rs", ("history",)):
         ("tests/e2e_hpcwaas.rs",
          "probe: staging moves the declared bytes once (claim A2)"),

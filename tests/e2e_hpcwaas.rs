@@ -113,7 +113,7 @@ fn c5_layer_cache_makes_rebuilds_free() {
 /// years (36 450 ms), deploy-time from 10 (40 500 ms).
 #[test]
 fn a2_deploy_time_staging_wins_from_ten_years() {
-    let stage = |label: &str, bytes| PipelineSpec::new().stage(label, "archive", "zeus", bytes);
+    let stage = |label: &str, bytes| PipelineSpec::new().stage(label, bytes);
     let deploy_time = DataLogistics::new().execute(&stage("baseline", 4_000_000_000)).total_ms;
     assert_eq!(deploy_time, 40_050);
     let run_time = |years: usize| {
