@@ -136,6 +136,19 @@ fn params_from_flags(flags: &BTreeMap<String, String>) -> Result<WorkflowParams,
     WorkflowParams::test_scale(out_dir).apply_inputs(&inputs)
 }
 
+/// Removes what an earlier run left under `--out`: the ESM's daily files,
+/// the products, the task graph, the provenance record and the flight
+/// dump. The CNN cached there is kept, so the next run with the same
+/// training inputs loads it instead of pre-training again.
+fn clear_run_outputs(params: &WorkflowParams) {
+    for dir in [params.esm_dir(), params.products_dir()] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    for file in ["taskgraph.dot", "provenance.prov.txt", "flight.jsonl"] {
+        std::fs::remove_file(params.out_dir.join(file)).ok();
+    }
+}
+
 /// `climate-wf run` and `climate-wf report`: one body. The workflow report
 /// already carries the timed critical path, slack and what-if speedups;
 /// `profile` (the `report` subcommand) additionally arms the crash flight
@@ -144,7 +157,7 @@ fn params_from_flags(flags: &BTreeMap<String, String>) -> Result<WorkflowParams,
 /// compute-pool utilization and latency percentile tables.
 fn cmd_run(flags: &BTreeMap<String, String>, profile: bool) -> Result<(), String> {
     let params = params_from_flags(flags)?;
-    std::fs::remove_dir_all(&params.out_dir).ok();
+    clear_run_outputs(&params);
     let sequential = flags.contains_key("sequential");
     println!(
         "running the climate-extremes workflow ({}): {} year(s) x {} days on {}x{}",

@@ -158,9 +158,13 @@ impl Payload for WfData {
     }
 }
 
+/// The variables tasks #15 and #16 read from a year's daily fields. An
+/// in-memory year carries only these; its daily files carry every one.
+const TC_VARS: [&str; 4] = ["psl", "sfcWind", "tas", "vort"];
+
 /// One simulated year as the ESM task hands it over in memory: the daily
-/// fields as shared blocks plus the daily files the same year was durably
-/// written to.
+/// fields #15 and #16 read ([`TC_VARS`]) as shared blocks, plus the daily
+/// files the same year was durably written to.
 pub(crate) struct StreamedYear {
     year: i32,
     files: Vec<PathBuf>,
@@ -185,7 +189,8 @@ pub enum RunOrder {
 /// an in-memory year is freed when the later of the two finishes.
 ///
 /// Decode contract: for either variant, [`YearSource::stack`] of variable
-/// `v` on day `d` is the `(time, lat, lon)` time-major f32 stack that
+/// `v` in [`TC_VARS`] on day `d` is the `(time, lat, lon)` time-major f32
+/// stack that
 /// `esm::output` serialized into that day's file — the same values
 /// whether they are read back through `ncformat` or were never written
 /// out of memory — on the grid [`YearSource::shape`] reports. Both bodies
@@ -325,9 +330,10 @@ pub struct CaseStudy {
     pub params: WorkflowParams,
     pub rt: Runtime<WfData>,
     pub client: Client,
-    /// The pre-trained CNN, loaded once (from `model_path`, or the cached
-    /// `tc_cnn.tml` under the output directory) and shared by every year's
-    /// task #16: inference takes `&self`.
+    /// The pre-trained CNN, loaded once (from `model_path`, or the model
+    /// cached under the output directory for these training inputs, see
+    /// [`cached_model_file`]) and shared by every year's task #16:
+    /// inference takes `&self`.
     pub cnn: Arc<TcCnn>,
     /// How `cnn` was obtained, and what that took.
     model_setup: ModelSetup,
@@ -351,8 +357,7 @@ impl CaseStudy {
         std::fs::create_dir_all(&products_dir)
             .map_err(WorkflowError::io(WorkflowStage::Setup, &products_dir))?;
 
-        let model_file =
-            params.model_path.clone().unwrap_or_else(|| params.out_dir.join("tc_cnn.tml"));
+        let model_file = params.model_path.clone().unwrap_or_else(|| cached_model_file(&params));
         let setup_start = Instant::now();
         let pretrained = !model_file.exists();
         let cnn = if pretrained {
@@ -446,7 +451,7 @@ impl CaseStudy {
             }
             let summary = match &stream {
                 Some(tx) => sim
-                    .run_years_streamed(1, |year, blocks, files| {
+                    .run_years_streamed(1, &TC_VARS, |year, blocks, files| {
                         let days = blocks.len();
                         let bytes: u64 = blocks.iter().map(DayBlock::payload_bytes).sum();
                         let streamed = Arc::new(StreamedYear { year, files, days: blocks });
@@ -1155,6 +1160,31 @@ struct YearTaskRefs {
     record: Option<DataRef>,
 }
 
+/// Where [`CaseStudy::new`] caches the CNN it pre-trains when no
+/// `model_path` is given: `tc_cnn-<digest>.tml` under the output directory,
+/// the digest taken over every input [`pretrain_cnn`] reads (the reference
+/// run's grid and year length included). A run with other training inputs
+/// trains and caches its own model instead of loading a stale one.
+fn cached_model_file(params: &WorkflowParams) -> PathBuf {
+    let inputs = format!(
+        "{:?}",
+        (
+            params.seed,
+            params.patch,
+            params.train_samples,
+            params.train_epochs,
+            params.finetune_days,
+            params.finetune_epochs,
+            &params.grid,
+            params.days_per_year,
+        )
+    );
+    let digest = inputs
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3));
+    params.out_dir.join(format!("tc_cnn-{digest:016x}.tml"))
+}
+
 /// Pre-trains the TC-localization CNN the way the workflow's `load_model`
 /// task expects it: a synthetic-vortex warm-up followed by fine-tuning on
 /// labelled output of a historical reference run of the same model — the
@@ -1282,7 +1312,7 @@ fn build_tc_input(source: &YearSource, out: &Path) -> ncformat::Result<()> {
     w.add_dimension("lon", grid.nlon)?;
     w.add_variable_f64("lat", &["lat"], &grid.lats(), vec![])?;
     w.add_variable_f64("lon", &["lon"], &grid.lons(), vec![])?;
-    for var in ["psl", "sfcWind", "tas", "vort"] {
+    for var in TC_VARS {
         w.begin_variable_f32(var, &["step", "lat", "lon"], vec![])?;
         for d in 0..ndays {
             w.write_chunk_f32(&source.stack(var, d, per_day)?)?;
@@ -1478,7 +1508,7 @@ mod tests {
         let mut year = None;
         cs.sim
             .lock()
-            .run_years_streamed(1, |y, days, files| {
+            .run_years_streamed(1, &TC_VARS, |y, days, files| {
                 year = Some(Arc::new(StreamedYear { year: y, files, days }));
             })
             .unwrap();

@@ -121,14 +121,21 @@ impl Atmosphere {
     ) {
         let phase = cfg.season_phase(day);
         let diurnal_phase = step as f64 / cfg.timesteps_per_day as f64;
-        let tn = self.temp_noise.step().clone();
-        let pn = self.pres_noise.step().clone();
-        let wn = self.wind_noise.step().clone();
+        let tn = self.temp_noise.step();
+        let pn = self.pres_noise.step();
+        let wn = self.wind_noise.step();
 
-        // Active thermal events and cyclones this timestep.
-        let active_thermal: Vec<_> = events.thermal.iter().filter(|e| e.active(day)).collect();
-        let active_tcs: Vec<TcTrackPoint> =
-            events.tcs.iter().filter_map(|t| t.at(day, step).copied()).collect();
+        // Active thermal events and cyclones this timestep, each with its
+        // per-step terms computed once: a thermal event's footprint, and a
+        // cyclone's longitude metric factor `cos(lat)` floored at 0.2.
+        let active_thermal: Vec<_> =
+            events.thermal.iter().filter_map(|e| e.footprint(day)).collect();
+        let active_tcs: Vec<(TcTrackPoint, f64)> = events
+            .tcs
+            .iter()
+            .filter_map(|t| t.at(day, step))
+            .map(|tc| (*tc, tc.lat.to_radians().cos().max(0.2)))
+            .collect();
         let vortex_radius = tc_radius_deg(&self.grid);
 
         let g = self.grid.clone();
@@ -169,17 +176,17 @@ impl Atmosphere {
 
                 // Injected thermal events.
                 for e in &active_thermal {
-                    t += e.anomaly_at(day, lat, lon);
+                    t += e.at(lat, lon);
                 }
 
                 // Injected cyclones: Holland-like vortex.
-                for tc in &active_tcs {
+                for (tc, lon_scale) in &active_tcs {
                     let dlat = lat - tc.lat;
                     let mut dlon = (lon - tc.lon).rem_euclid(360.0);
                     if dlon > 180.0 {
                         dlon -= 360.0;
                     }
-                    let dlon_scaled = dlon * tc.lat.to_radians().cos().max(0.2);
+                    let dlon_scaled = dlon * lon_scale;
                     let r = (dlat * dlat + dlon_scaled * dlon_scaled).sqrt();
                     let rn = (r / vortex_radius).max(1e-3);
                     if rn > 5.0 {

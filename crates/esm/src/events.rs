@@ -42,26 +42,48 @@ impl ThermalEvent {
         day >= self.start_day && day < self.start_day + self.duration
     }
 
-    /// Temperature anomaly contributed at a location on `day` (kelvin).
-    /// Gaussian in space; trapezoidal in time (one-day ramp up/down) so the
-    /// event doesn't appear as a discontinuity.
-    pub fn anomaly_at(&self, day: usize, lat: f64, lon: f64) -> f64 {
+    /// The event's footprint on `day`, or `None` while it is inactive: the
+    /// day's peak anomaly and the longitude metric factor, computed once so
+    /// [`ThermalFootprint::at`] does only per-location work. Trapezoidal in
+    /// time (one-day ramp up/down) so the event doesn't appear as a
+    /// discontinuity.
+    pub fn footprint(&self, day: usize) -> Option<ThermalFootprint<'_>> {
         if !self.active(day) {
-            return 0.0;
+            return None;
         }
         let into = (day - self.start_day) as f64;
         let remaining = (self.start_day + self.duration - 1 - day) as f64;
         let ramp = (into + 1.0).min(remaining + 1.0).min(1.5) / 1.5;
-        let dlat = lat - self.center_lat;
-        let mut dlon = (lon - self.center_lon).rem_euclid(360.0);
+        Some(ThermalFootprint {
+            event: self,
+            peak_k: self.amplitude_k * ramp,
+            // Longitude shrinks with latitude; use a simple metric factor.
+            dlon_km_scale: self.center_lat.to_radians().cos().max(0.2),
+        })
+    }
+}
+
+/// One active thermal event on one day (from [`ThermalEvent::footprint`]).
+pub struct ThermalFootprint<'a> {
+    event: &'a ThermalEvent,
+    /// `amplitude_k · ramp` for the day, in kelvin.
+    peak_k: f64,
+    /// `cos(center_lat)`, floored at 0.2.
+    dlon_km_scale: f64,
+}
+
+impl ThermalFootprint<'_> {
+    /// Temperature anomaly contributed at a location (kelvin): Gaussian in
+    /// space around the event's center.
+    pub fn at(&self, lat: f64, lon: f64) -> f64 {
+        let e = self.event;
+        let dlat = lat - e.center_lat;
+        let mut dlon = (lon - e.center_lon).rem_euclid(360.0);
         if dlon > 180.0 {
             dlon -= 360.0;
         }
-        // Longitude shrinks with latitude; use a simple metric factor.
-        let dlon_km_scale = self.center_lat.to_radians().cos().max(0.2);
-        let r2 =
-            (dlat / self.radius_deg).powi(2) + (dlon * dlon_km_scale / self.radius_deg).powi(2);
-        self.amplitude_k * ramp * (-r2).exp()
+        let r2 = (dlat / e.radius_deg).powi(2) + (dlon * self.dlon_km_scale / e.radius_deg).powi(2);
+        self.peak_k * (-r2).exp()
     }
 }
 
@@ -268,7 +290,7 @@ mod tests {
                     // >=6-day criterion at their center.
                     if e.duration >= 6 {
                         let mid = e.start_day + e.duration / 2;
-                        let peak = e.anomaly_at(mid, e.center_lat, e.center_lon).abs();
+                        let peak = e.footprint(mid).unwrap().at(e.center_lat, e.center_lon).abs();
                         assert!(peak > 5.0, "peak anomaly {peak} too weak to detect");
                     }
                 }
@@ -291,14 +313,62 @@ mod tests {
             radius_deg: 10.0,
             amplitude_k: 8.0,
         };
-        assert_eq!(e.anomaly_at(99, 45.0, 10.0), 0.0);
-        assert_eq!(e.anomaly_at(110, 45.0, 10.0), 0.0);
-        let center = e.anomaly_at(105, 45.0, 10.0);
+        assert!(e.footprint(99).is_none());
+        assert!(e.footprint(110).is_none());
+        let day = e.footprint(105).unwrap();
+        let center = day.at(45.0, 10.0);
         assert!(center > 7.0);
-        let off = e.anomaly_at(105, 45.0, 40.0);
+        let off = day.at(45.0, 40.0);
         assert!(off < center * 0.2, "anomaly should decay away from center");
         // Wrap-around longitude: 10 deg == 370 deg.
-        assert!((e.anomaly_at(105, 45.0, 370.0) - center).abs() < 1e-9);
+        assert!((day.at(45.0, 370.0) - center).abs() < 1e-9);
+    }
+
+    /// The whole anomaly formula evaluated per location: the oracle
+    /// [`ThermalFootprint`]'s once-per-day terms must match bit for bit.
+    fn anomaly_oracle(e: &ThermalEvent, day: usize, lat: f64, lon: f64) -> f64 {
+        if !e.active(day) {
+            return 0.0;
+        }
+        let into = (day - e.start_day) as f64;
+        let remaining = (e.start_day + e.duration - 1 - day) as f64;
+        let ramp = (into + 1.0).min(remaining + 1.0).min(1.5) / 1.5;
+        let dlat = lat - e.center_lat;
+        let mut dlon = (lon - e.center_lon).rem_euclid(360.0);
+        if dlon > 180.0 {
+            dlon -= 360.0;
+        }
+        let dlon_km_scale = e.center_lat.to_radians().cos().max(0.2);
+        let r2 = (dlat / e.radius_deg).powi(2) + (dlon * dlon_km_scale / e.radius_deg).powi(2);
+        e.amplitude_k * ramp * (-r2).exp()
+    }
+
+    #[test]
+    fn footprint_is_bitwise_the_per_location_formula() {
+        let c = cfg();
+        let grid = gridded::Grid::global(96, 144);
+        let mut checked = 0;
+        for y in 0..4 {
+            for e in YearEvents::generate(&c, 2030 + y).thermal {
+                for day in e.start_day.saturating_sub(1)..e.start_day + e.duration + 1 {
+                    let fp = e.footprint(day);
+                    for i in 0..grid.nlat {
+                        for j in 0..grid.nlon {
+                            let (lat, lon) = (grid.lat(i), grid.lon(j));
+                            let got = fp.as_ref().map_or(0.0, |f| f.at(lat, lon));
+                            let want = anomaly_oracle(&e, day, lat, lon);
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "day {day} at ({lat}, {lon})"
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 100_000, "only {checked} locations compared");
     }
 
     #[test]

@@ -175,6 +175,19 @@ impl CoupledModel {
             let o = &self.ocean;
             let vort = a.vorticity();
             let phase = self.cfg.season_phase(self.day);
+            // The step's solar declination, and the solar-elevation factor
+            // it gives each latitude row.
+            let decl = -23.44f64.to_radians()
+                * (2.0 * std::f64::consts::PI * (phase + 10.0 / 365.0)).cos();
+            let (decl_sin, decl_cos) = (decl.sin(), decl.cos());
+            let g = &self.cfg.grid;
+            let row_elev: Vec<f32> = (0..g.nlat)
+                .map(|i| {
+                    let lat = g.lat(i);
+                    (lat.to_radians().sin() * decl_sin + lat.to_radians().cos() * decl_cos)
+                        .max(0.05) as f32
+                })
+                .collect();
 
             for idx in 0..n {
                 let tas = a.tas.data[idx];
@@ -185,19 +198,13 @@ impl CoupledModel {
                 let pr = a.pr.data[idx];
                 let sst = o.sst.data[idx];
                 let ice = o.ice.data[idx];
-                let (i, _) = self.cfg.grid.coords(idx);
-                let lat = self.cfg.grid.lat(i);
+                let elev = row_elev[idx / g.nlon];
 
                 // Diagnostic (derived) variables — cheap physically-shaped
                 // functions of the prognostic state.
                 let es = 610.94 * ((17.625 * (tas - 273.15)) / (tas - 30.11)).exp();
                 let huss = (0.622 * es / psl).clamp(0.0, 0.05);
                 let clt = (0.3 + 0.04 * pr).clamp(0.0, 1.0);
-                let decl = -23.44f64.to_radians()
-                    * (2.0 * std::f64::consts::PI * (phase + 10.0 / 365.0)).cos();
-                let elev = (lat.to_radians().sin() * decl.sin()
-                    + lat.to_radians().cos() * decl.cos())
-                .max(0.05) as f32;
                 let rsds = 340.0 * elev * (1.0 - 0.6 * clt);
                 let rlds = 150.0 + 1.2 * (tas - 220.0);
                 let ts = if ice > 0.5 { tas.min(271.35) } else { 0.5 * (tas + sst) };

@@ -117,14 +117,17 @@ impl Simulation {
     }
 
     /// Runs `years` simulated years like [`Self::run_years`], but also
-    /// captures every day as an in-memory [`output::DayBlock`] and hands
-    /// the full year to `on_year(year, blocks, files)` at each year
-    /// boundary. Daily files are still written — they stay the durable
+    /// captures every day's variables named in `vars` as an in-memory
+    /// [`output::DayBlock`] and hands the full year to
+    /// `on_year(year, blocks, files)` at each year boundary. Daily files
+    /// are still written with every variable — they stay the durable
     /// fallback for chaos kills and checkpoint resume — but the blocks
-    /// let analytics start without re-reading a single one of them.
+    /// let analytics start without re-reading a single one of them, and
+    /// hold no variable the analytics do not read.
     pub fn run_years_streamed<F>(
         &mut self,
         years: usize,
+        vars: &[&str],
         mut on_year: F,
     ) -> ncformat::Result<RunSummary>
     where
@@ -144,7 +147,9 @@ impl Simulation {
                 let (path, fields, bytes) = step_and_write(&mut self.model, &self.out_dir)?;
                 summary.files_written += 1;
                 summary.bytes_written += bytes;
-                blocks.push(output::DayBlock::from_fields(&fields));
+                let mut block = output::DayBlock::from_fields(&fields);
+                block.vars.retain(|(name, _)| vars.contains(&name.as_str()));
+                blocks.push(block);
                 files.push(path);
             }
             self.years_completed += 1;
@@ -238,15 +243,20 @@ mod tests {
         let mut sim = Simulation::new(cfg, &dir).unwrap();
         let mut streamed: Vec<(i32, usize, usize)> = Vec::new();
         let summary = sim
-            .run_years_streamed(2, |year, blocks, files| {
+            .run_years_streamed(2, &["tas", "psl"], |year, blocks, files| {
                 assert_eq!(blocks.len(), 3);
                 assert_eq!(files.len(), 3);
                 for (b, f) in blocks.iter().zip(&files) {
                     assert_eq!(b.year, year);
                     assert!(f.exists());
-                    // In-memory stack equals what a reader gets back.
+                    // In-memory stacks equal what a reader gets back, and
+                    // only the requested variables are held.
                     let rd = ncformat::Reader::open(f).unwrap();
-                    assert_eq!(rd.read_all_f32("tas").unwrap(), b.var("tas").unwrap().as_ref());
+                    let names: Vec<&str> = b.vars.iter().map(|(n, _)| n.as_str()).collect();
+                    assert_eq!(names, ["tas", "psl"]);
+                    for var in names {
+                        assert_eq!(rd.read_all_f32(var).unwrap(), b.var(var).unwrap().as_ref());
+                    }
                 }
                 streamed.push((year, blocks.len(), files.len()));
             })

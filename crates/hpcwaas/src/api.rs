@@ -642,15 +642,21 @@ fn worker_loop(sched: &Scheduler) {
             ok,
             micros,
         });
-        *cell.status.lock().unwrap() = status;
-        cell.cv.notify_all();
-
+        // Slot release and status flip in one scheduler-lock section, the
+        // release first: a waiter woken by the terminal status finds the
+        // execution out of `running` and its tenant's in-flight count, and
+        // a submit of the same key either coalesces onto a still-running
+        // cell or finds the key retired (lock order scheduler → status, as
+        // in `submit`).
         let mut st = sched.state.lock().unwrap();
         st.running -= 1;
         st.queue.complete(&tenant);
         if st.inflight_keys.get(&job.key).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
             st.inflight_keys.remove(&job.key);
         }
+        *cell.status.lock().unwrap() = status;
+        cell.cv.notify_all();
+        drop(st);
     }
 }
 

@@ -90,6 +90,30 @@ fn concurrent_hammer_submit_status_wait() {
     assert_eq!(dispatched, (threads * per_thread) as u64);
 }
 
+/// A waiter woken by a terminal status must find the execution's slot
+/// already released: the worker retires it (`running`, the tenant's
+/// in-flight count, the coalescing key) before it publishes the status.
+#[test]
+fn wait_returns_after_the_slot_is_released() {
+    let api = ExecutionApi::with_config(ServeConfig {
+        workers: 2,
+        queue_capacity: 16,
+        default_quota: quota(4, 2000, 1e9, 1),
+    });
+    api.register(climate_case_study(), |inputs| {
+        Ok(format!("req {}", inputs.get("req").cloned().unwrap_or_default()))
+    });
+    let dep = api.deploy("climate-extremes").unwrap();
+    for i in 0..1000 {
+        let req = i.to_string();
+        let handle = api.submit(dep, &inputs(&[("req", &req)])).unwrap();
+        assert!(matches!(handle.wait(), ExecutionStatus::Completed { .. }));
+        let stats = api.serve_stats();
+        assert_eq!(stats.running, 0, "submit {i}: a finished execution still counts as running");
+        assert_eq!(stats.queue_depth, 0, "submit {i}: queue not empty after wait");
+    }
+}
+
 #[test]
 fn in_flight_quota_enforced_and_released() {
     let api = ExecutionApi::with_config(ServeConfig {

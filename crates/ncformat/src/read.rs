@@ -177,9 +177,15 @@ impl Reader {
         if out.is_empty() {
             return Ok(());
         }
+        self.read_f32_at(v.data_offset + (start * 4) as u64, out)
+    }
+
+    /// Reads `out.len()` stored `f32`s starting at byte `offset` straight
+    /// into `out`: one seek, one read, no intermediate byte buffer.
+    fn read_f32_at(&self, offset: u64, out: &mut [f32]) -> Result<()> {
         {
             let mut file = self.file.lock().expect("reader handle poisoned");
-            file.seek(SeekFrom::Start(v.data_offset + (start * 4) as u64))?;
+            file.seek(SeekFrom::Start(offset))?;
             // SAFETY: viewing `out` as raw bytes is sound — the pointer is
             // valid for `out.len() * 4` bytes, `u8` has no alignment
             // requirement, and every 4-byte pattern is a valid f32.
@@ -212,7 +218,9 @@ impl Reader {
 
     /// Validates a hyperslab request against a variable's shape and returns
     /// the byte-level read plan: a list of `(file_offset, elems)` contiguous
-    /// runs in output order.
+    /// runs in output order. A run that starts where the previous one ends
+    /// is merged into it, so a slab covering whole inner axes (a `[1, nlat,
+    /// nlon]` step of a `[t, lat, lon]` variable) is a single read.
     fn slab_plan(
         &self,
         name: &str,
@@ -258,17 +266,22 @@ impl Reader {
         }
 
         // Iterate over all outer-index combinations; each yields a contiguous
-        // run of `count[rank-1]` elements.
+        // run of `count[rank-1]` elements, coalesced with its predecessor
+        // when the two are adjacent on disk.
         let run = count[rank - 1];
         let outer_total: usize = count[..rank - 1].iter().product();
-        let mut plan = Vec::with_capacity(outer_total.max(1));
+        let mut plan: Vec<(u64, usize)> = Vec::new();
         let mut idx = vec![0usize; rank.saturating_sub(1)];
         for _ in 0..outer_total.max(1) {
             let mut elem_off = start[rank - 1] * strides[rank - 1];
             for (axis, &i) in idx.iter().enumerate() {
                 elem_off += (start[axis] + i) * strides[axis];
             }
-            plan.push((v.data_offset + elem_off as u64 * esize, run));
+            let off = v.data_offset + elem_off as u64 * esize;
+            match plan.last_mut() {
+                Some((prev, n)) if *prev + *n as u64 * esize == off => *n += run,
+                _ => plan.push((off, run)),
+            }
             // Odometer increment over the outer axes.
             for axis in (0..idx.len()).rev() {
                 idx[axis] += 1;
@@ -286,10 +299,12 @@ impl Reader {
     /// is row-major over `count`.
     pub fn read_slab_f32(&self, name: &str, start: &[usize], count: &[usize]) -> Result<Vec<f32>> {
         let plan = self.slab_plan(name, start, count, DataType::F32)?;
-        let mut out = Vec::with_capacity(plan.iter().map(|&(_, n)| n).sum());
+        let mut out = vec![0.0f32; plan.iter().map(|&(_, n)| n).sum()];
+        let mut rest = &mut out[..];
         for (off, n) in plan {
-            let bytes = self.read_raw(off, n * 4)?;
-            out.extend(codec::bytes_f32(&bytes));
+            let (run, tail) = rest.split_at_mut(n);
+            self.read_f32_at(off, run)?;
+            rest = tail;
         }
         Ok(out)
     }
@@ -419,6 +434,26 @@ mod tests {
         // t=1, y=1..3, x=2..4 -> linear offsets 12 + y*4 + x
         let slab = rd.read_slab_f32("v", &[1, 1, 2], &[1, 2, 2]).unwrap();
         assert_eq!(slab, vec![18.0, 19.0, 22.0, 23.0]);
+    }
+
+    #[test]
+    fn slab_plan_coalesces_adjacent_runs() {
+        let path = tmp("plan.ncx");
+        sample(&path);
+        let rd = Reader::open(&path).unwrap();
+        let base = rd.variable("v").unwrap().data_offset;
+        let plan = |start: &[usize], count: &[usize]| {
+            rd.slab_plan("v", start, count, DataType::F32).unwrap()
+        };
+        // One whole `[y, x]` plane of the `[t, y, x]` variable: one run.
+        assert_eq!(plan(&[1, 0, 0], &[1, 3, 4]), vec![(base + 12 * 4, 12)]);
+        // Partial rows are not adjacent on disk: one run per row, count[1] runs.
+        assert_eq!(plan(&[1, 1, 2], &[1, 2, 2]), vec![(base + 18 * 4, 2), (base + 22 * 4, 2)]);
+        // Whole rows of one plane merge; so do whole planes.
+        assert_eq!(plan(&[0, 1, 0], &[1, 2, 4]), vec![(base + 4 * 4, 8)]);
+        assert_eq!(plan(&[0, 0, 0], &[2, 3, 4]), vec![(base, 24)]);
+        // The same row of two planes: two runs, a plane apart.
+        assert_eq!(plan(&[0, 2, 0], &[2, 1, 4]), vec![(base + 8 * 4, 4), (base + 20 * 4, 4)]);
     }
 
     #[test]

@@ -108,6 +108,54 @@ proptest! {
     }
 
     #[test]
+    fn slab_of_any_rank_picks_the_elements_of_read_all(
+        shape in proptest::collection::vec(1usize..6, 1..=4),
+        picks in proptest::collection::vec((any::<u32>(), any::<u32>()), 4),
+        oob_axis in any::<u32>(),
+    ) {
+        let rank = shape.len();
+        let n: usize = shape.iter().product();
+        let data: Vec<f32> = (0..n).map(|i| i as f32 - 7.25).collect();
+        let dims: Vec<String> = (0..rank).map(|a| format!("d{a}")).collect();
+        let path = tmp();
+        let mut w = Writer::create(&path).unwrap();
+        for (d, &len) in dims.iter().zip(&shape) {
+            w.add_dimension(d, len).unwrap();
+        }
+        let dim_refs: Vec<&str> = dims.iter().map(String::as_str).collect();
+        w.add_variable_f32("v", &dim_refs, &data, vec![]).unwrap();
+        w.finish().unwrap();
+
+        // Counts may be zero; starts and counts stay in bounds.
+        let start: Vec<usize> = shape
+            .iter()
+            .zip(&picks)
+            .map(|(&len, &(s, _))| s as usize % len)
+            .collect();
+        let count: Vec<usize> = shape
+            .iter()
+            .zip(&start)
+            .zip(&picks)
+            .map(|((&len, &s), &(_, c))| c as usize % (len - s + 1))
+            .collect();
+
+        let rd = Reader::open(&path).unwrap();
+        let all = rd.read_all_f32("v").unwrap();
+        let got = rd.read_slab_f32("v", &start, &count).unwrap();
+        prop_assert_eq!(got, slab_reference(&all, &shape, &start, &count));
+
+        // One element past the end of any axis is rejected.
+        let axis = oob_axis as usize % rank;
+        let mut bad = count.clone();
+        bad[axis] = shape[axis] - start[axis] + 1;
+        prop_assert!(matches!(
+            rd.read_slab_f32("v", &start, &bad),
+            Err(ncformat::Error::BadSlab(_))
+        ));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
     fn attributes_roundtrip(name in "[a-z]{1,12}", text in ".{0,40}", num in -1e9f64..1e9) {
         let path = tmp();
         let mut w = Writer::create(&path).unwrap();

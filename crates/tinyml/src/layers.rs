@@ -22,13 +22,25 @@
 //! per-pixel loops (which live in `tests/` as the oracles). The forward
 //! works one output pixel at a time across a lane array of output
 //! channels; the backward is one pass over the non-zero output gradients
-//! that updates weight, bias and input gradients together.
+//! that updates weight, bias and input gradients together. [`Dense`]'s
+//! forward accumulates a block of output rows per pass over its input,
+//! bitwise equal to the per-row loop (also in `tests/`). The lane kernels
+//! leave the sign and payload of a NaN unspecified: where two NaN
+//! operands meet in one add, which comes out depends on the operand order
+//! the compiler picks.
 
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 
 /// Output channels [`Conv2d::infer`] accumulates together, one per lane.
 const LANES: usize = 8;
+
+/// The lane count used in place of [`LANES`] by a convolution with at
+/// least this many output channels.
+const WIDE_LANES: usize = 16;
+
+/// Output rows [`Dense::infer`] accumulates together, one per lane.
+const DENSE_ROWS: usize = 8;
 
 thread_local! {
     /// This thread's tap-major copy of the weights of the convolution it
@@ -104,17 +116,31 @@ impl Dense {
 }
 
 impl Layer for Dense {
+    /// The crate's one dense kernel.
+    ///
+    /// Works on `DENSE_ROWS` (8) output rows per pass over the input, so
+    /// their add chains do not wait on each other: each row's accumulator
+    /// starts at its bias and adds `w · x` in ascending input order, the
+    /// one-row-at-a-time loop's sequence, so every output equals it bitwise
+    /// (±0.0 and ±inf included; the sign and payload of a NaN are not
+    /// specified). A final block of fewer rows runs the same loop, its
+    /// spare lanes repeating its last row and their sums dropped.
     fn infer(&self, x: &Tensor, out: &mut Tensor) {
         assert_eq!(x.len(), self.input_len(), "dense input length mismatch");
         let in_n = self.input_len();
+        let x = &x.data[..in_n];
         out.reshape_for_write(&[self.output_len()]);
-        for (o, y) in out.data.iter_mut().enumerate() {
-            let row = &self.w.data[o * in_n..(o + 1) * in_n];
-            let mut acc = self.b.data[o];
-            for (wi, xi) in row.iter().zip(&x.data) {
-                acc += wi * xi;
+        for (blk, y) in out.data.chunks_mut(DENSE_ROWS).enumerate() {
+            let row_of = |lane: usize| blk * DENSE_ROWS + lane.min(y.len() - 1);
+            let rows: [&[f32]; DENSE_ROWS] =
+                std::array::from_fn(|lane| &self.w.data[row_of(lane) * in_n..][..in_n]);
+            let mut acc: [f32; DENSE_ROWS] = std::array::from_fn(|lane| self.b.data[row_of(lane)]);
+            for (i, &xi) in x.iter().enumerate() {
+                for (a, row) in acc.iter_mut().zip(&rows) {
+                    *a += row[i] * xi;
+                }
             }
-            *y = acc;
+            y.copy_from_slice(&acc[..y.len()]);
         }
     }
 
@@ -264,74 +290,88 @@ fn tap_span(pos: usize, k: usize, pad: usize, len: usize) -> std::ops::Range<usi
     lo..hi.max(lo)
 }
 
-impl Layer for Conv2d {
-    /// The crate's one convolution forward kernel.
-    ///
-    /// Works one output pixel and `LANES` (8) output channels at a time: an
-    /// accumulator array starts as the channels' biases, then every tap
-    /// `(c, ky, kx)` inside the pixel's clipped window, in ascending
-    /// order, adds `input × weights` across the lanes, reading the
-    /// weights from a tap-major copy so each tap's lanes are contiguous.
-    /// The lanes are then scattered to their output planes. Every output
-    /// element therefore sees the naive per-pixel loop's multiply-add
-    /// sequence — bias first, taps ascending, clipped taps skipped, not
-    /// multiplied by zero — and equals it bitwise, NaN, ±inf and −0.0
-    /// included. The tap-major copy is rebuilt from `w` on every call into
-    /// a buffer each thread keeps, so it is never stale and, after a
-    /// thread's first call, costs no allocation.
-    fn infer(&self, x: &Tensor, out: &mut Tensor) {
-        assert_eq!(x.rank(), 3, "conv2d expects [C,H,W]");
-        assert_eq!(x.shape[0], self.in_ch, "conv2d channel mismatch");
+impl Conv2d {
+    /// [`Conv2d::infer`]'s kernel at `L` lanes, with `wt` the calling
+    /// thread's tap-major weight buffer.
+    fn infer_lanes<const L: usize>(&self, x: &Tensor, out: &mut Tensor, wt: &mut Vec<f32>) {
         let (h, w) = (x.shape[1], x.shape[2]);
         let (oh, ow) = self.out_hw(h, w);
-        out.reshape_for_write(&[self.out_ch, oh, ow]);
         let (k, pad, in_ch, out_ch) = (self.kernel, self.pad, self.in_ch, self.out_ch);
         let taps = in_ch * k * k;
         let plane = oh * ow;
-        TAP_MAJOR.with_borrow_mut(|wt| {
-            // `wt[block][tap][lane]` = weight of output channel
-            // `block·LANES + lane` at `tap`; lanes past `out_ch` stay zero.
-            wt.clear();
-            wt.resize(out_ch.div_ceil(LANES) * taps * LANES, 0.0);
-            for (o, w_o) in self.w.data.chunks_exact(taps).enumerate() {
-                let block = &mut wt[(o / LANES) * taps * LANES..][..taps * LANES];
-                for (lanes, &v) in block.chunks_exact_mut(LANES).zip(w_o) {
-                    lanes[o % LANES] = v;
-                }
+        // `wt[block][tap][lane]` = weight of output channel `block·L + lane`
+        // at `tap`; lanes past `out_ch` stay zero.
+        wt.clear();
+        wt.resize(out_ch.div_ceil(L) * taps * L, 0.0);
+        for (o, w_o) in self.w.data.chunks_exact(taps).enumerate() {
+            let block = &mut wt[(o / L) * taps * L..][..taps * L];
+            for (lanes, &v) in block.chunks_exact_mut(L).zip(w_o) {
+                lanes[o % L] = v;
             }
-            for (blk, wt_b) in wt.chunks_exact(taps * LANES).enumerate() {
-                let o0 = blk * LANES;
-                let live = LANES.min(out_ch - o0);
-                let mut bias = [0.0f32; LANES];
-                bias[..live].copy_from_slice(&self.b.data[o0..o0 + live]);
-                for yy in 0..oh {
-                    let ky_span = tap_span(yy, k, pad, h);
-                    for xx in 0..ow {
-                        let mut acc = bias;
-                        let kx = tap_span(xx, k, pad, w);
-                        if !kx.is_empty() {
-                            let ix = xx + kx.start - pad..xx + kx.end - pad;
-                            for c in 0..in_ch {
-                                for ky in ky_span.clone() {
-                                    let row = (c * h + yy + ky - pad) * w;
-                                    let xs = &x.data[row + ix.start..row + ix.end];
-                                    let t = (c * k + ky) * k;
-                                    let (ws, _) = wt_b
-                                        [(t + kx.start) * LANES..(t + kx.end) * LANES]
-                                        .as_chunks::<LANES>();
-                                    for (&xv, wv) in xs.iter().zip(ws) {
-                                        for (a, &wl) in acc.iter_mut().zip(wv) {
-                                            *a += wl * xv;
-                                        }
+        }
+        for (blk, wt_b) in wt.chunks_exact(taps * L).enumerate() {
+            let o0 = blk * L;
+            let live = L.min(out_ch - o0);
+            let mut bias = [0.0f32; L];
+            bias[..live].copy_from_slice(&self.b.data[o0..o0 + live]);
+            for yy in 0..oh {
+                let ky_span = tap_span(yy, k, pad, h);
+                for xx in 0..ow {
+                    let mut acc = bias;
+                    let kx = tap_span(xx, k, pad, w);
+                    if !kx.is_empty() {
+                        let ix = xx + kx.start - pad..xx + kx.end - pad;
+                        for c in 0..in_ch {
+                            for ky in ky_span.clone() {
+                                let row = (c * h + yy + ky - pad) * w;
+                                let xs = &x.data[row + ix.start..row + ix.end];
+                                let t = (c * k + ky) * k;
+                                let (ws, _) =
+                                    wt_b[(t + kx.start) * L..(t + kx.end) * L].as_chunks::<L>();
+                                for (&xv, wv) in xs.iter().zip(ws) {
+                                    for (a, &wl) in acc.iter_mut().zip(wv) {
+                                        *a += wl * xv;
                                     }
                                 }
                             }
                         }
-                        for (l, &a) in acc[..live].iter().enumerate() {
-                            out.data[(o0 + l) * plane + yy * ow + xx] = a;
-                        }
+                    }
+                    for (l, &a) in acc[..live].iter().enumerate() {
+                        out.data[(o0 + l) * plane + yy * ow + xx] = a;
                     }
                 }
+            }
+        }
+    }
+}
+
+impl Layer for Conv2d {
+    /// The crate's one convolution forward kernel.
+    ///
+    /// Works one output pixel and a lane array of output channels at a
+    /// time — `WIDE_LANES` (16) for a layer with at least that many output
+    /// channels, `LANES` (8) otherwise: an accumulator array starts as the
+    /// channels' biases, then every tap `(c, ky, kx)` inside the pixel's
+    /// clipped window, in ascending order, adds `input × weights` across
+    /// the lanes, reading the weights from a tap-major copy so each tap's
+    /// lanes are contiguous. The lanes are then scattered to their output
+    /// planes. Every output element therefore sees the naive per-pixel
+    /// loop's multiply-add sequence — bias first, taps ascending, clipped
+    /// taps skipped, not multiplied by zero — and equals it bitwise, ±inf
+    /// and −0.0 included (the sign and payload of a NaN are not
+    /// specified), at either width. The tap-major copy is rebuilt from `w`
+    /// on every call into a buffer each thread keeps, so it is never stale
+    /// and, after a thread's first call, costs no allocation.
+    fn infer(&self, x: &Tensor, out: &mut Tensor) {
+        assert_eq!(x.rank(), 3, "conv2d expects [C,H,W]");
+        assert_eq!(x.shape[0], self.in_ch, "conv2d channel mismatch");
+        let (oh, ow) = self.out_hw(x.shape[1], x.shape[2]);
+        out.reshape_for_write(&[self.out_ch, oh, ow]);
+        TAP_MAJOR.with_borrow_mut(|wt| {
+            if self.out_ch >= WIDE_LANES {
+                self.infer_lanes::<WIDE_LANES>(x, out, wt);
+            } else {
+                self.infer_lanes::<LANES>(x, out, wt);
             }
         });
     }

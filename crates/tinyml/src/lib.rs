@@ -7,9 +7,10 @@
 //! * a dense [`tensor::Tensor`] type with shape bookkeeping;
 //! * differentiable layers ([`layers`]): 2-D convolution, max-pooling,
 //!   fully-connected, flatten, and ReLU/sigmoid/tanh activations; the
-//!   convolution's forward vectorises across output channels and its
-//!   backward is one pass over the non-zero output gradients, both
-//!   bitwise equal to the per-pixel loops;
+//!   convolution's forward vectorises across output channels, the dense
+//!   layer accumulates 8 output rows per pass over its input, and the
+//!   convolution's backward is one pass over the non-zero output
+//!   gradients, each bitwise equal to its one-output-at-a-time loop;
 //! * a [`net::Sequential`] container with forward/backward passes (the
 //!   backward skips the first layer's unused input gradient) and a
 //!   cache-free, allocation-free `infer(&self, ..)` that threads share;

@@ -11,8 +11,9 @@ use tinyml::tensor::Tensor;
 
 /// Largest ratio of conv2's median per-MAC forward cost to conv1's before
 /// it is a regression. On a 2-core host the channel-vectorised kernel read
-/// 0.75–0.90 in 20 runs of this test, and the row-at-a-time kernel it
-/// replaced 1.55–1.72 in 10.
+/// 0.75–0.90 in 20 runs of this test at 8 lanes for both layers, and
+/// 0.59–0.63 in 10 with conv2 at 16 lanes; the row-at-a-time kernel it
+/// replaced read 1.55–1.72 in 10.
 const CONV2_OVER_CONV1_PER_MAC_BOUND: f64 = 1.1;
 
 /// Multiply-adds of one forward pass (every tap, clipped ones included).

@@ -227,11 +227,12 @@ fn sequential_backward_matches_full_chain_bitwise() {
 /// bitwise-invisible at every geometry: widths of one column, widths
 /// narrower than the kernel's reach, odd and ragged widths, paddings that
 /// move the clipped range, and channel counts that leave a partial block
-/// of lanes.
+/// of lanes, at both lane widths (8 below 16 output channels, 16 from
+/// there on).
 #[test]
 fn conv2d_lane_kernel_is_bitwise_across_widths() {
     let mut out = Tensor::default();
-    for (in_ch, out_ch) in [(3, 5), (2, 11)] {
+    for (in_ch, out_ch) in [(3, 5), (2, 11), (3, 16), (2, 17), (2, 20)] {
         for pad in 0..3usize {
             for w in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 23, 31] {
                 if w + 2 * pad < K {
@@ -296,7 +297,7 @@ fn conv2d_clipped_taps_are_skipped_not_zeroed() {
 
 #[test]
 fn conv2d_forward_specials_stay_bitwise() {
-    for (in_ch, out_ch) in [(1, 1), (2, 6)] {
+    for (in_ch, out_ch) in [(1, 1), (2, 6), (2, 17)] {
         let mut conv = conv_with_biases(in_ch, out_ch, 1, 5);
         let mut x = Tensor::uniform(&[in_ch, 6, 19], 1.0, 6);
         // Interior cells and cells on the clipped border alike.

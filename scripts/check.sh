@@ -64,6 +64,15 @@ echo "== conv kernel timing gate: conv2's shape costs per MAC about what conv1's
 cargo test --release -q -p tinyml --test conv_timing -- --ignored --exact \
     conv2_shape_costs_per_mac_about_what_conv1_shape_costs
 
+echo "== slab read gate: every step slab of a variable costs about one whole-variable read =="
+# A slab is read as its coalesced contiguous runs, so reading all 240
+# [1, 48, 72] step slabs of a [240, 48, 72] variable (the TC tracker's
+# access pattern) may cost at most the bound const in the test times one
+# read_shared_f32 of it: medians of 21 interleaved reps, release build.
+# A plan that seeks and reads once per latitude row shows as 10-15x.
+cargo test --release -q -p ncformat --test slab_timing -- --ignored --exact \
+    step_slabs_cost_about_one_whole_variable_read
+
 echo "== one engine: only Pipeline::run_scalar may name ops::scalar =="
 # The scalar kernels are the oracle, not a second production path: outside
 # tests/, benches/ and #[cfg(test)] modules nothing but run_scalar in

@@ -75,9 +75,10 @@ fn strong_heatwave_is_localized_in_the_index_map() {
     for day in 0..cfg.days_per_year {
         let (tmax, _) = esm::model::expected_daily_extremes(&cfg, day, warming);
         let mut with_event = tmax.clone();
+        let footprint = event.footprint(day);
         for i in 0..cfg.grid.nlat {
             for j in 0..cfg.grid.nlon {
-                let a = event.anomaly_at(day, cfg.grid.lat(i), cfg.grid.lon(j));
+                let a = footprint.as_ref().map_or(0.0, |f| f.at(cfg.grid.lat(i), cfg.grid.lon(j)));
                 *with_event.get_mut(i, j) += a as f32;
             }
         }
