@@ -30,9 +30,10 @@
 //! [`RunOrder`] says when analysis is submitted (after the whole
 //! simulation, or per year as years arrive). Tasks #5/#6 import the day
 //! files `stage_year` lists with the datacube engine's `importnc_reduced`
-//! in either setting; #15 and #16 read the year through a [`YearSource`]
-//! — its daily files, or the in-memory blocks the ESM task sent over the
-//! channel — decided when the year is submitted.
+//! in either setting; #15 reads the year through a [`YearSource`] — its
+//! daily files, or the in-memory blocks the ESM task sent over the
+//! channel — decided when the year is submitted, and bundles it into one
+//! file that #16 and #17 read.
 
 use crate::error::{WorkflowError, WorkflowStage};
 use crate::params::WorkflowParams;
@@ -78,7 +79,7 @@ pub enum WfData {
 
 impl WfData {
     /// The cube id, when this is a [`WfData::CubeRef`].
-    pub fn cube_id(&self) -> Option<CubeId> {
+    fn cube_id(&self) -> Option<CubeId> {
         match self {
             WfData::CubeRef(id) => Some(CubeId(*id)),
             _ => None,
@@ -86,7 +87,7 @@ impl WfData {
     }
 
     /// The paths, when this is a [`WfData::Paths`].
-    pub fn paths(&self) -> Option<&[PathBuf]> {
+    fn paths(&self) -> Option<&[PathBuf]> {
         match self {
             WfData::Paths(p) => Some(p),
             _ => None,
@@ -158,13 +159,14 @@ impl Payload for WfData {
     }
 }
 
-/// The variables tasks #15 and #16 read from a year's daily fields. An
-/// in-memory year carries only these; its daily files carry every one.
+/// The variables task #15 bundles from a year's daily fields for #16 and
+/// #17. An in-memory year carries only these; its daily files carry
+/// every one.
 const TC_VARS: [&str; 4] = ["psl", "sfcWind", "tas", "vort"];
 
 /// One simulated year as the ESM task hands it over in memory: the daily
-/// fields #15 and #16 read ([`TC_VARS`]) as shared blocks, plus the daily
-/// files the same year was durably written to.
+/// fields #15 reads ([`TC_VARS`]) as shared blocks, plus the daily files
+/// the same year was durably written to.
 pub(crate) struct StreamedYear {
     year: i32,
     files: Vec<PathBuf>,
@@ -182,19 +184,22 @@ pub enum RunOrder {
     AsYearsArrive,
 }
 
-/// Where tasks #15 and #16 read one year's daily fields from. Decided
-/// when the year's analysis is submitted — a channel arrival is `Mem`; a
-/// watcher group (staged runs, checkpoint-restored years, a year the
-/// watcher saw first) is `Files` — and owned by their closures only, so
-/// an in-memory year is freed when the later of the two finishes.
+/// Where task #15 reads one year's daily fields from. Decided when the
+/// year's analysis is submitted — a channel arrival is `Mem`; a watcher
+/// group (staged runs, checkpoint-restored years, a year the watcher saw
+/// first) is `Files` — and owned by #15's closure only, so an in-memory
+/// year is freed as soon as #15 finishes. #16 reads #15's output file,
+/// not the year: the CNN runs on the one GPU worker, slower than the
+/// ESM makes years, so a year it held would stay resident while later
+/// years queue behind it.
 ///
 /// Decode contract: for either variant, [`YearSource::stack`] of variable
 /// `v` in [`TC_VARS`] on day `d` is the `(time, lat, lon)` time-major f32
 /// stack that
 /// `esm::output` serialized into that day's file — the same values
 /// whether they are read back through `ncformat` or were never written
-/// out of memory — on the grid [`YearSource::shape`] reports. Both bodies
-/// read their year only through these, which is what makes products
+/// out of memory — on the grid [`YearSource::shape`] reports. #15 reads
+/// its year only through these, which is what makes products
 /// byte-identical across sources.
 pub(crate) enum YearSource {
     Files(Vec<PathBuf>),
@@ -397,7 +402,7 @@ impl CaseStudy {
     }
 
     /// Ground truth collected so far (one entry per completed year).
-    pub fn truth(&self) -> Vec<YearEvents> {
+    fn truth(&self) -> Vec<YearEvents> {
         self.truth.lock().clone()
     }
 
@@ -493,20 +498,26 @@ impl CaseStudy {
                     params.io_servers
                 )
             };
-            let build = |pick_max: bool, name: &str| {
-                let mut days = Vec::with_capacity(cfg.days_per_year);
-                for day in 0..cfg.days_per_year {
-                    let (tmax, tmin) = esm::model::expected_daily_extremes(&cfg, day, ref_warming);
-                    days.push(if pick_max { tmax } else { tmin });
-                }
-                fields_to_year_cube(&days, name, &params)
+            // Each day's `(tmax, tmin)` pair is computed once, and only
+            // when a cache miss needs it: a hit on both keys builds nothing.
+            let year = std::cell::OnceCell::new();
+            let days = || -> &(Vec<Field2>, Vec<Field2>) {
+                year.get_or_init(|| {
+                    (0..cfg.days_per_year)
+                        .map(|day| esm::model::expected_daily_extremes(&cfg, day, ref_warming))
+                        .unzip()
+                })
             };
             let cache = CubeCache::global();
             let tmax = cache
-                .get_or_load(&key_of("tasmax"), || build(true, "tasmax_baseline"))
+                .get_or_load(&key_of("tasmax"), || {
+                    fields_to_year_cube(&days().0, "tasmax_baseline", &params)
+                })
                 .map_err(|e| e.to_string())?;
             let tmin = cache
-                .get_or_load(&key_of("tasmin"), || build(false, "tasmin_baseline"))
+                .get_or_load(&key_of("tasmin"), || {
+                    fields_to_year_cube(&days().1, "tasmin_baseline", &params)
+                })
                 .map_err(|e| e.to_string())?;
             // Shallow clones: fragments share their payload buffers, so
             // adopting into this run's store copies no data.
@@ -529,8 +540,8 @@ impl CaseStudy {
 
     /// Submits the full per-year analysis chain (tasks #4–#18, plus #19
     /// `stream_record` on the streaming plane) for one complete year.
-    /// The tasks that read the year through `source` (#15, #16) own it
-    /// through their closures; the runtime drops a closure when its task
+    /// The one task that reads the year through `source` (#15) owns it
+    /// through its closure; the runtime drops a closure when its task
     /// turns terminal, which is what releases an in-memory year.
     fn submit_year_analysis(
         &self,
@@ -687,22 +698,24 @@ impl CaseStudy {
                 })?
         };
 
-        // #16 CNN localization (+ geo-referencing) over every timestep, on
-        // the GPU-partition worker; the task body fans the days onto the
-        // shared pool itself.
+        // #16 CNN localization (+ geo-referencing) over every timestep of
+        // #15's bundle, on the GPU-partition worker; the task body fans the
+        // days onto the shared pool itself.
         let cnn_out = {
             let out = self.params.products_dir().join(format!("tc-cnn-{year_key}.csv"));
             let model = Arc::clone(&self.cnn);
-            let source = Arc::clone(&source);
             self.rt
                 .task("tc_cnn_localize")
                 .key(&format!("tccnn-{year_key}"))
                 .reads(&[tc_input.outputs[0].clone(), model_token.clone()])
                 .constraint(Constraint::gpu())
                 .writes(&[format!("tc-cnn-{year_key}").as_str()])
-                .run(move |_| {
+                .run(move |inp: &[Arc<WfData>]| {
+                    let WfData::Path(input) = &*inp[0] else {
+                        return Err("expected tc input path".into());
+                    };
                     let mut csv = String::from("day,step,lat,lon,confidence\n");
-                    csv.push_str(&cnn_localize_steps(&source, &model)?);
+                    csv.push_str(&cnn_localize_steps(input, &model)?);
                     std::fs::write(&out, &csv).map_err(|e| e.to_string())?;
                     Ok(vec![WfData::Text(csv)])
                 })?
@@ -1323,23 +1336,36 @@ fn build_tc_input(source: &YearSource, out: &Path) -> ncformat::Result<()> {
     w.finish()
 }
 
-/// Task #16 body: CNN localization over every timestep of the year;
-/// returns header-less CSV rows `day,step,lat,lon,confidence`,
-/// step-ascending.
+/// Opens a task #15 bundle: the reader, its grid, its step count and
+/// its steps per day.
+fn open_tc_input(input: &Path) -> ncformat::Result<(Reader, gridded::Grid, usize, usize)> {
+    let rd = Reader::open(input)?;
+    let (nlat, nlon) = (rd.dimension("lat")?.size, rd.dimension("lon")?.size);
+    let steps = rd.dimension("step")?.size;
+    let spd = rd.attribute("steps_per_day").and_then(|v| v.as_f64()).unwrap_or(4.0) as usize;
+    Ok((rd, gridded::Grid::global(nlat, nlon), steps, spd))
+}
+
+/// Task #16 body: CNN localization over every timestep of the #15 bundle
+/// at `input`; returns header-less CSV rows
+/// `day,step,lat,lon,confidence`, step-ascending.
 ///
 /// Days run in parallel on the shared [`par`] pool against the one shared
-/// `model`; inside a day its four stacks are fetched once and its steps
-/// regridded and localized one after the other, tile by tile. A step's
-/// rows do not depend on which lane scored it, and the days' rows
+/// `model`; a day reads its four `(step, lat, lon)` slabs once, then
+/// regrids and localizes its steps one after the other, tile by tile. A
+/// step's rows do not depend on which lane scored it, and the days' rows
 /// concatenate in day order.
-fn cnn_localize_steps(source: &YearSource, model: &TcCnn) -> Result<String, String> {
+fn cnn_localize_steps(input: &Path, model: &TcCnn) -> Result<String, String> {
     use extremes::tc::cnn::FieldSet;
-    let (grid, spd) = source.shape().map_err(|e| e.to_string())?;
+    let (rd, grid, steps, spd) = open_tc_input(input).map_err(|e| e.to_string())?;
     let n = grid.len();
     let analysis = extremes::tc::cnn::analysis_grid(esm::atmos::tc_radius_deg(&grid), model.patch);
-    let days: Vec<usize> = (0..source.files().len()).collect();
+    let days: Vec<usize> = (0..steps / spd).collect();
     let parts: Vec<Result<String, String>> = par::par_map(&days, |&day| {
-        let stack = |var: &str| source.stack(var, day, spd * n).map_err(|e| e.to_string());
+        let stack = |var: &str| {
+            rd.read_slab_f32(var, &[day * spd, 0, 0], &[spd, grid.nlat, grid.nlon])
+                .map_err(|e| e.to_string())
+        };
         let (psl, wind, tas, vort) =
             (stack("psl")?, stack("sfcWind")?, stack("tas")?, stack("vort")?);
         let mut rows = String::new();
@@ -1367,11 +1393,8 @@ fn cnn_localize_steps(source: &YearSource, model: &TcCnn) -> Result<String, Stri
 /// Task #17 body: deterministic detection per timestep + trajectory
 /// stitching; CSV output `track,day,step,lat,lon,psl_pa,wind_ms`.
 fn track_year(input: &Path) -> ncformat::Result<String> {
-    let rd = Reader::open(input)?;
-    let (nlat, nlon) = (rd.dimension("lat")?.size, rd.dimension("lon")?.size);
-    let steps = rd.dimension("step")?.size;
-    let spd = rd.attribute("steps_per_day").and_then(|v| v.as_f64()).unwrap_or(4.0) as usize;
-    let grid = gridded::Grid::global(nlat, nlon);
+    let (rd, grid, steps, spd) = open_tc_input(input)?;
+    let (nlat, nlon) = (grid.nlat, grid.nlon);
     let params = DetectorParams::default();
     let mut per_step = Vec::with_capacity(steps);
     for s in 0..steps {
@@ -1515,9 +1538,10 @@ mod tests {
         (cs, year.expect("one simulated year"))
     }
 
-    /// The equivalence proof, reduced to source invariance: each task
-    /// body that reads a [`YearSource`] (#15, #16) gives the same bits
-    /// over a year's files and over its blocks.
+    /// The equivalence proof, reduced to source invariance: the one task
+    /// body that reads a [`YearSource`] (#15) gives the same bits over a
+    /// year's files and over its blocks, and #16, which reads #15's
+    /// bundle, gives the rows the CNN gives over the daily files.
     #[test]
     fn task_bodies_are_source_invariant() {
         let (cs, year) = case_with_year("source-invariance");
@@ -1533,11 +1557,38 @@ mod tests {
         };
         assert_eq!(tc_input(&files, "tcinput-files.ncx"), tc_input(&mem, "tcinput-mem.ncx"));
 
-        // #16
-        let rows = |source: &YearSource| cnn_localize_steps(source, &cs.cnn).unwrap();
-        let reference = rows(&files);
+        // #16, against the CNN run step by step over the daily files.
+        let mut reference = String::new();
+        for (day, file) in year.files.iter().enumerate() {
+            let rd = Reader::open(file).unwrap();
+            let var = |name: &str| rd.read_shared_f32(name).unwrap();
+            let (psl, wind, tas, vort) = (var("psl"), var("sfcWind"), var("tas"), var("vort"));
+            let grid = gridded::Grid::global(
+                rd.dimension("lat").unwrap().size,
+                rd.dimension("lon").unwrap().size,
+            );
+            let (n, spd) = (grid.len(), rd.dimension("time").unwrap().size);
+            let radius = esm::atmos::tc_radius_deg(&grid);
+            let analysis = extremes::tc::cnn::analysis_grid(radius, cs.cnn.patch);
+            for step in 0..spd {
+                let plane = |s: &[f32]| Field2::from_vec(grid.clone(), s[step * n..][..n].to_vec());
+                let set = extremes::tc::cnn::FieldSet {
+                    psl: plane(&psl),
+                    wind: plane(&wind),
+                    tas: plane(&tas),
+                    vort: plane(&vort),
+                };
+                for det in cs.cnn.localize_set(&set.regrid(&analysis)) {
+                    reference.push_str(&format!(
+                        "{day},{step},{:.3},{:.3},{:.3}\n",
+                        det.lat, det.lon, det.confidence
+                    ));
+                }
+            }
+        }
         assert!(!reference.is_empty(), "the year should yield CNN detections to compare");
-        assert_eq!(rows(&mem), reference, "CNN rows differ between sources");
+        let rows = cnn_localize_steps(&dir.join("tcinput-mem.ncx"), &cs.cnn).unwrap();
+        assert_eq!(rows, reference, "CNN rows over the bundle differ from the daily files'");
         cs.rt.shutdown();
     }
 

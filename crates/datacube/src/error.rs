@@ -14,8 +14,6 @@ pub enum Error {
     WrongDimensionKind { dim: String, need: &'static str },
     /// Two cubes passed to a binary operator have incompatible schemas.
     SchemaMismatch(String),
-    /// Subset range is empty or out of bounds.
-    BadRange { dim: String, lo: usize, hi: usize, size: usize },
     /// Expression parse or evaluation error.
     Expr(String),
     /// Unknown cube id in the store.
@@ -38,9 +36,6 @@ impl fmt::Display for Error {
                 write!(f, "dimension '{dim}' must be {need} for this operator")
             }
             Error::SchemaMismatch(m) => write!(f, "cube schema mismatch: {m}"),
-            Error::BadRange { dim, lo, hi, size } => {
-                write!(f, "range [{lo}, {hi}) invalid for dimension '{dim}' of size {size}")
-            }
             Error::Expr(m) => write!(f, "expression error: {m}"),
             Error::NoSuchCube(id) => write!(f, "no cube with id {id}"),
             Error::SeriesLength { expected, actual } => {
@@ -78,9 +73,7 @@ mod tests {
 
     #[test]
     fn messages_carry_context() {
-        let e = Error::BadRange { dim: "lat".into(), lo: 5, hi: 3, size: 10 };
-        let s = e.to_string();
-        assert!(s.contains("lat") && s.contains('5') && s.contains("10"));
+        assert!(Error::UnknownDimension("lat".into()).to_string().contains("lat"));
         assert!(Error::NoSuchCube(9).to_string().contains('9'));
         assert!(Error::WrongDimensionKind { dim: "time".into(), need: "implicit" }
             .to_string()

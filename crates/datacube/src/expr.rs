@@ -197,11 +197,6 @@ impl Tape {
         &self.ops
     }
 
-    /// Maximum operand-stack depth evaluation needs.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-
     /// Creates a reusable evaluator (owns the operand stack so per-block
     /// evaluation allocates nothing).
     pub fn evaluator(&self) -> TapeEval<'_> {
@@ -771,7 +766,7 @@ mod tests {
     fn tape_depth_is_exact_for_predicate() {
         let e = Expr::parse("predicate(x > 0, 1, 0)").unwrap();
         let t = e.tape();
-        assert_eq!(t.max_depth(), 4, "lhs+rhs+then+else live at once");
+        assert_eq!(t.max_depth, 4, "lhs+rhs+then+else live at once");
         assert_eq!(t.ops().len(), 5);
     }
 

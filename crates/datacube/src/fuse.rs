@@ -3,8 +3,8 @@
 //! [`Pipeline::run`] is the only production code that traverses fragment
 //! payloads for the datacube operators: the public operators of
 //! [`crate::ops`] are one-node chains on it, the extremes indices longer
-//! ones. Run operator by operator, a chain of subset → apply → intercube
-//! → reduce touches each byte once *per operator*; climate analytics
+//! ones. Run operator by operator, a chain of apply → intercube → reduce
+//! touches each byte once *per operator*; climate analytics
 //! throughput is bound by how few times each byte is touched, so the
 //! engine compiles the chain into a single fused per-fragment kernel:
 //! the fragment's [`SharedData`] window is traversed exactly once, with
@@ -15,18 +15,14 @@
 //!
 //! # Fusion legality rules
 //!
-//! * Element-wise stages (`apply`, `intercube`) and implicit-dimension
-//!   subsets commute with evaluating only the *surviving* element
-//!   positions, so the compiler canonicalizes the chain into a gather map
-//!   (final position → source index) plus a stage list evaluated at final
-//!   positions only. Work dropped by a later subset is never computed.
+//! * Element-wise stages (`apply`, `intercube`) keep every element
+//!   position, so the compiler lowers them to a stage list evaluated
+//!   position by position on each source row.
 //! * At most one **terminal** (a `reduce` or a `map_series`) is allowed,
 //!   and it must be last: a reduction changes the index space, after
-//!   which element positions no longer line up with any source gather.
-//! * A [`Pipeline::tap`] (materialize the intermediate cube at that point
-//!   in the same traversal) must not be followed by a `subset`: the tap
-//!   must share the final index space or it would need positions the
-//!   fused kernel never evaluates.
+//!   which element positions no longer line up with the source row.
+//! * At most one [`Pipeline::tap`] (materialize the intermediate cube at
+//!   that point in the same traversal).
 //!
 //! # Shape rules
 //!
@@ -34,11 +30,11 @@
 //! the environment — so a one-node chain costs what its scalar operator
 //! cost:
 //!
-//! 1. **Terminal in place.** With no element-wise stage, no gather and no
-//!    tap (a bare `reduce` or `map_series`), the terminal reads each
-//!    source row where it lies instead of through lane blocks and scratch.
-//! 2. **Identity shares.** A chain that compiles to the identity (e.g. a
-//!    full-range subset) returns the source fragments' shared buffers.
+//! 1. **Terminal in place.** With no element-wise stage and no tap (a
+//!    bare `reduce` or `map_series`), the terminal reads each source row
+//!    where it lies instead of through lane blocks and scratch.
+//! 2. **Identity shares.** A chain that compiles to the identity (no
+//!    stage, no terminal) returns the source fragments' shared buffers.
 //!
 //! A one-node chain reports its operator's own name (`reduce`, `apply`, …)
 //! to spans, `datacube_kernel_us{op}` and `OperatorDone`, longer chains
@@ -64,7 +60,6 @@ use crate::exec::{par_map_fragments_on, ExecConfig};
 use crate::expr::{ConstSelect, Expr, Tape, TapeEval, LANES};
 use crate::model::{Cube, DimKind, Dimension, Fragment, SharedData};
 use crate::ops::{self, InterOp, ReduceOp};
-use std::sync::Arc;
 
 /// Per-row series kernel of a `map_series` terminal: reads the (virtual)
 /// row and writes exactly `out_len` values. It may borrow for `'f` — that
@@ -73,7 +68,6 @@ use std::sync::Arc;
 pub type SeriesFn<'f> = dyn Fn(&[f32], &mut [f32]) + Send + Sync + 'f;
 
 enum Step {
-    Subset { dim: String, lo: usize, hi: usize },
     Apply(Expr),
     Inter { b: Cube, op: InterOp },
 }
@@ -82,7 +76,6 @@ impl Step {
     /// `(operator name, output description)` of this step run on its own.
     fn label(&self) -> (&'static str, String) {
         match self {
-            Step::Subset { dim, lo, hi } => ("subset", format!("subset({dim}, {lo}..{hi})")),
             Step::Apply(_) => ("apply", "apply(expr)".into()),
             Step::Inter { op, .. } => ("intercube", format!("intercube({op:?})")),
         }
@@ -154,8 +147,6 @@ impl<'f> Pipeline<'f> {
 
     fn push(mut self, step: Step) -> Self {
         self.check(self.terminal.is_some(), "steps after a terminal are not fusible");
-        let subset_after_tap = matches!(step, Step::Subset { .. }) && self.tap_at.is_some();
-        self.check(subset_after_tap, "subset after tap is not fusible");
         self.steps.push(step);
         self
     }
@@ -164,12 +155,6 @@ impl<'f> Pipeline<'f> {
         self.check(self.terminal.is_some(), "a pipeline supports a single terminal");
         self.terminal = Some(terminal);
         self
-    }
-
-    /// Subsets an implicit dimension to `lo..hi` (as
-    /// [`ops::subset_implicit`]).
-    pub fn subset_implicit(self, dim: &str, lo: usize, hi: usize) -> Self {
-        self.push(Step::Subset { dim: dim.into(), lo, hi })
     }
 
     /// Applies an element-wise expression (as [`ops::apply`]).
@@ -186,8 +171,7 @@ impl<'f> Pipeline<'f> {
     }
 
     /// Materializes the intermediate cube at this point of the chain in
-    /// the same fused traversal ([`FusedOutput::tapped`]). No `subset` may
-    /// follow.
+    /// the same fused traversal ([`FusedOutput::tapped`]).
     pub fn tap(mut self) -> Self {
         self.check(self.tap_at.is_some(), "a pipeline supports a single tap");
         self.tap_at = Some(self.steps.len());
@@ -225,7 +209,7 @@ impl<'f> Pipeline<'f> {
             _ => "fuse",
         };
         let has_tap = c.tap_stage.is_some();
-        let bare = c.stages.is_empty() && c.gather.is_none();
+        let bare = c.stages.is_empty();
         let (frags, tap_frags) = if bare && c.terminal.is_none() {
             // Shape rule 2: nothing to compute — share the source buffers.
             (src.frags.clone(), if has_tap { src.frags.clone() } else { Vec::new() })
@@ -234,7 +218,7 @@ impl<'f> Pipeline<'f> {
                 let mut tap = SharedData::empty();
                 let out = fill(f.row_count * c.out_row_len, |dst| {
                     if has_tap {
-                        tap = fill(f.row_count * c.v_ilen, |t| c.run_fragment(f, dst, Some(t)));
+                        tap = fill(f.row_count * c.ilen, |t| c.run_fragment(f, dst, Some(t)));
                     } else {
                         c.run_fragment(f, dst, None);
                     }
@@ -269,9 +253,6 @@ impl<'f> Pipeline<'f> {
                 tapped = Some(cur.clone());
             }
             cur = match step {
-                Step::Subset { dim, lo, hi } => {
-                    ops::scalar::subset_implicit(&cur, dim, *lo, *hi, cfg)?
-                }
                 Step::Apply(e) => ops::scalar::apply(&cur, e, cfg),
                 Step::Inter { b, op } => ops::scalar::intercube(&cur, b, *op, cfg)?,
             };
@@ -295,57 +276,26 @@ impl<'f> Pipeline<'f> {
     }
 
     /// Validates the chain against `src`'s schema and lowers it to the
-    /// kernel program: gather map, stage list with b-index maps, terminal
-    /// geometry, output dims.
+    /// kernel program: stage list, terminal geometry, output dims.
     fn compile<'p>(&'p self, src: &Cube) -> Result<Compiled<'p>> {
         if let Some(msg) = &self.err {
             return Err(Error::SchemaMismatch(msg.clone()));
         }
-        let ilen_of = |dims: &[Dimension]| -> usize {
-            dims.iter().filter(|d| d.kind == DimKind::Implicit).map(|d| d.len()).product()
-        };
+        let ilen = src.implicit_len();
         let mut dims = src.dims.clone();
         let mut stages: Vec<CStage<'p>> = Vec::new();
-        // Compile-time event trail for the reverse index walk: subsets
-        // (their geometry inside the in-row layout) and runtime-stage
-        // markers, in chain order.
-        enum Ev {
-            Subset { target: usize, after: usize, lo: usize, keep: usize },
-            Stage(usize),
-        }
-        let mut events: Vec<Ev> = Vec::new();
         let mut tap_stage = None;
         for (i, step) in self.steps.iter().enumerate() {
             if self.tap_at == Some(i) {
                 tap_stage = Some(stages.len());
             }
-            match step {
-                Step::Subset { dim, lo, hi } => {
-                    let (_, target, after) = implicit_geom(&dims, dim)?;
-                    if *lo >= *hi || *hi > target {
-                        return Err(Error::BadRange {
-                            dim: dim.clone(),
-                            lo: *lo,
-                            hi: *hi,
-                            size: target,
-                        });
-                    }
-                    // A full-range subset selects every position: it adds
-                    // nothing to the gather map (shape rule 2 relies on it).
-                    if hi - lo < target {
-                        events.push(Ev::Subset { target, after, lo: *lo, keep: hi - lo });
-                    }
-                    if let Some(x) = dims.iter_mut().find(|x| x.name == *dim) {
-                        x.coords = Arc::from(&x.coords[*lo..*hi]);
-                    }
-                }
+            stages.push(match step {
                 Step::Apply(e) => {
-                    events.push(Ev::Stage(stages.len()));
                     let tape = e.tape();
-                    stages.push(match tape.const_select() {
+                    match tape.const_select() {
                         Some(cs) => CStage::ApplySelect(cs),
                         None => CStage::Apply(tape),
-                    });
+                    }
                 }
                 Step::Inter { b, op } => {
                     if src.rows() != b.rows() {
@@ -355,60 +305,24 @@ impl<'f> Pipeline<'f> {
                             b.rows()
                         )));
                     }
-                    let ilen_now = ilen_of(&dims);
                     let ilen_b = b.implicit_len();
-                    if ilen_b != ilen_now && ilen_b != 1 {
+                    if ilen_b != ilen && ilen_b != 1 {
                         return Err(Error::SchemaMismatch(format!(
-                            "implicit lengths incompatible: {ilen_now} vs {ilen_b}"
+                            "implicit lengths incompatible: {ilen} vs {ilen_b}"
                         )));
                     }
-                    events.push(Ev::Stage(stages.len()));
-                    stages.push(CStage::Inter {
-                        op: *op,
-                        ilen_b,
-                        border: b.frags_in_row_order(),
-                        bmap: None,
-                    });
+                    CStage::Inter { op: *op, ilen_b, border: b.frags_in_row_order() }
                 }
-            }
+            });
         }
         if self.tap_at == Some(self.steps.len()) {
             tap_stage = Some(stages.len());
         }
-        let v_ilen = ilen_of(&dims);
         let tap_dims = tap_stage.map(|_| dims.clone());
-
-        // Reverse walk: compose subset output→input index maps so `cur`
-        // always maps final element positions to the index space at the
-        // walk's current point; snapshot it at each intercube stage.
-        let mut cur: Vec<usize> = (0..v_ilen).collect();
-        let mut identity = true;
-        for ev in events.iter().rev() {
-            match ev {
-                Ev::Stage(k) => {
-                    if !identity {
-                        if let CStage::Inter { bmap, ilen_b, .. } = &mut stages[*k] {
-                            if *ilen_b != 1 {
-                                *bmap = Some(cur.clone());
-                            }
-                        }
-                    }
-                }
-                Ev::Subset { target, after, lo, keep } => {
-                    let sel = keep * after;
-                    for o in cur.iter_mut() {
-                        let (b, rem) = (*o / sel, *o % sel);
-                        *o = b * target * after + (lo + rem / after) * after + rem % after;
-                    }
-                    identity = false;
-                }
-            }
-        }
-        let gather = if identity { None } else { Some(cur) };
 
         // Terminal geometry + output dims.
         let (terminal, out_row_len) = match &self.terminal {
-            None => (None, v_ilen),
+            None => (None, ilen),
             Some(Terminal::Reduce { op, dim }) => {
                 let (before, target, after) = implicit_geom(&dims, dim)?;
                 dims.retain(|x| x.name != *dim);
@@ -425,17 +339,7 @@ impl<'f> Pipeline<'f> {
                 (Some(CTerm::Series { f: f.as_ref() }), *out_len)
             }
         };
-        Ok(Compiled {
-            stages,
-            gather,
-            src_ilen: src.implicit_len(),
-            v_ilen,
-            tap_stage,
-            terminal,
-            out_dims: dims,
-            tap_dims,
-            out_row_len,
-        })
+        Ok(Compiled { stages, ilen, tap_stage, terminal, out_dims: dims, tap_dims, out_row_len })
     }
 }
 
@@ -475,9 +379,6 @@ enum CStage<'p> {
         ilen_b: usize,
         /// `b`'s fragments sorted by `row_start`.
         border: Vec<&'p Fragment>,
-        /// Final position → b-row index at this stage; `None` = identity
-        /// (no subsets after this stage) or per-row broadcast.
-        bmap: Option<Vec<usize>>,
     },
 }
 
@@ -533,11 +434,8 @@ enum RunState<'t> {
 
 struct Compiled<'p> {
     stages: Vec<CStage<'p>>,
-    /// Final element position → source in-row index (`None` = identity).
-    gather: Option<Vec<usize>>,
-    src_ilen: usize,
-    /// Virtual row length after all element-wise stages.
-    v_ilen: usize,
+    /// Row length of the source and of every element-wise stage.
+    ilen: usize,
     /// Runtime-stage boundary the tap sits at (elements captured after
     /// `stages[..tap_stage]`).
     tap_stage: Option<usize>,
@@ -551,10 +449,10 @@ impl Compiled<'_> {
     /// The fused kernel body: every row of `f` goes through the
     /// element-wise phase, then to the terminal.
     fn run_fragment(&self, f: &Fragment, dst: &mut [f32], mut tap: Option<&mut [f32]>) {
-        let (ilen, v, orl) = (self.src_ilen, self.v_ilen, self.out_row_len);
+        let (ilen, orl) = (self.ilen, self.out_row_len);
         let data = f.data.as_slice();
         let row = |r: usize| &data[r * ilen..(r + 1) * ilen];
-        let bare = self.stages.is_empty() && self.gather.is_none();
+        let bare = self.stages.is_empty();
         if let (true, Some(t), None) = (bare, &self.terminal, &tap) {
             // Shape rule 1: nothing stands between the source row and the
             // terminal, so it reads each row in place — one tight loop,
@@ -583,13 +481,13 @@ impl Compiled<'_> {
                 ),
             })
             .collect();
-        let mut scratch = vec![0.0f32; if self.terminal.is_some() { v } else { 0 }];
+        let mut scratch = vec![0.0f32; if self.terminal.is_some() { ilen } else { 0 }];
         for r in 0..f.row_count {
             let out_row = &mut dst[r * orl..(r + 1) * orl];
             // Straight into the output row when there is no terminal, else
             // into the scratch row the terminal then folds.
             let ew = if self.terminal.is_some() { &mut scratch[..] } else { &mut out_row[..] };
-            let tap_row = tap.as_deref_mut().map(|t| &mut t[r * v..(r + 1) * v]);
+            let tap_row = tap.as_deref_mut().map(|t| &mut t[r * ilen..(r + 1) * ilen]);
             self.elementwise(row(r), f.row_start + r, &mut states, ew, tap_row);
             if let Some(t) = &self.terminal {
                 t.finish(&scratch, out_row);
@@ -597,8 +495,8 @@ impl Compiled<'_> {
         }
     }
 
-    /// The element-wise phase of global row `grow`: `row` is gathered and
-    /// evaluated in [`LANES`]-wide blocks through the stage list into `ew`
+    /// The element-wise phase of global row `grow`: `row` is evaluated in
+    /// [`LANES`]-wide blocks through the stage list into `ew`
     /// (and `tap_row` at the tap's stage boundary). Partial tail blocks pad
     /// with the block's first valid lane — all operations are pure
     /// per-element, so the padded lanes compute garbage that is simply not
@@ -620,19 +518,12 @@ impl Compiled<'_> {
                 }
             }
         }
-        let v = self.v_ilen;
+        let v = self.ilen;
         let mut j = 0usize;
         while j < v {
             let n = (v - j).min(LANES);
             let mut va = [0.0f32; LANES];
-            match &self.gather {
-                Some(g) => {
-                    for l in 0..n {
-                        va[l] = row[g[j + l]];
-                    }
-                }
-                None => va[..n].copy_from_slice(&row[j..j + n]),
-            }
+            va[..n].copy_from_slice(&row[j..j + n]);
             for l in n..LANES {
                 va[l] = va[0];
             }
@@ -653,17 +544,14 @@ impl Compiled<'_> {
                             *v = cs.eval(*v as f64) as f32;
                         }
                     }
-                    (CStage::Inter { op, ilen_b, border, bmap }, RunState::Inter(bi)) => {
+                    (CStage::Inter { op, ilen_b, border }, RunState::Inter(bi)) => {
                         let off = (grow - border[*bi].row_start) * ilen_b;
                         let brow = &border[*bi].data.as_slice()[off..off + ilen_b];
                         let mut vb = [0.0f32; LANES];
                         if *ilen_b == 1 {
                             vb = [brow[0]; LANES];
                         } else {
-                            match bmap {
-                                Some(m) => (0..n).for_each(|l| vb[l] = brow[m[j + l]]),
-                                None => vb[..n].copy_from_slice(&brow[j..j + n]),
-                            }
+                            vb[..n].copy_from_slice(&brow[j..j + n]);
                             for l in n..LANES {
                                 vb[l] = vb[0];
                             }
@@ -742,7 +630,6 @@ mod tests {
     fn single_stage_chains_match_scalar() {
         let src = sample(3);
         assert_conforms(&Pipeline::new().apply(Expr::parse("2*x + 1").unwrap()), &src);
-        assert_conforms(&Pipeline::new().subset_implicit("time", 1, 5), &src);
         assert_conforms(&Pipeline::new().intercube(&src, InterOp::Mul), &src);
         assert_conforms(&Pipeline::new().reduce(ReduceOp::Sum, "time"), &src);
         for op in [ReduceOp::Max, ReduceOp::Min, ReduceOp::Avg, ReduceOp::CountPositive] {
@@ -755,28 +642,9 @@ mod tests {
         let src = sample(4);
         let base = Pipeline::new().reduce(ReduceOp::Avg, "time").run(&src, cfg()).unwrap().cube;
         let p = Pipeline::new()
-            .subset_implicit("time", 1, 6)
             .intercube(&base, InterOp::Sub)
             .apply(Expr::from_oph_predicate("x", ">0", "1", "0").unwrap())
             .reduce(ReduceOp::CountPositive, "time");
-        assert_conforms(&p, &src);
-    }
-
-    #[test]
-    fn subset_then_intercube_uses_stage_index_space() {
-        // b has the FULL implicit length; the subset comes after, so b's
-        // rows must be indexed through the composed map.
-        let src = sample(3);
-        let b = sample(2);
-        let p = Pipeline::new()
-            .intercube(&b, InterOp::Add)
-            .subset_implicit("time", 2, 5)
-            .apply(Expr::parse("x/3").unwrap());
-        assert_conforms(&p, &src);
-        // And the reverse order: subset first, so b must have the narrow
-        // length.
-        let narrow = Pipeline::new().subset_implicit("time", 2, 5).run(&b, cfg()).unwrap().cube;
-        let p = Pipeline::new().subset_implicit("time", 2, 5).intercube(&narrow, InterOp::Sub);
         assert_conforms(&p, &src);
     }
 
@@ -814,11 +682,7 @@ mod tests {
     #[test]
     fn schema_errors_mirror_the_scalar_operators() {
         let src = sample(2);
-        let r = Pipeline::new().subset_implicit("lat", 0, 1).run(&src, cfg());
-        assert!(matches!(r, Err(Error::WrongDimensionKind { .. })));
-        let r = Pipeline::new().subset_implicit("time", 4, 2).run(&src, cfg());
-        assert!(matches!(r, Err(Error::BadRange { .. })));
-        let r = Pipeline::new().subset_implicit("ghost", 0, 1).run(&src, cfg());
+        let r = Pipeline::new().reduce(ReduceOp::Max, "ghost").run(&src, cfg());
         assert!(matches!(r, Err(Error::UnknownDimension(_))));
         let other =
             Cube::from_dense("w", vec![Dimension::explicit("x", vec![0.0])], vec![1.0], 1, 1)
@@ -836,9 +700,6 @@ mod tests {
         let p = Pipeline::new().reduce(ReduceOp::Max, "time").apply(Expr::parse("x").unwrap());
         assert!(p.run(&src, cfg()).is_err());
         assert!(p.run_scalar(&src, cfg()).is_err());
-        // Subset after tap.
-        let p = Pipeline::new().tap().subset_implicit("time", 0, 2);
-        assert!(p.run(&src, cfg()).is_err());
         // Double terminal.
         let p = Pipeline::new().reduce(ReduceOp::Max, "time").reduce(ReduceOp::Min, "time");
         assert!(p.run(&src, cfg()).is_err());
@@ -900,7 +761,7 @@ mod tests {
         ];
         let src = Cube::from_dense("v", dims, vec![1.0; 14], 7, 2).unwrap();
         Pipeline::new().reduce(ReduceOp::Max, "time").run(&src, cfg()).unwrap();
-        Pipeline::new().subset_implicit("time", 0, 2).run(&src, cfg()).unwrap();
+        Pipeline::new().run(&src, cfg()).unwrap();
         let names: Vec<&str> = rx
             .drain()
             .iter()

@@ -10,11 +10,11 @@
 //!
 //! * [`model::Cube`] — datacubes with *explicit* (fragmented, e.g. lat/lon)
 //!   and *implicit* (in-array, e.g. time) dimensions;
-//! * [`ops`] — the operator set the workflow uses: `importnc`, `subset`,
+//! * [`ops`] — the operator set the workflow uses: `importnc`,
 //!   `reduce`, `apply` (with an `oph_predicate`-style expression language,
 //!   [`expr`]), `intercube`, `concat_implicit`, `map_series`, `exportnc`;
 //! * [`fuse`] — the one execution engine behind those operators: compiles
-//!   a subset→apply→intercube→reduce chain (or a single operator) into one
+//!   an apply→intercube→reduce chain (or a single operator) into one
 //!   vectorized kernel per fragment, bitwise-equal to the scalar kernels
 //!   kept in [`ops::scalar`] as its test oracle;
 //! * [`exec`] — lane dispatch of fragment kernels over a configurable

@@ -33,9 +33,9 @@ pub struct SharedData {
 
 impl SharedData {
     /// An empty payload. Allocation-free: every call shares one static
-    /// zero-length buffer, so operators that produce empty windows (e.g.
-    /// `subset` of an empty range, `gather_rows` of zero rows) cost one
-    /// refcount bump instead of an `Arc` allocation each.
+    /// zero-length buffer, so operators that produce empty outputs (e.g. a
+    /// zero-length `map_series`) cost one refcount bump instead of an
+    /// `Arc` allocation each.
     pub fn empty() -> Self {
         static EMPTY: std::sync::OnceLock<Arc<[f32]>> = std::sync::OnceLock::new();
         let buf = Arc::clone(EMPTY.get_or_init(|| Arc::from([])));
@@ -191,14 +191,6 @@ pub struct Fragment {
     pub server: usize,
     /// Payload (`row_count * implicit_len` f32 values).
     pub data: SharedData,
-}
-
-impl Fragment {
-    /// O(1) view of local rows `[lo, hi)` of this fragment (`ilen` values
-    /// per row), sharing the payload buffer.
-    pub fn row_view(&self, lo: usize, hi: usize, ilen: usize) -> SharedData {
-        self.data.slice(lo * ilen, hi * ilen)
-    }
 }
 
 /// An in-memory datacube.

@@ -2,16 +2,16 @@
 //!
 //! Each operator is a pure function `(&Cube, …) -> Cube`. The set covers
 //! what the paper's heat/cold-wave and TC pipelines use: NetCDF
-//! import/export, subsetting, time reduction, element-wise `apply` with
-//! the expression language, cube–cube arithmetic (with per-row
-//! broadcasting for baseline climatologies), implicit-dimension
-//! concatenation (stacking days into a year), and a generic per-row series
-//! transform for run-length analytics.
+//! import/export, time reduction, element-wise `apply` with the
+//! expression language, cube–cube arithmetic (with per-row broadcasting
+//! for baseline climatologies), implicit-dimension concatenation
+//! (stacking days into a year), and a generic per-row series transform
+//! for run-length analytics.
 //!
 //! **One engine, scalar oracle.** The operators that traverse fragment
-//! payloads — [`reduce`], [`apply`], [`intercube`], [`subset_implicit`],
-//! [`map_series`] (and [`rolling`] on top of it) — are one-node chains on
-//! [`crate::fuse::Pipeline`], the only code that runs them in production;
+//! payloads — [`reduce`], [`apply`], [`intercube`], [`map_series`] — are
+//! one-node chains on [`crate::fuse::Pipeline`], the only code that runs
+//! them in production;
 //! the operator-by-operator kernels they used to be live in [`scalar`] as
 //! the conformance suite's oracle. The other operators re-window or
 //! stream buffers and have a single implementation here.
@@ -31,7 +31,6 @@ use crate::model::{Cube, DimKind, Dimension, Fragment, SharedData};
 use ncformat::{Reader, Value, Writer};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Reduction kernels over an implicit dimension.
 ///
@@ -151,60 +150,6 @@ impl InterOp {
             InterOp::Div => a / b,
         }
     }
-}
-
-/// Gathers `count` output rows (`ilen` values each) whose source rows are
-/// given by `src_row(i)`, out of `src` (fragments sorted by `row_start`).
-/// When the selection is one contiguous run inside a single source fragment
-/// the result is an O(1) window sharing the source buffer; otherwise runs
-/// of consecutive source rows are block-copied into a buffer allocated
-/// exactly once.
-fn gather_rows(
-    src: &[&Fragment],
-    ilen: usize,
-    count: usize,
-    src_row: impl Fn(usize) -> usize,
-) -> SharedData {
-    if count == 0 || ilen == 0 {
-        return SharedData::empty();
-    }
-    let first = src_row(0);
-    if (1..count).all(|i| src_row(i) == first + i) {
-        if let Some(f) =
-            src.iter().find(|f| first >= f.row_start && first + count <= f.row_start + f.row_count)
-        {
-            return f.row_view(first - f.row_start, first - f.row_start + count, ilen);
-        }
-    }
-    SharedData::from_fn(count * ilen, |out| {
-        let mut w = 0usize;
-        let mut i = 0usize;
-        while i < count {
-            // Extend the run while source rows stay consecutive, then copy
-            // it with a fragment cursor (runs may span fragments).
-            let start = src_row(i);
-            let mut run = 1usize;
-            while i + run < count && src_row(i + run) == start + run {
-                run += 1;
-            }
-            let mut fi = src.partition_point(|f| f.row_start + f.row_count <= start);
-            let mut need = start;
-            let end = start + run;
-            while need < end {
-                while src[fi].row_start + src[fi].row_count <= need {
-                    fi += 1;
-                }
-                let f = src[fi];
-                let lo = need - f.row_start;
-                let hi = (end - f.row_start).min(f.row_count);
-                let n = (hi - lo) * ilen;
-                out[w..w + n].copy_from_slice(&f.data.as_slice()[lo * ilen..hi * ilen]);
-                w += n;
-                need = f.row_start + hi;
-            }
-            i += run;
-        }
-    })
 }
 
 /// Imports a variable from an NCX file into a cube.
@@ -354,102 +299,6 @@ pub fn intercube(a: &Cube, b: &Cube, op: InterOp, cfg: ExecConfig) -> Result<Cub
     Ok(Pipeline::new().intercube(b, op).run(a, cfg)?.cube)
 }
 
-/// Subsets an implicit dimension to the index range `lo..hi`. A full-range
-/// subset shares the source payload buffers.
-pub fn subset_implicit(
-    cube: &Cube,
-    dim: &str,
-    lo: usize,
-    hi: usize,
-    cfg: ExecConfig,
-) -> Result<Cube> {
-    Ok(Pipeline::new().subset_implicit(dim, lo, hi).run(cube, cfg)?.cube)
-}
-
-/// Subsets an explicit dimension to the index range `lo..hi` (spatial
-/// subsetting: a lat or lon window). The row space shrinks; data is
-/// re-fragmented to preserve the original fragment count. Selected rows are
-/// gathered straight from the source fragments; when a target fragment's
-/// rows form one contiguous run inside a source fragment it becomes an
-/// O(1) window.
-pub fn subset_explicit(cube: &Cube, dim: &str, lo: usize, hi: usize) -> Result<Cube> {
-    let d = cube.dim(dim)?;
-    if d.kind != DimKind::Explicit {
-        return Err(Error::WrongDimensionKind { dim: dim.into(), need: "explicit" });
-    }
-    if lo >= hi || hi > d.len() {
-        return Err(Error::BadRange { dim: dim.into(), lo, hi, size: d.len() });
-    }
-    let edims = cube.explicit_dims();
-    let pos = edims.iter().position(|x| x.name == dim).expect("dim checked");
-    let after: usize = edims[pos + 1..].iter().map(|x| x.len()).product();
-    let target = edims[pos].len();
-    let before: usize = edims[..pos].iter().map(|x| x.len()).product();
-    let ilen = cube.implicit_len();
-
-    let keep = hi - lo;
-    let newrows = before * keep * after;
-    let src_order = cube.frags_in_row_order();
-    // Output-row -> source-row map for the kept index window.
-    let src_row = |out_row: usize| {
-        let sel = keep * after;
-        let b = out_row / sel;
-        let rem = out_row % sel;
-        (b * target + lo + rem / after) * after + rem % after
-    };
-
-    // Same partitioning (and single-server placement) as the previous
-    // dense re-split, so fragment layouts are unchanged.
-    let nfrag = cube.frags.len().clamp(1, newrows.max(1));
-    let base = newrows / nfrag;
-    let extra = newrows % nfrag;
-    let mut frags = Vec::with_capacity(nfrag);
-    let mut row = 0usize;
-    for f in 0..nfrag {
-        let count = base + usize::from(f < extra);
-        let data = gather_rows(&src_order, ilen, count, |i| src_row(row + i));
-        frags.push(Fragment { row_start: row, row_count: count, server: 0, data });
-        row += count;
-    }
-
-    let dims: Vec<Dimension> = cube
-        .dims
-        .iter()
-        .map(|x| {
-            if x.name == dim {
-                Dimension {
-                    name: x.name.clone(),
-                    kind: x.kind,
-                    coords: Arc::from(&x.coords[lo..hi]),
-                }
-            } else {
-                x.clone()
-            }
-        })
-        .collect();
-    let out = Cube {
-        measure: cube.measure.clone(),
-        dims,
-        frags,
-        description: format!("subset_explicit({dim}, {lo}..{hi})"),
-    };
-    out.validate()?;
-    Ok(out)
-}
-
-/// Subsets an explicit dimension by coordinate values: keeps indices whose
-/// coordinate lies in `[lo, hi]` (inclusive). The paper-style spatial
-/// window ("for a given area").
-pub fn subset_by_coord(cube: &Cube, dim: &str, lo: f64, hi: f64) -> Result<Cube> {
-    let d = cube.dim(dim)?;
-    let first = d.coords.iter().position(|&c| c >= lo && c <= hi);
-    let last = d.coords.iter().rposition(|&c| c >= lo && c <= hi);
-    match (first, last) {
-        (Some(a), Some(b)) if a <= b => subset_explicit(cube, dim, a, b + 1),
-        _ => Err(Error::BadRange { dim: dim.into(), lo: 0, hi: 0, size: d.len() }),
-    }
-}
-
 /// Concatenates cubes along an implicit dimension (stacking days into a
 /// year series). All cubes must share explicit dimensions; each must have
 /// exactly one implicit dimension named `dim`. The output has the first
@@ -560,75 +409,6 @@ where
         usize::MAX => Ok(out?.cube),
         actual => Err(Error::SeriesLength { expected: out_len, actual }),
     }
-}
-
-/// Rolling-window reduction along the (single) implicit dimension
-/// (Ophidia's time-series processing: `oph_apply` with moving-window
-/// primitives). Output series length is `len - window + 1`; each element
-/// is `op` over the trailing window.
-pub fn rolling(cube: &Cube, op: ReduceOp, window: usize, cfg: ExecConfig) -> Result<Cube> {
-    if window == 0 {
-        return Err(Error::BadRange {
-            dim: "window".into(),
-            lo: 0,
-            hi: 0,
-            size: cube.implicit_len(),
-        });
-    }
-    let idims = cube.implicit_dims();
-    let dim = idims
-        .first()
-        .map(|d| d.name.clone())
-        .ok_or_else(|| Error::SchemaMismatch("rolling needs an implicit dimension".into()))?;
-    if idims.len() != 1 {
-        return Err(Error::SchemaMismatch(
-            "rolling requires exactly one implicit dimension".into(),
-        ));
-    }
-    let len = cube.implicit_len();
-    if window > len {
-        return Err(Error::BadRange { dim, lo: 0, hi: window, size: len });
-    }
-    let out_len = len - window + 1;
-    let out = map_series(cube, &format!("{dim}_rolling"), out_len, cfg, |row| {
-        row.windows(window).map(|w| op.apply(w)).collect()
-    })?;
-    Ok(out)
-}
-
-/// Re-partitions a cube into `nfrag` fragments over `io_servers` servers
-/// (Ophidia's `oph_merge`/`oph_split` fragmentation control). The logical
-/// content is unchanged.
-///
-/// Target fragments fully contained in one source fragment become O(1)
-/// windows into the source buffer; boundary-crossing targets are gathered
-/// with block copies — the dense array is never materialized.
-pub fn refragment(cube: &Cube, nfrag: usize, io_servers: usize) -> Result<Cube> {
-    let rows = cube.rows();
-    let ilen = cube.implicit_len();
-    // Same clamping as `Cube::from_dense` so the partitions agree.
-    let nfrag = nfrag.clamp(1, rows.max(1));
-    let io_servers = io_servers.max(1);
-    let base = rows / nfrag;
-    let extra = rows % nfrag;
-
-    let src_order = cube.frags_in_row_order();
-    let mut frags = Vec::with_capacity(nfrag);
-    let mut row = 0usize;
-    for f in 0..nfrag {
-        let count = base + usize::from(f < extra);
-        let data = gather_rows(&src_order, ilen, count, |i| row + i);
-        frags.push(Fragment { row_start: row, row_count: count, server: f % io_servers, data });
-        row += count;
-    }
-    let out = Cube {
-        measure: cube.measure.clone(),
-        dims: cube.dims.clone(),
-        frags,
-        description: format!("{} | refragment({nfrag})", cube.description),
-    };
-    out.validate()?;
-    Ok(out)
 }
 
 /// Reinterprets a cube with no implicit dimension as having a singleton
@@ -793,7 +573,7 @@ mod tests {
     #[test]
     fn intercube_handles_mismatched_fragmentation() {
         let c = sample(); // 3 fragments
-        let b = refragment(&c, 2, 1).unwrap(); // different layout, same content
+        let b = Cube::from_dense("v", c.dims.clone(), c.to_dense(), 2, 1).unwrap(); // different layout, same content
         let diff = intercube(&c, &b, InterOp::Sub, cfg()).unwrap();
         assert!(diff.to_dense().iter().all(|&v| v == 0.0));
     }
@@ -804,98 +584,6 @@ mod tests {
         let dims = vec![Dimension::explicit("x", vec![0.0])];
         let other = Cube::from_dense("w", dims, vec![1.0], 1, 1).unwrap();
         assert!(intercube(&c, &other, InterOp::Add, cfg()).is_err());
-    }
-
-    #[test]
-    fn subset_implicit_slices_series() {
-        let c = sample();
-        let s = subset_implicit(&c, "time", 1, 3, cfg()).unwrap();
-        assert_eq!(s.implicit_len(), 2);
-        assert_eq!(s.row_series(0).unwrap(), &[10.0, 20.0]);
-        assert_eq!(s.dim("time").unwrap().coords.to_vec(), vec![1.0, 2.0]);
-        assert!(subset_implicit(&c, "time", 3, 3, cfg()).is_err());
-        assert!(subset_implicit(&c, "time", 0, 9, cfg()).is_err());
-        assert!(subset_implicit(&c, "lat", 0, 1, cfg()).is_err());
-    }
-
-    #[test]
-    fn subset_implicit_full_range_shares_buffers() {
-        let c = sample();
-        let s = subset_implicit(&c, "time", 0, 4, cfg()).unwrap();
-        assert_eq!(s.to_dense(), c.to_dense());
-        for (a, b) in c.frags.iter().zip(&s.frags) {
-            assert!(a.data.same_buffer(&b.data), "full-range subset must not copy");
-        }
-    }
-
-    #[test]
-    fn subset_implicit_single_row_cube() {
-        // One fragment per row, rows == 1: the smallest non-degenerate cube.
-        let dims = vec![
-            Dimension::explicit("x", vec![0.0]),
-            Dimension::implicit("t", (0..5).map(|t| t as f64).collect::<Vec<_>>()),
-        ];
-        let c = Cube::from_dense("m", dims, vec![1.0, 2.0, 3.0, 4.0, 5.0], 4, 2).unwrap();
-        assert_eq!(c.frags.len(), 1, "nfrag clamps to the row count");
-        let s = subset_implicit(&c, "t", 1, 2, cfg()).unwrap();
-        assert_eq!(s.to_dense(), vec![2.0]);
-        assert_eq!(s.dim("t").unwrap().coords.to_vec(), vec![1.0]);
-        s.validate().unwrap();
-        // Degenerate index ranges stay rejected: empty and inverted.
-        assert!(matches!(subset_implicit(&c, "t", 2, 2, cfg()), Err(Error::BadRange { .. })));
-        assert!(matches!(subset_implicit(&c, "t", 3, 1, cfg()), Err(Error::BadRange { .. })));
-    }
-
-    #[test]
-    fn subset_implicit_zero_row_cube_allocates_nothing() {
-        // An empty explicit space still subsets cleanly; the zero-length
-        // output windows must reuse the static empty buffer.
-        let dims = vec![
-            Dimension::explicit("x", Vec::<f64>::new()),
-            Dimension::implicit("t", (0..5).map(|t| t as f64).collect::<Vec<_>>()),
-        ];
-        let z = Cube::from_dense("m", dims, Vec::new(), 2, 1).unwrap();
-        let s = subset_implicit(&z, "t", 1, 3, cfg()).unwrap();
-        assert_eq!(s.rows(), 0);
-        assert_eq!(s.implicit_len(), 2);
-        for f in &s.frags {
-            assert!(f.data.is_empty());
-            assert!(
-                f.data.same_buffer(&SharedData::empty()),
-                "zero-length subset window must not allocate"
-            );
-        }
-        s.validate().unwrap();
-    }
-
-    #[test]
-    fn subset_explicit_keeps_selected_rows() {
-        let c = sample(); // lat {-45,45} x lon {0,180} x time 4
-        let s = subset_explicit(&c, "lat", 1, 2).unwrap();
-        assert_eq!(s.rows(), 2);
-        assert_eq!(s.dim("lat").unwrap().coords.to_vec(), vec![45.0]);
-        // Rows 2 and 3 of the original (lat index 1).
-        assert_eq!(s.row_series(0).unwrap(), c.row_series(2).unwrap());
-        assert_eq!(s.row_series(1).unwrap(), c.row_series(3).unwrap());
-        s.validate().unwrap();
-
-        let s = subset_explicit(&c, "lon", 0, 1).unwrap();
-        assert_eq!(s.rows(), 2);
-        assert_eq!(s.row_series(0).unwrap(), c.row_series(0).unwrap());
-        assert_eq!(s.row_series(1).unwrap(), c.row_series(2).unwrap());
-
-        assert!(subset_explicit(&c, "time", 0, 1).is_err(), "implicit dims rejected");
-        assert!(subset_explicit(&c, "lat", 2, 2).is_err());
-    }
-
-    #[test]
-    fn subset_by_coord_windows() {
-        let c = sample();
-        let s = subset_by_coord(&c, "lat", 0.0, 90.0).unwrap();
-        assert_eq!(s.dim("lat").unwrap().coords.to_vec(), vec![45.0]);
-        let s = subset_by_coord(&c, "lon", -10.0, 200.0).unwrap();
-        assert_eq!(s.dim("lon").unwrap().coords.to_vec(), vec![0.0, 180.0]);
-        assert!(subset_by_coord(&c, "lat", 50.0, 60.0).is_err(), "empty window");
     }
 
     #[test]
@@ -980,51 +668,6 @@ mod tests {
             Err(Error::SeriesLength { expected: 0, actual: 1 })
         ));
         assert!(matches!(map_series(&c, "m", 0, cfg, |_| vec![]), Err(Error::SchemaMismatch(_))));
-    }
-
-    #[test]
-    fn rolling_windows() {
-        let dims = vec![
-            Dimension::explicit("x", vec![0.0]),
-            Dimension::implicit("t", (0..6).map(|t| t as f64).collect::<Vec<_>>()),
-        ];
-        let c = Cube::from_dense("m", dims, vec![1.0, 3.0, 2.0, 5.0, 4.0, 0.0], 1, 1).unwrap();
-        let avg = rolling(&c, ReduceOp::Avg, 3, cfg()).unwrap();
-        assert_eq!(avg.implicit_len(), 4);
-        assert_eq!(avg.row_series(0).unwrap(), &[2.0, 10.0 / 3.0, 11.0 / 3.0, 3.0]);
-        let max = rolling(&c, ReduceOp::Max, 2, cfg()).unwrap();
-        assert_eq!(max.row_series(0).unwrap(), &[3.0, 3.0, 5.0, 5.0, 4.0]);
-        // Window of 1 is the identity.
-        let id = rolling(&c, ReduceOp::Sum, 1, cfg()).unwrap();
-        assert_eq!(id.to_dense(), c.to_dense());
-        // Degenerate windows rejected.
-        assert!(rolling(&c, ReduceOp::Avg, 0, cfg()).is_err());
-        assert!(rolling(&c, ReduceOp::Avg, 7, cfg()).is_err());
-    }
-
-    #[test]
-    fn refragment_preserves_content() {
-        let c = sample(); // 3 fragments
-        for nfrag in [1, 2, 4, 100] {
-            let r = refragment(&c, nfrag, 2).unwrap();
-            assert_eq!(r.to_dense(), c.to_dense());
-            assert_eq!(r.frags.len(), nfrag.min(c.rows()));
-            r.validate().unwrap();
-        }
-    }
-
-    #[test]
-    fn refragment_contained_targets_are_views() {
-        let c = sample(); // 4 rows, 3 fragments (2,1,1)
-                          // Splitting finer: every target fragment sits inside one source.
-        let r = refragment(&c, 4, 2).unwrap();
-        assert_eq!(r.to_dense(), c.to_dense());
-        for f in &r.frags {
-            assert!(
-                c.frags.iter().any(|s| f.data.same_buffer(&s.data)),
-                "contained target should share a source buffer"
-            );
-        }
     }
 
     #[test]

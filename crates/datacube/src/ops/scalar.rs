@@ -12,7 +12,6 @@ use crate::error::{Error, Result};
 use crate::exec::{par_map_fragments_named, ExecConfig};
 use crate::expr::Expr;
 use crate::model::{Cube, DimKind, Dimension, Fragment, SharedData};
-use std::sync::Arc;
 
 /// The rows of a fragment, `ilen` values each. Unlike `chunks(ilen)` this
 /// is defined on a zero-length implicit axis: `row_count` empty rows, which
@@ -131,74 +130,6 @@ pub fn intercube(a: &Cube, b: &Cube, op: InterOp, cfg: ExecConfig) -> Result<Cub
         dims: a.dims.clone(),
         frags,
         description: format!("intercube({op:?})"),
-    };
-    out.validate()?;
-    Ok(out)
-}
-
-/// Scalar kernel of [`super::subset_implicit`].
-pub fn subset_implicit(
-    cube: &Cube,
-    dim: &str,
-    lo: usize,
-    hi: usize,
-    cfg: ExecConfig,
-) -> Result<Cube> {
-    let d = cube.dim(dim)?;
-    if d.kind != DimKind::Implicit {
-        return Err(Error::WrongDimensionKind { dim: dim.into(), need: "implicit" });
-    }
-    if lo >= hi || hi > d.len() {
-        return Err(Error::BadRange { dim: dim.into(), lo, hi, size: d.len() });
-    }
-    let idims = cube.implicit_dims();
-    let pos = idims.iter().position(|x| x.name == dim).expect("dim checked");
-    let after: usize = idims[pos + 1..].iter().map(|x| x.len()).product();
-    let target = idims[pos].len();
-    let ilen = cube.implicit_len();
-    let keep = hi - lo;
-
-    let frags = if keep == target {
-        // Full range: the payloads are unchanged — share them.
-        cube.frags.clone()
-    } else {
-        par_map_fragments_named(cfg, "subset", &cube.frags, |f| {
-            let before = ilen / (target * after).max(1);
-            SharedData::from_fn(f.row_count * before * keep * after, |out| {
-                let mut w = 0usize;
-                for row in f.data.chunks(ilen) {
-                    for b in 0..before {
-                        for t in lo..hi {
-                            let base = b * target * after + t * after;
-                            out[w..w + after].copy_from_slice(&row[base..base + after]);
-                            w += after;
-                        }
-                    }
-                }
-            })
-        })
-    };
-
-    let dims: Vec<Dimension> = cube
-        .dims
-        .iter()
-        .map(|x| {
-            if x.name == dim {
-                Dimension {
-                    name: x.name.clone(),
-                    kind: x.kind,
-                    coords: Arc::from(&x.coords[lo..hi]),
-                }
-            } else {
-                x.clone()
-            }
-        })
-        .collect();
-    let out = Cube {
-        measure: cube.measure.clone(),
-        dims,
-        frags,
-        description: format!("subset({dim}, {lo}..{hi})"),
     };
     out.validate()?;
     Ok(out)

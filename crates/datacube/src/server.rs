@@ -229,14 +229,6 @@ impl CubeHandle {
         Ok(self.derive(out))
     }
 
-    /// Implicit-dimension subset (`oph_subset`).
-    pub fn subset(&self, dim: &str, lo: usize, hi: usize) -> Result<CubeHandle> {
-        let src = self.cube()?;
-        let cfg = self.server.cfg;
-        let out = self.server.record("subset", || ops::subset_implicit(&src, dim, lo, hi, cfg))?;
-        Ok(self.derive(out))
-    }
-
     /// Per-row series transform (extension point for run-length analytics).
     pub fn map_series<F>(&self, out_dim: &str, out_len: usize, f: F) -> Result<CubeHandle>
     where
@@ -246,15 +238,6 @@ impl CubeHandle {
         let cfg = self.server.cfg;
         let out =
             self.server.record("map_series", || ops::map_series(&src, out_dim, out_len, cfg, f))?;
-        Ok(self.derive(out))
-    }
-
-    /// Spatial subset on an explicit dimension by coordinate window
-    /// (`oph_subset` with coordinate filters).
-    pub fn subset_by_coord(&self, dim: &str, lo: f64, hi: f64) -> Result<CubeHandle> {
-        let src = self.cube()?;
-        let out =
-            self.server.record("subset_by_coord", || ops::subset_by_coord(&src, dim, lo, hi))?;
         Ok(self.derive(out))
     }
 
@@ -373,10 +356,8 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_map_series_via_handles() {
+    fn map_series_via_handles() {
         let (_client, h) = client_with_cube();
-        let s = h.subset("time", 2, 4).unwrap();
-        assert_eq!(s.cube().unwrap().row_series(0).unwrap(), &[2.0, 3.0]);
         let m = h.map_series("sum", 1, |row| vec![row.iter().sum()]).unwrap();
         assert_eq!(m.cube().unwrap().to_dense(), vec![6.0, 22.0, 38.0]);
     }
@@ -422,15 +403,6 @@ mod tests {
         assert!(info.contains("cell[3]"));
         assert!(info.contains("time[4]*"), "implicit dims marked with *: {info}");
         assert!(info.contains("3 rows x 4 implicit"));
-    }
-
-    #[test]
-    fn coordinate_subset_via_handle() {
-        let (_client, h) = client_with_cube();
-        let s = h.subset_by_coord("cell", 1.0, 2.0).unwrap();
-        let c = s.cube().unwrap();
-        assert_eq!(c.rows(), 2);
-        assert_eq!(c.row_series(0).unwrap(), &[4.0, 5.0, 6.0, 7.0]);
     }
 
     #[test]

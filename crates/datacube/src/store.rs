@@ -27,9 +27,6 @@ pub struct CubeStore {
 struct Inner {
     cubes: BTreeMap<CubeId, Arc<Cube>>,
     next: u64,
-    /// Running totals for introspection.
-    total_inserted: u64,
-    peak_bytes: usize,
     /// Incrementally maintained sum of `bytes()` over resident cubes,
     /// updated on put/delete so neither insertion nor `resident_bytes`
     /// walks the whole store (that walk made `put` O(n) per insert).
@@ -49,8 +46,6 @@ impl CubeStore {
         let id = CubeId(inner.next);
         inner.resident += cube.bytes();
         inner.cubes.insert(id, Arc::new(cube));
-        inner.total_inserted += 1;
-        inner.peak_bytes = inner.peak_bytes.max(inner.resident);
         debug_assert_eq!(
             inner.resident,
             inner.cubes.values().map(|c| c.bytes()).sum::<usize>(),
@@ -72,11 +67,6 @@ impl CubeStore {
         Ok(())
     }
 
-    /// Ids currently stored, ascending.
-    pub fn list(&self) -> Vec<CubeId> {
-        self.inner.read().cubes.keys().copied().collect()
-    }
-
     /// Number of cubes currently stored.
     pub fn len(&self) -> usize {
         self.inner.read().cubes.len()
@@ -91,16 +81,6 @@ impl CubeStore {
     /// incrementally on put/delete).
     pub fn resident_bytes(&self) -> usize {
         self.inner.read().resident
-    }
-
-    /// High-water mark of resident bytes.
-    pub fn peak_bytes(&self) -> usize {
-        self.inner.read().peak_bytes
-    }
-
-    /// Total cubes ever inserted (insert counter, not current population).
-    pub fn total_inserted(&self) -> u64 {
-        self.inner.read().total_inserted
     }
 }
 
@@ -138,7 +118,6 @@ mod tests {
         let a = s.put(small_cube(1.0));
         let b = s.put(small_cube(2.0));
         assert!(b > a);
-        assert_eq!(s.list(), vec![a, b]);
         assert_eq!(s.len(), 2);
     }
 
@@ -159,8 +138,6 @@ mod tests {
             s.resident_bytes_full_scan(),
             "incremental counter must match the full walk after deletes"
         );
-        assert_eq!(s.peak_bytes(), 16, "peak survives deletion");
-        assert_eq!(s.total_inserted(), 2);
     }
 
     #[test]
@@ -195,6 +172,5 @@ mod tests {
             j.join().unwrap();
         }
         assert_eq!(s.len(), 8 * 25);
-        assert_eq!(s.total_inserted(), 400);
     }
 }

@@ -101,7 +101,8 @@ fn expr_pool() -> Vec<Expr> {
     .collect()
 }
 
-/// The rolling-window kernel of `ops::rolling` in write-into-slice form.
+/// A trailing-window reduction (`op` over each `window`-long run of a
+/// row) in write-into-slice form.
 fn rolling_kernel(op: ReduceOp, window: usize) -> impl Fn(&[f32], &mut [f32]) + Send + Sync {
     move |row, out| {
         for (o, w) in out.iter_mut().zip(row.windows(window)) {
@@ -112,9 +113,8 @@ fn rolling_kernel(op: ReduceOp, window: usize) -> impl Fn(&[f32], &mut [f32]) + 
 
 /// A single-operator chain — what each public operator of `ops` is: every
 /// reduce op and both series terminals alone (engine rule 1: the terminal
-/// reads source rows in place), a full-range subset (rule 2: identity),
-/// a partial subset, an apply, and an intercube with and without
-/// broadcast.
+/// reads source rows in place), an apply, and an intercube with and
+/// without broadcast.
 fn build_single(
     rng: &mut Rng,
     rows: usize,
@@ -123,7 +123,7 @@ fn build_single(
     servers: usize,
 ) -> (Pipeline<'static>, String) {
     let p = Pipeline::new();
-    match rng.below(7) {
+    match rng.below(5) {
         0 => {
             let op = REDUCE_OPS[rng.below(5) as usize];
             (p.reduce(op, "time"), format!("single reduce({op:?})"))
@@ -137,18 +137,12 @@ fn build_single(
                 format!("single rolling({op:?},{window})"),
             )
         }
-        2 => (p.subset_implicit("time", 0, nt), "single subset(full)".into()),
-        3 if nt > 1 => {
-            let lo = rng.below(nt as u64 - 1) as usize;
-            let hi = lo + 1 + rng.below((nt - lo - 1) as u64) as usize;
-            (p.subset_implicit("time", lo, hi), format!("single subset({lo},{hi})"))
-        }
-        4 => {
+        2 => {
             let pool = expr_pool();
             (p.apply(pool[rng.below(pool.len() as u64) as usize].clone()), "single apply".into())
         }
         k => {
-            let ilen = if k == 5 { nt } else { 0 };
+            let ilen = if k == 3 { nt } else { 0 };
             let b = build_partner(rows, nfrag, servers, ilen, rng);
             let op =
                 [InterOp::Add, InterOp::Sub, InterOp::Mul, InterOp::Div][rng.below(4) as usize];
@@ -159,7 +153,7 @@ fn build_single(
 
 /// Builds a random legal chain over `src`: one time in four a
 /// single-operator chain ([`build_single`]), otherwise 0–4 element-wise
-/// stages (subset / apply / intercube), an optional tap, and an optional
+/// stages (apply / intercube), an optional tap, and an optional
 /// terminal (reduce or map_series). Returns the pipeline plus a shape
 /// string for failure messages.
 fn build_chain(
@@ -175,25 +169,17 @@ fn build_chain(
     let pool = expr_pool();
     let mut p = Pipeline::new();
     let mut shape = String::new();
-    let mut cur = nt;
     let nstages = rng.below(5);
     for _ in 0..nstages {
-        match rng.below(3) {
-            0 if cur > 1 => {
-                let lo = rng.below(cur as u64) as usize;
-                let hi = lo + 1 + rng.below((cur - lo) as u64) as usize;
-                p = p.subset_implicit("time", lo, hi);
-                shape.push_str(&format!("subset({lo},{hi}) "));
-                cur = hi - lo;
-            }
-            1 => {
+        match rng.below(2) {
+            0 => {
                 let e = &pool[rng.below(pool.len() as u64) as usize];
                 shape.push_str("apply ");
                 p = p.apply(e.clone());
             }
             _ => {
                 let broadcast = rng.below(3) == 0;
-                let ilen = if broadcast { 0 } else { cur };
+                let ilen = if broadcast { 0 } else { nt };
                 let b = build_partner(rows, nfrag, servers, ilen, rng);
                 let op =
                     [InterOp::Add, InterOp::Sub, InterOp::Mul, InterOp::Div][rng.below(4) as usize];
@@ -213,8 +199,8 @@ fn build_chain(
             p = p.reduce(op, "time");
         }
         1 => {
-            shape.push_str(&format!("map_series(cumsum,{cur})"));
-            p = p.map_series("csum", cur, |row, out| {
+            shape.push_str(&format!("map_series(cumsum,{nt})"));
+            p = p.map_series("csum", nt, |row, out| {
                 let mut acc = 0.0f32;
                 for (o, &v) in out.iter_mut().zip(row) {
                     acc += v;
@@ -399,10 +385,8 @@ fn errors_conform_between_fused_and_scalar() {
     let src = build_src(3, 10, 2, 1, &mut rng);
     let cfg = ExecConfig::serial();
     let bad = [
-        Pipeline::new().subset_implicit("nope", 0, 1),
-        Pipeline::new().subset_implicit("cell", 0, 1),
-        Pipeline::new().subset_implicit("time", 4, 2),
         Pipeline::new().reduce(ReduceOp::Sum, "missing"),
+        Pipeline::new().reduce(ReduceOp::Sum, "cell"),
     ];
     for p in &bad {
         let ef = p.run(&src, cfg).map(|_| ()).unwrap_err();
@@ -436,12 +420,12 @@ fn public_operators_match_their_scalar_kernels() {
             let engine = ops::reduce(&src, op, "time", cfg).unwrap();
             same("reduce", &engine, &ops::scalar::reduce(&src, op, "time", cfg).unwrap());
             let window = 1 + nt / 2;
-            let engine = ops::rolling(&src, op, window, cfg).unwrap();
+            let rolling =
+                |row: &[f32]| -> Vec<f32> { row.windows(window).map(|w| op.apply(w)).collect() };
+            let engine = ops::map_series(&src, "time_rolling", nt - window + 1, cfg, rolling);
             let oracle =
-                ops::scalar::map_series(&src, "time_rolling", nt - window + 1, cfg, |row| {
-                    row.windows(window).map(|w| op.apply(w)).collect()
-                });
-            same("rolling", &engine, &oracle.unwrap());
+                ops::scalar::map_series(&src, "time_rolling", nt - window + 1, cfg, rolling);
+            same("rolling map_series", &engine.unwrap(), &oracle.unwrap());
         }
         for expr in expr_pool() {
             let engine = ops::apply(&src, &expr, cfg).unwrap();
@@ -453,11 +437,6 @@ fn public_operators_match_their_scalar_kernels() {
                 let engine = ops::intercube(&src, &b, op, cfg).unwrap();
                 same("intercube", &engine, &ops::scalar::intercube(&src, &b, op, cfg).unwrap());
             }
-        }
-        for (lo, hi) in [(0, nt), (nt / 2, nt), (0, nt.div_ceil(2))] {
-            let engine = ops::subset_implicit(&src, "time", lo, hi, cfg).unwrap();
-            let oracle = ops::scalar::subset_implicit(&src, "time", lo, hi, cfg).unwrap();
-            same("subset_implicit", &engine, &oracle);
         }
         // Pure data movement plus a NaN-linear op: two separately compiled
         // copies of an accumulating closure may commute a NaN + NaN add.

@@ -109,24 +109,6 @@ proptest! {
         }
     }
 
-    /// Subset then concat of the two halves reproduces the original.
-    #[test]
-    fn subset_concat_roundtrip(
-        rows in 1usize..10,
-        nt in 2usize..10,
-        split in 1usize..9,
-        seed in any::<u64>(),
-    ) {
-        let split = split.min(nt - 1).max(1);
-        let cfg = ExecConfig::with_servers(2);
-        let c = build(rows, nt, 3, 2, seed);
-        let left = ops::subset_implicit(&c, "time", 0, split, cfg).unwrap();
-        let right = ops::subset_implicit(&c, "time", split, nt, cfg).unwrap();
-        let joined = ops::concat_implicit(&[&left, &right], "time").unwrap();
-        prop_assert_eq!(joined.to_dense(), c.to_dense());
-        joined.validate().unwrap();
-    }
-
     /// Expressions never panic on arbitrary finite input and predicates
     /// always yield one of their two branches.
     #[test]

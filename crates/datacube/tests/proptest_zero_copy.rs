@@ -122,38 +122,9 @@ proptest! {
         }
     }
 
-    /// Implicit and explicit subsets (the copy-on-write view paths) are
-    /// bitwise equal to the single-fragment run.
-    #[test]
-    fn subset_bitwise_equals_dense(
-        nlat in 2usize..6,
-        nlon in 1usize..6,
-        nt in 2usize..10,
-        nfrag in 1usize..9,
-        lo_t in 0usize..5,
-        lo_y in 0usize..3,
-        seed in any::<u64>(),
-    ) {
-        let cfg = ExecConfig::with_servers(2);
-        let frag_cube = build(nlat, nlon, nt, nfrag, 2, seed);
-        let dense_cube = build(nlat, nlon, nt, 1, 1, seed);
-
-        let (lo, hi) = (lo_t.min(nt - 1), nt);
-        let f = ops::subset_implicit(&frag_cube, "time", lo, hi, cfg).unwrap();
-        let d = ops::subset_implicit(&dense_cube, "time", lo, hi, ExecConfig::serial()).unwrap();
-        prop_assert_eq!(bits(&f), bits(&d));
-
-        let (lo, hi) = (lo_y.min(nlat - 1), nlat);
-        let f = ops::subset_explicit(&frag_cube, "lat", lo, hi).unwrap();
-        let d = ops::subset_explicit(&dense_cube, "lat", lo, hi).unwrap();
-        prop_assert_eq!(bits(&f), bits(&d));
-        f.validate().unwrap();
-    }
-
     /// Merging day stacks (concat over the implicit axis) with arbitrary —
     /// including mutually mismatched — fragmentations is bitwise equal to
-    /// the single-fragment run, and refragmenting afterwards changes
-    /// nothing.
+    /// the single-fragment run.
     #[test]
     fn merge_bitwise_equals_dense(
         nlat in 1usize..5,
@@ -162,7 +133,6 @@ proptest! {
         nt_b in 1usize..6,
         nfrag_a in 1usize..8,
         nfrag_b in 1usize..8,
-        refrag in 1usize..10,
         seed_a in any::<u64>(),
         seed_b in any::<u64>(),
     ) {
@@ -173,10 +143,7 @@ proptest! {
         let f = ops::concat_implicit(&[&a, &b], "time").unwrap();
         let d = ops::concat_implicit(&[&a1, &b1], "time").unwrap();
         prop_assert_eq!(bits(&f), bits(&d));
-
-        let r = ops::refragment(&f, refrag, 3).unwrap();
-        prop_assert_eq!(bits(&r), bits(&d));
-        r.validate().unwrap();
+        f.validate().unwrap();
     }
 
     /// Stacking 1–12 cubes of mixed implicit lengths (1–5) and mutually
@@ -210,8 +177,8 @@ proptest! {
         prop_assert_eq!(layout(&out), layout(&cubes[0]));
     }
 
-    /// Full-range subsets and fine refragmentations must *share* payload
-    /// buffers with their source (the O(1) view guarantee), not copy them.
+    /// Identity chains must *share* payload buffers with their source
+    /// (the O(1) view guarantee), not copy them.
     #[test]
     fn views_share_buffers(
         nlat in 1usize..5,
@@ -221,26 +188,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let c = build(nlat, nlon, nt, nfrag, 2, seed);
-        let s = ops::subset_implicit(&c, "time", 0, nt, ExecConfig::serial()).unwrap();
-        for (a, b) in c.frags.iter().zip(&s.frags) {
-            prop_assert!(a.data.same_buffer(&b.data), "full-range subset copied a payload");
-        }
-        // The same identity as a chain on the engine (and the empty chain):
-        // a chain that compiles to the identity runs no kernel at all.
-        for chain in [Pipeline::new().subset_implicit("time", 0, nt), Pipeline::new()] {
-            let out = chain.run(&c, ExecConfig::with_servers(2)).unwrap().cube;
-            for (a, b) in c.frags.iter().zip(&out.frags) {
-                prop_assert!(a.data.same_buffer(&b.data), "identity chain copied a payload");
-            }
-        }
-        // Splitting every row into its own fragment: each target is
-        // contained in exactly one source fragment.
-        let r = ops::refragment(&c, c.rows(), 2).unwrap();
-        for f in &r.frags {
-            prop_assert!(
-                c.frags.iter().any(|s| f.data.same_buffer(&s.data)),
-                "contained refragment target copied a payload"
-            );
+        // A chain that compiles to the identity runs no kernel at all.
+        let out = Pipeline::new().run(&c, ExecConfig::with_servers(2)).unwrap().cube;
+        for (a, b) in c.frags.iter().zip(&out.frags) {
+            prop_assert!(a.data.same_buffer(&b.data), "identity chain copied a payload");
         }
     }
 }

@@ -125,11 +125,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// The planned injections, sorted by `(site, occurrence)`.
-    pub fn injections(&self) -> &[Injection] {
-        &self.injections
-    }
-
     /// Arms the plan process-wide. Blocks until any previously armed plan
     /// drops (chaos sections serialize), then installs a hook that fires
     /// each planned injection at its site/occurrence. Dropping the
@@ -224,10 +219,10 @@ mod tests {
     fn plans_are_deterministic_per_seed() {
         let a = FaultPlan::from_seed(7, 5);
         let b = FaultPlan::from_seed(7, 5);
-        assert_eq!(a.injections(), b.injections());
-        assert_eq!(a.injections().len(), 5);
+        assert_eq!(a.injections, b.injections);
+        assert_eq!(a.injections.len(), 5);
         let c = FaultPlan::from_seed(8, 5);
-        assert_ne!(a.injections(), c.injections(), "seeds 7 and 8 coincide?");
+        assert_ne!(a.injections, c.injections, "seeds 7 and 8 coincide?");
     }
 
     #[test]
@@ -235,7 +230,7 @@ mod tests {
         for seed in 0..50u64 {
             let plan = FaultPlan::from_seed(seed, 8);
             let mut slots: Vec<_> =
-                plan.injections().iter().map(|i| (i.site, i.occurrence)).collect();
+                plan.injections.iter().map(|i| (i.site, i.occurrence)).collect();
             let n = slots.len();
             slots.sort();
             slots.dedup();
@@ -246,7 +241,7 @@ mod tests {
     #[test]
     fn armed_plan_fires_at_planned_occurrences() {
         let plan = FaultPlan::for_sites(3, 2, &[("test.site", &[Fault::Error])]);
-        assert_eq!(plan.injections().len(), 2);
+        assert_eq!(plan.injections.len(), 2);
         let armed = plan.arm();
         let mut hits = Vec::new();
         for occ in 0..(MAX_OCCURRENCE * 2) {
@@ -254,7 +249,7 @@ mod tests {
                 hits.push((occ, f));
             }
         }
-        let planned: Vec<_> = plan.injections().iter().map(|i| (i.occurrence, i.fault)).collect();
+        let planned: Vec<_> = plan.injections.iter().map(|i| (i.occurrence, i.fault)).collect();
         assert_eq!(hits, planned);
         assert_eq!(armed.fired().len(), 2);
         assert_eq!(armed.consultations("test.site"), MAX_OCCURRENCE * 2);

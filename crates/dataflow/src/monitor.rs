@@ -200,8 +200,7 @@ impl StatusFold {
                 }
                 per_worker[*worker] += 1;
             }
-            EventKind::TaskRetried { task, name, attempt }
-            | EventKind::TaskRetryBackoff { task, name, attempt, .. } => {
+            EventKind::TaskRetryBackoff { task, name, attempt, .. } => {
                 let c = self.cell(*task, name);
                 c.state = TaskState::Ready;
                 c.attempts = *attempt;
@@ -400,7 +399,7 @@ mod tests {
         let mut f = StatusFold::new();
         f.apply(0, &EventKind::TaskSubmitted { task: 7, name: name() });
         f.apply(0, &EventKind::TaskStarted { task: 7, name: name(), worker: 0, attempt: 1 });
-        f.apply(0, &EventKind::TaskRetried { task: 7, name: name(), attempt: 1 });
+        f.apply(0, &EventKind::TaskRetryBackoff { task: 7, name: name(), attempt: 1, delay_ms: 0 });
         let s = f.snapshot();
         assert_eq!(s.ready, 1);
         assert_eq!(s.running, 0);
@@ -461,7 +460,7 @@ mod tests {
         // Subscribing after submission: Started/Retried/Finished create
         // cells on first sight so counts stay consistent from then on.
         let mut f = StatusFold::new();
-        f.apply(0, &EventKind::TaskRetried { task: 8, name: name(), attempt: 2 });
+        f.apply(0, &EventKind::TaskRetryBackoff { task: 8, name: name(), attempt: 2, delay_ms: 0 });
         f.apply(
             0,
             &EventKind::TaskFinished {

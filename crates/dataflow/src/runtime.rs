@@ -331,11 +331,6 @@ impl<P: Payload> Runtime<P> {
         self.shared.bus.subscribe_with_capacity(capacity)
     }
 
-    /// The runtime's event bus, for adapters that stamp or forward events.
-    pub fn bus(&self) -> &obs::Bus {
-        &self.shared.bus
-    }
-
     /// DOT rendering of the task graph (Figure 3).
     pub fn graph_dot(&self) -> String {
         self.shared.state.lock().graph.to_dot()
@@ -849,19 +844,9 @@ fn finish_task<P: Payload>(
         };
         // The number of the attempt that just failed.
         let attempt = st.fold.attempts(id);
-        let backoff = match policy {
-            FailurePolicy::RetryBackoff { max_retries, base_ms, cap_ms }
-                if attempt <= max_retries =>
-            {
-                Some((base_ms, cap_ms))
-            }
-            _ => None,
-        };
-        let retry = backoff.is_some()
-            || matches!(policy, FailurePolicy::Retry { max_retries } if attempt <= max_retries);
-        if retry {
-            st.tasks.get_mut(&id).expect("retried task missing").state = TaskState::Ready;
-            if let Some((base_ms, cap_ms)) = backoff {
+        if let FailurePolicy::RetryBackoff { max_retries, base_ms, cap_ms } = policy {
+            if attempt <= max_retries {
+                st.tasks.get_mut(&id).expect("retried task missing").state = TaskState::Ready;
                 let delay_ms =
                     crate::inject::backoff_delay_ms(shared.seed, id.0, attempt, base_ms, cap_ms);
                 st.delayed.push((Instant::now() + Duration::from_millis(delay_ms), id));
@@ -870,13 +855,10 @@ fn finish_task<P: Payload>(
                     st,
                     EventKind::TaskRetryBackoff { task: id.0, name, attempt, delay_ms },
                 );
-            } else {
-                st.ready.push(id);
-                observe(shared, st, EventKind::TaskRetried { task: id.0, name, attempt });
+                queue_depth(shared, st);
+                shared.work_cv.notify_all();
+                return;
             }
-            queue_depth(shared, st);
-            shared.work_cv.notify_all();
-            return;
         }
         terminate(shared, st, id, TaskOutcome::Failed, micros);
         if policy != FailurePolicy::IgnoreCancelSuccessors {
@@ -1003,7 +985,7 @@ mod tests {
         let h = rt
             .task("flaky")
             .writes(&["x"])
-            .on_failure(FailurePolicy::Retry { max_retries: 3 })
+            .on_failure(FailurePolicy::RetryBackoff { max_retries: 3, base_ms: 0, cap_ms: 0 })
             .run(move |_| {
                 if t2.fetch_add(1, Ordering::SeqCst) < 2 {
                     Err("transient".into())
@@ -1023,7 +1005,7 @@ mod tests {
         let rt = rt(2);
         rt.task("always-bad")
             .writes(&["x"])
-            .on_failure(FailurePolicy::Retry { max_retries: 2 })
+            .on_failure(FailurePolicy::RetryBackoff { max_retries: 2, base_ms: 0, cap_ms: 0 })
             .run(|_| Err("permanent".into()))
             .unwrap();
         assert!(rt.barrier().is_err());
@@ -1157,7 +1139,7 @@ mod tests {
         let tries = Arc::new(AtomicU32::new(0));
         rt.task("flaky")
             .writes(&["y"])
-            .on_failure(FailurePolicy::Retry { max_retries: 1 })
+            .on_failure(FailurePolicy::RetryBackoff { max_retries: 1, base_ms: 0, cap_ms: 0 })
             .run(move |_| match tries.fetch_add(1, Ordering::SeqCst) {
                 0 => Err("transient".into()),
                 _ => Ok(vec![Bytes::empty()]),
@@ -1222,13 +1204,13 @@ mod tests {
         let rx = rt.subscribe();
         rt.task("flaky-fail")
             .writes(&["x"])
-            .on_failure(FailurePolicy::Retry { max_retries: 1 })
+            .on_failure(FailurePolicy::RetryBackoff { max_retries: 1, base_ms: 0, cap_ms: 0 })
             .run(|_| Err("always".into()))
             .unwrap();
         assert!(rt.barrier().is_err());
         let events = rx.drain();
         let retried =
-            events.iter().filter(|e| matches!(e.kind, EventKind::TaskRetried { .. })).count();
+            events.iter().filter(|e| matches!(e.kind, EventKind::TaskRetryBackoff { .. })).count();
         assert_eq!(retried, 1);
         assert!(events.iter().any(|e| matches!(
             e.kind,
@@ -1243,8 +1225,9 @@ mod tests {
         rt.barrier().unwrap();
         // No receiver was ever attached: the emit fast path must have kept
         // the bus completely idle (no events stamped).
-        assert!(!rt.bus().is_active());
-        assert_eq!(rt.bus().seq(), 0);
+        assert!(!rt.shared.bus.is_active());
+        let next = rt.shared.bus.stamp(EventKind::TaskReady { task: 0 });
+        assert_eq!(next.seq, 0, "an event was stamped with no subscriber");
     }
 
     #[test]
@@ -1355,7 +1338,7 @@ mod tests {
         let h = rt
             .task("slow-then-fast")
             .writes(&["x"])
-            .on_failure(FailurePolicy::Retry { max_retries: 1 })
+            .on_failure(FailurePolicy::RetryBackoff { max_retries: 1, base_ms: 0, cap_ms: 0 })
             .run(move |_| {
                 if t2.fetch_add(1, Ordering::SeqCst) == 0 {
                     std::thread::sleep(Duration::from_millis(50));
@@ -1386,7 +1369,7 @@ mod tests {
         let h = rt
             .task("panicky")
             .writes(&["x"])
-            .on_failure(FailurePolicy::Retry { max_retries: 2 })
+            .on_failure(FailurePolicy::RetryBackoff { max_retries: 2, base_ms: 0, cap_ms: 0 })
             .run(move |_| {
                 if t2.fetch_add(1, Ordering::SeqCst) == 0 {
                     panic!("organic panic");
@@ -1413,7 +1396,7 @@ mod tests {
         let h = rt
             .task("victim")
             .writes(&["x"])
-            .on_failure(FailurePolicy::Retry { max_retries: 1 })
+            .on_failure(FailurePolicy::RetryBackoff { max_retries: 1, base_ms: 0, cap_ms: 0 })
             .run(|_| Ok(vec![Bytes::from_u64(5)]))
             .unwrap();
         assert_eq!(rt.fetch(&h.outputs[0]).unwrap().as_u64(), Some(5));

@@ -128,11 +128,6 @@ impl<R: GroupRule> DirWatcher<R> {
         }
         Ok(out)
     }
-
-    /// Keys already delivered.
-    pub fn delivered(&self) -> impl Iterator<Item = &str> {
-        self.seen_groups.iter().map(|s| s.as_str())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -355,7 +350,7 @@ mod tests {
         assert_eq!(names, vec!["esm-2030-001.ncx", "esm-2030-002.ncx", "esm-2030-003.ncx"]);
         // Second poll: nothing new.
         assert!(w.poll().unwrap().is_empty());
-        assert_eq!(w.delivered().collect::<Vec<_>>(), vec!["2030"]);
+        assert_eq!(w.seen_groups.iter().collect::<Vec<_>>(), vec!["2030"]);
     }
 
     #[test]

@@ -50,13 +50,12 @@ pub enum FailurePolicy {
     /// Abort the whole workflow (default, like an unhandled exception).
     #[default]
     FailFast,
-    /// Re-execute up to `max_retries` additional times, then fail fast.
-    Retry { max_retries: u32 },
     /// Re-execute up to `max_retries` additional times with exponential
     /// backoff between attempts (`base_ms * 2^(attempt-1)` capped at
     /// `cap_ms`, plus deterministic jitter derived from the runtime seed;
     /// see [`crate::inject::backoff_delay_ms`]), then fail fast. The delay
-    /// never blocks a worker: the task parks in a delayed queue.
+    /// never blocks a worker: the task parks in a delayed queue. With
+    /// `base_ms: 0, cap_ms: 0` the delay is 0 and the retry is immediate.
     RetryBackoff { max_retries: u32, base_ms: u64, cap_ms: u64 },
     /// Mark the task failed, cancel its transitive successors, and let the
     /// rest of the workflow continue.

@@ -37,7 +37,7 @@ pub struct TaskSpan {
 }
 
 impl TaskSpan {
-    pub fn duration_us(&self) -> u64 {
+    fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
     }
 }
@@ -70,7 +70,7 @@ impl TimingStats {
     }
 
     /// Mean measured duration of `name`, if any execution completed.
-    pub fn mean_us(&self, name: &str) -> Option<u64> {
+    fn mean_us(&self, name: &str) -> Option<u64> {
         self.by_name.get(name).map(|&(total, count)| total / count.max(1))
     }
 

@@ -53,7 +53,7 @@ fn replayed_event_stream_reproduces_every_report() {
         .task("flaky")
         .reads(from_ref(&s))
         .writes(&["f"])
-        .on_failure(FailurePolicy::Retry { max_retries: 2 })
+        .on_failure(FailurePolicy::RetryBackoff { max_retries: 2, base_ms: 0, cap_ms: 0 })
         .run(move |_| match tries.fetch_add(1, Ordering::SeqCst) {
             0 => Err("transient".into()),
             _ => sleepy(5)(&[]),

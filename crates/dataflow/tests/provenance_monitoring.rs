@@ -155,7 +155,7 @@ fn provenance_attempts_count_every_started_attempt() {
     let h = rt
         .task("flaky")
         .writes(&["x"])
-        .on_failure(FailurePolicy::Retry { max_retries: 3 })
+        .on_failure(FailurePolicy::RetryBackoff { max_retries: 3, base_ms: 0, cap_ms: 0 })
         .run(flaky(1, Duration::ZERO))
         .unwrap();
     rt.barrier().unwrap();
@@ -170,7 +170,7 @@ fn provenance_attempts_count_every_started_attempt() {
     let doomed = rt
         .task("doomed")
         .writes(&["y"])
-        .on_failure(FailurePolicy::Retry { max_retries: 2 })
+        .on_failure(FailurePolicy::RetryBackoff { max_retries: 2, base_ms: 0, cap_ms: 0 })
         .run(flaky(u32::MAX, Duration::ZERO))
         .unwrap();
     assert!(rt.barrier().is_err());
@@ -186,7 +186,7 @@ fn provenance_started_is_the_start_of_the_final_attempt() {
     let h = rt
         .task("slow-flaky")
         .writes(&["x"])
-        .on_failure(FailurePolicy::Retry { max_retries: 1 })
+        .on_failure(FailurePolicy::RetryBackoff { max_retries: 1, base_ms: 0, cap_ms: 0 })
         .run(flaky(1, body))
         .unwrap();
     rt.barrier().unwrap();

@@ -50,11 +50,11 @@ impl Atmosphere {
     pub fn new(cfg: &EsmConfig) -> Self {
         let g = cfg.grid.clone();
         Atmosphere {
-            tas: Field2::zeros(g.clone()),
-            psl: Field2::zeros(g.clone()),
-            u10: Field2::zeros(g.clone()),
-            v10: Field2::zeros(g.clone()),
-            pr: Field2::zeros(g.clone()),
+            tas: Field2::constant(g.clone(), 0.0),
+            psl: Field2::constant(g.clone(), 0.0),
+            u10: Field2::constant(g.clone(), 0.0),
+            v10: Field2::constant(g.clone(), 0.0),
+            pr: Field2::constant(g.clone(), 0.0),
             temp_noise: WeatherNoise::new(g.clone(), 6, 0.85, 2.2, cfg.seed.wrapping_add(1)),
             pres_noise: WeatherNoise::new(g.clone(), 8, 0.80, 350.0, cfg.seed.wrapping_add(2)),
             wind_noise: WeatherNoise::new(g.clone(), 6, 0.75, 2.0, cfg.seed.wrapping_add(3)),
@@ -78,7 +78,7 @@ impl Atmosphere {
 
     /// Zonal-mean sea-level pressure climatology (hPa): equatorial trough,
     /// subtropical highs, subpolar lows.
-    pub fn clim_psl_hpa(lat: f64) -> f64 {
+    fn clim_psl_hpa(lat: f64) -> f64 {
         let a = lat.abs();
         1012.0 + 8.0 * (-((a - 32.0) / 12.0).powi(2)).exp()
             - 7.0 * (-((a - 58.0) / 10.0).powi(2)).exp()
@@ -87,14 +87,14 @@ impl Atmosphere {
 
     /// Zonal-mean eastward wind climatology (m/s): westerly jets at ±45°,
     /// easterly trades in the tropics.
-    pub fn clim_u10(lat: f64) -> f64 {
+    fn clim_u10(lat: f64) -> f64 {
         let a = lat.abs();
         9.0 * (-((a - 45.0) / 14.0).powi(2)).exp() - 6.0 * (-(lat / 14.0).powi(2)).exp()
     }
 
     /// Precipitation climatology (mm/day): ITCZ plus mid-latitude storm
     /// tracks.
-    pub fn clim_pr(lat: f64) -> f64 {
+    fn clim_pr(lat: f64) -> f64 {
         let a = lat.abs();
         8.0 * (-(lat / 9.0).powi(2)).exp() + 3.0 * (-((a - 50.0) / 12.0).powi(2)).exp() + 0.5
     }
@@ -221,7 +221,7 @@ impl Atmosphere {
     /// detection thresholds). Positive = cyclonic in the NH.
     pub fn vorticity(&self) -> Field2 {
         let g = &self.grid;
-        let mut out = Field2::zeros(g.clone());
+        let mut out = Field2::constant(g.clone(), 0.0);
         for i in 0..g.nlat {
             for j in 0..g.nlon {
                 let jm = (j + g.nlon - 1) % g.nlon;

@@ -30,24 +30,6 @@ pub struct EsmConfig {
 }
 
 impl EsmConfig {
-    /// The paper's production geometry: 0.25°, 768 × 1152, 6-hourly steps,
-    /// 365-day years. (Stepping this costs real time; use it for file-size
-    /// arithmetic and scale tests, not unit tests.)
-    pub fn paper() -> Self {
-        EsmConfig {
-            grid: Grid::cmcc_cm3(),
-            timesteps_per_day: 4,
-            days_per_year: 365,
-            start_year: 2030,
-            scenario: Scenario::Ssp585,
-            seed: 20300101,
-            couplings_per_step: 72, // 6 h / 5 min
-            tc_per_year: 45.0,
-            heatwaves_per_year: 14.0,
-            coldspells_per_year: 9.0,
-        }
-    }
-
     /// Small geometry for tests and examples: 48 × 72 global grid,
     /// shortened year.
     pub fn test_small() -> Self {
@@ -98,15 +80,6 @@ impl EsmConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_config_matches_section_5_2() {
-        let c = EsmConfig::paper();
-        assert_eq!(c.grid.nlat, 768);
-        assert_eq!(c.grid.nlon, 1152);
-        assert_eq!(c.timesteps_per_day, 4);
-        assert_eq!(c.days_per_year, 365);
-    }
 
     #[test]
     fn builders_override_fields() {

@@ -45,7 +45,7 @@ impl Coupler {
     pub fn exchange(&mut self, atmos: &Atmosphere, ocean: &mut Ocean, cycles: usize) -> Field2 {
         // Atmosphere -> ocean: bulk heat flux proportional to the air–sea
         // temperature difference, suppressed under ice.
-        let mut delta = Field2::zeros(ocean.grid.clone());
+        let mut delta = Field2::constant(ocean.grid.clone(), 0.0);
         for idx in 0..delta.data.len() {
             let open_water = 1.0 - ocean.ice.data[idx];
             let dt = atmos.tas.data[idx] - ocean.sst.data[idx];

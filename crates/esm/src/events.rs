@@ -38,7 +38,7 @@ pub struct ThermalEvent {
 
 impl ThermalEvent {
     /// True while the event is active on `day`.
-    pub fn active(&self, day: usize) -> bool {
+    fn active(&self, day: usize) -> bool {
         day >= self.start_day && day < self.start_day + self.duration
     }
 

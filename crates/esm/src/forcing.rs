@@ -27,7 +27,7 @@ impl Scenario {
     /// Piecewise exponential/linear fits anchored at observed values
     /// (1850: 285, 2014: 397) and canonical end-of-century levels
     /// (SSP2-4.5 → ≈ 600 ppm, SSP5-8.5 → ≈ 1100 ppm by 2100).
-    pub fn co2_ppm(self, year: i32) -> f64 {
+    fn co2_ppm(self, year: i32) -> f64 {
         let y = year as f64;
         let historical = |y: f64| {
             // Exponential growth 1850 -> 2014.
@@ -57,7 +57,7 @@ impl Scenario {
     }
 
     /// Radiative forcing relative to pre-industrial, W m⁻².
-    pub fn forcing_wm2(self, year: i32) -> f64 {
+    fn forcing_wm2(self, year: i32) -> f64 {
         5.35 * (self.co2_ppm(year) / CO2_PREINDUSTRIAL).ln()
     }
 

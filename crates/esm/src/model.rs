@@ -77,8 +77,8 @@ pub fn expected_daily_extremes(cfg: &EsmConfig, day: usize, warming_k: f64) -> (
     let sst_clim = ocean.climatology(cfg, day, warming_k);
     let phase = cfg.season_phase(day);
     let g = &cfg.grid;
-    let mut tmax = Field2::zeros(g.clone());
-    let mut tmin = Field2::zeros(g.clone());
+    let mut tmax = Field2::constant(g.clone(), 0.0);
+    let mut tmin = Field2::constant(g.clone(), 0.0);
     for i in 0..g.nlat {
         let lat = g.lat(i);
         let base_t = Atmosphere::clim_tas(lat)

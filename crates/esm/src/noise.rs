@@ -23,18 +23,18 @@ pub struct WeatherNoise {
 }
 
 impl WeatherNoise {
-    /// Creates a generator on `grid` with decorrelation factor `coarsen`
+    /// Creates a generator on `grid` with decorrelation factor `factor`
     /// (higher = smoother fields), AR(1) coefficient `rho` and stationary
     /// standard deviation `sigma`.
-    pub fn new(grid: Grid, coarsen: usize, rho: f32, sigma: f32, seed: u64) -> Self {
+    pub fn new(grid: Grid, factor: usize, rho: f32, sigma: f32, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&rho), "rho must be in [0, 1)");
         let coarse = Grid {
-            nlat: (grid.nlat / coarsen.max(1)).max(2),
-            nlon: (grid.nlon / coarsen.max(1)).max(2),
+            nlat: (grid.nlat / factor.max(1)).max(2),
+            nlon: (grid.nlon / factor.max(1)).max(2),
             ..grid
         };
         let mut gen = WeatherNoise {
-            state: Field2::zeros(grid.clone()),
+            state: Field2::constant(grid.clone(), 0.0),
             grid,
             coarse,
             rho,
@@ -48,7 +48,7 @@ impl WeatherNoise {
 
     /// One fresh coherent field with the given standard deviation.
     fn fresh(&mut self, sd: f32) -> Field2 {
-        let mut coarse = Field2::zeros(self.coarse.clone());
+        let mut coarse = Field2::constant(self.coarse.clone(), 0.0);
         for v in &mut coarse.data {
             // Box–Muller-ish: sum of uniforms approximates a gaussian well
             // enough and avoids branch-heavy sampling in the hot loop.

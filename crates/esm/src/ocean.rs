@@ -22,7 +22,11 @@ impl Ocean {
     /// Initializes SST at climatology for day 0.
     pub fn new(cfg: &EsmConfig) -> Self {
         let g = cfg.grid.clone();
-        let mut o = Ocean { sst: Field2::zeros(g.clone()), ice: Field2::zeros(g.clone()), grid: g };
+        let mut o = Ocean {
+            sst: Field2::constant(g.clone(), 0.0),
+            ice: Field2::constant(g.clone(), 0.0),
+            grid: g,
+        };
         let clim = o.climatology(cfg, 0, 0.0);
         o.sst = clim;
         o.update_ice();
@@ -33,7 +37,7 @@ impl Ocean {
     /// (ocean takes up ~80% of the surface warming signal).
     pub fn climatology(&self, cfg: &EsmConfig, day: usize, warming_k: f64) -> Field2 {
         let phase = cfg.season_phase(day);
-        let mut f = Field2::zeros(self.grid.clone());
+        let mut f = Field2::constant(self.grid.clone(), 0.0);
         for i in 0..self.grid.nlat {
             let lat = self.grid.lat(i);
             let base = 271.3 + 31.0 * lat.to_radians().cos().powi(2);

@@ -84,11 +84,6 @@ impl Simulation {
         self.years_completed
     }
 
-    /// Current model date `(year, day-of-year)`.
-    pub fn date(&self) -> (i32, usize) {
-        self.model.date()
-    }
-
     /// Runs `years` simulated years, calling `on_file(path, year, day0)`
     /// after each daily file lands. Returns the run summary with ground
     /// truth for every simulated year.
@@ -293,7 +288,7 @@ mod tests {
         let mut part = Simulation::new(cfg, &skip_dir).unwrap();
         let skipped_truth = part.skip_years(1);
         assert_eq!(part.years_completed(), 1);
-        assert_eq!(part.date(), (2031, 0));
+        assert_eq!(part.model.date(), (2031, 0));
         let part_summary = part.run_years(1, |_, _, _| {}).unwrap();
         assert_eq!(part.years_completed(), 2);
 

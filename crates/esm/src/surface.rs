@@ -65,8 +65,8 @@ pub struct Surface {
 impl Surface {
     /// Builds the surface for a grid.
     pub fn new(grid: &Grid) -> Surface {
-        let mut land = Field2::zeros(grid.clone());
-        let mut elevation = Field2::zeros(grid.clone());
+        let mut land = Field2::constant(grid.clone(), 0.0);
+        let mut elevation = Field2::constant(grid.clone(), 0.0);
         for i in 0..grid.nlat {
             let lat = grid.lat(i);
             for j in 0..grid.nlon {

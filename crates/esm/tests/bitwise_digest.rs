@@ -24,7 +24,7 @@ fn digest_days(cfg: EsmConfig, days: usize) -> (u64, usize, usize) {
     for _ in 0..days {
         let (_, day) = m.date();
         let ev = m.year_events();
-        thermal_days += ev.thermal.iter().filter(|e| e.active(day)).count();
+        thermal_days += ev.thermal.iter().filter(|e| e.footprint(day).is_some()).count();
         tc_steps += (0..spd)
             .map(|s| ev.tcs.iter().filter(|t| t.at(day, s).is_some()).count())
             .sum::<usize>();

@@ -26,7 +26,7 @@ use datacube::Result;
 /// Count of days satisfying `value CMP threshold` per cell (a map cube).
 /// `cmp` is an `oph_predicate`-style condition like `"<273.15"`. One
 /// `apply → reduce` chain: the mask cube is never materialized.
-pub fn threshold_days(daily: &Cube, cmp: &str, cfg: ExecConfig) -> Result<Cube> {
+fn threshold_days(daily: &Cube, cmp: &str, cfg: ExecConfig) -> Result<Cube> {
     let chain = Pipeline::new().apply(mask_expr(cmp)?).reduce(ReduceOp::Sum, &time_dim(daily)?);
     Ok(chain.run(daily, cfg)?.cube)
 }

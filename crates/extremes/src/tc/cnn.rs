@@ -230,7 +230,7 @@ impl TcCnn {
     /// step guarantees divisibility, callers regrid first when needed).
     /// Tiles run one after the other through one patch buffer and one pair
     /// of activation buffers, so nothing is allocated per tile.
-    pub fn localize(
+    fn localize(
         &self,
         psl: &Field2,
         wind: &Field2,
@@ -239,7 +239,7 @@ impl TcCnn {
     ) -> Vec<CnnDetection> {
         let tiling = Tiling::plan(psl.grid.clone(), TileSpec { patch: self.patch });
         let cells = self.patch * self.patch;
-        let mut patch = Tensor::zeros(&[4, self.patch, self.patch]);
+        let mut patch = Tensor::full(&[4, self.patch, self.patch], 0.0);
         let mut scratch = Scratch::default();
         let mut out = Vec::new();
         for r in 0..tiling.rows {
@@ -262,7 +262,8 @@ impl TcCnn {
         out
     }
 
-    /// Convenience wrapper over [`TcCnn::localize`] for a [`FieldSet`].
+    /// The localization pipeline (tile → standardize → infer →
+    /// geo-reference) on one timestep's [`FieldSet`].
     pub fn localize_set(&self, set: &FieldSet) -> Vec<CnnDetection> {
         self.localize(&set.psl, &set.wind, &set.tas, &set.vort)
     }

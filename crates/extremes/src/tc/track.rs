@@ -42,11 +42,6 @@ impl Track {
     pub fn end(&self) -> usize {
         self.points.last().map(|(t, _)| *t).unwrap_or(0)
     }
-
-    /// Maximum wind over the lifetime, m/s.
-    pub fn max_wind(&self) -> f32 {
-        self.points.iter().map(|(_, d)| d.max_wind_ms).fold(0.0, f32::max)
-    }
 }
 
 /// Stitches timestep-ordered detection batches into tracks.
@@ -232,7 +227,8 @@ mod tests {
         steps[3][0].max_wind_ms = 55.0;
         let tracks = stitch_tracks(&steps, &TrackParams::default());
         assert!(tracks[0].points.iter().any(|(_, d)| d.min_psl_pa == 95_000.0));
-        assert_eq!(tracks[0].max_wind(), 55.0);
+        let max_wind = tracks[0].points.iter().map(|(_, d)| d.max_wind_ms).fold(0.0, f32::max);
+        assert_eq!(max_wind, 55.0);
     }
 
     #[test]

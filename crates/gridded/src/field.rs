@@ -18,11 +18,6 @@ impl Field2 {
         Field2 { grid, data: vec![value; n] }
     }
 
-    /// A field of zeros.
-    pub fn zeros(grid: Grid) -> Self {
-        Field2::constant(grid, 0.0)
-    }
-
     /// Wraps existing data; panics if the length does not match the grid.
     pub fn from_vec(grid: Grid, data: Vec<f32>) -> Self {
         assert_eq!(grid.len(), data.len(), "data length must match grid size");
@@ -93,12 +88,6 @@ pub struct Field3 {
 }
 
 impl Field3 {
-    /// An all-zero stack.
-    pub fn zeros(grid: Grid, ntime: usize) -> Self {
-        let n = grid.len() * ntime;
-        Field3 { grid, ntime, data: vec![0.0; n] }
-    }
-
     /// Wraps existing data; panics on length mismatch.
     pub fn from_vec(grid: Grid, ntime: usize, data: Vec<f32>) -> Self {
         assert_eq!(grid.len() * ntime, data.len(), "data length must be ntime * grid");
@@ -130,7 +119,7 @@ impl Field3 {
     }
 
     /// Per-cell reduction over the time axis with `f` (e.g. running max).
-    pub fn reduce_time<F: Fn(f32, f32) -> f32>(&self, init: f32, f: F) -> Field2 {
+    fn reduce_time<F: Fn(f32, f32) -> f32>(&self, init: f32, f: F) -> Field2 {
         let n = self.grid.len();
         let mut out = vec![init; n];
         for t in 0..self.ntime {
@@ -166,7 +155,7 @@ mod tests {
         let f = Field2::constant(small(), 3.0);
         assert_eq!(f.data.len(), 24);
         assert!(f.data.iter().all(|&v| v == 3.0));
-        assert_eq!(Field2::zeros(small()).mean(), 0.0);
+        assert_eq!(Field2::constant(small(), 0.0).mean(), 0.0);
     }
 
     #[test]
@@ -177,7 +166,7 @@ mod tests {
 
     #[test]
     fn get_set_roundtrip() {
-        let mut f = Field2::zeros(small());
+        let mut f = Field2::constant(small(), 0.0);
         f.set(2, 3, 7.5);
         assert_eq!(f.get(2, 3), 7.5);
         assert_eq!(f.get(2, 2), 0.0);
@@ -216,7 +205,7 @@ mod tests {
 
     #[test]
     fn field3_get_set() {
-        let mut f3 = Field3::zeros(small(), 2);
+        let mut f3 = Field3::from_vec(small(), 2, vec![0.0; 48]);
         f3.set(1, 3, 5, -2.0);
         assert_eq!(f3.get(1, 3, 5), -2.0);
         assert_eq!(f3.get(0, 3, 5), 0.0);

@@ -118,7 +118,7 @@ impl Grid {
 
     /// Area weight of row `i`: cos(latitude), the standard equal-angle
     /// quadrature weight. Normalized weights sum to 1 over the full grid.
-    pub fn row_weight(&self, i: usize) -> f64 {
+    fn row_weight(&self, i: usize) -> f64 {
         self.lat(i).to_radians().cos().max(0.0)
     }
 

@@ -18,6 +18,6 @@ pub mod tile;
 
 pub use field::{Field2, Field3};
 pub use grid::Grid;
-pub use regrid::{coarsen, regrid_bilinear};
+pub use regrid::regrid_bilinear;
 pub use scale::ZScoreScaler;
 pub use tile::{TileSpec, Tiling};

@@ -1,15 +1,13 @@
-//! Regridding: bilinear interpolation between regular lat/lon grids, plus
-//! integer-factor block coarsening.
+//! Regridding: bilinear interpolation between regular lat/lon grids.
 //!
 //! The TC-localization pipeline in the paper regrids the CMCC-CM3 output
 //! before tiling it into CNN patches (Section 5.4); [`regrid_bilinear`]
-//! implements that step. [`coarsen`] is the cheap exact alternative when the
-//! target resolution divides the source.
+//! implements that step.
 
 use crate::field::Field2;
 use crate::grid::Grid;
 
-/// Destination cell count at which regrid/coarsen dispatch rows onto the
+/// Destination cell count at which the regrid dispatches rows onto the
 /// shared pool; below it the per-task overhead exceeds the stencil work.
 const REGRID_PAR_MIN_CELLS: usize = 1 << 14;
 
@@ -83,38 +81,6 @@ pub fn regrid_bilinear(src: &Field2, dst_grid: &Grid) -> Field2 {
         }
     }
     Field2::from_vec(dst_grid.clone(), out)
-}
-
-/// Block-averages `src` by integer factors `(flat, flon)`, producing a grid
-/// with `nlat/flat × nlon/flon` cells. Panics unless the factors divide the
-/// source dimensions exactly.
-pub fn coarsen(src: &Field2, flat: usize, flon: usize) -> Field2 {
-    assert!(flat > 0 && flon > 0, "factors must be positive");
-    let sg = &src.grid;
-    assert_eq!(sg.nlat % flat, 0, "flat must divide nlat");
-    assert_eq!(sg.nlon % flon, 0, "flon must divide nlon");
-    let g = Grid { nlat: sg.nlat / flat, nlon: sg.nlon / flon, ..sg.clone() };
-    let mut out = vec![0.0f32; g.len()];
-    let norm = (flat * flon) as f32;
-    let row = |bi: usize, out_row: &mut [f32]| {
-        for (bj, slot) in out_row.iter_mut().enumerate() {
-            let mut sum = 0.0f32;
-            for di in 0..flat {
-                for dj in 0..flon {
-                    sum += src.get(bi * flat + di, bj * flon + dj);
-                }
-            }
-            *slot = sum / norm;
-        }
-    };
-    if g.len() * flat * flon >= REGRID_PAR_MIN_CELLS && g.nlat > 1 {
-        par::par_chunks_mut(&mut out, g.nlon, |bi, out_row| row(bi, out_row));
-    } else {
-        for (bi, out_row) in out.chunks_mut(g.nlon).enumerate() {
-            row(bi, out_row);
-        }
-    }
-    Field2::from_vec(g, out)
 }
 
 #[cfg(test)]
@@ -235,7 +201,7 @@ mod tests {
         // Bilinear interpolation reproduces fields linear in latitude away
         // from the polar clamp rows.
         let g = Grid::global(32, 8);
-        let mut f = Field2::zeros(g.clone());
+        let mut f = Field2::constant(g.clone(), 0.0);
         for i in 0..g.nlat {
             for j in 0..g.nlon {
                 f.set(i, j, g.lat(i) as f32);
@@ -256,7 +222,7 @@ mod tests {
     fn longitude_wraps_on_global_grids() {
         // A bump at the dateline edge must interpolate smoothly across wrap.
         let g = Grid::global(4, 8);
-        let mut f = Field2::zeros(g.clone());
+        let mut f = Field2::constant(g.clone(), 0.0);
         for i in 0..g.nlat {
             f.set(i, 0, 10.0);
             f.set(i, g.nlon - 1, 10.0);
@@ -273,34 +239,5 @@ mod tests {
         // And the wrap column should see a contribution from the edge bump.
         let near_wrap = out.get(1, 0).max(out.get(1, dst.nlon - 1));
         assert!(near_wrap > 4.0, "wrap interpolation lost the edge bump: {near_wrap}");
-    }
-
-    #[test]
-    fn coarsen_2x_is_block_mean() {
-        let g = Grid::global(4, 4);
-        let f = Field2::from_vec(g, (0..16).map(|i| i as f32).collect());
-        let c = coarsen(&f, 2, 2);
-        assert_eq!(c.grid.nlat, 2);
-        assert_eq!(c.grid.nlon, 2);
-        // Block (0,0) holds values 0,1,4,5 -> mean 2.5
-        assert_eq!(c.get(0, 0), 2.5);
-        assert_eq!(c.get(0, 1), 4.5);
-        assert_eq!(c.get(1, 0), 10.5);
-        assert_eq!(c.get(1, 1), 12.5);
-    }
-
-    #[test]
-    fn coarsen_preserves_mean() {
-        let g = Grid::global(8, 8);
-        let f = Field2::from_vec(g, (0..64).map(|i| (i * 7 % 13) as f32).collect());
-        let c = coarsen(&f, 4, 2);
-        assert!((c.mean() - f.mean()).abs() < 1e-5);
-    }
-
-    #[test]
-    #[should_panic(expected = "must divide")]
-    fn coarsen_requires_divisibility() {
-        let f = Field2::zeros(Grid::global(5, 4));
-        coarsen(&f, 2, 2);
     }
 }

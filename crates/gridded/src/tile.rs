@@ -92,7 +92,7 @@ impl Tiling {
     }
 
     /// Grid coordinates `(i, j)` of pixel `(pi, pj)` inside tile `(r, c)`.
-    pub fn to_grid(&self, r: usize, c: usize, pi: usize, pj: usize) -> (usize, usize) {
+    fn to_grid(&self, r: usize, c: usize, pi: usize, pj: usize) -> (usize, usize) {
         assert!(pi < self.patch && pj < self.patch, "pixel outside patch");
         (r * self.patch + pi, c * self.patch + pj)
     }
@@ -104,7 +104,7 @@ impl Tiling {
         (self.grid.lat(i), self.grid.lon(j))
     }
 
-    /// Inverse of [`Tiling::to_grid`]: which tile and in-tile pixel covers
+    /// Which tile and in-tile pixel covers
     /// grid cell `(i, j)`; `None` when the cell lies in the truncated edge.
     pub fn locate(&self, i: usize, j: usize) -> Option<(usize, usize, usize, usize)> {
         let r = i / self.patch;

@@ -1,6 +1,6 @@
 //! Property tests on the raster toolbox invariants.
 
-use gridded::{coarsen, regrid_bilinear, Field2, Grid, TileSpec, Tiling};
+use gridded::{regrid_bilinear, Field2, Grid, TileSpec, Tiling};
 use proptest::prelude::*;
 
 proptest! {
@@ -25,24 +25,6 @@ proptest! {
         }
     }
 
-    /// Coarsening preserves the (unweighted) mean exactly up to f32 error.
-    #[test]
-    fn coarsen_preserves_mean(
-        blocks in (1usize..5, 1usize..5),
-        factors in (1usize..4, 1usize..4),
-        seed in any::<u64>(),
-    ) {
-        let (br, bc) = blocks;
-        let (fr, fc) = factors;
-        let g = Grid::global(br * fr, bc * fc);
-        let data: Vec<f32> = (0..g.len())
-            .map(|i| (((i as u64).wrapping_mul(seed | 3) >> 12) % 256) as f32)
-            .collect();
-        let f = Field2::from_vec(g, data);
-        let c = coarsen(&f, fr, fc);
-        prop_assert!((c.mean() - f.mean()).abs() < 1e-3);
-    }
-
     /// Tile extraction partitions the covered region: every covered cell
     /// appears exactly once across all tiles.
     #[test]
@@ -60,7 +42,8 @@ proptest! {
         prop_assert_eq!(covered.len(), t.rows * t.cols * patch * patch);
     }
 
-    /// locate() and to_grid() are mutually inverse on covered cells.
+    /// locate() finds the tile pixel whose geo-reference is the cell's own
+    /// coordinates, on every covered cell.
     #[test]
     fn tile_locate_roundtrip(
         (nlat, nlon) in (4usize..16, 4usize..16),
@@ -73,7 +56,7 @@ proptest! {
         let i = (cell as usize) % (t.rows * patch);
         let j = ((cell >> 16) as usize) % (t.cols * patch);
         let (r, c, pi, pj) = t.locate(i, j).unwrap();
-        prop_assert_eq!(t.to_grid(r, c, pi, pj), (i, j));
+        prop_assert_eq!(t.to_latlon(r, c, pi, pj), (g.lat(i), g.lon(j)));
     }
 
     /// Area weights always sum to one and are non-negative.

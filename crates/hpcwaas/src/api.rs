@@ -576,10 +576,7 @@ impl ExecutionApi {
                 operation: "undeploy".into(),
             });
         }
-        let record = d.record.clone();
         d.active = false;
-        drop(deployments);
-        self.orchestrator.lock().unwrap().undeploy(&record);
         Ok(())
     }
 }

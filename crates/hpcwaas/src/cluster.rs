@@ -131,11 +131,6 @@ impl Cluster {
         Ok(())
     }
 
-    /// Number of queued jobs.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Runs FCFS + conservative backfill over the queued jobs and returns
     /// the schedule. The queue is consumed.
     pub fn schedule(&mut self) -> Schedule {

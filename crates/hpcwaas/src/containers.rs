@@ -102,7 +102,7 @@ impl BuildService {
     /// Resolves a spec into its layer chain: `hash_i` covers `(arch, base,
     /// packages[..=i])`, so a change to package `k` invalidates layers
     /// `k..` but not `..k`.
-    pub fn layer_chain(spec: &ImageSpec) -> Vec<(LayerId, String)> {
+    fn layer_chain(spec: &ImageSpec) -> Vec<(LayerId, String)> {
         let mut chain = Vec::with_capacity(spec.packages.len() + 1);
         let mut recipe = format!("{:?}|{}", spec.arch, spec.base);
         chain.push((LayerId(fnv1a(recipe.as_bytes())), format!("base:{}", spec.base)));

@@ -37,7 +37,7 @@ impl PipelineSpec {
     }
 
     /// Total bytes moved by the pipeline.
-    pub fn total_bytes(&self) -> u64 {
+    fn total_bytes(&self) -> u64 {
         self.stages.iter().map(|s| s.bytes).sum()
     }
 }
@@ -88,7 +88,7 @@ impl DataLogistics {
     /// Predicted virtual duration of one stage, priced through the shared
     /// [`LinkCost`] model (no contention: DLS pipelines run their stages
     /// sequentially).
-    pub fn predict_stage_ms(&self, s: &Stage) -> u64 {
+    fn predict_stage_ms(&self, s: &Stage) -> u64 {
         LINK.transfer_us(s.bytes, 1).div_ceil(1000)
     }
 

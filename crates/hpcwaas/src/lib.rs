@@ -10,8 +10,8 @@
 //!   properties, `hosted_on`/`uses`/`depends_on` requirements) plus a
 //!   parser for a small YAML-like syntax;
 //! * [`orchestrator`] — plan derivation (topological sort over
-//!   requirements) and lifecycle execution (create → configure → start,
-//!   reverse on undeploy), the Yorc role;
+//!   requirements) and lifecycle execution (create → configure → start),
+//!   the Yorc role;
 //! * [`containers`] — the Container Image Creation service: build specs
 //!   resolve to layered manifests with a content-addressed layer cache, so
 //!   redeploying a workflow is cheap (claim C5);

@@ -6,8 +6,9 @@
 //! uses or depends on). Execution walks the plan running
 //! `create → configure → start` per component — building container images
 //! through the [`BuildService`] and running deploy-time data pipelines
-//! through the [`DataLogistics`] service — and the reverse order with
-//! `stop → delete` on undeployment. Pipeline stages are priced by the
+//! through the [`DataLogistics`] service. Undeploying is the API's state
+//! flip ([`crate::api::ExecutionApi::undeploy`]); no teardown is priced.
+//! Pipeline stages are priced by the
 //! workspace's one byte price, [`dataflow::cost::LinkCost`].
 
 use crate::containers::{BuildService, ImageSpec};
@@ -134,21 +135,6 @@ impl Orchestrator {
             inputs: topology.inputs.clone(),
         })
     }
-
-    /// Undeploys: stop + delete in reverse start order.
-    pub fn undeploy(&mut self, record: &DeploymentRecord) -> Vec<StepRecord> {
-        let mut steps = Vec::new();
-        for name in record.plan.order.iter().rev() {
-            for op in ["stop", "delete"] {
-                steps.push(StepRecord {
-                    template: name.clone(),
-                    operation: op,
-                    cost_ms: GENERIC_STEP_MS / 2,
-                });
-            }
-        }
-        steps
-    }
 }
 
 impl Default for Orchestrator {
@@ -220,17 +206,5 @@ mod tests {
             second.total_ms,
             first.total_ms
         );
-    }
-
-    #[test]
-    fn undeploy_reverses_order() {
-        let mut orch = Orchestrator::new();
-        let record = orch.deploy(&climate_case_study()).unwrap();
-        let steps = orch.undeploy(&record);
-        assert_eq!(steps.len(), 14);
-        assert_eq!(steps[0].template, "workflow");
-        assert_eq!(steps[0].operation, "stop");
-        assert_eq!(steps.last().unwrap().template, "zeus");
-        assert_eq!(steps.last().unwrap().operation, "delete");
     }
 }

@@ -187,7 +187,7 @@ impl TokenBucket {
     }
 
     /// Takes one token if available, refilling for the elapsed time first.
-    pub fn try_take(&mut self, now: Instant) -> bool {
+    fn try_take(&mut self, now: Instant) -> bool {
         let dt = now.saturating_duration_since(self.last).as_secs_f64();
         self.last = now;
         self.tokens = (self.tokens + dt * self.refill_per_sec).min(self.capacity);

@@ -27,7 +27,7 @@ pub fn put_u8<W: Write>(w: &mut W, v: u8) -> Result<()> {
 }
 
 /// Writes an `f64` little-endian.
-pub fn put_f64<W: Write>(w: &mut W, v: f64) -> Result<()> {
+fn put_f64<W: Write>(w: &mut W, v: f64) -> Result<()> {
     w.write_all(&v.to_le_bytes())?;
     Ok(())
 }
@@ -61,7 +61,7 @@ pub fn get_u8<R: Read>(r: &mut R) -> Result<u8> {
 }
 
 /// Reads an `f64` little-endian.
-pub fn get_f64<R: Read>(r: &mut R) -> Result<f64> {
+fn get_f64<R: Read>(r: &mut R) -> Result<f64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(f64::from_le_bytes(b))
@@ -88,7 +88,7 @@ const VAL_I64: u8 = 2;
 const VAL_F64LIST: u8 = 3;
 
 /// Serializes an attribute value.
-pub fn put_value<W: Write>(w: &mut W, v: &Value) -> Result<()> {
+fn put_value<W: Write>(w: &mut W, v: &Value) -> Result<()> {
     match v {
         Value::Text(s) => {
             put_u8(w, VAL_TEXT)?;
@@ -114,7 +114,7 @@ pub fn put_value<W: Write>(w: &mut W, v: &Value) -> Result<()> {
 }
 
 /// Deserializes an attribute value.
-pub fn get_value<R: Read>(r: &mut R) -> Result<Value> {
+fn get_value<R: Read>(r: &mut R) -> Result<Value> {
     match get_u8(r)? {
         VAL_TEXT => Ok(Value::Text(get_str(r)?)),
         VAL_F64 => Ok(Value::F64(get_f64(r)?)),

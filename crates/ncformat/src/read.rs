@@ -325,11 +325,6 @@ impl VarView<'_> {
         &self.var.name
     }
 
-    /// Element type.
-    pub fn dtype(&self) -> DataType {
-        self.var.dtype
-    }
-
     /// Shape as a size-per-axis vector.
     pub fn shape(&self) -> Vec<usize> {
         self.var.shape(&self.reader.dims)
@@ -512,7 +507,7 @@ mod tests {
         let rd = Reader::open(&path).unwrap();
         let v = rd.var("v").unwrap();
         assert_eq!(v.name(), "v");
-        assert_eq!(v.dtype(), DataType::F32);
+        assert_eq!(v.var.dtype, DataType::F32);
         assert_eq!(v.shape(), vec![2, 3, 4]);
         assert_eq!(v.len(), 24);
         assert!(!v.is_empty());

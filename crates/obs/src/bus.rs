@@ -183,11 +183,6 @@ impl Bus {
         drop(subs);
         EventReceiver { shared }
     }
-
-    /// Events stamped so far (dispatched or not). Test/debug aid.
-    pub fn seq(&self) -> u64 {
-        self.inner.seq.load(Ordering::Relaxed)
-    }
 }
 
 /// Receiving side of a [`Bus`] subscription.
@@ -269,7 +264,7 @@ mod tests {
             ready(2)
         });
         assert!(!ran, "emit_with must not build the event with no subscriber");
-        assert_eq!(bus.seq(), 0);
+        assert_eq!(bus.inner.seq.load(Ordering::Relaxed), 0, "nothing stamped");
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub fn install(hook: Arc<Hook>) -> ChaosGuard {
 
 /// True when a fault plan is armed.
 #[inline]
-pub fn is_armed() -> bool {
+fn is_armed() -> bool {
     ARMED.load(Ordering::Acquire)
 }
 

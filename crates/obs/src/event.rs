@@ -44,10 +44,9 @@ pub enum EventKind {
     TaskReady { task: u64 },
     /// A worker began executing the task.
     TaskStarted { task: u64, name: Arc<str>, worker: usize, attempt: u32 },
-    /// A failed attempt was re-queued under a retry policy.
-    TaskRetried { task: u64, name: Arc<str>, attempt: u32 },
-    /// A failed attempt was re-queued with an exponential-backoff delay
-    /// (deterministic jitter; `delay_ms` is the exact wait applied).
+    /// A failed attempt was re-queued under the retry policy, after an
+    /// exponential-backoff delay (deterministic jitter; `delay_ms` is the
+    /// exact wait applied, 0 for an immediate retry).
     TaskRetryBackoff { task: u64, name: Arc<str>, attempt: u32, delay_ms: u64 },
     /// A completed task's encoded outputs landed in the checkpoint log.
     CheckpointWritten { key: Arc<str>, bytes: u64 },
@@ -137,7 +136,6 @@ impl EventKind {
             EventKind::TaskSubmitted { .. } => "task_submitted",
             EventKind::TaskReady { .. } => "task_ready",
             EventKind::TaskStarted { .. } => "task_started",
-            EventKind::TaskRetried { .. } => "task_retried",
             EventKind::TaskRetryBackoff { .. } => "task_retry_backoff",
             EventKind::CheckpointWritten { .. } => "checkpoint_written",
             EventKind::ResumedFrom { .. } => "resumed_from",

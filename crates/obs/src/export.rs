@@ -33,7 +33,9 @@ pub fn json_escape(s: &str) -> String {
 }
 
 impl Event {
-    /// One-line JSON object for the JSONL event log.
+    /// One-line JSON object for the JSONL event log: the envelope (`seq`,
+    /// `ts_us`, `thread`, `event`, and `ambient_span` when the emitting
+    /// thread had one) followed by the kind's own fields.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(128);
         let _ = write!(
@@ -44,174 +46,166 @@ impl Event {
             self.thread,
             self.kind.tag()
         );
-        if self.span != 0 {
-            let _ = write!(s, ",\"span\":{}", self.span);
-        }
-        let field_u = |s: &mut String, k: &str, v: u64| {
-            let _ = write!(s, ",\"{k}\":{v}");
-        };
-        let field_s = |s: &mut String, k: &str, v: &str| {
-            let _ = write!(s, ",\"{k}\":\"{}\"", json_escape(v));
-        };
-        match &self.kind {
-            EventKind::TaskSubmitted { task, name } => {
-                field_u(&mut s, "task", *task);
-                field_s(&mut s, "name", name);
-            }
-            EventKind::TaskReady { task } => field_u(&mut s, "task", *task),
-            EventKind::TaskStarted { task, name, worker, attempt } => {
-                field_u(&mut s, "task", *task);
-                field_s(&mut s, "name", name);
-                field_u(&mut s, "worker", *worker as u64);
-                field_u(&mut s, "attempt", *attempt as u64);
-            }
-            EventKind::TaskRetried { task, name, attempt } => {
-                field_u(&mut s, "task", *task);
-                field_s(&mut s, "name", name);
-                field_u(&mut s, "attempt", *attempt as u64);
-            }
-            EventKind::TaskRetryBackoff { task, name, attempt, delay_ms } => {
-                field_u(&mut s, "task", *task);
-                field_s(&mut s, "name", name);
-                field_u(&mut s, "attempt", *attempt as u64);
-                field_u(&mut s, "delay_ms", *delay_ms);
-            }
-            EventKind::CheckpointWritten { key, bytes } => {
-                field_s(&mut s, "key", key);
-                field_u(&mut s, "bytes", *bytes);
-            }
-            EventKind::ResumedFrom { task, key } => {
-                field_u(&mut s, "task", *task);
-                field_s(&mut s, "key", key);
-            }
-            EventKind::FaultInjected { site, fault, occurrence } => {
-                field_s(&mut s, "site", site);
-                field_s(&mut s, "fault", fault);
-                field_u(&mut s, "occurrence", *occurrence);
-            }
-            EventKind::TaskFinished { task, name, worker, outcome, micros } => {
-                field_u(&mut s, "task", *task);
-                field_s(&mut s, "name", name);
-                if let Some(w) = worker {
-                    field_u(&mut s, "worker", *w as u64);
-                }
-                field_s(&mut s, "outcome", outcome.label());
-                field_u(&mut s, "dur_us", *micros);
-            }
-            EventKind::QueueDepth { ready, running } => {
-                field_u(&mut s, "ready", *ready as u64);
-                field_u(&mut s, "running", *running as u64);
-            }
-            EventKind::SchedulerDecision { task, name, worker, est_us } => {
-                field_u(&mut s, "task", *task);
-                field_s(&mut s, "name", name);
-                field_u(&mut s, "worker", *worker as u64);
-                field_u(&mut s, "est_us", *est_us);
-            }
-            EventKind::KernelDone { op, server, rows, micros } => {
-                field_s(&mut s, "op", op);
-                field_u(&mut s, "server", *server as u64);
-                field_u(&mut s, "rows", *rows as u64);
-                field_u(&mut s, "dur_us", *micros);
-            }
-            EventKind::OperatorDone { op, fragments, micros } => {
-                field_s(&mut s, "op", op);
-                field_u(&mut s, "fragments", *fragments as u64);
-                field_u(&mut s, "dur_us", *micros);
-            }
-            EventKind::StepCompleted { year, day, micros } => {
-                let _ = write!(s, ",\"year\":{year}");
-                field_u(&mut s, "day", *day as u64);
-                field_u(&mut s, "dur_us", *micros);
-            }
-            EventKind::FileWritten { path, bytes, micros } => {
-                field_s(&mut s, "path", path);
-                field_u(&mut s, "bytes", *bytes);
-                field_u(&mut s, "dur_us", *micros);
-            }
-            EventKind::JobScheduled { job, node, wait_ms, duration_ms } => {
-                field_s(&mut s, "job", job);
-                field_u(&mut s, "node", *node as u64);
-                field_u(&mut s, "wait_ms", *wait_ms);
-                field_u(&mut s, "duration_ms", *duration_ms);
-            }
-            EventKind::TransferStaged { label, bytes, virtual_ms } => {
-                field_s(&mut s, "label", label);
-                field_u(&mut s, "bytes", *bytes);
-                field_u(&mut s, "virtual_ms", *virtual_ms);
-            }
-            EventKind::ImageBuilt { image, built, cache_hits, cost_ms } => {
-                field_s(&mut s, "image", image);
-                field_u(&mut s, "built", *built as u64);
-                field_u(&mut s, "cache_hits", *cache_hits as u64);
-                field_u(&mut s, "cost_ms", *cost_ms);
-            }
-            EventKind::ExecutionStarted { execution, workflow } => {
-                field_u(&mut s, "execution", *execution);
-                field_s(&mut s, "workflow", workflow);
-            }
-            EventKind::ExecutionFinished { execution, workflow, ok, micros } => {
-                field_u(&mut s, "execution", *execution);
-                field_s(&mut s, "workflow", workflow);
-                let _ = write!(s, ",\"ok\":{ok}");
-                field_u(&mut s, "dur_us", *micros);
-            }
-            EventKind::ExecutionQueued { execution, workflow, tenant } => {
-                field_u(&mut s, "execution", *execution);
-                field_s(&mut s, "workflow", workflow);
-                field_s(&mut s, "tenant", tenant);
-            }
-            EventKind::ExecutionRejected { workflow, tenant, reason } => {
-                field_s(&mut s, "workflow", workflow);
-                field_s(&mut s, "tenant", tenant);
-                field_s(&mut s, "reason", reason);
-            }
-            EventKind::ExecutionCoalesced { execution, workflow, tenant } => {
-                field_u(&mut s, "execution", *execution);
-                field_s(&mut s, "workflow", workflow);
-                field_s(&mut s, "tenant", tenant);
-            }
-            EventKind::SpanStarted { name, trace, span, parent } => {
-                field_s(&mut s, "name", name);
-                field_u(&mut s, "trace", *trace);
-                field_u(&mut s, "span_id", *span);
-                field_u(&mut s, "parent", *parent);
-            }
-            EventKind::SpanEnded { name, trace, span, parent, micros } => {
-                field_s(&mut s, "name", name);
-                field_u(&mut s, "trace", *trace);
-                field_u(&mut s, "span_id", *span);
-                field_u(&mut s, "parent", *parent);
-                field_u(&mut s, "dur_us", *micros);
-            }
-            EventKind::YearStreamed { year, days, bytes } => {
-                field_u(&mut s, "year", *year as u64);
-                field_u(&mut s, "days", *days as u64);
-                field_u(&mut s, "bytes", *bytes);
-            }
-            EventKind::BackpressureStall { channel, waited_us } => {
-                field_s(&mut s, "channel", channel);
-                field_u(&mut s, "waited_us", *waited_us);
-            }
-            EventKind::InferBatchFlushed { batch, capacity, wait_us } => {
-                field_u(&mut s, "batch", *batch as u64);
-                field_u(&mut s, "capacity", *capacity as u64);
-                field_u(&mut s, "wait_us", *wait_us);
-            }
-        }
+        write_fields(&mut s, self);
         s.push('}');
         s
     }
 }
 
-/// Render events as a JSONL document (one event object per line).
-pub fn jsonl(events: &[Event]) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&e.to_json());
-        out.push('\n');
+/// Appends `,"key":value` for each field of `e.kind`, then the ambient span
+/// when set: the one encoding of an event's fields, shared by the JSONL log
+/// and the Chrome-trace `args`.
+fn write_fields(s: &mut String, e: &Event) {
+    let field_u = |s: &mut String, k: &str, v: u64| {
+        let _ = write!(s, ",\"{k}\":{v}");
+    };
+    let field_s = |s: &mut String, k: &str, v: &str| {
+        let _ = write!(s, ",\"{k}\":\"{}\"", json_escape(v));
+    };
+    match &e.kind {
+        EventKind::TaskSubmitted { task, name } => {
+            field_u(s, "task", *task);
+            field_s(s, "name", name);
+        }
+        EventKind::TaskReady { task } => field_u(s, "task", *task),
+        EventKind::TaskStarted { task, name, worker, attempt } => {
+            field_u(s, "task", *task);
+            field_s(s, "name", name);
+            field_u(s, "worker", *worker as u64);
+            field_u(s, "attempt", *attempt as u64);
+        }
+        EventKind::TaskRetryBackoff { task, name, attempt, delay_ms } => {
+            field_u(s, "task", *task);
+            field_s(s, "name", name);
+            field_u(s, "attempt", *attempt as u64);
+            field_u(s, "delay_ms", *delay_ms);
+        }
+        EventKind::CheckpointWritten { key, bytes } => {
+            field_s(s, "key", key);
+            field_u(s, "bytes", *bytes);
+        }
+        EventKind::ResumedFrom { task, key } => {
+            field_u(s, "task", *task);
+            field_s(s, "key", key);
+        }
+        EventKind::FaultInjected { site, fault, occurrence } => {
+            field_s(s, "site", site);
+            field_s(s, "fault", fault);
+            field_u(s, "occurrence", *occurrence);
+        }
+        EventKind::TaskFinished { task, name, worker, outcome, micros } => {
+            field_u(s, "task", *task);
+            field_s(s, "name", name);
+            if let Some(w) = worker {
+                field_u(s, "worker", *w as u64);
+            }
+            field_s(s, "outcome", outcome.label());
+            field_u(s, "dur_us", *micros);
+        }
+        EventKind::QueueDepth { ready, running } => {
+            field_u(s, "ready", *ready as u64);
+            field_u(s, "running", *running as u64);
+        }
+        EventKind::SchedulerDecision { task, name, worker, est_us } => {
+            field_u(s, "task", *task);
+            field_s(s, "name", name);
+            field_u(s, "worker", *worker as u64);
+            field_u(s, "est_us", *est_us);
+        }
+        EventKind::KernelDone { op, server, rows, micros } => {
+            field_s(s, "op", op);
+            field_u(s, "server", *server as u64);
+            field_u(s, "rows", *rows as u64);
+            field_u(s, "dur_us", *micros);
+        }
+        EventKind::OperatorDone { op, fragments, micros } => {
+            field_s(s, "op", op);
+            field_u(s, "fragments", *fragments as u64);
+            field_u(s, "dur_us", *micros);
+        }
+        EventKind::StepCompleted { year, day, micros } => {
+            let _ = write!(s, ",\"year\":{year}");
+            field_u(s, "day", *day as u64);
+            field_u(s, "dur_us", *micros);
+        }
+        EventKind::FileWritten { path, bytes, micros } => {
+            field_s(s, "path", path);
+            field_u(s, "bytes", *bytes);
+            field_u(s, "dur_us", *micros);
+        }
+        EventKind::JobScheduled { job, node, wait_ms, duration_ms } => {
+            field_s(s, "job", job);
+            field_u(s, "node", *node as u64);
+            field_u(s, "wait_ms", *wait_ms);
+            field_u(s, "duration_ms", *duration_ms);
+        }
+        EventKind::TransferStaged { label, bytes, virtual_ms } => {
+            field_s(s, "label", label);
+            field_u(s, "bytes", *bytes);
+            field_u(s, "virtual_ms", *virtual_ms);
+        }
+        EventKind::ImageBuilt { image, built, cache_hits, cost_ms } => {
+            field_s(s, "image", image);
+            field_u(s, "built", *built as u64);
+            field_u(s, "cache_hits", *cache_hits as u64);
+            field_u(s, "cost_ms", *cost_ms);
+        }
+        EventKind::ExecutionStarted { execution, workflow } => {
+            field_u(s, "execution", *execution);
+            field_s(s, "workflow", workflow);
+        }
+        EventKind::ExecutionFinished { execution, workflow, ok, micros } => {
+            field_u(s, "execution", *execution);
+            field_s(s, "workflow", workflow);
+            let _ = write!(s, ",\"ok\":{ok}");
+            field_u(s, "dur_us", *micros);
+        }
+        EventKind::ExecutionQueued { execution, workflow, tenant } => {
+            field_u(s, "execution", *execution);
+            field_s(s, "workflow", workflow);
+            field_s(s, "tenant", tenant);
+        }
+        EventKind::ExecutionRejected { workflow, tenant, reason } => {
+            field_s(s, "workflow", workflow);
+            field_s(s, "tenant", tenant);
+            field_s(s, "reason", reason);
+        }
+        EventKind::ExecutionCoalesced { execution, workflow, tenant } => {
+            field_u(s, "execution", *execution);
+            field_s(s, "workflow", workflow);
+            field_s(s, "tenant", tenant);
+        }
+        EventKind::SpanStarted { name, trace, span, parent } => {
+            field_s(s, "name", name);
+            field_u(s, "trace", *trace);
+            field_u(s, "span", *span);
+            field_u(s, "parent", *parent);
+        }
+        EventKind::SpanEnded { name, trace, span, parent, micros } => {
+            field_s(s, "name", name);
+            field_u(s, "trace", *trace);
+            field_u(s, "span", *span);
+            field_u(s, "parent", *parent);
+            field_u(s, "dur_us", *micros);
+        }
+        EventKind::YearStreamed { year, days, bytes } => {
+            field_u(s, "year", *year as u64);
+            field_u(s, "days", *days as u64);
+            field_u(s, "bytes", *bytes);
+        }
+        EventKind::BackpressureStall { channel, waited_us } => {
+            field_s(s, "channel", channel);
+            field_u(s, "waited_us", *waited_us);
+        }
+        EventKind::InferBatchFlushed { batch, capacity, wait_us } => {
+            field_u(s, "batch", *batch as u64);
+            field_u(s, "capacity", *capacity as u64);
+            field_u(s, "wait_us", *wait_us);
+        }
     }
-    out
+    if e.span != 0 {
+        field_u(s, "ambient_span", e.span);
+    }
 }
 
 /// Render events in Chrome trace format (the `{"traceEvents": [...]}`
@@ -322,7 +316,6 @@ fn slice_name(kind: &EventKind) -> String {
         EventKind::TaskSubmitted { name, .. } => format!("submit {name}"),
         EventKind::TaskReady { task } => format!("ready #{task}"),
         EventKind::TaskStarted { name, .. } => format!("start {name}"),
-        EventKind::TaskRetried { name, attempt, .. } => format!("retry {name} #{attempt}"),
         EventKind::TaskRetryBackoff { name, delay_ms, .. } => {
             format!("backoff {name} +{delay_ms}ms")
         }
@@ -362,73 +355,13 @@ fn slice_name(kind: &EventKind) -> String {
     }
 }
 
-/// The `args` object carried on each trace row (the JSONL body is the
-/// superset; here we keep identifiers useful when clicking a slice).
-/// The emitting thread's ambient span id rides along when set, so any
-/// slice can be traced back to its causal span.
+/// The `args` object carried on each trace row: the event's JSONL fields
+/// (ambient span id included, so any slice can be traced back to its
+/// causal span), without the envelope the row already carries.
 fn chrome_args(e: &Event) -> String {
-    let mut args = kind_args(&e.kind);
-    if e.span != 0 {
-        let insert = format!("\"ambient_span\":{}", e.span);
-        if args == "{}" {
-            args = format!("{{{insert}}}");
-        } else {
-            args.insert_str(args.len() - 1, &format!(",{insert}"));
-        }
-    }
-    args
-}
-
-fn kind_args(kind: &EventKind) -> String {
-    match kind {
-        EventKind::TaskSubmitted { task, .. }
-        | EventKind::TaskReady { task }
-        | EventKind::TaskRetried { task, .. } => format!("{{\"task\":{task}}}"),
-        EventKind::TaskStarted { task, worker, attempt, .. } => {
-            format!("{{\"task\":{task},\"worker\":{worker},\"attempt\":{attempt}}}")
-        }
-        EventKind::TaskRetryBackoff { task, attempt, delay_ms, .. } => {
-            format!("{{\"task\":{task},\"attempt\":{attempt},\"delay_ms\":{delay_ms}}}")
-        }
-        EventKind::CheckpointWritten { bytes, .. } => format!("{{\"bytes\":{bytes}}}"),
-        EventKind::ResumedFrom { task, .. } => format!("{{\"task\":{task}}}"),
-        EventKind::FaultInjected { fault, occurrence, .. } => {
-            format!("{{\"fault\":\"{fault}\",\"occurrence\":{occurrence}}}")
-        }
-        EventKind::TaskFinished { task, outcome, .. } => {
-            format!("{{\"task\":{},\"outcome\":\"{}\"}}", task, outcome.label())
-        }
-        EventKind::SchedulerDecision { task, worker, est_us, .. } => {
-            format!("{{\"task\":{task},\"worker\":{worker},\"est_us\":{est_us}}}")
-        }
-        EventKind::KernelDone { server, rows, .. } => {
-            format!("{{\"server\":{server},\"rows\":{rows}}}")
-        }
-        EventKind::OperatorDone { fragments, .. } => format!("{{\"fragments\":{fragments}}}"),
-        EventKind::FileWritten { bytes, .. } => format!("{{\"bytes\":{bytes}}}"),
-        EventKind::JobScheduled { node, wait_ms, .. } => {
-            format!("{{\"node\":{node},\"wait_ms\":{wait_ms}}}")
-        }
-        EventKind::TransferStaged { bytes, virtual_ms, .. } => {
-            format!("{{\"bytes\":{bytes},\"virtual_ms\":{virtual_ms}}}")
-        }
-        EventKind::ImageBuilt { built, cache_hits, .. } => {
-            format!("{{\"built\":{built},\"cache_hits\":{cache_hits}}}")
-        }
-        EventKind::ExecutionStarted { execution, .. }
-        | EventKind::ExecutionQueued { execution, .. }
-        | EventKind::ExecutionCoalesced { execution, .. } => {
-            format!("{{\"execution\":{execution}}}")
-        }
-        EventKind::ExecutionFinished { execution, ok, .. } => {
-            format!("{{\"execution\":{execution},\"ok\":{ok}}}")
-        }
-        EventKind::SpanStarted { trace, span, parent, .. }
-        | EventKind::SpanEnded { trace, span, parent, .. } => {
-            format!("{{\"trace\":{trace},\"span\":{span},\"parent\":{parent}}}")
-        }
-        _ => "{}".to_string(),
-    }
+    let mut fields = String::new();
+    write_fields(&mut fields, e);
+    format!("{{{}}}", fields.strip_prefix(',').unwrap_or(""))
 }
 
 type Labels = Vec<(&'static str, String)>;
@@ -487,9 +420,7 @@ impl Fold {
                         f.observe("dataflow_task_duration_us", &[], *micros);
                     }
                 }
-                EventKind::TaskRetried { .. } | EventKind::TaskRetryBackoff { .. } => {
-                    f.add("dataflow_task_retries_total", &[], 1)
-                }
+                EventKind::TaskRetryBackoff { .. } => f.add("dataflow_task_retries_total", &[], 1),
                 EventKind::QueueDepth { ready, running } => {
                     f.set("dataflow_queue_ready", *ready);
                     f.set("dataflow_queue_running", *running);
@@ -649,8 +580,7 @@ mod tests {
 
     #[test]
     fn jsonl_one_object_per_line() {
-        let text = jsonl(&sample_events());
-        let lines: Vec<&str> = text.lines().collect();
+        let lines: Vec<String> = sample_events().iter().map(Event::to_json).collect();
         assert_eq!(lines.len(), 4);
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'));

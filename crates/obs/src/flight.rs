@@ -18,7 +18,7 @@
 use crate::event::Event;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 
 /// Ring capacity (power of two: slot = head & (capacity-1)).
@@ -32,7 +32,6 @@ struct Slot {
 pub struct FlightRecorder {
     slots: Box<[Slot]>,
     head: AtomicUsize,
-    recorded: AtomicU64,
     enabled: AtomicBool,
     dump_path: Mutex<Option<PathBuf>>,
 }
@@ -42,7 +41,6 @@ impl FlightRecorder {
         FlightRecorder {
             slots: (0..FLIGHT_CAPACITY).map(|_| Slot { event: Mutex::new(None) }).collect(),
             head: AtomicUsize::new(0),
-            recorded: AtomicU64::new(0),
             enabled: AtomicBool::new(false),
             dump_path: Mutex::new(None),
         }
@@ -54,13 +52,7 @@ impl FlightRecorder {
         let i = self.head.fetch_add(1, Ordering::Relaxed) & (FLIGHT_CAPACITY - 1);
         if let Ok(mut slot) = self.slots[i].event.try_lock() {
             *slot = Some(event.clone());
-            self.recorded.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Events recorded since process start (wrapping overwrites included).
-    pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
     }
 
     /// The ring's current contents in sequence order.
@@ -73,7 +65,7 @@ impl FlightRecorder {
 
     /// Write the snapshot as JSONL to `path`: a header object with the
     /// dump reason, then one event per line (oldest first).
-    pub fn dump_to(&self, path: &Path, reason: &str) -> std::io::Result<usize> {
+    fn dump_to(&self, path: &Path, reason: &str) -> std::io::Result<usize> {
         let events = self.snapshot();
         let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
         writeln!(
@@ -103,7 +95,7 @@ pub fn enable() {
     crate::global().set_flight_recording(true);
 }
 
-pub fn is_enabled() -> bool {
+fn is_enabled() -> bool {
     recorder().enabled.load(Ordering::Relaxed)
 }
 

@@ -6,7 +6,8 @@
 //! * [`Bus`] / [`EventReceiver`] — a typed event bus with multi-subscriber
 //!   fan-out, bounded drop-oldest queues, and a no-subscriber fast path
 //!   that costs a single relaxed atomic load;
-//! * folds of a drained event stream — JSONL event log ([`jsonl`]),
+//! * folds of a drained event stream — JSONL event log ([`Event::to_json`]
+//!   per line),
 //!   Chrome trace format ([`chrome_trace`], loadable in
 //!   `chrome://tracing`/Perfetto), and a Prometheus text dump
 //!   ([`prometheus`]) whose latency [`Histogram`]s ([`histograms`]) feed
@@ -36,7 +37,7 @@ pub mod trace;
 
 pub use bus::{Bus, EventReceiver, DEFAULT_CAPACITY};
 pub use event::{thread_ordinal, Event, EventKind, TaskOutcome};
-pub use export::{chrome_trace, histograms, json_escape, jsonl, prometheus};
+pub use export::{chrome_trace, histograms, json_escape, prometheus};
 pub use metrics::Histogram;
 pub use trace::{Span, SpanContext};
 

@@ -10,15 +10,14 @@
 //!
 //! - a process-global pool ([`global`]) sized from
 //!   `available_parallelism`, overridable with `PAR_THREADS`;
-//! - chunked primitives — [`par_map`], [`par_map_indexed`],
-//!   [`par_chunks`], [`par_chunks_mut`] — with **deterministic output
-//!   ordering** regardless of steal order (slot `i` always holds
-//!   `f(items[i])`);
-//! - [`par_map_lanes`]: a width-bounded, dynamically self-scheduling
-//!   map modelling the paper's I/O-server lanes — at most `width` lane
-//!   tasks, each claiming the next unprocessed item, so one slow item
-//!   never idles a statically dealt stripe;
-//! - [`join`] and [`Pool::scope`] for fork/join with borrows, safe to
+//! - chunked primitives — [`par_map`] and [`par_chunks_mut`] — with
+//!   **deterministic output ordering** regardless of steal order (slot
+//!   `i` always holds `f(items[i])`);
+//! - [`Pool::par_map_lanes`]: a width-bounded, dynamically
+//!   self-scheduling map modelling the paper's I/O-server lanes — at most
+//!   `width` lane tasks, each claiming the next unprocessed item, so one
+//!   slow item never idles a statically dealt stripe;
+//! - [`scope`] / [`Pool::scope`] for fork/join with borrows, safe to
 //!   nest from inside pool workers (blocked threads help execute);
 //! - a per-worker busy/idle/steal profile ([`Pool::worker_stats`]) and
 //!   a pool-wide job count ([`Pool::jobs_run`]), kept as plain atomics.
@@ -52,11 +51,6 @@ pub fn global() -> &'static Pool {
     })
 }
 
-/// The calling thread's worker index on the global pool, if any.
-pub fn current_worker() -> Option<usize> {
-    global().current_worker()
-}
-
 /// `f` over every item, on the global pool. Output order matches input
 /// order. See [`Pool::par_map`].
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
@@ -68,37 +62,6 @@ where
     global().par_map(items, f)
 }
 
-/// Indexed variant of [`par_map`], on the global pool.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    global().par_map_indexed(items, f)
-}
-
-/// Width-bounded dynamic map on the global pool. See
-/// [`Pool::par_map_lanes`].
-pub fn par_map_lanes<T, R, F>(width: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, usize, &T) -> R + Sync,
-{
-    global().par_map_lanes(width, items, f)
-}
-
-/// `f(chunk_index, chunk)` over `chunk`-sized pieces of `data`, on the
-/// global pool.
-pub fn par_chunks<T, F>(data: &[T], chunk: usize, f: F)
-where
-    T: Sync,
-    F: Fn(usize, &[T]) + Sync,
-{
-    global().par_chunks(data, chunk, f)
-}
-
 /// `f(chunk_index, chunk)` over disjoint mutable `chunk`-sized pieces
 /// of `data`, on the global pool.
 pub fn par_chunks_mut<T, F>(data: &mut [T], chunk: usize, f: F)
@@ -107,16 +70,6 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     global().par_chunks_mut(data, chunk, f)
-}
-
-/// Fork/join on the global pool: `a` on the calling thread, `b` queued.
-pub fn join<A, RA, B, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    global().join(a, b)
 }
 
 /// Scoped spawning on the global pool.
@@ -180,19 +133,9 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.par_map_indexed(items, |_, t| f(t))
-    }
-
-    /// Indexed variant of [`Pool::par_map`].
-    pub fn par_map_indexed<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
         let n = items.len();
         if n <= 1 || self.threads() == 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+            return items.iter().map(f).collect();
         }
         let chunk = n.div_ceil(self.threads() * 4).max(1);
         let mut out = uninit_buf::<R>(n);
@@ -206,7 +149,7 @@ impl Pool {
                     for (k, item) in items[start..end].iter().enumerate() {
                         let i = start + k;
                         // SAFETY: this task owns exactly [start, end).
-                        unsafe { slots.write(i, f(i, item)) };
+                        unsafe { slots.write(i, f(item)) };
                     }
                 });
                 start = end;
@@ -256,27 +199,6 @@ impl Pool {
         });
         // SAFETY: indices 0..n each claimed exactly once; scope drained.
         unsafe { assume_init_vec(out) }
-    }
-
-    /// `f(chunk_index, chunk)` over `chunk`-sized pieces of `data`.
-    pub fn par_chunks<T, F>(&self, data: &[T], chunk: usize, f: F)
-    where
-        T: Sync,
-        F: Fn(usize, &[T]) + Sync,
-    {
-        let chunk = chunk.max(1);
-        if data.len() <= chunk || self.threads() == 1 {
-            for (i, c) in data.chunks(chunk).enumerate() {
-                f(i, c);
-            }
-            return;
-        }
-        let f = &f;
-        self.scope(|s| {
-            for (i, c) in data.chunks(chunk).enumerate() {
-                s.spawn(move || f(i, c));
-            }
-        });
     }
 
     /// `f(chunk_index, chunk)` over disjoint mutable `chunk`-sized
@@ -373,21 +295,19 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_halves() {
-        let pool = Pool::new(2);
-        let (a, b) = pool.join(|| 21 * 2, || "right".len());
-        assert_eq!((a, b), (42, 5));
-    }
-
-    #[test]
-    fn nested_join_from_workers_makes_progress() {
-        // Recursive fork/join fanning far past the worker count.
+    fn nested_scopes_from_workers_make_progress() {
+        // Recursive fork/join fanning far past the worker count: each
+        // level spawns one half and runs the other on its own thread.
         fn sum(pool: &Pool, lo: u64, hi: u64) -> u64 {
             if hi - lo <= 8 {
                 return (lo..hi).sum();
             }
             let mid = lo + (hi - lo) / 2;
-            let (a, b) = pool.join(|| sum(pool, lo, mid), || sum(pool, mid, hi));
+            let mut b = 0;
+            let a = pool.scope(|s| {
+                s.spawn(|| b = sum(pool, mid, hi));
+                sum(pool, lo, mid)
+            });
             a + b
         }
         let pool = Pool::new(2);

@@ -10,7 +10,7 @@
 //! Deadlock freedom: a thread waiting for a [`Scope`] to drain never
 //! parks unconditionally — it *helps*, executing queued tasks (its own
 //! or stolen) until the scope's pending count reaches zero. That is what
-//! makes nested `join`/`scope` calls from inside pool workers safe even
+//! makes nested `scope` calls from inside pool workers safe even
 //! when tasks heavily oversubscribe the workers.
 
 use std::collections::VecDeque;
@@ -238,7 +238,7 @@ impl Pool {
 
     /// The calling thread's worker index, if it is one of this pool's
     /// workers. Kernels use this for execution-lane attribution.
-    pub fn current_worker(&self) -> Option<usize> {
+    pub(crate) fn current_worker(&self) -> Option<usize> {
         match WORKER.with(|w| w.get()) {
             Some((pool, idx)) if pool == self.shared.id() => Some(idx),
             _ => None,
@@ -306,24 +306,6 @@ impl Pool {
                 r
             }
         }
-    }
-
-    /// Runs `a` on the calling thread while `b` runs on the pool;
-    /// returns both results. Nests freely: a worker blocked here keeps
-    /// executing other queued tasks, so oversubscription cannot
-    /// deadlock.
-    pub fn join<A, RA, B, RB>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA,
-        B: FnOnce() -> RB + Send,
-        RB: Send,
-    {
-        let mut rb = None;
-        let ra = self.scope(|s| {
-            s.spawn(|| rb = Some(b()));
-            a()
-        });
-        (ra, rb.expect("join: spawned half did not run"))
     }
 
     /// Executes queued work until `state.pending` drains to zero.

@@ -38,13 +38,18 @@ fn many_more_tasks_than_workers() {
 #[test]
 fn deeply_nested_join_on_tiny_pool() {
     watchdog(30, || {
-        // 1 worker + helping callers: every join blocks a thread that
-        // must keep executing queued tasks for the recursion to finish.
+        // 1 worker + helping callers: every nested scope blocks a thread
+        // that must keep executing queued tasks for the recursion to
+        // finish. Each level spawns one half and runs the other inline.
         fn fib(pool: &Pool, n: u64) -> u64 {
             if n < 2 {
                 return n;
             }
-            let (a, b) = pool.join(|| fib(pool, n - 1), || fib(pool, n - 2));
+            let mut b = 0;
+            let a = pool.scope(|s| {
+                s.spawn(|| b = fib(pool, n - 2));
+                fib(pool, n - 1)
+            });
             a + b
         }
         let pool = Pool::new(1);

@@ -21,18 +21,6 @@ proptest! {
         prop_assert_eq!(parallel, serial);
     }
 
-    /// Indexed map sees every index exactly once, in order.
-    #[test]
-    fn par_map_indexed_matches_enumerate(
-        items in proptest::collection::vec(any::<u32>(), 0..200),
-        threads in 1usize..6,
-    ) {
-        let pool = Pool::new(threads);
-        let parallel = pool.par_map_indexed(&items, |i, &x| (i, x));
-        let serial: Vec<(usize, u32)> = items.iter().copied().enumerate().collect();
-        prop_assert_eq!(parallel, serial);
-    }
-
     /// Lane-scheduled map is order-deterministic for any width, even
     /// widths exceeding the item count or the worker count.
     #[test]

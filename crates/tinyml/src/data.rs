@@ -40,7 +40,7 @@ impl Default for PatchGenConfig {
 /// Writes an idealized cyclone signature centered at `(cy, cx)` (pixel
 /// coordinates) into a 4-channel patch, additive over existing content.
 /// `intensity` in `(0, 1]` scales the whole signature.
-pub fn inject_cyclone(patch: &mut Tensor, cy: f32, cx: f32, intensity: f32) {
+fn inject_cyclone(patch: &mut Tensor, cy: f32, cx: f32, intensity: f32) {
     assert_eq!(patch.rank(), 3);
     assert_eq!(patch.shape[0], 4);
     let (h, w) = (patch.shape[1], patch.shape[2]);
@@ -74,7 +74,7 @@ pub fn generate_patches(cfg: &PatchGenConfig, n: usize, seed: u64) -> Vec<PatchS
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         // Smooth-ish background noise: white noise plus a random gradient.
-        let mut patch = Tensor::zeros(&[4, s, s]);
+        let mut patch = Tensor::full(&[4, s, s], 0.0);
         let gx: f32 = rng.gen_range(-0.3..0.3);
         let gy: f32 = rng.gen_range(-0.3..0.3);
         for c in 0..4 {
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn cyclone_signature_has_expected_structure() {
-        let mut patch = Tensor::zeros(&[4, 32, 32]);
+        let mut patch = Tensor::full(&[4, 32, 32], 0.0);
         inject_cyclone(&mut patch, 16.0, 16.0, 1.0);
         // Pressure minimum at the center.
         let mut min_pos = (0, 0);

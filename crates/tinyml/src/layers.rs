@@ -100,9 +100,9 @@ impl Dense {
         let scale = (2.0 / input as f32).sqrt();
         Dense {
             w: Tensor::uniform(&[output, input], scale, seed),
-            b: Tensor::zeros(&[output]),
-            gw: Tensor::zeros(&[output, input]),
-            gb: Tensor::zeros(&[output]),
+            b: Tensor::full(&[output], 0.0),
+            gw: Tensor::full(&[output, input], 0.0),
+            gb: Tensor::full(&[output], 0.0),
             cache_x: None,
         }
     }
@@ -208,9 +208,9 @@ impl Conv2d {
         let scale = (2.0 / fan_in).sqrt();
         Conv2d {
             w: Tensor::uniform(&[out_ch, in_ch, kernel, kernel], scale, seed),
-            b: Tensor::zeros(&[out_ch]),
-            gw: Tensor::zeros(&[out_ch, in_ch, kernel, kernel]),
-            gb: Tensor::zeros(&[out_ch]),
+            b: Tensor::full(&[out_ch], 0.0),
+            gw: Tensor::full(&[out_ch, in_ch, kernel, kernel], 0.0),
+            gb: Tensor::full(&[out_ch], 0.0),
             kernel,
             pad,
             in_ch,
@@ -384,7 +384,7 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let x_shape = self.cache_x.as_ref().expect("backward before forward").shape.clone();
-        let mut gx = Tensor::zeros(&x_shape);
+        let mut gx = Tensor::full(&x_shape, 0.0);
         self.accumulate_grads(grad_out, Some(&mut gx));
         gx
     }
@@ -476,7 +476,7 @@ impl Layer for MaxPool2d {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         assert_eq!(grad_out.len(), self.cache_argmax.len(), "backward before forward");
-        let mut gx = Tensor::zeros(&self.cache_in_shape);
+        let mut gx = Tensor::full(&self.cache_in_shape, 0.0);
         for (oidx, &iidx) in self.cache_argmax.iter().enumerate() {
             gx.data[iidx] += grad_out.data[oidx];
         }

@@ -1,39 +1,5 @@
-//! Loss functions: value plus gradient with respect to the prediction.
-
-use crate::tensor::Tensor;
-
-/// Mean-squared error: `L = mean((y - t)^2)`.
-/// Returns `(loss, dL/dy)`.
-pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    assert_eq!(pred.shape, target.shape, "mse shape mismatch");
-    let n = pred.len().max(1) as f32;
-    let mut loss = 0.0;
-    let mut grad = Tensor::zeros(&pred.shape);
-    for i in 0..pred.len() {
-        let d = pred.data[i] - target.data[i];
-        loss += d * d;
-        grad.data[i] = 2.0 * d / n;
-    }
-    (loss / n, grad)
-}
-
-/// Binary cross-entropy over probabilities in `(0, 1)`:
-/// `L = -mean(t·ln y + (1-t)·ln(1-y))`. Predictions are clamped away from
-/// 0/1 for numerical stability. Returns `(loss, dL/dy)`.
-pub fn bce(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    assert_eq!(pred.shape, target.shape, "bce shape mismatch");
-    const EPS: f32 = 1e-6;
-    let n = pred.len().max(1) as f32;
-    let mut loss = 0.0;
-    let mut grad = Tensor::zeros(&pred.shape);
-    for i in 0..pred.len() {
-        let y = pred.data[i].clamp(EPS, 1.0 - EPS);
-        let t = target.data[i];
-        loss += -(t * y.ln() + (1.0 - t) * (1.0 - y).ln());
-        grad.data[i] = (y - t) / (y * (1.0 - y)) / n;
-    }
-    (loss / n, grad)
-}
+//! The TC-localization head's composite loss: value plus gradient with
+//! respect to the prediction.
 
 /// Weighted sum of an MSE term over a subset of outputs and a BCE term over
 /// another subset — the composite loss of the TC-localization head
@@ -64,73 +30,6 @@ pub fn detection_loss(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mse_zero_when_equal() {
-        let a = Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]);
-        let (l, g) = mse(&a, &a);
-        assert_eq!(l, 0.0);
-        assert!(g.data.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn mse_known_value_and_gradient_sign() {
-        let p = Tensor::from_vec(&[2], vec![1.0, 0.0]);
-        let t = Tensor::from_vec(&[2], vec![0.0, 0.0]);
-        let (l, g) = mse(&p, &t);
-        assert!((l - 0.5).abs() < 1e-6);
-        assert!(g.data[0] > 0.0);
-        assert_eq!(g.data[1], 0.0);
-    }
-
-    #[test]
-    fn mse_gradient_matches_finite_difference() {
-        let p = Tensor::from_vec(&[3], vec![0.2, -0.7, 1.3]);
-        let t = Tensor::from_vec(&[3], vec![0.0, 0.5, 1.0]);
-        let (_, g) = mse(&p, &t);
-        let eps = 1e-3;
-        for i in 0..3 {
-            let mut pp = p.clone();
-            pp.data[i] += eps;
-            let mut pm = p.clone();
-            pm.data[i] -= eps;
-            let numeric = (mse(&pp, &t).0 - mse(&pm, &t).0) / (2.0 * eps);
-            assert!((numeric - g.data[i]).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn bce_perfect_prediction_is_near_zero() {
-        let p = Tensor::from_vec(&[2], vec![0.999999, 0.000001]);
-        let t = Tensor::from_vec(&[2], vec![1.0, 0.0]);
-        let (l, _) = bce(&p, &t);
-        assert!(l < 1e-4);
-    }
-
-    #[test]
-    fn bce_is_stable_at_extremes() {
-        let p = Tensor::from_vec(&[2], vec![0.0, 1.0]);
-        let t = Tensor::from_vec(&[2], vec![1.0, 0.0]);
-        let (l, g) = bce(&p, &t);
-        assert!(l.is_finite());
-        assert!(g.data.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn bce_gradient_matches_finite_difference() {
-        let p = Tensor::from_vec(&[2], vec![0.3, 0.8]);
-        let t = Tensor::from_vec(&[2], vec![1.0, 0.0]);
-        let (_, g) = bce(&p, &t);
-        let eps = 1e-4;
-        for i in 0..2 {
-            let mut pp = p.clone();
-            pp.data[i] += eps;
-            let mut pm = p.clone();
-            pm.data[i] -= eps;
-            let numeric = (bce(&pp, &t).0 - bce(&pm, &t).0) / (2.0 * eps);
-            assert!((numeric - g.data[i]).abs() < 1e-2, "i={i}: {numeric} vs {}", g.data[i]);
-        }
-    }
 
     #[test]
     fn detection_loss_gates_coordinates() {

@@ -16,12 +16,6 @@ pub struct Tensor {
 }
 
 impl Tensor {
-    /// All-zeros tensor of the given shape.
-    pub fn zeros(shape: &[usize]) -> Self {
-        let n = shape.iter().product();
-        Tensor { shape: shape.to_vec(), data: vec![0.0; n] }
-    }
-
     /// Tensor filled with a constant.
     pub fn full(shape: &[usize], v: f32) -> Self {
         let n = shape.iter().product();
@@ -94,27 +88,6 @@ impl Tensor {
         assert_eq!(n, self.len(), "reshape must preserve element count");
         Tensor { shape: shape.to_vec(), data: self.data.clone() }
     }
-
-    /// Element-wise in-place addition.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "shape mismatch in add_assign");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// Element-wise in-place scaling.
-    pub fn scale(&mut self, s: f32) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
-    /// Dot product of two equal-length tensors viewed as flat vectors.
-    pub fn dot(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.len(), other.len(), "dot length mismatch");
-        self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +96,7 @@ mod tests {
 
     #[test]
     fn zeros_full_from_vec() {
-        let z = Tensor::zeros(&[2, 3]);
+        let z = Tensor::full(&[2, 3], 0.0);
         assert_eq!(z.len(), 6);
         assert!(z.data.iter().all(|&v| v == 0.0));
         let f = Tensor::full(&[4], 2.0);
@@ -169,17 +142,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "preserve element count")]
     fn reshape_checks_count() {
-        Tensor::zeros(&[4]).reshape(&[5]);
-    }
-
-    #[test]
-    fn arithmetic_helpers() {
-        let mut a = Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]);
-        let b = Tensor::from_vec(&[3], vec![10.0, 20.0, 30.0]);
-        a.add_assign(&b);
-        assert_eq!(a.data, vec![11.0, 22.0, 33.0]);
-        a.scale(0.5);
-        assert_eq!(a.data, vec![5.5, 11.0, 16.5]);
-        assert_eq!(b.dot(&b), 1400.0);
+        Tensor::full(&[4], 0.0).reshape(&[5]);
     }
 }

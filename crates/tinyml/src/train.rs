@@ -87,7 +87,39 @@ where
 mod tests {
     use super::*;
     use crate::layers::{Dense, Sigmoid, Tanh};
-    use crate::loss::{bce, mse};
+
+    /// Mean-squared error: `L = mean((y - t)^2)`.
+    /// Returns `(loss, dL/dy)`.
+    fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
+        assert_eq!(pred.shape, target.shape, "mse shape mismatch");
+        let n = pred.len().max(1) as f32;
+        let mut loss = 0.0;
+        let mut grad = Tensor::full(&pred.shape, 0.0);
+        for i in 0..pred.len() {
+            let d = pred.data[i] - target.data[i];
+            loss += d * d;
+            grad.data[i] = 2.0 * d / n;
+        }
+        (loss / n, grad)
+    }
+
+    /// Binary cross-entropy over probabilities in `(0, 1)`:
+    /// `L = -mean(t·ln y + (1-t)·ln(1-y))`. Predictions are clamped away from
+    /// 0/1 for numerical stability. Returns `(loss, dL/dy)`.
+    fn bce(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
+        assert_eq!(pred.shape, target.shape, "bce shape mismatch");
+        const EPS: f32 = 1e-6;
+        let n = pred.len().max(1) as f32;
+        let mut loss = 0.0;
+        let mut grad = Tensor::full(&pred.shape, 0.0);
+        for i in 0..pred.len() {
+            let y = pred.data[i].clamp(EPS, 1.0 - EPS);
+            let t = target.data[i];
+            loss += -(t * y.ln() + (1.0 - t) * (1.0 - y).ln());
+            grad.data[i] = (y - t) / (y * (1.0 - y)) / n;
+        }
+        (loss / n, grad)
+    }
 
     #[test]
     fn sgd_moves_parameters_downhill() {

@@ -28,7 +28,7 @@ fn reference_forward(x: &Tensor, conv: &Conv2d) -> Tensor {
     let (out_ch, in_ch) = (w.shape[0], w.shape[1]);
     let oh = h + 2 * pad + 1 - K;
     let ow = ww + 2 * pad + 1 - K;
-    let mut y = Tensor::zeros(&[out_ch, oh, ow]);
+    let mut y = Tensor::full(&[out_ch, oh, ow], 0.0);
     let p = pad as isize;
     for o in 0..out_ch {
         for yy in 0..oh {
@@ -88,9 +88,9 @@ fn reference_backward(x: &Tensor, conv: &Conv2d, go: &Tensor) -> (Tensor, Tensor
     let (in_ch, h, ww) = (x.shape[0], x.shape[1], x.shape[2]);
     let (out_ch, oh, ow) = (go.shape[0], go.shape[1], go.shape[2]);
     let (w, p) = (&conv.w, conv.pad as isize);
-    let mut gw = Tensor::zeros(&w.shape);
-    let mut gb = Tensor::zeros(&[out_ch]);
-    let mut gx = Tensor::zeros(&x.shape);
+    let mut gw = Tensor::full(&w.shape, 0.0);
+    let mut gb = Tensor::full(&[out_ch], 0.0);
+    let mut gx = Tensor::full(&x.shape, 0.0);
     for o in 0..out_ch {
         for yy in 0..oh {
             for xx in 0..ow {

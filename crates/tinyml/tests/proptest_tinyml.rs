@@ -24,7 +24,7 @@ fn conv_reference(
     let (h, wdt) = (x.shape[1], x.shape[2]);
     let oh = h + 2 * pad + 1 - k;
     let ow = wdt + 2 * pad + 1 - k;
-    let mut y = Tensor::zeros(&[out_ch, oh, ow]);
+    let mut y = Tensor::full(&[out_ch, oh, ow], 0.0);
     for o in 0..out_ch {
         for yy in 0..oh {
             for xx in 0..ow {

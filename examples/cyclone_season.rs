@@ -116,7 +116,8 @@ fn main() {
     let tracks = stitch_tracks(&per_step_detections, &TrackParams::default());
     println!("Deterministic pipeline: {} tracks", tracks.len());
     for (i, t) in tracks.iter().enumerate() {
-        println!("  track {i}: steps {}..{}, max wind {:.1} m/s", t.start(), t.end(), t.max_wind());
+        let max_wind = t.points.iter().map(|(_, d)| d.max_wind_ms).fold(0.0, f32::max);
+        println!("  track {i}: steps {}..{}, max wind {max_wind:.1} m/s", t.start(), t.end());
     }
 
     // Verification vs truth.

@@ -112,15 +112,55 @@ for t in 1 2 4; do
   done
 done
 
-echo "== reachability census: every pub fn is named outside unit tests, and by product code or a named test =="
-# Pass 1: a pub fn of crates/*/src that only its own #[cfg(test)] modules
-# (or nothing) name is reached by no run, record or paper claim: delete it
-# or move it into the test module. Pass 2: one that only tests or examples
-# name must be an oracle or a contract probe, allowlisted in the script
-# with the test file that still names it; anything else is deleted.
-# Name-based on purpose — a homonym such as `new` passes — so the gate is
-# cheap and never cries wolf.
+echo "== reachability census: every pub fn is used outside its own file, and by product code or a named test =="
+# Pass 1: a pub fn of crates/*/src that only its own file (or nothing)
+# uses is reached by no run, record or paper claim: make it private,
+# delete it, or move it into the test module. Pass 2: one that only tests
+# or examples use must be an oracle or a contract probe, allowlisted in
+# the script with the test file that still uses it; anything else is
+# deleted. A use is a call or path (`name(`, `.name(`, `::name`, or a bare
+# argument), outside comments, string literals and `use` lines. The
+# remaining blind spot is std and cross-type method homonyms: any
+# `.join(`, `.new(` or `.status(` keeps a `pub fn` of that name alive.
 python3 scripts/pub_fn_census.py
+
+echo "== census holes stay closed: three planted offenders are each named =="
+# On a scratch copy of the tree's *.rs files (never the tree itself), plant
+# a pub fn called only in its own file, one named only inside a string
+# literal, and one whose name is only a `let` binding elsewhere. The
+# census must fail and name all three: each is caught by a different rule
+# of its matcher, so reverting any one rule fails this step.
+plant=$(mktemp -d)
+git ls-files -z --cached --others --exclude-standard -- '*.rs' \
+    | xargs -0 cp --parents -t "$plant"
+cat > "$plant/crates/obs/src/planted.rs" <<'RS'
+pub fn planted_own_file_only() {}
+pub fn planted_in_string_only() {}
+pub fn planted_shadowed_by_let() {}
+fn caller() {
+    planted_own_file_only();
+}
+RS
+cat > "$plant/crates/par/src/planted_user.rs" <<'RS'
+fn user() -> usize {
+    let msg = "planted_in_string_only()";
+    let planted_shadowed_by_let = msg.len();
+    planted_shadowed_by_let + 1
+}
+RS
+census="$PWD/scripts/pub_fn_census.py"
+if (cd "$plant" && git init -q && git add -A && python3 "$census") > "$plant/census.out"; then
+  echo "the census passed a tree with planted offenders" >&2
+  exit 1
+fi
+for name in planted_own_file_only planted_in_string_only planted_shadowed_by_let; do
+  if ! grep -q ": $name " "$plant/census.out"; then
+    echo "the census did not name the planted offender $name:" >&2
+    cat "$plant/census.out" >&2
+    exit 1
+  fi
+done
+rm -rf "$plant"
 
 echo "== one measurement stack: the retired serving benchmark stays retired =="
 # wfbench (benchmark/) is the only load generator and timing harness of the

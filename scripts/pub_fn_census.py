@@ -1,24 +1,36 @@
 #!/usr/bin/env python3
 """Reachability census of every `pub fn` of crates/*/src declared before a
-file's first #[cfg(test)]. Two passes, both name-based on purpose: a homonym
-(`new`, `len`, a same-named method of another type) keeps a function alive.
-The gate is cheap and has no false alarms; it catches the function whose name
-nothing else in the tree says.
+file's first #[cfg(test)]. Two passes over one matcher, which decides where a
+name counts as a use of a function:
 
-Pass 1, reachability: the name must be said on some tracked *.rs line that is
-neither a declaration of that name nor inside the #[cfg(test)] tail of a
-crates/*/src file. Comments do not count.
+  (a) comments and string/char literals are blanked, and `use` / `pub use`
+      statements are ignored: a name in a `format!` string or an import line
+      calls nothing;
+  (b) a name counts only in call or path position -- `name(`, `.name(`,
+      `name::<`, `::name`, or passed by name as a bare argument `(name,` --
+      not wherever the identifier appears, so `let name = ..` and a field
+      `.name` keep nothing alive;
+  (c) mentions inside any file that itself declares a `pub fn` of that name
+      are ignored: a function that only its own file calls should be private,
+      and two same-named functions cannot keep each other alive.
 
-Pass 2, product census: the name must be said by product code -- non-test
-lines of crates/*/src or benchmark/. A function only tests or examples name
+The remaining blind spot is method homonyms across types and std: a `pub fn`
+named `join`, `new` or `status` is kept alive by any other type's method of
+that name called anywhere (`Path::join`, `Vec::new`, ..).
+
+Pass 1, reachability: the name must be used by some tracked *.rs file other
+than the declaring ones, outside the #[cfg(test)] tail of a crates/*/src file.
+
+Pass 2, product census: the name must be used by product code -- non-test
+lines of crates/*/src or benchmark/. A function only tests or examples use
 is either deleted or listed in ALLOWLIST with the test file that uses it as
 an oracle (the reference an optimised path is checked against) or a contract
 probe (a read a test asserts a stated guarantee through). An entry fails when
-its file no longer names the function in test code, and when the function
+its file no longer uses the function in test code, and when the function
 gains a product caller or is gone (the entry is then stale).
 
 Prints offenders as `file: name` with the reason, then one count line per
-pass; exits 1 when either pass has offenders.
+pass; exits 1 when either pass has offenders. Run from the repository root.
 """
 import re
 import subprocess
@@ -48,88 +60,179 @@ ALLOWLIST = {
     ("crates/dataflow/src/inject.rs", ("consultations",)):
         ("tests/chaos_suite.rs",
          "probe: a seeded fault plan must actually reach its sites"),
+    ("crates/dataflow/src/inject.rs", ("for_sites",)):
+        ("tests/chaos_suite.rs",
+         "probe: a fault plan confined to the task site, so every fault lands on a task"),
     ("crates/dataflow/src/runtime.rs", ("task_state",)):
         ("tests/fault_tolerance_e2e.rs",
          "probe: a failure cancels exactly its subtree"),
+    ("crates/dataflow/src/runtime.rs", ("subscribe",)):
+        ("tests/chaos_suite.rs",
+         "probe: a chaos run's own event stream must show every task reach a terminal state"),
+    ("crates/dataflow/src/runtime.rs", ("deadline",)):
+        ("crates/dataflow/tests/ledger_replay.rs",
+         "probe: wfbench reads `Metrics.timed_out`, which only a deadline feeds"),
     ("crates/dataflow/src/payload.rs", ("from_u64", "as_u64")):
         ("crates/dataflow/tests/proptest_dag.rs",
          "probe: writes and reads back the task outputs of the DAG property tests"),
-    ("crates/dataflow/src/provenance.rs", ("lineage",)):
+    ("crates/dataflow/src/provenance.rs", ("lineage", "records")):
         ("tests/provenance_e2e.rs",
          "probe: every product's provenance links back to the simulation"),
     ("crates/datacube/src/model.rs", ("same_buffer",)):
         ("crates/datacube/tests/proptest_zero_copy.rs",
-         "probe: subsets and identity chains share, not copy, their payload"),
+         "probe: an identity chain shares, not copies, its payload"),
     ("crates/datacube/src/server.rs", ("resident_cubes",)):
         ("crates/datacube/tests/ingest.rs",
          "probe: a failed import stores no cube"),
     ("crates/hpcwaas/src/api.rs", ("deployment_cost_ms",)):
         ("tests/e2e_hpcwaas.rs",
          "probe: a warm redeploy reuses cached images (claim C5)"),
+    ("crates/hpcwaas/src/api.rs", ("undeploy",)):
+        ("tests/e2e_hpcwaas.rs",
+         "probe: the user journey ends in an undeploy, after which runs are refused"),
+    ("crates/hpcwaas/src/containers.rs", ("builds",)):
+        ("tests/e2e_hpcwaas.rs",
+         "probe: each image is built once, then served from the layer cache (claim C5)"),
     ("crates/tinyml/src/tensor.rs", ("at3",)):
         ("crates/tinyml/tests/parallel_equivalence.rs",
          "oracle: the per-pixel conv nests the lane and fused kernels are checked against"),
     ("crates/hpcwaas/src/dls.rs", ("history",)):
         ("tests/e2e_hpcwaas.rs",
          "probe: staging moves the declared bytes once (claim A2)"),
+    ("crates/esm/src/output.rs", ("daily_payload_bytes",)):
+        ("tests/paper_scale.rs",
+         "probe: a written file's size is the predicted payload (Section 5.2 arithmetic)"),
+    ("crates/obs/src/bus.rs", ("subscribe",)):
+        ("crates/par/tests/trace_propagation.rs",
+         "probe: spans opened on pool workers reach a subscriber of the global bus"),
+    ("crates/core/src/endtoend.rs", ("register_with_hpcwaas",)):
+        ("tests/e2e_hpcwaas.rs",
+         "probe: the workflow deployed and run through the Execution API end to end"),
 }
 
 SRC = re.compile(r"^crates/[^/]+/src/")
 PRODUCT = re.compile(r"^(crates/[^/]+/src/|benchmark/)")
-DECL = re.compile(r"\bpub fn\s+([A-Za-z_][A-Za-z0-9_]*)")
-FN = re.compile(r"\bfn\s+([A-Za-z_][A-Za-z0-9_]*)")
-WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+IDENT = r"([A-Za-z_][A-Za-z0-9_]*)"
+DECL = re.compile(r"\bpub fn\s+" + IDENT)
+FN_DECL = re.compile(r"\bfn\s+[A-Za-z_][A-Za-z0-9_]*")
+USE = re.compile(r"^[ \t]*(?:pub(?:\s*\([^)]*\))?\s+)?use\s[^;]*;", re.M)
+RAW_STR = re.compile(r'b?r(#*)"')
+CALLED = re.compile(IDENT + r"\s*(?:\(|::\s*<)")
+PATH = re.compile(r"::\s*" + IDENT)
+PASSED = re.compile(r"(?<=[(,])\s*" + IDENT + r"\s*(?=[,)])")
 
-files = subprocess.run(
-    ["git", "ls-files", "--cached", "--others", "--exclude-standard", "*.rs"],
-    check=True, capture_output=True, text=True).stdout.split()
 
-decls = []  # (file, name)
-live, tail, product = set(), set(), set()  # names said outside / inside unit-test tails; by product code
-test_words = {}  # file -> names its test code says
-for path in files:
-    try:
-        lines = open(path, encoding="utf-8").read().splitlines()
-    except FileNotFoundError:  # deleted but not yet staged
-        continue
-    in_src = bool(SRC.match(path))
-    is_product = bool(PRODUCT.match(path))
-    in_tail = False
-    for line in lines:
-        in_tail = in_tail or (in_src and "#[cfg(test)]" in line)
-        code = line.split("//", 1)[0]
-        if in_src and not in_tail:
-            decls += [(path, n) for n in DECL.findall(code)]
-        words = set(WORD.findall(code)) - set(FN.findall(code))
-        (tail if in_tail else live).update(words)
-        if is_product and not in_tail:
-            product.update(words)
-        elif in_tail or not in_src:
-            test_words.setdefault(path, set()).update(words)
+def blank(text):
+    """`text` with every character but a newline turned into a space."""
+    return re.sub(r"[^\n]", " ", text)
 
-offenders = [(f, n) for f, n in decls if n not in live]
-for f, n in offenders:
-    print(f"{f}: {n}  ({'unit tests only' if n in tail else 'unreferenced'})")
-unref = sum(1 for _, n in offenders if n not in tail)
-print(f"pass 1: {len(decls)} pub fn, {unref} unreferenced, "
-      f"{len(offenders) - unref} named only from #[cfg(test)] modules")
 
-allowed = {(f, n): (test, why) for (f, names), (test, why) in ALLOWLIST.items() for n in names}
-unlisted, bad_entries = [], []
-for f, n in decls:
-    if n in live and n not in product and (f, n) not in allowed:
-        unlisted.append((f, n))
-for (f, n), (test, _) in sorted(allowed.items()):
-    if (f, n) not in decls:
-        bad_entries.append(f"{f}: {n}  (allowlisted but no longer declared there)")
-    elif n in product:
-        bad_entries.append(f"{f}: {n}  (allowlisted but now has a product caller)")
-    elif n not in test_words.get(test, ()):
-        bad_entries.append(f"{f}: {n}  (allowlisted for {test}, whose tests no longer name it)")
-for f, n in unlisted:
-    print(f"{f}: {n}  (no product caller: delete it or allowlist the test that needs it)")
-for line in bad_entries:
-    print(line)
-print(f"pass 2: {len(allowed)} allowlisted oracle/probe name(s), {len(unlisted)} unlisted, "
-      f"{len(bad_entries)} stale allowlist entr{'y' if len(bad_entries) == 1 else 'ies'}")
-sys.exit(1 if offenders or unlisted or bad_entries else 0)
+def strip_literals(text):
+    """Blanks comments and string/char literals, keeping line structure."""
+    out, i, n = [], 0, len(text)
+    while i < n:
+        c = text[i]
+        raw = RAW_STR.match(text, i) if c in "br" else None
+        if raw and i > 0 and (text[i - 1].isalnum() or text[i - 1] == "_"):
+            raw = None  # an identifier ending in `b`/`r`, not a literal prefix
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+        elif text.startswith("/*", i):
+            depth, j = 1, i + 2
+            while j < n and depth:
+                step = text[j:j + 2]
+                depth += (step == "/*") - (step == "*/")
+                j += 2 if step in ("/*", "*/") else 1
+        elif raw:
+            end = text.find('"' + raw.group(1), raw.end())
+            j = n if end < 0 else end + 1 + len(raw.group(1))
+        elif c == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                j += 2 if text[j] == "\\" else 1
+            j += 1
+        elif c == "'" and (text[i + 1:i + 2] == "\\" or text[i + 2:i + 3] == "'"):
+            j = text.find("'", i + 2) + 1  # a char literal; a lifetime has no closing quote
+        else:
+            out.append(c)
+            i += 1
+            continue
+        out.append(blank(text[i:j]))
+        i = j
+    return "".join(out)
+
+
+def used_names(code):
+    """Names in call or path position in stripped `code`; declarations excluded."""
+    code = FN_DECL.sub(lambda m: blank(m.group(0)), code)
+    return set(CALLED.findall(code)) | set(PATH.findall(code)) | set(PASSED.findall(code))
+
+
+def main():
+    files = subprocess.run(
+        ["git", "ls-files", "--cached", "--others", "--exclude-standard", "*.rs"],
+        check=True, capture_output=True, text=True).stdout.split()
+
+    decls = []  # (file, name) of every pub fn before a crates/*/src file's test tail
+    declared_in = {}  # name -> files that declare a pub fn of that name
+    live, tail, product = {}, {}, {}  # name -> files using it outside / inside unit-test tails; product files
+    test_words = {}  # file -> names its test code uses
+    for path in files:
+        try:
+            raw = open(path, encoding="utf-8").read()
+        except FileNotFoundError:  # deleted but not yet staged
+            continue
+        in_src = bool(SRC.match(path))
+        cut = len(raw)
+        if in_src:
+            at = raw.find("#[cfg(test)]")
+            cut = cut if at < 0 else raw.rfind("\n", 0, at) + 1
+        code = USE.sub(lambda m: blank(m.group(0)), strip_literals(raw))
+        body, test_tail = code[:cut], code[cut:]
+        if in_src:
+            decls += [(path, n) for n in DECL.findall(body)]
+        for n in DECL.findall(code):
+            declared_in.setdefault(n, set()).add(path)
+        for n in used_names(body):
+            live.setdefault(n, set()).add(path)
+            if PRODUCT.match(path):
+                product.setdefault(n, set()).add(path)
+            else:
+                test_words.setdefault(path, set()).add(n)
+        for n in used_names(test_tail):
+            tail.setdefault(n, set()).add(path)
+            test_words.setdefault(path, set()).add(n)
+
+    def used_by(where, n):
+        return where.get(n, set()) - declared_in.get(n, set())
+
+    offenders = [(f, n) for f, n in decls if not used_by(live, n)]
+    for f, n in offenders:
+        print(f"{f}: {n}  ({'unit tests only' if used_by(tail, n) else 'unreferenced'})")
+    unref = sum(1 for _, n in offenders if not used_by(tail, n))
+    print(f"pass 1: {len(decls)} pub fn, {unref} unreferenced, "
+          f"{len(offenders) - unref} used only from #[cfg(test)] modules")
+
+    allowed = {(f, n): test for (f, names), (test, _) in ALLOWLIST.items() for n in names}
+    unlisted = [(f, n) for f, n in decls
+                if used_by(live, n) and not used_by(product, n) and (f, n) not in allowed]
+    bad_entries = []
+    for (f, n), test in sorted(allowed.items()):
+        if (f, n) not in decls:
+            bad_entries.append(f"{f}: {n}  (allowlisted but no longer declared there)")
+        elif used_by(product, n):
+            bad_entries.append(f"{f}: {n}  (allowlisted but now has a product caller)")
+        elif n not in test_words.get(test, ()):
+            bad_entries.append(f"{f}: {n}  (allowlisted for {test}, whose tests no longer use it)")
+    for f, n in unlisted:
+        print(f"{f}: {n}  (no product caller: delete it or allowlist the test that needs it)")
+    for line in bad_entries:
+        print(line)
+    print(f"pass 2: {len(allowed)} allowlisted oracle/probe name(s), {len(unlisted)} unlisted, "
+          f"{len(bad_entries)} stale allowlist entr{'y' if len(bad_entries) == 1 else 'ies'}")
+    return 1 if offenders or unlisted or bad_entries else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -443,7 +443,7 @@ proptest! {
 fn chaos_fused_pipeline_resume_is_byte_identical() {
     let _suite = suite_lock();
 
-    /// Runs a subset → intercube → apply → reduce chain as ONE fused
+    /// Runs an intercube → apply → reduce chain as ONE fused
     /// kernel and serializes the result's exact bit patterns.
     fn fused_index_bytes(seed: u64) -> Vec<u8> {
         use datacube::exec::ExecConfig;
@@ -468,7 +468,6 @@ fn chaos_fused_pipeline_resume_is_byte_identical() {
             Cube::from_dense("b", bdims, (0..rows).map(|i| i as f32 / 4.0).collect(), 3, 2)
                 .unwrap();
         let out = Pipeline::new()
-            .subset_implicit("time", 2, 43)
             .intercube(&baseline, InterOp::Sub)
             .apply(Expr::parse("x * 2 + 1").unwrap())
             .reduce(ReduceOp::Sum, "time")

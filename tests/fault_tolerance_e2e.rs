@@ -31,7 +31,7 @@ fn run_year_graph(
 
     let flaky = |name: &str| -> FailurePolicy {
         if name == flaky_task {
-            FailurePolicy::Retry { max_retries: fail_times + 1 }
+            FailurePolicy::RetryBackoff { max_retries: fail_times + 1, base_ms: 0, cap_ms: 0 }
         } else {
             FailurePolicy::FailFast
         }
@@ -143,7 +143,7 @@ fn checkpoint_preserves_workflow_payload_values() {
         .run(|_| panic!("must not execute: checkpointed"))
         .unwrap();
     let v = rt.fetch(&h.outputs[0]).unwrap();
-    assert_eq!(v.paths().unwrap(), &[PathBuf::from("/a/b.ncx"), PathBuf::from("/c d/e.ncx")]);
+    assert_eq!(*v, WfData::Paths(vec![PathBuf::from("/a/b.ncx"), PathBuf::from("/c d/e.ncx")]));
     rt.shutdown();
 }
 
@@ -175,6 +175,6 @@ fn ignored_failure_cancels_only_its_subtree() {
     rt.barrier().unwrap();
     assert_eq!(rt.task_state(index_a.id), Some(TaskState::Cancelled));
     assert_eq!(rt.task_state(index_b.id), Some(TaskState::Completed));
-    assert_eq!(rt.fetch(&index_b.outputs[0]).unwrap().cube_id().unwrap().0, 9);
+    assert_eq!(*rt.fetch(&index_b.outputs[0]).unwrap(), WfData::CubeRef(9));
     rt.shutdown();
 }
