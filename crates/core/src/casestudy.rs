@@ -37,7 +37,7 @@
 
 use crate::error::{WorkflowError, WorkflowStage};
 use crate::params::WorkflowParams;
-use crate::reporting::{ModelSetup, RunReport, StreamSummary, YearReport};
+use crate::reporting::{process_cpu, ModelSetup, RunReport, StreamSummary, YearReport};
 use datacube::ops::ReduceOp;
 use datacube::{Client, CubeCache, CubeHandle, CubeId};
 use dataflow::prelude::*;
@@ -364,6 +364,7 @@ impl CaseStudy {
 
         let model_file = params.model_path.clone().unwrap_or_else(|| cached_model_file(&params));
         let setup_start = Instant::now();
+        let cpu_start = process_cpu();
         let pretrained = !model_file.exists();
         let cnn = if pretrained {
             let m = pretrain_cnn(&params);
@@ -373,7 +374,12 @@ impl CaseStudy {
             TcCnn::load(params.patch, &model_file)
                 .map_err(|e| WorkflowError::Model { message: e.to_string() })?
         };
-        let model_setup = ModelSetup { pretrained, time: setup_start.elapsed() };
+        let time = setup_start.elapsed();
+        let cpu = match (pretrained, cpu_start, process_cpu()) {
+            (true, Some(start), Some(end)) => Some(end.saturating_sub(start)),
+            _ => None,
+        };
+        let model_setup = ModelSetup { pretrained, time, cpu };
 
         let sim = Simulation::new(params.esm_config(), &params.esm_dir())
             .map_err(|e| WorkflowError::Simulation { message: e.to_string() })?;

@@ -63,6 +63,21 @@ pub struct ModelSetup {
     /// false when an existing model file was loaded.
     pub pretrained: bool,
     pub time: Duration,
+    /// Process CPU time (user + system, every thread) spent over `time`
+    /// when the model was pre-trained; `None` when it was loaded or the
+    /// platform does not report it.
+    pub cpu: Option<Duration>,
+}
+
+/// This process's CPU time so far, user plus system over all its threads:
+/// fields 14 and 15 of `/proc/self/stat`, in clock ticks of 1/100 s (the
+/// `USER_HZ` Linux reports them in). `None` where that file is missing.
+pub(crate) fn process_cpu() -> Option<Duration> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name (field 2) is in parentheses and may hold spaces.
+    let mut fields = stat[stat.rfind(')')? + 1..].split_whitespace().skip(11);
+    let mut ticks = || fields.next()?.parse::<u64>().ok();
+    Some(Duration::from_millis((ticks()? + ticks()?) * 10))
 }
 
 /// Whole-run report.
@@ -110,12 +125,18 @@ impl RunReport {
         let mut s = String::new();
         let _ = writeln!(s, "== Climate-extremes workflow report ==");
         let _ = writeln!(s, "wall time: {:.2?}", self.wall_time);
-        let _ = writeln!(
+        let setup = &self.setup;
+        let _ = write!(
             s,
             "setup: CNN {} in {:.2?}",
-            if self.setup.pretrained { "pre-trained" } else { "loaded" },
-            self.setup.time
+            if setup.pretrained { "pre-trained" } else { "loaded" },
+            setup.time
         );
+        if let Some(cpu) = setup.cpu {
+            let lanes = cpu.as_secs_f64() / setup.time.as_secs_f64().max(1e-9);
+            let _ = write!(s, " (CPU {cpu:.2?}, {lanes:.2} lanes busy)");
+        }
+        let _ = writeln!(s);
         let _ = writeln!(
             s,
             "task graph: {} tasks, {} edges, critical path {} (dot: {})",
@@ -266,7 +287,11 @@ mod tests {
     fn sample() -> RunReport {
         RunReport {
             wall_time: Duration::from_millis(1234),
-            setup: ModelSetup { pretrained: true, time: Duration::from_millis(2500) },
+            setup: ModelSetup {
+                pretrained: true,
+                time: Duration::from_millis(2500),
+                cpu: Some(Duration::from_millis(4420)),
+            },
             years: vec![YearReport {
                 year: 2030,
                 failed: false,
@@ -304,10 +329,30 @@ mod tests {
         assert!(r.contains("esm_simulation"));
         assert!(r.contains("HW cells 12"));
         assert!(r.contains("validated=true"));
-        assert!(r.contains("wall time: 1.23s\nsetup: CNN pre-trained in 2.50s\n"), "got:\n{r}");
+        assert!(
+            r.contains(
+                "wall time: 1.23s\nsetup: CNN pre-trained in 2.50s (CPU 4.42s, 1.77 lanes busy)\n"
+            ),
+            "got:\n{r}"
+        );
         let mut loaded = sample();
-        loaded.setup = ModelSetup { pretrained: false, time: Duration::from_micros(1500) };
-        assert!(loaded.render().contains("setup: CNN loaded in 1.50ms"));
+        loaded.setup =
+            ModelSetup { pretrained: false, time: Duration::from_micros(1500), cpu: None };
+        assert!(loaded.render().contains("setup: CNN loaded in 1.50ms\n"));
+    }
+
+    /// A spinning thread moves the process's CPU clock.
+    #[test]
+    fn process_cpu_counts_this_process() {
+        let Some(before) = process_cpu() else { return }; // no /proc here
+        let t = std::time::Instant::now();
+        let mut x = 0u64;
+        while process_cpu().unwrap() < before + Duration::from_millis(30) {
+            for _ in 0..100_000 {
+                x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(7));
+            }
+            assert!(t.elapsed() < Duration::from_secs(20), "the CPU clock never moved");
+        }
     }
 
     #[test]

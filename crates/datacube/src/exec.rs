@@ -10,7 +10,7 @@
 //! spawned per operator call. Bench C4 measures the scaling this buys;
 //! wfbench's `par.task_overhead_ns` pins the dispatch cost.
 //!
-//! [`par_map_fragments_on`] is the one implementation of lane dispatch,
+//! [`par_map_fragments_named`] is the one implementation of lane dispatch,
 //! kernel timing and event emission; only the engine ([`crate::fuse`])
 //! and the scalar oracle kernels call it.
 
@@ -42,8 +42,7 @@ impl ExecConfig {
     }
 }
 
-/// [`par_map_fragments_on`] on the process-global [`par`] pool for kernels
-/// with a single output payload (the scalar oracle kernels): maps every
+/// `par_map_fragments_on` on the process-global [`par`] pool: maps every
 /// fragment through `kernel` in parallel, preserving order. The kernel
 /// returns the transformed payload (any length, as a [`SharedData`]
 /// buffer — built once via [`SharedData::from_fn`]/`collect()`, or an O(1)
@@ -57,16 +56,13 @@ pub fn par_map_fragments_named<F>(
 where
     F: Fn(&Fragment) -> SharedData + Sync,
 {
-    par_map_fragments_on(par::global(), cfg, op, frags, |f| (kernel(f), SharedData::empty())).0
+    par_map_fragments_on(par::global(), cfg, op, frags, kernel)
 }
 
 /// Maps every fragment through `kernel` on `cfg.io_servers` lanes of
 /// `pool` (tests use dedicated pools to pin down scheduling behaviour).
-/// The kernel produces **two** payloads per fragment in one traversal: the
-/// primary output and a *tapped* intermediate (e.g. the anomaly cube
-/// materialized while its reduction is computed; [`SharedData::empty`]
-/// when there is no tap). Returns `(primary, tapped)` fragment vectors;
-/// both preserve `row_start`/`row_count`/`server` and the input order.
+/// The output fragments keep `row_start`/`row_count`/`server` and the
+/// input order.
 ///
 /// Every fragment kernel is timed; when a tracer is subscribed to
 /// [`obs::global`] each timing lands as an [`obs::EventKind::KernelDone`]
@@ -77,18 +73,18 @@ where
 /// [`obs::EventKind::OperatorDone`]. Without a subscriber the event cost
 /// is a single atomic load; the timing cost is two clock reads per
 /// fragment, negligible next to any real kernel.
-pub fn par_map_fragments_on<F>(
+fn par_map_fragments_on<F>(
     pool: &par::Pool,
     cfg: ExecConfig,
     op: &'static str,
     frags: &[Fragment],
     kernel: F,
-) -> (Vec<Fragment>, Vec<Fragment>)
+) -> Vec<Fragment>
 where
-    F: Fn(&Fragment) -> (SharedData, SharedData) + Sync,
+    F: Fn(&Fragment) -> SharedData + Sync,
 {
     if frags.is_empty() {
-        return (Vec::new(), Vec::new());
+        return Vec::new();
     }
     // Operator span: kernel lane tasks spawned below inherit this as
     // their parent, so a trace shows kernels nested under the operator
@@ -100,7 +96,6 @@ where
     /// and for how long.
     struct KernelRun {
         out: SharedData,
-        tap: SharedData,
         server: usize,
         micros: u64,
     }
@@ -109,13 +104,12 @@ where
     // per-call thread spawn.
     let runs: Vec<KernelRun> = pool.par_map_lanes(cfg.io_servers, frags, |lane, _i, f| {
         let t0 = Instant::now();
-        let (out, tap) = kernel(f);
-        KernelRun { out, tap, server: lane, micros: t0.elapsed().as_micros() as u64 }
+        let out = kernel(f);
+        KernelRun { out, server: lane, micros: t0.elapsed().as_micros() as u64 }
     });
 
     let bus = obs::global();
-    let mut primary = Vec::with_capacity(frags.len());
-    let mut tapped = Vec::with_capacity(frags.len());
+    let mut out = Vec::with_capacity(frags.len());
     for (f, r) in frags.iter().zip(runs) {
         bus.emit_with(|| obs::EventKind::KernelDone {
             op,
@@ -123,21 +117,19 @@ where
             rows: f.row_count,
             micros: r.micros,
         });
-        let like = |data| Fragment {
+        out.push(Fragment {
             row_start: f.row_start,
             row_count: f.row_count,
             server: f.server,
-            data,
-        };
-        primary.push(like(r.out));
-        tapped.push(like(r.tap));
+            data: r.out,
+        });
     }
     bus.emit_with(|| obs::EventKind::OperatorDone {
         op,
-        fragments: primary.len(),
+        fragments: out.len(),
         micros: op_start.elapsed().as_micros() as u64,
     });
-    (primary, tapped)
+    out
 }
 
 #[cfg(test)]
@@ -206,25 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn tapped_map_returns_both_payloads_in_order() {
-        let input = frags(5, 2, 3);
-        let cfg = ExecConfig::with_servers(3);
-        let (primary, tapped) = par_map_fragments_on(par::global(), cfg, "tap", &input, |f| {
-            let out: SharedData = f.data.iter().map(|v| v + 1.0).collect();
-            let tap: SharedData = f.data.iter().map(|v| v * 2.0).collect();
-            (out, tap)
-        });
-        assert_eq!(primary.len(), 5);
-        assert_eq!(tapped.len(), 5);
-        for ((a, p), t) in input.iter().zip(&primary).zip(&tapped) {
-            assert_eq!(p.row_start, a.row_start);
-            assert_eq!(t.server, a.server);
-            assert_eq!(p.data[0], a.data[0] + 1.0);
-            assert_eq!(t.data[0], a.data[0] * 2.0);
-        }
-    }
-
-    #[test]
     fn named_map_emits_kernel_and_operator_events() {
         let rx = obs::global().subscribe();
         let input = frags(4, 2, 3);
@@ -265,14 +238,13 @@ mod tests {
         let input = frags(9, 1, 1);
         let rx = obs::global().subscribe();
         let t0 = Instant::now();
-        let (out, _) =
-            par_map_fragments_on(&pool, ExecConfig::with_servers(4), "skew", &input, |f| {
-                if f.row_start == 0 {
-                    std::thread::sleep(Duration::from_millis(150));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-                (f.data.clone(), SharedData::empty())
-            });
+        let out = par_map_fragments_on(&pool, ExecConfig::with_servers(4), "skew", &input, |f| {
+            if f.row_start == 0 {
+                std::thread::sleep(Duration::from_millis(150));
+            }
+            std::thread::sleep(Duration::from_millis(5));
+            f.data.clone()
+        });
         let wall = t0.elapsed();
         assert_eq!(out.len(), 9);
 

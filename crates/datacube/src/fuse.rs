@@ -21,8 +21,6 @@
 //! * At most one **terminal** (a `reduce` or a `map_series`) is allowed,
 //!   and it must be last: a reduction changes the index space, after
 //!   which element positions no longer line up with the source row.
-//! * At most one [`Pipeline::tap`] (materialize the intermediate cube at
-//!   that point in the same traversal).
 //!
 //! # Shape rules
 //!
@@ -30,8 +28,8 @@
 //! the environment — so a one-node chain costs what its scalar operator
 //! cost:
 //!
-//! 1. **Terminal in place.** With no element-wise stage and no tap (a
-//!    bare `reduce` or `map_series`), the terminal reads each source row
+//! 1. **Terminal in place.** With no element-wise stage (a bare `reduce`
+//!    or `map_series`), the terminal reads each source row
 //!    where it lies instead of through lane blocks and scratch.
 //! 2. **Identity shares.** A chain that compiles to the identity (no
 //!    stage, no terminal) returns the source fragments' shared buffers.
@@ -56,7 +54,7 @@
 //! regardless of lane width or thread count.
 
 use crate::error::{Error, Result};
-use crate::exec::{par_map_fragments_on, ExecConfig};
+use crate::exec::{par_map_fragments_named, ExecConfig};
 use crate::expr::{ConstSelect, Expr, Tape, TapeEval, LANES};
 use crate::model::{Cube, DimKind, Dimension, Fragment, SharedData};
 use crate::ops::{self, InterOp, ReduceOp};
@@ -97,11 +95,9 @@ impl Terminal<'_> {
     }
 }
 
-/// Result of a fused run: the pipeline output plus the tapped
-/// intermediate cube, when [`Pipeline::tap`] was requested.
+/// Result of a fused run: the pipeline output.
 pub struct FusedOutput {
     pub cube: Cube,
-    pub tapped: Option<Cube>,
 }
 
 /// A fusible operator chain, built once and runnable against any
@@ -122,8 +118,6 @@ pub struct FusedOutput {
 pub struct Pipeline<'f> {
     steps: Vec<Step>,
     terminal: Option<Terminal<'f>>,
-    /// Step index the tap sits *before* (i.e. after `steps[..tap_at]`).
-    tap_at: Option<usize>,
     err: Option<String>,
 }
 
@@ -135,7 +129,7 @@ impl Default for Pipeline<'_> {
 
 impl<'f> Pipeline<'f> {
     pub fn new() -> Self {
-        Pipeline { steps: Vec::new(), terminal: None, tap_at: None, err: None }
+        Pipeline { steps: Vec::new(), terminal: None, err: None }
     }
 
     /// Records the first legality violation `broken` names.
@@ -170,14 +164,6 @@ impl<'f> Pipeline<'f> {
         self.push(Step::Inter { b: b.clone(), op })
     }
 
-    /// Materializes the intermediate cube at this point of the chain in
-    /// the same fused traversal ([`FusedOutput::tapped`]).
-    pub fn tap(mut self) -> Self {
-        self.check(self.tap_at.is_some(), "a pipeline supports a single tap");
-        self.tap_at = Some(self.steps.len());
-        self
-    }
-
     /// Terminal reduction over implicit dimension `dim` (as
     /// [`ops::reduce`]). Must be the last stage.
     pub fn reduce(self, op: ReduceOp, dim: &str) -> Self {
@@ -208,34 +194,18 @@ impl<'f> Pipeline<'f> {
             Some((name, _)) if nodes == 1 => name,
             _ => "fuse",
         };
-        let has_tap = c.tap_stage.is_some();
-        let bare = c.stages.is_empty();
-        let (frags, tap_frags) = if bare && c.terminal.is_none() {
+        let frags = if c.stages.is_empty() && c.terminal.is_none() {
             // Shape rule 2: nothing to compute — share the source buffers.
-            (src.frags.clone(), if has_tap { src.frags.clone() } else { Vec::new() })
+            src.frags.clone()
         } else {
-            par_map_fragments_on(par::global(), cfg, op, &src.frags, |f| {
-                let mut tap = SharedData::empty();
-                let out = fill(f.row_count * c.out_row_len, |dst| {
-                    if has_tap {
-                        tap = fill(f.row_count * c.ilen, |t| c.run_fragment(f, dst, Some(t)));
-                    } else {
-                        c.run_fragment(f, dst, None);
-                    }
-                });
-                (out, tap)
+            par_map_fragments_named(cfg, op, &src.frags, |f| {
+                fill(f.row_count * c.out_row_len, |dst| c.run_fragment(f, dst))
             })
         };
-        let assemble = |dims, frags, description| -> Result<Cube> {
-            let cube = Cube { measure: src.measure.clone(), dims, frags, description };
-            cube.validate()?;
-            Ok(cube)
-        };
         let description = last.map_or_else(|| src.description.clone(), |(_, d)| d);
-        let cube = assemble(c.out_dims, frags, description)?;
-        let tapped =
-            c.tap_dims.map(|dims| assemble(dims, tap_frags, "fused tap".into())).transpose()?;
-        Ok(FusedOutput { cube, tapped })
+        let cube = Cube { measure: src.measure.clone(), dims: c.out_dims, frags, description };
+        cube.validate()?;
+        Ok(FusedOutput { cube })
     }
 
     /// Runs the same chain operator-by-operator through
@@ -247,18 +217,11 @@ impl<'f> Pipeline<'f> {
             return Err(Error::SchemaMismatch(msg.clone()));
         }
         let mut cur = src.clone();
-        let mut tapped = None;
-        for (i, step) in self.steps.iter().enumerate() {
-            if self.tap_at == Some(i) {
-                tapped = Some(cur.clone());
-            }
+        for step in &self.steps {
             cur = match step {
                 Step::Apply(e) => ops::scalar::apply(&cur, e, cfg),
                 Step::Inter { b, op } => ops::scalar::intercube(&cur, b, *op, cfg)?,
             };
-        }
-        if self.tap_at == Some(self.steps.len()) {
-            tapped = Some(cur.clone());
         }
         let cube = match &self.terminal {
             None => cur,
@@ -272,7 +235,7 @@ impl<'f> Pipeline<'f> {
                 })?
             }
         };
-        Ok(FusedOutput { cube, tapped })
+        Ok(FusedOutput { cube })
     }
 
     /// Validates the chain against `src`'s schema and lowers it to the
@@ -284,11 +247,7 @@ impl<'f> Pipeline<'f> {
         let ilen = src.implicit_len();
         let mut dims = src.dims.clone();
         let mut stages: Vec<CStage<'p>> = Vec::new();
-        let mut tap_stage = None;
-        for (i, step) in self.steps.iter().enumerate() {
-            if self.tap_at == Some(i) {
-                tap_stage = Some(stages.len());
-            }
+        for step in &self.steps {
             stages.push(match step {
                 Step::Apply(e) => {
                     let tape = e.tape();
@@ -315,10 +274,6 @@ impl<'f> Pipeline<'f> {
                 }
             });
         }
-        if self.tap_at == Some(self.steps.len()) {
-            tap_stage = Some(stages.len());
-        }
-        let tap_dims = tap_stage.map(|_| dims.clone());
 
         // Terminal geometry + output dims.
         let (terminal, out_row_len) = match &self.terminal {
@@ -339,7 +294,7 @@ impl<'f> Pipeline<'f> {
                 (Some(CTerm::Series { f: f.as_ref() }), *out_len)
             }
         };
-        Ok(Compiled { stages, ilen, tap_stage, terminal, out_dims: dims, tap_dims, out_row_len })
+        Ok(Compiled { stages, ilen, terminal, out_dims: dims, out_row_len })
     }
 }
 
@@ -360,7 +315,7 @@ fn implicit_geom(dims: &[Dimension], dim: &str) -> Result<(usize, usize, usize)>
 
 /// [`SharedData::from_fn`] that still runs `write` (over an empty slice)
 /// when `len` is 0: a zero-length output must not skip the traversal that
-/// also feeds the tap and calls the series kernel.
+/// calls the series kernel.
 fn fill(len: usize, write: impl FnOnce(&mut [f32])) -> SharedData {
     if len == 0 {
         write(&mut []);
@@ -436,24 +391,19 @@ struct Compiled<'p> {
     stages: Vec<CStage<'p>>,
     /// Row length of the source and of every element-wise stage.
     ilen: usize,
-    /// Runtime-stage boundary the tap sits at (elements captured after
-    /// `stages[..tap_stage]`).
-    tap_stage: Option<usize>,
     terminal: Option<CTerm<'p>>,
     out_dims: Vec<Dimension>,
-    tap_dims: Option<Vec<Dimension>>,
     out_row_len: usize,
 }
 
 impl Compiled<'_> {
     /// The fused kernel body: every row of `f` goes through the
     /// element-wise phase, then to the terminal.
-    fn run_fragment(&self, f: &Fragment, dst: &mut [f32], mut tap: Option<&mut [f32]>) {
+    fn run_fragment(&self, f: &Fragment, dst: &mut [f32]) {
         let (ilen, orl) = (self.ilen, self.out_row_len);
         let data = f.data.as_slice();
         let row = |r: usize| &data[r * ilen..(r + 1) * ilen];
-        let bare = self.stages.is_empty();
-        if let (true, Some(t), None) = (bare, &self.terminal, &tap) {
+        if let (true, Some(t)) = (self.stages.is_empty(), &self.terminal) {
             // Shape rule 1: nothing stands between the source row and the
             // terminal, so it reads each row in place — one tight loop,
             // the terminal dispatch hoisted out of it (day cubes have
@@ -487,8 +437,7 @@ impl Compiled<'_> {
             // Straight into the output row when there is no terminal, else
             // into the scratch row the terminal then folds.
             let ew = if self.terminal.is_some() { &mut scratch[..] } else { &mut out_row[..] };
-            let tap_row = tap.as_deref_mut().map(|t| &mut t[r * ilen..(r + 1) * ilen]);
-            self.elementwise(row(r), f.row_start + r, &mut states, ew, tap_row);
+            self.elementwise(row(r), f.row_start + r, &mut states, ew);
             if let Some(t) = &self.terminal {
                 t.finish(&scratch, out_row);
             }
@@ -496,20 +445,13 @@ impl Compiled<'_> {
     }
 
     /// The element-wise phase of global row `grow`: `row` is evaluated in
-    /// [`LANES`]-wide blocks through the stage list into `ew`
-    /// (and `tap_row` at the tap's stage boundary). Partial tail blocks pad
+    /// [`LANES`]-wide blocks through the stage list into `ew`. Partial tail
+    /// blocks pad
     /// with the block's first valid lane — all operations are pure
     /// per-element, so the padded lanes compute garbage that is simply not
     /// stored.
     #[inline]
-    fn elementwise(
-        &self,
-        row: &[f32],
-        grow: usize,
-        states: &mut [RunState],
-        ew: &mut [f32],
-        mut tap_row: Option<&mut [f32]>,
-    ) {
+    fn elementwise(&self, row: &[f32], grow: usize, states: &mut [RunState], ew: &mut [f32]) {
         // Advance each intercube stage's fragment cursor to this row.
         for (stage, state) in self.stages.iter().zip(states.iter_mut()) {
             if let (CStage::Inter { border, .. }, RunState::Inter(bi)) = (stage, state) {
@@ -527,12 +469,7 @@ impl Compiled<'_> {
             for l in n..LANES {
                 va[l] = va[0];
             }
-            if self.tap_stage == Some(0) {
-                if let Some(tr) = tap_row.as_deref_mut() {
-                    tr[j..j + n].copy_from_slice(&va[..n]);
-                }
-            }
-            for (si, (stage, state)) in self.stages.iter().zip(states.iter_mut()).enumerate() {
+            for (stage, state) in self.stages.iter().zip(states.iter_mut()) {
                 match (stage, state) {
                     (CStage::Apply(_), RunState::Apply(ev)) => {
                         let mut y = [0.0f64; LANES];
@@ -561,11 +498,6 @@ impl Compiled<'_> {
                         }
                     }
                     _ => unreachable!("state kind mismatches stage"),
-                }
-                if self.tap_stage == Some(si + 1) {
-                    if let Some(tr) = tap_row.as_deref_mut() {
-                        tr[j..j + n].copy_from_slice(&va[..n]);
-                    }
                 }
             }
             ew[j..j + n].copy_from_slice(&va[..n]);
@@ -608,14 +540,6 @@ mod tests {
         let scalar = p.run_scalar(src, cfg()).unwrap();
         assert_eq!(bits(&fused.cube), bits(&scalar.cube));
         assert_eq!(fused.cube.dims, scalar.cube.dims);
-        match (&fused.tapped, &scalar.tapped) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                assert_eq!(bits(a), bits(b));
-                assert_eq!(a.dims, b.dims);
-            }
-            _ => panic!("tap presence differs between fused and scalar paths"),
-        }
     }
 
     #[test]
@@ -623,7 +547,6 @@ mod tests {
         let src = sample(3);
         let out = Pipeline::new().run(&src, cfg()).unwrap();
         assert_eq!(out.cube.to_dense(), src.to_dense());
-        assert!(out.tapped.is_none());
     }
 
     #[test]
@@ -646,24 +569,6 @@ mod tests {
             .apply(Expr::from_oph_predicate("x", ">0", "1", "0").unwrap())
             .reduce(ReduceOp::CountPositive, "time");
         assert_conforms(&p, &src);
-    }
-
-    #[test]
-    fn tap_materializes_intermediate_in_one_pass() {
-        let src = sample(3);
-        let base = Pipeline::new().reduce(ReduceOp::Min, "time").run(&src, cfg()).unwrap().cube;
-        let p = Pipeline::new()
-            .intercube(&base, InterOp::Sub)
-            .tap()
-            .apply(Expr::from_oph_predicate("x", ">2", "1", "0").unwrap())
-            .map_series("n", 1, |row, out| {
-                out[0] = row.iter().filter(|v| **v > 0.5).count() as f32;
-            });
-        assert_conforms(&p, &src);
-        let fused = p.run(&src, cfg()).unwrap();
-        let tapped = fused.tapped.unwrap();
-        assert_eq!(tapped.implicit_len(), 6, "tap holds the anomaly, pre-mask");
-        assert_eq!(fused.cube.implicit_len(), 1);
     }
 
     #[test]
@@ -702,9 +607,6 @@ mod tests {
         assert!(p.run_scalar(&src, cfg()).is_err());
         // Double terminal.
         let p = Pipeline::new().reduce(ReduceOp::Max, "time").reduce(ReduceOp::Min, "time");
-        assert!(p.run(&src, cfg()).is_err());
-        // Double tap.
-        let p = Pipeline::new().tap().apply(Expr::parse("x").unwrap()).tap();
         assert!(p.run(&src, cfg()).is_err());
     }
 

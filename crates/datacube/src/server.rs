@@ -241,34 +241,6 @@ impl CubeHandle {
         Ok(self.derive(out))
     }
 
-    /// Human-readable cube summary (`oph_cubeschema`-like).
-    pub fn info(&self) -> Result<String> {
-        let c = self.cube()?;
-        let dims: Vec<String> = c
-            .dims
-            .iter()
-            .map(|d| {
-                format!(
-                    "{}[{}]{}",
-                    d.name,
-                    d.len(),
-                    if d.kind == crate::model::DimKind::Implicit { "*" } else { "" }
-                )
-            })
-            .collect();
-        Ok(format!(
-            "cube #{} '{}': {} | {} rows x {} implicit | {} fragments | {} bytes | {}",
-            self.id.0,
-            c.measure,
-            dims.join(" x "),
-            c.rows(),
-            c.implicit_len(),
-            c.frags.len(),
-            c.bytes(),
-            c.description
-        ))
-    }
-
     /// Export to an NCX file (`exportnc2` in Listing 1).
     pub fn exportnc(&self, path: &Path) -> Result<()> {
         let src = self.cube()?;
@@ -393,16 +365,6 @@ mod tests {
         h.apply("x").unwrap();
         let audit = client.audit();
         assert!(audit.iter().any(|r| r.operator == "apply"));
-    }
-
-    #[test]
-    fn info_summarizes_schema() {
-        let (_client, h) = client_with_cube();
-        let info = h.info().unwrap();
-        assert!(info.contains("'t'"));
-        assert!(info.contains("cell[3]"));
-        assert!(info.contains("time[4]*"), "implicit dims marked with *: {info}");
-        assert!(info.contains("3 rows x 4 implicit"));
     }
 
     #[test]

@@ -70,7 +70,6 @@ fn concurrent_reads_of_one_handle() {
             for _ in 0..20 {
                 let c = h.cube().unwrap();
                 assert_eq!(c.rows(), 16);
-                let _ = h.info().unwrap();
             }
         }));
     }

@@ -1,7 +1,7 @@
 //! Differential kernel conformance: every fused pipeline must be
 //! **bitwise**-equal (`f32::to_bits`) to the scalar operator-by-operator
-//! oracle — same cells, same dims, same description, same tapped
-//! intermediate — under proptest-generated fragmentations, server counts,
+//! oracle — same cells, same dims, same description — under
+//! proptest-generated fragmentations, server counts,
 //! chain shapes (multi-stage chains and the single-operator chains the
 //! public operators are), non-multiple-of-`LANES` series lengths, and
 //! NaN/±inf payloads. Both engine shape rules are hit: a bare terminal
@@ -153,8 +153,8 @@ fn build_single(
 
 /// Builds a random legal chain over `src`: one time in four a
 /// single-operator chain ([`build_single`]), otherwise 0–4 element-wise
-/// stages (apply / intercube), an optional tap, and an optional
-/// terminal (reduce or map_series). Returns the pipeline plus a shape
+/// stages (apply / intercube) and an optional terminal (reduce or
+/// map_series). Returns the pipeline plus a shape
 /// string for failure messages.
 fn build_chain(
     rng: &mut Rng,
@@ -187,10 +187,6 @@ fn build_chain(
                 p = p.intercube(&b, op);
             }
         }
-    }
-    if rng.below(3) == 0 {
-        shape.push_str("tap ");
-        p = p.tap();
     }
     match rng.below(3) {
         0 => {
@@ -227,15 +223,6 @@ fn assert_bitwise(p: &Pipeline, src: &Cube, cfg: ExecConfig, shape: &str) {
         "description differs for chain `{}`",
         shape
     );
-    match (&fused.tapped, &oracle.tapped) {
-        (Some(ft), Some(ot)) => {
-            let fb: Vec<u32> = ft.to_dense().iter().map(|v| v.to_bits()).collect();
-            let ob: Vec<u32> = ot.to_dense().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(fb, ob, "tapped output differs for chain `{}`", shape);
-        }
-        (None, None) => {}
-        _ => prop_assert!(false, "tap presence differs for chain `{}`", shape),
-    }
 }
 
 proptest! {

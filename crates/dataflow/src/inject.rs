@@ -120,11 +120,6 @@ impl FaultPlan {
         FaultPlan { seed, injections }
     }
 
-    /// The seed this plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Arms the plan process-wide. Blocks until any previously armed plan
     /// drops (chaos sections serialize), then installs a hook that fires
     /// each planned injection at its site/occurrence. Dropping the

@@ -276,11 +276,6 @@ impl<T> StreamReceiver<T> {
         }
     }
 
-    /// Current queue depth.
-    pub fn depth(&self) -> usize {
-        self.ch.state.lock().buf.len()
-    }
-
     /// Total µs senders on this channel have spent blocked so far.
     pub fn stall_micros(&self) -> u64 {
         self.ch.stall_us.load(Ordering::Relaxed)
@@ -298,6 +293,13 @@ impl<T> Drop for StreamReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> StreamReceiver<T> {
+        /// Current queue depth.
+        fn depth(&self) -> usize {
+            self.ch.state.lock().buf.len()
+        }
+    }
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("dataflow-stream").join(name);

@@ -376,7 +376,7 @@ mod tests {
 
         // Pressure minimum near the center.
         let lowest = a.psl.data.iter().enumerate().min_by(|x, y| x.1.total_cmp(y.1)).unwrap().0;
-        let (pi, pj) = c.grid.coords(lowest);
+        let (pi, pj) = (lowest / c.grid.nlon, lowest % c.grid.nlon);
         let (plat, plon) = (c.grid.lat(pi), c.grid.lon(pj));
         let dist = Grid::distance_km(plat, plon, tc_lat, tc_lon);
         assert!(dist < 600.0, "pressure minimum {dist} km from TC center");

@@ -74,11 +74,6 @@ impl Simulation {
         })
     }
 
-    /// The model configuration.
-    pub fn config(&self) -> &EsmConfig {
-        &self.model.cfg
-    }
-
     /// Full simulated years completed (or skipped) so far.
     pub fn years_completed(&self) -> usize {
         self.years_completed

@@ -54,7 +54,7 @@ impl FieldSet {
     }
 
     /// Extracts the 4-channel tensor of tile `(r, c)`.
-    pub fn tile(&self, tiling: &Tiling, r: usize, c: usize) -> Tensor {
+    fn tile(&self, tiling: &Tiling, r: usize, c: usize) -> Tensor {
         let p = tiling.patch;
         let mut data = Vec::with_capacity(4 * p * p);
         data.extend(tiling.extract(&self.psl, r, c));
@@ -444,9 +444,9 @@ mod tests {
         assert_sync::<TcCnn>();
     }
 
-    /// `localize` (reused patch and activation buffers, `Sequential::infer`)
+    /// `localize` (one reused patch buffer and one reused `Scratch`)
     /// equals the per-patch oracle — `FieldSet::tile` → `standardize` →
-    /// `Sequential::forward`, fresh tensors throughout — in every
+    /// `Sequential::infer` into a fresh `Scratch` per tile — in every
     /// detection's bits, on random fields with a NaN cell and a constant
     /// tile thrown in.
     #[test]
@@ -480,7 +480,7 @@ mod tests {
             for c in 0..tiling.cols {
                 let mut patch = set.tile(&tiling, r, c);
                 TcCnn::standardize(&mut patch);
-                let y = m.net.forward(&patch);
+                let y = m.net.infer(&patch, &mut Scratch::default()).clone();
                 if y.data[0] > m.threshold {
                     let pixel = |v: f32| ((v * m.patch as f32) as usize).min(m.patch - 1);
                     let (lat, lon) = tiling.to_latlon(r, c, pixel(y.data[1]), pixel(y.data[2]));

@@ -87,11 +87,6 @@ impl Grid {
         i * self.nlon + j
     }
 
-    /// Inverse of [`Grid::index`].
-    pub fn coords(&self, idx: usize) -> (usize, usize) {
-        (idx / self.nlon, idx % self.nlon)
-    }
-
     /// Row index whose cell contains latitude `lat` (clamped to the domain).
     pub fn lat_index(&self, lat: f64) -> usize {
         let f = (lat - self.lat_south) / self.dlat();
@@ -169,10 +164,9 @@ mod tests {
     }
 
     #[test]
-    fn index_roundtrip() {
+    fn index_is_row_major() {
         let g = Grid::global(10, 20);
-        for idx in [0, 5, 19, 20, 199] {
-            let (i, j) = g.coords(idx);
+        for (i, j, idx) in [(0, 0, 0), (0, 5, 5), (0, 19, 19), (1, 0, 20), (9, 19, 199)] {
             assert_eq!(g.index(i, j), idx);
         }
     }

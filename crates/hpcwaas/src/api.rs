@@ -550,18 +550,6 @@ impl ExecutionApi {
             .ok_or_else(|| Error::NotFound(format!("execution {id}")))
     }
 
-    /// Re-attaches a handle to an execution in the ledger (same token
-    /// check as [`ExecutionApi::status`]).
-    pub fn handle(&self, id: ExecutionId) -> Result<ExecutionHandle> {
-        self.ledger
-            .lock()
-            .unwrap()
-            .get(&id.seq)
-            .filter(|e| e.token == id.token)
-            .map(|e| ExecutionHandle { id, cell: Arc::clone(&e.cell) })
-            .ok_or_else(|| Error::NotFound(format!("execution {id}")))
-    }
-
     /// End-user interface: undeploys.
     pub fn undeploy(&self, id: DeploymentId) -> Result<()> {
         let mut deployments = self.deployments.lock().unwrap();
@@ -751,7 +739,6 @@ mod tests {
         let own_exec = api.submit(own_dep, &BTreeMap::new()).unwrap();
         own_exec.wait();
         assert!(matches!(api.status(other_exec.id()), Err(Error::NotFound(_))));
-        assert!(matches!(api.handle(other_exec.id()), Err(Error::NotFound(_))));
         assert!(matches!(api.undeploy(other_dep), Err(Error::NotFound(_))));
         assert!(matches!(api.deployment_cost_ms(other_dep), Err(Error::NotFound(_))));
         // The rightful owners still resolve.
@@ -832,10 +819,6 @@ mod tests {
                 if &**workflow == "climate-extremes"
         ));
         assert!(matches!(&events[2].kind, obs::EventKind::ExecutionFinished { ok: true, .. }));
-        // Re-attached handles see the same record.
-        let again = api.handle(handle.id()).unwrap();
-        assert_eq!(again.events().len(), 3);
-        assert_eq!(again.workflow(), "climate-extremes");
     }
 
     /// `ExecutionQueued` is logged before any worker can see the job, so a

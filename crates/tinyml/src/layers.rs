@@ -1,36 +1,38 @@
 //! Differentiable layers.
 //!
 //! Each layer processes a single sample: convolutional layers take `[C, H, W]`
-//! tensors, dense layers take flat `[N]` tensors. A layer has two forward
-//! entries that compute the same values bit for bit:
+//! tensors, dense layers take flat `[N]` tensors. A layer holds its
+//! parameters and nothing else — no activation caches, no gradients — and
+//! every entry takes `&self`, so one model is shared by every thread that
+//! scores or trains with it ([`Layer`] is `Send + Sync`):
 //!
-//! * `infer(&self, x, out)` — inference. Caches nothing, writes into a
-//!   caller-owned `out` whose storage is reused from call to call, and
-//!   runs serially, so one model is shared by every thread that scores
-//!   with it ([`Layer`] is `Send + Sync`).
-//! * `forward(&mut self, x)` — training. Runs `infer` into a fresh
-//!   tensor, then caches whatever `backward` needs.
+//! * `infer(x, out)` — the output for `x`, written into a caller-owned
+//!   `out` whose storage is reused from call to call;
+//! * `input_grad(x, y, grad_out, gx)` — `dL/dx` from the sample's input,
+//!   the output `infer` made of it, and `dL/dy`;
+//! * `add_param_grads(x, grad_out, row, gw, gb)` — for a layer with
+//!   parameters, adds one sample's `dL/dθ` of one output row to that
+//!   row's caller-owned gradients.
 //!
-//! `backward` receives `dL/d(output)` and returns `dL/d(input)` while
-//! *accumulating* parameter gradients (the trainer zeroes them once per
-//! minibatch and averages); `backward_params` accumulates the same
-//! parameter gradients for a first layer, whose `dL/d(input)` has no
-//! reader.
+//! The trainer ([`crate::train`]) runs the first two per sample and the
+//! third per output row; each keeps the loops and add order of a
+//! per-sample backward pass over cached activations (the oracle in
+//! `tests/train_equivalence.rs`), so the gradients equal it bit for bit.
 //!
 //! [`Conv2d`], where training and inference spend their time, has one
 //! kernel each way, both serial and both bitwise equal to the naive
 //! per-pixel loops (which live in `tests/` as the oracles). The forward
 //! works one output pixel at a time across a lane array of output
-//! channels; the backward is one pass over the non-zero output gradients
-//! that updates weight, bias and input gradients together. [`Dense`]'s
-//! forward accumulates a block of output rows per pass over its input,
-//! bitwise equal to the per-row loop (also in `tests/`). The lane kernels
-//! leave the sign and payload of a NaN unspecified: where two NaN
-//! operands meet in one add, which comes out depends on the operand order
-//! the compiler picks.
+//! channels; the backward kernels are passes over the non-zero output
+//! gradients. [`Dense`]'s forward accumulates a block of output rows per
+//! pass over its input, bitwise equal to the per-row loop (also in
+//! `tests/`). The lane kernels leave the sign and payload of a NaN
+//! unspecified: where two NaN operands meet in one add, which comes out
+//! depends on the operand order the compiler picks.
 
 use crate::tensor::Tensor;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Output channels [`Conv2d::infer`] accumulates together, one per lane.
 const LANES: usize = 8;
@@ -50,61 +52,53 @@ thread_local! {
 
 /// Common interface over all layers.
 pub trait Layer: Send + Sync {
-    /// Inference: the layer's output for `x`, written into `out`.
+    /// The layer's output for `x`, written into `out`.
     fn infer(&self, x: &Tensor, out: &mut Tensor);
-    /// Training forward pass: [`Layer::infer`]'s values, with the
-    /// activations the backward pass needs cached.
-    fn forward(&mut self, x: &Tensor) -> Tensor;
-    /// Backward pass: takes `dL/dy`, returns `dL/dx`, accumulates `dL/dθ`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-    /// [`Layer::backward`] for a layer whose `dL/dx` nobody reads (a
-    /// network's first layer): accumulates the same `dL/dθ`, bit for bit.
-    /// The default runs `backward` and drops `dL/dx`; a layer that can
-    /// skip computing it overrides this.
-    fn backward_params(&mut self, grad_out: &Tensor) {
-        self.backward(grad_out);
+    /// `dL/dx` into `gx`, given the sample's input `x`, the output `y`
+    /// that [`Layer::infer`] made of it and `grad_out` = `dL/dy`.
+    fn input_grad(&self, x: &Tensor, y: &Tensor, grad_out: &Tensor, gx: &mut Tensor);
+    /// Output rows of the parameters (a convolution's output channels, a
+    /// dense layer's rows); 0 for a layer without parameters. A layer
+    /// with parameters has exactly `[w, b]`: `w` row-major with this many
+    /// rows, `b` one value per row.
+    fn param_rows(&self) -> usize {
+        0
     }
-    /// Parameter/gradient pairs, empty for stateless layers.
-    fn params_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        Vec::new()
+    /// Adds one sample's `dL/dw` and `dL/db` of output row `row` into `gw`
+    /// (that row of the weight gradients) and `gb` (its bias gradient).
+    /// `x` is the sample's input and `grad_out` its `dL/dy`.
+    fn add_param_grads(
+        &self,
+        _x: &Tensor,
+        _grad_out: &Tensor,
+        _row: usize,
+        _gw: &mut [f32],
+        _gb: &mut f32,
+    ) {
     }
-    /// Immutable view of the parameters (serialization).
+    /// The parameters (serialization), empty for stateless layers.
     fn params(&self) -> Vec<&Tensor> {
         Vec::new()
     }
-    /// Zeroes accumulated parameter gradients.
-    fn zero_grad(&mut self) {}
+    /// Mutable views of the parameters, in [`Layer::params`] order.
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        Vec::new()
+    }
     /// Diagnostic layer name.
     fn name(&self) -> &'static str;
-}
-
-/// `infer` into a fresh tensor: what every `forward` starts with.
-fn infer_new(layer: &impl Layer, x: &Tensor) -> Tensor {
-    let mut y = Tensor::default();
-    layer.infer(x, &mut y);
-    y
 }
 
 /// Fully-connected layer: `y = W x + b`, `W: [out, in]`.
 pub struct Dense {
     pub w: Tensor,
     pub b: Tensor,
-    pub gw: Tensor,
-    pub gb: Tensor,
-    cache_x: Option<Tensor>,
 }
 
 impl Dense {
     /// He-style uniform initialization with a deterministic seed.
     pub fn new(input: usize, output: usize, seed: u64) -> Self {
         let scale = (2.0 / input as f32).sqrt();
-        Dense {
-            w: Tensor::uniform(&[output, input], scale, seed),
-            b: Tensor::full(&[output], 0.0),
-            gw: Tensor::full(&[output, input], 0.0),
-            gb: Tensor::full(&[output], 0.0),
-            cache_x: None,
-        }
+        Dense { w: Tensor::uniform(&[output, input], scale, seed), b: Tensor::full(&[output], 0.0) }
     }
 
     fn input_len(&self) -> usize {
@@ -144,41 +138,46 @@ impl Layer for Dense {
         }
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = infer_new(self, x);
-        self.cache_x = Some(x.clone());
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self.cache_x.as_ref().expect("backward before forward");
-        let (out_n, in_n) = (self.output_len(), self.input_len());
-        assert_eq!(grad_out.len(), out_n);
-        let mut gx = vec![0.0f32; in_n];
-        for o in 0..out_n {
-            let g = grad_out.data[o];
-            self.gb.data[o] += g;
-            let wrow = &self.w.data[o * in_n..(o + 1) * in_n];
-            let gwrow = &mut self.gw.data[o * in_n..(o + 1) * in_n];
-            for i in 0..in_n {
-                gwrow[i] += g * x.data[i];
-                gx[i] += g * wrow[i];
+    /// `gx[i]` starts at 0.0 and adds `g[o] · w[o][i]` over ascending `o`.
+    fn input_grad(&self, _x: &Tensor, _y: &Tensor, grad_out: &Tensor, gx: &mut Tensor) {
+        let in_n = self.input_len();
+        assert_eq!(grad_out.len(), self.output_len());
+        gx.reshape_for_write(&[in_n]);
+        gx.data.fill(0.0);
+        for (&g, wrow) in grad_out.data.iter().zip(self.w.data.chunks_exact(in_n)) {
+            for (gxv, &wv) in gx.data.iter_mut().zip(wrow) {
+                *gxv += g * wv;
             }
         }
-        Tensor::from_vec(&[in_n], gx)
     }
 
-    fn params_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        vec![(&mut self.w, &mut self.gw), (&mut self.b, &mut self.gb)]
+    fn param_rows(&self) -> usize {
+        self.output_len()
+    }
+
+    /// `gb += g[row]`, then `gw[i] += g[row] · x[i]` for every `i`.
+    fn add_param_grads(
+        &self,
+        x: &Tensor,
+        grad_out: &Tensor,
+        row: usize,
+        gw: &mut [f32],
+        gb: &mut f32,
+    ) {
+        assert_eq!(grad_out.len(), self.output_len());
+        let g = grad_out.data[row];
+        *gb += g;
+        for (gwv, &xv) in gw.iter_mut().zip(&x.data[..self.input_len()]) {
+            *gwv += g * xv;
+        }
     }
 
     fn params(&self) -> Vec<&Tensor> {
         vec![&self.w, &self.b]
     }
 
-    fn zero_grad(&mut self) {
-        self.gw.data.fill(0.0);
-        self.gb.data.fill(0.0);
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        vec![&mut self.w, &mut self.b]
     }
 
     fn name(&self) -> &'static str {
@@ -192,13 +191,10 @@ impl Layer for Dense {
 pub struct Conv2d {
     pub w: Tensor,
     pub b: Tensor,
-    pub gw: Tensor,
-    pub gb: Tensor,
     pub kernel: usize,
     pub pad: usize,
     in_ch: usize,
     out_ch: usize,
-    cache_x: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -209,13 +205,10 @@ impl Conv2d {
         Conv2d {
             w: Tensor::uniform(&[out_ch, in_ch, kernel, kernel], scale, seed),
             b: Tensor::full(&[out_ch], 0.0),
-            gw: Tensor::full(&[out_ch, in_ch, kernel, kernel], 0.0),
-            gb: Tensor::full(&[out_ch], 0.0),
             kernel,
             pad,
             in_ch,
             out_ch,
-            cache_x: None,
         }
     }
 
@@ -223,36 +216,34 @@ impl Conv2d {
         (h + 2 * self.pad + 1 - self.kernel, w + 2 * self.pad + 1 - self.kernel)
     }
 
-    /// The crate's one convolution backward kernel: accumulates `gw` and
-    /// `gb`, and `dL/dx` into `gx` when one is given.
-    ///
-    /// One pass over the non-zero `grad_out` elements in `(o, yy, xx)`
-    /// order. Each adds `g` to `gb[o]` and, for every input channel and
-    /// every row the pixel's clipped kernel window covers, updates the
-    /// clipped `kx` span of `gw[o, c, ky, ·]` and of `gx[c, iy, ·]` as two
-    /// contiguous slice updates. So every `gw`/`gb` element accumulates
-    /// its terms in ascending `(yy, xx)` and every `gx` element in
-    /// ascending `(o, yy, xx)`, the per-pixel nest's order. A zero
-    /// gradient (±0.0) is skipped, as in that nest; after pooling and ReLU
-    /// most of them are.
-    fn accumulate_grads(&mut self, grad_out: &Tensor, mut gx: Option<&mut Tensor>) {
-        let Conv2d { w, gw, gb, kernel: k, pad, in_ch, out_ch, cache_x, .. } = self;
-        let (k, pad, in_ch) = (*k, *pad, *in_ch);
-        let x = cache_x.as_ref().expect("backward before forward");
+    /// The walk both backward kernels share: over the non-zero `grad_out`
+    /// elements of output channels `rows`, in `(o, yy, xx)` order, calls
+    /// `pixel(g)`, then `run(o, g, xs, ws)` for each input channel and
+    /// kernel row, ascending, the pixel's unclipped window touches: `xs`
+    /// indexes that row's inputs, `ws` the matching weights of `w[o]`. A
+    /// zero gradient (±0.0) is skipped, as in the per-pixel nest; after
+    /// pooling and ReLU most of them are.
+    fn walk_grads(
+        &self,
+        x: &Tensor,
+        grad_out: &Tensor,
+        rows: Range<usize>,
+        mut pixel: impl FnMut(f32),
+        mut run: impl FnMut(usize, f32, Range<usize>, Range<usize>),
+    ) {
+        let (k, pad, in_ch) = (self.kernel, self.pad, self.in_ch);
         let (h, wd) = (x.shape[1], x.shape[2]);
-        let (oh, ow) = (h + 2 * pad + 1 - k, wd + 2 * pad + 1 - k);
-        assert_eq!(grad_out.shape, [*out_ch, oh, ow]);
-        let taps = in_ch * k * k;
-        for (o, g_plane) in grad_out.data.chunks_exact(oh * ow).enumerate() {
-            let w_o = &w.data[o * taps..(o + 1) * taps];
-            let gw_o = &mut gw.data[o * taps..(o + 1) * taps];
+        let (oh, ow) = self.out_hw(h, wd);
+        assert_eq!(grad_out.shape, [self.out_ch, oh, ow]);
+        for o in rows {
+            let g_plane = &grad_out.data[o * oh * ow..(o + 1) * oh * ow];
             for (yy, g_row) in g_plane.chunks_exact(ow).enumerate() {
                 let ky_span = tap_span(yy, k, pad, h);
                 for (xx, &g) in g_row.iter().enumerate() {
                     if g == 0.0 {
                         continue;
                     }
-                    gb.data[o] += g;
+                    pixel(g);
                     let kx = tap_span(xx, k, pad, wd);
                     if kx.is_empty() {
                         continue;
@@ -262,17 +253,7 @@ impl Conv2d {
                         for ky in ky_span.clone() {
                             let row = (c * h + yy + ky - pad) * wd;
                             let wi = (c * k + ky) * k;
-                            let ws = wi + kx.start..wi + kx.end;
-                            let xs = &x.data[row + ix.start..row + ix.end];
-                            for (gwv, &xv) in gw_o[ws.clone()].iter_mut().zip(xs) {
-                                *gwv += g * xv;
-                            }
-                            if let Some(gx) = gx.as_deref_mut() {
-                                let gxs = &mut gx.data[row + ix.start..row + ix.end];
-                                for (gxv, &wv) in gxs.iter_mut().zip(&w_o[ws]) {
-                                    *gxv += g * wv;
-                                }
-                            }
+                            run(o, g, row + ix.start..row + ix.end, wi + kx.start..wi + kx.end);
                         }
                     }
                 }
@@ -376,34 +357,60 @@ impl Layer for Conv2d {
         });
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = infer_new(self, x);
-        self.cache_x = Some(x.clone());
-        y
+    /// Every non-zero `g` of every output channel adds `g · w` over its
+    /// pixel's unclipped window, so each `gx` element accumulates its
+    /// terms in ascending `(o, yy, xx)`, the per-pixel nest's order.
+    fn input_grad(&self, x: &Tensor, _y: &Tensor, grad_out: &Tensor, gx: &mut Tensor) {
+        gx.reshape_for_write(&x.shape);
+        gx.data.fill(0.0);
+        let taps = self.in_ch * self.kernel * self.kernel;
+        self.walk_grads(
+            x,
+            grad_out,
+            0..self.out_ch,
+            |_| {},
+            |o, g, xs, ws| {
+                for (gxv, &wv) in gx.data[xs].iter_mut().zip(&self.w.data[o * taps..][ws]) {
+                    *gxv += g * wv;
+                }
+            },
+        );
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x_shape = self.cache_x.as_ref().expect("backward before forward").shape.clone();
-        let mut gx = Tensor::full(&x_shape, 0.0);
-        self.accumulate_grads(grad_out, Some(&mut gx));
-        gx
+    fn param_rows(&self) -> usize {
+        self.out_ch
     }
 
-    fn backward_params(&mut self, grad_out: &Tensor) {
-        self.accumulate_grads(grad_out, None);
-    }
-
-    fn params_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        vec![(&mut self.w, &mut self.gw), (&mut self.b, &mut self.gb)]
+    /// Every non-zero `g` of output channel `row` adds itself to `gb` and
+    /// `g · x` over its pixel's unclipped window to `gw`, so each element
+    /// accumulates its terms in ascending `(yy, xx)`.
+    fn add_param_grads(
+        &self,
+        x: &Tensor,
+        grad_out: &Tensor,
+        row: usize,
+        gw: &mut [f32],
+        gb: &mut f32,
+    ) {
+        self.walk_grads(
+            x,
+            grad_out,
+            row..row + 1,
+            |g| *gb += g,
+            |_, g, xs, ws| {
+                for (gwv, &xv) in gw[ws].iter_mut().zip(&x.data[xs]) {
+                    *gwv += g * xv;
+                }
+            },
+        );
     }
 
     fn params(&self) -> Vec<&Tensor> {
         vec![&self.w, &self.b]
     }
 
-    fn zero_grad(&mut self) {
-        self.gw.data.fill(0.0);
-        self.gb.data.fill(0.0);
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        vec![&mut self.w, &mut self.b]
     }
 
     fn name(&self) -> &'static str {
@@ -415,28 +422,25 @@ impl Layer for Conv2d {
 /// spatial dims must be divisible by `k`.
 pub struct MaxPool2d {
     pub k: usize,
-    cache_argmax: Vec<usize>,
-    cache_in_shape: Vec<usize>,
 }
 
 impl MaxPool2d {
     /// Creates a pool with window/stride `k`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "pool window must be positive");
-        MaxPool2d { k, cache_argmax: Vec::new(), cache_in_shape: Vec::new() }
+        MaxPool2d { k }
     }
-}
 
-impl MaxPool2d {
-    /// Writes each window's maximum into `out` and reports its input
-    /// index to `winner(output index, input index)`.
-    fn pool(&self, x: &Tensor, out: &mut Tensor, mut winner: impl FnMut(usize, usize)) {
+    /// The output shape for `x`, and `winner(output index, input index,
+    /// value)` for every window in output order: the first strictly
+    /// greatest element, or the input's element 0 with −inf when none
+    /// exceeds −inf.
+    fn pool(&self, x: &Tensor, mut winner: impl FnMut(usize, usize, f32)) -> [usize; 3] {
         assert_eq!(x.rank(), 3, "maxpool expects [C,H,W]");
         let (c, h, w) = (x.shape[0], x.shape[1], x.shape[2]);
         assert_eq!(h % self.k, 0, "pool window must divide height");
         assert_eq!(w % self.k, 0, "pool window must divide width");
         let (oh, ow) = (h / self.k, w / self.k);
-        out.reshape_for_write(&[c, oh, ow]);
         for ci in 0..c {
             for oy in 0..oh {
                 for ox in 0..ow {
@@ -451,36 +455,28 @@ impl MaxPool2d {
                             }
                         }
                     }
-                    let oidx = out.idx3(ci, oy, ox);
-                    out.data[oidx] = best;
-                    winner(oidx, best_idx);
+                    winner((ci * oh + oy) * ow + ox, best_idx, best);
                 }
             }
         }
+        [c, oh, ow]
     }
 }
 
 impl Layer for MaxPool2d {
     fn infer(&self, x: &Tensor, out: &mut Tensor) {
-        self.pool(x, out, |_, _| {});
+        let (c, h, w) = (x.shape[0], x.shape[1], x.shape[2]);
+        out.reshape_for_write(&[c, h / self.k, w / self.k]);
+        self.pool(x, |oidx, _, v| out.data[oidx] = v);
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut y = Tensor::default();
-        let mut argmax = vec![0; x.len() / (self.k * self.k)];
-        self.pool(x, &mut y, |oidx, iidx| argmax[oidx] = iidx);
-        self.cache_argmax = argmax;
-        self.cache_in_shape = x.shape.clone();
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(grad_out.len(), self.cache_argmax.len(), "backward before forward");
-        let mut gx = Tensor::full(&self.cache_in_shape, 0.0);
-        for (oidx, &iidx) in self.cache_argmax.iter().enumerate() {
-            gx.data[iidx] += grad_out.data[oidx];
-        }
-        gx
+    /// Recomputes each window's winner and adds its gradient there, into
+    /// zeros: the `+=` turns a −0.0 gradient into +0.0.
+    fn input_grad(&self, x: &Tensor, _y: &Tensor, grad_out: &Tensor, gx: &mut Tensor) {
+        gx.reshape_for_write(&x.shape);
+        gx.data.fill(0.0);
+        let shape = self.pool(x, |oidx, iidx, _| gx.data[iidx] += grad_out.data[oidx]);
+        assert_eq!(grad_out.shape, shape, "maxpool grad_out shape");
     }
 
     fn name(&self) -> &'static str {
@@ -488,16 +484,14 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Flattens any tensor to rank 1 (and restores the shape on backward).
+/// Flattens any tensor to rank 1 (and its gradient back to the input shape).
 #[derive(Default)]
-pub struct Flatten {
-    cache_shape: Vec<usize>,
-}
+pub struct Flatten;
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Self::default()
+        Flatten
     }
 }
 
@@ -507,30 +501,13 @@ impl Layer for Flatten {
         out.data.copy_from_slice(&x.data);
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cache_shape = x.shape.clone();
-        infer_new(self, x)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        grad_out.reshape(&self.cache_shape)
+    fn input_grad(&self, x: &Tensor, _y: &Tensor, grad_out: &Tensor, gx: &mut Tensor) {
+        gx.reshape_for_write(&x.shape);
+        gx.data.copy_from_slice(&grad_out.data);
     }
 
     fn name(&self) -> &'static str {
         "flatten"
-    }
-}
-
-/// Rectified linear unit.
-#[derive(Default)]
-pub struct ReLU {
-    cache_mask: Vec<bool>,
-}
-
-impl ReLU {
-    /// Creates a ReLU activation.
-    pub fn new() -> Self {
-        Self::default()
     }
 }
 
@@ -542,25 +519,35 @@ fn map_into(x: &Tensor, out: &mut Tensor, f: impl Fn(f32) -> f32) {
     }
 }
 
+/// `gx = f(g, v)` element by element over `grad_out` and `v` (the layer's
+/// input or output), in `grad_out`'s shape.
+fn grad_into(grad_out: &Tensor, v: &Tensor, gx: &mut Tensor, f: impl Fn(f32, f32) -> f32) {
+    assert_eq!(grad_out.len(), v.len(), "activation grad_out length");
+    gx.reshape_for_write(&grad_out.shape);
+    for ((o, &g), &v) in gx.data.iter_mut().zip(&grad_out.data).zip(&v.data) {
+        *o = f(g, v);
+    }
+}
+
+/// Rectified linear unit.
+#[derive(Default)]
+pub struct ReLU;
+
+impl ReLU {
+    /// Creates a ReLU activation.
+    pub fn new() -> Self {
+        ReLU
+    }
+}
+
 impl Layer for ReLU {
     fn infer(&self, x: &Tensor, out: &mut Tensor) {
         map_into(x, out, |v| v.max(0.0));
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cache_mask = x.data.iter().map(|&v| v > 0.0).collect();
-        infer_new(self, x)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(grad_out.len(), self.cache_mask.len(), "backward before forward");
-        let data = grad_out
-            .data
-            .iter()
-            .zip(&self.cache_mask)
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect();
-        Tensor::from_vec(&grad_out.shape, data)
+    /// The gradient where `x > 0`, 0.0 elsewhere.
+    fn input_grad(&self, x: &Tensor, _y: &Tensor, grad_out: &Tensor, gx: &mut Tensor) {
+        grad_into(grad_out, x, gx, |g, x| if x > 0.0 { g } else { 0.0 });
     }
 
     fn name(&self) -> &'static str {
@@ -570,14 +557,12 @@ impl Layer for ReLU {
 
 /// Logistic sigmoid.
 #[derive(Default)]
-pub struct Sigmoid {
-    cache_y: Vec<f32>,
-}
+pub struct Sigmoid;
 
 impl Sigmoid {
     /// Creates a sigmoid activation.
     pub fn new() -> Self {
-        Self::default()
+        Sigmoid
     }
 }
 
@@ -586,17 +571,8 @@ impl Layer for Sigmoid {
         map_into(x, out, |v| 1.0 / (1.0 + (-v).exp()));
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = infer_new(self, x);
-        self.cache_y = y.data.clone();
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(grad_out.len(), self.cache_y.len(), "backward before forward");
-        let data =
-            grad_out.data.iter().zip(&self.cache_y).map(|(&g, &y)| g * y * (1.0 - y)).collect();
-        Tensor::from_vec(&grad_out.shape, data)
+    fn input_grad(&self, _x: &Tensor, y: &Tensor, grad_out: &Tensor, gx: &mut Tensor) {
+        grad_into(grad_out, y, gx, |g, y| g * y * (1.0 - y));
     }
 
     fn name(&self) -> &'static str {
@@ -606,14 +582,12 @@ impl Layer for Sigmoid {
 
 /// Hyperbolic tangent.
 #[derive(Default)]
-pub struct Tanh {
-    cache_y: Vec<f32>,
-}
+pub struct Tanh;
 
 impl Tanh {
     /// Creates a tanh activation.
     pub fn new() -> Self {
-        Self::default()
+        Tanh
     }
 }
 
@@ -622,17 +596,8 @@ impl Layer for Tanh {
         map_into(x, out, f32::tanh);
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = infer_new(self, x);
-        self.cache_y = y.data.clone();
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(grad_out.len(), self.cache_y.len(), "backward before forward");
-        let data =
-            grad_out.data.iter().zip(&self.cache_y).map(|(&g, &y)| g * (1.0 - y * y)).collect();
-        Tensor::from_vec(&grad_out.shape, data)
+    fn input_grad(&self, _x: &Tensor, y: &Tensor, grad_out: &Tensor, gx: &mut Tensor) {
+        grad_into(grad_out, y, gx, |g, y| g * (1.0 - y * y));
     }
 
     fn name(&self) -> &'static str {
@@ -644,26 +609,48 @@ impl Layer for Tanh {
 mod tests {
     use super::*;
 
+    fn run(layer: &impl Layer, x: &Tensor) -> Tensor {
+        let mut y = Tensor::default();
+        layer.infer(x, &mut y);
+        y
+    }
+
+    fn input_grad(layer: &impl Layer, x: &Tensor, g: &Tensor) -> Tensor {
+        let mut gx = Tensor::full(&[1], f32::NAN); // a stale buffer of another shape
+        layer.input_grad(x, &run(layer, x), g, &mut gx);
+        gx
+    }
+
+    /// `(gw, gb)` of one sample, row by row.
+    fn param_grads(layer: &impl Layer, x: &Tensor, g: &Tensor) -> (Vec<f32>, Vec<f32>) {
+        let [w, b] = layer.params()[..] else { panic!("a layer with [w, b]") };
+        let (mut gw, mut gb) = (vec![0.0; w.len()], vec![0.0; b.len()]);
+        for (row, (gw, gb)) in gw.chunks_exact_mut(w.len() / b.len()).zip(&mut gb).enumerate() {
+            layer.add_param_grads(x, g, row, gw, gb);
+        }
+        (gw, gb)
+    }
+
     #[test]
-    fn dense_forward_known_values() {
+    fn dense_infer_known_values() {
         let mut d = Dense::new(2, 2, 0);
         d.w.data = vec![1.0, 2.0, 3.0, 4.0]; // rows: [1,2], [3,4]
         d.b.data = vec![0.5, -0.5];
-        let y = d.forward(&Tensor::from_vec(&[2], vec![1.0, 1.0]));
+        let y = run(&d, &Tensor::from_vec(&[2], vec![1.0, 1.0]));
         assert_eq!(y.data, vec![3.5, 6.5]);
     }
 
     #[test]
-    fn dense_backward_gradients() {
+    fn dense_gradients() {
         let mut d = Dense::new(2, 1, 0);
         d.w.data = vec![2.0, -1.0];
         d.b.data = vec![0.0];
         let x = Tensor::from_vec(&[2], vec![3.0, 4.0]);
-        d.forward(&x);
-        let gx = d.backward(&Tensor::from_vec(&[1], vec![1.0]));
-        assert_eq!(gx.data, vec![2.0, -1.0]); // dL/dx = W^T g
-        assert_eq!(d.gw.data, vec![3.0, 4.0]); // dL/dW = g x^T
-        assert_eq!(d.gb.data, vec![1.0]);
+        let g = Tensor::from_vec(&[1], vec![1.0]);
+        assert_eq!(input_grad(&d, &x, &g).data, vec![2.0, -1.0]); // dL/dx = W^T g
+        let (gw, gb) = param_grads(&d, &x, &g);
+        assert_eq!(gw, vec![3.0, 4.0]); // dL/dW = g x^T
+        assert_eq!(gb, vec![1.0]);
     }
 
     #[test]
@@ -672,7 +659,7 @@ mod tests {
         c.w.data = vec![1.0];
         c.b.data = vec![0.0];
         let x = Tensor::from_vec(&[1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let y = c.forward(&x);
+        let y = run(&c, &x);
         assert_eq!(y.data, x.data);
         assert_eq!(y.shape, x.shape);
     }
@@ -683,7 +670,7 @@ mod tests {
         c.w.data = vec![1.0; 9];
         c.b.data = vec![0.0];
         let x = Tensor::from_vec(&[1, 3, 3], vec![1.0; 9]);
-        let y = c.forward(&x);
+        let y = run(&c, &x);
         assert_eq!(y.shape, vec![1, 3, 3]);
         // Center cell sees all 9 ones; corner sees 4.
         assert_eq!(y.at3(0, 1, 1), 9.0);
@@ -693,72 +680,69 @@ mod tests {
 
     #[test]
     fn conv_valid_padding_shrinks_output() {
-        let mut c = Conv2d::new(2, 3, 3, 0, 7);
+        let c = Conv2d::new(2, 3, 3, 0, 7);
         let x = Tensor::uniform(&[2, 5, 6], 1.0, 1);
-        let y = c.forward(&x);
-        assert_eq!(y.shape, vec![3, 3, 4]);
+        assert_eq!(run(&c, &x).shape, vec![3, 3, 4]);
     }
 
     #[test]
-    fn maxpool_forward_and_routing() {
-        let mut p = MaxPool2d::new(2);
+    fn maxpool_infer_and_routing() {
+        let p = MaxPool2d::new(2);
         let x = Tensor::from_vec(&[1, 2, 4], vec![1.0, 5.0, 2.0, 0.0, 3.0, 4.0, 1.0, 9.0]);
-        let y = p.forward(&x);
+        let y = run(&p, &x);
         assert_eq!(y.shape, vec![1, 1, 2]);
         assert_eq!(y.data, vec![5.0, 9.0]);
-        let gx = p.backward(&Tensor::from_vec(&[1, 1, 2], vec![1.0, 2.0]));
-        // Gradient routes only to the argmax positions.
-        assert_eq!(gx.data, vec![0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0]);
+        let gx = input_grad(&p, &x, &Tensor::from_vec(&[1, 1, 2], vec![1.0, -0.0]));
+        // Gradient routes only to the argmax positions; a −0.0 lands as +0.0.
+        assert_eq!(gx.shape, x.shape);
+        assert_eq!(gx.data, vec![0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        assert_eq!(gx.data[7].to_bits(), 0);
     }
 
     #[test]
     fn relu_masks_negative_gradient() {
-        let mut r = ReLU::new();
-        let y = r.forward(&Tensor::from_vec(&[3], vec![-1.0, 0.0, 2.0]));
-        assert_eq!(y.data, vec![0.0, 0.0, 2.0]);
-        let gx = r.backward(&Tensor::from_vec(&[3], vec![1.0, 1.0, 1.0]));
+        let r = ReLU::new();
+        let x = Tensor::from_vec(&[3], vec![-1.0, 0.0, 2.0]);
+        assert_eq!(run(&r, &x).data, vec![0.0, 0.0, 2.0]);
+        let gx = input_grad(&r, &x, &Tensor::from_vec(&[3], vec![1.0, 1.0, 1.0]));
         assert_eq!(gx.data, vec![0.0, 0.0, 1.0]);
     }
 
     #[test]
     fn sigmoid_range_and_derivative_peak() {
-        let mut s = Sigmoid::new();
-        let y = s.forward(&Tensor::from_vec(&[3], vec![-100.0, 0.0, 100.0]));
+        let s = Sigmoid::new();
+        let x = Tensor::from_vec(&[3], vec![-100.0, 0.0, 100.0]);
+        let y = run(&s, &x);
         assert!(y.data[0] < 1e-6);
         assert!((y.data[1] - 0.5).abs() < 1e-6);
         assert!(y.data[2] > 1.0 - 1e-6);
-        let g = s.backward(&Tensor::from_vec(&[3], vec![1.0, 1.0, 1.0]));
+        let g = input_grad(&s, &x, &Tensor::from_vec(&[3], vec![1.0, 1.0, 1.0]));
         assert!((g.data[1] - 0.25).abs() < 1e-6); // σ'(0) = 1/4
     }
 
     #[test]
     fn flatten_roundtrip() {
-        let mut f = Flatten::new();
+        let f = Flatten::new();
         let x = Tensor::uniform(&[2, 3, 4], 1.0, 3);
-        let y = f.forward(&x);
+        let y = run(&f, &x);
         assert_eq!(y.shape, vec![24]);
-        let gx = f.backward(&y);
+        let gx = input_grad(&f, &x, &y);
         assert_eq!(gx.shape, vec![2, 3, 4]);
         assert_eq!(gx.data, x.data);
     }
 
-    /// Finite-difference gradient check for a layer with parameters.
-    fn grad_check<L: Layer>(layer: &mut L, x: &Tensor, tol: f32) {
-        // Loss = sum(forward(x)); analytic gradient via backward(ones).
-        layer.zero_grad();
-        let y = layer.forward(x);
-        let ones = Tensor::full(&y.shape, 1.0);
-        let gx = layer.backward(&ones);
-
+    /// Finite-difference check of `input_grad` for `L = sum(infer(x))`.
+    fn grad_check(layer: &impl Layer, x: &Tensor, tol: f32) {
+        let ones = Tensor::full(&run(layer, x).shape, 1.0);
+        let gx = input_grad(layer, x, &ones);
         let eps = 1e-2f32;
-        // Check input gradient at a few positions.
         for probe in 0..x.len().min(5) {
             let mut xp = x.clone();
             xp.data[probe] += eps;
             let mut xm = x.clone();
             xm.data[probe] -= eps;
-            let fp: f32 = layer.forward(&xp).data.iter().sum();
-            let fm: f32 = layer.forward(&xm).data.iter().sum();
+            let fp: f32 = run(layer, &xp).data.iter().sum();
+            let fm: f32 = run(layer, &xm).data.iter().sum();
             let numeric = (fp - fm) / (2.0 * eps);
             assert!(
                 (numeric - gx.data[probe]).abs() < tol,
@@ -770,14 +754,12 @@ mod tests {
 
     #[test]
     fn dense_gradient_check() {
-        let mut d = Dense::new(4, 3, 11);
-        grad_check(&mut d, &Tensor::uniform(&[4], 1.0, 12), 1e-2);
+        grad_check(&Dense::new(4, 3, 11), &Tensor::uniform(&[4], 1.0, 12), 1e-2);
     }
 
     #[test]
     fn conv_gradient_check() {
-        let mut c = Conv2d::new(2, 2, 3, 1, 13);
-        grad_check(&mut c, &Tensor::uniform(&[2, 4, 4], 1.0, 14), 1e-2);
+        grad_check(&Conv2d::new(2, 2, 3, 1, 13), &Tensor::uniform(&[2, 4, 4], 1.0, 14), 1e-2);
     }
 
     #[test]
@@ -785,17 +767,14 @@ mod tests {
         // Verify dL/dW numerically for one weight.
         let mut c = Conv2d::new(1, 1, 3, 1, 15);
         let x = Tensor::uniform(&[1, 4, 4], 1.0, 16);
-        c.zero_grad();
-        let y = c.forward(&x);
-        c.backward(&Tensor::full(&y.shape, 1.0));
-        let analytic = c.gw.data[4]; // center tap
+        let (gw, _) = param_grads(&c, &x, &Tensor::full(&[1, 4, 4], 1.0));
+        let analytic = gw[4]; // center tap
 
         let eps = 1e-2f32;
         c.w.data[4] += eps;
-        let fp: f32 = c.forward(&x).data.iter().sum();
+        let fp: f32 = run(&c, &x).data.iter().sum();
         c.w.data[4] -= 2.0 * eps;
-        let fm: f32 = c.forward(&x).data.iter().sum();
-        c.w.data[4] += eps;
+        let fm: f32 = run(&c, &x).data.iter().sum();
         let numeric = (fp - fm) / (2.0 * eps);
         assert!((numeric - analytic).abs() < 1e-2, "numeric {numeric} vs analytic {analytic}");
     }

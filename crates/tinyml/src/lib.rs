@@ -6,16 +6,20 @@
 //!
 //! * a dense [`tensor::Tensor`] type with shape bookkeeping;
 //! * differentiable layers ([`layers`]): 2-D convolution, max-pooling,
-//!   fully-connected, flatten, and ReLU/sigmoid/tanh activations; the
-//!   convolution's forward vectorises across output channels, the dense
-//!   layer accumulates 8 output rows per pass over its input, and the
-//!   convolution's backward is one pass over the non-zero output
-//!   gradients, each bitwise equal to its one-output-at-a-time loop;
-//! * a [`net::Sequential`] container with forward/backward passes (the
-//!   backward skips the first layer's unused input gradient) and a
-//!   cache-free, allocation-free `infer(&self, ..)` that threads share;
-//! * losses ([`loss`]): MSE and binary cross-entropy;
-//! * minibatch SGD with momentum ([`train`]);
+//!   fully-connected, flatten, and ReLU/sigmoid/tanh activations. Layers
+//!   hold only their parameters: `infer`, `input_grad` and
+//!   `add_param_grads` all take `&self`. The convolution's forward
+//!   vectorises across output channels, the dense layer accumulates 8
+//!   output rows per pass over its input, and the convolution's gradients
+//!   are passes over the non-zero output gradients, each bitwise equal to
+//!   its one-output-at-a-time loop;
+//! * a [`net::Sequential`] container with a cache-free, allocation-free
+//!   `infer(&self, ..)` that threads share;
+//! * the TC-localization head's composite loss ([`loss`]);
+//! * minibatch SGD with momentum ([`train`]), each minibatch in two phases
+//!   on the `par` pool — per-sample tapes of activations and gradients,
+//!   then weight gradients sharded by output row — bitwise the same at
+//!   every pool width;
 //! * binary model serialization ([`serialize`]) so the workflow can ship a
 //!   *pre-trained* model to the inference tasks, exactly as the paper's
 //!   pipeline loads pre-trained CNNs;
@@ -23,7 +27,8 @@
 //!   reanalysis training data we do not have.
 //!
 //! Everything is plain safe Rust with exhaustive unit tests, including
-//! finite-difference gradient checks for every layer.
+//! finite-difference gradient checks; `tests/` holds the per-sample cached
+//! backward chain the trainer is proven bitwise against.
 
 pub mod data;
 pub mod layers;

@@ -38,17 +38,7 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Full forward pass (caches per-layer activations for backward).
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut cur = x.clone();
-        for l in &mut self.layers {
-            cur = l.forward(&cur);
-        }
-        cur
-    }
-
-    /// Inference pass: [`Sequential::forward`]'s output bit for bit, with
-    /// nothing cached and no allocation — each layer reads one of
+    /// Inference pass, with no allocation — each layer reads one of
     /// `scratch`'s buffers and writes the other. `&self`, so threads share
     /// one model and bring their own `scratch`.
     pub fn infer<'s>(&self, x: &Tensor, scratch: &'s mut Scratch) -> &'s Tensor {
@@ -65,30 +55,15 @@ impl Sequential {
         cur
     }
 
-    /// Full backward pass from `dL/d(output)`: accumulates every layer's
-    /// parameter gradients. The first layer's `dL/d(input)` has no reader,
-    /// so it runs [`Layer::backward_params`] and is spared computing it.
-    pub fn backward(&mut self, grad_out: &Tensor) {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return;
-        };
-        let mut cur: Option<Tensor> = None;
-        for l in rest.iter_mut().rev() {
-            cur = Some(l.backward(cur.as_ref().unwrap_or(grad_out)));
-        }
-        first.backward_params(cur.as_ref().unwrap_or(grad_out));
+    /// The layers, in order (the trainer walks them one by one).
+    pub(crate) fn layers(&self) -> &[Box<dyn Layer>] {
+        &self.layers
     }
 
-    /// Zeroes every parameter gradient.
-    pub fn zero_grad(&mut self) {
-        for l in &mut self.layers {
-            l.zero_grad();
-        }
-    }
-
-    /// Parameter/gradient pairs across all layers (optimizer interface).
-    pub fn params_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        self.layers.iter_mut().flat_map(|l| l.params_grads()).collect()
+    /// Mutable parameter views across all layers, in
+    /// [`Sequential::params`] order (the optimizer and the loader).
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        self.layers.iter_mut().flat_map(|l| l.params_mut()).collect()
     }
 
     /// Immutable parameter views across all layers (serialization).
@@ -109,15 +84,15 @@ impl Sequential {
     /// Loads flat parameter data in [`Sequential::params`] order. Lengths
     /// must match exactly.
     pub fn load_params(&mut self, flat: &[Vec<f32>]) -> Result<(), String> {
-        let mut pairs = self.params_grads();
-        if pairs.len() != flat.len() {
+        let mut params = self.params_mut();
+        if params.len() != flat.len() {
             return Err(format!(
                 "parameter tensor count mismatch: model has {}, file has {}",
-                pairs.len(),
+                params.len(),
                 flat.len()
             ));
         }
-        for (i, ((p, _), src)) in pairs.iter_mut().zip(flat).enumerate() {
+        for (i, (p, src)) in params.iter_mut().zip(flat).enumerate() {
             if p.len() != src.len() {
                 return Err(format!(
                     "parameter {i} length mismatch: model {}, file {}",
@@ -150,12 +125,15 @@ mod tests {
             .add(Sigmoid::new())
     }
 
+    fn infer(net: &Sequential, x: &[f32]) -> Vec<f32> {
+        net.infer(&Tensor::from_vec(&[x.len()], x.to_vec()), &mut Scratch::default()).data.clone()
+    }
+
     #[test]
-    fn forward_produces_expected_shape() {
-        let mut net = tiny_net();
-        let y = net.forward(&Tensor::from_vec(&[2], vec![0.3, -0.8]));
-        assert_eq!(y.shape, vec![1]);
-        assert!(y.data[0] > 0.0 && y.data[0] < 1.0);
+    fn infer_produces_expected_shape() {
+        let y = infer(&tiny_net(), &[0.3, -0.8]);
+        assert_eq!(y.len(), 1);
+        assert!(y[0] > 0.0 && y[0] < 1.0);
     }
 
     #[test]
@@ -167,30 +145,18 @@ mod tests {
     }
 
     #[test]
-    fn backward_runs_after_forward() {
-        let mut net = tiny_net();
-        net.zero_grad();
-        let y = net.forward(&Tensor::from_vec(&[2], vec![1.0, 1.0]));
-        net.backward(&Tensor::full(&y.shape, 1.0));
-        // Some parameter gradient must be non-zero.
-        let any_nonzero = net.params_grads().iter().any(|(_, g)| g.data.iter().any(|&v| v != 0.0));
-        assert!(any_nonzero);
-    }
-
-    #[test]
     fn load_params_roundtrip() {
         let mut a = tiny_net();
         let mut b = tiny_net();
         // Perturb a's parameters, then copy into b.
-        for (p, _) in a.params_grads() {
+        for p in a.params_mut() {
             for v in &mut p.data {
                 *v += 0.5;
             }
         }
         let flat: Vec<Vec<f32>> = a.params().iter().map(|t| t.data.clone()).collect();
         b.load_params(&flat).unwrap();
-        let x = Tensor::from_vec(&[2], vec![0.2, 0.9]);
-        assert_eq!(a.forward(&x).data, b.forward(&x).data);
+        assert_eq!(infer(&a, &[0.2, 0.9]), infer(&b, &[0.2, 0.9]));
     }
 
     #[test]

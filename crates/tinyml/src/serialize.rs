@@ -131,6 +131,7 @@ pub fn load_model<P: AsRef<Path>>(net: &mut Sequential, path: P) -> Result<(), M
 mod tests {
     use super::*;
     use crate::layers::{Conv2d, Dense, Flatten, MaxPool2d, ReLU, Sigmoid};
+    use crate::net::Scratch;
     use crate::tensor::Tensor;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -152,14 +153,15 @@ mod tests {
     #[test]
     fn save_load_reproduces_predictions() {
         let path = tmp("cnn.tml");
-        let mut a = cnn(100);
+        let a = cnn(100);
         save_model(&a, &path).unwrap();
 
         let mut b = cnn(999); // different init
         load_model(&mut b, &path).unwrap();
 
         let x = Tensor::uniform(&[2, 8, 8], 1.0, 7);
-        assert_eq!(a.forward(&x).data, b.forward(&x).data);
+        let (mut sa, mut sb) = (Scratch::default(), Scratch::default());
+        assert_eq!(a.infer(&x, &mut sa).data, b.infer(&x, &mut sb).data);
     }
 
     #[test]

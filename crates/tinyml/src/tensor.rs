@@ -81,13 +81,6 @@ impl Tensor {
         let i = self.idx3(c, h, w);
         &mut self.data[i]
     }
-
-    /// Reinterprets the tensor with a new shape of equal element count.
-    pub fn reshape(&self, shape: &[usize]) -> Tensor {
-        let n: usize = shape.iter().product();
-        assert_eq!(n, self.len(), "reshape must preserve element count");
-        Tensor { shape: shape.to_vec(), data: self.data.clone() }
-    }
 }
 
 #[cfg(test)]
@@ -129,19 +122,5 @@ mod tests {
         assert_eq!(t.at3(0, 1, 0), 4.0);
         assert_eq!(t.at3(1, 0, 0), 12.0);
         assert_eq!(t.at3(1, 2, 3), 23.0);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(&[2, 3], (0..6).map(|i| i as f32).collect());
-        let r = t.reshape(&[6]);
-        assert_eq!(r.data, t.data);
-        assert_eq!(r.shape, vec![6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "preserve element count")]
-    fn reshape_checks_count() {
-        Tensor::full(&[4], 0.0).reshape(&[5]);
     }
 }

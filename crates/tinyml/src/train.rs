@@ -1,38 +1,67 @@
-//! Minibatch SGD with momentum.
+//! Minibatch SGD with momentum, two phases per minibatch.
+//!
+//! The weights are fixed from one [`Sgd`] step to the next, so the samples
+//! of a minibatch are independent until their gradients are summed. Each
+//! minibatch therefore runs as two scopes on the global `par` pool, each
+//! of at most one job per lane, every job claiming the next unit of work
+//! until none is left (ReLU makes some samples and some conv channels far
+//! cheaper than others, so fixed shares would leave a lane idle):
+//!
+//! * **phase A**, one unit per sample: it runs every layer's `infer` into
+//!   the sample's own [`Tape`] of activations, then the loss, then every
+//!   layer's `input_grad` from the last layer to the second, leaving
+//!   `dL/d(output)` of every layer on the tape (the first layer's
+//!   `dL/d(input)` has no reader and is not computed);
+//! * **phase B**, one unit per output row of a parameter layer (conv
+//!   channels first, then dense rows): it adds that row's `dL/dθ` from
+//!   every sample's tape, visiting the samples in batch order.
+//!
+//! So every gradient element sees the add sequence of a per-sample
+//! backward pass over cached activations (the oracle in
+//! `tests/train_equivalence.rs`) — sample by sample, and each layer's own
+//! order inside a sample — and the trained weights are bitwise the same at
+//! every pool width. One lane runs the same two phases inline.
 
 use crate::net::Sequential;
 use crate::tensor::Tensor;
+use std::sync::Mutex;
 
-/// Stochastic gradient descent with classical momentum. Velocity buffers
-/// are lazily sized to the model on first `step`.
+/// Stochastic gradient descent with classical momentum. It owns the
+/// gradient and velocity buffers, one per parameter tensor, sized to the
+/// model on first use.
 pub struct Sgd {
     pub lr: f32,
     pub momentum: f32,
     velocity: Vec<Vec<f32>>,
+    grads: Vec<Tensor>,
 }
 
 impl Sgd {
     /// Creates an optimizer with the given learning rate and momentum
     /// coefficient (0 = plain SGD).
     pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd { lr, momentum, velocity: Vec::new() }
+        Sgd { lr, momentum, velocity: Vec::new(), grads: Vec::new() }
     }
 
-    /// Applies one update step using the gradients currently accumulated in
-    /// the model, scaled by `1/batch_size` (gradients are summed over the
-    /// minibatch by the backward passes).
-    #[allow(clippy::needless_range_loop)] // parallel-array update reads clearer indexed
-    pub fn step(&mut self, net: &mut Sequential, batch_size: usize) {
+    /// The parameter gradients summed over the last minibatch, in
+    /// [`Sequential::params`] order.
+    pub fn grads(&self) -> &[Tensor] {
+        &self.grads
+    }
+
+    /// Applies one update step using the gradients of the last minibatch,
+    /// scaled by `1/batch_size` (they are sums over the minibatch).
+    fn step(&mut self, net: &mut Sequential, batch_size: usize) {
         let scale = 1.0 / batch_size.max(1) as f32;
-        let mut pairs = net.params_grads();
-        if self.velocity.len() != pairs.len() {
-            self.velocity = pairs.iter().map(|(p, _)| vec![0.0; p.len()]).collect();
+        let params = net.params_mut();
+        if self.velocity.len() != params.len() {
+            self.velocity = params.iter().map(|p| vec![0.0; p.len()]).collect();
         }
-        for ((p, g), v) in pairs.iter_mut().zip(&mut self.velocity) {
-            for i in 0..p.len() {
-                let grad = g.data[i] * scale;
-                v[i] = self.momentum * v[i] - self.lr * grad;
-                p.data[i] += v[i];
+        for ((p, g), v) in params.into_iter().zip(&self.grads).zip(&mut self.velocity) {
+            for ((p, &g), v) in p.data.iter_mut().zip(&g.data).zip(v.iter_mut()) {
+                let grad = g * scale;
+                *v = self.momentum * *v - self.lr * grad;
+                *p += *v;
             }
         }
     }
@@ -48,9 +77,98 @@ pub struct EpochStats {
     pub batches: usize,
 }
 
+/// One sample's record of phase A, its buffers reused from minibatch to
+/// minibatch: `acts[l]` is layer `l`'s output and `grads[l]` is
+/// `dL/d acts[l]`.
+#[derive(Default)]
+struct Tape {
+    acts: Vec<Tensor>,
+    grads: Vec<Tensor>,
+}
+
+impl Tape {
+    /// Phase A for one sample `(x, t)`; returns its loss.
+    fn record<F>(&mut self, net: &Sequential, (x, t): &Sample, loss_fn: &F) -> f32
+    where
+        F: Fn(&Tensor, &Tensor) -> (f32, Tensor),
+    {
+        let layers = net.layers();
+        let n = layers.len();
+        self.acts.resize_with(n, Tensor::default);
+        self.grads.resize_with(n, Tensor::default);
+        for (l, layer) in layers.iter().enumerate() {
+            let (done, rest) = self.acts.split_at_mut(l);
+            layer.infer(done.last().unwrap_or(x), &mut rest[0]);
+        }
+        let (loss, g) = loss_fn(self.acts.last().unwrap_or(x), t);
+        if let Some(last) = self.grads.last_mut() {
+            *last = g;
+        }
+        for l in (1..n).rev() {
+            let (below, above) = self.grads.split_at_mut(l);
+            let (x, y) = (&self.acts[l - 1], &self.acts[l]);
+            layers[l].input_grad(x, y, &above[0], &mut below[l - 1]);
+        }
+        loss
+    }
+
+    /// Layer `l`'s input: the sample's own for the first layer.
+    fn input<'a>(&'a self, x: &'a Tensor, l: usize) -> &'a Tensor {
+        if l == 0 {
+            x
+        } else {
+            &self.acts[l - 1]
+        }
+    }
+}
+
+/// One unit of phase B: output row `row` of layer `layer`, and that row's
+/// gradients.
+struct RowGrads<'g> {
+    layer: usize,
+    row: usize,
+    gw: &'g mut [f32],
+    gb: &'g mut f32,
+}
+
+/// Phase B: sets `grads` (in [`Sequential::params`] order) to the sum of
+/// every sample's parameter gradients from its tape. Each output row of
+/// every parameter layer is one unit; `lanes` jobs claim the units in
+/// layer order, and a unit visits the samples in batch order.
+fn add_param_grads(
+    net: &Sequential,
+    batch: &[Sample],
+    tapes: &[&Tape],
+    grads: &mut [Tensor],
+    lanes: usize,
+) {
+    let layers = net.layers();
+    let mut grads = grads.iter_mut();
+    let mut units = Vec::new();
+    for (layer, l) in layers.iter().enumerate().filter(|(_, l)| l.param_rows() > 0) {
+        let mut next = || &mut grads.next().expect("a [w, b] gradient pair per layer").data;
+        let (gw, gb) = (next(), next());
+        let row_len = gw.len() / l.param_rows();
+        for (row, (gw, gb)) in gw.chunks_exact_mut(row_len).zip(gb.iter_mut()).enumerate() {
+            units.push(Mutex::new(RowGrads { layer, row, gw, gb }));
+        }
+    }
+    par::global().par_map_lanes(lanes, &units, |_, _, unit| {
+        let RowGrads { layer, row, ref mut gw, ref mut gb } =
+            *unit.lock().expect("each unit is locked once, by one job");
+        gw.fill(0.0);
+        **gb = 0.0;
+        for ((x, _), tape) in batch.iter().zip(tapes) {
+            let (input, grad_out) = (tape.input(x, layer), &tape.grads[layer]);
+            layers[layer].add_param_grads(input, grad_out, row, gw, gb);
+        }
+    });
+}
+
 /// Trains `net` for one epoch over `samples` with the provided loss
 /// function, in minibatches of `batch_size`. The loss function returns
-/// `(loss_value, dL/d(prediction))`.
+/// `(loss_value, dL/d(prediction))`. Each minibatch runs the two phases of
+/// the module docs on the global pool, then one [`Sgd`] step.
 pub fn train_epoch<F>(
     net: &mut Sequential,
     opt: &mut Sgd,
@@ -59,20 +177,27 @@ pub fn train_epoch<F>(
     loss_fn: F,
 ) -> EpochStats
 where
-    F: Fn(&Tensor, &Tensor) -> (f32, Tensor),
+    F: Fn(&Tensor, &Tensor) -> (f32, Tensor) + Sync,
 {
     let _span = if obs::global_active() { Some(obs::trace::span("train_epoch")) } else { None };
+    let pool = par::global();
+    let batch_size = batch_size.max(1);
+    let mut tapes: Vec<Mutex<Tape>> =
+        (0..batch_size.min(samples.len())).map(|_| Mutex::default()).collect();
+    opt.grads = net.params().iter().map(|p| Tensor::full(&p.shape, 0.0)).collect();
     let mut total_loss = 0.0f64;
     let mut batches = 0usize;
-    for chunk in samples.chunks(batch_size.max(1)) {
-        net.zero_grad();
-        let mut batch_loss = 0.0f32;
-        for (x, t) in chunk {
-            let y = net.forward(x);
-            let (l, g) = loss_fn(&y, t);
-            batch_loss += l;
-            net.backward(&g);
-        }
+    for chunk in samples.chunks(batch_size) {
+        let tapes = &mut tapes[..chunk.len()];
+        let model = &*net;
+        let losses = pool.par_map_lanes(pool.threads(), tapes, |_, i, tape| {
+            let mut tape = tape.lock().expect("each tape is locked once, by one job");
+            tape.record(model, &chunk[i], &loss_fn)
+        });
+        let poisoned = "phase A finished without a panic";
+        let tapes: Vec<&Tape> = tapes.iter_mut().map(|t| &*t.get_mut().expect(poisoned)).collect();
+        add_param_grads(net, chunk, &tapes, &mut opt.grads, pool.threads());
+        let batch_loss = losses.iter().fold(0.0f32, |sum, loss| sum + loss);
         opt.step(net, chunk.len());
         total_loss += (batch_loss / chunk.len() as f32) as f64;
         batches += 1;
@@ -87,6 +212,7 @@ where
 mod tests {
     use super::*;
     use crate::layers::{Dense, Sigmoid, Tanh};
+    use crate::net::Scratch;
 
     /// Mean-squared error: `L = mean((y - t)^2)`.
     /// Returns `(loss, dL/dy)`.
@@ -139,8 +265,8 @@ mod tests {
         }
         assert!(last < first * 0.01, "loss did not drop: {first} -> {last}");
         // Learned weight should approach 2.
-        let y = net.forward(&Tensor::from_vec(&[1], vec![1.0]));
-        assert!((y.data[0] - 2.0).abs() < 0.1, "weight learned {}", y.data[0]);
+        let y = net.infer(&Tensor::from_vec(&[1], vec![1.0]), &mut Scratch::default()).data[0];
+        assert!((y - 2.0).abs() < 0.1, "weight learned {y}");
     }
 
     #[test]
@@ -190,7 +316,7 @@ mod tests {
             train_epoch(&mut net, &mut opt, &samples, 4, bce);
         }
         for (x, t) in &samples {
-            let y = net.forward(x).data[0];
+            let y = net.infer(x, &mut Scratch::default()).data[0];
             assert!(
                 (y - t.data[0]).abs() < 0.25,
                 "xor({:?}) predicted {y}, want {}",

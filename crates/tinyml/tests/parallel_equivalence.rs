@@ -1,16 +1,15 @@
 //! Oracle equivalence for the conv kernels.
 //!
 //! Conv2d has one forward kernel, serial and a pixel at a time across
-//! lanes of output channels, shared by `infer` and `forward`; it keeps
-//! every output element's multiply-add order, so it must match the naive
-//! per-pixel reference below *bitwise*. Its one backward kernel, a single
-//! serial pass over the non-zero output gradients, must match the
+//! lanes of output channels; it keeps every output element's multiply-add
+//! order, so it must match the naive per-pixel reference below *bitwise*.
+//! Its two gradient kernels, `input_grad` and `add_param_grads`, are
+//! serial passes over the non-zero output gradients and must match the
 //! per-pixel backward nest bitwise too (every weight/bias gradient
 //! accumulates in `(yy, xx)` order, every input gradient in `(o, yy, xx)`
 //! order), on dense and on mostly-zero gradients alike.
 
-use tinyml::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid};
-use tinyml::net::Sequential;
+use tinyml::layers::{Conv2d, Layer};
 use tinyml::tensor::Tensor;
 
 /// A multi-channel geometry (8·30·30·4·9 ≈ 260k MACs) with padded borders.
@@ -61,6 +60,12 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data.iter().map(|v| v.to_bits()).collect()
 }
 
+fn infer(layer: &impl Layer, x: &Tensor) -> Tensor {
+    let mut y = Tensor::default();
+    layer.infer(x, &mut y);
+    y
+}
+
 /// A conv with every bias distinct and non-zero, so a kernel that
 /// dropped or misplaced the bias could not pass.
 fn conv_with_biases(in_ch: usize, out_ch: usize, pad: usize, seed: u64) -> Conv2d {
@@ -73,9 +78,9 @@ fn conv_with_biases(in_ch: usize, out_ch: usize, pad: usize, seed: u64) -> Conv2
 
 #[test]
 fn conv2d_forward_is_bitwise_reference() {
-    let mut conv = conv_with_biases(IN_CH, OUT_CH, 1, 42);
+    let conv = conv_with_biases(IN_CH, OUT_CH, 1, 42);
     let x = Tensor::uniform(&[IN_CH, H, W], 1.0, 7);
-    let y = conv.forward(&x);
+    let y = infer(&conv, &x);
     let expect = reference_forward(&x, &conv);
     assert_eq!(y.shape, expect.shape);
     assert_eq!(bits(&y), bits(&expect), "forward must be bitwise-identical to the reference");
@@ -123,25 +128,29 @@ fn reference_backward(x: &Tensor, conv: &Conv2d, go: &Tensor) -> (Tensor, Tensor
     (gw, gb, gx)
 }
 
-/// Runs `conv`'s forward and backward on `(x, go)` and pins its `gw`,
-/// `gb` and `gx` to the per-pixel oracle by `to_bits`.
-fn assert_backward_is_reference(conv: &mut Conv2d, x: &Tensor, go: &Tensor) {
-    conv.forward(x);
-    conv.zero_grad();
-    let gx = conv.backward(go);
+/// Runs `conv`'s `input_grad` and `add_param_grads` on `(x, go)` and pins
+/// `gx`, `gw` and `gb` to the per-pixel oracle by `to_bits`.
+fn assert_backward_is_reference(conv: &Conv2d, x: &Tensor, go: &Tensor) {
+    let mut gx = Tensor::default();
+    conv.input_grad(x, &infer(conv, x), go, &mut gx);
+    let (mut gw, mut gb) = (Tensor::full(&conv.w.shape, 0.0), Tensor::full(&conv.b.shape, 0.0));
+    let row_len = gw.len() / gb.len();
+    for (row, (gw, gb)) in gw.data.chunks_exact_mut(row_len).zip(&mut gb.data).enumerate() {
+        conv.add_param_grads(x, go, row, gw, gb);
+    }
     let (ref_gw, ref_gb, ref_gx) = reference_backward(x, conv, go);
     // Both sides accumulate every element in the same order: bitwise equal.
-    assert_eq!(bits(&conv.gw), bits(&ref_gw), "gw must be bitwise-identical");
-    assert_eq!(bits(&conv.gb), bits(&ref_gb), "gb must be bitwise-identical");
+    assert_eq!(bits(&gw), bits(&ref_gw), "gw must be bitwise-identical");
+    assert_eq!(bits(&gb), bits(&ref_gb), "gb must be bitwise-identical");
     assert_eq!(bits(&gx), bits(&ref_gx), "gx must be bitwise-identical");
 }
 
 #[test]
 fn conv2d_backward_is_bitwise_reference() {
-    let mut conv = Conv2d::new(IN_CH, OUT_CH, K, 1, 42);
+    let conv = Conv2d::new(IN_CH, OUT_CH, K, 1, 42);
     let x = Tensor::uniform(&[IN_CH, H, W], 1.0, 7);
     let go = Tensor::uniform(&[OUT_CH, H, W], 1.0, 13);
-    assert_backward_is_reference(&mut conv, &x, &go);
+    assert_backward_is_reference(&conv, &x, &go);
 }
 
 /// The gradient a conv sees in training is mostly zeros (after ReLU and
@@ -173,54 +182,7 @@ fn conv2d_sparse_backward_with_specials_is_bitwise_reference() {
     }
     let zeros = go.data.iter().filter(|&&g| g == 0.0).count();
     assert!(zeros * 4 >= go.len() * 3, "at least 75% of grad_out is ±0.0");
-    assert_backward_is_reference(&mut conv, &x, &go);
-}
-
-/// `Sequential::backward` skips the first layer's input gradient; the
-/// parameter gradients it accumulates must still equal, bitwise, those of
-/// a chain that runs every layer's full `backward` (the TC CNN's layout).
-#[test]
-fn sequential_backward_matches_full_chain_bitwise() {
-    // One architecture, built once as a network and once as a bare chain.
-    let mut net = Sequential::new()
-        .add(Conv2d::new(4, 8, 3, 1, 3))
-        .add(ReLU::new())
-        .add(MaxPool2d::new(2))
-        .add(Conv2d::new(8, 10, 3, 1, 4))
-        .add(ReLU::new())
-        .add(MaxPool2d::new(2))
-        .add(Flatten::new())
-        .add(Dense::new(10 * 4 * 4, 12, 5))
-        .add(Sigmoid::new());
-    let mut chain: Vec<Box<dyn Layer>> = vec![
-        Box::new(Conv2d::new(4, 8, 3, 1, 3)),
-        Box::new(ReLU::new()),
-        Box::new(MaxPool2d::new(2)),
-        Box::new(Conv2d::new(8, 10, 3, 1, 4)),
-        Box::new(ReLU::new()),
-        Box::new(MaxPool2d::new(2)),
-        Box::new(Flatten::new()),
-        Box::new(Dense::new(10 * 4 * 4, 12, 5)),
-        Box::new(Sigmoid::new()),
-    ];
-    for s in 0..3 {
-        let x = Tensor::uniform(&[4, 16, 16], 2.0, 20 + s);
-        let y = net.forward(&x);
-        let mut cur = x;
-        for l in &mut chain {
-            cur = l.forward(&cur);
-        }
-        assert_eq!(bits(&y), bits(&cur));
-        let mut grad = Tensor::uniform(&y.shape, 1.0, 30 + s);
-        net.backward(&grad);
-        for l in chain.iter_mut().rev() {
-            grad = l.backward(&grad);
-        }
-    }
-    let want: Vec<Vec<u32>> =
-        chain.iter_mut().flat_map(|l| l.params_grads()).map(|(_, g)| bits(g)).collect();
-    let got: Vec<Vec<u32>> = net.params_grads().into_iter().map(|(_, g)| bits(g)).collect();
-    assert_eq!(got, want, "parameter gradients must be bitwise-identical");
+    assert_backward_is_reference(&conv, &x, &go);
 }
 
 /// The lane kernel's window clipping and output-channel blocking must be
@@ -238,13 +200,12 @@ fn conv2d_lane_kernel_is_bitwise_across_widths() {
                 if w + 2 * pad < K {
                     continue;
                 }
-                let mut conv = conv_with_biases(in_ch, out_ch, pad, 91);
+                let conv = conv_with_biases(in_ch, out_ch, pad, 91);
                 let x = Tensor::uniform(&[in_ch, 9, w], 1.0, (w * 10 + pad) as u64);
                 let expect = bits(&reference_forward(&x, &conv));
                 // `out` arrives holding the previous geometry's values.
                 conv.infer(&x, &mut out);
-                assert_eq!(bits(&out), expect, "infer, {out_ch} channels, pad {pad} w {w}");
-                assert_eq!(bits(&conv.forward(&x)), expect, "forward, pad {pad} w {w}");
+                assert_eq!(bits(&out), expect, "{out_ch} channels, pad {pad} w {w}");
             }
         }
     }
@@ -284,7 +245,7 @@ fn conv2d_clipped_taps_are_skipped_not_zeroed() {
     let mut conv = conv_with_biases(2, 3, 1, 21);
     conv.w.data[0] = f32::INFINITY; // o = 0, c = 0, (ky, kx) = (0, 0)
     let x = Tensor::uniform(&[2, 5, 7], 1.0, 22);
-    let y = conv.forward(&x);
+    let y = infer(&conv, &x);
     assert_eq!(bits(&y), bits(&reference_forward(&x, &conv)));
     for yy in 0..5 {
         for xx in 0..7 {
@@ -298,7 +259,7 @@ fn conv2d_clipped_taps_are_skipped_not_zeroed() {
 #[test]
 fn conv2d_forward_specials_stay_bitwise() {
     for (in_ch, out_ch) in [(1, 1), (2, 6), (2, 17)] {
-        let mut conv = conv_with_biases(in_ch, out_ch, 1, 5);
+        let conv = conv_with_biases(in_ch, out_ch, 1, 5);
         let mut x = Tensor::uniform(&[in_ch, 6, 19], 1.0, 6);
         // Interior cells and cells on the clipped border alike.
         x.data[0] = -0.0;
@@ -309,9 +270,8 @@ fn conv2d_forward_specials_stay_bitwise() {
         x.data[40] = -0.0;
         x.data[6 * 19 - 1] = f32::NAN;
         let expect = bits(&reference_forward(&x, &conv));
-        assert_eq!(bits(&conv.forward(&x)), expect, "specials must propagate bitwise");
         let mut out = Tensor::full(&[3], f32::NAN);
         conv.infer(&x, &mut out);
-        assert_eq!(bits(&out), expect, "infer must not see its output buffer's old values");
+        assert_eq!(bits(&out), expect, "specials propagate bitwise, whatever `out` held");
     }
 }

@@ -98,11 +98,20 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Appends one layer `make` builds to `net`, and an identical one to `chain`.
+fn both<L: Layer + 'static>(
+    net: Sequential,
+    chain: &mut Vec<Box<dyn Layer>>,
+    make: impl Fn() -> L,
+) -> Sequential {
+    chain.push(Box::new(make()));
+    net.add(make())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The one conv kernel equals the reference bit for bit — through
-    /// `infer` and through `forward` — over kernels 1/3/5, paddings that
+    /// The one conv kernel equals the reference bit for bit over kernels 1/3/5, paddings that
     /// clip none, some or all of a tap's reach, widths down to one column,
     /// and channel counts that are not multiples of the lane width.
     #[test]
@@ -125,13 +134,12 @@ proptest! {
         conv.infer(&x, &mut got);
         prop_assert_eq!(&got.shape, &want.shape);
         prop_assert_eq!(bits(&got), bits(&want));
-        prop_assert_eq!(bits(&conv.forward(&x)), bits(&want));
     }
 
-    /// The one conv backward kernel equals the per-pixel nest bit for bit
-    /// in `gw`, `gb` and `gx` over the forward's geometries, on gradients
-    /// with a random share of ±0.0 (which both skip); `backward_params`
-    /// accumulates the same `gw` and `gb` without computing `gx`.
+    /// The conv gradient kernels equal the per-pixel nest bit for bit in
+    /// `gw`, `gb` (`add_param_grads`, row by row) and `gx` (`input_grad`)
+    /// over the forward's geometries, on gradients with a random share of
+    /// ±0.0 (which both skip).
     #[test]
     fn conv_backward_matches_reference_bitwise(
         in_ch in 1usize..7,
@@ -154,26 +162,29 @@ proptest! {
                 *g = if r & 4 == 0 { 0.0 } else { -0.0 };
             }
         }
-        let mut conv = Conv2d::new(in_ch, out_ch, k, pad, seed);
-        conv.forward(&x);
-        let gx = conv.backward(&go);
-        let (gw, gb, want_gx) = conv_backward_reference(&x, &conv.w, &go, k, pad);
+        let conv = Conv2d::new(in_ch, out_ch, k, pad, seed);
+        let mut y = Tensor::default();
+        conv.infer(&x, &mut y);
+        let mut gx = Tensor::full(&[3], f32::NAN);
+        conv.input_grad(&x, &y, &go, &mut gx);
+        let (want_gw, want_gb, want_gx) = conv_backward_reference(&x, &conv.w, &go, k, pad);
         let fbits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
-        prop_assert_eq!(bits(&conv.gw), fbits(&gw));
-        prop_assert_eq!(bits(&conv.gb), fbits(&gb));
         prop_assert_eq!(bits(&gx), fbits(&want_gx));
-        let mut first = Conv2d::new(in_ch, out_ch, k, pad, seed);
-        first.forward(&x);
-        first.backward_params(&go);
-        prop_assert_eq!(bits(&first.gw), fbits(&gw));
-        prop_assert_eq!(bits(&first.gb), fbits(&gb));
+        let taps = in_ch * k * k;
+        let (mut gw, mut gb) = (vec![0.0f32; out_ch * taps], vec![0.0f32; out_ch]);
+        for (row, (gw, gb)) in gw.chunks_exact_mut(taps).zip(&mut gb).enumerate() {
+            conv.add_param_grads(&x, &go, row, gw, gb);
+        }
+        prop_assert_eq!(fbits(&gw), fbits(&want_gw));
+        prop_assert_eq!(fbits(&gb), fbits(&want_gb));
     }
 
-    /// `Sequential::infer` equals `Sequential::forward` bit for bit over
-    /// random conv → activation → (pool) → flatten → dense nets, with one
-    /// `Scratch` reused across inputs of different sizes.
+    /// `Sequential::infer` equals the layers' `infer` run one by one into
+    /// fresh tensors, bit for bit, over random conv → activation → (pool)
+    /// → flatten → dense nets, with one `Scratch` reused across inputs of
+    /// different sizes.
     #[test]
-    fn infer_matches_forward_bitwise(
+    fn infer_matches_layer_chain_bitwise(
         in_ch in 1usize..6,
         mid_ch in 1usize..10,
         half_k in 0usize..3,
@@ -191,27 +202,36 @@ proptest! {
             }
             let (oh, ow) = (h + 2 * pad + 1 - k, w + 2 * pad + 1 - k);
             let pool = pool && oh % 2 == 0 && ow % 2 == 0;
+            let flat = mid_ch * oh * ow / if pool { 4 } else { 1 };
+            let mut chain = Vec::new();
             let mut conv = Conv2d::new(in_ch, mid_ch, k, pad, seed);
             conv.b = Tensor::uniform(&[mid_ch], 1.0, seed ^ 3);
-            let mut net = Sequential::new().add(conv);
+            let conv_b = conv.b.clone();
+            let mut net = both(Sequential::new(), &mut chain, || {
+                let mut c = Conv2d::new(in_ch, mid_ch, k, pad, seed);
+                c.b = conv_b.clone();
+                c
+            });
             net = match act {
-                0 => net.add(ReLU::new()),
-                1 => net.add(Tanh::new()),
-                _ => net.add(Sigmoid::new()),
+                0 => both(net, &mut chain, ReLU::new),
+                1 => both(net, &mut chain, Tanh::new),
+                _ => both(net, &mut chain, Sigmoid::new),
             };
             if pool {
-                net = net.add(MaxPool2d::new(2));
+                net = both(net, &mut chain, || MaxPool2d::new(2));
             }
-            let flat = mid_ch * oh * ow / if pool { 4 } else { 1 };
-            let mut net = net
-                .add(Flatten::new())
-                .add(Dense::new(flat, hidden, seed ^ 4))
-                .add(ReLU::new())
-                .add(Dense::new(hidden, 3, seed ^ 5))
-                .add(Sigmoid::new());
+            net = both(net, &mut chain, Flatten::new);
+            net = both(net, &mut chain, || Dense::new(flat, hidden, seed ^ 4));
+            net = both(net, &mut chain, ReLU::new);
+            net = both(net, &mut chain, || Dense::new(hidden, 3, seed ^ 5));
+            let net = both(net, &mut chain, Sigmoid::new);
             for s in 0..2 {
                 let x = Tensor::uniform(&[in_ch, h, w], 2.0, seed ^ (10 + s));
-                let want = net.forward(&x);
+                let want = chain.iter().fold(x.clone(), |cur, l| {
+                    let mut next = Tensor::default();
+                    l.infer(&cur, &mut next);
+                    next
+                });
                 let got = net.infer(&x, &mut scratch);
                 prop_assert_eq!(&got.shape, &want.shape);
                 prop_assert_eq!(bits(got), bits(&want), "{}x{} input", h, w);
@@ -229,9 +249,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let hw = blocks * k;
-        let mut pool = MaxPool2d::new(k);
+        let pool = MaxPool2d::new(k);
         let x = Tensor::uniform(&[ch, hw, hw], 1.0, seed);
-        let y = pool.forward(&x);
+        let mut y = Tensor::default();
+        pool.infer(&x, &mut y);
         prop_assert_eq!(&y.shape, &vec![ch, blocks, blocks]);
         // Every pooled value exists in the input and dominates its window.
         for c in 0..ch {
@@ -254,7 +275,8 @@ proptest! {
         }
         // Backward conserves total gradient.
         let g = Tensor::full(&y.shape, 1.0);
-        let gx = pool.backward(&g);
+        let mut gx = Tensor::default();
+        pool.input_grad(&x, &y, &g, &mut gx);
         let total: f32 = gx.data.iter().sum();
         prop_assert!((total - y.len() as f32).abs() < 1e-4);
     }
@@ -279,13 +301,14 @@ proptest! {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("m-{seed}-{hidden}-{conv_ch}.tml"));
 
-        let mut a = build(seed);
+        let a = build(seed);
         save_model(&a, &path).unwrap();
         let mut b = build(seed ^ 0xFFFF); // different init, same architecture
         load_model(&mut b, &path).unwrap();
 
         let x = Tensor::uniform(&[1, 6, 6], 1.0, seed ^ 2);
-        prop_assert_eq!(a.forward(&x).data, b.forward(&x).data);
+        let (mut sa, mut sb) = (Scratch::default(), Scratch::default());
+        prop_assert_eq!(&a.infer(&x, &mut sa).data, &b.infer(&x, &mut sb).data);
         std::fs::remove_file(path).ok();
     }
 }

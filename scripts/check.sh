@@ -36,7 +36,10 @@ echo "== cube engine + CNN inference: datacube, extremes and tinyml suites, seri
 # Run all targets of the crates single- and multi-threaded so lane
 # blocking and fragment-parallel scheduling cannot change a single bit.
 # tinyml rides along: its inference path is shared across pool lanes by
-# `&self`, which is where a data race or an order dependence would show.
+# `&self`, and its trainer splits every minibatch over the lanes, so its
+# cached-chain oracle (tests/train_equivalence.rs) and its dispatch count
+# (tests/train_dispatch.rs) run at each width, where a data race or an
+# order dependence would show.
 for t in 1 2 4; do
   PAR_THREADS="$t" cargo test -p datacube -p extremes -p tinyml -q
 done
@@ -119,16 +122,19 @@ echo "== reachability census: every pub fn is used outside its own file, and by 
 # or examples use must be an oracle or a contract probe, allowlisted in
 # the script with the test file that still uses it; anything else is
 # deleted. A use is a call or path (`name(`, `.name(`, `::name`, or a bare
-# argument), outside comments, string literals and `use` lines. The
+# argument that is no local binding of the calling function), outside comments,
+# string literals and `use` lines. The
 # remaining blind spot is std and cross-type method homonyms: any
 # `.join(`, `.new(` or `.status(` keeps a `pub fn` of that name alive.
 python3 scripts/pub_fn_census.py
 
-echo "== census holes stay closed: three planted offenders are each named =="
+echo "== census holes stay closed: four planted offenders are each named =="
 # On a scratch copy of the tree's *.rs files (never the tree itself), plant
 # a pub fn called only in its own file, one named only inside a string
-# literal, and one whose name is only a `let` binding elsewhere. The
-# census must fail and name all three: each is caught by a different rule
+# literal, one whose name is only a `let` binding elsewhere, and one whose
+# name is only a local (a parameter, a `let`, a `for` or a closure
+# binding) passed as a call argument. The
+# census must fail and name all four: each is caught by a different rule
 # of its matcher, so reverting any one rule fails this step.
 plant=$(mktemp -d)
 git ls-files -z --cached --others --exclude-standard -- '*.rs' \
@@ -137,6 +143,7 @@ cat > "$plant/crates/obs/src/planted.rs" <<'RS'
 pub fn planted_own_file_only() {}
 pub fn planted_in_string_only() {}
 pub fn planted_shadowed_by_let() {}
+pub fn planted_passed_local() {}
 fn caller() {
     planted_own_file_only();
 }
@@ -147,13 +154,31 @@ fn user() -> usize {
     let planted_shadowed_by_let = msg.len();
     planted_shadowed_by_let + 1
 }
+fn param_user(planted_passed_local: usize) -> usize {
+    std::cmp::max(planted_passed_local, 1)
+}
+fn let_user() -> usize {
+    let planted_passed_local = 2;
+    std::cmp::min(1, planted_passed_local)
+}
+fn loop_user(v: &[usize]) -> usize {
+    let mut n = 0;
+    for planted_passed_local in v {
+        n += std::cmp::max(planted_passed_local, &1);
+    }
+    n
+}
+fn closure_user(v: &[usize]) -> usize {
+    v.iter().map(|planted_passed_local| std::cmp::min(planted_passed_local, &1)).sum()
+}
 RS
 census="$PWD/scripts/pub_fn_census.py"
 if (cd "$plant" && git init -q && git add -A && python3 "$census") > "$plant/census.out"; then
   echo "the census passed a tree with planted offenders" >&2
   exit 1
 fi
-for name in planted_own_file_only planted_in_string_only planted_shadowed_by_let; do
+for name in planted_own_file_only planted_in_string_only planted_shadowed_by_let \
+    planted_passed_local; do
   if ! grep -q ": $name " "$plant/census.out"; then
     echo "the census did not name the planted offender $name:" >&2
     cat "$plant/census.out" >&2

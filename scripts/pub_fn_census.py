@@ -9,7 +9,10 @@ name counts as a use of a function:
   (b) a name counts only in call or path position -- `name(`, `.name(`,
       `name::<`, `::name`, or passed by name as a bare argument `(name,` --
       not wherever the identifier appears, so `let name = ..` and a field
-      `.name` keep nothing alive;
+      `.name` keep nothing alive; a bare argument counts only when the
+      calling function has no parameter, `let`, `for` or closure binding of
+      that name, so a local passed to a call keeps no same-named function
+      alive;
   (c) mentions inside any file that itself declares a `pub fn` of that name
       are ignored: a function that only its own file calls should be private,
       and two same-named functions cannot keep each other alive.
@@ -105,6 +108,12 @@ ALLOWLIST = {
     ("crates/obs/src/bus.rs", ("subscribe",)):
         ("crates/par/tests/trace_propagation.rs",
          "probe: spans opened on pool workers reach a subscriber of the global bus"),
+    ("crates/hpcwaas/src/api.rs", ("events",)):
+        ("crates/hpcwaas/tests/serve.rs",
+         "probe: coalesced submitters observe the one execution's record"),
+    ("crates/tinyml/src/train.rs", ("grads",)):
+        ("crates/tinyml/tests/train_equivalence.rs",
+         "probe: the two-phase trainer's gradients, pinned bitwise to the cached-chain oracle"),
     ("crates/core/src/endtoend.rs", ("register_with_hpcwaas",)):
         ("tests/e2e_hpcwaas.rs",
          "probe: the workflow deployed and run through the Execution API end to end"),
@@ -120,6 +129,9 @@ RAW_STR = re.compile(r'b?r(#*)"')
 CALLED = re.compile(IDENT + r"\s*(?:\(|::\s*<)")
 PATH = re.compile(r"::\s*" + IDENT)
 PASSED = re.compile(r"(?<=[(,])\s*" + IDENT + r"\s*(?=[,)])")
+FOR = re.compile(r"\bfor\s+(.+?)\s+in\b")
+CLOSURE = re.compile(r"(?:[(,=]|\bmove)\s*\|([^|]*)\|")
+LET = re.compile(r"\blet\s+((?:[^=;:]|::)+?)\s*(?::(?!:)[^=;]*)?(?:=(?![=>])|;)")
 
 
 def blank(text):
@@ -163,10 +175,96 @@ def strip_literals(text):
     return "".join(out)
 
 
+def closing(code, i):
+    """Index just past the bracket that closes the one opening at `code[i]`."""
+    depth = 0
+    for j in range(i, len(code)):
+        depth += (code[j] in "([{") - (code[j] in ")]}")
+        if depth == 0:
+            return j + 1
+    return len(code)
+
+
+def binders(patterns):
+    """The lowercase identifiers a comma-separated list of patterns binds,
+    each pattern's `: Type` annotation cut off."""
+    names = set()
+    for pattern in split_top(patterns):
+        pattern = re.split(r"(?<!:):(?!:)", pattern, maxsplit=1)[0]
+        names |= {n for n in re.findall(IDENT, pattern)
+                  if n[0].islower() and n not in ("mut", "ref", "self")}
+    return names
+
+
+def fn_scopes(code):
+    """`(start, end, locals)` per function body in stripped `code`: the names
+    its parameters, its `let` statements, its `for` loops and its closures'
+    parameters bind."""
+    scopes = []
+    for m in FN_DECL.finditer(code):
+        params = params_start(code, m.end())
+        if params is None:
+            continue
+        params_end = closing(code, params)
+        brace = code.find("{", params_end)
+        semi = code.find(";", params_end)
+        if brace < 0 or 0 <= semi < brace:
+            continue  # a declaration without a body
+        end = closing(code, brace)
+        names = binders(code[params + 1:params_end - 1])
+        for binding in (LET, FOR, CLOSURE):
+            for bound in binding.finditer(code, brace, end):
+                names |= binders(bound.group(1))
+        scopes.append((brace, end, names))
+    return scopes
+
+
+def params_start(code, i):
+    """Index of the `(` opening the parameter list of a `fn` whose name ends
+    at `i`, past any generics (whose bounds may hold `(`, `)` and `->`)."""
+    while i < len(code) and code[i].isspace():
+        i += 1
+    if code.startswith("<", i):
+        depth = 0
+        while i < len(code):
+            if code[i] == "<":
+                depth += 1
+            elif code[i] == ">" and code[i - 1] != "-":
+                depth -= 1
+                if depth == 0:
+                    break
+            i += 1
+        i += 1
+        while i < len(code) and code[i].isspace():
+            i += 1
+    return i if code.startswith("(", i) else None
+
+
+def split_top(params):
+    """`params` split at the commas outside any bracket."""
+    parts, depth, cur = [], 0, ""
+    for c in params:
+        depth += (c in "([{<") - (c in ")]}>")
+        if c == "," and depth == 0:
+            parts.append(cur)
+            cur = ""
+        else:
+            cur += c
+    return parts + [cur]
+
+
 def used_names(code):
-    """Names in call or path position in stripped `code`; declarations excluded."""
+    """Names in call or path position in stripped `code`; declarations and
+    bare arguments naming a local of the calling function excluded."""
+    scopes = fn_scopes(code)
     code = FN_DECL.sub(lambda m: blank(m.group(0)), code)
-    return set(CALLED.findall(code)) | set(PATH.findall(code)) | set(PASSED.findall(code))
+    passed = set()
+    for m in PASSED.finditer(code):
+        inner = [names for start, end, names in scopes if start <= m.start(1) < end]
+        # The innermost enclosing body is the last one that contains it.
+        if not inner or m.group(1) not in inner[-1]:
+            passed.add(m.group(1))
+    return set(CALLED.findall(code)) | set(PATH.findall(code)) | passed
 
 
 def main():
