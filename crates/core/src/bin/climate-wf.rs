@@ -224,11 +224,10 @@ fn print_profile(events: &[obs::Event]) {
     println!("pool utilization:");
     for w in par::global().worker_stats() {
         println!(
-            "  worker {:>2}: {:>5.1}% busy ({} tasks, {} stolen, {}ms busy / {}ms idle)",
+            "  worker {:>2}: {:>5.1}% busy ({} tasks, {}ms busy / {}ms idle)",
             w.worker,
             w.utilization() * 100.0,
             w.tasks,
-            w.steals,
             w.busy_us / 1000,
             w.idle_us / 1000
         );

@@ -870,11 +870,15 @@ impl CaseStudy {
             .then(|| bounded::<Arc<StreamedYear>>("esm-years", self.params.stream_depth))
             .unzip();
         let mut prev: Option<DataRef> = None;
+        let start_year = self.params.esm_config().start_year;
+        // Year key (as the watcher groups it) → that year's ESM task.
+        let mut esm_tasks: BTreeMap<String, TaskId> = BTreeMap::new();
         for y in 0..self.params.years {
             let h = self
                 .submit_esm_year(y, prev.as_ref(), tx.clone())
                 .map_err(WorkflowError::dataflow(WorkflowStage::Simulation))?;
             prev = Some(h.outputs[0].clone());
+            esm_tasks.insert((start_year + y as i32).to_string(), h.id);
         }
         drop(tx);
         if order == RunOrder::SimFirst {
@@ -889,6 +893,8 @@ impl CaseStudy {
         );
         let mut year_refs: Vec<YearTaskRefs> = Vec::new();
         let mut submitted: BTreeSet<String> = BTreeSet::new();
+        // Complete file groups not yet taken (see `settled` below).
+        let mut on_disk: BTreeMap<String, Vec<PathBuf>> = BTreeMap::new();
         let mut record_prev: Option<DataRef> = None;
         let mut streamed = 0usize;
         const WAIT_SECS: u64 = 3600;
@@ -909,10 +915,27 @@ impl CaseStudy {
             // In-memory arrivals first; the bounded wait (or the sleep,
             // without a channel) is the loop's pacing.
             let mut arrived: BTreeMap<String, YearSource> = BTreeMap::new();
+            // The ESM task writes a year's last file before it sends the
+            // year, so a complete file group may still have its copy on
+            // the way. A year whose task was terminal before the channel
+            // is emptied below has sent already: missing from the channel
+            // then, it comes from its files. Restored years are terminal
+            // from submission on.
+            let settled: BTreeSet<&String> = esm_tasks
+                .iter()
+                .filter(|&(key, &id)| {
+                    rx.is_some()
+                        && !submitted.contains(key)
+                        && self.rt.task_state(id).is_some_and(TaskState::is_terminal)
+                })
+                .map(|(key, _)| key)
+                .collect();
             match &rx {
                 Some(rx) => {
-                    if let RecvTimeout::Item(year) = rx.recv_timeout(Duration::from_millis(20)) {
+                    let mut wait = Duration::from_millis(20);
+                    while let RecvTimeout::Item(year) = rx.recv_timeout(wait) {
                         arrived.insert(year.year.to_string(), YearSource::Mem(year));
+                        wait = Duration::ZERO;
                     }
                 }
                 None => std::thread::sleep(Duration::from_millis(5)),
@@ -920,8 +943,17 @@ impl CaseStudy {
             for group in
                 watcher.poll().map_err(WorkflowError::io(WorkflowStage::Streaming, &esm_dir))?
             {
-                arrived.entry(group.key).or_insert(YearSource::Files(group.files));
+                on_disk.insert(group.key, group.files);
             }
+            on_disk.retain(|key, files| {
+                if rx.is_some() && !settled.contains(key) {
+                    return true;
+                }
+                arrived
+                    .entry(key.clone())
+                    .or_insert_with(|| YearSource::Files(std::mem::take(files)));
+                false
+            });
             // BTreeMap order keeps record-task chaining calendar-ascending
             // even when a restored year surfaces via its files while a
             // later year streams in.

@@ -1,5 +1,5 @@
-//! Unified work-stealing compute pool — the one parallel substrate for
-//! every compute crate in the workspace.
+//! Unified compute pool — the one parallel substrate for every compute
+//! crate in the workspace.
 //!
 //! The paper's performance story is parallelism at every layer: Ophidia
 //! fans analytics out over I/O servers (§4.2.2) while PyCOMPSs overlaps
@@ -11,15 +11,16 @@
 //! - a process-global pool ([`global`]) sized from
 //!   `available_parallelism`, overridable with `PAR_THREADS`;
 //! - chunked primitives — [`par_map`] and [`par_chunks_mut`] — with
-//!   **deterministic output ordering** regardless of steal order (slot
-//!   `i` always holds `f(items[i])`);
+//!   **deterministic output ordering** whichever thread runs a chunk
+//!   (slot `i` always holds `f(items[i])`);
 //! - [`Pool::par_map_lanes`]: a width-bounded, dynamically
 //!   self-scheduling map modelling the paper's I/O-server lanes — at most
 //!   `width` lane tasks, each claiming the next unprocessed item, so one
 //!   slow item never idles a statically dealt stripe;
 //! - [`scope`] / [`Pool::scope`] for fork/join with borrows, safe to
-//!   nest from inside pool workers (blocked threads help execute);
-//! - a per-worker busy/idle/steal profile ([`Pool::worker_stats`]) and
+//!   nest from inside pool workers (a blocked thread runs its own
+//!   scope's queued jobs, never another scope's);
+//! - a per-worker busy/idle profile ([`Pool::worker_stats`]) and
 //!   a pool-wide job count ([`Pool::jobs_run`]), kept as plain atomics.
 //!
 //! Layering is strict: `obs` → `par` → everything else.
@@ -125,8 +126,9 @@ fn uninit_buf<R>(n: usize) -> Vec<MaybeUninit<R>> {
 impl Pool {
     /// `f` over every item; the result at index `i` is `f(&items[i])`
     /// no matter which worker computed it. Items are dealt to tasks in
-    /// contiguous chunks sized for ~4 tasks per worker so stealing can
-    /// rebalance without drowning in per-item dispatch.
+    /// contiguous chunks sized for ~4 tasks per worker, so a worker that
+    /// finishes early takes another chunk without drowning in per-item
+    /// dispatch.
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -360,7 +362,7 @@ mod tests {
         let pool = Pool::new(2);
         assert!(pool.current_worker().is_none());
         let seen = pool.par_map_lanes(2, &[0u8; 16], |_, _, _| pool.current_worker());
-        // Tasks may also run on the helping caller thread (None), but
+        // Tasks may also run on the waiting caller thread (None), but
         // any Some(w) must be a valid worker index.
         for w in seen.into_iter().flatten() {
             assert!(w < 2);

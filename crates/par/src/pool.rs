@@ -1,24 +1,27 @@
-//! The persistent work-stealing pool and its scoped task API.
+//! The persistent pool and its scoped task API.
 //!
-//! Design: each worker owns a deque (own end popped LIFO for locality,
-//! victims stolen FIFO) plus one shared injector queue for tasks
-//! submitted from outside the pool. Queues are short — tasks are
-//! coarse-grained kernels, not micro-ops — so plain `Mutex<VecDeque>`
-//! queues beat a lock-free deque on simplicity without showing up in
-//! profiles; wfbench's `par.task_overhead_ns` keeps that claim honest.
+//! Design: one FIFO of `(scope id, job)` entries. A pool worker takes the
+//! oldest job of any scope. A thread waiting in [`Pool::scope`] takes only
+//! the jobs of the scope it waits on, so a task body blocked on its own
+//! fan-out never runs another caller's job. Queues are short — jobs are
+//! coarse-grained kernels, not micro-ops — so a plain `Mutex<VecDeque>`,
+//! scanned by waiters for their own jobs, does not show up in profiles;
+//! wfbench's `par.task_overhead_ns` keeps that claim honest.
 //!
-//! Deadlock freedom: a thread waiting for a [`Scope`] to drain never
-//! parks unconditionally — it *helps*, executing queued tasks (its own
-//! or stolen) until the scope's pending count reaches zero. That is what
-//! makes nested `scope` calls from inside pool workers safe even
-//! when tasks heavily oversubscribe the workers.
+//! Deadlock freedom: every job of a scope is spawned before its waiter
+//! starts waiting, and the waiter blocks only once none of them is queued,
+//! so every queued job can be run by its own scope's waiter. A running
+//! job's nested scopes are waited on, and so drained, by that job's own
+//! thread. A scope whose jobs open no scopes therefore finishes, and by
+//! induction on nesting depth so does every scope, however far the jobs
+//! oversubscribe the workers.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// A lifetime-erased unit of work. Scopes guarantee every job completes
 /// before the borrows it captures go out of scope.
@@ -37,7 +40,6 @@ thread_local! {
 #[derive(Default)]
 struct WorkerStat {
     busy_us: AtomicU64,
-    steals: AtomicU64,
     tasks: AtomicU64,
 }
 
@@ -48,9 +50,10 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Time spent executing jobs, in microseconds.
     pub busy_us: u64,
-    /// Time not executing jobs (queue scans, stealing, parked), µs.
+    /// Time not executing jobs (queue scans, parked), µs.
     pub idle_us: u64,
-    /// Jobs this worker took from a sibling's deque.
+    /// Always 0: the pool has one queue and nothing to steal from. Kept
+    /// only because wfbench's `par.steals` layer metric reads it.
     pub steals: u64,
     /// Jobs this worker executed.
     pub tasks: u64,
@@ -69,17 +72,15 @@ impl WorkerStats {
 }
 
 struct Shared {
-    /// One local deque per worker.
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    /// Submission queue for tasks arriving from non-worker threads.
-    injector: Mutex<VecDeque<Job>>,
-    /// Total queued (not yet started) jobs across all queues; lets
-    /// workers park without racing a concurrent push.
-    queued: AtomicUsize,
+    /// Queued (not yet started) jobs, oldest first, each tagged with the
+    /// id of the scope that spawned it.
+    queue: Mutex<VecDeque<(u64, Job)>>,
+    /// Signalled on every push and on shutdown; idle workers park on it.
+    work_cv: Condvar,
     shutdown: AtomicBool,
-    sleep_mx: Mutex<()>,
-    sleep_cv: Condvar,
-    /// Jobs executed so far, by workers and helping callers alike.
+    /// Source of scope ids.
+    next_scope: AtomicU64,
+    /// Jobs executed so far, by workers and waiting callers alike.
     jobs: AtomicU64,
     /// One profiling cell per worker.
     stats: Vec<WorkerStat>,
@@ -93,64 +94,24 @@ impl Shared {
         Arc::as_ptr(self) as usize
     }
 
-    fn push(self: &Arc<Self>, job: Job) {
-        let me = WORKER.with(|w| w.get());
-        let queue = match me {
-            // Nested spawns from a worker of *this* pool stay local.
-            Some((pool, idx)) if pool == self.id() => &self.locals[idx],
-            _ => &self.injector,
-        };
-        queue.lock().unwrap().push_back(job);
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        // Notify under the sleep lock so a worker that just checked
-        // `queued` and is about to wait cannot miss the wakeup.
-        let _g = self.sleep_mx.lock().unwrap();
-        self.sleep_cv.notify_one();
+    fn queue(&self) -> MutexGuard<'_, VecDeque<(u64, Job)>> {
+        self.queue.lock().expect("pool queue poisoned, yet no job runs under its lock")
     }
 
-    fn take(&self, queue: &Mutex<VecDeque<Job>>, lifo: bool) -> Option<Job> {
-        let mut q = queue.lock().unwrap();
-        let job = if lifo { q.pop_back() } else { q.pop_front() };
-        if job.is_some() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-        }
-        job
+    fn push(&self, scope: u64, job: Job) {
+        self.queue().push_back((scope, job));
+        self.work_cv.notify_one();
     }
 
-    /// Next job for worker `idx`: own deque first (LIFO), then the
-    /// injector, then steal from siblings (FIFO), rotating the start
-    /// point so victims are spread evenly.
-    fn find_job(&self, idx: Option<usize>) -> Option<Job> {
-        if self.queued.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        if let Some(i) = idx {
-            if let Some(j) = self.take(&self.locals[i], true) {
-                return Some(j);
-            }
-        }
-        if let Some(j) = self.take(&self.injector, false) {
-            return Some(j);
-        }
-        let n = self.locals.len();
-        let start = idx.map(|i| i + 1).unwrap_or(0);
-        for k in 0..n {
-            let v = (start + k) % n;
-            if Some(v) == idx {
-                continue;
-            }
-            if let Some(j) = self.take(&self.locals[v], false) {
-                if let Some(i) = idx {
-                    self.stats[i].steals.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(j);
-            }
-        }
-        None
+    /// The oldest queued job of `scope`, if any.
+    fn take_own(&self, scope: u64) -> Option<Job> {
+        let mut queue = self.queue();
+        let i = queue.iter().position(|(s, _)| *s == scope)?;
+        queue.remove(i).map(|(_, job)| job)
     }
 
     /// Execute one job, attributing its time to `worker` when the
-    /// executing thread is one of this pool's workers (helping caller
+    /// executing thread is one of this pool's workers (waiting caller
     /// threads count in [`Pool::jobs_run`] but not in a worker's profile).
     fn run_job(&self, job: Job, worker: Option<usize>) {
         // Chaos site "par.worker": a stalled (slow) pool worker. Only the
@@ -171,26 +132,25 @@ impl Shared {
 
     fn worker_loop(self: Arc<Self>, idx: usize) {
         WORKER.with(|w| w.set(Some((self.id(), idx))));
+        let mut queue = self.queue();
         loop {
-            if let Some(job) = self.find_job(Some(idx)) {
+            if let Some((_, job)) = queue.pop_front() {
+                drop(queue);
                 self.run_job(job, Some(idx));
-                continue;
-            }
-            let g = self.sleep_mx.lock().unwrap();
-            if self.shutdown.load(Ordering::SeqCst) {
+                queue = self.queue();
+            } else if self.shutdown.load(Ordering::SeqCst) {
                 return;
-            }
-            if self.queued.load(Ordering::SeqCst) == 0 {
-                // Woken by a push or by shutdown; loop re-checks both.
-                drop(self.sleep_cv.wait(g).unwrap());
+            } else {
+                // Woken by a push or by shutdown; the loop re-checks both.
+                queue = self.work_cv.wait(queue).expect("pool queue poisoned");
             }
         }
     }
 }
 
-/// A persistent pool of worker threads executing scoped tasks with
-/// work stealing. Calling threads are not passive: any thread blocked
-/// on a [`Scope`] helps execute queued tasks, so parallel width is
+/// A persistent pool of worker threads executing scoped tasks from one
+/// FIFO. Calling threads are not passive: a thread blocked on a [`Scope`]
+/// runs that scope's queued tasks itself, so parallel width is
 /// effectively `threads() + concurrent callers`.
 pub struct Pool {
     shared: Arc<Shared>,
@@ -209,12 +169,10 @@ impl Pool {
     pub fn with_name(threads: usize, name: &'static str) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            queued: AtomicUsize::new(0),
+            queue: Mutex::new(VecDeque::new()),
+            work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            sleep_mx: Mutex::new(()),
-            sleep_cv: Condvar::new(),
+            next_scope: AtomicU64::new(0),
             jobs: AtomicU64::new(0),
             stats: (0..threads).map(|_| WorkerStat::default()).collect(),
             epoch: Instant::now(),
@@ -233,7 +191,7 @@ impl Pool {
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.shared.locals.len()
+        self.shared.stats.len()
     }
 
     /// The calling thread's worker index, if it is one of this pool's
@@ -245,7 +203,7 @@ impl Pool {
         }
     }
 
-    /// Per-worker busy/idle/steal profile since pool creation. Idle is
+    /// Per-worker busy/idle profile since pool creation. Idle is
     /// derived (lifetime − busy), so a snapshot taken mid-job undercounts
     /// busy by the in-flight job's elapsed time.
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
@@ -260,7 +218,7 @@ impl Pool {
                     worker: i,
                     busy_us,
                     idle_us: lifetime_us.saturating_sub(busy_us),
-                    steals: s.steals.load(Ordering::Relaxed),
+                    steals: 0,
                     tasks: s.tasks.load(Ordering::Relaxed),
                 }
             })
@@ -268,8 +226,8 @@ impl Pool {
     }
 
     /// Jobs executed since pool creation — by its workers and by callers
-    /// helping while they wait on a scope, which [`Pool::worker_stats`]
-    /// leaves out.
+    /// running their own scope's jobs while they wait, which
+    /// [`Pool::worker_stats`] leaves out.
     pub fn jobs_run(&self) -> u64 {
         self.shared.jobs.load(Ordering::Relaxed)
     }
@@ -283,6 +241,7 @@ impl Pool {
         OP: FnOnce(&Scope<'scope>) -> R,
     {
         let state = Arc::new(ScopeState {
+            id: self.shared.next_scope.fetch_add(1, Ordering::Relaxed),
             pending: AtomicUsize::new(0),
             panic: Mutex::new(None),
             done_mx: Mutex::new(()),
@@ -308,32 +267,32 @@ impl Pool {
         }
     }
 
-    /// Executes queued work until `state.pending` drains to zero.
+    /// Runs `state`'s queued jobs, then sleeps until the ones running
+    /// elsewhere finish. Jobs of other scopes are left to the workers.
     fn help_until_done(&self, state: &ScopeState) {
         let me = self.current_worker();
         while state.pending.load(Ordering::SeqCst) != 0 {
-            if let Some(job) = self.shared.find_job(me) {
-                self.shared.run_job(job, me);
-                continue;
-            }
-            // Nothing stealable right now (tasks are in flight on other
-            // workers): sleep briefly on the scope's own condvar, which
-            // the final decrement notifies.
-            let g = state.done_mx.lock().unwrap();
-            if state.pending.load(Ordering::SeqCst) != 0 {
-                let _ = state.done_cv.wait_timeout(g, Duration::from_micros(200)).unwrap();
-            }
+            let Some(job) = self.shared.take_own(state.id) else { break };
+            self.shared.run_job(job, me);
+        }
+        // Every job of the scope was spawned before the wait began, so none
+        // is queued any more; the last one to finish notifies.
+        let mut g = state.done_mx.lock().expect("scope latch poisoned");
+        while state.pending.load(Ordering::SeqCst) != 0 {
+            g = state.done_cv.wait(g).expect("scope latch poisoned");
         }
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
         {
-            let _g = self.shared.sleep_mx.lock().unwrap();
-            self.shared.sleep_cv.notify_all();
+            // Under the queue lock, so a worker between its empty-queue
+            // check and its wait cannot miss the wakeup.
+            let _q = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
         }
+        self.shared.work_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -341,6 +300,8 @@ impl Drop for Pool {
 }
 
 struct ScopeState {
+    /// Tags this scope's entries in the pool's queue.
+    id: u64,
     pending: AtomicUsize,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     done_mx: Mutex<()>,
@@ -389,7 +350,7 @@ impl<'scope> Scope<'scope> {
                 state.done_cv.notify_all();
             }
         });
-        // SAFETY: `Pool::scope` blocks (helping) until `pending` is
+        // SAFETY: `Pool::scope` blocks until `pending` is
         // zero before the borrows captured in `job` can expire, even if
         // the scope closure or another task panics. Erasing the
         // lifetime is therefore sound; this is the same latch argument
@@ -397,7 +358,7 @@ impl<'scope> Scope<'scope> {
         let job: Job = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(job)
         };
-        self.shared.push(job);
+        self.shared.push(self.state.id, job);
     }
 }
 

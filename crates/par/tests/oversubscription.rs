@@ -1,11 +1,13 @@
 //! Oversubscription: far more tasks than workers, nested fork/join from
 //! inside pool tasks, and scopes opened concurrently from many external
-//! threads. None of it may deadlock — blocked threads must help drain
-//! the queues. The whole file runs under a hard watchdog so a scheduling
-//! bug fails fast instead of hanging CI.
+//! threads. None of it may deadlock — a blocked thread must run its own
+//! scope's queued jobs — and no waiting thread may run another scope's
+//! job. The whole file runs under a hard watchdog so a scheduling bug
+//! fails fast instead of hanging CI.
 
 use par::Pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Fails the test if `f` does not finish within `secs`.
@@ -38,9 +40,9 @@ fn many_more_tasks_than_workers() {
 #[test]
 fn deeply_nested_join_on_tiny_pool() {
     watchdog(30, || {
-        // 1 worker + helping callers: every nested scope blocks a thread
-        // that must keep executing queued tasks for the recursion to
-        // finish. Each level spawns one half and runs the other inline.
+        // 1 worker + waiting callers: every nested scope blocks a thread
+        // that must keep executing its own queued tasks for the recursion
+        // to finish. Each level spawns one half and runs the other inline.
         fn fib(pool: &Pool, n: u64) -> u64 {
             if n < 2 {
                 return n;
@@ -116,5 +118,46 @@ fn slow_and_fast_tasks_interleave_without_starvation() {
         });
         assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
         assert!(t0.elapsed() < Duration::from_secs(10));
+    });
+}
+
+#[test]
+fn a_waiting_scope_runs_only_its_own_jobs() {
+    watchdog(30, || {
+        // One worker. Thread X's scope has three 200 ms jobs: the worker
+        // and X's own wait take one each and the third stays queued. A
+        // scope opened behind it with one trivial job must run that job
+        // at once, not X's queued one first.
+        let pool = Arc::new(Pool::new(1));
+        let started = Arc::new(AtomicUsize::new(0));
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let x = {
+            let (pool, started, ran_on) = (pool.clone(), started.clone(), ran_on.clone());
+            std::thread::spawn(move || {
+                pool.scope(|s| {
+                    for _ in 0..3 {
+                        s.spawn(|| {
+                            started.fetch_add(1, Ordering::SeqCst);
+                            ran_on.lock().unwrap().push(std::thread::current().id());
+                            std::thread::sleep(Duration::from_millis(200));
+                        });
+                    }
+                });
+            })
+        };
+        // Both threads that may run X's jobs are busy with one each, so
+        // the third is queued ahead of the scope opened next.
+        while started.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+        let t0 = Instant::now();
+        pool.scope(|s| s.spawn(|| {}));
+        let waited = t0.elapsed();
+        x.join().unwrap();
+        let me = std::thread::current().id();
+        let ran_on = ran_on.lock().unwrap();
+        assert_eq!(ran_on.len(), 3);
+        assert!(!ran_on.contains(&me), "a job of thread X's scope ran on the main thread");
+        assert!(waited < Duration::from_millis(50), "the main scope took {waited:?}");
     });
 }

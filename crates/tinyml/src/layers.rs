@@ -433,8 +433,8 @@ impl MaxPool2d {
 
     /// The output shape for `x`, and `winner(output index, input index,
     /// value)` for every window in output order: the first strictly
-    /// greatest element, or the input's element 0 with −inf when none
-    /// exceeds −inf.
+    /// greatest element, or the window's first element with −inf when
+    /// none exceeds −inf (a window of only −inf or NaN).
     fn pool(&self, x: &Tensor, mut winner: impl FnMut(usize, usize, f32)) -> [usize; 3] {
         assert_eq!(x.rank(), 3, "maxpool expects [C,H,W]");
         let (c, h, w) = (x.shape[0], x.shape[1], x.shape[2]);
@@ -445,7 +445,7 @@ impl MaxPool2d {
             for oy in 0..oh {
                 for ox in 0..ow {
                     let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0;
+                    let mut best_idx = x.idx3(ci, oy * self.k, ox * self.k);
                     for dy in 0..self.k {
                         for dx in 0..self.k {
                             let idx = x.idx3(ci, oy * self.k + dy, ox * self.k + dx);
@@ -697,6 +697,19 @@ mod tests {
         assert_eq!(gx.shape, x.shape);
         assert_eq!(gx.data, vec![0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
         assert_eq!(gx.data[7].to_bits(), 0);
+    }
+
+    #[test]
+    fn maxpool_routes_a_window_without_winner_inside_it() {
+        let p = MaxPool2d::new(2);
+        let ninf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(&[2, 2, 2], vec![1.0, 5.0, 2.0, 0.0, ninf, ninf, ninf, ninf]);
+        assert_eq!(run(&p, &x).data, vec![5.0, ninf]);
+        let gx = input_grad(&p, &x, &Tensor::from_vec(&[2, 1, 1], vec![1.0, 2.0]));
+        // Channel 1's window has no element above −inf: its gradient goes
+        // to that window's first element, not to channel 0's.
+        assert_eq!(gx.data, vec![0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0]);
+        assert_eq!(gx.data[0], 0.0);
     }
 
     #[test]

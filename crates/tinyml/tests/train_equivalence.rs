@@ -228,7 +228,8 @@ impl Oracle {
                 for ci in 0..c {
                     for oy in 0..oh {
                         for ox in 0..ow {
-                            let (mut best, mut arg) = (f32::NEG_INFINITY, 0);
+                            let mut best = f32::NEG_INFINITY;
+                            let mut arg = (ci * h + 2 * oy) * w + 2 * ox;
                             for dy in 0..2 {
                                 for dx in 0..2 {
                                     let i = (ci * h + 2 * oy + dy) * w + 2 * ox + dx;

@@ -30,7 +30,7 @@ for t in 2 4; do
   done
 done
 
-echo "== cube engine + CNN inference: datacube, extremes and tinyml suites, serial and parallel =="
+echo "== pool, cube engine + CNN inference: par, datacube, extremes and tinyml suites, serial and parallel =="
 # Every cube operator and batch index runs on the fused engine; the
 # differential suites prove it bitwise against the scalar oracle kernels.
 # Run all targets of the crates single- and multi-threaded so lane
@@ -39,9 +39,11 @@ echo "== cube engine + CNN inference: datacube, extremes and tinyml suites, seri
 # `&self`, and its trainer splits every minibatch over the lanes, so its
 # cached-chain oracle (tests/train_equivalence.rs) and its dispatch count
 # (tests/train_dispatch.rs) run at each width, where a data race or an
-# order dependence would show.
+# order dependence would show. par's own suites (the own-scope contract
+# test and the oversubscription watchdogs among them) run at each width
+# of the global pool too.
 for t in 1 2 4; do
-  PAR_THREADS="$t" cargo test -p datacube -p extremes -p tinyml -q
+  PAR_THREADS="$t" cargo test -p par -p datacube -p extremes -p tinyml -q
 done
 
 echo "== bare reduce timing gate: reduce(Max) costs about what reduce(Sum) costs =="

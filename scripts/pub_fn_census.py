@@ -66,9 +66,6 @@ ALLOWLIST = {
     ("crates/dataflow/src/inject.rs", ("for_sites",)):
         ("tests/chaos_suite.rs",
          "probe: a fault plan confined to the task site, so every fault lands on a task"),
-    ("crates/dataflow/src/runtime.rs", ("task_state",)):
-        ("tests/fault_tolerance_e2e.rs",
-         "probe: a failure cancels exactly its subtree"),
     ("crates/dataflow/src/runtime.rs", ("subscribe",)):
         ("tests/chaos_suite.rs",
          "probe: a chaos run's own event stream must show every task reach a terminal state"),
