@@ -295,9 +295,8 @@ fn cmd_chaos(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let (first, fired) = {
         let armed = plan.arm();
 
-        // Exercise the HPCWaaS degradation paths while the plan is live:
-        // staging transfers may drop (bounded retries, degraded mode) and
-        // cluster jobs may bounce back to the queue (capped attempts).
+        // Exercise the DLS degradation path while the plan is live:
+        // staging transfers may drop (bounded retries, degraded mode).
         let mut dls = hpcwaas::dls::DataLogistics::new();
         let staging = hpcwaas::dls::PipelineSpec::new()
             .stage("forcing-in", 50_000_000)
@@ -309,19 +308,6 @@ fn cmd_chaos(flags: &BTreeMap<String, String>) -> Result<(), String> {
             transfer.retries,
             if transfer.degraded { ", DEGRADED" } else { "" }
         );
-        let mut cluster = hpcwaas::cluster::Cluster::homogeneous(2, 8);
-        for i in 0..4 {
-            cluster
-                .submit(hpcwaas::cluster::JobSpec::new(&format!("member-{i}"), 4, 100))
-                .map_err(|e| e.to_string())?;
-        }
-        let schedule = cluster.schedule();
-        println!(
-            "cluster: {} placements, {} requeues",
-            schedule.placements.len(),
-            schedule.requeued
-        );
-
         let first = run_pipelined(params());
         (first, armed.fired())
     };
@@ -338,11 +324,8 @@ fn cmd_chaos(flags: &BTreeMap<String, String>) -> Result<(), String> {
         }
     };
     println!(
-        "recovered: {} tasks completed ({} restored from checkpoint, {} retries, {} timed out)",
-        report.metrics.completed,
-        report.metrics.restored,
-        report.metrics.retries,
-        report.metrics.timed_out
+        "recovered: {} tasks completed ({} restored from checkpoint, {} retries)",
+        report.metrics.completed, report.metrics.restored, report.metrics.retries
     );
 
     match obs::flight::dump("chaos: run complete") {

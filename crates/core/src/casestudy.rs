@@ -390,7 +390,7 @@ impl CaseStudy {
         // inference to: the years' CNN tasks (#16) queue for it and take
         // turns on the shared pool instead of time-slicing it, so year N's
         // products are complete before year N+1's.
-        config.workers[0] = WorkerProfile::gpu(4);
+        config.workers[0] = WorkerProfile::gpu();
         if let Some(ckpt) = &params.checkpoint {
             config = config.with_checkpoint(ckpt);
         }
@@ -443,7 +443,6 @@ impl CaseStudy {
         let builder = self
             .rt
             .task("esm_simulation")
-            .constraint(Constraint::cores(4))
             .key(&format!("esm-year-{year_index}"))
             .on_failure(self.recovery_policy());
         let builder = match prev {
@@ -859,6 +858,7 @@ impl CaseStudy {
     /// attaches the channel: nothing would drain it before the barrier.
     pub fn run(&self, order: RunOrder) -> Result<RunReport, WorkflowError> {
         let start = Instant::now();
+        let cpu_start = process_cpu();
         let baseline = self
             .submit_load_baseline()
             .map_err(WorkflowError::dataflow(WorkflowStage::Baseline))?;
@@ -980,7 +980,8 @@ impl CaseStudy {
         self.rt.barrier().map_err(WorkflowError::dataflow(WorkflowStage::Barrier))?;
         let record_paths =
             self.params.streaming.then(|| self.export_record_products(&baseline)).transpose()?;
-        let mut report = self.collect_report(start.elapsed(), &year_refs)?;
+        let cpu = cpu_start.zip(process_cpu()).map(|(a, b)| b.saturating_sub(a));
+        let mut report = self.collect_report(start.elapsed(), cpu, &year_refs)?;
         if let Some(record_paths) = record_paths {
             report.stream = Some(StreamSummary {
                 years_streamed: streamed,
@@ -1081,6 +1082,7 @@ impl CaseStudy {
     fn collect_report(
         &self,
         wall: Duration,
+        cpu: Option<Duration>,
         year_refs: &[YearTaskRefs],
     ) -> Result<RunReport, WorkflowError> {
         let truth = self.truth();
@@ -1179,6 +1181,8 @@ impl CaseStudy {
 
         Ok(RunReport {
             wall_time: wall,
+            cpu,
+            lanes: par::global().threads(),
             setup: self.model_setup,
             years,
             tasks,

@@ -122,7 +122,7 @@ mod tests {
         let m = &report.metrics;
         assert_eq!(
             m.tasks_per_worker.iter().sum::<u64>() as usize,
-            m.completed + m.failed + m.cancelled + m.timed_out,
+            m.completed + m.failed + m.cancelled,
             "{m:?}"
         );
         // The CNN product lists detections in timestep order.

@@ -84,6 +84,11 @@ pub(crate) fn process_cpu() -> Option<Duration> {
 #[derive(Debug, Clone)]
 pub struct RunReport {
     pub wall_time: Duration,
+    /// Process CPU time (user + system, every thread) spent over
+    /// `wall_time`; `None` where the platform does not report it.
+    pub cpu: Option<Duration>,
+    /// Lanes of the global `par` pool the run computed on.
+    pub lanes: usize,
     /// The CNN's set-up before the workflow ran.
     pub setup: ModelSetup,
     pub years: Vec<YearReport>,
@@ -125,6 +130,12 @@ impl RunReport {
         let mut s = String::new();
         let _ = writeln!(s, "== Climate-extremes workflow report ==");
         let _ = writeln!(s, "wall time: {:.2?}", self.wall_time);
+        let _ = write!(s, "parallelism: {} par lanes", self.lanes);
+        if let Some(cpu) = self.cpu {
+            let busy = cpu.as_secs_f64() / self.wall_time.as_secs_f64().max(1e-9);
+            let _ = write!(s, ", CPU {cpu:.2?}, {busy:.2} CPU/wall");
+        }
+        let _ = writeln!(s);
         let setup = &self.setup;
         let _ = write!(
             s,
@@ -232,7 +243,8 @@ impl RunReport {
     }
 
     /// The timed critical-path section: the measured path with per-step
-    /// durations, what-if speedups, slack summary and a self-time top list.
+    /// durations, one what-if speedup per task function on the path, slack
+    /// summary and a self-time top list.
     fn render_timed(&self, t: &dataflow::timing::TimedPath) -> String {
         let mut s = String::new();
         let _ = writeln!(
@@ -252,7 +264,7 @@ impl RunReport {
                 fmt_us(step.start_us)
             );
         }
-        for w in t.what_if.iter().take(3) {
+        for w in &t.what_if {
             let _ = writeln!(
                 s,
                 "  what-if {} were free: path {} ({:.2}x whole-run ceiling)",
@@ -287,6 +299,8 @@ mod tests {
     fn sample() -> RunReport {
         RunReport {
             wall_time: Duration::from_millis(1234),
+            cpu: Some(Duration::from_millis(2100)),
+            lanes: 2,
             setup: ModelSetup {
                 pretrained: true,
                 time: Duration::from_millis(2500),
@@ -331,14 +345,17 @@ mod tests {
         assert!(r.contains("validated=true"));
         assert!(
             r.contains(
-                "wall time: 1.23s\nsetup: CNN pre-trained in 2.50s (CPU 4.42s, 1.77 lanes busy)\n"
+                "wall time: 1.23s\nparallelism: 2 par lanes, CPU 2.10s, 1.70 CPU/wall\n\
+                 setup: CNN pre-trained in 2.50s (CPU 4.42s, 1.77 lanes busy)\n"
             ),
             "got:\n{r}"
         );
         let mut loaded = sample();
+        loaded.cpu = None;
         loaded.setup =
             ModelSetup { pretrained: false, time: Duration::from_micros(1500), cpu: None };
-        assert!(loaded.render().contains("setup: CNN loaded in 1.50ms\n"));
+        let r = loaded.render();
+        assert!(r.contains("parallelism: 2 par lanes\nsetup: CNN loaded in 1.50ms\n"), "got:\n{r}");
     }
 
     /// A spinning thread moves the process's CPU clock.

@@ -30,8 +30,6 @@ pub const SITE_TASK: &str = "dataflow.task";
 pub const SITE_POOL: &str = "par.worker";
 /// Injection site per DLS transfer-stage attempt: honors `Drop`.
 pub const SITE_TRANSFER: &str = "hpcwaas.dls.transfer";
-/// Injection site per cluster job placement: honors `Requeue`.
-pub const SITE_JOB: &str = "hpcwaas.cluster.job";
 /// Injection site at the start of each simulated ESM year: honors
 /// `Stall` and `Error`.
 pub const SITE_ESM: &str = "esm.year";
@@ -41,7 +39,6 @@ const MENU: &[(&str, &[Fault])] = &[
     (SITE_TASK, &[Fault::Panic, Fault::Stall { millis: 25 }, Fault::Error, Fault::Poison]),
     (SITE_POOL, &[Fault::Stall { millis: 25 }]),
     (SITE_TRANSFER, &[Fault::Drop]),
-    (SITE_JOB, &[Fault::Requeue]),
     (SITE_ESM, &[Fault::Stall { millis: 10 }, Fault::Error]),
 ];
 

@@ -16,8 +16,9 @@
 //!   their predecessors finish; the main program only blocks on
 //!   [`runtime::Runtime::fetch`] (synchronization, like PyCOMPSs
 //!   `compss_wait_on`) or [`runtime::Runtime::barrier`].
-//! * **Constraints** — tasks can require cores, memory or an accelerator
-//!   (`@constraint` decorator) and are only placed on matching workers.
+//! * **Constraints** — a task can require a worker kind, CPU or GPU
+//!   (`@constraint` decorator), and is only placed on workers of that
+//!   kind; the GPU kind stands for the accelerator partition.
 //! * **One placement rule** — an idle worker takes the oldest ready task
 //!   whose constraint its profile satisfies. Each pick is reported with
 //!   a duration estimate from the measured per-function means

@@ -35,7 +35,8 @@ pub struct Metrics {
     pub failed: usize,
     /// Cancelled task count.
     pub cancelled: usize,
-    /// Tasks that exceeded their per-task deadline.
+    /// Always 0: tasks have no deadline. Kept only for wfbench's reader
+    /// (ROADMAP 1(a2)).
     pub timed_out: usize,
     /// Tasks restored from the checkpoint log without executing.
     pub restored: usize,
@@ -81,8 +82,6 @@ pub struct StatusSnapshot {
     pub completed: usize,
     pub failed: usize,
     pub cancelled: usize,
-    /// Tasks that exceeded their per-task deadline.
-    pub timed_out: usize,
     /// Currently executing tasks with elapsed wall time.
     pub running_tasks: Vec<RunningTask>,
 }
@@ -90,27 +89,20 @@ pub struct StatusSnapshot {
 impl StatusSnapshot {
     /// Total tasks submitted so far.
     pub fn total(&self) -> usize {
-        self.pending
-            + self.ready
-            + self.running
-            + self.completed
-            + self.failed
-            + self.cancelled
-            + self.timed_out
+        self.pending + self.ready + self.running + self.completed + self.failed + self.cancelled
     }
 
     /// One-line human-readable summary.
     pub fn render(&self) -> String {
         format!(
-            "{}/{} done ({} running, {} ready, {} pending, {} failed, {} cancelled, {} timed out)",
-            self.completed + self.failed + self.cancelled + self.timed_out,
+            "{}/{} done ({} running, {} ready, {} pending, {} failed, {} cancelled)",
+            self.completed + self.failed + self.cancelled,
             self.total(),
             self.running,
             self.ready,
             self.pending,
             self.failed,
-            self.cancelled,
-            self.timed_out
+            self.cancelled
         )
     }
 }
@@ -222,7 +214,6 @@ impl StatusFold {
                     TaskOutcome::Completed => m.completed += 1,
                     TaskOutcome::Failed => m.failed += 1,
                     TaskOutcome::Cancelled => m.cancelled += 1,
-                    TaskOutcome::TimedOut => m.timed_out += 1,
                 }
                 // A restored task completes without ever starting: it
                 // carries no duration sample and no placement.
@@ -274,7 +265,6 @@ impl StatusFold {
                 TaskState::Completed => snap.completed += 1,
                 TaskState::Failed => snap.failed += 1,
                 TaskState::Cancelled => snap.cancelled += 1,
-                TaskState::TimedOut => snap.timed_out += 1,
             }
             if c.state == TaskState::Running {
                 let started = self.wall(c.start_us.unwrap_or(0));
@@ -406,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn backoff_retry_and_timeout_fold_like_their_plain_kin() {
+    fn backoff_retry_folds_like_a_plain_retry() {
         let mut f = StatusFold::new();
         f.apply(0, &EventKind::TaskSubmitted { task: 4, name: name() });
         f.apply(0, &EventKind::TaskStarted { task: 4, name: name(), worker: 0, attempt: 1 });
@@ -420,15 +410,15 @@ mod tests {
                 task: 4,
                 name: name(),
                 worker: None,
-                outcome: TaskOutcome::TimedOut,
+                outcome: TaskOutcome::Failed,
                 micros: 100,
             },
         );
         let s = f.snapshot();
-        assert_eq!(s.timed_out, 1);
+        assert_eq!(s.failed, 1);
         assert_eq!(s.total(), 1);
         assert_eq!((s.pending, s.ready, s.running), (0, 0, 0));
-        assert!(s.render().contains("1 timed out"));
+        assert!(s.render().contains("1 failed"));
     }
 
     #[test]

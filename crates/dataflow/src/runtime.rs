@@ -9,7 +9,7 @@
 //! or [`Runtime::barrier`] (`compss_barrier`).
 //!
 //! The state under the runtime lock is split in two. *Control state* is
-//! what the placement, retry and deadline paths read: the graph, the task
+//! what the placement and retry paths read: the graph, the task
 //! entries, data, the ready/delayed queues, the checkpoint log. *Report
 //! state* is one [`StatusFold`] of the task-lifecycle events, written only
 //! by `observe` as each event is emitted; metrics, placements, spans,
@@ -45,10 +45,10 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// `n` identical 4-core CPU workers, no checkpointing.
+    /// `n` CPU workers, no checkpointing.
     pub fn with_cpu_workers(n: usize) -> Self {
         RuntimeConfig {
-            workers: vec![WorkerProfile::cpu(4); n.max(1)],
+            workers: vec![WorkerProfile::cpu(); n.max(1)],
             checkpoint_path: None,
             seed: 0,
         }
@@ -90,10 +90,6 @@ struct TaskEntry<P: Payload> {
     policy: FailurePolicy,
     remaining_deps: usize,
     dependents: Vec<TaskId>,
-    /// Per-task deadline: attempts whose wall time exceeds it are
-    /// surfaced as `TimedOut` (checked post-hoc — threads can't be
-    /// interrupted — so the state flips when the attempt returns).
-    deadline: Option<Duration>,
 }
 
 struct DataEntry<P: Payload> {
@@ -224,7 +220,6 @@ impl<P: Payload> Runtime<P> {
             writes: Vec::new(),
             constraint: Constraint::any(),
             policy: FailurePolicy::default(),
-            deadline: None,
         }
     }
 
@@ -387,7 +382,6 @@ pub struct TaskBuilder<'rt, P: Payload> {
     writes: Vec<String>,
     constraint: Constraint,
     policy: FailurePolicy,
-    deadline: Option<Duration>,
 }
 
 impl<'rt, P: Payload> TaskBuilder<'rt, P> {
@@ -426,16 +420,6 @@ impl<'rt, P: Payload> TaskBuilder<'rt, P> {
     /// Failure policy (`on_failure` clause).
     pub fn on_failure(mut self, p: FailurePolicy) -> Self {
         self.policy = p;
-        self
-    }
-
-    /// Per-task deadline. An attempt whose wall time exceeds it is
-    /// surfaced as [`TaskState::TimedOut`] — its successors are
-    /// cancelled but the workflow does not abort and the task is not
-    /// retried, separating *slow* from *wrong* in monitoring. Checked
-    /// when the attempt returns (threads cannot be interrupted).
-    pub fn deadline(mut self, d: Duration) -> Self {
-        self.deadline = Some(d);
         self
     }
 
@@ -515,7 +499,6 @@ impl<'rt, P: Payload> TaskBuilder<'rt, P> {
             policy: self.policy,
             remaining_deps: remaining,
             dependents: Vec::new(),
-            deadline: self.deadline,
         };
         st.tasks.insert(id, entry);
         for p in &preds {
@@ -560,8 +543,8 @@ impl<'rt, P: Payload> TaskBuilder<'rt, P> {
 }
 
 /// The one terminal transition for a task that will never produce its
-/// outputs: `root` ends as `outcome` (`Failed`/`TimedOut` after an attempt
-/// of `micros`, or `Cancelled`) and every transitive dependent is
+/// outputs: `root` ends as `outcome` (`Failed` after an attempt of
+/// `micros`, or `Cancelled`) and every transitive dependent is
 /// `Cancelled`. Per task: state flip, closure drop, removal from the
 /// ready and delayed queues, one `TaskFinished`, output poisoning.
 /// Already-terminal tasks are skipped.
@@ -811,61 +794,47 @@ fn finish_task<P: Payload>(
 ) {
     let t = &st.tasks[&id];
     let (policy, name, declared_outputs) = (t.policy, Arc::clone(&t.name), t.writes.len());
-    if t.deadline.is_some_and(|d| Duration::from_micros(micros) > d) {
-        // Deadline check first: an attempt that came back too late is a
-        // timeout regardless of what it returned — the result is stale by
-        // definition and publishing it would hide the slowness. Never
-        // retried or escalated to an abort: a deadline separates slow
-        // from wrong.
-        terminate(shared, st, id, TaskOutcome::TimedOut, micros);
-    } else {
-        let message = match result {
-            Ok(outs) if outs.len() == declared_outputs => {
-                // Checkpoint before publishing (a crash after publishing
-                // but before logging only costs a re-execution).
-                if let Some(k) = t.key.clone() {
-                    let blobs: Vec<Vec<u8>> = outs.iter().map(|o| o.encode()).collect();
-                    if st.checkpoint.as_mut().is_some_and(|log| log.append(&k, &blobs).is_ok()) {
-                        let bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
-                        observe(
-                            shared,
-                            st,
-                            EventKind::CheckpointWritten { key: Arc::from(k), bytes },
-                        );
-                    }
+    let message = match result {
+        Ok(outs) if outs.len() == declared_outputs => {
+            // Checkpoint before publishing (a crash after publishing
+            // but before logging only costs a re-execution).
+            if let Some(k) = t.key.clone() {
+                let blobs: Vec<Vec<u8>> = outs.iter().map(|o| o.encode()).collect();
+                if st.checkpoint.as_mut().is_some_and(|log| log.append(&k, &blobs).is_ok()) {
+                    let bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
+                    observe(shared, st, EventKind::CheckpointWritten { key: Arc::from(k), bytes });
                 }
-                return complete(shared, st, id, Some(worker_idx), micros, outs);
             }
-            Ok(outs) => format!(
-                "output arity mismatch: declared {declared_outputs}, produced {}",
-                outs.len()
-            ),
-            Err(m) => m,
-        };
-        // The number of the attempt that just failed.
-        let attempt = st.fold.attempts(id);
-        if let FailurePolicy::RetryBackoff { max_retries, base_ms, cap_ms } = policy {
-            if attempt <= max_retries {
-                st.tasks.get_mut(&id).expect("retried task missing").state = TaskState::Ready;
-                let delay_ms =
-                    crate::inject::backoff_delay_ms(shared.seed, id.0, attempt, base_ms, cap_ms);
-                st.delayed.push((Instant::now() + Duration::from_millis(delay_ms), id));
-                observe(
-                    shared,
-                    st,
-                    EventKind::TaskRetryBackoff { task: id.0, name, attempt, delay_ms },
-                );
-                queue_depth(shared, st);
-                shared.work_cv.notify_all();
-                return;
-            }
+            return complete(shared, st, id, Some(worker_idx), micros, outs);
         }
-        terminate(shared, st, id, TaskOutcome::Failed, micros);
-        if policy != FailurePolicy::IgnoreCancelSuccessors {
-            // Fail fast: cancel everything no worker has started.
-            st.aborted = Some(Error::TaskFailed { task: id, name: name.to_string(), message });
-            cancel_unstarted(shared, st);
+        Ok(outs) => {
+            format!("output arity mismatch: declared {declared_outputs}, produced {}", outs.len())
         }
+        Err(m) => m,
+    };
+    // The number of the attempt that just failed.
+    let attempt = st.fold.attempts(id);
+    if let FailurePolicy::RetryBackoff { max_retries, base_ms, cap_ms } = policy {
+        if attempt <= max_retries {
+            st.tasks.get_mut(&id).expect("retried task missing").state = TaskState::Ready;
+            let delay_ms =
+                crate::inject::backoff_delay_ms(shared.seed, id.0, attempt, base_ms, cap_ms);
+            st.delayed.push((Instant::now() + Duration::from_millis(delay_ms), id));
+            observe(
+                shared,
+                st,
+                EventKind::TaskRetryBackoff { task: id.0, name, attempt, delay_ms },
+            );
+            queue_depth(shared, st);
+            shared.work_cv.notify_all();
+            return;
+        }
+    }
+    terminate(shared, st, id, TaskOutcome::Failed, micros);
+    if policy != FailurePolicy::IgnoreCancelSuccessors {
+        // Fail fast: cancel everything no worker has started.
+        st.aborted = Some(Error::TaskFailed { task: id, name: name.to_string(), message });
+        cancel_unstarted(shared, st);
     }
     queue_depth(shared, st);
     shared.work_cv.notify_all();
@@ -1071,7 +1040,7 @@ mod tests {
     #[test]
     fn gpu_task_lands_on_gpu_worker() {
         let config = RuntimeConfig {
-            workers: vec![WorkerProfile::cpu(4), WorkerProfile::gpu(4)],
+            workers: vec![WorkerProfile::cpu(), WorkerProfile::gpu()],
             ..RuntimeConfig::with_cpu_workers(1)
         };
         let rt: Runtime<Bytes> = Runtime::new(config);
@@ -1285,48 +1254,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_exceeded_is_timeout_not_failure() {
-        let rt = rt(2);
-        let slow = rt
-            .task("slow")
-            .writes(&["x"])
-            .deadline(Duration::from_millis(5))
-            .run(|_| {
-                std::thread::sleep(Duration::from_millis(40));
-                Ok(vec![Bytes::from_u64(1)])
-            })
-            .unwrap();
-        let dep = rt
-            .task("dep")
-            .reads(&[slow.outputs[0].clone()])
-            .writes(&["y"])
-            .run(|_| Ok(vec![Bytes::empty()]))
-            .unwrap();
-        // A timeout must NOT abort the workflow: the barrier succeeds.
-        rt.barrier().unwrap();
-        assert_eq!(rt.task_state(slow.id), Some(TaskState::TimedOut));
-        assert_eq!(rt.task_state(dep.id), Some(TaskState::Cancelled));
-        let m = rt.metrics();
-        assert_eq!(m.timed_out, 1);
-        assert_eq!(m.failed, 0, "timeouts are not failures");
-        assert_eq!(rt.status().timed_out, 1);
-    }
-
-    #[test]
-    fn task_within_deadline_completes_normally() {
-        let rt = rt(2);
-        let h = rt
-            .task("fast")
-            .writes(&["x"])
-            .deadline(Duration::from_secs(30))
-            .run(|_| Ok(vec![Bytes::from_u64(3)]))
-            .unwrap();
-        assert_eq!(rt.fetch(&h.outputs[0]).unwrap().as_u64(), Some(3));
-        rt.barrier().unwrap();
-        assert_eq!(rt.metrics().timed_out, 0);
-    }
-
-    #[test]
     fn retry_resets_attempt_timing() {
         // Regression: the retry path used to leave `started_us` from the
         // failed attempt in place, so the completed task's span covered
@@ -1380,29 +1307,6 @@ mod tests {
         assert_eq!(rt.fetch(&h.outputs[0]).unwrap().as_u64(), Some(11));
         rt.barrier().unwrap();
         assert_eq!(rt.metrics().retries, 1);
-    }
-
-    #[test]
-    fn chaos_injected_panic_drives_retry_policy() {
-        use obs::chaos::Fault;
-        // Fire a panic at the first dataflow.task consultation only.
-        let hits = Arc::new(AtomicU32::new(0));
-        let h2 = Arc::clone(&hits);
-        let _guard = obs::chaos::install(Arc::new(move |site: &str| {
-            (site == crate::inject::SITE_TASK && h2.fetch_add(1, Ordering::SeqCst) == 0)
-                .then_some((Fault::Panic, 0))
-        }));
-        let rt = rt(1);
-        let h = rt
-            .task("victim")
-            .writes(&["x"])
-            .on_failure(FailurePolicy::RetryBackoff { max_retries: 1, base_ms: 0, cap_ms: 0 })
-            .run(|_| Ok(vec![Bytes::from_u64(5)]))
-            .unwrap();
-        assert_eq!(rt.fetch(&h.outputs[0]).unwrap().as_u64(), Some(5));
-        rt.barrier().unwrap();
-        assert_eq!(rt.metrics().retries, 1);
-        assert!(hits.load(Ordering::SeqCst) >= 2, "site consulted once per attempt");
     }
 
     #[test]

@@ -78,24 +78,17 @@ pub enum TaskState {
     /// Never ran: a predecessor failed under `IgnoreCancelSuccessors`, or
     /// the workflow aborted.
     Cancelled,
-    /// Exceeded its per-task deadline: cancelled and surfaced as a
-    /// timeout rather than a failure (successors are still cancelled,
-    /// but the workflow does not abort).
-    TimedOut,
 }
 
 impl TaskState {
     /// True for states from which the task will never produce outputs.
     pub fn is_terminal_failure(self) -> bool {
-        matches!(self, TaskState::Failed | TaskState::Cancelled | TaskState::TimedOut)
+        matches!(self, TaskState::Failed | TaskState::Cancelled)
     }
 
     /// True when the task is finished one way or another.
     pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            TaskState::Completed | TaskState::Failed | TaskState::Cancelled | TaskState::TimedOut
-        )
+        matches!(self, TaskState::Completed | TaskState::Failed | TaskState::Cancelled)
     }
 }
 
@@ -106,7 +99,6 @@ impl From<obs::TaskOutcome> for TaskState {
             obs::TaskOutcome::Completed => TaskState::Completed,
             obs::TaskOutcome::Failed => TaskState::Failed,
             obs::TaskOutcome::Cancelled => TaskState::Cancelled,
-            obs::TaskOutcome::TimedOut => TaskState::TimedOut,
         }
     }
 }
@@ -131,8 +123,6 @@ mod tests {
     fn terminal_state_classification() {
         assert!(TaskState::Failed.is_terminal_failure());
         assert!(TaskState::Cancelled.is_terminal_failure());
-        assert!(TaskState::TimedOut.is_terminal_failure());
-        assert!(TaskState::TimedOut.is_terminal());
         assert!(!TaskState::Completed.is_terminal_failure());
         assert!(TaskState::Completed.is_terminal());
         assert!(!TaskState::Running.is_terminal());

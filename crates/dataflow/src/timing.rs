@@ -5,7 +5,7 @@
 //! durations and answers the optimisation questions a hop count cannot:
 //! which chain of tasks actually bounded the run, how much slack every
 //! off-path task had, and what the workflow would gain if a given task
-//! were free ([`TimedPath::what_if`]).
+//! function were free ([`TimedPath::what_if`]).
 //!
 //! The analysis is a classic two-sweep longest-path computation in
 //! topological order (task ids are submission-ordered and edges point
@@ -90,15 +90,16 @@ pub struct PathStep {
     pub duration_us: u64,
 }
 
-/// "If this path task were free, the path would shrink to `path_us`."
+/// "If every task of this function were free, the path would shrink to
+/// `path_us`."
 #[derive(Debug, Clone, PartialEq)]
 pub struct WhatIf {
-    pub task: TaskId,
+    /// A task function on the critical path.
     pub name: Arc<str>,
-    /// Critical path length with this task's duration zeroed.
+    /// Critical path length with every instance of the function zeroed.
     pub path_us: u64,
     /// `old path / new path` — the ceiling on whole-run speedup from
-    /// optimising only this task (Amdahl over the DAG).
+    /// optimising only this function (Amdahl over the DAG).
     pub speedup: f64,
 }
 
@@ -116,7 +117,7 @@ pub struct TimedPath {
     pub slack_us: Vec<(TaskId, u64)>,
     /// Total self-time and count per task name, largest first.
     pub self_time: Vec<(Arc<str>, u64, usize)>,
-    /// What-if speedups for the path's heaviest tasks, largest first.
+    /// One what-if per task function on the path, largest speedup first.
     pub what_if: Vec<WhatIf>,
 }
 
@@ -232,28 +233,32 @@ pub fn analyze(edges: &[(TaskId, TaskId)], spans: &[TaskSpan]) -> Option<TimedPa
         by_name.into_iter().map(|(k, (us, cnt))| (k, us, cnt)).collect();
     self_time.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
-    // What-if: re-run the forward pass with each of the heaviest path
-    // tasks zeroed. O(path · n), fine at workflow scale.
-    let mut heaviest: Vec<usize> = path_idx.clone();
-    heaviest.sort_by_key(|&i| std::cmp::Reverse(durs[i]));
-    let what_if: Vec<WhatIf> = heaviest
+    // What-if: for each function with time on the path, re-run the
+    // forward pass with all of its instances zeroed. O(functions · n),
+    // fine at workflow scale.
+    let mut functions: Vec<&Arc<str>> =
+        path_idx.iter().filter(|&&i| durs[i] > 0).map(|&i| &spans[i].name).collect();
+    functions.sort();
+    functions.dedup();
+    let mut what_if: Vec<WhatIf> = functions
         .into_iter()
-        .take(5)
-        .filter(|&i| durs[i] > 0)
-        .map(|i| {
-            let mut zeroed = durs.clone();
-            zeroed[i] = 0;
+        .map(|name| {
+            let zeroed: Vec<u64> = spans
+                .iter()
+                .zip(&durs)
+                .map(|(s, &d)| if s.name == *name { 0 } else { d })
+                .collect();
             let mut f = vec![0u64; n];
             let mut bp = vec![None; n];
             let (new_path, _) = forward_pass(n, &zeroed, &preds, &mut f, &mut bp);
             WhatIf {
-                task: spans[i].task,
-                name: Arc::clone(&spans[i].name),
+                name: Arc::clone(name),
                 path_us: new_path,
                 speedup: path_us as f64 / new_path.max(1) as f64,
             }
         })
         .collect();
+    what_if.sort_by(|a, b| a.path_us.cmp(&b.path_us).then(a.name.cmp(&b.name)));
 
     let wall_us = spans.iter().map(|s| s.end_us).max().unwrap_or(0)
         - spans.iter().map(|s| s.start_us).min().unwrap_or(0);
@@ -306,6 +311,41 @@ mod tests {
         let wi = t.what_if.iter().find(|w| &*w.name == "slow").unwrap();
         assert_eq!(wi.path_us, 25);
         assert!((wi.speedup - 70.0 / 25.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn what_if_zeroes_every_instance_of_a_function_at_once() {
+        // Three chained years of "sim" (100 each), each followed by a
+        // 40-long "ana" of that year:
+        //   sim1 → sim2 → sim3 → ana3
+        //      ↘ ana1   ↘ ana2
+        // Path: sim1 → sim2 → sim3 → ana3 = 340.
+        let edges = [
+            (TaskId(1), TaskId(2)),
+            (TaskId(2), TaskId(3)),
+            (TaskId(1), TaskId(4)),
+            (TaskId(2), TaskId(5)),
+            (TaskId(3), TaskId(6)),
+        ];
+        let spans = [
+            span(1, "sim", 0, 100),
+            span(2, "sim", 100, 200),
+            span(3, "sim", 200, 300),
+            span(4, "ana", 100, 140),
+            span(5, "ana", 200, 240),
+            span(6, "ana", 300, 340),
+        ];
+        let t = analyze(&edges, &spans).unwrap();
+        assert_eq!(t.path_us, 340);
+        assert_eq!(t.path.len(), 4);
+        let names: Vec<&str> = t.what_if.iter().map(|w| &*w.name).collect();
+        assert_eq!(names, vec!["sim", "ana"], "one entry per function, largest speedup first");
+        // Every sim free: only one 40-long ana remains on any chain. One
+        // instance at a time would leave 240.
+        assert_eq!(t.what_if[0].path_us, 40);
+        assert!((t.what_if[0].speedup - 340.0 / 40.0).abs() < 1e-9);
+        // Every ana free: the three sims remain.
+        assert_eq!(t.what_if[1].path_us, 300);
     }
 
     #[test]

@@ -151,7 +151,7 @@ fn streaming_master_loop_processes_years_as_they_appear() {
 fn wide_fanout_completes_under_constrained_pool() {
     // 64 tasks, some CPU-only, some GPU-only, on a mixed pool.
     let config = RuntimeConfig {
-        workers: vec![WorkerProfile::cpu(8), WorkerProfile::cpu(8), WorkerProfile::gpu(4)],
+        workers: vec![WorkerProfile::cpu(), WorkerProfile::cpu(), WorkerProfile::gpu()],
         ..RuntimeConfig::with_cpu_workers(1)
     };
     let rt: Runtime<Bytes> = Runtime::new(config);

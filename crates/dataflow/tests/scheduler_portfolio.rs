@@ -14,7 +14,7 @@ use std::time::Duration;
 /// Two CPU workers and one GPU worker (index 2).
 fn mixed_pool() -> Runtime<Bytes> {
     let config = RuntimeConfig {
-        workers: vec![WorkerProfile::cpu(4), WorkerProfile::cpu(4), WorkerProfile::gpu(2)],
+        workers: vec![WorkerProfile::cpu(), WorkerProfile::cpu(), WorkerProfile::gpu()],
         ..RuntimeConfig::with_cpu_workers(1)
     };
     Runtime::new(config)
@@ -108,7 +108,7 @@ fn each_task_runs_exactly_once_and_respects_constraints() {
 fn same_seed_reproduces_identical_placements() {
     fn placements(seed: u64) -> Vec<(u64, usize)> {
         let config = RuntimeConfig {
-            workers: vec![WorkerProfile::cpu(4)],
+            workers: vec![WorkerProfile::cpu()],
             seed,
             ..RuntimeConfig::with_cpu_workers(1)
         };
@@ -147,7 +147,7 @@ fn same_seed_reproduces_identical_placements() {
 #[test]
 fn incompatible_head_does_not_block_a_compatible_task_behind_it() {
     let config = RuntimeConfig {
-        workers: vec![WorkerProfile::cpu(4), WorkerProfile::gpu(4)],
+        workers: vec![WorkerProfile::cpu(), WorkerProfile::gpu()],
         ..RuntimeConfig::with_cpu_workers(1)
     };
     let rt: Runtime<Bytes> = Runtime::new(config);

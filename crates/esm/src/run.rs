@@ -302,20 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_error_at_year_boundary_surfaces_as_io_error() {
-        use std::sync::Arc;
-        let _guard = obs::chaos::install(Arc::new(|site: &str| {
-            (site == "esm.year").then_some((obs::chaos::Fault::Error, 0))
-        }));
-        let dir = tmpdir("chaos-year");
-        let mut sim = Simulation::new(small_cfg(), &dir).unwrap();
-        let err = sim.run_years(1, |_, _, _| {}).unwrap_err();
-        assert!(err.to_string().contains("chaos"), "unexpected error: {err}");
-        assert_eq!(sim.years_completed(), 0);
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "no files before the fault");
-    }
-
-    #[test]
     fn truth_matches_generated_events() {
         let dir = tmpdir("truth");
         let cfg = small_cfg().with_seed(77);

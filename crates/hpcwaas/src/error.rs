@@ -15,8 +15,6 @@ pub enum Error {
     NotFound(String),
     /// Operation invalid in the current lifecycle state.
     BadState { entity: String, state: String, operation: String },
-    /// Cluster cannot ever satisfy a job's resource request.
-    UnsatisfiableJob(String),
     /// Workflow body failed during execution.
     ExecutionFailed(String),
     /// Admission control refused the submission (quota, rate limit, or
@@ -36,7 +34,6 @@ impl fmt::Display for Error {
             Error::BadState { entity, state, operation } => {
                 write!(f, "cannot {operation} {entity} in state {state}")
             }
-            Error::UnsatisfiableJob(m) => write!(f, "unsatisfiable job: {m}"),
             Error::ExecutionFailed(m) => write!(f, "execution failed: {m}"),
             Error::Rejected(r) => write!(f, "admission rejected: {r}"),
         }

@@ -4,7 +4,8 @@
 //! climate workflow: Alien4Cloud TOSCA topologies, the Yorc orchestrator,
 //! the Container Image Creation service, the Data Logistics Service and
 //! the HPCWaaS Execution API, all targeting an LSF-scheduled cluster
-//! (Zeus). This crate implements working equivalents of each:
+//! (Zeus). This crate implements working equivalents of each but the
+//! cluster, which stays a node template of the topology (`hpc.Cluster`):
 //!
 //! * [`tosca`] — a topology document model (node types, templates,
 //!   properties, `hosted_on`/`uses`/`depends_on` requirements) plus a
@@ -17,8 +18,6 @@
 //!   redeploying a workflow is cheap (claim C5);
 //! * [`dls`] — declarative stage-in/stage-out pipelines over a
 //!   bandwidth/latency transfer model (claim A2);
-//! * [`cluster`] — a simulated HPC cluster with an LSF-like FCFS+backfill
-//!   queue, which gives deployments and jobs something real to land on;
 //! * [`api`] — the HPCWaaS Execution API: a workflow registry plus the
 //!   deploy / submit / status / undeploy lifecycle the end user sees;
 //! * [`serve`] — the multi-tenant serving layer underneath the API:
@@ -27,7 +26,6 @@
 //!   typed rejections instead of unbounded thread spawns.
 
 pub mod api;
-pub mod cluster;
 pub mod containers;
 pub mod dls;
 pub mod error;
@@ -36,7 +34,6 @@ pub mod serve;
 pub mod tosca;
 
 pub use api::{DeploymentId, ExecutionApi, ExecutionHandle, ExecutionId, ExecutionStatus};
-pub use cluster::{Cluster, JobSpec};
 pub use containers::{BuildService, ImageSpec};
 pub use dls::{DataLogistics, PipelineSpec};
 pub use error::{Error, Result};

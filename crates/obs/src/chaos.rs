@@ -19,9 +19,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A fault to apply at an injection site. Sites interpret the variants
 /// they understand and ignore the rest: the dataflow runtime honors
-/// `Panic`/`Stall`/`Error`/`Poison`, the DLS honors `Drop`, the cluster
-/// simulator honors `Requeue`, the compute pool honors `Stall`, and the
-/// ESM's daily-file write honors `Poison` (it leaves a torn file).
+/// `Panic`/`Stall`/`Error`/`Poison`, the DLS honors `Drop`, the compute
+/// pool honors `Stall`, and the ESM's daily-file write honors `Poison`
+/// (it leaves a torn file).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Panic inside the instrumented code path.
@@ -34,8 +34,6 @@ pub enum Fault {
     Poison,
     /// Drop a transfer stage (the DLS retries it).
     Drop,
-    /// Bounce a batch job back to the queue (the cluster re-places it).
-    Requeue,
 }
 
 impl Fault {
@@ -47,7 +45,6 @@ impl Fault {
             Fault::Error => "error",
             Fault::Poison => "poison",
             Fault::Drop => "drop",
-            Fault::Requeue => "requeue",
         }
     }
 }
@@ -135,6 +132,9 @@ mod tests {
 
     #[test]
     fn disarmed_fire_is_none() {
+        // Holding the gate keeps a concurrent test from arming a hook
+        // while this one asserts the disarmed path.
+        let _gate = gate().lock().unwrap_or_else(PoisonError::into_inner);
         assert!(fire("nowhere").is_none());
         assert!(point("nowhere").is_ok());
     }
@@ -170,6 +170,5 @@ mod tests {
         assert_eq!(Fault::Stall { millis: 3 }.label(), "stall");
         assert_eq!(Fault::Poison.label(), "poison");
         assert_eq!(Fault::Drop.label(), "drop");
-        assert_eq!(Fault::Requeue.label(), "requeue");
     }
 }

@@ -3,7 +3,7 @@
 //! One enum covers every subsystem on purpose: a subscriber watching a
 //! whole-workflow run (the `climate-wf run --trace` tracer, a dashboard, a
 //! test asserting trace well-formedness) needs a single stream in which a
-//! task span, a datacube kernel and a simulated batch-job placement are
+//! task span, a datacube kernel and a DLS transfer stage are
 //! ordered against each other. Names that repeat across many events are
 //! `Arc<str>` so constructing an event is an allocation-free handful of
 //! word copies.
@@ -16,9 +16,6 @@ pub enum TaskOutcome {
     Completed,
     Failed,
     Cancelled,
-    /// Exceeded its per-task deadline; surfaced distinctly from `Failed`
-    /// so monitoring can separate slowness from wrongness.
-    TimedOut,
 }
 
 impl TaskOutcome {
@@ -28,7 +25,6 @@ impl TaskOutcome {
             TaskOutcome::Completed => "completed",
             TaskOutcome::Failed => "failed",
             TaskOutcome::Cancelled => "cancelled",
-            TaskOutcome::TimedOut => "timed_out",
         }
     }
 }
@@ -83,9 +79,7 @@ pub enum EventKind {
     /// A daily output file landed on disk.
     FileWritten { path: Arc<str>, bytes: u64, micros: u64 },
 
-    // --- hpcwaas: cluster / DLS / containers / execution API ----------
-    /// The batch simulator placed a job.
-    JobScheduled { job: Arc<str>, node: usize, wait_ms: u64, duration_ms: u64 },
+    // --- hpcwaas: DLS / containers / execution API --------------------
     /// The Data Logistics Service executed one transfer stage.
     TransferStaged { label: Arc<str>, bytes: u64, virtual_ms: u64 },
     /// The Container Image Creation service finished a build.
@@ -146,7 +140,6 @@ impl EventKind {
             EventKind::OperatorDone { .. } => "operator_done",
             EventKind::StepCompleted { .. } => "step_completed",
             EventKind::FileWritten { .. } => "file_written",
-            EventKind::JobScheduled { .. } => "job_scheduled",
             EventKind::TransferStaged { .. } => "transfer_staged",
             EventKind::ImageBuilt { .. } => "image_built",
             EventKind::ExecutionStarted { .. } => "execution_started",

@@ -133,12 +133,6 @@ fn write_fields(s: &mut String, e: &Event) {
             field_u(s, "bytes", *bytes);
             field_u(s, "dur_us", *micros);
         }
-        EventKind::JobScheduled { job, node, wait_ms, duration_ms } => {
-            field_s(s, "job", job);
-            field_u(s, "node", *node as u64);
-            field_u(s, "wait_ms", *wait_ms);
-            field_u(s, "duration_ms", *duration_ms);
-        }
         EventKind::TransferStaged { label, bytes, virtual_ms } => {
             field_s(s, "label", label);
             field_u(s, "bytes", *bytes);
@@ -332,7 +326,6 @@ fn slice_name(kind: &EventKind) -> String {
             let base = path.rsplit('/').next().unwrap_or(path);
             format!("write {base}")
         }
-        EventKind::JobScheduled { job, .. } => format!("job {job}"),
         EventKind::TransferStaged { label, .. } => format!("transfer {label}"),
         EventKind::ImageBuilt { image, .. } => format!("image {image}"),
         EventKind::ExecutionStarted { workflow, .. } => format!("exec {workflow}"),
@@ -436,10 +429,6 @@ impl Fold {
                     f.observe("esm_write_us", &[], *micros);
                     f.add("esm_files_written_total", &[], 1);
                     f.add("esm_bytes_written_total", &[], *bytes);
-                }
-                EventKind::JobScheduled { wait_ms, .. } => {
-                    f.observe("hpcwaas_job_wait_ms", &[], *wait_ms);
-                    f.add("hpcwaas_jobs_scheduled_total", &[], 1);
                 }
                 EventKind::TransferStaged { virtual_ms, .. } => {
                     f.observe("hpcwaas_stage_ms", &[], *virtual_ms)

@@ -108,6 +108,43 @@ if git grep --untracked -nE 'metrics\.(completed|failed|cancelled|timed_out|rest
   exit 1
 fi
 
+echo "== chaos sites agree: every planned site is fired, every fired site is planned =="
+# dataflow::inject's MENU is what a seeded plan may target; product code
+# consults sites with obs::chaos::fire / obs::chaos::point. A MENU site
+# that no product code fires plans faults that never land, and a fired
+# site missing from MENU is one no seeded plan can reach. Sites reached
+# only by hand-armed hooks are listed in `exempt` below. Non-test code is
+# each file's lines before its first #[cfg(test)].
+python3 - <<'EOF'
+import glob, re, sys
+exempt = {"esm.write_day"}  # Poison tears a day file; armed by hand in tests
+inject = open("crates/dataflow/src/inject.rs").read()
+consts = dict(re.findall(r'pub const (SITE_\w+): &str = "([^"]+)";', inject))
+def resolve(arg):
+    m = re.fullmatch(r'"([^"]+)"', arg)
+    return m.group(1) if m else consts.get(arg.split("::")[-1])
+menu_src = re.search(r"const MENU[^=]*= &\[(.*?)\n\];", inject, re.S).group(1)
+menu = {resolve(a) or a for a in re.findall(r"^\s*\(([^,]+),", menu_src, re.M)}
+fired, bad = set(), []
+for path in sorted(glob.glob("crates/*/src/**/*.rs", recursive=True)):
+    code = re.sub(r"//.*", "", open(path).read().split("#[cfg(test)]")[0])
+    for m in re.finditer(r"chaos::(?:fire|point)\(\s*([^)]*?)\s*\)", code):
+        site = resolve(m.group(1))
+        line = code.count("\n", 0, m.start()) + 1
+        if site is None:
+            bad.append(f"{path}:{line}: fires a site that is no literal or SITE_ const: {m.group(1)}")
+            continue
+        fired.add(site)
+        if site not in menu and site not in exempt:
+            bad.append(f"{path}:{line}: fires '{site}', which is not in dataflow::inject's MENU")
+for site in sorted(menu - fired):
+    bad.append(f"crates/dataflow/src/inject.rs: MENU site '{site}' is fired by no product code")
+if bad:
+    print("\n".join(bad), file=sys.stderr)
+    sys.exit(1)
+print(f"chaos sites OK: {len(menu)} planned, {len(fired)} fired ({', '.join(sorted(fired))})")
+EOF
+
 echo "== dataflow lifecycle accounting under a thread sweep =="
 # The fold is updated under the runtime lock from every worker thread; a
 # lost update would show as a flaky count, so repeat at each pool width.

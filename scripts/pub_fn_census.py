@@ -69,9 +69,6 @@ ALLOWLIST = {
     ("crates/dataflow/src/runtime.rs", ("subscribe",)):
         ("tests/chaos_suite.rs",
          "probe: a chaos run's own event stream must show every task reach a terminal state"),
-    ("crates/dataflow/src/runtime.rs", ("deadline",)):
-        ("crates/dataflow/tests/ledger_replay.rs",
-         "probe: wfbench reads `Metrics.timed_out`, which only a deadline feeds"),
     ("crates/dataflow/src/payload.rs", ("from_u64", "as_u64")):
         ("crates/dataflow/tests/proptest_dag.rs",
          "probe: writes and reads back the task outputs of the DAG property tests"),
