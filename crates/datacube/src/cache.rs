@@ -19,9 +19,8 @@ use crate::model::Cube;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Default byte budget for the process-wide cache when the
-/// `CUBE_CACHE_BUDGET_MB` environment variable is unset.
-const DEFAULT_BUDGET_MB: usize = 512;
+/// Byte budget of the process-wide cache, in MB.
+const GLOBAL_BUDGET_MB: usize = 512;
 
 /// One cache slot.
 enum Slot {
@@ -84,17 +83,11 @@ impl CubeCache {
         CubeCache { state: Mutex::new(CacheState::default()), cv: Condvar::new(), budget_bytes }
     }
 
-    /// The process-wide cache shared by every workflow in this process
-    /// (budget from `CUBE_CACHE_BUDGET_MB`, default 512).
+    /// The process-wide cache shared by every workflow in this process,
+    /// with a fixed 512 MB budget.
     pub fn global() -> &'static CubeCache {
         static GLOBAL: OnceLock<CubeCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let mb = std::env::var("CUBE_CACHE_BUDGET_MB")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(DEFAULT_BUDGET_MB);
-            CubeCache::new(mb.saturating_mul(1 << 20))
-        })
+        GLOBAL.get_or_init(|| CubeCache::new(GLOBAL_BUDGET_MB << 20))
     }
 
     /// Returns the cube for `key`, running `load` only if no resident or

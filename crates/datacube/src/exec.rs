@@ -234,7 +234,7 @@ mod tests {
     fn skewed_fragment_sizes_keep_all_lanes_busy() {
         // A dedicated pool so the host's core count (possibly 1) cannot
         // serialize the lanes: 4 OS threads sleep concurrently.
-        let pool = par::Pool::new(4);
+        let pool = par::Pool::with_name(4, "adhoc");
         let input = frags(9, 1, 1);
         let rx = obs::global().subscribe();
         let t0 = Instant::now();

@@ -192,11 +192,6 @@ pub struct Tape {
 }
 
 impl Tape {
-    /// The instruction stream (diagnostics/tests).
-    pub fn ops(&self) -> &[TapeOp] {
-        &self.ops
-    }
-
     /// Creates a reusable evaluator (owns the operand stack so per-block
     /// evaluation allocates nothing).
     pub fn evaluator(&self) -> TapeEval<'_> {
@@ -767,7 +762,7 @@ mod tests {
         let e = Expr::parse("predicate(x > 0, 1, 0)").unwrap();
         let t = e.tape();
         assert_eq!(t.max_depth, 4, "lhs+rhs+then+else live at once");
-        assert_eq!(t.ops().len(), 5);
+        assert_eq!(t.ops.len(), 5);
     }
 
     #[test]

@@ -60,9 +60,7 @@ use crate::model::{Cube, DimKind, Dimension, Fragment, SharedData};
 use crate::ops::{self, InterOp, ReduceOp};
 
 /// Per-row series kernel of a `map_series` terminal: reads the (virtual)
-/// row and writes exactly `out_len` values. It may borrow for `'f` — that
-/// is how [`ops::map_series`] lends its caller's closure to a one-node
-/// chain.
+/// row and writes exactly `out_len` values. It may borrow for `'f`.
 pub type SeriesFn<'f> = dyn Fn(&[f32], &mut [f32]) + Send + Sync + 'f;
 
 enum Step {
@@ -170,9 +168,9 @@ impl<'f> Pipeline<'f> {
         self.end(Terminal::Reduce { op, dim: dim.into() })
     }
 
-    /// Terminal per-row series transform (as [`ops::map_series`], with the
-    /// kernel writing into a preallocated `out_len` slice instead of
-    /// returning a `Vec`). Must be the last stage.
+    /// Terminal per-row series transform (as the scalar oracle's
+    /// `map_series`, with the kernel writing into a preallocated `out_len`
+    /// slice instead of returning a `Vec`). Must be the last stage.
     pub fn map_series(
         self,
         out_dim: &str,

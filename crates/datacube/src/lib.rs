@@ -12,7 +12,7 @@
 //!   and *implicit* (in-array, e.g. time) dimensions;
 //! * [`ops`] — the operator set the workflow uses: `importnc`,
 //!   `reduce`, `apply` (with an `oph_predicate`-style expression language,
-//!   [`expr`]), `intercube`, `concat_implicit`, `map_series`, `exportnc`;
+//!   [`expr`]), `intercube`, `concat_implicit`, `exportnc`;
 //! * [`fuse`] — the one execution engine behind those operators: compiles
 //!   an apply→intercube→reduce chain (or a single operator) into one
 //!   vectorized kernel per fragment, bitwise-equal to the scalar kernels

@@ -68,19 +68,9 @@ impl SharedData {
     }
 
     /// O(1) sub-window `[lo, hi)` of this payload (shares the buffer).
-    pub fn slice(&self, lo: usize, hi: usize) -> Self {
+    fn slice(&self, lo: usize, hi: usize) -> Self {
         assert!(lo <= hi && hi <= self.len, "slice {lo}..{hi} out of window len {}", self.len);
         SharedData { buf: Arc::clone(&self.buf), off: self.off + lo, len: hi - lo }
-    }
-
-    /// Window length in elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The window as a slice.

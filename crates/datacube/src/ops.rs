@@ -4,14 +4,14 @@
 //! what the paper's heat/cold-wave and TC pipelines use: NetCDF
 //! import/export, time reduction, element-wise `apply` with the
 //! expression language, cube–cube arithmetic (with per-row broadcasting
-//! for baseline climatologies), implicit-dimension concatenation
-//! (stacking days into a year), and a generic per-row series transform
-//! for run-length analytics.
+//! for baseline climatologies) and implicit-dimension concatenation
+//! (stacking days into a year).
 //!
 //! **One engine, scalar oracle.** The operators that traverse fragment
-//! payloads — [`reduce`], [`apply`], [`intercube`], [`map_series`] — are
-//! one-node chains on [`crate::fuse::Pipeline`], the only code that runs
-//! them in production;
+//! payloads — [`reduce`], [`apply`], [`intercube`] — are one-node chains
+//! on [`crate::fuse::Pipeline`], the only code that runs them in
+//! production (a per-row series transform is a `Pipeline::map_series`
+//! terminal);
 //! the operator-by-operator kernels they used to be live in [`scalar`] as
 //! the conformance suite's oracle. The other operators re-window or
 //! stream buffers and have a single implementation here.
@@ -30,7 +30,6 @@ use crate::fuse::Pipeline;
 use crate::model::{Cube, DimKind, Dimension, Fragment, SharedData};
 use ncformat::{Reader, Value, Writer};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Reduction kernels over an implicit dimension.
 ///
@@ -375,42 +374,6 @@ pub fn concat_implicit(cubes: &[&Cube], dim: &str) -> Result<Cube> {
 /// Values in one row block of [`concat_implicit`]'s output (16 KiB).
 const CONCAT_BLOCK_VALUES: usize = 4096;
 
-/// Generic per-row series transform: each row's implicit array is mapped to
-/// a new array of `out_len` values (`out_dim` names the resulting implicit
-/// dimension). This is the extension point the heat-wave run-length
-/// analytics build on.
-///
-/// `f` must return exactly `out_len` values: any other length on any row
-/// fails the operator with [`Error::SeriesLength`] (reporting the shortest
-/// offending length, whatever the lane scheduling).
-pub fn map_series<F>(
-    cube: &Cube,
-    out_dim: &str,
-    out_len: usize,
-    cfg: ExecConfig,
-    f: F,
-) -> Result<Cube>
-where
-    F: Fn(&[f32]) -> Vec<f32> + Sync,
-{
-    // The engine's series terminal writes into a preallocated slice: a
-    // wrong-length row is recorded, never copied, truncated or padded.
-    let bad_len = AtomicUsize::new(usize::MAX);
-    let kernel = |row: &[f32], out: &mut [f32]| {
-        let mapped = f(row);
-        if mapped.len() == out.len() {
-            out.copy_from_slice(&mapped);
-        } else {
-            bad_len.fetch_min(mapped.len(), Ordering::SeqCst);
-        }
-    };
-    let out = Pipeline::new().map_series(out_dim, out_len, kernel).run(cube, cfg);
-    match bad_len.load(Ordering::SeqCst) {
-        usize::MAX => Ok(out?.cube),
-        actual => Err(Error::SeriesLength { expected: out_len, actual }),
-    }
-}
-
 /// Reinterprets a cube with no implicit dimension as having a singleton
 /// implicit dimension (`dim`, coordinate `coord`). This is how per-day
 /// reductions (daily tmax maps) become stackable into a year series with
@@ -605,69 +568,6 @@ mod tests {
         assert_eq!(y.implicit_len(), 8);
         assert_eq!(y.row_series(0).unwrap()[..4], a.to_dense()[..4]);
         y.validate().unwrap();
-    }
-
-    #[test]
-    fn map_series_runs_custom_kernels() {
-        let c = sample();
-        // Cumulative sum per row.
-        let out = map_series(&c, "csum", 4, cfg(), |row| {
-            let mut acc = 0.0;
-            row.iter()
-                .map(|&v| {
-                    acc += v;
-                    acc
-                })
-                .collect()
-        })
-        .unwrap();
-        assert_eq!(out.row_series(0).unwrap(), &[0.0, 10.0, 30.0, 60.0]);
-
-        // Collapsing kernel.
-        let out = map_series(&c, "n", 1, cfg(), |row| vec![row.len() as f32]).unwrap();
-        assert_eq!(out.to_dense(), vec![4.0; 4]);
-
-        // Wrong arity must be detected.
-        assert!(matches!(
-            map_series(&c, "bad", 2, cfg(), |_| vec![0.0]),
-            Err(Error::SeriesLength { .. })
-        ));
-    }
-
-    /// A closure that returns too few or too many values on ANY row of ANY
-    /// fragment must fail the operator with `SeriesLength` — not panic in a
-    /// pool lane copying into the engine's preallocated row, not truncate.
-    #[test]
-    fn map_series_wrong_arity_on_one_row_is_a_typed_error() {
-        let dims = vec![
-            Dimension::explicit("cell", (0..40).map(|c| c as f64).collect::<Vec<_>>()),
-            Dimension::implicit("time", vec![0.0, 1.0, 2.0]),
-        ];
-        let data: Vec<f32> = (0..120).map(|i| i as f32).collect();
-        let c = Cube::from_dense("v", dims, data, 7, 3).unwrap();
-        let cfg = ExecConfig::with_servers(4);
-        for bad_row in [0.0f32, 57.0, 117.0] {
-            for wrong in [0usize, 1, 3, 9] {
-                let r = map_series(&c, "m", 2, cfg, |row| {
-                    vec![1.0; if row[0] == bad_row { wrong } else { 2 }]
-                });
-                match r {
-                    Err(Error::SeriesLength { expected: 2, actual }) => assert_eq!(actual, wrong),
-                    other => panic!("row {bad_row} returning {wrong} values: {other:?}"),
-                }
-            }
-        }
-        // The shortest offending length is reported, whatever the schedule.
-        let r = map_series(&c, "m", 2, cfg, |row| vec![0.0; 3 + row[0] as usize % 4]);
-        assert!(matches!(r, Err(Error::SeriesLength { expected: 2, actual: 3 })));
-        // out_len 0 leaves rows without a value (a schema error either
-        // way), but a non-empty return is still reported as the arity
-        // violation it is, as the scalar kernel does.
-        assert!(matches!(
-            map_series(&c, "m", 0, cfg, |_| vec![0.0]),
-            Err(Error::SeriesLength { expected: 0, actual: 1 })
-        ));
-        assert!(matches!(map_series(&c, "m", 0, cfg, |_| vec![]), Err(Error::SchemaMismatch(_))));
     }
 
     #[test]

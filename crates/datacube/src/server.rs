@@ -229,18 +229,6 @@ impl CubeHandle {
         Ok(self.derive(out))
     }
 
-    /// Per-row series transform (extension point for run-length analytics).
-    pub fn map_series<F>(&self, out_dim: &str, out_len: usize, f: F) -> Result<CubeHandle>
-    where
-        F: Fn(&[f32]) -> Vec<f32> + Sync,
-    {
-        let src = self.cube()?;
-        let cfg = self.server.cfg;
-        let out =
-            self.server.record("map_series", || ops::map_series(&src, out_dim, out_len, cfg, f))?;
-        Ok(self.derive(out))
-    }
-
     /// Export to an NCX file (`exportnc2` in Listing 1).
     pub fn exportnc(&self, path: &Path) -> Result<()> {
         let src = self.cube()?;
@@ -325,13 +313,6 @@ mod tests {
         for r in 0..3 {
             assert_eq!(c.row_series(r).unwrap(), &[0.0, 1.0, 2.0, 3.0]);
         }
-    }
-
-    #[test]
-    fn map_series_via_handles() {
-        let (_client, h) = client_with_cube();
-        let m = h.map_series("sum", 1, |row| vec![row.iter().sum()]).unwrap();
-        assert_eq!(m.cube().unwrap().to_dense(), vec![6.0, 22.0, 38.0]);
     }
 
     #[test]

@@ -407,12 +407,18 @@ fn public_operators_match_their_scalar_kernels() {
             let engine = ops::reduce(&src, op, "time", cfg).unwrap();
             same("reduce", &engine, &ops::scalar::reduce(&src, op, "time", cfg).unwrap());
             let window = 1 + nt / 2;
+            let engine = Pipeline::new()
+                .map_series("time_rolling", nt - window + 1, |row, out| {
+                    for (o, w) in out.iter_mut().zip(row.windows(window)) {
+                        *o = op.apply(w);
+                    }
+                })
+                .run(&src, cfg);
             let rolling =
                 |row: &[f32]| -> Vec<f32> { row.windows(window).map(|w| op.apply(w)).collect() };
-            let engine = ops::map_series(&src, "time_rolling", nt - window + 1, cfg, rolling);
             let oracle =
                 ops::scalar::map_series(&src, "time_rolling", nt - window + 1, cfg, rolling);
-            same("rolling map_series", &engine.unwrap(), &oracle.unwrap());
+            same("rolling map_series", &engine.unwrap().cube, &oracle.unwrap());
         }
         for expr in expr_pool() {
             let engine = ops::apply(&src, &expr, cfg).unwrap();
@@ -427,8 +433,16 @@ fn public_operators_match_their_scalar_kernels() {
         }
         // Pure data movement plus a NaN-linear op: two separately compiled
         // copies of an accumulating closure may commute a NaN + NaN add.
+        let engine = Pipeline::new()
+            .map_series("flip", nt, |row, out| {
+                for (o, v) in out.iter_mut().zip(row.iter().rev()) {
+                    *o = v * 0.5;
+                }
+            })
+            .run(&src, cfg)
+            .unwrap();
         let flip = |row: &[f32]| row.iter().rev().map(|v| v * 0.5).collect::<Vec<f32>>();
-        let engine = ops::map_series(&src, "flip", nt, cfg, flip).unwrap();
-        same("map_series", &engine, &ops::scalar::map_series(&src, "flip", nt, cfg, flip).unwrap());
+        let oracle = ops::scalar::map_series(&src, "flip", nt, cfg, flip).unwrap();
+        same("map_series", &engine.cube, &oracle);
     }
 }

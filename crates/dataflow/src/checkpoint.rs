@@ -14,13 +14,12 @@ use crate::error::{Error, Result};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"DFCP";
 
 /// Append-only checkpoint log.
 pub struct CheckpointLog {
-    path: PathBuf,
     file: File,
     /// Keys already present (loaded + appended this run).
     restored: HashMap<String, Vec<Vec<u8>>>,
@@ -30,19 +29,19 @@ impl CheckpointLog {
     /// Opens (creating if needed) the log at `path` and loads every intact
     /// record.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
         let restored = if path.exists() {
-            Self::load(&path)?
+            Self::load(path)?
         } else {
-            let mut f = File::create(&path).map_err(|e| Error::Checkpoint(e.to_string()))?;
+            let mut f = File::create(path).map_err(|e| Error::Checkpoint(e.to_string()))?;
             f.write_all(MAGIC).map_err(|e| Error::Checkpoint(e.to_string()))?;
             HashMap::new()
         };
         let file = OpenOptions::new()
             .append(true)
-            .open(&path)
+            .open(path)
             .map_err(|e| Error::Checkpoint(e.to_string()))?;
-        Ok(CheckpointLog { path, file, restored })
+        Ok(CheckpointLog { file, restored })
     }
 
     fn load(path: &Path) -> Result<HashMap<String, Vec<Vec<u8>>>> {
@@ -105,16 +104,6 @@ impl CheckpointLog {
         self.restored.get(key)
     }
 
-    /// Number of restored/logged entries.
-    pub fn len(&self) -> usize {
-        self.restored.len()
-    }
-
-    /// True when the log holds no completed tasks.
-    pub fn is_empty(&self) -> bool {
-        self.restored.is_empty()
-    }
-
     /// Appends a completed task's outputs and flushes to disk.
     pub fn append(&mut self, key: &str, outputs: &[Vec<u8>]) -> Result<()> {
         let mut buf = Vec::with_capacity(64);
@@ -132,16 +121,12 @@ impl CheckpointLog {
         self.restored.insert(key.to_string(), outputs.to_vec());
         Ok(())
     }
-
-    /// Path of the underlying log file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("dataflow-ckpt");
@@ -156,12 +141,12 @@ mod tests {
         let path = tmp("basic.log");
         {
             let mut log = CheckpointLog::open(&path).unwrap();
-            assert!(log.is_empty());
+            assert!(log.restored.is_empty());
             log.append("task-a", &[vec![1, 2], vec![]]).unwrap();
             log.append("task-b", &[vec![9]]).unwrap();
         }
         let log = CheckpointLog::open(&path).unwrap();
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.restored.len(), 2);
         assert_eq!(log.lookup("task-a").unwrap(), &vec![vec![1, 2], vec![]]);
         assert_eq!(log.lookup("task-b").unwrap(), &vec![vec![9u8]]);
         assert!(log.lookup("task-c").is_none());
@@ -193,7 +178,7 @@ mod tests {
             f.write_all(b"partial").unwrap();
         }
         let log = CheckpointLog::open(&path).unwrap();
-        assert_eq!(log.len(), 1);
+        assert_eq!(log.restored.len(), 1);
         assert!(log.lookup("good").is_some());
     }
 
@@ -216,6 +201,6 @@ mod tests {
             log.append("b", &[vec![2]]).unwrap();
         }
         let log = CheckpointLog::open(&path).unwrap();
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.restored.len(), 2);
     }
 }

@@ -91,20 +91,6 @@ impl StatusSnapshot {
     pub fn total(&self) -> usize {
         self.pending + self.ready + self.running + self.completed + self.failed + self.cancelled
     }
-
-    /// One-line human-readable summary.
-    pub fn render(&self) -> String {
-        format!(
-            "{}/{} done ({} running, {} ready, {} pending, {} failed, {} cancelled)",
-            self.completed + self.failed + self.cancelled,
-            self.total(),
-            self.running,
-            self.ready,
-            self.pending,
-            self.failed,
-            self.cancelled
-        )
-    }
 }
 
 /// Per-task cell tracked by the fold.
@@ -381,7 +367,7 @@ mod tests {
         let s = f.snapshot();
         assert_eq!((s.completed, s.cancelled), (1, 1));
         assert_eq!((s.pending, s.ready, s.running), (0, 0, 0));
-        assert!(s.render().contains("2/2 done"));
+        assert_eq!(s.total(), 2);
     }
 
     #[test]
@@ -418,7 +404,6 @@ mod tests {
         assert_eq!(s.failed, 1);
         assert_eq!(s.total(), 1);
         assert_eq!((s.pending, s.ready, s.running), (0, 0, 0));
-        assert!(s.render().contains("1 failed"));
     }
 
     #[test]

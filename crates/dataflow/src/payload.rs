@@ -32,11 +32,6 @@ pub trait Payload: Send + Sync + 'static {
 pub struct Bytes(pub Vec<u8>);
 
 impl Bytes {
-    /// Empty payload (pure control dependency).
-    pub fn empty() -> Self {
-        Bytes(Vec::new())
-    }
-
     /// Encodes a `u64`.
     pub fn from_u64(v: u64) -> Self {
         Bytes(v.to_le_bytes().to_vec())
@@ -82,6 +77,6 @@ mod tests {
 
     #[test]
     fn empty_is_empty() {
-        assert_eq!(Bytes::empty().approx_size(), 0);
+        assert_eq!(Bytes(Vec::new()).approx_size(), 0);
     }
 }

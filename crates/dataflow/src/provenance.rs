@@ -56,16 +56,6 @@ impl ProvenanceLog {
         &self.records
     }
 
-    /// Number of recorded tasks.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// The record for one task.
     pub fn task(&self, id: TaskId) -> Option<&TaskRecord> {
         self.records.iter().find(|r| r.task == id)

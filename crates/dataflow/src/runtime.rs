@@ -321,11 +321,6 @@ impl<P: Payload> Runtime<P> {
         self.shared.bus.subscribe()
     }
 
-    /// [`Runtime::subscribe`] with an explicit queue capacity.
-    pub fn subscribe_with_capacity(&self, capacity: usize) -> obs::EventReceiver {
-        self.shared.bus.subscribe_with_capacity(capacity)
-    }
-
     /// DOT rendering of the task graph (Figure 3).
     pub fn graph_dot(&self) -> String {
         self.shared.state.lock().graph.to_dot()
@@ -901,7 +896,7 @@ mod tests {
                     peak.fetch_max(now, Ordering::SeqCst);
                     std::thread::sleep(Duration::from_millis(30));
                     live.fetch_sub(1, Ordering::SeqCst);
-                    Ok(vec![Bytes::empty()])
+                    Ok(vec![Bytes(Vec::new())])
                 })
                 .unwrap();
         }
@@ -937,7 +932,7 @@ mod tests {
             .task("dep")
             .reads(&[bad.outputs[0].clone()])
             .writes(&["y"])
-            .run(|_| Ok(vec![Bytes::empty()]))
+            .run(|_| Ok(vec![Bytes(Vec::new())]))
             .unwrap();
         let err = rt.barrier().unwrap_err();
         assert!(matches!(err, Error::TaskFailed { .. }));
@@ -993,7 +988,7 @@ mod tests {
             .task("child")
             .reads(&[bad.outputs[0].clone()])
             .writes(&["c"])
-            .run(|_| Ok(vec![Bytes::empty()]))
+            .run(|_| Ok(vec![Bytes(Vec::new())]))
             .unwrap();
         let ok =
             rt.task("independent").writes(&["ok"]).run(|_| Ok(vec![Bytes::from_u64(1)])).unwrap();
@@ -1019,7 +1014,7 @@ mod tests {
             .task("late")
             .reads(&[bad.outputs[0].clone()])
             .writes(&["l"])
-            .run(|_| Ok(vec![Bytes::empty()]))
+            .run(|_| Ok(vec![Bytes(Vec::new())]))
             .unwrap();
         rt.barrier().unwrap();
         assert_eq!(rt.task_state(late.id), Some(TaskState::Cancelled));
@@ -1032,7 +1027,7 @@ mod tests {
             .task("needs-gpu")
             .constraint(Constraint::gpu())
             .writes(&["x"])
-            .run(|_| Ok(vec![Bytes::empty()]))
+            .run(|_| Ok(vec![Bytes(Vec::new())]))
             .unwrap_err();
         assert!(matches!(err, Error::UnsatisfiableConstraint { .. }));
     }
@@ -1048,7 +1043,7 @@ mod tests {
             rt.task("infer")
                 .constraint(Constraint::gpu())
                 .writes(&["pred"])
-                .run(|_| Ok(vec![Bytes::empty()]))
+                .run(|_| Ok(vec![Bytes(Vec::new())]))
                 .unwrap();
         }
         rt.barrier().unwrap();
@@ -1101,7 +1096,7 @@ mod tests {
                 .writes(&["x"])
                 .run(|_| {
                     std::thread::sleep(Duration::from_millis(5));
-                    Ok(vec![Bytes::empty()])
+                    Ok(vec![Bytes(Vec::new())])
                 })
                 .unwrap();
         }
@@ -1111,7 +1106,7 @@ mod tests {
             .on_failure(FailurePolicy::RetryBackoff { max_retries: 1, base_ms: 0, cap_ms: 0 })
             .run(move |_| match tries.fetch_add(1, Ordering::SeqCst) {
                 0 => Err("transient".into()),
-                _ => Ok(vec![Bytes::empty()]),
+                _ => Ok(vec![Bytes(Vec::new())]),
             })
             .unwrap();
         rt.barrier().unwrap();
@@ -1190,7 +1185,7 @@ mod tests {
     #[test]
     fn no_subscriber_bus_stays_inactive() {
         let rt = rt(1);
-        rt.task("quiet").writes(&["x"]).run(|_| Ok(vec![Bytes::empty()])).unwrap();
+        rt.task("quiet").writes(&["x"]).run(|_| Ok(vec![Bytes(Vec::new())])).unwrap();
         rt.barrier().unwrap();
         // No receiver was ever attached: the emit fast path must have kept
         // the bus completely idle (no events stamped).
@@ -1317,11 +1312,11 @@ mod tests {
             .writes(&["a"])
             .run(|_| {
                 std::thread::sleep(Duration::from_millis(50));
-                Ok(vec![Bytes::empty()])
+                Ok(vec![Bytes(Vec::new())])
             })
             .unwrap();
         for _ in 0..5 {
-            rt.task("queued").writes(&["b"]).run(|_| Ok(vec![Bytes::empty()])).unwrap();
+            rt.task("queued").writes(&["b"]).run(|_| Ok(vec![Bytes(Vec::new())])).unwrap();
         }
         rt.shutdown();
         let m = rt.metrics();

@@ -226,11 +226,6 @@ impl<T> StreamSender<T> {
         }
         Ok(waited_us)
     }
-
-    /// Total µs all senders on this channel have spent blocked so far.
-    pub fn stall_micros(&self) -> u64 {
-        self.ch.stall_us.load(Ordering::Relaxed)
-    }
 }
 
 impl<T> Clone for StreamSender<T> {

@@ -30,7 +30,7 @@ fn replayed_event_stream_reproduces_every_report() {
     }
 
     let rt: Runtime<Bytes> = Runtime::new(config());
-    let rx = rt.subscribe_with_capacity(1 << 16);
+    let rx = rt.subscribe();
     // The same graph the runtime builds, for the reads that join it.
     let mut graph = TaskGraph::new();
     let mut track = |name: &str, reads: &[DataRef], h: TaskHandle| {
@@ -41,7 +41,7 @@ fn replayed_event_stream_reproduces_every_report() {
     let sleepy = |ms: u64| {
         move |_: &[Arc<Bytes>]| {
             std::thread::sleep(Duration::from_millis(ms));
-            Ok(vec![Bytes::empty()])
+            Ok(vec![Bytes(Vec::new())])
         }
     };
 
@@ -99,7 +99,7 @@ fn replayed_event_stream_reproduces_every_report() {
 
     // Per task: final state, worker, attempts, duration.
     let (live, replayed) = (rt.provenance(), replay.provenance(graph.nodes()));
-    assert_eq!(live.len(), 6);
+    assert_eq!(live.records().len(), 6);
     for n in graph.nodes() {
         let (a, b) = (live.task(n.id).unwrap(), replayed.task(n.id).unwrap());
         assert_eq!(

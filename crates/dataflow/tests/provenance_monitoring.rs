@@ -25,7 +25,7 @@ fn provenance_records_full_lineage_of_a_pipeline() {
     rt.barrier().unwrap();
 
     let prov = rt.provenance();
-    assert_eq!(prov.len(), 3);
+    assert_eq!(prov.records().len(), 3);
 
     // Lineage of the final product covers the whole chain.
     let lineage = prov.lineage(&c.outputs[0]);
@@ -62,7 +62,7 @@ fn provenance_captures_failures_and_cancellations() {
         .task("child")
         .reads(&[bad.outputs[0].clone()])
         .writes(&["y"])
-        .run(|_| Ok(vec![Bytes::empty()]))
+        .run(|_| Ok(vec![Bytes(Vec::new())]))
         .unwrap();
     rt.barrier().unwrap();
 
@@ -84,7 +84,7 @@ fn status_snapshot_tracks_progress() {
                 while !gate.load(std::sync::atomic::Ordering::SeqCst) {
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                Ok(vec![Bytes::empty()])
+                Ok(vec![Bytes(Vec::new())])
             })
             .unwrap();
     }
@@ -143,7 +143,7 @@ fn flaky(
         if tries.fetch_add(1, std::sync::atomic::Ordering::SeqCst) < failures {
             Err("transient".into())
         } else {
-            Ok(vec![Bytes::empty()])
+            Ok(vec![Bytes(Vec::new())])
         }
     }
 }

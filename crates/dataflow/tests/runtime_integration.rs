@@ -180,7 +180,7 @@ fn wide_fanout_completes_under_constrained_pool() {
 fn sleep_task(us: u64) -> impl Fn(&[Arc<Bytes>]) -> Result<Vec<Bytes>, String> + Copy {
     move |_| {
         std::thread::sleep(Duration::from_micros(us));
-        Ok(vec![Bytes::empty()])
+        Ok(vec![Bytes(Vec::new())])
     }
 }
 

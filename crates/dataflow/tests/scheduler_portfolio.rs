@@ -167,7 +167,7 @@ fn incompatible_head_does_not_block_a_compatible_task_behind_it() {
             held_tx.send(()).ok();
             let release = release_rx.lock().expect("one holder");
             release.recv_timeout(Duration::from_secs(60)).ok();
-            Ok(vec![Bytes::empty()])
+            Ok(vec![Bytes(Vec::new())])
         })
         .unwrap();
     held_rx.recv_timeout(patience).expect("the GPU worker picked up the holding task");
@@ -177,7 +177,7 @@ fn incompatible_head_does_not_block_a_compatible_task_behind_it() {
         .task("infer")
         .constraint(Constraint::gpu())
         .writes(&["p"])
-        .run(|_| Ok(vec![Bytes::empty()]))
+        .run(|_| Ok(vec![Bytes(Vec::new())]))
         .unwrap();
     // Behind it: a CPU task the idle CPU worker can start now.
     let (ran_tx, ran_rx) = mpsc::channel();
@@ -187,7 +187,7 @@ fn incompatible_head_does_not_block_a_compatible_task_behind_it() {
         .writes(&["a"])
         .run(move |_| {
             ran_tx.send(()).ok();
-            Ok(vec![Bytes::empty()])
+            Ok(vec![Bytes(Vec::new())])
         })
         .unwrap();
     let ran_while_gpu_busy = ran_rx.recv_timeout(patience).is_ok();

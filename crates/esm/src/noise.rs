@@ -68,11 +68,6 @@ impl WeatherNoise {
         }
         &self.state
     }
-
-    /// Current field without advancing.
-    pub fn current(&self) -> &Field2 {
-        &self.state
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +123,7 @@ mod tests {
         for _ in 0..10 {
             g.step();
         }
-        let a = g.current().data.clone();
+        let a = g.state.data.clone();
         let b = g.step().data.clone();
         let corr = pearson(&a, &b);
         assert!(corr > 0.5, "lag-1 correlation {corr} too low for rho=0.8");

@@ -17,18 +17,12 @@ pub fn file_name(year: i32, day0: usize) -> String {
     format!("esm-{year}-{:03}.ncx", day0 + 1)
 }
 
-/// The single encode path for one simulated day: both [`write_daily`]
-/// (the file pipeline) and [`DayBlock::write`] (the streaming plane's
-/// durable fallback) serialize through here, so the two paths cannot
-/// drift in layout, attributes or coordinate conventions.
-fn write_day_parts(
-    dir: &Path,
-    year: i32,
-    day0: usize,
-    grid: &Grid,
-    spd: usize,
-    vars: &[(&str, &[f32])],
-) -> ncformat::Result<PathBuf> {
+/// Writes one day of output to `dir`, returning the file path. Uses the
+/// streaming writer so only one variable stack is serialized at a time.
+pub fn write_daily(dir: &Path, fields: &DailyFields) -> ncformat::Result<PathBuf> {
+    let (year, day0) = (fields.year, fields.day);
+    let grid = &fields.vars[0].1.grid;
+    let spd = fields.vars[0].1.ntime;
     let path = dir.join(file_name(year, day0));
     // Write to a temp name then rename, so directory watchers never observe
     // a half-written day file.
@@ -43,7 +37,7 @@ fn write_day_parts(
     w.add_dimension("lon", grid.nlon)?;
     // Size the file up front: coordinate variables plus the ~20 stacks.
     let payload = ((spd + grid.nlat + grid.nlon) * DataType::F64.size()) as u64
-        + vars.len() as u64 * (grid.len() * spd * DataType::F32.size()) as u64;
+        + fields.vars.len() as u64 * (grid.len() * spd * DataType::F32.size()) as u64;
     w.reserve(payload)?;
     w.add_variable_f64(
         "time",
@@ -53,8 +47,8 @@ fn write_day_parts(
     )?;
     w.add_variable_f64("lat", &["lat"], &grid.lats(), vec![])?;
     w.add_variable_f64("lon", &["lon"], &grid.lons(), vec![])?;
-    for (name, stack) in vars {
-        w.add_variable_f32(name, &["time", "lat", "lon"], stack, vec![])?;
+    for (name, field) in &fields.vars {
+        w.add_variable_f32(name, &["time", "lat", "lon"], &field.data, vec![])?;
     }
     w.finish()?;
     // Chaos site "esm.write_day": `Poison` tears the file — cut to half
@@ -66,16 +60,6 @@ fn write_day_parts(
     }
     std::fs::rename(&tmp, &path)?;
     Ok(path)
-}
-
-/// Writes one day of output to `dir`, returning the file path. Uses the
-/// streaming writer so only one variable stack is serialized at a time.
-pub fn write_daily(dir: &Path, fields: &DailyFields) -> ncformat::Result<PathBuf> {
-    let grid = &fields.vars[0].1.grid;
-    let spd = fields.vars[0].1.ntime;
-    let vars: Vec<(&str, &[f32])> =
-        fields.vars.iter().map(|(n, f)| (n.as_str(), f.data.as_slice())).collect();
-    write_day_parts(dir, fields.year, fields.day, grid, spd, &vars)
 }
 
 /// One simulated day held in memory: the same per-variable `(time, lat,
@@ -118,14 +102,6 @@ impl DayBlock {
     /// Total f32 payload carried by this block, in bytes.
     pub fn payload_bytes(&self) -> u64 {
         self.vars.iter().map(|(_, v)| (v.len() * DataType::F32.size()) as u64).sum()
-    }
-
-    /// Durable-fallback write: produces a file byte-identical to what
-    /// [`write_daily`] would have written for the same day.
-    pub fn write(&self, dir: &Path) -> ncformat::Result<PathBuf> {
-        let vars: Vec<(&str, &[f32])> =
-            self.vars.iter().map(|(n, v)| (n.as_str(), v.as_ref())).collect();
-        write_day_parts(dir, self.year, self.day, &self.grid, self.steps_per_day, &vars)
     }
 }
 
@@ -227,19 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn day_block_write_is_byte_identical_to_write_daily() {
+    fn day_block_holds_the_day_fields() {
         let mut m = CoupledModel::new(EsmConfig::test_small().with_days_per_year(2));
         let fields = m.step_day();
         let block = DayBlock::from_fields(&fields);
         assert_eq!(block.var("tas").unwrap().as_ref(), fields.get("tas").unwrap().data.as_slice());
         assert_eq!(block.payload_bytes(), predicted_payload(&fields));
-
-        let a_dir = tmpdir("encode-file");
-        let b_dir = tmpdir("encode-block");
-        let a = write_daily(&a_dir, &fields).unwrap();
-        let b = block.write(&b_dir).unwrap();
-        assert_eq!(a.file_name(), b.file_name());
-        assert_eq!(std::fs::read(a).unwrap(), std::fs::read(b).unwrap());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Multi-year simulation driver.
 //!
 //! Wraps the coupled model into the shape the workflow's ESM task needs:
-//! run N years, write one file per day into an output directory, invoke a
-//! progress callback after each file (this is what the PyCOMPSs streaming
-//! interface watches), and collect the ground-truth events per year for
-//! later verification.
+//! run N years, write one file per day into an output directory, hand
+//! each day's fields to a callback after its file lands (the streaming
+//! driver keeps them as in-memory blocks), and collect the ground-truth
+//! events per year for later verification.
 
 use crate::config::EsmConfig;
 use crate::events::YearEvents;
@@ -79,12 +79,13 @@ impl Simulation {
         self.years_completed
     }
 
-    /// Runs `years` simulated years, calling `on_file(path, year, day0)`
-    /// after each daily file lands. Returns the run summary with ground
-    /// truth for every simulated year.
-    pub fn run_years<F>(&mut self, years: usize, mut on_file: F) -> ncformat::Result<RunSummary>
+    /// Runs `years` simulated years, calling `on_day(path, fields, bytes)`
+    /// after each daily file lands, with the day's fields and the file's
+    /// size. Returns the run summary with ground truth for every simulated
+    /// year.
+    pub fn run_years<F>(&mut self, years: usize, mut on_day: F) -> ncformat::Result<RunSummary>
     where
-        F: FnMut(&Path, i32, usize),
+        F: FnMut(&Path, &crate::model::DailyFields, u64),
     {
         let mut summary =
             RunSummary { files_written: 0, bytes_written: 0, years: Vec::new(), truth: Vec::new() };
@@ -99,51 +100,9 @@ impl Simulation {
                 let (path, fields, bytes) = step_and_write(&mut self.model, &self.out_dir)?;
                 summary.files_written += 1;
                 summary.bytes_written += bytes;
-                on_file(&path, fields.year, fields.day);
+                on_day(&path, &fields, bytes);
             }
             self.years_completed += 1;
-        }
-        Ok(summary)
-    }
-
-    /// Runs `years` simulated years like [`Self::run_years`], but also
-    /// captures every day's variables named in `vars` as an in-memory
-    /// [`output::DayBlock`] and hands the full year to
-    /// `on_year(year, blocks, files)` at each year boundary. Daily files
-    /// are still written with every variable — they stay the durable
-    /// fallback for chaos kills and checkpoint resume — but the blocks
-    /// let analytics start without re-reading a single one of them, and
-    /// hold no variable the analytics do not read.
-    pub fn run_years_streamed<F>(
-        &mut self,
-        years: usize,
-        vars: &[&str],
-        mut on_year: F,
-    ) -> ncformat::Result<RunSummary>
-    where
-        F: FnMut(i32, Vec<output::DayBlock>, Vec<PathBuf>),
-    {
-        let mut summary =
-            RunSummary { files_written: 0, bytes_written: 0, years: Vec::new(), truth: Vec::new() };
-        for _ in 0..years {
-            obs::chaos::point("esm.year").map_err(std::io::Error::other)?;
-            let (year, _) = self.model.date();
-            summary.years.push(year);
-            summary.truth.push(self.model.year_events().clone());
-            let days = self.model.cfg.days_per_year;
-            let mut blocks = Vec::with_capacity(days);
-            let mut files = Vec::with_capacity(days);
-            for _ in 0..days {
-                let (path, fields, bytes) = step_and_write(&mut self.model, &self.out_dir)?;
-                summary.files_written += 1;
-                summary.bytes_written += bytes;
-                let mut block = output::DayBlock::from_fields(&fields);
-                block.vars.retain(|(name, _)| vars.contains(&name.as_str()));
-                blocks.push(block);
-                files.push(path);
-            }
-            self.years_completed += 1;
-            on_year(year, blocks, files);
         }
         Ok(summary)
     }
@@ -188,11 +147,11 @@ mod tests {
         let mut sim = Simulation::new(small_cfg(), &dir).unwrap();
         let calls = AtomicUsize::new(0);
         let summary = sim
-            .run_years(2, |path, year, day| {
+            .run_years(2, |path, fields, bytes| {
                 calls.fetch_add(1, Ordering::SeqCst);
-                assert!(path.exists());
-                assert!(year == 2030 || year == 2031);
-                assert!(day < 3);
+                assert_eq!(std::fs::metadata(path).unwrap().len(), bytes);
+                assert!(fields.year == 2030 || fields.year == 2031);
+                assert!(fields.day < 3);
             })
             .unwrap();
         assert_eq!(summary.files_written, 6);
@@ -223,48 +182,21 @@ mod tests {
     }
 
     #[test]
-    fn streamed_run_blocks_match_written_files() {
-        let cfg = small_cfg().with_seed(9);
-        let plain_dir = tmpdir("stream-plain");
-        let mut plain = Simulation::new(cfg.clone(), &plain_dir).unwrap();
-        plain.run_years(2, |_, _, _| {}).unwrap();
-
-        let dir = tmpdir("stream-blocks");
-        let mut sim = Simulation::new(cfg, &dir).unwrap();
-        let mut streamed: Vec<(i32, usize, usize)> = Vec::new();
-        let summary = sim
-            .run_years_streamed(2, &["tas", "psl"], |year, blocks, files| {
-                assert_eq!(blocks.len(), 3);
-                assert_eq!(files.len(), 3);
-                for (b, f) in blocks.iter().zip(&files) {
-                    assert_eq!(b.year, year);
-                    assert!(f.exists());
-                    // In-memory stacks equal what a reader gets back, and
-                    // only the requested variables are held.
-                    let rd = ncformat::Reader::open(f).unwrap();
-                    let names: Vec<&str> = b.vars.iter().map(|(n, _)| n.as_str()).collect();
-                    assert_eq!(names, ["tas", "psl"]);
-                    for var in names {
-                        assert_eq!(rd.read_all_f32(var).unwrap(), b.var(var).unwrap().as_ref());
-                    }
-                }
-                streamed.push((year, blocks.len(), files.len()));
-            })
-            .unwrap();
-        assert_eq!(summary.files_written, 6);
-        assert_eq!(streamed.len(), 2);
-
-        // The streamed run's files are byte-identical to a plain run's.
-        for year in [2030, 2031] {
-            for day in 1..=3 {
-                let name = format!("esm-{year}-{day:03}.ncx");
-                assert_eq!(
-                    std::fs::read(plain_dir.join(&name)).unwrap(),
-                    std::fs::read(dir.join(&name)).unwrap(),
-                    "{name} differs between plain and streamed runs"
-                );
+    fn each_day_hands_over_the_fields_its_file_holds() {
+        let dir = tmpdir("day-fields");
+        let mut sim = Simulation::new(small_cfg().with_seed(9), &dir).unwrap();
+        let mut days = 0;
+        sim.run_years(1, |path, fields, _| {
+            // An in-memory block of the day equals what a reader gets back.
+            let block = output::DayBlock::from_fields(fields);
+            let rd = ncformat::Reader::open(path).unwrap();
+            for var in ["tas", "psl"] {
+                assert_eq!(rd.read_all_f32(var).unwrap(), block.var(var).unwrap().as_ref());
             }
-        }
+            days += 1;
+        })
+        .unwrap();
+        assert_eq!(days, 3);
     }
 
     #[test]

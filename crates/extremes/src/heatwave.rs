@@ -38,7 +38,7 @@ pub(crate) fn exceedance_chain(reference: &Cube, cmp: &str) -> Result<Pipeline<'
 /// Assembles a single-value-per-cell index cube from the fused statistics
 /// cube, selecting component `which` of each cell's record (the stats
 /// cube's implicit axis). Mirrors the shape
-/// `ops::map_series(.., out_len = 1, ..)` produces: explicit dims
+/// a `map_series` terminal with `out_len = 1` produces: explicit dims
 /// preserved, one implicit dim named `name`.
 fn split_stat(stats: &Cube, which: usize, name: &str) -> Result<Cube> {
     let stride = stats.implicit_len().max(1);

@@ -40,7 +40,7 @@ impl CellRuns {
     /// Feeds one day. `min_len` decides whether a run qualifies when it
     /// closes.
     #[inline]
-    pub fn push(&mut self, hot: bool, min_len: u32) {
+    fn push(&mut self, hot: bool, min_len: u32) {
         if hot {
             self.open += 1;
         } else {
@@ -58,7 +58,7 @@ impl CellRuns {
     /// the batch scan, so this equals `wave_stats` over the concatenated
     /// mask at any split point.
     #[inline]
-    pub fn stats(&self, min_len: u32) -> (u32, u32, u32) {
+    fn stats(&self, min_len: u32) -> (u32, u32, u32) {
         let (mut longest, mut count, mut days) =
             (self.closed_longest, self.closed_count, self.closed_days);
         if self.open >= min_len {
@@ -148,11 +148,6 @@ impl WaveState {
         self.measure = daily.measure.clone();
         self.days_total += ilen;
         Ok(())
-    }
-
-    /// Days folded in so far.
-    pub fn days(&self) -> usize {
-        self.days_total
     }
 
     /// Record-to-date index maps, value-identical to

@@ -34,13 +34,8 @@ pub struct Track {
 
 impl Track {
     /// First timestep of the track.
-    pub fn start(&self) -> usize {
+    fn start(&self) -> usize {
         self.points.first().map(|(t, _)| *t).unwrap_or(0)
-    }
-
-    /// Last timestep of the track.
-    pub fn end(&self) -> usize {
-        self.points.last().map(|(t, _)| *t).unwrap_or(0)
     }
 }
 
@@ -122,7 +117,7 @@ mod tests {
     impl Track {
         /// Lifetime in timesteps (inclusive).
         fn lifetime(&self) -> usize {
-            self.end() - self.start() + 1
+            self.points.last().map_or(0, |(t, _)| *t) - self.start() + 1
         }
     }
 

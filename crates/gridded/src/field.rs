@@ -30,38 +30,11 @@ impl Field2 {
         self.data[self.grid.index(i, j)]
     }
 
-    /// Mutable value at `(i, j)`.
-    #[inline]
-    pub fn get_mut(&mut self, i: usize, j: usize) -> &mut f32 {
-        let idx = self.grid.index(i, j);
-        &mut self.data[idx]
-    }
-
     /// Sets the value at `(i, j)`.
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: f32) {
-        *self.get_mut(i, j) = v;
-    }
-
-    /// Minimum value (NaNs ignored; returns `None` for an empty field or
-    /// all-NaN data).
-    pub fn min(&self) -> Option<f32> {
-        self.data.iter().copied().filter(|v| !v.is_nan()).fold(None, |m, v| {
-            Some(match m {
-                None => v,
-                Some(m) => m.min(v),
-            })
-        })
-    }
-
-    /// Maximum value (NaNs ignored).
-    pub fn max(&self) -> Option<f32> {
-        self.data.iter().copied().filter(|v| !v.is_nan()).fold(None, |m, v| {
-            Some(match m {
-                None => v,
-                Some(m) => m.max(v),
-            })
-        })
+        let idx = self.grid.index(i, j);
+        self.data[idx] = v;
     }
 
     /// Unweighted arithmetic mean.
@@ -95,7 +68,7 @@ impl Field3 {
     }
 
     /// Borrowed view of time level `t`.
-    pub fn slice(&self, t: usize) -> &[f32] {
+    fn slice(&self, t: usize) -> &[f32] {
         let n = self.grid.len();
         &self.data[t * n..(t + 1) * n]
     }
@@ -103,19 +76,6 @@ impl Field3 {
     /// Owned copy of time level `t` as a [`Field2`].
     pub fn level(&self, t: usize) -> Field2 {
         Field2::from_vec(self.grid.clone(), self.slice(t).to_vec())
-    }
-
-    /// Value at `(t, i, j)`.
-    #[inline]
-    pub fn get(&self, t: usize, i: usize, j: usize) -> f32 {
-        self.data[t * self.grid.len() + self.grid.index(i, j)]
-    }
-
-    /// Sets the value at `(t, i, j)`.
-    #[inline]
-    pub fn set(&mut self, t: usize, i: usize, j: usize, v: f32) {
-        let idx = t * self.grid.len() + self.grid.index(i, j);
-        self.data[idx] = v;
     }
 
     /// Per-cell reduction over the time axis with `f` (e.g. running max).
@@ -173,16 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn min_max_ignore_nan() {
-        let mut f = Field2::constant(small(), 1.0);
-        f.set(0, 0, f32::NAN);
-        f.set(1, 1, -5.0);
-        f.set(2, 2, 9.0);
-        assert_eq!(f.min(), Some(-5.0));
-        assert_eq!(f.max(), Some(9.0));
-    }
-
-    #[test]
     fn area_mean_of_constant_is_constant() {
         let f = Field2::constant(small(), 4.0);
         assert!((f.area_mean() - 4.0).abs() < 1e-9);
@@ -201,13 +151,5 @@ mod tests {
         assert_eq!(f3.level(2).data, vec![2.0; n]);
         assert_eq!(f3.time_max().data, vec![2.0; n]);
         assert_eq!(f3.time_min().data, vec![0.0; n]);
-    }
-
-    #[test]
-    fn field3_get_set() {
-        let mut f3 = Field3::from_vec(small(), 2, vec![0.0; 48]);
-        f3.set(1, 3, 5, -2.0);
-        assert_eq!(f3.get(1, 3, 5), -2.0);
-        assert_eq!(f3.get(0, 3, 5), 0.0);
     }
 }

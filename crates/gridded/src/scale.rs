@@ -25,7 +25,7 @@ impl ZScoreScaler {
 
     /// Standardizes one value.
     #[inline]
-    pub fn apply(&self, v: f32) -> f32 {
+    fn apply(&self, v: f32) -> f32 {
         (v - self.mean) / self.std
     }
 

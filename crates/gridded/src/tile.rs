@@ -42,7 +42,7 @@ impl Tiling {
     }
 
     /// Total number of tiles.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.rows * self.cols
     }
 

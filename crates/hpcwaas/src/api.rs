@@ -221,7 +221,7 @@ impl ExecutionHandle {
     }
 
     /// Name of the workflow this execution runs.
-    pub fn workflow(&self) -> &str {
+    fn workflow(&self) -> &str {
         &self.cell.workflow
     }
 
@@ -294,11 +294,6 @@ pub struct ExecutionApi {
 }
 
 impl ExecutionApi {
-    /// Creates the service with default serving limits.
-    pub fn new() -> Self {
-        Self::with_config(ServeConfig::default())
-    }
-
     /// Creates the service with explicit serving limits.
     pub fn with_config(cfg: ServeConfig) -> Self {
         let queue = FairQueue::new(cfg.default_quota, cfg.queue_capacity);
@@ -660,9 +655,10 @@ impl Drop for ExecutionApi {
     }
 }
 
+/// The service with default serving limits.
 impl Default for ExecutionApi {
     fn default() -> Self {
-        Self::new()
+        Self::with_config(ServeConfig::default())
     }
 }
 
@@ -672,7 +668,7 @@ mod tests {
     use crate::tosca::climate_case_study;
 
     fn api_with_echo() -> ExecutionApi {
-        let api = ExecutionApi::new();
+        let api = ExecutionApi::default();
         api.register(climate_case_study(), |inputs| {
             if inputs.get("fail").map(|v| v == "yes").unwrap_or(false) {
                 Err("requested failure".into())
@@ -858,7 +854,7 @@ mod tests {
 
     #[test]
     fn wait_timeout_expires_while_running() {
-        let api = ExecutionApi::new();
+        let api = ExecutionApi::default();
         api.register(climate_case_study(), |_| {
             std::thread::sleep(Duration::from_millis(200));
             Ok("slow".into())

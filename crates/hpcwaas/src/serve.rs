@@ -176,7 +176,7 @@ pub struct TokenBucket {
 }
 
 impl TokenBucket {
-    pub fn new(capacity: u32, refill_per_sec: f64, now: Instant) -> Self {
+    fn new(capacity: u32, refill_per_sec: f64, now: Instant) -> Self {
         let cap = f64::from(capacity.max(1));
         TokenBucket {
             capacity: cap,

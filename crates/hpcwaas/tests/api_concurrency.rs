@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 #[test]
 fn many_users_deploy_and_run_concurrently() {
-    let api = Arc::new(ExecutionApi::new());
+    let api = Arc::new(ExecutionApi::default());
     let executions = Arc::new(AtomicU32::new(0));
     {
         let executions = Arc::clone(&executions);
@@ -52,7 +52,7 @@ fn many_users_deploy_and_run_concurrently() {
 
 #[test]
 fn shared_image_cache_benefits_all_users() {
-    let api = ExecutionApi::new();
+    let api = ExecutionApi::default();
     api.register(climate_case_study(), |_| Ok("ok".into()));
     let first = api.deploy("climate-extremes").unwrap();
     let cold = api.deployment_cost_ms(first).unwrap();

@@ -157,7 +157,7 @@ fn in_flight_quota_enforced_and_released() {
 
 #[test]
 fn token_bucket_rate_limits_submissions() {
-    let api = ExecutionApi::new();
+    let api = ExecutionApi::default();
     api.register(climate_case_study(), |_| Ok("ok".into()));
     // Hard budget: burst of 3, zero refill.
     api.set_quota("bursty", quota(1024, 3, 0.0, 1));
@@ -340,7 +340,7 @@ fn identical_concurrent_requests_coalesce_to_one_execution() {
 
 #[test]
 fn coalesced_waiters_see_shared_event_log() {
-    let api = ExecutionApi::new();
+    let api = ExecutionApi::default();
     let gate = Gate::default();
     {
         let gate = gate.clone();
@@ -370,7 +370,7 @@ fn coalesced_waiters_see_shared_event_log() {
 
 #[test]
 fn default_tenant_is_used_for_plain_submit() {
-    let api = ExecutionApi::new();
+    let api = ExecutionApi::default();
     api.register(climate_case_study(), |_| Ok("ok".into()));
     let dep = api.deploy("climate-extremes").unwrap();
     let h = api.submit(dep, &BTreeMap::new()).unwrap();

@@ -46,7 +46,7 @@ pub mod types;
 pub mod write;
 
 pub use error::{Error, Result};
-pub use read::{Reader, VarView};
+pub use read::Reader;
 pub use types::{Attribute, DataType, Dimension, Value, Variable};
 pub use write::{payload_size, Writer};
 

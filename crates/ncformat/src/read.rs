@@ -7,14 +7,13 @@ use crate::types::{Attribute, DataType, Dimension, Value, Variable};
 use crate::{MAGIC, VERSION};
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Lazy reader over an NCX file. The header is parsed eagerly; variable
 /// payloads are read on demand. `Reader` is `Send + Sync`; concurrent slab
 /// reads serialize on an internal handle lock (each read is seek+read).
 pub struct Reader {
-    path: PathBuf,
     file: Mutex<BufReader<File>>,
     dims: Vec<Dimension>,
     vars: Vec<Variable>,
@@ -24,8 +23,7 @@ pub struct Reader {
 impl Reader {
     /// Opens `path` and parses the header.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = BufReader::new(File::open(&path)?);
+        let mut file = BufReader::new(File::open(path)?);
 
         let mut magic = [0u8; 4];
         file.read_exact(&mut magic)?;
@@ -71,12 +69,7 @@ impl Reader {
             vars.push(Variable { name, dtype, dims: vdims, attributes, data_offset });
         }
 
-        Ok(Reader { path, file: Mutex::new(file), dims, vars, attrs })
-    }
-
-    /// Path this reader was opened from.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok(Reader { file: Mutex::new(file), dims, vars, attrs })
     }
 
     /// Declared dimensions.
@@ -155,12 +148,6 @@ impl Reader {
     pub fn read_shared_f32(&self, name: &str) -> Result<Arc<[f32]>> {
         let v = self.variable(name)?;
         self.var_shared_f32(v)
-    }
-
-    /// Borrowed, lazy view of one variable: metadata is available
-    /// immediately, payload reads happen on demand.
-    pub fn var(&self, name: &str) -> Result<VarView<'_>> {
-        Ok(VarView { reader: self, var: self.variable(name)? })
     }
 
     fn var_f32_into(&self, v: &Variable, start: usize, out: &mut [f32]) -> Result<()> {
@@ -310,57 +297,12 @@ impl Reader {
     }
 }
 
-/// Borrowed, lazy view of a single variable obtained from [`Reader::var`]:
-/// shape and attributes are served from the parsed header; payload reads
-/// go straight from the file into caller-chosen buffers, so consumers
-/// decide whether to pay for a copy at all.
-pub struct VarView<'r> {
-    reader: &'r Reader,
-    var: &'r Variable,
-}
-
-impl VarView<'_> {
-    /// Variable name.
-    pub fn name(&self) -> &str {
-        &self.var.name
-    }
-
-    /// Shape as a size-per-axis vector.
-    pub fn shape(&self) -> Vec<usize> {
-        self.var.shape(&self.reader.dims)
-    }
-
-    /// Total element count.
-    pub fn len(&self) -> usize {
-        self.var.len(&self.reader.dims)
-    }
-
-    /// True when the variable has zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Attribute lookup on this variable.
-    pub fn attribute(&self, name: &str) -> Option<&Value> {
-        self.var.attribute(name)
-    }
-
-    /// Entire payload as one shared buffer (a single allocation).
-    pub fn read_shared_f32(&self) -> Result<Arc<[f32]>> {
-        self.reader.var_shared_f32(self.var)
-    }
-
-    /// Contiguous element range straight into `out`.
-    pub fn read_f32_into(&self, start: usize, out: &mut [f32]) -> Result<()> {
-        self.reader.var_f32_into(self.var, start, out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::write::Writer;
     use std::io::Write;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("ncx-read-tests");
@@ -498,25 +440,6 @@ mod tests {
         assert_eq!(buf, [20.0, 21.0, 22.0, 23.0]);
         assert!(matches!(rd.read_f32_into("v", 21, &mut buf), Err(Error::BadSlab(_))));
         rd.read_f32_into("v", 24, &mut []).unwrap();
-    }
-
-    #[test]
-    fn var_view_metadata_and_reads() {
-        let path = tmp("varview.ncx");
-        sample(&path);
-        let rd = Reader::open(&path).unwrap();
-        let v = rd.var("v").unwrap();
-        assert_eq!(v.name(), "v");
-        assert_eq!(v.var.dtype, DataType::F32);
-        assert_eq!(v.shape(), vec![2, 3, 4]);
-        assert_eq!(v.len(), 24);
-        assert!(!v.is_empty());
-        let shared = v.read_shared_f32().unwrap();
-        assert_eq!(shared.len(), 24);
-        let mut one = [0.0f32; 1];
-        v.read_f32_into(5, &mut one).unwrap();
-        assert_eq!(one[0], 5.0);
-        assert!(rd.var("nope").is_err());
     }
 
     #[test]

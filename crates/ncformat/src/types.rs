@@ -150,11 +150,6 @@ impl Variable {
     pub fn shape(&self, dims: &[Dimension]) -> Vec<usize> {
         self.dims.iter().map(|&d| dims[d].size).collect()
     }
-
-    /// Looks up an attribute by name.
-    pub fn attribute(&self, name: &str) -> Option<&Value> {
-        self.attributes.iter().find(|a| a.name == name).map(|a| &a.value)
-    }
 }
 
 #[cfg(test)]

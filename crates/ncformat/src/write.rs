@@ -317,11 +317,6 @@ impl Writer {
         self.finished = true;
         Ok(())
     }
-
-    /// Bytes of payload written so far (excludes prelude and header).
-    pub fn payload_bytes(&self) -> u64 {
-        self.cursor - PRELUDE_LEN
-    }
 }
 
 /// Predicted on-disk size in bytes for a file with the given variable
@@ -384,9 +379,9 @@ mod tests {
         let mut w = Writer::create(&path).unwrap();
         w.add_dimension("x", 4).unwrap();
         w.add_variable_f32("a", &["x"], &[1.0, 2.0, 3.0, 4.0], vec![]).unwrap();
-        assert_eq!(w.payload_bytes(), 16);
+        assert_eq!(w.cursor - PRELUDE_LEN, 16);
         w.add_variable_f64("b", &["x"], &[1.0, 2.0, 3.0, 4.0], vec![]).unwrap();
-        assert_eq!(w.payload_bytes(), 48);
+        assert_eq!(w.cursor - PRELUDE_LEN, 48);
         w.finish().unwrap();
         let rd = Reader::open(&path).unwrap();
         assert_eq!(rd.read_all_f32("a").unwrap(), vec![1.0, 2.0, 3.0, 4.0]);
@@ -404,7 +399,10 @@ mod tests {
 
         let rd = Reader::open(&path).unwrap();
         let v = rd.variable("t").unwrap();
-        assert_eq!(v.attribute("units"), Some(&Value::from("K")));
+        assert_eq!(
+            (v.attributes[0].name.as_str(), &v.attributes[0].value),
+            ("units", &Value::from("K"))
+        );
         assert_eq!(rd.attribute("model"), Some(&Value::from("CMCC-CM3-surrogate")));
     }
 

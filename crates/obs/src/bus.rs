@@ -12,20 +12,20 @@
 //!
 //! # Ordering contract
 //!
-//! A dispatched event takes its `seq` and is mirrored into the flight
-//! ring and pushed onto every subscriber queue while the emitter holds
-//! the subscriber-list lock. So dispatch order *is* `seq` order: every
-//! subscriber queue and the flight recorder see one strictly increasing
-//! `seq` stream, whatever threads emit. A receiver with `dropped() == 0`
-//! that was the only consumer of `seq` (no [`Bus::stamp`] callers in
-//! between) sees no gaps either. [`Bus::stamp`] on its own takes a `seq`
+//! A dispatched event takes its `seq` and is pushed onto every subscriber
+//! queue (the flight recorder's among them) while the emitter holds the
+//! subscriber-list lock. So dispatch order *is* `seq` order: every
+//! subscriber queue sees one strictly increasing `seq` stream, whatever
+//! threads emit. A receiver with `dropped() == 0` that was the only
+//! consumer of `seq` (no [`Bus::stamp`] callers in between) sees no gaps
+//! either. [`Bus::stamp`] on its own takes a `seq`
 //! but promises nothing about where that event lands in any log.
 
 use crate::event::{thread_ordinal, Event, EventKind};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Default per-subscriber queue capacity. Sized so a full 1-year demo run
 /// (a few thousand tasks, tens of thousands of kernel/step events) fits
@@ -34,7 +34,6 @@ pub const DEFAULT_CAPACITY: usize = 65_536;
 
 struct SubShared {
     queue: Mutex<VecDeque<Event>>,
-    cv: Condvar,
     capacity: usize,
     dropped: AtomicU64,
     closed: AtomicBool,
@@ -46,8 +45,6 @@ struct BusInner {
     nsubs: AtomicUsize,
     seq: AtomicU64,
     epoch: Instant,
-    /// Mirror every dispatched event into the process flight recorder.
-    flight: AtomicBool,
 }
 
 /// A cheaply cloneable handle to one event stream.
@@ -73,20 +70,18 @@ impl Bus {
                 nsubs: AtomicUsize::new(0),
                 seq: AtomicU64::new(0),
                 epoch: Instant::now(),
-                flight: AtomicBool::new(false),
             }),
         }
     }
 
-    /// True when at least one receiver is attached, or the flight
-    /// recorder is mirroring this bus. Two relaxed loads.
+    /// True when at least one receiver is attached. One relaxed load.
     #[inline]
     pub fn is_active(&self) -> bool {
-        self.inner.nsubs.load(Ordering::Relaxed) > 0 || self.inner.flight.load(Ordering::Relaxed)
+        self.inner.nsubs.load(Ordering::Relaxed) > 0
     }
 
-    /// Emit an already-constructed event kind. Returns immediately (two
-    /// relaxed atomic loads) when nobody is listening.
+    /// Emit an already-constructed event kind. Returns immediately (one
+    /// relaxed atomic load) when nobody is listening.
     #[inline]
     pub fn emit(&self, kind: EventKind) {
         if self.is_active() {
@@ -101,13 +96,6 @@ impl Bus {
         if self.is_active() {
             self.dispatch(f());
         }
-    }
-
-    /// Mirror every event dispatched through this bus into the process
-    /// [`crate::flight`] ring. Prefer [`crate::flight::enable`], which
-    /// flips this for the global bus.
-    pub fn set_flight_recording(&self, on: bool) {
-        self.inner.flight.store(on, Ordering::Relaxed);
     }
 
     /// Microseconds since this bus's epoch — the clock every event
@@ -132,14 +120,10 @@ impl Bus {
 
     #[cold]
     fn dispatch(&self, kind: EventKind) {
-        // Stamp and mirror under the lock: two emitters that stamped
-        // a < b outside it could enqueue b first (module docs, "Ordering
-        // contract").
+        // Stamp under the lock: two emitters that stamped a < b outside
+        // it could enqueue b first (module docs, "Ordering contract").
         let mut subs = self.inner.subs.lock().unwrap();
         let event = self.stamp(kind);
-        if self.inner.flight.load(Ordering::Relaxed) {
-            crate::flight::recorder().record(&event);
-        }
         let mut any_closed = false;
         for sub in subs.iter() {
             if sub.closed.load(Ordering::Relaxed) {
@@ -152,8 +136,6 @@ impl Bus {
                 sub.dropped.fetch_add(1, Ordering::Relaxed);
             }
             q.push_back(event.clone());
-            drop(q);
-            sub.cv.notify_one();
         }
         if any_closed {
             subs.retain(|s| !s.closed.load(Ordering::Relaxed));
@@ -172,7 +154,6 @@ impl Bus {
     pub fn subscribe_with_capacity(&self, capacity: usize) -> EventReceiver {
         let shared = Arc::new(SubShared {
             queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
             capacity: capacity.max(1),
             dropped: AtomicU64::new(0),
             closed: AtomicBool::new(false),
@@ -194,38 +175,20 @@ pub struct EventReceiver {
 }
 
 impl EventReceiver {
-    /// Block up to `timeout` for the next event.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Event> {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.shared.queue.lock().unwrap();
-        loop {
-            if let Some(e) = q.pop_front() {
-                return Some(e);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, res) = self.shared.cv.wait_timeout(q, deadline - now).unwrap();
-            q = guard;
-            if res.timed_out() && q.is_empty() {
-                return None;
-            }
-        }
-    }
-
     /// Take everything currently queued.
     pub fn drain(&self) -> Vec<Event> {
         self.shared.queue.lock().unwrap().drain(..).collect()
     }
 
-    /// Events currently queued.
-    pub fn len(&self) -> usize {
-        self.shared.queue.lock().unwrap().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// A copy of everything currently queued, leaving the queue as it is;
+    /// `None` when the queue is locked, so a caller never waits on it.
+    pub fn try_snapshot(&self) -> Option<Vec<Event>> {
+        let q = match self.shared.queue.try_lock() {
+            Ok(q) => q,
+            Err(std::sync::TryLockError::Poisoned(q)) => q.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(q.iter().cloned().collect())
     }
 
     /// Events lost to the drop-oldest policy since subscription.
@@ -303,19 +266,6 @@ mod tests {
         bus.emit(ready(2));
         // ...after which the fast path is restored.
         assert!(!bus.is_active());
-    }
-
-    #[test]
-    fn recv_timeout_sees_cross_thread_emit() {
-        let bus = Bus::new();
-        let rx = bus.subscribe();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            bus.emit(ready(42));
-        });
-        let got = rx.recv_timeout(Duration::from_secs(5)).expect("event should arrive");
-        assert_eq!(got.kind, ready(42));
-        h.join().unwrap();
     }
 
     /// The ordering contract under contention: emitters on several

@@ -158,14 +158,8 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// A pool with `threads` workers (clamped to at least 1), named
-    /// `adhoc`.
-    pub fn new(threads: usize) -> Self {
-        Self::with_name(threads, "adhoc")
-    }
-
-    /// A pool with `threads` workers named `name` (their threads are
-    /// `par-{name}-{i}`).
+    /// A pool with `threads` workers (clamped to at least 1) named `name`
+    /// (their threads are `par-{name}-{i}`).
     pub fn with_name(threads: usize, name: &'static str) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {

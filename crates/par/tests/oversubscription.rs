@@ -24,7 +24,7 @@ fn watchdog<F: FnOnce() + Send + 'static>(secs: u64, f: F) {
 #[test]
 fn many_more_tasks_than_workers() {
     watchdog(30, || {
-        let pool = Pool::new(2);
+        let pool = Pool::with_name(2, "adhoc");
         let hits = AtomicUsize::new(0);
         pool.scope(|s| {
             for _ in 0..5_000 {
@@ -54,7 +54,7 @@ fn deeply_nested_join_on_tiny_pool() {
             });
             a + b
         }
-        let pool = Pool::new(1);
+        let pool = Pool::with_name(1, "adhoc");
         assert_eq!(fib(&pool, 16), 987);
     });
 }
@@ -62,7 +62,7 @@ fn deeply_nested_join_on_tiny_pool() {
 #[test]
 fn nested_scopes_inside_tasks() {
     watchdog(30, || {
-        let pool = Pool::new(2);
+        let pool = Pool::with_name(2, "adhoc");
         let total = AtomicUsize::new(0);
         pool.scope(|outer| {
             for _ in 0..16 {
@@ -85,7 +85,7 @@ fn nested_scopes_inside_tasks() {
 #[test]
 fn concurrent_external_callers_share_the_pool() {
     watchdog(30, || {
-        let pool = std::sync::Arc::new(Pool::new(2));
+        let pool = std::sync::Arc::new(Pool::with_name(2, "adhoc"));
         let mut handles = Vec::new();
         for t in 0..6 {
             let pool = std::sync::Arc::clone(&pool);
@@ -104,7 +104,7 @@ fn concurrent_external_callers_share_the_pool() {
 #[test]
 fn slow_and_fast_tasks_interleave_without_starvation() {
     watchdog(30, || {
-        let pool = Pool::new(4);
+        let pool = Pool::with_name(4, "adhoc");
         let t0 = Instant::now();
         // One 200ms straggler among 63 fast tasks: total wall time must
         // be far below the serial sum, i.e. the straggler does not gate
@@ -128,7 +128,7 @@ fn a_waiting_scope_runs_only_its_own_jobs() {
         // and X's own wait take one each and the third stays queued. A
         // scope opened behind it with one trivial job must run that job
         // at once, not X's queued one first.
-        let pool = Arc::new(Pool::new(1));
+        let pool = Arc::new(Pool::with_name(1, "adhoc"));
         let started = Arc::new(AtomicUsize::new(0));
         let ran_on = Arc::new(Mutex::new(Vec::new()));
         let x = {

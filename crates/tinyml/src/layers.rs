@@ -584,13 +584,6 @@ impl Layer for Sigmoid {
 #[derive(Default)]
 pub struct Tanh;
 
-impl Tanh {
-    /// Creates a tanh activation.
-    pub fn new() -> Self {
-        Tanh
-    }
-}
-
 impl Layer for Tanh {
     fn infer(&self, x: &Tensor, out: &mut Tensor) {
         map_into(x, out, f32::tanh);

@@ -28,16 +28,6 @@ impl Sequential {
         self
     }
 
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// True when the network has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
     /// Inference pass, with no allocation — each layer reads one of
     /// `scratch`'s buffers and writes the other. `&self`, so threads share
     /// one model and bring their own `scratch`.

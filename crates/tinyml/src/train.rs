@@ -302,7 +302,7 @@ mod tests {
         // Classic nonlinear sanity check for the full backprop stack.
         let mut net = Sequential::new()
             .add(Dense::new(2, 8, 21))
-            .add(Tanh::new())
+            .add(Tanh)
             .add(Dense::new(8, 1, 22))
             .add(Sigmoid::new());
         let mut opt = Sgd::new(0.5, 0.9);

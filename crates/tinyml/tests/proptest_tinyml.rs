@@ -214,7 +214,7 @@ proptest! {
             });
             net = match act {
                 0 => both(net, &mut chain, ReLU::new),
-                1 => both(net, &mut chain, Tanh::new),
+                1 => both(net, &mut chain, Tanh::default),
                 _ => both(net, &mut chain, Sigmoid::new),
             };
             if pool {

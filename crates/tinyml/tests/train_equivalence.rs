@@ -110,7 +110,7 @@ fn models(kinds: &[Kind]) -> (Sequential, Vec<Box<dyn Layer>>) {
         Kind::Pool => push(m, || MaxPool2d::new(2)),
         Kind::Relu => push(m, ReLU::new),
         Kind::Sigmoid => push(m, Sigmoid::new),
-        Kind::Tanh => push(m, Tanh::new),
+        Kind::Tanh => push(m, Tanh::default),
         Kind::Flatten => push(m, Flatten::new),
         Kind::Dense { input, output, seed } => push(m, || Dense::new(input, output, seed)),
     })

@@ -117,7 +117,8 @@ fn main() {
     println!("Deterministic pipeline: {} tracks", tracks.len());
     for (i, t) in tracks.iter().enumerate() {
         let max_wind = t.points.iter().map(|(_, d)| d.max_wind_ms).fold(0.0, f32::max);
-        println!("  track {i}: steps {}..{}, max wind {max_wind:.1} m/s", t.start(), t.end());
+        let (start, end) = (t.points[0].0, t.points[t.points.len() - 1].0);
+        println!("  track {i}: steps {start}..{end}, max wind {max_wind:.1} m/s");
     }
 
     // Verification vs truth.

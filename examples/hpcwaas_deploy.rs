@@ -51,7 +51,7 @@ fn main() {
 
     // -- End-user view: the Execution API.
     println!("\n=== HPCWaaS Execution API ===");
-    let api = ExecutionApi::new();
+    let api = ExecutionApi::default();
     register_with_hpcwaas(&api, work_root);
 
     let dep = api.deploy("climate-extremes").expect("deploy failed");

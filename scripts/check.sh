@@ -154,71 +154,52 @@ for t in 1 2 4; do
   done
 done
 
-echo "== reachability census: every pub fn is used outside its own file, and by product code or a named test =="
-# Pass 1: a pub fn of crates/*/src that only its own file (or nothing)
-# uses is reached by no run, record or paper claim: make it private,
-# delete it, or move it into the test module. Pass 2: one that only tests
-# or examples use must be an oracle or a contract probe, allowlisted in
-# the script with the test file that still uses it; anything else is
-# deleted. A use is a call or path (`name(`, `.name(`, `::name`, or a bare
-# argument that is no local binding of the calling function), outside comments,
-# string literals and `use` lines. The
-# remaining blind spot is std and cross-type method homonyms: any
-# `.join(`, `.new(` or `.status(` keeps a `pub fn` of that name alive.
+echo "== reachability census: every pub fn is used outside its own module, and by product code or a named test =="
+# The compiler decides: on a scratch copy the census makes each pub fn of
+# crates/*/src private in turn, dropping it from any `pub use`. One the
+# product (workspace --lib --bins, wfbench --bins) still compiles without
+# is used by its own module only (make it private, delete it, or move it
+# into the test module) or by tests only (delete it, or allowlist it as an
+# oracle or probe with the test file that uses it).
 python3 scripts/pub_fn_census.py
 
-echo "== census holes stay closed: four planted offenders are each named =="
-# On a scratch copy of the tree's *.rs files (never the tree itself), plant
-# a pub fn called only in its own file, one named only inside a string
-# literal, one whose name is only a `let` binding elsewhere, and one whose
-# name is only a local (a parameter, a `let`, a `for` or a closure
-# binding) passed as a call argument. The
-# census must fail and name all four: each is caught by a different rule
-# of its matcher, so reverting any one rule fails this step.
+echo "== the census names three planted offenders =="
+# On a scratch copy of the tree, plant a `pub fn write` called only in its
+# own file, a `pub fn status` called only from a test and a `pub fn` that
+# only a `pub use` re-exports. Other types' `.write(` and `.status(` calls
+# are everywhere, so a census that matches names instead of asking the
+# compiler misses the first two.
 plant=$(mktemp -d)
-git ls-files -z --cached --others --exclude-standard -- '*.rs' \
-    | xargs -0 cp --parents -t "$plant"
-cat > "$plant/crates/obs/src/planted.rs" <<'RS'
-pub fn planted_own_file_only() {}
-pub fn planted_in_string_only() {}
-pub fn planted_shadowed_by_let() {}
-pub fn planted_passed_local() {}
+git ls-files -z --cached --others --exclude-standard | xargs -0 cp --parents -t "$plant"
+cat > "$plant/crates/core/src/planted.rs" <<'RS'
+pub struct PlantedWriter;
+impl PlantedWriter {
+    pub fn write(&self) {}
+}
+pub struct PlantedProbe;
+impl PlantedProbe {
+    pub fn status(&self) {}
+}
+pub fn planted_reexport() {}
 fn caller() {
-    planted_own_file_only();
+    PlantedWriter.write();
 }
 RS
-cat > "$plant/crates/par/src/planted_user.rs" <<'RS'
-fn user() -> usize {
-    let msg = "planted_in_string_only()";
-    let planted_shadowed_by_let = msg.len();
-    planted_shadowed_by_let + 1
-}
-fn param_user(planted_passed_local: usize) -> usize {
-    std::cmp::max(planted_passed_local, 1)
-}
-fn let_user() -> usize {
-    let planted_passed_local = 2;
-    std::cmp::min(1, planted_passed_local)
-}
-fn loop_user(v: &[usize]) -> usize {
-    let mut n = 0;
-    for planted_passed_local in v {
-        n += std::cmp::max(planted_passed_local, &1);
-    }
-    n
-}
-fn closure_user(v: &[usize]) -> usize {
-    v.iter().map(|planted_passed_local| std::cmp::min(planted_passed_local, &1)).sum()
+printf 'pub mod planted;\npub use planted::planted_reexport;\n' >> "$plant/crates/core/src/lib.rs"
+cat > "$plant/crates/core/tests/planted.rs" <<'RS'
+#[test]
+fn planted() {
+    climate_workflows::planted::PlantedProbe.status();
 }
 RS
 census="$PWD/scripts/pub_fn_census.py"
-if (cd "$plant" && git init -q && git add -A && python3 "$census") > "$plant/census.out"; then
+if (cd "$plant" && git init -q && git add -A && python3 "$census" crates/core/src/planted.rs) \
+    > "$plant/census.out"; then
   echo "the census passed a tree with planted offenders" >&2
   exit 1
 fi
-for name in planted_own_file_only planted_in_string_only planted_shadowed_by_let \
-    planted_passed_local; do
-  if ! grep -q ": $name " "$plant/census.out"; then
+for name in write status planted_reexport; do
+  if ! grep -q "^crates/core/src/planted.rs: $name " "$plant/census.out"; then
     echo "the census did not name the planted offender $name:" >&2
     cat "$plant/census.out" >&2
     exit 1

@@ -79,7 +79,7 @@ fn strong_heatwave_is_localized_in_the_index_map() {
         for i in 0..cfg.grid.nlat {
             for j in 0..cfg.grid.nlon {
                 let a = footprint.as_ref().map_or(0.0, |f| f.at(cfg.grid.lat(i), cfg.grid.lon(j)));
-                *with_event.get_mut(i, j) += a as f32;
+                with_event.data[cfg.grid.index(i, j)] += a as f32;
             }
         }
         daily.push(with_event);

@@ -50,7 +50,7 @@ fn orchestrator_builds_images_and_stages_data() {
 
 #[test]
 fn full_user_journey_deploy_run_undeploy() {
-    let api = ExecutionApi::new();
+    let api = ExecutionApi::default();
     register_with_hpcwaas(&api, tmp("journey"));
 
     // Deploy.

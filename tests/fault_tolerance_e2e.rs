@@ -82,7 +82,10 @@ fn run_year_graph(
         WfData::Text("exported".into()),
     );
 
-    let out = rt.fetch(&export.outputs[0]).map(|v| v.text().unwrap_or("").to_string());
+    let out = rt.fetch(&export.outputs[0]).map(|v| match &*v {
+        WfData::Text(t) => t.clone(),
+        _ => String::new(),
+    });
     rt.barrier()?;
     rt.shutdown();
     out

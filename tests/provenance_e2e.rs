@@ -24,7 +24,7 @@ fn workflow_provenance_is_complete_and_linked() {
 
     // Every task appears in the provenance log as a completed activity.
     let prov = cs.rt.provenance();
-    assert_eq!(prov.len(), report.tasks, "one record per task");
+    assert_eq!(prov.records().len(), report.tasks, "one record per task");
     assert!(prov.records().iter().all(|r| r.final_state == dataflow::TaskState::Completed));
 
     // The exported-products datum must trace back to the simulation, the
@@ -75,6 +75,6 @@ fn monitoring_reaches_quiescence_with_full_progress() {
     let snap = cs.rt.status();
     assert_eq!((snap.pending, snap.ready, snap.running), (0, 0, 0));
     assert_eq!(snap.completed, snap.total());
-    assert!(snap.render().contains("0 failed"));
+    assert_eq!(snap.failed, 0);
     cs.rt.shutdown();
 }
