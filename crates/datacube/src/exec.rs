@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn named_map_emits_kernel_and_operator_events() {
-        let rx = obs::global().subscribe();
+        let rx = obs::global().subscribe_with_capacity(obs::DEFAULT_CAPACITY);
         let input = frags(4, 2, 3);
         let out = par_map_fragments_named(ExecConfig::with_servers(2), "double", &input, |f| {
             f.data.iter().map(|v| v * 2.0).collect()
@@ -236,7 +236,7 @@ mod tests {
         // serialize the lanes: 4 OS threads sleep concurrently.
         let pool = par::Pool::with_name(4, "adhoc");
         let input = frags(9, 1, 1);
-        let rx = obs::global().subscribe();
+        let rx = obs::global().subscribe_with_capacity(obs::DEFAULT_CAPACITY);
         let t0 = Instant::now();
         let out = par_map_fragments_on(&pool, ExecConfig::with_servers(4), "skew", &input, |f| {
             if f.row_start == 0 {

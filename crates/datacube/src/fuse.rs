@@ -638,7 +638,7 @@ mod tests {
 
     #[test]
     fn fused_emits_one_operator_event() {
-        let rx = obs::global().subscribe();
+        let rx = obs::global().subscribe_with_capacity(obs::DEFAULT_CAPACITY);
         let src = sample(3);
         Pipeline::new()
             .apply(Expr::parse("x+1").unwrap())

@@ -318,7 +318,7 @@ impl<P: Payload> Runtime<P> {
     /// subscription; drop it to detach and restore the runtime's
     /// no-subscriber fast path.
     pub fn subscribe(&self) -> obs::EventReceiver {
-        self.shared.bus.subscribe()
+        self.shared.bus.subscribe_with_capacity(obs::DEFAULT_CAPACITY)
     }
 
     /// DOT rendering of the task graph (Figure 3).

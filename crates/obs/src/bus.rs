@@ -143,11 +143,6 @@ impl Bus {
         }
     }
 
-    /// Attach a receiver with the default queue capacity.
-    pub fn subscribe(&self) -> EventReceiver {
-        self.subscribe_with_capacity(DEFAULT_CAPACITY)
-    }
-
     /// Attach a receiver with an explicit bounded capacity. When the queue
     /// is full the *oldest* event is dropped (and counted) so the stream
     /// stays current rather than stalling the emitter.
@@ -233,8 +228,8 @@ mod tests {
     #[test]
     fn fan_out_reaches_every_subscriber() {
         let bus = Bus::new();
-        let a = bus.subscribe();
-        let b = bus.subscribe();
+        let a = bus.subscribe_with_capacity(DEFAULT_CAPACITY);
+        let b = bus.subscribe_with_capacity(DEFAULT_CAPACITY);
         assert!(bus.is_active());
         bus.emit(ready(7));
         bus.emit(ready(8));
@@ -259,7 +254,7 @@ mod tests {
     #[test]
     fn dropped_receiver_deactivates_bus() {
         let bus = Bus::new();
-        let rx = bus.subscribe();
+        let rx = bus.subscribe_with_capacity(DEFAULT_CAPACITY);
         bus.emit(ready(1));
         drop(rx);
         // The next dispatch prunes the closed subscriber...
@@ -300,7 +295,7 @@ mod tests {
     #[test]
     fn timestamps_and_seq_are_monotonic() {
         let bus = Bus::new();
-        let rx = bus.subscribe();
+        let rx = bus.subscribe_with_capacity(DEFAULT_CAPACITY);
         for t in 0..100 {
             bus.emit(ready(t));
         }

@@ -538,7 +538,7 @@ mod tests {
 
     fn sample_events() -> Vec<Event> {
         let bus = Bus::new();
-        let rx = bus.subscribe();
+        let rx = bus.subscribe_with_capacity(crate::DEFAULT_CAPACITY);
         let name: Arc<str> = Arc::from("esm_simulation");
         bus.emit(EventKind::TaskSubmitted { task: 1, name: Arc::clone(&name) });
         bus.emit(EventKind::TaskStarted {
@@ -596,7 +596,7 @@ mod tests {
     #[test]
     fn span_slices_and_cross_thread_flow_arrows() {
         let bus = Bus::new();
-        let rx = bus.subscribe();
+        let rx = bus.subscribe_with_capacity(crate::DEFAULT_CAPACITY);
         let parent: Arc<str> = Arc::from("parent");
         let child: Arc<str> = Arc::from("child");
         bus.emit(EventKind::SpanStarted {
@@ -625,7 +625,7 @@ mod tests {
     fn prometheus_folds_the_stream() {
         let mut events = sample_events();
         let bus = Bus::new();
-        let rx = bus.subscribe();
+        let rx = bus.subscribe_with_capacity(crate::DEFAULT_CAPACITY);
         bus.emit(EventKind::KernelDone { op: "aggregate", server: 0, rows: 4, micros: 3 });
         bus.emit(EventKind::KernelDone { op: "aggregate", server: 1, rows: 4, micros: 300 });
         bus.emit(EventKind::FileWritten { path: "d.ncx".into(), bytes: 10, micros: 7 });

@@ -20,7 +20,7 @@
 //! subscribed both paths are a branch on an atomic.
 //!
 //! ```
-//! let rx = obs::global().subscribe();
+//! let rx = obs::global().subscribe_with_capacity(obs::DEFAULT_CAPACITY);
 //! obs::emit(obs::EventKind::QueueDepth { ready: 3, running: 2 });
 //! let events = rx.drain();
 //! assert_eq!(events.len(), 1);

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 
 #[test]
 fn parent_span_ids_survive_pool_handoff() {
-    let rx = obs::global().subscribe();
+    let rx = obs::global().subscribe_with_capacity(obs::DEFAULT_CAPACITY);
     let pool = par::Pool::with_name(3, "adhoc");
 
     let outer = obs::trace::span("outer_work");
@@ -43,7 +43,7 @@ fn parent_span_ids_survive_pool_handoff() {
 
 #[test]
 fn scope_spawn_carries_context_explicitly() {
-    let rx = obs::global().subscribe();
+    let rx = obs::global().subscribe_with_capacity(obs::DEFAULT_CAPACITY);
     let pool = par::Pool::with_name(2, "adhoc");
 
     let root = obs::trace::span("scope_root");
@@ -64,7 +64,7 @@ fn scope_spawn_carries_context_explicitly() {
 
 #[test]
 fn no_ambient_span_means_no_par_task_spans() {
-    let rx = obs::global().subscribe();
+    let rx = obs::global().subscribe_with_capacity(obs::DEFAULT_CAPACITY);
     let pool = par::Pool::with_name(2, "adhoc");
     // Unique marker computed on the pool so we only look at our events.
     let out = pool.par_map(&[100u64, 200], |&x| x + 11);

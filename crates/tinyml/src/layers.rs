@@ -24,11 +24,14 @@
 //! per-pixel loops (which live in `tests/` as the oracles). The forward
 //! works one output pixel at a time across a lane array of output
 //! channels; the backward kernels are passes over the non-zero output
-//! gradients. [`Dense`]'s forward accumulates a block of output rows per
-//! pass over its input, bitwise equal to the per-row loop (also in
-//! `tests/`). The lane kernels leave the sign and payload of a NaN
-//! unspecified: where two NaN operands meet in one add, which comes out
-//! depends on the operand order the compiler picks.
+//! gradients, walking a pixel's taps as one fixed-size, unrolled block
+//! when its 3 × 3 window lies wholly inside the input and clipped to the
+//! input otherwise (border pixels, other kernel sizes). [`Dense`]'s
+//! forward accumulates a block of output rows per pass over its input,
+//! bitwise equal to the per-row loop (also in `tests/`). The lane kernels
+//! leave the sign and payload of a NaN unspecified: where two NaN operands
+//! meet in one add, which comes out depends on the operand order the
+//! compiler picks.
 
 use crate::tensor::Tensor;
 use std::cell::RefCell;
@@ -43,6 +46,14 @@ const WIDE_LANES: usize = 16;
 
 /// Output rows [`Dense::infer`] accumulates together, one per lane.
 const DENSE_ROWS: usize = 8;
+
+/// The kernel size whose unclipped windows the conv backward walks as one
+/// fixed-size window (see [`Conv2d::walk_grads`]): the TC-localization
+/// CNN's 3 × 3.
+const WINDOW_K: usize = 3;
+
+/// What a fixed-size window's slice lookups rely on.
+const INSIDE: &str = "an unclipped window lies inside its tensor";
 
 thread_local! {
     /// This thread's tap-major copy of the weights of the convolution it
@@ -218,18 +229,26 @@ impl Conv2d {
 
     /// The walk both backward kernels share: over the non-zero `grad_out`
     /// elements of output channels `rows`, in `(o, yy, xx)` order, calls
-    /// `pixel(g)`, then `run(o, g, xs, ws)` for each input channel and
-    /// kernel row, ascending, the pixel's unclipped window touches: `xs`
-    /// indexes that row's inputs, `ws` the matching weights of `w[o]`. A
-    /// zero gradient (±0.0) is skipped, as in the per-pixel nest; after
-    /// pooling and ReLU most of them are.
+    /// `pixel(g)`, then `taps(o, g, ..)` for the pixel's taps that land
+    /// inside the input, input channel by input channel, ascending. When
+    /// the kernel is [`WINDOW_K`] wide and the pixel's window lies wholly
+    /// inside the input, a channel is one [`Taps::Window`], which the
+    /// callee walks as a fixed-size block the compiler unrolls. Every other
+    /// pixel (a border one, or any pixel of another kernel size) is
+    /// clipped: one [`Taps::Run`] per input channel and kernel row its
+    /// window touches. Either way each tap is visited once per pixel, so
+    /// every gradient element keeps the per-pixel nest's add order. A zero
+    /// gradient (±0.0) is skipped, as in the per-pixel nest; after pooling
+    /// and ReLU most of them are. Callers mark `taps` `#[inline(always)]`:
+    /// left out of line, every [`Taps`] goes through memory and a runtime
+    /// match, which made the kernels about a third slower.
     fn walk_grads(
         &self,
         x: &Tensor,
         grad_out: &Tensor,
         rows: Range<usize>,
         mut pixel: impl FnMut(f32),
-        mut run: impl FnMut(usize, f32, Range<usize>, Range<usize>),
+        mut taps: impl FnMut(usize, f32, Taps),
     ) {
         let (k, pad, in_ch) = (self.kernel, self.pad, self.in_ch);
         let (h, wd) = (x.shape[1], x.shape[2]);
@@ -245,6 +264,13 @@ impl Conv2d {
                     }
                     pixel(g);
                     let kx = tap_span(xx, k, pad, wd);
+                    if k == WINDOW_K && ky_span.len() == k && kx.len() == k {
+                        let xi = (yy - pad) * wd + xx - pad;
+                        for c in 0..in_ch {
+                            taps(o, g, Taps::Window { xi: c * h * wd + xi, wi: c * k * k });
+                        }
+                        continue;
+                    }
                     if kx.is_empty() {
                         continue;
                     }
@@ -253,13 +279,25 @@ impl Conv2d {
                         for ky in ky_span.clone() {
                             let row = (c * h + yy + ky - pad) * wd;
                             let wi = (c * k + ky) * k;
-                            run(o, g, row + ix.start..row + ix.end, wi + kx.start..wi + kx.end);
+                            let xs = row + ix.start..row + ix.end;
+                            taps(o, g, Taps::Run { xs, ws: wi + kx.start..wi + kx.end });
                         }
                     }
                 }
             }
         }
     }
+}
+
+/// One input channel's share of a pixel's taps in [`Conv2d::walk_grads`].
+enum Taps {
+    /// A whole `WINDOW_K × WINDOW_K` window: `xi` indexes its top-left
+    /// input, `wi` the channel's first weight in `w[o]`; row `ky` of the
+    /// window is `WINDOW_K` inputs from `xi + ky · width`.
+    Window { xi: usize, wi: usize },
+    /// One kernel row of a clipped window: `xs` indexes the row's inputs,
+    /// `ws` the matching weights of `w[o]`.
+    Run { xs: Range<usize>, ws: Range<usize> },
 }
 
 /// The kernel offsets `lo..hi` whose tap from output position `pos`
@@ -363,15 +401,33 @@ impl Layer for Conv2d {
     fn input_grad(&self, x: &Tensor, _y: &Tensor, grad_out: &Tensor, gx: &mut Tensor) {
         gx.reshape_for_write(&x.shape);
         gx.data.fill(0.0);
-        let taps = self.in_ch * self.kernel * self.kernel;
+        let row_len = self.in_ch * self.kernel * self.kernel;
+        let wd = x.shape[2];
         self.walk_grads(
             x,
             grad_out,
             0..self.out_ch,
             |_| {},
-            |o, g, xs, ws| {
-                for (gxv, &wv) in gx.data[xs].iter_mut().zip(&self.w.data[o * taps..][ws]) {
-                    *gxv += g * wv;
+            #[inline(always)]
+            |o, g, taps| {
+                let w_o = &self.w.data[o * row_len..(o + 1) * row_len];
+                match taps {
+                    Taps::Window { xi, wi } => {
+                        let ws = w_o[wi..].first_chunk::<{ WINDOW_K * WINDOW_K }>().expect(INSIDE);
+                        for (ky, ws) in ws.as_chunks::<WINDOW_K>().0.iter().enumerate() {
+                            let gxs = gx.data[xi + ky * wd..]
+                                .first_chunk_mut::<WINDOW_K>()
+                                .expect(INSIDE);
+                            for (gxv, &wv) in gxs.iter_mut().zip(ws) {
+                                *gxv += g * wv;
+                            }
+                        }
+                    }
+                    Taps::Run { xs, ws } => {
+                        for (gxv, &wv) in gx.data[xs].iter_mut().zip(&w_o[ws]) {
+                            *gxv += g * wv;
+                        }
+                    }
                 }
             },
         );
@@ -392,14 +448,27 @@ impl Layer for Conv2d {
         gw: &mut [f32],
         gb: &mut f32,
     ) {
+        let wd = x.shape[2];
         self.walk_grads(
             x,
             grad_out,
             row..row + 1,
             |g| *gb += g,
-            |_, g, xs, ws| {
-                for (gwv, &xv) in gw[ws].iter_mut().zip(&x.data[xs]) {
-                    *gwv += g * xv;
+            #[inline(always)]
+            |_, g, taps| match taps {
+                Taps::Window { xi, wi } => {
+                    let gws = gw[wi..].first_chunk_mut::<{ WINDOW_K * WINDOW_K }>().expect(INSIDE);
+                    for (ky, gws) in gws.as_chunks_mut::<WINDOW_K>().0.iter_mut().enumerate() {
+                        let xs = x.data[xi + ky * wd..].first_chunk::<WINDOW_K>().expect(INSIDE);
+                        for (gwv, &xv) in gws.iter_mut().zip(xs) {
+                            *gwv += g * xv;
+                        }
+                    }
+                }
+                Taps::Run { xs, ws } => {
+                    for (gwv, &xv) in gw[ws].iter_mut().zip(&x.data[xs]) {
+                        *gwv += g * xv;
+                    }
                 }
             },
         );
@@ -577,24 +646,6 @@ impl Layer for Sigmoid {
 
     fn name(&self) -> &'static str {
         "sigmoid"
-    }
-}
-
-/// Hyperbolic tangent.
-#[derive(Default)]
-pub struct Tanh;
-
-impl Layer for Tanh {
-    fn infer(&self, x: &Tensor, out: &mut Tensor) {
-        map_into(x, out, f32::tanh);
-    }
-
-    fn input_grad(&self, _x: &Tensor, y: &Tensor, grad_out: &Tensor, gx: &mut Tensor) {
-        grad_into(grad_out, y, gx, |g, y| g * (1.0 - y * y));
-    }
-
-    fn name(&self) -> &'static str {
-        "tanh"
     }
 }
 

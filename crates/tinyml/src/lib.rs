@@ -38,6 +38,6 @@ pub mod serialize;
 pub mod tensor;
 pub mod train;
 
-pub use layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid, Tanh};
+pub use layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid};
 pub use net::{Scratch, Sequential};
 pub use tensor::Tensor;

@@ -14,7 +14,13 @@
 //!   `dL/d(input)` has no reader and is not computed);
 //! * **phase B**, one unit per output row of a parameter layer (conv
 //!   channels first, then dense rows): it adds that row's `dL/dθ` from
-//!   every sample's tape, visiting the samples in batch order.
+//!   every sample's tape, visiting the samples in batch order, into a
+//!   buffer its lane reuses from unit to unit, then stores the finished
+//!   row into [`Sgd`]'s gradients once. Phase B sums privately because
+//!   summing in place had two lanes writing the same cache lines sample
+//!   after sample — a layer's bias gradients are adjacent floats, and a
+//!   36-float conv1 row straddles two lines — so each lane's stores kept
+//!   evicting the other's.
 //!
 //! So every gradient element sees the add sequence of a per-sample
 //! backward pass over cached activations (the oracle in
@@ -123,7 +129,7 @@ impl Tape {
 }
 
 /// One unit of phase B: output row `row` of layer `layer`, and that row's
-/// gradients.
+/// slots in [`Sgd`]'s gradients, written once, when the unit is done.
 struct RowGrads<'g> {
     layer: usize,
     row: usize,
@@ -133,14 +139,15 @@ struct RowGrads<'g> {
 
 /// Phase B: sets `grads` (in [`Sequential::params`] order) to the sum of
 /// every sample's parameter gradients from its tape. Each output row of
-/// every parameter layer is one unit; `lanes` jobs claim the units in
-/// layer order, and a unit visits the samples in batch order.
+/// every parameter layer is one unit; one job per entry of `lane_rows`
+/// claims the units in layer order. A unit visits the samples in batch
+/// order, summing into its lane's buffer, and then stores the row.
 fn add_param_grads(
     net: &Sequential,
     batch: &[Sample],
     tapes: &[&Tape],
     grads: &mut [Tensor],
-    lanes: usize,
+    lane_rows: &[Mutex<Vec<f32>>],
 ) {
     let layers = net.layers();
     let mut grads = grads.iter_mut();
@@ -153,15 +160,19 @@ fn add_param_grads(
             units.push(Mutex::new(RowGrads { layer, row, gw, gb }));
         }
     }
-    par::global().par_map_lanes(lanes, &units, |_, _, unit| {
+    par::global().par_map_lanes(lane_rows.len(), &units, |lane, _, unit| {
         let RowGrads { layer, row, ref mut gw, ref mut gb } =
             *unit.lock().expect("each unit is locked once, by one job");
-        gw.fill(0.0);
-        **gb = 0.0;
+        let mut sum_w = lane_rows[lane].lock().expect("a lane runs one unit at a time");
+        sum_w.clear();
+        sum_w.resize(gw.len(), 0.0);
+        let mut sum_b = 0.0;
         for ((x, _), tape) in batch.iter().zip(tapes) {
             let (input, grad_out) = (tape.input(x, layer), &tape.grads[layer]);
-            layers[layer].add_param_grads(input, grad_out, row, gw, gb);
+            layers[layer].add_param_grads(input, grad_out, row, &mut sum_w, &mut sum_b);
         }
+        gw.copy_from_slice(&sum_w);
+        **gb = sum_b;
     });
 }
 
@@ -184,6 +195,7 @@ where
     let batch_size = batch_size.max(1);
     let mut tapes: Vec<Mutex<Tape>> =
         (0..batch_size.min(samples.len())).map(|_| Mutex::default()).collect();
+    let lane_rows: Vec<Mutex<Vec<f32>>> = (0..pool.threads()).map(|_| Mutex::default()).collect();
     opt.grads = net.params().iter().map(|p| Tensor::full(&p.shape, 0.0)).collect();
     let mut total_loss = 0.0f64;
     let mut batches = 0usize;
@@ -196,7 +208,7 @@ where
         });
         let poisoned = "phase A finished without a panic";
         let tapes: Vec<&Tape> = tapes.iter_mut().map(|t| &*t.get_mut().expect(poisoned)).collect();
-        add_param_grads(net, chunk, &tapes, &mut opt.grads, pool.threads());
+        add_param_grads(net, chunk, &tapes, &mut opt.grads, &lane_rows);
         let batch_loss = losses.iter().fold(0.0f32, |sum, loss| sum + loss);
         opt.step(net, chunk.len());
         total_loss += (batch_loss / chunk.len() as f32) as f64;
@@ -211,7 +223,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Sigmoid, Tanh};
+    use crate::layers::{Dense, ReLU, Sigmoid};
     use crate::net::Scratch;
 
     /// Mean-squared error: `L = mean((y - t)^2)`.
@@ -302,7 +314,7 @@ mod tests {
         // Classic nonlinear sanity check for the full backprop stack.
         let mut net = Sequential::new()
             .add(Dense::new(2, 8, 21))
-            .add(Tanh)
+            .add(ReLU)
             .add(Dense::new(8, 1, 22))
             .add(Sigmoid::new());
         let mut opt = Sgd::new(0.5, 0.9);

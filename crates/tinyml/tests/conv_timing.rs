@@ -1,9 +1,14 @@
-//! The conv forward kernel's width promise: it vectorises across output
-//! channels, so a layer with many channels on a small plane costs no more
-//! per multiply-add than one with few channels on a large plane. Both
-//! shapes are the TC-localization CNN's own: conv1 (4→8 at 16×16) and
-//! conv2 (8→16 at 8×8), 73,728 MACs each. A kernel bound by per-row or
-//! per-tap overhead shows as conv2 costing more per MAC than conv1.
+//! The conv kernels' cost promises, on the TC-localization CNN's own
+//! shapes: conv1 (4→8 at 16×16) and conv2 (8→16 at 8×8), 73,728 MACs each.
+//!
+//! * The forward vectorises across output channels, so a layer with many
+//!   channels on a small plane costs no more per multiply-add than one
+//!   with few channels on a large plane. A kernel bound by per-row or
+//!   per-tap overhead shows as conv2 costing more per MAC than conv1.
+//! * The weight-gradient kernel walks an unclipped window as one
+//!   fixed-size block, so a non-zero gradient's multiply-adds cost a small
+//!   multiple of the forward's. A walk that hands out per-row clipped
+//!   slices shows as a larger multiple.
 
 use std::time::Instant;
 use tinyml::layers::{Conv2d, Layer};
@@ -62,5 +67,76 @@ fn conv2_shape_costs_per_mac_about_what_conv1_shape_costs() {
     assert!(
         ratio <= CONV2_OVER_CONV1_PER_MAC_BOUND,
         "conv2 costs {ratio:.2}x conv1 per MAC, over the {CONV2_OVER_CONV1_PER_MAC_BOUND}x bound"
+    );
+}
+
+/// Largest ratio of conv1-shape `add_param_grads`'s median cost per
+/// non-zero multiply-add (80% of `grad_out` zero) to the conv1 forward's
+/// median cost per MAC before it is a regression. On a 2-core host the
+/// kernel that walks an unclipped 3×3 window as one block read 4.73–5.36
+/// in 20 runs of this test; the walk it replaced, which handed every
+/// window out as per-row clipped slices, read 7.61–8.92 in 30.
+const WEIGHT_GRAD_OVER_FORWARD_PER_MAC_BOUND: f64 = 6.5;
+
+/// Gate (`scripts/check.sh`, release): over 31 interleaved reps of 200
+/// calls each, the conv1 shape's `add_param_grads` over all eight rows, on
+/// a gradient four in five of whose elements are ±0.0, costs per
+/// multiply-add it does (taps inside the input of non-zero gradients) at
+/// most [`WEIGHT_GRAD_OVER_FORWARD_PER_MAC_BOUND`] times what the forward
+/// costs per MAC.
+#[test]
+#[ignore = "timing gate: run in release by scripts/check.sh"]
+fn conv1_weight_grads_cost_a_few_forward_macs_per_nonzero_mac() {
+    const CALLS: usize = 200;
+    let (ic, oc, hw) = (4usize, 8usize, 16usize);
+    let conv = Conv2d::new(ic, oc, 3, 1, 40);
+    let x = Tensor::uniform(&[ic, hw, hw], 1.0, 50);
+    let mut g = Tensor::uniform(&[oc, hw, hw], 1.0, 60);
+    let mut nonzero_macs = 0.0;
+    for (i, v) in g.data.iter_mut().enumerate() {
+        let r = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59;
+        if !r.is_multiple_of(5) {
+            *v = if r & 1 == 0 { 0.0 } else { -0.0 };
+            continue;
+        }
+        let (y, x) = ((i / hw) % hw, i % hw);
+        let inside = |p: usize| if p == 0 || p == hw - 1 { 2 } else { 3 };
+        nonzero_macs += (ic * inside(y) * inside(x)) as f64;
+    }
+    let zeros = g.data.iter().filter(|&&v| v == 0.0).count();
+    assert!((0.75..0.85).contains(&(zeros as f64 / g.len() as f64)), "{zeros} zeros");
+    let mut out = Tensor::default();
+    let (mut gw, mut gb) = (vec![0.0f32; conv.w.len()], vec![0.0f32; oc]);
+    let mut samples = [Vec::new(), Vec::new()];
+    for _ in 0..31 {
+        let start = Instant::now();
+        for _ in 0..CALLS {
+            conv.infer(std::hint::black_box(&x), &mut out);
+            std::hint::black_box(&out);
+        }
+        samples[0]
+            .push(start.elapsed().as_nanos() as f64 / (CALLS as f64 * macs(ic, oc, 3, hw, hw)));
+        let start = Instant::now();
+        for _ in 0..CALLS {
+            for (row, (gw, gb)) in gw.chunks_exact_mut(ic * 9).zip(&mut gb).enumerate() {
+                conv.add_param_grads(std::hint::black_box(&x), &g, row, gw, gb);
+            }
+            std::hint::black_box(&gw);
+        }
+        samples[1].push(start.elapsed().as_nanos() as f64 / (CALLS as f64 * nonzero_macs));
+    }
+    let [forward, weight_grad] = samples.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    });
+    let ratio = weight_grad / forward;
+    println!(
+        "conv1 weight grads: {weight_grad:.3} ns per non-zero MAC, forward {forward:.3} ns/MAC, \
+         ratio {ratio:.2} (bound {WEIGHT_GRAD_OVER_FORWARD_PER_MAC_BOUND})"
+    );
+    assert!(
+        ratio <= WEIGHT_GRAD_OVER_FORWARD_PER_MAC_BOUND,
+        "conv1 weight grads cost {ratio:.2}x the forward per MAC, over the \
+         {WEIGHT_GRAD_OVER_FORWARD_PER_MAC_BOUND}x bound"
     );
 }

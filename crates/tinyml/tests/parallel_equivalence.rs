@@ -7,7 +7,11 @@
 //! serial passes over the non-zero output gradients and must match the
 //! per-pixel backward nest bitwise too (every weight/bias gradient
 //! accumulates in `(yy, xx)` order, every input gradient in `(o, yy, xx)`
-//! order), on dense and on mostly-zero gradients alike.
+//! order), on dense and on mostly-zero gradients alike. They walk a 3×3
+//! window that lies inside the input as one fixed-size block and clip
+//! every other window, so the cases below put NaN and ±inf gradients on
+//! both kinds of pixel, use geometries with no or one unclipped pixel per
+//! axis, and add into weight gradients that start non-zero or at −0.0.
 
 use tinyml::layers::{Conv2d, Layer};
 use tinyml::tensor::Tensor;
@@ -88,14 +92,20 @@ fn conv2d_forward_is_bitwise_reference() {
 
 /// The per-pixel backward nest, the oracle of the fused kernel: over
 /// `(o, yy, xx)` ascending, a non-zero `g` adds to `gb[o]` and, per
-/// unclipped tap, `g·x` to `gw` and `g·w` to `gx`. Returns `(gw, gb, gx)`.
-fn reference_backward(x: &Tensor, conv: &Conv2d, go: &Tensor) -> (Tensor, Tensor, Tensor) {
+/// unclipped tap of its `k × k` window, `g·x` to `gw` and `g·w` to `gx`. `gw` and `gb` start as
+/// `gw0` and `gb0`, `gx` at zero. Returns `(gw, gb, gx)`.
+fn reference_backward(
+    x: &Tensor,
+    conv: &Conv2d,
+    go: &Tensor,
+    (gw0, gb0): (&Tensor, &Tensor),
+) -> (Tensor, Tensor, Tensor) {
     let (in_ch, h, ww) = (x.shape[0], x.shape[1], x.shape[2]);
-    let (out_ch, oh, ow) = (go.shape[0], go.shape[1], go.shape[2]);
-    let (w, p) = (&conv.w, conv.pad as isize);
-    let mut gw = Tensor::full(&w.shape, 0.0);
-    let mut gb = Tensor::full(&[out_ch], 0.0);
+    let (oh, ow) = (go.shape[1], go.shape[2]);
+    let (w, p, k) = (&conv.w, conv.pad as isize, conv.kernel);
+    let (mut gw, mut gb) = (gw0.clone(), gb0.clone());
     let mut gx = Tensor::full(&x.shape, 0.0);
+    let out_ch = go.shape[0];
     for o in 0..out_ch {
         for yy in 0..oh {
             for xx in 0..ow {
@@ -105,17 +115,17 @@ fn reference_backward(x: &Tensor, conv: &Conv2d, go: &Tensor) -> (Tensor, Tensor
                 }
                 gb.data[o] += g;
                 for c in 0..in_ch {
-                    for ky in 0..K {
+                    for ky in 0..k {
                         let iy = yy as isize + ky as isize - p;
                         if iy < 0 || iy >= h as isize {
                             continue;
                         }
-                        for kx in 0..K {
+                        for kx in 0..k {
                             let ix = xx as isize + kx as isize - p;
                             if ix < 0 || ix >= ww as isize {
                                 continue;
                             }
-                            let wi = ((o * in_ch + c) * K + ky) * K + kx;
+                            let wi = ((o * in_ch + c) * k + ky) * k + kx;
                             let xi = (c * h + iy as usize) * ww + ix as usize;
                             gw.data[wi] += g * x.data[xi];
                             gx.data[xi] += g * w.data[wi];
@@ -131,14 +141,21 @@ fn reference_backward(x: &Tensor, conv: &Conv2d, go: &Tensor) -> (Tensor, Tensor
 /// Runs `conv`'s `input_grad` and `add_param_grads` on `(x, go)` and pins
 /// `gx`, `gw` and `gb` to the per-pixel oracle by `to_bits`.
 fn assert_backward_is_reference(conv: &Conv2d, x: &Tensor, go: &Tensor) {
+    let zeros = (Tensor::full(&conv.w.shape, 0.0), Tensor::full(&conv.b.shape, 0.0));
+    assert_backward_from(conv, x, go, zeros);
+}
+
+/// [`assert_backward_is_reference`] with `add_param_grads` adding into
+/// `gw` and `gb` that start as given.
+fn assert_backward_from(conv: &Conv2d, x: &Tensor, go: &Tensor, (gw0, gb0): (Tensor, Tensor)) {
     let mut gx = Tensor::default();
     conv.input_grad(x, &infer(conv, x), go, &mut gx);
-    let (mut gw, mut gb) = (Tensor::full(&conv.w.shape, 0.0), Tensor::full(&conv.b.shape, 0.0));
+    let (mut gw, mut gb) = (gw0.clone(), gb0.clone());
     let row_len = gw.len() / gb.len();
     for (row, (gw, gb)) in gw.data.chunks_exact_mut(row_len).zip(&mut gb.data).enumerate() {
         conv.add_param_grads(x, go, row, gw, gb);
     }
-    let (ref_gw, ref_gb, ref_gx) = reference_backward(x, conv, go);
+    let (ref_gw, ref_gb, ref_gx) = reference_backward(x, conv, go, (&gw0, &gb0));
     // Both sides accumulate every element in the same order: bitwise equal.
     assert_eq!(bits(&gw), bits(&ref_gw), "gw must be bitwise-identical");
     assert_eq!(bits(&gb), bits(&ref_gb), "gb must be bitwise-identical");
@@ -183,6 +200,72 @@ fn conv2d_sparse_backward_with_specials_is_bitwise_reference() {
     let zeros = go.data.iter().filter(|&&g| g == 0.0).count();
     assert!(zeros * 4 >= go.len() * 3, "at least 75% of grad_out is ±0.0");
     assert_backward_is_reference(&conv, &x, &go);
+}
+
+/// NaN and ±inf gradients flow through the unclipped-window walk
+/// (interior pixels) and the clipped one (border pixels) exactly as
+/// through the per-pixel nest: an infinite `g` times a clipped tap's zero
+/// would be NaN, so a window that pads instead of clipping shows. One kind
+/// per output channel, at pixels whose windows do not overlap, so no `gx`
+/// element meets two different NaNs (which one an add returns is not
+/// specified); `gw` and `gb` start at −0.0, non-zero, and zero.
+#[test]
+fn conv2d_backward_special_gradients_are_bitwise_reference() {
+    let conv = Conv2d::new(IN_CH, OUT_CH, K, 1, 44);
+    let x = Tensor::uniform(&[IN_CH, H, W], 1.0, 9);
+    let mut go = Tensor::uniform(&[OUT_CH, H, W], 1.0, 15);
+    let kinds = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    // (interior pixel, border pixel) per kind.
+    let spots = [[(5, 5), (0, 9)], [(11, 20), (31, 3)], [(20, 12), (17, W - 1)]];
+    for (o, (v, spots)) in kinds.into_iter().zip(spots).enumerate() {
+        for (yy, xx) in spots {
+            go.data[(o * H + yy) * W + xx] = v;
+        }
+    }
+    for (i, g) in go.data.iter_mut().enumerate() {
+        if g.is_finite() && i % 3 != 0 {
+            *g = if i % 2 == 0 { 0.0 } else { -0.0 };
+        }
+    }
+    for start in [-0.0, 0.5, 0.0] {
+        let gw0 = Tensor::full(&conv.w.shape, start);
+        let gb0 = Tensor::full(&conv.b.shape, start);
+        assert_backward_from(&conv, &x, &go, (gw0, gb0));
+    }
+}
+
+/// Geometries whose unclipped interior is empty or one pixel wide along
+/// an axis, or every pixel (no padding), at 3×3 and at other kernel sizes
+/// (which are always clipped): the split between the fixed-size window
+/// and the clipped walk must be bitwise-invisible, adding into `gw` and
+/// `gb` that start at −0.0 or at random values. A −0.0 start stays −0.0
+/// only where nothing adds to it, so a walk that added a clipped tap's
+/// `g · 0` would show.
+#[test]
+fn conv2d_backward_is_bitwise_at_thin_interiors() {
+    for k in [1usize, 3, 5] {
+        for pad in 0..=k / 2 + 1 {
+            for (h, w) in [(1usize, 1usize), (1, 4), (2, 2), (2, 5), (3, 3), (3, 6), (4, 1), (5, 4)]
+            {
+                if h + 2 * pad < k || w + 2 * pad < k {
+                    continue;
+                }
+                let mut conv = Conv2d::new(3, 2, k, pad, (k * 100 + pad * 10 + h) as u64);
+                conv.w.data[0] = f32::INFINITY;
+                let x = Tensor::uniform(&[3, h, w], 1.0, (h * 10 + w) as u64);
+                let (oh, ow) = (h + 2 * pad + 1 - k, w + 2 * pad + 1 - k);
+                let mut go = Tensor::uniform(&[2, oh, ow], 1.0, (pad * 7 + w) as u64);
+                for g in go.data.iter_mut().step_by(3) {
+                    *g = -0.0;
+                }
+                let negzero = (Tensor::full(&conv.w.shape, -0.0), Tensor::full(&[2], -0.0));
+                assert_backward_from(&conv, &x, &go, negzero);
+                let random =
+                    (Tensor::uniform(&conv.w.shape, 1.0, 3), Tensor::uniform(&[2], 1.0, 4));
+                assert_backward_from(&conv, &x, &go, random);
+            }
+        }
+    }
 }
 
 /// The lane kernel's window clipping and output-channel blocking must be

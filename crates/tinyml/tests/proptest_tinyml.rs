@@ -3,7 +3,7 @@
 //! serialization round-trips over random architectures.
 
 use proptest::prelude::*;
-use tinyml::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid, Tanh};
+use tinyml::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid};
 use tinyml::net::{Scratch, Sequential};
 use tinyml::serialize::{load_model, save_model};
 use tinyml::tensor::Tensor;
@@ -51,7 +51,8 @@ fn conv_reference(
 
 /// The per-pixel backward nest for the same convolution: over
 /// `(o, yy, xx)` ascending, a non-zero `g` adds to `gb[o]` and, per
-/// unclipped tap, `g·x` to `gw` and `g·w` to `gx`. Returns `(gw, gb, gx)`.
+/// unclipped tap, `g·x` to `gw` and `g·w` to `gx`. `gw` and `gb` start as
+/// given, `gx` at zero. Returns `(gw, gb, gx)`.
 #[allow(clippy::needless_range_loop)] // reference code mirrors the math
 fn conv_backward_reference(
     x: &Tensor,
@@ -59,11 +60,10 @@ fn conv_backward_reference(
     go: &Tensor,
     k: usize,
     pad: usize,
+    (mut gw, mut gb): (Vec<f32>, Vec<f32>),
 ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let (in_ch, h, wdt) = (x.shape[0], x.shape[1], x.shape[2]);
     let (out_ch, oh, ow) = (go.shape[0], go.shape[1], go.shape[2]);
-    let mut gw = vec![0.0f32; w.len()];
-    let mut gb = vec![0.0f32; out_ch];
     let mut gx = vec![0.0f32; x.len()];
     for o in 0..out_ch {
         for yy in 0..oh {
@@ -137,9 +137,13 @@ proptest! {
     }
 
     /// The conv gradient kernels equal the per-pixel nest bit for bit in
-    /// `gw`, `gb` (`add_param_grads`, row by row) and `gx` (`input_grad`)
-    /// over the forward's geometries, on gradients with a random share of
-    /// ±0.0 (which both skip).
+    /// `gw`, `gb` (`add_param_grads`, row by row, into buffers that start
+    /// at 0.0, −0.0 or random values) and `gx` (`input_grad`) over the
+    /// forward's geometries, on gradients with a random share of ±0.0
+    /// (which both skip) and, in some cases, a NaN, +inf and −inf on output
+    /// channels 0, 1 and 2 at random pixels. Windows of two channels may
+    /// overlap there, and which of two NaNs an add returns is not
+    /// specified, so `gx` is then compared with every NaN alike.
     #[test]
     fn conv_backward_matches_reference_bitwise(
         in_ch in 1usize..7,
@@ -149,6 +153,8 @@ proptest! {
         h in 1usize..10,
         w in 1usize..16,
         zero_per_4 in 0u64..5,
+        start in 0u8..3,
+        specials in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let k = 2 * half_k + 1;
@@ -162,16 +168,40 @@ proptest! {
                 *g = if r & 4 == 0 { 0.0 } else { -0.0 };
             }
         }
+        if specials {
+            let kinds = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            for (o, v) in kinds.into_iter().enumerate().take(out_ch) {
+                let at = (seed >> (8 * o)) as usize % (oh * ow);
+                go.data[o * oh * ow + at] = v;
+            }
+        }
         let conv = Conv2d::new(in_ch, out_ch, k, pad, seed);
         let mut y = Tensor::default();
         conv.infer(&x, &mut y);
         let mut gx = Tensor::full(&[3], f32::NAN);
         conv.input_grad(&x, &y, &go, &mut gx);
-        let (want_gw, want_gb, want_gx) = conv_backward_reference(&x, &conv.w, &go, k, pad);
-        let fbits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
-        prop_assert_eq!(bits(&gx), fbits(&want_gx));
         let taps = in_ch * k * k;
-        let (mut gw, mut gb) = (vec![0.0f32; out_ch * taps], vec![0.0f32; out_ch]);
+        let (gw0, gb0) = match start {
+            0 => (vec![0.0f32; out_ch * taps], vec![0.0f32; out_ch]),
+            1 => (vec![-0.0f32; out_ch * taps], vec![-0.0f32; out_ch]),
+            _ => (
+                Tensor::uniform(&[out_ch * taps], 1.0, seed ^ 3).data,
+                Tensor::uniform(&[out_ch], 1.0, seed ^ 4).data,
+            ),
+        };
+        let (want_gw, want_gb, want_gx) =
+            conv_backward_reference(&x, &conv.w, &go, k, pad, (gw0.clone(), gb0.clone()));
+        let fbits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        let nan_alike = |v: &[f32]| {
+            let bits = |f: &f32| if f.is_nan() { f32::NAN.to_bits() } else { f.to_bits() };
+            v.iter().map(bits).collect::<Vec<u32>>()
+        };
+        if specials {
+            prop_assert_eq!(nan_alike(&gx.data), nan_alike(&want_gx));
+        } else {
+            prop_assert_eq!(bits(&gx), fbits(&want_gx));
+        }
+        let (mut gw, mut gb) = (gw0, gb0);
         for (row, (gw, gb)) in gw.chunks_exact_mut(taps).zip(&mut gb).enumerate() {
             conv.add_param_grads(&x, &go, row, gw, gb);
         }
@@ -189,7 +219,7 @@ proptest! {
         mid_ch in 1usize..10,
         half_k in 0usize..3,
         pad in 0usize..3,
-        act in 0usize..3,
+        relu in any::<bool>(),
         pool in any::<bool>(),
         hidden in 1usize..9,
         seed in any::<u64>(),
@@ -212,10 +242,10 @@ proptest! {
                 c.b = conv_b.clone();
                 c
             });
-            net = match act {
-                0 => both(net, &mut chain, ReLU::new),
-                1 => both(net, &mut chain, Tanh::default),
-                _ => both(net, &mut chain, Sigmoid::new),
+            net = if relu {
+                both(net, &mut chain, ReLU::new)
+            } else {
+                both(net, &mut chain, Sigmoid::new)
             };
             if pool {
                 net = both(net, &mut chain, || MaxPool2d::new(2));

@@ -14,7 +14,7 @@
 //! and 4.
 
 use proptest::prelude::*;
-use tinyml::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid, Tanh};
+use tinyml::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid};
 use tinyml::net::Sequential;
 use tinyml::tensor::Tensor;
 use tinyml::train::{train_epoch, Sample, Sgd};
@@ -29,7 +29,6 @@ enum Kind {
     Pool,
     Relu,
     Sigmoid,
-    Tanh,
     Flatten,
     Dense { input: usize, output: usize, seed: u64 },
 }
@@ -57,9 +56,7 @@ impl Mix {
 /// activation in front, then up to two dense layers behind a flatten, or
 /// none, so the loss gradient can also reach a pool or a conv directly.
 fn random_net(mix: &mut Mix, in_ch: usize, h: usize, w: usize) -> Vec<Kind> {
-    let act = |mix: &mut Mix| {
-        [None, Some(Kind::Relu), Some(Kind::Sigmoid), Some(Kind::Tanh)][mix.below(4)]
-    };
+    let act = |mix: &mut Mix| [None, Some(Kind::Relu), Some(Kind::Sigmoid)][mix.below(3)];
     let mut kinds = Vec::new();
     kinds.extend(if mix.below(3) == 0 { act(mix) } else { None });
     let (mut c, mut h, mut w) = (in_ch, h, w);
@@ -110,7 +107,6 @@ fn models(kinds: &[Kind]) -> (Sequential, Vec<Box<dyn Layer>>) {
         Kind::Pool => push(m, || MaxPool2d::new(2)),
         Kind::Relu => push(m, ReLU::new),
         Kind::Sigmoid => push(m, Sigmoid::new),
-        Kind::Tanh => push(m, Tanh::default),
         Kind::Flatten => push(m, Flatten::new),
         Kind::Dense { input, output, seed } => push(m, || Dense::new(input, output, seed)),
     })
@@ -251,11 +247,6 @@ impl Oracle {
             Kind::Sigmoid => {
                 for i in 0..gx.len() {
                     gx.data[i] = g.data[i] * y.data[i] * (1.0 - y.data[i]);
-                }
-            }
-            Kind::Tanh => {
-                for i in 0..gx.len() {
-                    gx.data[i] = g.data[i] * (1.0 - y.data[i] * y.data[i]);
                 }
             }
             Kind::Flatten => gx.data.copy_from_slice(&g.data),

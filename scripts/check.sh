@@ -69,6 +69,16 @@ echo "== conv kernel timing gate: conv2's shape costs per MAC about what conv1's
 cargo test --release -q -p tinyml --test conv_timing -- --ignored --exact \
     conv2_shape_costs_per_mac_about_what_conv1_shape_costs
 
+echo "== conv backward timing gate: a non-zero weight-gradient MAC costs a few forward MACs =="
+# The weight-gradient kernel walks a 3x3 window inside the input as one
+# unrolled block, so on conv1's shape (4->8 at 16x16, 80% of the output
+# gradients zero) its median ns per non-zero multiply-add may be at most
+# the bound const in the test times the forward's median ns/MAC: 31
+# interleaved reps, release build. Per-row clipped slices show as a larger
+# ratio.
+cargo test --release -q -p tinyml --test conv_timing -- --ignored --exact \
+    conv1_weight_grads_cost_a_few_forward_macs_per_nonzero_mac
+
 echo "== slab read gate: every step slab of a variable costs about one whole-variable read =="
 # A slab is read as its coalesced contiguous runs, so reading all 240
 # [1, 48, 72] step slabs of a [240, 48, 72] variable (the TC tracker's
