@@ -18,6 +18,12 @@
 //! `predicate(cond, then, else)` is the `oph_predicate` equivalent; the
 //! compatibility constructor [`Expr::from_oph_predicate`] accepts the
 //! Ophidia-style argument triple directly.
+//!
+//! [`Expr::eval`] is the language's one evaluator: the scalar oracle and
+//! the fused engine both walk the tree with it. The engine only folds the
+//! mask shape `predicate(x ⋈ c, a, b)` — `c`, `a` and `b` any subtrees that
+//! do not read `x` — into a compare-and-pick on the three values this
+//! evaluator gives them (see [`crate::fuse`]).
 
 use crate::error::{Error, Result};
 
@@ -59,7 +65,7 @@ pub enum Cmp {
 }
 
 impl Cmp {
-    fn eval(self, a: f64, b: f64) -> bool {
+    pub(crate) fn eval(self, a: f64, b: f64) -> bool {
         match self {
             Cmp::Gt => a > b,
             Cmp::Ge => a >= b,
@@ -144,273 +150,6 @@ impl Expr {
             Expr::Exp(e) => e.eval(x).exp(),
             Expr::Ln(e) => e.eval(x).ln(),
         }
-    }
-}
-
-/// Lane width of the vectorized evaluator. Blocks of eight keep the
-/// per-lane loops unrollable into SIMD by the optimizer without any
-/// nightly features; callers pad partial tails (per-element operations
-/// are pure, so computing garbage lanes and discarding them is safe).
-pub const LANES: usize = 8;
-
-/// One instruction of a compiled expression [`Tape`]: a postfix stack
-/// operation over `[f64; LANES]` blocks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TapeOp {
-    /// Push a constant, splatted across lanes.
-    Const(f64),
-    /// Push the measure block `x`.
-    X,
-    Neg,
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Max,
-    Min,
-    Abs,
-    Sqrt,
-    Exp,
-    Ln,
-    /// `predicate(lhs cmp rhs, then, else)`: pops `else`, `then`, `rhs`,
-    /// `lhs` and pushes a per-lane select. Both branches are evaluated for
-    /// all lanes; because every operation is a pure math function, the
-    /// discarded branch's value is bit-for-bit irrelevant and the selected
-    /// lane equals what [`Expr::eval`]'s short-circuit would have produced.
-    Select(Cmp),
-}
-
-/// A flat, vectorizable compilation of an [`Expr`]: the tree is walked
-/// once at compile time instead of once per element, and evaluation runs
-/// on [`LANES`]-wide blocks. Per-lane results are bitwise identical to
-/// [`Expr::eval`] — the same f64 operations are applied in the same
-/// order to each element, with no cross-lane interaction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Tape {
-    ops: Vec<TapeOp>,
-    max_depth: usize,
-}
-
-impl Tape {
-    /// Creates a reusable evaluator (owns the operand stack so per-block
-    /// evaluation allocates nothing).
-    pub fn evaluator(&self) -> TapeEval<'_> {
-        TapeEval { tape: self, stack: vec![[0.0; LANES]; self.max_depth.max(1)] }
-    }
-
-    /// Peephole: recognizes the mask idiom `predicate(x ⋈ c, a, b)` —
-    /// the single hottest expression shape in the index pipelines — and
-    /// collapses it to a branchless constant-select kernel. Returns
-    /// `None` for every other tape. The kernel performs the exact f64
-    /// compare-and-select the stack evaluator would, so results stay
-    /// bitwise identical.
-    pub fn const_select(&self) -> Option<ConstSelect> {
-        match self.ops.as_slice() {
-            [TapeOp::X, TapeOp::Const(rhs), TapeOp::Const(then_v), TapeOp::Const(otherwise), TapeOp::Select(cmp)] => {
-                Some(ConstSelect { cmp: *cmp, rhs: *rhs, then_v: *then_v, otherwise: *otherwise })
-            }
-            _ => None,
-        }
-    }
-}
-
-/// A collapsed `predicate(x ⋈ rhs, then_v, otherwise)` kernel (see
-/// [`Tape::const_select`]): one f64 compare and a constant pick per lane.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstSelect {
-    cmp: Cmp,
-    rhs: f64,
-    then_v: f64,
-    otherwise: f64,
-}
-
-impl ConstSelect {
-    /// Evaluates one element; bitwise equal to the full tape (and tree)
-    /// evaluation of the originating predicate expression.
-    #[inline]
-    pub fn eval(self, x: f64) -> f64 {
-        if self.cmp.eval(x, self.rhs) {
-            self.then_v
-        } else {
-            self.otherwise
-        }
-    }
-}
-
-/// Reusable block evaluator for a [`Tape`].
-pub struct TapeEval<'t> {
-    tape: &'t Tape,
-    stack: Vec<[f64; LANES]>,
-}
-
-impl TapeEval<'_> {
-    /// Evaluates the tape on one block of lane inputs, writing the result
-    /// block to `out`. Every lane `l` receives exactly `expr.eval(x[l])`.
-    pub fn eval_block(&mut self, x: &[f64; LANES], out: &mut [f64; LANES]) {
-        let stack = &mut self.stack;
-        let mut sp = 0usize;
-        for op in &self.tape.ops {
-            match *op {
-                TapeOp::Const(c) => {
-                    stack[sp] = [c; LANES];
-                    sp += 1;
-                }
-                TapeOp::X => {
-                    stack[sp] = *x;
-                    sp += 1;
-                }
-                TapeOp::Neg => {
-                    for v in stack[sp - 1].iter_mut() {
-                        *v = -*v;
-                    }
-                }
-                TapeOp::Add => {
-                    sp -= 1;
-                    let (lo, hi) = stack.split_at_mut(sp);
-                    let (a, b) = (&mut lo[sp - 1], &hi[0]);
-                    for l in 0..LANES {
-                        a[l] += b[l];
-                    }
-                }
-                TapeOp::Sub => {
-                    sp -= 1;
-                    let (lo, hi) = stack.split_at_mut(sp);
-                    let (a, b) = (&mut lo[sp - 1], &hi[0]);
-                    for l in 0..LANES {
-                        a[l] -= b[l];
-                    }
-                }
-                TapeOp::Mul => {
-                    sp -= 1;
-                    let (lo, hi) = stack.split_at_mut(sp);
-                    let (a, b) = (&mut lo[sp - 1], &hi[0]);
-                    for l in 0..LANES {
-                        a[l] *= b[l];
-                    }
-                }
-                TapeOp::Div => {
-                    sp -= 1;
-                    let (lo, hi) = stack.split_at_mut(sp);
-                    let (a, b) = (&mut lo[sp - 1], &hi[0]);
-                    for l in 0..LANES {
-                        a[l] /= b[l];
-                    }
-                }
-                TapeOp::Max => {
-                    sp -= 1;
-                    let (lo, hi) = stack.split_at_mut(sp);
-                    let (a, b) = (&mut lo[sp - 1], &hi[0]);
-                    for l in 0..LANES {
-                        a[l] = a[l].max(b[l]);
-                    }
-                }
-                TapeOp::Min => {
-                    sp -= 1;
-                    let (lo, hi) = stack.split_at_mut(sp);
-                    let (a, b) = (&mut lo[sp - 1], &hi[0]);
-                    for l in 0..LANES {
-                        a[l] = a[l].min(b[l]);
-                    }
-                }
-                TapeOp::Abs => {
-                    for v in stack[sp - 1].iter_mut() {
-                        *v = v.abs();
-                    }
-                }
-                TapeOp::Sqrt => {
-                    for v in stack[sp - 1].iter_mut() {
-                        *v = v.sqrt();
-                    }
-                }
-                TapeOp::Exp => {
-                    for v in stack[sp - 1].iter_mut() {
-                        *v = v.exp();
-                    }
-                }
-                TapeOp::Ln => {
-                    for v in stack[sp - 1].iter_mut() {
-                        *v = v.ln();
-                    }
-                }
-                TapeOp::Select(cmp) => {
-                    sp -= 3;
-                    let (lo, hi) = stack.split_at_mut(sp);
-                    let lhs = &mut lo[sp - 1];
-                    let (rhs, rest) = hi.split_first().unwrap();
-                    let (then, rest) = rest.split_first().unwrap();
-                    let otherwise = &rest[0];
-                    for l in 0..LANES {
-                        lhs[l] = if cmp.eval(lhs[l], rhs[l]) { then[l] } else { otherwise[l] };
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(sp, 1, "tape must leave exactly one result");
-        *out = stack[0];
-    }
-}
-
-impl Expr {
-    /// Compiles the expression to a flat [`Tape`] for block evaluation.
-    pub fn tape(&self) -> Tape {
-        fn emit(e: &Expr, ops: &mut Vec<TapeOp>, depth: usize, max: &mut usize) {
-            // `depth` is the stack height *before* this node's result is
-            // pushed; track the high-water mark as operands pile up.
-            let bump = |d: usize, max: &mut usize| {
-                if d > *max {
-                    *max = d;
-                }
-            };
-            match e {
-                Expr::Const(c) => {
-                    ops.push(TapeOp::Const(*c));
-                    bump(depth + 1, max);
-                }
-                Expr::X => {
-                    ops.push(TapeOp::X);
-                    bump(depth + 1, max);
-                }
-                Expr::Neg(a) => {
-                    emit(a, ops, depth, max);
-                    ops.push(TapeOp::Neg);
-                }
-                Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {
-                    emit(a, ops, depth, max);
-                    emit(b, ops, depth + 1, max);
-                    ops.push(match e {
-                        Expr::Add(..) => TapeOp::Add,
-                        Expr::Sub(..) => TapeOp::Sub,
-                        Expr::Mul(..) => TapeOp::Mul,
-                        _ => TapeOp::Div,
-                    });
-                }
-                Expr::Max(a, b) | Expr::Min(a, b) => {
-                    emit(a, ops, depth, max);
-                    emit(b, ops, depth + 1, max);
-                    ops.push(if matches!(e, Expr::Max(..)) { TapeOp::Max } else { TapeOp::Min });
-                }
-                Expr::Abs(a) | Expr::Sqrt(a) | Expr::Exp(a) | Expr::Ln(a) => {
-                    emit(a, ops, depth, max);
-                    ops.push(match e {
-                        Expr::Abs(..) => TapeOp::Abs,
-                        Expr::Sqrt(..) => TapeOp::Sqrt,
-                        Expr::Exp(..) => TapeOp::Exp,
-                        _ => TapeOp::Ln,
-                    });
-                }
-                Expr::Predicate { lhs, cmp, rhs, then, otherwise } => {
-                    emit(lhs, ops, depth, max);
-                    emit(rhs, ops, depth + 1, max);
-                    emit(then, ops, depth + 2, max);
-                    emit(otherwise, ops, depth + 3, max);
-                    ops.push(TapeOp::Select(*cmp));
-                }
-            }
-        }
-        let mut ops = Vec::new();
-        let mut max_depth = 0usize;
-        emit(self, &mut ops, 0, &mut max_depth);
-        Tape { ops, max_depth }
     }
 }
 
@@ -715,54 +454,6 @@ mod tests {
         assert!(Expr::parse("1 2").is_err());
         assert!(Expr::parse("x ? 1 : 0").is_err());
         assert!(Expr::parse("predicate(x, 1, 0)").is_err(), "predicate needs a comparison");
-    }
-
-    #[test]
-    fn tape_matches_tree_eval_bitwise() {
-        // Note: each binary node keeps at most one x-dependent operand.
-        // When two *distinct* NaN bit patterns meet at a commutative op
-        // (e.g. `-x * x` at x = NaN), IEEE leaves the result payload
-        // unspecified and LLVM may lower the two code paths with swapped
-        // operands — that case is outside the bitwise contract (see
-        // DESIGN.md). Everything else, including NaN payloads through
-        // selects and single-NaN arithmetic, must match exactly.
-        let exprs = [
-            "2*x + 1",
-            "predicate(x > 0, 1, 0)",
-            "predicate(x >= 0, sqrt(x), -x)",
-            "max(min(x, 5), -5) / 3",
-            "abs(x) + exp(-2*x) - ln(max(x, 0.5))",
-            "predicate(x > 1, 2, predicate(x > 0, 1, 0))",
-            "-(x - 2) / 3",
-        ];
-        let inputs =
-            [-3.5, 0.0, -0.0, 1.0, 2.0, 1e30, -1e-30, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
-        for src in exprs {
-            let e = Expr::parse(src).unwrap();
-            let tape = e.tape();
-            let mut ev = tape.evaluator();
-            // Exercise partial blocks too: the padded lanes repeat input 0.
-            let mut x = [inputs[0]; LANES];
-            x[..inputs.len().min(LANES)].copy_from_slice(&inputs[..inputs.len().min(LANES)]);
-            let mut out = [0.0; LANES];
-            ev.eval_block(&x, &mut out);
-            for l in 0..LANES {
-                assert_eq!(
-                    out[l].to_bits(),
-                    e.eval(x[l]).to_bits(),
-                    "{src} at x={} lane {l}",
-                    x[l]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tape_depth_is_exact_for_predicate() {
-        let e = Expr::parse("predicate(x > 0, 1, 0)").unwrap();
-        let t = e.tape();
-        assert_eq!(t.max_depth, 4, "lhs+rhs+then+else live at once");
-        assert_eq!(t.ops.len(), 5);
     }
 
     #[test]

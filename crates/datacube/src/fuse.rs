@@ -8,10 +8,13 @@
 //! throughput is bound by how few times each byte is touched, so the
 //! engine compiles the chain into a single fused per-fragment kernel:
 //! the fragment's [`SharedData`] window is traversed exactly once, with
-//! the element-wise stages evaluated on [`LANES`]-wide blocks (hand
+//! the element-wise stages evaluated on `LANES`-wide blocks (hand
 //! unrolled; the optimizer turns the per-lane loops into SIMD — no
-//! nightly features) and `apply` expressions pre-compiled to a flat
-//! [`Tape`] instead of re-walking the AST per element.
+//! nightly features). An `apply` of the mask shape
+//! `predicate(x ⋈ c, a, b)`, where `c`, `a` and `b` do not read `x`, is
+//! folded into a branchless compare-and-pick on the three values; every
+//! other `apply` walks its tree with [`Expr::eval`], the oracle's own
+//! evaluator, one lane at a time.
 //!
 //! # Fusion legality rules
 //!
@@ -55,9 +58,15 @@
 
 use crate::error::{Error, Result};
 use crate::exec::{par_map_fragments_named, ExecConfig};
-use crate::expr::{ConstSelect, Expr, Tape, TapeEval, LANES};
+use crate::expr::{Cmp, Expr};
 use crate::model::{Cube, DimKind, Dimension, Fragment, SharedData};
 use crate::ops::{self, InterOp, ReduceOp};
+
+/// Lane width of the element-wise phase. Blocks of eight keep the
+/// per-lane loops unrollable into SIMD by the optimizer without any
+/// nightly features; partial tails are padded (per-element operations are
+/// pure, so computing garbage lanes and discarding them is safe).
+const LANES: usize = 8;
 
 /// Per-row series kernel of a `map_series` terminal: reads the (virtual)
 /// row and writes exactly `out_len` values. It may borrow for `'f`.
@@ -247,13 +256,10 @@ impl<'f> Pipeline<'f> {
         let mut stages: Vec<CStage<'p>> = Vec::new();
         for step in &self.steps {
             stages.push(match step {
-                Step::Apply(e) => {
-                    let tape = e.tape();
-                    match tape.const_select() {
-                        Some(cs) => CStage::ApplySelect(cs),
-                        None => CStage::Apply(tape),
-                    }
-                }
+                Step::Apply(e) => match ConstSelect::fold(e) {
+                    Some(cs) => CStage::Select(cs),
+                    None => CStage::Apply(e),
+                },
                 Step::Inter { b, op } => {
                     if src.rows() != b.rows() {
                         return Err(Error::SchemaMismatch(format!(
@@ -322,11 +328,72 @@ fn fill(len: usize, write: impl FnOnce(&mut [f32])) -> SharedData {
     SharedData::from_fn(len, write)
 }
 
+/// Whether `e` reads the measure value `x` anywhere.
+fn reads_x(e: &Expr) -> bool {
+    match e {
+        Expr::Const(_) => false,
+        Expr::X => true,
+        Expr::Neg(a) | Expr::Abs(a) | Expr::Sqrt(a) | Expr::Exp(a) | Expr::Ln(a) => reads_x(a),
+        Expr::Add(a, b)
+        | Expr::Sub(a, b)
+        | Expr::Mul(a, b)
+        | Expr::Div(a, b)
+        | Expr::Max(a, b)
+        | Expr::Min(a, b) => reads_x(a) || reads_x(b),
+        Expr::Predicate { lhs, rhs, then, otherwise, .. } => {
+            [lhs, rhs, then, otherwise].iter().any(|e| reads_x(e))
+        }
+    }
+}
+
+/// A `predicate(x ⋈ rhs, then_v, otherwise)` mask with its three operands
+/// evaluated: one f64 compare and a constant pick per lane.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ConstSelect {
+    cmp: Cmp,
+    rhs: f64,
+    then_v: f64,
+    otherwise: f64,
+}
+
+impl ConstSelect {
+    /// Folds `predicate(x ⋈ rhs, then, otherwise)` when none of `rhs`,
+    /// `then` and `otherwise` reads `x`; `None` for every other shape.
+    /// Bitwise equal to [`Expr::eval`]: a subtree without `x` gives the
+    /// same f64 at every element, and the select takes one branch just as
+    /// the tree walk does.
+    fn fold(e: &Expr) -> Option<ConstSelect> {
+        match e {
+            Expr::Predicate { lhs, cmp, rhs, then, otherwise }
+                if matches!(**lhs, Expr::X)
+                    && ![rhs, then, otherwise].iter().any(|e| reads_x(e)) =>
+            {
+                Some(ConstSelect {
+                    cmp: *cmp,
+                    rhs: rhs.eval(0.0),
+                    then_v: then.eval(0.0),
+                    otherwise: otherwise.eval(0.0),
+                })
+            }
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn eval(self, x: f64) -> f64 {
+        if self.cmp.eval(x, self.rhs) {
+            self.then_v
+        } else {
+            self.otherwise
+        }
+    }
+}
+
 enum CStage<'p> {
-    Apply(Tape),
-    /// `predicate(x ⋈ c, a, b)` collapsed to a branchless constant select
-    /// (see [`Tape::const_select`]); bitwise equal to the tape path.
-    ApplySelect(ConstSelect),
+    /// An expression walked per element by [`Expr::eval`].
+    Apply(&'p Expr),
+    /// A mask folded by [`ConstSelect::fold`].
+    Select(ConstSelect),
     Inter {
         op: InterOp,
         ilen_b: usize,
@@ -376,15 +443,6 @@ fn fold_rows(op: ReduceOp, data: &[f32], ilen: usize, dst: &mut [f32]) {
     }
 }
 
-/// Per-fragment mutable state, one slot per runtime stage.
-enum RunState<'t> {
-    Apply(TapeEval<'t>),
-    /// Constant-select stages carry no state.
-    Stateless,
-    /// Cursor into the stage's `border`: the `b` fragment of the current row.
-    Inter(usize),
-}
-
 struct Compiled<'p> {
     stages: Vec<CStage<'p>>,
     /// Row length of the source and of every element-wise stage.
@@ -418,15 +476,16 @@ impl Compiled<'_> {
             }
             return;
         }
-        let mut states: Vec<RunState> = self
+        // One cursor per stage into an intercube stage's `border`: the `b`
+        // fragment of the current row (unused by the other stages).
+        let mut cursors: Vec<usize> = self
             .stages
             .iter()
             .map(|s| match s {
-                CStage::Apply(t) => RunState::Apply(t.evaluator()),
-                CStage::ApplySelect(_) => RunState::Stateless,
-                CStage::Inter { border, .. } => RunState::Inter(
-                    border.partition_point(|bf| bf.row_start + bf.row_count <= f.row_start),
-                ),
+                CStage::Inter { border, .. } => {
+                    border.partition_point(|bf| bf.row_start + bf.row_count <= f.row_start)
+                }
+                _ => 0,
             })
             .collect();
         let mut scratch = vec![0.0f32; if self.terminal.is_some() { ilen } else { 0 }];
@@ -435,7 +494,7 @@ impl Compiled<'_> {
             // Straight into the output row when there is no terminal, else
             // into the scratch row the terminal then folds.
             let ew = if self.terminal.is_some() { &mut scratch[..] } else { &mut out_row[..] };
-            self.elementwise(row(r), f.row_start + r, &mut states, ew);
+            self.elementwise(row(r), f.row_start + r, &mut cursors, ew);
             if let Some(t) = &self.terminal {
                 t.finish(&scratch, out_row);
             }
@@ -449,10 +508,10 @@ impl Compiled<'_> {
     /// per-element, so the padded lanes compute garbage that is simply not
     /// stored.
     #[inline]
-    fn elementwise(&self, row: &[f32], grow: usize, states: &mut [RunState], ew: &mut [f32]) {
+    fn elementwise(&self, row: &[f32], grow: usize, cursors: &mut [usize], ew: &mut [f32]) {
         // Advance each intercube stage's fragment cursor to this row.
-        for (stage, state) in self.stages.iter().zip(states.iter_mut()) {
-            if let (CStage::Inter { border, .. }, RunState::Inter(bi)) = (stage, state) {
+        for (stage, bi) in self.stages.iter().zip(cursors.iter_mut()) {
+            if let CStage::Inter { border, .. } = stage {
                 while border[*bi].row_start + border[*bi].row_count <= grow {
                     *bi += 1;
                 }
@@ -467,21 +526,21 @@ impl Compiled<'_> {
             for l in n..LANES {
                 va[l] = va[0];
             }
-            for (stage, state) in self.stages.iter().zip(states.iter_mut()) {
-                match (stage, state) {
-                    (CStage::Apply(_), RunState::Apply(ev)) => {
-                        let mut y = [0.0f64; LANES];
-                        ev.eval_block(&va.map(f64::from), &mut y);
-                        va = y.map(|v| v as f32);
+            for (stage, &bi) in self.stages.iter().zip(cursors.iter()) {
+                match stage {
+                    CStage::Apply(e) => {
+                        for v in va[..n].iter_mut() {
+                            *v = e.eval(*v as f64) as f32;
+                        }
                     }
-                    (CStage::ApplySelect(cs), RunState::Stateless) => {
+                    CStage::Select(cs) => {
                         for v in va.iter_mut() {
                             *v = cs.eval(*v as f64) as f32;
                         }
                     }
-                    (CStage::Inter { op, ilen_b, border }, RunState::Inter(bi)) => {
-                        let off = (grow - border[*bi].row_start) * ilen_b;
-                        let brow = &border[*bi].data.as_slice()[off..off + ilen_b];
+                    CStage::Inter { op, ilen_b, border } => {
+                        let off = (grow - border[bi].row_start) * ilen_b;
+                        let brow = &border[bi].data.as_slice()[off..off + ilen_b];
                         let mut vb = [0.0f32; LANES];
                         if *ilen_b == 1 {
                             vb = [brow[0]; LANES];
@@ -495,7 +554,6 @@ impl Compiled<'_> {
                             va[l] = op.apply(va[l], vb[l]);
                         }
                     }
-                    _ => unreachable!("state kind mismatches stage"),
                 }
             }
             ew[j..j + n].copy_from_slice(&va[..n]);
@@ -567,6 +625,32 @@ mod tests {
             .apply(Expr::from_oph_predicate("x", ">0", "1", "0").unwrap())
             .reduce(ReduceOp::CountPositive, "time");
         assert_conforms(&p, &src);
+    }
+
+    /// Whether an `apply` of `e` compiles to the select stage.
+    fn selects(e: Expr) -> bool {
+        let p = Pipeline::new().apply(e);
+        let c = p.compile(&sample(1)).unwrap();
+        matches!(c.stages[..], [CStage::Select(_)])
+    }
+
+    #[test]
+    fn masks_compile_to_the_select_stage() {
+        let mask =
+            |measure: &str, cond: &str| Expr::from_oph_predicate(measure, cond, "1", "0").unwrap();
+        // The default heat and cold conditions (a 5.0 K threshold, an f32),
+        // formatted as the wave chains and the serving query format them.
+        let t = 5.0f32;
+        for cond in [format!(">{t}"), format!("<-{t}"), "<=-0.5".into(), ">(2-7)".into()] {
+            assert!(selects(mask("x", &cond)), "{cond}");
+        }
+        assert!(selects(mask("measure", "<-5")));
+        assert!(!selects(Expr::parse("predicate(x > 0, x, -x)").unwrap()));
+        let cold = ConstSelect::fold(&mask("x", "<-5"));
+        assert_eq!(
+            cold,
+            Some(ConstSelect { cmp: Cmp::Lt, rhs: -5.0, then_v: 1.0, otherwise: 0.0 })
+        );
     }
 
     #[test]

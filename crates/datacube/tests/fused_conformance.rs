@@ -95,6 +95,12 @@ fn expr_pool() -> Vec<Expr> {
         "sqrt(abs(x))",
         "predicate(x > 0, x, -x)",
         "predicate(x >= 5, 1, 0)",
+        // Masks whose compared value and results do not read `x`: the
+        // engine folds them to a compare-and-pick on -0.0, NaN and ±inf.
+        "predicate(x < -5, 1, 0)",
+        "predicate(x <= -(0), -1, 2 * 3)",
+        "predicate(x > 0 / 0, 1, 0)",
+        "predicate(x != 1 / 0, -(0), 0)",
     ]
     .iter()
     .map(|s| Expr::parse(s).unwrap())

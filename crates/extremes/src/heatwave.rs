@@ -90,7 +90,8 @@ pub struct HeatwaveIndices {
     pub frequency: Cube,
 }
 
-/// Lane width of the blocked run scan (mirrors `datacube::expr::LANES`).
+/// Lane width of the blocked run scan (the datacube engine's element-wise
+/// phase uses the same eight-lane blocks).
 const SCAN_LANES: usize = 8;
 
 /// The shared run-length scan core: emits every hot run (`v > 0.5`) of

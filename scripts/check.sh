@@ -180,7 +180,12 @@ echo "== the census names three planted offenders =="
 # are everywhere, so a census that matches names instead of asking the
 # compiler misses the first two.
 plant=$(mktemp -d)
-git ls-files -z --cached --others --exclude-standard | xargs -0 cp --parents -t "$plant"
+# Only paths that exist: a tracked file deleted from the working tree (and
+# not yet staged) is still listed by `--cached`.
+git ls-files -z --cached --others --exclude-standard |
+  while IFS= read -r -d '' f; do
+    if [ -e "$f" ]; then printf '%s\0' "$f"; fi
+  done | xargs -0 cp --parents -t "$plant"
 cat > "$plant/crates/core/src/planted.rs" <<'RS'
 pub struct PlantedWriter;
 impl PlantedWriter {
