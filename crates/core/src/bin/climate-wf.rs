@@ -25,6 +25,7 @@
 
 use climate_workflows::{run_pipelined, run_sequential, WorkflowParams};
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
@@ -154,8 +155,14 @@ fn clear_run_outputs(params: &WorkflowParams) {
 /// `profile` (the `report` subcommand) additionally arms the crash flight
 /// recorder for the whole run — a task failure or panic dumps the most
 /// recent events as JSONL next to the workflow outputs — and appends the
-/// compute-pool utilization and latency percentile tables.
-fn cmd_run(flags: &BTreeMap<String, String>, profile: bool) -> Result<(), String> {
+/// compute-pool utilization and latency percentile tables. `started` is
+/// when the process's `main` began, the origin of the report's
+/// `process wall:` line.
+fn cmd_run(
+    flags: &BTreeMap<String, String>,
+    profile: bool,
+    started: Instant,
+) -> Result<(), String> {
     let params = params_from_flags(flags)?;
     clear_run_outputs(&params);
     let sequential = flags.contains_key("sequential");
@@ -191,7 +198,8 @@ fn cmd_run(flags: &BTreeMap<String, String>, profile: bool) -> Result<(), String
     let tap = (trace_path.is_some() || metrics_path.is_some() || profile)
         .then(|| obs::global().subscribe_with_capacity(1 << 21));
 
-    let report = if sequential { run_sequential(params) } else { run_pipelined(params) }?;
+    let mut report = if sequential { run_sequential(params) } else { run_pipelined(params) }?;
+    report.process_wall = Some(started.elapsed());
     print!("{}", report.render());
     println!("provenance: {}", report.prov_path.display());
     let Some(rx) = tap else { return Ok(()) };
@@ -376,6 +384,7 @@ fn cmd_info() {
 }
 
 fn main() {
+    let started = Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
     let (flags, positional) = parse_args(&args[1..]);
@@ -384,7 +393,7 @@ fn main() {
         usage()
     }
     let result = match cmd.as_str() {
-        "run" | "report" => cmd_run(&flags, cmd == "report"),
+        "run" | "report" => cmd_run(&flags, cmd == "report", started),
         "chaos" => cmd_chaos(&flags),
         "graph" => cmd_graph(&flags),
         "topology" => {

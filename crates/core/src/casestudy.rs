@@ -1208,6 +1208,7 @@ impl CaseStudy {
             timed: self.rt.timing_report(),
             placements: self.rt.scheduler_decisions(),
             stream: None,
+            process_wall: None,
         })
     }
 }
@@ -1427,7 +1428,8 @@ fn open_tc_input(input: &Path) -> ncformat::Result<(Reader, gridded::Grid, usize
 ///
 /// Days run in parallel on the shared [`par`] pool against the one shared
 /// `model`; a day reads its four `(step, lat, lon)` slabs once, then
-/// regrids and localizes its steps one after the other, tile by tile. A
+/// regrids and localizes its steps one after the other, eight tiles of a
+/// step to a forward pass (see `TcCnn::localize`). A
 /// step's rows do not depend on which lane scored it, and the days' rows
 /// concatenate in day order.
 fn cnn_localize_steps(input: &Path, model: &TcCnn) -> Result<String, String> {

@@ -111,6 +111,9 @@ pub struct RunReport {
     pub placements: Vec<dataflow::PlacementDecision>,
     /// Streaming data-plane summary (None for staged, file-based runs).
     pub stream: Option<StreamSummary>,
+    /// The process's wall clock from its start to this report, which the
+    /// `climate-wf` binary sets; `None` from the library.
+    pub process_wall: Option<Duration>,
 }
 
 /// `1234567` µs → `"1.23s"`, `4321` µs → `"4.3ms"`.
@@ -148,6 +151,22 @@ impl RunReport {
             let _ = write!(s, " (CPU {cpu:.2?}, {lanes:.2} lanes busy)");
         }
         let _ = writeln!(s);
+        if let Some(process) = self.process_wall {
+            // Whole milliseconds, truncated: the parts then sum to the
+            // total exactly, and `other` is never negative.
+            let ms = |d: Duration| d.as_millis() as u64;
+            let (total, setup, workflow) = (ms(process), ms(setup.time), ms(self.wall_time));
+            let other = total.saturating_sub(setup + workflow);
+            let secs = |ms: u64| format!("{}.{:03}s", ms / 1000, ms % 1000);
+            let _ = writeln!(
+                s,
+                "process wall: {} = setup {} + workflow {} + other {}",
+                secs(total),
+                secs(setup),
+                secs(workflow),
+                secs(other)
+            );
+        }
         let _ = writeln!(
             s,
             "task graph: {} tasks, {} edges, critical path {} (dot: {})",
@@ -332,6 +351,7 @@ mod tests {
             timed: None,
             placements: Vec::new(),
             stream: None,
+            process_wall: None,
         }
     }
 
@@ -347,6 +367,16 @@ mod tests {
             r.contains(
                 "wall time: 1.23s\nparallelism: 2 par lanes, CPU 2.10s, 1.70 CPU/wall\n\
                  setup: CNN pre-trained in 2.50s (CPU 4.42s, 1.77 lanes busy)\n"
+            ),
+            "got:\n{r}"
+        );
+        let mut timed = sample();
+        timed.process_wall = Some(Duration::from_micros(3_801_999));
+        let r = timed.render();
+        assert!(
+            r.contains(
+                "1.77 lanes busy)\n\
+                 process wall: 3.801s = setup 2.500s + workflow 1.234s + other 0.067s\n"
             ),
             "got:\n{r}"
         );

@@ -1,7 +1,9 @@
 //! `climate-wf run` reuses the CNN it pre-trained into `--out`: a second
 //! run with the same training inputs loads it, a run with other inputs
 //! (here another `--seed`) trains and caches its own. The model it
-//! pre-trains is the same file, byte for byte, at every pool width.
+//! pre-trains is the same file, byte for byte, at every pool width. Under
+//! its `setup:` line, `report` splits the process's wall clock into set-up,
+//! workflow and the rest.
 
 use std::path::Path;
 use std::process::Command;
@@ -77,4 +79,56 @@ fn pretrained_model_bytes_do_not_depend_on_pool_width() {
         assert_eq!(fnv, MODEL_FNV1A, "PAR_THREADS={threads}: model bytes moved");
         std::fs::remove_dir_all(&out).ok();
     }
+}
+
+/// `"1.234s"` → 1234 (milliseconds).
+fn millis(secs: &str) -> u64 {
+    let (whole, frac) = secs.strip_suffix('s').and_then(|s| s.split_once('.')).expect("N.NNNs");
+    assert_eq!(frac.len(), 3, "{secs}");
+    whole.parse::<u64>().unwrap() * 1000 + frac.parse::<u64>().unwrap()
+}
+
+/// `climate-wf report` prints, right under `setup:`, `process wall: X =
+/// setup Y + workflow Z + other W`, timed from the start of `main`: the
+/// parts sum to X, Y is the set-up just reported and Z the workflow's
+/// `wall time`, to the millisecond.
+#[test]
+fn report_splits_the_process_wall_under_setup() {
+    let out = std::env::temp_dir().join(format!("climate-wf-wall-{}", std::process::id()));
+    std::fs::remove_dir_all(&out).ok();
+    let output = Command::new(env!("CARGO_BIN_EXE_climate-wf"))
+        .args(["report", "--years", "1", "--days", "2", "--out"])
+        .arg(&out)
+        .output()
+        .expect("climate-wf runs");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "climate-wf failed:\n{stdout}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    let at = lines.iter().position(|l| l.starts_with("setup: CNN")).expect("a setup line");
+    let wall = lines[at + 1];
+    let rest = wall.strip_prefix("process wall: ").unwrap_or_else(|| panic!("got:\n{stdout}"));
+    let parts: Vec<&str> = rest.split(' ').collect();
+    let [x, "=", "setup", y, "+", "workflow", z, "+", "other", w] = parts[..] else {
+        panic!("malformed: {wall}")
+    };
+    let [x, y, z, w] = [x, y, z, w].map(millis);
+    assert_eq!(y + z + w, x, "{wall}");
+    // The first value after `prefix` on its line, a `{:.2?}` Duration, in s.
+    let secs = |prefix: &str| -> f64 {
+        let line = lines.iter().find(|l| l.starts_with(prefix)).expect(prefix);
+        let v = line[prefix.len()..].split_whitespace().next().unwrap();
+        let unit_at = v.find(|c: char| c.is_alphabetic() || c == '\u{b5}').unwrap();
+        let scale = match &v[unit_at..] {
+            "s" => 1.0,
+            "ms" => 1e-3,
+            _ => 1e-6,
+        };
+        v[..unit_at].parse::<f64>().unwrap() * scale
+    };
+    // `wall time: 1.23s` and `setup: CNN pre-trained in 0.89s` round to
+    // two decimals; the process wall truncates to the millisecond.
+    let close = |ms: u64, s: f64| (ms as f64 / 1e3 - s).abs() <= 0.006 + s * 0.01;
+    assert!(close(z, secs("wall time: ")), "{wall} vs the wall time line");
+    assert!(close(y, secs("setup: CNN pre-trained in ")), "{wall} vs the setup line");
+    std::fs::remove_dir_all(&out).ok();
 }

@@ -21,6 +21,10 @@ use tinyml::serialize::{load_model, save_model, ModelError};
 use tinyml::tensor::Tensor;
 use tinyml::train::{train_epoch, Sgd};
 
+/// Tiles [`TcCnn::localize`] scores at once, one per sample lane of the
+/// forward kernels.
+const BLOCK: usize = 8;
+
 /// A CNN-predicted cyclone center.
 #[derive(Debug, Clone, Copy)]
 pub struct CnnDetection {
@@ -130,7 +134,7 @@ pub fn extract_labeled_patches(
 /// The localization model: a small convolutional network over 4-channel
 /// patches (`psl`, `wind`, `tas`, `vort`), each patch standardized
 /// per-channel before inference. Inference is `&self` and serial inside a
-/// tile, so one loaded model serves every thread of the process.
+/// block of tiles, so one loaded model serves every thread of the process.
 pub struct TcCnn {
     net: Sequential,
     /// Patch edge length in cells.
@@ -140,7 +144,8 @@ pub struct TcCnn {
 }
 
 impl TcCnn {
-    /// Builds the architecture for a given (even) patch size.
+    /// Builds the architecture for a given patch size, a multiple of 4
+    /// (the two 2 × 2 pools must tile it exactly).
     pub fn new(patch: usize, seed: u64) -> Self {
         assert!(patch.is_multiple_of(4), "patch size must be divisible by 4 (two pools)");
         let after_pool = patch / 4;
@@ -215,12 +220,8 @@ impl TcCnn {
     /// Runs the model on one standardized patch, returning
     /// `(presence probability, cy, cx)` in normalized patch coordinates.
     pub fn infer_patch(&self, patch: &Tensor) -> (f32, f32, f32) {
-        self.infer_with(patch, &mut Scratch::default())
-    }
-
-    /// [`TcCnn::infer_patch`] into the caller's reused activation buffers.
-    fn infer_with(&self, patch: &Tensor, scratch: &mut Scratch) -> (f32, f32, f32) {
-        let y = self.net.infer(patch, scratch);
+        let mut scratch = Scratch::default();
+        let y = self.net.infer(patch, &mut scratch);
         (y.data[0], y.data[1], y.data[2])
     }
 
@@ -228,8 +229,12 @@ impl TcCnn {
     /// tile → standardize → infer → geo-reference. All fields must share a
     /// grid; the tiling drops partial edge tiles (as the paper's regrid
     /// step guarantees divisibility, callers regrid first when needed).
-    /// Tiles run one after the other through one patch buffer and one pair
-    /// of activation buffers, so nothing is allocated per tile.
+    /// Tiles are standardized one at a time and scored [`BLOCK`] at a time,
+    /// in row-major order, through one patch buffer, one block buffer and
+    /// one pair of activation buffers, so nothing is allocated per tile. A
+    /// short last block repeats its last tile in the spare lanes and drops
+    /// their results. Every tile's outputs are bitwise those of
+    /// [`TcCnn::infer_patch`] on it alone.
     fn localize(
         &self,
         psl: &Field2,
@@ -240,20 +245,32 @@ impl TcCnn {
         let tiling = Tiling::plan(psl.grid.clone(), TileSpec { patch: self.patch });
         let cells = self.patch * self.patch;
         let mut patch = Tensor::full(&[4, self.patch, self.patch], 0.0);
+        let mut block = Tensor::full(&[4, self.patch, self.patch, BLOCK], 0.0);
         let mut scratch = Scratch::default();
         let mut out = Vec::new();
-        for r in 0..tiling.rows {
-            for c in 0..tiling.cols {
+        let tiles = tiling.rows * tiling.cols;
+        for first in (0..tiles).step_by(BLOCK) {
+            let live = BLOCK.min(tiles - first);
+            for lane in 0..live {
+                let (r, c) = ((first + lane) / tiling.cols, (first + lane) % tiling.cols);
                 for (field, plane) in
                     [psl, wind, tas, vort].into_iter().zip(patch.data.chunks_mut(cells))
                 {
                     tiling.extract_into(field, r, c, plane);
                 }
                 Self::standardize(&mut patch);
-                let (p, cy, cx) = self.infer_with(&patch, &mut scratch);
+                let lanes = if lane + 1 == live { lane..BLOCK } else { lane..lane + 1 };
+                for (&v, samples) in patch.data.iter().zip(block.data.chunks_exact_mut(BLOCK)) {
+                    samples[lanes.clone()].fill(v);
+                }
+            }
+            let y = self.net.infer_block::<BLOCK>(&block, &mut scratch);
+            for lane in 0..live {
+                let p = y.data[lane];
                 if p > self.threshold {
-                    let py = ((cy * self.patch as f32) as usize).min(self.patch - 1);
-                    let px = ((cx * self.patch as f32) as usize).min(self.patch - 1);
+                    let (r, c) = ((first + lane) / tiling.cols, (first + lane) % tiling.cols);
+                    let pixel = |v: f32| ((v * self.patch as f32) as usize).min(self.patch - 1);
+                    let (py, px) = (pixel(y.data[BLOCK + lane]), pixel(y.data[2 * BLOCK + lane]));
                     let (lat, lon) = tiling.to_latlon(r, c, py, px);
                     out.push(CnnDetection { lat, lon, confidence: p, tile: (r, c) });
                 }
@@ -444,57 +461,72 @@ mod tests {
         assert_sync::<TcCnn>();
     }
 
-    /// `localize` (one reused patch buffer and one reused `Scratch`)
-    /// equals the per-patch oracle — `FieldSet::tile` → `standardize` →
-    /// `Sequential::infer` into a fresh `Scratch` per tile — in every
-    /// detection's bits, on random fields with a NaN cell and a constant
-    /// tile thrown in.
+    /// `localize` (tiles scored [`BLOCK`] at a time through reused
+    /// buffers) equals the per-patch oracle — `FieldSet::tile` →
+    /// `standardize` → `Sequential::infer` into a fresh `Scratch` per tile —
+    /// in every detection's bits, on random fields with a NaN cell and a
+    /// constant tile thrown in. The grids have 15 tiles (a full block and a
+    /// short one), 1 tile (a block of one live lane) and 16 tiles (two full
+    /// blocks).
     #[test]
     fn localize_is_bitwise_the_per_patch_oracle() {
         let mut m = TcCnn::new(16, 21);
         m.train_synthetic(60, 2, 4);
         // Fire on most tiles, so the comparison covers more than a few.
         m.threshold = 0.05;
-        let grid = gridded::Grid::global(48, 80);
         let mut state = 0x2545F4914F6CDD1Du64;
-        let mut field = |scale: f32| {
-            let data = (0..grid.len())
-                .map(|_| {
-                    state =
-                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    ((state >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * scale
-                })
-                .collect();
-            Field2::from_vec(grid.clone(), data)
-        };
-        let mut set =
-            FieldSet { psl: field(900.0), wind: field(30.0), tas: field(12.0), vort: field(1e-3) };
-        set.tas.data[5] = f32::NAN;
-        for i in 16..32 {
-            set.vort.data[i * grid.nlon + 32..][..16].fill(0.25);
-        }
+        for (nlat, nlon) in [(48, 80), (16, 16), (64, 64)] {
+            let grid = gridded::Grid::global(nlat, nlon);
+            let mut field = |scale: f32| {
+                let data = (0..grid.len())
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        ((state >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * scale
+                    })
+                    .collect();
+                Field2::from_vec(grid.clone(), data)
+            };
+            let mut set = FieldSet {
+                psl: field(900.0),
+                wind: field(30.0),
+                tas: field(12.0),
+                vort: field(1e-3),
+            };
+            let tiling = Tiling::plan(grid.clone(), TileSpec { patch: m.patch });
+            set.tas.data[5] = f32::NAN;
+            let (tr, tc) = (tiling.rows / 2, tiling.cols / 2);
+            for i in 16 * tr..16 * (tr + 1) {
+                set.vort.data[i * grid.nlon + 16 * tc..][..16].fill(0.25);
+            }
 
-        let tiling = Tiling::plan(grid.clone(), TileSpec { patch: m.patch });
-        let mut want = Vec::new();
-        for r in 0..tiling.rows {
-            for c in 0..tiling.cols {
-                let mut patch = set.tile(&tiling, r, c);
-                TcCnn::standardize(&mut patch);
-                let y = m.net.infer(&patch, &mut Scratch::default()).clone();
-                if y.data[0] > m.threshold {
-                    let pixel = |v: f32| ((v * m.patch as f32) as usize).min(m.patch - 1);
-                    let (lat, lon) = tiling.to_latlon(r, c, pixel(y.data[1]), pixel(y.data[2]));
-                    want.push((lat.to_bits(), lon.to_bits(), y.data[0].to_bits(), (r, c)));
+            let mut want = Vec::new();
+            for r in 0..tiling.rows {
+                for c in 0..tiling.cols {
+                    let mut patch = set.tile(&tiling, r, c);
+                    TcCnn::standardize(&mut patch);
+                    let y = m.net.infer(&patch, &mut Scratch::default()).clone();
+                    if y.data[0] > m.threshold {
+                        let pixel = |v: f32| ((v * m.patch as f32) as usize).min(m.patch - 1);
+                        let (lat, lon) = tiling.to_latlon(r, c, pixel(y.data[1]), pixel(y.data[2]));
+                        want.push((lat.to_bits(), lon.to_bits(), y.data[0].to_bits(), (r, c)));
+                    }
                 }
             }
+            let got: Vec<_> = m
+                .localize_set(&set)
+                .iter()
+                .map(|d| (d.lat.to_bits(), d.lon.to_bits(), d.confidence.to_bits(), d.tile))
+                .collect();
+            let tiles = tiling.rows * tiling.cols;
+            assert!(
+                want.len() >= tiles.min(4),
+                "{nlat}x{nlon}: only {} of {tiles} tiles fired; the comparison needs some",
+                want.len()
+            );
+            assert_eq!(got, want, "{nlat}x{nlon} grid, {tiles} tiles");
         }
-        let got: Vec<_> = m
-            .localize_set(&set)
-            .iter()
-            .map(|d| (d.lat.to_bits(), d.lon.to_bits(), d.confidence.to_bits(), d.tile))
-            .collect();
-        assert!(want.len() > 3, "only {} tiles fired; the comparison needs some", want.len());
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,51 +1,70 @@
 //! Differentiable layers.
 //!
-//! Each layer processes a single sample: convolutional layers take `[C, H, W]`
-//! tensors, dense layers take flat `[N]` tensors. A layer holds its
-//! parameters and nothing else — no activation caches, no gradients — and
-//! every entry takes `&self`, so one model is shared by every thread that
-//! scores or trains with it ([`Layer`] is `Send + Sync`):
+//! A layer holds its parameters and nothing else — no activation caches,
+//! no gradients — and every entry takes `&self`, so one model is shared by
+//! every thread that scores or trains with it ([`Layer`] is `Send + Sync`):
 //!
-//! * `infer(x, out)` — the output for `x`, written into a caller-owned
-//!   `out` whose storage is reused from call to call;
+//! * `infer(x, out)` — the output for one sample `x`, written into a
+//!   caller-owned `out` whose storage is reused from call to call;
 //! * `input_grad(x, y, grad_out, gx)` — `dL/dx` from the sample's input,
 //!   the output `infer` made of it, and `dL/dy`;
 //! * `add_param_grads(x, grad_out, row, gw, gb)` — for a layer with
 //!   parameters, adds one sample's `dL/dθ` of one output row to that
 //!   row's caller-owned gradients.
 //!
-//! The trainer ([`crate::train`]) runs the first two per sample and the
-//! third per output row; each keeps the loops and add order of a
-//! per-sample backward pass over cached activations (the oracle in
-//! `tests/train_equivalence.rs`), so the gradients equal it bit for bit.
+//! Every layer's forward is one kernel body over a block of `S` samples
+//! interleaved innermost (see [`Forward`]): a convolution's input is
+//! `[C, H, W, S]`, a dense layer's `[N, S]`, and at `S = 1` the trailing
+//! axis is dropped, so a block of one is a sample in its own layout.
+//! `infer` and the trainer run the body at `S = 1`; a caller scoring many
+//! samples ([`crate::net::Sequential::infer_block`]) picks a wider `S`.
+//! The trainer ([`crate::train`]) runs `infer` and `input_grad` per sample
+//! and `add_param_grads` per output row; each keeps the loops and add
+//! order of a per-sample backward pass over cached activations (the oracle
+//! in `tests/train_equivalence.rs`), so the gradients equal it bit for bit.
 //!
 //! [`Conv2d`], where training and inference spend their time, has one
 //! kernel each way, both serial and both bitwise equal to the naive
 //! per-pixel loops (which live in `tests/` as the oracles). The forward
-//! works one output pixel at a time across a lane array of output
-//! channels; the backward kernels are passes over the non-zero output
-//! gradients, walking a pixel's taps as one fixed-size, unrolled block
-//! when its 3 × 3 window lies wholly inside the input and clipped to the
-//! input otherwise (border pixels, other kernel sizes). [`Dense`]'s
-//! forward accumulates a block of output rows per pass over its input,
-//! bitwise equal to the per-row loop (also in `tests/`). The lane kernels
-//! leave the sign and payload of a NaN unspecified: where two NaN operands
-//! meet in one add, which comes out depends on the operand order the
-//! compiler picks.
+//! works one output pixel at a time on a block of output channels × the
+//! block's samples, every sample sharing the pixel's clipped window; the
+//! backward kernels are passes over the non-zero output gradients,
+//! walking a pixel's taps as one fixed-size, unrolled block when its
+//! 3 × 3 window lies wholly inside the input and clipped to the input
+//! otherwise (border pixels, other kernel sizes). [`Dense`]'s forward
+//! accumulates a block of output rows × samples per pass over its input,
+//! bitwise equal to the per-row loop (also in `tests/`). Each sample of a
+//! block gets the bits it would get alone. The blocked kernels leave the
+//! sign and payload of a NaN unspecified: where two NaN operands meet in
+//! one add, which comes out depends on the operand order the compiler
+//! picks.
 
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 use std::ops::Range;
 
-/// Output channels [`Conv2d::infer`] accumulates together, one per lane.
+/// Output channels [`Conv2d`]'s single-sample forward accumulates
+/// together, one per lane.
 const LANES: usize = 8;
 
-/// The lane count used in place of [`LANES`] by a convolution with at
-/// least this many output channels.
+/// The lane count used in place of [`LANES`] by a single-sample
+/// convolution with at least this many output channels.
 const WIDE_LANES: usize = 16;
 
-/// Output rows [`Dense::infer`] accumulates together, one per lane.
+/// Output channels [`Conv2d`]'s forward accumulates together on a block of
+/// several samples. Each lane then holds one accumulator per sample, so
+/// the block's samples supply the independent add chains, and 4 lanes × 8
+/// samples fill half the 16 SSE registers. At 8 lanes the accumulators
+/// spill and the compiler leaves the kernel scalar, about 4x slower.
+const BLOCK_LANES: usize = 4;
+
+/// Output rows [`Dense`]'s single-sample forward accumulates together,
+/// one per lane.
 const DENSE_ROWS: usize = 8;
+
+/// Output rows [`Dense`]'s forward accumulates together on a block of
+/// several samples, as [`BLOCK_LANES`] is to [`LANES`].
+const BLOCK_DENSE_ROWS: usize = 4;
 
 /// The kernel size whose unclipped windows the conv backward walks as one
 /// fixed-size window (see [`Conv2d::walk_grads`]): the TC-localization
@@ -57,14 +76,72 @@ const INSIDE: &str = "an unclipped window lies inside its tensor";
 
 thread_local! {
     /// This thread's tap-major copy of the weights of the convolution it
-    /// is running (see [`Conv2d::infer`]).
+    /// is running (see [`Conv2d::infer_block`]).
     static TAP_MAJOR: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A layer's forward kernel, which runs on a block of any number `S` of
+/// samples interleaved innermost (see the module docs).
+/// [`crate::net::Sequential`] runs a model's layers through it.
+pub enum Forward<'a> {
+    Conv(&'a Conv2d),
+    Dense(&'a Dense),
+    MaxPool(&'a MaxPool2d),
+    Flatten,
+    ReLU,
+    Sigmoid,
+}
+
+impl Forward<'_> {
+    /// The layer's output for the block of `S` samples `x`, into `out`.
+    pub(crate) fn run<const S: usize>(&self, x: &Tensor, out: &mut Tensor) {
+        match self {
+            Forward::Conv(conv) => conv.infer_block::<S>(x, out),
+            Forward::Dense(dense) => dense.infer_block::<S>(x, out),
+            Forward::MaxPool(pool) => pool.infer_block::<S>(x, out),
+            Forward::Flatten => {
+                let n = sample_dims::<S>(x).iter().product::<usize>();
+                reshape_block::<S>(out, &[n]);
+                out.data.copy_from_slice(&x.data);
+            }
+            Forward::ReLU => map_into(x, out, |v| v.max(0.0)),
+            Forward::Sigmoid => map_into(x, out, |v| 1.0 / (1.0 + (-v).exp())),
+        }
+    }
+}
+
+/// The sample shape of `t`, a block of `S` samples: all of its shape at
+/// `S = 1`, all but the trailing `S` axis otherwise.
+fn sample_dims<const S: usize>(t: &Tensor) -> &[usize] {
+    if S == 1 {
+        return &t.shape;
+    }
+    let (&s, dims) = t.shape.split_last().expect("a block has a sample axis");
+    assert_eq!(s, S, "block width mismatch");
+    dims
+}
+
+/// Gives `t` the shape of a block of `S` samples of shape `sample` (see
+/// [`sample_dims`]), keeping its allocations; every element is then
+/// overwritten by the caller.
+fn reshape_block<const S: usize>(t: &mut Tensor, sample: &[usize]) {
+    t.shape.clear();
+    t.shape.extend_from_slice(sample);
+    if S > 1 {
+        t.shape.push(S);
+    }
+    t.data.resize(t.shape.iter().product(), 0.0);
 }
 
 /// Common interface over all layers.
 pub trait Layer: Send + Sync {
-    /// The layer's output for `x`, written into `out`.
-    fn infer(&self, x: &Tensor, out: &mut Tensor);
+    /// The layer's forward kernel.
+    fn forward(&self) -> Forward<'_>;
+    /// The layer's output for one sample `x`, written into `out`: the
+    /// [`Layer::forward`] kernel on a block of one.
+    fn infer(&self, x: &Tensor, out: &mut Tensor) {
+        self.forward().run::<1>(x, out);
+    }
     /// `dL/dx` into `gx`, given the sample's input `x`, the output `y`
     /// that [`Layer::infer`] made of it and `grad_out` = `dL/dy`.
     fn input_grad(&self, x: &Tensor, y: &Tensor, grad_out: &Tensor, gx: &mut Tensor);
@@ -118,35 +195,63 @@ impl Dense {
     fn output_len(&self) -> usize {
         self.w.shape[0]
     }
+
+    /// The crate's one dense kernel, on a block of `S` samples `[N, S]`.
+    ///
+    /// Works on a block of output rows × the `S` samples per pass over the
+    /// input — `DENSE_ROWS` (8) rows for a single sample,
+    /// `BLOCK_DENSE_ROWS` (4) for a block of several — so their add chains
+    /// do not wait on each other: each accumulator starts at its row's
+    /// bias and adds `w · x` in ascending input order, the
+    /// one-row-at-a-time loop's sequence, so every output equals it
+    /// bitwise (±0.0 and ±inf included; the sign and payload of a NaN are
+    /// not specified). A final block of fewer rows runs the same loop, its
+    /// spare lanes repeating its last row.
+    fn infer_block<const S: usize>(&self, x: &Tensor, out: &mut Tensor) {
+        let in_n = self.input_len();
+        assert_eq!(
+            sample_dims::<S>(x).iter().product::<usize>(),
+            in_n,
+            "dense input length mismatch"
+        );
+        reshape_block::<S>(out, &[self.output_len()]);
+        if S == 1 {
+            self.block_rows::<S, DENSE_ROWS>(x, out);
+        } else {
+            self.block_rows::<S, BLOCK_DENSE_ROWS>(x, out);
+        }
+    }
+
+    /// [`Dense::infer_block`] at `R` rows per pass.
+    fn block_rows<const S: usize, const R: usize>(&self, x: &Tensor, out: &mut Tensor) {
+        let (in_n, out_n) = (self.input_len(), self.output_len());
+        let xs = &x.data.as_chunks::<S>().0[..in_n];
+        for blk in 0..out_n.div_ceil(R) {
+            let row_of = |lane: usize| (blk * R + lane).min(out_n - 1);
+            let rows: [&[f32]; R] =
+                std::array::from_fn(|lane| &self.w.data[row_of(lane) * in_n..][..in_n]);
+            let mut acc: [[f32; S]; R] = std::array::from_fn(|lane| [self.b.data[row_of(lane)]; S]);
+            for (i, xv) in xs.iter().enumerate() {
+                for (a, row) in acc.iter_mut().zip(&rows) {
+                    let wv = row[i];
+                    for (a, &xs) in a.iter_mut().zip(xv) {
+                        *a += wv * xs;
+                    }
+                }
+            }
+            // Every lane stores (a spare lane rewrites the last row with
+            // that row's own bits), so the lanes are indexed by constants
+            // only and stay in registers.
+            for (lane, a) in acc.iter().enumerate() {
+                out.data[row_of(lane) * S..][..S].copy_from_slice(a);
+            }
+        }
+    }
 }
 
 impl Layer for Dense {
-    /// The crate's one dense kernel.
-    ///
-    /// Works on `DENSE_ROWS` (8) output rows per pass over the input, so
-    /// their add chains do not wait on each other: each row's accumulator
-    /// starts at its bias and adds `w · x` in ascending input order, the
-    /// one-row-at-a-time loop's sequence, so every output equals it bitwise
-    /// (±0.0 and ±inf included; the sign and payload of a NaN are not
-    /// specified). A final block of fewer rows runs the same loop, its
-    /// spare lanes repeating its last row and their sums dropped.
-    fn infer(&self, x: &Tensor, out: &mut Tensor) {
-        assert_eq!(x.len(), self.input_len(), "dense input length mismatch");
-        let in_n = self.input_len();
-        let x = &x.data[..in_n];
-        out.reshape_for_write(&[self.output_len()]);
-        for (blk, y) in out.data.chunks_mut(DENSE_ROWS).enumerate() {
-            let row_of = |lane: usize| blk * DENSE_ROWS + lane.min(y.len() - 1);
-            let rows: [&[f32]; DENSE_ROWS] =
-                std::array::from_fn(|lane| &self.w.data[row_of(lane) * in_n..][..in_n]);
-            let mut acc: [f32; DENSE_ROWS] = std::array::from_fn(|lane| self.b.data[row_of(lane)]);
-            for (i, &xi) in x.iter().enumerate() {
-                for (a, row) in acc.iter_mut().zip(&rows) {
-                    *a += row[i] * xi;
-                }
-            }
-            y.copy_from_slice(&acc[..y.len()]);
-        }
+    fn forward(&self) -> Forward<'_> {
+        Forward::Dense(self)
     }
 
     /// `gx[i]` starts at 0.0 and adds `g[o] · w[o][i]` over ascending `o`.
@@ -310,29 +415,72 @@ fn tap_span(pos: usize, k: usize, pad: usize, len: usize) -> std::ops::Range<usi
 }
 
 impl Conv2d {
-    /// [`Conv2d::infer`]'s kernel at `L` lanes, with `wt` the calling
-    /// thread's tap-major weight buffer.
-    fn infer_lanes<const L: usize>(&self, x: &Tensor, out: &mut Tensor, wt: &mut Vec<f32>) {
-        let (h, w) = (x.shape[1], x.shape[2]);
+    /// The crate's one convolution forward kernel, on a block of `S`
+    /// samples `[C, H, W, S]`.
+    ///
+    /// Works one output pixel at a time on a lane array of output channels
+    /// × the block's samples — on one sample `WIDE_LANES` (16) channels
+    /// for a layer with at least that many output channels and `LANES`
+    /// (8) otherwise, on a block of several `BLOCK_LANES` (4): each
+    /// accumulator starts as its channel's bias, then every tap
+    /// `(c, ky, kx)` inside the pixel's clipped window, in ascending
+    /// order, adds `weight × input`, reading the weights from a tap-major
+    /// copy so each tap's lanes are contiguous. Every sample of a block
+    /// shares the pixel's window, so no lane is masked. A final block of
+    /// fewer channels repeats its last channel in the spare lanes. The
+    /// lanes are then scattered to their output planes. Every
+    /// output element therefore sees the naive per-pixel loop's
+    /// multiply-add sequence — bias first, taps ascending, clipped taps
+    /// skipped, not multiplied by zero — and equals it bitwise, ±inf and
+    /// −0.0 included (the sign and payload of a NaN are not specified), at
+    /// any block and lane width. The tap-major copy is rebuilt from `w` on
+    /// every call into a buffer each thread keeps, so it is never stale
+    /// and, after a thread's first call, costs no allocation.
+    fn infer_block<const S: usize>(&self, x: &Tensor, out: &mut Tensor) {
+        let &[in_ch, h, w] = sample_dims::<S>(x) else { panic!("conv2d expects [C,H,W]") };
+        assert_eq!(in_ch, self.in_ch, "conv2d channel mismatch");
+        let (oh, ow) = self.out_hw(h, w);
+        reshape_block::<S>(out, &[self.out_ch, oh, ow]);
+        TAP_MAJOR.with_borrow_mut(|wt| {
+            if S == 1 && self.out_ch >= WIDE_LANES {
+                self.block_lanes::<S, WIDE_LANES>(x, out, wt);
+            } else if S == 1 {
+                self.block_lanes::<S, LANES>(x, out, wt);
+            } else {
+                self.block_lanes::<S, BLOCK_LANES>(x, out, wt);
+            }
+        });
+    }
+
+    /// [`Conv2d::infer_block`] at `L` lanes of output channels, with `wt` the
+    /// calling thread's tap-major weight buffer.
+    fn block_lanes<const S: usize, const L: usize>(
+        &self,
+        x: &Tensor,
+        out: &mut Tensor,
+        wt: &mut Vec<f32>,
+    ) {
+        let &[_, h, w] = sample_dims::<S>(x) else { unreachable!("checked by infer_block") };
         let (oh, ow) = self.out_hw(h, w);
         let (k, pad, in_ch, out_ch) = (self.kernel, self.pad, self.in_ch, self.out_ch);
         let taps = in_ch * k * k;
         let plane = oh * ow;
         // `wt[block][tap][lane]` = weight of output channel `block·L + lane`
-        // at `tap`; lanes past `out_ch` stay zero.
+        // at `tap`; the spare lanes of a final, short block repeat its last
+        // channel.
         wt.clear();
         wt.resize(out_ch.div_ceil(L) * taps * L, 0.0);
-        for (o, w_o) in self.w.data.chunks_exact(taps).enumerate() {
-            let block = &mut wt[(o / L) * taps * L..][..taps * L];
-            for (lanes, &v) in block.chunks_exact_mut(L).zip(w_o) {
-                lanes[o % L] = v;
+        for (blk, wt_b) in wt.chunks_exact_mut(taps * L).enumerate() {
+            for (lanes, t) in wt_b.chunks_exact_mut(L).zip(0..taps) {
+                for (lane, v) in lanes.iter_mut().enumerate() {
+                    *v = self.w.data[(blk * L + lane).min(out_ch - 1) * taps + t];
+                }
             }
         }
         for (blk, wt_b) in wt.chunks_exact(taps * L).enumerate() {
-            let o0 = blk * L;
-            let live = L.min(out_ch - o0);
-            let mut bias = [0.0f32; L];
-            bias[..live].copy_from_slice(&self.b.data[o0..o0 + live]);
+            // `acc[lane][s]`: output channel `channel(lane)`, sample `s`.
+            let channel = |lane: usize| (blk * L + lane).min(out_ch - 1);
+            let bias: [[f32; S]; L] = std::array::from_fn(|lane| [self.b.data[channel(lane)]; S]);
             for yy in 0..oh {
                 let ky_span = tap_span(yy, k, pad, h);
                 for xx in 0..ow {
@@ -343,20 +491,27 @@ impl Conv2d {
                         for c in 0..in_ch {
                             for ky in ky_span.clone() {
                                 let row = (c * h + yy + ky - pad) * w;
-                                let xs = &x.data[row + ix.start..row + ix.end];
+                                let (xs, _) = x.data[(row + ix.start) * S..(row + ix.end) * S]
+                                    .as_chunks::<S>();
                                 let t = (c * k + ky) * k;
                                 let (ws, _) =
                                     wt_b[(t + kx.start) * L..(t + kx.end) * L].as_chunks::<L>();
-                                for (&xv, wv) in xs.iter().zip(ws) {
+                                for (xv, wv) in xs.iter().zip(ws) {
                                     for (a, &wl) in acc.iter_mut().zip(wv) {
-                                        *a += wl * xv;
+                                        for (a, &xs) in a.iter_mut().zip(xv) {
+                                            *a += wl * xs;
+                                        }
                                     }
                                 }
                             }
                         }
                     }
-                    for (l, &a) in acc[..live].iter().enumerate() {
-                        out.data[(o0 + l) * plane + yy * ow + xx] = a;
+                    // Every lane stores (a spare lane rewrites the last
+                    // channel with that channel's own bits), so the lanes
+                    // are indexed by constants only and stay in registers.
+                    let pixel = yy * ow + xx;
+                    for (lane, a) in acc.iter().enumerate() {
+                        out.data[(channel(lane) * plane + pixel) * S..][..S].copy_from_slice(a);
                     }
                 }
             }
@@ -365,34 +520,8 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    /// The crate's one convolution forward kernel.
-    ///
-    /// Works one output pixel and a lane array of output channels at a
-    /// time — `WIDE_LANES` (16) for a layer with at least that many output
-    /// channels, `LANES` (8) otherwise: an accumulator array starts as the
-    /// channels' biases, then every tap `(c, ky, kx)` inside the pixel's
-    /// clipped window, in ascending order, adds `input × weights` across
-    /// the lanes, reading the weights from a tap-major copy so each tap's
-    /// lanes are contiguous. The lanes are then scattered to their output
-    /// planes. Every output element therefore sees the naive per-pixel
-    /// loop's multiply-add sequence — bias first, taps ascending, clipped
-    /// taps skipped, not multiplied by zero — and equals it bitwise, ±inf
-    /// and −0.0 included (the sign and payload of a NaN are not
-    /// specified), at either width. The tap-major copy is rebuilt from `w`
-    /// on every call into a buffer each thread keeps, so it is never stale
-    /// and, after a thread's first call, costs no allocation.
-    fn infer(&self, x: &Tensor, out: &mut Tensor) {
-        assert_eq!(x.rank(), 3, "conv2d expects [C,H,W]");
-        assert_eq!(x.shape[0], self.in_ch, "conv2d channel mismatch");
-        let (oh, ow) = self.out_hw(x.shape[1], x.shape[2]);
-        out.reshape_for_write(&[self.out_ch, oh, ow]);
-        TAP_MAJOR.with_borrow_mut(|wt| {
-            if self.out_ch >= WIDE_LANES {
-                self.infer_lanes::<WIDE_LANES>(x, out, wt);
-            } else {
-                self.infer_lanes::<LANES>(x, out, wt);
-            }
-        });
+    fn forward(&self) -> Forward<'_> {
+        Forward::Conv(self)
     }
 
     /// Every non-zero `g` of every output channel adds `g · w` over its
@@ -500,43 +629,58 @@ impl MaxPool2d {
         MaxPool2d { k }
     }
 
-    /// The output shape for `x`, and `winner(output index, input index,
-    /// value)` for every window in output order: the first strictly
-    /// greatest element, or the window's first element with −inf when
-    /// none exceeds −inf (a window of only −inf or NaN).
-    fn pool(&self, x: &Tensor, mut winner: impl FnMut(usize, usize, f32)) -> [usize; 3] {
-        assert_eq!(x.rank(), 3, "maxpool expects [C,H,W]");
-        let (c, h, w) = (x.shape[0], x.shape[1], x.shape[2]);
+    /// The output sample shape for `x`, a block of `S` samples, and
+    /// `winner(output index, input index, value)` for every window of every
+    /// sample, in output order: the first strictly greatest element, or the
+    /// window's first element with −inf when none exceeds −inf (a window of
+    /// only −inf or NaN).
+    fn pool<const S: usize>(
+        &self,
+        x: &Tensor,
+        mut winner: impl FnMut(usize, usize, f32),
+    ) -> [usize; 3] {
+        let &[c, h, w] = sample_dims::<S>(x) else { panic!("maxpool expects [C,H,W]") };
         assert_eq!(h % self.k, 0, "pool window must divide height");
         assert_eq!(w % self.k, 0, "pool window must divide width");
         let (oh, ow) = (h / self.k, w / self.k);
         for ci in 0..c {
             for oy in 0..oh {
                 for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = x.idx3(ci, oy * self.k, ox * self.k);
+                    let mut best = [f32::NEG_INFINITY; S];
+                    let mut best_idx = [(ci * h + oy * self.k) * w + ox * self.k; S];
                     for dy in 0..self.k {
                         for dx in 0..self.k {
-                            let idx = x.idx3(ci, oy * self.k + dy, ox * self.k + dx);
-                            if x.data[idx] > best {
-                                best = x.data[idx];
-                                best_idx = idx;
+                            let idx = (ci * h + oy * self.k + dy) * w + ox * self.k + dx;
+                            let xs = &x.data[idx * S..][..S];
+                            for ((b, bi), &v) in best.iter_mut().zip(&mut best_idx).zip(xs) {
+                                if v > *b {
+                                    *b = v;
+                                    *bi = idx;
+                                }
                             }
                         }
                     }
-                    winner((ci * oh + oy) * ow + ox, best_idx, best);
+                    let o = (ci * oh + oy) * ow + ox;
+                    for (s, (&b, &bi)) in best.iter().zip(&best_idx).enumerate() {
+                        winner(o * S + s, bi * S + s, b);
+                    }
                 }
             }
         }
         [c, oh, ow]
     }
+
+    /// The pooled block of `S` samples.
+    fn infer_block<const S: usize>(&self, x: &Tensor, out: &mut Tensor) {
+        let &[c, h, w] = sample_dims::<S>(x) else { panic!("maxpool expects [C,H,W]") };
+        reshape_block::<S>(out, &[c, h / self.k, w / self.k]);
+        self.pool::<S>(x, |oidx, _, v| out.data[oidx] = v);
+    }
 }
 
 impl Layer for MaxPool2d {
-    fn infer(&self, x: &Tensor, out: &mut Tensor) {
-        let (c, h, w) = (x.shape[0], x.shape[1], x.shape[2]);
-        out.reshape_for_write(&[c, h / self.k, w / self.k]);
-        self.pool(x, |oidx, _, v| out.data[oidx] = v);
+    fn forward(&self) -> Forward<'_> {
+        Forward::MaxPool(self)
     }
 
     /// Recomputes each window's winner and adds its gradient there, into
@@ -544,7 +688,7 @@ impl Layer for MaxPool2d {
     fn input_grad(&self, x: &Tensor, _y: &Tensor, grad_out: &Tensor, gx: &mut Tensor) {
         gx.reshape_for_write(&x.shape);
         gx.data.fill(0.0);
-        let shape = self.pool(x, |oidx, iidx, _| gx.data[iidx] += grad_out.data[oidx]);
+        let shape = self.pool::<1>(x, |oidx, iidx, _| gx.data[iidx] += grad_out.data[oidx]);
         assert_eq!(grad_out.shape, shape, "maxpool grad_out shape");
     }
 
@@ -565,9 +709,8 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn infer(&self, x: &Tensor, out: &mut Tensor) {
-        out.reshape_for_write(&[x.len()]);
-        out.data.copy_from_slice(&x.data);
+    fn forward(&self) -> Forward<'_> {
+        Forward::Flatten
     }
 
     fn input_grad(&self, x: &Tensor, _y: &Tensor, grad_out: &Tensor, gx: &mut Tensor) {
@@ -580,7 +723,7 @@ impl Layer for Flatten {
     }
 }
 
-/// `out = f(x)` element by element, in `x`'s shape.
+/// `out = f(x)` element by element, in `x`'s shape (any block width).
 fn map_into(x: &Tensor, out: &mut Tensor, f: impl Fn(f32) -> f32) {
     out.reshape_for_write(&x.shape);
     for (o, &v) in out.data.iter_mut().zip(&x.data) {
@@ -610,8 +753,8 @@ impl ReLU {
 }
 
 impl Layer for ReLU {
-    fn infer(&self, x: &Tensor, out: &mut Tensor) {
-        map_into(x, out, |v| v.max(0.0));
+    fn forward(&self) -> Forward<'_> {
+        Forward::ReLU
     }
 
     /// The gradient where `x > 0`, 0.0 elsewhere.
@@ -636,8 +779,8 @@ impl Sigmoid {
 }
 
 impl Layer for Sigmoid {
-    fn infer(&self, x: &Tensor, out: &mut Tensor) {
-        map_into(x, out, |v| 1.0 / (1.0 + (-v).exp()));
+    fn forward(&self) -> Forward<'_> {
+        Forward::Sigmoid
     }
 
     fn input_grad(&self, _x: &Tensor, y: &Tensor, grad_out: &Tensor, gx: &mut Tensor) {

@@ -8,13 +8,17 @@
 //! * differentiable layers ([`layers`]): 2-D convolution, max-pooling,
 //!   fully-connected, flatten, and ReLU/sigmoid/tanh activations. Layers
 //!   hold only their parameters: `infer`, `input_grad` and
-//!   `add_param_grads` all take `&self`. The convolution's forward
-//!   vectorises across output channels, the dense layer accumulates 8
-//!   output rows per pass over its input, and the convolution's gradients
-//!   are passes over the non-zero output gradients, each bitwise equal to
-//!   its one-output-at-a-time loop;
+//!   `add_param_grads` all take `&self`. Every layer's forward is one
+//!   kernel over a block of samples interleaved innermost, run on one
+//!   sample by `infer` and the trainer and on a block by
+//!   [`net::Sequential::infer_block`]: the convolution accumulates a block
+//!   of output channels × samples per pixel, the dense layer a block of
+//!   output rows × samples per pass over its input, and the convolution's
+//!   gradients are passes over the non-zero output gradients, each bitwise
+//!   equal to its one-output-at-a-time loop;
 //! * a [`net::Sequential`] container with a cache-free, allocation-free
-//!   `infer(&self, ..)` that threads share;
+//!   `infer(&self, ..)` that threads share, and `infer_block` for a block
+//!   of samples, each of whose outputs is bitwise the sample's alone;
 //! * the TC-localization head's composite loss ([`loss`]);
 //! * minibatch SGD with momentum ([`train`]), each minibatch in two phases
 //!   on the `par` pool — per-sample tapes of activations and gradients,

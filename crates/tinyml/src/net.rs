@@ -9,9 +9,11 @@ pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
 }
 
-/// The two activation buffers [`Sequential::infer`] alternates between.
-/// One per scoring thread, reused from call to call: after the first
-/// call inference allocates nothing.
+/// The two activation buffers [`Sequential::infer`] and
+/// [`Sequential::infer_block`] alternate between. One per scoring thread,
+/// reused from call to call: after the first call at a block width,
+/// inference at that width allocates nothing (a block of 8 TC-CNN patches
+/// holds about 100 KB).
 #[derive(Default)]
 pub struct Scratch(Tensor, Tensor);
 
@@ -28,18 +30,34 @@ impl Sequential {
         self
     }
 
-    /// Inference pass, with no allocation — each layer reads one of
-    /// `scratch`'s buffers and writes the other. `&self`, so threads share
-    /// one model and bring their own `scratch`.
+    /// Inference pass on one sample, with no allocation — each layer reads
+    /// one of `scratch`'s buffers and writes the other. `&self`, so
+    /// threads share one model and bring their own `scratch`. The block
+    /// kernels of [`Sequential::infer_block`] at a block of one.
     pub fn infer<'s>(&self, x: &Tensor, scratch: &'s mut Scratch) -> &'s Tensor {
+        self.infer_block::<1>(x, scratch)
+    }
+
+    /// Inference on a block of `S` samples interleaved innermost: `x` is
+    /// the samples' common shape plus a trailing `S` axis (a `[C, H, W]`
+    /// sample makes a `[C, H, W, S]` block, element `[c, y, x, s]` being
+    /// sample `s`'s `[c, y, x]`), and so is the output. Every layer's one
+    /// forward kernel runs the block at once ([`crate::layers::Forward`]),
+    /// and each sample's outputs are bitwise those [`Sequential::infer`]
+    /// gives it alone (NaN payloads aside, as for every kernel).
+    pub fn infer_block<'s, const S: usize>(
+        &self,
+        x: &Tensor,
+        scratch: &'s mut Scratch,
+    ) -> &'s Tensor {
         let Scratch(cur, next) = scratch;
-        let mut layers = self.layers.iter();
+        let mut layers = self.layers.iter().map(|l| l.forward());
         match layers.next() {
-            Some(first) => first.infer(x, cur),
+            Some(first) => first.run::<S>(x, cur),
             None => cur.clone_from(x),
         }
         for l in layers {
-            l.infer(cur, next);
+            l.run::<S>(cur, next);
             std::mem::swap(cur, next);
         }
         cur

@@ -64,7 +64,7 @@ impl Tensor {
 
     /// Linear index of a 3-axis coordinate (for `[C, H, W]` tensors).
     #[inline]
-    pub fn idx3(&self, c: usize, h: usize, w: usize) -> usize {
+    fn idx3(&self, c: usize, h: usize, w: usize) -> usize {
         debug_assert_eq!(self.rank(), 3);
         (c * self.shape[1] + h) * self.shape[2] + w
     }

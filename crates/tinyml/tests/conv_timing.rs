@@ -1,17 +1,22 @@
-//! The conv kernels' cost promises, on the TC-localization CNN's own
+//! The forward kernels' cost promises, on the TC-localization CNN's own
 //! shapes: conv1 (4→8 at 16×16) and conv2 (8→16 at 8×8), 73,728 MACs each.
 //!
 //! * The forward vectorises across output channels, so a layer with many
 //!   channels on a small plane costs no more per multiply-add than one
 //!   with few channels on a large plane. A kernel bound by per-row or
 //!   per-tap overhead shows as conv2 costing more per MAC than conv1.
+//! * A block of samples gives the forward one independent add chain per
+//!   output channel and sample, so the whole CNN scores a block of 8
+//!   patches for much less per patch than one patch alone. A block kernel
+//!   that runs its samples one after the other shows as a ratio near 1.
 //! * The weight-gradient kernel walks an unclipped window as one
 //!   fixed-size block, so a non-zero gradient's multiply-adds cost a small
 //!   multiple of the forward's. A walk that hands out per-row clipped
 //!   slices shows as a larger multiple.
 
 use std::time::Instant;
-use tinyml::layers::{Conv2d, Layer};
+use tinyml::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid};
+use tinyml::net::{Scratch, Sequential};
 use tinyml::tensor::Tensor;
 
 /// Largest ratio of conv2's median per-MAC forward cost to conv1's before
@@ -138,5 +143,123 @@ fn conv1_weight_grads_cost_a_few_forward_macs_per_nonzero_mac() {
         ratio <= WEIGHT_GRAD_OVER_FORWARD_PER_MAC_BOUND,
         "conv1 weight grads cost {ratio:.2}x the forward per MAC, over the \
          {WEIGHT_GRAD_OVER_FORWARD_PER_MAC_BOUND}x bound"
+    );
+}
+
+/// Largest ratio of the TC-CNN's median per-patch cost on a block of
+/// [`BLOCK`] patches to its median cost on one patch alone before it is a
+/// regression. See EXPERIMENTS K6 for the runs it was set from.
+const BLOCK_OVER_SINGLE_PER_PATCH_BOUND: f64 = 0.8;
+
+/// The block width the gate times: the TC localizer's.
+const BLOCK: usize = 8;
+
+/// The layers of `extremes::tc::TcCnn::new(16, seed)`.
+fn tc_cnn(seed: u64) -> Sequential {
+    Sequential::new()
+        .add(Conv2d::new(4, 8, 3, 1, seed))
+        .add(ReLU::new())
+        .add(MaxPool2d::new(2))
+        .add(Conv2d::new(8, 16, 3, 1, seed + 1))
+        .add(ReLU::new())
+        .add(MaxPool2d::new(2))
+        .add(Flatten::new())
+        .add(Dense::new(16 * 4 * 4, 48, seed + 2))
+        .add(ReLU::new())
+        .add(Dense::new(48, 3, seed + 3))
+        .add(Sigmoid::new())
+}
+
+/// `samples`, all of one shape, as one block interleaved innermost.
+fn interleave(samples: &[Tensor]) -> Tensor {
+    let n = samples.len();
+    let mut shape = samples[0].shape.clone();
+    shape.push(n);
+    let mut block = Tensor::full(&shape, 0.0);
+    for (s, x) in samples.iter().enumerate() {
+        for (i, &v) in x.data.iter().enumerate() {
+            block.data[i * n + s] = v;
+        }
+    }
+    block
+}
+
+/// One call of `net` on `x` per call of the closure: `Sequential::infer`
+/// on a sample, `Sequential::infer_block` on a block of [`BLOCK`].
+fn scorer<'a>(net: &'a Sequential, x: &'a Tensor, block: bool) -> impl FnMut() + 'a {
+    let mut scratch = Scratch::default();
+    move || {
+        let x = std::hint::black_box(x);
+        let y = if block {
+            net.infer_block::<BLOCK>(x, &mut scratch)
+        } else {
+            net.infer(x, &mut scratch)
+        };
+        std::hint::black_box(y);
+    }
+}
+
+/// Medians over 31 interleaved reps of `calls` calls of each of `runs`, in
+/// µs per patch, where one call of run `r` scores `patches[r]` patches.
+fn medians_us<const N: usize>(
+    calls: usize,
+    patches: [usize; N],
+    runs: &mut [impl FnMut(); N],
+) -> [f64; N] {
+    let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::new());
+    for _ in 0..31 {
+        for ((run, s), &p) in runs.iter_mut().zip(&mut samples).zip(&patches) {
+            let start = Instant::now();
+            for _ in 0..calls {
+                run();
+            }
+            s.push(start.elapsed().as_nanos() as f64 / 1e3 / (calls * p) as f64);
+        }
+    }
+    samples.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    })
+}
+
+/// Gate (`scripts/check.sh`, release): over 31 interleaved reps, the
+/// TC-CNN's median cost per patch through `Sequential::infer_block` on a
+/// block of [`BLOCK`] patches is at most
+/// [`BLOCK_OVER_SINGLE_PER_PATCH_BOUND`] times its median cost through
+/// `Sequential::infer` on one patch. It also prints conv1 and conv2 alone,
+/// per patch, at both widths.
+#[test]
+#[ignore = "timing gate: run in release by scripts/check.sh"]
+fn a_block_of_patches_costs_per_patch_well_below_one_patch_alone() {
+    let net = tc_cnn(70);
+    let conv1 = Sequential::new().add(Conv2d::new(4, 8, 3, 1, 70));
+    let conv2 = Sequential::new().add(Conv2d::new(8, 16, 3, 1, 71));
+    let patches: Vec<Tensor> =
+        (0..BLOCK as u64).map(|s| Tensor::uniform(&[4, 16, 16], 1.0, 80 + s)).collect();
+    let mid: Vec<Tensor> =
+        (0..BLOCK as u64).map(|s| Tensor::uniform(&[8, 8, 8], 1.0, 90 + s)).collect();
+    let (block, mid_block) = (interleave(&patches), interleave(&mid));
+    let [single, blocked, c1, c1_block, c2, c2_block] = medians_us(
+        200,
+        [1, BLOCK, 1, BLOCK, 1, BLOCK],
+        &mut [
+            scorer(&net, &patches[0], false),
+            scorer(&net, &block, true),
+            scorer(&conv1, &patches[0], false),
+            scorer(&conv1, &block, true),
+            scorer(&conv2, &mid[0], false),
+            scorer(&conv2, &mid_block, true),
+        ],
+    );
+    let ratio = blocked / single;
+    println!(
+        "TC-CNN forward per patch: {single:.1} us alone, {blocked:.1} us in a block of {BLOCK}, \
+         ratio {ratio:.2} (bound {BLOCK_OVER_SINGLE_PER_PATCH_BOUND}); conv1 {c1:.1} -> \
+         {c1_block:.1} us, conv2 {c2:.1} -> {c2_block:.1} us"
+    );
+    assert!(
+        ratio <= BLOCK_OVER_SINGLE_PER_PATCH_BOUND,
+        "a block of {BLOCK} costs {ratio:.2}x one patch alone per patch, over the \
+         {BLOCK_OVER_SINGLE_PER_PATCH_BOUND}x bound"
     );
 }

@@ -1,8 +1,9 @@
 //! Oracle equivalence for the conv kernels.
 //!
 //! Conv2d has one forward kernel, serial and a pixel at a time across
-//! lanes of output channels; it keeps every output element's multiply-add
-//! order, so it must match the naive per-pixel reference below *bitwise*.
+//! lanes of output channels (× the samples of a block; here, one sample);
+//! it keeps every output element's multiply-add order, so it must match
+//! the naive per-pixel reference below *bitwise*.
 //! Its two gradient kernels, `input_grad` and `add_param_grads`, are
 //! serial passes over the non-zero output gradients and must match the
 //! per-pixel backward nest bitwise too (every weight/bias gradient

@@ -1,6 +1,7 @@
 //! Property tests for the neural-network substrate: convolution against an
-//! independent reference implementation, pooling invariants, and
-//! serialization round-trips over random architectures.
+//! independent reference implementation, a block of samples against each
+//! sample alone, pooling invariants, and serialization round-trips over
+//! random architectures.
 
 use proptest::prelude::*;
 use tinyml::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid};
@@ -108,8 +109,144 @@ fn both<L: Layer + 'static>(
     net.add(make())
 }
 
+/// The block width of [`infer_blocked`]: the TC localizer's.
+const BLOCK: usize = 8;
+
+/// `samples` through `Sequential::infer_block` [`BLOCK`] at a time, as the
+/// TC localizer packs its tiles: each block interleaves its samples
+/// innermost, a short last block repeats its last sample in the spare
+/// lanes, and each live lane's output is unpacked.
+fn infer_blocked(net: &Sequential, samples: &[Tensor]) -> Vec<Tensor> {
+    let mut shape = samples[0].shape.clone();
+    shape.push(BLOCK);
+    let mut block = Tensor::full(&shape, 0.0);
+    let mut scratch = Scratch::default();
+    let mut outs = Vec::new();
+    for group in samples.chunks(BLOCK) {
+        for lane in 0..BLOCK {
+            let x = &group[lane.min(group.len() - 1)];
+            for (i, &v) in x.data.iter().enumerate() {
+                block.data[i * BLOCK + lane] = v;
+            }
+        }
+        let y = net.infer_block::<BLOCK>(&block, &mut scratch);
+        let (&width, dims) = y.shape.split_last().expect("a block has a sample axis");
+        assert_eq!(width, BLOCK);
+        for lane in 0..group.len() {
+            let data = y.data.iter().skip(lane).step_by(BLOCK).copied().collect();
+            outs.push(Tensor::from_vec(dims, data));
+        }
+    }
+    outs
+}
+
+/// Bits with every NaN alike: the kernels leave a NaN's sign and payload
+/// unspecified.
+fn nan_class_bits(t: &Tensor) -> Vec<u32> {
+    t.data.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
+}
+
+/// One of `x`'s elements, chosen by `r`, made `v`.
+fn plant(x: &mut Tensor, r: u64, v: f32) {
+    let i = r as usize % x.len();
+    x.data[i] = v;
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A block of samples through `Sequential::infer_block` gives every
+    /// sample the bits `Sequential::infer` gives it alone, over random
+    /// (pool) → (conv → activation → (pool)) → flatten → (dense → ReLU →
+    /// dense → (sigmoid)) nets with kernels 1/3/5, pads 0–2 and planes from
+    /// one column wide, for 1 to 17 samples, so full, short and one-sample
+    /// blocks all occur. Biases start at −0.0, some weights are ±inf and
+    /// some inputs NaN, ±0.0 or 1.0. A pool whose output reaches the net's
+    /// output unchanged shows which of two tied zeros it kept (the first,
+    /// as it keeps the first strictly greater value). NaN outputs are
+    /// compared as a class.
+    #[test]
+    fn a_block_of_samples_is_bitwise_each_sample_alone(
+        in_ch in 1usize..5,
+        mid_ch in 1usize..11,
+        half_k in 0usize..3,
+        pad in 0usize..3,
+        h in 1usize..9,
+        w in 1usize..12,
+        lead_pool in any::<bool>(),
+        conv in any::<bool>(),
+        relu in any::<bool>(),
+        pool in any::<bool>(),
+        head in any::<bool>(),
+        hidden in 1usize..11,
+        out_sigmoid in any::<bool>(),
+        infs in any::<bool>(),
+        n in 1usize..=17,
+        seed in any::<u64>(),
+    ) {
+        let k = 2 * half_k + 1;
+        // A leading pool halves a plane of twice the drawn size.
+        let (ih, iw) = if lead_pool { (2 * h, 2 * w) } else { (h, w) };
+        let mut net = Sequential::new();
+        if lead_pool {
+            net = net.add(MaxPool2d::new(2));
+        }
+        let mut flat = in_ch * h * w;
+        if conv {
+            prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+            let (oh, ow) = (h + 2 * pad + 1 - k, w + 2 * pad + 1 - k);
+            let mut conv = Conv2d::new(in_ch, mid_ch, k, pad, seed);
+            conv.b = Tensor::uniform(&[mid_ch], 1.0, seed ^ 3);
+            conv.b.data[0] = -0.0;
+            if infs {
+                plant(&mut conv.w, seed >> 8, f32::INFINITY);
+            }
+            net = net.add(conv);
+            net = if relu { net.add(ReLU::new()) } else { net.add(Sigmoid::new()) };
+            let pool = pool && oh % 2 == 0 && ow % 2 == 0;
+            if pool {
+                net = net.add(MaxPool2d::new(2));
+            }
+            flat = mid_ch * oh * ow / if pool { 4 } else { 1 };
+        }
+        net = net.add(Flatten::new());
+        if head {
+            let mut dense = Dense::new(flat, hidden, seed ^ 4);
+            dense.b.data[0] = -0.0;
+            if infs {
+                plant(&mut dense.w, seed >> 16, f32::NEG_INFINITY);
+            }
+            net = net.add(dense).add(ReLU::new()).add(Dense::new(hidden, 3, seed ^ 5));
+            if out_sigmoid {
+                net = net.add(Sigmoid::new());
+            }
+        }
+        let samples: Vec<Tensor> = (0..n as u64)
+            .map(|i| {
+                let mut x = Tensor::uniform(&[in_ch, ih, iw], 2.0, seed ^ (10 + i));
+                let r = (seed ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                for (j, v) in x.data.iter_mut().enumerate() {
+                    match (r ^ j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61 {
+                        0 => *v = 0.0,
+                        1 => *v = -0.0,
+                        2 => *v = 1.0,
+                        _ => {}
+                    }
+                }
+                if r.is_multiple_of(5) {
+                    plant(&mut x, r >> 3, f32::NAN);
+                }
+                x
+            })
+            .collect();
+        let got = infer_blocked(&net, &samples);
+        prop_assert_eq!(got.len(), n);
+        for (i, (x, got)) in samples.iter().zip(&got).enumerate() {
+            let want = net.infer(x, &mut Scratch::default()).clone();
+            prop_assert_eq!(&got.shape, &want.shape);
+            prop_assert_eq!(nan_class_bits(got), nan_class_bits(&want), "sample {} of {}", i, n);
+        }
+    }
 
     /// The one conv kernel equals the reference bit for bit over kernels 1/3/5, paddings that
     /// clip none, some or all of a tap's reach, widths down to one column,

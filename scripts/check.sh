@@ -79,6 +79,17 @@ echo "== conv backward timing gate: a non-zero weight-gradient MAC costs a few f
 cargo test --release -q -p tinyml --test conv_timing -- --ignored --exact \
     conv1_weight_grads_cost_a_few_forward_macs_per_nonzero_mac
 
+echo "== CNN block timing gate: a block of 8 patches costs per patch well below one patch alone =="
+# Every forward kernel runs a block of samples interleaved innermost, whose
+# output channels x samples are independent add chains; on the TC-CNN's
+# layers (release build) the median per-patch cost of
+# Sequential::infer_block over a block of 8 may be at most the bound const
+# in the test times the median cost of Sequential::infer on one patch: 31
+# interleaved reps. A block kernel that runs its samples one after the
+# other shows as a ratio near 1.
+cargo test --release -q -p tinyml --test conv_timing -- --ignored --exact \
+    a_block_of_patches_costs_per_patch_well_below_one_patch_alone
+
 echo "== slab read gate: every step slab of a variable costs about one whole-variable read =="
 # A slab is read as its coalesced contiguous runs, so reading all 240
 # [1, 48, 72] step slabs of a [240, 48, 72] variable (the TC tracker's
