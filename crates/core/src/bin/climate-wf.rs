@@ -5,7 +5,7 @@
 //!                [--grid test_small|demo|cmcc_cm3|LATxLON]
 //!                [--scenario historical|ssp245|ssp585] [--seed N]
 //!                [--workers N] [--out DIR] [--sequential]
-//!                [--streaming] [--stream-depth N]
+//!                [--streaming]         (record-to-date indices)
 //!                [--trace out.json] [--metrics out.prom]
 //!                                      (trace and metrics are folds of
 //!                                      the run's event stream)
@@ -36,8 +36,8 @@ fn usage() -> ! {
          \x20        [--out DIR] [--sequential]\n\
          \x20        [--trace out.json] [--metrics out.prom] Chrome trace and\n\
          \x20        Prometheus dump, both folds of the run's event stream\n\
-         \x20        [--streaming] [--stream-depth N] in-memory year handoff\n\
-         \x20        with incremental record indices\n\
+         \x20        [--streaming] record-to-date indices folded year by year\n\
+         \x20        into seven record-*.ncx products\n\
          report   [run options] `run` plus a profile: pool utilization and latency\n\
          \x20        percentile tables after the workflow report; arms the crash\n\
          \x20        flight recorder (dumps JSONL on failure)\n\
@@ -63,7 +63,6 @@ const RUN_FLAGS: &[&str] = &[
     "out",
     "sequential",
     "streaming",
-    "stream-depth",
     "trace",
     "metrics",
 ];
@@ -129,7 +128,6 @@ fn params_from_flags(flags: &BTreeMap<String, String>) -> Result<WorkflowParams,
             "seed" => "seed",
             "workers" => "workers",
             "streaming" => "streaming",
-            "stream-depth" => "stream_depth",
             _ => continue,
         };
         inputs.insert(key.to_string(), v.clone());
@@ -304,7 +302,7 @@ fn cmd_chaos(flags: &BTreeMap<String, String>) -> Result<(), String> {
         let armed = plan.arm();
 
         // Exercise the DLS degradation path while the plan is live:
-        // staging transfers may drop (bounded retries, degraded mode).
+        // staging transfers may drop (capped retries, degraded mode).
         let mut dls = hpcwaas::dls::DataLogistics::new();
         let staging = hpcwaas::dls::PipelineSpec::new()
             .stage("forcing-in", 50_000_000)

@@ -28,12 +28,12 @@
 //!
 //! There is one driver, [`CaseStudy::run`], with two settings. The
 //! [`RunOrder`] says when analysis is submitted (after the whole
-//! simulation, or per year as years arrive). Tasks #5/#6 import the day
-//! files `stage_year` lists with the datacube engine's `importnc_reduced`
-//! in either setting; #15 reads the year through a [`YearSource`] — its
-//! daily files, or the in-memory blocks the ESM task sent over the
-//! channel — decided when the year is submitted, and bundles it into one
-//! file that #16 and #17 read.
+//! simulation, or per year as years arrive). Either way a year reaches its
+//! tasks one way, the paper's directory-triggered streaming (Sec. 5.2): the
+//! directory watcher reports the year's complete group of daily files,
+//! `stage_year` lists them, tasks #5/#6 import them with the datacube
+//! engine's `importnc_reduced`, and #15 bundles them into one file that #16
+//! and #17 read.
 
 use crate::error::{WorkflowError, WorkflowStage};
 use crate::params::WorkflowParams;
@@ -41,9 +41,8 @@ use crate::reporting::{process_cpu, ModelSetup, RunReport, StreamSummary, YearRe
 use datacube::ops::ReduceOp;
 use datacube::{Client, CubeCache, CubeHandle, CubeId};
 use dataflow::prelude::*;
-use dataflow::stream::{bounded, DirWatcher, RecvTimeout, StreamSender, YearlyRule};
+use dataflow::stream::{DirWatcher, YearlyRule};
 use dataflow::Error;
-use esm::output::DayBlock;
 use esm::{Simulation, YearEvents};
 use extremes::heatwave::{self, WaveParams};
 use extremes::incremental::{EtccdiState, WaveState};
@@ -55,7 +54,7 @@ use gridded::Field2;
 use ncformat::Reader;
 use parking_lot::Mutex;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -159,26 +158,9 @@ impl Payload for WfData {
     }
 }
 
-/// The variables task #15 bundles from a year's daily fields for #16 and
-/// #17. An in-memory year carries only these; its daily files carry
-/// every one.
+/// The variables task #15 bundles from a year's daily files for #16 and
+/// #17.
 const TC_VARS: [&str; 4] = ["psl", "sfcWind", "tas", "vort"];
-
-/// A day's [`TC_VARS`] as the in-memory block a streamed year carries.
-fn tc_block(fields: &esm::DailyFields) -> DayBlock {
-    let mut block = DayBlock::from_fields(fields);
-    block.vars.retain(|(name, _)| TC_VARS.contains(&name.as_str()));
-    block
-}
-
-/// One simulated year as the ESM task hands it over in memory: the daily
-/// fields #15 reads ([`TC_VARS`]) as shared blocks, plus the daily files
-/// the same year was durably written to.
-pub(crate) struct StreamedYear {
-    year: i32,
-    files: Vec<PathBuf>,
-    days: Vec<DayBlock>,
-}
 
 /// When [`CaseStudy::run`] submits the per-year analyses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,74 +171,6 @@ pub enum RunOrder {
     /// The paper's contribution: each year is analysed as soon as it is
     /// complete, overlapped with the continuing simulation.
     AsYearsArrive,
-}
-
-/// Where task #15 reads one year's daily fields from. Decided when the
-/// year's analysis is submitted — a channel arrival is `Mem`; a watcher
-/// group (staged runs, checkpoint-restored years, a year the watcher saw
-/// first) is `Files` — and owned by #15's closure only, so an in-memory
-/// year is freed as soon as #15 finishes. #16 reads #15's output file,
-/// not the year: the CNN runs on the one GPU worker, slower than the
-/// ESM makes years, so a year it held would stay resident while later
-/// years queue behind it.
-///
-/// Decode contract: for either variant, [`YearSource::stack`] of variable
-/// `v` in [`TC_VARS`] on day `d` is the `(time, lat, lon)` time-major f32
-/// stack that
-/// `esm::output` serialized into that day's file — the same values
-/// whether they are read back through `ncformat` or were never written
-/// out of memory — on the grid [`YearSource::shape`] reports. #15 reads
-/// its year only through these, which is what makes products
-/// byte-identical across sources.
-pub(crate) enum YearSource {
-    Files(Vec<PathBuf>),
-    Mem(Arc<StreamedYear>),
-}
-
-impl YearSource {
-    /// The year's daily files, day-ascending (one per day for either
-    /// variant: a streamed year was also written durably).
-    fn files(&self) -> &[PathBuf] {
-        match self {
-            YearSource::Files(files) => files,
-            YearSource::Mem(year) => &year.files,
-        }
-    }
-
-    /// Grid and sub-daily step count of the year's fields. Daily files
-    /// carry the global regular grid of their `lat`/`lon` sizes.
-    fn shape(&self) -> ncformat::Result<(gridded::Grid, usize)> {
-        let empty = || std::io::Error::other("year has no days");
-        match self {
-            YearSource::Files(files) => {
-                let rd = Reader::open(files.first().ok_or_else(empty)?)?;
-                let size = |dim: &str| rd.dimension(dim).map(|d| d.size);
-                Ok((gridded::Grid::global(size("lat")?, size("lon")?), size("time")?))
-            }
-            YearSource::Mem(year) => {
-                let first = year.days.first().ok_or_else(empty)?;
-                Ok((first.grid.clone(), first.steps_per_day))
-            }
-        }
-    }
-
-    /// The time-major `(time, lat, lon)` stack of variable `var` on
-    /// 0-based day `day`, checked to hold `len` values: one variable read
-    /// of one daily file, or a clone of the block's shared buffer.
-    fn stack(&self, var: &str, day: usize, len: usize) -> ncformat::Result<Arc<[f32]>> {
-        let stack = match self {
-            YearSource::Files(files) => Reader::open(&files[day])?.read_shared_f32(var)?,
-            YearSource::Mem(year) => Arc::clone(
-                year.days[day]
-                    .var(var)
-                    .ok_or_else(|| ncformat::Error::UnknownVariable(var.to_string()))?,
-            ),
-        };
-        if stack.len() != len {
-            return Err(ncformat::Error::ShapeMismatch { expected: len, actual: stack.len() });
-        }
-        Ok(stack)
-    }
 }
 
 /// Record-to-date incremental index accumulators (streaming runs): the
@@ -434,16 +348,12 @@ impl CaseStudy {
     }
 
     /// Submits task #1 for one simulated year, chained on the previous
-    /// year's state token (the ESM "runs iteratively"). With `stream`,
-    /// the completed year is also handed to analytics in memory: the
-    /// send blocks while the channel is full (backpressure on the
-    /// simulation), and a failed send is simply ignored — the daily
-    /// files are already on disk for the watcher fallback.
+    /// year's state token (the ESM "runs iteratively"). The year reaches
+    /// analytics through the daily files it writes.
     fn submit_esm_year(
         &self,
         year_index: usize,
         prev: Option<&DataRef>,
-        stream: Option<StreamSender<Arc<StreamedYear>>>,
     ) -> Result<TaskHandle, Error> {
         let sim = Arc::clone(&self.sim);
         let truth = Arc::clone(&self.truth);
@@ -466,22 +376,7 @@ impl CaseStudy {
                 let skipped = sim.skip_years(1);
                 truth.lock().extend(skipped);
             }
-            let (mut files, mut days) = (Vec::new(), Vec::new());
-            let summary = sim
-                .run_years(1, |path, fields, _| {
-                    if stream.is_some() {
-                        files.push(path.to_path_buf());
-                        days.push(tc_block(fields));
-                    }
-                })
-                .map_err(|e| e.to_string())?;
-            if let Some(tx) = &stream {
-                let (year, n) = (summary.years[0], days.len());
-                let bytes: u64 = days.iter().map(DayBlock::payload_bytes).sum();
-                if tx.send(Arc::new(StreamedYear { year, files, days })).is_ok() {
-                    obs::emit_with(|| obs::EventKind::YearStreamed { year, days: n, bytes });
-                }
-            }
+            let summary = sim.run_years(1, |_, _, _| {}).map_err(|e| e.to_string())?;
             truth.lock().extend(summary.truth);
             Ok(vec![WfData::Num(summary.years[0] as f64)])
         })
@@ -556,14 +451,12 @@ impl CaseStudy {
     }
 
     /// Submits the full per-year analysis chain (tasks #4–#18, plus #19
-    /// `stream_record` on the streaming plane) for one complete year.
-    /// The one task that reads the year through `source` (#15) owns it
-    /// through its closure; the runtime drops a closure when its task
-    /// turns terminal, which is what releases an in-memory year.
+    /// `stream_record` with `params.streaming`) for one complete year of
+    /// daily `files`, day-ascending.
     fn submit_year_analysis(
         &self,
         year_key: &str,
-        source: YearSource,
+        files: Vec<PathBuf>,
         baseline_tmax: &DataRef,
         baseline_tmin: &DataRef,
         model_token: &DataRef,
@@ -571,10 +464,8 @@ impl CaseStudy {
     ) -> Result<YearTaskRefs, Error> {
         let params = self.params.clone();
         let client = self.client.clone();
-        let source = Arc::new(source);
 
         // #4 stage_year — the streaming hand-off node.
-        let files = source.files().to_vec();
         let n_files = files.len();
         let stage = self
             .rt
@@ -699,18 +590,18 @@ impl CaseStudy {
         };
 
         // #15 TC preprocessing: bundle the four needed fields per timestep
-        // into one analysis-ready file.
+        // of the files stage_year lists into one analysis-ready file.
         let tc_input = {
             let out = self.params.products_dir().join(format!("tcinput-{year_key}.ncx"));
-            let source = Arc::clone(&source);
             self.rt
                 .task("tc_preprocess")
                 .on_failure(FailurePolicy::IgnoreCancelSuccessors)
                 .key(&format!("tcpre-{year_key}"))
                 .reads(&[stage.outputs[0].clone()])
                 .writes(&[format!("tcinput-{year_key}").as_str()])
-                .run(move |_| {
-                    build_tc_input(&source, &out).map_err(|e| e.to_string())?;
+                .run(move |inp: &[Arc<WfData>]| {
+                    let files = inp[0].paths().ok_or("expected the year's day files")?;
+                    build_tc_input(files, &out).map_err(|e| e.to_string())?;
                     Ok(vec![WfData::Path(out.clone())])
                 })?
         };
@@ -791,7 +682,7 @@ impl CaseStudy {
                 })?
         };
 
-        // #19 (streaming plane only) stream_record: fold this year into
+        // #19 (`params.streaming` only) stream_record: fold this year into
         // the record-to-date incremental indices. Chained through the
         // previous year's record token so years fold in calendar order —
         // the run-length machines carry open spells across the boundary.
@@ -862,12 +753,10 @@ impl CaseStudy {
     /// ([`RunOrder::SimFirst`]) or as each year completes, concurrently
     /// with the rest of the simulation ([`RunOrder::AsYearsArrive`]).
     ///
-    /// With `params.streaming` and as-years-arrive order, the ESM task
-    /// also hands each finished year over in memory through a bounded
-    /// channel (it blocks when analytics lags — backpressure); the
-    /// directory watcher is the durable route every other year takes
-    /// (staged runs, checkpoint restores, lost sends). Sim-first never
-    /// attaches the channel: nothing would drain it before the barrier.
+    /// In either order the master loop polls the directory watcher and
+    /// submits each complete group of daily files once: the one route by
+    /// which a simulated year, a checkpoint-restored year included,
+    /// reaches its analysis.
     pub fn run(&self, order: RunOrder) -> Result<RunReport, WorkflowError> {
         let start = Instant::now();
         let cpu_start = process_cpu();
@@ -878,21 +767,17 @@ impl CaseStudy {
             self.submit_load_model().map_err(WorkflowError::dataflow(WorkflowStage::ModelLoad))?;
 
         // Chain the simulation years (#1 runs iteratively).
-        let (tx, rx) = (self.params.streaming && order == RunOrder::AsYearsArrive)
-            .then(|| bounded::<Arc<StreamedYear>>("esm-years", self.params.stream_depth))
-            .unzip();
         let mut prev: Option<DataRef> = None;
         let start_year = self.params.esm_config().start_year;
         // Year key (as the watcher groups it) → that year's ESM task.
         let mut esm_tasks: BTreeMap<String, TaskId> = BTreeMap::new();
         for y in 0..self.params.years {
             let h = self
-                .submit_esm_year(y, prev.as_ref(), tx.clone())
+                .submit_esm_year(y, prev.as_ref())
                 .map_err(WorkflowError::dataflow(WorkflowStage::Simulation))?;
             prev = Some(h.outputs[0].clone());
             esm_tasks.insert((start_year + y as i32).to_string(), h.id);
         }
-        drop(tx);
         if order == RunOrder::SimFirst {
             self.rt.barrier().map_err(WorkflowError::dataflow(WorkflowStage::Barrier))?;
         }
@@ -904,11 +789,7 @@ impl CaseStudy {
             YearlyRule { prefix: "esm".into(), days_per_year: self.params.days_per_year },
         );
         let mut year_refs: Vec<YearTaskRefs> = Vec::new();
-        let mut submitted: BTreeSet<String> = BTreeSet::new();
-        // Complete file groups not yet taken (see `settled` below).
-        let mut on_disk: BTreeMap<String, Vec<PathBuf>> = BTreeMap::new();
         let mut record_prev: Option<DataRef> = None;
-        let mut streamed = 0usize;
         const WAIT_SECS: u64 = 3600;
         let deadline = Instant::now() + Duration::from_secs(WAIT_SECS);
         while year_refs.len() < self.params.years {
@@ -925,60 +806,16 @@ impl CaseStudy {
                 let stage = abort_stage(&err, baseline.id, model.id, &esm_tasks);
                 return Err(WorkflowError::Aborted { stage, source: err });
             }
-            // In-memory arrivals first; the bounded wait (or the sleep,
-            // without a channel) is the loop's pacing.
-            let mut arrived: BTreeMap<String, YearSource> = BTreeMap::new();
-            // The ESM task writes a year's last file before it sends the
-            // year, so a complete file group may still have its copy on
-            // the way. A year whose task was terminal before the channel
-            // is emptied below has sent already: missing from the channel
-            // then, it comes from its files. Restored years are terminal
-            // from submission on.
-            let settled: BTreeSet<&String> = esm_tasks
-                .iter()
-                .filter(|&(key, &id)| {
-                    rx.is_some()
-                        && !submitted.contains(key)
-                        && self.rt.task_state(id).is_some_and(TaskState::is_terminal)
-                })
-                .map(|(key, _)| key)
-                .collect();
-            match &rx {
-                Some(rx) => {
-                    let mut wait = Duration::from_millis(20);
-                    while let RecvTimeout::Item(year) = rx.recv_timeout(wait) {
-                        arrived.insert(year.year.to_string(), YearSource::Mem(year));
-                        wait = Duration::ZERO;
-                    }
-                }
-                None => std::thread::sleep(Duration::from_millis(5)),
-            }
+            std::thread::sleep(Duration::from_millis(5));
+            // The watcher reports each group once, and a poll's groups in
+            // key order, so record-task chaining stays calendar-ascending.
             for group in
                 watcher.poll().map_err(WorkflowError::io(WorkflowStage::Streaming, &esm_dir))?
             {
-                on_disk.insert(group.key, group.files);
-            }
-            on_disk.retain(|key, files| {
-                if rx.is_some() && !settled.contains(key) {
-                    return true;
-                }
-                arrived
-                    .entry(key.clone())
-                    .or_insert_with(|| YearSource::Files(std::mem::take(files)));
-                false
-            });
-            // BTreeMap order keeps record-task chaining calendar-ascending
-            // even when a restored year surfaces via its files while a
-            // later year streams in.
-            for (key, source) in arrived {
-                if !submitted.insert(key.clone()) {
-                    continue;
-                }
-                streamed += usize::from(matches!(source, YearSource::Mem(_)));
                 let refs = self
                     .submit_year_analysis(
-                        &key,
-                        source,
+                        &group.key,
+                        group.files,
                         &baseline.outputs[0],
                         &baseline.outputs[1],
                         &model.outputs[0],
@@ -997,9 +834,9 @@ impl CaseStudy {
         let mut report = self.collect_report(start.elapsed(), cpu, &year_refs)?;
         if let Some(record_paths) = record_paths {
             report.stream = Some(StreamSummary {
-                years_streamed: streamed,
-                fallback_years: year_refs.len() - streamed,
-                stall_us: rx.map_or(0, |rx| rx.stall_micros()),
+                years_streamed: 0,
+                fallback_years: year_refs.len(),
+                stall_us: 0,
                 record_years: self.record.lock().years.len(),
                 record_paths,
             });
@@ -1224,7 +1061,7 @@ struct YearTaskRefs {
     cnn_csv: DataRef,
     tracks_csv: DataRef,
     maps: DataRef,
-    /// Record token of the `stream_record` task (streaming plane only);
+    /// Record token of the `stream_record` task (`params.streaming` only);
     /// the next year's record task chains on it.
     record: Option<DataRef>,
 }
@@ -1387,26 +1224,41 @@ fn fields_to_year_cube(
 }
 
 /// Task #15 body: bundle `(psl, sfcWind, tas, vort)` for every timestep of
-/// the year into one analysis-ready NCX file with a `step` axis. Each
-/// variable is streamed into the file one day stack at a time, in day
-/// order, so no year-long buffer is ever held.
-fn build_tc_input(source: &YearSource, out: &Path) -> ncformat::Result<()> {
-    let (grid, spd) = source.shape()?;
-    let ndays = source.files().len();
+/// the year's daily `files` (day-ascending, on the global regular grid of
+/// their `lat`/`lon` sizes) into one analysis-ready NCX file with a `step`
+/// axis. Each day file is opened once; its four `(time, lat, lon)` stacks
+/// are read one after the other into one reused buffer and written to
+/// their places in the bundle, so no more than one day stack is held.
+fn build_tc_input(files: &[PathBuf], out: &Path) -> ncformat::Result<()> {
+    let first = files.first().ok_or_else(|| std::io::Error::other("year has no days"))?;
+    let mut rd = Reader::open(first)?;
+    let size = |rd: &Reader, dim: &str| rd.dimension(dim).map(|d| d.size);
+    let grid = gridded::Grid::global(size(&rd, "lat")?, size(&rd, "lon")?);
+    let spd = size(&rd, "time")?;
     let per_day = spd * grid.len();
 
     let mut w = ncformat::Writer::create(out)?;
-    w.add_dimension("step", ndays * spd)?;
+    w.add_dimension("step", files.len() * spd)?;
     w.add_dimension("lat", grid.nlat)?;
     w.add_dimension("lon", grid.nlon)?;
     w.add_variable_f64("lat", &["lat"], &grid.lats(), vec![])?;
     w.add_variable_f64("lon", &["lon"], &grid.lons(), vec![])?;
     for var in TC_VARS {
-        w.begin_variable_f32(var, &["step", "lat", "lon"], vec![])?;
-        for d in 0..ndays {
-            w.write_chunk_f32(&source.stack(var, d, per_day)?)?;
+        w.reserve_variable_f32(var, &["step", "lat", "lon"], vec![])?;
+    }
+    let mut stack = vec![0.0f32; per_day];
+    for (day, file) in files.iter().enumerate() {
+        if day > 0 {
+            rd = Reader::open(file)?;
         }
-        w.end_variable()?;
+        for var in TC_VARS {
+            let len = rd.shape(var)?.iter().product();
+            if len != per_day {
+                return Err(ncformat::Error::ShapeMismatch { expected: per_day, actual: len });
+            }
+            rd.read_f32_into(var, 0, &mut stack)?;
+            w.write_at_f32(var, day * per_day, &stack)?;
+        }
     }
     w.set_attribute("steps_per_day", ncformat::Value::from(spd as i64));
     w.finish()
@@ -1590,10 +1442,13 @@ mod tests {
         assert!(parse_centers_tracks("h\ngarbage,line\n").is_empty());
     }
 
-    /// A streaming-configured case study over a small, quickly trained
-    /// model, and one year simulated once (files on disk + blocks).
-    fn case_with_year(name: &str) -> (CaseStudy, Arc<StreamedYear>) {
-        let dir = std::env::temp_dir().join("casestudy-tests").join(name);
+    /// Task #15 reads each day file once and bundles its four stacks in
+    /// place: every `(step, lat, lon)` slab of the bundle is the day
+    /// file's stack. #16, which reads the bundle, gives the rows the CNN
+    /// gives run step by step over the daily files.
+    #[test]
+    fn the_tc_bundle_holds_the_daily_files_stacks() {
+        let dir = std::env::temp_dir().join("casestudy-tests").join("tc-bundle");
         std::fs::remove_dir_all(&dir).ok();
         let params = WorkflowParams {
             years: 1,
@@ -1601,52 +1456,27 @@ mod tests {
             train_samples: 60,
             train_epochs: 3,
             finetune_days: 0,
-            streaming: true,
             ..WorkflowParams::test_scale(dir)
         };
         let cs = CaseStudy::new(params).unwrap();
-        let (mut files, mut days) = (Vec::new(), Vec::new());
-        let summary = cs
-            .sim
-            .lock()
-            .run_years(1, |path, fields, _| {
-                files.push(path.to_path_buf());
-                days.push(tc_block(fields));
-            })
-            .unwrap();
-        (cs, Arc::new(StreamedYear { year: summary.years[0], files, days }))
-    }
-
-    /// The equivalence proof, reduced to source invariance: the one task
-    /// body that reads a [`YearSource`] (#15) gives the same bits over a
-    /// year's files and over its blocks, and #16, which reads #15's
-    /// bundle, gives the rows the CNN gives over the daily files.
-    #[test]
-    fn task_bodies_are_source_invariant() {
-        let (cs, year) = case_with_year("source-invariance");
-        let files = YearSource::Files(year.files.clone());
-        let mem = YearSource::Mem(Arc::clone(&year));
-
-        // #15
-        let dir = cs.params.products_dir();
-        let tc_input = |source: &YearSource, name: &str| {
-            let out = dir.join(name);
-            build_tc_input(source, &out).unwrap();
-            std::fs::read(out).unwrap()
-        };
-        assert_eq!(tc_input(&files, "tcinput-files.ncx"), tc_input(&mem, "tcinput-mem.ncx"));
+        let mut files = Vec::new();
+        cs.sim.lock().run_years(1, |path, _, _| files.push(path.to_path_buf())).unwrap();
+        let bundle = cs.params.products_dir().join("tcinput.ncx");
+        build_tc_input(&files, &bundle).unwrap();
+        let (tc, grid, steps, spd) = open_tc_input(&bundle).unwrap();
+        assert_eq!(steps, files.len() * spd);
 
         // #16, against the CNN run step by step over the daily files.
         let mut reference = String::new();
-        for (day, file) in year.files.iter().enumerate() {
+        for (day, file) in files.iter().enumerate() {
             let rd = Reader::open(file).unwrap();
             let var = |name: &str| rd.read_shared_f32(name).unwrap();
             let (psl, wind, tas, vort) = (var("psl"), var("sfcWind"), var("tas"), var("vort"));
-            let grid = gridded::Grid::global(
-                rd.dimension("lat").unwrap().size,
-                rd.dimension("lon").unwrap().size,
-            );
-            let (n, spd) = (grid.len(), rd.dimension("time").unwrap().size);
+            for (name, stack) in TC_VARS.iter().zip([&psl, &wind, &tas, &vort]) {
+                let slab = tc.read_slab_f32(name, &[day * spd, 0, 0], &[spd, grid.nlat, grid.nlon]);
+                assert_eq!(slab.unwrap(), stack.as_ref(), "{name} of day {day}");
+            }
+            let n = grid.len();
             let radius = esm::atmos::tc_radius_deg(&grid);
             let analysis = extremes::tc::cnn::analysis_grid(radius, cs.cnn.patch);
             for step in 0..spd {
@@ -1666,7 +1496,7 @@ mod tests {
             }
         }
         assert!(!reference.is_empty(), "the year should yield CNN detections to compare");
-        let rows = cnn_localize_steps(&dir.join("tcinput-mem.ncx"), &cs.cnn).unwrap();
+        let rows = cnn_localize_steps(&bundle, &cs.cnn).unwrap();
         assert_eq!(rows, reference, "CNN rows over the bundle differ from the daily files'");
         cs.rt.shutdown();
     }
@@ -1692,28 +1522,6 @@ mod tests {
             WorkflowError::Aborted { stage: stage(&err), source: err }.to_string(),
             "baseline: task #1 'load_baseline' failed: chaos: poisoned payload at dataflow.task"
         );
-    }
-
-    /// An in-memory year is owned by its tasks' closures only, so it is
-    /// freed once the year's last task is terminal — not at run end.
-    #[test]
-    fn mem_year_is_released_when_its_tasks_finish() {
-        let (cs, year) = case_with_year("mem-release");
-        let baseline = cs.submit_load_baseline().unwrap();
-        let model = cs.submit_load_model().unwrap();
-        cs.submit_year_analysis(
-            &year.year.to_string(),
-            YearSource::Mem(Arc::clone(&year)),
-            &baseline.outputs[0],
-            &baseline.outputs[1],
-            &model.outputs[0],
-            None,
-        )
-        .unwrap();
-        cs.rt.barrier().unwrap();
-        assert_eq!(cs.rt.metrics().failed, 0);
-        assert_eq!(Arc::strong_count(&year), 1, "a finished year must not stay resident");
-        cs.rt.shutdown();
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! * [`params`] — workflow parameters (also parseable from HPCWaaS inputs);
 //! * [`casestudy`] — the task definitions (18 distinct task functions,
 //!   matching the paper's Figure 3 coloring) and the one workflow driver,
-//!   `CaseStudy::run`, over a per-year `YearSource` (files | in-memory);
+//!   `CaseStudy::run`, which reaches every year through its daily files;
 //! * [`endtoend`] — the driver's two submission orders as entry points
 //!   (sequential vs pipelined, experiment C1) and the HPCWaaS-registered
 //!   entrypoint;

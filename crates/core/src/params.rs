@@ -53,11 +53,12 @@ pub struct WorkflowParams {
     pub task_retries: u32,
     /// Base delay of the exponential retry backoff.
     pub retry_base_ms: u64,
-    /// Streaming data plane: hand completed years to analytics through an
-    /// in-memory channel (files still written as the durable fallback).
+    /// Record-to-date indices: a chained `stream_record` task folds each
+    /// year into cross-year heat/cold and ETCCDI accumulators, exported as
+    /// the seven `record-*.ncx` products at the end of the run.
     pub streaming: bool,
-    /// Capacity of the simulation→analytics year channel; a full channel
-    /// blocks the simulation (backpressure) until analytics catches up.
+    /// Read only by wfbench, which prints it among a run's parameters;
+    /// `climate-wf run` ignores it. No input or flag sets it.
     pub stream_depth: usize,
     /// Read only by wfbench's CNN-service probe (its `max_batch`);
     /// `climate-wf run` ignores it. No input or flag sets it.
@@ -96,7 +97,6 @@ impl WorkflowParams {
         if self.finetune_days > 0 {
             positive("finetune_epochs", self.finetune_epochs)?;
         }
-        positive("stream_depth", self.stream_depth)?;
         Ok(())
     }
 
@@ -132,7 +132,7 @@ impl WorkflowParams {
     /// (`test_small` | `demo` | `cmcc_cm3` | `NLATxNLON`), `scenario`
     /// (`historical` | `ssp245` | `ssp585`), `seed`, `workers`,
     /// `io_servers`, `nfrag`, `checkpoint`, `task_retries`,
-    /// `retry_base_ms`, `streaming` (`true` | `false`), `stream_depth`.
+    /// `retry_base_ms`, `streaming` (`true` | `false`).
     /// Any other key is a deployment-level concern and is ignored.
     pub fn apply_inputs(mut self, inputs: &BTreeMap<String, String>) -> Result<Self, String> {
         for (k, v) in inputs {
@@ -182,9 +182,6 @@ impl WorkflowParams {
                 }
                 "streaming" => {
                     self.streaming = v.parse().map_err(|_| format!("bad streaming '{v}'"))?
-                }
-                "stream_depth" => {
-                    self.stream_depth = v.parse().map_err(|_| format!("bad stream_depth '{v}'"))?
                 }
                 // Unrecognized inputs are deployment-level concerns
                 // (image names etc.); ignore them.
@@ -258,17 +255,12 @@ mod tests {
     fn streaming_inputs_parse() {
         let mut inputs = BTreeMap::new();
         inputs.insert("streaming".to_string(), "true".to_string());
-        inputs.insert("stream_depth".to_string(), "3".to_string());
         let p = base().apply_inputs(&inputs).unwrap();
         assert!(p.streaming);
-        assert_eq!(p.stream_depth, 3);
 
         let mut inputs = BTreeMap::new();
         inputs.insert("streaming".to_string(), "maybe".to_string());
         assert!(base().apply_inputs(&inputs).is_err());
-        let mut inputs = BTreeMap::new();
-        inputs.insert("stream_depth".to_string(), "0".to_string());
-        assert!(base().apply_inputs(&inputs).is_err(), "zero-depth channel rejected");
         assert!(!base().streaming, "streaming is opt-in");
     }
 

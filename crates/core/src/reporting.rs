@@ -38,16 +38,16 @@ pub struct YearReport {
     pub deterministic_scores: Option<Scores>,
 }
 
-/// What the streaming data plane did during a run: how years reached
-/// analytics and what backpressure cost.
+/// What a `--streaming` run's record-to-date indices hold.
 #[derive(Debug, Clone, Default)]
 pub struct StreamSummary {
-    /// Years handed to analytics through the in-memory channel.
+    /// Always 0: every year reaches analytics through its daily files.
+    /// Kept, with `fallback_years` and `stall_us`, only because wfbench
+    /// reads them.
     pub years_streamed: usize,
-    /// Years picked up from daily files instead (checkpoint restores,
-    /// missed sends — the durable fallback path).
+    /// Years read from their daily files: every year analysed.
     pub fallback_years: usize,
-    /// Total time the simulation spent blocked on a full year channel.
+    /// Always 0; see `years_streamed`.
     pub stall_us: u64,
     /// Years folded into the record-to-date incremental indices.
     pub record_years: usize,
@@ -226,12 +226,9 @@ impl RunReport {
         if let Some(st) = &self.stream {
             let _ = writeln!(
                 s,
-                "streaming: {} year(s) in-memory, {} via file fallback, \
-                 backpressure stall {}, record years {}",
-                st.years_streamed,
-                st.fallback_years,
-                fmt_us(st.stall_us),
-                st.record_years
+                "streaming: record-to-date indices over {} year(s), {} record product(s)",
+                st.record_years,
+                st.record_paths.len()
             );
         }
         if let Some(t) = &self.timed {
@@ -449,15 +446,16 @@ mod tests {
     fn render_includes_streaming_section() {
         let mut report = sample();
         report.stream = Some(StreamSummary {
-            years_streamed: 2,
-            fallback_years: 1,
-            stall_us: 4_321,
+            fallback_years: 3,
             record_years: 3,
             record_paths: vec![PathBuf::from("/p/record-hwn.ncx")],
+            ..StreamSummary::default()
         });
         let r = report.render();
-        assert!(r.contains("streaming: 2 year(s) in-memory, 1 via file fallback"), "got:\n{r}");
-        assert!(r.contains("backpressure stall 4.3ms"), "got:\n{r}");
+        assert!(
+            r.contains("streaming: record-to-date indices over 3 year(s), 1 record product(s)"),
+            "got:\n{r}"
+        );
         assert!(!sample().render().contains("streaming:"), "staged runs have no section");
     }
 

@@ -267,11 +267,6 @@ impl<P: Payload> Runtime<P> {
         }
     }
 
-    /// Current state of a task.
-    pub fn task_state(&self, id: TaskId) -> Option<TaskState> {
-        self.shared.state.lock().tasks.get(&id).map(|t| t.state)
-    }
-
     /// The abort error, if a fail-fast failure has stopped the workflow.
     /// Lets long-polling drivers (e.g. a directory watcher waiting on
     /// workflow products) notice the abort without calling [`Runtime::barrier`].
@@ -860,7 +855,7 @@ mod tests {
         let h = rt.task("answer").writes(&["x"]).run(|_| Ok(vec![Bytes::from_u64(42)])).unwrap();
         assert_eq!(rt.fetch(&h.outputs[0]).unwrap().as_u64(), Some(42));
         rt.barrier().unwrap();
-        assert_eq!(rt.task_state(h.id), Some(TaskState::Completed));
+        assert_eq!(rt.metrics().completed, 1);
     }
 
     #[test]
@@ -936,8 +931,8 @@ mod tests {
             .unwrap();
         let err = rt.barrier().unwrap_err();
         assert!(matches!(err, Error::TaskFailed { .. }));
-        assert_eq!(rt.task_state(bad.id), Some(TaskState::Failed));
-        assert_eq!(rt.task_state(dep.id), Some(TaskState::Cancelled));
+        let m = rt.metrics();
+        assert_eq!((m.failed, m.cancelled), (1, 1), "bad failed, dep cancelled");
         assert!(rt.fetch(&dep.outputs[0]).is_err());
     }
 
@@ -993,9 +988,12 @@ mod tests {
         let ok =
             rt.task("independent").writes(&["ok"]).run(|_| Ok(vec![Bytes::from_u64(1)])).unwrap();
         rt.barrier().unwrap(); // no abort
-        assert_eq!(rt.task_state(bad.id), Some(TaskState::Failed));
-        assert_eq!(rt.task_state(child.id), Some(TaskState::Cancelled));
-        assert_eq!(rt.task_state(ok.id), Some(TaskState::Completed));
+        let m = rt.metrics();
+        assert_eq!((m.failed, m.cancelled, m.completed), (1, 1, 1));
+        assert!(
+            rt.fetch(&child.outputs[0]).is_err(),
+            "the failed task's child is the cancelled one"
+        );
         assert_eq!(rt.fetch(&ok.outputs[0]).unwrap().as_u64(), Some(1));
     }
 
@@ -1017,7 +1015,8 @@ mod tests {
             .run(|_| Ok(vec![Bytes(Vec::new())]))
             .unwrap();
         rt.barrier().unwrap();
-        assert_eq!(rt.task_state(late.id), Some(TaskState::Cancelled));
+        assert_eq!(rt.metrics().cancelled, 1);
+        assert!(rt.fetch(&late.outputs[0]).is_err());
     }
 
     #[test]

@@ -1,27 +1,24 @@
-//! Streaming interface: in-memory channels and file-group detection.
+//! Streaming interface: file-group detection, and a bounded channel.
 //!
 //! Section 5.2 of the paper: the ESM writes one file per simulated day; the
 //! analytics sub-workflows must start "as soon as a full year of NetCDF
 //! files is available", while the simulation keeps running. PyCOMPSs
-//! exposes this through its streaming interface; here two mechanisms
-//! cooperate:
+//! exposes this through its directory-triggered streaming interface:
 //!
-//! * [`bounded`] builds an in-memory channel of year-blocks with
-//!   backpressure — the hot path that avoids the file round-trip. The
-//!   sender blocks when the consumer lags (capacity is the overlap
-//!   window), and every stall is accounted and emitted as a
-//!   [`obs::EventKind::BackpressureStall`].
 //! * [`DirWatcher`] polls a directory and reports each *complete group*
-//!   (e.g. 365 daily files of one year) exactly once — the durable
-//!   fallback that still works across process restarts, chaos kills and
-//!   checkpoint resumes, because the simulation keeps writing files even
-//!   when the channel carries the data.
+//!   (e.g. 365 daily files of one year) exactly once. It is the one route
+//!   by which a year reaches its analysis, and it works across process
+//!   restarts, chaos kills and checkpoint resumes alike.
+//! * [`bounded`] builds an in-memory channel with backpressure: the
+//!   sender blocks when the consumer lags, and every stall is emitted as
+//!   a [`obs::EventKind::BackpressureStall`]. No product path uses it
+//!   (a task body that blocked on it would hold its worker); it stays for
+//!   wfbench's `dataflow.stream_handoff_us` probe.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -137,8 +134,7 @@ impl<R: GroupRule> DirWatcher<R> {
 /// Why a [`StreamSender::send`] did not deliver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SendError<T> {
-    /// The receiver was dropped; the item is handed back so the producer
-    /// can fall through to the durable file path.
+    /// The receiver was dropped; the item is handed back.
     Disconnected(T),
 }
 
@@ -166,7 +162,6 @@ struct Channel<T> {
     /// Senders wait here for space, receivers for items.
     space: Condvar,
     items: Condvar,
-    stall_us: AtomicU64,
 }
 
 /// Producer half of a bounded stream channel (clone for MPSC).
@@ -191,7 +186,6 @@ pub fn bounded<T>(name: &str, capacity: usize) -> (StreamSender<T>, StreamReceiv
         state: Mutex::new(ChannelState { buf: VecDeque::new(), senders: 1, receiver_alive: true }),
         space: Condvar::new(),
         items: Condvar::new(),
-        stall_us: AtomicU64::new(0),
     });
     (StreamSender { ch: Arc::clone(&ch) }, StreamReceiver { ch })
 }
@@ -218,7 +212,6 @@ impl<T> StreamSender<T> {
         self.ch.items.notify_one();
         let waited_us = stalled.map_or(0, |t| t.elapsed().as_micros() as u64);
         if waited_us > 0 {
-            self.ch.stall_us.fetch_add(waited_us, Ordering::Relaxed);
             obs::emit(obs::EventKind::BackpressureStall {
                 channel: Arc::clone(&self.ch.name),
                 waited_us,
@@ -269,11 +262,6 @@ impl<T> StreamReceiver<T> {
             }
             self.ch.items.wait_for(&mut st, deadline - now);
         }
-    }
-
-    /// Total µs senders on this channel have spent blocked so far.
-    pub fn stall_micros(&self) -> u64 {
-        self.ch.stall_us.load(Ordering::Relaxed)
     }
 }
 
@@ -418,7 +406,6 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_secs(1)), RecvTimeout::Item(1));
         let waited = sender.join().unwrap();
         assert!(waited > 0, "second send must have stalled");
-        assert!(rx.stall_micros() >= waited);
         assert_eq!(rx.recv_timeout(Duration::from_secs(1)), RecvTimeout::Item(2));
     }
 

@@ -64,8 +64,9 @@ pub fn write_daily(dir: &Path, fields: &DailyFields) -> ncformat::Result<PathBuf
 
 /// One simulated day held in memory: the same per-variable `(time, lat,
 /// lon)` stacks `write_daily` serializes, as cheaply clonable
-/// `Arc<[f32]>` windows ready to hand straight to analytics without an
-/// encode→write→poll→read→decode round-trip.
+/// `Arc<[f32]>` windows. No product path builds one (every year reaches
+/// analytics through its daily files); it stays for wfbench's `esm.block`
+/// probe, which times the capture.
 #[derive(Debug, Clone)]
 pub struct DayBlock {
     pub year: i32,
@@ -92,16 +93,6 @@ impl DayBlock {
                 .map(|(n, f)| (n.clone(), Arc::from(f.data.as_slice())))
                 .collect(),
         }
-    }
-
-    /// The stack for one variable.
-    pub fn var(&self, name: &str) -> Option<&Arc<[f32]>> {
-        self.vars.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-    }
-
-    /// Total f32 payload carried by this block, in bytes.
-    pub fn payload_bytes(&self) -> u64 {
-        self.vars.iter().map(|(_, v)| (v.len() * DataType::F32.size()) as u64).sum()
     }
 }
 
@@ -200,15 +191,6 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
             .collect();
         assert!(leftovers.is_empty());
-    }
-
-    #[test]
-    fn day_block_holds_the_day_fields() {
-        let mut m = CoupledModel::new(EsmConfig::test_small().with_days_per_year(2));
-        let fields = m.step_day();
-        let block = DayBlock::from_fields(&fields);
-        assert_eq!(block.var("tas").unwrap().as_ref(), fields.get("tas").unwrap().data.as_slice());
-        assert_eq!(block.payload_bytes(), predicted_payload(&fields));
     }
 
     #[test]

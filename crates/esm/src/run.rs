@@ -2,9 +2,8 @@
 //!
 //! Wraps the coupled model into the shape the workflow's ESM task needs:
 //! run N years, write one file per day into an output directory, hand
-//! each day's fields to a callback after its file lands (the streaming
-//! driver keeps them as in-memory blocks), and collect the ground-truth
-//! events per year for later verification.
+//! each day's fields to a callback after its file lands, and collect the
+//! ground-truth events per year for later verification.
 
 use crate::config::EsmConfig;
 use crate::events::YearEvents;
@@ -187,11 +186,10 @@ mod tests {
         let mut sim = Simulation::new(small_cfg().with_seed(9), &dir).unwrap();
         let mut days = 0;
         sim.run_years(1, |path, fields, _| {
-            // An in-memory block of the day equals what a reader gets back.
-            let block = output::DayBlock::from_fields(fields);
+            // The fields handed over equal what a reader gets back.
             let rd = ncformat::Reader::open(path).unwrap();
             for var in ["tas", "psl"] {
-                assert_eq!(rd.read_all_f32(var).unwrap(), block.var(var).unwrap().as_ref());
+                assert_eq!(rd.read_all_f32(var).unwrap(), fields.get(var).unwrap().data);
             }
             days += 1;
         })

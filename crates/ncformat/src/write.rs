@@ -5,12 +5,14 @@
 //! last (the fixed-size prelude stores a pointer to it). The ESM output
 //! path uses it, so a day's ~20 large fields never need to coexist in
 //! memory; small files (index exports, tests) go through the same calls.
+//! A variable whose payload arrives out of order (the TC bundle fills four
+//! variables day by day) reserves its extent and is written in place.
 //!
 //! On-disk layout:
 //!
 //! ```text
 //! [magic 4B][version 1B][header_offset u64]  <- prelude (13 bytes)
-//! [variable payloads, in append order]
+//! [variable payloads, in declaration order]
 //! [header: global attrs, dims, variables]    <- at header_offset
 //! ```
 
@@ -43,6 +45,14 @@ struct OpenVariable {
     written: usize,
 }
 
+/// A variable declared with [`Writer::reserve_variable_f32`]: its index
+/// in `vars`, its element count and the elements written so far.
+struct Placed {
+    var: usize,
+    expected: usize,
+    written: usize,
+}
+
 /// Streaming writer: append variable payloads as they become available.
 pub struct Writer {
     file: BufWriter<File>,
@@ -54,6 +64,7 @@ pub struct Writer {
     /// Reused encode buffer; capacity persists across variables.
     scratch: Vec<u8>,
     open: Option<OpenVariable>,
+    placed: Vec<Placed>,
     reserved: bool,
 }
 
@@ -74,6 +85,7 @@ impl Writer {
             finished: false,
             scratch: Vec::new(),
             open: None,
+            placed: Vec::new(),
             reserved: false,
         })
     }
@@ -129,10 +141,10 @@ impl Writer {
         dim_idx.iter().map(|&d| self.dims[d].size).product()
     }
 
-    /// Streams `data` little-endian. On little-endian hosts the in-memory
-    /// layout already matches the on-disk layout, so the payload goes to
-    /// the writer directly; otherwise it is byte-swapped through the
-    /// reused scratch buffer.
+    /// Streams `data` little-endian at the file's current position. On
+    /// little-endian hosts the in-memory layout already matches the
+    /// on-disk layout, so the payload goes to the writer directly;
+    /// otherwise it is byte-swapped through the reused scratch buffer.
     fn write_f32_le(&mut self, data: &[f32]) -> Result<()> {
         if cfg!(target_endian = "little") {
             // SAFETY: viewing `data` as raw bytes is sound — the pointer
@@ -150,7 +162,6 @@ impl Writer {
                 self.file.write_all(&self.scratch)?;
             }
         }
-        self.cursor += data.len() as u64 * 4;
         Ok(())
     }
 
@@ -206,6 +217,7 @@ impl Writer {
             });
         }
         self.write_f32_le(data)?;
+        self.cursor += data.len() as u64 * 4;
         self.open.as_mut().expect("checked above").written += data.len();
         Ok(())
     }
@@ -224,6 +236,60 @@ impl Writer {
             attributes: open.attrs,
             data_offset: open.offset,
         });
+        Ok(())
+    }
+
+    /// Declares an `f32` variable and reserves its whole payload extent at
+    /// the end of the data section, for [`Writer::write_at_f32`] to fill
+    /// in any order — e.g. the variables of a `(step, lat, lon)` bundle
+    /// day by day, each source day read once. [`Writer::finish`] checks
+    /// that every element was written.
+    pub fn reserve_variable_f32(
+        &mut self,
+        name: &str,
+        dims: &[&str],
+        attrs: Vec<Attribute>,
+    ) -> Result<()> {
+        if let Some(open) = &self.open {
+            return Err(Error::UnfinishedVariable(open.name.clone()));
+        }
+        self.check_new_var(name)?;
+        let dims = self.dim_indices(dims)?;
+        let expected = self.expected_len(&dims);
+        self.placed.push(Placed { var: self.vars.len(), expected, written: 0 });
+        self.vars.push(Variable {
+            name: name.into(),
+            dtype: DataType::F32,
+            dims,
+            attributes: attrs,
+            data_offset: self.cursor,
+        });
+        self.cursor += expected as u64 * 4;
+        // Later appends (and the header) go after the reserved extent.
+        self.file.seek(SeekFrom::Start(self.cursor))?;
+        Ok(())
+    }
+
+    /// Writes `data` into the variable `name` reserved by
+    /// [`Writer::reserve_variable_f32`], from its linear element `start`
+    /// on. Each element is to be written once: more elements than the
+    /// variable holds, or a range past its end, is a shape mismatch.
+    pub fn write_at_f32(&mut self, name: &str, start: usize, data: &[f32]) -> Result<()> {
+        let vars = &self.vars;
+        let p = self
+            .placed
+            .iter()
+            .position(|p| vars[p.var].name == name)
+            .ok_or_else(|| Error::UnknownVariable(name.into()))?;
+        let Placed { var, expected, written } = self.placed[p];
+        let end = (start + data.len()).max(written + data.len());
+        if end > expected {
+            return Err(Error::ShapeMismatch { expected, actual: end });
+        }
+        self.file.seek(SeekFrom::Start(self.vars[var].data_offset + start as u64 * 4))?;
+        self.write_f32_le(data)?;
+        self.file.seek(SeekFrom::Start(self.cursor))?;
+        self.placed[p].written += data.len();
         Ok(())
     }
 
@@ -281,6 +347,9 @@ impl Writer {
     pub fn finish(mut self) -> Result<()> {
         if let Some(open) = &self.open {
             return Err(Error::UnfinishedVariable(open.name.clone()));
+        }
+        if let Some(p) = self.placed.iter().find(|p| p.written != p.expected) {
+            return Err(Error::ShapeMismatch { expected: p.expected, actual: p.written });
         }
         let header_offset = self.cursor;
 
@@ -445,6 +514,57 @@ mod tests {
         ));
         // Underflow rejected at close.
         assert!(matches!(w.end_variable(), Err(Error::ShapeMismatch { expected: 3, actual: 1 })));
+    }
+
+    #[test]
+    fn reserved_variables_fill_in_any_order_to_the_appended_bytes() {
+        let write = |path: &std::path::Path, placed: bool| {
+            let mut w = Writer::create(path).unwrap();
+            w.add_dimension("day", 3).unwrap();
+            w.add_dimension("x", 2).unwrap();
+            w.add_variable_f64("x", &["x"], &[0.5, 1.5], vec![]).unwrap();
+            let day = |v: usize, d: usize| [(10 * v + d) as f32, -((10 * v + d) as f32)];
+            if placed {
+                for v in 0..2 {
+                    w.reserve_variable_f32(&format!("v{v}"), &["day", "x"], vec![]).unwrap();
+                }
+                for d in [2, 0, 1] {
+                    for v in [1, 0] {
+                        w.write_at_f32(&format!("v{v}"), 2 * d, &day(v, d)).unwrap();
+                    }
+                }
+            } else {
+                for v in 0..2 {
+                    w.begin_variable_f32(&format!("v{v}"), &["day", "x"], vec![]).unwrap();
+                    for d in 0..3 {
+                        w.write_chunk_f32(&day(v, d)).unwrap();
+                    }
+                    w.end_variable().unwrap();
+                }
+            }
+            w.add_variable_f32("tail", &["x"], &[7.0, 8.0], vec![]).unwrap();
+            w.finish().unwrap();
+            std::fs::read(path).unwrap()
+        };
+        let placed = write(&tmp("placed.ncx"), true);
+        assert_eq!(placed, write(&tmp("appended.ncx"), false));
+        let rd = Reader::open(tmp("placed.ncx")).unwrap();
+        assert_eq!(rd.read_all_f32("v1").unwrap(), [10.0, -10.0, 11.0, -11.0, 12.0, -12.0]);
+        assert_eq!(rd.read_all_f32("tail").unwrap(), [7.0, 8.0]);
+    }
+
+    #[test]
+    fn reserved_variable_must_be_filled_within_its_extent() {
+        let mut w = Writer::create(tmp("placed-arity.ncx")).unwrap();
+        w.add_dimension("x", 3).unwrap();
+        w.reserve_variable_f32("v", &["x"], vec![]).unwrap();
+        assert!(matches!(w.write_at_f32("w", 0, &[1.0]), Err(Error::UnknownVariable(_))));
+        assert!(matches!(
+            w.write_at_f32("v", 2, &[1.0, 2.0]),
+            Err(Error::ShapeMismatch { expected: 3, actual: 4 })
+        ));
+        w.write_at_f32("v", 1, &[1.0, 2.0]).unwrap();
+        assert!(matches!(w.finish(), Err(Error::ShapeMismatch { expected: 3, actual: 2 })));
     }
 
     #[test]

@@ -111,9 +111,6 @@ pub enum EventKind {
     FaultInjected { site: Arc<str>, fault: &'static str, occurrence: u64 },
 
     // --- streaming data plane -----------------------------------------
-    /// A simulated year was handed to analytics in memory over a stream
-    /// channel (no file round-trip on the hot path).
-    YearStreamed { year: i32, days: usize, bytes: u64 },
     /// A stream sender blocked on a full channel until the consumer
     /// caught up; `waited_us` is the stall duration.
     BackpressureStall { channel: Arc<str>, waited_us: u64 },
@@ -150,7 +147,6 @@ impl EventKind {
             EventKind::SpanStarted { .. } => "span_started",
             EventKind::SpanEnded { .. } => "span_ended",
             EventKind::FaultInjected { .. } => "fault_injected",
-            EventKind::YearStreamed { .. } => "year_streamed",
             EventKind::BackpressureStall { .. } => "backpressure_stall",
             EventKind::InferBatchFlushed { .. } => "infer_batch_flushed",
         }

@@ -182,11 +182,6 @@ fn write_fields(s: &mut String, e: &Event) {
             field_u(s, "parent", *parent);
             field_u(s, "dur_us", *micros);
         }
-        EventKind::YearStreamed { year, days, bytes } => {
-            field_u(s, "year", *year as u64);
-            field_u(s, "days", *days as u64);
-            field_u(s, "bytes", *bytes);
-        }
         EventKind::BackpressureStall { channel, waited_us } => {
             field_s(s, "channel", channel);
             field_u(s, "waited_us", *waited_us);
@@ -338,7 +333,6 @@ fn slice_name(kind: &EventKind) -> String {
             format!("coalesce {workflow}@{tenant}")
         }
         EventKind::SpanStarted { name, .. } | EventKind::SpanEnded { name, .. } => name.to_string(),
-        EventKind::YearStreamed { year, days, .. } => format!("stream y{year} ({days}d)"),
         EventKind::BackpressureStall { channel, waited_us } => {
             format!("stall {channel} {waited_us}us")
         }

@@ -58,7 +58,7 @@ pub fn emit(kind: EventKind) {
 
 /// Emit onto the [`global`] bus, constructing the event lazily.
 #[inline]
-pub fn emit_with<F: FnOnce() -> EventKind>(f: F) {
+pub(crate) fn emit_with<F: FnOnce() -> EventKind>(f: F) {
     global().emit_with(f);
 }
 

@@ -14,6 +14,8 @@
 //! both kinds of pixel, use geometries with no or one unclipped pixel per
 //! axis, and add into weight gradients that start non-zero or at −0.0.
 
+mod common;
+
 use tinyml::layers::{Conv2d, Layer};
 use tinyml::tensor::Tensor;
 
@@ -24,41 +26,9 @@ const K: usize = 3;
 const H: usize = 32;
 const W: usize = 32;
 
-/// Naive direct convolution, the serial per-pixel oracle: bias first,
-/// taps in ascending `(c, ky, kx)`, clipped taps skipped.
+/// The shared per-pixel forward oracle over `conv`'s parameters.
 fn reference_forward(x: &Tensor, conv: &Conv2d) -> Tensor {
-    let (h, ww) = (x.shape[1], x.shape[2]);
-    let (w, b, pad) = (&conv.w, &conv.b, conv.pad);
-    let (out_ch, in_ch) = (w.shape[0], w.shape[1]);
-    let oh = h + 2 * pad + 1 - K;
-    let ow = ww + 2 * pad + 1 - K;
-    let mut y = Tensor::full(&[out_ch, oh, ow], 0.0);
-    let p = pad as isize;
-    for o in 0..out_ch {
-        for yy in 0..oh {
-            for xx in 0..ow {
-                let mut acc = b.data[o];
-                for c in 0..in_ch {
-                    for ky in 0..K {
-                        let iy = yy as isize + ky as isize - p;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..K {
-                            let ix = xx as isize + kx as isize - p;
-                            if ix < 0 || ix >= ww as isize {
-                                continue;
-                            }
-                            acc += w.data[((o * in_ch + c) * K + ky) * K + kx]
-                                * x.at3(c, iy as usize, ix as usize);
-                        }
-                    }
-                }
-                *y.at3_mut(o, yy, xx) = acc;
-            }
-        }
-    }
-    y
+    common::conv_forward(x, &conv.w.data, &conv.b.data, conv.kernel, conv.pad)
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -91,54 +61,6 @@ fn conv2d_forward_is_bitwise_reference() {
     assert_eq!(bits(&y), bits(&expect), "forward must be bitwise-identical to the reference");
 }
 
-/// The per-pixel backward nest, the oracle of the fused kernel: over
-/// `(o, yy, xx)` ascending, a non-zero `g` adds to `gb[o]` and, per
-/// unclipped tap of its `k × k` window, `g·x` to `gw` and `g·w` to `gx`. `gw` and `gb` start as
-/// `gw0` and `gb0`, `gx` at zero. Returns `(gw, gb, gx)`.
-fn reference_backward(
-    x: &Tensor,
-    conv: &Conv2d,
-    go: &Tensor,
-    (gw0, gb0): (&Tensor, &Tensor),
-) -> (Tensor, Tensor, Tensor) {
-    let (in_ch, h, ww) = (x.shape[0], x.shape[1], x.shape[2]);
-    let (oh, ow) = (go.shape[1], go.shape[2]);
-    let (w, p, k) = (&conv.w, conv.pad as isize, conv.kernel);
-    let (mut gw, mut gb) = (gw0.clone(), gb0.clone());
-    let mut gx = Tensor::full(&x.shape, 0.0);
-    let out_ch = go.shape[0];
-    for o in 0..out_ch {
-        for yy in 0..oh {
-            for xx in 0..ow {
-                let g = go.at3(o, yy, xx);
-                if g == 0.0 {
-                    continue;
-                }
-                gb.data[o] += g;
-                for c in 0..in_ch {
-                    for ky in 0..k {
-                        let iy = yy as isize + ky as isize - p;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = xx as isize + kx as isize - p;
-                            if ix < 0 || ix >= ww as isize {
-                                continue;
-                            }
-                            let wi = ((o * in_ch + c) * k + ky) * k + kx;
-                            let xi = (c * h + iy as usize) * ww + ix as usize;
-                            gw.data[wi] += g * x.data[xi];
-                            gx.data[xi] += g * w.data[wi];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    (gw, gb, gx)
-}
-
 /// Runs `conv`'s `input_grad` and `add_param_grads` on `(x, go)` and pins
 /// `gx`, `gw` and `gb` to the per-pixel oracle by `to_bits`.
 fn assert_backward_is_reference(conv: &Conv2d, x: &Tensor, go: &Tensor) {
@@ -156,11 +78,18 @@ fn assert_backward_from(conv: &Conv2d, x: &Tensor, go: &Tensor, (gw0, gb0): (Ten
     for (row, (gw, gb)) in gw.data.chunks_exact_mut(row_len).zip(&mut gb.data).enumerate() {
         conv.add_param_grads(x, go, row, gw, gb);
     }
-    let (ref_gw, ref_gb, ref_gx) = reference_backward(x, conv, go, (&gw0, &gb0));
+    let (mut ref_gw, mut ref_gb) = (gw0, gb0);
+    let (k, pad) = (conv.kernel, conv.pad);
+    let ref_gx =
+        common::conv_backward(x, &conv.w.data, go, k, pad, &mut ref_gw.data, &mut ref_gb.data);
     // Both sides accumulate every element in the same order: bitwise equal.
     assert_eq!(bits(&gw), bits(&ref_gw), "gw must be bitwise-identical");
     assert_eq!(bits(&gb), bits(&ref_gb), "gb must be bitwise-identical");
-    assert_eq!(bits(&gx), bits(&ref_gx), "gx must be bitwise-identical");
+    assert_eq!(
+        bits(&gx),
+        bits(&Tensor::from_vec(&x.shape, ref_gx)),
+        "gx must be bitwise-identical"
+    );
 }
 
 #[test]

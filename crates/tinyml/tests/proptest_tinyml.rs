@@ -3,97 +3,13 @@
 //! sample alone, pooling invariants, and serialization round-trips over
 //! random architectures.
 
+mod common;
+
 use proptest::prelude::*;
 use tinyml::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid};
 use tinyml::net::{Scratch, Sequential};
 use tinyml::serialize::{load_model, save_model};
 use tinyml::tensor::Tensor;
-
-/// Straightforward reference convolution (stride 1, zero padding): per
-/// pixel, bias first, then taps in ascending `(c, ky, kx)`, clipped taps
-/// skipped — the multiply-add order the layer's lane kernel must keep.
-#[allow(clippy::needless_range_loop)] // reference code mirrors the math
-fn conv_reference(
-    x: &Tensor,
-    w: &Tensor,
-    b: &[f32],
-    in_ch: usize,
-    out_ch: usize,
-    k: usize,
-    pad: usize,
-) -> Tensor {
-    let (h, wdt) = (x.shape[1], x.shape[2]);
-    let oh = h + 2 * pad + 1 - k;
-    let ow = wdt + 2 * pad + 1 - k;
-    let mut y = Tensor::full(&[out_ch, oh, ow], 0.0);
-    for o in 0..out_ch {
-        for yy in 0..oh {
-            for xx in 0..ow {
-                let mut acc = b[o];
-                for c in 0..in_ch {
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let iy = yy as isize + ky as isize - pad as isize;
-                            let ix = xx as isize + kx as isize - pad as isize;
-                            if iy < 0 || ix < 0 || iy >= h as isize || ix >= wdt as isize {
-                                continue;
-                            }
-                            let widx = ((o * in_ch + c) * k + ky) * k + kx;
-                            acc += w.data[widx] * x.at3(c, iy as usize, ix as usize);
-                        }
-                    }
-                }
-                *y.at3_mut(o, yy, xx) = acc;
-            }
-        }
-    }
-    y
-}
-
-/// The per-pixel backward nest for the same convolution: over
-/// `(o, yy, xx)` ascending, a non-zero `g` adds to `gb[o]` and, per
-/// unclipped tap, `g·x` to `gw` and `g·w` to `gx`. `gw` and `gb` start as
-/// given, `gx` at zero. Returns `(gw, gb, gx)`.
-#[allow(clippy::needless_range_loop)] // reference code mirrors the math
-fn conv_backward_reference(
-    x: &Tensor,
-    w: &Tensor,
-    go: &Tensor,
-    k: usize,
-    pad: usize,
-    (mut gw, mut gb): (Vec<f32>, Vec<f32>),
-) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-    let (in_ch, h, wdt) = (x.shape[0], x.shape[1], x.shape[2]);
-    let (out_ch, oh, ow) = (go.shape[0], go.shape[1], go.shape[2]);
-    let mut gx = vec![0.0f32; x.len()];
-    for o in 0..out_ch {
-        for yy in 0..oh {
-            for xx in 0..ow {
-                let g = go.at3(o, yy, xx);
-                if g == 0.0 {
-                    continue;
-                }
-                gb[o] += g;
-                for c in 0..in_ch {
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let iy = yy as isize + ky as isize - pad as isize;
-                            let ix = xx as isize + kx as isize - pad as isize;
-                            if iy < 0 || ix < 0 || iy >= h as isize || ix >= wdt as isize {
-                                continue;
-                            }
-                            let widx = ((o * in_ch + c) * k + ky) * k + kx;
-                            let xidx = (c * h + iy as usize) * wdt + ix as usize;
-                            gw[widx] += g * x.data[xidx];
-                            gx[xidx] += g * w.data[widx];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    (gw, gb, gx)
-}
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data.iter().map(|v| v.to_bits()).collect()
@@ -266,7 +182,7 @@ proptest! {
         let mut conv = Conv2d::new(in_ch, out_ch, k, pad, seed);
         conv.b = Tensor::uniform(&[out_ch], 1.0, seed ^ 2);
         let x = Tensor::uniform(&[in_ch, h, w], 1.0, seed ^ 1);
-        let want = conv_reference(&x, &conv.w, &conv.b.data, in_ch, out_ch, k, pad);
+        let want = common::conv_forward(&x, &conv.w.data, &conv.b.data, k, pad);
         let mut got = Tensor::full(&[2, 2], f32::NAN);
         conv.infer(&x, &mut got);
         prop_assert_eq!(&got.shape, &want.shape);
@@ -326,8 +242,9 @@ proptest! {
                 Tensor::uniform(&[out_ch], 1.0, seed ^ 4).data,
             ),
         };
-        let (want_gw, want_gb, want_gx) =
-            conv_backward_reference(&x, &conv.w, &go, k, pad, (gw0.clone(), gb0.clone()));
+        let (mut want_gw, mut want_gb) = (gw0.clone(), gb0.clone());
+        let want_gx =
+            common::conv_backward(&x, &conv.w.data, &go, k, pad, &mut want_gw, &mut want_gb);
         let fbits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
         let nan_alike = |v: &[f32]| {
             let bits = |f: &f32| if f.is_nan() { f32::NAN.to_bits() } else { f.to_bits() };

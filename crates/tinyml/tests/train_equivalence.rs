@@ -13,6 +13,8 @@
 //! by `to_bits`. `scripts/check.sh` runs this file at `PAR_THREADS` 1, 2
 //! and 4.
 
+mod common;
+
 use proptest::prelude::*;
 use tinyml::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid};
 use tinyml::net::Sequential;
@@ -172,39 +174,10 @@ impl Oracle {
     fn backward(&mut self, l: usize, x: &Tensor, y: &Tensor, g: &Tensor, p: usize) -> Tensor {
         let mut gx = Tensor::full(&x.shape, 0.0);
         match self.kinds[l] {
-            Kind::Conv { in_ch, out_ch, k, pad, .. } => {
+            Kind::Conv { k, pad, .. } => {
                 let w = self.layers[l].params()[0].data.clone();
-                let (h, wd) = (x.shape[1], x.shape[2]);
-                let (oh, ow) = (g.shape[1], g.shape[2]);
                 let (gw, rest) = self.grads[p..].split_first_mut().unwrap();
-                let gb = &mut rest[0];
-                for o in 0..out_ch {
-                    for yy in 0..oh {
-                        for xx in 0..ow {
-                            let gv = g.data[(o * oh + yy) * ow + xx];
-                            if gv == 0.0 {
-                                continue;
-                            }
-                            gb[o] += gv;
-                            for c in 0..in_ch {
-                                for ky in 0..k {
-                                    for kx in 0..k {
-                                        let iy = (yy + ky) as isize - pad as isize;
-                                        let ix = (xx + kx) as isize - pad as isize;
-                                        if iy < 0 || ix < 0 || iy >= h as isize || ix >= wd as isize
-                                        {
-                                            continue;
-                                        }
-                                        let wi = ((o * in_ch + c) * k + ky) * k + kx;
-                                        let xi = (c * h + iy as usize) * wd + ix as usize;
-                                        gw[wi] += gv * x.data[xi];
-                                        gx.data[xi] += gv * w[wi];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+                gx.data = common::conv_backward(x, &w, g, k, pad, gw, &mut rest[0]);
             }
             Kind::Dense { input, output, .. } => {
                 let w = self.layers[l].params()[0].data.clone();

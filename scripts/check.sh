@@ -69,15 +69,16 @@ echo "== conv kernel timing gate: conv2's shape costs per MAC about what conv1's
 cargo test --release -q -p tinyml --test conv_timing -- --ignored --exact \
     conv2_shape_costs_per_mac_about_what_conv1_shape_costs
 
-echo "== conv backward timing gate: a non-zero weight-gradient MAC costs a few forward MACs =="
+echo "== conv backward timing gate: the weight-gradient kernel costs well under the per-pixel nest =="
 # The weight-gradient kernel walks a 3x3 window inside the input as one
 # unrolled block, so on conv1's shape (4->8 at 16x16, 80% of the output
-# gradients zero) its median ns per non-zero multiply-add may be at most
-# the bound const in the test times the forward's median ns/MAC: 31
-# interleaved reps, release build. Per-row clipped slices show as a larger
-# ratio.
+# gradients zero) its median cost may be at most the bound const in the
+# test times the median cost of the shared per-pixel backward nest
+# (crates/tinyml/tests/common) on the same inputs: 31 interleaved reps,
+# release build. The reference is fixed, so the forward's speed does not
+# move this gate. Per-row clipped slices show as a larger ratio.
 cargo test --release -q -p tinyml --test conv_timing -- --ignored --exact \
-    conv1_weight_grads_cost_a_few_forward_macs_per_nonzero_mac
+    conv1_weight_grads_cost_well_under_the_per_pixel_nest
 
 echo "== CNN block timing gate: a block of 8 patches costs per patch well below one patch alone =="
 # Every forward kernel runs a block of samples interleaved innermost, whose
@@ -117,6 +118,30 @@ if [ -n "$leaks" ]; then
   echo "$leaks" >&2
   exit 1
 fi
+
+echo "== one route to analytics: only dataflow::stream names the year channel =="
+# Every year reaches its analysis through its daily files, reported by the
+# directory watcher; the bounded in-memory channel stays only for
+# wfbench's handoff probe. A task body blocked on a channel send would
+# hold its worker, so outside crates/dataflow/src/stream.rs no non-test
+# code (each file's lines before its first #[cfg(test)], comments
+# stripped) may name `bounded`, `StreamSender` or `StreamReceiver`.
+python3 - <<'EOF'
+import glob, re, sys
+bad = []
+for path in sorted(glob.glob("crates/*/src/**/*.rs", recursive=True)):
+    if path == "crates/dataflow/src/stream.rs":
+        continue
+    code = open(path).read().split("#[cfg(test)]")[0]
+    for n, line in enumerate(code.splitlines(), 1):
+        if re.search(r"\b(bounded|StreamSender|StreamReceiver)\b", re.sub(r"//.*", "", line)):
+            bad.append(f"{path}:{n}: {line.strip()}")
+if bad:
+    print("the year channel is named outside crates/dataflow/src/stream.rs:", file=sys.stderr)
+    print("\n".join(bad), file=sys.stderr)
+    sys.exit(1)
+print("one route OK: no product code names the year channel")
+EOF
 
 echo "== one ledger: report state is written only by the event fold =="
 # dataflow::Runtime keeps one record of a run — monitor::StatusFold, whose
@@ -340,18 +365,18 @@ print(f"flight dump OK: {len(lines)} JSONL records, {len(kinds)} event kinds")
 EOF
 
 echo "== streaming equivalence: staged vs streaming bitwise, serial and parallel =="
-# The streaming data plane must be a pure performance change: byte-identical
+# --streaming only adds the record-to-date indices: byte-identical
 # products, incremental record indices matching the batch exports, and a
-# kill/resume through the file fallback — independent of pool width.
+# kill/resume through the directory watcher — independent of pool width.
 for t in 1 4; do
   PAR_THREADS="$t" cargo test --test streaming_equivalence -q
 done
 
-echo "== streaming smoke: in-memory year handoff end to end =="
+echo "== streaming smoke: record-to-date indices end to end =="
 cargo run -q -p climate-workflows --bin climate-wf -- run --years 2 --days 3 \
     --streaming --out "$smoke/stream-run" > "$smoke/stream-run.out"
 grep -q "climate-extremes workflow (streaming)" "$smoke/stream-run.out"
-grep -q "^streaming: " "$smoke/stream-run.out"
+grep -q "^streaming: record-to-date indices over 2 year(s)" "$smoke/stream-run.out"
 
 echo "== one placement rule: oldest compatible ready task, estimates reported =="
 cargo test -p dataflow --test scheduler_portfolio -q

@@ -176,8 +176,16 @@ fn ignored_failure_cancels_only_its_subtree() {
         .unwrap();
 
     rt.barrier().unwrap();
-    assert_eq!(rt.task_state(index_a.id), Some(TaskState::Cancelled));
-    assert_eq!(rt.task_state(index_b.id), Some(TaskState::Completed));
+    let m = rt.metrics();
+    assert_eq!(
+        (m.failed, m.cancelled, m.completed),
+        (1, 1, 2),
+        "import_a failed, index_a cancelled"
+    );
+    assert!(
+        rt.fetch(&index_a.outputs[0]).is_err(),
+        "the failed import's successor is the cancelled one"
+    );
     assert_eq!(*rt.fetch(&index_b.outputs[0]).unwrap(), WfData::CubeRef(9));
     rt.shutdown();
 }

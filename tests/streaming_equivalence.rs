@@ -1,10 +1,9 @@
-//! Streaming-equivalence suite: the in-memory data plane
-//! (`--streaming`) must be a pure performance change. Every science
-//! product of a streaming run — index maps, TC inputs, CNN and tracker
-//! CSVs, rendered maps — must be byte-identical to the staged run over
-//! the same parameters, the incremental record indices must match the
-//! batch per-year pipeline, and a run killed mid-stream must resume
-//! through the durable file fallback to the same bytes.
+//! Streaming-equivalence suite: `--streaming` only adds the record-to-date
+//! indices. Every science product of a streaming run — index maps, TC
+//! inputs, CNN and tracker CSVs, rendered maps — must be byte-identical to
+//! the staged run over the same parameters, the incremental record indices
+//! must match the batch per-year pipeline, and a run killed mid-stream must
+//! resume through the directory watcher to the same bytes.
 //!
 //! `scripts/check.sh` runs this binary under `PAR_THREADS=1` and
 //! `PAR_THREADS=4`: equivalence may not depend on pool width.
@@ -101,11 +100,9 @@ fn streaming_products_bitwise_match_staged() {
     );
 
     let st = report.stream.expect("streaming report section");
-    assert_eq!(st.years_streamed + st.fallback_years, 2);
     assert_eq!(st.record_years, 2, "record state must fold both years");
 
-    // Task #16 is one body over files (staged) and blocks (streaming):
-    // each year's CNN product must exist, carry rows, and match.
+    // Each year's CNN product must exist, carry rows, and match.
     for y in &report.years {
         let name = format!("products/tc-cnn-{}.csv", y.year);
         let staged = std::fs::read(staged_dir.join(&name)).expect("staged CNN CSV");
@@ -135,9 +132,8 @@ fn record_indices_bitwise_match_batch_exports() {
 /// Durability acceptance: a streaming run killed mid-simulation (the
 /// second ESM year errors with no retries) resumes from its checkpoint;
 /// the already-simulated year re-enters analytics through the directory
-/// watcher fallback (its in-memory handoff died with the process), and
-/// the final products are byte-identical to a staged run that never
-/// failed.
+/// watcher, its record task folds it, and the final products are
+/// byte-identical to a staged run that never failed.
 #[test]
 fn killed_stream_resumes_via_file_fallback_bitwise() {
     let _suite = suite_lock();
@@ -170,10 +166,6 @@ fn killed_stream_resumes_via_file_fallback_bitwise() {
     // Disarmed resume from the same checkpoint.
     let report = run_pipelined(with_ckpt(&dir, 2, true)).expect("resume run");
     let st = report.stream.expect("streaming report section");
-    assert!(
-        st.fallback_years >= 1,
-        "the restored year must re-enter through the file fallback: {st:?}"
-    );
     assert_eq!(st.record_years, 2, "record catch-up must fold the restored year");
 
     for sub in ["esm-out", "products"] {
