@@ -152,10 +152,6 @@ impl Payload for WfData {
             _ => return None,
         })
     }
-
-    fn approx_size(&self) -> u64 {
-        self.encode().len() as u64
-    }
 }
 
 /// The variables task #15 bundles from a year's daily files for #16 and

@@ -234,27 +234,7 @@ impl RunReport {
         if let Some(t) = &self.timed {
             s.push_str(&self.render_timed(t));
         }
-        s.push_str(&self.render_scheduling());
-        s
-    }
-
-    /// The placement section: how many placements the run made and how far
-    /// their duration estimates were from the measured durations.
-    fn render_scheduling(&self) -> String {
-        let mut s = String::new();
         let _ = writeln!(s, "scheduling: {} placements", self.placements.len());
-        let completed: Vec<_> =
-            self.placements.iter().filter_map(|d| d.actual_us.map(|a| (d.est_us, a))).collect();
-        if !completed.is_empty() {
-            let mean_err =
-                completed.iter().map(|&(e, a)| e.abs_diff(a)).sum::<u64>() / completed.len() as u64;
-            let _ = writeln!(
-                s,
-                "  estimate error: mean |est-actual| {} over {} completed placements",
-                fmt_us(mean_err),
-                completed.len()
-            );
-        }
         s
     }
 
@@ -417,29 +397,22 @@ mod tests {
     }
 
     #[test]
-    fn render_summarizes_placement_quality() {
+    fn render_counts_placements_and_prints_no_estimate() {
         use dataflow::{PlacementDecision, TaskId};
         use std::sync::Arc;
         let mut report = sample();
-        report.placements = vec![
-            PlacementDecision {
-                task: TaskId(1),
-                name: Arc::from("sim"),
-                worker: 0,
-                est_us: 1_000,
-                actual_us: Some(3_000),
-            },
-            PlacementDecision {
-                task: TaskId(2),
-                name: Arc::from("analyze"),
-                worker: 1,
-                est_us: 2_000,
-                actual_us: Some(2_000),
-            },
-        ];
+        report.placements = [(1, "sim", 0, 3_000), (2, "analyze", 1, 2_000)]
+            .map(|(task, name, worker, actual)| PlacementDecision {
+                task: TaskId(task),
+                name: Arc::from(name),
+                worker,
+                est_us: 0,
+                actual_us: Some(actual),
+            })
+            .to_vec();
         let r = report.render();
         assert!(r.contains("scheduling: 2 placements"), "got:\n{r}");
-        assert!(r.contains("mean |est-actual| 1.0ms over 2 completed placements"), "got:\n{r}");
+        assert!(!r.contains("estimate"), "got:\n{r}");
     }
 
     #[test]

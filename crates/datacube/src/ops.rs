@@ -401,9 +401,9 @@ pub fn add_singleton_implicit(cube: &Cube, dim: &str, coord: f64) -> Result<Cube
 ///
 /// This is a materialization boundary, but even here the dense array is
 /// never built: the output file is sized up front from the payload bytes,
-/// coordinates are written from borrowed slices, and the measure streams
-/// fragment-by-fragment (in row order) through the writer's reused encode
-/// buffer.
+/// coordinates are written from borrowed slices, and the measure's extent
+/// is reserved and filled fragment by fragment, in row order, each at its
+/// first row's offset.
 pub fn exportnc(cube: &Cube, path: &Path) -> Result<()> {
     let mut w = Writer::create(path)?;
     for d in &cube.dims {
@@ -416,11 +416,11 @@ pub fn exportnc(cube: &Cube, path: &Path) -> Result<()> {
         w.add_variable_f64(&d.name, &[d.name.as_str()], &d.coords, vec![])?;
     }
     let dim_names: Vec<&str> = cube.dims.iter().map(|d| d.name.as_str()).collect();
-    w.begin_variable_f32(&cube.measure, &dim_names, vec![])?;
+    w.reserve_variable_f32(&cube.measure, &dim_names, vec![])?;
+    let row_len = cube.implicit_len();
     for f in cube.frags_in_row_order() {
-        w.write_chunk_f32(&f.data)?;
+        w.write_at_f32(&cube.measure, f.row_start * row_len, &f.data)?;
     }
-    w.end_variable()?;
     w.set_attribute("description", Value::from(cube.description.clone()));
     w.set_attribute("source", Value::from("datacube::exportnc"));
     w.finish()?;

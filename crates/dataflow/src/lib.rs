@@ -20,9 +20,9 @@
 //!   (`@constraint` decorator), and is only placed on workers of that
 //!   kind; the GPU kind stands for the accelerator partition.
 //! * **One placement rule** — an idle worker takes the oldest ready task
-//!   whose constraint its profile satisfies. Each pick is reported with
-//!   a duration estimate from the measured per-function means
-//!   ([`TimingStats`]); the estimate is scored, never steering.
+//!   whose constraint its profile satisfies. The runtime makes no duration
+//!   estimate: each pick is reported by the attempt's `TaskStarted`, and
+//!   its cost by the measured `TaskFinished`.
 //! * **Fault tolerance** — per-task failure policies (fail-fast the whole
 //!   workflow, retry N times, or ignore-and-cancel-successors), mirroring
 //!   the task-level failure management of Ejarque et al.
@@ -35,7 +35,7 @@
 //! * **One ledger** — what happened in a run is its stream of
 //!   task-lifecycle events, and the runtime keeps exactly one record of
 //!   it: [`monitor::StatusFold`], written only where an event is emitted.
-//!   Execution metrics, placement decisions (estimate vs. actual), the
+//!   Execution metrics, placement decisions with measured durations, the
 //!   timed critical path, point-in-time [`monitor::StatusSnapshot`]s
 //!   (Section 2's monitoring capability) and provenance
 //!   ([`provenance::ProvenanceLog`]: what every terminal task used and
@@ -84,7 +84,6 @@ pub use provenance::ProvenanceLog;
 pub use resources::{Constraint, WorkerKind, WorkerProfile};
 pub use runtime::{Runtime, RuntimeConfig, TaskHandle};
 pub use task::{DataRef, FailurePolicy, TaskId, TaskState};
-pub use timing::TimingStats;
 
 /// Convenience prelude for workflow code.
 pub mod prelude {

@@ -7,8 +7,8 @@
 //! task-lifecycle events ([`Runtime::subscribe`](crate::Runtime::subscribe)),
 //! and [`StatusFold`] is the single record kept of it: execution
 //! [`Metrics`], the [`StatusSnapshot`] poll view, placement decisions with
-//! estimate vs. actual, measured [`TaskSpan`]s, per-function
-//! [`TimingStats`] and provenance are all reads of one fold.
+//! their measured durations, [`TaskSpan`]s and provenance are all reads of
+//! one fold.
 //!
 //! The runtime keeps one fold, always on, written only where it emits an
 //! event; the scheduler-facing *control* state (graph, queues, data) lives
@@ -20,7 +20,7 @@
 use crate::graph::Node;
 use crate::provenance::{ProvenanceLog, TaskRecord};
 use crate::task::{TaskId, TaskState};
-use crate::timing::{TaskSpan, TimingStats};
+use crate::timing::TaskSpan;
 use obs::{EventKind, TaskOutcome};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -50,14 +50,15 @@ pub struct Metrics {
     pub tasks_per_worker: Vec<u64>,
 }
 
-/// One placement decision and its measured outcome, so reports can score
-/// the duration estimate after the fact.
+/// One placement decision, read from the attempt's `TaskStarted`, and its
+/// measured outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacementDecision {
     pub task: TaskId,
     pub name: Arc<str>,
     pub worker: usize,
-    /// Estimated duration of the task at decision time, microseconds.
+    /// Always 0: the runtime makes no duration estimate. Kept only for
+    /// wfbench's `dataflow.est_err_ms` reader (ROADMAP 1).
     pub est_us: u64,
     /// Measured duration of the completed attempt; `None` while running
     /// or when the attempt never completed.
@@ -125,7 +126,6 @@ pub struct StatusFold {
     epoch: Option<SystemTime>,
     metrics: Metrics,
     placements: Vec<PlacementDecision>,
-    stats: TimingStats,
 }
 
 impl StatusFold {
@@ -156,22 +156,20 @@ impl StatusFold {
                     c.state = TaskState::Ready;
                 }
             }
-            EventKind::SchedulerDecision { task, name, worker, est_us } => {
-                let idx = self.placements.len();
-                self.cell(*task, name).placement = Some(idx);
-                self.placements.push(PlacementDecision {
-                    task: TaskId(*task),
-                    name: Arc::clone(name),
-                    worker: *worker,
-                    est_us: *est_us,
-                    actual_us: None,
-                });
-            }
             EventKind::TaskStarted { task, name, worker, attempt } => {
+                let idx = self.placements.len();
                 let c = self.cell(*task, name);
                 c.state = TaskState::Running;
                 c.attempts = *attempt;
                 c.start_us = Some(ts_us);
+                c.placement = Some(idx);
+                self.placements.push(PlacementDecision {
+                    task: TaskId(*task),
+                    name: Arc::clone(name),
+                    worker: *worker,
+                    est_us: 0,
+                    actual_us: None,
+                });
                 let per_worker = &mut self.metrics.tasks_per_worker;
                 if per_worker.len() <= *worker {
                     per_worker.resize(*worker + 1, 0);
@@ -184,7 +182,7 @@ impl StatusFold {
                 c.attempts = *attempt;
                 c.start_us = None;
                 // The failed attempt's decision never completes; the next
-                // pick records a fresh one.
+                // start records a fresh one.
                 c.placement = None;
                 self.metrics.retries += 1;
             }
@@ -206,7 +204,6 @@ impl StatusFold {
                 if *outcome == TaskOutcome::Completed && executed {
                     let d = Duration::from_micros(*micros);
                     m.task_durations.push((TaskId(*task), name.to_string(), d));
-                    self.stats.record(name, *micros);
                     if let Some(i) = placement {
                         self.placements[i].actual_us = Some(*micros);
                     }
@@ -270,16 +267,10 @@ impl StatusFold {
         &self.metrics
     }
 
-    /// Every placement decision in decision order, its actual joined from
+    /// Every placement decision in start order, its actual joined from
     /// the task's `TaskFinished`.
     pub fn placements(&self) -> &[PlacementDecision] {
         &self.placements
-    }
-
-    /// Measured per-function duration statistics (what each placement's
-    /// `est_us` is read from).
-    pub fn stats(&self) -> &TimingStats {
-        &self.stats
     }
 
     /// Number of the last attempt of `task` that started (0 = none yet).

@@ -1,10 +1,9 @@
 //! The data interchange trait between tasks.
 //!
 //! The runtime is generic over one payload type per workflow (typically an
-//! enum covering every kind of value the workflow's tasks exchange). The
-//! trait carries just enough structure for the runtime's two needs beyond
-//! in-memory handoff: checkpoint serialization and an input size for the
-//! cold-start duration estimate.
+//! enum covering every kind of value the workflow's tasks exchange). Tasks
+//! hand values to each other in memory; the trait only adds the
+//! encode/decode pair the checkpoint log stores completed outputs with.
 
 /// Values exchanged between tasks.
 pub trait Payload: Send + Sync + 'static {
@@ -15,14 +14,6 @@ pub trait Payload: Send + Sync + 'static {
     fn decode(bytes: &[u8]) -> Option<Self>
     where
         Self: Sized;
-
-    /// Approximate in-memory size in bytes: the input of a consumer's
-    /// cold-start duration estimate
-    /// ([`TimingStats::estimate_us`](crate::TimingStats::estimate_us)).
-    /// Precision is not required.
-    fn approx_size(&self) -> u64 {
-        64
-    }
 }
 
 /// A ready-made payload: an opaque byte buffer with small-integer helpers.
@@ -52,10 +43,6 @@ impl Payload for Bytes {
     fn decode(bytes: &[u8]) -> Option<Self> {
         Some(Bytes(bytes.to_vec()))
     }
-
-    fn approx_size(&self) -> u64 {
-        self.0.len() as u64
-    }
 }
 
 #[cfg(test)]
@@ -71,12 +58,6 @@ mod tests {
     #[test]
     fn payload_encode_decode() {
         let b = Bytes(vec![1, 2, 3]);
-        assert_eq!(Bytes::decode(&b.encode()), Some(b.clone()));
-        assert_eq!(b.approx_size(), 3);
-    }
-
-    #[test]
-    fn empty_is_empty() {
-        assert_eq!(Bytes(Vec::new()).approx_size(), 0);
+        assert_eq!(Bytes::decode(&b.encode()), Some(b));
     }
 }

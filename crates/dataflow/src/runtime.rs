@@ -95,9 +95,6 @@ struct TaskEntry<P: Payload> {
 struct DataEntry<P: Payload> {
     value: Option<Arc<P>>,
     failed: bool,
-    /// [`Payload::approx_size`] of the value: the cold-start input of a
-    /// consumer's duration estimate.
-    size: u64,
 }
 
 struct Inner<P: Payload> {
@@ -282,10 +279,10 @@ impl<P: Payload> Runtime<P> {
         m
     }
 
-    /// Every placement decision made so far, in decision order, with the
-    /// estimate at pick time and the measured duration once the task
-    /// completed (a read of the event fold). The (task, worker) sequence
-    /// doubles as the placement log the determinism tests compare.
+    /// Every attempt started so far, in start order, with the measured
+    /// duration once it completed (a read of the event fold). The
+    /// (task, worker) sequence doubles as the placement log the
+    /// determinism tests compare.
     pub fn scheduler_decisions(&self) -> Vec<PlacementDecision> {
         self.shared.state.lock().fold.placements().to_vec()
     }
@@ -444,7 +441,7 @@ impl<'rt, P: Payload> TaskBuilder<'rt, P> {
             *ver += 1;
             let r = DataRef { id: st.next_data, name: name.to_string(), version: *ver };
             st.next_data += 1;
-            st.data.insert(r.id, DataEntry { value: None, failed: false, size: 0 });
+            st.data.insert(r.id, DataEntry { value: None, failed: false });
             r
         };
         for u in &self.updates {
@@ -607,7 +604,6 @@ fn complete<P: Payload>(
     let (name, dependents) = (Arc::clone(&t.name), std::mem::take(&mut t.dependents));
     for (w, v) in t.writes.iter().zip(outs) {
         if let Some(d) = st.data.get_mut(&w.id) {
-            d.size = v.approx_size();
             d.value = Some(Arc::new(v));
         }
     }
@@ -719,22 +715,8 @@ fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize) {
         };
 
         let id = st.ready.remove(ready_idx);
-        // The estimate at pick time, reported next to the attempt's
-        // measured `micros` (placement does not read it).
-        let t = &st.tasks[&id];
-        let name = Arc::clone(&t.name);
-        let bytes: u64 = t.reads.iter().map(|r| st.data[&r.id].size).sum();
-        let est_us = st.fold.stats().estimate_us(&name, bytes);
-        let decision = EventKind::SchedulerDecision {
-            task: id.0,
-            name: Arc::clone(&name),
-            worker: worker_idx,
-            est_us,
-        };
-        observe(&shared, &mut st, decision);
-
         let attempt = st.fold.attempts(id) + 1;
-        let (closure, inputs) = {
+        let (name, closure, inputs) = {
             let inner = &mut *st;
             let t = inner.tasks.get_mut(&id).expect("ready task missing");
             t.state = TaskState::Running;
@@ -743,7 +725,7 @@ fn worker_loop<P: Payload>(shared: Arc<Shared<P>>, worker_idx: usize) {
                 let value = inner.data[&r.id].value.as_ref();
                 Arc::clone(value.expect("ready task with unmaterialized input"))
             };
-            (closure, t.reads.iter().map(input).collect::<Vec<Arc<P>>>())
+            (Arc::clone(&t.name), closure, t.reads.iter().map(input).collect::<Vec<Arc<P>>>())
         };
         st.running += 1;
         let started = EventKind::TaskStarted {
@@ -1136,16 +1118,7 @@ mod tests {
             .filter(|e| !matches!(e.kind, EventKind::QueueDepth { .. }))
             .map(|e| e.kind.tag())
             .collect();
-        assert_eq!(
-            tags,
-            vec![
-                "task_submitted",
-                "task_ready",
-                "scheduler_decision",
-                "task_started",
-                "task_finished"
-            ]
-        );
+        assert_eq!(tags, vec!["task_submitted", "task_ready", "task_started", "task_finished"]);
         let finished = events
             .iter()
             .find_map(|e| match &e.kind {

@@ -24,15 +24,6 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-/// Classifies files into groups (e.g. filename → simulation year) and
-/// knows how many members make a group complete.
-pub trait GroupRule: Send {
-    /// Group key for a file, or `None` to ignore the file.
-    fn group_of(&self, path: &Path) -> Option<String>;
-    /// Number of files that completes the group.
-    fn group_size(&self, group: &str) -> usize;
-}
-
 /// Groups files named `<prefix>-<group>-<member>.<ext>` — the ESM's naming
 /// scheme `esm-YYYY-DDD.ncx` — into per-year groups of `days_per_year`.
 pub struct YearlyRule {
@@ -40,7 +31,8 @@ pub struct YearlyRule {
     pub days_per_year: usize,
 }
 
-impl GroupRule for YearlyRule {
+impl YearlyRule {
+    /// Group key (the year) for a file, or `None` to ignore the file.
     fn group_of(&self, path: &Path) -> Option<String> {
         let stem = path.file_stem()?.to_str()?;
         let rest = stem.strip_prefix(&self.prefix)?.strip_prefix('-')?;
@@ -48,7 +40,8 @@ impl GroupRule for YearlyRule {
         Some(year.to_string())
     }
 
-    fn group_size(&self, _group: &str) -> usize {
+    /// Number of files that completes a group.
+    fn group_size(&self) -> usize {
         self.days_per_year
     }
 }
@@ -69,9 +62,9 @@ pub struct CompleteGroup {
 /// not O(total files) re-grouping per tick, which over a long run made the
 /// watcher quadratic. Groups that have already been delivered drop their
 /// per-group state entirely.
-pub struct DirWatcher<R: GroupRule> {
+pub struct DirWatcher {
     dir: PathBuf,
-    rule: R,
+    rule: YearlyRule,
     /// Every path already classified (including ignored ones), so repeat
     /// polls skip them without a stat.
     seen_paths: BTreeSet<PathBuf>,
@@ -80,9 +73,9 @@ pub struct DirWatcher<R: GroupRule> {
     seen_groups: BTreeSet<String>,
 }
 
-impl<R: GroupRule> DirWatcher<R> {
+impl DirWatcher {
     /// Watches `dir` with the given grouping rule.
-    pub fn new<P: AsRef<Path>>(dir: P, rule: R) -> Self {
+    pub fn new<P: AsRef<Path>>(dir: P, rule: YearlyRule) -> Self {
         DirWatcher {
             dir: dir.as_ref().to_path_buf(),
             rule,
@@ -111,7 +104,7 @@ impl<R: GroupRule> DirWatcher<R> {
                 }
                 let members = self.pending.entry(g.clone()).or_default();
                 members.insert(path);
-                if members.len() >= self.rule.group_size(&g) {
+                if members.len() >= self.rule.group_size() {
                     completed.insert(g);
                 }
             }

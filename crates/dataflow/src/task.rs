@@ -33,17 +33,6 @@ impl fmt::Display for DataRef {
     }
 }
 
-/// Parameter directionality, mirroring PyCOMPSs `@task` clauses. The
-/// builder API expresses these as `reads` (IN), `writes` (OUT) and
-/// `updates` (INOUT = read current version + write a new one); `Direction`
-/// is retained in the graph for introspection and DOT labelling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    In,
-    Out,
-    InOut,
-}
-
 /// What the runtime should do when a task's closure returns an error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailurePolicy {

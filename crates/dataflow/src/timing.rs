@@ -42,45 +42,6 @@ impl TaskSpan {
     }
 }
 
-/// Cold-start duration floor when no execution of a task name has been
-/// measured yet (see [`TimingStats::estimate_us`]).
-pub const COLD_BASE_US: u64 = 1_000;
-/// Cold-start processing-rate guess: bytes of input per microsecond
-/// (~1 GB/s), added on top of [`COLD_BASE_US`].
-pub const COLD_BYTES_PER_US: u64 = 1_000;
-
-/// Online per-task-name duration statistics.
-///
-/// Part of the run's event fold ([`crate::monitor::StatusFold`]): every
-/// executed completion is folded in, and each placement's `est_us` reads
-/// the means back so reports can score estimate against actual. Before
-/// the first completion of a name the estimate falls back to a
-/// byte-proportional cold-start guess. Placement never reads it.
-#[derive(Debug, Default, Clone)]
-pub struct TimingStats {
-    by_name: HashMap<Arc<str>, (u64, u64)>,
-}
-
-impl TimingStats {
-    /// Folds one measured execution of `name` into the statistics.
-    pub(crate) fn record(&mut self, name: &Arc<str>, duration_us: u64) {
-        let e = self.by_name.entry(Arc::clone(name)).or_insert((0, 0));
-        e.0 += duration_us;
-        e.1 += 1;
-    }
-
-    /// Mean measured duration of `name`, if any execution completed.
-    fn mean_us(&self, name: &str) -> Option<u64> {
-        self.by_name.get(name).map(|&(total, count)| total / count.max(1))
-    }
-
-    /// Estimated duration of one execution of `name` over `input_bytes`
-    /// of input: the measured mean, or the cold-start byte model.
-    pub fn estimate_us(&self, name: &str, input_bytes: u64) -> u64 {
-        self.mean_us(name).unwrap_or(COLD_BASE_US + input_bytes / COLD_BYTES_PER_US)
-    }
-}
-
 /// One step of the measured critical path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathStep {
@@ -378,20 +339,6 @@ mod tests {
         let spans = [span(1, "a", 0, 10), span(2, "b", 10, 25)];
         let t = analyze(&edges, &spans).unwrap();
         assert_eq!(t.path_us, 25);
-    }
-
-    #[test]
-    fn timing_stats_mean_and_cold_start() {
-        let mut stats = TimingStats::default();
-        let name: Arc<str> = Arc::from("sim");
-        assert_eq!(stats.mean_us("sim"), None);
-        // Cold start: base + bytes at ~1 GB/s.
-        assert_eq!(stats.estimate_us("sim", 2_000_000), COLD_BASE_US + 2_000);
-        stats.record(&name, 100);
-        stats.record(&name, 300);
-        assert_eq!(stats.mean_us("sim"), Some(200));
-        // Measured mean wins over the byte model once warm.
-        assert_eq!(stats.estimate_us("sim", 2_000_000), 200);
     }
 
     #[test]

@@ -8,6 +8,8 @@ use dataflow::graph::{Node, TaskGraph};
 use dataflow::monitor::StatusFold;
 use dataflow::prelude::*;
 use dataflow::timing::analyze;
+use obs::{EventKind, TaskOutcome};
+use std::collections::HashMap;
 use std::slice::from_ref;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -92,10 +94,38 @@ fn replayed_event_stream_reproduces_every_report() {
     replayed.task_durations.sort();
     assert_eq!(live, replayed);
 
-    // Placements: (task, worker, est_us, actual_us) and the rest.
+    // Placements: (task, worker, actual_us) and the rest.
     let decisions = rt.scheduler_decisions();
     assert_eq!(decisions.len(), 4, "flaky twice, tail, bad");
     assert_eq!(decisions, replay.placements());
+
+    // The placement log is the stream's `TaskStarted`s in order, retries
+    // included, and only an attempt that completed carries an actual: its
+    // task's `TaskFinished.micros`.
+    let started: Vec<(TaskId, usize)> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::TaskStarted { task, worker, .. } => Some((TaskId(task), worker)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(decisions.iter().map(|d| (d.task, d.worker)).collect::<Vec<_>>(), started);
+    let completed: HashMap<TaskId, u64> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::TaskFinished { task, outcome: TaskOutcome::Completed, micros, .. } => {
+                Some((TaskId(task), micros))
+            }
+            _ => None,
+        })
+        .collect();
+    for (i, d) in decisions.iter().enumerate() {
+        let last_attempt = decisions[i + 1..].iter().all(|later| later.task != d.task);
+        let want = if last_attempt { completed.get(&d.task).copied() } else { None };
+        assert_eq!(d.actual_us, want, "attempt {i}, task {} ({})", d.task, d.name);
+        assert_eq!(d.est_us, 0, "the runtime makes no estimate");
+    }
+    assert_eq!(decisions.iter().filter(|d| d.actual_us.is_some()).count(), 2, "flaky, tail");
 
     // Per task: final state, worker, attempts, duration.
     let (live, replayed) = (rt.provenance(), replay.provenance(graph.nodes()));

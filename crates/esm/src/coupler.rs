@@ -6,22 +6,19 @@
 //! atmosphere" (Section 4.2.3). The coupler implements that contract:
 //! between output timesteps it runs `couplings_per_step` exchange cycles,
 //! accumulating bulk-formula heat flux into the ocean and handing the
-//! updated SST/ice back to the atmosphere, while keeping exchange
-//! statistics for introspection.
+//! updated SST/ice back to the atmosphere, while counting the exchange
+//! cycles it ran.
 
 use crate::atmos::Atmosphere;
 use crate::ocean::Ocean;
 use gridded::Field2;
 
-/// Exchange statistics (one record per exchange cycle family).
+/// Exchange statistics.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CouplerStats {
-    /// Total atmosphere→ocean exchange cycles executed.
+    /// Total exchange cycles executed (each one atmosphere→ocean, then
+    /// ocean→atmosphere).
     pub a2o_exchanges: u64,
-    /// Total ocean→atmosphere exchange cycles executed.
-    pub o2a_exchanges: u64,
-    /// Net heat transferred to the ocean (K-equivalent, summed field mean).
-    pub net_heat_to_ocean: f64,
 }
 
 /// The coupler between the two components.
@@ -54,10 +51,8 @@ impl Coupler {
         ocean.absorb_flux(&delta);
         ocean.update_ice();
         self.stats.a2o_exchanges += cycles as u64;
-        self.stats.net_heat_to_ocean += delta.mean() * cycles as f64 / cycles as f64;
 
         // Ocean -> atmosphere: SST (and implicitly ice) for the next step.
-        self.stats.o2a_exchanges += cycles as u64;
         ocean.sst.clone()
     }
 }
@@ -83,7 +78,6 @@ mod tests {
         atmos.step(&cfg, 0, 0, 0.0, &sst0, &ev);
         coupler.exchange(&atmos, &mut ocean, cfg.couplings_per_step);
         assert_eq!(coupler.stats.a2o_exchanges, cfg.couplings_per_step as u64);
-        assert_eq!(coupler.stats.o2a_exchanges, cfg.couplings_per_step as u64);
     }
 
     #[test]

@@ -158,7 +158,7 @@ mod tests {
         let mut n = 0usize;
         for _ in 0..20 {
             let f = g.step();
-            sum += f.mean() * f.data.len() as f64;
+            sum += f.data.iter().map(|&v| v as f64).sum::<f64>();
             n += f.data.len();
         }
         let mean = sum / n as f64;

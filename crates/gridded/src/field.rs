@@ -37,14 +37,6 @@ impl Field2 {
         self.data[idx] = v;
     }
 
-    /// Unweighted arithmetic mean.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            return f64::NAN;
-        }
-        self.data.iter().map(|&v| v as f64).sum::<f64>() / self.data.len() as f64
-    }
-
     /// Area-weighted global mean (cos-latitude weights).
     pub fn area_mean(&self) -> f64 {
         let w = self.grid.area_weights();
@@ -115,7 +107,6 @@ mod tests {
         let f = Field2::constant(small(), 3.0);
         assert_eq!(f.data.len(), 24);
         assert!(f.data.iter().all(|&v| v == 3.0));
-        assert_eq!(Field2::constant(small(), 0.0).mean(), 0.0);
     }
 
     #[test]

@@ -161,11 +161,6 @@ pub fn get_attributes<R: Read>(r: &mut R) -> Result<Vec<Attribute>> {
     Ok(out)
 }
 
-/// Decodes little-endian bytes into `f32`s.
-pub fn bytes_f32(bytes: &[u8]) -> Vec<f32> {
-    bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()
-}
-
 /// Decodes little-endian bytes into `f64`s.
 pub fn bytes_f64(bytes: &[u8]) -> Vec<f64> {
     bytes

@@ -29,11 +29,6 @@ pub enum Error {
     TypeMismatch { want: &'static str, have: &'static str },
     /// Header bytes could not be decoded (truncated or corrupt file).
     Corrupt(String),
-    /// A chunked variable opened with `begin_variable_*` has not been
-    /// closed with `end_variable` yet.
-    UnfinishedVariable(String),
-    /// `write_chunk_*`/`end_variable` called with no variable open.
-    NoOpenVariable,
 }
 
 impl fmt::Display for Error {
@@ -54,10 +49,6 @@ impl fmt::Display for Error {
                 write!(f, "type mismatch: requested {want}, stored {have}")
             }
             Error::Corrupt(msg) => write!(f, "corrupt NCX file: {msg}"),
-            Error::UnfinishedVariable(n) => {
-                write!(f, "variable '{n}' is still open (missing end_variable)")
-            }
-            Error::NoOpenVariable => write!(f, "no chunked variable is open"),
         }
     }
 }

@@ -124,7 +124,10 @@ impl Reader {
 
     /// Reads an entire `f32` variable.
     pub fn read_all_f32(&self, name: &str) -> Result<Vec<f32>> {
-        Ok(codec::bytes_f32(&self.whole(name, DataType::F32)?))
+        let v = self.variable(name)?;
+        let mut out = vec![0.0; v.len(&self.dims)];
+        self.var_f32_into(v, 0, &mut out)?;
+        Ok(out)
     }
 
     /// Reads an entire `f64` variable.

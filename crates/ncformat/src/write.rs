@@ -5,8 +5,9 @@
 //! last (the fixed-size prelude stores a pointer to it). The ESM output
 //! path uses it, so a day's ~20 large fields never need to coexist in
 //! memory; small files (index exports, tests) go through the same calls.
-//! A variable whose payload arrives out of order (the TC bundle fills four
-//! variables day by day) reserves its extent and is written in place.
+//! A variable whose payload arrives in pieces (a cube's fragments, or the
+//! TC bundle's four variables filled day by day) reserves its extent and
+//! is written in place.
 //!
 //! On-disk layout:
 //!
@@ -33,18 +34,6 @@ pub(crate) const PRELUDE_LEN: u64 = 4 + 1 + 8;
 /// proportionally to its length.
 const ENCODE_CHUNK_BYTES: usize = 256 * 1024;
 
-/// A variable opened with [`Writer::begin_variable_f32`] whose payload is
-/// arriving chunk by chunk.
-struct OpenVariable {
-    name: String,
-    dtype: DataType,
-    dim_idx: Vec<usize>,
-    attrs: Vec<Attribute>,
-    offset: u64,
-    expected: usize,
-    written: usize,
-}
-
 /// A variable declared with [`Writer::reserve_variable_f32`]: its index
 /// in `vars`, its element count and the elements written so far.
 struct Placed {
@@ -63,7 +52,6 @@ pub struct Writer {
     finished: bool,
     /// Reused encode buffer; capacity persists across variables.
     scratch: Vec<u8>,
-    open: Option<OpenVariable>,
     placed: Vec<Placed>,
     reserved: bool,
 }
@@ -84,7 +72,6 @@ impl Writer {
             cursor: PRELUDE_LEN,
             finished: false,
             scratch: Vec::new(),
-            open: None,
             placed: Vec::new(),
             reserved: false,
         })
@@ -130,15 +117,41 @@ impl Writer {
             .collect()
     }
 
-    fn check_new_var(&self, name: &str) -> Result<()> {
+    /// Declares a variable whose payload starts at the cursor and returns
+    /// its element count.
+    fn declare(
+        &mut self,
+        name: &str,
+        dims: &[&str],
+        dtype: DataType,
+        attributes: Vec<Attribute>,
+    ) -> Result<usize> {
         if self.vars.iter().any(|v| v.name == name) {
             return Err(Error::DuplicateVariable(name.into()));
         }
-        Ok(())
+        let dims = self.dim_indices(dims)?;
+        let expected = dims.iter().map(|&d| self.dims[d].size).product();
+        let data_offset = self.cursor;
+        self.vars.push(Variable { name: name.into(), dtype, dims, attributes, data_offset });
+        Ok(expected)
     }
 
-    fn expected_len(&self, dim_idx: &[usize]) -> usize {
-        dim_idx.iter().map(|&d| self.dims[d].size).product()
+    /// Declares a variable of `len` elements, or, when its shape holds a
+    /// different count, declares nothing.
+    fn declare_len(
+        &mut self,
+        name: &str,
+        dims: &[&str],
+        dtype: DataType,
+        attrs: Vec<Attribute>,
+        len: usize,
+    ) -> Result<()> {
+        let expected = self.declare(name, dims, dtype, attrs)?;
+        if expected != len {
+            self.vars.pop();
+            return Err(Error::ShapeMismatch { expected, actual: len });
+        }
+        Ok(())
     }
 
     /// Streams `data` little-endian at the file's current position. On
@@ -178,67 +191,6 @@ impl Writer {
         Ok(())
     }
 
-    /// Opens an `f32` variable whose payload will arrive through
-    /// [`Writer::write_chunk_f32`] calls; [`Writer::end_variable`] closes
-    /// it once the element count matches the declared shape. This lets a
-    /// producer (e.g. a fragmented datacube) export without ever
-    /// materializing the dense payload.
-    pub fn begin_variable_f32(
-        &mut self,
-        name: &str,
-        dims: &[&str],
-        attrs: Vec<Attribute>,
-    ) -> Result<()> {
-        if let Some(open) = &self.open {
-            return Err(Error::UnfinishedVariable(open.name.clone()));
-        }
-        self.check_new_var(name)?;
-        let dim_idx = self.dim_indices(dims)?;
-        let expected = self.expected_len(&dim_idx);
-        self.open = Some(OpenVariable {
-            name: name.into(),
-            dtype: DataType::F32,
-            dim_idx,
-            attrs,
-            offset: self.cursor,
-            expected,
-            written: 0,
-        });
-        Ok(())
-    }
-
-    /// Appends one chunk of the currently open `f32` variable's payload.
-    pub fn write_chunk_f32(&mut self, data: &[f32]) -> Result<()> {
-        let open = self.open.as_ref().ok_or(Error::NoOpenVariable)?;
-        if open.written + data.len() > open.expected {
-            return Err(Error::ShapeMismatch {
-                expected: open.expected,
-                actual: open.written + data.len(),
-            });
-        }
-        self.write_f32_le(data)?;
-        self.cursor += data.len() as u64 * 4;
-        self.open.as_mut().expect("checked above").written += data.len();
-        Ok(())
-    }
-
-    /// Closes the variable opened by [`Writer::begin_variable_f32`],
-    /// verifying the streamed element count against the declared shape.
-    pub fn end_variable(&mut self) -> Result<()> {
-        let open = self.open.take().ok_or(Error::NoOpenVariable)?;
-        if open.written != open.expected {
-            return Err(Error::ShapeMismatch { expected: open.expected, actual: open.written });
-        }
-        self.vars.push(Variable {
-            name: open.name,
-            dtype: open.dtype,
-            dims: open.dim_idx,
-            attributes: open.attrs,
-            data_offset: open.offset,
-        });
-        Ok(())
-    }
-
     /// Declares an `f32` variable and reserves its whole payload extent at
     /// the end of the data section, for [`Writer::write_at_f32`] to fill
     /// in any order — e.g. the variables of a `(step, lat, lon)` bundle
@@ -250,20 +202,8 @@ impl Writer {
         dims: &[&str],
         attrs: Vec<Attribute>,
     ) -> Result<()> {
-        if let Some(open) = &self.open {
-            return Err(Error::UnfinishedVariable(open.name.clone()));
-        }
-        self.check_new_var(name)?;
-        let dims = self.dim_indices(dims)?;
-        let expected = self.expected_len(&dims);
-        self.placed.push(Placed { var: self.vars.len(), expected, written: 0 });
-        self.vars.push(Variable {
-            name: name.into(),
-            dtype: DataType::F32,
-            dims,
-            attributes: attrs,
-            data_offset: self.cursor,
-        });
+        let expected = self.declare(name, dims, DataType::F32, attrs)?;
+        self.placed.push(Placed { var: self.vars.len() - 1, expected, written: 0 });
         self.cursor += expected as u64 * 4;
         // Later appends (and the header) go after the reserved extent.
         self.file.seek(SeekFrom::Start(self.cursor))?;
@@ -301,15 +241,10 @@ impl Writer {
         data: &[f32],
         attrs: Vec<Attribute>,
     ) -> Result<()> {
-        self.begin_variable_f32(name, dims, attrs)?;
-        let expected = self.open.as_ref().expect("just opened").expected;
-        if expected != data.len() {
-            // Nothing written yet; abandon the open variable cleanly.
-            self.open = None;
-            return Err(Error::ShapeMismatch { expected, actual: data.len() });
-        }
-        self.write_chunk_f32(data)?;
-        self.end_variable()
+        self.declare_len(name, dims, DataType::F32, attrs, data.len())?;
+        self.write_f32_le(data)?;
+        self.cursor += data.len() as u64 * 4;
+        Ok(())
     }
 
     /// Appends an `f64` variable with optional attributes.
@@ -320,34 +255,14 @@ impl Writer {
         data: &[f64],
         attrs: Vec<Attribute>,
     ) -> Result<()> {
-        if let Some(open) = &self.open {
-            return Err(Error::UnfinishedVariable(open.name.clone()));
-        }
-        self.check_new_var(name)?;
-        let idx = self.dim_indices(dims)?;
-        let expected = self.expected_len(&idx);
-        if expected != data.len() {
-            return Err(Error::ShapeMismatch { expected, actual: data.len() });
-        }
-        let offset = self.cursor;
-        self.write_f64_le(data)?;
-        self.vars.push(Variable {
-            name: name.into(),
-            dtype: DataType::F64,
-            dims: idx,
-            attributes: attrs,
-            data_offset: offset,
-        });
-        Ok(())
+        self.declare_len(name, dims, DataType::F64, attrs, data.len())?;
+        self.write_f64_le(data)
     }
 
     /// Writes the header, patches the prelude pointer and flushes. Must be
     /// called exactly once; dropping an unfinished writer leaves an invalid
     /// file by design (truncated output should not parse).
     pub fn finish(mut self) -> Result<()> {
-        if let Some(open) = &self.open {
-            return Err(Error::UnfinishedVariable(open.name.clone()));
-        }
         if let Some(p) = self.placed.iter().find(|p| p.written != p.expected) {
             return Err(Error::ShapeMismatch { expected: p.expected, actual: p.written });
         }
@@ -486,37 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_variable_roundtrips() {
-        let path = tmp("chunked.ncx");
-        let mut w = Writer::create(&path).unwrap();
-        w.add_dimension("x", 6).unwrap();
-        w.begin_variable_f32("v", &["x"], vec![]).unwrap();
-        w.write_chunk_f32(&[0.0, 1.0]).unwrap();
-        w.write_chunk_f32(&[2.0]).unwrap();
-        w.write_chunk_f32(&[3.0, 4.0, 5.0]).unwrap();
-        w.end_variable().unwrap();
-        w.finish().unwrap();
-        let rd = Reader::open(&path).unwrap();
-        assert_eq!(rd.read_all_f32("v").unwrap(), vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn chunked_element_count_enforced() {
-        let path = tmp("chunked-arity.ncx");
-        let mut w = Writer::create(&path).unwrap();
-        w.add_dimension("x", 3).unwrap();
-        w.begin_variable_f32("v", &["x"], vec![]).unwrap();
-        w.write_chunk_f32(&[1.0]).unwrap();
-        // Overflow rejected before any bytes are written.
-        assert!(matches!(
-            w.write_chunk_f32(&[2.0, 3.0, 4.0]),
-            Err(Error::ShapeMismatch { expected: 3, actual: 4 })
-        ));
-        // Underflow rejected at close.
-        assert!(matches!(w.end_variable(), Err(Error::ShapeMismatch { expected: 3, actual: 1 })));
-    }
-
-    #[test]
     fn reserved_variables_fill_in_any_order_to_the_appended_bytes() {
         let write = |path: &std::path::Path, placed: bool| {
             let mut w = Writer::create(path).unwrap();
@@ -535,11 +419,8 @@ mod tests {
                 }
             } else {
                 for v in 0..2 {
-                    w.begin_variable_f32(&format!("v{v}"), &["day", "x"], vec![]).unwrap();
-                    for d in 0..3 {
-                        w.write_chunk_f32(&day(v, d)).unwrap();
-                    }
-                    w.end_variable().unwrap();
+                    let days: Vec<f32> = (0..3).flat_map(|d| day(v, d)).collect();
+                    w.add_variable_f32(&format!("v{v}"), &["day", "x"], &days, vec![]).unwrap();
                 }
             }
             w.add_variable_f32("tail", &["x"], &[7.0, 8.0], vec![]).unwrap();
@@ -565,25 +446,6 @@ mod tests {
         ));
         w.write_at_f32("v", 1, &[1.0, 2.0]).unwrap();
         assert!(matches!(w.finish(), Err(Error::ShapeMismatch { expected: 3, actual: 2 })));
-    }
-
-    #[test]
-    fn open_variable_blocks_other_writes() {
-        let path = tmp("chunked-open.ncx");
-        let mut w = Writer::create(&path).unwrap();
-        w.add_dimension("x", 2).unwrap();
-        assert!(matches!(w.write_chunk_f32(&[1.0]), Err(Error::NoOpenVariable)));
-        assert!(matches!(w.end_variable(), Err(Error::NoOpenVariable)));
-        w.begin_variable_f32("v", &["x"], vec![]).unwrap();
-        assert!(matches!(
-            w.begin_variable_f32("w", &["x"], vec![]),
-            Err(Error::UnfinishedVariable(_))
-        ));
-        assert!(matches!(
-            w.add_variable_f64("m", &["x"], &[0.0, 1.0], vec![]),
-            Err(Error::UnfinishedVariable(_))
-        ));
-        assert!(matches!(w.finish(), Err(Error::UnfinishedVariable(_))));
     }
 
     #[test]

@@ -61,11 +61,6 @@ pub enum EventKind {
     },
     /// Scheduler queue depth after a transition (gauge-style sample).
     QueueDepth { ready: usize, running: usize },
-    /// One placement decision, emitted at pick time — just before the
-    /// attempt's `TaskStarted` — with the task's estimated duration
-    /// (`est_us`). The measured duration is the `micros` of the task's
-    /// `TaskFinished`; a fold joins the two (estimate error).
-    SchedulerDecision { task: u64, name: Arc<str>, worker: usize, est_us: u64 },
 
     // --- datacube: fragment kernels -----------------------------------
     /// One fragment went through an operator kernel on an I/O server.
@@ -132,7 +127,6 @@ impl EventKind {
             EventKind::ResumedFrom { .. } => "resumed_from",
             EventKind::TaskFinished { .. } => "task_finished",
             EventKind::QueueDepth { .. } => "queue_depth",
-            EventKind::SchedulerDecision { .. } => "scheduler_decision",
             EventKind::KernelDone { .. } => "kernel_done",
             EventKind::OperatorDone { .. } => "operator_done",
             EventKind::StepCompleted { .. } => "step_completed",

@@ -106,12 +106,6 @@ fn write_fields(s: &mut String, e: &Event) {
             field_u(s, "ready", *ready as u64);
             field_u(s, "running", *running as u64);
         }
-        EventKind::SchedulerDecision { task, name, worker, est_us } => {
-            field_u(s, "task", *task);
-            field_s(s, "name", name);
-            field_u(s, "worker", *worker as u64);
-            field_u(s, "est_us", *est_us);
-        }
         EventKind::KernelDone { op, server, rows, micros } => {
             field_s(s, "op", op);
             field_u(s, "server", *server as u64);
@@ -313,7 +307,6 @@ fn slice_name(kind: &EventKind) -> String {
         EventKind::FaultInjected { site, fault, .. } => format!("fault {fault}@{site}"),
         EventKind::TaskFinished { name, .. } => name.to_string(),
         EventKind::QueueDepth { .. } => "queue".to_string(),
-        EventKind::SchedulerDecision { name, worker, .. } => format!("place {name}→w{worker}"),
         EventKind::KernelDone { op, .. } => format!("kernel {op}"),
         EventKind::OperatorDone { op, .. } => format!("operator {op}"),
         EventKind::StepCompleted { year, day, .. } => format!("step y{year} d{day}"),

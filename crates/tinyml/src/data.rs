@@ -13,9 +13,6 @@ use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Channel order of generated patches (and of the `extremes` TC pipeline).
-pub const CHANNELS: [&str; 4] = ["psl", "wind", "temp", "vort"];
-
 /// One labelled patch: `(input [4, size, size], target [present, cy, cx])`
 /// with `cy`/`cx` normalized to `[0, 1]` patch coordinates (0 when absent).
 pub type PatchSample = (Tensor, Tensor);
